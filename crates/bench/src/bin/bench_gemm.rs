@@ -1,9 +1,11 @@
 //! The perf-trajectory runner: times quantize (fake vs packed, per rounding
-//! mode), decode, all six GEMM orientations and an end-to-end training step
-//! at model-realistic shapes, each kernel against its frozen PR-4
-//! predecessor (`snip_bench::legacy`), plus a per-backend GEMM matrix with
-//! the dispatch pinned to each compiled SIMD tier in turn, and writes
-//! machine-readable `BENCH_gemm.json` at the repo root.
+//! mode, activation tiles and weight blocks, in absolute ns per element),
+//! decode, all six GEMM orientations and an end-to-end training step at
+//! model-realistic shapes, each kernel against its frozen PR-4 predecessor
+//! (`snip_bench::legacy`), plus per-backend GEMM and pack matrices with the
+//! dispatch pinned to each compiled SIMD tier in turn and the pack pool
+//! split against the single-thread kernel, and writes machine-readable
+//! `BENCH_gemm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -84,10 +86,15 @@ struct BackendRow {
     gflops: f64,
 }
 
-/// One quantize measurement: the fused packed path against the fake-quant
-/// (dequantized `Tensor` output) path over the same input and rounding mode.
-/// `ratio` is `packed_ms / fake_ms` — the packed path also *packs* codes, so
-/// staying near 1.0 means the fused sweep adds no second pass.
+/// One quantize measurement: the packed path against the fake-quant
+/// (dequantized `Tensor` output) path over the same input and rounding
+/// mode, under default dispatch. The absolute `*_ns_per_elt` columns are
+/// the ones to read: `ratio` (`packed_ms / fake_ms`) only says how the two
+/// paths compare *to each other* — it sat at ≈ 1.0 for three PRs while
+/// both ran scalar at ~7 ns per element, which is how a pack step costing
+/// 39 % of an FP4 train step went unnoticed here. `before_packed_ms` is the
+/// frozen parent-commit (PR 11, scalar pack kernels) timing of the same
+/// row on the reference box, where one was recorded.
 #[derive(Debug, Serialize, Deserialize)]
 struct QuantizeRow {
     name: String,
@@ -96,6 +103,39 @@ struct QuantizeRow {
     fake_ms: f64,
     packed_ms: f64,
     ratio: f64,
+    fake_ns_per_elt: f64,
+    packed_ns_per_elt: f64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    before_packed_ms: Option<f64>,
+}
+
+/// One cell of the per-backend pack matrix: `quantize_packed` on one
+/// thread with the dispatch pinned to one compiled tier. Codes, scales and
+/// the post-call RNG state are asserted identical to the forced-scalar
+/// tier's before any timing.
+#[derive(Debug, Serialize, Deserialize)]
+struct BackendPackRow {
+    backend: String,
+    name: String,
+    shape: String,
+    rounding: String,
+    packed_ms: f64,
+    ns_per_elt: f64,
+}
+
+/// The nearest-rounding pack pool split against the single-thread SIMD
+/// kernel at one shape (bytes asserted identical first). `split` says
+/// whether default dispatch splits at this size; `speedup` is
+/// `single_ms / default_ms`.
+#[derive(Debug, Serialize, Deserialize)]
+struct PackSplitRow {
+    name: String,
+    shape: String,
+    elements: usize,
+    split: bool,
+    single_ms: f64,
+    default_ms: f64,
+    speedup: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -114,9 +154,30 @@ struct Report {
     backend_gemm: Vec<BackendRow>,
     decode: Vec<KernelRow>,
     quantize: Vec<QuantizeRow>,
+    backend_pack: Vec<BackendPackRow>,
+    pack_split: Vec<PackSplitRow>,
     small_gemm: Vec<SmallGemmRow>,
     train_step: TrainStep,
 }
+
+/// Schema of the report this binary writes and `--check` accepts.
+const SCHEMA: u64 = 4;
+
+/// Parent-commit (PR 11: scalar pack kernels) `quantize_packed` timings on
+/// the reference box (2 cores, avx512f), taken with this file's
+/// min-of-reps estimator right before the vector pack engine landed:
+/// `(row name, shape, rounding, ms)`. A commit cannot re-time its parent,
+/// so the "before" column is frozen here.
+const BEFORE_PACKED_MS: &[(&str, &str, &str, f64)] = &[
+    ("quantize_fp4", "256x768", "nearest", 1.356),
+    ("quantize_fp4", "256x768", "stochastic", 1.742),
+    ("quantize_fp8", "256x768", "nearest", 1.347),
+    ("quantize_fp8", "256x768", "stochastic", 1.703),
+    ("quantize_fp4_weight", "768x768", "nearest", 3.953),
+    ("quantize_fp4_weight", "2048x768", "nearest", 10.478),
+    ("quantize_fp8_weight", "768x768", "nearest", 4.008),
+    ("quantize_fp8_weight", "2048x768", "nearest", 10.716),
+];
 
 /// The six GEMM kernels every report must carry.
 const KERNELS: [&str; 6] = [
@@ -220,6 +281,8 @@ fn run(smoke: bool) -> Report {
     let mut gemm = Vec::new();
     let mut decode = Vec::new();
     let mut quantize = Vec::new();
+    let mut backend_pack = Vec::new();
+    let mut pack_split = Vec::new();
     let mut seen_act_shapes = std::collections::HashSet::new();
 
     for &(tokens, d_out, d_in) in shapes {
@@ -291,8 +354,21 @@ fn run(smoke: bool) -> Report {
             });
         }
 
-        // Decode and quantize depend only on the activation shape, which
-        // several GEMM triples can share — measure each distinct shape once.
+        // The layer's weight, packed the way `snip-nn` packs it (block
+        // scales, nearest): the largest pack of a train step.
+        for p in [Precision::Fp4, Precision::Fp8] {
+            let quantizer = p.quantizer_with_group(TensorRole::Weight, 128);
+            let name = format!("quantize_{p}_weight");
+            quantize.push(quantize_row(name.clone(), &w, quantizer, reps));
+            if p == Precision::Fp4 {
+                backend_pack.extend(backend_pack_rows(&name, &w, quantizer, reps));
+            }
+        }
+        pack_split.push(pack_split_row(&w, reps));
+
+        // Decode and activation quantize depend only on the activation
+        // shape, which several GEMM triples can share — measure each
+        // distinct shape once.
         let act_shape = format!("{tokens}x{d_in}");
         if !seen_act_shapes.insert(act_shape.clone()) {
             continue;
@@ -314,11 +390,7 @@ fn run(smoke: bool) -> Report {
             });
         }
 
-        // Quantize: packed path vs fake-quant path, per rounding mode. The
-        // packed path does strictly more work (it emits codes, not just the
-        // dequantized grid), so `ratio` near 1.0 shows the single-pass fused
-        // sweep — for stochastic rounding in particular, that the SR encode
-        // costs no second pass over the data.
+        // Activation quantize (1×128 tiles), per rounding mode.
         for p in [Precision::Fp4, Precision::Fp8] {
             for rounding in [
                 snip_quant::Rounding::Nearest,
@@ -327,20 +399,9 @@ fn run(smoke: bool) -> Report {
                 let quantizer = p
                     .quantizer_with_group(TensorRole::Input, 128)
                     .with_rounding(rounding);
-                let mut frng = Rng::seed_from(11);
-                let fake_ms = time_best_ms(reps, || quantizer.fake_quantize(&x, &mut frng));
-                let mut qrng = Rng::seed_from(11);
-                let packed_ms = time_best_ms(reps, || {
-                    quantizer.quantize_packed(&x, &mut qrng).expect("packable")
-                });
-                quantize.push(QuantizeRow {
-                    name: format!("quantize_{p}"),
-                    shape: format!("{tokens}x{d_in}"),
-                    rounding: format!("{rounding:?}").to_lowercase(),
-                    fake_ms,
-                    packed_ms,
-                    ratio: packed_ms / fake_ms,
-                });
+                let name = format!("quantize_{p}");
+                quantize.push(quantize_row(name.clone(), &x, quantizer, reps));
+                backend_pack.extend(backend_pack_rows(&name, &x, quantizer, reps));
             }
         }
     }
@@ -357,7 +418,7 @@ fn run(smoke: bool) -> Report {
     let ms_per_step = t0.elapsed().as_secs_f64() * 1e3 / steps as f64;
 
     Report {
-        schema: 3,
+        schema: SCHEMA,
         generated_by: "bench_gemm".to_string(),
         smoke,
         machine,
@@ -365,8 +426,125 @@ fn run(smoke: bool) -> Report {
         backend_gemm,
         decode,
         quantize,
+        backend_pack,
+        pack_split,
         small_gemm,
         train_step: TrainStep { steps, ms_per_step },
+    }
+}
+
+fn rounding_name(q: &Quantizer) -> String {
+    format!("{:?}", q.rounding()).to_lowercase()
+}
+
+fn ns_per_elt(ms: f64, t: &Tensor) -> f64 {
+    ms * 1e6 / t.len() as f64
+}
+
+/// Times the packed path against the fake-quant path on `t` under default
+/// dispatch. (The packed path emits codes *and* scales where the fake path
+/// writes a dequantized grid; both do one scan and one rounding per
+/// element.)
+fn quantize_row(name: String, t: &Tensor, quantizer: Quantizer, reps: usize) -> QuantizeRow {
+    let (rows, cols) = t.shape();
+    let shape = format!("{rows}x{cols}");
+    let rounding = rounding_name(&quantizer);
+    let mut frng = Rng::seed_from(11);
+    let fake_ms = time_best_ms(reps, || quantizer.fake_quantize(t, &mut frng));
+    let mut qrng = Rng::seed_from(11);
+    let packed_ms = time_best_ms(reps, || {
+        quantizer.quantize_packed(t, &mut qrng).expect("packable")
+    });
+    let before_packed_ms = BEFORE_PACKED_MS
+        .iter()
+        .find(|(n, s, r, _)| *n == name && *s == shape && *r == rounding)
+        .map(|&(.., ms)| ms);
+    QuantizeRow {
+        name,
+        shape,
+        rounding,
+        fake_ms,
+        packed_ms,
+        ratio: packed_ms / fake_ms,
+        fake_ns_per_elt: ns_per_elt(fake_ms, t),
+        packed_ns_per_elt: ns_per_elt(packed_ms, t),
+        before_packed_ms,
+    }
+}
+
+/// Packs from a fixed RNG state; returns the pack and the state after.
+fn pack_seeded(q: &Quantizer, t: &Tensor) -> (QTensor, Rng) {
+    let mut rng = Rng::seed_from(11);
+    let packed = q.quantize_packed(t, &mut rng).expect("packable");
+    (packed, rng)
+}
+
+/// Times `quantize_packed` of `t` on one thread with the dispatch pinned
+/// to every compiled backend tier in turn. A tier is timed only after its
+/// codes, scales and post-call RNG state matched forced scalar.
+fn backend_pack_rows(name: &str, t: &Tensor, q: Quantizer, reps: usize) -> Vec<BackendPackRow> {
+    fn pinned<R>(backend: simd::Backend, f: impl FnOnce() -> R) -> R {
+        simd::with_forced_backend(backend, || pool::with_threads(1, f))
+    }
+    let (rows, cols) = t.shape();
+    let reference = pinned(simd::Backend::Scalar, || pack_seeded(&q, t));
+    simd::available_backends()
+        .into_iter()
+        .map(|backend| {
+            assert!(
+                pinned(backend, || pack_seeded(&q, t)) == reference,
+                "{name} @ {}: codes, scales or RNG state differ from forced scalar — \
+                 refusing to time different math",
+                backend.name()
+            );
+            let mut rng = Rng::seed_from(11);
+            let packed_ms = pinned(backend, || {
+                time_best_ms(reps, || q.quantize_packed(t, &mut rng).expect("packable"))
+            });
+            BackendPackRow {
+                backend: backend.name().to_string(),
+                name: name.to_string(),
+                shape: format!("{rows}x{cols}"),
+                rounding: rounding_name(&q),
+                packed_ms,
+                ns_per_elt: ns_per_elt(packed_ms, t),
+            }
+        })
+        .collect()
+}
+
+/// Times the FP4 weight pack of `w` on one thread against default
+/// dispatch, which splits nearest-rounding packs over the pool in
+/// scale-group-aligned row bands above a size cutoff. This row is what
+/// keeps (or would retire) the split: it stays only while the 2048×768
+/// shape shows ≥ 1.3× over the single-thread SIMD kernel.
+fn pack_split_row(w: &Tensor, reps: usize) -> PackSplitRow {
+    let q = Precision::Fp4.quantizer_with_group(TensorRole::Weight, 128);
+    let (rows, cols) = w.shape();
+    let single = pool::with_threads(1, || pack_seeded(&q, w));
+    assert!(
+        pack_seeded(&q, w) == single,
+        "pack pool split changed bytes — refusing to time different math"
+    );
+    let mut rng = Rng::seed_from(11);
+    // Alternating rounds, minimum per side: robust to clock drift.
+    let (mut single_ms, mut default_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        single_ms = single_ms.min(pool::with_threads(1, || {
+            time_best_ms(reps, || q.quantize_packed(w, &mut rng).expect("packable"))
+        }));
+        default_ms = default_ms.min(time_best_ms(reps, || {
+            q.quantize_packed(w, &mut rng).expect("packable")
+        }));
+    }
+    PackSplitRow {
+        name: "quantize_fp4_weight".to_string(),
+        shape: format!("{rows}x{cols}"),
+        elements: w.len(),
+        split: pool::size() > 1 && w.len() >= snip_quant::codebook::PACK_PARALLEL_THRESHOLD,
+        single_ms,
+        default_ms,
+        speedup: single_ms / default_ms,
     }
 }
 
@@ -487,7 +665,7 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let report: Report =
         serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if report.schema != 3 {
+    if report.schema != SCHEMA {
         return Err(format!("unknown schema {}", report.schema));
     }
     let mach = &report.machine;
@@ -574,14 +752,78 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             }
         }
     }
+    if !report.quantize.iter().any(|r| r.name.ends_with("_weight")) {
+        return Err("quantize section has no weight-shape rows".to_string());
+    }
     for r in &report.quantize {
         for (what, v) in [
             ("fake_ms", r.fake_ms),
             ("packed_ms", r.packed_ms),
             ("ratio", r.ratio),
+            ("fake_ns_per_elt", r.fake_ns_per_elt),
+            ("packed_ns_per_elt", r.packed_ns_per_elt),
+            ("before_packed_ms", r.before_packed_ms.unwrap_or(1.0)),
         ] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("{} {}: {what} = {v}", r.name, r.rounding));
+            }
+        }
+    }
+    // The pack matrix mirrors the GEMM matrix: every tier covers the same
+    // cases, scalar and the dispatched backend are present.
+    let pack_backends: std::collections::BTreeSet<&str> = report
+        .backend_pack
+        .iter()
+        .map(|r| r.backend.as_str())
+        .collect();
+    if pack_backends != backends {
+        return Err(format!(
+            "backend_pack covers {pack_backends:?}, backend_gemm {backends:?}"
+        ));
+    }
+    let scalar_cases = report
+        .backend_pack
+        .iter()
+        .filter(|r| r.backend == "scalar")
+        .count();
+    for backend in &pack_backends {
+        let cases = report
+            .backend_pack
+            .iter()
+            .filter(|r| r.backend == *backend)
+            .count();
+        if cases != scalar_cases {
+            return Err(format!(
+                "backend_pack: `{backend}` has {cases} rows, scalar {scalar_cases}"
+            ));
+        }
+    }
+    for rounding in ["nearest", "stochastic"] {
+        if !report.backend_pack.iter().any(|r| r.rounding == rounding) {
+            return Err(format!("backend_pack has no `{rounding}` rows"));
+        }
+    }
+    for r in &report.backend_pack {
+        for (what, v) in [("packed_ms", r.packed_ms), ("ns_per_elt", r.ns_per_elt)] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(format!(
+                    "backend_pack {} {} {}: {what} = {v}",
+                    r.backend, r.name, r.rounding
+                ));
+            }
+        }
+    }
+    if report.pack_split.is_empty() {
+        return Err("pack_split section is empty".to_string());
+    }
+    for r in &report.pack_split {
+        for (what, v) in [
+            ("single_ms", r.single_ms),
+            ("default_ms", r.default_ms),
+            ("speedup", r.speedup),
+        ] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(format!("pack_split {}: {what} = {v}", r.shape));
             }
         }
     }
@@ -608,12 +850,15 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
     }
     Ok(format!(
         "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
+         {} backend-pack rows, {} pack-split rows, \
          {} small-gemm rows, {:.2} ms/train-step, {} simd on {} threads",
         report.gemm.len(),
         report.backend_gemm.len(),
         backends.iter().copied().collect::<Vec<_>>().join("/"),
         report.decode.len(),
         report.quantize.len(),
+        report.backend_pack.len(),
+        report.pack_split.len(),
         report.small_gemm.len(),
         ts.ms_per_step,
         mach.simd_backend,
@@ -650,9 +895,26 @@ fn print_summary(report: &Report) {
         );
     }
     for r in &report.quantize {
+        let before = r
+            .before_packed_ms
+            .map(|b| format!("  (parent {b:.3} ms, {:.1}x)", b / r.packed_ms))
+            .unwrap_or_default();
         println!(
-            "  {:>12} {:>14}  {:>9.3} ms fake → {:>9.3} ms packed  {:>5.2}x  ({})",
-            r.name, r.shape, r.fake_ms, r.packed_ms, r.ratio, r.rounding
+            "  {:>19} {:>9}  fake {:>7.3} ms {:>5.2} ns/elt → packed {:>7.3} ms {:>5.2} ns/elt  ({}){before}",
+            r.name, r.shape, r.fake_ms, r.fake_ns_per_elt, r.packed_ms, r.packed_ns_per_elt,
+            r.rounding
+        );
+    }
+    for r in &report.backend_pack {
+        println!(
+            "  {:>19} {:>9}  {:>9.3} ms   {:>5.2} ns/elt  ({})  [{}]",
+            r.name, r.shape, r.packed_ms, r.ns_per_elt, r.rounding, r.backend
+        );
+    }
+    for r in &report.pack_split {
+        println!(
+            "  {:>19} {:>9}  {:>9.3} ms 1 thread → {:>9.3} ms default  {:>5.2}x  (split = {})",
+            r.name, r.shape, r.single_ms, r.default_ms, r.speedup, r.split
         );
     }
     for r in &report.small_gemm {

@@ -167,3 +167,34 @@ fn training_steps_are_bit_identical_with_collection_on() {
     });
     assert_eq!(off, on, "telemetry changed a training trajectory");
 }
+
+/// The vector pack engine under collection: on every SIMD tier this
+/// process can run — and with the nearest-rounding pool split forced —
+/// packing with telemetry on must leave the same code bytes, scales and
+/// RNG position as with it off, and must not write to the source tensor
+/// (signal extraction only reads the pack it is handed).
+#[test]
+fn vector_packs_are_bit_identical_with_collection_on() {
+    use snip_tensor::{pool, simd};
+    let mut rng = Rng::seed_from(0x0B5);
+    // Wider than every lane width and one stochastic draw chunk, ragged.
+    let t = Tensor::randn(9, 301, 1.0, &mut rng);
+    let before = bits(&t);
+    for backend in simd::available_backends() {
+        for (label, q) in all_quantizers() {
+            let (off, on) = off_then_on(|| {
+                simd::with_forced_backend(backend, || {
+                    pool::with_threads(3, || {
+                        let mut rng = Rng::seed_from(0x51);
+                        let packed = q.pack(&t, &mut rng).expect("all test codecs pack");
+                        let codes = packed.codes();
+                        let scales: Vec<u32> = codes.scales().iter().map(|s| s.to_bits()).collect();
+                        (codes.packed_data().to_vec(), scales, rng)
+                    })
+                })
+            });
+            assert_eq!(off, on, "{label} @ {}: pack differs", backend.name());
+            assert_eq!(bits(&t), before, "{label}: telemetry wrote to the source");
+        }
+    }
+}

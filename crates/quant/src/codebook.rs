@@ -21,94 +21,106 @@
 use crate::format::{FloatFormat, FormatKind};
 use crate::granularity::Granularity;
 use crate::int::IntFormat;
+use crate::quantizer::Rounding;
+use snip_tensor::encode::{encode_u4_with, CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
-use snip_tensor::{CodeWidth, QTensor, Tensor};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use snip_tensor::{pool, CodeWidth, QTensor, Tensor};
+use std::sync::{Arc, OnceLock};
 
-/// Identity of a decode table in the shared per-format registry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum LutKey {
-    Float(FormatKind),
-    Int(u32),
+/// The format a codebook was built from.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    Float(FloatFormat),
+    Int(IntFormat),
 }
 
-/// Decode tables, one per format, shared by every tensor of that format.
-static LUT_REGISTRY: OnceLock<Mutex<HashMap<LutKey, Arc<[f32]>>>> = OnceLock::new();
-
-/// Direct-map encode tables (bits → code), one per format, shared like the
-/// decode tables.
-static ENC_REGISTRY: OnceLock<Mutex<HashMap<LutKey, Arc<[u8]>>>> = OnceLock::new();
-
-/// Fused nearest-rounding threshold tables, one per format, shared like the
-/// decode tables.
-static NEAREST_REGISTRY: OnceLock<Mutex<HashMap<LutKey, Arc<NearestTable>>>> = OnceLock::new();
-
-/// Byte → value-pair decode tables for 4-bit formats (two decoded elements
-/// per packed byte; see [`QTensor::pair_table`]), one per format, shared
-/// like the decode tables.
-static PAIR_REGISTRY: OnceLock<Mutex<HashMap<LutKey, Arc<[f32]>>>> = OnceLock::new();
-
-/// Precomputed rounding boundaries for the fused nearest-quantize+encode
-/// path: `thresholds[i]` is the f32 bit pattern above (or at) which a
-/// scaled magnitude rounds to non-negative value `i + 1` rather than `i`.
-/// Positive-float bit patterns order like the floats themselves, so the hot
-/// loop is pure integer compares.
-#[derive(Debug)]
-struct NearestTable {
-    thresholds: Vec<u32>,
-    /// Whether the format's rounding preserves the sign of an exact ±0
-    /// input (integer grids do; the float formats collapse −0.0 to +0.0).
-    signed_zero: bool,
-}
+/// The interned codebooks: four packable float formats, then the integer
+/// widths 2..=8. A codebook is immutable format metadata, built on first
+/// use; every later lookup is one `OnceLock` load — no lock, no
+/// allocation — so packing from many threads never contends.
+static BOOKS: [OnceLock<Codebook>; 11] = [const { OnceLock::new() }; 11];
 
 /// Sentinel in the encode table for keys no grid value occupies. Valid
 /// magnitude indices are `< 128`, so `0xFF` can never collide with one.
 const ENC_EMPTY: u8 = u8::MAX;
 
-/// A sign-magnitude code table for one subbyte format.
-#[derive(Clone, Debug, PartialEq)]
+/// Elements from which a nearest-rounding pack splits over the worker pool
+/// (see [`Codebook::pack_rounded_with`]). Measured on the 2-core reference
+/// box: a 2-way split runs 1.07–1.20× at 256×768 (just below), 1.24–1.40×
+/// at 384×768 (just above) and 1.7–1.8× at 2048×768.
+pub const PACK_PARALLEL_THRESHOLD: usize = 1 << 18;
+
+/// Uniform draws buffered per stochastic kernel call (see
+/// [`Codebook::pack_rounded_with`]). Even, so a chunk boundary never
+/// splits a nibble pair of an even-aligned segment.
+const DRAW_CHUNK: usize = 256;
+
+/// A sign-magnitude code table for one subbyte format, with every derived
+/// table a packer or decoder needs. Obtained through [`Codebook::for_float`]
+/// / [`Codebook::for_int`], which intern one instance per format.
+#[derive(Debug)]
 pub struct Codebook {
+    source: Source,
     /// Non-negative representable values, ascending, starting at 0.
     nonneg: Vec<f32>,
     width: CodeWidth,
-    key: LutKey,
     /// Right-shift applied to a value's f32 bit pattern to form its encode
     /// key: keeps the exponent and exactly the mantissa bits any grid value
     /// uses, so distinct grid values get distinct keys.
     enc_shift: u32,
     /// Direct map from shifted magnitude bits to the non-negative value
-    /// index ([`ENC_EMPTY`] where no grid value lands). Interned per format.
-    enc_table: Arc<[u8]>,
+    /// index ([`ENC_EMPTY`] where no grid value lands).
+    enc_table: Vec<u8>,
+    /// Decode table: `lut[code] = value`.
+    lut: Arc<[f32]>,
+    /// Byte → value-pair expansion of `lut` (empty for byte-wide codes).
+    pair: Arc<[f32]>,
+    /// The code space as the encode kernels compute it.
+    grid: CodeGrid,
 }
 
 impl Codebook {
-    /// Builds the codebook of a floating-point format, or `None` if the
-    /// format is wider than 8 bits (BF16 is not packable).
-    pub fn for_float(fmt: FloatFormat) -> Option<Codebook> {
+    /// The codebook of a floating-point format, or `None` if the format is
+    /// wider than 8 bits (BF16 is not packable).
+    pub fn for_float(fmt: FloatFormat) -> Option<&'static Codebook> {
+        let slot = match fmt.kind() {
+            FormatKind::E2M1 => 0,
+            FormatKind::E4M3 => 1,
+            FormatKind::E5M2 => 2,
+            FormatKind::E3M4 => 3,
+            FormatKind::Bf16 => return None,
+        };
+        Some(BOOKS[slot].get_or_init(|| Codebook::build(Source::Float(fmt))))
+    }
+
+    /// The codebook of a symmetric integer format, or `None` if the format
+    /// is wider than 8 bits.
+    pub fn for_int(fmt: IntFormat) -> Option<&'static Codebook> {
         if fmt.bits() > 8 {
             return None;
         }
-        Some(Codebook::from_nonneg(
-            fmt.enumerate_non_negative(),
-            LutKey::Float(fmt.kind()),
-        ))
+        let slot = 4 + (fmt.bits() - 2) as usize;
+        Some(BOOKS[slot].get_or_init(|| Codebook::build(Source::Int(fmt))))
     }
 
-    /// Builds the codebook of a symmetric integer format, or `None` if the
-    /// format is wider than 8 bits.
-    pub fn for_int(fmt: IntFormat) -> Option<Codebook> {
-        if fmt.bits() > 8 {
-            return None;
-        }
-        let qmax = fmt.qmax() as i64;
-        Some(Codebook::from_nonneg(
-            (0..=qmax).map(|i| i as f32).collect(),
-            LutKey::Int(fmt.bits()),
-        ))
-    }
-
-    fn from_nonneg(nonneg: Vec<f32>, key: LutKey) -> Codebook {
+    fn build(source: Source) -> Codebook {
+        // An integer grid is the all-subnormal case of the float index
+        // arithmetic (quantum 1 up to `qmax`); it keeps the sign of an
+        // exact −0 input where the float formats collapse it to +0.
+        let (nonneg, man_bits, emin, signed_zero): (Vec<f32>, _, _, _) = match source {
+            Source::Float(fmt) => (
+                fmt.enumerate_non_negative(),
+                fmt.man_bits(),
+                fmt.emin(),
+                false,
+            ),
+            Source::Int(fmt) => (
+                (0..=fmt.qmax() as i64).map(|i| i as f32).collect(),
+                fmt.bits() - 1,
+                fmt.bits() as i32 - 1,
+                true,
+            ),
+        };
         assert!(
             !nonneg.is_empty() && nonneg[0] == 0.0,
             "table must start at 0"
@@ -128,19 +140,17 @@ impl Codebook {
             CodeWidth::U8
         };
         let enc_shift = Self::enc_shift_for(&nonneg);
-        let enc_table = {
-            let registry = ENC_REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-            let mut map = registry.lock().expect("encode registry poisoned");
-            map.entry(key)
-                .or_insert_with(|| Self::build_enc_table(&nonneg, enc_shift).into())
-                .clone()
-        };
+        let lut: Arc<[f32]> = Self::build_lut(&nonneg, width).into();
+        let top = nonneg.len() - 1;
         Codebook {
-            nonneg,
+            source,
             width,
-            key,
             enc_shift,
-            enc_table,
+            enc_table: Self::build_enc_table(&nonneg, enc_shift),
+            pair: QTensor::pair_table(&lut).into(),
+            lut,
+            grid: CodeGrid::new(width, man_bits, emin, nonneg[top], top as u8, signed_zero),
+            nonneg,
         }
     }
 
@@ -172,6 +182,17 @@ impl Codebook {
         table
     }
 
+    fn build_lut(nonneg: &[f32], width: CodeWidth) -> Vec<f32> {
+        let len = width.lut_len();
+        let half = len / 2;
+        let mut lut = vec![0.0f32; len];
+        for (i, &v) in nonneg.iter().enumerate() {
+            lut[i] = v;
+            lut[half + i] = -v;
+        }
+        lut
+    }
+
     /// The packed storage width codes of this book need.
     pub fn width(&self) -> CodeWidth {
         self.width
@@ -185,9 +206,9 @@ impl Codebook {
 
     /// The decode table: `lut[code] = value`. Unused codes decode to 0.
     ///
-    /// Tables are interned per format, so every packed tensor of one format
-    /// shares a single allocation — decode tables are format metadata and
-    /// cost nothing per tensor.
+    /// The table lives in the interned codebook, so every packed tensor of
+    /// one format shares a single allocation — decode tables are format
+    /// metadata and cost nothing per tensor.
     ///
     /// The table's length and layout are a contract with the SIMD decode
     /// kernels in `snip-tensor`: exactly 16 entries for 4-bit formats (the
@@ -198,46 +219,35 @@ impl Codebook {
     /// (gathered directly). `build_lut`'s mirrored-halves layout is what
     /// makes the 4-bit split legal.
     pub fn lut(&self) -> Arc<[f32]> {
-        let registry = LUT_REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = registry.lock().expect("lut registry poisoned");
-        map.entry(self.key)
-            .or_insert_with(|| self.build_lut().into())
-            .clone()
+        self.lut.clone()
+    }
+
+    /// [`Codebook::lut`] borrowed — for per-frame lookups that only compare.
+    pub(crate) fn lut_slice(&self) -> &[f32] {
+        &self.lut
     }
 
     /// The byte → value-pair expansion of this format's decode table (the
-    /// branch-free 4-bit decode path reads it; empty for byte-wide codes).
-    /// Interned per format like [`Codebook::lut`]: a pair table is format
-    /// metadata, so every packed tensor of one format shares a single
-    /// 2 KiB allocation.
+    /// branch-free 4-bit decode path reads it; empty for byte-wide codes),
+    /// shared per format like [`Codebook::lut`].
     pub fn pair_lut(&self) -> Arc<[f32]> {
-        let registry = PAIR_REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = registry.lock().expect("pair registry poisoned");
-        map.entry(self.key)
-            .or_insert_with(|| QTensor::pair_table(&self.lut()).into())
-            .clone()
+        self.pair.clone()
     }
 
-    fn build_lut(&self) -> Vec<f32> {
-        let len = self.width.lut_len();
-        let half = len / 2;
-        let mut lut = vec![0.0f32; len];
-        for (i, &v) in self.nonneg.iter().enumerate() {
-            lut[i] = v;
-            lut[half + i] = -v;
-        }
-        lut
-    }
-
-    /// Quantizes `t` into packed storage: per scale group, compute
+    /// Quantizes `t` into packed storage with a **caller-supplied
+    /// rounding function**: per scale group, compute
     /// `scale = grid_max / max|group|`, then write each element's code
-    /// straight into the packed byte buffer. Elements are visited in
-    /// [`Granularity::for_each_group`] order — the same element order (and
-    /// the same stochastic-draw order) as the fake-quantization path, which
-    /// is what keeps the two bit-identical.
+    /// `encode(quantize(v * scale, rng))` straight into the packed byte
+    /// buffer. Elements are visited in [`Granularity::for_each_group`]
+    /// order — the same element order (and the same stochastic-draw order)
+    /// as the fake-quantization path, which is what keeps the two
+    /// bit-identical.
     ///
     /// `quantize` maps an already-scaled value onto the format grid,
-    /// consuming `rng` only for stochastic rounding.
+    /// consuming `rng` only for stochastic rounding. This closure-driven
+    /// form runs scalar; it is the two-step reference the fused kernels of
+    /// [`Codebook::pack_rounded`] are tested against, and the path for
+    /// rounding rules the kernels do not implement.
     pub fn pack(
         &self,
         t: &Tensor,
@@ -249,136 +259,119 @@ impl Codebook {
         self.pack_with(t, granularity, rng, Self::max_abs_scale(grid_max), quantize)
     }
 
-    /// [`Codebook::pack`] for **stochastic rounding** of a float format
-    /// under the standard max-abs scale recipe: scan, scale and SR-encode
-    /// in one sweep. Where [`Codebook::pack`] quantizes each element to its
-    /// grid *value* and then searches the code table
-    /// (`encode(quantize_stochastic(...))`), this path computes the code
-    /// index directly from the element's exponent and stochastically
-    /// rounded mantissa (`FloatFormat::stochastic_code`) — no grid-value
-    /// reconstruction, no encode-table lookup.
-    ///
-    /// The RNG contract is the oracle's exactly: **one `next_f32()` draw
-    /// per element, unconditionally** (drawn before any zero/NaN/saturation
-    /// short-circuit, just as the two-step path evaluates the draw as a
-    /// call argument), in [`Granularity::for_each_group`] row-major-within-
-    /// group order. Codes and the final RNG position are therefore
-    /// bit-identical to the two-step path and to fake quantization
-    /// (property-tested in `tests/packed_equivalence.rs` and the quant
-    /// fused-SR suite).
-    ///
-    /// `fmt` must be the float format this codebook was built from
-    /// (`Codebook::for_float(fmt)`) — the index arithmetic assumes this
-    /// table *is* `fmt.enumerate_non_negative()`.
-    pub fn pack_stochastic(
+    /// [`Codebook::pack`] with caller-supplied scaling: `scale_of` maps a
+    /// group's max-abs to `(encode_multiplier, decode_multiplier)`. The
+    /// standard max-abs recipe uses `(scale, 1/scale)`; MX-style quantizers
+    /// use `(1/s, s)` with a power-of-two `s` so the *decode* side is the
+    /// exact E8M0 scale. Both multipliers must reproduce the corresponding
+    /// fake-quantization expressions bit-for-bit.
+    pub fn pack_with(
         &self,
         t: &Tensor,
         granularity: Granularity,
-        fmt: FloatFormat,
         rng: &mut Rng,
+        scale_of: impl Fn(f32) -> (f32, f32),
+        quantize: impl Fn(f32, &mut Rng) -> f32,
     ) -> QTensor {
-        debug_assert_eq!(
-            self.key,
-            LutKey::Float(fmt.kind()),
-            "pack_stochastic: codebook was not built from {fmt}"
-        );
-        let half = (self.width.lut_len() / 2) as u8;
-        let top = (self.values() - 1) as u8;
-        // A dedicated sweep rather than `pack_impl` with a code_of closure:
-        // the draw + SR-encode call sits directly in the segment loops (one
-        // closure level instead of two), which measures ~8% faster on the
-        // FP8 path — and this path is the one the ≤ 1.1×-of-fake budget in
-        // `BENCH_gemm.json` holds to account.
-        let (rows, cols) = t.shape();
-        let layout = granularity.layout();
-        let width = self.width();
-        let row_bytes = width.row_bytes(cols);
-        let mut data = vec![0u8; rows * row_bytes];
-        let mut scales = Vec::with_capacity(layout.group_count(rows, cols));
-        granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                for &v in &t.row(r)[cr.clone()] {
-                    max_abs = max_abs.max(v.abs());
-                }
-            }
-            let scale = Granularity::group_scale(fmt.max_value(), max_abs);
-            scales.push(1.0 / scale);
-            for r in rr {
-                let seg = &t.row(r)[cr.clone()];
-                let out = &mut data[r * row_bytes..(r + 1) * row_bytes];
-                match width {
-                    CodeWidth::U4 => encode_seg_u4(seg, cr.start, out, &mut |v| {
-                        fmt.stochastic_code(v * scale, rng.next_f32(), half, top)
-                    }),
-                    CodeWidth::U8 => {
-                        for (&v, o) in seg.iter().zip(&mut out[cr.clone()]) {
-                            *o = fmt.stochastic_code(v * scale, rng.next_f32(), half, top);
-                        }
+        self.pack_groups(t, granularity, scale_of, |_, seg, scale, cstart, row| {
+            let mut code = |v: f32| self.encode(quantize(v * scale, rng));
+            match self.width {
+                CodeWidth::U4 => encode_u4_with(seg, cstart, row, code),
+                CodeWidth::U8 => {
+                    for (&v, o) in seg.iter().zip(&mut row[cstart..cstart + seg.len()]) {
+                        *o = code(v);
                     }
                 }
             }
-        });
-        QTensor::from_parts_with_pair(
-            rows,
-            cols,
-            width,
-            self.lut(),
-            self.pair_lut(),
-            layout,
-            scales,
-            data,
-        )
+        })
     }
 
-    /// [`Codebook::pack_nearest`] specialized to the float format this
-    /// codebook was built from. Byte-wide formats (FP8-class, 127 rounding
-    /// boundaries) skip the threshold table's per-element binary search and
-    /// compute the code arithmetically from the element's exponent
-    /// (`FloatFormat::nearest_code`), exactly like the stochastic path;
-    /// subbyte formats keep the threshold count, which vectorizes and beats
-    /// the arithmetic path at ≤ 8 boundaries. Bit-identical to
-    /// `encode(quantize_nearest(..))` either way (pinned by the packed ↔
-    /// fake equivalence suites).
-    pub fn pack_nearest_float(
+    /// Quantizes `t` into packed storage with **this format's own
+    /// rounding** under the standard max-abs scale recipe — the production
+    /// path: scan, scale and encode run on the vector encode kernels of
+    /// `snip_tensor::encode`. See [`Codebook::pack_rounded_with`].
+    pub fn pack_rounded(
         &self,
         t: &Tensor,
         granularity: Granularity,
-        fmt: FloatFormat,
+        rounding: Rounding,
+        rng: &mut Rng,
     ) -> QTensor {
-        debug_assert_eq!(
-            self.key,
-            LutKey::Float(fmt.kind()),
-            "pack_nearest_float: codebook was not built from {fmt}"
-        );
-        match self.width {
-            CodeWidth::U4 => self.pack_nearest(t, granularity, fmt.max_value(), |scaled| {
-                fmt.quantize_nearest(scaled)
-            }),
-            CodeWidth::U8 => {
-                let half = (self.width.lut_len() / 2) as u8;
-                let top = (self.values() - 1) as u8;
-                self.pack_impl(
-                    t,
-                    granularity,
-                    Self::max_abs_scale(fmt.max_value()),
-                    |v, enc_scale| fmt.nearest_code(v * enc_scale, half, top),
-                )
+        let grid_max = self.nonneg[self.nonneg.len() - 1];
+        self.pack_rounded_with(t, granularity, rounding, rng, Self::max_abs_scale(grid_max))
+    }
+
+    /// [`Codebook::pack_rounded`] with caller-supplied scaling (`scale_of`
+    /// as in [`Codebook::pack_with`]).
+    ///
+    /// The quantize→encode pair is fused: an element's code is computed
+    /// directly from the exponent and rounded mantissa of its scaled bit
+    /// pattern (`snip_tensor::encode::CodeGrid`) — no grid-value
+    /// reconstruction, no encode-table lookup. Codes are bit-identical to
+    /// the two-step `encode(quantize_nearest(..))` /
+    /// `encode(quantize_stochastic(..))` composition on every backend
+    /// (`tests/pack_simd.rs`, `tests/packed_equivalence.rs`).
+    ///
+    /// The stochastic RNG contract is the fake-quant oracle's exactly:
+    /// **one `next_f32()` draw per element, unconditionally** (zero, NaN
+    /// and saturating elements included), in
+    /// [`Granularity::for_each_group`] row-major-within-group order. The
+    /// draws are made serially, a bounded chunk of a row segment at a
+    /// time, into a scratch buffer the kernel then consumes — so the
+    /// stream and its final position do not depend on the vector width.
+    /// Nearest rounding never touches `rng`; from
+    /// [`PACK_PARALLEL_THRESHOLD`] elements it splits over the worker pool
+    /// in bands of whole scale-group rows (identical bytes at any split).
+    ///
+    /// Stochastic rounding of *integer* grids floors the signed value
+    /// (`IntFormat::quantize_stochastic`), which the sign-magnitude
+    /// kernels do not model; it takes the scalar closure path.
+    pub fn pack_rounded_with(
+        &self,
+        t: &Tensor,
+        granularity: Granularity,
+        rounding: Rounding,
+        rng: &mut Rng,
+        scale_of: impl Fn(f32) -> (f32, f32) + Sync,
+    ) -> QTensor {
+        match (rounding, self.source) {
+            (Rounding::Nearest, _) => self.pack_nearest(t, granularity, scale_of),
+            (Rounding::Stochastic, Source::Float(_)) => {
+                let mut draws = [0.0f32; DRAW_CHUNK];
+                self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
+                    for (i, chunk) in seg.chunks(DRAW_CHUNK).enumerate() {
+                        let us = &mut draws[..chunk.len()];
+                        us.iter_mut().for_each(|u| *u = rng.next_f32());
+                        let at = cstart + i * DRAW_CHUNK;
+                        self.encode_seg(enc, chunk, scale, Some(us), at, row);
+                    }
+                })
+            }
+            (Rounding::Stochastic, Source::Int(fmt)) => {
+                self.pack_with(t, granularity, rng, scale_of, |scaled, rng| {
+                    fmt.quantize_stochastic(scaled, rng.next_f32())
+                })
             }
         }
     }
 
-    /// [`Codebook::pack`] for **nearest rounding** under the standard
-    /// max-abs scale recipe: the fused quantize+encode fast path of
-    /// [`Codebook::pack_nearest_with`], no RNG needed.
-    pub fn pack_nearest(
+    /// One row segment through the encode kernels at this book's width.
+    fn encode_seg(
         &self,
-        t: &Tensor,
-        granularity: Granularity,
-        grid_max: f32,
-        quantize: impl Fn(f32) -> f32,
-    ) -> QTensor {
-        self.pack_nearest_with(t, granularity, Self::max_abs_scale(grid_max), quantize)
+        enc: &Encoder,
+        seg: &[f32],
+        scale: f32,
+        uniforms: Option<&[f32]>,
+        cstart: usize,
+        row: &mut [u8],
+    ) {
+        match self.width {
+            CodeWidth::U4 => enc.encode_u4(&self.grid, seg, scale, uniforms, cstart, row),
+            CodeWidth::U8 => {
+                let out = &mut row[cstart..cstart + seg.len()];
+                enc.encode_u8(&self.grid, seg, scale, uniforms, out)
+            }
+        }
     }
 
     /// The one definition of the standard max-abs scale recipe:
@@ -392,194 +385,129 @@ impl Codebook {
         }
     }
 
-    /// [`Codebook::pack`] with caller-supplied scaling: `scale_of` maps a
-    /// group's max-abs to `(encode_multiplier, decode_multiplier)`. The
-    /// standard max-abs recipe uses `(scale, 1/scale)`; MX-style quantizers
-    /// use `(1/s, s)` with a power-of-two `s` so the *decode* side is the
-    /// exact E8M0 scale. Both multipliers must reproduce the corresponding
-    /// fake-quantization expressions bit-for-bit.
-    ///
-    /// The group-max scan and the code encode are fused per tile: both
-    /// work on the tile's contiguous row segments as slices, so the scan
-    /// reads each segment once from memory (bounds-check-free iteration)
-    /// and the encode immediately re-reads it cache-hot, writing 4-bit
-    /// codes **pairwise** — one whole-byte store per two elements instead
-    /// of a read-modify-write per nibble. Element order (and therefore
-    /// stochastic-draw order) is unchanged — row-major within each group —
-    /// so the fake-quant bit-identity contract is untouched.
-    pub fn pack_with(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        rng: &mut Rng,
-        scale_of: impl Fn(f32) -> (f32, f32),
-        quantize: impl Fn(f32, &mut Rng) -> f32,
-    ) -> QTensor {
-        self.pack_impl(t, granularity, scale_of, |v, enc_scale| {
-            self.encode(quantize(v * enc_scale, rng))
-        })
-    }
-
-    /// The deterministic fast path: [`Codebook::pack_with`] for **nearest
-    /// rounding**, with the quantize→encode pair fused into one integer
-    /// threshold count per element. `quantize` is the format's
-    /// round-to-nearest function (scaled value → grid value); it is probed
-    /// once per format to build an interned table of rounding-boundary bit
-    /// patterns (each adjacent-value midpoint, nudged by one ULP when the
-    /// format rounds that tie downward), and the hot loop never calls it —
-    /// an element's code is `sign + #(thresholds ≤ |bits|)`, no division,
-    /// no float compare, no grid-value table lookup. Bit-identical to the
-    /// `quantize`+`encode` composition by construction (nearest rounding to
-    /// a finite grid is monotone with midpoint boundaries), which the
-    /// format × granularity equivalence property tests pin.
-    ///
-    /// The probe must depend only on this codebook's format (thresholds are
-    /// interned per format, like the decode tables).
-    pub fn pack_nearest_with(
+    /// Packs every group through one segment encoder, on this thread.
+    fn pack_groups(
         &self,
         t: &Tensor,
         granularity: Granularity,
         scale_of: impl Fn(f32) -> (f32, f32),
-        quantize: impl Fn(f32) -> f32,
-    ) -> QTensor {
-        let table = self.nearest_table(&quantize);
-        let half = (self.width.lut_len() / 2) as u8;
-        self.pack_impl(t, granularity, scale_of, |v, enc_scale| {
-            Self::nearest_code((v * enc_scale).to_bits(), half, &table)
-        })
-    }
-
-    /// Shared group walk of the packing paths: per scale group, scan the
-    /// group's contiguous row segments for the max-abs (bounds-check-free
-    /// slice iteration), derive the scales, then encode each segment
-    /// straight into the packed byte buffer — the scan and encode are fused
-    /// per tile, so a tile is read from memory once and re-read cache-hot.
-    /// `code_of(v, enc_scale)` maps one source element to its code;
-    /// elements are visited row-major within each group, the same order
-    /// (and the same stochastic-draw order) as fake quantization.
-    fn pack_impl(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        scale_of: impl Fn(f32) -> (f32, f32),
-        mut code_of: impl FnMut(f32, f32) -> u8,
+        encode_seg: impl FnMut(&Encoder, &[f32], f32, usize, &mut [u8]),
     ) -> QTensor {
         let (rows, cols) = t.shape();
-        let layout = granularity.layout();
-        let width = self.width();
-        let row_bytes = width.row_bytes(cols);
-        let mut data = vec![0u8; rows * row_bytes];
-        let mut scales = Vec::with_capacity(layout.group_count(rows, cols));
-        granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                for &v in &t.row(r)[cr.clone()] {
-                    max_abs = max_abs.max(v.abs());
-                }
-            }
+        let mut data = vec![0u8; rows * self.width.row_bytes(cols)];
+        let mut scales = vec![0.0f32; granularity.group_count(rows, cols)];
+        self.pack_band(
+            t,
+            0..rows,
+            granularity,
+            &scale_of,
+            encode_seg,
+            &mut data,
+            &mut scales,
+        );
+        self.finish(t, granularity, scales, data)
+    }
+
+    /// Nearest-rounding pack, split over the worker pool in bands of whole
+    /// scale-group rows once the tensor is large enough to pay for the
+    /// dispatch. Every band owns disjoint `data` / `scales` ranges and a
+    /// group's codes depend on that group alone, so the bytes are the same
+    /// at every split (`tests/pack_simd.rs` pins 1 / 2 / max / max + 3).
+    /// Stochastic packs never split: their draws are one serial stream.
+    fn pack_nearest(
+        &self,
+        t: &Tensor,
+        granularity: Granularity,
+        scale_of: impl Fn(f32) -> (f32, f32) + Sync,
+    ) -> QTensor {
+        let nearest = |enc: &Encoder, seg: &[f32], scale: f32, cstart: usize, row: &mut [u8]| {
+            self.encode_seg(enc, seg, scale, None, cstart, row)
+        };
+        let (rows, cols) = t.shape();
+        let group_rows = match granularity {
+            Granularity::Rowwise | Granularity::Tile { .. } => 1,
+            Granularity::Block { nb } => nb,
+            Granularity::Tensorwise | Granularity::Columnwise => rows,
+        };
+        let parts = pool::parts_for(rows * cols, PACK_PARALLEL_THRESHOLD);
+        let band_rows = rows.div_ceil(parts).next_multiple_of(group_rows.max(1));
+        if band_rows >= rows || cols == 0 {
+            return self.pack_groups(t, granularity, scale_of, nearest);
+        }
+        let mut data = vec![0u8; rows * self.width.row_bytes(cols)];
+        let mut scales = vec![0.0f32; granularity.group_count(rows, cols)];
+        let bands = data
+            .chunks_mut(band_rows * self.width.row_bytes(cols))
+            .zip(scales.chunks_mut(granularity.group_count(band_rows, cols)))
+            .collect();
+        pool::for_each_owned(bands, |i, (data, scales): (&mut [u8], &mut [f32])| {
+            let band = i * band_rows..((i + 1) * band_rows).min(rows);
+            self.pack_band(t, band, granularity, &scale_of, nearest, data, scales);
+        });
+        self.finish(t, granularity, scales, data)
+    }
+
+    /// The one group walk behind every packing path, over the row band
+    /// `band` (whole scale groups) into that band's `data` / `scales`:
+    /// per scale group, scan the group's contiguous row segments for the
+    /// max-abs, derive the scales, then hand each segment to
+    /// `encode_seg(encoder, segment, encode_scale, first_column,
+    /// packed_row)` — scan and encode are fused per group, so a group is
+    /// read from memory once and re-read cache-hot. Segments are visited
+    /// row-major within each group, the same order (and so the same
+    /// stochastic-draw order) as fake quantization. `packed_row` is the
+    /// segment's whole zero-initialized packed row: 4-bit segments of
+    /// adjacent groups can share a byte.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_band(
+        &self,
+        t: &Tensor,
+        band: std::ops::Range<usize>,
+        granularity: Granularity,
+        scale_of: &impl Fn(f32) -> (f32, f32),
+        mut encode_seg: impl FnMut(&Encoder, &[f32], f32, usize, &mut [u8]),
+        data: &mut [u8],
+        scales: &mut [f32],
+    ) {
+        let enc = Encoder::current();
+        let row_bytes = self.width.row_bytes(t.cols());
+        let mut scales = scales.iter_mut();
+        granularity.for_each_group(band.len(), t.cols(), |rr, cr| {
+            let seg = |r: usize| &t.row(band.start + r)[cr.clone()];
+            let max_abs = rr.clone().fold(0.0, |m, r| enc.abs_max(seg(r), m));
             let (enc_scale, dec_scale) = scale_of(max_abs);
-            scales.push(dec_scale);
+            *scales.next().expect("one scale slot per group") = dec_scale;
             for r in rr {
-                let seg = &t.row(r)[cr.clone()];
-                let out = &mut data[r * row_bytes..(r + 1) * row_bytes];
-                let mut enc = |v: f32| code_of(v, enc_scale);
-                match width {
-                    CodeWidth::U4 => encode_seg_u4(seg, cr.start, out, &mut enc),
-                    CodeWidth::U8 => {
-                        for (&v, o) in seg.iter().zip(&mut out[cr.clone()]) {
-                            *o = enc(v);
-                        }
-                    }
-                }
+                let row = &mut data[r * row_bytes..(r + 1) * row_bytes];
+                encode_seg(&enc, seg(r), enc_scale, cr.start, row);
             }
         });
+    }
+
+    fn finish(
+        &self,
+        t: &Tensor,
+        granularity: Granularity,
+        scales: Vec<f32>,
+        data: Vec<u8>,
+    ) -> QTensor {
         QTensor::from_parts_with_pair(
-            rows,
-            cols,
-            width,
+            t.rows(),
+            t.cols(),
+            self.width,
             self.lut(),
             self.pair_lut(),
-            layout,
+            granularity.layout(),
             scales,
             data,
         )
     }
 
-    /// The interned threshold table for this format's nearest rounding,
-    /// built (once) by probing `quantize` at each adjacent-value midpoint.
-    fn nearest_table(&self, quantize: &impl Fn(f32) -> f32) -> Arc<NearestTable> {
-        let registry = NEAREST_REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = registry.lock().expect("nearest registry poisoned");
-        map.entry(self.key)
-            .or_insert_with(|| {
-                let mut thresholds = Vec::with_capacity(self.nonneg.len().saturating_sub(1));
-                for w in self.nonneg.windows(2) {
-                    // Adjacent grid values are multiples of one shared
-                    // quantum, so their midpoint is exact in f32.
-                    let m = (w[0] + w[1]) / 2.0;
-                    // Ask the format which side an exact tie rounds to; a
-                    // downward tie makes the boundary strict, i.e. one ULP
-                    // above the midpoint in bit-pattern space.
-                    let tie_up = quantize(m).to_bits() == w[1].to_bits();
-                    thresholds.push(m.to_bits() + u32::from(!tie_up));
-                }
-                let signed_zero = quantize(-0.0).is_sign_negative();
-                Arc::new(NearestTable {
-                    thresholds,
-                    signed_zero,
-                })
-            })
-            .clone()
-    }
-
-    /// The fused nearest-rounding encode: maps a scaled value's raw bits to
-    /// its sign-magnitude code by counting rounding boundaries at or below
-    /// its magnitude. Branch-free on the hot path for subbyte tables (the
-    /// count vectorizes); byte-wide tables use a short branchless binary
-    /// search. NaN quantizes to +0 in every format; saturation falls out of
-    /// the count (a magnitude above every boundary gets the top code).
-    #[inline]
-    fn nearest_code(bits: u32, half: u8, table: &NearestTable) -> u8 {
-        let neg = (bits >> 31) as u8;
-        let a = bits & 0x7FFF_FFFF;
-        if a > 0x7F80_0000 {
-            return 0; // NaN
-        }
-        if a == 0 {
-            return if table.signed_zero { neg * half } else { 0 };
-        }
-        let th = &table.thresholds[..];
-        let mag = if th.len() <= 8 {
-            let mut mag = 0u8;
-            for &t in th {
-                mag += u8::from(a >= t);
-            }
-            mag
-        } else {
-            let mut lo = 0usize;
-            let mut len = th.len();
-            while len > 0 {
-                let step = len / 2;
-                let mid = lo + step;
-                if a >= th[mid] {
-                    lo = mid + 1;
-                    len -= step + 1;
-                } else {
-                    len = step;
-                }
-            }
-            lo as u8
-        };
-        neg * half + mag
-    }
-
     /// Encodes a value that lies on the format grid, via the direct-map
     /// table: one shift and one load per element, with a **branchless**
-    /// sign-bit fold (the per-element binary search this replaces was the
-    /// packed path's encode bottleneck, and the data-dependent sign branch
-    /// was the next one — gradient signs are coin flips the predictor
-    /// cannot learn). Signed zeros round-trip bitwise: zero occupies key 0
-    /// of the table, so `-0.0` folds to code `half` like any negative.
+    /// sign-bit fold (gradient signs are coin flips the predictor cannot
+    /// learn). Signed zeros round-trip bitwise: zero occupies key 0 of the
+    /// table, so `-0.0` folds to code `half` like any negative.
     ///
     /// # Panics
     ///
@@ -636,33 +564,6 @@ impl Codebook {
             }
         };
         sign + idx as u8
-    }
-}
-
-/// Encodes one row segment of a scale group into 4-bit packed storage: an
-/// optional unaligned head nibble, then two elements per whole-byte store,
-/// then an optional tail nibble. Nibble ORs are only used at the (rare)
-/// unaligned edges; the zeroed buffer and single visit per element keep
-/// them correct across adjacent groups.
-fn encode_seg_u4(seg: &[f32], cstart: usize, out: &mut [u8], enc: &mut impl FnMut(f32) -> u8) {
-    let mut it = seg.iter();
-    let mut byte_i = cstart / 2;
-    if cstart % 2 == 1 {
-        if let Some(&v) = it.next() {
-            out[byte_i] |= enc(v) << 4;
-            byte_i += 1;
-        }
-    }
-    let pairs = it.as_slice().chunks_exact(2);
-    let tail = pairs.remainder();
-    for pair in pairs {
-        let lo = enc(pair[0]);
-        let hi = enc(pair[1]);
-        out[byte_i] = lo | (hi << 4);
-        byte_i += 1;
-    }
-    if let Some(&v) = tail.first() {
-        out[byte_i] |= enc(v);
     }
 }
 
@@ -812,7 +713,7 @@ mod tests {
 
     #[test]
     fn direct_map_encode_matches_binary_search_on_every_grid_value() {
-        let books: Vec<Codebook> = [
+        let books: Vec<&Codebook> = [
             FloatFormat::e2m1(),
             FloatFormat::e4m3(),
             FloatFormat::e5m2(),
@@ -844,7 +745,7 @@ mod tests {
     /// layout for every format we ship.
     #[test]
     fn decode_tables_satisfy_the_simd_layout_contract() {
-        let books: Vec<Codebook> = [
+        let books: Vec<&Codebook> = [
             FloatFormat::e2m1(),
             FloatFormat::e4m3(),
             FloatFormat::e5m2(),

@@ -233,100 +233,6 @@ impl FloatFormat {
         sign * q.min(self.max_value)
     }
 
-    /// The fused form of `encode(quantize_stochastic(v, u))` for the
-    /// sign-magnitude code space: maps a scaled value straight to its code
-    /// index without materializing the grid value or searching a table.
-    ///
-    /// `half` is the code-space sign offset, `top` the index of the largest
-    /// magnitude (`values() - 1` of the matching codebook). The index
-    /// identity it relies on: [`FloatFormat::enumerate_non_negative`] lists
-    /// zero, then the `2^m - 1` subnormals, then each binade's `2^m`
-    /// values, so the value `k · 2^(e_eff − m)` (with `e_eff` clamped to
-    /// `emin` and `k = ⌊r⌋` or `⌊r⌋ + 1` from the stochastic round of
-    /// `r = |v| / quantum`) sits at index `(e_eff − emin)·2^m + k` — in the
-    /// subnormal region (`e_eff = emin`, `k < 2^m`) that is just `k`, and a
-    /// binade-top round-up (`k = 2^(m+1)`) lands exactly on the next
-    /// binade's first index. Saturation, signed-zero and NaN handling
-    /// mirror [`FloatFormat::quantize_stochastic`] followed by the encode's
-    /// sign fold: NaN and ±0 map to code 0 (the `sign · 0.0` a negative
-    /// underflow produces is `-0.0`, which the encode folds to `half` —
-    /// here that is the `neg + 0` case, identical because `k = 0` keeps the
-    /// sign offset).
-    ///
-    /// Every call consumes exactly the caller-supplied `u` and nothing
-    /// else, so the RNG stream position is whatever the caller's draw
-    /// discipline makes it — `Codebook::pack_stochastic` draws one `u` per
-    /// element unconditionally, exactly like the two-step oracle.
-    /// Bit-equivalence to that oracle (an exact power-of-two scaling in
-    /// place of its division, same `floor`, same `(r − floor) > u`
-    /// comparison on identical operands) is pinned by unit test and
-    /// property test.
-    #[inline]
-    pub(crate) fn stochastic_code(&self, v: f32, u: f32, half: u8, top: u8) -> u8 {
-        let bits = v.to_bits();
-        let neg = ((bits >> 31) as u8) * half;
-        let a_bits = bits & 0x7FFF_FFFF;
-        if a_bits == 0 || a_bits > 0x7F80_0000 {
-            return 0; // ±0 and NaN quantize to +0.0 → code 0.
-        }
-        let a = f32::from_bits(a_bits);
-        if a >= self.max_value {
-            return neg + top;
-        }
-        // f32 subnormals have exponent field 0 → e = −127, clamped to emin
-        // (every packable format's emin exceeds −127) — the same clamp the
-        // two-step oracle applies.
-        let e_eff = (((a_bits >> 23) as i32) - 127).max(self.emin);
-        // `a / 2^q` computed as `a · 2^-q`: a power-of-two scaling is exact
-        // in IEEE-754 (no over/underflow in any packable format's exponent
-        // range), so this is bit-identical to the oracle's division — a
-        // multiply instead of a divide in the hot loop.
-        let r = a * exp2i(self.man_bits as i32 - e_eff);
-        // `floor(r)` as a trunc-to-int round trip: identical for the
-        // non-negative `r < 2^(m+1)` this path produces, and it compiles to
-        // two SSE2 conversions where `f32::floor` is a libm call at the
-        // baseline x86-64 target (a per-element call, plus the register
-        // spills around it, right in the hot loop).
-        let ki = r as u32;
-        let k = ki + u32::from((r - ki as f32) > u);
-        let idx = (((e_eff - self.emin) as u32) << self.man_bits) + k;
-        neg + idx as u8
-    }
-
-    /// The fused form of `encode(quantize_nearest(v))`: the round-ties-even
-    /// sibling of [`FloatFormat::stochastic_code`], with the identical index
-    /// identity (`k = round_ties_even(r)` replaces the stochastic round; a
-    /// binade-top round-up `k = 2^(m+1)` still lands on the next binade's
-    /// first index, and `k` cannot exceed the top code for `|v| < max`).
-    /// Used by the packed nearest path for byte-wide formats, where the
-    /// threshold table would need a per-element binary search — this is
-    /// straight-line arithmetic instead.
-    #[inline]
-    pub(crate) fn nearest_code(&self, v: f32, half: u8, top: u8) -> u8 {
-        let bits = v.to_bits();
-        let neg = ((bits >> 31) as u8) * half;
-        let a_bits = bits & 0x7FFF_FFFF;
-        if a_bits == 0 || a_bits > 0x7F80_0000 {
-            return 0; // ±0 and NaN quantize to +0.0 → code 0.
-        }
-        let a = f32::from_bits(a_bits);
-        if a >= self.max_value {
-            return neg + top;
-        }
-        let e_eff = (((a_bits >> 23) as i32) - 127).max(self.emin);
-        let r = a * exp2i(self.man_bits as i32 - e_eff);
-        // Round-ties-even via the 2^23 magic constant: adding it forces the
-        // mantissa to integer alignment (rounded nearest-even, the IEEE
-        // default mode), subtracting recovers the integer exactly — bit-
-        // identical to `round_ties_even` for `0 ≤ r < 2^22`, without the
-        // libm call that `f32::round_ties_even` becomes at the baseline
-        // x86-64 target.
-        const MAGIC: f32 = 8_388_608.0; // 2^23
-        let k = ((r + MAGIC) - MAGIC) as u32;
-        let idx = (((e_eff - self.emin) as u32) << self.man_bits) + k;
-        neg + idx as u8
-    }
-
     /// All non-negative representable values, smallest to largest. Intended
     /// for tests and tooling on subbyte formats.
     ///

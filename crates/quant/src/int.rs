@@ -206,18 +206,7 @@ impl IntQuantizer {
     pub fn quantize_packed(&self, t: &Tensor, rng: &mut Rng) -> Option<QTensor> {
         let cb = Codebook::for_int(self.format)?;
         let _t = crate::signals::QuantTimer::start();
-        let fmt = self.format;
-        let grid_max = fmt.qmax();
-        Some(match self.rounding {
-            // Deterministic rounding takes the fused quantize+encode path
-            // (pure integer threshold counting, no RNG).
-            Rounding::Nearest => cb.pack_nearest(t, self.granularity, grid_max, |scaled| {
-                fmt.quantize_nearest(scaled)
-            }),
-            Rounding::Stochastic => cb.pack(t, self.granularity, grid_max, rng, |scaled, rng| {
-                fmt.quantize_stochastic(scaled, rng.next_f32())
-            }),
-        })
+        Some(cb.pack_rounded(t, self.granularity, self.rounding, rng))
     }
 
     /// Frobenius norm of the quantization error under deterministic nearest

@@ -114,22 +114,14 @@ impl MxQuantizer {
     pub fn quantize_packed(&self, t: &Tensor, rng: &mut Rng) -> Option<QTensor> {
         let cb = Codebook::for_float(self.fmt)?;
         let _t = crate::signals::QuantTimer::start();
-        let fmt = self.fmt;
-        let stochastic = self.rounding == Rounding::Stochastic;
-        Some(cb.pack_with(
+        Some(cb.pack_rounded_with(
             t,
             Granularity::Tile { nb: MX_BLOCK },
+            self.rounding,
             rng,
             |max_abs| {
                 let scale = self.block_scale(max_abs);
                 (1.0 / scale, scale)
-            },
-            |scaled, rng| {
-                if stochastic {
-                    fmt.quantize_stochastic(scaled, rng.next_f32())
-                } else {
-                    fmt.quantize_nearest(scaled)
-                }
             },
         ))
     }

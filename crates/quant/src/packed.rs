@@ -198,7 +198,7 @@ impl PackedQuantize for Quantizer {
             return None;
         }
         let cb = Codebook::for_float(self.format())?;
-        Some(codebook_wire_bytes(&cb, self.granularity(), rows, cols))
+        Some(codebook_wire_bytes(cb, self.granularity(), rows, cols))
     }
 }
 
@@ -215,7 +215,7 @@ impl PackedQuantize for IntQuantizer {
 
     fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
         let cb = Codebook::for_int(self.format())?;
-        Some(codebook_wire_bytes(&cb, self.granularity(), rows, cols))
+        Some(codebook_wire_bytes(cb, self.granularity(), rows, cols))
     }
 }
 

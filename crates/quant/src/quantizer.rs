@@ -174,18 +174,10 @@ impl Quantizer {
         }
         let _t = crate::signals::QuantTimer::start();
         let cb = Codebook::for_float(self.format)?;
-        let fmt = self.format;
-        Some(match self.rounding {
-            // Deterministic rounding takes the fused quantize+encode path
-            // (threshold counting for subbyte formats, exponent arithmetic
-            // for byte-wide ones, no RNG).
-            Rounding::Nearest => cb.pack_nearest_float(t, self.granularity, fmt),
-            // Stochastic rounding takes the fused scan+scale+SR-encode
-            // sweep — same element order, same one-draw-per-element RNG
-            // stream as the two-step `encode(quantize_stochastic(..))`
-            // oracle, bit-identical codes.
-            Rounding::Stochastic => cb.pack_stochastic(t, self.granularity, fmt, rng),
-        })
+        // Fused scan + scale + encode on the vector pack kernels — same
+        // element order and, under stochastic rounding, the same
+        // one-draw-per-element RNG stream as `fake_quantize`.
+        Some(cb.pack_rounded(t, self.granularity, self.rounding, rng))
     }
 
     /// Decodes a packed tensor produced by [`Quantizer::quantize_packed`].

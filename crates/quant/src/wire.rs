@@ -48,7 +48,7 @@
 //!
 //! The decode table itself never crosses the wire: the header's format id
 //! names it, and [`from_wire_bytes`](PackedTensor::from_wire_bytes) rebuilds
-//! it through the interned per-format [`Codebook`] registry, so a
+//! it through the interned per-format [`Codebook`], so a
 //! deserialized tensor shares the same table allocation as locally packed
 //! ones. Custom code tables outside the built-in FP4/FP8/INT formats are
 //! rejected with [`WireError::UnknownLut`].
@@ -189,7 +189,7 @@ impl WireFormat {
         }
     }
 
-    fn codebook(self) -> Codebook {
+    fn codebook(self) -> &'static Codebook {
         match self {
             WireFormat::Float(kind) => {
                 Codebook::for_float(FloatFormat::from(kind)).expect("wire float formats pack")
@@ -200,48 +200,34 @@ impl WireFormat {
         }
     }
 
-    /// Every serializable format paired with its interned decode table,
-    /// built once — `identify` must not take the codebook registry locks on
-    /// the per-frame send path of the threaded transport.
-    fn candidates() -> &'static [(WireFormat, std::sync::Arc<[f32]>)] {
-        static CANDIDATES: std::sync::OnceLock<Vec<(WireFormat, std::sync::Arc<[f32]>)>> =
-            std::sync::OnceLock::new();
-        CANDIDATES.get_or_init(|| {
-            Self::FLOATS
-                .into_iter()
-                .map(WireFormat::Float)
-                .chain((2..=8).map(WireFormat::Int))
-                .map(|wf| {
-                    let lut = wf.codebook().lut();
-                    (wf, lut)
-                })
-                .collect()
-        })
+    /// Every serializable format.
+    fn all() -> impl Iterator<Item = WireFormat> {
+        Self::FLOATS
+            .into_iter()
+            .map(WireFormat::Float)
+            .chain((2..=8).map(WireFormat::Int))
     }
 
     /// Identifies the format whose decode table matches `q`'s. Locally
-    /// packed tensors share the interned per-format table, so the common
-    /// case is one pointer comparison per candidate; tensors whose table
-    /// lost its interning (serde round trips) fall back to a bitwise
-    /// content comparison.
+    /// packed tensors share the interned per-format table (a lock-free
+    /// lookup), so the common case is one pointer comparison per
+    /// candidate; tensors whose table lost its interning (serde round
+    /// trips) fall back to a bitwise content comparison.
     fn identify(q: &QTensor) -> Result<Self, WireError> {
         let lut = q.lut();
-        for (wf, cand) in Self::candidates() {
-            if std::ptr::eq(cand.as_ref(), lut) {
-                return Ok(*wf);
-            }
-        }
-        for (wf, cand) in Self::candidates() {
-            if cand.len() == lut.len()
-                && cand
-                    .iter()
-                    .zip(lut)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-            {
-                return Ok(*wf);
-            }
-        }
-        Err(WireError::UnknownLut)
+        Self::all()
+            .find(|wf| std::ptr::eq(wf.codebook().lut_slice(), lut))
+            .or_else(|| {
+                Self::all().find(|wf| {
+                    let cand = wf.codebook().lut_slice();
+                    cand.len() == lut.len()
+                        && cand
+                            .iter()
+                            .zip(lut)
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                })
+            })
+            .ok_or(WireError::UnknownLut)
     }
 }
 

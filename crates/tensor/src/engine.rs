@@ -51,6 +51,7 @@ use std::cell::RefCell;
 
 mod scalar;
 pub mod simd;
+pub mod simd_encode;
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod simd_neon;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]

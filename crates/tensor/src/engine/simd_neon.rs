@@ -229,3 +229,217 @@ pub(super) unsafe fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &
         i += 1;
     }
 }
+
+// ---------------------------------------------------------------------
+// Encode kernels (the pack engine). Lane rules: `simd_encode` module docs.
+// ---------------------------------------------------------------------
+
+use super::simd_encode::{abs_max_bits_scalar, CodeGrid, ABS_MASK, INF_BITS, MAGIC, MAGIC_BITS};
+
+/// Elements per encode step: two 4-lane code vectors narrow to one
+/// 8-byte store (byte-wide codes) or one 4-byte store (nibble pairs).
+const ENCODE_STEP: usize = 2 * LANES;
+
+/// 4-lane abs-max fold — see `Encoder::abs_max`. Integer max over the
+/// magnitude bit patterns with NaN lanes zeroed; max is exact, so the
+/// horizontal reduction at the end reassociates nothing.
+pub(super) unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
+    let abs = vdupq_n_u32(ABS_MASK);
+    let inf = vdupq_n_u32(INF_BITS);
+    let mut m = vdupq_n_u32(0);
+    let n = seg.len();
+    let p = seg.as_ptr();
+    let mut i = 0;
+    while i + LANES <= n {
+        let a = vandq_u32(vreinterpretq_u32_f32(vld1q_f32(p.add(i))), abs);
+        m = vmaxq_u32(m, vandq_u32(a, vcleq_u32(a, inf)));
+        i += LANES;
+    }
+    let acc = acc.max(vmaxvq_u32(m));
+    abs_max_bits_scalar(&seg[i..], acc)
+}
+
+/// Broadcast constants of one encode call.
+struct EncodeConsts {
+    scale: float32x4_t,
+    abs: uint32x4_t,
+    inf: uint32x4_t,
+    max_bits: uint32x4_t,
+    emin_biased: uint32x4_t,
+    /// `man_bits + 254`: minus the clamped biased exponent, this is the
+    /// biased exponent of the exact factor `2^(m − e_eff)`.
+    exp_base: uint32x4_t,
+    man_shift: int32x4_t,
+    magic: float32x4_t,
+    magic_bits: uint32x4_t,
+    half: uint32x4_t,
+    /// All-ones when an exact zero keeps its sign offset (`signed_zero`).
+    zero_ok: uint32x4_t,
+}
+
+impl EncodeConsts {
+    #[inline]
+    unsafe fn new(grid: &CodeGrid, scale: f32) -> EncodeConsts {
+        EncodeConsts {
+            scale: vdupq_n_f32(scale),
+            abs: vdupq_n_u32(ABS_MASK),
+            inf: vdupq_n_u32(INF_BITS),
+            max_bits: vdupq_n_u32(grid.max_bits),
+            emin_biased: vdupq_n_u32(grid.emin_biased),
+            exp_base: vdupq_n_u32(grid.man_bits + 254),
+            man_shift: vdupq_n_s32(grid.man_bits as i32),
+            magic: vdupq_n_f32(MAGIC),
+            magic_bits: vdupq_n_u32(MAGIC_BITS),
+            half: vdupq_n_u32(grid.half),
+            zero_ok: vdupq_n_u32(if grid.signed_zero { u32::MAX } else { 0 }),
+        }
+    }
+}
+
+/// Four elements → four codes (one per lane): the lane-parallel form of
+/// `CodeGrid::code`. `SIGN_SHIFT` moves the sign bit onto the width's
+/// sign offset (28 → bit 3 for 4-bit codes, 24 → bit 7 for bytes).
+#[inline]
+unsafe fn codes<const STOCH: bool, const SIGN_SHIFT: i32>(
+    x: float32x4_t,
+    u: float32x4_t,
+    c: &EncodeConsts,
+) -> uint32x4_t {
+    let bits = vreinterpretq_u32_f32(vmulq_f32(x, c.scale));
+    let a = vandq_u32(bits, c.abs);
+    // Saturation: a magnitude clamped to the top value encodes as the top
+    // index (NaN lanes too; they are cleared below).
+    let ac = vminq_u32(a, c.max_bits);
+    let e = vmaxq_u32(vshrq_n_u32::<23>(ac), c.emin_biased);
+    let pow2 = vshlq_n_u32::<23>(vsubq_u32(c.exp_base, e));
+    let r = vmulq_f32(vreinterpretq_f32_u32(ac), vreinterpretq_f32_u32(pow2));
+    let k = if STOCH {
+        let ki = vcvtq_u32_f32(r);
+        let frac = vsubq_f32(r, vcvtq_f32_u32(ki));
+        // The compare mask is all-ones (−1) on round-up lanes.
+        vsubq_u32(ki, vcgtq_f32(frac, u))
+    } else {
+        vsubq_u32(vreinterpretq_u32_f32(vaddq_f32(r, c.magic)), c.magic_bits)
+    };
+    let binade = vshlq_u32(vsubq_u32(e, c.emin_biased), c.man_shift);
+    let neg = vandq_u32(vshrq_n_u32::<SIGN_SHIFT>(bits), c.half);
+    let code = vorrq_u32(vaddq_u32(binade, k), neg);
+    let nonzero = vorrq_u32(vcgtq_u32(a, vdupq_n_u32(0)), c.zero_ok);
+    vandq_u32(code, vandq_u32(vcleq_u32(a, c.inf), nonzero))
+}
+
+/// Eight elements → eight codes, one per byte.
+#[inline]
+unsafe fn code_bytes<const STOCH: bool, const SIGN_SHIFT: i32>(
+    sp: *const f32,
+    up: *const f32,
+    c: &EncodeConsts,
+) -> uint8x8_t {
+    let (u0, u1) = if STOCH {
+        (vld1q_f32(up), vld1q_f32(up.add(LANES)))
+    } else {
+        (vdupq_n_f32(0.0), vdupq_n_f32(0.0))
+    };
+    let c0 = codes::<STOCH, SIGN_SHIFT>(vld1q_f32(sp), u0, c);
+    let c1 = codes::<STOCH, SIGN_SHIFT>(vld1q_f32(sp.add(LANES)), u1, c);
+    vmovn_u16(vcombine_u16(vmovn_u32(c0), vmovn_u32(c1)))
+}
+
+/// Byte-wide encode — see `Encoder::encode_u8`.
+///
+/// # Safety
+///
+/// `out` (and `uniforms`, if given) must be as long as `seg`.
+pub(super) unsafe fn encode_u8(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u8_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u8_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+unsafe fn encode_u8_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(out.len(), seg.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + ENCODE_STEP <= n {
+        // `up` is only dereferenced when STOCH (then it is `n` long).
+        vst1_u8(
+            op.add(i),
+            code_bytes::<STOCH, 24>(sp.add(i), up.wrapping_add(i), &c),
+        );
+        i += ENCODE_STEP;
+    }
+    while i < n {
+        *op.add(i) = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        i += 1;
+    }
+}
+
+/// 4-bit encode of whole bytes — the aligned middle of
+/// `Encoder::encode_u4`: `out[j]` takes elements `2j` (low nibble) and
+/// `2j + 1` (high nibble).
+///
+/// # Safety
+///
+/// `seg` (and `uniforms`, if given) must hold exactly `2 * out.len()`
+/// elements.
+pub(super) unsafe fn encode_u4_pairs(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u4_pairs_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u4_pairs_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+unsafe fn encode_u4_pairs_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(seg.len(), 2 * out.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + ENCODE_STEP <= n {
+        let bytes = code_bytes::<STOCH, 28>(sp.add(i), up.wrapping_add(i), &c);
+        // In-register nibble pairing: each u16 lane holds an (even, odd)
+        // code pair as (low byte, high byte); shifting the lane right by 4
+        // drops the odd code onto bits 4..8 of the low byte, and the unzip
+        // keeps exactly those low bytes.
+        let pairs = vreinterpret_u16_u8(bytes);
+        let paired = vreinterpret_u8_u16(vorr_u16(pairs, vshr_n_u16::<4>(pairs)));
+        let word = vget_lane_u32::<0>(vreinterpret_u32_u8(vuzp1_u8(paired, paired)));
+        (op.add(i / 2) as *mut u32).write_unaligned(word);
+        i += ENCODE_STEP;
+    }
+    while i < n {
+        let lo = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        let hi = grid.code_at(*sp.add(i + 1) * scale, STOCH.then(|| *up.add(i + 1)));
+        *op.add(i / 2) = lo | (hi << 4);
+        i += 2;
+    }
+}

@@ -249,3 +249,233 @@ pub(super) unsafe fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &
         i += 1;
     }
 }
+
+// ---------------------------------------------------------------------
+// Encode kernels (the pack engine). Lane rules: `simd_encode` module docs.
+// ---------------------------------------------------------------------
+
+use super::simd_encode::{abs_max_bits_scalar, CodeGrid, ABS_MASK, INF_BITS, MAGIC, MAGIC_BITS};
+
+/// 8-lane abs-max fold — see `Encoder::abs_max`. Integer max over the
+/// magnitude bit patterns with NaN lanes zeroed; max is exact, so the
+/// horizontal reduction at the end reassociates nothing.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
+    let abs = _mm256_set1_epi32(ABS_MASK as i32);
+    let inf = _mm256_set1_epi32(INF_BITS as i32);
+    let mut m = _mm256_setzero_si256();
+    let n = seg.len();
+    let p = seg.as_ptr();
+    let mut i = 0;
+    while i + LANES <= n {
+        let a = _mm256_and_si256(_mm256_castps_si256(_mm256_loadu_ps(p.add(i))), abs);
+        let nan = _mm256_cmpgt_epi32(a, inf);
+        m = _mm256_max_epi32(m, _mm256_andnot_si256(nan, a));
+        i += LANES;
+    }
+    let mut lanes = [0u32; LANES];
+    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, m);
+    let acc = lanes.iter().fold(acc, |x, &l| x.max(l));
+    abs_max_bits_scalar(&seg[i..], acc)
+}
+
+/// Broadcast constants of one encode call.
+struct EncodeConsts {
+    scale: __m256,
+    abs: __m256i,
+    inf: __m256i,
+    max_bits: __m256i,
+    emin_biased: __m256i,
+    /// `man_bits + 254`: minus the clamped biased exponent, this is the
+    /// biased exponent of the exact factor `2^(m − e_eff)`.
+    exp_base: __m256i,
+    man_shift: __m128i,
+    magic: __m256,
+    magic_bits: __m256i,
+    half: __m256i,
+    /// Magnitude bit patterns above this are non-zero codes' inputs: `-1`
+    /// keeps an exact zero's sign offset (`signed_zero`), `0` clears it.
+    zero_floor: __m256i,
+}
+
+impl EncodeConsts {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn new(grid: &CodeGrid, scale: f32) -> EncodeConsts {
+        EncodeConsts {
+            scale: _mm256_set1_ps(scale),
+            abs: _mm256_set1_epi32(ABS_MASK as i32),
+            inf: _mm256_set1_epi32(INF_BITS as i32),
+            max_bits: _mm256_set1_epi32(grid.max_bits as i32),
+            emin_biased: _mm256_set1_epi32(grid.emin_biased as i32),
+            exp_base: _mm256_set1_epi32((grid.man_bits + 254) as i32),
+            man_shift: _mm_cvtsi32_si128(grid.man_bits as i32),
+            magic: _mm256_set1_ps(MAGIC),
+            magic_bits: _mm256_set1_epi32(MAGIC_BITS as i32),
+            half: _mm256_set1_epi32(grid.half as i32),
+            zero_floor: _mm256_set1_epi32(if grid.signed_zero { -1 } else { 0 }),
+        }
+    }
+}
+
+/// Eight elements → eight codes (one per dword lane): the lane-parallel
+/// form of `CodeGrid::code`. `SIGN_SHIFT` moves the sign bit onto the
+/// width's sign offset (28 → bit 3 for 4-bit codes, 24 → bit 7 for bytes).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn codes<const STOCH: bool, const SIGN_SHIFT: i32>(
+    x: __m256,
+    u: __m256,
+    c: &EncodeConsts,
+) -> __m256i {
+    let bits = _mm256_castps_si256(_mm256_mul_ps(x, c.scale));
+    let a = _mm256_and_si256(bits, c.abs);
+    // Saturation: a magnitude clamped to the top value encodes as the top
+    // index (NaN lanes too; they are cleared below).
+    let ac = _mm256_min_epi32(a, c.max_bits);
+    let e = _mm256_max_epi32(_mm256_srli_epi32::<23>(ac), c.emin_biased);
+    let pow2 = _mm256_slli_epi32::<23>(_mm256_sub_epi32(c.exp_base, e));
+    let r = _mm256_mul_ps(_mm256_castsi256_ps(ac), _mm256_castsi256_ps(pow2));
+    let k = if STOCH {
+        let ki = _mm256_cvttps_epi32(r);
+        let frac = _mm256_sub_ps(r, _mm256_cvtepi32_ps(ki));
+        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(frac, u));
+        _mm256_sub_epi32(ki, up)
+    } else {
+        _mm256_sub_epi32(_mm256_castps_si256(_mm256_add_ps(r, c.magic)), c.magic_bits)
+    };
+    let binade = _mm256_sll_epi32(_mm256_sub_epi32(e, c.emin_biased), c.man_shift);
+    let neg = _mm256_and_si256(_mm256_srli_epi32::<SIGN_SHIFT>(bits), c.half);
+    let code = _mm256_or_si256(_mm256_add_epi32(binade, k), neg);
+    let nan = _mm256_cmpgt_epi32(a, c.inf);
+    let nonzero = _mm256_cmpgt_epi32(a, c.zero_floor);
+    _mm256_and_si256(code, _mm256_andnot_si256(nan, nonzero))
+}
+
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_uniforms<const STOCH: bool>(u: *const f32, i: usize) -> __m256 {
+    if STOCH {
+        _mm256_loadu_ps(u.add(i))
+    } else {
+        _mm256_setzero_ps()
+    }
+}
+
+/// Byte-wide encode — see `Encoder::encode_u8`.
+///
+/// # Safety
+///
+/// AVX2 must be available; `out` (and `uniforms`, if given) must be as
+/// long as `seg`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn encode_u8(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u8_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u8_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn encode_u8_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(out.len(), seg.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    // Low byte of each dword → the low dword of its 128-bit half, then the
+    // two halves' dwords side by side.
+    let pick = _mm256_setr_epi8(
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    );
+    let join = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + LANES <= n {
+        let code = codes::<STOCH, 24>(
+            _mm256_loadu_ps(sp.add(i)),
+            load_uniforms::<STOCH>(up, i),
+            &c,
+        );
+        let bytes = _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(code, pick), join);
+        _mm_storel_epi64(op.add(i) as *mut __m128i, _mm256_castsi256_si128(bytes));
+        i += LANES;
+    }
+    while i < n {
+        *op.add(i) = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        i += 1;
+    }
+}
+
+/// 4-bit encode of whole bytes — the aligned middle of
+/// `Encoder::encode_u4`: `out[j]` takes elements `2j` (low nibble) and
+/// `2j + 1` (high nibble).
+///
+/// # Safety
+///
+/// AVX2 must be available; `seg` (and `uniforms`, if given) must hold
+/// exactly `2 * out.len()` elements.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn encode_u4_pairs(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u4_pairs_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u4_pairs_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn encode_u4_pairs_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(seg.len(), 2 * out.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    let evens = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+    let pick = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + LANES <= n {
+        let code = codes::<STOCH, 28>(
+            _mm256_loadu_ps(sp.add(i)),
+            load_uniforms::<STOCH>(up, i),
+            &c,
+        );
+        // In-register nibble pairing: each qword holds an (even, odd)
+        // element pair; shifting the qword right by 28 drops the odd
+        // element's code onto bits 4..8 of the even element's dword.
+        let paired = _mm256_or_si256(code, _mm256_srli_epi64::<28>(code));
+        let dwords = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(paired, evens));
+        let word = _mm_cvtsi128_si32(_mm_shuffle_epi8(dwords, pick));
+        (op.add(i / 2) as *mut i32).write_unaligned(word);
+        i += LANES;
+    }
+    while i < n {
+        let lo = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        let hi = grid.code_at(*sp.add(i + 1) * scale, STOCH.then(|| *up.add(i + 1)));
+        *op.add(i / 2) = lo | (hi << 4);
+        i += 2;
+    }
+}

@@ -285,3 +285,222 @@ pub(super) unsafe fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &
         i += 1;
     }
 }
+
+// ---------------------------------------------------------------------
+// Encode kernels (the pack engine). Lane rules: `simd_encode` module docs.
+// ---------------------------------------------------------------------
+
+use super::simd_encode::{abs_max_bits_scalar, CodeGrid, ABS_MASK, INF_BITS, MAGIC, MAGIC_BITS};
+
+/// 16-lane abs-max fold — see `Encoder::abs_max`. Integer max over the
+/// magnitude bit patterns with NaN lanes zeroed; max is exact, so the
+/// horizontal reduction at the end reassociates nothing.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
+    let abs = _mm512_set1_epi32(ABS_MASK as i32);
+    let inf = _mm512_set1_epi32(INF_BITS as i32);
+    let mut m = _mm512_setzero_si512();
+    let n = seg.len();
+    let p = seg.as_ptr();
+    let mut i = 0;
+    while i + LANES <= n {
+        let a = _mm512_and_si512(_mm512_castps_si512(_mm512_loadu_ps(p.add(i))), abs);
+        let finite = _mm512_cmple_epi32_mask(a, inf);
+        m = _mm512_mask_max_epi32(m, finite, m, a);
+        i += LANES;
+    }
+    let acc = acc.max(_mm512_reduce_max_epu32(m));
+    abs_max_bits_scalar(&seg[i..], acc)
+}
+
+/// Broadcast constants of one encode call.
+struct EncodeConsts {
+    scale: __m512,
+    abs: __m512i,
+    inf: __m512i,
+    max_bits: __m512i,
+    emin_biased: __m512i,
+    /// `man_bits + 254`: minus the clamped biased exponent, this is the
+    /// biased exponent of the exact factor `2^(m − e_eff)`.
+    exp_base: __m512i,
+    man_shift: __m128i,
+    magic: __m512,
+    magic_bits: __m512i,
+    half: __m512i,
+    one: __m512i,
+    /// Magnitude bit patterns above this are non-zero codes' inputs: `-1`
+    /// keeps an exact zero's sign offset (`signed_zero`), `0` clears it.
+    zero_floor: __m512i,
+}
+
+impl EncodeConsts {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn new(grid: &CodeGrid, scale: f32) -> EncodeConsts {
+        EncodeConsts {
+            scale: _mm512_set1_ps(scale),
+            abs: _mm512_set1_epi32(ABS_MASK as i32),
+            inf: _mm512_set1_epi32(INF_BITS as i32),
+            max_bits: _mm512_set1_epi32(grid.max_bits as i32),
+            emin_biased: _mm512_set1_epi32(grid.emin_biased as i32),
+            exp_base: _mm512_set1_epi32((grid.man_bits + 254) as i32),
+            man_shift: _mm_cvtsi32_si128(grid.man_bits as i32),
+            magic: _mm512_set1_ps(MAGIC),
+            magic_bits: _mm512_set1_epi32(MAGIC_BITS as i32),
+            half: _mm512_set1_epi32(grid.half as i32),
+            one: _mm512_set1_epi32(1),
+            zero_floor: _mm512_set1_epi32(if grid.signed_zero { -1 } else { 0 }),
+        }
+    }
+}
+
+/// Sixteen elements → sixteen codes (one per dword lane): the
+/// lane-parallel form of `CodeGrid::code`. `SIGN_SHIFT` moves the sign bit
+/// onto the width's sign offset (28 → bit 3 for 4-bit codes, 24 → bit 7
+/// for bytes).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn codes<const STOCH: bool, const SIGN_SHIFT: u32>(
+    x: __m512,
+    u: __m512,
+    c: &EncodeConsts,
+) -> __m512i {
+    let bits = _mm512_castps_si512(_mm512_mul_ps(x, c.scale));
+    let a = _mm512_and_si512(bits, c.abs);
+    // Saturation: a magnitude clamped to the top value encodes as the top
+    // index (NaN lanes too; they are cleared below).
+    let ac = _mm512_min_epi32(a, c.max_bits);
+    let e = _mm512_max_epi32(_mm512_srli_epi32::<23>(ac), c.emin_biased);
+    let pow2 = _mm512_slli_epi32::<23>(_mm512_sub_epi32(c.exp_base, e));
+    let r = _mm512_mul_ps(_mm512_castsi512_ps(ac), _mm512_castsi512_ps(pow2));
+    let k = if STOCH {
+        let ki = _mm512_cvttps_epi32(r);
+        let frac = _mm512_sub_ps(r, _mm512_cvtepi32_ps(ki));
+        let up = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(frac, u);
+        _mm512_mask_add_epi32(ki, up, ki, c.one)
+    } else {
+        _mm512_sub_epi32(_mm512_castps_si512(_mm512_add_ps(r, c.magic)), c.magic_bits)
+    };
+    let binade = _mm512_sll_epi32(_mm512_sub_epi32(e, c.emin_biased), c.man_shift);
+    let neg = _mm512_and_si512(_mm512_srli_epi32::<SIGN_SHIFT>(bits), c.half);
+    let code = _mm512_or_si512(_mm512_add_epi32(binade, k), neg);
+    let valid = _mm512_mask_cmpgt_epi32_mask(_mm512_cmple_epi32_mask(a, c.inf), a, c.zero_floor);
+    _mm512_maskz_mov_epi32(valid, code)
+}
+
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn load_uniforms<const STOCH: bool>(u: *const f32, i: usize) -> __m512 {
+    if STOCH {
+        _mm512_loadu_ps(u.add(i))
+    } else {
+        _mm512_setzero_ps()
+    }
+}
+
+/// Byte-wide encode — see `Encoder::encode_u8`.
+///
+/// # Safety
+///
+/// `avx512f` must be available; `out` (and `uniforms`, if given) must be
+/// as long as `seg`.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn encode_u8(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u8_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u8_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+unsafe fn encode_u8_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(out.len(), seg.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + LANES <= n {
+        let code = codes::<STOCH, 24>(
+            _mm512_loadu_ps(sp.add(i)),
+            load_uniforms::<STOCH>(up, i),
+            &c,
+        );
+        _mm_storeu_si128(op.add(i) as *mut __m128i, _mm512_cvtepi32_epi8(code));
+        i += LANES;
+    }
+    while i < n {
+        *op.add(i) = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        i += 1;
+    }
+}
+
+/// 4-bit encode of whole bytes — the aligned middle of
+/// `Encoder::encode_u4`: `out[j]` takes elements `2j` (low nibble) and
+/// `2j + 1` (high nibble).
+///
+/// # Safety
+///
+/// `avx512f` must be available; `seg` (and `uniforms`, if given) must hold
+/// exactly `2 * out.len()` elements.
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn encode_u4_pairs(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    match uniforms {
+        Some(u) => encode_u4_pairs_impl::<true>(grid, seg, scale, u, out),
+        None => encode_u4_pairs_impl::<false>(grid, seg, scale, &[], out),
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+unsafe fn encode_u4_pairs_impl<const STOCH: bool>(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: &[f32],
+    out: &mut [u8],
+) {
+    debug_assert_eq!(seg.len(), 2 * out.len());
+    debug_assert!(!STOCH || uniforms.len() == seg.len());
+    let c = EncodeConsts::new(grid, scale);
+    let n = seg.len();
+    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + LANES <= n {
+        let code = codes::<STOCH, 28>(
+            _mm512_loadu_ps(sp.add(i)),
+            load_uniforms::<STOCH>(up, i),
+            &c,
+        );
+        // In-register nibble pairing: each qword holds an (even, odd)
+        // element pair; shifting the qword right by 28 drops the odd
+        // element's code onto bits 4..8 of the even element's dword, and
+        // `vpmovqb` keeps exactly that low byte of every qword.
+        let paired = _mm512_or_si512(code, _mm512_srli_epi64::<28>(code));
+        _mm_storel_epi64(op.add(i / 2) as *mut __m128i, _mm512_cvtepi64_epi8(paired));
+        i += LANES;
+    }
+    while i < n {
+        let lo = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
+        let hi = grid.code_at(*sp.add(i + 1) * scale, STOCH.then(|| *up.add(i + 1)));
+        *op.add(i / 2) = lo | (hi << 4);
+        i += 2;
+    }
+}

@@ -26,6 +26,9 @@
 //!   exposes introspection (`backend()`, `lane_width()`) and the
 //!   `with_forced_scalar` test hook. Results are bit-identical across
 //!   backends by construction: lanes vectorize *output elements* only.
+//! * [`encode`] — the pack engine: the same backends' quantize→encode
+//!   kernels (group abs-max scan, 4-bit and 8-bit code writers) that
+//!   `snip-quant` packs through, bit-identical across backends.
 //! * [`ops`] — elementwise and reduction helpers (softmax, SiLU, norms).
 //! * [`rng`] — deterministic xoshiro256++ random streams with Gaussian
 //!   sampling; all randomness in the workspace flows from explicit seeds so
@@ -55,6 +58,7 @@ pub mod rng;
 mod tensor;
 
 pub use engine::simd;
+pub use engine::simd_encode as encode;
 pub use packed::{CodeWidth, GroupLayout, QOperandRef, QTensor};
 // The shared env-var parse + warn-once helper. It lives in `snip-obs`
 // (which sits below this crate so telemetry can instrument the kernels),

@@ -40,22 +40,8 @@ const PARALLEL_THRESHOLD: usize = 1 << 20;
 /// GEMM's `m·n·k` MAC count.
 pub(crate) const DECODE_PARALLEL_THRESHOLD: usize = 1 << 20;
 
-/// Number of row chunks a problem of `work` units should split into:
-/// 1 below `threshold`, the cached pool size above it, and the forced
-/// split width inside [`pool::with_threads`] regardless of size.
-pub(crate) fn parts_for(work: usize, threshold: usize) -> usize {
-    if let Some(n) = pool::forced_threads() {
-        return n;
-    }
-    if work < threshold {
-        1
-    } else {
-        pool::size()
-    }
-}
-
 pub(crate) fn thread_count(work: usize) -> usize {
-    parts_for(work, PARALLEL_THRESHOLD)
+    pool::parts_for(work, PARALLEL_THRESHOLD)
 }
 
 /// Splits `rows` into `parts` contiguous chunks and runs `f(start, end,

@@ -38,7 +38,8 @@
 //! mirrors the scaling granularities at the storage level.
 
 use crate::engine::Round;
-use crate::matmul::{for_each_row_chunk, parts_for, DECODE_PARALLEL_THRESHOLD};
+use crate::matmul::{for_each_row_chunk, DECODE_PARALLEL_THRESHOLD};
+use crate::pool::parts_for;
 use crate::Tensor;
 use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use std::sync::Arc;

@@ -302,6 +302,37 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Number of tasks a region of `work` units should split into: 1 below
+/// `threshold`, the cached pool size above it, and the forced split width
+/// inside [`with_threads`] regardless of size.
+pub fn parts_for(work: usize, threshold: usize) -> usize {
+    if let Some(n) = forced_threads() {
+        return n;
+    }
+    if work < threshold {
+        1
+    } else {
+        size()
+    }
+}
+
+/// Runs `f(i, items[i])` for every item across the pool, each item moved
+/// into the one task that owns it — the safe way for callers outside this
+/// crate to fan disjoint `&mut` output bands out to workers. Returns when
+/// every item has been processed; which worker runs an item can never
+/// affect a result the item's own data determines.
+pub fn for_each_owned<T: Send>(items: Vec<T>, f: impl Fn(usize, T) + Sync) {
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    run(slots.len(), &|i| {
+        let item = slots[i]
+            .lock()
+            .expect("a slot is locked once, by its own task")
+            .take()
+            .expect("the pool runs each index exactly once");
+        f(i, item);
+    });
+}
+
 /// Executes `task(0..tasks)` across the pool, returning when every index
 /// has completed. The calling thread participates, so progress never
 /// depends on a free worker. Panics in tasks propagate to the caller after
