@@ -23,7 +23,7 @@
 use serde::{Deserialize, Serialize};
 use snip_bench::legacy;
 use snip_quant::{Precision, Quantizer, TensorRole};
-use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn, SMALL_GEMM_MACS};
+use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
 use snip_tensor::{pool, rng::Rng, simd, QOperandRef, QTensor, Tensor};
 use std::time::Instant;
@@ -57,19 +57,6 @@ struct Machine {
     simd_lanes: usize,
     /// Worker-pool parallelism the run used (`SNIP_THREADS` or the machine).
     threads: usize,
-}
-
-/// One point of the small-GEMM sweep: the same shape through the default
-/// dispatch (fast path below the cutoff) and the forced generic path.
-#[derive(Debug, Serialize, Deserialize)]
-struct SmallGemmRow {
-    shape: String,
-    macs: usize,
-    /// Whether default dispatch takes the fast path at this size.
-    fast_path: bool,
-    default_ms: f64,
-    generic_ms: f64,
-    speedup: f64,
 }
 
 /// One cell of the per-backend GEMM matrix: the same kernel and shape timed
@@ -156,12 +143,11 @@ struct Report {
     quantize: Vec<QuantizeRow>,
     backend_pack: Vec<BackendPackRow>,
     pack_split: Vec<PackSplitRow>,
-    small_gemm: Vec<SmallGemmRow>,
     train_step: TrainStep,
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 4;
+const SCHEMA: u64 = 5;
 
 /// Parent-commit (PR 11: scalar pack kernels) `quantize_packed` timings on
 /// the reference box (2 cores, avx512f), taken with this file's
@@ -408,8 +394,6 @@ fn run(smoke: bool) -> Report {
 
     let backend_gemm = backend_gemm_sweep(shapes, reps, &mut rng);
 
-    let small_gemm = small_gemm_sweep(smoke, &mut rng);
-
     // End-to-end training step on the shared bench fixture.
     let steps: u64 = if smoke { 2 } else { 8 };
     let mut trainer = snip_bench::fixtures::bench_trainer();
@@ -428,7 +412,6 @@ fn run(smoke: bool) -> Report {
         quantize,
         backend_pack,
         pack_split,
-        small_gemm,
         train_step: TrainStep { steps, ms_per_step },
     }
 }
@@ -577,7 +560,7 @@ fn backend_gemm_sweep(
         ];
         let flops = 2.0 * (tokens * d_out * d_in) as f64;
         for (kernel, call) in kernels {
-            let reference = simd::with_forced_scalar(&*call);
+            let reference = simd::with_forced_backend(simd::Backend::Scalar, &*call);
             for backend in simd::available_backends() {
                 let result = simd::with_forced_backend(backend, &*call);
                 assert_bits_eq(
@@ -595,60 +578,6 @@ fn backend_gemm_sweep(
                 });
             }
         }
-    }
-    out
-}
-
-/// Times shapes straddling [`SMALL_GEMM_MACS`] through default dispatch
-/// (fast path below the cutoff) and through `pool::with_threads(1)`, which
-/// forces the generic blocked path. The speedup column is what justifies —
-/// and tunes — the cutoff: it should be comfortably above 1 on the fast-path
-/// side and near 1 just past the boundary. Results are bit-identical by
-/// construction (asserted here before timing, pinned in
-/// `tests/pool_determinism.rs`).
-///
-/// Re-swept after the 16-lane AVX-512 kernel landed: the faster microkernel
-/// shrinks per-call compute, which could in principle move the crossover up
-/// (fixed dispatch overhead amortized over less work). Measured on the bench
-/// box the sweep stays ~1.0x on both sides of the boundary, so the cutoff
-/// keeps its `1 << 16` value; the extra shapes just under and over the
-/// boundary (including a ragged-K one) keep the boundary itself in evidence.
-fn small_gemm_sweep(smoke: bool, rng: &mut Rng) -> Vec<SmallGemmRow> {
-    let shapes: &[(usize, usize, usize)] = if smoke {
-        &[(16, 16, 16), (64, 64, 16)]
-    } else {
-        &[
-            (8, 8, 8),
-            (16, 16, 16),
-            (32, 32, 16),
-            (32, 32, 32),
-            (48, 48, 28), // 64512 MACs: just under the cutoff, ragged for 16 lanes
-            (64, 63, 16), // 64512 MACs: just under the cutoff, ragged K
-            (64, 64, 16), // exactly the cutoff: generic path
-            (64, 64, 32),
-            (64, 64, 64),
-        ]
-    };
-    // Tiny kernels finish in microseconds; many reps keep the minimum stable.
-    let reps = if smoke { 20 } else { 200 };
-    let mut out = Vec::new();
-    for &(m, k, n) in shapes {
-        let a = Tensor::randn(m, k, 1.0, rng);
-        let b = Tensor::randn(k, n, 1.0, rng);
-        let default_result = matmul(&a, &b);
-        let generic_result = pool::with_threads(1, || matmul(&a, &b));
-        assert_bits_eq(&default_result, &generic_result, "small_gemm");
-        let default_ms = time_best_ms(reps, || matmul(&a, &b));
-        let generic_ms = time_best_ms(reps, || pool::with_threads(1, || matmul(&a, &b)));
-        let macs = m * k * n;
-        out.push(SmallGemmRow {
-            shape: format!("{m}x{k}x{n}"),
-            macs,
-            fast_path: macs < SMALL_GEMM_MACS,
-            default_ms,
-            generic_ms,
-            speedup: generic_ms / default_ms,
-        });
     }
     out
 }
@@ -827,20 +756,6 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             }
         }
     }
-    if report.small_gemm.is_empty() {
-        return Err("small_gemm section is empty".to_string());
-    }
-    for r in &report.small_gemm {
-        for (what, v) in [
-            ("default_ms", r.default_ms),
-            ("generic_ms", r.generic_ms),
-            ("speedup", r.speedup),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("small_gemm {}: {what} = {v}", r.shape));
-            }
-        }
-    }
     let ts = &report.train_step;
     if ts.steps == 0 || !ts.ms_per_step.is_finite() || ts.ms_per_step <= 0.0 {
         return Err(format!(
@@ -851,7 +766,7 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
     Ok(format!(
         "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
          {} backend-pack rows, {} pack-split rows, \
-         {} small-gemm rows, {:.2} ms/train-step, {} simd on {} threads",
+         {:.2} ms/train-step, {} simd on {} threads",
         report.gemm.len(),
         report.backend_gemm.len(),
         backends.iter().copied().collect::<Vec<_>>().join("/"),
@@ -859,7 +774,6 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         report.quantize.len(),
         report.backend_pack.len(),
         report.pack_split.len(),
-        report.small_gemm.len(),
         ts.ms_per_step,
         mach.simd_backend,
         mach.threads
@@ -915,12 +829,6 @@ fn print_summary(report: &Report) {
         println!(
             "  {:>19} {:>9}  {:>9.3} ms 1 thread → {:>9.3} ms default  {:>5.2}x  (split = {})",
             r.name, r.shape, r.single_ms, r.default_ms, r.speedup, r.split
-        );
-    }
-    for r in &report.small_gemm {
-        println!(
-            "  {:>12} {:>14}  {:>9.4} ms generic → {:>9.4} ms default  {:>5.2}x  (fast_path = {})",
-            "small_gemm", r.shape, r.generic_ms, r.default_ms, r.speedup, r.fast_path
         );
     }
     println!(

@@ -1,36 +1,28 @@
 //! # snip-bench
 //!
-//! Criterion micro-benchmarks for the SNIP stack. Each bench file maps to a
-//! cost the paper discusses:
-//!
-//! * `quant_kernels` — fake-quantization throughput per format/granularity
-//!   (the per-GEMM overhead of the Fig. 5 framework).
-//! * `matmul` — GEMM kernels of the tensor substrate.
-//! * `ilp_solver` — Step-5 solve times at paper-scale layer counts (§6.1
-//!   reports "usually a few seconds" under a 30 s limit).
-//! * `train_step` — full training-step latency by precision scheme.
-//! * `snip_overhead` — Steps 1–4 measurement/analysis cost relative to a
-//!   training step (§6.3: "2-3 times that of a normal training iteration").
-//! * `pipeline_sim` — 1F1B schedule simulation cost.
-//!
-//! Besides the criterion micro-benches, the crate ships the **perf
-//! trajectory runner** `bench_gemm` (`cargo run --release -p snip-bench
-//! --bin bench_gemm`): it times quantize, decode, all six GEMM
+//! The **perf trajectory runner** `bench_gemm` (`cargo run --release -p
+//! snip-bench --bin bench_gemm`): it times quantize, decode, all six GEMM
 //! orientations and an end-to-end training step at model-realistic shapes
 //! — each kernel against its frozen PR-4 predecessor in [`legacy`] — and
 //! writes machine-readable `BENCH_gemm.json` at the repo root. CI runs it
 //! in `--smoke` mode and validates the output with `--check`, so the
 //! trajectory cannot silently rot.
+//!
+//! End-to-end and per-layer training costs (train step by precision
+//! scheme, SNIP measure/analyze/ILP overhead, collectives, optimizer) are
+//! measured by the stand-alone `benchmark/` package (`bench_train`, see
+//! `BENCHMARK.json`), which replaced the compile-only criterion benches
+//! this crate used to carry.
 
 pub mod legacy;
 
-/// Shared fixtures for benches.
+/// Shared fixtures for `bench_gemm`.
 pub mod fixtures {
     use snip_core::{Trainer, TrainerConfig};
     use snip_nn::ModelConfig;
     use snip_optim::{AdamWConfig, LrSchedule};
 
-    /// A small warmed-up trainer used by training-step benches.
+    /// A small warmed-up trainer for the end-to-end train-step row.
     pub fn bench_trainer() -> Trainer {
         let cfg = TrainerConfig {
             model: ModelConfig::tiny_test(),

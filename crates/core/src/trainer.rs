@@ -172,9 +172,10 @@ impl Trainer {
     /// The fallible step body shared by the infallible and recoverable
     /// paths. A hook error aborts the step **before** clipping, the
     /// optimizer update, the step-count bump and the telemetry counters —
-    /// but the batch stream, data-order RNG and gradients have already
-    /// advanced, so recovery needs [`Trainer::try_train_step_with_grad_hook`]'s
-    /// snapshot/restore on top.
+    /// so a failed step has touched exactly four things: the batch-stream
+    /// cursor, the trainer RNG, the optimizer's `lr` and the gradient
+    /// accumulators. [`Trainer::try_train_step_with_grad_hook`] undoes
+    /// those.
     fn step_core<E>(
         &mut self,
         hook: &mut dyn FnMut(&mut Model) -> Result<(), E>,
@@ -205,14 +206,17 @@ impl Trainer {
     /// gradient hook may fail (e.g. an all-reduce over a faulted
     /// transport). On `Ok` the step completed exactly as
     /// [`Trainer::train_step_with_grad_hook`] would have. On `Err` the
-    /// trainer is restored **bit-for-bit** to its pre-step state — model,
-    /// optimizer, batch stream and RNG rewind as if the step never started
-    /// — so a launcher that restarts the world can retry the step from the
-    /// last good parameters and reach the same final state an unfaulted run
-    /// produces.
+    /// step is rolled back, so a retry replays it bit-identically and
+    /// reaches the same final state an unfaulted run produces.
     ///
-    /// The pre-step snapshot is a full trainer clone, so this costs one
-    /// deep copy per step; the infallible paths skip it entirely.
+    /// **Rollback contract.** A failed step has not touched parameters,
+    /// moments or the step count (see `step_core`). What it has touched is
+    /// snapshotted before the step and restored on `Err`: the batch-stream
+    /// cursor, the trainer RNG and the optimizer's `lr` — three small
+    /// values, no tensor copy. Gradients are not restored but **zeroed**:
+    /// they are step-scoped scratch (every step begins with `zero_grads`),
+    /// so no later step can observe what they held. A hook must confine
+    /// its writes to `Param::grad_mut`.
     ///
     /// # Errors
     ///
@@ -222,25 +226,15 @@ impl Trainer {
         &mut self,
         hook: &mut dyn FnMut(&mut Model) -> Result<(), E>,
     ) -> Result<f64, E> {
-        let snapshot = self.clone();
-        match self.step_core(hook) {
-            Ok(out) => Ok(out.loss),
-            Err(e) => {
-                *self = snapshot;
-                Err(e)
-            }
-        }
-    }
-
-    /// Runs `n` steps of [`Trainer::train_step_with_grad_hook`], returning
-    /// each step's loss. This is the loop body both data-parallel backends
-    /// (threaded and multi-process, `snip_pipeline::transport`) drive: one
-    /// shared definition, so a rank's step sequence cannot drift between
-    /// transports.
-    pub fn train_with_grad_hook(&mut self, n: u64, hook: &mut dyn FnMut(&mut Model)) -> Vec<f64> {
-        (0..n)
-            .map(|_| self.train_step_with_grad_hook(hook))
-            .collect()
+        let cursor = self.stream.cursor();
+        let rng = self.rng.clone();
+        let lr = self.optimizer.config().lr;
+        self.step_core(hook).map(|out| out.loss).inspect_err(|_| {
+            self.stream.rewind(cursor);
+            self.rng = rng;
+            self.optimizer.set_lr(lr);
+            self.model.zero_grads();
+        })
     }
 
     /// Runs `n` steps, returning each step's loss.
@@ -392,24 +386,55 @@ mod tests {
 
     #[test]
     fn failed_step_rolls_back_to_bit_identical_state() {
-        let mut t = Trainer::new(TrainerConfig::tiny()).unwrap();
+        use snip_optim::MomentPrecision;
+        // A warm-up schedule moves `lr` every step, so a rollback that forgot
+        // the optimizer's `lr` would show; packed moments are the state a
+        // deep-copy rollback paid most for and this one must not touch.
+        let mut cfg = TrainerConfig::tiny().with_moment_precision(MomentPrecision::PackedFp8);
+        cfg.schedule = LrSchedule::CosineWithWarmup {
+            base: 3e-3,
+            warmup: 8,
+            total_steps: 40,
+            min_lr: 1e-4,
+        };
+        let zeroed = |t: &Trainer| {
+            let mut t = t.clone();
+            t.model.zero_grads();
+            serde_json::to_vec(&t).unwrap()
+        };
+        let mut t = Trainer::new(cfg.clone()).unwrap();
+        let mut calm = Trainer::new(cfg).unwrap();
         let _ = t.train(4);
-        let before = serde_json::to_vec(&t).unwrap();
-        let failed = t.try_train_step_with_grad_hook(&mut |_model| Err("link died"));
-        assert_eq!(failed, Err("link died"));
-        let after = serde_json::to_vec(&t).unwrap();
-        assert_eq!(
-            before, after,
-            "a failed step must leave no trace — model, optimizer, stream and RNG rewind"
-        );
-        // And the retried step matches a trainer that never saw the fault.
-        let mut calm = Trainer::new(TrainerConfig::tiny()).unwrap();
         let _ = calm.train(4);
-        let retried = t
-            .try_train_step_with_grad_hook::<&str>(&mut |_model| Ok(()))
-            .unwrap();
-        assert_eq!(retried, calm.train(1)[0]);
-        assert_eq!(t.step_count(), 5);
+        let before = zeroed(&t);
+        // The hook trashes every gradient and *then* fails — twice in a row.
+        for attempt in 0..2 {
+            let failed = t.try_train_step_with_grad_hook(&mut |model| {
+                model.visit_params_mut(&mut |p| p.grad_mut().as_mut_slice().fill(f32::NAN));
+                Err("link died")
+            });
+            assert_eq!(failed, Err("link died"));
+            assert_eq!(t.step_count(), 4);
+            assert_eq!(
+                serde_json::to_vec(&t).unwrap(),
+                before,
+                "attempt {attempt}: a failed step leaves the pre-step state with zeroed gradients"
+            );
+        }
+        // The retried step and three more match a trainer that never faulted:
+        // losses and every parameter (and everything else that serializes).
+        let retried: Vec<f64> = (0..4)
+            .map(|_| {
+                t.try_train_step_with_grad_hook::<&str>(&mut |_| Ok(()))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(retried, calm.train(4));
+        assert_eq!(t.step_count(), 8);
+        assert_eq!(
+            serde_json::to_vec(&t).unwrap(),
+            serde_json::to_vec(&calm).unwrap()
+        );
     }
 
     #[test]

@@ -46,6 +46,19 @@ impl BatchStream {
         Batch::from_sequences(&sequences, self.seq_len)
     }
 
+    /// The stream's position: the RNG state the next [`BatchStream::next_batch`]
+    /// draws from. Together with [`BatchStream::rewind`] this lets a caller
+    /// un-draw a batch without copying the language tables.
+    pub fn cursor(&self) -> Rng {
+        self.rng.clone()
+    }
+
+    /// Moves the stream back (or forward) to a position taken with
+    /// [`BatchStream::cursor`]; the batches drawn from there repeat exactly.
+    pub fn rewind(&mut self, cursor: Rng) {
+        self.rng = cursor;
+    }
+
     /// Draws a held-out batch without advancing the training stream (a fixed
     /// validation batch derived from `seed`).
     pub fn validation_batch(&self, seed: u64) -> Batch {

@@ -12,8 +12,7 @@ use snip_nn::ModelConfig;
 use snip_pipeline::collective::{
     exact_sum, relative_error, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
 };
-use snip_pipeline::transport::chaos::{chaos_reduce_scatter, ChaosPlan};
-use snip_pipeline::transport::threaded_reduce_scatter;
+use snip_pipeline::transport::{run_ranks, ChaosPlan};
 use snip_tensor::rng::Rng;
 
 /// Per-frame delay bound (microseconds) for the `--chaos` schedule — large
@@ -148,10 +147,19 @@ fn main() {
         match transport {
             #[cfg(unix)]
             Transport::Process => {
-                let seeds: Vec<u64> = (0..grads.len()).map(|r| 0x2000 + r as u64).collect();
-                snip_pipeline::transport::proc::proc_reduce_scatter(grads, wire, policy, &seeds)
-                    .expect("process-transport reduce-scatter")
-                    .result
+                use snip_pipeline::transport::proc::{launch, ProcCollective, Task};
+                let tasks = grads
+                    .iter()
+                    .enumerate()
+                    .map(|(r, grad)| Task::ReduceScatter {
+                        wire: *wire,
+                        policy,
+                        seed: 0x2000 + r as u64,
+                        grad: grad.clone(),
+                    });
+                let (outputs, stats) =
+                    launch(tasks.collect(), None).expect("process-transport reduce-scatter");
+                ProcCollective::from_outputs(outputs, stats).result
             }
             #[cfg(not(unix))]
             Transport::Process => unreachable!("rejected above"),
@@ -159,37 +167,46 @@ fn main() {
                 let rngs: Vec<Rng> = (0..grads.len())
                     .map(|r| Rng::seed_from(0x2000 + r as u64))
                     .collect();
-                let calm = threaded_reduce_scatter(grads, wire, policy, &rngs).0;
+                let run = |plan: Option<&ChaosPlan>| {
+                    run_ranks(grads.len(), plan, |ep| {
+                        let mut rng = rngs[ep.rank()].clone();
+                        ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+                            .expect(
+                                "threaded reduce-scatter (delay-only chaos must not fail a rank)",
+                            )
+                    })
+                };
+                let (calm, calm_stats) = run(None);
                 if let Some(seed) = chaos_seed {
                     // Replay the identical collective under a seeded
                     // delay-only chaos schedule: link delays may reorder
                     // thread wakeups but never frames, so every shard and
                     // every byte counter must come back unchanged.
                     let plan = ChaosPlan::delay_all_links(seed, grads.len(), CHAOS_DELAY_MICROS);
-                    let (outcomes, stats) = chaos_reduce_scatter(grads, wire, policy, &rngs, &plan);
-                    for (rank, outcome) in outcomes.into_iter().enumerate() {
-                        let chunk = outcome.expect("delay-only chaos must not fail a rank");
+                    let (chaos, stats) = run(Some(&plan));
+                    for (rank, (chunk, calm)) in chaos.iter().zip(&calm).enumerate() {
                         assert_eq!(
                             (chunk.lo, chunk.hi),
-                            calm.owned[rank],
+                            (calm.lo, calm.hi),
                             "chaos delay changed rank {rank}'s chunk bounds"
                         );
                         assert_eq!(
                             chunk.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            calm.per_rank[rank]
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect::<Vec<_>>(),
+                            calm.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                             "chaos delay changed rank {rank}'s reduce-scatter bits"
                         );
                     }
                     assert_eq!(
                         stats.total_payload_bytes(),
-                        calm.bytes_on_wire,
+                        calm_stats.total_payload_bytes(),
                         "chaos delay changed bytes on the wire"
                     );
                 }
-                calm
+                CollectiveResult {
+                    owned: calm.iter().map(|c| (c.lo, c.hi)).collect(),
+                    per_rank: calm.into_iter().map(|c| c.data).collect(),
+                    bytes_on_wire: calm_stats.total_payload_bytes(),
+                }
             }
             Transport::Simulated => {
                 let mut rng = Rng::seed_from(2);

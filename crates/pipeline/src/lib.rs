@@ -12,11 +12,14 @@
 //! ([`timeline::render_timeline`]).
 //!
 //! It also houses the *transport* side: [`transport`] runs real multi-rank
-//! collectives over serialized byte frames, with ranks on OS threads
-//! ([`transport::run_ranks`]) or in separate worker processes connected by
-//! Unix sockets ([`transport::proc`]), both behind the same
-//! [`transport::Endpoint`] surface and both bit-identical to the in-proc
-//! [`collective`] oracle.
+//! collectives and data-parallel training over serialized byte frames, with
+//! ranks on OS threads (one driver: [`transport::run_ranks`]) or in
+//! separate worker processes connected by Unix sockets (one driver:
+//! [`transport::proc::launch`], fed typed [`transport::proc::Task`]s). Both
+//! drivers take an optional [`transport::ChaosPlan`] — fault injection is an
+//! argument, not a parallel API — both run the same rank code behind the
+//! [`transport::Endpoint`] surface, and both are bit-identical to the
+//! in-proc [`collective`] oracle.
 //!
 //! # Example
 //!
@@ -55,6 +58,5 @@ pub use stage::StagePartition;
 pub use timeline::render_timeline;
 pub use transport::{
     channel_mesh, data_parallel_train, pipeline_relay, run_ranks, threaded_all_reduce,
-    threaded_pipeline_relay, threaded_reduce_scatter, ChannelFabric, Endpoint, Fabric, FrameError,
-    RankChunk, TransportError, TransportStats,
+    ChannelFabric, Endpoint, Fabric, FrameError, RankChunk, TransportError, TransportStats,
 };

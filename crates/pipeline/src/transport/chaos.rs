@@ -2,7 +2,7 @@
 //!
 //! [`ChaosFabric`] decorates any [`Fabric`] backend and injects faults from
 //! a seeded [`ChaosPlan`] — the *same* decorator wraps the threaded
-//! [`ChannelFabric`] and the process [`super::proc::SocketFabric`], so one
+//! [`super::ChannelFabric`] and the process [`super::proc::SocketFabric`], so one
 //! fault schedule exercises both backends and must surface the **same
 //! typed error at the same rank** on each. Five fault classes ship:
 //!
@@ -42,36 +42,36 @@
 //!
 //! # Worked example: kill a rank mid-collective
 //!
+//! A plan is an argument of the two mesh drivers — [`super::run_ranks`] on
+//! threads, [`super::proc::launch`] on processes — which wrap every rank's
+//! fabric in a [`ChaosFabric`]:
+//!
 //! ```
 //! use snip_pipeline::collective::{QuantizePolicy, Wire};
-//! use snip_pipeline::transport::chaos::{chaos_all_reduce, ChaosPlan};
-//! use snip_pipeline::transport::TransportError;
+//! use snip_pipeline::transport::{run_ranks, ChaosPlan, TransportError};
 //! use snip_tensor::rng::Rng;
 //!
 //! let grads: Vec<Vec<f32>> = (0..3).map(|r| vec![r as f32; 8]).collect();
-//! let rngs: Vec<Rng> = (0..3).map(Rng::seed_from).collect();
 //! // Rank 1 dies at its very first transport operation.
 //! let plan = ChaosPlan::kill(0xC0FFEE, 1, 0);
-//! let (outcomes, _) =
-//!     chaos_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &rngs, &plan);
+//! let (outcomes, _) = run_ranks(3, Some(&plan), |ep| {
+//!     let mut rng = Rng::seed_from(ep.rank() as u64);
+//!     ep.ring_all_reduce(&grads[ep.rank()], &Wire::exact(), QuantizePolicy::EveryHop, &mut rng)
+//! });
 //! // The faulted rank knows exactly what happened to it...
 //! assert_eq!(outcomes[1], Err(TransportError::Killed { rank: 1 }));
 //! // ...and the survivors unwind with typed cascade errors, not hangs.
 //! assert!(outcomes[0].is_err() && outcomes[2].is_err());
 //! ```
 
-use super::fabric::{channel_mesh, ChannelFabric, Fabric, TransportError};
-use super::{
-    check_world, drive_endpoints, step_comm_rng, Endpoint, LinkCounters, RankChunk, TransportStats,
-};
+use super::fabric::{Fabric, TransportError};
+use super::{root_cause, try_data_parallel_train};
 use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
 use snip_quant::{
     stream_frame, StreamDecoder, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_PREFIX_BYTES,
 };
-use snip_tensor::rng::Rng;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One scheduled fault. Ranks, links and frame indices are all explicit,
@@ -152,7 +152,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// The scheduled faults. Empty means pure passthrough.
     pub faults: Vec<Fault>,
-    /// When set, [`ChaosFabric`]-owning drivers lower the fabric recv
+    /// When set, building a [`ChaosFabric`] lowers the inner fabric's recv
     /// deadline to this many microseconds (see
     /// [`super::fabric::DEFAULT_RECV_DEADLINE`] for the default).
     pub recv_deadline_micros: Option<u64>,
@@ -293,9 +293,13 @@ pub struct ChaosFabric<F: Fabric> {
 }
 
 impl<F: Fabric> ChaosFabric<F> {
-    /// Decorates `inner` with `plan`'s fault schedule.
-    pub fn new(inner: F, plan: ChaosPlan) -> Self {
+    /// Decorates `inner` with `plan`'s fault schedule, applying the plan's
+    /// recv-deadline override if it has one.
+    pub fn new(mut inner: F, plan: ChaosPlan) -> Self {
         let (rank, world) = (inner.rank(), inner.world());
+        if let Some(micros) = plan.recv_deadline_micros {
+            inner.set_recv_deadline(Duration::from_micros(micros));
+        }
         ChaosFabric {
             inner: Some(inner),
             rank,
@@ -480,152 +484,6 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
     }
 }
 
-/// [`super::run_ranks`] with every rank's [`ChannelFabric`] wrapped in a
-/// [`ChaosFabric`] running `plan` (and the plan's recv-deadline override
-/// applied). Rank closures return their own `Result`s instead of
-/// panicking, so a faulted mesh yields per-rank outcomes, not an abort.
-pub fn chaos_run_ranks<T, Func>(world: usize, plan: &ChaosPlan, f: Func) -> (Vec<T>, TransportStats)
-where
-    T: Send,
-    Func: Fn(&mut Endpoint<ChaosFabric<ChannelFabric>>) -> T + Send + Sync,
-{
-    let counters = Arc::new(LinkCounters::new(world));
-    let endpoints: Vec<Endpoint<ChaosFabric<ChannelFabric>>> = channel_mesh(world)
-        .into_iter()
-        .map(|fab| {
-            let mut chaos = ChaosFabric::new(fab, plan.clone());
-            if let Some(micros) = plan.recv_deadline_micros {
-                chaos.set_recv_deadline(Duration::from_micros(micros));
-            }
-            Endpoint::with_counters(chaos, Arc::clone(&counters))
-        })
-        .collect();
-    drive_endpoints(endpoints, counters, f)
-}
-
-/// [`super::threaded_reduce_scatter`] under a chaos plan: every rank's
-/// outcome is returned as a `Result`, so faulted ranks report their typed
-/// error while survivors report theirs (or their chunk, if the fault
-/// never reached them).
-pub fn chaos_reduce_scatter(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &[Rng],
-    plan: &ChaosPlan,
-) -> (Vec<Result<RankChunk, TransportError>>, TransportStats) {
-    check_world(grads, rngs);
-    chaos_run_ranks(grads.len(), plan, |ep| {
-        let mut rng = rngs[ep.rank()].clone();
-        ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
-    })
-}
-
-/// [`super::threaded_all_reduce`] under a chaos plan; see
-/// [`chaos_reduce_scatter`].
-pub fn chaos_all_reduce(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &[Rng],
-    plan: &ChaosPlan,
-) -> (Vec<Result<Vec<f32>, TransportError>>, TransportStats) {
-    check_world(grads, rngs);
-    chaos_run_ranks(grads.len(), plan, |ep| {
-        let mut rng = rngs[ep.rank()].clone();
-        ep.ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
-    })
-}
-
-/// The fallible twin of [`super::dp_train_loop`]: one rank's synchronous
-/// data-parallel loop where a transport failure mid-step rolls the step
-/// back ([`Trainer::try_train_step_with_grad_hook`]) and returns the
-/// typed error alongside the losses of the steps that completed. Because
-/// wire randomness is re-derived per step from the trainer's **absolute**
-/// step count ([`super::step_comm_rng`]), a retried step replays the
-/// identical wire stream an unfaulted run would have used.
-pub(crate) fn dp_train_loop_fallible<F: Fabric>(
-    ep: &mut Endpoint<F>,
-    trainer: &mut Trainer,
-    steps: u64,
-    wire: &Wire,
-    policy: QuantizePolicy,
-    comm_seed: u64,
-) -> (Vec<f64>, Option<TransportError>) {
-    let inv_world = 1.0 / ep.world() as f32;
-    let mut losses = Vec::with_capacity(steps as usize);
-    for _ in 0..steps {
-        let step = trainer.step_count();
-        let mut rng = step_comm_rng(comm_seed, ep.rank(), step);
-        let result = trainer.try_train_step_with_grad_hook(&mut |model| {
-            let mut failed: Option<TransportError> = None;
-            model.visit_params_mut(&mut |p| {
-                if failed.is_some() {
-                    return;
-                }
-                match ep.ring_all_reduce(p.grad().as_slice(), wire, policy, &mut rng) {
-                    Ok(reduced) => {
-                        for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&reduced) {
-                            *g = v * inv_world;
-                        }
-                    }
-                    Err(e) => failed = Some(e),
-                }
-            });
-            match failed {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        });
-        match result {
-            Ok(loss) => losses.push(loss),
-            Err(e) => return (losses, Some(e)),
-        }
-    }
-    (losses, None)
-}
-
-/// One rank's outcome from a chaos data-parallel run: the losses of the
-/// steps it completed, plus the typed error that stopped it (`None` when
-/// it ran to the end).
-pub type RankRunOutcome = (Vec<f64>, Option<TransportError>);
-
-/// [`super::data_parallel_train`] under a chaos plan. Every rank returns
-/// its completed-step losses plus the typed error that stopped it (or
-/// `None` if it finished); trainers come back in whatever state they
-/// reached — failed steps are rolled back, completed steps are kept — so
-/// a caller can inspect, resume or retry.
-pub fn data_parallel_train_chaos(
-    trainers: Vec<Trainer>,
-    steps: u64,
-    wire: &Wire,
-    policy: QuantizePolicy,
-    comm_seed: u64,
-    plan: &ChaosPlan,
-) -> (Vec<Trainer>, Vec<RankRunOutcome>, TransportStats) {
-    assert!(!trainers.is_empty(), "no ranks");
-    let world = trainers.len();
-    let slots: Vec<std::sync::Mutex<Option<Trainer>>> = trainers
-        .into_iter()
-        .map(|t| std::sync::Mutex::new(Some(t)))
-        .collect();
-    let (outcomes, stats) = chaos_run_ranks(world, plan, |ep| {
-        let mut trainer = slots[ep.rank()]
-            .lock()
-            .expect("trainer slot")
-            .take()
-            .expect("each rank takes its trainer once");
-        let outcome = dp_train_loop_fallible(ep, &mut trainer, steps, wire, policy, comm_seed);
-        *slots[ep.rank()].lock().expect("trainer slot") = Some(trainer);
-        outcome
-    });
-    let trainers = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot").expect("trainer returned"))
-        .collect();
-    (trainers, outcomes, stats)
-}
-
 /// A completed recovery run: the trainers at their final step, every
 /// rank's kept-step losses, and the number of retries spent.
 pub type RecoveredRun = (Vec<Trainer>, Vec<Vec<f64>>, usize);
@@ -644,7 +502,9 @@ pub type RecoveredRun = (Vec<Trainer>, Vec<Vec<f64>>, usize);
 /// **absolute** step index (`step_comm_rng`), the retried run
 /// replays the exact gradients of an unfaulted run. The final parameters
 /// after a kill-and-retry therefore match a calm
-/// [`super::data_parallel_train`] bit for bit.
+/// [`super::data_parallel_train`] bit for bit. The per-attempt snapshot is
+/// deliberate: it is the one place a whole-trainer copy is the right
+/// price, paid once per attempt rather than once per step.
 ///
 /// Each retry bumps the `transport.retries` counter (when telemetry is
 /// on). Returns the trainers, the per-rank losses of every *kept* step,
@@ -687,21 +547,14 @@ pub fn data_parallel_train_with_recovery(
         let plan = plans.get(retries).unwrap_or(&calm);
         let snapshot = current.clone();
         let (returned, outcomes, _) =
-            data_parallel_train_chaos(current, remaining, wire, policy, comm_seed, plan);
+            try_data_parallel_train(current, remaining, wire, policy, comm_seed, Some(plan));
         let errors: Vec<TransportError> = outcomes.iter().filter_map(|(_, e)| e.clone()).collect();
-        if errors.is_empty() {
+        let Some(root) = root_cause(&errors).cloned() else {
             for (rank, (l, _)) in outcomes.into_iter().enumerate() {
                 losses[rank].extend(l);
             }
             return Ok((returned, losses, retries));
-        }
-        // Attribute the root cause: the first error that is not a cascade
-        // of somebody else's failure.
-        let root = errors
-            .iter()
-            .find(|e| !super::fabric::is_cascade_error(&e.to_string()))
-            .unwrap_or(&errors[0])
-            .clone();
+        };
         if snip_obs::enabled() {
             snip_obs::counter_add("transport.retries", 1);
         }

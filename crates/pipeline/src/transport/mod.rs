@@ -10,15 +10,24 @@
 //! [`snip_quant::wire`], BF16 payloads as raw `u16`s, exact payloads as raw
 //! `f32`s. No `f32` slice is ever shared.
 //!
-//! Two fabrics ship:
+//! Two fabrics ship, each behind **one driver**:
 //!
 //! * [`ChannelFabric`] — `R` ranks on `R` OS threads, one mpsc channel per
-//!   directed link ([`run_ranks`] builds the mesh and drives the rank
-//!   closures).
+//!   directed link. [`run_ranks`] builds the mesh and runs one closure per
+//!   rank.
 //! * [`proc::SocketFabric`] — `R` ranks in `R` worker **processes**
-//!   connected by Unix-domain sockets carrying length-prefixed frames
-//!   ([`proc::run_ranks_proc`] spawns the workers by re-executing the
-//!   current binary; see the [`proc`] module docs for the handshake).
+//!   connected by Unix-domain sockets carrying length-prefixed frames.
+//!   [`proc::launch`] spawns the workers by re-executing the current binary
+//!   and hands each one a typed [`proc::Task`]; see the [`proc`] module
+//!   docs for the handshake.
+//!
+//! Both drivers take an `Option<&ChaosPlan>` and are the only places a
+//! [`ChaosFabric`] is built (a pass-through plan when no faults are asked
+//! for), so fault injection is an argument, not a second set of entry
+//! points. Rank code is written once against `Endpoint<F>` and runs
+//! unchanged on either fabric, with or without faults; the named helpers
+//! ([`threaded_all_reduce`], [`data_parallel_train`], …) are fault-free
+//! delegations onto the drivers.
 //!
 //! The in-proc simulator is kept as the **oracle**: both fabrics' ring
 //! reduce-scatter / all-gather are bit-identical to
@@ -59,10 +68,7 @@ pub mod frame;
 #[cfg(unix)]
 pub mod proc;
 
-pub use chaos::{
-    chaos_all_reduce, chaos_reduce_scatter, data_parallel_train_chaos,
-    data_parallel_train_with_recovery, ChaosFabric, ChaosPlan, Fault,
-};
+pub use chaos::{data_parallel_train_with_recovery, ChaosFabric, ChaosPlan, Fault};
 pub use fabric::{
     channel_mesh, is_cascade_error, ChannelFabric, Fabric, TransportError, DEFAULT_RECV_DEADLINE,
 };
@@ -243,7 +249,7 @@ pub(crate) fn note_failure_message(message: &str) {
 /// registry: bumps the global `transport.{payload_bytes,envelope_bytes,
 /// frames}` counters and replaces the report's `"transport"` section with
 /// this run's totals. Both mesh drivers call it — [`run_ranks`] for the
-/// threaded [`ChannelFabric`], and [`proc::run_ranks_proc`] for the socket
+/// threaded [`ChannelFabric`], and [`proc::launch`] for the socket
 /// fabric after the RESULT handshake has merged every worker's per-link
 /// counters — so the two transports report through one path. One relaxed
 /// atomic load when collection is off; reads only, so the run's numeric
@@ -545,20 +551,20 @@ pub(crate) fn step_comm_rng(comm_seed: u64, rank: usize, step: u64) -> Rng {
     )
 }
 
-/// One rank's synchronous data-parallel training loop: `steps` steps of
-/// `trainer`, each all-reducing every parameter gradient through `wire`
-/// (then averaging) before clipping and the optimizer update. Shared by the
-/// threaded and process DP paths so both run the identical step code. Wire
+/// One rank's outcome from a data-parallel run: the losses of the steps it
+/// completed, plus the typed error that stopped it (`None` when it ran to
+/// the end).
+pub type RankRunOutcome = (Vec<f64>, Option<TransportError>);
+
+/// One rank's synchronous data-parallel training loop: up to `steps` steps
+/// of `trainer`, each all-reducing every parameter gradient through `wire`
+/// (then averaging) before clipping and the optimizer update. Both fabrics
+/// drive this one loop, with or without faults. A transport failure
+/// mid-step rolls that step back
+/// ([`Trainer::try_train_step_with_grad_hook`]) and ends the loop. Wire
 /// randomness is re-derived every step from `(comm_seed, rank, absolute
-/// step index)` — see [`step_comm_rng`] — so the chaos recovery path
-/// ([`chaos::data_parallel_train_with_recovery`]) can replay a failed step
-/// bit-exactly.
-///
-/// # Panics
-///
-/// Panics if the all-reduce fails mid-step (a dead peer is unrecoverable
-/// for synchronous DP without the chaos module's retry driver; the panic
-/// is the abort signal that closes this rank's links in turn).
+/// step index)` — see [`step_comm_rng`] — so a retried step replays the
+/// identical wire stream an unfaulted run would have used.
 pub(crate) fn dp_train_loop<F: Fabric>(
     ep: &mut Endpoint<F>,
     trainer: &mut Trainer,
@@ -566,29 +572,69 @@ pub(crate) fn dp_train_loop<F: Fabric>(
     wire: &Wire,
     policy: QuantizePolicy,
     comm_seed: u64,
-) -> Vec<f64> {
+) -> RankRunOutcome {
     let inv_world = 1.0 / ep.world() as f32;
     let mut losses = Vec::with_capacity(steps as usize);
     for _ in 0..steps {
         let mut rng = step_comm_rng(comm_seed, ep.rank(), trainer.step_count());
-        let out = trainer.train_step_output_with_grad_hook(&mut |model| {
+        let step = trainer.try_train_step_with_grad_hook(&mut |model| {
+            let mut reduced = Ok(());
             model.visit_params_mut(&mut |p| {
-                let reduced = ep
-                    .ring_all_reduce(p.grad().as_slice(), wire, policy, &mut rng)
-                    .expect("data-parallel all-reduce failed");
-                for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&reduced) {
-                    *g = v * inv_world;
+                if reduced.is_err() {
+                    return;
                 }
+                reduced = ep
+                    .ring_all_reduce(p.grad().as_slice(), wire, policy, &mut rng)
+                    .map(|sum| {
+                        for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&sum) {
+                            *g = v * inv_world;
+                        }
+                    });
             });
+            reduced
         });
-        losses.push(out.loss);
+        match step {
+            Ok(loss) => losses.push(loss),
+            Err(e) => return (losses, Some(e)),
+        }
     }
-    losses
+    (losses, None)
 }
 
-/// Builds a `world`-rank threaded mesh and runs `f` once per rank, each on
-/// its own OS thread with its own [`Endpoint`] over a [`ChannelFabric`].
-/// Returns the per-rank results in rank order plus the measured traffic.
+/// The root cause among the errors a failed mesh reported: the first that
+/// is not an [`is_cascade_error`] consequence of somebody else's failure
+/// (falling back to the first error when every rank saw only the cascade).
+pub(crate) fn root_cause(errors: &[TransportError]) -> Option<&TransportError> {
+    errors
+        .iter()
+        .find(|e| !is_cascade_error(&e.to_string()))
+        .or(errors.first())
+}
+
+/// The message of a caught panic, when it carried one (`panic!` payloads
+/// are a `String` or a `&str`).
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+}
+
+/// Writes the telemetry artifacts at the end of a training run — the trace
+/// and `RUN_REPORT.json`, if `SNIP_TRACE` named a path (no-op otherwise).
+pub(crate) fn flush_run_artifacts() {
+    if let Err(e) = snip_obs::flush() {
+        eprintln!("snip: failed writing telemetry artifacts: {e}");
+    }
+}
+
+/// The thread driver: builds a `world`-rank [`ChannelFabric`] mesh and runs
+/// `f` once per rank, each on its own OS thread with its own [`Endpoint`].
+/// Every fabric is decorated with a [`ChaosFabric`] running `chaos` — for
+/// `None` a pass-through plan, bit- and counter-identical to the bare
+/// fabric. Returns the per-rank results in rank order (closures that want
+/// per-rank outcomes under faults return `Result`s) plus the measured
+/// traffic.
 ///
 /// # Panics
 ///
@@ -597,40 +643,22 @@ pub(crate) fn dp_train_loop<F: Fabric>(
 /// mid-collective observe [`TransportError::PeerClosed`] and fail fast
 /// instead of deadlocking on a hop that will never arrive. The propagated
 /// panic is the root cause, not a bystander's cascade panic.
-pub fn run_ranks<T, F>(world: usize, f: F) -> (Vec<T>, TransportStats)
+pub fn run_ranks<T, F>(world: usize, chaos: Option<&ChaosPlan>, f: F) -> (Vec<T>, TransportStats)
 where
     T: Send,
-    F: Fn(&mut Endpoint<ChannelFabric>) -> T + Send + Sync,
+    F: Fn(&mut Endpoint<ChaosFabric<ChannelFabric>>) -> T + Send + Sync,
 {
+    let plan = chaos.cloned().unwrap_or_else(|| ChaosPlan::none(0));
     let counters = Arc::new(LinkCounters::new(world));
-    let endpoints: Vec<Endpoint<ChannelFabric>> = channel_mesh(world)
-        .into_iter()
-        .map(|fab| Endpoint::with_counters(fab, Arc::clone(&counters)))
-        .collect();
-    drive_endpoints(endpoints, counters, f)
-}
-
-/// The shared mesh driver behind [`run_ranks`] and
-/// [`chaos::chaos_run_ranks`]: runs `f` once per endpoint, each on its own
-/// scoped OS thread, joins them all, propagates the root-cause panic (the
-/// first whose message is not an [`is_cascade_error`] cascade of somebody
-/// else's failure), then snapshots and publishes the shared counters.
-pub(crate) fn drive_endpoints<Fb, T, F>(
-    endpoints: Vec<Endpoint<Fb>>,
-    counters: Arc<LinkCounters>,
-    f: F,
-) -> (Vec<T>, TransportStats)
-where
-    Fb: Fabric + Send,
-    T: Send,
-    F: Fn(&mut Endpoint<Fb>) -> T + Send + Sync,
-{
-    let world = endpoints.len();
     let results = std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = endpoints
+        let handles: Vec<_> = channel_mesh(world)
             .into_iter()
-            .map(|mut ep| scope.spawn(move || f(&mut ep)))
+            .map(|fabric| {
+                let fabric = ChaosFabric::new(fabric, plan.clone());
+                let mut ep = Endpoint::with_counters(fabric, Arc::clone(&counters));
+                scope.spawn(move || f(&mut ep))
+            })
             .collect();
         let mut outputs = Vec::with_capacity(world);
         let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
@@ -645,11 +673,7 @@ where
             // rank's real failure makes every peer blocked on it panic with
             // a secondary PeerClosed unwrap.
             let is_cascade = |p: &Box<dyn std::any::Any + Send>| {
-                let text = p
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| p.downcast_ref::<&str>().copied());
-                text.is_some_and(is_cascade_error)
+                panic_text(p.as_ref()).is_some_and(is_cascade_error)
             };
             let root = panics.iter().position(|p| !is_cascade(p)).unwrap_or(0);
             std::panic::resume_unwind(panics.swap_remove(root));
@@ -661,37 +685,10 @@ where
     (results, stats)
 }
 
-/// Runs a full threaded reduce-scatter with one gradient vector and one RNG
+/// Runs a full threaded all-reduce with one gradient vector and one RNG
 /// stream per rank, assembling the per-rank results into the same
 /// [`CollectiveResult`] shape the in-proc simulator returns (with
 /// `bytes_on_wire` taken from the *measured* payload counters).
-///
-/// # Panics
-///
-/// Panics if `grads` is empty, lengths disagree, `rngs.len()` differs, or
-/// the collective fails mid-ring.
-pub fn threaded_reduce_scatter(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &[Rng],
-) -> (CollectiveResult, TransportStats) {
-    check_world(grads, rngs);
-    let (chunks, stats) = run_ranks(grads.len(), |ep| {
-        let mut rng = rngs[ep.rank()].clone();
-        ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
-            .expect("threaded reduce-scatter failed")
-    });
-    let result = CollectiveResult {
-        owned: chunks.iter().map(|c| (c.lo, c.hi)).collect(),
-        per_rank: chunks.into_iter().map(|c| c.data).collect(),
-        bytes_on_wire: stats.total_payload_bytes(),
-    };
-    (result, stats)
-}
-
-/// [`threaded_reduce_scatter`] followed by the all-gather: every rank ends
-/// with the full reduced vector.
 ///
 /// # Panics
 ///
@@ -705,7 +702,7 @@ pub fn threaded_all_reduce(
 ) -> (CollectiveResult, TransportStats) {
     check_world(grads, rngs);
     let n = grads[0].len();
-    let (full, stats) = run_ranks(grads.len(), |ep| {
+    let (full, stats) = run_ranks(grads.len(), None, |ep| {
         let mut rng = rngs[ep.rank()].clone();
         ep.ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
             .expect("threaded all-reduce failed")
@@ -716,25 +713,6 @@ pub fn threaded_all_reduce(
         bytes_on_wire: stats.total_payload_bytes(),
     };
     (result, stats)
-}
-
-/// Runs [`pipeline_relay`] over the threaded mesh: rank 0 ships `payload`
-/// stage to stage through `wire`. Returns each rank's received payload
-/// (rank 0's entry is empty) and the measured traffic.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or the relay fails mid-hop.
-pub fn threaded_pipeline_relay(
-    payload: &[f32],
-    wire: &Wire,
-    seeds: &[u64],
-) -> (Vec<Vec<f32>>, TransportStats) {
-    assert!(!seeds.is_empty(), "no ranks");
-    run_ranks(seeds.len(), |ep| {
-        let mut rng = Rng::seed_from(seeds[ep.rank()]);
-        pipeline_relay(ep, payload, wire, &mut rng).expect("threaded pipeline relay failed")
-    })
 }
 
 pub(crate) fn check_world(grads: &[Vec<f32>], rngs: &[Rng]) {
@@ -751,18 +729,58 @@ pub(crate) fn check_world(grads: &[Vec<f32>], rngs: &[Rng]) {
 /// trainer runs on its own rank thread, and every step all-reduces every
 /// parameter gradient through `wire` (then averages), so the optimizer on
 /// each rank updates from the same reduced gradient a ZeRO-style DP run
-/// would see. Returns the trainers (advanced `steps` steps), each rank's
-/// per-step losses, and the measured traffic.
+/// would see. `chaos` injects a fault schedule (`None` runs calm).
+///
+/// Every rank returns its [`RankRunOutcome`]; trainers come back in
+/// whatever state they reached — failed steps rolled back, completed steps
+/// kept — so a caller can inspect, resume or retry.
 ///
 /// Wire randomness is derived per rank *and per step* from `comm_seed` and
 /// the absolute step index (`step_comm_rng`) — identical to
-/// [`proc::proc_data_parallel_train`], which must reproduce this run bit
-/// for bit, and to the chaos recovery driver, whose retried steps must
-/// replay this run's exact wire streams.
+/// [`proc::proc_data_parallel_train`], which must reproduce a calm run bit
+/// for bit, and to the recovery driver, whose retried steps must replay
+/// this run's exact wire streams.
 ///
 /// # Panics
 ///
-/// Panics if `trainers` is empty or a rank thread panics.
+/// Panics if `trainers` is empty.
+pub fn try_data_parallel_train(
+    trainers: Vec<Trainer>,
+    steps: u64,
+    wire: &Wire,
+    policy: QuantizePolicy,
+    comm_seed: u64,
+    chaos: Option<&ChaosPlan>,
+) -> (Vec<Trainer>, Vec<RankRunOutcome>, TransportStats) {
+    assert!(!trainers.is_empty(), "no ranks");
+    let dp_span = snip_obs::span("data_parallel_train");
+    let world = trainers.len();
+    // One slot per rank: rank `r`'s thread is the only one that locks slot
+    // `r`, for the whole loop.
+    let slots: Vec<std::sync::Mutex<Trainer>> =
+        trainers.into_iter().map(std::sync::Mutex::new).collect();
+    let (outcomes, stats) = run_ranks(world, chaos, |ep| {
+        let mut trainer = slots[ep.rank()].lock().expect("uncontended trainer slot");
+        dp_train_loop(ep, &mut trainer, steps, wire, policy, comm_seed)
+    });
+    let trainers = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("rank threads joined cleanly"))
+        .collect();
+    // Close the span before flushing so the run itself appears in the trace.
+    drop(dp_span);
+    flush_run_artifacts();
+    (trainers, outcomes, stats)
+}
+
+/// Fault-free [`try_data_parallel_train`]: returns the trainers (advanced
+/// `steps` steps), each rank's per-step losses, and the measured traffic.
+///
+/// # Panics
+///
+/// Panics if `trainers` is empty, or with the root-cause
+/// [`TransportError`] if the all-reduce fails mid-run (a dead peer is
+/// unrecoverable for synchronous DP without the recovery driver).
 pub fn data_parallel_train(
     trainers: Vec<Trainer>,
     steps: u64,
@@ -770,33 +788,12 @@ pub fn data_parallel_train(
     policy: QuantizePolicy,
     comm_seed: u64,
 ) -> (Vec<Trainer>, Vec<Vec<f64>>, TransportStats) {
-    assert!(!trainers.is_empty(), "no ranks");
-    let dp_span = snip_obs::span("data_parallel_train");
-    let world = trainers.len();
-    let slots: Vec<std::sync::Mutex<Option<Trainer>>> = trainers
-        .into_iter()
-        .map(|t| std::sync::Mutex::new(Some(t)))
-        .collect();
-    let (losses, stats) = run_ranks(world, |ep| {
-        let mut trainer = slots[ep.rank()]
-            .lock()
-            .expect("trainer slot")
-            .take()
-            .expect("each rank takes its trainer once");
-        let losses = dp_train_loop(ep, &mut trainer, steps, wire, policy, comm_seed);
-        *slots[ep.rank()].lock().expect("trainer slot") = Some(trainer);
-        losses
-    });
-    let trainers = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot").expect("trainer returned"))
-        .collect();
-    // Close the span before flushing so the run itself appears in the trace.
-    drop(dp_span);
-    // End of a training run is the artifact boundary: write the trace and
-    // `RUN_REPORT.json` if `SNIP_TRACE` named a path (no-op otherwise).
-    if let Err(e) = snip_obs::flush() {
-        eprintln!("snip: failed writing telemetry artifacts: {e}");
+    let (trainers, outcomes, stats) =
+        try_data_parallel_train(trainers, steps, wire, policy, comm_seed, None);
+    let (losses, errors): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
+    let errors: Vec<TransportError> = errors.into_iter().flatten().collect();
+    if let Some(root) = root_cause(&errors) {
+        panic!("data-parallel all-reduce failed: {root}");
     }
     (trainers, losses, stats)
 }
@@ -812,6 +809,19 @@ mod tests {
         (0..ranks)
             .map(|_| (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
             .collect()
+    }
+
+    fn reduce_scatter(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &[Rng],
+    ) -> (Vec<RankChunk>, TransportStats) {
+        run_ranks(grads.len(), None, |ep| {
+            let mut rng = rngs[ep.rank()].clone();
+            ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+                .expect("threaded reduce-scatter failed")
+        })
     }
 
     #[test]
@@ -839,18 +849,19 @@ mod tests {
             for policy in [QuantizePolicy::EveryHop, QuantizePolicy::FinalOnly] {
                 let grads = make_grads(4, 53, 3);
                 let rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(40 + r)).collect();
-                let (threaded, _) = threaded_reduce_scatter(&grads, &wire, policy, &rngs);
+                let (threaded, stats) = reduce_scatter(&grads, &wire, policy, &rngs);
                 let mut oracle_rngs = rngs.clone();
                 let oracle = ring_reduce_scatter_ranked(&grads, &wire, policy, &mut oracle_rngs);
-                assert_eq!(threaded.owned, oracle.owned, "{}", wire.label());
+                let owned: Vec<_> = threaded.iter().map(|c| (c.lo, c.hi)).collect();
+                assert_eq!(owned, oracle.owned, "{}", wire.label());
                 assert_eq!(
-                    threaded.bytes_on_wire,
+                    stats.total_payload_bytes(),
                     oracle.bytes_on_wire,
                     "{}",
                     wire.label()
                 );
-                for (t, o) in threaded.per_rank.iter().zip(&oracle.per_rank) {
-                    for (a, b) in t.iter().zip(o) {
+                for (t, o) in threaded.iter().zip(&oracle.per_rank) {
+                    for (a, b) in t.data.iter().zip(o) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{} {policy:?}", wire.label());
                     }
                 }
@@ -862,8 +873,7 @@ mod tests {
     fn per_link_counters_cover_only_ring_neighbours_and_agree_both_sides() {
         let grads = make_grads(4, 64, 7);
         let rngs: Vec<Rng> = (0..4).map(Rng::seed_from).collect();
-        let (_, stats) =
-            threaded_reduce_scatter(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &rngs);
+        let (_, stats) = reduce_scatter(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &rngs);
         for src in 0..4 {
             for dst in 0..4 {
                 let bytes = stats.link_payload_bytes(src, dst);
@@ -896,7 +906,7 @@ mod tests {
             Wire::fp4(8).quantize(&mut reference, &mut Rng::seed_from(1));
             reference
         };
-        let (outputs, stats) = run_ranks(2, |ep| {
+        let (outputs, stats) = run_ranks(2, None, |ep| {
             if ep.rank() == 0 {
                 let mut rng = Rng::seed_from(1);
                 ep.send(1, &payload, &Wire::fp4(8), &mut rng).unwrap();
@@ -923,7 +933,7 @@ mod tests {
     fn per_link_channels_keep_sources_apart() {
         // Rank 2 receives from 0 and 1 in the *opposite* order they were
         // sent; per-link FIFO channels must keep the streams apart.
-        let (outputs, _) = run_ranks(3, |ep| {
+        let (outputs, _) = run_ranks(3, None, |ep| {
             let mut rng = Rng::seed_from(9);
             match ep.rank() {
                 0 => {
@@ -967,7 +977,7 @@ mod tests {
         // and fail fast — the whole call panics (propagated by run_ranks)
         // rather than hanging forever.
         let result = std::panic::catch_unwind(|| {
-            run_ranks(3, |ep| {
+            run_ranks(3, None, |ep| {
                 let mut rng = Rng::seed_from(1);
                 if ep.rank() == 1 {
                     panic!("rank 1 exploded");
@@ -993,7 +1003,7 @@ mod tests {
 
     #[test]
     fn dead_peer_surfaces_as_a_typed_peer_closed_error() {
-        let (outcomes, _) = run_ranks(2, |ep| {
+        let (outcomes, _) = run_ranks(2, None, |ep| {
             if ep.rank() == 0 {
                 // Rank 0 exits immediately, closing its links.
                 Ok(Vec::new())
@@ -1010,7 +1020,7 @@ mod tests {
         // A rank that sends and exits must still deliver: closure is only
         // observed after the buffered frames are consumed (socket-EOF
         // semantics on channels).
-        let (outputs, _) = run_ranks(2, |ep| {
+        let (outputs, _) = run_ranks(2, None, |ep| {
             let mut rng = Rng::seed_from(2);
             if ep.rank() == 0 {
                 ep.send(1, &[4.0, 5.0], &Wire::exact(), &mut rng).unwrap();
@@ -1032,17 +1042,19 @@ mod tests {
     fn single_rank_transport_is_a_no_op() {
         let grads = make_grads(1, 16, 17);
         let rngs = vec![Rng::seed_from(0)];
-        let (rs, stats) =
-            threaded_reduce_scatter(&grads, &Wire::fp4(8), QuantizePolicy::EveryHop, &rngs);
-        assert_eq!(rs.bytes_on_wire, 0);
+        let (rs, stats) = reduce_scatter(&grads, &Wire::fp4(8), QuantizePolicy::EveryHop, &rngs);
+        assert_eq!(stats.total_payload_bytes(), 0);
         assert_eq!(stats.total_frames(), 0);
-        assert_eq!(rs.per_rank[0], grads[0]);
+        assert_eq!(rs[0].data, grads[0]);
     }
 
     #[test]
     fn pipeline_relay_forwards_stage_to_stage() {
         let payload: Vec<f32> = (0..21).map(|i| i as f32 * 0.3 - 2.0).collect();
-        let (received, stats) = threaded_pipeline_relay(&payload, &Wire::exact(), &[1, 2, 3]);
+        let (received, stats) = run_ranks(3, None, |ep| {
+            let mut rng = Rng::seed_from(1 + ep.rank() as u64);
+            pipeline_relay(ep, &payload, &Wire::exact(), &mut rng).expect("relay")
+        });
         assert!(received[0].is_empty());
         assert_eq!(received[1], payload);
         assert_eq!(received[2], payload);

@@ -10,17 +10,16 @@
 //!
 //! # Launch protocol
 //!
-//! [`run_ranks_proc`] (wrapped by [`proc_reduce_scatter`],
-//! [`proc_all_reduce`], [`proc_pipeline_relay`] and
-//! [`proc_data_parallel_train`]) spawns `R` workers by **re-executing the
-//! current binary** (`std::env::current_exe`) with `SNIP_RANK_*`
-//! environment variables naming the fabric directory, the worker's rank and
-//! the world size. Any binary that launches a process fabric must therefore
-//! call [`worker_boot`] **first thing in `main`**: in a worker process it
-//! never returns (it runs the assigned task and exits), in the parent it is
-//! a no-op. A worker whose `main` forgot the call refuses to launch a
-//! nested fabric, so the mistake surfaces as an error instead of a fork
-//! bomb.
+//! [`launch`] takes one typed [`Task`] per rank (plus an optional
+//! [`ChaosPlan`] every worker applies to its fabric) and spawns `R` workers
+//! by **re-executing the current binary** (`std::env::current_exe`) with
+//! `SNIP_RANK_*` environment variables naming the fabric directory, the
+//! worker's rank and the world size. Any binary that launches a process
+//! fabric must therefore call [`worker_boot`] **first thing in `main`**: in
+//! a worker process it never returns (it runs the assigned task and exits),
+//! in the parent it is a no-op. A worker whose `main` forgot the call
+//! refuses to launch a nested fabric, so the mistake surfaces as an error
+//! instead of a fork bomb.
 //!
 //! The handshake, all over Unix sockets in a private temp directory:
 //!
@@ -28,12 +27,13 @@
 //! 2. each worker binds its own mesh listener, connects to the control
 //!    socket and reports `READY{rank}`;
 //! 3. once every rank is ready the parent sends each worker `START` with
-//!    its task spec (codec + seeds + its own payload — peers' data never
-//!    crosses, unlike the threaded closures that share an address space);
+//!    the chaos plan and its own encoded [`Task`] (codec + seeds + its own
+//!    payload — peers' data never crosses, unlike the threaded closures
+//!    that share an address space);
 //! 4. workers build the full socket mesh (connect to lower ranks, accept
 //!    from higher ranks, each stream prefixed by a 4-byte rank hello), run
-//!    the task, and report `RESULT` (payload + their side of the per-link
-//!    counters) or `ERROR`;
+//!    the task through [`run_task`], and report `RESULT` (their side of the
+//!    per-link counters + the encoded [`TaskOutput`]) or `ERROR`;
 //! 5. the parent merges both sides of every link's counters — they must
 //!    agree exactly — and reaps the workers.
 //!
@@ -52,10 +52,21 @@
 //! [`TransportError::PeerClosed`] — and the failure cascades through the
 //! mesh exactly as it does on threads. The parent reports the root cause
 //! from the failing worker's `ERROR` message.
+//!
+//! # Adding a task
+//!
+//! One [`Task`] variant, one [`run_task`] arm, one [`TaskOutput`] variant
+//! (a variant's line in its `message_enum!` list is also its wire layout).
+//! `run_task` is generic over the fabric, so the new task runs over sockets
+//! through [`launch`], over channels through
+//! `run_ranks(world, chaos, |ep| run_task(ep, &tasks[ep.rank()]))`, and
+//! under a chaos plan on either, with nothing else to write. The named
+//! `proc_*` helpers below are fault-free delegations that build the tasks
+//! and reshape the outputs.
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError, DEFAULT_RECV_DEADLINE};
-use super::{dp_train_loop, pipeline_relay, Endpoint, TransportStats};
+use super::{dp_train_loop, pipeline_relay, Endpoint, LinkCounters, TransportStats};
 use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
@@ -94,12 +105,6 @@ const MSG_READY: u8 = 1;
 const MSG_START: u8 = 2;
 const MSG_RESULT: u8 = 3;
 const MSG_ERROR: u8 = 4;
-
-// Task kinds.
-const TASK_REDUCE_SCATTER: u8 = 0;
-const TASK_ALL_REDUCE: u8 = 1;
-const TASK_RELAY: u8 = 2;
-const TASK_DP_TRAIN: u8 = 3;
 
 /// Everything that can go wrong launching or running a process fabric.
 #[derive(Clone, Debug, PartialEq)]
@@ -212,6 +217,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    fn usize(&mut self) -> Result<usize, String> {
+        usize::try_from(self.u64()?).map_err(|e| format!("index field: {e}"))
+    }
+
     fn f32s(&mut self) -> Result<Vec<f32>, String> {
         let n = self.u32()? as usize;
         let raw = self.take(4 * n)?;
@@ -235,6 +244,20 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
+    /// A length-prefixed JSON blob — how serde-derived configuration
+    /// (codecs, trainer configs, chaos plans) rides inside binary messages.
+    fn json<T: Deserialize>(&mut self) -> Result<T, String> {
+        let len = self.u32()? as usize;
+        serde_json::from_slice(self.take(len)?).map_err(|e| format!("embedded json: {e:?}"))
+    }
+
+    /// Everything not yet consumed.
+    fn rest(&mut self) -> &'a [u8] {
+        let slice = &self.buf[self.at..];
+        self.at = self.buf.len();
+        slice
+    }
+
     fn done(&self) -> Result<(), String> {
         if self.at == self.buf.len() {
             Ok(())
@@ -247,85 +270,162 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+/// The write side of [`Cursor`]: each method appends what the cursor method
+/// of the same name reads back. Methods take references so the
+/// [`message_enum!`] encoders can pass borrowed fields straight through.
+struct Writer(Vec<u8>);
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(buf, vs.len() as u32);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+impl Writer {
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
-}
 
-fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u32(buf, vs.len() as u32);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+    fn u64(&mut self, v: &u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn usize(&mut self, v: &usize) {
+        self.u64(&(*v as u64));
+    }
+
+    fn json<T: Serialize>(&mut self, v: &T) {
+        let json = serde_json::to_vec(v).expect("config types serialize");
+        self.u32(json.len() as u32);
+        self.0.extend_from_slice(&json);
+    }
+
+    fn f32s(&mut self, vs: &[f32]) {
+        self.u32(vs.len() as u32);
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn f64s(&mut self, vs: &[f64]) {
+        self.u32(vs.len() as u32);
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Task specs.
+// Tasks and their outputs.
 // ---------------------------------------------------------------------------
 
-/// The structured half of a task spec; ships as JSON inside the binary
-/// spec so codec configuration reuses the crate's serde derives.
-#[derive(Serialize, Deserialize)]
-struct TaskMeta {
-    wire: Wire,
-    policy: QuantizePolicy,
-    steps: u64,
-    comm_seed: u64,
-    trainer: Option<TrainerConfig>,
-    /// When present, the worker wraps its socket fabric in a
-    /// [`ChaosFabric`] driven by this plan (and applies the plan's recv
-    /// deadline) — the launcher's handle for injecting deterministic
-    /// faults into a live process mesh. Defaults to `None` so specs from
-    /// older launchers still decode.
-    #[serde(default)]
-    chaos: Option<ChaosPlan>,
+/// Declares a control-plane message enum from one list: per variant its tag
+/// byte, and per field its type and the [`Writer`]/[`Cursor`] method that
+/// moves it (`json` for serde-derived configuration, `f32s`/`f64s` for
+/// float vectors as raw little-endian bits — so NaN payloads survive). The
+/// enum, `tag`, `encode` and `decode` all expand from that list, so the
+/// wire layout cannot drift from the type.
+macro_rules! message_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal { $($field:ident: $ty:ty => $codec:ident),* $(,)? }
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant { $($field: $ty),* }),*
+        }
+
+        impl $name {
+            /// The byte that names the variant on the wire.
+            fn tag(&self) -> u8 {
+                match self {
+                    $($name::$variant { .. } => $tag),*
+                }
+            }
+
+            /// The control-plane encoding: the variant's tag byte, then its
+            /// fields in declaration order.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut w = Writer(vec![self.tag()]);
+                match self {
+                    $($name::$variant { $($field),* } => { $(w.$codec($field);)* })*
+                }
+                w.0
+            }
+
+            /// Decodes [`Self::encode`]'s bytes.
+            ///
+            /// # Errors
+            ///
+            /// [`ProcError::Protocol`] on truncated input, trailing bytes,
+            /// an unknown tag or malformed embedded JSON — never a panic.
+            pub fn decode(bytes: &[u8]) -> Result<Self, ProcError> {
+                let mut c = Cursor::new(bytes);
+                let mut read = || {
+                    let message = match c.u8()? {
+                        $($tag => $name::$variant { $($field: c.$codec()?),* },)*
+                        other => return Err(format!("unknown tag {other}")),
+                    };
+                    c.done()?;
+                    Ok(message)
+                };
+                read().map_err(|e: String| {
+                    ProcError::Protocol(format!("{}: {e}", stringify!($name)))
+                })
+            }
+        }
+    };
 }
 
-struct TaskSpec {
-    kind: u8,
-    meta: TaskMeta,
-    seed: u64,
-    payload: Vec<f32>,
-}
-
-impl TaskSpec {
-    fn encode(&self) -> Vec<u8> {
-        let json = serde_json::to_vec(&self.meta).expect("task meta serializes");
-        let mut buf = Vec::with_capacity(13 + json.len() + 4 * self.payload.len());
-        buf.push(self.kind);
-        put_u32(&mut buf, json.len() as u32);
-        buf.extend_from_slice(&json);
-        put_u64(&mut buf, self.seed);
-        put_f32s(&mut buf, &self.payload);
-        buf
+message_enum! {
+    /// What one rank worker is asked to do: one variant per task, carrying
+    /// exactly that task's inputs. Ships to the worker inside `START`.
+    // One `Task` exists per rank per launch; boxing the config buys nothing.
+    #[allow(clippy::large_enum_variant)]
+    pub enum Task {
+        /// Ring reduce-scatter of this rank's `grad` through `wire` under
+        /// `policy`; the rank's wire RNG stream starts from `seed`.
+        ReduceScatter = 0 {
+            wire: Wire => json, policy: QuantizePolicy => json, seed: u64 => u64,
+            grad: Vec<f32> => f32s,
+        },
+        /// Ring all-reduce (reduce-scatter + all-gather); same inputs.
+        AllReduce = 1 {
+            wire: Wire => json, policy: QuantizePolicy => json, seed: u64 => u64,
+            grad: Vec<f32> => f32s,
+        },
+        /// One stage of [`pipeline_relay`]: ship `payload` (empty except at
+        /// the head of the pipeline) through `wire`, wire RNG from `seed`.
+        Relay = 2 { wire: Wire => json, seed: u64 => u64, payload: Vec<f32> => f32s },
+        /// Build a trainer from `trainer` and run `steps` steps of the
+        /// shared data-parallel loop, all-reducing gradients through
+        /// `wire` under `policy` with wire RNG streams derived from
+        /// `comm_seed`.
+        DpTrain = 3 {
+            wire: Wire => json, policy: QuantizePolicy => json, comm_seed: u64 => u64,
+            steps: u64 => u64, trainer: TrainerConfig => json,
+        },
     }
+}
 
-    fn decode(bytes: &[u8]) -> Result<TaskSpec, String> {
-        let mut c = Cursor::new(bytes);
-        let kind = c.u8()?;
-        let json_len = c.u32()? as usize;
-        let json = c.take(json_len)?;
-        let meta: TaskMeta =
-            serde_json::from_slice(json).map_err(|e| format!("task meta json: {e:?}"))?;
-        let seed = c.u64()?;
-        let payload = c.f32s()?;
-        c.done()?;
-        Ok(TaskSpec {
-            kind,
-            meta,
-            seed,
-            payload,
-        })
+message_enum! {
+    /// What a rank worker reports back: one variant per [`Task`] variant,
+    /// under the same tag. Every `rng_fingerprint` is the rank's
+    /// `rng.next_u64()` drawn after the task — it pins that the wire RNG
+    /// stream advanced exactly as the oracle's did.
+    pub enum TaskOutput {
+        /// The fully reduced `data` of the chunk `[lo, hi)` this rank owns.
+        ReduceScatter = 0 {
+            lo: usize => usize, hi: usize => usize, rng_fingerprint: u64 => u64,
+            data: Vec<f32> => f32s,
+        },
+        /// This rank's copy of the full reduced vector.
+        AllReduce = 1 { rng_fingerprint: u64 => u64, data: Vec<f32> => f32s },
+        /// What this stage received (empty at rank 0).
+        Relay = 2 { rng_fingerprint: u64 => u64, received: Vec<f32> => f32s },
+        /// Per-step `losses` and the final model parameters, flattened in
+        /// visit order.
+        DpTrain = 3 { losses: Vec<f64> => f64s, params: Vec<f32> => f32s },
     }
 }
 
@@ -662,152 +762,136 @@ fn worker_run() -> Result<(), String> {
         .map_err(|e| format!("dialing the control socket: {e}"))?;
     ctrl.set_read_timeout(Some(RESULT_TIMEOUT))
         .map_err(|e| format!("control stream: {e}"))?;
-    let mut ready = vec![MSG_READY];
-    put_u32(&mut ready, rank as u32);
-    ctrl_send(&mut ctrl, &ready).map_err(|e| format!("sending READY: {e}"))?;
+    let mut ready = Writer(vec![MSG_READY]);
+    ready.u32(rank as u32);
+    ctrl_send(&mut ctrl, &ready.0).map_err(|e| format!("sending READY: {e}"))?;
 
     let start = ctrl_recv(&mut ctrl).map_err(|e| format!("waiting for START: {e}"))?;
     let mut c = Cursor::new(&start);
     if c.u8()? != MSG_START {
         return Err("expected a START message".into());
     }
-    let spec = TaskSpec::decode(c.take(start.len() - 1)?)?;
+    let plan: ChaosPlan = c.json()?;
+    let task = Task::decode(c.rest()).map_err(|e| e.to_string())?;
 
+    // Every worker's fabric is decorated; a launch without faults ships the
+    // pass-through plan, which is bit- and counter-identical to bare sockets.
     let fabric = SocketFabric::connect(listener, &dir, rank, world)?;
-    match spec.meta.chaos.clone() {
-        Some(plan) => {
-            let mut chaos = ChaosFabric::new(fabric, plan.clone());
-            if let Some(micros) = plan.recv_deadline_micros {
-                chaos.set_recv_deadline(Duration::from_micros(micros));
-            }
-            worker_execute(Endpoint::new(chaos), &spec, &mut ctrl, rank)
-        }
-        None => worker_execute(Endpoint::new(fabric), &spec, &mut ctrl, rank),
-    }
-}
-
-/// Runs the assigned task over an already-connected endpoint (bare socket
-/// fabric or chaos-wrapped) and reports the outcome on the control stream.
-fn worker_execute<F: Fabric>(
-    mut ep: Endpoint<F>,
-    spec: &TaskSpec,
-    ctrl: &mut UnixStream,
-    rank: usize,
-) -> Result<(), String> {
+    let mut ep = Endpoint::new(ChaosFabric::new(fabric, plan));
     let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_task(&mut ep, spec)));
-    let report = match outcome {
-        Ok(Ok(result)) => {
-            let stats = ep.stats();
-            let mut msg = vec![MSG_RESULT];
-            encode_stats(&mut msg, &stats, rank);
-            msg.extend_from_slice(&result);
-            msg
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_task(&mut ep, &task)))
+            .unwrap_or_else(|panic| {
+                let text = super::panic_text(panic.as_ref()).unwrap_or("opaque panic");
+                Err(format!("task panicked: {text}"))
+            });
+    let report = match &outcome {
+        Ok(output) => {
+            let mut msg = Writer(vec![MSG_RESULT]);
+            encode_stats(&mut msg, &ep.stats(), rank);
+            msg.0.extend_from_slice(&output.encode());
+            msg.0
         }
-        Ok(Err(message)) => {
-            let mut msg = vec![MSG_ERROR];
-            msg.extend_from_slice(message.as_bytes());
-            msg
-        }
-        Err(panic) => {
-            let text = panic
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic".into());
-            let mut msg = vec![MSG_ERROR];
-            msg.extend_from_slice(format!("task panicked: {text}").as_bytes());
-            msg
-        }
+        Err(message) => [&[MSG_ERROR], message.as_bytes()].concat(),
     };
     // Drop the endpoint (closing the mesh) only after the report is staged:
     // peers may still be draining our buffered frames.
-    ctrl_send(ctrl, &report).map_err(|e| format!("sending the result: {e}"))?;
+    ctrl_send(&mut ctrl, &report).map_err(|e| format!("sending the result: {e}"))?;
     drop(ep);
-    if report[0] == MSG_ERROR {
-        return Err(String::from_utf8_lossy(&report[1..]).into_owned());
-    }
-    Ok(())
+    outcome.map(|_| ())
 }
 
-/// Runs the task a worker was assigned; the returned bytes are the
-/// task-specific result payload.
-fn run_task<F: Fabric>(ep: &mut Endpoint<F>, spec: &TaskSpec) -> Result<Vec<u8>, String> {
-    let meta = &spec.meta;
+/// Runs one rank's [`Task`] over an already-connected endpoint — the single
+/// place task bodies live, generic over the fabric.
+///
+/// # Errors
+///
+/// The failure as text, with the [`TransportError`]'s `Display` wording
+/// intact (that wording is what [`is_cascade_error`] attributes root causes
+/// from).
+pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task) -> Result<TaskOutput, String> {
     let terr = |e: TransportError| format!("transport: {e}");
-    match spec.kind {
-        TASK_REDUCE_SCATTER => {
-            let mut rng = Rng::seed_from(spec.seed);
+    match task {
+        Task::ReduceScatter {
+            wire,
+            policy,
+            seed,
+            grad,
+        } => {
+            let mut rng = Rng::seed_from(*seed);
             let chunk = ep
-                .ring_reduce_scatter(&spec.payload, &meta.wire, meta.policy, &mut rng)
+                .ring_reduce_scatter(grad, wire, *policy, &mut rng)
                 .map_err(terr)?;
-            let mut out = Vec::new();
-            put_u32(&mut out, chunk.lo as u32);
-            put_u32(&mut out, chunk.hi as u32);
-            put_u64(&mut out, rng.next_u64());
-            put_f32s(&mut out, &chunk.data);
-            Ok(out)
+            Ok(TaskOutput::ReduceScatter {
+                lo: chunk.lo,
+                hi: chunk.hi,
+                rng_fingerprint: rng.next_u64(),
+                data: chunk.data,
+            })
         }
-        TASK_ALL_REDUCE => {
-            let mut rng = Rng::seed_from(spec.seed);
-            let full = ep
-                .ring_all_reduce(&spec.payload, &meta.wire, meta.policy, &mut rng)
+        Task::AllReduce {
+            wire,
+            policy,
+            seed,
+            grad,
+        } => {
+            let mut rng = Rng::seed_from(*seed);
+            let data = ep
+                .ring_all_reduce(grad, wire, *policy, &mut rng)
                 .map_err(terr)?;
-            let mut out = Vec::new();
-            put_u64(&mut out, rng.next_u64());
-            put_f32s(&mut out, &full);
-            Ok(out)
+            Ok(TaskOutput::AllReduce {
+                rng_fingerprint: rng.next_u64(),
+                data,
+            })
         }
-        TASK_RELAY => {
-            let mut rng = Rng::seed_from(spec.seed);
-            let received = pipeline_relay(ep, &spec.payload, &meta.wire, &mut rng).map_err(terr)?;
-            let mut out = Vec::new();
-            put_u64(&mut out, rng.next_u64());
-            put_f32s(&mut out, &received);
-            Ok(out)
+        Task::Relay {
+            wire,
+            seed,
+            payload,
+        } => {
+            let mut rng = Rng::seed_from(*seed);
+            let received = pipeline_relay(ep, payload, wire, &mut rng).map_err(terr)?;
+            Ok(TaskOutput::Relay {
+                rng_fingerprint: rng.next_u64(),
+                received,
+            })
         }
-        TASK_DP_TRAIN => {
-            let cfg = meta
-                .trainer
-                .clone()
-                .ok_or_else(|| "dp-train task without a trainer config".to_string())?;
-            let mut trainer = Trainer::new(cfg).map_err(|e| format!("trainer config: {e}"))?;
-            let losses = dp_train_loop(
-                ep,
-                &mut trainer,
-                meta.steps,
-                &meta.wire,
-                meta.policy,
-                meta.comm_seed,
-            );
+        Task::DpTrain {
+            wire,
+            policy,
+            comm_seed,
+            steps,
+            trainer,
+        } => {
+            let mut trainer =
+                Trainer::new(trainer.clone()).map_err(|e| format!("trainer config: {e}"))?;
+            let (losses, error) =
+                dp_train_loop(ep, &mut trainer, *steps, wire, *policy, *comm_seed);
+            if let Some(e) = error {
+                return Err(terr(e));
+            }
             let mut params = Vec::new();
             trainer.model.visit_params_mut(&mut |p| {
                 params.extend_from_slice(p.value().as_slice());
             });
-            let mut out = Vec::new();
-            put_f64s(&mut out, &losses);
-            put_f32s(&mut out, &params);
-            Ok(out)
+            Ok(TaskOutput::DpTrain { losses, params })
         }
-        other => Err(format!("unknown task kind {other}")),
     }
 }
 
 /// Serializes this rank's side of the link counters: its tx row (what it
 /// sent to each dst) and its rx column (what it received from each src).
-fn encode_stats(buf: &mut Vec<u8>, stats: &TransportStats, rank: usize) {
+fn encode_stats(w: &mut Writer, stats: &TransportStats, rank: usize) {
     let world = stats.world();
-    put_u32(buf, world as u32);
+    w.u32(world as u32);
     for dst in 0..world {
-        put_u64(buf, stats.payload[rank * world + dst]);
-        put_u64(buf, stats.envelope[rank * world + dst]);
-        put_u64(buf, stats.frames[rank * world + dst]);
+        w.u64(&stats.payload[rank * world + dst]);
+        w.u64(&stats.envelope[rank * world + dst]);
+        w.u64(&stats.frames[rank * world + dst]);
     }
     for src in 0..world {
-        put_u64(buf, stats.rx_payload[src * world + rank]);
-        put_u64(buf, stats.rx_envelope[src * world + rank]);
-        put_u64(buf, stats.rx_frames[src * world + rank]);
+        w.u64(&stats.rx_payload[src * world + rank]);
+        w.u64(&stats.rx_envelope[src * world + rank]);
+        w.u64(&stats.rx_frames[src * world + rank]);
     }
 }
 
@@ -876,8 +960,9 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
     Ok(dir)
 }
 
-/// Spawns `specs.len()` rank workers by re-executing the current binary,
-/// hands worker `r` its spec, and collects each worker's result payload
+/// The process driver: spawns `tasks.len()` rank workers by re-executing the
+/// current binary, hands worker `r` its task and the chaos plan (`None`
+/// ships the pass-through plan), and collects each worker's [`TaskOutput`]
 /// plus the merged, cross-checked traffic counters.
 ///
 /// The calling binary's `main` must invoke [`worker_boot`] before anything
@@ -886,9 +971,17 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
 /// # Errors
 ///
 /// [`ProcError`] on spawn/handshake failures, worker task failures (with
-/// the root cause from the failing rank), malformed control messages, or a
-/// per-link accounting mismatch between sender and receiver.
-pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportStats), ProcError> {
+/// the root cause from the failing rank — including the typed fault a chaos
+/// schedule injects), malformed control messages, or a per-link accounting
+/// mismatch between sender and receiver.
+///
+/// # Panics
+///
+/// Panics if `tasks` is empty.
+pub fn launch(
+    tasks: Vec<Task>,
+    chaos: Option<&ChaosPlan>,
+) -> Result<(Vec<TaskOutput>, TransportStats), ProcError> {
     if std::env::var_os(ENV_WORKER).is_some() {
         return Err(ProcError::Launch(
             "this process is itself a rank worker whose main() never called \
@@ -896,7 +989,7 @@ pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportSta
                 .into(),
         ));
     }
-    let world = specs.len();
+    let world = tasks.len();
     assert!(world > 0, "need at least one rank");
     let dir = fabric_dir()?;
     let _dir_guard = DirGuard(dir.clone());
@@ -940,16 +1033,10 @@ pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportSta
             .map_err(|e| ProcError::Launch(format!("control stream: {e}")))?;
         let ready =
             ctrl_recv(&mut stream).map_err(|e| ProcError::Launch(format!("reading READY: {e}")))?;
-        let parse = |bytes: &[u8]| -> Result<usize, String> {
-            let mut c = Cursor::new(bytes);
-            if c.u8()? != MSG_READY {
-                return Err("expected READY".into());
-            }
-            let rank = c.u32()? as usize;
-            c.done()?;
-            Ok(rank)
+        let [MSG_READY, a, b, c, d] = ready[..] else {
+            return Err(ProcError::Protocol("expected READY".into()));
         };
-        let rank = parse(&ready).map_err(ProcError::Protocol)?;
+        let rank = u32::from_le_bytes([a, b, c, d]) as usize;
         if rank >= world || ctrls[rank].is_some() {
             return Err(ProcError::Protocol(format!("duplicate or bad rank {rank}")));
         }
@@ -957,20 +1044,22 @@ pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportSta
     }
     let mut ctrls: Vec<UnixStream> = ctrls.into_iter().map(|s| s.expect("all ready")).collect();
 
-    // Everyone is listening: release the specs.
-    for (rank, (ctrl, spec)) in ctrls.iter_mut().zip(&specs).enumerate() {
-        let mut msg = vec![MSG_START];
-        msg.extend_from_slice(spec);
-        ctrl_send(ctrl, &msg)
+    // Everyone is listening: release the tasks.
+    let calm = ChaosPlan::none(0);
+    for (rank, (ctrl, task)) in ctrls.iter_mut().zip(&tasks).enumerate() {
+        let mut msg = Writer(vec![MSG_START]);
+        msg.json(chaos.unwrap_or(&calm));
+        msg.0.extend_from_slice(&task.encode());
+        ctrl_send(ctrl, &msg.0)
             .map_err(|e| ProcError::Launch(format!("sending START to rank {rank}: {e}")))?;
     }
 
     // Collect every rank's report before judging the run, so a failure is
     // attributed to its root cause: one dead rank makes every peer blocked
     // on it fail with a secondary "closed its link mid-collective" cascade.
-    let mut results: Vec<Vec<u8>> = Vec::with_capacity(world);
+    let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
     let mut errors: Vec<(usize, String)> = Vec::new();
-    let mut merged = merged_stats_shell(world);
+    let mut merged = TransportStats::snapshot(&LinkCounters::new(world));
     for (rank, ctrl) in ctrls.iter_mut().enumerate() {
         let msg = match ctrl_recv(ctrl) {
             Ok(msg) => msg,
@@ -983,7 +1072,13 @@ pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportSta
         match c.u8().map_err(ProcError::Protocol)? {
             MSG_RESULT => {
                 merge_stats(&mut merged, &mut c, rank).map_err(ProcError::Protocol)?;
-                results.push(c.take(msg.len() - c.at).expect("rest").to_vec());
+                let output = TaskOutput::decode(c.rest())?;
+                if output.tag() != tasks[rank].tag() {
+                    return Err(ProcError::Protocol(format!(
+                        "rank {rank} answered its task with another task's output"
+                    )));
+                }
+                results.push(output);
             }
             MSG_ERROR => {
                 errors.push((rank, String::from_utf8_lossy(&msg[1..]).into_owned()));
@@ -1037,18 +1132,6 @@ pub fn run_ranks_proc(specs: Vec<Vec<u8>>) -> Result<(Vec<Vec<u8>>, TransportSta
     Ok((results, merged))
 }
 
-fn merged_stats_shell(world: usize) -> TransportStats {
-    TransportStats {
-        world,
-        payload: vec![0; world * world],
-        envelope: vec![0; world * world],
-        frames: vec![0; world * world],
-        rx_payload: vec![0; world * world],
-        rx_envelope: vec![0; world * world],
-        rx_frames: vec![0; world * world],
-    }
-}
-
 /// Folds one worker's stats report (its tx row and rx column) into the
 /// merged matrices.
 fn merge_stats(merged: &mut TransportStats, c: &mut Cursor<'_>, rank: usize) -> Result<(), String> {
@@ -1091,17 +1174,6 @@ pub struct ProcCollective {
     pub stats: TransportStats,
 }
 
-/// A pipeline relay's outcome over the process fabric.
-#[derive(Clone, Debug)]
-pub struct ProcRelay {
-    /// What each rank received (rank 0's entry is empty).
-    pub received: Vec<Vec<f32>>,
-    /// Each rank's post-relay RNG fingerprint.
-    pub rng_fingerprints: Vec<u64>,
-    /// Merged two-sided traffic counters.
-    pub stats: TransportStats,
-}
-
 /// A data-parallel training run's outcome over the process fabric.
 #[derive(Clone, Debug)]
 pub struct ProcDpTrain {
@@ -1115,109 +1187,46 @@ pub struct ProcDpTrain {
     pub stats: TransportStats,
 }
 
-fn collective_specs(
-    kind: u8,
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    seeds: &[u64],
-    chaos: Option<&ChaosPlan>,
-) -> Vec<Vec<u8>> {
-    assert_eq!(seeds.len(), grads.len(), "need one seed per rank");
-    grads
-        .iter()
-        .zip(seeds)
-        .map(|(grad, &seed)| {
-            TaskSpec {
-                kind,
-                meta: TaskMeta {
-                    wire: *wire,
-                    policy,
-                    steps: 0,
-                    comm_seed: 0,
-                    trainer: None,
-                    chaos: chaos.cloned(),
-                },
-                seed,
-                payload: grad.clone(),
-            }
-            .encode()
-        })
-        .collect()
-}
-
-/// Ring reduce-scatter over the process fabric: one worker process per
-/// rank, gradients and seeds shipped to each worker, results and counters
-/// shipped back. Must be bit-identical to [`super::threaded_reduce_scatter`]
-/// and the in-proc ranked oracle for the same inputs and seeds.
-///
-/// # Errors
-///
-/// Any [`ProcError`] from the launch or the workers.
-///
-/// # Panics
-///
-/// Panics if `grads` is empty or `seeds.len()` differs.
-pub fn proc_reduce_scatter(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    seeds: &[u64],
-) -> Result<ProcCollective, ProcError> {
-    proc_reduce_scatter_chaos(grads, wire, policy, seeds, None)
-}
-
-/// [`proc_reduce_scatter`] with an optional chaos plan every worker applies
-/// to its fabric. With `None` (or [`ChaosPlan::none`]) the run is
-/// bit-identical to the undecorated launch.
-///
-/// # Errors
-///
-/// Any [`ProcError`] from the launch or the workers — including the typed
-/// fault a chaos schedule injects.
-///
-/// # Panics
-///
-/// Panics if `grads` is empty or `seeds.len()` differs.
-pub fn proc_reduce_scatter_chaos(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    seeds: &[u64],
-    chaos: Option<&ChaosPlan>,
-) -> Result<ProcCollective, ProcError> {
-    let specs = collective_specs(TASK_REDUCE_SCATTER, grads, wire, policy, seeds, chaos);
-    let (raw, stats) = run_ranks_proc(specs)?;
-    let mut per_rank = Vec::with_capacity(raw.len());
-    let mut owned = Vec::with_capacity(raw.len());
-    let mut fingerprints = Vec::with_capacity(raw.len());
-    for (rank, bytes) in raw.iter().enumerate() {
-        let parse = |c: &mut Cursor<'_>| -> Result<_, String> {
-            let lo = c.u32()? as usize;
-            let hi = c.u32()? as usize;
-            let fp = c.u64()?;
-            let data = c.f32s()?;
-            c.done()?;
-            Ok((lo, hi, fp, data))
-        };
-        let (lo, hi, fp, data) = parse(&mut Cursor::new(bytes))
-            .map_err(|e| ProcError::Protocol(format!("rank {rank} result: {e}")))?;
-        owned.push((lo, hi));
-        fingerprints.push(fp);
-        per_rank.push(data);
-    }
-    Ok(ProcCollective {
-        result: CollectiveResult {
-            per_rank,
-            owned,
+impl ProcCollective {
+    /// Reshapes a collective launch's outputs into the in-proc simulator's
+    /// result shape.
+    pub fn from_outputs(outputs: Vec<TaskOutput>, stats: TransportStats) -> Self {
+        let mut result = CollectiveResult {
+            per_rank: Vec::new(),
+            owned: Vec::new(),
             bytes_on_wire: stats.total_payload_bytes(),
-        },
-        rng_fingerprints: fingerprints,
-        stats,
-    })
+        };
+        let mut rng_fingerprints = Vec::new();
+        for output in outputs {
+            let (lo, hi, fingerprint, data) = match output {
+                TaskOutput::ReduceScatter {
+                    lo,
+                    hi,
+                    rng_fingerprint,
+                    data,
+                } => (lo, hi, rng_fingerprint, data),
+                TaskOutput::AllReduce {
+                    rng_fingerprint,
+                    data,
+                } => (0, data.len(), rng_fingerprint, data),
+                other => unreachable!("launch matches outputs to tasks, got {other:?}"),
+            };
+            result.owned.push((lo, hi));
+            result.per_rank.push(data);
+            rng_fingerprints.push(fingerprint);
+        }
+        ProcCollective {
+            result,
+            rng_fingerprints,
+            stats,
+        }
+    }
 }
 
-/// Ring all-reduce over the process fabric; see [`proc_reduce_scatter`].
+/// Ring all-reduce over the process fabric: one worker process per rank,
+/// gradients and seeds shipped to each worker, results and counters shipped
+/// back. Must be bit-identical to [`super::threaded_all_reduce`] and the
+/// in-proc ranked oracle for the same inputs and seeds.
 ///
 /// # Errors
 ///
@@ -1232,121 +1241,23 @@ pub fn proc_all_reduce(
     policy: QuantizePolicy,
     seeds: &[u64],
 ) -> Result<ProcCollective, ProcError> {
-    proc_all_reduce_chaos(grads, wire, policy, seeds, None)
-}
-
-/// [`proc_all_reduce`] with an optional chaos plan every worker applies to
-/// its fabric; see [`proc_reduce_scatter_chaos`].
-///
-/// # Errors
-///
-/// Any [`ProcError`] from the launch or the workers — including the typed
-/// fault a chaos schedule injects.
-///
-/// # Panics
-///
-/// Panics if `grads` is empty or `seeds.len()` differs.
-pub fn proc_all_reduce_chaos(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    seeds: &[u64],
-    chaos: Option<&ChaosPlan>,
-) -> Result<ProcCollective, ProcError> {
-    let n = grads.first().map_or(0, Vec::len);
-    let specs = collective_specs(TASK_ALL_REDUCE, grads, wire, policy, seeds, chaos);
-    let (raw, stats) = run_ranks_proc(specs)?;
-    let mut per_rank = Vec::with_capacity(raw.len());
-    let mut fingerprints = Vec::with_capacity(raw.len());
-    for (rank, bytes) in raw.iter().enumerate() {
-        let parse = |c: &mut Cursor<'_>| -> Result<_, String> {
-            let fp = c.u64()?;
-            let data = c.f32s()?;
-            c.done()?;
-            Ok((fp, data))
-        };
-        let (fp, data) = parse(&mut Cursor::new(bytes))
-            .map_err(|e| ProcError::Protocol(format!("rank {rank} result: {e}")))?;
-        fingerprints.push(fp);
-        per_rank.push(data);
-    }
-    Ok(ProcCollective {
-        result: CollectiveResult {
-            owned: vec![(0, n); raw.len()],
-            per_rank,
-            bytes_on_wire: stats.total_payload_bytes(),
-        },
-        rng_fingerprints: fingerprints,
-        stats,
-    })
-}
-
-/// Pipeline p2p relay over the process fabric; the stage code is
-/// [`super::pipeline_relay`], shared verbatim with the threaded backend.
-///
-/// # Errors
-///
-/// Any [`ProcError`] from the launch or the workers.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn proc_pipeline_relay(
-    payload: &[f32],
-    wire: &Wire,
-    seeds: &[u64],
-) -> Result<ProcRelay, ProcError> {
-    assert!(!seeds.is_empty(), "no ranks");
-    let specs: Vec<Vec<u8>> = seeds
+    assert_eq!(seeds.len(), grads.len(), "need one seed per rank");
+    let tasks = grads
         .iter()
-        .enumerate()
-        .map(|(rank, &seed)| {
-            TaskSpec {
-                kind: TASK_RELAY,
-                meta: TaskMeta {
-                    wire: *wire,
-                    policy: QuantizePolicy::EveryHop,
-                    steps: 0,
-                    comm_seed: 0,
-                    trainer: None,
-                    chaos: None,
-                },
-                seed,
-                // Only the head of the pipeline owns the payload.
-                payload: if rank == 0 {
-                    payload.to_vec()
-                } else {
-                    Vec::new()
-                },
-            }
-            .encode()
-        })
-        .collect();
-    let (raw, stats) = run_ranks_proc(specs)?;
-    let mut received = Vec::with_capacity(raw.len());
-    let mut fingerprints = Vec::with_capacity(raw.len());
-    for (rank, bytes) in raw.iter().enumerate() {
-        let parse = |c: &mut Cursor<'_>| -> Result<_, String> {
-            let fp = c.u64()?;
-            let data = c.f32s()?;
-            c.done()?;
-            Ok((fp, data))
-        };
-        let (fp, data) = parse(&mut Cursor::new(bytes))
-            .map_err(|e| ProcError::Protocol(format!("rank {rank} result: {e}")))?;
-        fingerprints.push(fp);
-        received.push(data);
-    }
-    Ok(ProcRelay {
-        received,
-        rng_fingerprints: fingerprints,
-        stats,
-    })
+        .zip(seeds)
+        .map(|(grad, &seed)| Task::AllReduce {
+            wire: *wire,
+            policy,
+            seed,
+            grad: grad.clone(),
+        });
+    let (outputs, stats) = launch(tasks.collect(), None)?;
+    Ok(ProcCollective::from_outputs(outputs, stats))
 }
 
 /// Synchronous data-parallel training over the process fabric: each worker
-/// builds its own [`Trainer`] from its config and runs the same grad-hook
-/// loop as [`super::data_parallel_train`] (wire randomness re-derived per
+/// builds its own [`Trainer`] from its config and runs the same step loop
+/// as [`super::data_parallel_train`] (wire randomness re-derived per
 /// rank and per step from `comm_seed` and the absolute step index), so the
 /// two backends produce bit-identical losses and final parameters for the
 /// same configs.
@@ -1365,53 +1276,151 @@ pub fn proc_data_parallel_train(
     policy: QuantizePolicy,
     comm_seed: u64,
 ) -> Result<ProcDpTrain, ProcError> {
-    assert!(!cfgs.is_empty(), "no ranks");
     let dp_span = snip_obs::span("proc_data_parallel_train");
-    let specs: Vec<Vec<u8>> = cfgs
-        .iter()
-        .map(|cfg| {
-            TaskSpec {
-                kind: TASK_DP_TRAIN,
-                meta: TaskMeta {
-                    wire: *wire,
-                    policy,
-                    steps,
-                    comm_seed,
-                    trainer: Some(cfg.clone()),
-                    chaos: None,
-                },
-                seed: 0,
-                payload: Vec::new(),
-            }
-            .encode()
-        })
-        .collect();
-    let (raw, stats) = run_ranks_proc(specs)?;
-    let mut losses = Vec::with_capacity(raw.len());
-    let mut params = Vec::with_capacity(raw.len());
-    for (rank, bytes) in raw.iter().enumerate() {
-        let parse = |c: &mut Cursor<'_>| -> Result<_, String> {
-            let l = c.f64s()?;
-            let p = c.f32s()?;
-            c.done()?;
-            Ok((l, p))
+    let tasks = cfgs.iter().map(|cfg| Task::DpTrain {
+        wire: *wire,
+        policy,
+        comm_seed,
+        steps,
+        trainer: cfg.clone(),
+    });
+    let (outputs, stats) = launch(tasks.collect(), None)?;
+    let mut run = ProcDpTrain {
+        losses: Vec::new(),
+        params: Vec::new(),
+        stats,
+    };
+    for output in outputs {
+        let TaskOutput::DpTrain { losses, params } = output else {
+            unreachable!("launch matches outputs to tasks, got {output:?}")
         };
-        let (l, p) = parse(&mut Cursor::new(bytes))
-            .map_err(|e| ProcError::Protocol(format!("rank {rank} result: {e}")))?;
-        losses.push(l);
-        params.push(p);
+        run.losses.push(losses);
+        run.params.push(params);
     }
     // Close the span before flushing so the run itself appears in the trace.
+    // Only the parent writes: workers exited after the RESULT handshake and
+    // never call flush.
     drop(dp_span);
-    // Artifact boundary for the process fabric, mirroring
-    // `data_parallel_train`: only the parent writes — workers exited after
-    // the RESULT handshake and never call flush.
-    if let Err(e) = snip_obs::flush() {
-        eprintln!("snip: failed writing telemetry artifacts: {e}");
+    super::flush_run_artifacts();
+    Ok(run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Payloads chosen to break a lossy encoding: empty, odd lengths, and a
+    /// NaN whose payload bits a float-level copy could canonicalize.
+    fn payloads() -> Vec<Vec<f32>> {
+        vec![
+            Vec::new(),
+            vec![1.5],
+            vec![f32::from_bits(0x7FC1_2345), -0.0, f32::INFINITY],
+            (0..37).map(|i| i as f32 * 0.25 - 4.0).collect(),
+        ]
     }
-    Ok(ProcDpTrain {
-        losses,
-        params,
-        stats,
-    })
+
+    fn tasks() -> Vec<Task> {
+        let (policy, seed) = (QuantizePolicy::FinalOnly, u64::MAX - 6);
+        let mut all = Vec::new();
+        for grad in payloads() {
+            for wire in [Wire::exact(), Wire::fp4(16), Wire::mxfp4()] {
+                all.push(Task::ReduceScatter {
+                    wire,
+                    policy,
+                    seed,
+                    grad: grad.clone(),
+                });
+                all.push(Task::AllReduce {
+                    wire,
+                    policy: QuantizePolicy::EveryHop,
+                    seed: 0,
+                    grad: grad.clone(),
+                });
+                all.push(Task::Relay {
+                    wire,
+                    seed,
+                    payload: grad.clone(),
+                });
+            }
+        }
+        all.push(Task::DpTrain {
+            wire: Wire::fp8(32),
+            policy,
+            comm_seed: 0xC0FFEE,
+            steps: 3,
+            trainer: TrainerConfig::tiny(),
+        });
+        all
+    }
+
+    fn outputs() -> Vec<TaskOutput> {
+        let mut all = Vec::new();
+        for data in payloads() {
+            all.push(TaskOutput::ReduceScatter {
+                lo: 7,
+                hi: 7 + data.len(),
+                rng_fingerprint: u64::MAX,
+                data: data.clone(),
+            });
+            all.push(TaskOutput::AllReduce {
+                rng_fingerprint: 1,
+                data: data.clone(),
+            });
+            all.push(TaskOutput::Relay {
+                rng_fingerprint: 0,
+                received: data.clone(),
+            });
+            all.push(TaskOutput::DpTrain {
+                losses: data.iter().map(|&v| f64::from(v) * 1.000_000_1).collect(),
+                params: data,
+            });
+        }
+        all
+    }
+
+    /// Every proper prefix, and the message plus one byte, must be a typed
+    /// protocol error — never a panic, never a silently short payload.
+    fn rejects_damage<T: std::fmt::Debug>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, ProcError>,
+    ) {
+        for cut in 0..bytes.len() {
+            match decode(&bytes[..cut]) {
+                Err(ProcError::Protocol(_)) => {}
+                other => panic!("prefix of {cut}/{} bytes decoded to {other:?}", bytes.len()),
+            }
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert!(matches!(decode(&long), Err(ProcError::Protocol(_))));
+        let mut unknown = bytes.to_vec();
+        unknown[0] = 0xEE;
+        assert!(matches!(decode(&unknown), Err(ProcError::Protocol(_))));
+    }
+
+    #[test]
+    fn tasks_round_trip_bit_exactly_and_reject_damaged_bytes() {
+        for task in tasks() {
+            let bytes = task.encode();
+            let back = Task::decode(&bytes).expect("a well-formed task decodes");
+            // Re-encoding compares float payloads by their bits (a decode
+            // that canonicalized the NaN would change them), which
+            // `PartialEq` on a NaN-carrying task cannot.
+            assert_eq!(back.encode(), bytes, "{task:?}");
+            assert_eq!(back.tag(), task.tag());
+            rejects_damage(&bytes, Task::decode);
+        }
+    }
+
+    #[test]
+    fn task_outputs_round_trip_bit_exactly_and_reject_damaged_bytes() {
+        for output in outputs() {
+            let bytes = output.encode();
+            let back = TaskOutput::decode(&bytes).expect("a well-formed output decodes");
+            assert_eq!(back.encode(), bytes, "{output:?}");
+            assert_eq!(back.tag(), output.tag());
+            rejects_damage(&bytes, TaskOutput::decode);
+        }
+    }
 }

@@ -30,13 +30,13 @@
 mod checks {
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
-    use snip_pipeline::transport::chaos::{
-        chaos_all_reduce, chaos_reduce_scatter, chaos_run_ranks, data_parallel_train_chaos,
-        data_parallel_train_with_recovery, ChaosPlan,
+    use snip_pipeline::transport::proc::{
+        launch, proc_all_reduce, ProcCollective, ProcError, Task,
     };
-    use snip_pipeline::transport::proc::{proc_all_reduce, proc_all_reduce_chaos, ProcError};
     use snip_pipeline::transport::{
-        data_parallel_train, threaded_all_reduce, threaded_reduce_scatter, TransportError,
+        channel_mesh, data_parallel_train, data_parallel_train_with_recovery, run_ranks,
+        threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, RankChunk,
+        TransportError, TransportStats,
     };
     use snip_quant::StreamError;
     use snip_tensor::rng::Rng;
@@ -69,6 +69,97 @@ mod checks {
         }
     }
 
+    type Outcomes<T> = (Vec<Result<T, TransportError>>, TransportStats);
+
+    /// A threaded all-reduce under `plan`, every rank's outcome kept.
+    fn all_reduce_under(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &[Rng],
+        plan: &ChaosPlan,
+    ) -> Outcomes<Vec<f32>> {
+        run_ranks(grads.len(), Some(plan), |ep| {
+            let mut rng = rngs[ep.rank()].clone();
+            ep.ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
+        })
+    }
+
+    /// A threaded reduce-scatter under `plan` (`None`: the driver's own
+    /// pass-through), every rank's outcome kept.
+    fn reduce_scatter_under(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &[Rng],
+        plan: Option<&ChaosPlan>,
+    ) -> Outcomes<RankChunk> {
+        run_ranks(grads.len(), plan, |ep| {
+            let mut rng = rngs[ep.rank()].clone();
+            ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+        })
+    }
+
+    /// A process-fabric all-reduce under `plan`.
+    fn proc_all_reduce_under(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        seeds: &[u64],
+        plan: &ChaosPlan,
+    ) -> Result<ProcCollective, ProcError> {
+        let tasks = grads
+            .iter()
+            .zip(seeds)
+            .map(|(grad, &seed)| Task::AllReduce {
+                wire: *wire,
+                policy,
+                seed,
+                grad: grad.clone(),
+            });
+        let (outputs, stats) = launch(tasks.collect(), Some(plan))?;
+        Ok(ProcCollective::from_outputs(outputs, stats))
+    }
+
+    /// An all-reduce over **undecorated** `ChannelFabric`s. The drivers
+    /// decorate every fabric, so the bare baseline is wired by hand: one
+    /// endpoint (with its own counters) per scoped thread. Returns each
+    /// rank's result and the sender-side (payload, envelope, frames)
+    /// totals.
+    fn bare_all_reduce(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &[Rng],
+    ) -> (Vec<Vec<f32>>, [u64; 3]) {
+        let per_rank: Vec<(Vec<f32>, TransportStats)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = channel_mesh(grads.len())
+                .into_iter()
+                .map(|fabric| {
+                    scope.spawn(move || {
+                        let mut ep = Endpoint::new(fabric);
+                        let mut rng = rngs[ep.rank()].clone();
+                        let reduced = ep
+                            .ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
+                            .expect("bare all-reduce");
+                        (reduced, ep.stats())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("bare rank"))
+                .collect()
+        });
+        let mut totals = [0u64; 3];
+        for (_, stats) in &per_rank {
+            totals[0] += stats.total_payload_bytes();
+            totals[1] += stats.total_envelope_bytes();
+            totals[2] += stats.total_frames();
+        }
+        (per_rank.into_iter().map(|(r, _)| r).collect(), totals)
+    }
+
     /// Contract 1, threads: a `ChaosFabric` running an empty plan is
     /// bit-identical to the bare fabric — results, byte counters, frame
     /// counts — for exact and packed codecs, reduce-scatter and
@@ -84,7 +175,7 @@ mod checks {
             let (bare, bare_stats) =
                 threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
             let (chaos, chaos_stats) =
-                chaos_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &calm);
+                all_reduce_under(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &calm);
             assert_eq!(
                 bare_stats,
                 chaos_stats,
@@ -95,21 +186,38 @@ mod checks {
                 let c = c.as_ref().expect("fault-free rank must succeed");
                 assert_bits_equal(b, c, &format!("{} rank {rank}", wire.label()));
             }
+            // `threaded_all_reduce` runs the driver's pass-through plan;
+            // pin both against fabrics no decorator ever touched.
+            let (undecorated, totals) =
+                bare_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
+            assert_eq!(
+                totals,
+                [
+                    chaos_stats.total_payload_bytes(),
+                    chaos_stats.total_envelope_bytes(),
+                    chaos_stats.total_frames()
+                ],
+                "{}: counters must match the undecorated fabric",
+                wire.label()
+            );
+            for (rank, (u, b)) in undecorated.iter().zip(&bare.per_rank).enumerate() {
+                assert_bits_equal(u, b, &format!("{} undecorated rank {rank}", wire.label()));
+            }
 
             let (bare_rs, bare_rs_stats) =
-                threaded_reduce_scatter(&grads, &wire, QuantizePolicy::FinalOnly, &rngs);
+                reduce_scatter_under(&grads, &wire, QuantizePolicy::FinalOnly, &rngs, None);
             let (chaos_rs, chaos_rs_stats) =
-                chaos_reduce_scatter(&grads, &wire, QuantizePolicy::FinalOnly, &rngs, &calm);
+                reduce_scatter_under(&grads, &wire, QuantizePolicy::FinalOnly, &rngs, Some(&calm));
             assert_eq!(bare_rs_stats, chaos_rs_stats, "{}", wire.label());
-            for (rank, (b, c)) in bare_rs.per_rank.iter().zip(&chaos_rs).enumerate() {
+            for (rank, (b, c)) in bare_rs.iter().zip(&chaos_rs).enumerate() {
+                let b = b.as_ref().expect("calm rank must succeed");
                 let c = c.as_ref().expect("fault-free rank must succeed");
-                assert_eq!(
-                    (c.lo, c.hi),
-                    bare_rs.owned[rank],
-                    "{}: ownership",
-                    wire.label()
+                assert_eq!((c.lo, c.hi), (b.lo, b.hi), "{}: ownership", wire.label());
+                assert_bits_equal(
+                    &b.data,
+                    &c.data,
+                    &format!("{} rs rank {rank}", wire.label()),
                 );
-                assert_bits_equal(b, &c.data, &format!("{} rs rank {rank}", wire.label()));
             }
         }
     }
@@ -127,7 +235,7 @@ mod checks {
             let (bare, bare_stats) =
                 threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
             let (delayed, delayed_stats) =
-                chaos_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &slow);
+                all_reduce_under(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &slow);
             assert_eq!(bare_stats, delayed_stats, "{}", wire.label());
             for (rank, (b, d)) in bare.per_rank.iter().zip(&delayed).enumerate() {
                 let d = d.as_ref().expect("delays are not failures");
@@ -144,7 +252,7 @@ mod checks {
         let plan = ChaosPlan::kill(0x517, 2, 3);
         let grads = make_grads(world, 64, 23);
         let rngs: Vec<Rng> = (0..world as u64).map(Rng::seed_from).collect();
-        let (outcomes, stats) = chaos_all_reduce(
+        let (outcomes, stats) = all_reduce_under(
             &grads,
             &Wire::exact(),
             QuantizePolicy::EveryHop,
@@ -183,7 +291,7 @@ mod checks {
     fn closed_link_fails_both_ends_at_the_same_frame() {
         let plan = ChaosPlan::close_link(0xC105E, 0, 1, 1);
         let payload: Vec<f32> = (0..24).map(|i| i as f32 * 0.5 - 6.0).collect();
-        let (outcomes, stats) = chaos_run_ranks(2, &plan, |ep| {
+        let (outcomes, stats) = run_ranks(2, Some(&plan), |ep| {
             let mut rng = Rng::seed_from(3);
             if ep.rank() == 0 {
                 ep.send(1, &payload, &Wire::exact(), &mut rng)?;
@@ -218,7 +326,7 @@ mod checks {
             } else {
                 ChaosPlan::corrupt(seed, 0, 1, 0)
             };
-            let (outcomes, _) = chaos_run_ranks(2, &plan, |ep| {
+            let (outcomes, _) = run_ranks(2, Some(&plan), |ep| {
                 let mut rng = Rng::seed_from(5);
                 if ep.rank() == 0 {
                     ep.send(1, &payload, &Wire::bf16(), &mut rng)?;
@@ -261,7 +369,7 @@ mod checks {
     fn stalled_peer_times_out_within_deadline() {
         let deadline = Duration::from_millis(50);
         let plan = ChaosPlan::none(0).with_recv_deadline(deadline);
-        let (outcomes, _) = chaos_run_ranks(2, &plan, |ep| {
+        let (outcomes, _) = run_ranks(2, Some(&plan), |ep| {
             if ep.rank() == 1 {
                 // Alive and holding its links open, but never sending.
                 std::thread::sleep(Duration::from_millis(300));
@@ -292,12 +400,12 @@ mod checks {
         let wire = Wire::fp8(32);
 
         // Fault-free decoration is invisible on sockets too.
-        let calm = proc_all_reduce_chaos(
+        let calm = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::none(1)),
+            &ChaosPlan::none(1),
         )
         .expect("fault-free chaos run");
         let bare =
@@ -318,12 +426,12 @@ mod checks {
         }
 
         // Delay-only: slower, bit-identical.
-        let delayed = proc_all_reduce_chaos(
+        let delayed = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::delay_all_links(0xD2, world, 200)),
+            &ChaosPlan::delay_all_links(0xD2, world, 200),
         )
         .expect("delay-only chaos run");
         assert_eq!(delayed.rng_fingerprints, bare.rng_fingerprints);
@@ -338,12 +446,12 @@ mod checks {
         }
 
         // Kill: the worker's own Killed error is the attributed root.
-        let err = proc_all_reduce_chaos(
+        let err = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::kill(0x1C, 1, 2)),
+            &ChaosPlan::kill(0x1C, 1, 2),
         )
         .expect_err("a killed rank must fail the run");
         match err {
@@ -358,12 +466,12 @@ mod checks {
         }
 
         // Corruption: the receiver's CRC check names the damaged link.
-        let err = proc_all_reduce_chaos(
+        let err = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::corrupt(0x2C, 0, 1, 0)),
+            &ChaosPlan::corrupt(0x2C, 0, 1, 0),
         )
         .expect_err("a corrupted frame must fail the run");
         match err {
@@ -379,12 +487,12 @@ mod checks {
         }
 
         // Truncation: same path, different typed defect.
-        let err = proc_all_reduce_chaos(
+        let err = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::truncate(0x3C, 2, 0, 1)),
+            &ChaosPlan::truncate(0x3C, 2, 0, 1),
         )
         .expect_err("a truncated frame must fail the run");
         match err {
@@ -401,12 +509,12 @@ mod checks {
 
         // Close: both ends fail with PeerClosed — all errors are
         // cascades, and the launcher still reports a deterministic one.
-        let err = proc_all_reduce_chaos(
+        let err = proc_all_reduce_under(
             &grads,
             &wire,
             QuantizePolicy::EveryHop,
             &seeds,
-            Some(&ChaosPlan::close_link(0x4C, 0, 1, 0)),
+            &ChaosPlan::close_link(0x4C, 0, 1, 0),
         )
         .expect_err("a closed link must fail the run");
         match err {
@@ -451,13 +559,13 @@ mod checks {
             .map(|c| Trainer::new(c.clone()).expect("trainer"))
             .collect();
         let plan = ChaosPlan::kill(0xD0, 1, 25);
-        let (returned, outcomes, _) = data_parallel_train_chaos(
+        let (returned, outcomes, _) = try_data_parallel_train(
             trainers,
             3,
             &Wire::exact(),
             QuantizePolicy::EveryHop,
             0x77,
-            &plan,
+            Some(&plan),
         );
         assert_eq!(
             outcomes[1].1,

@@ -22,12 +22,10 @@ mod checks {
     };
     use snip_pipeline::comm::codec_wire_bytes;
     use snip_pipeline::transport::proc::{
-        proc_all_reduce, proc_data_parallel_train, proc_pipeline_relay, proc_reduce_scatter,
-        ProcError,
+        launch, proc_all_reduce, proc_data_parallel_train, run_task, ProcCollective, ProcError,
+        Task,
     };
-    use snip_pipeline::transport::{
-        data_parallel_train, threaded_all_reduce, threaded_pipeline_relay,
-    };
+    use snip_pipeline::transport::{data_parallel_train, run_ranks, threaded_all_reduce};
     use snip_tensor::rng::Rng;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -51,6 +49,26 @@ mod checks {
             Wire::rht_fp4(32, 5),
             Wire::outlier_fp4(32, 0.02),
         ]
+    }
+
+    /// A reduce-scatter through the process driver.
+    fn proc_reduce_scatter(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        seeds: &[u64],
+    ) -> Result<ProcCollective, ProcError> {
+        let tasks = grads
+            .iter()
+            .zip(seeds)
+            .map(|(grad, &seed)| Task::ReduceScatter {
+                wire: *wire,
+                policy,
+                seed,
+                grad: grad.clone(),
+            });
+        let (outputs, stats) = launch(tasks.collect(), None)?;
+        Ok(ProcCollective::from_outputs(outputs, stats))
     }
 
     fn assert_bits_equal(a: &[f32], b: &[f32], ctx: &str) {
@@ -190,23 +208,42 @@ mod checks {
         println!("ok - per_link_payloads_match_analytic_accounting");
     }
 
-    /// Pipeline p2p send/recv runs unchanged over the socket backend.
+    /// Pipeline p2p send/recv runs unchanged over the socket backend: the
+    /// same `Task`s through the process driver and, via `run_task`, through
+    /// the thread driver.
     fn pipeline_p2p_matches_threads() {
         let payload: Vec<f32> = (0..41).map(|i| (i as f32 - 17.0) * 0.29).collect();
         for wire in [Wire::exact(), Wire::bf16(), Wire::fp4(16), Wire::mxfp4()] {
-            let seeds = [7u64, 8, 9, 10];
-            let proc = proc_pipeline_relay(&payload, &wire, &seeds).expect("process relay");
-            let (threaded, tstats) = threaded_pipeline_relay(&payload, &wire, &seeds);
-            for (rank, (p, t)) in proc.received.iter().zip(&threaded).enumerate() {
-                assert_bits_equal(p, t, &format!("{} relay rank {rank}", wire.label()));
+            let tasks: Vec<Task> = [7u64, 8, 9, 10]
+                .iter()
+                .enumerate()
+                .map(|(rank, &seed)| Task::Relay {
+                    wire,
+                    seed,
+                    // Only the head of the pipeline owns the payload.
+                    payload: if rank == 0 {
+                        payload.clone()
+                    } else {
+                        Vec::new()
+                    },
+                })
+                .collect();
+            let (proc, pstats) = launch(tasks.clone(), None).expect("process relay");
+            let (threaded, tstats) = run_ranks(tasks.len(), None, |ep| {
+                run_task(ep, &tasks[ep.rank()]).expect("threaded relay")
+            });
+            for (rank, (p, t)) in proc.iter().zip(&threaded).enumerate() {
+                // Encoded outputs compare received payloads and RNG
+                // fingerprints by their bits.
+                assert_eq!(p.encode(), t.encode(), "{} relay rank {rank}", wire.label());
             }
             assert_eq!(
-                proc.stats.total_payload_bytes(),
+                pstats.total_payload_bytes(),
                 tstats.total_payload_bytes(),
                 "{}: relay payload bytes",
                 wire.label()
             );
-            assert!(proc.stats.two_sided(), "{}", wire.label());
+            assert!(pstats.two_sided(), "{}", wire.label());
         }
         println!("ok - pipeline_p2p_matches_threads");
     }

@@ -10,12 +10,12 @@
 
 use snip_core::{Trainer, TrainerConfig};
 use snip_pipeline::collective::{
-    exact_sum, relative_error, ring_all_reduce_ranked, ring_reduce_scatter_ranked, QuantizePolicy,
-    Wire,
+    exact_sum, relative_error, ring_all_reduce_ranked, ring_reduce_scatter_ranked,
+    CollectiveResult, QuantizePolicy, Wire,
 };
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::{
-    data_parallel_train, run_ranks, threaded_all_reduce, threaded_reduce_scatter,
+    data_parallel_train, run_ranks, threaded_all_reduce, TransportStats,
 };
 use snip_tensor::rng::Rng;
 
@@ -30,6 +30,27 @@ fn rngs(ranks: usize, base: u64) -> Vec<Rng> {
     (0..ranks)
         .map(|r| Rng::seed_from(base ^ r as u64))
         .collect()
+}
+
+/// A reduce-scatter through the thread driver, in the oracle's result shape
+/// (`bytes_on_wire` from the measured payload counters).
+fn threaded_reduce_scatter(
+    grads: &[Vec<f32>],
+    wire: &Wire,
+    policy: QuantizePolicy,
+    rngs: &[Rng],
+) -> (CollectiveResult, TransportStats) {
+    let (chunks, stats) = run_ranks(grads.len(), None, |ep| {
+        let mut rng = rngs[ep.rank()].clone();
+        ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+            .expect("threaded reduce-scatter failed")
+    });
+    let result = CollectiveResult {
+        owned: chunks.iter().map(|c| (c.lo, c.hi)).collect(),
+        per_rank: chunks.into_iter().map(|c| c.data).collect(),
+        bytes_on_wire: stats.total_payload_bytes(),
+    };
+    (result, stats)
 }
 
 /// Every wire codec under test, with a scale group (32) that does **not**
@@ -155,7 +176,7 @@ fn many_concurrent_collectives_stay_ordered() {
     let all: Vec<Vec<Vec<f32>>> = (0..rounds)
         .map(|k| make_grads(world, 19 + k, 100 + k as u64))
         .collect();
-    let (results, _) = run_ranks(world, |ep| {
+    let (results, _) = run_ranks(world, None, |ep| {
         let mut rng = Rng::seed_from(7 ^ ep.rank() as u64);
         (0..rounds)
             .map(|k| {

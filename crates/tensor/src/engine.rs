@@ -192,17 +192,6 @@ enum BSide {
 /// own bounded scratch.
 const B_CACHE_LIMIT: usize = 1 << 24;
 
-/// Problems below this many multiply–accumulates take the small-GEMM fast
-/// path: no parallelism decision, no shared B-tile cache, just one serial
-/// block sweep from per-thread scratch. Queue-push + condvar dispatch and
-/// the cache's allocate/zero/build pass are fixed costs that dominate tiny
-/// GEMMs; the sweep itself is the same code either way, so the fast path is
-/// bit-identical by construction (pinned in `tests/pool_determinism.rs`).
-/// The cutoff sits well below the parallel threshold (2^20 MACs) and was
-/// picked from the `small_gemm` sweep in `bench_gemm`, which times both
-/// paths on shapes straddling the boundary.
-pub const SMALL_GEMM_MACS: usize = 1 << 16;
-
 /// Materializes the `k×nb` k-major B tile for columns `[j0, j1)` into
 /// `tile` (length `k * nb`).
 fn build_btile_into(
@@ -364,8 +353,7 @@ fn sweep_rows(
 /// regardless of `m` or the chunk count), then row-chunk the output across
 /// the pool, sweeping `MC×NC` output tiles per chunk with the A block
 /// materialized once per sweep. Oversized B operands skip the shared cache
-/// and build tiles per sweep from bounded per-worker scratch; tiny
-/// problems skip the whole parallel apparatus (see [`SMALL_GEMM_MACS`]).
+/// and build tiles per sweep from bounded per-worker scratch.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     a: &QOperandRef<'_>,
@@ -410,24 +398,6 @@ fn gemm_blocked_inner(
 ) -> Tensor {
     let mut c = Tensor::zeros(m, n);
     if m == 0 {
-        return c;
-    }
-    // Small-GEMM fast path. A forced split (`pool::with_threads`) still
-    // takes the generic path so tests and benchmarks can pin/measure it.
-    if m * n * k < SMALL_GEMM_MACS && pool::forced_threads().is_none() {
-        sweep_rows(
-            a,
-            a_side,
-            b,
-            b_side,
-            n,
-            k,
-            round,
-            None,
-            0,
-            m,
-            c.as_mut_slice(),
-        );
         return c;
     }
     let parts = thread_count(m * n * k);

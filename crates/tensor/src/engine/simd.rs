@@ -308,14 +308,6 @@ pub fn with_forced_backend<R>(requested: Backend, f: impl FnOnce() -> R) -> R {
     with_forced_raw(Some(effective), f)
 }
 
-/// Runs `f` with every kernel dispatch on this thread (and serving pool
-/// workers) forced to the scalar backend — shorthand for
-/// [`with_forced_backend`]`(Backend::Scalar, f)`, which is what
-/// `SNIP_SIMD=0` pins at startup but scoped to a closure.
-pub fn with_forced_scalar<R>(f: impl FnOnce() -> R) -> R {
-    with_forced_backend(Backend::Scalar, f)
-}
-
 /// Decodes `bytes.len()` packed 4-bit code pairs into `out` (length
 /// `2 * bytes.len()`): `out[2i] = lut[bytes[i] & 0xF] * scale`,
 /// `out[2i+1] = lut[bytes[i] >> 4] * scale`. `pair` is the byte → value
@@ -476,7 +468,7 @@ mod tests {
     #[test]
     fn forced_backend_nests_and_restores() {
         let outer = active_backend();
-        with_forced_scalar(|| {
+        with_forced_backend(Backend::Scalar, || {
             assert_eq!(active_backend(), Backend::Scalar);
             with_forced_backend(Backend::Avx512, || {
                 // Clamped to the process chain, but never above the request.

@@ -24,7 +24,7 @@
 //! * [`simd`] — the runtime-dispatched SIMD backend behind the engine
 //!   (AVX2/NEON when the `simd` cargo feature is on, scalar otherwise);
 //!   exposes introspection (`backend()`, `lane_width()`) and the
-//!   `with_forced_scalar` test hook. Results are bit-identical across
+//!   `with_forced_backend` test hook. Results are bit-identical across
 //!   backends by construction: lanes vectorize *output elements* only.
 //! * [`encode`] — the pack engine: the same backends' quantize→encode
 //!   kernels (group abs-max scan, 4-bit and 8-bit code writers) that

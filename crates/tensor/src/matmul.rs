@@ -20,12 +20,6 @@ use crate::engine::Round;
 use crate::pool;
 use crate::Tensor;
 
-/// The small-GEMM fast-path cutoff (in multiply–accumulates): problems
-/// below it skip pool dispatch and the shared B-tile cache entirely.
-/// Re-exported so `bench_gemm`'s `small_gemm` sweep can report shapes
-/// relative to the boundary it is tuning.
-pub use crate::engine::SMALL_GEMM_MACS;
-
 /// Problems smaller than this many multiply–accumulates run single-threaded.
 /// Dispatch on the persistent pool costs a queue push plus a condvar wake
 /// (single-digit microseconds — the old per-call `std::thread::scope` spawn

@@ -151,48 +151,6 @@ fn ragged_and_blocky_shapes_are_split_invariant() {
     }
 }
 
-/// The small-GEMM fast path (work below `SMALL_GEMM_MACS` skips pool
-/// dispatch and the shared B-tile cache) must be bit-identical to the
-/// generic blocked path at the cutoff boundary. `with_threads` pins the
-/// generic path (the fast path defers whenever a split is forced), so
-/// default dispatch vs `with_threads(1)`/`with_threads(4)` compares the
-/// two implementations directly. Shapes straddle the 2^16-MAC cutoff.
-#[test]
-fn small_gemm_fast_path_is_bit_identical_at_the_cutoff() {
-    for &(m, k, n) in &[
-        (64, 63, 16), // just under the cutoff: fast path
-        (64, 64, 16), // exactly at the cutoff: generic path
-        (64, 65, 16), // just over: generic path
-        (1, 1, 1),
-        (7, 11, 13),
-        (40, 40, 40),
-    ] {
-        let seed = 0x5A11 ^ ((m * 7919 + k * 131 + n) as u64);
-        let mut rng = Rng::seed_from(seed);
-        let a = Tensor::randn(m, k, 1.0, &mut rng);
-        let b = Tensor::randn(k, n, 1.0, &mut rng);
-        let qa = random_qtensor(m, k, seed ^ 1);
-        let qb = random_qtensor(k, n, seed ^ 2);
-
-        // Default dispatch: takes the fast path below the cutoff.
-        let fast = (
-            matmul::matmul(&a, &b),
-            snip_tensor::packed::qgemm(QOperandRef::from(&qa), QOperandRef::from(&qb)),
-        );
-        for split in [1usize, 4] {
-            let generic = pool::with_threads(split, || {
-                (
-                    matmul::matmul(&a, &b),
-                    snip_tensor::packed::qgemm(QOperandRef::from(&qa), QOperandRef::from(&qb)),
-                )
-            });
-            let what = format!("small-gemm {m}x{k}x{n} vs split {split}");
-            assert_bits_eq(&fast.0, &generic.0, &format!("matmul, {what}"));
-            assert_bits_eq(&fast.1, &generic.1, &format!("qgemm, {what}"));
-        }
-    }
-}
-
 /// The full split-invariance suite must also hold with every backend tier
 /// pinned — determinism may not depend on which microkernel runs. The
 /// forced backend propagates through `pool::run` to the workers serving

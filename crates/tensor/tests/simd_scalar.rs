@@ -137,7 +137,7 @@ fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
         ]
     };
 
-    let scalar = simd::with_forced_scalar(run);
+    let scalar = simd::with_forced_backend(simd::Backend::Scalar, run);
     let mut variants: Vec<(String, Vec<(&'static str, Tensor)>)> = simd::available_backends()
         .into_iter()
         .filter(|bk| *bk != simd::Backend::Scalar)
@@ -265,7 +265,7 @@ fn non_finite_operands_propagate_identically() {
             }
         }
         let run = || (matmul::matmul(&a, &b), matmul::matmul_bf16(&a, &b));
-        let scalar = simd::with_forced_scalar(run);
+        let scalar = simd::with_forced_backend(simd::Backend::Scalar, run);
         for bk in simd::available_backends() {
             let got = simd::with_forced_backend(bk, run);
             let what = |name: &str| format!("{name} with non-finite ({})", bk.name());
@@ -294,7 +294,8 @@ fn decode_tails_agree() {
     ] {
         let q4 = random_qtensor(rows, cols, CodeWidth::U4, 0xD4 ^ (cols as u64));
         let q8 = random_qtensor(rows, cols, CodeWidth::U8, 0xD8 ^ (cols as u64));
-        let (s4, s8) = simd::with_forced_scalar(|| (q4.dequantize(), q8.dequantize()));
+        let (s4, s8) =
+            simd::with_forced_backend(simd::Backend::Scalar, || (q4.dequantize(), q8.dequantize()));
         for bk in simd::available_backends() {
             let (d4, d8) = simd::with_forced_backend(bk, || (q4.dequantize(), q8.dequantize()));
             assert_bits_eq(
