@@ -3,9 +3,10 @@
 //! decode, all six GEMM orientations and an end-to-end training step at
 //! model-realistic shapes, each kernel against its frozen PR-4 predecessor
 //! (`snip_bench::legacy`), plus per-backend GEMM and pack matrices with the
-//! dispatch pinned to each compiled SIMD tier in turn and the pack pool
-//! split against the single-thread kernel, and writes machine-readable
-//! `BENCH_gemm.json` at the repo root.
+//! dispatch pinned to each compiled SIMD tier in turn, the pack pool
+//! split against the single-thread kernel and the SNIP probe
+//! (`snip_core::measure`) against a plain step with its per-pass split,
+//! and writes machine-readable `BENCH_gemm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -22,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use snip_bench::legacy;
+use snip_nn::StepOptions;
 use snip_quant::{Precision, Quantizer, TensorRole};
 use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
@@ -131,6 +133,30 @@ struct TrainStep {
     ms_per_step: f64,
 }
 
+/// SNIP's probe (`snip_core::measure`, paper Fig. 6 Steps 1–3) against one
+/// plain forward+backward step of the same model and batch, both timed in
+/// the same alternating rounds (minimum per side), so `measure_over_step`
+/// — the paper budgets 2–3 steps per scheme update — is a ratio clock
+/// drift cannot move. The `*_pass_ms` columns are the probe's own
+/// `snip.measure.*` spans from one further traced call.
+/// `before_measure_ms` is the frozen parent-commit (PR 13: three recorded
+/// full steps, scalar error statistics) timing on the reference box.
+#[derive(Debug, Serialize, Deserialize)]
+struct ProbeRow {
+    model: String,
+    tokens: usize,
+    fwd_bwd_ms: f64,
+    measure_ms: f64,
+    measure_over_step: f64,
+    forward_pass_ms: f64,
+    base_pass_ms: f64,
+    probe_bwd_pass_ms: f64,
+    probe_fwd_pass_ms: f64,
+    stats_pass_ms: f64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    before_measure_ms: Option<f64>,
+}
+
 #[derive(Debug, Serialize, Deserialize)]
 struct Report {
     schema: u64,
@@ -144,10 +170,21 @@ struct Report {
     backend_pack: Vec<BackendPackRow>,
     pack_split: Vec<PackSplitRow>,
     train_step: TrainStep,
+    probe: ProbeRow,
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 5;
+const SCHEMA: u64 = 6;
+
+/// Parent-commit (PR 13: three recorded full steps, scalar error
+/// statistics) `measure` on the full probe fixture — reference box, the
+/// estimator of [`probe_row`], taken right before the staged probe landed.
+/// Frozen like [`BEFORE_PACKED_MS`].
+const BEFORE_MEASURE_MS: f64 = 1714.9;
+
+/// `--check`'s ceiling on `measure_over_step` at full shapes: the paper's
+/// 2–3 steps per update plus headroom for the statistics.
+const MAX_MEASURE_OVER_STEP: f64 = 3.5;
 
 /// Parent-commit (PR 11: scalar pack kernels) `quantize_packed` timings on
 /// the reference box (2 cores, avx512f), taken with this file's
@@ -413,6 +450,66 @@ fn run(smoke: bool) -> Report {
         backend_pack,
         pack_split,
         train_step: TrainStep { steps, ms_per_step },
+        probe: probe_row(smoke),
+    }
+}
+
+/// Times `measure` against a plain step on the probe fixture and reads
+/// the per-pass split from the probe's spans.
+fn probe_row(smoke: bool) -> ProbeRow {
+    let mut t = snip_bench::fixtures::probe_trainer(smoke);
+    let batch = t.peek_batch();
+    let mut rng = Rng::seed_from(0x5712);
+    let mut probe = |t: &mut snip_core::Trainer| {
+        snip_core::measure(&mut t.model, &t.optimizer, &batch, &mut rng, 1e-2)
+    };
+    let (mut fwd_bwd_ms, mut measure_ms) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..if smoke { 2 } else { 4 } {
+        let t0 = Instant::now();
+        t.model.zero_grads();
+        std::hint::black_box(
+            t.model
+                .step(&batch, &mut Rng::seed_from(1), &StepOptions::train()),
+        );
+        let step = t0.elapsed().as_secs_f64() * 1e3;
+        let t0 = Instant::now();
+        std::hint::black_box(probe(&mut t));
+        let measure = t0.elapsed().as_secs_f64() * 1e3;
+        // Round 0 warms the allocator and the pool.
+        if round > 0 {
+            fwd_bwd_ms = fwd_bwd_ms.min(step);
+            measure_ms = measure_ms.min(measure);
+        }
+    }
+    const PASS_SPANS: [&str; 5] = [
+        "snip.measure.forward",
+        "snip.measure.base",
+        "snip.measure.probe_bwd",
+        "snip.measure.probe_fwd",
+        "snip.measure.stats",
+    ];
+    let span_sums_ns = || PASS_SPANS.map(|name| snip_obs::hist_snapshot(name).map_or(0, |h| h.sum));
+    let before = span_sums_ns();
+    {
+        let _collect = snip_obs::enabled_scope(true);
+        std::hint::black_box(probe(&mut t));
+    }
+    let after = span_sums_ns();
+    let [forward_pass_ms, base_pass_ms, probe_bwd_pass_ms, probe_fwd_pass_ms, stats_pass_ms] =
+        std::array::from_fn(|i| (after[i] - before[i]) as f64 / 1e6);
+    let cfg = t.config();
+    ProbeRow {
+        model: cfg.model.name.clone(),
+        tokens: cfg.batch_size * cfg.seq_len,
+        fwd_bwd_ms,
+        measure_ms,
+        measure_over_step: measure_ms / fwd_bwd_ms,
+        forward_pass_ms,
+        base_pass_ms,
+        probe_bwd_pass_ms,
+        probe_fwd_pass_ms,
+        stats_pass_ms,
+        before_measure_ms: (!smoke).then_some(BEFORE_MEASURE_MS),
     }
 }
 
@@ -763,9 +860,33 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             ts.steps, ts.ms_per_step
         ));
     }
+    let pr = &report.probe;
+    for (what, v) in [
+        ("fwd_bwd_ms", pr.fwd_bwd_ms),
+        ("measure_ms", pr.measure_ms),
+        ("measure_over_step", pr.measure_over_step),
+        ("forward_pass_ms", pr.forward_pass_ms),
+        ("base_pass_ms", pr.base_pass_ms),
+        ("probe_bwd_pass_ms", pr.probe_bwd_pass_ms),
+        ("probe_fwd_pass_ms", pr.probe_fwd_pass_ms),
+        ("stats_pass_ms", pr.stats_pass_ms),
+        ("before_measure_ms", pr.before_measure_ms.unwrap_or(1.0)),
+    ] {
+        if !v.is_finite() || v <= 0.0 {
+            return Err(format!("probe: {what} = {v}"));
+        }
+    }
+    // Tiny smoke shapes are all fixed cost; the budget is a claim about
+    // model-realistic ones.
+    if !report.smoke && pr.measure_over_step > MAX_MEASURE_OVER_STEP {
+        return Err(format!(
+            "probe: measure costs {:.2} steps ({:.1} ms / {:.1} ms), budget {MAX_MEASURE_OVER_STEP}",
+            pr.measure_over_step, pr.measure_ms, pr.fwd_bwd_ms
+        ));
+    }
     Ok(format!(
         "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
-         {} backend-pack rows, {} pack-split rows, \
+         {} backend-pack rows, {} pack-split rows, probe = {:.2} steps, \
          {:.2} ms/train-step, {} simd on {} threads",
         report.gemm.len(),
         report.backend_gemm.len(),
@@ -774,6 +895,7 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         report.quantize.len(),
         report.backend_pack.len(),
         report.pack_split.len(),
+        pr.measure_over_step,
         ts.ms_per_step,
         mach.simd_backend,
         mach.threads
@@ -834,6 +956,25 @@ fn print_summary(report: &Report) {
     println!(
         "  {:>12} {:>14}  {:>9.3} ms/step",
         "train_step", "-", report.train_step.ms_per_step
+    );
+    let pr = &report.probe;
+    let before = pr
+        .before_measure_ms
+        .map(|b| format!("  (parent {b:.1} ms, {:.2}x)", b / pr.measure_ms))
+        .unwrap_or_default();
+    println!(
+        "  {:>12} {:>14}  {:>9.3} ms = {:.2} x {:.3} ms fwd+bwd{before}\n  {:>27}  forward {:.1} + base {:.1} + probe_bwd {:.1} + probe_fwd {:.1} + stats {:.1} ms",
+        "measure",
+        pr.model,
+        pr.measure_ms,
+        pr.measure_over_step,
+        pr.fwd_bwd_ms,
+        "",
+        pr.forward_pass_ms,
+        pr.base_pass_ms,
+        pr.probe_bwd_pass_ms,
+        pr.probe_fwd_pass_ms,
+        pr.stats_pass_ms
     );
 }
 

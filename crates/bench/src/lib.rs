@@ -22,14 +22,17 @@ pub mod fixtures {
     use snip_nn::ModelConfig;
     use snip_optim::{AdamWConfig, LrSchedule};
 
-    /// A small warmed-up trainer for the end-to-end train-step row.
-    pub fn bench_trainer() -> Trainer {
+    /// A trainer three steps in (so the AdamW moments exist).
+    fn warmed(model: ModelConfig, lr: f64, batch_size: usize, seq_len: usize) -> Trainer {
         let cfg = TrainerConfig {
-            model: ModelConfig::tiny_test(),
-            adamw: AdamWConfig::default(),
-            schedule: LrSchedule::Constant { lr: 1e-3 },
-            batch_size: 2,
-            seq_len: 16,
+            model,
+            adamw: AdamWConfig {
+                lr,
+                ..Default::default()
+            },
+            schedule: LrSchedule::Constant { lr },
+            batch_size,
+            seq_len,
             grad_clip: Some(1.0),
             data_seed: 0,
             init_seed: 0,
@@ -38,5 +41,33 @@ pub mod fixtures {
         let mut t = Trainer::new(cfg).expect("valid config");
         let _ = t.train(3);
         t
+    }
+
+    /// A small warmed-up trainer for the end-to-end train-step row.
+    pub fn bench_trainer() -> Trainer {
+        warmed(ModelConfig::tiny_test(), 1e-3, 2, 16)
+    }
+
+    /// The 768×2-block model of the end-to-end benchmark
+    /// (`benchmark/src/fixture.rs`: ≈ 15 M parameters, 14 linear layers,
+    /// 4 × 64 = 256 tokens per step, so its GEMMs are the shapes the `gemm`
+    /// section times), warmed — what the `probe` section runs
+    /// `snip_core::measure` on. `smoke` swaps in [`bench_trainer`].
+    pub fn probe_trainer(smoke: bool) -> Trainer {
+        if smoke {
+            return bench_trainer();
+        }
+        let model = ModelConfig {
+            name: "bench-768x2".into(),
+            vocab_size: 512,
+            hidden: 768,
+            n_layers: 2,
+            n_heads: 12,
+            ffn_hidden: 2048,
+            max_seq: 64,
+            rope_theta: 10_000.0,
+            quant_group: 128,
+        };
+        warmed(model, 3e-4, 4, 64)
     }
 }

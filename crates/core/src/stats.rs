@@ -5,11 +5,50 @@
 //! quantization-error norms `‖δX‖`, `‖δW‖`, `‖δ∇Y‖` for every candidate
 //! precision, which is everything the divergence analysis (§4.2–§4.3)
 //! needs — after this step the model tensors can be dropped.
+//!
+//! Every statistic is one independent scalar reduction over a borrowed
+//! tensor, and `reduce` runs them **one reduction per pool task**: a task
+//! sums its whole tensor serially in ascending element order, so a value
+//! never depends on the thread count or on which worker computed it.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::record::StepRecord;
 use snip_nn::{LayerId, ModelConfig};
 use snip_quant::{Precision, TensorRole};
+use snip_tensor::{pool, Tensor};
+
+/// One independent scalar reduction over borrowed tensors.
+pub(crate) type Reduction<'a> = Box<dyn FnOnce() -> f64 + Send + 'a>;
+
+/// Evaluates every reduction across the worker pool, one task each, and
+/// returns their values in task order.
+pub(crate) fn reduce(tasks: Vec<Reduction<'_>>) -> Vec<f64> {
+    let mut values = vec![0.0; tasks.len()];
+    pool::for_each_owned(
+        values.iter_mut().zip(tasks).collect(),
+        |_, (value, task)| *value = task(),
+    );
+    values
+}
+
+/// The tensors and in-pass norms of one linear layer on a statistics
+/// iteration, borrowed from wherever they live — a [`StepRecord`]'s
+/// snapshots, or the model, its forward caches and the probe's tap.
+#[derive(Clone, Copy, Debug)]
+pub struct LayerView<'a> {
+    /// Input activations as consumed by the forward GEMM (`tokens × in`).
+    pub x: &'a Tensor,
+    /// Weight (`out × in`).
+    pub w: &'a Tensor,
+    /// Output gradient (`tokens × out`).
+    pub dy: &'a Tensor,
+    /// Weight gradient of the step (`out × in`).
+    pub dw: &'a Tensor,
+    /// `‖Y‖_F` of the forward output.
+    pub y_norm: f64,
+    /// `‖∇X‖_F` — the input-gradient norm.
+    pub dx_norm: f64,
+}
 
 /// Quantization-error norms of one tensor under each candidate precision.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -76,38 +115,83 @@ pub struct StepStats {
 impl StepStats {
     /// Derives statistics from a recorded step.
     ///
-    /// `quant_group` is the scale-group length used when measuring
-    /// quantization errors (pass `cfg.quant_group`).
+    /// `cfg.quant_group` is the scale-group length used when measuring
+    /// quantization errors.
     pub fn from_record(record: &StepRecord, cfg: &ModelConfig) -> Self {
-        let nb = cfg.quant_group;
-        let mut layers = Vec::with_capacity(record.linears.len());
-        for lr in &record.linears {
-            let (out_features, in_features) = lr.w.shape();
-            let err = |role: TensorRole, t: &snip_tensor::Tensor| -> ErrorByPrecision {
-                ErrorByPrecision {
-                    fp4: Precision::Fp4.quantizer_with_group(role, nb).error_norm(t),
-                    fp8: Precision::Fp8.quantizer_with_group(role, nb).error_norm(t),
-                    bf16: Precision::Bf16.quantizer_with_group(role, nb).error_norm(t),
-                }
-            };
-            layers.push(LayerStats {
-                tokens: lr.x.rows(),
-                out_features,
-                in_features,
-                x_norm: lr.x_norm(),
-                w_norm: lr.w_norm(),
+        let views: Vec<LayerView<'_>> = record
+            .linears
+            .iter()
+            .map(|lr| LayerView {
+                x: &lr.x,
+                w: &lr.w,
+                dy: &lr.dy,
+                dw: &lr.dw,
                 y_norm: lr.y_norm,
-                dy_norm: lr.dy_norm(),
                 dx_norm: lr.dx_norm,
-                dw_norm: lr.dw_norm(),
-                x_err: err(TensorRole::Input, &lr.x),
-                w_err: err(TensorRole::Weight, &lr.w),
-                dy_err: err(TensorRole::OutputGrad, &lr.dy),
-            });
+            })
+            .collect();
+        Self::from_views(record.loss, record.ntokens, &views, cfg)
+    }
+
+    /// Derives statistics from borrowed per-layer tensors (indexed by
+    /// [`LayerId::linear_index`]) of a step with the given loss and token
+    /// count: per layer four Frobenius norms and nine quantization-error
+    /// norms, every one its own pool task (see the module docs).
+    pub fn from_views(
+        loss: f64,
+        ntokens: usize,
+        views: &[LayerView<'_>],
+        cfg: &ModelConfig,
+    ) -> Self {
+        const PRECISIONS: [Precision; 3] = [Precision::Fp4, Precision::Fp8, Precision::Bf16];
+        const PER_LAYER: usize = 4 + 3 * PRECISIONS.len();
+        let nb = cfg.quant_group;
+        let mut tasks: Vec<Reduction<'_>> = Vec::with_capacity(views.len() * PER_LAYER);
+        for v in views {
+            for t in [v.x, v.w, v.dy, v.dw] {
+                tasks.push(Box::new(move || t.frobenius_norm()));
+            }
+            for (role, t) in [
+                (TensorRole::Input, v.x),
+                (TensorRole::Weight, v.w),
+                (TensorRole::OutputGrad, v.dy),
+            ] {
+                for p in PRECISIONS {
+                    let q = p.quantizer_with_group(role, nb);
+                    tasks.push(Box::new(move || q.error_norm(t)));
+                }
+            }
         }
+        let values = reduce(tasks);
+        let err = |r: &[f64]| ErrorByPrecision {
+            fp4: r[0],
+            fp8: r[1],
+            bf16: r[2],
+        };
+        let layers = views
+            .iter()
+            .zip(values.chunks_exact(PER_LAYER))
+            .map(|(v, r)| {
+                let (out_features, in_features) = v.w.shape();
+                LayerStats {
+                    tokens: v.x.rows(),
+                    out_features,
+                    in_features,
+                    x_norm: r[0],
+                    w_norm: r[1],
+                    y_norm: v.y_norm,
+                    dy_norm: r[2],
+                    dx_norm: v.dx_norm,
+                    dw_norm: r[3],
+                    x_err: err(&r[4..7]),
+                    w_err: err(&r[7..10]),
+                    dy_err: err(&r[10..13]),
+                }
+            })
+            .collect();
         StepStats {
-            loss: record.loss,
-            ntokens: record.ntokens,
+            loss,
+            ntokens,
             layers,
         }
     }

@@ -85,6 +85,10 @@ pub struct Trainer {
     /// `default` keeps checkpoints from before this field loadable.
     #[serde(default)]
     last_loss: f64,
+    /// Why the most recent SNIP scheme update could not be applied (see
+    /// [`Trainer::last_scheme_error`]); `None` while updates succeed.
+    #[serde(default)]
+    last_scheme_error: Option<String>,
 }
 
 impl Trainer {
@@ -112,6 +116,7 @@ impl Trainer {
             stream,
             step: 0,
             last_loss: 0.0,
+            last_scheme_error: None,
         })
     }
 
@@ -246,6 +251,12 @@ impl Trainer {
     /// and a new scheme solved every `engine.config().update_period` steps
     /// (asynchronously), and applied as soon as it is ready — the Fig. 6
     /// integration. Returns each step's loss.
+    ///
+    /// A scheme update that fails (an infeasible ILP, e.g. a `target_fp4`
+    /// the option set cannot reach) does not stop training: the current
+    /// scheme stays installed, the solver's message is retained in
+    /// [`Trainer::last_scheme_error`] and the `snip.solve_failed` telemetry
+    /// counter is bumped.
     pub fn train_with_engine(&mut self, n: u64, engine: &SnipEngine) -> Vec<f64> {
         let mut losses = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -260,12 +271,30 @@ impl Trainer {
                     name,
                 );
             }
-            if let Some(Ok(scheme)) = engine.try_collect() {
-                self.apply_scheme(&scheme);
+            match engine.try_collect() {
+                Some(Ok(scheme)) => {
+                    self.apply_scheme(&scheme);
+                    self.last_scheme_error = None;
+                }
+                Some(Err(e)) => {
+                    if snip_obs::enabled() {
+                        snip_obs::counter_add("snip.solve_failed", 1);
+                    }
+                    self.last_scheme_error = Some(e);
+                }
+                None => {}
             }
             losses.push(self.train_step());
         }
         losses
+    }
+
+    /// The solver's message if the most recent scheme update of
+    /// [`Trainer::train_with_engine`] failed — training went on under the
+    /// scheme it had. `None` once a later update succeeds (or if none ever
+    /// failed).
+    pub fn last_scheme_error(&self) -> Option<&str> {
+        self.last_scheme_error.as_deref()
     }
 
     /// Mean loss over `batches` held-out batches (fixed by `seed`).
@@ -287,6 +316,10 @@ impl Trainer {
     /// Publishes this trainer's run summary as the `"training"` section of
     /// the telemetry report and writes the run artifacts (the Chrome trace
     /// and `RUN_REPORT.json` next to it) if `SNIP_TRACE` named a path.
+    /// Besides steps, world and final loss the section carries SNIP's cost
+    /// as a run artifact: `snip_updates` (probes run) and
+    /// `snip_overhead_frac` — Σ `probe::measure` time ÷ Σ training-step
+    /// time over the collected run (solve time is off the training thread).
     /// `world` is the number of data-parallel ranks the run used (1 for a
     /// single-trainer run). Returns the artifact paths, or `Ok(None)` when
     /// collection is off or no path was configured. Safe to call after
@@ -299,14 +332,24 @@ impl Trainer {
     pub fn write_run_report(&self, world: usize) -> std::io::Result<Option<snip_obs::Artifacts>> {
         if snip_obs::enabled() {
             use serde::Content;
-            snip_obs::report::set_section(
-                "training",
-                Content::Map(vec![
-                    ("steps".into(), Content::U64(self.step)),
-                    ("world".into(), Content::U64(world as u64)),
-                    ("final_loss".into(), Content::F64(self.last_loss)),
-                ]),
-            );
+            // Process-wide telemetry sums: every probe and every training
+            // step of the run, whichever trainer ran them.
+            let snip_updates = snip_obs::hist_snapshot("snip.measure").map_or(0, |h| h.count);
+            let step_ns = snip_obs::hist_snapshot("train_step").map_or(0, |h| h.sum);
+            let measure_ns = snip_obs::counter_value("snip.measure_ns");
+            let mut training = vec![
+                ("steps".into(), Content::U64(self.step)),
+                ("world".into(), Content::U64(world as u64)),
+                ("final_loss".into(), Content::F64(self.last_loss)),
+                ("snip_updates".into(), Content::U64(snip_updates)),
+            ];
+            if step_ns > 0 {
+                training.push((
+                    "snip_overhead_frac".into(),
+                    Content::F64(measure_ns as f64 / step_ns as f64),
+                ));
+            }
+            snip_obs::report::set_section("training", Content::Map(training));
         }
         snip_obs::flush()
     }
@@ -476,6 +519,44 @@ mod tests {
                 .any(|&p| p != LinearPrecision::uniform(Precision::Bf16)),
             "engine never applied a scheme"
         );
+    }
+
+    #[test]
+    fn failed_scheme_update_is_retained_and_training_continues() {
+        let cfg = TrainerConfig::tiny();
+        let mut t = Trainer::new(cfg.clone()).unwrap();
+        let _ = t.train(5);
+        // No option set reaches 150 % FP4: every solve is infeasible.
+        let engine = SnipEngine::new(
+            SnipConfig {
+                policy: PolicyConfig {
+                    target_fp4: 1.5,
+                    ..Default::default()
+                },
+                update_period: 5,
+                ..Default::default()
+            },
+            cfg.model.clone(),
+        );
+        let scheme_before = t.model.scheme();
+        assert_eq!(t.last_scheme_error(), None);
+        let _collect = snip_obs::enabled_scope(true);
+        let failed_before = snip_obs::counter_value("snip.solve_failed");
+        // The solve is asynchronous: step until its result has been polled.
+        let mut losses = Vec::new();
+        while t.last_scheme_error().is_none() {
+            assert!(losses.len() < 500, "the failed solve never surfaced");
+            losses.extend(t.train_with_engine(1, &engine));
+        }
+        assert_eq!(t.last_scheme_error(), Some("efficiency target unreachable"));
+        assert!(snip_obs::counter_value("snip.solve_failed") > failed_before);
+        assert_eq!(
+            t.model.scheme(),
+            scheme_before,
+            "the current scheme stays installed"
+        );
+        losses.extend(t.train_with_engine(3, &engine));
+        assert!(losses.iter().all(|l| l.is_finite()));
     }
 
     #[test]

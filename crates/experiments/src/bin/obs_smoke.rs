@@ -7,7 +7,9 @@
 //! * the Chrome trace — well-formed JSON, required event keys, monotonic
 //!   span timestamps (loads in Perfetto / `chrome://tracing`);
 //! * `RUN_REPORT.json` — required top-level keys, histogram shape, and the
-//!   `transport` / `training` sections.
+//!   `transport` / `training` sections, the latter with SNIP's cost
+//!   (`snip_updates`, `snip_overhead_frac`) from one scheme update that
+//!   rank 0 runs through `train_with_engine` after the collective steps.
 //!
 //! Beyond shape, it pins the one cross-artifact number that keeps the
 //! telemetry honest: the report's transport payload bytes must equal both
@@ -18,7 +20,7 @@
 //! Usage: `SNIP_TRACE=trace.json cargo run -p snip-experiments --bin
 //! obs_smoke`.
 
-use snip_core::{Trainer, TrainerConfig};
+use snip_core::{SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip_pipeline::collective::{chunk_bounds, QuantizePolicy, Wire};
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::data_parallel_train;
@@ -44,6 +46,18 @@ fn main() {
         losses.iter().flatten().all(|l| l.is_finite()),
         "training diverged"
     );
+    // One SNIP scheme update on rank 0 (due at its current step), so the
+    // report's overhead fraction has a probe to account for.
+    const ENGINE_STEPS: u64 = 2;
+    let engine = SnipEngine::new(
+        SnipConfig {
+            update_period: STEPS,
+            ..Default::default()
+        },
+        trainers[0].config().model.clone(),
+    );
+    let _ = trainers[0].train_with_engine(ENGINE_STEPS, &engine);
+    drop(engine);
     // Adds the `training` section and rewrites both artifacts (the flush
     // inside `data_parallel_train` already wrote a transport-only report;
     // flushing is idempotent over the full registry state).
@@ -94,7 +108,16 @@ fn main() {
         Some(stats.total_envelope_bytes()),
         "report envelope bytes diverge from the measured counters"
     );
-    assert_eq!(rcheck.training_steps, Some(STEPS), "report step count");
+    assert_eq!(
+        rcheck.training_steps,
+        Some(STEPS + ENGINE_STEPS),
+        "report step count"
+    );
+    assert_eq!(rcheck.snip_updates, Some(1), "report SNIP update count");
+    let overhead = rcheck
+        .snip_overhead_frac
+        .expect("report carries the SNIP overhead fraction");
+    assert!(overhead > 0.0, "one probe ran, so its share is positive");
 
     println!("obs_smoke: PASS");
     println!(
@@ -104,4 +127,5 @@ fn main() {
     );
     println!("  report: {}", report_path.display());
     println!("  transport payload bytes: {analytic} (measured == analytic codec_wire_bytes)");
+    println!("  snip overhead: {overhead:.3} of step time over 1 update");
 }

@@ -7,7 +7,7 @@ use crate::layers::{LayerId, LayerKind};
 use crate::linear::{Linear, LinearCache};
 use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
-use crate::record::StepRecord;
+use crate::record::LayerTap;
 use serde::{Deserialize, Serialize};
 use snip_tensor::{
     ops::{silu, silu_grad},
@@ -51,16 +51,27 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
+    /// The saved quantized operands of one linear layer of the block.
+    pub fn linear(&self, kind: LayerKind) -> &LinearCache {
+        match kind {
+            LayerKind::Q => &self.qc,
+            LayerKind::K => &self.kc,
+            LayerKind::V => &self.vc,
+            LayerKind::O => &self.oc,
+            LayerKind::Gate => &self.gc,
+            LayerKind::Up => &self.uc,
+            LayerKind::Down => &self.dc,
+        }
+    }
+
     /// Resident bytes of the seven saved linear-layer operand pairs — the
     /// part of the backward-pass footprint the packed representation
     /// shrinks (subbyte precisions store `qx`/`qw` bit-packed).
     pub fn linear_cache_bytes(&self) -> usize {
-        [
-            &self.qc, &self.kc, &self.vc, &self.oc, &self.gc, &self.uc, &self.dc,
-        ]
-        .iter()
-        .map(|c| c.resident_bytes())
-        .sum()
+        LayerKind::ALL
+            .iter()
+            .map(|&kind| self.linear(kind).resident_bytes())
+            .sum()
     }
 }
 
@@ -140,17 +151,12 @@ impl Block {
         kind: LayerKind,
         x: &Tensor,
         rng: &mut Rng,
-        rec: &mut Option<&mut StepRecord>,
+        tap: &mut Option<&mut dyn LayerTap>,
     ) -> (Tensor, LinearCache) {
         let lin = self.linear(kind);
         let (y, cache) = lin.forward(x, rng);
-        if let Some(r) = rec {
-            let lr = r.layer_mut(LayerId::new(self.index, kind));
-            // Statistics read the quantized activations through the packed
-            // cache; dequantization reproduces the fake-quant values bitwise.
-            lr.x = cache.qx.dequantize();
-            lr.w = lin.weight().value().clone();
-            lr.y_norm = y.frobenius_norm();
+        if let Some(tap) = tap {
+            tap.forward(LayerId::new(self.index, kind), lin, &cache, &y);
         }
         (y, cache)
     }
@@ -161,20 +167,17 @@ impl Block {
         dy: &Tensor,
         cache: &LinearCache,
         rng: &mut Rng,
-        rec: &mut Option<&mut StepRecord>,
+        tap: &mut Option<&mut dyn LayerTap>,
     ) -> Tensor {
-        let index = self.index;
+        let id = LayerId::new(self.index, kind);
         let lin = self.linear_mut(kind);
-        if rec.is_some() {
-            let (dx, dw) = lin.backward_recorded(dy, cache, rng);
-            let r = rec.as_mut().expect("checked above");
-            let lr = r.layer_mut(LayerId::new(index, kind));
-            lr.dy = dy.clone();
-            lr.dw = dw;
-            lr.dx_norm = dx.frobenius_norm();
-            dx
-        } else {
-            lin.backward(dy, cache, rng)
+        match tap {
+            Some(tap) => {
+                let (dx, dw) = lin.backward_recorded(dy, cache, rng);
+                tap.backward(id, dy, dw, &dx);
+                dx
+            }
+            None => lin.backward(dy, cache, rng),
         }
     }
 
@@ -185,23 +188,23 @@ impl Block {
         batch: usize,
         seq: usize,
         rng: &mut Rng,
-        rec: &mut Option<&mut StepRecord>,
+        tap: &mut Option<&mut dyn LayerTap>,
     ) -> (Tensor, BlockCache) {
         // Attention half.
         let (xn1, nc1) = self.attn_norm.forward(x);
-        let (q, qc) = self.fwd_linear(LayerKind::Q, &xn1, rng, rec);
-        let (k, kc) = self.fwd_linear(LayerKind::K, &xn1, rng, rec);
-        let (v, vc) = self.fwd_linear(LayerKind::V, &xn1, rng, rec);
+        let (q, qc) = self.fwd_linear(LayerKind::Q, &xn1, rng, tap);
+        let (k, kc) = self.fwd_linear(LayerKind::K, &xn1, rng, tap);
+        let (v, vc) = self.fwd_linear(LayerKind::V, &xn1, rng, tap);
         let (attn_out, ac) = self.attention.forward(&q, &k, &v, batch, seq);
-        let (o, oc) = self.fwd_linear(LayerKind::O, &attn_out, rng, rec);
+        let (o, oc) = self.fwd_linear(LayerKind::O, &attn_out, rng, tap);
         let x2 = x.add(&o);
 
         // MLP half (SwiGLU).
         let (xn2, nc2) = self.mlp_norm.forward(&x2);
-        let (gate_out, gc) = self.fwd_linear(LayerKind::Gate, &xn2, rng, rec);
-        let (up_out, uc) = self.fwd_linear(LayerKind::Up, &xn2, rng, rec);
+        let (gate_out, gc) = self.fwd_linear(LayerKind::Gate, &xn2, rng, tap);
+        let (up_out, uc) = self.fwd_linear(LayerKind::Up, &xn2, rng, tap);
         let a = gate_out.zip(&up_out, |g, u| silu(g) * u);
-        let (d, dc) = self.fwd_linear(LayerKind::Down, &a, rng, rec);
+        let (d, dc) = self.fwd_linear(LayerKind::Down, &a, rng, tap);
         let y = x2.add(&d);
 
         (
@@ -230,26 +233,26 @@ impl Block {
         dy: &Tensor,
         cache: &BlockCache,
         rng: &mut Rng,
-        rec: &mut Option<&mut StepRecord>,
+        tap: &mut Option<&mut dyn LayerTap>,
     ) -> Tensor {
         // y = x2 + down(a)
-        let da = self.bwd_linear(LayerKind::Down, dy, &cache.dc, rng, rec);
+        let da = self.bwd_linear(LayerKind::Down, dy, &cache.dc, rng, tap);
         // a = silu(gate_out) ⊙ up_out
         let dgate = da
             .zip(&cache.up_out, |d, u| d * u)
             .zip(&cache.gate_out, |d, g| d * silu_grad(g));
         let dup = da.zip(&cache.gate_out, |d, g| d * silu(g));
-        let mut dxn2 = self.bwd_linear(LayerKind::Gate, &dgate, &cache.gc, rng, rec);
-        dxn2.add_assign(&self.bwd_linear(LayerKind::Up, &dup, &cache.uc, rng, rec));
+        let mut dxn2 = self.bwd_linear(LayerKind::Gate, &dgate, &cache.gc, rng, tap);
+        dxn2.add_assign(&self.bwd_linear(LayerKind::Up, &dup, &cache.uc, rng, tap));
         let mut dx2 = self.mlp_norm.backward(&dxn2, &cache.nc2);
         dx2.add_assign(dy); // residual path
 
         // x2 = x + o(attn_out)
-        let dattn_out = self.bwd_linear(LayerKind::O, &dx2, &cache.oc, rng, rec);
+        let dattn_out = self.bwd_linear(LayerKind::O, &dx2, &cache.oc, rng, tap);
         let (dq, dk, dv) = self.attention.backward(&dattn_out, &cache.ac);
-        let mut dxn1 = self.bwd_linear(LayerKind::Q, &dq, &cache.qc, rng, rec);
-        dxn1.add_assign(&self.bwd_linear(LayerKind::K, &dk, &cache.kc, rng, rec));
-        dxn1.add_assign(&self.bwd_linear(LayerKind::V, &dv, &cache.vc, rng, rec));
+        let mut dxn1 = self.bwd_linear(LayerKind::Q, &dq, &cache.qc, rng, tap);
+        dxn1.add_assign(&self.bwd_linear(LayerKind::K, &dk, &cache.kc, rng, tap));
+        dxn1.add_assign(&self.bwd_linear(LayerKind::V, &dv, &cache.vc, rng, tap));
         let mut dx = self.attn_norm.backward(&dxn1, &cache.nc1);
         dx.add_assign(&dx2); // residual path
 
@@ -338,9 +341,9 @@ mod tests {
     fn recording_captures_all_seven_layers() {
         let (mut block, cfg, mut rng) = tiny_block();
         let x = Tensor::randn(4, cfg.hidden, 1.0, &mut rng);
-        let mut rec = StepRecord::with_layers(14);
+        let mut rec = crate::record::StepRecord::with_layers(14);
         {
-            let mut rec_ref = Some(&mut rec);
+            let mut rec_ref: Option<&mut dyn LayerTap> = Some(&mut rec);
             let (y, cache) = block.forward(&x, 1, 4, &mut rng, &mut rec_ref);
             let _ = block.backward(&y, &cache, &mut rng, &mut rec_ref);
         }

@@ -42,6 +42,11 @@ impl Injection {
         let std = (self.epsilon / d.sqrt()) as f32;
         Tensor::randn(rows, cols, std, &mut rng)
     }
+
+    /// Adds this request's noise to `t` in place.
+    pub fn apply(&self, t: &mut Tensor) {
+        t.add_assign(&self.sample(t.rows(), t.cols()));
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,11 @@
 //!
 //! * per-layer precision assignment ([`model::Model::set_scheme`]),
 //! * statistics recording on a training step ([`model::StepOptions::record`],
-//!   SNIP Step 1),
+//!   SNIP Step 1), through the per-layer observer ([`record::LayerTap`])
+//!   the step's stages call,
+//! * the step's four stages as public calls ([`model::Model::forward_blocks`]
+//!   … [`model::Model::backward_blocks`]), so SNIP's probe can share one
+//!   forward between its three passes,
 //! * Gaussian noise-injection probes ([`inject::Injection`], SNIP Steps 2–3),
 //! * FP32 master weights with explicit gradient accumulators
 //!   ([`param::Param`]).

@@ -80,6 +80,16 @@ impl QCache {
         }
     }
 
+    /// The operand itself when it is stored dense — every BF16-emulated
+    /// operand is, which is what lets SNIP's probe borrow its statistics
+    /// inputs from the forward caches instead of copying them.
+    pub fn as_dense(&self) -> Option<&Tensor> {
+        match self {
+            QCache::Dense(t) => Some(t),
+            QCache::Packed(_) => None,
+        }
+    }
+
     /// Materializes the operand as a dense tensor — bit-for-bit what the
     /// fake-quantization path would have produced. Probes and statistics
     /// read the cache through this.

@@ -1,4 +1,10 @@
 //! The full decoder-only language model with mixed-precision training steps.
+//!
+//! A step is four stages — [`Model::forward_blocks`], [`Model::forward_head`],
+//! [`Model::backward_head`], [`Model::backward_blocks`] — and [`Model::step`]
+//! is their composition. The stages are public because the forward caches
+//! are only read by the backward: SNIP's probe runs one blocks-forward and
+//! three backward passes over it.
 
 use crate::batch::Batch;
 use crate::block::{Block, BlockCache};
@@ -6,11 +12,11 @@ use crate::config::ModelConfig;
 use crate::embedding::Embedding;
 use crate::inject::{Injection, InjectionSite};
 use crate::layers::LayerId;
-use crate::linear::Linear;
+use crate::linear::{Linear, LinearCache};
 use crate::loss::cross_entropy;
-use crate::norm::RmsNorm;
+use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
-use crate::record::StepRecord;
+use crate::record::{LayerTap, StepRecord};
 use serde::{Deserialize, Serialize};
 use snip_quant::LinearPrecision;
 use snip_tensor::{rng::Rng, Tensor};
@@ -76,6 +82,24 @@ pub struct StepOutput {
     /// Wall time spent in blocked-GEMM calls dispatched from this thread
     /// during the step. 0 when collection is off.
     pub gemm_ns: u64,
+}
+
+/// Saved state of one head forward ([`Model::forward_head`]): the loss and
+/// what [`Model::backward_head`] needs to turn it into the gradient entering
+/// the last transformer block.
+#[derive(Clone, Debug)]
+pub struct HeadForward {
+    loss: f64,
+    dlogits: Tensor,
+    hn_cache: RmsNormCache,
+    head_cache: LinearCache,
+}
+
+impl HeadForward {
+    /// Mean token cross-entropy of the pass.
+    pub fn loss(&self) -> f64 {
+        self.loss
+    }
 }
 
 /// A Llama-like decoder-only LM with per-layer mixed-precision linear layers.
@@ -222,8 +246,105 @@ impl Model {
         n
     }
 
-    /// Runs one step: forward (with optional noise injection and recording),
-    /// loss, and optionally backward with gradient accumulation.
+    /// Stage 1 — blocks-forward: embedding and every transformer block.
+    /// Returns the per-block backward caches and the final hidden state
+    /// (the last block's output, before `final_norm`). `tap`, when present,
+    /// observes every quantizable linear layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch's sequence length exceeds `max_seq` or token ids
+    /// exceed the vocabulary.
+    pub fn forward_blocks(
+        &self,
+        batch: &Batch,
+        rng: &mut Rng,
+        tap: &mut Option<&mut dyn LayerTap>,
+    ) -> (Vec<BlockCache>, Tensor) {
+        self.forward_tokens(
+            batch.tokens(),
+            batch.batch_size(),
+            batch.seq_len(),
+            rng,
+            tap,
+        )
+    }
+
+    /// The one loop over the blocks' forward passes.
+    fn forward_tokens(
+        &self,
+        tokens: &[u32],
+        batch: usize,
+        seq: usize,
+        rng: &mut Rng,
+        tap: &mut Option<&mut dyn LayerTap>,
+    ) -> (Vec<BlockCache>, Tensor) {
+        assert!(seq <= self.cfg.max_seq, "sequence longer than max_seq");
+        let mut x = self.embed.forward(tokens);
+        let mut caches = Vec::with_capacity(self.blocks.len());
+        for block in &self.blocks {
+            let (y, c) = block.forward(&x, batch, seq, rng, tap);
+            x = y;
+            caches.push(c);
+        }
+        (caches, x)
+    }
+
+    /// Stage 2 — head forward: `final_norm`, the LM head and the loss on a
+    /// final hidden state from [`Model::forward_blocks`].
+    pub fn forward_head(&self, hidden: &Tensor, batch: &Batch, rng: &mut Rng) -> HeadForward {
+        let (hn, hn_cache) = self.final_norm.forward(hidden);
+        let (logits, head_cache) = self.lm_head.forward(&hn, rng);
+        let (loss, dlogits) = cross_entropy(&logits, batch.targets());
+        HeadForward {
+            loss,
+            dlogits,
+            hn_cache,
+            head_cache,
+        }
+    }
+
+    /// Stage 3 — head backward: through the LM head and `final_norm`
+    /// (accumulating their gradients). Returns the gradient entering the
+    /// last transformer block.
+    pub fn backward_head(&mut self, head: &HeadForward, rng: &mut Rng) -> Tensor {
+        let dhn = self.lm_head.backward(&head.dlogits, &head.head_cache, rng);
+        self.final_norm.backward(&dhn, &head.hn_cache)
+    }
+
+    /// Stage 4 — blocks-backward: from `top`, the gradient entering the
+    /// last block, down through every block and the embedding,
+    /// accumulating their gradients. `caches` are the ones
+    /// [`Model::forward_blocks`] returned for the same batch; they are only
+    /// read, so one forward can serve several backward passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `caches` holds one cache per block.
+    pub fn backward_blocks(
+        &mut self,
+        batch: &Batch,
+        top: &Tensor,
+        caches: &[BlockCache],
+        rng: &mut Rng,
+        tap: &mut Option<&mut dyn LayerTap>,
+    ) {
+        assert_eq!(caches.len(), self.blocks.len(), "one cache per block");
+        let mut dx: Option<Tensor> = None;
+        for (block, cache) in self.blocks.iter_mut().zip(caches).rev() {
+            dx = Some(block.backward(dx.as_ref().unwrap_or(top), cache, rng, tap));
+        }
+        self.embed
+            .backward(batch.tokens(), dx.as_ref().unwrap_or(top));
+    }
+
+    /// Runs one step: the plain composition of the four stages —
+    /// [`Model::forward_blocks`], [`Model::forward_head`] and, with
+    /// `opts.backward`, [`Model::backward_head`] and
+    /// [`Model::backward_blocks`]. A probe's noise enters between stages:
+    /// `ForwardTop` on the hidden state before the head, `BackwardTop` on
+    /// the gradient leaving it. With `opts.record` a [`StepRecord`] taps
+    /// every linear layer.
     ///
     /// Gradients are *accumulated*; call [`Model::zero_grads`] between steps.
     ///
@@ -232,13 +353,9 @@ impl Model {
     /// Panics if the batch's sequence length exceeds `max_seq` or token ids
     /// exceed the vocabulary.
     pub fn step(&mut self, batch: &Batch, rng: &mut Rng, opts: &StepOptions) -> StepOutput {
-        let (b, t) = (batch.batch_size(), batch.seq_len());
-        assert!(t <= self.cfg.max_seq, "sequence longer than max_seq");
-        let mut rec_storage = if opts.record {
-            Some(StepRecord::with_layers(self.cfg.n_linear_layers()))
-        } else {
-            None
-        };
+        let mut record = opts
+            .record
+            .then(|| StepRecord::with_layers(self.cfg.n_linear_layers()));
         // Telemetry: snapshot this thread's quantize/GEMM time counters so
         // the step can report its own deltas (each data-parallel rank steps
         // on its own thread, so thread-local deltas attribute correctly).
@@ -254,64 +371,34 @@ impl Model {
         } else {
             (0, 0, 0)
         };
-        let out = {
-            let mut rec_ref: Option<&mut StepRecord> = rec_storage.as_mut();
-
-            // ---- Forward ----
-            let mut x = self.embed.forward(batch.tokens());
-            let mut caches: Vec<BlockCache> = Vec::with_capacity(self.blocks.len());
-            for block in &self.blocks {
-                let (y, c) = block.forward(&x, b, t, rng, &mut rec_ref);
-                x = y;
-                caches.push(c);
-            }
-            // Step 3 probe: perturb the last layer's output activations.
-            if let Some(inj) = opts.injection {
-                if inj.site == InjectionSite::ForwardTop {
-                    let noise = inj.sample(x.rows(), x.cols());
-                    x.add_assign(&noise);
-                }
-            }
-            let (hn, hn_cache) = self.final_norm.forward(&x);
-            let (logits, head_cache) = self.lm_head.forward(&hn, rng);
-            let (loss, dlogits) = cross_entropy(&logits, batch.targets());
-            let linear_cache_bytes: usize =
-                caches.iter().map(|c| c.linear_cache_bytes()).sum::<usize>()
-                    + head_cache.resident_bytes();
-
-            if !opts.backward {
-                StepOutput {
-                    loss,
-                    ntokens: batch.num_tokens(),
-                    linear_cache_bytes,
-                    ..StepOutput::default()
-                }
-            } else {
-                // ---- Backward ----
-                let dhn = self.lm_head.backward(&dlogits, &head_cache, rng);
-                let mut dx = self.final_norm.backward(&dhn, &hn_cache);
-                // Step 2 probe: perturb the gradient entering the last layer.
-                if let Some(inj) = opts.injection {
-                    if inj.site == InjectionSite::BackwardTop {
-                        let noise = inj.sample(dx.rows(), dx.cols());
-                        dx.add_assign(&noise);
-                    }
-                }
-                for (block, cache) in self.blocks.iter_mut().zip(caches.iter()).rev() {
-                    dx = block.backward(&dx, cache, rng, &mut rec_ref);
-                }
-                self.embed.backward(batch.tokens(), &dx);
-                StepOutput {
-                    loss,
-                    ntokens: batch.num_tokens(),
-                    linear_cache_bytes,
-                    ..StepOutput::default()
-                }
+        let inject = |site: InjectionSite, t: &mut Tensor| {
+            if let Some(inj) = opts.injection.filter(|inj| inj.site == site) {
+                inj.apply(t);
             }
         };
-        if let Some(rec) = rec_storage.as_mut() {
-            rec.loss = out.loss;
-            rec.ntokens = out.ntokens;
+        let (loss, linear_cache_bytes) = {
+            let mut tap = record.as_mut().map(|r| r as &mut dyn LayerTap);
+            let (caches, mut hidden) = self.forward_blocks(batch, rng, &mut tap);
+            // Step 3 probe: perturb the last block's output activations.
+            inject(InjectionSite::ForwardTop, &mut hidden);
+            let head = self.forward_head(&hidden, batch, rng);
+            if opts.backward {
+                let mut top = self.backward_head(&head, rng);
+                // Step 2 probe: perturb the gradient entering the last block.
+                inject(InjectionSite::BackwardTop, &mut top);
+                self.backward_blocks(batch, &top, &caches, rng, &mut tap);
+            }
+            let linear_cache_bytes = caches
+                .iter()
+                .map(BlockCache::linear_cache_bytes)
+                .sum::<usize>()
+                + head.head_cache.resident_bytes();
+            (head.loss, linear_cache_bytes)
+        };
+        let ntokens = batch.num_tokens();
+        if let Some(rec) = record.as_mut() {
+            rec.loss = loss;
+            rec.ntokens = ntokens;
         }
         let (step_ns, quantize_ns, gemm_ns) = if obs {
             (
@@ -323,11 +410,13 @@ impl Model {
             (0, 0, 0)
         };
         StepOutput {
-            record: rec_storage,
+            loss,
+            ntokens,
+            record,
+            linear_cache_bytes,
             step_ns,
             quantize_ns,
             gemm_ns,
-            ..out
         }
     }
 
@@ -347,12 +436,7 @@ impl Model {
     /// Logits for a flattened token window — used by the evaluation harness.
     pub fn logits(&self, tokens: &[u32], batch: usize, seq: usize, rng: &mut Rng) -> Tensor {
         assert_eq!(tokens.len(), batch * seq, "bad token count");
-        assert!(seq <= self.cfg.max_seq, "sequence longer than max_seq");
-        let mut x = self.embed.forward(tokens);
-        for block in &self.blocks {
-            let (y, _) = block.forward(&x, batch, seq, rng, &mut None);
-            x = y;
-        }
+        let (_, x) = self.forward_tokens(tokens, batch, seq, rng, &mut None);
         let (hn, _) = self.final_norm.forward(&x);
         let (logits, _) = self.lm_head.forward(&hn, rng);
         logits

@@ -6,9 +6,31 @@
 //! weight gradient, plus the Frobenius norms of everything else SNIP's
 //! divergence analysis consumes (§4.2–§4.3). Recording is designed to run on
 //! a *high-precision* (BF16) iteration, matching the paper's workflow.
+//!
+//! The model's stages report each layer to a [`LayerTap`]; [`StepRecord`] is
+//! the tap that snapshots everything.
 
 use crate::layers::LayerId;
+use crate::linear::{Linear, LinearCache};
 use snip_tensor::Tensor;
+
+/// An observer of the quantizable linear layers of one pass. The forward and
+/// backward stages of [`crate::model::Model`] call it once per layer with
+/// what exists only at that moment, and each tap keeps what it needs:
+/// [`StepRecord`] snapshots every tensor (it outlives the model borrow),
+/// while SNIP's probe keeps only the transient `dY`, takes `dW` by move and
+/// borrows everything else from the model and the forward caches later.
+pub trait LayerTap {
+    /// After layer `id`'s forward GEMM: the layer, the quantized operands it
+    /// saved for backward, and its output `y`.
+    fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor);
+
+    /// After layer `id`'s backward GEMMs: the output gradient `dy` it
+    /// received, the (BF16-rounded) weight gradient `dw` it produced — by
+    /// value, already accumulated into the parameter, so keeping it costs
+    /// no copy — and the input gradient `dx` it returns.
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor);
+}
 
 /// Everything recorded about one linear layer in one step.
 #[derive(Clone, Debug, Default)]
@@ -85,6 +107,24 @@ impl StepRecord {
     /// noise-injection probes (Steps 2–3) compare against the baseline.
     pub fn weight_gradients(&self) -> Vec<&Tensor> {
         self.linears.iter().map(|l| &l.dw).collect()
+    }
+}
+
+impl LayerTap for StepRecord {
+    fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor) {
+        let lr = self.layer_mut(id);
+        // Statistics read the quantized activations through the packed
+        // cache; dequantization reproduces the fake-quant values bitwise.
+        lr.x = cache.qx.dequantize();
+        lr.w = lin.weight().value().clone();
+        lr.y_norm = y.frobenius_norm();
+    }
+
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor) {
+        let lr = self.layer_mut(id);
+        lr.dy = dy.clone();
+        lr.dw = dw;
+        lr.dx_norm = dx.frobenius_norm();
     }
 }
 

@@ -228,12 +228,17 @@ pub struct ReportCheck {
     pub transport_envelope_bytes: Option<u64>,
     /// `training.steps`, when the training section is present.
     pub training_steps: Option<u64>,
+    /// `training.snip_updates` — SNIP probes the run executed.
+    pub snip_updates: Option<u64>,
+    /// `training.snip_overhead_frac` — Σ probe time ÷ Σ training-step time.
+    pub snip_overhead_frac: Option<f64>,
 }
 
 /// Validates a `RUN_REPORT.json` string against the checked-in schema:
 /// well-formed JSON, required top-level keys, histogram field shape, and —
 /// when a section listed in the schema's `section_required` is present —
-/// that section's mandatory fields.
+/// that section's mandatory fields, plus the type of any of its
+/// `section_optional` fields that appear.
 pub fn validate_run_report(json: &str) -> Result<ReportCheck, String> {
     let schema = parse_json("report schema", RUN_REPORT_SCHEMA)?;
     let report = parse_json("report", json)?;
@@ -246,20 +251,23 @@ pub fn validate_run_report(json: &str) -> Result<ReportCheck, String> {
     } else {
         return Err("report: `histograms` is not an object".to_string());
     }
-    if let Some(Content::Map(section_schemas)) = schema.get("section_required") {
-        for (section, keys) in section_schemas {
-            if let Some(present) = report.get(section) {
-                let keys = match keys {
-                    Content::Seq(keys) => keys
-                        .iter()
-                        .filter_map(|k| match k {
-                            Content::Str(s) => Some(s.clone()),
-                            _ => None,
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                check_keys(&format!("section `{section}`"), present, &keys)?;
+    let Content::Map(entries) = &report else {
+        return Err("report: expected a JSON object".to_string());
+    };
+    for (section, present) in entries {
+        let label = format!("section `{section}`");
+        if let Some(required) = schema
+            .get("section_required")
+            .filter(|sections| sections.get(section).is_some())
+        {
+            check_keys(&label, present, &required_keys(required, section))?;
+        }
+        if let Some(optional) = schema.get("section_optional") {
+            for key in required_keys(optional, section) {
+                let valid = |v: &Content| number_of(v).is_some_and(|v| v.is_finite() && v >= 0.0);
+                if present.get(&key).is_some_and(|v| !valid(v)) {
+                    return Err(format!("{label}: `{key}` is not a non-negative number"));
+                }
             }
         }
     }
@@ -270,6 +278,8 @@ pub fn validate_run_report(json: &str) -> Result<ReportCheck, String> {
     }
     if let Some(t) = report.get("training") {
         check.training_steps = t.get("steps").and_then(content_u64);
+        check.snip_updates = t.get("snip_updates").and_then(content_u64);
+        check.snip_overhead_frac = t.get("snip_overhead_frac").and_then(number_of);
     }
     Ok(check)
 }
@@ -312,6 +322,26 @@ mod tests {
         .is_err());
         assert!(validate_run_report("[]").is_err());
         assert!(validate_run_report(r#"{"schema":1}"#).is_err());
+    }
+
+    #[test]
+    fn optional_training_keys_are_accepted_and_type_checked() {
+        let report = |training: &str| {
+            format!(
+                r#"{{"schema":1,"generated_by":"snip-obs","trace_path":null,
+                "counters":{{}},"gauges":{{}},"histograms":{{}},"quant_signals":{{}},
+                "training":{{"steps":9,"world":1,"final_loss":2.5{training}}}}}"#
+            )
+        };
+        let plain = validate_run_report(&report("")).expect("optional keys may be absent");
+        assert_eq!((plain.snip_updates, plain.snip_overhead_frac), (None, None));
+        let snip = validate_run_report(&report(r#","snip_updates":3,"snip_overhead_frac":0.125"#))
+            .expect("optional keys validate");
+        assert_eq!(snip.training_steps, Some(9));
+        assert_eq!(snip.snip_updates, Some(3));
+        assert_eq!(snip.snip_overhead_frac, Some(0.125));
+        assert!(validate_run_report(&report(r#","snip_overhead_frac":"lots""#)).is_err());
+        assert!(validate_run_report(&report(r#","snip_updates":-1"#)).is_err());
     }
 
     #[test]

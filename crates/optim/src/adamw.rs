@@ -314,17 +314,29 @@ impl AdamW {
                 (decoded.m.as_slice(), decoded.v.as_slice())
             }
         };
-        let gd = g.as_slice();
-        for i in 0..gd.len() {
-            let sv = (v[i] as f64).max(0.0).sqrt();
-            let term1 = (1.0 - b1) / (sv + eps);
-            let term2 = if sv > 0.0 {
-                (1.0 - b2) * (m[i] as f64) * (gd[i] as f64) / (sv * (sv + eps) * (sv + eps))
-            } else {
-                0.0
-            };
-            let d = term1 - term2;
-            sq += d * d;
+        assert_eq!(g.len(), m.len(), "gradient does not match the moments");
+        // Per-element terms go through a small buffer so the `sqrt` and the
+        // two divides — all of the cost — run as independent (vectorisable)
+        // lanes; the squares are then summed in ascending element order,
+        // which keeps the result identical to a single serial loop.
+        const CHUNK: usize = 64;
+        let mut d = [0.0f64; CHUNK];
+        let chunks = m
+            .chunks(CHUNK)
+            .zip(v.chunks(CHUNK))
+            .zip(g.as_slice().chunks(CHUNK));
+        for ((m, v), g) in chunks {
+            for (d, ((&m, &v), &g)) in d.iter_mut().zip(m.iter().zip(v).zip(g)) {
+                let sv = (v as f64).max(0.0).sqrt();
+                let term1 = (1.0 - b1) / (sv + eps);
+                // Evaluated unconditionally (a select, not a branch, keeps
+                // the lane loop vectorisable); 0/0 at `sv == 0` is dropped.
+                let term2 = (1.0 - b2) * (m as f64) * (g as f64) / (sv * (sv + eps) * (sv + eps));
+                *d = term1 - if sv > 0.0 { term2 } else { 0.0 };
+            }
+            for d in &d[..g.len()] {
+                sq += d * d;
+            }
         }
         let d_norm = sq.sqrt();
         let dims = (g.len() as f64).sqrt();

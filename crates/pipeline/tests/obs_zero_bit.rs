@@ -168,6 +168,23 @@ fn training_steps_are_bit_identical_with_collection_on() {
     assert_eq!(off, on, "telemetry changed a training trajectory");
 }
 
+/// SNIP's probe under collection (its `snip.measure*` spans and the
+/// `snip.measure_ns` counter wrap every staged pass and the pooled
+/// statistics): the measurement — every `f64` — and the trainer it ran on
+/// must come out the same with telemetry on and off.
+#[test]
+fn probe_measurements_are_bit_identical_with_collection_on() {
+    let (off, on) = off_then_on(|| {
+        let mut t = Trainer::new(TrainerConfig::tiny()).expect("tiny trainer");
+        let _ = t.train(3);
+        let batch = t.peek_batch();
+        let mut rng = Rng::seed_from(0x5712);
+        let m = snip_core::measure(&mut t.model, &t.optimizer, &batch, &mut rng, 1e-2);
+        (m, rng, t.train_step().to_bits())
+    });
+    assert_eq!(off, on, "telemetry changed a SNIP measurement");
+}
+
 /// The vector pack engine under collection: on every SIMD tier this
 /// process can run — and with the nearest-rounding pool split forced —
 /// packing with telemetry on must leave the same code bytes, scales and

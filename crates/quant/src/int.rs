@@ -217,8 +217,9 @@ impl IntQuantizer {
             ..*self
         };
         let mut rng = Rng::seed_from(0); // unused under Nearest
-        let q = det.fake_quantize(t, &mut rng);
-        q.distance(t)
+        crate::quantizer::nearest_error_norm(t, det.quantize_packed(t, &mut rng), || {
+            det.fake_quantize(t, &mut rng)
+        })
     }
 
     /// Relative quantization error `‖q(t) − t‖_F / ‖t‖_F`.

@@ -130,7 +130,9 @@ impl MxQuantizer {
     pub fn error_norm(&self, t: &Tensor) -> f64 {
         let det = self.with_rounding(Rounding::Nearest);
         let mut rng = Rng::seed_from(0); // unused under Nearest
-        det.fake_quantize(t, &mut rng).distance(t)
+        crate::quantizer::nearest_error_norm(t, det.quantize_packed(t, &mut rng), || {
+            det.fake_quantize(t, &mut rng)
+        })
     }
 
     /// Relative error `‖q(t) − t‖_F / ‖t‖_F` (0 for a zero tensor).

@@ -106,25 +106,14 @@ impl Quantizer {
     /// In-place variant of [`Quantizer::fake_quantize`].
     pub fn fake_quantize_inplace(&self, t: &mut Tensor, rng: &mut Rng) {
         let _t = crate::signals::QuantTimer::start();
+        if !self.scaled {
+            self.round_unscaled(t.as_mut_slice(), rng);
+            return;
+        }
         let (rows, cols) = t.shape();
         let fmt = self.format;
         let max_value = fmt.max_value();
         let stochastic = self.rounding == Rounding::Stochastic;
-        if !self.scaled {
-            // Fast path for BF16 emulation: one bit-twiddle per element.
-            if fmt.kind() == crate::format::FormatKind::Bf16 && !stochastic {
-                crate::format::bf16_round_slice(t.as_mut_slice());
-                return;
-            }
-            for v in t.as_mut_slice() {
-                *v = if stochastic {
-                    fmt.quantize_stochastic(*v, rng.next_f32())
-                } else {
-                    fmt.quantize_nearest(*v)
-                };
-            }
-            return;
-        }
         // Pre-compute group maxima, then rewrite each group with its scale.
         self.granularity.for_each_group(rows, cols, |rr, cr| {
             let mut max_abs = 0.0f32;
@@ -150,6 +139,25 @@ impl Quantizer {
                 }
             }
         });
+    }
+
+    /// Rounds values onto the format grid directly — the unscaled
+    /// quantizer's whole job, element by element.
+    fn round_unscaled(&self, values: &mut [f32], rng: &mut Rng) {
+        let fmt = self.format;
+        let stochastic = self.rounding == Rounding::Stochastic;
+        // Fast path for BF16 emulation: one bit-twiddle per element.
+        if fmt.kind() == crate::format::FormatKind::Bf16 && !stochastic {
+            crate::format::bf16_round_slice(values);
+            return;
+        }
+        for v in values {
+            *v = if stochastic {
+                fmt.quantize_stochastic(*v, rng.next_f32())
+            } else {
+                fmt.quantize_nearest(*v)
+            };
+        }
     }
 
     /// Whether this quantizer's output can be stored bit-packed: scaled
@@ -188,14 +196,23 @@ impl Quantizer {
     /// Frobenius norm of the quantization error `‖q(t) − t‖_F`, using
     /// deterministic nearest rounding (this is the `δ` statistic collected in
     /// Step 1 of the SNIP workflow, paper Fig. 6).
+    ///
+    /// Packable formats are quantized on the vector pack engine and decoded
+    /// a row at a time — bit-for-bit the rows [`Quantizer::fake_quantize`]
+    /// would produce, so the norm is too — and an unscaled quantizer (BF16
+    /// emulation) rounds a row at a time; neither materialises `q(t)`.
     pub fn error_norm(&self, t: &Tensor) -> f64 {
-        let det = Quantizer {
-            rounding: Rounding::Nearest,
-            ..*self
-        };
+        let det = self.with_rounding(Rounding::Nearest);
         let mut rng = Rng::seed_from(0); // unused under Nearest
-        let q = det.fake_quantize(t, &mut rng);
-        q.distance(t)
+        if !self.scaled {
+            return streamed_error_norm(t, |r, row| {
+                row.copy_from_slice(t.row(r));
+                det.round_unscaled(row, &mut rng);
+            });
+        }
+        nearest_error_norm(t, det.quantize_packed(t, &mut rng), || {
+            det.fake_quantize(t, &mut rng)
+        })
     }
 
     /// Relative quantization error `‖q(t) − t‖_F / ‖t‖_F` (0 for a zero
@@ -207,6 +224,37 @@ impl Quantizer {
         } else {
             self.error_norm(t) / norm
         }
+    }
+}
+
+/// `‖q(t) − t‖_F` with `q(t)` produced one row at a time: `quantized_row(r,
+/// row)` fills `row` with row `r` of `q(t)`. Differences are squared and
+/// summed in `f64` in row-major order — [`Tensor::distance`]'s order, so
+/// the result equals `q(t).distance(t)` bit for bit.
+fn streamed_error_norm(t: &Tensor, mut quantized_row: impl FnMut(usize, &mut [f32])) -> f64 {
+    let mut row = vec![0.0f32; t.cols()];
+    let mut sq = 0.0f64;
+    for r in 0..t.rows() {
+        quantized_row(r, &mut row);
+        for (&q, &x) in row.iter().zip(t.row(r)) {
+            let d = (q - x) as f64;
+            sq += d * d;
+        }
+    }
+    sq.sqrt()
+}
+
+/// `‖q(t) − t‖_F` from the packed `q(t)` when the quantizer could pack it,
+/// else from its fake-quantization fallback — the shared tail of every
+/// scaled quantizer's `error_norm`.
+pub(crate) fn nearest_error_norm(
+    t: &Tensor,
+    packed: Option<QTensor>,
+    fake: impl FnOnce() -> Tensor,
+) -> f64 {
+    match packed {
+        Some(q) => streamed_error_norm(t, |r, row| q.decode_row_into(r, row)),
+        None => fake().distance(t),
     }
 }
 

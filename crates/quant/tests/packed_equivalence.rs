@@ -104,6 +104,50 @@ proptest! {
         }
     }
 
+    /// `error_norm` — computed through the pack engine and a row-streamed
+    /// decode, or a row-streamed rounding for unscaled BF16 — equals the
+    /// norm of the materialised scalar oracle, `fake_quantize(t)` under
+    /// nearest rounding then `distance(t)`, bit for bit: every float format
+    /// × granularity (ragged 5-wide groups over a 7×29 tensor), the
+    /// quantizer's own rounding mode notwithstanding, plus every integer
+    /// width class (packable and the 16-bit fallback) and both MX formats.
+    #[test]
+    fn error_norm_matches_the_fake_quantize_oracle(t in tensor_strategy(7, 29)) {
+        let mut rng = Rng::seed_from(0); // nearest rounding draws nothing
+        for g in GRANULARITIES {
+            for rounding in ROUNDINGS {
+                for fmt in [
+                    FloatFormat::e2m1(),
+                    FloatFormat::e4m3(),
+                    FloatFormat::e5m2(),
+                    FloatFormat::e3m4(),
+                    FloatFormat::bf16(), // scaled 16-bit: not packable
+                ] {
+                    let q = Quantizer::new(fmt, g, rounding);
+                    let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
+                    prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "{} {} {:?}", fmt, g, rounding);
+                }
+                for bits in [2, 4, 8, 16] {
+                    let q = IntQuantizer::new(IntFormat::new(bits), g, rounding);
+                    let nearest = IntQuantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
+                    let want = nearest.fake_quantize(&t, &mut rng).distance(&t);
+                    prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "int{} {} {:?}", bits, g, rounding);
+                }
+            }
+        }
+        for rounding in ROUNDINGS {
+            let q = Quantizer::unscaled(FloatFormat::bf16(), rounding);
+            let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
+            prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "unscaled bf16 {:?}", rounding);
+            for base in [MxQuantizer::mxfp4(), MxQuantizer::mxfp8()] {
+                let q = base.with_rounding(rounding);
+                let want = base.fake_quantize(&t, &mut rng).distance(&t);
+                prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "mx {:?} {:?}", q.format(), rounding);
+            }
+        }
+        prop_assert_eq!(rng, Rng::seed_from(0));
+    }
+
     /// Composed options still match: an RHT wrapper around FP8, and an
     /// outlier split over an INT4 body, under stochastic rounding.
     #[test]
