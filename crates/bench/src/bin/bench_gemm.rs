@@ -1,9 +1,9 @@
 //! The perf-trajectory runner: times quantize (fake vs packed, per rounding
 //! mode, activation tiles and weight blocks, in absolute ns per element),
 //! decode, all six GEMM orientations and an end-to-end training step at
-//! model-realistic shapes, each kernel against its frozen PR-4 predecessor
-//! (`snip_bench::legacy`), plus per-backend GEMM and pack matrices with the
-//! dispatch pinned to each compiled SIMD tier in turn, the pack pool
+//! model-realistic shapes, each kernel beside the frozen timing of its PR-4
+//! predecessor ([`BASELINE_MS`]), plus per-backend GEMM and pack matrices
+//! with the dispatch pinned to each compiled SIMD tier in turn, the pack pool
 //! split against the single-thread kernel and the SNIP probe
 //! (`snip_core::measure`) against a plain step with its per-pass split,
 //! and writes machine-readable `BENCH_gemm.json` at the repo root.
@@ -16,13 +16,12 @@
 //!
 //! `--check` re-reads the JSON (same `--out` resolution) and fails unless
 //! every section is present with finite, positive timings and speedups —
-//! the CI gate that keeps the trajectory from silently rotting. Before any
-//! kernel is timed, its legacy and current results are asserted
-//! bit-identical on the benched operands, so a recorded speedup can never
-//! compare different math.
+//! the CI gate that keeps the trajectory from silently rotting. Before a
+//! backend tier is timed, its result is asserted bit-identical to forced
+//! scalar on the benched operands, so a matrix never compares different
+//! math.
 
 use serde::{Deserialize, Serialize};
-use snip_bench::legacy;
 use snip_nn::StepOptions;
 use snip_quant::{Precision, Quantizer, TensorRole};
 use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
@@ -30,15 +29,19 @@ use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
 use snip_tensor::{pool, rng::Rng, simd, QOperandRef, QTensor, Tensor};
 use std::time::Instant;
 
-/// One before/after kernel measurement.
+/// One kernel measurement. `baseline_ms` is the frozen [`BASELINE_MS`]
+/// timing of the kernel's PR-4 predecessor and `speedup` is
+/// `baseline_ms / current_ms`; both exist at full shapes only.
 #[derive(Debug, Serialize, Deserialize)]
 struct KernelRow {
     kernel: String,
     /// `m x k x n` of the GEMM as called (or `rows x cols` for decode).
     shape: String,
-    baseline_ms: f64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    baseline_ms: Option<f64>,
     current_ms: f64,
-    speedup: f64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    speedup: Option<f64>,
     /// Current-kernel throughput (`2·m·k·n` flops / `current_ms`); absent
     /// for decode rows, whose work is not flop-shaped.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -174,7 +177,7 @@ struct Report {
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 6;
+const SCHEMA: u64 = 7;
 
 /// Parent-commit (PR 13: three recorded full steps, scalar error
 /// statistics) `measure` on the full probe fixture — reference box, the
@@ -200,6 +203,29 @@ const BEFORE_PACKED_MS: &[(&str, &str, &str, f64)] = &[
     ("quantize_fp4_weight", "2048x768", "nearest", 10.478),
     ("quantize_fp8_weight", "768x768", "nearest", 4.008),
     ("quantize_fp8_weight", "2048x768", "nearest", 10.716),
+];
+
+/// The PR-4 kernels (serial i-k-j / dot-product dense loops, per-element
+/// `set_code` packing, branchy per-element decode) timed on the reference
+/// box at the full shapes, `(kernel, shape, ms)` — the `baseline_ms` column
+/// of the last report that ran them (schema 6, PR 14). The kernels
+/// themselves lived in `snip_bench::legacy` until PR 16; their numbers are
+/// frozen here like [`BEFORE_PACKED_MS`].
+const BASELINE_MS: &[(&str, &str, f64)] = &[
+    ("matmul", "256x768x768", 9.77805),
+    ("matmul_nt", "256x768x768", 48.549052),
+    ("matmul_tn", "768x256x768", 8.673641),
+    ("qgemm", "256x768x768", 9.554723),
+    ("qgemm_nt", "256x768x768", 52.388114),
+    ("qgemm_tn", "768x256x768", 8.439564),
+    ("matmul", "256x2048x768", 33.044985),
+    ("matmul_nt", "256x768x2048", 126.389906),
+    ("matmul_tn", "2048x256x768", 30.315953),
+    ("qgemm", "256x2048x768", 24.564989),
+    ("qgemm_nt", "256x768x2048", 139.912758),
+    ("qgemm_tn", "2048x256x768", 30.75029),
+    ("decode_fp4", "256x768", 0.24875599999999998),
+    ("decode_fp8", "256x768", 0.10801100000000001),
 ];
 
 /// The six GEMM kernels every report must carry.
@@ -268,7 +294,7 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "{what}: legacy and current kernels disagree — refusing to time different math"
+            "{what}: differs from forced scalar — refusing to time different math"
         );
     }
 }
@@ -322,59 +348,45 @@ fn run(smoke: bool) -> Report {
         // forward Y = X·Wᵀ (nt), input grad dX = dY·W (nn),
         // weight grad dW = dYᵀ·X (tn).
         type GemmCall<'a> = Box<dyn Fn() -> Tensor + 'a>;
-        let rows: [(&str, String, GemmCall<'_>, GemmCall<'_>); 6] = [
+        let rows: [(&str, String, GemmCall<'_>); 6] = [
             (
                 "matmul",
                 format!("{tokens}x{d_out}x{d_in}"),
-                Box::new(|| legacy::matmul(&ddy_, &dw_)),
                 Box::new(|| matmul(&ddy_, &dw_)),
             ),
             (
                 "matmul_nt",
                 format!("{tokens}x{d_in}x{d_out}"),
-                Box::new(|| legacy::matmul_nt(&dx_, &dw_)),
                 Box::new(|| matmul_nt(&dx_, &dw_)),
             ),
             (
                 "matmul_tn",
                 format!("{d_out}x{tokens}x{d_in}"),
-                Box::new(|| legacy::matmul_tn(&ddy_, &dx_)),
                 Box::new(|| matmul_tn(&ddy_, &dx_)),
             ),
             (
                 "qgemm",
                 format!("{tokens}x{d_out}x{d_in}"),
-                Box::new(|| legacy::qgemm(QOperandRef::from(&qdy), QOperandRef::from(&qw))),
                 Box::new(|| qgemm(QOperandRef::from(&qdy), QOperandRef::from(&qw))),
             ),
             (
                 "qgemm_nt",
                 format!("{tokens}x{d_in}x{d_out}"),
-                Box::new(|| legacy::qgemm_nt(QOperandRef::from(&qx), QOperandRef::from(&qw))),
                 Box::new(|| qgemm_nt(QOperandRef::from(&qx), QOperandRef::from(&qw))),
             ),
             (
                 "qgemm_tn",
                 format!("{d_out}x{tokens}x{d_in}"),
-                Box::new(|| legacy::qgemm_tn(QOperandRef::from(&qdy), QOperandRef::from(&qx))),
                 Box::new(|| qgemm_tn(QOperandRef::from(&qdy), QOperandRef::from(&qx))),
             ),
         ];
 
         // Every orientation of one layer triple does the same 2·m·k·n flops.
         let flops = 2.0 * (tokens * d_out * d_in) as f64;
-        for (kernel, shape, baseline, current) in rows {
-            assert_bits_eq(&current(), &baseline(), kernel);
-            let baseline_ms = time_best_ms(reps, &*baseline);
+        for (kernel, shape, current) in rows {
             let current_ms = time_best_ms(reps, &*current);
-            gemm.push(KernelRow {
-                kernel: kernel.to_string(),
-                shape,
-                baseline_ms,
-                current_ms,
-                speedup: baseline_ms / current_ms,
-                gflops: Some(flops / (current_ms * 1e6)),
-            });
+            let gflops = Some(flops / (current_ms * 1e6));
+            gemm.push(kernel_row(kernel.to_string(), shape, current_ms, gflops));
         }
 
         // The layer's weight, packed the way `snip-nn` packs it (block
@@ -397,20 +409,15 @@ fn run(smoke: bool) -> Report {
             continue;
         }
 
-        // Decode: branchy per-element predecessor vs the pair-table path.
+        // Decode: the pair-table path.
         for (fmt, q) in [("fp4", &qx), ("fp8", &pack_fp8(&x, &mut rng))] {
-            let d_new = q.dequantize();
-            assert_bits_eq(&d_new, &legacy::dequantize(q), "decode");
-            let baseline_ms = time_best_ms(reps, || legacy::dequantize(q));
             let current_ms = time_best_ms(reps, || q.dequantize());
-            decode.push(KernelRow {
-                kernel: format!("decode_{fmt}"),
-                shape: format!("{tokens}x{d_in}"),
-                baseline_ms,
+            decode.push(kernel_row(
+                format!("decode_{fmt}"),
+                act_shape.clone(),
                 current_ms,
-                speedup: baseline_ms / current_ms,
-                gflops: None,
-            });
+                None,
+            ));
         }
 
         // Activation quantize (1×128 tiles), per rounding mode.
@@ -451,6 +458,24 @@ fn run(smoke: bool) -> Report {
         pack_split,
         train_step: TrainStep { steps, ms_per_step },
         probe: probe_row(smoke),
+    }
+}
+
+/// A `gemm`/`decode` row: the measured time beside the frozen PR-4 timing
+/// of the same kernel and shape, where [`BASELINE_MS`] has one (the full
+/// shapes; smoke shapes have none).
+fn kernel_row(kernel: String, shape: String, current_ms: f64, gflops: Option<f64>) -> KernelRow {
+    let baseline_ms = BASELINE_MS
+        .iter()
+        .find(|(k, s, _)| *k == kernel && *s == shape)
+        .map(|&(.., ms)| ms);
+    KernelRow {
+        kernel,
+        shape,
+        baseline_ms,
+        current_ms,
+        speedup: baseline_ms.map(|b| b / current_ms),
+        gflops,
     }
 }
 
@@ -768,10 +793,17 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         }
     }
     for r in report.gemm.iter().chain(&report.decode) {
+        // Full shapes carry the frozen baseline; smoke shapes have none.
+        if r.baseline_ms.is_some() == report.smoke || r.speedup.is_some() == report.smoke {
+            return Err(format!(
+                "{} {}: baseline_ms = {:?}, speedup = {:?} with smoke = {}",
+                r.kernel, r.shape, r.baseline_ms, r.speedup, report.smoke
+            ));
+        }
         for (what, v) in [
-            ("baseline_ms", r.baseline_ms),
+            ("baseline_ms", r.baseline_ms.unwrap_or(1.0)),
             ("current_ms", r.current_ms),
-            ("speedup", r.speedup),
+            ("speedup", r.speedup.unwrap_or(1.0)),
         ] {
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("{} {}: {what} = {v}", r.kernel, r.shape));
@@ -919,9 +951,13 @@ fn print_summary(report: &Report) {
             .gflops
             .map(|g| format!("  {g:>6.2} GFLOP/s"))
             .unwrap_or_default();
+        let before = r
+            .baseline_ms
+            .map(|b| format!("  (PR 4 {b:.3} ms, {:.2}x)", b / r.current_ms))
+            .unwrap_or_default();
         println!(
-            "  {:>12} {:>14}  {:>9.3} ms → {:>9.3} ms   {:>5.2}x{gflops}",
-            r.kernel, r.shape, r.baseline_ms, r.current_ms, r.speedup
+            "  {:>12} {:>14}  {:>9.3} ms{gflops}{before}",
+            r.kernel, r.shape, r.current_ms
         );
     }
     for r in &report.backend_gemm {

@@ -3,7 +3,7 @@
 //! The **perf trajectory runner** `bench_gemm` (`cargo run --release -p
 //! snip-bench --bin bench_gemm`): it times quantize, decode, all six GEMM
 //! orientations and an end-to-end training step at model-realistic shapes
-//! — each kernel against its frozen PR-4 predecessor in [`legacy`] — and
+//! — each kernel beside the frozen timing of its PR-4 predecessor — and
 //! writes machine-readable `BENCH_gemm.json` at the repo root. CI runs it
 //! in `--smoke` mode and validates the output with `--check`, so the
 //! trajectory cannot silently rot.
@@ -13,8 +13,6 @@
 //! measured by the stand-alone `benchmark/` package (`bench_train`, see
 //! `BENCHMARK.json`), which replaced the compile-only criterion benches
 //! this crate used to carry.
-
-pub mod legacy;
 
 /// Shared fixtures for `bench_gemm`.
 pub mod fixtures {

@@ -1,12 +1,14 @@
 //! The periodic SNIP workflow engine (paper Fig. 6 / §3).
 //!
-//! Steps 1–3 (statistics + probes) must run where the model lives — in the
-//! paper, on the GPUs; here, on the training thread. Steps 4–5 (divergence
-//! analysis + ILP) are "offloaded to the CPU, allowing the normal training
-//! process to continue seamlessly": [`SnipEngine`] runs them on a worker
-//! thread connected by channels, and the new scheme is applied (Step 6)
-//! whenever it becomes ready. A synchronous path is provided for
-//! deterministic tests and one-shot use.
+//! One synchronous code path: Steps 1–3 (statistics + probes,
+//! [`measure`]), Step 4 (divergence analysis, [`analyze`]) and Step 5 (the
+//! ILP, [`decide_scheme`]) all run on the calling thread, and the caller
+//! applies the returned scheme (Step 6) before its next training step. The
+//! paper offloads Steps 4–5 to the CPU so the GPUs keep training; on this
+//! CPU simulator they cost ≈ 0.03 ms per update against a ≈ 300 ms step
+//! (`core.analyze_ms` + `core.decide_ms` in `benchmark/`), so there is
+//! nothing to overlap — and running them in line makes the whole loop a
+//! pure function of seed and step. [`SnipEngine`] is plain data and `Sync`.
 
 use crate::divergence::analyze;
 use crate::options::{FlopModel, OptionSet};
@@ -14,11 +16,10 @@ use crate::policy::{decide_scheme, PolicyConfig};
 use crate::probe::{measure, SnipMeasurement};
 use crate::scheme::Scheme;
 use serde::{Deserialize, Serialize};
+use snip_ilp::SolveError;
 use snip_nn::{Batch, Model, ModelConfig};
 use snip_optim::AdamW;
 use snip_tensor::rng::Rng;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::thread::JoinHandle;
 
 /// Engine configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -45,56 +46,22 @@ impl Default for SnipConfig {
     }
 }
 
-struct Job {
-    measurement: SnipMeasurement,
-    name: String,
-}
-
-/// Asynchronous Step 4–5 worker plus the synchronous fast path.
+/// The Fig. 6 scheme generator: configuration plus the model's FLOP table.
 #[derive(Debug)]
 pub struct SnipEngine {
     cfg: SnipConfig,
     model_cfg: ModelConfig,
-    job_tx: Option<Sender<Job>>,
-    result_rx: Receiver<Result<Scheme, String>>,
-    worker: Option<JoinHandle<()>>,
+    flops: FlopModel,
 }
 
 impl SnipEngine {
-    /// Creates the engine and spawns its analysis worker thread.
+    /// Creates the engine for models of shape `model_cfg`.
     pub fn new(cfg: SnipConfig, model_cfg: ModelConfig) -> Self {
-        let (job_tx, job_rx) = channel::<Job>();
-        let (result_tx, result_rx) = channel::<Result<Scheme, String>>();
-        let worker_cfg = cfg.clone();
-        let worker_model_cfg = model_cfg.clone();
-        let worker = std::thread::spawn(move || {
-            let flops = FlopModel::new(&worker_model_cfg);
-            for job in job_rx.iter() {
-                let analysis = analyze(
-                    &job.measurement,
-                    &worker_model_cfg,
-                    &worker_cfg.options,
-                    &flops,
-                );
-                let result = decide_scheme(
-                    &analysis,
-                    &worker_cfg.options,
-                    &worker_model_cfg,
-                    &worker_cfg.policy,
-                    job.name,
-                )
-                .map_err(|e| e.to_string());
-                if result_tx.send(result).is_err() {
-                    break;
-                }
-            }
-        });
+        let flops = FlopModel::new(&model_cfg);
         SnipEngine {
             cfg,
             model_cfg,
-            job_tx: Some(job_tx),
-            result_rx,
-            worker: Some(worker),
+            flops,
         }
     }
 
@@ -108,35 +75,36 @@ impl SnipEngine {
         self.cfg.update_period > 0 && step > 0 && step.is_multiple_of(self.cfg.update_period)
     }
 
-    /// Runs Steps 1–5 synchronously and returns the new scheme.
+    /// Runs Steps 1–5 and returns the new scheme.
     ///
     /// # Errors
     ///
-    /// Returns the solver error message if the ILP is infeasible.
-    pub fn generate_scheme_sync(
+    /// The solver's error if the ILP is infeasible or malformed.
+    pub fn generate_scheme(
         &self,
         model: &mut Model,
         optimizer: &AdamW,
         batch: &Batch,
         rng: &mut Rng,
         name: impl Into<String>,
-    ) -> Result<Scheme, String> {
+    ) -> Result<Scheme, SolveError> {
         let measurement = measure(model, optimizer, batch, rng, self.cfg.probe_epsilon);
         self.analyze_and_solve(&measurement, name)
     }
 
-    /// Runs only Steps 4–5 on an existing measurement (synchronously).
+    /// Runs only Steps 4–5 on an existing measurement, under a `snip.solve`
+    /// telemetry span.
     ///
     /// # Errors
     ///
-    /// Returns the solver error message if the ILP is infeasible.
+    /// The solver's error if the ILP is infeasible or malformed.
     pub fn analyze_and_solve(
         &self,
         measurement: &SnipMeasurement,
         name: impl Into<String>,
-    ) -> Result<Scheme, String> {
-        let flops = FlopModel::new(&self.model_cfg);
-        let analysis = analyze(measurement, &self.model_cfg, &self.cfg.options, &flops);
+    ) -> Result<Scheme, SolveError> {
+        let _span = snip_obs::span("snip.solve");
+        let analysis = analyze(measurement, &self.model_cfg, &self.cfg.options, &self.flops);
         decide_scheme(
             &analysis,
             &self.cfg.options,
@@ -144,50 +112,6 @@ impl SnipEngine {
             &self.cfg.policy,
             name,
         )
-        .map_err(|e| e.to_string())
-    }
-
-    /// Runs Steps 1–3 on the training thread and queues Steps 4–5 on the
-    /// worker. Training can continue; poll [`SnipEngine::try_collect`].
-    pub fn submit(
-        &self,
-        model: &mut Model,
-        optimizer: &AdamW,
-        batch: &Batch,
-        rng: &mut Rng,
-        name: impl Into<String>,
-    ) {
-        let measurement = measure(model, optimizer, batch, rng, self.cfg.probe_epsilon);
-        let job = Job {
-            measurement,
-            name: name.into(),
-        };
-        if let Some(tx) = &self.job_tx {
-            let _ = tx.send(job);
-        }
-    }
-
-    /// Non-blocking poll for a finished scheme (Step 6 readiness).
-    pub fn try_collect(&self) -> Option<Result<Scheme, String>> {
-        match self.result_rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Blocks until the next queued scheme is ready.
-    pub fn collect_blocking(&self) -> Option<Result<Scheme, String>> {
-        self.result_rx.recv().ok()
-    }
-}
-
-impl Drop for SnipEngine {
-    fn drop(&mut self) {
-        // Closing the job channel ends the worker loop.
-        self.job_tx.take();
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -236,7 +160,7 @@ mod tests {
         let (mut model, opt, batch, mut rng, cfg) = setup();
         let eng = engine(0.5, &cfg);
         let scheme = eng
-            .generate_scheme_sync(&mut model, &opt, &batch, &mut rng, "snip@50")
+            .generate_scheme(&mut model, &opt, &batch, &mut rng, "snip@50")
             .unwrap();
         let flops = FlopModel::new(&cfg);
         assert!(scheme.fp4_fraction(&flops) + 1e-9 >= 0.5);
@@ -245,28 +169,16 @@ mod tests {
     }
 
     #[test]
-    fn async_round_trip_matches_sync() {
-        let (mut model, opt, batch, rng, cfg) = setup();
-        let eng = engine(0.5, &cfg);
-        let sync = eng
-            .generate_scheme_sync(&mut model, &opt, &batch, &mut rng.clone(), "s")
-            .unwrap();
-        eng.submit(&mut model, &opt, &batch, &mut rng.clone(), "s");
-        let async_scheme = eng.collect_blocking().unwrap().unwrap();
-        assert_eq!(sync.assignments(), async_scheme.assignments());
-    }
-
-    #[test]
     fn extreme_budgets_are_uniform() {
         let (mut model, opt, batch, mut rng, cfg) = setup();
         let flops = FlopModel::new(&cfg);
         let e0 = engine(0.0, &cfg)
-            .generate_scheme_sync(&mut model, &opt, &batch, &mut rng, "e0")
+            .generate_scheme(&mut model, &opt, &batch, &mut rng, "e0")
             .unwrap();
         assert_eq!(e0.fp4_layer_count(), 0);
         assert_eq!(e0.fp4_fraction(&flops), 0.0);
         let e1 = engine(1.0, &cfg)
-            .generate_scheme_sync(&mut model, &opt, &batch, &mut rng, "e1")
+            .generate_scheme(&mut model, &opt, &batch, &mut rng, "e1")
             .unwrap();
         assert_eq!(e1.fp4_layer_count(), cfg.n_linear_layers());
         assert!(e1
@@ -276,18 +188,17 @@ mod tests {
     }
 
     #[test]
+    fn engine_is_shareable_across_rank_threads() {
+        fn sync<T: Sync>() {}
+        sync::<SnipEngine>();
+    }
+
+    #[test]
     fn update_schedule() {
         let (.., cfg) = setup();
         let eng = engine(0.5, &cfg);
         assert!(!eng.is_update_due(0));
         assert!(eng.is_update_due(eng.config().update_period));
         assert!(!eng.is_update_due(eng.config().update_period + 1));
-    }
-
-    #[test]
-    fn try_collect_is_non_blocking() {
-        let (.., cfg) = setup();
-        let eng = engine(0.5, &cfg);
-        assert!(eng.try_collect().is_none());
     }
 }

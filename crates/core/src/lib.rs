@@ -13,8 +13,9 @@
 //!    (§4.3) per layer and precision option — [`divergence::analyze`].
 //! 5. **Solve the ILP** (multiple-choice knapsack, §5.2; pipeline-stage
 //!    variant §5.3) — [`policy::decide_scheme`] on top of `snip-ilp`.
-//! 6. **Apply the scheme** asynchronously — [`engine::SnipEngine`] and
-//!    [`trainer::Trainer::train_with_engine`].
+//! 6. **Apply the scheme** before the update step trains —
+//!    [`engine::SnipEngine`] and [`trainer::Trainer::train_with_engine`]
+//!    run Steps 1–6 in line, so the loop is deterministic.
 //!
 //! Baselines from §6.1 (uniform, min-abs/rel-err, E-layer-type, E-layer-id,
 //! random) live in [`baselines`].

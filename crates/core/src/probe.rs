@@ -55,7 +55,7 @@ use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// Everything the divergence analysis needs, extracted from one batch.
-/// Cheap to send to a worker thread (norms only, no tensors).
+/// Norms only, no tensors.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SnipMeasurement {
     /// Step-1 statistics (norms + per-precision quantization errors).

@@ -247,10 +247,15 @@ impl Trainer {
         (0..n).map(|_| self.train_step()).collect()
     }
 
-    /// Runs `n` steps with a periodic SNIP engine: statistics are collected
-    /// and a new scheme solved every `engine.config().update_period` steps
-    /// (asynchronously), and applied as soon as it is ready — the Fig. 6
-    /// integration. Returns each step's loss.
+    /// Runs `n` steps with a periodic SNIP engine — the Fig. 6 integration.
+    /// On every step where `engine.is_update_due(step)`, one batch is drawn
+    /// for the probe, [`SnipEngine::generate_scheme`] measures, analyzes and
+    /// solves on this thread, and the new scheme is installed **before**
+    /// that step trains: the scheme measured at step `s` governs step `s`.
+    /// Nothing is pending between two steps, so the run is a pure function
+    /// of the trainer's state and the engine's configuration — splitting it
+    /// into several calls, or saving and loading in between, changes
+    /// nothing. Returns each step's loss.
     ///
     /// A scheme update that fails (an infeasible ILP, e.g. a `target_fp4`
     /// the option set cannot reach) does not stop training: the current
@@ -263,26 +268,24 @@ impl Trainer {
             if engine.is_update_due(self.step) {
                 let batch = self.stream.next_batch();
                 let name = format!("snip@step{}", self.step);
-                engine.submit(
+                match engine.generate_scheme(
                     &mut self.model,
                     &self.optimizer,
                     &batch,
                     &mut self.rng,
                     name,
-                );
-            }
-            match engine.try_collect() {
-                Some(Ok(scheme)) => {
-                    self.apply_scheme(&scheme);
-                    self.last_scheme_error = None;
-                }
-                Some(Err(e)) => {
-                    if snip_obs::enabled() {
-                        snip_obs::counter_add("snip.solve_failed", 1);
+                ) {
+                    Ok(scheme) => {
+                        self.apply_scheme(&scheme);
+                        self.last_scheme_error = None;
                     }
-                    self.last_scheme_error = Some(e);
+                    Err(e) => {
+                        if snip_obs::enabled() {
+                            snip_obs::counter_add("snip.solve_failed", 1);
+                        }
+                        self.last_scheme_error = Some(e.to_string());
+                    }
                 }
-                None => {}
             }
             losses.push(self.train_step());
         }
@@ -318,8 +321,8 @@ impl Trainer {
     /// and `RUN_REPORT.json` next to it) if `SNIP_TRACE` named a path.
     /// Besides steps, world and final loss the section carries SNIP's cost
     /// as a run artifact: `snip_updates` (probes run) and
-    /// `snip_overhead_frac` — Σ `probe::measure` time ÷ Σ training-step
-    /// time over the collected run (solve time is off the training thread).
+    /// `snip_overhead_frac` — Σ (`probe::measure` + analyze-and-solve) time
+    /// ÷ Σ training-step time over the collected run.
     /// `world` is the number of data-parallel ranks the run used (1 for a
     /// single-trainer run). Returns the artifact paths, or `Ok(None)` when
     /// collection is off or no path was configured. Safe to call after
@@ -336,7 +339,8 @@ impl Trainer {
             // step of the run, whichever trainer ran them.
             let snip_updates = snip_obs::hist_snapshot("snip.measure").map_or(0, |h| h.count);
             let step_ns = snip_obs::hist_snapshot("train_step").map_or(0, |h| h.sum);
-            let measure_ns = snip_obs::counter_value("snip.measure_ns");
+            let solve_ns = snip_obs::hist_snapshot("snip.solve").map_or(0, |h| h.sum);
+            let snip_ns = snip_obs::counter_value("snip.measure_ns") + solve_ns;
             let mut training = vec![
                 ("steps".into(), Content::U64(self.step)),
                 ("world".into(), Content::U64(world as u64)),
@@ -346,7 +350,7 @@ impl Trainer {
             if step_ns > 0 {
                 training.push((
                     "snip_overhead_frac".into(),
-                    Content::F64(measure_ns as f64 / step_ns as f64),
+                    Content::F64(snip_ns as f64 / step_ns as f64),
                 ));
             }
             snip_obs::report::set_section("training", Content::Map(training));
@@ -542,12 +546,8 @@ mod tests {
         assert_eq!(t.last_scheme_error(), None);
         let _collect = snip_obs::enabled_scope(true);
         let failed_before = snip_obs::counter_value("snip.solve_failed");
-        // The solve is asynchronous: step until its result has been polled.
-        let mut losses = Vec::new();
-        while t.last_scheme_error().is_none() {
-            assert!(losses.len() < 500, "the failed solve never surfaced");
-            losses.extend(t.train_with_engine(1, &engine));
-        }
+        // Step 5 is the first due step: its solve fails before it trains.
+        let mut losses = t.train_with_engine(1, &engine);
         assert_eq!(t.last_scheme_error(), Some("efficiency target unreachable"));
         assert!(snip_obs::counter_value("snip.solve_failed") > failed_before);
         assert_eq!(

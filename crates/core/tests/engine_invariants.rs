@@ -104,7 +104,7 @@ fn engine_scheme_deterministic_across_runs() {
         let mut rng = snip_tensor::rng::Rng::seed_from(1);
         let optimizer = t.optimizer.clone();
         engine
-            .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "d")
+            .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "d")
             .unwrap()
             .assignments()
             .to_vec()
@@ -137,7 +137,7 @@ fn budget_sweep_is_nested_under_equal_flops() {
             cfg.model.clone(),
         );
         let scheme = engine
-            .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng.clone(), "b")
+            .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng.clone(), "b")
             .unwrap();
         let count = scheme.fp4_layer_count();
         assert!(

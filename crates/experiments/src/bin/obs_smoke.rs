@@ -47,8 +47,8 @@ fn main() {
         "training diverged"
     );
     // One SNIP scheme update on rank 0 (due at its current step), so the
-    // report's overhead fraction has a probe to account for.
-    const ENGINE_STEPS: u64 = 2;
+    // report's overhead fraction has a probe and a solve to account for.
+    const ENGINE_STEPS: u64 = 1;
     let engine = SnipEngine::new(
         SnipConfig {
             update_period: STEPS,
@@ -57,7 +57,6 @@ fn main() {
         trainers[0].config().model.clone(),
     );
     let _ = trainers[0].train_with_engine(ENGINE_STEPS, &engine);
-    drop(engine);
     // Adds the `training` section and rewrites both artifacts (the flush
     // inside `data_parallel_train` already wrote a transport-only report;
     // flushing is idempotent over the full registry state).
@@ -117,7 +116,7 @@ fn main() {
     let overhead = rcheck
         .snip_overhead_frac
         .expect("report carries the SNIP overhead fraction");
-    assert!(overhead > 0.0, "one probe ran, so its share is positive");
+    assert!(overhead > 0.0, "one update ran, so its share is positive");
 
     println!("obs_smoke: PASS");
     println!(

@@ -230,7 +230,7 @@ pub fn snip_scheme_pipeline(
     let mut rng = snip_tensor::rng::Rng::seed_from(0xE0E0);
     let optimizer = t.optimizer.clone();
     engine
-        .generate_scheme_sync(
+        .generate_scheme(
             &mut t.model,
             &optimizer,
             &batch,
@@ -318,11 +318,6 @@ pub fn fp4_fraction(scheme: &Scheme, cfg: &ModelConfig) -> f64 {
 /// Prints a markdown-ish table row.
 pub fn row(cells: &[String]) -> String {
     cells.join(" | ")
-}
-
-/// Formats a float with 2 decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
 }
 
 #[cfg(test)]

@@ -157,11 +157,6 @@ impl Linear {
         self.exact = exact;
     }
 
-    /// Whether exact mode is on.
-    pub fn exact_mode(&self) -> bool {
-        self.exact
-    }
-
     /// `(out_features, in_features)`.
     pub fn dims(&self) -> (usize, usize) {
         self.weight.value().shape()

@@ -102,12 +102,6 @@ impl StepRecord {
     pub fn layer_mut(&mut self, id: LayerId) -> &mut LinearRecord {
         &mut self.linears[id.linear_index()]
     }
-
-    /// Per-layer weight-gradient tensors, in flat-index order — what the
-    /// noise-injection probes (Steps 2–3) compare against the baseline.
-    pub fn weight_gradients(&self) -> Vec<&Tensor> {
-        self.linears.iter().map(|l| &l.dw).collect()
-    }
 }
 
 impl LayerTap for StepRecord {

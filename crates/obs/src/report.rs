@@ -230,7 +230,8 @@ pub struct ReportCheck {
     pub training_steps: Option<u64>,
     /// `training.snip_updates` — SNIP probes the run executed.
     pub snip_updates: Option<u64>,
-    /// `training.snip_overhead_frac` — Σ probe time ÷ Σ training-step time.
+    /// `training.snip_overhead_frac` — Σ (probe + solve) time ÷ Σ
+    /// training-step time.
     pub snip_overhead_frac: Option<f64>,
 }
 

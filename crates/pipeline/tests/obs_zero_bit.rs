@@ -10,7 +10,7 @@
 //! mutex and flips state only through the RAII scope guard.
 
 use proptest::prelude::*;
-use snip_core::{Scheme, Trainer, TrainerConfig};
+use snip_core::{Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip_pipeline::collective::{QuantizePolicy, Wire};
 use snip_pipeline::transport::threaded_all_reduce;
 use snip_quant::format::FloatFormat;
@@ -168,21 +168,24 @@ fn training_steps_are_bit_identical_with_collection_on() {
     assert_eq!(off, on, "telemetry changed a training trajectory");
 }
 
-/// SNIP's probe under collection (its `snip.measure*` spans and the
+/// One SNIP update under collection (the `snip.measure*` spans and the
 /// `snip.measure_ns` counter wrap every staged pass and the pooled
-/// statistics): the measurement — every `f64` — and the trainer it ran on
-/// must come out the same with telemetry on and off.
+/// statistics, `snip.solve` wraps analyze + ILP): the measurement — every
+/// `f64` —, the scheme solved from it and the trainer it ran on must come
+/// out the same with telemetry on and off.
 #[test]
-fn probe_measurements_are_bit_identical_with_collection_on() {
+fn snip_updates_are_bit_identical_with_collection_on() {
     let (off, on) = off_then_on(|| {
         let mut t = Trainer::new(TrainerConfig::tiny()).expect("tiny trainer");
         let _ = t.train(3);
         let batch = t.peek_batch();
         let mut rng = Rng::seed_from(0x5712);
         let m = snip_core::measure(&mut t.model, &t.optimizer, &batch, &mut rng, 1e-2);
-        (m, rng, t.train_step().to_bits())
+        let engine = SnipEngine::new(SnipConfig::default(), t.config().model.clone());
+        let scheme = engine.analyze_and_solve(&m, "s").expect("feasible target");
+        (m, scheme, rng, t.train_step().to_bits())
     });
-    assert_eq!(off, on, "telemetry changed a SNIP measurement");
+    assert_eq!(off, on, "telemetry changed a SNIP update");
 }
 
 /// The vector pack engine under collection: on every SIMD tier this

@@ -296,30 +296,10 @@ impl QTensor {
     }
 
     /// Creates a packed tensor from an already-filled code buffer (the bulk
-    /// construction path quantizers use — no per-element `set_code` calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data`, `lut` or `scales` lengths do not match the
-    /// shape/width/layout.
-    pub fn from_parts(
-        rows: usize,
-        cols: usize,
-        width: CodeWidth,
-        lut: impl Into<Arc<[f32]>>,
-        layout: GroupLayout,
-        scales: Vec<f32>,
-        data: Vec<u8>,
-    ) -> Self {
-        let lut = lut.into();
-        let pair: Arc<[f32]> = QTensor::pair_table(&lut).into();
-        QTensor::from_parts_with_pair(rows, cols, width, lut, pair, layout, scales, data)
-    }
-
-    /// [`QTensor::from_parts`] with a caller-supplied (typically interned)
-    /// pair table, so quantizers can share one expansion per format instead
-    /// of rebuilding 2 KiB per tensor. The table must be exactly
-    /// [`QTensor::pair_table`] of `lut`.
+    /// construction path quantizers use — no per-element `set_code` calls)
+    /// and a caller-supplied (typically interned) pair table, so quantizers
+    /// share one expansion per format instead of rebuilding 2 KiB per
+    /// tensor. The table must be exactly [`QTensor::pair_table`] of `lut`.
     ///
     /// # Panics
     ///

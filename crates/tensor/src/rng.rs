@@ -126,13 +126,6 @@ impl Rng {
         }
     }
 
-    /// Fills `out` with uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out.iter_mut() {
-            *v = lo + (hi - lo) * self.next_f32();
-        }
-    }
-
     /// Samples an index according to the (unnormalized) weights.
     ///
     /// # Panics

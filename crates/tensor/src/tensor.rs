@@ -78,13 +78,6 @@ impl Tensor {
         t
     }
 
-    /// Creates a tensor with i.i.d. uniform entries in `[lo, hi)`.
-    pub fn rand_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let mut t = Tensor::zeros(rows, cols);
-        rng.fill_uniform(&mut t.data, lo, hi);
-        t
-    }
-
     /// `(rows, cols)`.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
@@ -158,13 +151,6 @@ impl Tensor {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

@@ -44,7 +44,7 @@ fn main() {
     let mut rng = Rng::seed_from(1);
     let optimizer = ckpt.optimizer.clone();
     let snip = engine
-        .generate_scheme_sync(&mut ckpt.model, &optimizer, &batch, &mut rng, "SNIP@75")
+        .generate_scheme(&mut ckpt.model, &optimizer, &batch, &mut rng, "SNIP@75")
         .expect("feasible budget");
 
     let language = SyntheticLanguage::new(

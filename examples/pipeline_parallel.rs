@@ -38,14 +38,14 @@ fn main() {
     // Global ILP (no stage awareness).
     let engine = SnipEngine::new(engine_cfg.clone(), model.clone());
     let global = engine
-        .generate_scheme_sync(&mut ckpt.model, &optimizer, &batch, &mut rng, "global")
+        .generate_scheme(&mut ckpt.model, &optimizer, &batch, &mut rng, "global")
         .expect("feasible");
 
     // Stage-balanced ILP (Eq. 5).
     engine_cfg.policy.pipeline_stages = Some(4);
     let engine = SnipEngine::new(engine_cfg, model.clone());
     let balanced = engine
-        .generate_scheme_sync(&mut ckpt.model, &optimizer, &batch, &mut rng, "balanced")
+        .generate_scheme(&mut ckpt.model, &optimizer, &batch, &mut rng, "balanced")
         .expect("feasible");
 
     for (label, scheme) in [("global ILP", &global), ("stage-balanced ILP", &balanced)] {

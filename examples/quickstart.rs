@@ -40,7 +40,7 @@ fn main() {
     );
 
     // 4. Train with the engine in the loop (measure → analyze → solve →
-    //    apply, asynchronously — the paper's Fig. 6 workflow).
+    //    apply on every 25th step — the paper's Fig. 6 workflow).
     let losses = trainer.train_with_engine(60, &engine);
     println!(
         "with SNIP: loss {:.3} -> {:.3}",

@@ -13,7 +13,7 @@
 //! * [`data`] — synthetic pretraining corpora
 //! * [`ilp`] — exact multiple-choice-knapsack ILP solver
 //! * [`core`] — the SNIP framework itself: statistics collection, loss/weight
-//!   divergence, ILP policy, baselines, and the periodic async engine
+//!   divergence, ILP policy, baselines, and the periodic scheme engine
 //! * [`pipeline`] — pipeline-parallel schedule simulator with byte-accurate
 //!   packed collective payloads
 //! * [`eval`] — synthetic zero-shot evaluation harness

@@ -33,7 +33,7 @@ fn full_snip_cycle_produces_budget_compliant_scheme() {
     let mut rng = Rng::seed_from(1);
     let optimizer = t.optimizer.clone();
     let scheme = engine
-        .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "snip@60")
+        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "snip@60")
         .expect("feasible");
     let flops = FlopModel::new(&model_cfg);
     assert!(scheme.fp4_fraction(&flops) + 1e-9 >= 0.6);
@@ -206,7 +206,7 @@ fn mixed_option_set_is_solvable_and_budget_compliant() {
     let mut rng = Rng::seed_from(5);
     let optimizer = t.optimizer.clone();
     let scheme = engine
-        .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "mixed@40")
+        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "mixed@40")
         .expect("feasible");
     let flops = FlopModel::new(&model_cfg);
     assert!(scheme.fp4_fraction(&flops) + 1e-9 >= 0.4);
@@ -227,7 +227,7 @@ fn bf16_not_an_option_under_fp8_fp4_set() {
     let mut rng = Rng::seed_from(6);
     let optimizer = t.optimizer.clone();
     let scheme = engine
-        .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "s")
+        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "s")
         .expect("feasible");
     for &p in scheme.assignments() {
         assert!(

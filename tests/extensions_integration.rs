@@ -123,7 +123,7 @@ fn time_balanced_policy_flattens_stage_times() {
             cfg.clone(),
         );
         let scheme = engine
-            .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng.clone(), "s")
+            .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng.clone(), "s")
             .expect("feasible");
         let costs = stage_costs(&cfg, &scheme, &partition, 48);
         costs.iter().map(|c| c.total()).collect::<Vec<_>>()
@@ -255,7 +255,7 @@ fn custom_option_sets_flow_through_the_engine() {
     let mut rng = Rng::seed_from(16);
     let optimizer = t.optimizer.clone();
     let scheme = engine
-        .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "mixed")
+        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "mixed")
         .expect("feasible");
     assert!(scheme.fp4_fraction(&FlopModel::new(&cfg)) + 1e-9 >= 0.4);
     // The mixed set can produce non-uniform per-operand assignments;

@@ -32,7 +32,7 @@ fn scheme_for(stages: Option<usize>, budget: f64) -> (snip::core::Scheme, ModelC
     let mut rng = Rng::seed_from(7);
     let optimizer = t.optimizer.clone();
     let scheme = engine
-        .generate_scheme_sync(&mut t.model, &optimizer, &batch, &mut rng, "pp")
+        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "pp")
         .expect("feasible");
     (scheme, model)
 }
