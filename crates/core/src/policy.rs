@@ -5,7 +5,9 @@ use crate::divergence::Analysis;
 use crate::options::{FlopModel, OptionSet};
 use crate::scheme::Scheme;
 use serde::{Deserialize, Serialize};
-use snip_ilp::{solve, solve_grouped, Choice, McKnapsack, SolveError, SolveOptions};
+use snip_ilp::{
+    contiguous_stages, solve, solve_grouped, Choice, McKnapsack, SolveError, SolveOptions,
+};
 use snip_nn::ModelConfig;
 use std::time::Duration;
 
@@ -80,6 +82,7 @@ pub fn decide_scheme(
     };
     let solution = match policy.pipeline_stages {
         None => solve(&problem, &opts)?,
+        Some(0) => return Err(SolveError::Invalid("pipeline_stages must be ≥ 1".into())),
         Some(k) => {
             // §5.3: one efficiency constraint per pipeline stage. Stages are
             // whole transformer blocks (the paper's 22-block model splits
@@ -89,11 +92,9 @@ pub fn decide_scheme(
             // Fig. 12 describes: a short final stage contributes
             // proportionally), which equals the paper's `E_t/K` when stages
             // carry equal FLOPs.
-            let blocks_per_stage = cfg.n_layers.div_ceil(k);
+            let stage_of_block = contiguous_stages(cfg.n_layers, k);
             let stage_of: Vec<usize> = (0..n_layers)
-                .map(|i| {
-                    (snip_nn::LayerId::from_linear_index(i).block / blocks_per_stage).min(k - 1)
-                })
+                .map(|i| stage_of_block[snip_nn::LayerId::from_linear_index(i).block])
                 .collect();
             let flops = FlopModel::new(cfg);
             let mut stage_flops = vec![0.0f64; k];
@@ -250,6 +251,22 @@ mod tests {
                 "{balance:?} missed the budget"
             );
         }
+    }
+
+    #[test]
+    fn zero_pipeline_stages_is_a_typed_error() {
+        // `Some(0)` is a deserializable config value, not a caller bug.
+        let cfg = tiny_cfg();
+        let (analysis, options) = synthetic_analysis(&vec![1.0; cfg.n_linear_layers()]);
+        let policy = PolicyConfig {
+            pipeline_stages: Some(0),
+            ..Default::default()
+        };
+        let err = decide_scheme(&analysis, &options, &cfg, &policy, "k0").unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::Invalid("pipeline_stages must be ≥ 1".into())
+        );
     }
 
     #[test]

@@ -254,7 +254,8 @@ pub fn checkpoint_analysis(ckpt: &Trainer) -> snip_core::Analysis {
 }
 
 /// A full BF16-step record of a checkpoint (for rowwise statistics and
-/// tensor-level ablations that need the raw X/W/∇Y tensors).
+/// tensor-level ablations that need the raw X/W/∇Y tensors) — recorded on a
+/// BF16 forward/backward like the SNIP measurement.
 pub fn checkpoint_record(ckpt: &Trainer) -> snip_nn::record::StepRecord {
     let mut t = ckpt.clone();
     let batch = t.peek_batch();
@@ -273,20 +274,7 @@ pub fn checkpoint_record(ckpt: &Trainer) -> snip_nn::record::StepRecord {
 
 /// Step-1 statistics of a checkpoint (for the error-minimizing baselines).
 pub fn checkpoint_stats(ckpt: &Trainer) -> StepStats {
-    let mut t = ckpt.clone();
-    let batch = t.peek_batch();
-    let mut rng = snip_tensor::rng::Rng::seed_from(0xE0E1);
-    // Record on a BF16 forward/backward like the SNIP measurement.
-    let saved = t.model.scheme();
-    let n = t.config().model.n_linear_layers();
-    t.model.set_scheme(&vec![
-        snip_quant::LinearPrecision::uniform(Precision::Bf16);
-        n
-    ]);
-    t.model.zero_grads();
-    let out = t.model.step(&batch, &mut rng, &StepOptions::record());
-    t.model.set_scheme(&saved);
-    StepStats::from_record(&out.record.expect("recorded"), &t.config().model)
+    StepStats::from_record(&checkpoint_record(ckpt), &ckpt.config().model)
 }
 
 /// All §6.1 baseline schemes for a budget.

@@ -154,18 +154,6 @@ impl ModelConfig {
             quant_group: 12,
         }
     }
-
-    /// Looks a config up by its paper-facing name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "tiny-test" => Some(Self::tiny_test()),
-            "tinyllama-1b-sim" => Some(Self::tinyllama_1b_sim()),
-            "openllama-3b-sim" => Some(Self::openllama_3b_sim()),
-            "openllama-7b-sim" => Some(Self::openllama_7b_sim()),
-            "llama-70b-sim" => Some(Self::llama_70b_sim()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,20 +198,6 @@ mod tests {
         let mut c = ModelConfig::tiny_test();
         c.quant_group = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn by_name_round_trips() {
-        for name in [
-            "tiny-test",
-            "tinyllama-1b-sim",
-            "openllama-3b-sim",
-            "openllama-7b-sim",
-            "llama-70b-sim",
-        ] {
-            assert_eq!(ModelConfig::by_name(name).unwrap().name, name);
-        }
-        assert!(ModelConfig::by_name("gpt-5").is_none());
     }
 
     #[test]

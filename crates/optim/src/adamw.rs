@@ -22,7 +22,6 @@
 //! optimizer-state trade FP8-LM studies — the sanity experiments verify the
 //! trajectory stays within the divergence tolerance.
 
-use crate::ParamOptimizer;
 use serde::{Deserialize, Serialize};
 use snip_nn::model::Model;
 use snip_quant::format::FloatFormat;
@@ -341,20 +340,6 @@ impl AdamW {
         let d_norm = sq.sqrt();
         let dims = (g.len() as f64).sqrt();
         prefactor * d_norm / dims
-    }
-}
-
-impl ParamOptimizer for AdamW {
-    fn apply(&mut self, model: &mut Model) {
-        self.update(model);
-    }
-
-    fn lr(&self) -> f64 {
-        self.cfg.lr
-    }
-
-    fn set_lr(&mut self, lr: f64) {
-        AdamW::set_lr(self, lr);
     }
 }
 

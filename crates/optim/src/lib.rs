@@ -5,8 +5,8 @@
 //! The centerpiece is [`adamw::AdamW`] — the optimizer the paper analyzes
 //! (§4.3.2) — which keeps FP32 master weights and exposes its first/second
 //! moments plus the closed-form *update sensitivity* `h′(g)` that SNIP's
-//! weight-divergence metric consumes. [`sgd::Sgd`] is a reference baseline
-//! and [`schedule::LrSchedule`] provides warmup+cosine learning rates.
+//! weight-divergence metric consumes. [`schedule::LrSchedule`] provides
+//! warmup+cosine learning rates and [`clip`] global-norm gradient clipping.
 //!
 //! # Example
 //!
@@ -28,20 +28,6 @@
 pub mod adamw;
 pub mod clip;
 pub mod schedule;
-pub mod sgd;
 
 pub use adamw::{AdamW, AdamWConfig, MomentPrecision, MomentState};
 pub use schedule::LrSchedule;
-pub use sgd::Sgd;
-
-use snip_nn::model::Model;
-
-/// Common interface over optimizers so trainers can be generic.
-pub trait ParamOptimizer {
-    /// Applies one update using the model's accumulated gradients.
-    fn apply(&mut self, model: &mut Model);
-    /// Current learning rate.
-    fn lr(&self) -> f64;
-    /// Overrides the learning rate (for schedules).
-    fn set_lr(&mut self, lr: f64);
-}

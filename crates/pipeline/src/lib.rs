@@ -40,7 +40,6 @@
 pub mod collective;
 pub mod comm;
 pub mod cost;
-pub mod gpipe;
 pub mod schedule;
 pub mod stage;
 pub mod timeline;
@@ -52,7 +51,6 @@ pub use collective::{
 };
 pub use comm::{comm_saving_factor, step_comm_volume, CommVolume, WirePolicy};
 pub use cost::{stage_costs, StageCost};
-pub use gpipe::simulate_gpipe;
 pub use schedule::{simulate_1f1b, Phase, PipelineSim, ScheduleEvent};
 pub use stage::StagePartition;
 pub use timeline::render_timeline;

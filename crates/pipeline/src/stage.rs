@@ -1,7 +1,8 @@
 //! Partitioning transformer blocks into pipeline stages.
 
 use serde::{Deserialize, Serialize};
-use snip_nn::{LayerId, LayerKind, ModelConfig};
+use snip_ilp::contiguous_stages;
+use snip_nn::{LayerId, LayerKind};
 
 /// A contiguous range of transformer blocks assigned to one pipeline stage.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -16,20 +17,21 @@ impl StagePartition {
     /// e.g. TinyLlama's 22 blocks over 4 stages become `[6, 6, 6, 4]`, the
     /// layout paper Fig. 12 describes.
     ///
+    /// The assignment rule is `snip_ilp::contiguous_stages` — the one the
+    /// stage-aware ILP constrains by.
+    ///
     /// # Panics
     ///
     /// Panics if `n_stages` is zero or exceeds `n_blocks`.
     pub fn even(n_blocks: usize, n_stages: usize) -> Self {
-        assert!(n_stages > 0, "need at least one stage");
         assert!(n_stages <= n_blocks, "more stages than blocks");
-        let per = n_blocks.div_ceil(n_stages);
-        let mut ranges = Vec::with_capacity(n_stages);
-        let mut start = 0;
-        for _ in 0..n_stages {
-            let end = (start + per).min(n_blocks);
-            ranges.push((start, end));
-            start = end;
-        }
+        let stage_of = contiguous_stages(n_blocks, n_stages);
+        let ranges = (0..n_stages)
+            .map(|k| {
+                let start = stage_of.partition_point(|&s| s < k);
+                (start, stage_of.partition_point(|&s| s <= k))
+            })
+            .collect();
         StagePartition { ranges }
     }
 
@@ -53,15 +55,6 @@ impl StagePartition {
             .iter()
             .position(|&(s, e)| block >= s && block < e)
             .expect("block out of range")
-    }
-
-    /// Stage index per *linear layer* (flat `LayerId::linear_index` order) —
-    /// the `stage_of` input of the grouped ILP.
-    pub fn stage_of_linears(&self, cfg: &ModelConfig) -> Vec<usize> {
-        LayerId::enumerate(cfg.n_layers)
-            .iter()
-            .map(|id| self.stage_of_block(id.block))
-            .collect()
     }
 
     /// Linear-layer ids owned by stage `k`.
@@ -100,14 +93,19 @@ mod tests {
     }
 
     #[test]
-    fn linear_stage_assignment_is_blockwise() {
-        let cfg = ModelConfig::tiny_test(); // 2 blocks
-        let p = StagePartition::even(2, 2);
-        let stages = p.stage_of_linears(&cfg);
-        assert_eq!(stages.len(), 14);
-        assert!(stages[..7].iter().all(|&s| s == 0));
-        assert!(stages[7..].iter().all(|&s| s == 1));
-        assert_eq!(p.linears(1).len(), 7);
+    fn partition_is_the_ilp_stage_rule() {
+        for n in 1..=24 {
+            for k in 1..=n {
+                let p = StagePartition::even(n, k);
+                assert_eq!(p.n_stages(), k);
+                let by_partition: Vec<usize> = (0..n).map(|b| p.stage_of_block(b)).collect();
+                assert_eq!(
+                    by_partition,
+                    contiguous_stages(n, k),
+                    "{n} blocks / {k} stages"
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,8 @@ use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::{
-    crc32, stream_frame, StreamDecoder, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    stream_body_len, stream_check_body, stream_envelope, stream_frame, StreamDecoder,
+    STREAM_ENVELOPE_BYTES,
 };
 use snip_tensor::rng::Rng;
 use std::io::{ErrorKind, Read, Write};
@@ -156,25 +157,17 @@ fn ctrl_send(stream: &mut UnixStream, body: &[u8]) -> std::io::Result<()> {
 }
 
 fn ctrl_recv(stream: &mut UnixStream) -> std::io::Result<Vec<u8>> {
+    let invalid = |e| {
+        std::io::Error::new(
+            ErrorKind::InvalidData,
+            format!("control frame rejected: {e}"),
+        )
+    };
     let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
     stream.read_exact(&mut envelope)?;
-    let len = u32::from_le_bytes(envelope[..4].try_into().expect("4 bytes")) as usize;
-    if len > STREAM_MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("control frame length {len} exceeds the sanity bound"),
-        ));
-    }
-    let expect = u32::from_le_bytes(envelope[4..].try_into().expect("4 bytes"));
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; stream_body_len(&envelope).map_err(invalid)?];
     stream.read_exact(&mut body)?;
-    let got = crc32(&body);
-    if got != expect {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("control frame crc mismatch: envelope says {expect:#010x}, body hashes to {got:#010x}"),
-        ));
-    }
+    stream_check_body(&envelope, &body).map_err(invalid)?;
     Ok(body)
 }
 
@@ -574,9 +567,9 @@ impl Fabric for SocketFabric {
             return Err(TransportError::PeerClosed { rank: dst });
         };
         let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
+        // Envelope and body as two writes: the body is never copied.
         let write = |w: &mut UnixStream| -> std::io::Result<()> {
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&crc32(&frame).to_le_bytes())?;
+            w.write_all(&stream_envelope(&frame))?;
             w.write_all(&frame)
         };
         write(writer).map_err(|e| match e.kind() {

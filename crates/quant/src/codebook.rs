@@ -497,7 +497,7 @@ impl Codebook {
             self.width,
             self.lut(),
             self.pair_lut(),
-            granularity.layout(),
+            granularity,
             scales,
             data,
         )

@@ -8,9 +8,11 @@
 //!   E3M4, and BF16, with round-to-nearest-even and stochastic rounding.
 //! * [`granularity::Granularity`] — tensorwise / rowwise / columnwise /
 //!   blockwise / tilewise scaling (DeepSeek-V3 recipe: 1×128 tiles for
-//!   activations & gradients, 128×128 blocks for weights).
-//! * [`Quantizer`] — fake quantize→dequantize kernels plus quantization-error
-//!   statistics (the `‖δ‖_F` terms consumed by SNIP's divergence analysis).
+//!   activations & gradients, 128×128 blocks for weights); this crate's
+//!   name for [`snip_tensor::GroupLayout`], the one definition.
+//! * [`Quantizer`] — fake quantize→dequantize kernels plus the error norms
+//!   `‖q(t) − t‖_F` that SNIP's divergence analysis consumes (the per-layer
+//!   statistics built from them live in `snip_core::stats`).
 //! * [`PackedQuantize`] / [`PackedTensor`] — the **canonical codes-based
 //!   path**: every quantizer packs into bit-packed storage through one
 //!   trait, and dense fake quantization is derived from the packed form
@@ -43,7 +45,6 @@
 //! ```
 
 pub mod codebook;
-pub mod error;
 pub mod format;
 pub mod granularity;
 pub mod int;
@@ -59,8 +60,9 @@ pub use codebook::Codebook;
 pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
 pub use quantizer::{Quantizer, Rounding};
 pub use wire::{
-    crc32, stream_frame, StreamDecoder, StreamError, WireError, STREAM_CRC_BYTES,
-    STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
+    crc32, stream_body_len, stream_check_body, stream_envelope, stream_frame, StreamDecoder,
+    StreamError, WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
 };
 
 use format::FloatFormat;

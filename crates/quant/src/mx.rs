@@ -146,72 +146,6 @@ impl MxQuantizer {
     }
 }
 
-/// Randomized Hadamard transform (RHT) over power-of-two blocks, at tensor
-/// granularity.
-///
-/// Rotating tensors by a random orthogonal matrix before quantization
-/// spreads outliers across elements, shrinking block max-abs and thus
-/// quantization error — the enhancement \[68\] applies to MXFP4 training.
-/// The rotation itself lives in [`crate::rht::RhtRotation`] (which also
-/// powers the standalone [`crate::rht::RhtQuantizer`]); this type applies
-/// it to every `n`-aligned block of each tensor row. Rows whose length is
-/// not a multiple of `n` keep their tail unrotated.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Hadamard {
-    rot: crate::rht::RhtRotation,
-}
-
-impl Hadamard {
-    /// Creates a transform over blocks of length `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two.
-    pub fn new(n: usize, seed: u64) -> Self {
-        Hadamard {
-            rot: crate::rht::RhtRotation::new(n, seed),
-        }
-    }
-
-    /// Block length.
-    pub fn len(&self) -> usize {
-        self.rot.len()
-    }
-
-    /// Always false (n ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Applies `H·D/√n` to every `n`-aligned block of each row.
-    pub fn forward(&self, t: &mut Tensor) {
-        self.apply(t, true);
-    }
-
-    /// Applies the inverse `D·H/√n`.
-    pub fn inverse(&self, t: &mut Tensor) {
-        self.apply(t, false);
-    }
-
-    fn apply(&self, t: &mut Tensor, forward: bool) {
-        let (rows, cols) = t.shape();
-        let n = self.rot.len();
-        for r in 0..rows {
-            let row = t.row_mut(r);
-            let mut c = 0;
-            while c + n <= cols {
-                let block = &mut row[c..c + n];
-                if forward {
-                    self.rot.forward(block);
-                } else {
-                    self.rot.inverse(block);
-                }
-                c += n;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,64 +200,5 @@ mod tests {
         let t = Tensor::zeros(2, 64);
         let mut rng = Rng::seed_from(3);
         assert_eq!(MxQuantizer::mxfp4().fake_quantize(&t, &mut rng), t);
-    }
-
-    #[test]
-    fn hadamard_round_trips() {
-        let mut rng = Rng::seed_from(4);
-        let t = Tensor::randn(3, 64, 1.0, &mut rng);
-        let h = Hadamard::new(32, 9);
-        let mut x = t.clone();
-        h.forward(&mut x);
-        h.inverse(&mut x);
-        for (a, b) in t.as_slice().iter().zip(x.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn hadamard_preserves_norm() {
-        let mut rng = Rng::seed_from(5);
-        let t = Tensor::randn(2, 32, 1.0, &mut rng);
-        let h = Hadamard::new(32, 1);
-        let mut x = t.clone();
-        h.forward(&mut x);
-        assert!((x.frobenius_norm() - t.frobenius_norm()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn hadamard_spreads_outliers_shrinking_dynamic_range() {
-        // The RHT effect [68]: a spike of magnitude `v` in a block becomes
-        // ~v/√n per element after rotation, so the block's dynamic range
-        // (max-abs over median-abs) collapses — which is what lets narrow
-        // formats represent the *rest* of the block at a finer quantum.
-        // (Frobenius error alone can move either way; the training benefit
-        // is distributional.)
-        let mut rng = Rng::seed_from(6);
-        let mut t = Tensor::randn(4, 64, 0.1, &mut rng);
-        for r in 0..4 {
-            t[(r, 5)] = 30.0;
-            t[(r, 40)] = -25.0;
-        }
-        let h = Hadamard::new(32, 2);
-        let mut rotated = t.clone();
-        h.forward(&mut rotated);
-        assert!(
-            rotated.max_abs() < t.max_abs() * 0.4,
-            "max-abs {} -> {}",
-            t.max_abs(),
-            rotated.max_abs()
-        );
-        // And the MX quantum of the spike blocks shrinks accordingly.
-        let mx = MxQuantizer::mxfp4();
-        let direct_scale = mx.block_scale(t.max_abs());
-        let rotated_scale = mx.block_scale(rotated.max_abs());
-        assert!(rotated_scale < direct_scale);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_block_rejected() {
-        let _ = Hadamard::new(24, 0);
     }
 }

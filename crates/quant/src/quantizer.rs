@@ -233,7 +233,9 @@ impl Quantizer {
 /// the result equals `q(t).distance(t)` bit for bit.
 fn streamed_error_norm(t: &Tensor, mut quantized_row: impl FnMut(usize, &mut [f32])) -> f64 {
     let mut row = vec![0.0f32; t.cols()];
-    let mut sq = 0.0f64;
+    // `-0.0` is the identity `Iterator::sum` folds from; starting there
+    // keeps the equality on an empty tensor too.
+    let mut sq = -0.0f64;
     for r in 0..t.rows() {
         quantized_row(r, &mut row);
         for (&q, &x) in row.iter().zip(t.row(r)) {

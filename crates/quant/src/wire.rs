@@ -558,25 +558,77 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Wraps a frame body for a byte stream: a [`STREAM_ENVELOPE_BYTES`]-byte
-/// envelope — little-endian `u32` length, then little-endian `u32`
-/// [`crc32`] of the body — followed by the body. The inverse is
-/// [`StreamDecoder`], which reassembles frames from arbitrarily chunked
-/// reads and verifies the checksum before releasing a body.
+/// The stream envelope of `body`: little-endian `u32` length, then
+/// little-endian `u32` [`crc32`] of the body. This function is the only
+/// place those bytes are laid out; [`stream_body_len`] and
+/// [`stream_check_body`] are the only place they are judged. A writer that
+/// owns its body sends envelope and body as two writes (the socket fabric);
+/// [`stream_frame`] is the one-buffer form.
 ///
 /// # Panics
 ///
 /// Panics if `body` exceeds [`STREAM_MAX_FRAME_BYTES`] (no frame this crate
 /// produces comes near it).
-pub fn stream_frame(body: &[u8]) -> Vec<u8> {
+pub fn stream_envelope(body: &[u8]) -> [u8; STREAM_ENVELOPE_BYTES] {
     assert!(
         body.len() <= STREAM_MAX_FRAME_BYTES,
         "frame body of {} bytes exceeds the stream bound",
         body.len()
     );
+    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
+    envelope[..STREAM_PREFIX_BYTES].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    envelope[STREAM_PREFIX_BYTES..].copy_from_slice(&crc32(body).to_le_bytes());
+    envelope
+}
+
+/// The length field of an envelope, unjudged.
+fn declared_len(envelope: &[u8]) -> u32 {
+    let prefix = envelope[..STREAM_PREFIX_BYTES].try_into().expect("prefix");
+    u32::from_le_bytes(prefix)
+}
+
+/// The body length an envelope declares — judged from its first
+/// [`STREAM_PREFIX_BYTES`] bytes alone, so an implausible prefix fails
+/// before the rest of the envelope has arrived.
+///
+/// # Panics
+///
+/// Panics if `envelope` holds fewer than [`STREAM_PREFIX_BYTES`] bytes.
+pub fn stream_body_len(envelope: &[u8]) -> Result<usize, StreamError> {
+    let len = declared_len(envelope);
+    if len as usize > STREAM_MAX_FRAME_BYTES {
+        return Err(StreamError::Oversize { len });
+    }
+    Ok(len as usize)
+}
+
+/// Checks a received `body` against the checksum its `envelope` carries.
+///
+/// # Panics
+///
+/// Panics if `envelope` holds fewer than [`STREAM_ENVELOPE_BYTES`] bytes.
+pub fn stream_check_body(envelope: &[u8], body: &[u8]) -> Result<(), StreamError> {
+    let field = envelope[STREAM_PREFIX_BYTES..STREAM_ENVELOPE_BYTES]
+        .try_into()
+        .expect("crc field");
+    let (expect, got) = (u32::from_le_bytes(field), crc32(body));
+    if got != expect {
+        return Err(StreamError::Crc { expect, got });
+    }
+    Ok(())
+}
+
+/// Wraps a frame body for a byte stream: its [`stream_envelope`] followed by
+/// the body. The inverse is [`StreamDecoder`], which reassembles frames
+/// from arbitrarily chunked reads and verifies the checksum before
+/// releasing a body.
+///
+/// # Panics
+///
+/// Panics if `body` exceeds [`STREAM_MAX_FRAME_BYTES`].
+pub fn stream_frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(STREAM_ENVELOPE_BYTES + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(&stream_envelope(body));
     out.extend_from_slice(body);
     out
 }
@@ -623,23 +675,14 @@ impl StreamDecoder {
         if self.pending_len() < STREAM_PREFIX_BYTES {
             return Ok(None);
         }
-        let at = self.read;
-        let len = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-        // Judge the length as soon as the prefix is in: an implausible
-        // prefix fails fast without waiting for the rest of the envelope.
-        if len > STREAM_MAX_FRAME_BYTES {
-            return Err(StreamError::Oversize { len: len as u32 });
-        }
-        if self.pending_len() < STREAM_ENVELOPE_BYTES + len {
+        let pending = &self.buf[self.read..];
+        let len = stream_body_len(pending)?;
+        if pending.len() < STREAM_ENVELOPE_BYTES + len {
             return Ok(None);
         }
-        let expect = u32::from_le_bytes(self.buf[at + 4..at + 8].try_into().expect("4 bytes"));
-        let body = self.buf[at + STREAM_ENVELOPE_BYTES..at + STREAM_ENVELOPE_BYTES + len].to_vec();
-        let got = crc32(&body);
-        if got != expect {
-            return Err(StreamError::Crc { expect, got });
-        }
-        self.read = at + STREAM_ENVELOPE_BYTES + len;
+        let body = pending[STREAM_ENVELOPE_BYTES..STREAM_ENVELOPE_BYTES + len].to_vec();
+        stream_check_body(pending, &body)?;
+        self.read += STREAM_ENVELOPE_BYTES + len;
         // Compact once the consumed prefix dominates, so the buffer does not
         // grow without bound across a long-lived link.
         if self.read > 4096 && self.read * 2 > self.buf.len() {
@@ -657,10 +700,7 @@ impl StreamDecoder {
             return Ok(());
         }
         let need = if pending >= STREAM_PREFIX_BYTES {
-            let at = self.read;
-            let len =
-                u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-            STREAM_ENVELOPE_BYTES + len
+            STREAM_ENVELOPE_BYTES + declared_len(&self.buf[self.read..]) as usize
         } else {
             STREAM_ENVELOPE_BYTES
         };

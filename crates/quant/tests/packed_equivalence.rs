@@ -18,14 +18,21 @@ use snip_quant::int::{IntFormat, IntQuantizer};
 use snip_quant::mx::MxQuantizer;
 use snip_quant::outlier::OutlierQuantizer;
 use snip_quant::rht::RhtQuantizer;
-use snip_quant::{Codebook, PackedQuantize, Quantizer, Rounding};
+use snip_quant::{Codebook, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
 
+/// A `rows × cols` tensor or — three draws in eight — one of its empty
+/// shapes, on which every quantizer must still agree with its oracle.
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
-    proptest::collection::vec(-100.0f32..100.0, rows * cols)
-        .prop_map(move |v| Tensor::from_vec(rows, cols, v))
+    (0usize..8).prop_flat_map(move |kind| {
+        let (rows, cols) = EMPTY_SHAPES.get(kind).copied().unwrap_or((rows, cols));
+        proptest::collection::vec(-100.0f32..100.0, rows * cols)
+            .prop_map(move |v| Tensor::from_vec(rows, cols, v))
+    })
 }
+
+const EMPTY_SHAPES: [(usize, usize); 3] = [(0, 7), (6, 0), (0, 0)];
 
 const GRANULARITIES: [Granularity; 5] = [
     Granularity::Tensorwise,
@@ -38,7 +45,8 @@ const GRANULARITIES: [Granularity; 5] = [
 const ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::Stochastic];
 
 /// Packs and fake-quantizes from identical RNG states; asserts bit-identical
-/// results and identical draw consumption.
+/// results and identical draw consumption, and that the packed form
+/// survives its wire encoding.
 fn assert_packed_equivalence(q: &dyn PackedQuantize, t: &Tensor, seed: u64, ctx: &str) {
     let mut rng_fake = Rng::seed_from(seed);
     let mut rng_packed = Rng::seed_from(seed);
@@ -53,6 +61,16 @@ fn assert_packed_equivalence(q: &dyn PackedQuantize, t: &Tensor, seed: u64, ctx:
         rng_fake.next_u64(),
         rng_packed.next_u64(),
         "{ctx}: rng stream diverged"
+    );
+    let wire = packed.to_wire_bytes().expect("serializable");
+    assert_eq!(
+        wire.len() as u64,
+        WIRE_HEADER_BYTES as u64 + packed.wire_bytes()
+    );
+    assert_eq!(
+        PackedTensor::from_wire_bytes(&wire).expect("well-formed"),
+        packed,
+        "{ctx}: wire round trip"
     );
 }
 
@@ -255,6 +273,36 @@ fn assert_fused_sr_matches_oracle(fmt: FloatFormat, g: Granularity, t: &Tensor, 
         rng_oracle.next_u64(),
         "{ctx}: rng stream diverged"
     );
+}
+
+/// Empty tensors pack to the empty packed tensor — no scale groups, no
+/// codes, no draws — under all five layouts, both code widths and both
+/// rounding modes, exactly as the fake oracle returns the empty tensor.
+/// (The strategy above also feeds empty shapes to every property; this
+/// pins each combination on every run.)
+#[test]
+fn empty_shapes_pack_like_the_fake_oracle() {
+    for (rows, cols) in EMPTY_SHAPES {
+        let t = Tensor::zeros(rows, cols);
+        for g in GRANULARITIES {
+            for fmt in [FloatFormat::e2m1(), FloatFormat::e4m3()] {
+                for rounding in ROUNDINGS {
+                    let q = Quantizer::new(fmt, g, rounding);
+                    let ctx = format!("{rows}x{cols} {fmt} {g} {rounding:?}");
+                    assert_packed_equivalence(&q, &t, 5, &ctx);
+                    let packed = q.quantize_packed(&t, &mut Rng::seed_from(5)).unwrap();
+                    assert_eq!(packed.shape(), (rows, cols), "{ctx}");
+                    assert!(packed.scales().is_empty(), "{ctx}: scales");
+                    assert!(packed.packed_data().is_empty(), "{ctx}: codes");
+                }
+                assert_fused_sr_matches_oracle(fmt, g, &t, 5);
+            }
+            for bits in [4, 8] {
+                let q = IntQuantizer::new(IntFormat::new(bits), g, Rounding::Stochastic);
+                assert_packed_equivalence(&q, &t, 5, &format!("{rows}x{cols} int{bits} {g}"));
+            }
+        }
+    }
 }
 
 /// Edge inputs the fused index arithmetic must get right: signed zeros

@@ -284,9 +284,9 @@ fn build_ablock<'s>(
 /// One chunk's block sweep: `MC×NC` output tiles over rows `[start, end)`
 /// of the output, the A block materialized once per sweep, B tiles served
 /// from the shared cache when present and built into per-thread scratch
-/// otherwise. `chunk` holds exactly rows `[start, end)`. Both the generic
-/// (pooled) path and the small-GEMM fast path run this exact code — that
-/// shared body is what pins their bit-identity.
+/// otherwise. `chunk` holds exactly rows `[start, end)`. Every pool split
+/// runs this one body over its rows — that is what makes the result the
+/// same at every thread count.
 #[allow(clippy::too_many_arguments)]
 fn sweep_rows(
     a: &QOperandRef<'_>,

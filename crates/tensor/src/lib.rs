@@ -15,6 +15,9 @@
 //!   per-group scales) and quantized GEMM kernels that decode them on the
 //!   fly, bit-for-bit equivalent to the dense kernels over dequantized
 //!   operands (they share one blocked engine).
+//! * [`granularity`] — [`GroupLayout`], the scaling granularity (paper
+//!   §2.3): which elements share a scale, the walk over those groups and
+//!   the scale-vector indexing of packed storage.
 //! * [`pool`] — the lazily-initialized persistent worker pool behind every
 //!   parallel kernel (`SNIP_THREADS` overrides its size; results are
 //!   bit-identical at every size).
@@ -50,6 +53,7 @@
 
 pub mod bf16;
 mod engine;
+pub mod granularity;
 pub mod matmul;
 pub mod ops;
 pub mod packed;
@@ -59,7 +63,8 @@ mod tensor;
 
 pub use engine::simd;
 pub use engine::simd_encode as encode;
-pub use packed::{CodeWidth, GroupLayout, QOperandRef, QTensor};
+pub use granularity::GroupLayout;
+pub use packed::{CodeWidth, QOperandRef, QTensor};
 // The shared env-var parse + warn-once helper. It lives in `snip-obs`
 // (which sits below this crate so telemetry can instrument the kernels),
 // but `snip-tensor` is its canonical address for the rest of the stack:

@@ -97,17 +97,6 @@ pub fn norm_from_row_norms(row_norms: &[f64]) -> f64 {
     row_norms.iter().map(|&n| n * n).sum::<f64>().sqrt()
 }
 
-/// Sum of each column (length = `cols`); used for bias-style reductions.
-pub fn column_sums(t: &Tensor) -> Vec<f64> {
-    let mut sums = vec![0.0f64; t.cols()];
-    for r in 0..t.rows() {
-        for (s, &v) in sums.iter_mut().zip(t.row(r)) {
-            *s += v as f64;
-        }
-    }
-    sums
-}
-
 /// Relative Frobenius error `‖a − b‖_F / ‖b‖_F` (0 when both are zero).
 pub fn relative_error(a: &[f32], b: &[f32]) -> f64 {
     let denom = frobenius_norm(b);
@@ -195,11 +184,5 @@ mod tests {
     fn dot_and_distance() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((frobenius_distance(&[0.0, 3.0], &[4.0, 3.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn column_sums_correct() {
-        let t = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(column_sums(&t), vec![5.0, 7.0, 9.0]);
     }
 }

@@ -35,9 +35,11 @@
 //!
 //! This crate stays format-agnostic: the lookup table and scales are built
 //! by `snip-quant`, which knows about FP4/FP8/INT codecs. [`GroupLayout`]
-//! mirrors the scaling granularities at the storage level.
+//! (`crate::granularity`) says which elements share a scale and in what
+//! order the scales are stored.
 
 use crate::engine::Round;
+use crate::granularity::GroupLayout;
 use crate::matmul::{for_each_row_chunk, DECODE_PARALLEL_THRESHOLD};
 use crate::pool::parts_for;
 use crate::Tensor;
@@ -80,86 +82,14 @@ impl CodeWidth {
     }
 }
 
-/// How decode scales map onto tensor regions — the storage-level mirror of
-/// `snip-quant`'s scaling granularities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum GroupLayout {
-    /// One scale for the whole tensor.
-    Tensorwise,
-    /// One scale per row.
-    Rowwise,
-    /// One scale per column.
-    Columnwise,
-    /// One scale per `nb × nb` block.
-    Block {
-        /// Block side length.
-        nb: usize,
-    },
-    /// One scale per `1 × nb` tile within each row.
-    Tile {
-        /// Tile length along the row.
-        nb: usize,
-    },
-}
-
-impl GroupLayout {
-    /// Number of scale groups for a `rows × cols` tensor (0 when empty).
-    pub fn group_count(&self, rows: usize, cols: usize) -> usize {
-        if rows == 0 || cols == 0 {
-            return 0;
-        }
-        match *self {
-            GroupLayout::Tensorwise => 1,
-            GroupLayout::Rowwise => rows,
-            GroupLayout::Columnwise => cols,
-            GroupLayout::Block { nb } => rows.div_ceil(nb) * cols.div_ceil(nb),
-            GroupLayout::Tile { nb } => rows * cols.div_ceil(nb),
-        }
-    }
-
-    /// Scale groups per row-band of columns (the stride between consecutive
-    /// row groups in the scale vector). Public so telemetry (`snip-quant`'s
-    /// pack-signal extraction) can map elements to their scale group.
-    pub fn col_groups(&self, cols: usize) -> usize {
-        match *self {
-            GroupLayout::Tensorwise | GroupLayout::Rowwise => 1,
-            GroupLayout::Columnwise => cols,
-            GroupLayout::Block { nb } | GroupLayout::Tile { nb } => cols.div_ceil(nb),
-        }
-    }
-
-    /// Index into the scale vector for element `(r, c)`. Group order matches
-    /// `snip-quant`'s `Granularity::for_each_group` iteration order.
-    /// `col_groups` must come from [`GroupLayout::col_groups`] for the same
-    /// `cols`.
-    #[inline]
-    pub fn group_index(&self, r: usize, c: usize, col_groups: usize) -> usize {
-        match *self {
-            GroupLayout::Tensorwise => 0,
-            GroupLayout::Rowwise => r,
-            GroupLayout::Columnwise => c,
-            GroupLayout::Block { nb } => (r / nb) * col_groups + c / nb,
-            GroupLayout::Tile { nb } => r * col_groups + c / nb,
-        }
-    }
-
-    /// Length of the run of columns starting at `c` that shares one scale.
-    #[inline]
-    fn run_len(&self, c: usize, cols: usize) -> usize {
-        match *self {
-            GroupLayout::Tensorwise | GroupLayout::Rowwise => cols - c,
-            GroupLayout::Columnwise => 1,
-            GroupLayout::Block { nb } | GroupLayout::Tile { nb } => (nb - c % nb).min(cols - c),
-        }
-    }
-}
-
 /// A bit-packed low-precision tensor: codes + decode table + group scales.
 ///
 /// Invariants: `lut.len() == width.lut_len()`, `scales.len() ==
 /// layout.group_count(rows, cols)`, and every stored code indexes a valid
-/// table entry. Construction goes through [`QTensor::new_zeroed`] +
-/// [`QTensor::set_code`] (all-zero codes are valid: code 0 decodes to 0).
+/// table entry. Quantizers construct through
+/// [`QTensor::from_parts_with_pair`] (a filled code buffer);
+/// [`QTensor::new_zeroed`] + [`QTensor::set_code`] is the element-wise
+/// form (all-zero codes are valid: code 0 decodes to 0).
 ///
 /// Serialization stores the codes, scales and decode table verbatim, so a
 /// deserialized tensor decodes bit-for-bit identically (packed optimizer

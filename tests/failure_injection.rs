@@ -83,25 +83,37 @@ fn greedy_rejects_infeasible_and_mismatched_inputs() {
 #[test]
 fn engine_reports_infeasible_budget_as_typed_error() {
     let ckpt = trained(10);
-    let cfg = ckpt.config().model.clone();
-    let engine = SnipEngine::new(
-        SnipConfig {
-            policy: PolicyConfig {
-                target_fp4: 1.5, // impossible
+    let impossible_budget = PolicyConfig {
+        target_fp4: 1.5,
+        ..Default::default()
+    };
+    let no_stages = PolicyConfig {
+        pipeline_stages: Some(0),
+        ..Default::default()
+    };
+    for (policy, expected) in [
+        (impossible_budget, SolveError::Infeasible),
+        (
+            no_stages,
+            SolveError::Invalid("pipeline_stages must be ≥ 1".into()),
+        ),
+    ] {
+        let engine = SnipEngine::new(
+            SnipConfig {
+                policy,
                 ..Default::default()
             },
-            ..Default::default()
-        },
-        cfg,
-    );
-    let mut t = ckpt.clone();
-    let batch = t.peek_batch();
-    let mut rng = Rng::seed_from(23);
-    let optimizer = t.optimizer.clone();
-    let err = engine
-        .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "bad")
-        .unwrap_err();
-    assert_eq!(err, SolveError::Infeasible);
+            ckpt.config().model.clone(),
+        );
+        let mut t = ckpt.clone();
+        let batch = t.peek_batch();
+        let mut rng = Rng::seed_from(23);
+        let optimizer = t.optimizer.clone();
+        let err = engine
+            .generate_scheme(&mut t.model, &optimizer, &batch, &mut rng, "bad")
+            .unwrap_err();
+        assert_eq!(err, expected);
+    }
 }
 
 #[test]

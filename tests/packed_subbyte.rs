@@ -14,7 +14,7 @@ use snip::quant::{Quantizer, Rounding};
 use snip::tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip::tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
 use snip::tensor::rng::Rng;
-use snip::tensor::{QOperandRef, Tensor};
+use snip::tensor::{QOperandRef, QTensor, Tensor};
 
 const FORMATS: [fn() -> FloatFormat; 4] = [
     FloatFormat::e2m1,
@@ -153,4 +153,47 @@ proptest! {
             }
         }
     }
+}
+
+/// The scaling-granularity enum moved from `snip-quant` to `snip-tensor`
+/// (one definition; `Granularity` is now `GroupLayout`'s name in
+/// `snip-quant`). Checkpoints hold serialized `Quantizer`s and `QTensor`s,
+/// so what the previous definition wrote must still read back equal — the
+/// literals below were serialized at the commit before the move — and
+/// what is written now must be those same strings.
+#[test]
+fn serialized_forms_survive_the_granularity_merge() {
+    const FMT: &str =
+        r#"{"kind":"E2M1","exp_bits":2,"man_bits":1,"emax":2,"emin":0,"max_value":6.0}"#;
+    for (g, tag) in [
+        (Granularity::Tensorwise, r#""Tensorwise""#),
+        (Granularity::Rowwise, r#""Rowwise""#),
+        (Granularity::Columnwise, r#""Columnwise""#),
+        (Granularity::Block { nb: 128 }, r#"{"Block":{"nb":128}}"#),
+        (Granularity::Tile { nb: 2 }, r#"{"Tile":{"nb":2}}"#),
+    ] {
+        let json = format!(
+            r#"{{"format":{FMT},"granularity":{tag},"rounding":"Stochastic","scaled":true}}"#
+        );
+        let q = Quantizer::new(FloatFormat::e2m1(), g, Rounding::Stochastic);
+        assert_eq!(serde_json::from_str::<Quantizer>(&json).unwrap(), q, "{g}");
+        assert_eq!(serde_json::to_string(&q).unwrap(), json, "{g}");
+    }
+
+    let json = concat!(
+        r#"{"rows":2,"cols":3,"width":"U4","data":[245,7,151,0],"#,
+        r#""lut":[0.0,0.5,1.0,1.5,2.0,3.0,4.0,6.0,-0.0,-0.5,-1.0,-1.5,-2.0,-3.0,-4.0,-6.0],"#,
+        r#""layout":{"Tile":{"nb":2}},"col_groups":2,"#,
+        r#""scales":[0.1666666716337204,1.0,0.5,1.0]}"#
+    );
+    let t = Tensor::from_vec(2, 3, vec![0.5, -1.0, 6.0, 3.0, -0.25, 0.0]);
+    let packed = Quantizer::new(
+        FloatFormat::e2m1(),
+        Granularity::Tile { nb: 2 },
+        Rounding::Nearest,
+    )
+    .quantize_packed(&t, &mut Rng::seed_from(0))
+    .unwrap();
+    assert_eq!(serde_json::from_str::<QTensor>(json).unwrap(), packed);
+    assert_eq!(serde_json::to_string(&packed).unwrap(), json);
 }
