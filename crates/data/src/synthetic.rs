@@ -3,7 +3,7 @@
 //! The paper pretrains on SlimPajama / StarcoderData / RedPajama — hundreds
 //! of billions of web tokens that are unavailable here, so we substitute a
 //! seeded generative language with the statistical properties that matter to
-//! a transformer LM (DESIGN.md §1):
+//! a transformer LM:
 //!
 //! * **Zipfian unigram statistics** — each hidden topic state emits from a
 //!   power-law distribution over its own vocabulary slice, like word

@@ -1,7 +1,7 @@
 //! Statistical properties of the synthetic pretraining language — the
-//! properties the experiments lean on (DESIGN.md §1): a learnable Zipfian
-//! head, long-range copy structure that makes mature models sharply
-//! predictable, and full determinism from seeds.
+//! properties the experiments lean on (`snip_data::synthetic` module docs):
+//! a learnable Zipfian head, long-range copy structure that makes mature
+//! models sharply predictable, and full determinism from seeds.
 
 use snip_data::{BatchStream, LanguageConfig, SyntheticLanguage};
 use snip_tensor::rng::Rng;

@@ -26,7 +26,7 @@ pub struct TaskItem {
 }
 
 /// The eight synthetic suites, named for the paper benchmark each stands in
-/// for (see module docs and DESIGN.md §1).
+/// for (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Task {
     /// ARC-e analogue: pick the true 6-token continuation vs uniform noise.

@@ -36,7 +36,7 @@ pub struct ExpParams {
 }
 
 impl ExpParams {
-    /// Full-size defaults (used for EXPERIMENTS.md numbers).
+    /// Full-size defaults (what every binary runs without `--quick`).
     pub fn full() -> Self {
         ExpParams {
             ckpt_unit: 60,
@@ -73,7 +73,8 @@ impl ExpParams {
 /// The experiments' synthetic-language parameters: heavier copy/induction
 /// structure than the default so models quickly reach sharply-predictable
 /// regimes — the regime where subbyte quantization error becomes visible
-/// (mature LLM checkpoints are in this regime; see DESIGN.md §1).
+/// (mature LLM checkpoints are in this regime; `sanity_maturity` measures
+/// where it starts).
 pub fn experiment_language() -> LanguageConfig {
     LanguageConfig {
         vocab: 64,

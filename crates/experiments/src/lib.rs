@@ -1,8 +1,8 @@
 //! # snip-experiments
 //!
 //! Shared harness for the binaries that regenerate every table and figure of
-//! the SNIP paper (see DESIGN.md §3 for the per-experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results).
+//! the SNIP paper (ROADMAP.md open item 6(j) holds the per-binary index:
+//! which figure or table each one prints and which CI job, if any, runs it).
 //!
 //! All binaries accept `--quick` (fewer steps/items) and print the same
 //! row/series structure as the paper's tables and figures.

@@ -4,8 +4,7 @@
 //! model. Full-width pretraining is a multi-thousand-GPU-hour workload, so
 //! this reproduction keeps each model's *depth and block structure* (the
 //! decision space SNIP optimizes over: layer id × layer type) while shrinking
-//! widths so CPU training completes in minutes. See DESIGN.md §1 for the
-//! substitution rationale.
+//! widths so CPU training completes in minutes.
 
 use serde::{Deserialize, Serialize};
 

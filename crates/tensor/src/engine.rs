@@ -16,11 +16,15 @@
 //! output tile as rank-1 updates — the vectorizable form (the naive
 //! dot-product `nt` kernel was a serial FMA latency chain; rewriting it as
 //! rank-1 updates over a transposed B tile is the single largest win in
-//! this engine). Two tile-kernel implementations exist behind one
-//! dispatcher: the portable scalar kernel in [`scalar`] (always compiled,
-//! always the reference) and the explicit SIMD kernels in `simd_x86` /
-//! `simd_neon`, selected at runtime by [`simd`] when the `simd` cargo
-//! feature is on and the CPU supports them.
+//! this engine). The tile kernel has two bodies behind one dispatch
+//! table: the portable scalar kernel in [`scalar`] (always compiled, always
+//! the reference) and one vector kernel, written once in `simd_ops` over a
+//! per-ISA vector-op table and instantiated for AVX2 (`simd_x86`), AVX-512
+//! (`simd_x86_512`) and NEON (`simd_neon`) when the `simd` cargo feature is
+//! on. [`simd::active_kernels`] resolves the table row — tile update,
+//! decodes, abs-max and encode kernels as plain function pointers — for
+//! the tier runtime detection, `SNIP_SIMD` and `with_forced_backend`
+//! select; it is the only place a vector kernel is reached from.
 //!
 //! # The accumulation-order constraint
 //!
@@ -54,6 +58,8 @@ pub mod simd;
 pub mod simd_encode;
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod simd_neon;
+#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+mod simd_ops;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd_x86;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -105,9 +111,9 @@ fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut AlignedVec, &mut Vec<f32>)
 /// `n` = full output row stride). Terms are added one at a time, `k`
 /// ascending, per element — see the module docs.
 ///
-/// Dispatches to the active SIMD backend, falling back to the scalar
-/// kernel (plus a scalar rounding pass for [`Round::Bf16`] — the SIMD
-/// kernels fold the rounding into the tile store instead).
+/// Calls through the active row of the kernel table
+/// ([`simd::active_kernels`]): a vector row folds [`Round::Bf16`] into the
+/// tile store, the scalar row rounds in a second pass over the tile.
 #[allow(clippy::too_many_arguments)]
 fn tile_kernel(
     round: Round,
@@ -121,57 +127,12 @@ fn tile_kernel(
     ablock: &[f32],
     btile: &[f32],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match simd::active_backend() {
-        // SAFETY: a vector backend is only ever selected after
-        // `is_x86_feature_detected!` confirmed its instruction set.
-        simd::Backend::Avx512 => {
-            unsafe {
-                match round {
-                    Round::Keep => simd_x86_512::tile_kernel::<false>(
-                        chunk, n, row0, j0, mb, nb, k, ablock, btile,
-                    ),
-                    Round::Bf16 => simd_x86_512::tile_kernel::<true>(
-                        chunk, n, row0, j0, mb, nb, k, ablock, btile,
-                    ),
-                }
-            }
-            return;
-        }
-        simd::Backend::Avx2 => {
-            unsafe {
-                match round {
-                    Round::Keep => {
-                        simd_x86::tile_kernel::<false>(chunk, n, row0, j0, mb, nb, k, ablock, btile)
-                    }
-                    Round::Bf16 => {
-                        simd_x86::tile_kernel::<true>(chunk, n, row0, j0, mb, nb, k, ablock, btile)
-                    }
-                }
-            }
-            return;
-        }
-        _ => {}
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if simd::active_backend() == simd::Backend::Neon {
-        // SAFETY: NEON is a baseline aarch64 feature.
-        unsafe {
-            match round {
-                Round::Keep => {
-                    simd_neon::tile_kernel::<false>(chunk, n, row0, j0, mb, nb, k, ablock, btile)
-                }
-                Round::Bf16 => {
-                    simd_neon::tile_kernel::<true>(chunk, n, row0, j0, mb, nb, k, ablock, btile)
-                }
-            }
-        }
-        return;
-    }
-    scalar::tile_kernel(chunk, n, row0, j0, mb, nb, k, ablock, btile);
-    if round == Round::Bf16 {
-        scalar::round_tile(chunk, n, row0, j0, mb, nb);
-    }
+    let kernels = simd::active_kernels();
+    let tile = match round {
+        Round::Keep => kernels.tile_keep,
+        Round::Bf16 => kernels.tile_bf16,
+    };
+    tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
 }
 
 /// How the B operand's elements map onto the k-major `k×nb` tile.
@@ -414,37 +375,19 @@ fn gemm_blocked_inner(
         // too (one task per tile; tile contents depend only on position,
         // so the cache is identical at every split).
         let mut cache = AlignedVec::new();
-        cache.prep(k * n);
-        let n_tiles = n.div_ceil(NC);
-        let build_tasks = if parts > 1 { n_tiles } else { 1 };
-        struct SendPtr(*mut f32);
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        impl SendPtr {
-            fn get(&self) -> *mut f32 {
-                self.0
+        let tiles: Vec<&mut [f32]> = cache.prep(k * n).chunks_mut(NC * k).collect();
+        let build = |t: usize, tile: &mut [f32], staging: &mut Vec<f32>| {
+            let j0 = t * NC;
+            build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, staging);
+        };
+        if parts > 1 {
+            pool::for_each_owned(tiles, |t, tile| build(t, tile, &mut Vec::new()));
+        } else {
+            let mut staging = Vec::new();
+            for (t, tile) in tiles.into_iter().enumerate() {
+                build(t, tile, &mut staging);
             }
         }
-        let base = SendPtr(cache.as_mut_ptr());
-        pool::run(build_tasks, &|ti| {
-            let mut staging = Vec::new();
-            let (t0, t1) = if build_tasks > 1 {
-                (ti, ti + 1)
-            } else {
-                (0, n_tiles)
-            };
-            for t in t0..t1 {
-                let j0 = t * NC;
-                let j1 = (j0 + NC).min(n);
-                // SAFETY: tile ranges [j0*k, j1*k) are disjoint across `t`,
-                // lie within `cache`, and `cache` outlives the dispatch
-                // (`pool::run` returns only after every task completed).
-                let tile = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add(j0 * k), (j1 - j0) * k)
-                };
-                build_btile_into(b, b_side, k, j0, j1, tile, &mut staging);
-            }
-        });
         if snip_obs::enabled() {
             snip_obs::counter_add("gemm.bcache.builds", 1);
         }

@@ -1,8 +1,19 @@
-//! Runtime SIMD backend selection and introspection for the GEMM engine.
+//! Runtime SIMD backend selection and introspection for the GEMM engine,
+//! and the engine's one dispatch point.
 //!
-//! The `simd` cargo feature compiles explicit vector microkernels (AVX2
-//! and AVX-512 on `x86_64`, NEON on `aarch64`); this module decides —
-//! **once per process** — which tier runs:
+//! Every backend is a row of function pointers (`Kernels`: tile update
+//! keep/BF16, the two decodes, abs-max, the two code writers); the scalar
+//! reference is one more row. `active_kernels` hands out the row of the
+//! tier active on the calling thread and is the only function that builds
+//! a vector row — so the only place that states "this CPU feature was
+//! detected" and the only code naming the ISA modules. Callers (the tile
+//! loop in `engine.rs`, the decode shims at the bottom of this file,
+//! `encode::Encoder`) are plain safe code.
+//!
+//! The `simd` cargo feature compiles the vector kernels (one generic body
+//! per kernel in `simd_ops`, instantiated for AVX2 and AVX-512 on
+//! `x86_64`, NEON on `aarch64`); this module decides — **once per
+//! process** — which tier runs:
 //!
 //! 1. the feature must be compiled in ([`compiled`]),
 //! 2. the `SNIP_SIMD` environment variable may cap or disable the tier
@@ -44,6 +55,8 @@
 //! [`detected_features`] in `BENCH_gemm.json` so numbers from different
 //! boxes stay comparable.
 
+use super::scalar;
+use super::simd_encode::{abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -259,13 +272,7 @@ thread_local! {
 /// The backend every kernel dispatch on this thread uses right now: the
 /// forced backend if one is installed, the process backend otherwise. A
 /// non-scalar result implies the backend's instruction set was
-/// runtime-detected. (The vector dispatch sites are compiled out entirely
-/// without the `simd` feature or on arches with no backend, hence the
-/// dead-code allowance.)
-#[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(dead_code)
-)]
+/// runtime-detected.
 #[inline]
 pub(crate) fn active_backend() -> Backend {
     FORCED.with(|f| f.get()).unwrap_or_else(backend_kind)
@@ -308,13 +315,138 @@ pub fn with_forced_backend<R>(requested: Backend, f: impl FnOnce() -> R) -> R {
     with_forced_raw(Some(effective), f)
 }
 
+/// The tile-kernel signature — argument contract in `engine::tile_kernel`.
+type TileFn = fn(&mut [f32], usize, usize, usize, usize, usize, usize, &[f32], &[f32]);
+/// A 4-bit pair decoder: `(bytes, lut, pair, scale, out)`.
+type DecodePairsFn = fn(&[u8], &[f32], &[f32], f32, &mut [f32]);
+/// A code writer: `(grid, seg, scale, uniforms, out)`.
+type EncodeFn = fn(&CodeGrid, &[f32], f32, Option<&[f32]>, &mut [u8]);
+
+/// One backend's kernels as plain function pointers — the single dispatch
+/// point of the engine. [`active_kernels`] resolves the row for the
+/// current thread; the GEMM engine, the decode shims below and
+/// [`super::simd_encode::Encoder`] call through it.
+#[derive(Debug)]
+pub(crate) struct Kernels {
+    /// `Round::Keep` tile update.
+    pub(crate) tile_keep: TileFn,
+    /// `Round::Bf16` tile update (BF16 rounding at store time).
+    pub(crate) tile_bf16: TileFn,
+    /// See [`decode_u4_pairs`].
+    pub(crate) decode_u4_pairs: DecodePairsFn,
+    /// See [`decode_u8_run`].
+    pub(crate) decode_u8_run: fn(&[u8], &[f32], f32, &mut [f32]),
+    /// Bit pattern of `acc.max(|v|)` over a segment, NaN ignored.
+    pub(crate) abs_max_bits: fn(&[f32], u32) -> u32,
+    /// One byte-wide code per element.
+    pub(crate) encode_u8: EncodeFn,
+    /// Whole bytes of 4-bit code pairs (two elements per output byte).
+    pub(crate) encode_u4_pairs: EncodeFn,
+}
+
+/// The scalar row: the always-compiled reference every other row must
+/// match bit for bit (the tile kernel rounds in a second pass over the
+/// tile where the vector rows fuse the rounding into the store).
+static SCALAR: Kernels = Kernels {
+    tile_keep: scalar::tile_kernel,
+    tile_bf16: |chunk, n, row0, j0, mb, nb, k, ablock, btile| {
+        scalar::tile_kernel(chunk, n, row0, j0, mb, nb, k, ablock, btile);
+        scalar::round_tile(chunk, n, row0, j0, mb, nb);
+    },
+    decode_u4_pairs: decode_u4_pairs_scalar,
+    decode_u8_run: decode_u8_run_scalar,
+    abs_max_bits: abs_max_bits_scalar,
+    encode_u8: encode_u8_scalar,
+    encode_u4_pairs: encode_u4_pairs_scalar,
+};
+
+/// The kernel table every dispatch on this thread uses right now — the
+/// row of [`active_backend`]. This function is the only place a vector
+/// row is built: it instantiates the shared kernels of [`super::simd_ops`]
+/// for an ISA's op table under that ISA's `#[target_feature]`, and it is
+/// the only code that names the ISA modules.
+pub(crate) fn active_kernels() -> &'static Kernels {
+    // SAFETY (every `unsafe` block in a row): the entry points and the
+    // ISA decodes require their instruction set and nothing else — slice
+    // bounds are asserted inside the kernels. `active_backend` returns a
+    // vector tier only after `detect_cpu_backend` saw the CPU report it
+    // (NEON is baseline on aarch64), and forcing or capping can only lower
+    // the tier within that detected chain.
+    #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    macro_rules! vector_row {
+        ($isa:ident :: $ops:ident, $feature:literal) => {{
+            use super::{simd_ops, $isa};
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $feature)]
+            unsafe fn tile<const ROUND: bool>(
+                c: &mut [f32],
+                n: usize,
+                r: usize,
+                j: usize,
+                mb: usize,
+                nb: usize,
+                k: usize,
+                a: &[f32],
+                b: &[f32],
+            ) {
+                simd_ops::tile::<$isa::$ops, ROUND>(c, n, r, j, mb, nb, k, a, b)
+            }
+            #[target_feature(enable = $feature)]
+            unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
+                simd_ops::abs_max_bits::<$isa::$ops>(seg, acc)
+            }
+            #[target_feature(enable = $feature)]
+            unsafe fn encode<const NIBBLES: bool>(
+                grid: &CodeGrid,
+                seg: &[f32],
+                scale: f32,
+                uniforms: Option<&[f32]>,
+                out: &mut [u8],
+            ) {
+                simd_ops::encode::<$isa::$ops, NIBBLES>(grid, seg, scale, uniforms, out)
+            }
+            static ROW: Kernels = Kernels {
+                tile_keep: |c, n, r, j, mb, nb, k, a, b| unsafe {
+                    tile::<false>(c, n, r, j, mb, nb, k, a, b)
+                },
+                tile_bf16: |c, n, r, j, mb, nb, k, a, b| unsafe {
+                    tile::<true>(c, n, r, j, mb, nb, k, a, b)
+                },
+                decode_u4_pairs: |bytes, lut, pair, scale, out| unsafe {
+                    $isa::decode_u4_pairs(bytes, lut, pair, scale, out)
+                },
+                decode_u8_run: |codes, lut, scale, out| unsafe {
+                    $isa::decode_u8_run(codes, lut, scale, out)
+                },
+                abs_max_bits: |seg, acc| unsafe { abs_max_bits(seg, acc) },
+                encode_u8: |grid, seg, scale, uniforms, out| unsafe {
+                    encode::<false>(grid, seg, scale, uniforms, out)
+                },
+                encode_u4_pairs: |grid, seg, scale, uniforms, out| unsafe {
+                    encode::<true>(grid, seg, scale, uniforms, out)
+                },
+            };
+            &ROW
+        }};
+    }
+    match active_backend() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Backend::Avx512 => vector_row!(simd_x86_512::Avx512, "avx512f"),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Backend::Avx2 => vector_row!(simd_x86::Avx2, "avx2"),
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        Backend::Neon => vector_row!(simd_neon::Neon, "neon"),
+        _ => &SCALAR,
+    }
+}
+
 /// Decodes `bytes.len()` packed 4-bit code pairs into `out` (length
 /// `2 * bytes.len()`): `out[2i] = lut[bytes[i] & 0xF] * scale`,
 /// `out[2i+1] = lut[bytes[i] >> 4] * scale`. `pair` is the byte → value
 /// pair expansion of `lut` ([`crate::QTensor::pair_table`]); the scalar
-/// path reads it, the vector paths re-derive both nibble values from `lut`
-/// directly with in-register permutes/table lookups (same table entries,
-/// same multiply — bit-identical).
+/// row (and every vector row's tail) reads it, the vector rows re-derive
+/// both nibble values from `lut` directly with in-register permutes/table
+/// lookups (same table entries, same multiply — bit-identical).
 pub(crate) fn decode_u4_pairs(
     bytes: &[u8],
     lut: &[f32],
@@ -322,29 +454,18 @@ pub(crate) fn decode_u4_pairs(
     scale: f32,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(out.len(), bytes.len() * 2);
-    debug_assert_eq!(lut.len(), 16);
     debug_assert_eq!(pair.len(), 512);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match active_backend() {
-        // SAFETY: the backend is only selected after runtime detection.
-        Backend::Avx512 => {
-            unsafe { super::simd_x86_512::decode_u4_pairs(bytes, lut, scale, out) };
-            return;
-        }
-        Backend::Avx2 => {
-            unsafe { super::simd_x86::decode_u4_pairs(bytes, lut, scale, out) };
-            return;
-        }
-        _ => {}
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if active_backend() == Backend::Neon {
-        // SAFETY: NEON is a baseline aarch64 feature.
-        unsafe { super::simd_neon::decode_u4_pairs(bytes, lut, scale, out) };
-        return;
-    }
-    let _ = lut;
+    (active_kernels().decode_u4_pairs)(bytes, lut, pair, scale, out)
+}
+
+pub(super) fn decode_u4_pairs_scalar(
+    bytes: &[u8],
+    _lut: &[f32],
+    pair: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), bytes.len() * 2);
     for (ob, &byte) in out.chunks_exact_mut(2).zip(bytes) {
         let p = &pair[(byte as usize) * 2..(byte as usize) * 2 + 2];
         ob[0] = p[0] * scale;
@@ -353,31 +474,15 @@ pub(crate) fn decode_u4_pairs(
 }
 
 /// Decodes a run of one-byte codes: `out[i] = lut[codes[i]] * scale`
-/// (`lut` has 256 entries — FP8/INT8 formats). The vector paths gather a
+/// (`lut` has 256 entries — FP8/INT8 formats). The vector rows gather a
 /// register's worth of table entries per step; same loads, same multiply,
 /// bit-identical.
 pub(crate) fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), codes.len());
-    debug_assert_eq!(lut.len(), 256);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    match active_backend() {
-        // SAFETY: the backend is only selected after runtime detection.
-        Backend::Avx512 => {
-            unsafe { super::simd_x86_512::decode_u8_run(codes, lut, scale, out) };
-            return;
-        }
-        Backend::Avx2 => {
-            unsafe { super::simd_x86::decode_u8_run(codes, lut, scale, out) };
-            return;
-        }
-        _ => {}
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    if active_backend() == Backend::Neon {
-        // SAFETY: NEON is a baseline aarch64 feature.
-        unsafe { super::simd_neon::decode_u8_run(codes, lut, scale, out) };
-        return;
-    }
+    (active_kernels().decode_u8_run)(codes, lut, scale, out)
+}
+
+pub(super) fn decode_u8_run_scalar(codes: &[u8], lut: &[f32], scale: f32, out: &mut [f32]) {
+    assert!(lut.len() == 256 && out.len() == codes.len());
     for (o, &code) in out.iter_mut().zip(codes) {
         *o = lut[code as usize] * scale;
     }

@@ -4,9 +4,13 @@
 //! A packer (`snip-quant`'s `Codebook`) walks a tensor scale group by scale
 //! group and hands each contiguous row segment to three kernels here: the
 //! group abs-max scan ([`Encoder::abs_max`]) and the 4-bit / 8-bit code
-//! writers ([`Encoder::encode_u4`], [`Encoder::encode_u8`]). Backend choice
-//! follows [`super::simd`] unchanged — `SNIP_SIMD`, `with_forced_backend`
-//! and pool propagation all apply — and callers stay free of `unsafe`.
+//! writers ([`Encoder::encode_u4`], [`Encoder::encode_u8`]). An [`Encoder`]
+//! is a handle on the active row of [`super::simd`]'s kernel table, so
+//! backend choice follows that module unchanged — `SNIP_SIMD`,
+//! `with_forced_backend` and pool propagation all apply — and neither the
+//! methods here nor their callers contain `unsafe`. This file holds the
+//! code rule ([`CodeGrid`]) and the scalar row; the vector kernels are
+//! written once, over the per-ISA op table, in `simd_ops`.
 //!
 //! # The encode lane rules (what keeps vector == scalar bit for bit)
 //!
@@ -31,7 +35,7 @@
 //! scratch buffer and passes it as `uniforms` — so the RNG stream is
 //! independent of the lane width.
 
-use super::simd::{active_backend, Backend};
+use super::simd::{active_kernels, Kernels};
 use crate::packed::CodeWidth;
 
 pub(super) const ABS_MASK: u32 = 0x7FFF_FFFF;
@@ -195,8 +199,8 @@ pub(super) fn abs_max_bits_scalar(seg: &[f32], acc: u32) -> u32 {
 /// the edge nibbles are OR-ed in, so adjacent segments sharing a byte
 /// compose.
 ///
-/// This is the closure-driven form custom quantizers use; it is also the
-/// scalar backend of [`Encoder::encode_u4`].
+/// This is the closure-driven form custom quantizers use;
+/// [`Encoder::encode_u4`] writes the same layout from a [`CodeGrid`].
 pub fn encode_u4_with(seg: &[f32], cstart: usize, row: &mut [u8], mut enc: impl FnMut(f32) -> u8) {
     let mut it = seg.iter();
     let mut byte_i = cstart / 2;
@@ -219,18 +223,43 @@ pub fn encode_u4_with(seg: &[f32], cstart: usize, row: &mut [u8], mut enc: impl 
     }
 }
 
-/// A handle on the encode backend active on this thread, resolved once so
-/// a packer's per-segment calls skip the dispatch lookup.
+/// `out[i] = code(seg[i] * scale)`, one byte each — the scalar row of the
+/// kernel table and the vector kernels' tail.
+pub(super) fn encode_u8_scalar(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    assert_eq!(out.len(), seg.len());
+    for (i, (o, &v)) in out.iter_mut().zip(seg).enumerate() {
+        *o = grid.code_at(v * scale, uniforms.map(|u| u[i]));
+    }
+}
+
+/// Whole bytes of 4-bit codes: `out[j]` takes elements `2j` (low nibble)
+/// and `2j + 1` (high nibble) — the scalar row of the kernel table and the
+/// vector kernels' tail.
+pub(super) fn encode_u4_pairs_scalar(
+    grid: &CodeGrid,
+    seg: &[f32],
+    scale: f32,
+    uniforms: Option<&[f32]>,
+    out: &mut [u8],
+) {
+    assert_eq!(seg.len(), 2 * out.len());
+    let code = |i: usize| grid.code_at(seg[i] * scale, uniforms.map(|u| u[i]));
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = code(2 * j) | (code(2 * j + 1) << 4);
+    }
+}
+
+/// A handle on the kernel table active on this thread, resolved once so a
+/// packer's per-segment calls skip the dispatch lookup.
 #[derive(Clone, Copy, Debug)]
 pub struct Encoder {
-    /// Only ever set from [`active_backend`], so a non-scalar value
-    /// implies the backend's instruction set was runtime-detected — the
-    /// precondition of every `unsafe` kernel call below.
-    #[cfg_attr(
-        not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-        allow(dead_code)
-    )]
-    backend: Backend,
+    kernels: &'static Kernels,
 }
 
 impl Encoder {
@@ -238,7 +267,7 @@ impl Encoder {
     /// forced backend inside `with_forced_backend`, else the process one).
     pub fn current() -> Encoder {
         Encoder {
-            backend: active_backend(),
+            kernels: active_kernels(),
         }
     }
 
@@ -248,23 +277,7 @@ impl Encoder {
     pub fn abs_max(&self, seg: &[f32], acc: f32) -> f32 {
         let acc = acc.to_bits();
         debug_assert!(acc <= INF_BITS, "abs_max accumulator must be ≥ 0");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        match self.backend {
-            // SAFETY: the backend is only selected after runtime detection.
-            Backend::Avx512 => {
-                return f32::from_bits(unsafe { super::simd_x86_512::abs_max_bits(seg, acc) })
-            }
-            Backend::Avx2 => {
-                return f32::from_bits(unsafe { super::simd_x86::abs_max_bits(seg, acc) })
-            }
-            _ => {}
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        if self.backend == Backend::Neon {
-            // SAFETY: NEON is a baseline aarch64 feature.
-            return f32::from_bits(unsafe { super::simd_neon::abs_max_bits(seg, acc) });
-        }
-        f32::from_bits(abs_max_bits_scalar(seg, acc))
+        f32::from_bits((self.kernels.abs_max_bits)(seg, acc))
     }
 
     /// Encodes `seg[i] * scale` to one byte-wide code each:
@@ -288,36 +301,14 @@ impl Encoder {
         if let Some(u) = uniforms {
             assert_eq!(u.len(), seg.len(), "one uniform per element");
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        match self.backend {
-            // SAFETY: the backend is only selected after runtime detection;
-            // the length preconditions were asserted above.
-            Backend::Avx512 => {
-                unsafe { super::simd_x86_512::encode_u8(grid, seg, scale, uniforms, out) };
-                return;
-            }
-            Backend::Avx2 => {
-                unsafe { super::simd_x86::encode_u8(grid, seg, scale, uniforms, out) };
-                return;
-            }
-            _ => {}
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        if self.backend == Backend::Neon {
-            // SAFETY: NEON is a baseline aarch64 feature; lengths asserted.
-            unsafe { super::simd_neon::encode_u8(grid, seg, scale, uniforms, out) };
-            return;
-        }
-        for (i, (o, &v)) in out.iter_mut().zip(seg).enumerate() {
-            *o = grid.code_at(v * scale, uniforms.map(|u| u[i]));
-        }
+        (self.kernels.encode_u8)(grid, seg, scale, uniforms, out);
     }
 
     /// Encodes `seg[i] * scale` to 4-bit codes inside the packed row `row`,
     /// the segment starting at column `cstart` (nibble layout and edge
     /// handling as [`encode_u4_with`]; the whole-byte middle runs on the
-    /// vector backend with in-register nibble pairing). With `uniforms`
-    /// (one per element) the rounding is stochastic, otherwise
+    /// active backend, the vector ones pairing nibbles in-register). With
+    /// `uniforms` (one per element) the rounding is stochastic, otherwise
     /// nearest-even.
     ///
     /// # Panics
@@ -337,45 +328,24 @@ impl Encoder {
         if let Some(u) = uniforms {
             assert_eq!(u.len(), seg.len(), "one uniform per element");
         }
-        #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        if self.backend != Backend::Scalar {
-            let code = |i: usize| grid.code_at(seg[i] * scale, uniforms.map(|u| u[i]));
-            let head = usize::from(cstart % 2 == 1 && !seg.is_empty());
-            if head == 1 {
-                row[cstart / 2] |= code(0) << 4;
-            }
-            let pairs = (seg.len() - head) / 2;
-            let body = head..head + 2 * pairs;
-            let byte0 = (cstart + head) / 2;
-            let out = &mut row[byte0..byte0 + pairs];
-            let src = &seg[body.clone()];
-            let us = uniforms.map(|u| &u[body.clone()]);
-            #[cfg(target_arch = "x86_64")]
-            match self.backend {
-                // SAFETY: the backend is only selected after runtime
-                // detection; `src` (and `us`) hold exactly two elements per
-                // byte of `out` by construction.
-                Backend::Avx512 => unsafe {
-                    super::simd_x86_512::encode_u4_pairs(grid, src, scale, us, out)
-                },
-                _ => unsafe { super::simd_x86::encode_u4_pairs(grid, src, scale, us, out) },
-            }
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is a baseline aarch64 feature; lengths as above.
-            unsafe {
-                super::simd_neon::encode_u4_pairs(grid, src, scale, us, out)
-            };
-            if body.end < seg.len() {
-                row[byte0 + pairs] |= code(body.end);
-            }
-            return;
+        let code = |i: usize| grid.code_at(seg[i] * scale, uniforms.map(|u| u[i]));
+        let head = usize::from(cstart % 2 == 1 && !seg.is_empty());
+        if head == 1 {
+            row[cstart / 2] |= code(0) << 4;
         }
-        let mut i = 0;
-        encode_u4_with(seg, cstart, row, |v| {
-            let c = grid.code_at(v * scale, uniforms.map(|u| u[i]));
-            i += 1;
-            c
-        });
+        let pairs = (seg.len() - head) / 2;
+        let body = head..head + 2 * pairs;
+        let byte0 = (cstart + head) / 2;
+        (self.kernels.encode_u4_pairs)(
+            grid,
+            &seg[body.clone()],
+            scale,
+            uniforms.map(|u| &u[body.clone()]),
+            &mut row[byte0..byte0 + pairs],
+        );
+        if body.end < seg.len() {
+            row[byte0 + pairs] |= code(body.end);
+        }
     }
 }
 
@@ -436,11 +406,15 @@ mod tests {
     /// Every tier against the scalar reference at the kernel level, where
     /// the uniforms are ours to choose: draws that *equal* an element's
     /// fractional progress (the strict `>` boundary), zero draws on grid
-    /// values, every segment length around the lane widths and both
-    /// nibble alignments.
+    /// values, and — one kernel body serves every tier, so each strip/tail
+    /// boundary is pinned once — every segment length `0..=2·step+1` of the
+    /// widest encode step, at both nibble alignments.
     #[test]
     fn every_backend_matches_the_scalar_reference() {
-        use crate::simd::{available_backends, with_forced_backend};
+        use crate::simd::{available_backends, with_forced_backend, Backend};
+        // Elements per vector step of the widest tier (AVX-512); an odd
+        // `cstart` spends one element on the head nibble first.
+        const STEP: usize = 16;
         let grids = [
             e2m1(),
             CodeGrid::new(CodeWidth::U4, 3, 3, 7.0, 7, true),
@@ -464,7 +438,7 @@ mod tests {
             0.3,
         ];
         for grid in grids {
-            for len in (0..40).chain([63, 64, 65, 131]) {
+            for len in (0..=2 * STEP + 2).chain([63, 64, 65, 131]) {
                 let seg: Vec<f32> = probes.iter().cycle().take(len).copied().collect();
                 for scale in [1.0f32, 0.37] {
                     // Draws on the strict `frac > u` boundary for the

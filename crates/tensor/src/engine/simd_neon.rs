@@ -1,157 +1,102 @@
-//! NEON microkernels for aarch64 — the 4-lane mirror of `simd_x86`.
+//! The NEON backend for aarch64: the 4-lane [`SimdOps`] table, the
+//! code-narrowing moves, and the `tbl`-based FP4 decode.
+//!
+//! **Written blind.** There is no aarch64 toolchain on the build box, so
+//! this file has only ever been read, not compiled or run (CI's
+//! `check-aarch64` job is where it first meets a compiler). What limits
+//! the exposure is the split: the kernels this table instantiates (tile
+//! update, BF16 store, abs-max, encode — [`super::simd_ops`]) are the
+//! bodies the x86 tiers test bit for bit; only the one-intrinsic rows
+//! below, the two narrowing stores and the two decodes are unverified.
+//! First thing to run on an Arm machine: `tests/simd_scalar.rs` and
+//! `quant/tests/pack_simd.rs`.
 //!
 //! NEON is a baseline aarch64 feature, so no runtime detection is needed
-//! beyond the [`super::simd`] dispatcher's feature/env gating. The same
-//! bit-identity argument applies: one output element per lane, a separate
-//! `vmulq_f32` then `vaddq_f32` per k-step (**never** `vmlaq_f32` /
+//! beyond [`super::simd`]'s feature/env gating. Multiply and add are
+//! separate `vmulq_f32` / `vaddq_f32` ops — **never** `vmlaq_f32` /
 //! `vfmaq_f32`, which contract into a fused multiply-add on aarch64 and
-//! would skip the intermediate rounding), `k` serial and ascending inside
-//! every lane, no cross-lane reduction.
+//! would skip the intermediate rounding.
 //!
-//! The decode paths vectorize too. NEON has no gather, but the pinned
-//! mirrored-LUT layout makes the FP4 table exactly 16 f32 entries = 64
-//! bytes — `vqtbl1q_u8` range. [`decode_u4_pairs`] deinterleaves the
-//! table into four byte planes (`vld4q_u8`), looks every nibble's four
-//! value bytes up in parallel, and re-interleaves them into f32 values
-//! (`vst4q_u8`); the trailing multiply is the same `value * scale` the
-//! scalar pair-table walk performs, so results stay bit-identical. The
-//! 256-entry FP8/INT8 table exceeds `tbl` range, so [`decode_u8_run`]
-//! gathers lanes individually and vectorizes only the multiply.
+//! NEON has no gather, but the pinned mirrored-LUT layout makes the FP4
+//! table exactly 16 f32 entries = 64 bytes — `vqtbl1q_u8` range.
+//! [`decode_u4_pairs`] deinterleaves the table into four byte planes
+//! (`vld4q_u8`), looks every nibble's four value bytes up in parallel, and
+//! re-interleaves them into f32 values (`vst4q_u8`); the trailing multiply
+//! is the same `value * scale` the scalar pair-table walk performs, so
+//! results stay bit-identical. The 256-entry FP8/INT8 table exceeds `tbl`
+//! range, so [`decode_u8_run`] gathers lanes individually and vectorizes
+//! only the multiply.
 
+use super::simd::{decode_u4_pairs_scalar, decode_u8_run_scalar};
+use super::simd_ops::{op_rows, SimdOps};
 use std::arch::aarch64::*;
 
-/// Output elements per vector register.
-pub(super) const LANES: usize = 4;
+/// The NEON op table.
+pub(super) struct Neon;
 
-/// Rounds each lane to BF16 (kept in f32) — the vector form of
-/// [`crate::bf16::round`]: NaN lanes keep their original bits.
-#[inline]
-unsafe fn bf16_round_q(x: float32x4_t) -> float32x4_t {
-    let bits = vreinterpretq_u32_f32(x);
-    let lsb = vandq_u32(vshrq_n_u32::<16>(bits), vdupq_n_u32(1));
-    let rounded = vaddq_u32(bits, vaddq_u32(lsb, vdupq_n_u32(0x7FFF)));
-    let rounded = vandq_u32(rounded, vdupq_n_u32(0xFFFF_0000));
-    // vceqq_f32(x, x) is all-ones exactly on non-NaN lanes.
-    let ordered = vceqq_f32(x, x);
-    vbslq_f32(ordered, vreinterpretq_f32_u32(rounded), x)
-}
+impl SimdOps for Neon {
+    type F = float32x4_t;
+    type I = uint32x4_t;
+    /// All-ones lanes where the predicate holds.
+    type M = uint32x4_t;
+    const LANES: usize = 4;
+    /// `4 rows × 2 accumulators + 2 B loads + 1 broadcast` — the AVX2
+    /// shape; the 32-register file would take a wider strip if an Arm
+    /// machine shows it pays.
+    const MAX_STRIP: usize = 2;
 
-/// Stores a finished accumulator vector, fusing the BF16 rounding when the
-/// output is a packed-precision path.
-#[inline]
-unsafe fn store<const ROUND: bool>(p: *mut f32, v: float32x4_t) {
-    let v = if ROUND { bf16_round_q(v) } else { v };
-    vst1q_f32(p, v);
-}
+    op_rows! {
+        fn loadu(p: *const f32) -> float32x4_t = vld1q_f32(p);
+        fn storeu(p: *mut f32, v: float32x4_t) = vst1q_f32(p, v);
+        fn splat(x: f32) -> float32x4_t = vdupq_n_f32(x);
+        fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t = vmulq_f32(a, b);
+        fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t = vaddq_f32(a, b);
+        fn sub(a: float32x4_t, b: float32x4_t) -> float32x4_t = vsubq_f32(a, b);
+        fn bits(v: float32x4_t) -> uint32x4_t = vreinterpretq_u32_f32(v);
+        fn from_bits(v: uint32x4_t) -> float32x4_t = vreinterpretq_f32_u32(v);
+        fn trunc(v: float32x4_t) -> uint32x4_t = vcvtq_u32_f32(v);
+        fn to_f32(v: uint32x4_t) -> float32x4_t = vcvtq_f32_u32(v);
 
-/// The NEON tile kernel — same contract as `engine::tile_kernel`. Rows in
-/// register blocks of 4/2/1; columns in strips of 8, 4 and a scalar tail.
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn tile_kernel<const ROUND: bool>(
-    chunk: &mut [f32],
-    n: usize,
-    row0: usize,
-    j0: usize,
-    mb: usize,
-    nb: usize,
-    k: usize,
-    ablock: &[f32],
-    btile: &[f32],
-) {
-    debug_assert!((row0 + mb) * n <= chunk.len());
-    debug_assert!(j0 + nb <= n);
-    let cbase = chunk.as_mut_ptr();
-    let abase = ablock.as_ptr();
-    let bbase = btile.as_ptr();
-    let mut i = 0;
-    while i + 4 <= mb {
-        row_block::<4, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
-        i += 4;
-    }
-    while i + 2 <= mb {
-        row_block::<2, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
-        i += 2;
-    }
-    if i < mb {
-        row_block::<1, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
-    }
-}
+        fn splat_i(x: u32) -> uint32x4_t = vdupq_n_u32(x);
+        fn and(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vandq_u32(a, b);
+        fn or(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vorrq_u32(a, b);
+        fn add_i(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vaddq_u32(a, b);
+        fn sub_i(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vsubq_u32(a, b);
+        fn min_i(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vminq_u32(a, b);
+        fn max_i(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t = vmaxq_u32(a, b);
+        // `ushl` shifts right for a negative count.
+        fn shr(v: uint32x4_t, n: u32) -> uint32x4_t = vshlq_u32(v, vdupq_n_s32(-(n as i32)));
+        fn shl(v: uint32x4_t, n: u32) -> uint32x4_t = vshlq_u32(v, vdupq_n_s32(n as i32));
+        fn max_lane(v: uint32x4_t) -> u32 = vmaxvq_u32(v);
 
-/// `MR` output rows against the whole `k×nb` B tile — the 4-lane analogue
-/// of the AVX2 `row_block`, with the identical per-element operation
-/// sequence.
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_block<const MR: usize, const ROUND: bool>(
-    cbase: *mut f32,
-    n: usize,
-    row: usize,
-    j0: usize,
-    arows: *const f32,
-    k: usize,
-    btile: *const f32,
-    nb: usize,
-) {
-    let mut cptr = [std::ptr::null_mut::<f32>(); MR];
-    let mut aptr = [std::ptr::null::<f32>(); MR];
-    for r in 0..MR {
-        cptr[r] = cbase.add((row + r) * n + j0);
-        aptr[r] = arows.add(r * k);
+        fn gt_f(a: float32x4_t, b: float32x4_t) -> uint32x4_t = vcgtq_f32(a, b);
+        fn gt_i(a: uint32x4_t, b: uint32x4_t) -> uint32x4_t =
+            vcgtq_s32(vreinterpretq_s32_u32(a), vreinterpretq_s32_u32(b));
+        // Equal to itself exactly on non-NaN lanes.
+        fn ordered(v: float32x4_t) -> uint32x4_t = vceqq_f32(v, v);
+        fn select(m: uint32x4_t, a: float32x4_t, b: float32x4_t) -> float32x4_t =
+            vbslq_f32(m, a, b);
+        fn keep_i(m: uint32x4_t, v: uint32x4_t) -> uint32x4_t = vandq_u32(m, v);
+        // A holding lane is all-ones, i.e. −1.
+        fn inc_where(v: uint32x4_t, m: uint32x4_t) -> uint32x4_t = vsubq_u32(v, m);
     }
-    let mut j = 0;
-    while j + 2 * LANES <= nb {
-        let mut acc0 = [vdupq_n_f32(0.0); MR];
-        let mut acc1 = [vdupq_n_f32(0.0); MR];
-        for r in 0..MR {
-            acc0[r] = vld1q_f32(cptr[r].add(j));
-            acc1[r] = vld1q_f32(cptr[r].add(j + LANES));
-        }
-        let mut bp = btile.add(j);
-        for kk in 0..k {
-            let b0 = vld1q_f32(bp);
-            let b1 = vld1q_f32(bp.add(LANES));
-            for r in 0..MR {
-                let av = vdupq_n_f32(*aptr[r].add(kk));
-                acc0[r] = vaddq_f32(acc0[r], vmulq_f32(av, b0));
-                acc1[r] = vaddq_f32(acc1[r], vmulq_f32(av, b1));
-            }
-            bp = bp.add(nb);
-        }
-        for r in 0..MR {
-            store::<ROUND>(cptr[r].add(j), acc0[r]);
-            store::<ROUND>(cptr[r].add(j + LANES), acc1[r]);
-        }
-        j += 2 * LANES;
+
+    #[inline(always)]
+    unsafe fn store_code_bytes(p: *mut u8, codes: uint32x4_t) {
+        let halves = vmovn_u32(codes);
+        let bytes = vmovn_u16(vcombine_u16(halves, halves));
+        let word = vget_lane_u32::<0>(vreinterpret_u32_u8(bytes));
+        (p as *mut u32).write_unaligned(word);
     }
-    while j + LANES <= nb {
-        let mut acc = [vdupq_n_f32(0.0); MR];
-        for r in 0..MR {
-            acc[r] = vld1q_f32(cptr[r].add(j));
-        }
-        let mut bp = btile.add(j);
-        for kk in 0..k {
-            let b0 = vld1q_f32(bp);
-            for r in 0..MR {
-                let av = vdupq_n_f32(*aptr[r].add(kk));
-                acc[r] = vaddq_f32(acc[r], vmulq_f32(av, b0));
-            }
-            bp = bp.add(nb);
-        }
-        for r in 0..MR {
-            store::<ROUND>(cptr[r].add(j), acc[r]);
-        }
-        j += LANES;
-    }
-    while j < nb {
-        for r in 0..MR {
-            let mut acc = *cptr[r].add(j);
-            let mut bp = btile.add(j);
-            for kk in 0..k {
-                acc += *aptr[r].add(kk) * *bp;
-                bp = bp.add(nb);
-            }
-            *cptr[r].add(j) = if ROUND { crate::bf16::round(acc) } else { acc };
-        }
-        j += 1;
+    #[inline(always)]
+    unsafe fn store_nibble_pairs(p: *mut u8, codes: uint32x4_t) {
+        // Each u64 lane holds an (even, odd) element pair; shifting it
+        // right by 28 drops the odd element's code onto bits 4..8 of the
+        // even element's word, whose low byte is then the packed pair.
+        let pairs = vreinterpretq_u64_u32(codes);
+        let paired = vreinterpretq_u8_u64(vorrq_u64(pairs, vshrq_n_u64::<28>(pairs)));
+        *p = vgetq_lane_u8::<0>(paired);
+        *p.add(1) = vgetq_lane_u8::<8>(paired);
     }
 }
 
@@ -163,9 +108,19 @@ unsafe fn row_block<const MR: usize, const ROUND: bool>(
 /// values. The final multiply is `lut[nibble] * scale` — the same table
 /// entry and the same IEEE-754 multiply as the scalar pair-table walk, so
 /// results are bit-identical.
-pub(super) unsafe fn decode_u4_pairs(bytes: &[u8], lut: &[f32], scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(lut.len(), 16);
-    debug_assert_eq!(out.len(), bytes.len() * 2);
+///
+/// # Safety
+///
+/// None beyond running on aarch64, where NEON is baseline; `unsafe` so
+/// the kernel-table builder sees one signature on every backend.
+pub(super) unsafe fn decode_u4_pairs(
+    bytes: &[u8],
+    lut: &[f32],
+    pair: &[f32],
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert!(lut.len() == 16 && out.len() == bytes.len() * 2);
     // Byte planes of the table: `tab.k` holds byte `k` of each entry.
     let tab = vld4q_u8(lut.as_ptr() as *const u8);
     let sv = vdupq_n_f32(scale);
@@ -194,21 +149,20 @@ pub(super) unsafe fn decode_u4_pairs(bytes: &[u8], lut: &[f32], scale: f32, out:
         }
         i += 8;
     }
-    while i < n {
-        let b = *bp.add(i) as usize;
-        *op.add(2 * i) = lut[b & 0x0F] * scale;
-        *op.add(2 * i + 1) = lut[b >> 4] * scale;
-        i += 1;
-    }
+    decode_u4_pairs_scalar(&bytes[i..], lut, pair, scale, &mut out[2 * i..]);
 }
 
 /// One-byte LUT decode (FP8/INT8): the 256-entry table is beyond `tbl`
 /// range and NEON has no gather, so lanes are fetched individually into a
 /// vector and only the multiply is vectorized — the same table load and
 /// the same multiply as the scalar loop, four elements per step.
+///
+/// # Safety
+///
+/// None beyond running on aarch64, where NEON is baseline; `unsafe` so
+/// the kernel-table builder sees one signature on every backend.
 pub(super) unsafe fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &mut [f32]) {
-    debug_assert_eq!(lut.len(), 256);
-    debug_assert_eq!(out.len(), codes.len());
+    assert!(lut.len() == 256 && out.len() == codes.len());
     let sv = vdupq_n_f32(scale);
     let n = codes.len();
     let cp = codes.as_ptr();
@@ -224,222 +178,5 @@ pub(super) unsafe fn decode_u8_run(codes: &[u8], lut: &[f32], scale: f32, out: &
         vst1q_f32(op.add(i), vmulq_f32(v, sv));
         i += 4;
     }
-    while i < n {
-        *op.add(i) = lut[*cp.add(i) as usize] * scale;
-        i += 1;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Encode kernels (the pack engine). Lane rules: `simd_encode` module docs.
-// ---------------------------------------------------------------------
-
-use super::simd_encode::{abs_max_bits_scalar, CodeGrid, ABS_MASK, INF_BITS, MAGIC, MAGIC_BITS};
-
-/// Elements per encode step: two 4-lane code vectors narrow to one
-/// 8-byte store (byte-wide codes) or one 4-byte store (nibble pairs).
-const ENCODE_STEP: usize = 2 * LANES;
-
-/// 4-lane abs-max fold — see `Encoder::abs_max`. Integer max over the
-/// magnitude bit patterns with NaN lanes zeroed; max is exact, so the
-/// horizontal reduction at the end reassociates nothing.
-pub(super) unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
-    let abs = vdupq_n_u32(ABS_MASK);
-    let inf = vdupq_n_u32(INF_BITS);
-    let mut m = vdupq_n_u32(0);
-    let n = seg.len();
-    let p = seg.as_ptr();
-    let mut i = 0;
-    while i + LANES <= n {
-        let a = vandq_u32(vreinterpretq_u32_f32(vld1q_f32(p.add(i))), abs);
-        m = vmaxq_u32(m, vandq_u32(a, vcleq_u32(a, inf)));
-        i += LANES;
-    }
-    let acc = acc.max(vmaxvq_u32(m));
-    abs_max_bits_scalar(&seg[i..], acc)
-}
-
-/// Broadcast constants of one encode call.
-struct EncodeConsts {
-    scale: float32x4_t,
-    abs: uint32x4_t,
-    inf: uint32x4_t,
-    max_bits: uint32x4_t,
-    emin_biased: uint32x4_t,
-    /// `man_bits + 254`: minus the clamped biased exponent, this is the
-    /// biased exponent of the exact factor `2^(m − e_eff)`.
-    exp_base: uint32x4_t,
-    man_shift: int32x4_t,
-    magic: float32x4_t,
-    magic_bits: uint32x4_t,
-    half: uint32x4_t,
-    /// All-ones when an exact zero keeps its sign offset (`signed_zero`).
-    zero_ok: uint32x4_t,
-}
-
-impl EncodeConsts {
-    #[inline]
-    unsafe fn new(grid: &CodeGrid, scale: f32) -> EncodeConsts {
-        EncodeConsts {
-            scale: vdupq_n_f32(scale),
-            abs: vdupq_n_u32(ABS_MASK),
-            inf: vdupq_n_u32(INF_BITS),
-            max_bits: vdupq_n_u32(grid.max_bits),
-            emin_biased: vdupq_n_u32(grid.emin_biased),
-            exp_base: vdupq_n_u32(grid.man_bits + 254),
-            man_shift: vdupq_n_s32(grid.man_bits as i32),
-            magic: vdupq_n_f32(MAGIC),
-            magic_bits: vdupq_n_u32(MAGIC_BITS),
-            half: vdupq_n_u32(grid.half),
-            zero_ok: vdupq_n_u32(if grid.signed_zero { u32::MAX } else { 0 }),
-        }
-    }
-}
-
-/// Four elements → four codes (one per lane): the lane-parallel form of
-/// `CodeGrid::code`. `SIGN_SHIFT` moves the sign bit onto the width's
-/// sign offset (28 → bit 3 for 4-bit codes, 24 → bit 7 for bytes).
-#[inline]
-unsafe fn codes<const STOCH: bool, const SIGN_SHIFT: i32>(
-    x: float32x4_t,
-    u: float32x4_t,
-    c: &EncodeConsts,
-) -> uint32x4_t {
-    let bits = vreinterpretq_u32_f32(vmulq_f32(x, c.scale));
-    let a = vandq_u32(bits, c.abs);
-    // Saturation: a magnitude clamped to the top value encodes as the top
-    // index (NaN lanes too; they are cleared below).
-    let ac = vminq_u32(a, c.max_bits);
-    let e = vmaxq_u32(vshrq_n_u32::<23>(ac), c.emin_biased);
-    let pow2 = vshlq_n_u32::<23>(vsubq_u32(c.exp_base, e));
-    let r = vmulq_f32(vreinterpretq_f32_u32(ac), vreinterpretq_f32_u32(pow2));
-    let k = if STOCH {
-        let ki = vcvtq_u32_f32(r);
-        let frac = vsubq_f32(r, vcvtq_f32_u32(ki));
-        // The compare mask is all-ones (−1) on round-up lanes.
-        vsubq_u32(ki, vcgtq_f32(frac, u))
-    } else {
-        vsubq_u32(vreinterpretq_u32_f32(vaddq_f32(r, c.magic)), c.magic_bits)
-    };
-    let binade = vshlq_u32(vsubq_u32(e, c.emin_biased), c.man_shift);
-    let neg = vandq_u32(vshrq_n_u32::<SIGN_SHIFT>(bits), c.half);
-    let code = vorrq_u32(vaddq_u32(binade, k), neg);
-    let nonzero = vorrq_u32(vcgtq_u32(a, vdupq_n_u32(0)), c.zero_ok);
-    vandq_u32(code, vandq_u32(vcleq_u32(a, c.inf), nonzero))
-}
-
-/// Eight elements → eight codes, one per byte.
-#[inline]
-unsafe fn code_bytes<const STOCH: bool, const SIGN_SHIFT: i32>(
-    sp: *const f32,
-    up: *const f32,
-    c: &EncodeConsts,
-) -> uint8x8_t {
-    let (u0, u1) = if STOCH {
-        (vld1q_f32(up), vld1q_f32(up.add(LANES)))
-    } else {
-        (vdupq_n_f32(0.0), vdupq_n_f32(0.0))
-    };
-    let c0 = codes::<STOCH, SIGN_SHIFT>(vld1q_f32(sp), u0, c);
-    let c1 = codes::<STOCH, SIGN_SHIFT>(vld1q_f32(sp.add(LANES)), u1, c);
-    vmovn_u16(vcombine_u16(vmovn_u32(c0), vmovn_u32(c1)))
-}
-
-/// Byte-wide encode — see `Encoder::encode_u8`.
-///
-/// # Safety
-///
-/// `out` (and `uniforms`, if given) must be as long as `seg`.
-pub(super) unsafe fn encode_u8(
-    grid: &CodeGrid,
-    seg: &[f32],
-    scale: f32,
-    uniforms: Option<&[f32]>,
-    out: &mut [u8],
-) {
-    match uniforms {
-        Some(u) => encode_u8_impl::<true>(grid, seg, scale, u, out),
-        None => encode_u8_impl::<false>(grid, seg, scale, &[], out),
-    }
-}
-
-unsafe fn encode_u8_impl<const STOCH: bool>(
-    grid: &CodeGrid,
-    seg: &[f32],
-    scale: f32,
-    uniforms: &[f32],
-    out: &mut [u8],
-) {
-    debug_assert_eq!(out.len(), seg.len());
-    debug_assert!(!STOCH || uniforms.len() == seg.len());
-    let c = EncodeConsts::new(grid, scale);
-    let n = seg.len();
-    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i + ENCODE_STEP <= n {
-        // `up` is only dereferenced when STOCH (then it is `n` long).
-        vst1_u8(
-            op.add(i),
-            code_bytes::<STOCH, 24>(sp.add(i), up.wrapping_add(i), &c),
-        );
-        i += ENCODE_STEP;
-    }
-    while i < n {
-        *op.add(i) = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
-        i += 1;
-    }
-}
-
-/// 4-bit encode of whole bytes — the aligned middle of
-/// `Encoder::encode_u4`: `out[j]` takes elements `2j` (low nibble) and
-/// `2j + 1` (high nibble).
-///
-/// # Safety
-///
-/// `seg` (and `uniforms`, if given) must hold exactly `2 * out.len()`
-/// elements.
-pub(super) unsafe fn encode_u4_pairs(
-    grid: &CodeGrid,
-    seg: &[f32],
-    scale: f32,
-    uniforms: Option<&[f32]>,
-    out: &mut [u8],
-) {
-    match uniforms {
-        Some(u) => encode_u4_pairs_impl::<true>(grid, seg, scale, u, out),
-        None => encode_u4_pairs_impl::<false>(grid, seg, scale, &[], out),
-    }
-}
-
-unsafe fn encode_u4_pairs_impl<const STOCH: bool>(
-    grid: &CodeGrid,
-    seg: &[f32],
-    scale: f32,
-    uniforms: &[f32],
-    out: &mut [u8],
-) {
-    debug_assert_eq!(seg.len(), 2 * out.len());
-    debug_assert!(!STOCH || uniforms.len() == seg.len());
-    let c = EncodeConsts::new(grid, scale);
-    let n = seg.len();
-    let (sp, up, op) = (seg.as_ptr(), uniforms.as_ptr(), out.as_mut_ptr());
-    let mut i = 0;
-    while i + ENCODE_STEP <= n {
-        let bytes = code_bytes::<STOCH, 28>(sp.add(i), up.wrapping_add(i), &c);
-        // In-register nibble pairing: each u16 lane holds an (even, odd)
-        // code pair as (low byte, high byte); shifting the lane right by 4
-        // drops the odd code onto bits 4..8 of the low byte, and the unzip
-        // keeps exactly those low bytes.
-        let pairs = vreinterpret_u16_u8(bytes);
-        let paired = vreinterpret_u8_u16(vorr_u16(pairs, vshr_n_u16::<4>(pairs)));
-        let word = vget_lane_u32::<0>(vreinterpret_u32_u8(vuzp1_u8(paired, paired)));
-        (op.add(i / 2) as *mut u32).write_unaligned(word);
-        i += ENCODE_STEP;
-    }
-    while i < n {
-        let lo = grid.code_at(*sp.add(i) * scale, STOCH.then(|| *up.add(i)));
-        let hi = grid.code_at(*sp.add(i + 1) * scale, STOCH.then(|| *up.add(i + 1)));
-        *op.add(i / 2) = lo | (hi << 4);
-        i += 2;
-    }
+    decode_u8_run_scalar(&codes[i..], lut, scale, &mut out[i..]);
 }

@@ -54,32 +54,17 @@ pub(crate) fn for_each_row_chunk(
     f: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
     assert_eq!(out.len(), rows * cols, "output buffer shape mismatch");
-    if parts <= 1 || rows <= 1 {
+    // One band — or a zero-width output, which has no bands to cut
+    // (`chunks_mut(0)` panics).
+    if parts <= 1 || rows <= 1 || cols == 0 {
         f(0, rows, out);
         return;
     }
     let chunk_rows = rows.div_ceil(parts);
-    let n_chunks = rows.div_ceil(chunk_rows);
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    impl SendPtr {
-        fn get(&self) -> *mut f32 {
-            self.0
-        }
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    pool::run(n_chunks, &|ci| {
+    let bands: Vec<&mut [f32]> = out.chunks_mut(chunk_rows * cols).collect();
+    pool::for_each_owned(bands, |ci, chunk| {
         let start = ci * chunk_rows;
-        let end = ((ci + 1) * chunk_rows).min(rows);
-        // SAFETY: chunks are disjoint row ranges of `out` (chunk `ci` owns
-        // rows [ci*chunk_rows, (ci+1)*chunk_rows)), `out` outlives the
-        // dispatch (`pool::run` returns only after every task completed),
-        // and the bounds were validated against `out.len()` above.
-        let chunk = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(start * cols), (end - start) * cols)
-        };
-        f(start, end, chunk);
+        f(start, start + chunk.len() / cols, chunk);
     });
 }
 
@@ -260,14 +245,24 @@ mod tests {
 
     #[test]
     fn empty_dims_work() {
-        let a = Tensor::zeros(0, 4);
-        let b = Tensor::zeros(4, 3);
-        assert_eq!(matmul(&a, &b).shape(), (0, 3));
-        let a = Tensor::zeros(2, 0);
-        let b = Tensor::zeros(0, 3);
-        let c = matmul(&a, &b);
-        assert_eq!(c.shape(), (2, 3));
-        assert!(c.as_slice().iter().all(|&x| x == 0.0));
+        // Serial, and with the pool split forced (no band may be cut from
+        // a zero-width output or tile cache).
+        for split in [1, 2] {
+            crate::pool::with_threads(split, || {
+                let a = Tensor::zeros(0, 4);
+                let b = Tensor::zeros(4, 3);
+                assert_eq!(matmul(&a, &b).shape(), (0, 3));
+                let a = Tensor::zeros(2, 0);
+                let b = Tensor::zeros(0, 3);
+                let c = matmul(&a, &b);
+                assert_eq!(c.shape(), (2, 3));
+                assert!(c.as_slice().iter().all(|&x| x == 0.0));
+                let a = Tensor::zeros(2, 4);
+                let b = Tensor::zeros(4, 0);
+                assert_eq!(matmul(&a, &b).shape(), (2, 0));
+                assert_eq!(matmul_nt(&a, &Tensor::zeros(0, 4)).shape(), (2, 0));
+            });
+        }
     }
 
     /// A zero on the A side must not mask a NaN/Inf on the B side: IEEE-754

@@ -903,8 +903,26 @@ mod tests {
             vec![],
         );
         let b = random_qtensor(4, 3, GroupLayout::Rowwise, 51);
-        let c = qgemm(QOperandRef::from(&a), QOperandRef::from(&b));
-        assert_eq!(c.shape(), (0, 3));
+        let wide = random_qtensor(3, 4, GroupLayout::Rowwise, 52);
+        let none = QTensor::new_zeroed(
+            4,
+            0,
+            CodeWidth::U4,
+            test_lut_u4(),
+            GroupLayout::Rowwise,
+            vec![],
+        );
+        // Serial, and with the pool split forced (no band may be cut from
+        // a zero-width output).
+        for split in [1, 2] {
+            crate::pool::with_threads(split, || {
+                let c = qgemm(QOperandRef::from(&a), QOperandRef::from(&b));
+                assert_eq!(c.shape(), (0, 3));
+                let c = qgemm(QOperandRef::from(&wide), QOperandRef::from(&none));
+                assert_eq!(c.shape(), (3, 0));
+                assert_eq!(none.dequantize().shape(), (4, 0));
+            });
+        }
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl AlignedVec {
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Raw base pointer (valid for `len` floats after a `prep`).
-    pub(crate) fn as_mut_ptr(&mut self) -> *mut f32 {
-        self.ptr.as_ptr()
-    }
-
     /// Frees the current allocation (no-op when empty). Caller must not use
     /// `ptr` afterwards without reassigning it.
     unsafe fn release(&mut self) {

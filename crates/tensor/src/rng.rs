@@ -4,7 +4,7 @@
 //! probes (paper Fig. 6, Steps 2–3) and stochastic rounding all consume
 //! randomness. We implement xoshiro256++ seeded through SplitMix64 rather
 //! than depending on an external RNG crate so the streams are stable across
-//! platforms and dependency upgrades (see DESIGN.md §4.4).
+//! platforms and dependency upgrades.
 
 use serde::{Deserialize, Serialize};
 

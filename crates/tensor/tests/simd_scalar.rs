@@ -54,8 +54,17 @@ fn test_lut_u8() -> Vec<f32> {
 }
 
 fn random_qtensor(rows: usize, cols: usize, width: CodeWidth, seed: u64) -> QTensor {
+    random_qtensor_in(GroupLayout::Tile { nb: 5 }, rows, cols, width, seed)
+}
+
+fn random_qtensor_in(
+    layout: GroupLayout,
+    rows: usize,
+    cols: usize,
+    width: CodeWidth,
+    seed: u64,
+) -> QTensor {
     let mut rng = Rng::seed_from(seed);
-    let layout = GroupLayout::Tile { nb: 5 };
     let groups = layout.group_count(rows, cols);
     let scales: Vec<f32> = (0..groups).map(|_| 0.25 + rng.next_f32()).collect();
     let (lut, codes) = match width {
@@ -180,11 +189,14 @@ proptest! {
     }
 }
 
-/// Fixed shapes chosen to hit every strip tail in every x86 kernel tier:
-/// the AVX2 16-wide double strip, 8-wide strip and scalar column tail, the
-/// AVX-512 32-wide double strip, 16-wide strip and every masked-tail width
-/// class (`n % 16` ∈ {1, 7, 15}), and the 4/2/1-row blocks — plus widths
-/// below one SIMD lane at each tier.
+/// Every strip and tail boundary of the tile kernel, once: one body serves
+/// every tier, so the full ladder — row blocks 4/2/1 and 4+1 (`m ∈ 1..=5`),
+/// every tile width and the 64 + 64 + 1 tile split (`n ∈ 1..=2·64+1`: the
+/// AVX-512 64/32/16 strips and all fifteen masked tails, the AVX2/NEON
+/// double and single strips and every scalar tail), `k ∈ {1, 7}`, raw and
+/// fused-BF16 stores — runs on every tier against forced scalar. A fixed
+/// shape list then takes all twelve kernels and both decodes through the
+/// same tails.
 #[test]
 fn lane_tail_shapes_agree() {
     eprintln!(
@@ -197,21 +209,42 @@ fn lane_tail_shapes_agree() {
             .map(|b| b.name())
             .collect::<Vec<_>>()
     );
+    let mut rng = Rng::seed_from(0xBEEF);
+    for k in [1, 7] {
+        // One operand pair per `k`, sliced per shape: `n` columns of B,
+        // `m` rows of A.
+        let a_full = Tensor::randn(5, k, 1.0, &mut rng);
+        let bt_full = Tensor::randn(2 * 64 + 1, k, 1.0, &mut rng);
+        for m in 1..=5 {
+            let a = Tensor::from_vec(m, k, a_full.as_slice()[..m * k].to_vec());
+            for n in 1..=2 * 64 + 1 {
+                let bt = Tensor::from_vec(n, k, bt_full.as_slice()[..n * k].to_vec());
+                let run = || (matmul::matmul_nt(&a, &bt), matmul::matmul_nt_bf16(&a, &bt));
+                let (keep, fused) = simd::with_forced_backend(simd::Backend::Scalar, run);
+                for bk in simd::available_backends() {
+                    let got = simd::with_forced_backend(bk, run);
+                    let what = format!("{m}x{k}x{n} ({})", bk.name());
+                    assert_bits_eq(&got.0, &keep, &format!("matmul_nt {what}"));
+                    assert_bits_eq(&got.1, &fused, &format!("matmul_nt_bf16 {what}"));
+                }
+            }
+        }
+    }
     for &(m, k, n) in &[
         (1, 1, 1),
-        (1, 3, 7),   // below one AVX2 lane
-        (2, 5, 8),   // exactly one AVX2 lane; 512 masked tail of 8
-        (3, 5, 9),   // one AVX2 lane + tail; 512 masked tail of 9
-        (4, 7, 15),  // AVX2 8-strip + 7; 512 masked tail of 15 (full mask - 1)
-        (5, 7, 16),  // exactly the AVX2 double strip / one 512 register
-        (6, 9, 17),  // 512 16-strip + masked tail of 1
-        (7, 9, 31),  // AVX2 double + 8 + 7; 512 16-strip + masked 15
-        (9, 16, 32), // exactly the 512 double strip; row blocks 4+4+1
-        (3, 8, 33),  // 512 double strip + masked tail of 1
-        (5, 10, 47), // 512 double strip + masked tail of 15
+        (1, 3, 7),
+        (2, 5, 8),
+        (3, 5, 9),
+        (4, 7, 15),
+        (5, 7, 16),
+        (6, 9, 17),
+        (7, 9, 31),
+        (9, 16, 32),
+        (3, 8, 33),
+        (5, 10, 47),
         (11, 13, 40),
-        (2, 21, 64), // two 512 double strips, no tail
-        (4, 6, 71),  // 64 + masked tail of 7
+        (2, 21, 64),
+        (4, 6, 71),
     ] {
         check_simd_matches_scalar(m, k, n, 0xBEEF ^ ((m * 971 + k * 31 + n) as u64));
     }
@@ -275,39 +308,45 @@ fn non_finite_operands_propagate_identically() {
     }
 }
 
-/// Decode raggedness on every backend tier: column ranges that start/end
-/// off the pair-strip boundary, odd widths (trailing nibble), runs shorter
-/// than one lane, and runs straddling the AVX-512 32-element pair strip.
+/// Decode raggedness on every backend tier. Whole tensors first: scale
+/// groups of five columns, so runs start on both nibble parities and end
+/// short of a lane. Then — one run per row, so the vector bodies see it
+/// whole — every run length `0..=2·step+1` of the widest decode step (the
+/// AVX-512 pair strip, 32 elements), from an even and an odd start column,
+/// for both code widths.
 #[test]
 fn decode_tails_agree() {
-    for &(rows, cols) in &[
-        (1, 1),
-        (2, 3),
-        (3, 15),
-        (4, 16),
-        (5, 17),
-        (3, 37),
-        (2, 63),
-        (2, 64),
-        (3, 65),
-        (1, 95),
-    ] {
-        let q4 = random_qtensor(rows, cols, CodeWidth::U4, 0xD4 ^ (cols as u64));
-        let q8 = random_qtensor(rows, cols, CodeWidth::U8, 0xD8 ^ (cols as u64));
-        let (s4, s8) =
-            simd::with_forced_backend(simd::Backend::Scalar, || (q4.dequantize(), q8.dequantize()));
+    const STEP: usize = 32;
+    let mut cases: Vec<(QTensor, usize)> = Vec::new();
+    for &(rows, cols) in &[(2, 3), (5, 17), (3, 37), (2, 64), (3, 65), (1, 95)] {
+        for width in [CodeWidth::U4, CodeWidth::U8] {
+            cases.push((random_qtensor(rows, cols, width, 0xD4 ^ (cols as u64)), 0));
+        }
+    }
+    for len in 0..=2 * STEP + 1 {
+        for start in [0, 1] {
+            for width in [CodeWidth::U4, CodeWidth::U8] {
+                let seed = 0xD8 ^ ((2 * len + start) as u64);
+                let q = random_qtensor_in(GroupLayout::Rowwise, 2, start + len, width, seed);
+                cases.push((q, start));
+            }
+        }
+    }
+    for (q, start) in &cases {
+        let (rows, cols) = q.shape();
+        let run = || {
+            let mut out = Tensor::zeros(rows, cols - start);
+            for r in 0..rows {
+                q.decode_row_range_into(r, *start, cols, out.row_mut(r));
+            }
+            (out, q.dequantize())
+        };
+        let want = simd::with_forced_backend(simd::Backend::Scalar, run);
         for bk in simd::available_backends() {
-            let (d4, d8) = simd::with_forced_backend(bk, || (q4.dequantize(), q8.dequantize()));
-            assert_bits_eq(
-                &d4,
-                &s4,
-                &format!("u4 decode {rows}x{cols} ({})", bk.name()),
-            );
-            assert_bits_eq(
-                &d8,
-                &s8,
-                &format!("u8 decode {rows}x{cols} ({})", bk.name()),
-            );
+            let got = simd::with_forced_backend(bk, run);
+            let what = format!("{rows}x{cols} from {start} ({})", bk.name());
+            assert_bits_eq(&got.0, &want.0, &format!("decode range {what}"));
+            assert_bits_eq(&got.1, &want.1, &format!("dequantize {what}"));
         }
     }
 }
