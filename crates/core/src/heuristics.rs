@@ -1,206 +1,15 @@
-//! Sensitivity-heuristic baselines from the related-work families the paper
-//! positions itself against (§1, §7).
-//!
-//! * **Fisher-information selection** (FGMP-style \[32\]): layer sensitivity
-//!   is the squared first-order loss perturbation — squared gradient norms
-//!   (the empirical Fisher) times squared quantization error — for the
-//!   *forward* operands only. This is the "impact on loss in the forward
-//!   pass only" family (§7): no weight-divergence term, no optimizer
-//!   dynamics, no cross-layer propagation.
-//! * **Greedy iterative refinement** (BitSET \[56\] / HAQ \[72\] flavour):
-//!   instead of solving the ILP, start from the all-FP4 assignment and
-//!   repeatedly upgrade the single most cost-effective layer to FP8 while
-//!   the efficiency budget still holds. Running it on SNIP's own quality
-//!   metric isolates the value of *global* optimization (§5.2's claim that
-//!   the ILP "ensures globally optimal solutions") from the value of the
-//!   metric itself — the `ablation_solver` comparison in
-//!   `baselines_extended`.
-//!
-//! Both produce budget-compliant [`Scheme`]s directly comparable to SNIP's.
-
-use crate::options::{FlopModel, OptionSet};
-use crate::scheme::Scheme;
-use crate::stats::StepStats;
-use snip_ilp::{solve, Choice, McKnapsack, SolveError, SolveOptions};
-use snip_nn::ModelConfig;
-
-/// Fisher-style forward-only sensitivity of one layer under one option:
-/// `(‖∇X‖·‖δX‖)²/(M·K) + (‖∇W‖·‖δW‖)²/(N·K)`.
-///
-/// Squaring is what makes this "Fisher": the empirical Fisher information
-/// is the squared gradient, so the score is the quadratic form
-/// `δᵀ·F·δ` under the usual diagonal approximation, rather than SNIP's
-/// first-order norm estimate.
-pub fn fisher_sensitivity(
-    stats: &crate::stats::LayerStats,
-    option: snip_quant::LinearPrecision,
-) -> f64 {
-    let m = stats.tokens as f64;
-    let n = stats.out_features as f64;
-    let k = stats.in_features as f64;
-    let x_term = (stats.dx_norm * stats.x_err.get(option.input)).powi(2) / (m * k);
-    let w_term = (stats.dw_norm * stats.w_err.get(option.weight)).powi(2) / (n * k);
-    x_term + w_term
-}
-
-/// `fisher`: ILP-optimal selection under the Fisher forward-only
-/// sensitivity (the FGMP-style baseline).
-///
-/// # Errors
-///
-/// Propagates solver failures (e.g. an infeasible budget).
-pub fn fisher_scheme(
-    stats: &StepStats,
-    cfg: &ModelConfig,
-    target_fp4: f64,
-) -> Result<Scheme, SolveError> {
-    let options = OptionSet::fp8_fp4();
-    let flops = FlopModel::new(cfg);
-    let groups: Vec<Vec<Choice>> = stats
-        .layers
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            options
-                .options()
-                .iter()
-                .map(|&opt| Choice::new(fisher_sensitivity(l, opt), flops.efficiency(i, opt)))
-                .collect()
-        })
-        .collect();
-    let problem = McKnapsack::new(groups, target_fp4);
-    let solution = solve(&problem, &SolveOptions::default())?;
-    let assignments = solution
-        .picks
-        .iter()
-        .map(|&j| options.options()[j])
-        .collect();
-    Ok(Scheme::new(
-        format!("fisher@{:.0}", target_fp4 * 100.0),
-        assignments,
-    ))
-}
-
-/// Greedy iterative refinement over arbitrary per-layer option tables.
-///
-/// Starts every layer at its highest-efficiency option (all-FP4 for the
-/// standard set), then repeatedly applies the single option change with the
-/// best quality-improvement-per-efficiency-lost ratio that keeps the total
-/// efficiency at or above `target`. Stops when no improving move fits the
-/// budget. `quality[i][j]` / `efficiency[i][j]` index layer `i`, option `j`
-/// in `options` order — the same tables the ILP consumes, so the two
-/// solvers are directly comparable.
-///
-/// # Errors
-///
-/// [`SolveError::Invalid`] on shape mismatches; [`SolveError::Infeasible`]
-/// if even the all-max-efficiency assignment misses the target.
-pub fn greedy_refinement(
-    quality: &[Vec<f64>],
-    efficiency: &[Vec<f64>],
-    options: &OptionSet,
-    target: f64,
-    name: impl Into<String>,
-) -> Result<Scheme, SolveError> {
-    let n_layers = quality.len();
-    if efficiency.len() != n_layers {
-        return Err(SolveError::Invalid(format!(
-            "quality covers {n_layers} layers, efficiency {}",
-            efficiency.len()
-        )));
-    }
-    for (i, (q, e)) in quality.iter().zip(efficiency).enumerate() {
-        if q.len() != options.len() || e.len() != options.len() {
-            return Err(SolveError::Invalid(format!(
-                "layer {i} has {} quality / {} efficiency entries for {} options",
-                q.len(),
-                e.len(),
-                options.len()
-            )));
-        }
-        if q.iter().chain(e).any(|v| !v.is_finite()) {
-            return Err(SolveError::Invalid(format!(
-                "layer {i} has non-finite quality/efficiency values"
-            )));
-        }
-    }
-
-    // Start from the highest-efficiency option per layer (ties → lower q).
-    let mut picks: Vec<usize> = (0..n_layers)
-        .map(|i| {
-            (0..options.len())
-                .max_by(|&a, &b| {
-                    (efficiency[i][a], -quality[i][a])
-                        .partial_cmp(&(efficiency[i][b], -quality[i][b]))
-                        .expect("finite tables")
-                })
-                .expect("non-empty option set")
-        })
-        .collect();
-    let mut total_e: f64 = picks
-        .iter()
-        .enumerate()
-        .map(|(i, &j)| efficiency[i][j])
-        .sum();
-    if total_e + 1e-12 < target {
-        return Err(SolveError::Infeasible);
-    }
-
-    loop {
-        // Best improving move: maximize Δq/Δe (Δe = 0 → take immediately).
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..n_layers {
-            let j = picks[i];
-            for j2 in 0..options.len() {
-                let dq = quality[i][j] - quality[i][j2];
-                if dq <= 0.0 {
-                    continue;
-                }
-                let de = efficiency[i][j] - efficiency[i][j2];
-                if total_e - de + 1e-12 < target {
-                    continue;
-                }
-                let ratio = if de <= 0.0 { f64::INFINITY } else { dq / de };
-                if best.is_none_or(|(_, _, r)| ratio > r) {
-                    best = Some((i, j2, ratio));
-                }
-            }
-        }
-        match best {
-            Some((i, j2, _)) => {
-                total_e -= efficiency[i][picks[i]] - efficiency[i][j2];
-                picks[i] = j2;
-            }
-            None => break,
-        }
-    }
-    let assignments = picks.iter().map(|&j| options.options()[j]).collect();
-    Ok(Scheme::new(name, assignments))
-}
-
-/// `greedy` on SNIP's own divergence analysis: the solver ablation — same
-/// quality metric, greedy instead of ILP.
-///
-/// # Errors
-///
-/// Propagates [`greedy_refinement`] failures.
-pub fn greedy_snip_scheme(
-    analysis: &crate::divergence::Analysis,
-    options: &OptionSet,
-    target_fp4: f64,
-) -> Result<Scheme, SolveError> {
-    greedy_refinement(
-        &analysis.quality,
-        &analysis.efficiency,
-        options,
-        target_fp4,
-        format!("greedy-snip@{:.0}", target_fp4 * 100.0),
-    )
-}
+//! Unit tests of the Fisher and greedy baselines. The code lives in
+//! [`crate::baselines`] since the two modules merged; this test-only module
+//! keeps the tests under the ids they have always had
+//! (`heuristics::tests::*`).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::baselines::{fisher_scheme, fisher_sensitivity, greedy_refinement};
+    use crate::options::{FlopModel, OptionSet};
+    use crate::stats::StepStats;
+    use snip_ilp::{solve, Choice, McKnapsack, SolveError, SolveOptions};
+    use snip_nn::ModelConfig;
     use snip_nn::{
         batch::Batch,
         model::{Model, StepOptions},

@@ -17,8 +17,9 @@
 //!    [`engine::SnipEngine`] and [`trainer::Trainer::train_with_engine`]
 //!    run Steps 1–6 in line, so the loop is deterministic.
 //!
-//! Baselines from §6.1 (uniform, min-abs/rel-err, E-layer-type, E-layer-id,
-//! random) live in [`baselines`].
+//! Baselines — §6.1's (uniform, min-abs/rel-err, E-layer-type, E-layer-id,
+//! random) and the related-work heuristics (Fisher, greedy) — live in
+//! [`baselines`]; every ILP method shares [`policy::scheme_from_tables`].
 //!
 //! # Example
 //!
@@ -44,7 +45,6 @@
 pub mod baselines;
 pub mod divergence;
 pub mod engine;
-pub mod heuristics;
 pub mod options;
 pub mod policy;
 pub mod probe;
@@ -53,13 +53,17 @@ pub mod scheme;
 pub mod stats;
 pub mod trainer;
 
+pub use baselines::{fisher_scheme, greedy_refinement, greedy_snip_scheme};
 pub use divergence::{analyze, Analysis};
 pub use engine::{SnipConfig, SnipEngine};
-pub use heuristics::{fisher_scheme, greedy_refinement, greedy_snip_scheme};
 pub use options::{FlopModel, OptionSet};
-pub use policy::{decide_scheme, PipelineBalance, PolicyConfig};
+pub use policy::{decide_scheme, scheme_from_tables, PipelineBalance, PolicyConfig};
 pub use probe::{measure, SnipMeasurement};
 pub use rowwise::{overhead_ratio, RowNorms, RowwiseLayerStats};
 pub use scheme::Scheme;
 pub use stats::StepStats;
 pub use trainer::{Trainer, TrainerConfig};
+
+// The Fisher/greedy unit tests, under the module path they have always had.
+#[cfg(test)]
+mod heuristics;

@@ -5,14 +5,13 @@
 //! time is the sum of its layers' GEMM times at their assigned precisions
 //! (non-GEMM work is >90%-dominated by the linears, §2.1, and is ignored).
 
-use crate::stage::StagePartition;
-use serde::{Deserialize, Serialize};
 use snip_core::Scheme;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
+use snip_pipeline::StagePartition;
 
 /// Forward/backward compute time of one stage for one microbatch, in
 /// arbitrary units (BF16 FLOPs at unit throughput).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageCost {
     /// Forward-pass time.
     pub forward: f64,

@@ -9,27 +9,27 @@
 //! per-stage FP4 fractions, stage times, 1F1B bubble fraction, and the
 //! quality objective paid.
 
-use snip_core::{FlopModel, PipelineBalance, Scheme};
-use snip_experiments::*;
+use crate::cost::stage_costs;
+use crate::harness::*;
+use crate::schedule::simulate_1f1b;
+use snip_core::{OptionSet, PipelineBalance, Scheme};
 use snip_ilp::imbalance_fraction;
 use snip_nn::ModelConfig;
-use snip_pipeline::{simulate_1f1b, stage_costs, StagePartition};
+use snip_pipeline::StagePartition;
 use snip_quant::Precision;
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
+    let p = &ctx.params;
     println!("# Ablation: relative vs time-balanced pipeline targets");
     println!("# tinyllama-1b-sim, 4 stages (6/6/6/4 blocks), 50% FP4 budget\n");
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
+    let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit);
+    let (cfg, analysis) = (study.cfg(), study.analysis());
     let partition = StagePartition::even(cfg.n_layers, 4);
-    let flops = FlopModel::new(&cfg);
     let tokens = p.batch_size * p.seq_len;
     let microbatches = 8;
 
-    let analysis = checkpoint_analysis(&ckpt);
     let quality_of = |s: &Scheme| -> f64 {
-        let options = snip_core::OptionSet::fp8_fp4();
+        let options = OptionSet::fp8_fp4();
         s.assignments()
             .iter()
             .enumerate()
@@ -41,19 +41,16 @@ fn main() {
     };
 
     let describe = |label: &str, scheme: &Scheme| {
-        let costs = stage_costs(&cfg, scheme, &partition, tokens);
+        let costs = stage_costs(cfg, scheme, &partition, tokens);
         let times: Vec<f64> = costs.iter().map(|c| c.total()).collect();
         let sim = simulate_1f1b(&costs, microbatches);
         println!("--- {label} ---");
         print!("per-stage FP4% of stage FLOPs: ");
         for k in 0..partition.n_stages() {
-            let ids = partition.linears(k);
-            let total: f64 = ids.iter().map(|id| flops.fraction(id.linear_index())).sum();
-            let fp4: f64 = ids
-                .iter()
-                .map(|id| flops.efficiency(id.linear_index(), scheme.layer(*id)))
-                .sum();
-            print!("{:>6.1}", 100.0 * fp4 / total);
+            print!(
+                "{:>6.1}",
+                study.fp4_pct_of(scheme, &partition.linears(k))
+            );
         }
         println!();
         let t_str: Vec<String> = times.iter().map(|t| format!("{t:.3e}")).collect();
@@ -65,16 +62,16 @@ fn main() {
             "stage-time imbalance: {:.1}%   1F1B bubble: {:.1}%   total FP4: {:.1}%   quality paid: {:.4}",
             100.0 * imbalance_fraction(&times),
             100.0 * sim.bubble_fraction,
-            100.0 * fp4_fraction(scheme, &cfg),
+            100.0 * study.fp4_fraction(scheme),
             quality_of(scheme)
         );
         println!();
     };
 
-    let relative = snip_scheme_pipeline(&ckpt, 0.5, Some(4), PipelineBalance::Relative);
-    let balanced = snip_scheme_pipeline(&ckpt, 0.5, Some(4), PipelineBalance::TimeBalanced);
-    let global = snip_scheme(&ckpt, 0.5);
-    let fp8 = Scheme::uniform(Precision::Fp8, cfg.n_linear_layers());
+    let relative = study.snip(0.5, Some(4), PipelineBalance::Relative);
+    let balanced = study.snip(0.5, Some(4), PipelineBalance::TimeBalanced);
+    let global = study.scheme(Method::Snip, 0.5);
+    let fp8 = study.scheme(Method::Uniform(Precision::Fp8), 0.0);
 
     describe("uniform FP8 (reference)", &fp8);
     describe("global ILP (no stage constraint)", &global);

@@ -7,7 +7,7 @@
 //! are the recorded dW plus small per-rank Gaussian noise, emulating
 //! different microbatches).
 
-use snip_experiments::*;
+use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_pipeline::collective::{
     exact_sum, relative_error, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
@@ -20,69 +20,10 @@ use snip_tensor::rng::Rng;
 /// still finishes promptly.
 const CHAOS_DELAY_MICROS: u64 = 300;
 
-/// Which rank fabric the sweep runs over.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    /// The in-proc simulator (analytic bytes).
-    Simulated,
-    /// OS-thread ranks exchanging serialized frames (measured bytes).
-    Threads,
-    /// Worker *processes* connected by Unix sockets (measured bytes; must
-    /// match the threads numbers byte-for-byte).
-    Process,
-}
-
-/// `--transport threads|process` (or `--transport=...`) switches the sweep
-/// from the in-proc simulator to a real transport: ranks on OS threads or
-/// in worker processes exchanging serialized byte frames, with bytes
-/// *measured* by the per-link counters instead of simulated.
-fn transport_requested() -> Transport {
-    let args: Vec<String> = std::env::args().collect();
-    let named = |name: &str| {
-        args.iter().any(|a| a == &format!("--transport={name}"))
-            || args
-                .windows(2)
-                .any(|w| w[0] == "--transport" && w[1] == name)
-    };
-    if named("process") {
-        Transport::Process
-    } else if named("threads") {
-        Transport::Threads
-    } else {
-        Transport::Simulated
-    }
-}
-
-/// `--chaos <seed>` (or `--chaos=<seed>`) re-runs every threaded
-/// reduce-scatter under a seeded delay-only fault schedule (no kills, no
-/// corruption) and asserts the tables are unchanged: injected link delays
-/// must cost wall-clock only, never bits or bytes.
-fn chaos_requested() -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = a
-            .strip_prefix("--chaos=")
-            .map(String::from)
-            .or_else(|| (a == "--chaos").then(|| args.get(i + 1).cloned()).flatten());
-        if let Some(v) = value {
-            return Some(
-                v.parse().unwrap_or_else(|_| {
-                    panic!("--chaos needs an unsigned integer seed, got {v:?}")
-                }),
-            );
-        }
-    }
-    None
-}
-
-fn main() {
-    // If this process is a spawned rank worker (`--transport process`
-    // re-executes this binary), divert it before any experiment work.
-    #[cfg(unix)]
-    snip_pipeline::transport::proc::worker_boot();
-    let p = ExpParams::from_args();
-    let chaos_seed = chaos_requested();
-    let transport = match (transport_requested(), chaos_seed) {
+pub fn run(ctx: &Ctx) {
+    let p = &ctx.params;
+    let chaos_seed = ctx.chaos;
+    let transport = match (ctx.transport, chaos_seed) {
         // The chaos schedule decorates a real fabric; the in-proc oracle
         // has no links to delay, so `--chaos` implies the threaded mesh.
         (Transport::Simulated, Some(_)) => Transport::Threads,
@@ -110,9 +51,8 @@ fn main() {
         );
     }
     println!();
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
-    let record = checkpoint_record(&ckpt);
+    let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.ckpt_unit);
+    let record = study.record();
 
     // One long gradient vector: all dW tensors concatenated.
     let flat: Vec<f32> = record
@@ -215,7 +155,7 @@ fn main() {
         }
     };
 
-    let nb = cfg.quant_group;
+    let nb = study.cfg().quant_group;
     println!(
         "{:<8} {:<8} {:<12} {:>12} {:>12} {:>10}",
         "ranks", "wire", "policy", "rel. error", "bytes", "saving"

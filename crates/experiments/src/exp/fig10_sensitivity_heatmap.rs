@@ -4,24 +4,18 @@
 //! projections (especially late ones) are sensitive; V is more sensitive
 //! than Q/K. We print the 22×7 sensitivity grid normalized to [0, 9].
 
-use snip_core::{analyze, measure, FlopModel, OptionSet};
-use snip_experiments::*;
+use crate::harness::*;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
-use snip_tensor::rng::Rng;
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
     println!("# Figure 10: layer-wise quality loss (Q) under FP4, tinyllama-1b-sim");
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
-
-    let mut t = ckpt.clone();
-    let batch = t.peek_batch();
-    let mut rng = Rng::seed_from(0xF10);
-    let optimizer = t.optimizer.clone();
-    let m = measure(&mut t.model, &optimizer, &batch, &mut rng, 1e-2);
-    let analysis = analyze(&m, &cfg, &OptionSet::fp8_fp4(), &FlopModel::new(&cfg));
-    let sens = analysis.fp4_sensitivity();
+    let study = Study::at(
+        ctx,
+        ModelConfig::tinyllama_1b_sim(),
+        3 * ctx.params.ckpt_unit,
+    );
+    let cfg = study.cfg();
+    let sens = study.analysis().fp4_sensitivity();
 
     let max = sens.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
     println!("(digits = sensitivity decile: 9 = most sensitive)\n");

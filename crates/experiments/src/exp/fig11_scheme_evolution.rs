@@ -5,25 +5,24 @@
 //! the late checkpoint (early layers gain precision, late layers lose it) —
 //! motivating periodic regeneration.
 
-use snip_experiments::*;
+use crate::harness::*;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
 use snip_quant::{LinearPrecision, Precision};
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
     println!("# Figure 11: SNIP assignments @75% FP4 across checkpoints, tinyllama-1b-sim");
     let units: [u64; 5] = [1, 2, 3, 5, 8]; // "5k, 10k, 20k, 50k, 240k"-like ladder
     let model = ModelConfig::tinyllama_1b_sim();
     let mut schemes = Vec::new();
     for &u in &units {
-        let steps = u * p.ckpt_unit;
-        let ckpt = checkpoint(model.clone(), steps, &p);
-        let scheme = snip_scheme(&ckpt, 0.75);
+        let steps = u * ctx.params.ckpt_unit;
+        let study = Study::at(ctx, model.clone(), steps);
+        let scheme = study.scheme(Method::Snip, 0.75);
         println!(
             "\n## checkpoint step {} ({} FP4 layers, {:.1}% FP4 FLOPs)",
             steps,
             scheme.fp4_layer_count(),
-            100.0 * fp4_fraction(&scheme, &model)
+            100.0 * study.fp4_fraction(&scheme)
         );
         println!("{}", scheme.render_grid(&model));
         schemes.push((steps, scheme));

@@ -5,25 +5,29 @@
 //! stage-balanced ILP (§5.3), and shows the resulting 1F1B timeline plus the
 //! per-stage precision heat maps.
 
-use snip_core::Scheme;
-use snip_experiments::*;
+use crate::cost::stage_costs;
+use crate::harness::*;
+use crate::schedule::simulate_1f1b;
+use crate::timeline::render_timeline;
+use snip_core::PipelineBalance;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
-use snip_pipeline::{render_timeline, simulate_1f1b, stage_costs, StagePartition};
+use snip_pipeline::StagePartition;
 use snip_quant::Precision;
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
+    let p = &ctx.params;
     println!("# Figure 12: pipeline timeline, tinyllama-1b-sim, 4 stages, 50% FP4 budget");
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
+    let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit);
+    let cfg = study.cfg();
     let partition = StagePartition::even(cfg.n_layers, 4);
 
-    // Stage-balanced SNIP scheme (grouped ILP, §5.3).
-    let scheme = snip_scheme_with(&ckpt, 0.5, Some(4));
+    // Stage-balanced SNIP scheme (grouped ILP, §5.3; relative targets, the
+    // paper's Eq. 5 behaviour).
+    let scheme = study.snip(0.5, Some(4), PipelineBalance::Relative);
     println!(
         "\nscheme {} achieves {:.1}% FP4 FLOPs overall",
         scheme.name,
-        100.0 * fp4_fraction(&scheme, &cfg)
+        100.0 * study.fp4_fraction(&scheme)
     );
 
     // Per-stage precision heat maps (Fig. 12's 2D insets).
@@ -52,20 +56,9 @@ fn main() {
             }
             println!();
         }
-        // Fraction of this stage's FLOPs in FP4.
-        let stage_linears = partition.linears(k);
-        let flops = snip_core::FlopModel::new(&cfg);
-        let stage_total: f64 = stage_linears
-            .iter()
-            .map(|id| flops.fraction(id.linear_index()))
-            .sum();
-        let stage_fp4: f64 = stage_linears
-            .iter()
-            .map(|id| flops.efficiency(id.linear_index(), scheme.layer(*id)))
-            .sum();
         println!(
             "stage FP4 fraction: {:.1}% of stage FLOPs",
-            100.0 * stage_fp4 / stage_total
+            study.fp4_pct_of(&scheme, &partition.linears(k))
         );
     }
 
@@ -75,13 +68,16 @@ fn main() {
     println!("\n## 1F1B timelines ({microbatches} microbatches)");
     for (label, s) in [
         ("SNIP stage-balanced @50%", scheme.clone()),
-        ("SNIP global ILP @50% (unbalanced)", snip_scheme(&ckpt, 0.5)),
+        (
+            "SNIP global ILP @50% (unbalanced)",
+            study.scheme(Method::Snip, 0.5),
+        ),
         (
             "uniform FP8",
-            Scheme::uniform(Precision::Fp8, cfg.n_linear_layers()),
+            study.scheme(Method::Uniform(Precision::Fp8), 0.0),
         ),
     ] {
-        let costs = stage_costs(&cfg, &s, &partition, tokens);
+        let costs = stage_costs(cfg, &s, &partition, tokens);
         let sim = simulate_1f1b(&costs, microbatches);
         println!("\n--- {label} ---");
         println!("{}", render_timeline(&sim, 100));

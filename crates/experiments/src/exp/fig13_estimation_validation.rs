@@ -10,9 +10,9 @@
 //! averaged over several batches — the paper's full-width models get the
 //! same effect from their 4M-token batches.
 
+use crate::harness::*;
 use snip_core::divergence::loss_divergence;
 use snip_core::{measure, Scheme};
-use snip_experiments::*;
 use snip_nn::{LayerId, ModelConfig};
 use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::rng::Rng;
@@ -42,21 +42,21 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt()).max(1e-12)
 }
 
-fn main() {
-    let p = ExpParams::from_args();
-    let n_batches = if std::env::args().any(|a| a == "--quick") {
-        2
-    } else {
-        6
-    };
+pub fn run(ctx: &Ctx) {
+    let p = &ctx.params;
+    let n_batches = p.probe_batches;
     println!("# Figure 13: estimated vs ground-truth per-layer loss impact (FP4, tinyllama-1b-sim, averaged over {n_batches} batches)");
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
-    let n = cfg.n_linear_layers();
+    let ckpt = checkpoint(
+        ModelConfig::tinyllama_1b_sim(),
+        3 * p.ckpt_unit,
+        p,
+        &ctx.ckpt_dir,
+    );
+    let n = ckpt.config().model.n_linear_layers();
 
     let mut estimates = vec![0.0f64; n];
     let mut truth = vec![0.0f64; n];
-    let mut t = ckpt.clone();
+    let mut t = ckpt;
     let mut rng = Rng::seed_from(0xF13);
     let optimizer = t.optimizer.clone();
     let bf16 = Scheme::uniform(Precision::Bf16, n);

@@ -6,15 +6,14 @@
 //! 3. §6.3: the row-wise statistics formulation keeps SNIP's memory
 //!    overhead "under 1%".
 
+use crate::harness::*;
 use snip_core::rowwise::{overhead_ratio, RowwiseLayerStats};
-use snip_experiments::*;
 use snip_nn::memory::{
     activation_bytes, scale_overhead_bytes_per_param, MemoryBreakdown, MemoryModel, StateBytes,
 };
 use snip_nn::ModelConfig;
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
     println!("# Memory accounting (paper §2.2, §6.1, §6.3)\n");
 
     // --- Claim 1: the 1120 GB figure -----------------------------------
@@ -110,9 +109,9 @@ fn main() {
     }
 
     // Measured on a real (scaled-down) checkpoint record.
-    let ckpt = checkpoint(ModelConfig::tinyllama_1b_sim(), p.ckpt_unit, &p);
-    let cfg = ckpt.config().model.clone();
-    let record = checkpoint_record(&ckpt);
+    let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), ctx.params.ckpt_unit);
+    let cfg = study.cfg();
+    let record = study.record();
     let mut stored = 0usize;
     let mut elements = 0usize;
     for lr in &record.linears {

@@ -3,13 +3,12 @@
 //! OpenLlama-3B/7B-class at two checkpoints (budget 50%, "more sensitive to
 //! precision loss" per the paper).
 
-use snip_core::Scheme;
-use snip_experiments::*;
+use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-fn main() {
-    let p = ExpParams::from_args();
+pub fn run(ctx: &Ctx) {
+    let p = &ctx.params;
     println!("# Table 2: accuracy across checkpoints and model sizes");
 
     // (model, checkpoint multipliers, budget)
@@ -18,6 +17,11 @@ fn main() {
         (ModelConfig::openllama_3b_sim(), vec![3], 0.50),
         (ModelConfig::openllama_7b_sim(), vec![3], 0.50),
     ];
+    let table = Table {
+        label: ("", 24),
+        sep: " ",
+        cols: vec![("", Col::Accuracy, 8)],
+    };
 
     for (model, ckpt_units, budget) in settings {
         for unit in ckpt_units {
@@ -28,22 +32,23 @@ fn main() {
                 steps,
                 budget * 100.0
             );
-            let ckpt = checkpoint(model.clone(), steps, &p);
-            let cfg = ckpt.config().model.clone();
-            let n = cfg.n_linear_layers();
-
-            let run = |label: &str, scheme: &Scheme| {
-                let (_, t) = resume_with_scheme(&ckpt, scheme, p.resume_steps);
-                let report = evaluate_trainer(&t, p.eval_items);
-                println!("  {:<22} {:>8.2}", label, report.average());
+            let study = Study::at(ctx, model.clone(), steps);
+            let run = |label: Option<&str>, method: Method| {
+                let scheme = study.scheme(method, budget);
+                let outcome = study.resume(&scheme, p.resume_steps);
+                let label = format!("  {}", label.unwrap_or(&scheme.name));
+                println!("{}", table.row(&label, &outcome));
             };
-            run("BF16", &Scheme::uniform(Precision::Bf16, n));
-            run("SNIP", &snip_scheme(&ckpt, budget));
-            for scheme in baseline_schemes(&ckpt, budget) {
-                if scheme.name.starts_with("E-layer") || scheme.name.starts_with("random2") {
-                    continue; // Table 2 lists min-*-err and random only
-                }
-                run(&scheme.name.clone(), &scheme);
+            run(Some("BF16"), Method::Uniform(Precision::Bf16));
+            run(Some("SNIP"), Method::Snip);
+            // Table 2 lists min-*-err and random only.
+            for method in [
+                Method::MinAbsErr,
+                Method::MinRelErr,
+                Method::Random(0),
+                Method::Random(1),
+            ] {
+                run(None, method);
             }
         }
     }

@@ -6,10 +6,9 @@
 //! assumed.
 
 use crate::cost::StageCost;
-use serde::{Deserialize, Serialize};
 
 /// Forward or backward execution of one microbatch on one stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Forward pass.
     Forward,
@@ -18,7 +17,7 @@ pub enum Phase {
 }
 
 /// One scheduled work item.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduleEvent {
     /// Pipeline stage.
     pub stage: usize,
@@ -33,7 +32,7 @@ pub struct ScheduleEvent {
 }
 
 /// A simulated pipeline execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PipelineSim {
     /// All events, sorted by start time.
     pub events: Vec<ScheduleEvent>,

@@ -1,13 +1,15 @@
 //! Integration tests for pipeline-aware scheme selection + schedule
 //! simulation (paper §5.3 / Fig. 12).
 
-use snip::core::{PolicyConfig, SnipConfig, SnipEngine, Trainer, TrainerConfig};
-use snip::nn::ModelConfig;
-use snip::pipeline::{simulate_1f1b, stage_costs, StagePartition};
-use snip::quant::Precision;
-use snip::tensor::rng::Rng;
+use snip_core::{FlopModel, PolicyConfig, Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
+use snip_experiments::cost::stage_costs;
+use snip_experiments::schedule::simulate_1f1b;
+use snip_nn::ModelConfig;
+use snip_pipeline::StagePartition;
+use snip_quant::Precision;
+use snip_tensor::rng::Rng;
 
-fn scheme_for(stages: Option<usize>, budget: f64) -> (snip::core::Scheme, ModelConfig) {
+fn scheme_for(stages: Option<usize>, budget: f64) -> (Scheme, ModelConfig) {
     let model = ModelConfig::tinyllama_1b_sim();
     let mut t = Trainer::new(TrainerConfig {
         model: model.clone(),
@@ -41,7 +43,7 @@ fn scheme_for(stages: Option<usize>, budget: f64) -> (snip::core::Scheme, ModelC
 fn balanced_scheme_meets_per_stage_budget() {
     let (scheme, model) = scheme_for(Some(4), 0.5);
     let partition = StagePartition::even(model.n_layers, 4);
-    let flops = snip::core::FlopModel::new(&model);
+    let flops = FlopModel::new(&model);
     for k in 0..4 {
         let linears = partition.linears(k);
         let stage_total: f64 = linears
@@ -68,8 +70,8 @@ fn balanced_scheme_improves_worst_stage_fp4_fraction() {
     let (global, model) = scheme_for(None, 0.5);
     let (balanced, _) = scheme_for(Some(4), 0.5);
     let partition = StagePartition::even(model.n_layers, 4);
-    let flops = snip::core::FlopModel::new(&model);
-    let min_stage_fraction = |s: &snip::core::Scheme| -> f64 {
+    let flops = FlopModel::new(&model);
+    let min_stage_fraction = |s: &Scheme| -> f64 {
         (0..4)
             .map(|k| {
                 let linears = partition.linears(k);
@@ -99,7 +101,7 @@ fn faster_precision_shortens_simulated_makespan() {
     let partition = StagePartition::even(model.n_layers, 4);
     let n = model.n_linear_layers();
     let mk = |p: Precision| -> f64 {
-        let scheme = snip::core::Scheme::uniform(p, n);
+        let scheme = Scheme::uniform(p, n);
         let costs = stage_costs(&model, &scheme, &partition, 64);
         simulate_1f1b(&costs, 8).makespan
     };

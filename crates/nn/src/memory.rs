@@ -13,7 +13,7 @@
 //! a whole-model breakdown (optionally with activations via the Megatron
 //! per-layer activation formula), and the scale-factor overhead of
 //! group-wise quantization (§2.3) so FP4/FP8 storage savings are reported
-//! honestly, scales included. The `memory_overhead` experiment binary
+//! honestly, scales included. The `memory_overhead` experiment
 //! regenerates the paper's numbers from these functions.
 
 use crate::config::ModelConfig;

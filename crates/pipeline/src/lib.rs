@@ -1,48 +1,48 @@
 //! # snip-pipeline
 //!
-//! Pipeline-parallelism schedule simulator for SNIP (paper §5.3, Fig. 12).
+//! Multi-rank transport and low-precision collectives for SNIP (paper §2.2,
+//! §5.3).
 //!
-//! The paper's 70B runs use Megatron-style pipeline parallelism (PP = 8);
-//! imbalanced per-stage compute creates bubbles that cap end-to-end speedup,
-//! which is why SNIP's ILP gets a per-stage efficiency constraint. This crate
-//! reproduces the *scheduling* side: contiguous stage partitions
-//! ([`stage::StagePartition`]), a precision-dependent cost model
-//! ([`cost::stage_costs`], FP4 = 2× FP8 = 4× BF16), an event-driven 1F1B
-//! simulator ([`schedule::simulate_1f1b`]) and Fig. 12-style timelines
-//! ([`timeline::render_timeline`]).
-//!
-//! It also houses the *transport* side: [`transport`] runs real multi-rank
-//! collectives and data-parallel training over serialized byte frames, with
-//! ranks on OS threads (one driver: [`transport::run_ranks`]) or in
-//! separate worker processes connected by Unix sockets (one driver:
-//! [`transport::proc::launch`], fed typed [`transport::proc::Task`]s). Both
-//! drivers take an optional [`transport::ChaosPlan`] — fault injection is an
-//! argument, not a parallel API — both run the same rank code behind the
-//! [`transport::Endpoint`] surface, and both are bit-identical to the
-//! in-proc [`collective`] oracle.
+//! [`transport`] runs real multi-rank collectives and data-parallel training
+//! over serialized byte frames, with ranks on OS threads (one driver:
+//! [`transport::run_ranks`]) or in separate worker processes connected by
+//! Unix sockets (one driver: [`transport::proc::launch`], fed typed
+//! [`transport::proc::Task`]s). Both drivers take an optional
+//! [`transport::ChaosPlan`] — fault injection is an argument, not a parallel
+//! API — both run the same rank code behind the [`transport::Endpoint`]
+//! surface, and both are bit-identical to the in-proc [`collective`] oracle.
+//! [`comm`] answers the same byte volumes analytically, and
+//! [`stage::StagePartition`] is the contiguous block → pipeline-stage split
+//! the stage-aware ILP constrains by (the paper's 22 blocks over 4 stages
+//! are 6/6/6/4). The 1F1B schedule *simulator* that draws Fig. 12 lives
+//! with its only users, in `snip-experiments`.
 //!
 //! # Example
 //!
 //! ```
-//! use snip_core::Scheme;
-//! use snip_nn::ModelConfig;
-//! use snip_pipeline::{cost::stage_costs, schedule::simulate_1f1b, stage::StagePartition};
-//! use snip_quant::Precision;
+//! use snip_pipeline::collective::{QuantizePolicy, Wire};
+//! use snip_pipeline::transport::run_ranks;
+//! use snip_tensor::rng::Rng;
 //!
-//! let cfg = ModelConfig::tinyllama_1b_sim();
-//! let partition = StagePartition::even(cfg.n_layers, 4);
-//! let scheme = Scheme::uniform(Precision::Fp8, cfg.n_linear_layers());
-//! let costs = stage_costs(&cfg, &scheme, &partition, 128);
-//! let sim = simulate_1f1b(&costs, 8);
-//! assert!(sim.bubble_fraction < 0.5);
+//! // Two ranks on OS threads all-reduce their gradients over an FP8 wire.
+//! let grads = [vec![1.0f32; 64], vec![3.0f32; 64]];
+//! let (reduced, stats) = run_ranks(2, None, |ep| {
+//!     let mut rng = Rng::seed_from(ep.rank() as u64);
+//!     ep.ring_all_reduce(
+//!         &grads[ep.rank()],
+//!         &Wire::fp8(16),
+//!         QuantizePolicy::EveryHop,
+//!         &mut rng,
+//!     )
+//!     .expect("fault-free mesh")
+//! });
+//! assert!(reduced.iter().all(|r| (r[0] - 4.0).abs() < 0.5));
+//! assert!(stats.total_payload_bytes() > 0);
 //! ```
 
 pub mod collective;
 pub mod comm;
-pub mod cost;
-pub mod schedule;
 pub mod stage;
-pub mod timeline;
 pub mod transport;
 
 pub use collective::{
@@ -50,10 +50,7 @@ pub use collective::{
     ring_reduce_scatter, ring_reduce_scatter_ranked, CollectiveResult, QuantizePolicy, Wire,
 };
 pub use comm::{comm_saving_factor, step_comm_volume, CommVolume, WirePolicy};
-pub use cost::{stage_costs, StageCost};
-pub use schedule::{simulate_1f1b, Phase, PipelineSim, ScheduleEvent};
 pub use stage::StagePartition;
-pub use timeline::render_timeline;
 pub use transport::{
     channel_mesh, data_parallel_train, pipeline_relay, run_ranks, threaded_all_reduce,
     ChannelFabric, Endpoint, Fabric, FrameError, RankChunk, TransportError, TransportStats,

@@ -14,8 +14,8 @@
 //! * [`ilp`] — exact multiple-choice-knapsack ILP solver
 //! * [`core`] — the SNIP framework itself: statistics collection, loss/weight
 //!   divergence, ILP policy, baselines, and the periodic scheme engine
-//! * [`pipeline`] — pipeline-parallel schedule simulator with byte-accurate
-//!   packed collective payloads
+//! * [`pipeline`] — multi-rank transport (threads or socket-connected
+//!   processes) and collectives with byte-accurate packed payloads
 //! * [`eval`] — synthetic zero-shot evaluation harness
 //!
 //! # The packed subbyte path

@@ -2,8 +2,8 @@
 //! degenerate inputs must fail loudly and cleanly — never with NaN schemes.
 
 use snip::core::{
-    baselines, fisher_scheme, greedy_refinement, heuristics, OptionSet, PolicyConfig, SnipConfig,
-    SnipEngine, StepStats, Trainer, TrainerConfig,
+    baselines, fisher_scheme, greedy_refinement, OptionSet, PolicyConfig, SnipConfig, SnipEngine,
+    StepStats, Trainer, TrainerConfig,
 };
 use snip::ilp::{
     solve, solve_time_balanced, time_balanced_targets, Choice, McKnapsack, SolveError, SolveOptions,
@@ -70,12 +70,12 @@ fn greedy_rejects_infeasible_and_mismatched_inputs() {
     let q = vec![vec![0.0, 1.0]];
     let e = vec![vec![0.0, 0.5]];
     assert_eq!(
-        heuristics::greedy_refinement(&q, &e, &options, 0.9, "x").unwrap_err(),
+        baselines::greedy_refinement(&q, &e, &options, 0.9, "x").unwrap_err(),
         SolveError::Infeasible
     );
     let e_bad = vec![vec![0.0]];
     assert!(matches!(
-        heuristics::greedy_refinement(&q, &e_bad, &options, 0.1, "x").unwrap_err(),
+        baselines::greedy_refinement(&q, &e_bad, &options, 0.1, "x").unwrap_err(),
         SolveError::Invalid(_)
     ));
 }
