@@ -6,13 +6,15 @@
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::IntQuantizer;
+use snip_quant::int::{IntFormat, IntQuantizer};
 use snip_quant::mx::MxQuantizer;
 use snip_quant::outlier::OutlierQuantizer;
 use snip_quant::rht::RhtQuantizer;
-use snip_quant::{PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES};
+use snip_quant::{
+    PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES,
+};
 use snip_tensor::rng::Rng;
-use snip_tensor::Tensor;
+use snip_tensor::{QTensor, Tensor};
 
 fn quantizer_for(kind: usize, nb: usize, rounding: Rounding) -> Box<dyn PackedQuantize> {
     let plain = Quantizer::new(FloatFormat::e2m1(), Granularity::Tile { nb }, rounding);
@@ -68,5 +70,163 @@ proptest! {
         for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "element {}: {} vs {}", i, x, y);
         }
+    }
+}
+
+/// The 36 header bytes of one frame per packed variant × {e2m1, e4m3, int4,
+/// int8} (plus the remaining float ids and the narrowest int id), recorded
+/// at the commit before the element-format enumerations were merged. The
+/// scale layout cycles through all five tags. Format ids (`0–3`,
+/// `0x10 | bits`), variant bytes (`0–3`) and layout tags are a wire
+/// contract: a refactor may not renumber them.
+const GOLDEN_HEADERS: [(&str, &str); 19] = [
+    (
+        "codes e2m1",
+        "5350010000000000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "codes e4m3",
+        "5350010001010000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "codes int4",
+        "5350010014020000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "codes int8",
+        "5350010018030000030000000a0000000400000000000000000000000000000000000000",
+    ),
+    (
+        "mx e2m1",
+        "5350010100040000030000000a0000000800000000000000000000000000000000000000",
+    ),
+    (
+        "mx e4m3",
+        "5350010101000000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "mx int4",
+        "5350010114010000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "mx int8",
+        "5350010118020000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "rotated e2m1",
+        "5350010200030000030000000a0000000400000010000000efcdab896745230100000000",
+    ),
+    (
+        "rotated e4m3",
+        "5350010201040000030000000a0000000800000010000000efcdab896745230100000000",
+    ),
+    (
+        "rotated int4",
+        "5350010214000000030000000a0000000000000010000000efcdab896745230100000000",
+    ),
+    (
+        "rotated int8",
+        "5350010218010000030000000a0000000000000010000000efcdab896745230100000000",
+    ),
+    (
+        "split e2m1",
+        "5350010300020000030000000a0000000000000000000000000000000000000002000000",
+    ),
+    (
+        "split e4m3",
+        "5350010301030000030000000a0000000400000000000000000000000000000002000000",
+    ),
+    (
+        "split int4",
+        "5350010314040000030000000a0000000800000000000000000000000000000002000000",
+    ),
+    (
+        "split int8",
+        "5350010318000000030000000a0000000000000000000000000000000000000002000000",
+    ),
+    (
+        "codes e5m2",
+        "5350010002010000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "codes e3m4",
+        "5350010003010000030000000a0000000000000000000000000000000000000000000000",
+    ),
+    (
+        "codes int2",
+        "5350010012010000030000000a0000000000000000000000000000000000000000000000",
+    ),
+];
+
+const GOLDEN_LAYOUTS: [Granularity; 5] = [
+    Granularity::Tensorwise,
+    Granularity::Rowwise,
+    Granularity::Columnwise,
+    Granularity::Block { nb: 4 },
+    Granularity::Tile { nb: 8 },
+];
+
+/// Nearest-rounded codes of a 3×10 tensor filled with the format's largest
+/// value, so every group's decode scale is exactly 1 (a power of two — the
+/// `Mx` variant can serialize it whatever the layout).
+fn golden_codes(format: &str, layout: Granularity) -> QTensor {
+    let rng = || Rng::seed_from(0); // untouched under nearest rounding
+    let filled = |max: f32| Tensor::from_vec(3, 10, vec![max; 30]);
+    let float = |fmt: FloatFormat| {
+        let t = filled(fmt.max_value());
+        Quantizer::new(fmt, layout, Rounding::Nearest).quantize_packed(&t, &mut rng())
+    };
+    let int = |fmt: IntFormat| {
+        let t = filled(fmt.qmax());
+        IntQuantizer::new(fmt, layout, Rounding::Nearest).quantize_packed(&t, &mut rng())
+    };
+    match format {
+        "e2m1" => float(FloatFormat::e2m1()),
+        "e4m3" => float(FloatFormat::e4m3()),
+        "e5m2" => float(FloatFormat::e5m2()),
+        "e3m4" => float(FloatFormat::e3m4()),
+        "int2" => int(IntFormat::new(2)),
+        "int4" => int(IntFormat::int4()),
+        "int8" => int(IntFormat::int8()),
+        other => panic!("no golden format {other}"),
+    }
+    .expect("packable")
+}
+
+#[test]
+fn wire_headers_match_the_recorded_bytes() {
+    for (i, (name, want)) in GOLDEN_HEADERS.into_iter().enumerate() {
+        let (variant, format) = name.split_once(' ').expect("variant format");
+        // The 16 variant × format rows cycle the layouts; the three extra
+        // format-id rows are rowwise.
+        let layout = if i < 16 {
+            GOLDEN_LAYOUTS[i % 5]
+        } else {
+            Granularity::Rowwise
+        };
+        let codes = golden_codes(format, layout);
+        let packed = match variant {
+            "codes" => PackedTensor::Codes(codes),
+            "mx" => PackedTensor::Mx(codes),
+            "rotated" => PackedTensor::Rotated {
+                codes,
+                block: 16,
+                seed: 0x0123_4567_89AB_CDEF,
+            },
+            "split" => PackedTensor::Split {
+                body: codes,
+                outliers: [(4, 1.5), (29, -2.0)]
+                    .map(|(index, value)| PackedOutlier { index, value })
+                    .to_vec(),
+            },
+            other => panic!("no golden variant {other}"),
+        };
+        let frame = packed.to_wire_bytes().expect(name);
+        let header: String = frame[..WIRE_HEADER_BYTES]
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(header, want, "{name}");
+        assert_eq!(PackedTensor::from_wire_bytes(&frame).expect(name), packed);
     }
 }
