@@ -12,11 +12,8 @@
 use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
-use snip_quant::{Precision, Rounding, TensorRole};
+use snip_quant::int::IntFormat;
+use snip_quant::{Precision, Quantizer, Rounding, TensorRole};
 use snip_tensor::Tensor;
 
 pub fn run(ctx: &Ctx) {
@@ -53,25 +50,21 @@ pub fn run(ctx: &Ctx) {
         let ts = tensors_of(role);
         let fp4 = Precision::Fp4.quantizer_with_group(role, nb);
         let fp8 = Precision::Fp8.quantizer_with_group(role, nb);
-        let mx = MxQuantizer::mxfp4();
-        let rht = RhtQuantizer::new(fp4, rht_block, 17);
-        let outlier = OutlierQuantizer::new(fp4, 0.01);
-        let int = |format| IntQuantizer::new(format, Granularity::Tile { nb }, Rounding::Nearest);
-        let (int4, int8) = (int(IntFormat::int4()), int(IntFormat::int8()));
-        type RelativeError<'a> = &'a dyn Fn(&Tensor) -> f64;
-        let options: [(&str, RelativeError); 7] = [
-            ("fp4 (paper recipe)", &|t| fp4.relative_error(t)),
-            ("mxfp4 (E8M0 scales)", &|t| mx.relative_error(t)),
-            ("rht-fp4", &|t| rht.relative_error(t)),
-            ("fp4+outliers(1%)", &|t| outlier.relative_error(t)),
-            ("int4", &|t| int4.relative_error(t)),
-            ("fp8 (reference)", &|t| fp8.relative_error(t)),
-            ("int8 (reference)", &|t| int8.relative_error(t)),
+        let int =
+            |format: IntFormat| Quantizer::new(format, Granularity::Tile { nb }, Rounding::Nearest);
+        let options: [(&str, Quantizer); 7] = [
+            ("fp4 (paper recipe)", fp4),
+            ("mxfp4 (E8M0 scales)", Quantizer::mxfp4()),
+            ("rht-fp4", fp4.with_rht(rht_block, 17)),
+            ("fp4+outliers(1%)", fp4.with_outliers(0.01)),
+            ("int4", int(IntFormat::int4())),
+            ("fp8 (reference)", fp8),
+            ("int8 (reference)", int(IntFormat::int8())),
         ];
         println!("## {label}");
         println!("{:<22} {:>12}", "option", "rel. error");
-        for (name, relative_error) in options {
-            let err = ts.iter().map(|t| relative_error(t)).sum::<f64>() / ts.len() as f64;
+        for (name, q) in options {
+            let err = ts.iter().map(|t| q.relative_error(t)).sum::<f64>() / ts.len() as f64;
             println!("{name:<22} {err:>12.5}");
         }
         println!();

@@ -22,85 +22,18 @@
 use serde::{Deserialize, Serialize};
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::IntQuantizer;
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
-use snip_quant::{PackedQuantize, PackedTensor, Quantizer, Rounding};
+use snip_quant::{PackedQuantize, Quantizer, Rounding};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
 
-/// The quantizer behind a lossy wire — every §5.2 quantization option can
-/// serve as a wire codec because they all implement [`PackedQuantize`]: the
-/// payload that crosses the ring is the canonical packed form, and its byte
-/// volume is whatever that form measures.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum WireCodec {
-    /// A plain float quantizer (BF16 / FP8 / FP4 recipes).
-    Float {
-        /// The quantizer.
-        q: Quantizer,
-    },
-    /// A symmetric integer quantizer (INT8/INT4 wires).
-    Int {
-        /// The quantizer.
-        q: IntQuantizer,
-    },
-    /// MX block scaling (power-of-two E8M0 scales, one byte each on the
-    /// wire).
-    Mx {
-        /// The quantizer.
-        q: MxQuantizer,
-    },
-    /// Randomized-Hadamard pre-rotation around an inner quantizer.
-    Rht {
-        /// The quantizer.
-        q: RhtQuantizer,
-    },
-    /// Dense low-precision body + sparse BF16 outliers.
-    Outlier {
-        /// The quantizer.
-        q: OutlierQuantizer,
-    },
-}
-
-impl PackedQuantize for WireCodec {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        match self {
-            WireCodec::Float { q } => q.pack(t, rng),
-            WireCodec::Int { q } => q.pack(t, rng),
-            WireCodec::Mx { q } => q.pack(t, rng),
-            WireCodec::Rht { q } => q.pack(t, rng),
-            WireCodec::Outlier { q } => q.pack(t, rng),
-        }
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        match self {
-            WireCodec::Float { q } => q.fake_reference(t, rng),
-            WireCodec::Int { q } => q.fake_reference(t, rng),
-            WireCodec::Mx { q } => q.fake_reference(t, rng),
-            WireCodec::Rht { q } => q.fake_reference(t, rng),
-            WireCodec::Outlier { q } => q.fake_reference(t, rng),
-        }
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        match self {
-            WireCodec::Float { q } => q.packed_wire_bytes(rows, cols),
-            WireCodec::Int { q } => q.packed_wire_bytes(rows, cols),
-            WireCodec::Mx { q } => q.packed_wire_bytes(rows, cols),
-            WireCodec::Rht { q } => q.packed_wire_bytes(rows, cols),
-            WireCodec::Outlier { q } => q.packed_wire_bytes(rows, cols),
-        }
-    }
-}
-
-/// A collective wire format: payload width plus the codec emulating it.
+/// A collective wire format: payload width plus the quantizer emulating it.
+/// Every §5.2 quantization option can serve as a wire codec: the payload
+/// that crosses the ring is the quantizer's canonical packed form, and its
+/// byte volume is whatever that form measures.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Wire {
     bits: u32,
-    codec: Option<WireCodec>,
+    codec: Option<Quantizer>,
     label: &'static str,
 }
 
@@ -114,111 +47,71 @@ impl Wire {
         }
     }
 
+    fn lossy(bits: u32, label: &'static str, codec: Quantizer) -> Self {
+        Wire {
+            bits,
+            codec: Some(codec),
+            label,
+        }
+    }
+
+    /// E2M1 under `1×nb` tile scaling with stochastic rounding (the paper's
+    /// recipe for FP4 gradients, §6.1 — unbiasedness matters even more when
+    /// payloads are summed across ranks): the base of every FP4 wire.
+    fn fp4_tiles(nb: usize) -> Quantizer {
+        Quantizer::new(
+            FloatFormat::e2m1(),
+            Granularity::Tile { nb },
+            Rounding::Stochastic,
+        )
+    }
+
     /// BF16 wires — today's default for gradient collectives.
     pub fn bf16() -> Self {
-        Wire {
-            bits: 16,
-            codec: Some(WireCodec::Float {
-                q: Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest),
-            }),
-            label: "bf16",
-        }
+        let codec = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
+        Wire::lossy(16, "bf16", codec)
     }
 
     /// FP8 (E4M3) wires with `1×nb` tile scaling.
     pub fn fp8(nb: usize) -> Self {
-        Wire {
-            bits: 8,
-            codec: Some(WireCodec::Float {
-                q: Quantizer::new(
-                    FloatFormat::e4m3(),
-                    Granularity::Tile { nb },
-                    Rounding::Nearest,
-                ),
-            }),
-            label: "fp8",
-        }
+        let codec = Quantizer::new(
+            FloatFormat::e4m3(),
+            Granularity::Tile { nb },
+            Rounding::Nearest,
+        );
+        Wire::lossy(8, "fp8", codec)
     }
 
-    /// FP4 (E2M1) wires with `1×nb` tile scaling and stochastic rounding
-    /// (the paper's recipe for FP4 gradients, §6.1 — unbiasedness matters
-    /// even more when payloads are summed across ranks).
+    /// FP4 (E2M1) wires with `1×nb` tile scaling and stochastic rounding.
     pub fn fp4(nb: usize) -> Self {
-        Wire {
-            bits: 4,
-            codec: Some(WireCodec::Float {
-                q: Quantizer::new(
-                    FloatFormat::e2m1(),
-                    Granularity::Tile { nb },
-                    Rounding::Stochastic,
-                ),
-            }),
-            label: "fp4",
-        }
+        Wire::lossy(4, "fp4", Wire::fp4_tiles(nb))
     }
 
     /// MXFP4 wires: E2M1 codes under one-byte E8M0 scales per 32-block,
     /// stochastic element rounding.
     pub fn mxfp4() -> Self {
-        Wire {
-            bits: 4,
-            codec: Some(WireCodec::Mx {
-                q: MxQuantizer::mxfp4().with_rounding(Rounding::Stochastic),
-            }),
-            label: "mxfp4",
-        }
+        let codec = Quantizer::mxfp4().with_rounding(Rounding::Stochastic);
+        Wire::lossy(4, "mxfp4", codec)
     }
 
     /// RHT-rotated FP4 wires: payloads rotate, quantize at `1×nb` tiles with
     /// stochastic rounding, and the receiver inverts the rotation (the seed
     /// is shared configuration, not payload).
     pub fn rht_fp4(nb: usize, seed: u64) -> Self {
-        Wire {
-            bits: 4,
-            codec: Some(WireCodec::Rht {
-                q: RhtQuantizer::new(
-                    Quantizer::new(
-                        FloatFormat::e2m1(),
-                        Granularity::Tile { nb },
-                        Rounding::Stochastic,
-                    ),
-                    nb.next_power_of_two(),
-                    seed,
-                ),
-            }),
-            label: "rht-fp4",
-        }
+        let codec = Wire::fp4_tiles(nb).with_rht(nb.next_power_of_two(), seed);
+        Wire::lossy(4, "rht-fp4", codec)
     }
 
     /// FP4 wires with a sparse BF16 outlier side-channel: the top
     /// `fraction` magnitudes ship at 6 B each (u32 index + BF16 value) and
     /// stop inflating the dense tile scales.
     pub fn outlier_fp4(nb: usize, fraction: f64) -> Self {
-        Wire {
-            bits: 4,
-            codec: Some(WireCodec::Outlier {
-                q: OutlierQuantizer::new(
-                    Quantizer::new(
-                        FloatFormat::e2m1(),
-                        Granularity::Tile { nb },
-                        Rounding::Stochastic,
-                    ),
-                    fraction,
-                ),
-            }),
-            label: "ol-fp4",
-        }
+        Wire::lossy(4, "ol-fp4", Wire::fp4_tiles(nb).with_outliers(fraction))
     }
 
     /// INT8 wires with `1×nb` tile scaling.
     pub fn int8(nb: usize) -> Self {
-        Wire {
-            bits: 8,
-            codec: Some(WireCodec::Int {
-                q: IntQuantizer::int8_tile(nb),
-            }),
-            label: "int8",
-        }
+        Wire::lossy(8, "int8", Quantizer::int8_tile(nb))
     }
 
     /// Payload width in bits (element codes only; subbyte wires also move
@@ -232,8 +125,8 @@ impl Wire {
         self.label
     }
 
-    /// The codec behind this wire (`None` for exact f32 wires).
-    pub fn codec(&self) -> Option<&WireCodec> {
+    /// The quantizer behind this wire (`None` for exact f32 wires).
+    pub fn codec(&self) -> Option<&Quantizer> {
         self.codec.as_ref()
     }
 

@@ -205,14 +205,13 @@ mod tests {
 
     #[test]
     fn codec_wire_bytes_covers_alternative_quantizers() {
-        use snip_quant::mx::MxQuantizer;
-        use snip_quant::outlier::OutlierQuantizer;
+        use snip_quant::Quantizer;
         // MX: 0.5 B/elem + one E8M0 byte per 32-block.
-        let b = codec_wire_bytes(&MxQuantizer::mxfp4(), 2, 64, 16);
+        let b = codec_wire_bytes(&Quantizer::mxfp4(), 2, 64, 16);
         assert_eq!(b, 2 * 32 + 2 * 2);
         // Outlier split over an FP4 tile body: body bytes + 6 B per outlier.
         let dense = Precision::Fp4.quantizer_with_group(TensorRole::OutputGrad, 8);
-        let split = OutlierQuantizer::new(dense, 2.0 / 128.0);
+        let split = dense.with_outliers(2.0 / 128.0);
         let body = codec_wire_bytes(&dense, 8, 16, 16);
         assert_eq!(codec_wire_bytes(&split, 8, 16, 16), body + 2 * 6);
         // Unpackable codecs fall back to the given wire width.

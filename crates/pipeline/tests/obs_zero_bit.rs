@@ -15,10 +15,7 @@ use snip_pipeline::collective::{QuantizePolicy, Wire};
 use snip_pipeline::transport::threaded_all_reduce;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
+use snip_quant::int::IntFormat;
 use snip_quant::{PackedQuantize, Precision, Quantizer, Rounding};
 use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::rng::Rng;
@@ -48,8 +45,8 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every quantizer family, covering all five `PackedQuantize` impls (and
-/// both rounding modes for the codebook path).
+/// Every quantizer family, covering every packable `Recipe` and both element
+/// grids (and both rounding modes for the codebook path).
 fn all_quantizers() -> Vec<(&'static str, Box<dyn PackedQuantize>)> {
     let fp4 = |r| Quantizer::new(FloatFormat::e2m1(), Granularity::Tile { nb: 16 }, r);
     vec![
@@ -60,20 +57,20 @@ fn all_quantizers() -> Vec<(&'static str, Box<dyn PackedQuantize>)> {
         ("fp4-stochastic", Box::new(fp4(Rounding::Stochastic))),
         (
             "int8",
-            Box::new(IntQuantizer::new(
+            Box::new(Quantizer::new(
                 IntFormat::new(8),
                 Granularity::Tile { nb: 16 },
                 Rounding::Nearest,
             )),
         ),
-        ("mxfp4", Box::new(MxQuantizer::mxfp4())),
+        ("mxfp4", Box::new(Quantizer::mxfp4())),
         (
             "rht-fp4",
-            Box::new(RhtQuantizer::new(fp4(Rounding::Stochastic), 16, 7)),
+            Box::new(fp4(Rounding::Stochastic).with_rht(16, 7)),
         ),
         (
             "ol-fp4",
-            Box::new(OutlierQuantizer::new(fp4(Rounding::Nearest), 0.02)),
+            Box::new(fp4(Rounding::Nearest).with_outliers(0.02)),
         ),
     ]
 }

@@ -18,27 +18,31 @@
 //! the decode table it emits reproduces that value bit-for-bit, which is
 //! what makes the packed pipeline exactly equivalent to fake quantization.
 
-use crate::format::{FloatFormat, FormatKind};
+use crate::format::ElementFormat;
 use crate::granularity::Granularity;
-use crate::int::IntFormat;
 use crate::quantizer::Rounding;
 use snip_tensor::encode::{encode_u4_with, CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
 use snip_tensor::{pool, CodeWidth, QTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
-/// The format a codebook was built from.
-#[derive(Clone, Copy, Debug)]
-enum Source {
-    Float(FloatFormat),
-    Int(IntFormat),
-}
+/// The interned codebooks, indexed by the format's wire id (ids no format
+/// has stay empty). A codebook is immutable
+/// format metadata, built on first use; every later lookup is one
+/// `OnceLock` load — no lock, no allocation — so packing from many threads
+/// never contends.
+static BOOKS: [OnceLock<Codebook>; ElementFormat::WIRE_ID_END as usize] =
+    [const { OnceLock::new() }; ElementFormat::WIRE_ID_END as usize];
 
-/// The interned codebooks: four packable float formats, then the integer
-/// widths 2..=8. A codebook is immutable format metadata, built on first
-/// use; every later lookup is one `OnceLock` load — no lock, no
-/// allocation — so packing from many threads never contends.
-static BOOKS: [OnceLock<Codebook>; 11] = [const { OnceLock::new() }; 11];
+impl ElementFormat {
+    /// The interned codebook of this format, or `None` if the format is
+    /// wider than 8 bits (BF16 and the wide integer grids are not
+    /// packable).
+    pub fn codebook(self) -> Option<&'static Codebook> {
+        let slot = &BOOKS[usize::from(self.wire_id()?)];
+        Some(slot.get_or_init(|| Codebook::build(self)))
+    }
+}
 
 /// Sentinel in the encode table for keys no grid value occupies. Valid
 /// magnitude indices are `< 128`, so `0xFF` can never collide with one.
@@ -56,11 +60,11 @@ pub const PACK_PARALLEL_THRESHOLD: usize = 1 << 18;
 const DRAW_CHUNK: usize = 256;
 
 /// A sign-magnitude code table for one subbyte format, with every derived
-/// table a packer or decoder needs. Obtained through [`Codebook::for_float`]
-/// / [`Codebook::for_int`], which intern one instance per format.
+/// table a packer or decoder needs. Obtained through
+/// [`ElementFormat::codebook`], which interns one instance per format.
 #[derive(Debug)]
 pub struct Codebook {
-    source: Source,
+    format: ElementFormat,
     /// Non-negative representable values, ascending, starting at 0.
     nonneg: Vec<f32>,
     width: CodeWidth,
@@ -80,41 +84,18 @@ pub struct Codebook {
 }
 
 impl Codebook {
-    /// The codebook of a floating-point format, or `None` if the format is
-    /// wider than 8 bits (BF16 is not packable).
-    pub fn for_float(fmt: FloatFormat) -> Option<&'static Codebook> {
-        let slot = match fmt.kind() {
-            FormatKind::E2M1 => 0,
-            FormatKind::E4M3 => 1,
-            FormatKind::E5M2 => 2,
-            FormatKind::E3M4 => 3,
-            FormatKind::Bf16 => return None,
-        };
-        Some(BOOKS[slot].get_or_init(|| Codebook::build(Source::Float(fmt))))
-    }
-
-    /// The codebook of a symmetric integer format, or `None` if the format
-    /// is wider than 8 bits.
-    pub fn for_int(fmt: IntFormat) -> Option<&'static Codebook> {
-        if fmt.bits() > 8 {
-            return None;
-        }
-        let slot = 4 + (fmt.bits() - 2) as usize;
-        Some(BOOKS[slot].get_or_init(|| Codebook::build(Source::Int(fmt))))
-    }
-
-    fn build(source: Source) -> Codebook {
+    fn build(format: ElementFormat) -> Codebook {
         // An integer grid is the all-subnormal case of the float index
         // arithmetic (quantum 1 up to `qmax`); it keeps the sign of an
         // exact −0 input where the float formats collapse it to +0.
-        let (nonneg, man_bits, emin, signed_zero): (Vec<f32>, _, _, _) = match source {
-            Source::Float(fmt) => (
+        let (nonneg, man_bits, emin, signed_zero): (Vec<f32>, _, _, _) = match format {
+            ElementFormat::Float(fmt) => (
                 fmt.enumerate_non_negative(),
                 fmt.man_bits(),
                 fmt.emin(),
                 false,
             ),
-            Source::Int(fmt) => (
+            ElementFormat::Int(fmt) => (
                 (0..=fmt.qmax() as i64).map(|i| i as f32).collect(),
                 fmt.bits() - 1,
                 fmt.bits() as i32 - 1,
@@ -143,7 +124,7 @@ impl Codebook {
         let lut: Arc<[f32]> = Self::build_lut(&nonneg, width).into();
         let top = nonneg.len() - 1;
         Codebook {
-            source,
+            format,
             width,
             enc_shift,
             enc_table: Self::build_enc_table(&nonneg, enc_shift),
@@ -246,7 +227,7 @@ impl Codebook {
     /// `quantize` maps an already-scaled value onto the format grid,
     /// consuming `rng` only for stochastic rounding. This closure-driven
     /// form runs scalar; it is the two-step reference the fused kernels of
-    /// [`Codebook::pack_rounded`] are tested against, and the path for
+    /// [`Codebook::pack_rounded_with`] are tested against, and the path for
     /// rounding rules the kernels do not implement.
     pub fn pack(
         &self,
@@ -256,7 +237,11 @@ impl Codebook {
         rng: &mut Rng,
         quantize: impl Fn(f32, &mut Rng) -> f32,
     ) -> QTensor {
-        self.pack_with(t, granularity, rng, Self::max_abs_scale(grid_max), quantize)
+        let max_abs_scale = |max_abs| {
+            let scale = Granularity::group_scale(grid_max, max_abs);
+            (scale, 1.0 / scale)
+        };
+        self.pack_with(t, granularity, rng, max_abs_scale, quantize)
     }
 
     /// [`Codebook::pack`] with caller-supplied scaling: `scale_of` maps a
@@ -287,22 +272,10 @@ impl Codebook {
     }
 
     /// Quantizes `t` into packed storage with **this format's own
-    /// rounding** under the standard max-abs scale recipe — the production
-    /// path: scan, scale and encode run on the vector encode kernels of
-    /// `snip_tensor::encode`. See [`Codebook::pack_rounded_with`].
-    pub fn pack_rounded(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        rounding: Rounding,
-        rng: &mut Rng,
-    ) -> QTensor {
-        let grid_max = self.nonneg[self.nonneg.len() - 1];
-        self.pack_rounded_with(t, granularity, rounding, rng, Self::max_abs_scale(grid_max))
-    }
-
-    /// [`Codebook::pack_rounded`] with caller-supplied scaling (`scale_of`
-    /// as in [`Codebook::pack_with`]).
+    /// rounding** — the production path: scan, scale and encode run on the
+    /// vector encode kernels of `snip_tensor::encode`, under the caller's
+    /// scale rule (`scale_of` as in [`Codebook::pack_with`];
+    /// `Quantizer` passes its recipe's).
     ///
     /// The quantize→encode pair is fused: an element's code is computed
     /// directly from the exponent and rounded mantissa of its scaled bit
@@ -334,9 +307,9 @@ impl Codebook {
         rng: &mut Rng,
         scale_of: impl Fn(f32) -> (f32, f32) + Sync,
     ) -> QTensor {
-        match (rounding, self.source) {
+        match (rounding, self.format) {
             (Rounding::Nearest, _) => self.pack_nearest(t, granularity, scale_of),
-            (Rounding::Stochastic, Source::Float(_)) => {
+            (Rounding::Stochastic, ElementFormat::Float(_)) => {
                 let mut draws = [0.0f32; DRAW_CHUNK];
                 self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
                     for (i, chunk) in seg.chunks(DRAW_CHUNK).enumerate() {
@@ -347,7 +320,7 @@ impl Codebook {
                     }
                 })
             }
-            (Rounding::Stochastic, Source::Int(fmt)) => {
+            (Rounding::Stochastic, ElementFormat::Int(fmt)) => {
                 self.pack_with(t, granularity, rng, scale_of, |scaled, rng| {
                     fmt.quantize_stochastic(scaled, rng.next_f32())
                 })
@@ -371,17 +344,6 @@ impl Codebook {
                 let out = &mut row[cstart..cstart + seg.len()];
                 enc.encode_u8(&self.grid, seg, scale, uniforms, out)
             }
-        }
-    }
-
-    /// The one definition of the standard max-abs scale recipe:
-    /// `scale = grid_max / max|group|` to encode, its reciprocal to decode
-    /// — shared by every packing entry point so the expression cannot
-    /// drift between quantizers.
-    fn max_abs_scale(grid_max: f32) -> impl Fn(f32) -> (f32, f32) {
-        move |max_abs| {
-            let scale = Granularity::group_scale(grid_max, max_abs);
-            (scale, 1.0 / scale)
         }
     }
 
@@ -570,10 +532,16 @@ impl Codebook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::FloatFormat;
+    use crate::int::IntFormat;
+
+    fn book(fmt: impl Into<ElementFormat>) -> &'static Codebook {
+        fmt.into().codebook().expect("packable")
+    }
 
     #[test]
     fn fp4_codebook_is_the_mx_table() {
-        let cb = Codebook::for_float(FloatFormat::e2m1()).unwrap();
+        let cb = book(FloatFormat::e2m1());
         assert_eq!(cb.width(), CodeWidth::U4);
         assert_eq!(cb.values(), 8);
         let lut = cb.lut();
@@ -589,7 +557,7 @@ mod tests {
             FloatFormat::e5m2(),
             FloatFormat::e3m4(),
         ] {
-            let cb = Codebook::for_float(fmt).unwrap();
+            let cb = book(fmt);
             assert_eq!(cb.width(), CodeWidth::U8, "{fmt}");
             assert!(cb.values() <= 128, "{fmt}: {}", cb.values());
         }
@@ -597,16 +565,18 @@ mod tests {
 
     #[test]
     fn bf16_is_not_packable() {
-        assert!(Codebook::for_float(FloatFormat::bf16()).is_none());
-        assert!(Codebook::for_int(IntFormat::new(16)).is_none());
+        assert!(ElementFormat::from(FloatFormat::bf16())
+            .codebook()
+            .is_none());
+        assert!(ElementFormat::from(IntFormat::new(16)).codebook().is_none());
     }
 
     #[test]
     fn int_codebooks() {
-        let cb = Codebook::for_int(IntFormat::int4()).unwrap();
+        let cb = book(IntFormat::int4());
         assert_eq!(cb.width(), CodeWidth::U4);
         assert_eq!(cb.values(), 8);
-        let cb8 = Codebook::for_int(IntFormat::int8()).unwrap();
+        let cb8 = book(IntFormat::int8());
         assert_eq!(cb8.width(), CodeWidth::U8);
         assert_eq!(cb8.values(), 128);
     }
@@ -619,7 +589,7 @@ mod tests {
             FloatFormat::e5m2(),
             FloatFormat::e3m4(),
         ] {
-            let cb = Codebook::for_float(fmt).unwrap();
+            let cb = book(fmt);
             let lut = cb.lut();
             for v in fmt.enumerate_non_negative() {
                 assert_eq!(
@@ -646,7 +616,6 @@ mod tests {
     /// never lands on a tie, so this pins the boundary semantics directly.
     #[test]
     fn fused_nearest_path_matches_oracle_on_exact_ties() {
-        use crate::int::IntQuantizer;
         use crate::quantizer::{Quantizer, Rounding};
 
         fn tie_inputs(nonneg: &[f32], grid_max: f32) -> Vec<f32> {
@@ -691,7 +660,7 @@ mod tests {
             let nonneg: Vec<f32> = (0..=ifmt.qmax() as i64).map(|i| i as f32).collect();
             let vals = tie_inputs(&nonneg, ifmt.qmax());
             let t = Tensor::from_vec(1, vals.len(), vals);
-            let q = IntQuantizer::new(ifmt, Granularity::Tensorwise, Rounding::Nearest);
+            let q = Quantizer::new(ifmt, Granularity::Tensorwise, Rounding::Nearest);
             let mut r1 = Rng::seed_from(0);
             let mut r2 = Rng::seed_from(0);
             let fake = q.fake_quantize(&t, &mut r1);
@@ -720,11 +689,11 @@ mod tests {
             FloatFormat::e3m4(),
         ]
         .into_iter()
-        .map(|f| Codebook::for_float(f).unwrap())
+        .map(|f| book(f))
         .chain(
             [IntFormat::int4(), IntFormat::int8(), IntFormat::new(3)]
                 .into_iter()
-                .map(|f| Codebook::for_int(f).unwrap()),
+                .map(|f| book(f)),
         )
         .collect();
         for cb in &books {
@@ -752,11 +721,11 @@ mod tests {
             FloatFormat::e3m4(),
         ]
         .into_iter()
-        .map(|f| Codebook::for_float(f).unwrap())
+        .map(|f| book(f))
         .chain(
             [IntFormat::int4(), IntFormat::int8(), IntFormat::new(3)]
                 .into_iter()
-                .map(|f| Codebook::for_int(f).unwrap()),
+                .map(|f| book(f)),
         )
         .collect();
         for cb in &books {
@@ -785,7 +754,7 @@ mod tests {
 
     #[test]
     fn signed_zeros_round_trip_bitwise() {
-        let cb = Codebook::for_float(FloatFormat::e2m1()).unwrap();
+        let cb = book(FloatFormat::e2m1());
         let lut = cb.lut();
         assert_eq!(cb.encode(0.0), 0);
         assert_eq!(lut[0].to_bits(), 0.0f32.to_bits());

@@ -6,7 +6,8 @@
 //! semantics — values beyond the representable range clamp to ±max — which is
 //! how training-oriented quantizers handle overflow after scaling.
 
-use serde::{Deserialize, Serialize};
+use crate::int::IntFormat;
+use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier for the supported number formats.
@@ -272,6 +273,139 @@ impl FloatFormat {
 impl fmt::Display for FloatFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// The element grid a [`crate::Quantizer`] rounds onto — the crate's one
+/// enumeration of element formats. Everything that depends on *which*
+/// format a tensor holds hangs off it: the grid itself (`bits`, `max_value`,
+/// the two rounding rules), the id a wire frame names it by, and (in
+/// [`crate::codebook`]) the interned [`crate::Codebook`] it packs through.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ElementFormat {
+    /// A floating-point ExMy grid.
+    Float(FloatFormat),
+    /// A symmetric signed-integer grid.
+    Int(IntFormat),
+}
+
+impl From<FloatFormat> for ElementFormat {
+    fn from(fmt: FloatFormat) -> Self {
+        ElementFormat::Float(fmt)
+    }
+}
+
+impl From<IntFormat> for ElementFormat {
+    fn from(fmt: IntFormat) -> Self {
+        ElementFormat::Int(fmt)
+    }
+}
+
+impl ElementFormat {
+    /// Storage bits per element.
+    pub fn bits(self) -> u32 {
+        match self {
+            ElementFormat::Float(f) => f.bits(),
+            ElementFormat::Int(f) => f.bits(),
+        }
+    }
+
+    /// Largest representable magnitude — the grid maximum a scale group's
+    /// max-abs is mapped onto (`FPX_MAX`, or `qmax` for integer grids).
+    pub fn max_value(self) -> f32 {
+        match self {
+            ElementFormat::Float(f) => f.max_value(),
+            ElementFormat::Int(f) => f.qmax(),
+        }
+    }
+
+    /// Rounds an already-scaled value to the nearest grid point (ties to
+    /// even), saturating; NaN maps to 0.
+    #[inline]
+    pub fn quantize_nearest(self, x: f32) -> f32 {
+        match self {
+            ElementFormat::Float(f) => f.quantize_nearest(x),
+            ElementFormat::Int(f) => f.quantize_nearest(x),
+        }
+    }
+
+    /// Stochastic rounding of an already-scaled value, driven by
+    /// `u ∈ [0, 1)`.
+    #[inline]
+    pub fn quantize_stochastic(self, x: f32, u: f32) -> f32 {
+        match self {
+            ElementFormat::Float(f) => f.quantize_stochastic(x, u),
+            ElementFormat::Int(f) => f.quantize_stochastic(x, u),
+        }
+    }
+
+    /// The byte a wire frame names this format by — `0..=3` for the four
+    /// packable float formats, `0x10 | bits` for integer widths `2..=8` —
+    /// or `None` when the format is wider than 8 bits and has no code
+    /// table. The numbering is a wire contract
+    /// (`tests/wire_roundtrip.rs` pins it) and doubles as the codebook
+    /// intern key.
+    pub(crate) fn wire_id(self) -> Option<u8> {
+        match self {
+            ElementFormat::Float(f) => match f.kind() {
+                FormatKind::E2M1 => Some(0),
+                FormatKind::E4M3 => Some(1),
+                FormatKind::E5M2 => Some(2),
+                FormatKind::E3M4 => Some(3),
+                FormatKind::Bf16 => None,
+            },
+            ElementFormat::Int(f) => (f.bits() <= 8).then(|| 0x10 | f.bits() as u8),
+        }
+    }
+
+    /// One past the largest [`ElementFormat::wire_id`] (INT8's `0x18`).
+    pub(crate) const WIRE_ID_END: u8 = 0x19;
+
+    /// Inverse of [`ElementFormat::wire_id`].
+    pub(crate) fn from_wire_id(id: u8) -> Option<Self> {
+        match id {
+            0 => Some(FloatFormat::e2m1().into()),
+            1 => Some(FloatFormat::e4m3().into()),
+            2 => Some(FloatFormat::e5m2().into()),
+            3 => Some(FloatFormat::e3m4().into()),
+            0x12..=0x18 => Some(IntFormat::new(u32::from(id & 0x0F)).into()),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for ElementFormat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ElementFormat::Float(x) => x.fmt(f),
+            ElementFormat::Int(x) => x.fmt(f),
+        }
+    }
+}
+
+// The derive stub has no tuple variants; this is real serde's encoding of
+// them (`{"Float": {...}}`).
+impl Serialize for ElementFormat {
+    fn to_content(&self) -> Content {
+        let (tag, body) = match self {
+            ElementFormat::Float(f) => ("Float", f.to_content()),
+            ElementFormat::Int(f) => ("Int", f.to_content()),
+        };
+        Content::Map(vec![(tag.to_string(), body)])
+    }
+}
+
+impl Deserialize for ElementFormat {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        if let Some(f) = c.get("Float") {
+            FloatFormat::from_content(f).map(ElementFormat::Float)
+        } else if let Some(f) = c.get("Int") {
+            IntFormat::from_content(f).map(ElementFormat::Int)
+        } else {
+            Err(serde::Error::custom(
+                "expected ElementFormat variant `Float` or `Int`",
+            ))
+        }
     }
 }
 

@@ -3,9 +3,11 @@
 //! The paper's related work trains transformers with INT8 data flow
 //! (Jetfire, §7 \[77\]) and SNIP explicitly treats quantization methods as
 //! pluggable options (§5.2: "new methods can be incorporated as additional
-//! quantization options"). This module provides the integer counterparts of
-//! the floating-point fake quantizers so they can enter SNIP's ILP as extra
-//! per-layer choices — see `examples/custom_quantizer.rs`.
+//! quantization options"). This module provides the integer element grid;
+//! [`crate::Quantizer`] takes it wherever it takes a float format
+//! (`Quantizer::new(IntFormat::int4(), …)`, `Quantizer::int8_tile`), so
+//! integer options enter SNIP's ILP as extra per-layer choices — see
+//! `examples/custom_quantizer.rs`.
 //!
 //! Integer quantization maps a scale group onto the symmetric grid
 //! `{-qmax, …, -1, 0, 1, …, qmax}` with `qmax = 2^(bits-1) - 1`:
@@ -19,12 +21,7 @@
 //! better near the group maximum, worse near zero — which is exactly the
 //! trade-off the ILP can arbitrate per layer.
 
-use crate::codebook::Codebook;
-use crate::granularity::Granularity;
-use crate::quantizer::Rounding;
 use serde::{Deserialize, Serialize};
-use snip_tensor::rng::Rng;
-use snip_tensor::{QTensor, Tensor};
 
 /// A symmetric signed-integer element format of 2–16 bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,144 +98,24 @@ impl std::fmt::Display for IntFormat {
     }
 }
 
-/// A complete integer quantize→dequantize configuration, mirroring
-/// [`crate::Quantizer`] for integer grids.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IntQuantizer {
-    format: IntFormat,
-    granularity: Granularity,
-    rounding: Rounding,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::granularity::Granularity;
+    use crate::{Quantizer, Rounding};
+    use snip_tensor::rng::Rng;
+    use snip_tensor::Tensor;
 
-impl IntQuantizer {
-    /// Creates an integer quantizer.
-    pub fn new(format: IntFormat, granularity: Granularity, rounding: Rounding) -> Self {
-        IntQuantizer {
-            format,
-            granularity,
-            rounding,
-        }
+    fn rng() -> Rng {
+        Rng::seed_from(7)
     }
 
-    /// INT8 with the DeepSeek-style `1×nb` tile scaling used for
-    /// activations and gradients.
-    pub fn int8_tile(nb: usize) -> Self {
-        IntQuantizer::new(
-            IntFormat::int8(),
-            Granularity::Tile { nb },
-            Rounding::Nearest,
-        )
-    }
-
-    /// INT4 with `1×nb` tile scaling.
-    pub fn int4_tile(nb: usize) -> Self {
-        IntQuantizer::new(
+    fn int4_tile(nb: usize) -> Quantizer {
+        Quantizer::new(
             IntFormat::int4(),
             Granularity::Tile { nb },
             Rounding::Nearest,
         )
-    }
-
-    /// The element format.
-    pub fn format(&self) -> IntFormat {
-        self.format
-    }
-
-    /// The scaling granularity.
-    pub fn granularity(&self) -> Granularity {
-        self.granularity
-    }
-
-    /// The rounding mode.
-    pub fn rounding(&self) -> Rounding {
-        self.rounding
-    }
-
-    /// Quantizes and dequantizes `t`, returning a new tensor.
-    pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        let mut out = t.clone();
-        self.fake_quantize_inplace(&mut out, rng);
-        out
-    }
-
-    /// In-place variant of [`IntQuantizer::fake_quantize`].
-    pub fn fake_quantize_inplace(&self, t: &mut Tensor, rng: &mut Rng) {
-        let _t = crate::signals::QuantTimer::start();
-        let (rows, cols) = t.shape();
-        let fmt = self.format;
-        let qmax = fmt.qmax();
-        let stochastic = self.rounding == Rounding::Stochastic;
-        self.granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                let row = t.row(r);
-                for c in cr.clone() {
-                    max_abs = max_abs.max(row[c].abs());
-                }
-            }
-            let scale = Granularity::group_scale(qmax, max_abs);
-            let inv_scale = 1.0 / scale;
-            for r in rr {
-                let row = t.row_mut(r);
-                for c in cr.clone() {
-                    let scaled = row[c] * scale;
-                    let q = if stochastic {
-                        fmt.quantize_stochastic(scaled, rng.next_f32())
-                    } else {
-                        fmt.quantize_nearest(scaled)
-                    };
-                    row[c] = q * inv_scale;
-                }
-            }
-        });
-    }
-
-    /// Whether this quantizer's output can be stored bit-packed (widths of
-    /// 8 bits or fewer).
-    pub fn packable(&self) -> bool {
-        self.format.bits() <= 8
-    }
-
-    /// Quantizes `t` into bit-packed storage, or `None` for widths above 8
-    /// bits. Exactly equivalent to [`IntQuantizer::fake_quantize`]: the
-    /// dequantized packed tensor is bit-for-bit identical and the same
-    /// stochastic draws are consumed.
-    pub fn quantize_packed(&self, t: &Tensor, rng: &mut Rng) -> Option<QTensor> {
-        let cb = Codebook::for_int(self.format)?;
-        let _t = crate::signals::QuantTimer::start();
-        Some(cb.pack_rounded(t, self.granularity, self.rounding, rng))
-    }
-
-    /// Frobenius norm of the quantization error under deterministic nearest
-    /// rounding (comparable with [`crate::Quantizer::error_norm`]).
-    pub fn error_norm(&self, t: &Tensor) -> f64 {
-        let det = IntQuantizer {
-            rounding: Rounding::Nearest,
-            ..*self
-        };
-        let mut rng = Rng::seed_from(0); // unused under Nearest
-        crate::quantizer::nearest_error_norm(t, det.quantize_packed(t, &mut rng), || {
-            det.fake_quantize(t, &mut rng)
-        })
-    }
-
-    /// Relative quantization error `‖q(t) − t‖_F / ‖t‖_F`.
-    pub fn relative_error(&self, t: &Tensor) -> f64 {
-        let norm = t.frobenius_norm();
-        if norm == 0.0 {
-            0.0
-        } else {
-            self.error_norm(t) / norm
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rng() -> Rng {
-        Rng::seed_from(7)
     }
 
     #[test]
@@ -284,7 +161,7 @@ mod tests {
     #[test]
     fn group_max_round_trips_exactly() {
         // The group max maps to qmax, an exact grid point.
-        let q = IntQuantizer::int4_tile(4);
+        let q = int4_tile(4);
         let t = Tensor::from_vec(1, 4, vec![0.3, -1.7, 0.2, 0.05]);
         let fq = q.fake_quantize(&t, &mut rng());
         assert!((fq[(0, 1)] - -1.7).abs() < 1e-6);
@@ -294,8 +171,8 @@ mod tests {
     fn int8_beats_int4() {
         let mut r = rng();
         let t = Tensor::randn(32, 64, 1.0, &mut r);
-        let e8 = IntQuantizer::int8_tile(16).error_norm(&t);
-        let e4 = IntQuantizer::int4_tile(16).error_norm(&t);
+        let e8 = Quantizer::int8_tile(16).error_norm(&t);
+        let e4 = int4_tile(16).error_norm(&t);
         assert!(
             e8 < e4 / 8.0,
             "int8 error {e8} should be far below int4 error {e4}"
@@ -304,7 +181,7 @@ mod tests {
 
     #[test]
     fn per_element_error_bounded_by_half_step() {
-        let q = IntQuantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
+        let q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
         let mut r = rng();
         let t = Tensor::randn(8, 32, 2.0, &mut r);
         let fq = q.fake_quantize(&t, &mut r);
@@ -324,7 +201,7 @@ mod tests {
 
     #[test]
     fn zero_tensor_is_exact() {
-        let q = IntQuantizer::int8_tile(8);
+        let q = Quantizer::int8_tile(8);
         let t = Tensor::zeros(4, 16);
         assert_eq!(q.fake_quantize(&t, &mut rng()), t);
         assert_eq!(q.error_norm(&t), 0.0);
@@ -335,7 +212,7 @@ mod tests {
     fn idempotent_under_nearest() {
         let mut r = rng();
         let t = Tensor::randn(8, 8, 1.5, &mut r);
-        let q = IntQuantizer::new(
+        let q = Quantizer::new(
             IntFormat::int4(),
             Granularity::Block { nb: 4 },
             Rounding::Nearest,
@@ -349,7 +226,7 @@ mod tests {
 
     #[test]
     fn infinite_inputs_do_not_poison_group() {
-        let q = IntQuantizer::int8_tile(4);
+        let q = Quantizer::int8_tile(4);
         let t = Tensor::from_vec(1, 4, vec![f32::INFINITY, 1.0, -2.0, 0.5]);
         let fq = q.fake_quantize(&t, &mut rng());
         assert!(fq.all_finite());
@@ -362,8 +239,8 @@ mod tests {
         // half (the robust one) and sanity-check both produce finite errors.
         let mut r = rng();
         let nb = 16;
-        let int4 = IntQuantizer::int4_tile(nb);
-        let fp4 = crate::Quantizer::new(
+        let int4 = int4_tile(nb);
+        let fp4 = Quantizer::new(
             crate::format::FloatFormat::e2m1(),
             Granularity::Tile { nb },
             Rounding::Nearest,
@@ -396,7 +273,7 @@ mod tests {
                 Granularity::Tile { nb: 6 },
             ] {
                 for rounding in [Rounding::Nearest, Rounding::Stochastic] {
-                    let q = IntQuantizer::new(fmt, g, rounding);
+                    let q = Quantizer::new(fmt, g, rounding);
                     let mut rng_fake = Rng::seed_from(4);
                     let mut rng_packed = Rng::seed_from(4);
                     let fake = q.fake_quantize(&t, &mut rng_fake);
@@ -414,7 +291,7 @@ mod tests {
             }
         }
         assert!(
-            IntQuantizer::new(IntFormat::new(12), Granularity::Rowwise, Rounding::Nearest)
+            Quantizer::new(IntFormat::new(12), Granularity::Rowwise, Rounding::Nearest)
                 .quantize_packed(&t, &mut rng())
                 .is_none()
         );

@@ -5,23 +5,32 @@
 //! The crate provides:
 //!
 //! * [`format::FloatFormat`] — ExMy codecs: FP4 E2M1 (MX), FP8 E4M3 / E5M2 /
-//!   E3M4, and BF16, with round-to-nearest-even and stochastic rounding.
+//!   E3M4, and BF16, with round-to-nearest-even and stochastic rounding;
+//!   [`int::IntFormat`] — symmetric INT8/INT4 grids; and
+//!   [`format::ElementFormat`], the one enumeration over both (grid, wire
+//!   id, interned [`Codebook`]).
 //! * [`granularity::Granularity`] — tensorwise / rowwise / columnwise /
 //!   blockwise / tilewise scaling (DeepSeek-V3 recipe: 1×128 tiles for
 //!   activations & gradients, 128×128 blocks for weights); this crate's
 //!   name for [`snip_tensor::GroupLayout`], the one definition.
-//! * [`Quantizer`] — fake quantize→dequantize kernels plus the error norms
-//!   `‖q(t) − t‖_F` that SNIP's divergence analysis consumes (the per-layer
-//!   statistics built from them live in `snip_core::stats`).
+//! * [`Quantizer`] — **the** quantizer: element format × scale layout ×
+//!   [`Rounding`] × [`Recipe`]. One fake quantize→dequantize oracle, one
+//!   pack, and the error norms `‖q(t) − t‖_F` that SNIP's divergence
+//!   analysis consumes (the per-layer statistics built from them live in
+//!   `snip_core::stats`). The pluggable quantization options of §5.2 are
+//!   its constructors: `Quantizer::new(IntFormat::int4(), …)` /
+//!   [`Quantizer::int8_tile`] (integer grids), [`Quantizer::mxfp4`]
+//!   (MXFP4-style power-of-two block scales, [`mx`]),
+//!   [`Quantizer::with_rht`] (randomized Hadamard pre-rotation, [`rht`]),
+//!   [`Quantizer::with_outliers`] (dense + sparse high-precision outlier
+//!   split, [`outlier`]).
 //! * [`PackedQuantize`] / [`PackedTensor`] — the **canonical codes-based
-//!   path**: every quantizer packs into bit-packed storage through one
-//!   trait, and dense fake quantization is derived from the packed form
-//!   (decode). The extension point for new quantization methods.
-//! * Pluggable alternative quantization options (§5.2): [`mx`] (MXFP4-style
-//!   power-of-two block scales), [`int`] (symmetric INT8/INT4), [`rht`]
-//!   (randomized Hadamard pre-rotation), [`outlier`] (dense + sparse
-//!   high-precision outlier split) — all packed citizens via
-//!   [`PackedQuantize`], bit-identical to their fake-quant oracles.
+//!   path**: the quantizer packs into bit-packed storage through one trait,
+//!   and dense fake quantization is derived from the packed form (decode),
+//!   bit-identical to the oracle. To add a quantization method, add a
+//!   [`Recipe`] arm (and a [`PackedTensor`] shape if its packed form needs
+//!   new metadata); an out-of-tree method implements [`PackedQuantize`],
+//!   which is all that caches, optimizer moments and wires consume.
 //! * [`Precision`] / [`LinearPrecision`] — the *policy-level* vocabulary: the
 //!   precision assigned to each quantized operand of a linear layer, and the
 //!   effective precision of each of its three GEMMs.
@@ -58,7 +67,7 @@ pub mod wire;
 
 pub use codebook::Codebook;
 pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
-pub use quantizer::{Quantizer, Rounding};
+pub use quantizer::{Quantizer, Recipe, Rounding};
 pub use wire::{
     crc32, stream_body_len, stream_check_body, stream_envelope, stream_frame, StreamDecoder,
     StreamError, WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,

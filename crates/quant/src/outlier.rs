@@ -4,19 +4,19 @@
 //! irregular sparse GEMM to handle outliers": the few largest-magnitude
 //! elements are carved out of the low-precision tensor and processed at high
 //! precision, so they stop inflating the quantization scale for everything
-//! else. This module emulates that split — the dense part goes through a
-//! normal fake quantizer whose group scales see *only* the inliers, the
-//! outliers are kept at BF16 — and exposes the bookkeeping (outlier count,
-//! threshold) that a sparse-GEMM cost model needs.
+//! else. [`crate::Quantizer::with_outliers`] emulates that split
+//! ([`crate::Recipe::Outlier`]) — the dense part goes through the max-abs
+//! recipe with group scales that see *only* the inliers, the outliers are
+//! kept at BF16 — and this module holds the selection and the bookkeeping
+//! (outlier count, threshold) that a sparse-GEMM cost model needs.
 //!
 //! Like the MX and RHT variants, this is a pluggable quantization option in
 //! SNIP's ILP sense (§5.2); the `ablation_rht` experiment compares all of
 //! them head-to-head.
 
 use crate::format;
-use crate::quantizer::{Quantizer, Rounding};
+use crate::packed::PackedOutlier;
 use serde::{Deserialize, Serialize};
-use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
 
 /// Bookkeeping from one outlier split.
@@ -30,128 +30,65 @@ pub struct OutlierSplit {
     pub fraction: f64,
 }
 
-/// A quantizer that keeps the top-`fraction` largest-magnitude elements in
-/// BF16 and fake-quantizes the rest with `dense`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OutlierQuantizer {
-    dense: Quantizer,
-    fraction: f64,
+/// Outliers among `n` elements at `fraction`: `ceil(fraction · n)`.
+pub(crate) fn outlier_count(fraction: f64, n: usize) -> usize {
+    ((fraction * n as f64).ceil() as usize).min(n)
 }
 
-impl OutlierQuantizer {
-    /// Wraps `dense` so that the largest `fraction` of elements (by
-    /// magnitude, tensor-global) bypass it at BF16.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ fraction ≤ 1`.
-    pub fn new(dense: Quantizer, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "outlier fraction {fraction} outside [0, 1]"
-        );
-        OutlierQuantizer { dense, fraction }
-    }
-
-    /// The dense-side quantizer.
-    pub fn dense(&self) -> &Quantizer {
-        &self.dense
-    }
-
-    /// The configured outlier fraction.
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    /// Computes the outlier set of `t`: the `ceil(fraction · n)` elements of
-    /// largest magnitude (ties broken by element order). Returns the
-    /// positions (flat indices) and the split bookkeeping.
-    pub fn select_outliers(&self, t: &Tensor) -> (Vec<usize>, OutlierSplit) {
-        let data = t.as_slice();
-        let n = data.len();
-        let k = ((self.fraction * n as f64).ceil() as usize).min(n);
-        if k == 0 || n == 0 {
-            return (
-                Vec::new(),
-                OutlierSplit {
-                    threshold: f32::INFINITY,
-                    n_outliers: 0,
-                    fraction: 0.0,
-                },
-            );
-        }
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.select_nth_unstable_by(k - 1, |&a, &b| {
-            data[b]
-                .abs()
-                .partial_cmp(&data[a].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut outliers = idx[..k].to_vec();
-        outliers.sort_unstable();
-        let threshold = outliers
-            .iter()
-            .map(|&i| data[i].abs())
-            .fold(f32::INFINITY, f32::min);
-        (
-            outliers,
+/// Computes the outlier set of `t`: the `ceil(fraction · n)` elements of
+/// largest magnitude (ties broken by element order). Returns the
+/// positions (flat indices, ascending) and the split bookkeeping.
+pub fn select_outliers(t: &Tensor, fraction: f64) -> (Vec<usize>, OutlierSplit) {
+    let data = t.as_slice();
+    let n = data.len();
+    let k = outlier_count(fraction, n);
+    if k == 0 {
+        return (
+            Vec::new(),
             OutlierSplit {
-                threshold,
-                n_outliers: k,
-                fraction: k as f64 / n as f64,
+                threshold: f32::INFINITY,
+                n_outliers: 0,
+                fraction: 0.0,
             },
-        )
+        );
     }
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.select_nth_unstable_by(k - 1, |&a, &b| {
+        data[b]
+            .abs()
+            .partial_cmp(&data[a].abs())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut outliers = idx[..k].to_vec();
+    outliers.sort_unstable();
+    let threshold = outliers
+        .iter()
+        .map(|&i| data[i].abs())
+        .fold(f32::INFINITY, f32::min);
+    (
+        outliers,
+        OutlierSplit {
+            threshold,
+            n_outliers: k,
+            fraction: k as f64 / n as f64,
+        },
+    )
+}
 
-    /// Splits, quantizes the dense side (scales computed over inliers only),
-    /// and writes BF16-rounded outliers back. Returns the result and the
-    /// split bookkeeping.
-    pub fn fake_quantize_with_split(&self, t: &Tensor, rng: &mut Rng) -> (Tensor, OutlierSplit) {
-        let (outliers, split) = self.select_outliers(t);
-        let mut dense_part = t.clone();
-        {
-            let slice = dense_part.as_mut_slice();
-            for &i in &outliers {
-                slice[i] = 0.0;
-            }
-        }
-        self.dense.fake_quantize_inplace(&mut dense_part, rng);
-        {
-            let src = t.as_slice();
-            let dst = dense_part.as_mut_slice();
-            for &i in &outliers {
-                dst[i] = format::bf16_round(src[i]);
-            }
-        }
-        (dense_part, split)
-    }
-
-    /// Quantizes and dequantizes `t`, returning only the tensor.
-    pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize_with_split(t, rng).0
-    }
-
-    /// Frobenius norm of the quantization error under deterministic nearest
-    /// rounding on the dense side.
-    pub fn error_norm(&self, t: &Tensor) -> f64 {
-        let det = OutlierQuantizer {
-            dense: self.dense.with_rounding(Rounding::Nearest),
-            fraction: self.fraction,
-        };
-        let mut rng = Rng::seed_from(0); // unused under Nearest
-        let q = det.fake_quantize(t, &mut rng);
-        q.distance(t)
-    }
-
-    /// Relative error `‖q(t) − t‖_F / ‖t‖_F` (0 for a zero tensor).
-    pub fn relative_error(&self, t: &Tensor) -> f64 {
-        let norm = t.frobenius_norm();
-        if norm == 0.0 {
-            0.0
-        } else {
-            self.error_norm(t) / norm
-        }
-    }
+/// Carves the outliers out of `t`: zeroes their positions — so the dense
+/// side's group scales see only inliers — and returns them, BF16-rounded,
+/// in ascending index order. The one split shared by the fake-quantization
+/// oracle and the packer.
+pub(crate) fn carve(t: &mut Tensor, fraction: f64) -> Vec<PackedOutlier> {
+    let (indices, _) = select_outliers(t, fraction);
+    let data = t.as_mut_slice();
+    indices
+        .into_iter()
+        .map(|i| PackedOutlier {
+            index: u32::try_from(i).expect("tensor indexable by u32"),
+            value: format::bf16_round(std::mem::take(&mut data[i])),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -159,6 +96,8 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
+    use crate::{Quantizer, Rounding};
+    use snip_tensor::rng::Rng;
 
     fn rng() -> Rng {
         Rng::seed_from(5)
@@ -177,12 +116,12 @@ mod tests {
         let mut r = rng();
         let t = Tensor::randn(8, 32, 1.0, &mut r);
         let plain = fp4_tile(16);
-        let split = OutlierQuantizer::new(plain, 0.0);
+        let split = plain.with_outliers(0.0);
         assert_eq!(
             split.fake_quantize(&t, &mut Rng::seed_from(1)),
             plain.fake_quantize(&t, &mut Rng::seed_from(1))
         );
-        let (_, s) = split.fake_quantize_with_split(&t, &mut rng());
+        let (_, s) = select_outliers(&t, 0.0);
         assert_eq!(s.n_outliers, 0);
     }
 
@@ -192,8 +131,9 @@ mod tests {
         let mut t = Tensor::randn(4, 32, 0.5, &mut r);
         t[(1, 7)] = 100.0;
         t[(3, 20)] = -80.0;
-        let q = OutlierQuantizer::new(fp4_tile(8), 2.0 / 128.0);
-        let (out, split) = q.fake_quantize_with_split(&t, &mut rng());
+        let q = fp4_tile(8).with_outliers(2.0 / 128.0);
+        let out = q.fake_quantize(&t, &mut rng());
+        let (_, split) = select_outliers(&t, 2.0 / 128.0);
         assert_eq!(split.n_outliers, 2);
         // 100 and 80 are exactly representable in BF16.
         assert_eq!(out[(1, 7)], 100.0);
@@ -210,7 +150,7 @@ mod tests {
             t[(row, (row * 7) % 64)] = 50.0 * if row % 2 == 0 { 1.0 } else { -1.0 };
         }
         let plain = fp4_tile(32);
-        let with_split = OutlierQuantizer::new(plain, 16.0 / 1024.0);
+        let with_split = plain.with_outliers(16.0 / 1024.0);
         let e_plain = plain.error_norm(&t);
         let e_split = with_split.error_norm(&t);
         assert!(
@@ -224,8 +164,7 @@ mod tests {
         let mut r = rng();
         let t = Tensor::randn(10, 10, 1.0, &mut r);
         for (frac, expect) in [(0.01, 1), (0.05, 5), (0.051, 6), (1.0, 100)] {
-            let q = OutlierQuantizer::new(fp4_tile(8), frac);
-            let (idx, split) = q.select_outliers(&t);
+            let (idx, split) = select_outliers(&t, frac);
             assert_eq!(idx.len(), expect, "fraction {frac}");
             assert_eq!(split.n_outliers, expect);
         }
@@ -235,7 +174,7 @@ mod tests {
     fn full_fraction_is_pure_bf16() {
         let mut r = rng();
         let t = Tensor::randn(4, 16, 1.0, &mut r);
-        let q = OutlierQuantizer::new(fp4_tile(8), 1.0);
+        let q = fp4_tile(8).with_outliers(1.0);
         let out = q.fake_quantize(&t, &mut rng());
         let bf16 = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest)
             .fake_quantize(&t, &mut rng());
@@ -245,15 +184,14 @@ mod tests {
     #[test]
     fn outlier_indices_are_the_largest_magnitudes() {
         let t = Tensor::from_vec(1, 6, vec![0.1, -9.0, 0.3, 7.0, -0.2, 0.4]);
-        let q = OutlierQuantizer::new(fp4_tile(4), 2.0 / 6.0);
-        let (idx, split) = q.select_outliers(&t);
+        let (idx, split) = select_outliers(&t, 2.0 / 6.0);
         assert_eq!(idx, vec![1, 3]);
         assert_eq!(split.threshold, 7.0);
     }
 
     #[test]
     fn zero_tensor_is_exact() {
-        let q = OutlierQuantizer::new(fp4_tile(8), 0.05);
+        let q = fp4_tile(8).with_outliers(0.05);
         let t = Tensor::zeros(4, 8);
         assert_eq!(q.error_norm(&t), 0.0);
         assert_eq!(q.relative_error(&t), 0.0);
@@ -262,6 +200,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn invalid_fraction_rejected() {
-        let _ = OutlierQuantizer::new(fp4_tile(8), 1.5);
+        let _ = fp4_tile(8).with_outliers(1.5);
     }
 }

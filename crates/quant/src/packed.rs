@@ -1,35 +1,30 @@
 //! The codes-based canonical quantization path.
 //!
-//! PR 1 made bit-packed codes the storage format for the *plain* FP4/FP8/INT
-//! recipes; this module finishes the unification: **every** quantizer in the
-//! crate packs into one canonical representation, [`PackedTensor`], through
-//! one trait, [`PackedQuantize`], and fake quantization is *derived* from it
-//! (decode of the packed form). The legacy `fake_quantize` implementations
-//! remain as the reference oracles — every packed path is bit- and
-//! RNG-stream-identical to its oracle, which the property tests in
-//! `tests/packed_equivalence.rs` pin format × granularity × rounding.
+//! Every [`crate::Quantizer`] packs into one canonical representation,
+//! [`PackedTensor`], through one trait, [`PackedQuantize`], and fake
+//! quantization is *derived* from it (decode of the packed form).
+//! `Quantizer::fake_quantize` remains as the reference oracle — the packed
+//! path is bit- and RNG-stream-identical to it, which the property tests in
+//! `tests/packed_equivalence.rs` pin format × granularity × rounding ×
+//! recipe.
 //!
-//! The three §5.2 alternative quantizers each contribute a packed shape:
+//! Each scaled [`crate::Recipe`] contributes one packed shape:
 //!
-//! * [`MxQuantizer`] — codes under `1×32` tiles with **power-of-two E8M0**
-//!   decode scales ([`PackedTensor::Mx`]; one byte per scale on the wire).
-//! * [`RhtQuantizer`] — codes of the *rotated* domain plus the rotation
-//!   block length and seed ([`PackedTensor::Rotated`]); decode inverts the
-//!   rotation.
-//! * [`OutlierQuantizer`] — a packed dense body whose scales saw only
-//!   inliers, plus a sparse BF16 outlier list ([`PackedTensor::Split`]).
+//! * `MaxAbs` — codes plus per-group f32 scales ([`PackedTensor::Codes`]).
+//! * `Mx` — codes under `1×32` tiles with **power-of-two E8M0** decode
+//!   scales ([`PackedTensor::Mx`]; one byte per scale on the wire).
+//! * `Rht` — codes of the *rotated* domain plus the rotation block length
+//!   and seed ([`PackedTensor::Rotated`]); decode inverts the rotation.
+//! * `Outlier` — a packed dense body whose scales saw only inliers, plus a
+//!   sparse BF16 outlier list ([`PackedTensor::Split`]).
 //!
-//! To add a quantization method, implement [`PackedQuantize`]; everything
-//! downstream — linear-layer caches, optimizer moments, collective wires and
-//! comm-volume accounting — consumes the trait, not concrete quantizers.
+//! To add a quantization method in tree, add a `Recipe` arm and, if its
+//! packed form needs new metadata, a `PackedTensor` shape; out of tree,
+//! implement [`PackedQuantize`] — everything downstream (linear-layer
+//! caches, optimizer moments, collective wires, comm-volume accounting)
+//! consumes the trait, not the concrete quantizer.
 
-use crate::codebook::Codebook;
-use crate::int::IntQuantizer;
-use crate::mx::{MxQuantizer, MX_BLOCK};
-use crate::outlier::OutlierQuantizer;
-use crate::quantizer::Quantizer;
-use crate::rht::RhtQuantizer;
-use crate::{format, granularity::Granularity, rht};
+use crate::rht;
 use snip_tensor::rng::Rng;
 use snip_tensor::{QTensor, Tensor};
 
@@ -138,6 +133,59 @@ impl PackedTensor {
             }
         }
     }
+
+    /// `‖dequantize() − t‖_F` without materialising the dense tensor: rows
+    /// are decoded one at a time — bit for bit the rows
+    /// [`PackedTensor::dequantize`] produces — so the result equals
+    /// `dequantize().distance(t)` exactly.
+    pub(crate) fn distance(&self, t: &Tensor) -> f64 {
+        assert_eq!(self.shape(), t.shape(), "distance between unlike shapes");
+        let cols = t.cols();
+        let codes = self.codes();
+        let rotation = match self {
+            PackedTensor::Rotated { block, seed, .. } => {
+                Some(rht::RowRotation::new(cols, *block, *seed))
+            }
+            _ => None,
+        };
+        // Ascending indices: each row takes the next run.
+        let mut outliers = match self {
+            PackedTensor::Split { outliers, .. } => outliers.iter().peekable(),
+            _ => [].iter().peekable(),
+        };
+        streamed_error_norm(t, |r, row| {
+            codes.decode_row_into(r, row);
+            if let Some(rotation) = &rotation {
+                rotation.apply(row, false);
+            }
+            let end = (r + 1) * cols;
+            while let Some(o) = outliers.next_if(|o| (o.index as usize) < end) {
+                row[o.index as usize - r * cols] = o.value;
+            }
+        })
+    }
+}
+
+/// `‖q(t) − t‖_F` with `q(t)` produced one row at a time, rows ascending:
+/// `quantized_row(r, row)` fills `row` with row `r` of `q(t)`. Differences
+/// are squared and summed in `f64` in row-major order — [`Tensor::distance`]'s
+/// order, so the result equals `q(t).distance(t)` bit for bit.
+pub(crate) fn streamed_error_norm(
+    t: &Tensor,
+    mut quantized_row: impl FnMut(usize, &mut [f32]),
+) -> f64 {
+    let mut row = vec![0.0f32; t.cols()];
+    // `-0.0` is the identity `Iterator::sum` folds from; starting there
+    // keeps the equality on an empty tensor too.
+    let mut sq = -0.0f64;
+    for r in 0..t.rows() {
+        quantized_row(r, &mut row);
+        for (&q, &x) in row.iter().zip(t.row(r)) {
+            let d = (q - x) as f64;
+            sq += d * d;
+        }
+    }
+    sq.sqrt()
 }
 
 /// The unified quantization interface: packed codes are the canonical
@@ -177,142 +225,13 @@ pub trait PackedQuantize {
     fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64>;
 }
 
-/// Codes + f32 scale bytes of a codebook packing under a granularity.
-fn codebook_wire_bytes(cb: &Codebook, g: Granularity, rows: usize, cols: usize) -> u64 {
-    (rows * cb.width().row_bytes(cols)) as u64 + 4 * g.group_count(rows, cols) as u64
-}
-
-impl PackedQuantize for Quantizer {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        let q = self.quantize_packed(t, rng)?;
-        crate::signals::record_pack("float", t, &q);
-        Some(PackedTensor::Codes(q))
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        if !self.packable() {
-            return None;
-        }
-        let cb = Codebook::for_float(self.format())?;
-        Some(codebook_wire_bytes(cb, self.granularity(), rows, cols))
-    }
-}
-
-impl PackedQuantize for IntQuantizer {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        let q = self.quantize_packed(t, rng)?;
-        crate::signals::record_pack("int", t, &q);
-        Some(PackedTensor::Codes(q))
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        let cb = Codebook::for_int(self.format())?;
-        Some(codebook_wire_bytes(cb, self.granularity(), rows, cols))
-    }
-}
-
-impl PackedQuantize for MxQuantizer {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        let q = self.quantize_packed(t, rng)?;
-        crate::signals::record_pack("mx", t, &q);
-        Some(PackedTensor::Mx(q))
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        let cb = Codebook::for_float(self.format())?;
-        let g = Granularity::Tile { nb: MX_BLOCK };
-        // One E8M0 byte per block scale instead of an f32.
-        Some((rows * cb.width().row_bytes(cols)) as u64 + g.group_count(rows, cols) as u64)
-    }
-}
-
-impl PackedQuantize for RhtQuantizer {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        if !self.inner().packable() {
-            return None;
-        }
-        let mut rotated = t.clone();
-        rht::rotate_rows(&mut rotated, self.block(), self.seed(), true);
-        let codes = self.inner().quantize_packed(&rotated, rng)?;
-        // Signals are reported in the domain the packer saw: post-rotation.
-        crate::signals::record_pack("rht", &rotated, &codes);
-        Some(PackedTensor::Rotated {
-            codes,
-            block: self.block(),
-            seed: self.seed(),
-        })
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        // Rotation reshuffles values, not storage: same codes, same scales.
-        self.inner().packed_wire_bytes(rows, cols)
-    }
-}
-
-impl PackedQuantize for OutlierQuantizer {
-    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
-        if !self.dense().packable() {
-            return None;
-        }
-        let (indices, _) = self.select_outliers(t);
-        let mut inliers = t.clone();
-        {
-            let slice = inliers.as_mut_slice();
-            for &i in &indices {
-                slice[i] = 0.0;
-            }
-        }
-        let body = self.dense().quantize_packed(&inliers, rng)?;
-        // Signals are reported on the inlier body (outliers travel exact).
-        crate::signals::record_pack("outlier", &inliers, &body);
-        let src = t.as_slice();
-        let outliers = indices
-            .iter()
-            .map(|&i| PackedOutlier {
-                index: u32::try_from(i).expect("tensor indexable by u32"),
-                value: format::bf16_round(src[i]),
-            })
-            .collect();
-        Some(PackedTensor::Split { body, outliers })
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
-    }
-
-    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
-        let body = self.dense().packed_wire_bytes(rows, cols)?;
-        let n = rows * cols;
-        let k = if n == 0 {
-            0
-        } else {
-            ((self.fraction() * n as f64).ceil() as usize).min(n)
-        };
-        Some(body + k as u64 * 6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::FloatFormat;
-    use crate::quantizer::Rounding;
+    use crate::granularity::Granularity;
+    use crate::int::IntFormat;
+    use crate::quantizer::{Quantizer, Rounding};
 
     fn fp4_tile(nb: usize) -> Quantizer {
         Quantizer::new(
@@ -337,10 +256,17 @@ mod tests {
         let q = fp4_tile(8);
         let kinds: Vec<(&str, Box<dyn PackedQuantize>)> = vec![
             ("plain", Box::new(q)),
-            ("int", Box::new(IntQuantizer::int4_tile(8))),
-            ("mx", Box::new(MxQuantizer::mxfp4())),
-            ("rht", Box::new(RhtQuantizer::new(q, 8, 11))),
-            ("outlier", Box::new(OutlierQuantizer::new(q, 0.01))),
+            (
+                "int",
+                Box::new(Quantizer::new(
+                    IntFormat::int4(),
+                    Granularity::Tile { nb: 8 },
+                    Rounding::Nearest,
+                )),
+            ),
+            ("mx", Box::new(Quantizer::mxfp4())),
+            ("rht", Box::new(q.with_rht(8, 11))),
+            ("outlier", Box::new(q.with_outliers(0.01))),
         ];
         for (name, k) in &kinds {
             let mut r1 = Rng::seed_from(5);
@@ -359,10 +285,10 @@ mod tests {
         let q = fp4_tile(16);
         let kinds: Vec<(&str, Box<dyn PackedQuantize>)> = vec![
             ("plain", Box::new(q)),
-            ("int", Box::new(IntQuantizer::int8_tile(16))),
-            ("mx", Box::new(MxQuantizer::mxfp8())),
-            ("rht", Box::new(RhtQuantizer::new(q, 16, 3))),
-            ("outlier", Box::new(OutlierQuantizer::new(q, 0.02))),
+            ("int", Box::new(Quantizer::int8_tile(16))),
+            ("mx", Box::new(Quantizer::mxfp8())),
+            ("rht", Box::new(q.with_rht(16, 3))),
+            ("outlier", Box::new(q.with_outliers(0.02))),
         ];
         for (name, k) in &kinds {
             let mut rng = Rng::seed_from(1);
@@ -382,9 +308,11 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         assert!(bf16.pack(&t, &mut rng).is_none());
         assert!(bf16.packed_wire_bytes(1, 3).is_none());
-        let rht = RhtQuantizer::new(bf16, 2, 0);
+        // So does a scaled 16-bit grid, under every recipe.
+        let wide = Quantizer::new(FloatFormat::bf16(), Granularity::Rowwise, Rounding::Nearest);
+        let rht = wide.with_rht(2, 0);
         assert!(rht.pack(&t, &mut rng).is_none());
-        let split = OutlierQuantizer::new(bf16, 0.1);
+        let split = wide.with_outliers(0.1);
         assert!(split.pack(&t, &mut rng).is_none());
         // The derived quantize still works through the oracle.
         let out = split.quantize(&t, &mut rng);
@@ -395,7 +323,7 @@ mod tests {
     fn mx_wire_charges_one_byte_per_scale() {
         let mut rng = Rng::seed_from(4);
         let t = Tensor::randn(2, 64, 1.0, &mut rng);
-        let packed = MxQuantizer::mxfp4().pack(&t, &mut rng).unwrap();
+        let packed = Quantizer::mxfp4().pack(&t, &mut rng).unwrap();
         // 2 rows × 32 packed bytes + 2×2 block scales at 1 B each.
         assert_eq!(packed.wire_bytes(), 2 * 32 + 4);
         // Residency still holds f32 scales like every QTensor.
@@ -408,7 +336,7 @@ mod tests {
         let mut t = Tensor::randn(4, 32, 0.5, &mut rng);
         t[(1, 7)] = 100.0;
         t[(3, 20)] = -80.0;
-        let q = OutlierQuantizer::new(fp4_tile(8), 2.0 / 128.0);
+        let q = fp4_tile(8).with_outliers(2.0 / 128.0);
         let packed = q.pack(&t, &mut Rng::seed_from(1)).unwrap();
         let out = packed.dequantize();
         assert_eq!(out[(1, 7)], 100.0);
@@ -425,7 +353,7 @@ mod tests {
     fn rotated_decode_inverts_the_rotation() {
         let mut rng = Rng::seed_from(8);
         let t = Tensor::randn(5, 48, 1.0, &mut rng);
-        let rht = RhtQuantizer::new(fp4_tile(16), 16, 21);
+        let rht = fp4_tile(16).with_rht(16, 21);
         let mut r1 = Rng::seed_from(13);
         let mut r2 = Rng::seed_from(13);
         let packed = rht.pack(&t, &mut r1).unwrap();

@@ -1,14 +1,23 @@
-//! Fake-quantization kernels.
+//! The one quantizer.
 //!
 //! The paper emulates subbyte GEMMs with *fake quantization* (§6.1): operands
 //! are scaled, quantized to the low-precision format, dequantized back to
 //! working precision, and the GEMM itself runs in the simulator's native
-//! arithmetic. [`Quantizer`] bundles a format, a scaling granularity and a
-//! rounding mode into the reusable object the linear layers consume.
+//! arithmetic. [`Quantizer`] bundles the four decisions that define such an
+//! operand — element format, scale-group layout, rounding mode and
+//! [`Recipe`] — into the reusable object the linear layers, the optimizer
+//! moments and the collective wires consume. The §5.2 "quantization options"
+//! (integer grids, MX block scales, RHT pre-rotation, outlier splitting) are
+//! values of those four fields, not types of their own.
 
 use crate::codebook::Codebook;
-use crate::format::FloatFormat;
+use crate::format::{ElementFormat, FloatFormat, FormatKind};
 use crate::granularity::Granularity;
+use crate::int::IntFormat;
+use crate::mx::{self, MX_BLOCK};
+use crate::packed::{streamed_error_norm, PackedQuantize, PackedTensor};
+use crate::signals::{self, QuantTimer};
+use crate::{outlier, rht};
 use serde::{Deserialize, Serialize};
 use snip_tensor::rng::Rng;
 use snip_tensor::{QTensor, Tensor};
@@ -24,7 +33,40 @@ pub enum Rounding {
     Stochastic,
 }
 
-/// A complete quantize→dequantize configuration.
+/// How a quantizer scales its groups and what its packed form carries — one
+/// decision, so the alternatives exclude each other by construction. Each
+/// scaled recipe maps onto exactly one [`PackedTensor`] shape.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub enum Recipe {
+    /// No scaling: values round straight onto the element grid (BF16
+    /// emulation, whose dynamic range needs no alignment). Never packable.
+    Unscaled,
+    /// `scale = grid_max / max|group|` per layout group — the paper's
+    /// recipe. Packs to [`PackedTensor::Codes`].
+    MaxAbs,
+    /// MX: a power-of-two E8M0 scale ([`mx::block_scale`]) per `1×32` tile.
+    /// Packs to [`PackedTensor::Mx`] (one byte per scale on the wire).
+    Mx,
+    /// Max-abs scaling in the randomized-Hadamard-rotated domain
+    /// ([`crate::rht`]): rotate, quantize, rotate back. Packs to
+    /// [`PackedTensor::Rotated`].
+    Rht {
+        /// Rotation chunk length (a power of two).
+        block: usize,
+        /// Rotation seed (both GEMM operands must share it to cancel).
+        seed: u64,
+    },
+    /// Max-abs scaling over the inliers only: the largest `fraction` of
+    /// elements (by magnitude, tensor-global — [`crate::outlier`]) bypass
+    /// the grid at BF16. Packs to [`PackedTensor::Split`].
+    Outlier {
+        /// Share of elements kept at BF16, in `[0, 1]`.
+        fraction: f64,
+    },
+}
+
+/// A complete quantize→dequantize configuration: element format × scale
+/// layout × rounding × [`Recipe`].
 ///
 /// # Example
 ///
@@ -41,22 +83,21 @@ pub enum Rounding {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Quantizer {
-    format: FloatFormat,
-    granularity: Granularity,
+    format: ElementFormat,
+    layout: Granularity,
     rounding: Rounding,
-    /// When `false`, skip max-abs scaling (used for BF16 emulation, whose
-    /// dynamic range needs no alignment).
-    scaled: bool,
+    recipe: Recipe,
 }
 
 impl Quantizer {
-    /// Creates a scaled quantizer (the normal case for FP8/FP4).
-    pub fn new(format: FloatFormat, granularity: Granularity, rounding: Rounding) -> Self {
+    /// Creates a max-abs-scaled quantizer (the normal case for FP8/FP4 and
+    /// the integer grids).
+    pub fn new(format: impl Into<ElementFormat>, layout: Granularity, rounding: Rounding) -> Self {
         Quantizer {
-            format,
-            granularity,
+            format: format.into(),
+            layout,
             rounding,
-            scaled: true,
+            recipe: Recipe::MaxAbs,
         }
     }
 
@@ -64,21 +105,95 @@ impl Quantizer {
     /// grid directly. Appropriate for BF16, whose exponent range matches f32.
     pub fn unscaled(format: FloatFormat, rounding: Rounding) -> Self {
         Quantizer {
-            format,
-            granularity: Granularity::Tensorwise,
-            rounding,
-            scaled: false,
+            recipe: Recipe::Unscaled,
+            ..Quantizer::new(format, Granularity::Tensorwise, rounding)
         }
     }
 
-    /// The target number format.
-    pub fn format(&self) -> FloatFormat {
+    /// INT8 (the Jetfire training format) with the DeepSeek-style `1×nb`
+    /// tile scaling used for activations and gradients.
+    pub fn int8_tile(nb: usize) -> Self {
+        Quantizer::new(
+            IntFormat::int8(),
+            Granularity::Tile { nb },
+            Rounding::Nearest,
+        )
+    }
+
+    fn mx(format: FloatFormat) -> Self {
+        Quantizer {
+            recipe: Recipe::Mx,
+            ..Quantizer::new(
+                format,
+                Granularity::Tile { nb: MX_BLOCK },
+                Rounding::Nearest,
+            )
+        }
+    }
+
+    /// MXFP4: E2M1 elements under E8M0 block scales.
+    pub fn mxfp4() -> Self {
+        Quantizer::mx(FloatFormat::e2m1())
+    }
+
+    /// MXFP8 (E4M3 elements).
+    pub fn mxfp8() -> Self {
+        Quantizer::mx(FloatFormat::e4m3())
+    }
+
+    /// The same quantizer with a different rounding mode (the FP4 and MX
+    /// training recipes use stochastic rounding on gradients).
+    pub fn with_rounding(self, rounding: Rounding) -> Self {
+        Quantizer { rounding, ..self }
+    }
+
+    /// This max-abs quantizer behind a randomized Hadamard rotation over
+    /// `block`-length row chunks ([`Recipe::Rht`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `block` is a power of two and `self` is a plain
+    /// max-abs quantizer.
+    pub fn with_rht(self, block: usize, seed: u64) -> Self {
+        assert!(
+            block.is_power_of_two(),
+            "RHT block {block} is not a power of two"
+        );
+        self.max_abs_with(Recipe::Rht { block, seed })
+    }
+
+    /// This max-abs quantizer with the largest `fraction` of elements (by
+    /// magnitude, tensor-global) bypassing it at BF16 ([`Recipe::Outlier`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ fraction ≤ 1` and `self` is a plain max-abs
+    /// quantizer.
+    pub fn with_outliers(self, fraction: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&fraction),
+            "outlier fraction {fraction} outside [0, 1]"
+        );
+        self.max_abs_with(Recipe::Outlier { fraction })
+    }
+
+    fn max_abs_with(self, recipe: Recipe) -> Self {
+        assert_eq!(
+            self.recipe,
+            Recipe::MaxAbs,
+            "only a plain max-abs quantizer takes another recipe"
+        );
+        Quantizer { recipe, ..self }
+    }
+
+    /// The element format.
+    pub fn format(&self) -> ElementFormat {
         self.format
     }
 
     /// The scaling granularity.
     pub fn granularity(&self) -> Granularity {
-        self.granularity
+        self.layout
     }
 
     /// The rounding mode.
@@ -86,59 +201,74 @@ impl Quantizer {
         self.rounding
     }
 
-    /// The same quantizer with a different rounding mode. Used by wrappers
-    /// (e.g. [`crate::rht::RhtQuantizer`]) that need a deterministic variant
-    /// for error measurement.
-    pub fn with_rounding(self, rounding: Rounding) -> Self {
-        Quantizer { rounding, ..self }
+    /// The scaling recipe.
+    pub fn recipe(&self) -> Recipe {
+        self.recipe
     }
 
     /// Quantizes and dequantizes `t`, returning the result as a new tensor.
     ///
     /// `rng` drives stochastic rounding and is untouched for
     /// [`Rounding::Nearest`].
+    ///
+    /// This is the dense oracle every packed path must reproduce bit for
+    /// bit.
     pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        let mut out = t.clone();
-        self.fake_quantize_inplace(&mut out, rng);
-        out
+        let mut q = t.clone();
+        match self.recipe {
+            Recipe::Unscaled => {
+                let _t = QuantTimer::start();
+                self.round_unscaled(q.as_mut_slice(), rng);
+            }
+            Recipe::MaxAbs | Recipe::Mx => self.fake_groups(&mut q, rng),
+            Recipe::Rht { block, seed } => {
+                rht::rotate_rows(&mut q, block, seed, true);
+                self.fake_groups(&mut q, rng);
+                rht::rotate_rows(&mut q, block, seed, false);
+            }
+            Recipe::Outlier { fraction } => {
+                let outliers = outlier::carve(&mut q, fraction);
+                self.fake_groups(&mut q, rng);
+                let data = q.as_mut_slice();
+                for o in outliers {
+                    data[o.index as usize] = o.value;
+                }
+            }
+        }
+        q
     }
 
-    /// In-place variant of [`Quantizer::fake_quantize`].
-    pub fn fake_quantize_inplace(&self, t: &mut Tensor, rng: &mut Rng) {
-        let _t = crate::signals::QuantTimer::start();
-        if !self.scaled {
-            self.round_unscaled(t.as_mut_slice(), rng);
-            return;
+    /// Maps a group's max-abs to its `(encode, decode)` multipliers — the
+    /// rule [`Codebook::pack_rounded_with`] takes, shared with the oracle
+    /// loop so the two cannot drift: max-abs recipes scale by
+    /// `grid_max / max|group|` and decode by its reciprocal; MX encodes by
+    /// the reciprocal of its power-of-two block scale so the *decode* side
+    /// is the exact E8M0 value.
+    fn scale_of(&self) -> impl Fn(f32) -> (f32, f32) + Sync {
+        let grid_max = self.format.max_value();
+        let mx = self.recipe == Recipe::Mx;
+        move |max_abs| {
+            if mx {
+                let scale = mx::block_scale(grid_max, max_abs);
+                (1.0 / scale, scale)
+            } else {
+                let scale = Granularity::group_scale(grid_max, max_abs);
+                (scale, 1.0 / scale)
+            }
         }
-        let (rows, cols) = t.shape();
-        let fmt = self.format;
-        let max_value = fmt.max_value();
-        let stochastic = self.rounding == Rounding::Stochastic;
-        // Pre-compute group maxima, then rewrite each group with its scale.
-        self.granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                let row = t.row(r);
-                for c in cr.clone() {
-                    max_abs = max_abs.max(row[c].abs());
-                }
-            }
-            // scale = FPX_MAX / max(abs(x)); an all-zero group needs no scaling.
-            let scale = Granularity::group_scale(max_value, max_abs);
-            let inv_scale = 1.0 / scale;
-            for r in rr {
-                let row = t.row_mut(r);
-                for c in cr.clone() {
-                    let scaled = row[c] * scale;
-                    let q = if stochastic {
-                        fmt.quantize_stochastic(scaled, rng.next_f32())
-                    } else {
-                        fmt.quantize_nearest(scaled)
-                    };
-                    row[c] = q * inv_scale;
-                }
-            }
-        });
+    }
+
+    /// The oracle's scaled path: the rounding mode is matched here, once
+    /// per call, not per element.
+    fn fake_groups(&self, t: &mut Tensor, rng: &mut Rng) {
+        let _t = QuantTimer::start();
+        let (fmt, layout, scale_of) = (self.format, self.layout, self.scale_of());
+        match self.rounding {
+            Rounding::Nearest => fake_group_loop(t, layout, scale_of, |v| fmt.quantize_nearest(v)),
+            Rounding::Stochastic => fake_group_loop(t, layout, scale_of, |v| {
+                fmt.quantize_stochastic(v, rng.next_f32())
+            }),
+        }
     }
 
     /// Rounds values onto the format grid directly — the unscaled
@@ -147,7 +277,8 @@ impl Quantizer {
         let fmt = self.format;
         let stochastic = self.rounding == Rounding::Stochastic;
         // Fast path for BF16 emulation: one bit-twiddle per element.
-        if fmt.kind() == crate::format::FormatKind::Bf16 && !stochastic {
+        let bf16 = matches!(fmt, ElementFormat::Float(f) if f.kind() == FormatKind::Bf16);
+        if bf16 && !stochastic {
             crate::format::bf16_round_slice(values);
             return;
         }
@@ -161,58 +292,105 @@ impl Quantizer {
     }
 
     /// Whether this quantizer's output can be stored bit-packed: scaled
-    /// subbyte/byte formats can; unscaled BF16 emulation cannot (16-bit
-    /// values have no code table).
+    /// formats of 8 bits or fewer can; unscaled BF16 emulation and wider
+    /// grids cannot (they have no code table).
     pub fn packable(&self) -> bool {
-        self.scaled && self.format.bits() <= 8
+        self.recipe != Recipe::Unscaled && self.format.codebook().is_some()
     }
 
-    /// Quantizes `t` into bit-packed storage, or `None` when the format is
-    /// not packable (the caller falls back to [`Quantizer::fake_quantize`]).
+    /// Quantizes `t` into plain bit-packed codes, or `None` when there are
+    /// none to give: the format is not packable, or the recipe's packed
+    /// form carries more than codes and scales ([`Recipe::Rht`],
+    /// [`Recipe::Outlier`] — use [`PackedQuantize::pack`]). The caller
+    /// falls back to [`Quantizer::fake_quantize`].
     ///
     /// The packed result is **exactly equivalent** to fake quantization:
     /// `quantize_packed(t, rng).dequantize()` is bit-for-bit equal to
     /// `fake_quantize(t, rng)` for the same starting `rng` state, and both
     /// consume the same number of stochastic-rounding draws. Scales are
-    /// stored as the decode multiplier `1 / (FPX_MAX / max|group|)` — the
-    /// same `inv_scale` the fake path multiplies by.
+    /// stored as the decode multiplier — the same value the fake path
+    /// multiplies by.
     pub fn quantize_packed(&self, t: &Tensor, rng: &mut Rng) -> Option<QTensor> {
-        if !self.packable() {
-            return None;
+        match self.recipe {
+            Recipe::MaxAbs | Recipe::Mx => {
+                Some(self.pack_codes(self.format.codebook()?, t, rng, None))
+            }
+            _ => None,
         }
-        let _t = crate::signals::QuantTimer::start();
-        let cb = Codebook::for_float(self.format)?;
-        // Fused scan + scale + encode on the vector pack kernels — same
-        // element order and, under stochastic rounding, the same
-        // one-draw-per-element RNG stream as `fake_quantize`.
-        Some(cb.pack_rounded(t, self.granularity, self.rounding, rng))
     }
 
-    /// Decodes a packed tensor produced by [`Quantizer::quantize_packed`].
-    pub fn dequantize(&self, qt: &QTensor) -> Tensor {
-        qt.dequantize()
+    /// Fused scan + scale + encode on the vector pack kernels — same
+    /// element order and, under stochastic rounding, the same
+    /// one-draw-per-element RNG stream as the oracle's group loop. `seen`
+    /// is the tensor as the packer sees it (post-rotation, inliers only),
+    /// which is what the pack signals recorded under `signal` describe.
+    fn pack_codes(
+        &self,
+        cb: &Codebook,
+        seen: &Tensor,
+        rng: &mut Rng,
+        signal: Option<&'static str>,
+    ) -> QTensor {
+        let timer = QuantTimer::start();
+        let codes = cb.pack_rounded_with(seen, self.layout, self.rounding, rng, self.scale_of());
+        drop(timer);
+        if let Some(kind) = signal {
+            signals::record_pack(kind, seen, &codes);
+        }
+        codes
+    }
+
+    /// [`PackedQuantize::pack`]; `record` reports each codebook pack to the
+    /// pack-signal telemetry (the packs inside `error_norm` stay silent).
+    fn pack_recipe(&self, t: &Tensor, rng: &mut Rng, record: bool) -> Option<PackedTensor> {
+        let cb = self.format.codebook()?;
+        let signal = |kind| record.then_some(kind);
+        Some(match self.recipe {
+            Recipe::Unscaled => return None,
+            Recipe::MaxAbs => {
+                let kind = match self.format {
+                    ElementFormat::Float(_) => "float",
+                    ElementFormat::Int(_) => "int",
+                };
+                PackedTensor::Codes(self.pack_codes(cb, t, rng, signal(kind)))
+            }
+            Recipe::Mx => PackedTensor::Mx(self.pack_codes(cb, t, rng, signal("mx"))),
+            Recipe::Rht { block, seed } => {
+                let mut rotated = t.clone();
+                rht::rotate_rows(&mut rotated, block, seed, true);
+                let codes = self.pack_codes(cb, &rotated, rng, signal("rht"));
+                PackedTensor::Rotated { codes, block, seed }
+            }
+            Recipe::Outlier { fraction } => {
+                let mut inliers = t.clone();
+                let outliers = outlier::carve(&mut inliers, fraction);
+                let body = self.pack_codes(cb, &inliers, rng, signal("outlier"));
+                PackedTensor::Split { body, outliers }
+            }
+        })
     }
 
     /// Frobenius norm of the quantization error `‖q(t) − t‖_F`, using
     /// deterministic nearest rounding (this is the `δ` statistic collected in
     /// Step 1 of the SNIP workflow, paper Fig. 6).
     ///
-    /// Packable formats are quantized on the vector pack engine and decoded
-    /// a row at a time — bit-for-bit the rows [`Quantizer::fake_quantize`]
-    /// would produce, so the norm is too — and an unscaled quantizer (BF16
+    /// Packable quantizers pack on the vector engine and decode a row at a
+    /// time — bit-for-bit the rows [`Quantizer::fake_quantize`] would
+    /// produce, so the norm is too — and an unscaled quantizer (BF16
     /// emulation) rounds a row at a time; neither materialises `q(t)`.
     pub fn error_norm(&self, t: &Tensor) -> f64 {
         let det = self.with_rounding(Rounding::Nearest);
         let mut rng = Rng::seed_from(0); // unused under Nearest
-        if !self.scaled {
+        if det.recipe == Recipe::Unscaled {
             return streamed_error_norm(t, |r, row| {
                 row.copy_from_slice(t.row(r));
                 det.round_unscaled(row, &mut rng);
             });
         }
-        nearest_error_norm(t, det.quantize_packed(t, &mut rng), || {
-            det.fake_quantize(t, &mut rng)
-        })
+        match det.pack_recipe(t, &mut rng, false) {
+            Some(packed) => packed.distance(t),
+            None => det.fake_quantize(t, &mut rng).distance(t),
+        }
     }
 
     /// Relative quantization error `‖q(t) − t‖_F / ‖t‖_F` (0 for a zero
@@ -227,36 +405,57 @@ impl Quantizer {
     }
 }
 
-/// `‖q(t) − t‖_F` with `q(t)` produced one row at a time: `quantized_row(r,
-/// row)` fills `row` with row `r` of `q(t)`. Differences are squared and
-/// summed in `f64` in row-major order — [`Tensor::distance`]'s order, so
-/// the result equals `q(t).distance(t)` bit for bit.
-fn streamed_error_norm(t: &Tensor, mut quantized_row: impl FnMut(usize, &mut [f32])) -> f64 {
-    let mut row = vec![0.0f32; t.cols()];
-    // `-0.0` is the identity `Iterator::sum` folds from; starting there
-    // keeps the equality on an empty tensor too.
-    let mut sq = -0.0f64;
-    for r in 0..t.rows() {
-        quantized_row(r, &mut row);
-        for (&q, &x) in row.iter().zip(t.row(r)) {
-            let d = (q - x) as f64;
-            sq += d * d;
+/// The one fake-quantization group loop: per scale group of `layout`, scan
+/// the max-abs, derive `(encode, decode)` from `scale_of`, and rewrite every
+/// element as `round(v · encode) · decode` — groups and elements in
+/// [`Granularity::for_each_group`] order, which is the stochastic-draw order
+/// the packers reproduce.
+fn fake_group_loop(
+    t: &mut Tensor,
+    layout: Granularity,
+    scale_of: impl Fn(f32) -> (f32, f32),
+    mut round: impl FnMut(f32) -> f32,
+) {
+    let (rows, cols) = t.shape();
+    layout.for_each_group(rows, cols, |rr, cr| {
+        let mut max_abs = 0.0f32;
+        for r in rr.clone() {
+            for v in &t.row(r)[cr.clone()] {
+                max_abs = max_abs.max(v.abs());
+            }
         }
-    }
-    sq.sqrt()
+        let (encode, decode) = scale_of(max_abs);
+        for r in rr {
+            for v in &mut t.row_mut(r)[cr.clone()] {
+                *v = round(*v * encode) * decode;
+            }
+        }
+    });
 }
 
-/// `‖q(t) − t‖_F` from the packed `q(t)` when the quantizer could pack it,
-/// else from its fake-quantization fallback — the shared tail of every
-/// scaled quantizer's `error_norm`.
-pub(crate) fn nearest_error_norm(
-    t: &Tensor,
-    packed: Option<QTensor>,
-    fake: impl FnOnce() -> Tensor,
-) -> f64 {
-    match packed {
-        Some(q) => streamed_error_norm(t, |r, row| q.decode_row_into(r, row)),
-        None => fake().distance(t),
+impl PackedQuantize for Quantizer {
+    fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
+        self.pack_recipe(t, rng, true)
+    }
+
+    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
+        self.fake_quantize(t, rng)
+    }
+
+    fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
+        let codes = (rows * self.format.codebook()?.width().row_bytes(cols)) as u64;
+        let groups = self.layout.group_count(rows, cols) as u64;
+        Some(match self.recipe {
+            Recipe::Unscaled => return None,
+            // One E8M0 byte per block scale instead of an f32.
+            Recipe::Mx => codes + groups,
+            // The body plus u32 index + BF16 value per outlier.
+            Recipe::Outlier { fraction } => {
+                codes + 4 * groups + 6 * outlier::outlier_count(fraction, rows * cols) as u64
+            }
+            // Rotation reshuffles values, not storage.
+            Recipe::MaxAbs | Recipe::Rht { .. } => codes + 4 * groups,
+        })
     }
 }
 
@@ -407,7 +606,7 @@ mod tests {
                     let packed = q.quantize_packed(&t, &mut rng_packed).expect("packable");
                     assert_bit_identical(
                         &fake,
-                        &q.dequantize(&packed),
+                        &packed.dequantize(),
                         &format!("{fmt} {g} {rounding:?}"),
                     );
                     // Both paths must consume the same stochastic draws.

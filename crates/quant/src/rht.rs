@@ -10,11 +10,11 @@
 //! scale and cuts quantization error on heavy-tailed tensors.
 //!
 //! SNIP treats such techniques as additional quantization *options* (§5.2);
-//! [`RhtQuantizer`] wraps any [`Quantizer`] so RHT variants can enter the
-//! ILP next to the plain FP8/FP4 recipes (see
-//! `examples/custom_quantizer.rs` and the `ablation_rht` experiment).
+//! [`crate::Quantizer::with_rht`] puts any max-abs quantizer behind the
+//! rotation ([`crate::Recipe::Rht`]) so RHT variants can enter the ILP next
+//! to the plain FP8/FP4 recipes (see `examples/custom_quantizer.rs` and the
+//! `ablation_rht` experiment). This module holds the transform itself.
 
-use crate::quantizer::{Quantizer, Rounding};
 use serde::{Deserialize, Serialize};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
@@ -142,122 +142,53 @@ pub(crate) fn for_each_chunk(cols: usize, block: usize, mut f: impl FnMut(usize,
     }
 }
 
-/// Rotates every row chunk of `t` forward or backward under the chunking
-/// rule of [`for_each_chunk`], with per-length rotations seeded
-/// `seed ^ len`. This is the one rotation routine shared by
-/// [`RhtQuantizer`]'s fake path and the packed representation's decode —
-/// sharing it is what keeps the two bit-identical.
-pub(crate) fn rotate_rows(t: &mut Tensor, block: usize, seed: u64, forward: bool) {
-    let (rows, cols) = t.shape();
-    // Rotations per distinct chunk length, built lazily.
-    let mut rotations: Vec<(usize, RhtRotation)> = Vec::new();
-    for_each_chunk(cols, block, |_, len| {
-        if !rotations.iter().any(|(l, _)| *l == len) {
-            rotations.push((len, RhtRotation::new(len, seed ^ len as u64)));
-        }
-    });
-    for r in 0..rows {
-        let row = t.row_mut(r);
+/// The rotation of one row of `cols` elements: every chunk of
+/// [`for_each_chunk`] under its per-length rotation, seeded `seed ^ len`.
+///
+/// Rows are processed in contiguous chunks of `block` elements (a power of
+/// two, typically matching the quantizer's tile length). A trailing
+/// remainder shorter than `block` is rotated with the largest power-of-two
+/// rotation that fits; at most one final element stays unrotated.
+pub(crate) struct RowRotation {
+    /// `(first column, rotation)` of every rotated chunk.
+    chunks: Vec<(usize, RhtRotation)>,
+}
+
+impl RowRotation {
+    pub(crate) fn new(cols: usize, block: usize, seed: u64) -> Self {
+        let mut chunks: Vec<(usize, RhtRotation)> = Vec::new();
         for_each_chunk(cols, block, |c, len| {
-            let rot = &rotations
-                .iter()
-                .find(|(l, _)| *l == len)
-                .expect("rotation precomputed")
-                .1;
-            let chunk = &mut row[c..c + len];
+            let built = chunks.iter().find(|(_, rot)| rot.len() == len);
+            let rot = match built {
+                Some((_, rot)) => rot.clone(),
+                None => RhtRotation::new(len, seed ^ len as u64),
+            };
+            chunks.push((c, rot));
+        });
+        RowRotation { chunks }
+    }
+
+    /// Rotates `row` forward (`forward = true`) or backward in place.
+    pub(crate) fn apply(&self, row: &mut [f32], forward: bool) {
+        for (c, rot) in &self.chunks {
+            let chunk = &mut row[*c..c + rot.len()];
             if forward {
                 rot.forward(chunk);
             } else {
                 rot.inverse(chunk);
             }
-        });
-    }
-}
-
-/// A quantizer that rotates row segments with a randomized Hadamard
-/// transform, applies an inner fake quantizer in the rotated domain, and
-/// rotates back.
-///
-/// Rows are processed in contiguous chunks of `block` elements (a power of
-/// two, typically matching the inner quantizer's tile length). A trailing
-/// remainder shorter than `block` is rotated with the largest power-of-two
-/// rotation that fits; at most one final element stays unrotated.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RhtQuantizer {
-    inner: Quantizer,
-    block: usize,
-    seed: u64,
-}
-
-impl RhtQuantizer {
-    /// Wraps `inner` with RHT pre-rotation over `block`-length row chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `block` is a power of two.
-    pub fn new(inner: Quantizer, block: usize, seed: u64) -> Self {
-        assert!(
-            block.is_power_of_two(),
-            "RHT block {block} is not a power of two"
-        );
-        RhtQuantizer { inner, block, seed }
-    }
-
-    /// The wrapped quantizer.
-    pub fn inner(&self) -> &Quantizer {
-        &self.inner
-    }
-
-    /// The rotation block length.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// The rotation seed (both GEMM operands must share it to cancel).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Rotates every row chunk of `t` forward (`dir = true`) or backward.
-    fn rotate(&self, t: &mut Tensor, forward: bool) {
-        rotate_rows(t, self.block, self.seed, forward);
-    }
-
-    /// Rotate → fake-quantize (inner) → rotate back.
-    pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        let mut out = t.clone();
-        self.fake_quantize_inplace(&mut out, rng);
-        out
-    }
-
-    /// In-place variant of [`RhtQuantizer::fake_quantize`].
-    pub fn fake_quantize_inplace(&self, t: &mut Tensor, rng: &mut Rng) {
-        self.rotate(t, true);
-        self.inner.fake_quantize_inplace(t, rng);
-        self.rotate(t, false);
-    }
-
-    /// Frobenius norm of the end-to-end error `‖q(t) − t‖_F` under
-    /// deterministic nearest rounding. Because the rotation is orthogonal
-    /// this equals the error measured in the rotated domain.
-    pub fn error_norm(&self, t: &Tensor) -> f64 {
-        let det = RhtQuantizer {
-            inner: self.inner.with_rounding(Rounding::Nearest),
-            ..*self
-        };
-        let mut rng = Rng::seed_from(0); // unused under Nearest
-        let q = det.fake_quantize(t, &mut rng);
-        q.distance(t)
-    }
-
-    /// Relative error `‖q(t) − t‖_F / ‖t‖_F` (0 for a zero tensor).
-    pub fn relative_error(&self, t: &Tensor) -> f64 {
-        let norm = t.frobenius_norm();
-        if norm == 0.0 {
-            0.0
-        } else {
-            self.error_norm(t) / norm
         }
+    }
+}
+
+/// Rotates every row of `t` forward or backward. This is the one rotation
+/// routine shared by the fake-quantization oracle, the packer and the
+/// packed representation's decode — sharing it is what keeps them
+/// bit-identical.
+pub(crate) fn rotate_rows(t: &mut Tensor, block: usize, seed: u64, forward: bool) {
+    let rotation = RowRotation::new(t.cols(), block, seed);
+    for r in 0..t.rows() {
+        rotation.apply(t.row_mut(r), forward);
     }
 }
 
@@ -266,6 +197,7 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
+    use crate::{Quantizer, Rounding};
 
     fn rng() -> Rng {
         Rng::seed_from(99)
@@ -366,7 +298,7 @@ mod tests {
             t[(row, (row * 13) % 128)] = 60.0 * if row % 2 == 0 { 1.0 } else { -1.0 };
         }
         let plain = fp4_tile(128);
-        let rht = RhtQuantizer::new(fp4_tile(128), 128, 7);
+        let rht = fp4_tile(128).with_rht(128, 7);
         let e_plain = plain.error_norm(&t);
         let e_rht = rht.error_norm(&t);
         assert!(
@@ -387,7 +319,7 @@ mod tests {
             t[(row, (row * 13) % 128)] = 60.0;
         }
         let plain = fp4_tile(32);
-        let rht = RhtQuantizer::new(fp4_tile(32), 32, 7);
+        let rht = fp4_tile(32).with_rht(32, 7);
         assert!(rht.error_norm(&t) > plain.error_norm(&t) * 0.9);
     }
 
@@ -397,11 +329,11 @@ mod tests {
         // measuring it in the rotated domain.
         let mut r = rng();
         let t = Tensor::randn(4, 64, 1.0, &mut r);
-        let rht = RhtQuantizer::new(fp4_tile(64), 64, 13);
+        let rht = fp4_tile(64).with_rht(64, 13);
         let e_end_to_end = rht.error_norm(&t);
         // Manual: rotate, quantize, compare in rotated space.
         let mut rotated = t.clone();
-        rht.rotate(&mut rotated, true);
+        rotate_rows(&mut rotated, 64, 13, true);
         let q = fp4_tile(64).fake_quantize(&rotated, &mut Rng::seed_from(0));
         let e_rotated = q.distance(&rotated);
         assert!(
@@ -414,11 +346,15 @@ mod tests {
     fn tail_shorter_than_block_is_handled() {
         // 100 columns with block 32: chunks 32+32+32 then a 4-tail (2², with
         // 0 left over) — all elements must still round-trip through
-        // rotate/inverse when quantization is disabled-ish (BF16).
+        // rotate/inverse when quantization is disabled-ish (a 16-bit grid).
         let mut r = rng();
         let t = Tensor::randn(3, 100, 1.0, &mut r);
-        let identity_ish = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
-        let rht = RhtQuantizer::new(identity_ish, 32, 21);
+        let identity_ish = Quantizer::new(
+            FloatFormat::bf16(),
+            Granularity::Tensorwise,
+            Rounding::Nearest,
+        );
+        let rht = identity_ish.with_rht(32, 21);
         let out = rht.fake_quantize(&t, &mut rng());
         // BF16 rounding noise only — relative error well below FP4's.
         assert!(out.distance(&t) / t.frobenius_norm() < 5e-3);
@@ -427,7 +363,7 @@ mod tests {
     #[test]
     fn one_column_tensor_passes_through() {
         let t = Tensor::from_vec(3, 1, vec![1.0, -2.0, 3.0]);
-        let rht = RhtQuantizer::new(fp4_tile(16), 16, 2);
+        let rht = fp4_tile(16).with_rht(16, 2);
         let out = rht.fake_quantize(&t, &mut rng());
         // len-1 chunks skip rotation; FP4 grid holds 1, -2, 3 exactly
         // (scale maps each row's single element onto ±6).
@@ -439,6 +375,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a power of two")]
     fn non_power_of_two_block_rejected() {
-        let _ = RhtQuantizer::new(fp4_tile(16), 24, 0);
+        let _ = fp4_tile(16).with_rht(24, 0);
     }
 }

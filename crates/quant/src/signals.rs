@@ -1,10 +1,10 @@
 //! Pack-signal extraction: the quantization statistics fed to `snip-obs`
 //! for the adaptive precision controller.
 //!
-//! Every [`crate::PackedQuantize`] impl calls [`record_pack`] on the tensor
-//! *as the packer saw it* (post-rotation for RHT, inliers-only for the
-//! outlier split) together with the packed body it produced, so every
-//! quantizer reports through the same computation:
+//! [`crate::Quantizer`]'s pack calls [`record_pack`] on the tensor *as the
+//! packer saw it* (post-rotation for RHT, inliers-only for the outlier
+//! split) together with the packed body it produced, so every recipe
+//! reports through the same computation:
 //!
 //! * **absmax** — largest |x| in the packed domain;
 //! * **group saturation** — fraction of scale groups whose largest decoded
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn mx_power_of_two_scales_leave_headroom() {
-        let q = crate::mx::MxQuantizer::mxfp4();
+        let q = Quantizer::mxfp4();
         let mut rng = Rng::seed_from(11);
         let t = Tensor::randn(2, 64, 1.0, &mut rng);
         let packed = q.quantize_packed(&t, &mut rng).expect("mxfp4 packs");

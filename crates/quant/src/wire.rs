@@ -48,14 +48,12 @@
 //!
 //! The decode table itself never crosses the wire: the header's format id
 //! names it, and [`from_wire_bytes`](PackedTensor::from_wire_bytes) rebuilds
-//! it through the interned per-format [`Codebook`], so a
+//! it through the interned per-format [`crate::Codebook`], so a
 //! deserialized tensor shares the same table allocation as locally packed
 //! ones. Custom code tables outside the built-in FP4/FP8/INT formats are
 //! rejected with [`WireError::UnknownLut`].
 
-use crate::codebook::Codebook;
-use crate::format::{FloatFormat, FormatKind};
-use crate::int::IntFormat;
+use crate::format::ElementFormat;
 use crate::packed::{PackedOutlier, PackedTensor};
 use snip_tensor::{GroupLayout, QTensor};
 
@@ -147,88 +145,26 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The formats a frame can name (everything with a built-in [`Codebook`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WireFormat {
-    Float(FormatKind),
-    Int(u32),
-}
-
-impl WireFormat {
-    const FLOATS: [FormatKind; 4] = [
-        FormatKind::E2M1,
-        FormatKind::E4M3,
-        FormatKind::E5M2,
-        FormatKind::E3M4,
-    ];
-
-    fn id(self) -> u8 {
-        match self {
-            WireFormat::Float(FormatKind::E2M1) => 0,
-            WireFormat::Float(FormatKind::E4M3) => 1,
-            WireFormat::Float(FormatKind::E5M2) => 2,
-            WireFormat::Float(FormatKind::E3M4) => 3,
-            WireFormat::Float(FormatKind::Bf16) => unreachable!("bf16 is never packed"),
-            WireFormat::Int(bits) => 0x10 | bits as u8,
-        }
-    }
-
-    fn from_id(id: u8) -> Result<Self, WireError> {
-        match id {
-            0 => Ok(WireFormat::Float(FormatKind::E2M1)),
-            1 => Ok(WireFormat::Float(FormatKind::E4M3)),
-            2 => Ok(WireFormat::Float(FormatKind::E5M2)),
-            3 => Ok(WireFormat::Float(FormatKind::E3M4)),
-            _ if id & 0xF0 == 0x10 && (2..=8).contains(&(id & 0x0F)) => {
-                Ok(WireFormat::Int(u32::from(id & 0x0F)))
-            }
-            _ => Err(WireError::BadTag {
-                field: "format",
-                value: id,
-            }),
-        }
-    }
-
-    fn codebook(self) -> &'static Codebook {
-        match self {
-            WireFormat::Float(kind) => {
-                Codebook::for_float(FloatFormat::from(kind)).expect("wire float formats pack")
-            }
-            WireFormat::Int(bits) => {
-                Codebook::for_int(IntFormat::new(bits)).expect("wire int formats pack")
-            }
-        }
-    }
-
-    /// Every serializable format.
-    fn all() -> impl Iterator<Item = WireFormat> {
-        Self::FLOATS
-            .into_iter()
-            .map(WireFormat::Float)
-            .chain((2..=8).map(WireFormat::Int))
-    }
-
-    /// Identifies the format whose decode table matches `q`'s. Locally
-    /// packed tensors share the interned per-format table (a lock-free
-    /// lookup), so the common case is one pointer comparison per
-    /// candidate; tensors whose table lost its interning (serde round
-    /// trips) fall back to a bitwise content comparison.
-    fn identify(q: &QTensor) -> Result<Self, WireError> {
-        let lut = q.lut();
-        Self::all()
-            .find(|wf| std::ptr::eq(wf.codebook().lut_slice(), lut))
-            .or_else(|| {
-                Self::all().find(|wf| {
-                    let cand = wf.codebook().lut_slice();
-                    cand.len() == lut.len()
-                        && cand
-                            .iter()
-                            .zip(lut)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                })
-            })
-            .ok_or(WireError::UnknownLut)
-    }
+/// Identifies the format whose decode table matches `q`'s, among
+/// everything a frame can name (every format with a wire id). Locally
+/// packed tensors share the interned per-format table, so the match is
+/// usually a pointer comparison; tensors whose table lost its interning
+/// (serde round trips) match by bitwise content.
+fn identify(q: &QTensor) -> Result<ElementFormat, WireError> {
+    let lut = q.lut();
+    (0..ElementFormat::WIRE_ID_END)
+        .filter_map(ElementFormat::from_wire_id)
+        .find(|fmt| {
+            let book = fmt.codebook().expect("formats with a wire id pack");
+            let cand = book.lut_slice();
+            std::ptr::eq(cand, lut)
+                || (cand.len() == lut.len()
+                    && cand
+                        .iter()
+                        .zip(lut)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()))
+        })
+        .ok_or(WireError::UnknownLut)
 }
 
 fn layout_tag(layout: GroupLayout) -> (u8, u32) {
@@ -308,7 +244,7 @@ impl PackedTensor {
     /// power of two.
     pub fn to_wire_bytes(&self) -> Result<Vec<u8>, WireError> {
         let q = self.codes();
-        let fmt = WireFormat::identify(q)?;
+        let fmt = identify(q)?;
         let (rows, cols) = q.shape();
         let (ltag, lnb) = layout_tag(q.layout());
         let (variant, block, seed, outlier_count) = match self {
@@ -326,7 +262,7 @@ impl PackedTensor {
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.push(variant);
-        buf.push(fmt.id());
+        buf.push(fmt.wire_id().expect("identified by its code table"));
         buf.push(ltag);
         buf.extend_from_slice(&[0, 0]); // reserved
         put_u32(&mut buf, rows as u32);
@@ -379,7 +315,13 @@ impl PackedTensor {
             return Err(WireError::BadHeader);
         }
         let variant = bytes[3];
-        let fmt = WireFormat::from_id(bytes[4])?;
+        let bad_format = WireError::BadTag {
+            field: "format",
+            value: bytes[4],
+        };
+        let cb = ElementFormat::from_wire_id(bytes[4])
+            .and_then(ElementFormat::codebook)
+            .ok_or(bad_format)?;
         let layout = layout_of(bytes[5], get_u32(bytes, 16))?;
         let rows = get_u32(bytes, 8) as usize;
         let cols = get_u32(bytes, 12) as usize;
@@ -387,7 +329,6 @@ impl PackedTensor {
         let seed = get_u64(bytes, 24);
         let outlier_count = get_u32(bytes, 32) as usize;
 
-        let cb = fmt.codebook();
         let width = cb.width();
         let code_bytes = rows * width.row_bytes(cols);
         let groups = layout.group_count(rows, cols);
@@ -711,12 +652,10 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::FloatFormat;
     use crate::granularity::Granularity;
-    use crate::int::IntQuantizer;
-    use crate::mx::MxQuantizer;
-    use crate::outlier::OutlierQuantizer;
+    use crate::int::IntFormat;
     use crate::quantizer::{Quantizer, Rounding};
-    use crate::rht::RhtQuantizer;
     use crate::PackedQuantize;
     use snip_tensor::rng::Rng;
     use snip_tensor::Tensor;
@@ -741,12 +680,19 @@ mod tests {
                     Rounding::Nearest,
                 )),
             ),
-            ("int4", Box::new(IntQuantizer::int4_tile(8))),
-            ("int8", Box::new(IntQuantizer::int8_tile(8))),
-            ("mxfp4", Box::new(MxQuantizer::mxfp4())),
-            ("mxfp8", Box::new(MxQuantizer::mxfp8())),
-            ("rht", Box::new(RhtQuantizer::new(q, 8, 77))),
-            ("outlier", Box::new(OutlierQuantizer::new(q, 0.03))),
+            (
+                "int4",
+                Box::new(Quantizer::new(
+                    IntFormat::int4(),
+                    Granularity::Tile { nb: 8 },
+                    Rounding::Nearest,
+                )),
+            ),
+            ("int8", Box::new(Quantizer::int8_tile(8))),
+            ("mxfp4", Box::new(Quantizer::mxfp4())),
+            ("mxfp8", Box::new(Quantizer::mxfp8())),
+            ("rht", Box::new(q.with_rht(8, 77))),
+            ("outlier", Box::new(q.with_outliers(0.03))),
         ]
     }
 
@@ -779,7 +725,7 @@ mod tests {
     fn rotated_and_split_metadata_survive() {
         let mut t = Tensor::randn(3, 32, 1.0, &mut Rng::seed_from(1));
         t[(0, 5)] = 90.0;
-        let rht = RhtQuantizer::new(fp4_tile(16), 16, 0xDEAD_BEEF);
+        let rht = fp4_tile(16).with_rht(16, 0xDEAD_BEEF);
         let packed = rht.pack(&t, &mut Rng::seed_from(2)).unwrap();
         let back = PackedTensor::from_wire_bytes(&packed.to_wire_bytes().unwrap()).unwrap();
         match back {
@@ -789,7 +735,7 @@ mod tests {
             }
             other => panic!("expected Rotated, got {other:?}"),
         }
-        let split = OutlierQuantizer::new(fp4_tile(16), 2.0 / 96.0);
+        let split = fp4_tile(16).with_outliers(2.0 / 96.0);
         let packed = split.pack(&t, &mut Rng::seed_from(2)).unwrap();
         let back = PackedTensor::from_wire_bytes(&packed.to_wire_bytes().unwrap()).unwrap();
         match (&packed, &back) {
@@ -824,9 +770,7 @@ mod tests {
     #[test]
     fn mx_scales_ship_one_byte_each() {
         let t = Tensor::randn(2, 64, 1.0, &mut Rng::seed_from(4));
-        let packed = MxQuantizer::mxfp4()
-            .pack(&t, &mut Rng::seed_from(5))
-            .unwrap();
+        let packed = Quantizer::mxfp4().pack(&t, &mut Rng::seed_from(5)).unwrap();
         let frame = packed.to_wire_bytes().unwrap();
         // 2 rows × 32 code bytes + 4 block scales × 1 B.
         assert_eq!(frame.len(), WIRE_HEADER_BYTES + 2 * 32 + 4);

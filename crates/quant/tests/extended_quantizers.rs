@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::{fwht_inplace, RhtQuantizer, RhtRotation};
+use snip_quant::int::IntFormat;
+use snip_quant::outlier::select_outliers;
+use snip_quant::rht::{fwht_inplace, RhtRotation};
 use snip_quant::{Quantizer, Rounding};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
@@ -31,7 +31,7 @@ proptest! {
     fn int_nearest_error_bounded_by_half_step(t in tensor_strategy(4, 16)) {
         // Rowwise scaling: every element's error is at most half the grid
         // step of its row.
-        let q = IntQuantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
+        let q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
         let fq = q.fake_quantize(&t, &mut Rng::seed_from(0));
         for r in 0..4 {
             let max_abs = t.row(r).iter().fold(0.0f32, |m, v| m.max(v.abs()));
@@ -49,7 +49,7 @@ proptest! {
         let g = Granularity::Tile { nb: 8 };
         let mut prev = f64::INFINITY;
         for bits in [3u32, 4, 6, 8, 12] {
-            let q = IntQuantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
+            let q = Quantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
             let e = q.error_norm(&t);
             prop_assert!(e <= prev + 1e-9, "int{bits}: {e} > {prev}");
             prev = e;
@@ -63,7 +63,7 @@ proptest! {
     ) {
         // Stochastic rounding lands on one of the two neighbouring grid
         // points: never further than a full step from the input.
-        let q = IntQuantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Stochastic);
+        let q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Stochastic);
         let fq = q.fake_quantize(&t, &mut Rng::seed_from(seed));
         for r in 0..2 {
             let max_abs = t.row(r).iter().fold(0.0f32, |m, v| m.max(v.abs()));
@@ -106,7 +106,7 @@ proptest! {
 
     #[test]
     fn rht_quantizer_output_is_finite(t in tensor_strategy(3, 40), seed in 0u64..100) {
-        let q = RhtQuantizer::new(fp4_tile(16), 16, seed);
+        let q = fp4_tile(16).with_rht(16, seed);
         let out = q.fake_quantize(&t, &mut Rng::seed_from(seed));
         prop_assert!(out.all_finite());
         prop_assert_eq!(out.shape(), t.shape());
@@ -115,8 +115,8 @@ proptest! {
     #[test]
     fn outliers_preserved_within_bf16_ulp(t in tensor_strategy(4, 16), k in 1usize..8) {
         let frac = k as f64 / 64.0;
-        let q = OutlierQuantizer::new(fp4_tile(8), frac);
-        let (idx, split) = q.select_outliers(&t);
+        let q = fp4_tile(8).with_outliers(frac);
+        let (idx, split) = select_outliers(&t, frac);
         prop_assert_eq!(idx.len(), split.n_outliers);
         let out = q.fake_quantize(&t, &mut Rng::seed_from(1));
         for &i in &idx {
@@ -130,8 +130,7 @@ proptest! {
 
     #[test]
     fn outlier_threshold_separates(t in tensor_strategy(4, 16)) {
-        let q = OutlierQuantizer::new(fp4_tile(8), 4.0 / 64.0);
-        let (idx, split) = q.select_outliers(&t);
+        let (idx, split) = select_outliers(&t, 4.0 / 64.0);
         let data = t.as_slice();
         for (i, v) in data.iter().enumerate() {
             if idx.binary_search(&i).is_ok() {
@@ -149,7 +148,7 @@ fn int_and_float_quantizers_agree_on_exactly_representable_grids() {
     // exact grid keep them; sanity anchor between the two families.
     let vals: Vec<f32> = (-7..=7).map(|i| i as f32).collect();
     let t = Tensor::from_vec(1, vals.len(), vals.clone());
-    let q = IntQuantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
+    let q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Nearest);
     let fq = q.fake_quantize(&t, &mut Rng::seed_from(0));
     for (c, v) in vals.iter().enumerate() {
         assert!((fq[(0, c)] - v).abs() < 1e-6, "{v} not preserved");

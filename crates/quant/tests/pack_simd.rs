@@ -16,10 +16,7 @@
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
+use snip_quant::int::IntFormat;
 use snip_quant::{PackedQuantize, PackedTensor, Quantizer, Rounding};
 use snip_tensor::rng::Rng;
 use snip_tensor::simd::{self, Backend};
@@ -38,16 +35,13 @@ fn quantizers(g: Granularity, r: Rounding) -> Vec<(&'static str, Box<dyn PackedQ
         ),
         ("e4m3", Box::new(float(FloatFormat::e4m3()))),
         ("e5m2", Box::new(float(FloatFormat::e5m2()))),
-        ("int4", Box::new(IntQuantizer::new(IntFormat::int4(), g, r))),
-        ("int8", Box::new(IntQuantizer::new(IntFormat::int8(), g, r))),
-        ("mxfp4", Box::new(MxQuantizer::mxfp4().with_rounding(r))),
-        (
-            "rht",
-            Box::new(RhtQuantizer::new(float(FloatFormat::e2m1()), 8, 11)),
-        ),
+        ("int4", Box::new(Quantizer::new(IntFormat::int4(), g, r))),
+        ("int8", Box::new(Quantizer::new(IntFormat::int8(), g, r))),
+        ("mxfp4", Box::new(Quantizer::mxfp4().with_rounding(r))),
+        ("rht", Box::new(float(FloatFormat::e2m1()).with_rht(8, 11))),
         (
             "outlier",
-            Box::new(OutlierQuantizer::new(float(FloatFormat::e2m1()), 0.05)),
+            Box::new(float(FloatFormat::e2m1()).with_outliers(0.05)),
         ),
     ]
 }
@@ -186,7 +180,7 @@ fn nan_encodes_as_zero_and_does_not_touch_the_group_scale() {
             }
         }
     }
-    let q = IntQuantizer::new(
+    let q = Quantizer::new(
         IntFormat::int8(),
         Granularity::Tensorwise,
         Rounding::Nearest,
@@ -247,11 +241,11 @@ fn signed_zeros_subnormals_and_all_zero_groups() {
             let want = if v >= 0.0 { 0 } else { 8 };
             assert_eq!(code_of(&p, c), want, "{r:?}: {v:e} at {c}");
         }
-        let int = IntQuantizer::new(IntFormat::int4(), Granularity::Tensorwise, r);
+        let int = Quantizer::new(IntFormat::int4(), Granularity::Tensorwise, r);
         assert_backends_agree(&int, &t, 9, &format!("int4 {r:?} zeros"));
     }
     // Integer grids keep the sign of an exact −0.
-    let int = IntQuantizer::new(
+    let int = Quantizer::new(
         IntFormat::int4(),
         Granularity::Tensorwise,
         Rounding::Nearest,
@@ -312,7 +306,7 @@ fn exact_rounding_ties_and_grid_values() {
         let probes = ties(&nonneg);
         let t = probe_row(fmt.qmax(), &probes, probes.len() * 3 + 2);
         for r in ROUNDINGS {
-            let q = IntQuantizer::new(fmt, Granularity::Tensorwise, r);
+            let q = Quantizer::new(fmt, Granularity::Tensorwise, r);
             assert_backends_agree(&q, &t, 2, &format!("int{bits} {r:?} ties"));
         }
     }

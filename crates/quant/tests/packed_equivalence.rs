@@ -12,12 +12,9 @@
 //! exact RNG stream position.
 
 use proptest::prelude::*;
-use snip_quant::format::FloatFormat;
+use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
+use snip_quant::int::IntFormat;
 use snip_quant::{Codebook, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
@@ -82,7 +79,7 @@ proptest! {
     /// spec's 1×32 blocks, including the ragged 38-column tail here).
     #[test]
     fn mx_packed_matches_oracle(t in tensor_strategy(6, 38), seed in 0u64..1_000) {
-        for base in [MxQuantizer::mxfp4(), MxQuantizer::mxfp8()] {
+        for base in [Quantizer::mxfp4(), Quantizer::mxfp8()] {
             for rounding in ROUNDINGS {
                 let q = base.with_rounding(rounding);
                 assert_packed_equivalence(&q, &t, seed, &format!("mx {:?} {rounding:?}", q.format()));
@@ -98,7 +95,7 @@ proptest! {
         for g in GRANULARITIES {
             for rounding in ROUNDINGS {
                 let inner = Quantizer::new(FloatFormat::e2m1(), g, rounding);
-                let q = RhtQuantizer::new(inner, 16, 7);
+                let q = inner.with_rht(16, 7);
                 assert_packed_equivalence(&q, &t, seed, &format!("rht {g} {rounding:?}"));
             }
         }
@@ -113,7 +110,7 @@ proptest! {
             for rounding in ROUNDINGS {
                 for fraction in [0.0, 0.02, 0.25] {
                     let dense = Quantizer::new(FloatFormat::e2m1(), g, rounding);
-                    let q = OutlierQuantizer::new(dense, fraction);
+                    let q = dense.with_outliers(fraction);
                     assert_packed_equivalence(
                         &q, &t, seed, &format!("outlier {g} {rounding:?} f={fraction}"),
                     );
@@ -146,8 +143,8 @@ proptest! {
                     prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "{} {} {:?}", fmt, g, rounding);
                 }
                 for bits in [2, 4, 8, 16] {
-                    let q = IntQuantizer::new(IntFormat::new(bits), g, rounding);
-                    let nearest = IntQuantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
+                    let q = Quantizer::new(IntFormat::new(bits), g, rounding);
+                    let nearest = Quantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
                     let want = nearest.fake_quantize(&t, &mut rng).distance(&t);
                     prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "int{} {} {:?}", bits, g, rounding);
                 }
@@ -157,7 +154,7 @@ proptest! {
             let q = Quantizer::unscaled(FloatFormat::bf16(), rounding);
             let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
             prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "unscaled bf16 {:?}", rounding);
-            for base in [MxQuantizer::mxfp4(), MxQuantizer::mxfp8()] {
+            for base in [Quantizer::mxfp4(), Quantizer::mxfp8()] {
                 let q = base.with_rounding(rounding);
                 let want = base.fake_quantize(&t, &mut rng).distance(&t);
                 prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "mx {:?} {:?}", q.format(), rounding);
@@ -170,13 +167,11 @@ proptest! {
     /// outlier split over an INT4 body, under stochastic rounding.
     #[test]
     fn composed_options_match_oracle(t in tensor_strategy(4, 32), seed in 0u64..1_000) {
-        let rht8 = RhtQuantizer::new(
-            Quantizer::new(FloatFormat::e4m3(), Granularity::Tile { nb: 8 }, Rounding::Stochastic),
-            8,
-            3,
-        );
+        let rht8 =
+            Quantizer::new(FloatFormat::e4m3(), Granularity::Tile { nb: 8 }, Rounding::Stochastic)
+                .with_rht(8, 3);
         assert_packed_equivalence(&rht8, &t, seed, "rht fp8 stochastic");
-        let int_q = IntQuantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Stochastic);
+        let int_q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Stochastic);
         assert_packed_equivalence(&int_q, &t, seed, "int4 stochastic");
     }
 
@@ -216,10 +211,10 @@ proptest! {
             FloatFormat::e3m4(),
         ]
         .into_iter()
-        .map(|f| Codebook::for_float(f).unwrap());
+        .map(|f| ElementFormat::from(f).codebook().unwrap());
         let int_books = [IntFormat::int4(), IntFormat::int8(), IntFormat::new(5)]
             .into_iter()
-            .map(|f| Codebook::for_int(f).unwrap());
+            .map(|f| ElementFormat::from(f).codebook().unwrap());
         for cb in float_books.chain(int_books) {
             let lut = cb.lut();
             // Every grid value, both signs.
@@ -242,7 +237,7 @@ proptest! {
 /// RNG states; asserts code-for-code, scale-for-scale bit equality and the
 /// same stream position after.
 fn assert_fused_sr_matches_oracle(fmt: FloatFormat, g: Granularity, t: &Tensor, seed: u64) {
-    let cb = Codebook::for_float(fmt).unwrap();
+    let cb: &Codebook = ElementFormat::from(fmt).codebook().unwrap();
     let mut rng_fused = Rng::seed_from(seed);
     let mut rng_oracle = Rng::seed_from(seed);
     let q = Quantizer::new(fmt, g, Rounding::Stochastic);
@@ -298,7 +293,7 @@ fn empty_shapes_pack_like_the_fake_oracle() {
                 assert_fused_sr_matches_oracle(fmt, g, &t, 5);
             }
             for bits in [4, 8] {
-                let q = IntQuantizer::new(IntFormat::new(bits), g, Rounding::Stochastic);
+                let q = Quantizer::new(IntFormat::new(bits), g, Rounding::Stochastic);
                 assert_packed_equivalence(&q, &t, 5, &format!("{rows}x{cols} int{bits} {g}"));
             }
         }

@@ -4,12 +4,9 @@
 //! data with planted outliers.
 
 use proptest::prelude::*;
-use snip_quant::format::FloatFormat;
+use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
-use snip_quant::int::{IntFormat, IntQuantizer};
-use snip_quant::mx::MxQuantizer;
-use snip_quant::outlier::OutlierQuantizer;
-use snip_quant::rht::RhtQuantizer;
+use snip_quant::int::IntFormat;
 use snip_quant::{
     PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES,
 };
@@ -25,10 +22,10 @@ fn quantizer_for(kind: usize, nb: usize, rounding: Rounding) -> Box<dyn PackedQu
             Granularity::Block { nb },
             rounding,
         )),
-        2 => Box::new(IntQuantizer::int8_tile(nb)),
-        3 => Box::new(MxQuantizer::mxfp4().with_rounding(rounding)),
-        4 => Box::new(RhtQuantizer::new(plain, nb.next_power_of_two(), 19)),
-        _ => Box::new(OutlierQuantizer::new(plain, 0.03)),
+        2 => Box::new(Quantizer::int8_tile(nb)),
+        3 => Box::new(Quantizer::mxfp4().with_rounding(rounding)),
+        4 => Box::new(plain.with_rht(nb.next_power_of_two(), 19)),
+        _ => Box::new(plain.with_outliers(0.03)),
     }
 }
 
@@ -170,27 +167,20 @@ const GOLDEN_LAYOUTS: [Granularity; 5] = [
 /// value, so every group's decode scale is exactly 1 (a power of two — the
 /// `Mx` variant can serialize it whatever the layout).
 fn golden_codes(format: &str, layout: Granularity) -> QTensor {
-    let rng = || Rng::seed_from(0); // untouched under nearest rounding
-    let filled = |max: f32| Tensor::from_vec(3, 10, vec![max; 30]);
-    let float = |fmt: FloatFormat| {
-        let t = filled(fmt.max_value());
-        Quantizer::new(fmt, layout, Rounding::Nearest).quantize_packed(&t, &mut rng())
-    };
-    let int = |fmt: IntFormat| {
-        let t = filled(fmt.qmax());
-        IntQuantizer::new(fmt, layout, Rounding::Nearest).quantize_packed(&t, &mut rng())
-    };
-    match format {
-        "e2m1" => float(FloatFormat::e2m1()),
-        "e4m3" => float(FloatFormat::e4m3()),
-        "e5m2" => float(FloatFormat::e5m2()),
-        "e3m4" => float(FloatFormat::e3m4()),
-        "int2" => int(IntFormat::new(2)),
-        "int4" => int(IntFormat::int4()),
-        "int8" => int(IntFormat::int8()),
+    let format: ElementFormat = match format {
+        "e2m1" => FloatFormat::e2m1().into(),
+        "e4m3" => FloatFormat::e4m3().into(),
+        "e5m2" => FloatFormat::e5m2().into(),
+        "e3m4" => FloatFormat::e3m4().into(),
+        "int2" => IntFormat::new(2).into(),
+        "int4" => IntFormat::int4().into(),
+        "int8" => IntFormat::int8().into(),
         other => panic!("no golden format {other}"),
-    }
-    .expect("packable")
+    };
+    let t = Tensor::from_vec(3, 10, vec![format.max_value(); 30]);
+    Quantizer::new(format, layout, Rounding::Nearest)
+        .quantize_packed(&t, &mut Rng::seed_from(0)) // untouched under nearest rounding
+        .expect("packable")
 }
 
 #[test]

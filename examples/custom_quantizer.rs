@@ -16,7 +16,6 @@ use snip::core::{StepStats, Trainer, TrainerConfig};
 use snip::ilp::{solve, Choice, McKnapsack, SolveOptions};
 use snip::nn::model::StepOptions;
 use snip::nn::ModelConfig;
-use snip::quant::rht::RhtQuantizer;
 use snip::quant::{Precision, TensorRole};
 use snip::tensor::rng::Rng;
 
@@ -62,12 +61,10 @@ fn main() {
             rel(l.x_err.fp4, l.x_norm) + rel(l.w_err.fp4, l.w_norm) + rel(l.dy_err.fp4, l.dy_norm);
         // RHT-FP4: measured on the actual tensors.
         let rht = |role: TensorRole, t: &snip::tensor::Tensor| {
-            RhtQuantizer::new(
-                Precision::Fp4.quantizer_with_group(role, nb),
-                rht_block,
-                0xABCD,
-            )
-            .relative_error(t)
+            Precision::Fp4
+                .quantizer_with_group(role, nb)
+                .with_rht(rht_block, 0xABCD)
+                .relative_error(t)
         };
         let q_rht = rht(TensorRole::Input, &lr.x)
             + rht(TensorRole::Weight, &lr.w)

@@ -50,9 +50,9 @@
 //!   training trajectory (property-tested in `tests/packed_subbyte.rs`).
 //!
 //! **Adding a new packed format:** give it a codec (≤ 8 bits per value),
-//! then build a [`quant::Codebook`] for it — `Codebook::for_float` covers
-//! any `FloatFormat`, `Codebook::for_int` any `IntFormat`; a custom format
-//! needs its sorted non-negative value table. The codebook dictates the
+//! then give it a [`quant::Codebook`] — `ElementFormat::codebook` covers
+//! any `FloatFormat` or `IntFormat` (wrap it with `.into()`); a custom
+//! format needs its sorted non-negative value table. The codebook dictates the
 //! storage width (`U4`/`U8`), emits the shared decode table, and encodes
 //! grid values to codes; `quantize_packed` + the `qgemm*` kernels then work
 //! unchanged. Formats wider than 8 bits are rejected (`None`) and fall back

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use snip::quant::format::FloatFormat;
 use snip::quant::granularity::Granularity;
-use snip::quant::int::{IntFormat, IntQuantizer};
+use snip::quant::int::IntFormat;
 use snip::quant::{Quantizer, Rounding};
 use snip::tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip::tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
@@ -144,7 +144,7 @@ proptest! {
         for g_idx in 0..5 {
             let g = granularity(g_idx, nb);
             for rounding in [Rounding::Nearest, Rounding::Stochastic] {
-                let q = IntQuantizer::new(IntFormat::new(bits), g, rounding);
+                let q = Quantizer::new(IntFormat::new(bits), g, rounding);
                 let mut rng_fake = Rng::seed_from(seed ^ 0x77);
                 let mut rng_packed = Rng::seed_from(seed ^ 0x77);
                 let fake = q.fake_quantize(&t, &mut rng_fake);
@@ -157,10 +157,13 @@ proptest! {
 
 /// The scaling-granularity enum moved from `snip-quant` to `snip-tensor`
 /// (one definition; `Granularity` is now `GroupLayout`'s name in
-/// `snip-quant`). Checkpoints hold serialized `Quantizer`s and `QTensor`s,
-/// so what the previous definition wrote must still read back equal — the
-/// literals below were serialized at the commit before the move — and
-/// what is written now must be those same strings.
+/// `snip-quant`). Checkpoints hold serialized `QTensor`s (the AdamW
+/// moments), so what the previous definition wrote must still read back
+/// equal — the `GroupLayout` tags and the `QTensor` literal below were
+/// serialized at the commit before the move — and what is written now must
+/// be those same strings. No checkpoint holds a `Quantizer` (only a `Wire`
+/// inside the same-binary START message does), so its literal follows the
+/// type's current fields; it is here to carry the layout tags.
 #[test]
 fn serialized_forms_survive_the_granularity_merge() {
     const FMT: &str =
@@ -173,7 +176,7 @@ fn serialized_forms_survive_the_granularity_merge() {
         (Granularity::Tile { nb: 2 }, r#"{"Tile":{"nb":2}}"#),
     ] {
         let json = format!(
-            r#"{{"format":{FMT},"granularity":{tag},"rounding":"Stochastic","scaled":true}}"#
+            r#"{{"format":{{"Float":{FMT}}},"layout":{tag},"rounding":"Stochastic","recipe":"MaxAbs"}}"#
         );
         let q = Quantizer::new(FloatFormat::e2m1(), g, Rounding::Stochastic);
         assert_eq!(serde_json::from_str::<Quantizer>(&json).unwrap(), q, "{g}");
