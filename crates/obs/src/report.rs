@@ -305,6 +305,7 @@ mod tests {
 
     #[test]
     fn emitted_trace_passes_its_own_schema() {
+        let _serial = crate::test_state_lock(); // records: keep off `inert_span_records_nothing`
         crate::trace::record_event("test.report.span", 10, 5);
         let json = crate::trace::chrome_trace_json();
         let check = validate_chrome_trace(&json).expect("self-built trace validates");

@@ -217,6 +217,7 @@ mod tests {
 
     #[test]
     fn events_export_sorted_and_parseable() {
+        let _serial = crate::test_state_lock(); // records: keep off `inert_span_records_nothing`
         record_event("test.trace.b", 2_000, 500);
         record_event("test.trace.a", 1_000, 250);
         let events = events_snapshot();
