@@ -36,8 +36,11 @@ pub(crate) fn outlier_count(fraction: f64, n: usize) -> usize {
 }
 
 /// Computes the outlier set of `t`: the `ceil(fraction · n)` elements of
-/// largest magnitude (ties broken by element order). Returns the
-/// positions (flat indices, ascending) and the split bookkeeping.
+/// largest magnitude, ties broken by element order (the earlier element
+/// wins), so the set is a function of the data alone. Magnitudes compare by
+/// `f32::total_cmp`: a NaN ranks above every number and travels as an
+/// outlier. Returns the positions (flat indices, ascending) and the split
+/// bookkeeping.
 pub fn select_outliers(t: &Tensor, fraction: f64) -> (Vec<usize>, OutlierSplit) {
     let data = t.as_slice();
     let n = data.len();
@@ -54,10 +57,7 @@ pub fn select_outliers(t: &Tensor, fraction: f64) -> (Vec<usize>, OutlierSplit) 
     }
     let mut idx: Vec<usize> = (0..n).collect();
     idx.select_nth_unstable_by(k - 1, |&a, &b| {
-        data[b]
-            .abs()
-            .partial_cmp(&data[a].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
+        data[b].abs().total_cmp(&data[a].abs()).then(a.cmp(&b))
     });
     let mut outliers = idx[..k].to_vec();
     outliers.sort_unstable();

@@ -7,7 +7,7 @@ use snip_quant::granularity::Granularity;
 use snip_quant::int::IntFormat;
 use snip_quant::outlier::select_outliers;
 use snip_quant::rht::{fwht_inplace, RhtRotation};
-use snip_quant::{Quantizer, Rounding};
+use snip_quant::{PackedQuantize, Quantizer, Rounding};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
 
@@ -153,4 +153,56 @@ fn int_and_float_quantizers_agree_on_exactly_representable_grids() {
     for (c, v) in vals.iter().enumerate() {
         assert!((fq[(0, c)] - v).abs() < 1e-6, "{v} not preserved");
     }
+}
+
+/// Packs and fake-quantizes `t` from the same RNG state; asserts the decoded
+/// packed form equals the oracle bit for bit (NaN payloads included).
+fn assert_packed_matches_fake(q: &Quantizer, t: &Tensor) {
+    let fake = q.fake_quantize(t, &mut Rng::seed_from(3));
+    let packed = q.pack(t, &mut Rng::seed_from(3)).expect("packable");
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&packed.dequantize()), bits(&fake));
+}
+
+/// The outlier set is a function of the data: among equal magnitudes the
+/// earlier element wins, whatever the selection algorithm's internals.
+#[test]
+fn equal_magnitudes_split_by_element_order() {
+    let vals: Vec<f32> = (0..40)
+        .map(|i| if i % 3 == 0 { -2.5 } else { 2.5 })
+        .collect();
+    let t = Tensor::from_vec(4, 10, vals);
+    let (idx, split) = select_outliers(&t, 0.1);
+    assert_eq!(idx, vec![0, 1, 2, 3]);
+    assert_eq!(split.threshold, 2.5);
+    // A strictly larger element still goes first, wherever it sits.
+    let mut u = t.clone();
+    u[(3, 9)] = 2.75;
+    assert_eq!(select_outliers(&u, 0.1).0, vec![0, 1, 2, 39]);
+    for r in [Rounding::Nearest, Rounding::Stochastic] {
+        let q = Quantizer::new(FloatFormat::e2m1(), Granularity::Tile { nb: 8 }, r);
+        assert_packed_matches_fake(&q.with_outliers(0.1), &t);
+        assert_packed_matches_fake(&q.with_outliers(0.1), &u);
+    }
+}
+
+/// A NaN ranks as the largest magnitude: it is always selected, ships as a
+/// (BF16) NaN outlier, and leaves the inliers' scales alone.
+#[test]
+fn nan_ranks_as_the_largest_magnitude() {
+    let mut t = Tensor::from_vec(2, 8, (0..16).map(|i| i as f32 - 7.5).collect());
+    t[(0, 5)] = f32::NAN;
+    t[(1, 2)] = -f32::NAN;
+    t[(1, 7)] = f32::INFINITY;
+    let (idx, split) = select_outliers(&t, 3.0 / 16.0);
+    assert_eq!(idx, vec![5, 10, 15]);
+    assert_eq!(split.threshold, f32::INFINITY);
+    // With room for only one outlier, the earlier NaN is it.
+    assert_eq!(select_outliers(&t, 1.0 / 16.0).0, vec![5]);
+    let q = fp4_tile(8).with_outliers(3.0 / 16.0);
+    let out = q.fake_quantize(&t, &mut Rng::seed_from(0));
+    assert!(out[(0, 5)].is_nan() && out[(1, 2)].is_nan());
+    assert_eq!(out[(1, 7)], f32::INFINITY);
+    assert!(out.as_slice().iter().filter(|v| v.is_finite()).count() == 13);
+    assert_packed_matches_fake(&q, &t);
 }
