@@ -7,7 +7,7 @@
 //! how training-oriented quantizers handle overflow after scaling.
 
 use crate::int::IntFormat;
-use serde::{Content, Deserialize, Serialize};
+use serde::{de_field, Content, Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier for the supported number formats.
@@ -41,7 +41,7 @@ pub enum FormatKind {
 /// assert_eq!(fp4.quantize_nearest(2.6), 3.0);
 /// assert_eq!(fp4.quantize_nearest(-100.0), -6.0); // saturates
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct FloatFormat {
     kind: FormatKind,
     exp_bits: u32,
@@ -52,6 +52,39 @@ pub struct FloatFormat {
     emin: i32,
     /// Largest representable magnitude.
     max_value: f32,
+}
+
+/// The serialized form spells out every field, but only `kind` is free:
+/// the codebook is keyed by it while the rounding rules read the fields, so
+/// a value whose fields contradict its kind would pack as one format and
+/// fake-quantize as another. Such input (a START message, a checkpoint) is
+/// rejected.
+impl Deserialize for FloatFormat {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        let fmt = FloatFormat::from(de_field::<FormatKind>(c, "kind")?);
+        let fields = (
+            de_field::<u32>(c, "exp_bits")?,
+            de_field::<u32>(c, "man_bits")?,
+            de_field::<i32>(c, "emax")?,
+            de_field::<i32>(c, "emin")?,
+            de_field::<f32>(c, "max_value")?,
+        );
+        if fields
+            != (
+                fmt.exp_bits,
+                fmt.man_bits,
+                fmt.emax,
+                fmt.emin,
+                fmt.max_value,
+            )
+        {
+            return Err(serde::Error::custom(format!(
+                "FloatFormat fields {fields:?} contradict kind {:?}",
+                fmt.kind
+            )));
+        }
+        Ok(fmt)
+    }
 }
 
 impl From<FormatKind> for FloatFormat {

@@ -200,3 +200,33 @@ fn serialized_forms_survive_the_granularity_merge() {
     assert_eq!(serde_json::from_str::<QTensor>(json).unwrap(), packed);
     assert_eq!(serde_json::to_string(&packed).unwrap(), json);
 }
+
+/// A serialized `FloatFormat` spells out its fields, but the codebook is
+/// keyed by `kind` alone: fields that contradict the kind would pack as one
+/// format and fake-quantize as another, so they must not deserialize.
+#[test]
+fn float_format_fields_must_agree_with_kind() {
+    for fmt in [
+        FloatFormat::e2m1(),
+        FloatFormat::e4m3(),
+        FloatFormat::e5m2(),
+        FloatFormat::e3m4(),
+        FloatFormat::bf16(),
+    ] {
+        let json = serde_json::to_string(&fmt).unwrap();
+        assert_eq!(serde_json::from_str::<FloatFormat>(&json).unwrap(), fmt);
+    }
+    // E2M1 by name, E4M3 by every field.
+    let forged =
+        r#"{"kind":"E2M1","exp_bits":4,"man_bits":3,"emax":8,"emin":-6,"max_value":448.0}"#;
+    let err = serde_json::from_str::<FloatFormat>(forged).unwrap_err();
+    assert!(err.to_string().contains("contradict kind E2M1"), "{err}");
+    // One wrong field is enough, and it fails a `Quantizer` that holds it.
+    let off_by_one =
+        r#"{"kind":"E2M1","exp_bits":2,"man_bits":1,"emax":2,"emin":0,"max_value":8.0}"#;
+    assert!(serde_json::from_str::<FloatFormat>(off_by_one).is_err());
+    let quantizer = format!(
+        r#"{{"format":{{"Float":{off_by_one}}},"layout":"Rowwise","rounding":"Nearest","recipe":"MaxAbs"}}"#
+    );
+    assert!(serde_json::from_str::<Quantizer>(&quantizer).is_err());
+}
