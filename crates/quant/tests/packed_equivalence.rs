@@ -123,9 +123,10 @@ proptest! {
     /// decode, or a row-streamed rounding for unscaled BF16 — equals the
     /// norm of the materialised scalar oracle, `fake_quantize(t)` under
     /// nearest rounding then `distance(t)`, bit for bit: every float format
-    /// × granularity (ragged 5-wide groups over a 7×29 tensor), the
-    /// quantizer's own rounding mode notwithstanding, plus every integer
-    /// width class (packable and the 16-bit fallback) and both MX formats.
+    /// × granularity (ragged 5-wide groups over a 7×29 tensor) × {max-abs,
+    /// RHT, outlier split} recipe, the quantizer's own rounding mode
+    /// notwithstanding, plus every integer width class (packable and the
+    /// 16-bit fallback) and both MX formats.
     #[test]
     fn error_norm_matches_the_fake_quantize_oracle(t in tensor_strategy(7, 29)) {
         let mut rng = Rng::seed_from(0); // nearest rounding draws nothing
@@ -139,8 +140,13 @@ proptest! {
                     FloatFormat::bf16(), // scaled 16-bit: not packable
                 ] {
                     let q = Quantizer::new(fmt, g, rounding);
-                    let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
-                    prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "{} {} {:?}", fmt, g, rounding);
+                    // The plain recipe, then the same quantizer behind a
+                    // rotation (a block that does not divide the width)
+                    // and an outlier split.
+                    for q in [q, q.with_rht(8, 7), q.with_outliers(0.02)] {
+                        let want = q.with_rounding(Rounding::Nearest).fake_reference(&t, &mut rng).distance(&t);
+                        prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "{:?}", q);
+                    }
                 }
                 for bits in [2, 4, 8, 16] {
                     let q = Quantizer::new(IntFormat::new(bits), g, rounding);
@@ -173,6 +179,10 @@ proptest! {
         assert_packed_equivalence(&rht8, &t, seed, "rht fp8 stochastic");
         let int_q = Quantizer::new(IntFormat::int4(), Granularity::Rowwise, Rounding::Stochastic);
         assert_packed_equivalence(&int_q, &t, seed, "int4 stochastic");
+        // Element format and recipe are independent fields of one type, so
+        // the integer grid composes with the split and the rotation too.
+        assert_packed_equivalence(&int_q.with_outliers(0.05), &t, seed, "int4 outlier split");
+        assert_packed_equivalence(&int_q.with_rht(8, 3), &t, seed, "rht int4");
     }
 
     /// The fused single-pass stochastic pack ([`Codebook::pack_stochastic`],
