@@ -407,15 +407,6 @@ impl ElementFormat {
     }
 }
 
-impl fmt::Display for ElementFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ElementFormat::Float(x) => x.fmt(f),
-            ElementFormat::Int(x) => x.fmt(f),
-        }
-    }
-}
-
 // The derive stub has no tuple variants; this is real serde's encoding of
 // them (`{"Float": {...}}`).
 impl Serialize for ElementFormat {
