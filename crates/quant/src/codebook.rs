@@ -27,10 +27,9 @@ use snip_tensor::{pool, CodeWidth, QTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
 /// The interned codebooks, indexed by the format's wire id (ids no format
-/// has stay empty). A codebook is immutable
-/// format metadata, built on first use; every later lookup is one
-/// `OnceLock` load — no lock, no allocation — so packing from many threads
-/// never contends.
+/// has stay empty). A codebook is immutable format metadata, built on first
+/// use; every later lookup is one `OnceLock` load — no lock, no allocation —
+/// so packing from many threads never contends.
 static BOOKS: [OnceLock<Codebook>; ElementFormat::WIRE_ID_END as usize] =
     [const { OnceLock::new() }; ElementFormat::WIRE_ID_END as usize];
 

@@ -258,17 +258,40 @@ impl Quantizer {
         }
     }
 
-    /// The oracle's scaled path: the rounding mode is matched here, once
-    /// per call, not per element.
+    /// The one fake-quantization group loop: per scale group of the
+    /// layout, scan the max-abs, derive `(encode, decode)` from the
+    /// recipe's scale rule, and rewrite every element as
+    /// `round(v · encode) · decode` — groups and elements in
+    /// [`Granularity::for_each_group`] order, which is the stochastic-draw
+    /// order the packers reproduce.
     fn fake_groups(&self, t: &mut Tensor, rng: &mut Rng) {
         let _t = QuantTimer::start();
-        let (fmt, layout, scale_of) = (self.format, self.layout, self.scale_of());
-        match self.rounding {
-            Rounding::Nearest => fake_group_loop(t, layout, scale_of, |v| fmt.quantize_nearest(v)),
-            Rounding::Stochastic => fake_group_loop(t, layout, scale_of, |v| {
-                fmt.quantize_stochastic(v, rng.next_f32())
-            }),
-        }
+        let (rows, cols) = t.shape();
+        let fmt = self.format;
+        let scale_of = self.scale_of();
+        let stochastic = self.rounding == Rounding::Stochastic;
+        self.layout.for_each_group(rows, cols, |rr, cr| {
+            let mut max_abs = 0.0f32;
+            for r in rr.clone() {
+                let row = t.row(r);
+                for c in cr.clone() {
+                    max_abs = max_abs.max(row[c].abs());
+                }
+            }
+            let (encode, decode) = scale_of(max_abs);
+            for r in rr {
+                let row = t.row_mut(r);
+                for c in cr.clone() {
+                    let scaled = row[c] * encode;
+                    let q = if stochastic {
+                        fmt.quantize_stochastic(scaled, rng.next_f32())
+                    } else {
+                        fmt.quantize_nearest(scaled)
+                    };
+                    row[c] = q * decode;
+                }
+            }
+        });
     }
 
     /// Rounds values onto the format grid directly — the unscaled
@@ -403,34 +426,6 @@ impl Quantizer {
             self.error_norm(t) / norm
         }
     }
-}
-
-/// The one fake-quantization group loop: per scale group of `layout`, scan
-/// the max-abs, derive `(encode, decode)` from `scale_of`, and rewrite every
-/// element as `round(v · encode) · decode` — groups and elements in
-/// [`Granularity::for_each_group`] order, which is the stochastic-draw order
-/// the packers reproduce.
-fn fake_group_loop(
-    t: &mut Tensor,
-    layout: Granularity,
-    scale_of: impl Fn(f32) -> (f32, f32),
-    mut round: impl FnMut(f32) -> f32,
-) {
-    let (rows, cols) = t.shape();
-    layout.for_each_group(rows, cols, |rr, cr| {
-        let mut max_abs = 0.0f32;
-        for r in rr.clone() {
-            for v in &t.row(r)[cr.clone()] {
-                max_abs = max_abs.max(v.abs());
-            }
-        }
-        let (encode, decode) = scale_of(max_abs);
-        for r in rr {
-            for v in &mut t.row_mut(r)[cr.clone()] {
-                *v = round(*v * encode) * decode;
-            }
-        }
-    });
 }
 
 impl PackedQuantize for Quantizer {
