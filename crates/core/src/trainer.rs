@@ -137,24 +137,21 @@ impl Trainer {
 
     /// Runs one training step; returns the batch loss.
     pub fn train_step(&mut self) -> f64 {
-        self.train_step_with_grad_hook(&mut |_| {})
+        self.train_step_output_with_grad_hook(&mut |_| {}).loss
     }
 
-    /// [`Trainer::train_step`] with a gradient hook: after backward fills
-    /// the parameter gradients and **before** clipping and the optimizer
-    /// update, `hook` gets the model to transform its gradients in place.
+    /// [`Trainer::train_step`] with a gradient hook, returning the full
+    /// [`StepOutput`]. After backward fills the parameter gradients and
+    /// **before** clipping and the optimizer update, `hook` gets the model
+    /// to transform its gradients in place — the data-parallel integration
+    /// point: a hook that all-reduces every `Param::grad_mut` across ranks
+    /// (e.g. over `snip_pipeline::transport`) turns `R` trainers on `R`
+    /// threads into one synchronous data-parallel run, with clipping and the
+    /// update applied to the *reduced* gradient exactly as a real DP trainer
+    /// does ([`Trainer::try_train_step_with_grad_hook`] is the fallible
+    /// form).
     ///
-    /// This is the data-parallel integration point — a hook that all-reduces
-    /// every `Param::grad_mut` across ranks (e.g. over
-    /// `snip_pipeline::transport`) turns `R` trainers on `R` threads into
-    /// one synchronous data-parallel run, with clipping and the update
-    /// applied to the *reduced* gradient exactly as a real DP trainer does.
-    pub fn train_step_with_grad_hook(&mut self, hook: &mut dyn FnMut(&mut Model)) -> f64 {
-        self.train_step_output_with_grad_hook(hook).loss
-    }
-
-    /// [`Trainer::train_step_with_grad_hook`] returning the full
-    /// [`StepOutput`] — loss plus the per-step wall-time breakdown
+    /// The output carries the loss plus the per-step wall-time breakdown
     /// (`step_ns` / `quantize_ns` / `gemm_ns`, populated when `SNIP_TRACE`
     /// collection is on) that `comm_precision` tabulates. The whole step —
     /// forward/backward, gradient hook, clipping and the optimizer update —
@@ -210,7 +207,7 @@ impl Trainer {
     /// The recovery hook for distributed training: one training step whose
     /// gradient hook may fail (e.g. an all-reduce over a faulted
     /// transport). On `Ok` the step completed exactly as
-    /// [`Trainer::train_step_with_grad_hook`] would have. On `Err` the
+    /// [`Trainer::train_step_output_with_grad_hook`] would have. On `Err` the
     /// step is rolled back, so a retry replays it bit-identically and
     /// reaches the same final state an unfaulted run produces.
     ///
@@ -403,10 +400,12 @@ mod tests {
         let mut calls = 0usize;
         let b: Vec<f64> = (0..3)
             .map(|_| {
-                hooked.train_step_with_grad_hook(&mut |model| {
-                    calls += 1;
-                    assert!(model.grad_norm() > 0.0, "hook must run after backward");
-                })
+                hooked
+                    .train_step_output_with_grad_hook(&mut |model| {
+                        calls += 1;
+                        assert!(model.grad_norm() > 0.0, "hook must run after backward");
+                    })
+                    .loss
             })
             .collect();
         assert_eq!(a, b, "an observing hook must not change the trajectory");

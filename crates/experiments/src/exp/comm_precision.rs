@@ -1,34 +1,34 @@
 //! **Future work: low-precision reduce-scatter** (§2.2) — the paper calls
 //! extending low-precision support to reduce-scatter "promising but
-//! challenging". This binary measures the two quantities that decide it:
-//! bytes saved and error injected, for a ring reduce-scatter over simulated
-//! data-parallel ranks whose per-hop payloads are quantized to the wire
-//! format. Gradients come from a real checkpoint record (per-rank variants
-//! are the recorded dW plus small per-rank Gaussian noise, emulating
-//! different microbatches).
+//! challenging". This experiment measures the two quantities that decide
+//! it: bytes saved and error injected, for a ring reduce-scatter whose
+//! per-hop payloads are quantized to the wire format, run for real over
+//! data-parallel ranks exchanging serialized frames — on OS threads by
+//! default, in socket-connected worker processes under `--transport
+//! process` — with bytes taken from the measured per-link payload counters.
+//! Both transports print the same table, byte for byte (same per-rank
+//! seeds, same codecs, same frames); `--chaos <seed>` replays every row
+//! under a seeded delay-only fault schedule and asserts it bit-identical to
+//! the calm run. Gradients come from a real checkpoint record (per-rank
+//! variants are the recorded dW plus small per-rank Gaussian noise,
+//! emulating different microbatches).
 
 use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_pipeline::collective::{
-    exact_sum, relative_error, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
+    exact_sum, relative_error, CollectiveResult, QuantizePolicy, Wire,
 };
 use snip_pipeline::transport::{run_ranks, ChaosPlan};
 use snip_tensor::rng::Rng;
 
 /// Per-frame delay bound (microseconds) for the `--chaos` schedule — large
-/// enough to shuffle thread interleavings, small enough that the sweep
-/// still finishes promptly.
+/// enough to shuffle rank interleavings, small enough that the sweep still
+/// finishes promptly.
 const CHAOS_DELAY_MICROS: u64 = 300;
 
 pub fn run(ctx: &Ctx) {
     let p = &ctx.params;
-    let chaos_seed = ctx.chaos;
-    let transport = match (ctx.transport, chaos_seed) {
-        // The chaos schedule decorates a real fabric; the in-proc oracle
-        // has no links to delay, so `--chaos` implies the threaded mesh.
-        (Transport::Simulated, Some(_)) => Transport::Threads,
-        (t, _) => t,
-    };
+    let (transport, chaos_seed) = (ctx.transport, ctx.chaos);
     #[cfg(not(unix))]
     assert!(
         transport != Transport::Process,
@@ -41,7 +41,6 @@ pub fn run(ctx: &Ctx) {
             Transport::Threads => "threads (OS-thread ranks, serialized frames, measured bytes)",
             Transport::Process =>
                 "process (socket-connected rank workers, serialized frames, measured bytes)",
-            Transport::Simulated => "simulated (in-proc oracle, analytic bytes)",
         }
     );
     if let Some(seed) = chaos_seed {
@@ -78,13 +77,15 @@ pub fn run(ctx: &Ctx) {
             .collect()
     };
 
-    // One reduce-scatter: simulated in-proc, or run for real on OS-thread
-    // ranks or socket-connected worker processes. All report a
-    // CollectiveResult; the real transports' bytes come from measured
-    // per-link payload counters, and the two real backends must agree
-    // byte-for-byte (same seeds, same codecs, same frames).
+    // One reduce-scatter on the chosen transport, rank `r` drawing from
+    // seed `0x2000 + r`, in the in-proc oracle's result shape with bytes
+    // from the measured per-link payload counters. Under `--chaos` the
+    // identical collective is replayed under a seeded delay-only schedule:
+    // link delays may reorder rank wakeups but never frames, so every
+    // shard and every byte counter must come back unchanged.
     let reduce = |grads: &[Vec<f32>], wire: &Wire, policy: QuantizePolicy| -> CollectiveResult {
-        match transport {
+        const FAULT_FREE: &str = "reduce-scatter (delay-only chaos must not fail a rank)";
+        let run = |plan: Option<&ChaosPlan>| match transport {
             #[cfg(unix)]
             Transport::Process => {
                 use snip_pipeline::transport::proc::{launch, ProcCollective, Task};
@@ -97,62 +98,41 @@ pub fn run(ctx: &Ctx) {
                         seed: 0x2000 + r as u64,
                         grad: grad.clone(),
                     });
-                let (outputs, stats) =
-                    launch(tasks.collect(), None).expect("process-transport reduce-scatter");
+                let (outputs, stats) = launch(tasks.collect(), plan).expect(FAULT_FREE);
                 ProcCollective::from_outputs(outputs, stats).result
             }
             #[cfg(not(unix))]
             Transport::Process => unreachable!("rejected above"),
             Transport::Threads => {
-                let rngs: Vec<Rng> = (0..grads.len())
-                    .map(|r| Rng::seed_from(0x2000 + r as u64))
-                    .collect();
-                let run = |plan: Option<&ChaosPlan>| {
-                    run_ranks(grads.len(), plan, |ep| {
-                        let mut rng = rngs[ep.rank()].clone();
-                        ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
-                            .expect(
-                                "threaded reduce-scatter (delay-only chaos must not fail a rank)",
-                            )
-                    })
-                };
-                let (calm, calm_stats) = run(None);
-                if let Some(seed) = chaos_seed {
-                    // Replay the identical collective under a seeded
-                    // delay-only chaos schedule: link delays may reorder
-                    // thread wakeups but never frames, so every shard and
-                    // every byte counter must come back unchanged.
-                    let plan = ChaosPlan::delay_all_links(seed, grads.len(), CHAOS_DELAY_MICROS);
-                    let (chaos, stats) = run(Some(&plan));
-                    for (rank, (chunk, calm)) in chaos.iter().zip(&calm).enumerate() {
-                        assert_eq!(
-                            (chunk.lo, chunk.hi),
-                            (calm.lo, calm.hi),
-                            "chaos delay changed rank {rank}'s chunk bounds"
-                        );
-                        assert_eq!(
-                            chunk.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            calm.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "chaos delay changed rank {rank}'s reduce-scatter bits"
-                        );
-                    }
-                    assert_eq!(
-                        stats.total_payload_bytes(),
-                        calm_stats.total_payload_bytes(),
-                        "chaos delay changed bytes on the wire"
-                    );
-                }
+                let (chunks, stats) = run_ranks(grads.len(), plan, |ep| {
+                    let mut rng = Rng::seed_from(0x2000 + ep.rank() as u64);
+                    ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+                        .expect(FAULT_FREE)
+                });
                 CollectiveResult {
-                    owned: calm.iter().map(|c| (c.lo, c.hi)).collect(),
-                    per_rank: calm.into_iter().map(|c| c.data).collect(),
-                    bytes_on_wire: calm_stats.total_payload_bytes(),
+                    owned: chunks.iter().map(|c| (c.lo, c.hi)).collect(),
+                    per_rank: chunks.into_iter().map(|c| c.data).collect(),
+                    bytes_on_wire: stats.total_payload_bytes(),
                 }
             }
-            Transport::Simulated => {
-                let mut rng = Rng::seed_from(2);
-                ring_reduce_scatter(grads, wire, policy, &mut rng)
+        };
+        let calm = run(None);
+        if let Some(seed) = chaos_seed {
+            let plan = ChaosPlan::delay_all_links(seed, grads.len(), CHAOS_DELAY_MICROS);
+            let chaos = run(Some(&plan));
+            assert_eq!(chaos.owned, calm.owned, "chaos delay changed chunk bounds");
+            for (rank, (got, want)) in chaos.per_rank.iter().zip(&calm.per_rank).enumerate() {
+                assert!(
+                    got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                    "chaos delay changed rank {rank}'s reduce-scatter bits"
+                );
             }
+            assert_eq!(
+                chaos.bytes_on_wire, calm.bytes_on_wire,
+                "chaos delay changed bytes on the wire"
+            );
         }
+        calm
     };
 
     let nb = study.cfg().quant_group;
@@ -205,13 +185,6 @@ pub fn run(ctx: &Ctx) {
     println!("# tile scales); rht-fp4 and ol-fp4 spend the same (or near-same)");
     println!("# bytes as plain fp4 to buy error robustness on outlier-heavy");
     println!("# gradients.");
-    if transport == Transport::Simulated {
-        println!("# Re-run with `--transport threads` (OS threads + serialized frames)");
-        println!("# or `--transport process` (socket-connected worker processes) to");
-        println!("# exercise a real multi-rank transport; byte columns are then");
-        println!("# measured per-link counters and must agree with these numbers —");
-        println!("# and with each other, byte for byte.");
-    }
     train_step_timing_table();
 }
 

@@ -76,9 +76,8 @@ impl ExpParams {
 /// Which rank fabric `comm_precision` sweeps over (`--transport`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
-    /// The in-proc simulator (analytic bytes).
-    Simulated,
-    /// OS-thread ranks exchanging serialized frames (measured bytes).
+    /// OS-thread ranks exchanging serialized frames (measured bytes; the
+    /// default).
     Threads,
     /// Worker *processes* connected by Unix sockets (measured bytes; must
     /// match the threads numbers byte-for-byte).
@@ -95,8 +94,8 @@ pub struct Ctx {
     pub ckpt_dir: PathBuf,
     /// `--transport threads|process` (`comm_precision` only).
     pub transport: Transport,
-    /// `--chaos <seed>` (`comm_precision` only): re-run every threaded
-    /// collective under a seeded delay-only fault schedule.
+    /// `--chaos <seed>` (`comm_precision` only): re-run every collective
+    /// under a seeded delay-only fault schedule.
     pub chaos: Option<u64>,
 }
 
@@ -117,7 +116,7 @@ impl Ctx {
         let mut ctx = Ctx {
             params: ExpParams::full(),
             ckpt_dir,
-            transport: Transport::Simulated,
+            transport: Transport::Threads,
             chaos: None,
         };
         let mut args = args.into_iter();
@@ -695,13 +694,13 @@ mod tests {
                 .map(|(name, ctx)| (name, ctx.params.ckpt_unit, ctx.transport, ctx.chaos))
         };
         let (full, quick) = (ExpParams::full().ckpt_unit, ExpParams::quick().ckpt_unit);
-        assert_eq!(parse(&[]), Ok((None, full, Transport::Simulated, None)));
+        assert_eq!(parse(&[]), Ok((None, full, Transport::Threads, None)));
         assert_eq!(
             parse(&["comm_precision", "--quick", "--chaos", "7"]),
             Ok((
                 Some("comm_precision".into()),
                 quick,
-                Transport::Simulated,
+                Transport::Threads,
                 Some(7)
             ))
         );

@@ -1,24 +1,32 @@
-//! Numerical simulation of low-precision collectives.
+//! Wire formats for low-precision collectives, and the in-proc ring
+//! simulator that is the transports' oracle.
 //!
 //! The paper flags *"extending low-precision support to reduce-scatter"* as
 //! promising-but-challenging future work (§2.2). [`crate::comm`] accounts
-//! for the bytes such a kernel would save; this module simulates the
-//! *numerics*: a ring reduce-scatter / all-gather over `R` simulated data-
-//! parallel ranks where every hop's payload is quantized to a wire format.
-//! Partial sums accumulate in f32 at each receiver (the realistic design —
-//! accumulating *in* FP4/FP8 diverges immediately), so the open question the
-//! paper points at becomes measurable: how much error do `R − 1` payload
+//! for the bytes such a kernel would save; [`Wire`] names the codec of one
+//! hop, and [`crate::transport`] runs the collective for real. Partial sums
+//! accumulate in f32 at each receiver (the realistic design — accumulating
+//! *in* FP4/FP8 diverges immediately), so the open question the paper
+//! points at becomes measurable: how much error do `R − 1` payload
 //! quantizations inject into the reduced gradient, for which wire format,
-//! and at how many ranks?
+//! and at how many ranks? The `comm_precision` experiment sweeps exactly
+//! that over the transports.
 //!
-//! The `comm_precision` experiment sweeps exactly that; tests pin the
-//! qualitative answers: BF16 wires are essentially free; every-hop FP4
-//! error grows with ring size (partial sums are re-quantized `R − 1`
-//! times); and the *final-only* policy (reduce exactly, quantize the stored
-//! result once) is a storage-error floor that is independent of ring size —
-//! every-hop starts **below** that floor on small rings, because the
-//! receiver's own addend is never quantized, and crosses it as `R` grows.
+//! The simulator here ([`ring_reduce_scatter`], [`ring_all_gather`],
+//! [`ring_all_reduce`]) holds all `R` ranks in one address space, each with
+//! its own RNG stream, and ships every hop through the transports' frame
+//! codec ([`Wire::transmit`]). So both fabrics are pinned against it bit
+//! for bit — reduced gradients, RNG streams, payload bytes — and what that
+//! pins is the ring schedule; the codec is shared by construction. Its
+//! callers are tests, which also pin the qualitative answers: BF16 wires
+//! are essentially free; every-hop FP4 error grows with ring size (partial
+//! sums are re-quantized `R − 1` times); and the *final-only* policy
+//! (reduce exactly, quantize the stored result once) is a storage-error
+//! floor that is independent of ring size — every-hop starts **below** that
+//! floor on small rings, because the receiver's own addend is never
+//! quantized, and crosses it as `R` grows.
 
+use crate::transport::frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
@@ -132,10 +140,11 @@ impl Wire {
 
     /// Quantizes a payload in place (no-op for exact wires), through the
     /// canonical codes path ([`PackedQuantize::quantize`] — decode of the
-    /// packed form, falling back to the dense oracle for BF16). Numerically
-    /// identical to what a receiver decodes after [`Wire::transmit`], and
-    /// like `transmit` it leaves the caller's buffer untouched if the codec
-    /// panics (the tensor is built from a copy).
+    /// packed form, falling back to the dense oracle for BF16): the hop's
+    /// reference, independent of the frame codec. Numerically identical to
+    /// what a receiver decodes after [`Wire::transmit`] (NaN payload bits
+    /// exempt), and like `transmit` it leaves the caller's buffer untouched
+    /// if the codec panics (the tensor is built from a copy).
     pub fn quantize(&self, payload: &mut Vec<f32>, rng: &mut Rng) {
         if let Some(codec) = &self.codec {
             let t = Tensor::from_vec(1, payload.len(), payload.clone());
@@ -143,37 +152,22 @@ impl Wire {
         }
     }
 
-    /// Sends a payload across the wire: packs it through the codec's
-    /// [`PackedQuantize`] path and returns the **actual bytes moved** — the
-    /// packed form's own accounting (codes + scales, one-byte E8M0 scales
-    /// for MX, 6-byte sparse entries for outliers), two bytes per element
-    /// for unpackable BF16, four for exact wires. This is what makes the
-    /// simulator's communication volumes byte-accurate instead of
-    /// `len × bits / 8` estimates; the threaded transport in
-    /// [`crate::transport`] serializes the same packed form and must measure
-    /// the same number.
+    /// Sends a payload across one simulated hop: encodes it into the very
+    /// frame a fabric moves ([`crate::transport::frame`]), decodes that
+    /// frame into `payload`, and returns the frame's accounted payload
+    /// bytes — packed codes + scales (one-byte E8M0 scales for MX, 6-byte
+    /// sparse entries for outliers), two bytes per element for BF16, four
+    /// for exact wires. The simulator and both transports therefore share
+    /// one hop codec, and their payloads and byte counters agree by
+    /// construction.
     ///
     /// The caller's buffer is only replaced once the codec has finished: a
-    /// panicking codec leaves `payload` exactly as it was (the tensor is
-    /// built from a copy, never by stealing the allocation).
+    /// panicking codec leaves `payload` exactly as it was.
     pub fn transmit(&self, payload: &mut Vec<f32>, rng: &mut Rng) -> u64 {
-        let Some(codec) = &self.codec else {
-            return payload.len() as u64 * 4;
-        };
-        let t = Tensor::from_vec(1, payload.len(), payload.clone());
-        let (decoded, bytes) = match codec.pack(&t, rng) {
-            Some(packed) => {
-                let bytes = packed.wire_bytes();
-                (packed.dequantize(), bytes)
-            }
-            // BF16: not packable, 2 bytes per element on the wire.
-            None => {
-                let fq = codec.fake_reference(&t, rng);
-                let bytes = fq.len() as u64 * 2;
-                (fq, bytes)
-            }
-        };
-        *payload = decoded.into_vec();
+        let (frame, bytes) = encode_frame(self, payload, rng);
+        *payload = decode_frame(&frame)
+            .expect("a frame encoded in-process decodes")
+            .0;
         bytes
     }
 }
@@ -191,7 +185,7 @@ pub enum QuantizePolicy {
     FinalOnly,
 }
 
-/// Outcome of a simulated collective.
+/// Outcome of a collective, simulated or run over a transport.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CollectiveResult {
     /// Per-rank payload: the owned reduced chunk (reduce-scatter) or the
@@ -228,78 +222,28 @@ pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
     exact_reference(grads)
 }
 
-/// The randomness a simulated collective draws from: one stream shared by
-/// every rank (the historical single-`Rng` API), or one independent stream
-/// per rank — the shape a real multi-rank runtime has, where each rank owns
-/// its RNG and the `_ranked` variants serve as the bit-exact oracle for
-/// [`crate::transport`].
-enum RngBank<'a> {
-    Shared(&'a mut Rng),
-    PerRank(&'a mut [Rng]),
-}
-
-impl RngBank<'_> {
-    fn for_rank(&mut self, r: usize) -> &mut Rng {
-        match self {
-            RngBank::Shared(rng) => rng,
-            RngBank::PerRank(rngs) => &mut rngs[r],
-        }
-    }
-
-    fn check_world(&self, r_count: usize) {
-        if let RngBank::PerRank(rngs) = self {
-            assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
-        }
-    }
-}
-
-/// Simulates a ring reduce-scatter: after `R − 1` hops rank `r` owns the
-/// fully reduced chunk `(r + 1) mod R`.
-///
-/// All ranks draw stochastic-rounding randomness from the one shared `rng`
-/// in rank order; see [`ring_reduce_scatter_ranked`] for independent
-/// per-rank streams.
+/// Simulates a ring reduce-scatter over `R = grads.len()` ranks, rank `r`
+/// drawing its stochastic-rounding randomness from `rngs[r]` — exactly the
+/// draws its own sends (and, under [`QuantizePolicy::FinalOnly`], its own
+/// stored chunk) require, as in the transports, whose ranks each own their
+/// stream. After `R − 1` hops rank `r` owns the fully reduced chunk
+/// `(r + 1) mod R`.
 ///
 /// # Panics
 ///
-/// Panics if `grads` is empty or ranks disagree on the gradient length.
+/// Panics if `grads` is empty, ranks disagree on the gradient length, or
+/// `rngs.len() != grads.len()`.
+// Ranks act in lockstep on parallel per-rank state; indexing by rank id
+// across several arrays at once is the natural expression here.
+#[allow(clippy::needless_range_loop)]
 pub fn ring_reduce_scatter(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rng: &mut Rng,
-) -> CollectiveResult {
-    ring_reduce_scatter_impl(grads, wire, policy, RngBank::Shared(rng))
-}
-
-/// [`ring_reduce_scatter`] with one independent RNG stream per rank — the
-/// oracle configuration for the threaded transport, whose ranks each own
-/// their stream. Rank `r` consumes exactly the draws its own sends (and,
-/// under [`QuantizePolicy::FinalOnly`], its own stored chunk) require.
-///
-/// # Panics
-///
-/// Additionally panics if `rngs.len() != grads.len()`.
-pub fn ring_reduce_scatter_ranked(
     grads: &[Vec<f32>],
     wire: &Wire,
     policy: QuantizePolicy,
     rngs: &mut [Rng],
 ) -> CollectiveResult {
-    ring_reduce_scatter_impl(grads, wire, policy, RngBank::PerRank(rngs))
-}
-
-// Ranks act in lockstep on parallel per-rank state; indexing by rank id
-// across several arrays at once is the natural expression here.
-#[allow(clippy::needless_range_loop)]
-fn ring_reduce_scatter_impl(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    mut rng: RngBank<'_>,
-) -> CollectiveResult {
     let r_count = grads.len();
-    rng.check_world(r_count);
+    assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
     assert!(r_count > 0, "no ranks");
     let n = grads[0].len();
     assert!(
@@ -307,6 +251,7 @@ fn ring_reduce_scatter_impl(
         "ranks disagree on gradient length"
     );
     let bounds = chunk_bounds(n, r_count);
+    let hop_wire = hop_wire(wire, policy);
     let mut local: Vec<Vec<f32>> = grads.to_vec();
     let mut bytes = 0u64;
 
@@ -318,11 +263,7 @@ fn ring_reduce_scatter_impl(
             let c = (r + r_count - s % r_count) % r_count;
             let (lo, hi) = bounds[c];
             let mut payload = local[r][lo..hi].to_vec();
-            if policy == QuantizePolicy::EveryHop {
-                bytes += wire.transmit(&mut payload, rng.for_rank(r));
-            } else {
-                bytes += payload.len() as u64 * 4;
-            }
+            bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
             payloads.push((c, payload));
         }
         for r in 0..r_count {
@@ -342,7 +283,7 @@ fn ring_reduce_scatter_impl(
         let (lo, hi) = bounds[c];
         let mut chunk = local[r][lo..hi].to_vec();
         if policy == QuantizePolicy::FinalOnly {
-            wire.quantize(&mut chunk, rng.for_rank(r));
+            wire.quantize(&mut chunk, &mut rngs[r]);
         }
         per_rank.push(chunk);
         owned.push((lo, hi));
@@ -354,50 +295,39 @@ fn ring_reduce_scatter_impl(
     }
 }
 
-/// Simulates the ring all-gather that follows a reduce-scatter, giving every
-/// rank the full reduced vector. Payloads are quantized per hop under
-/// [`QuantizePolicy::EveryHop`] (idempotent for already-quantized chunks
-/// under nearest rounding) and passed through otherwise.
-pub fn ring_all_gather(
-    scattered: &CollectiveResult,
-    n: usize,
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rng: &mut Rng,
-) -> CollectiveResult {
-    ring_all_gather_impl(scattered, n, wire, policy, RngBank::Shared(rng))
+/// What each hop ships through: `wire` itself under
+/// [`QuantizePolicy::EveryHop`], full-precision f32 otherwise.
+fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
+    match policy {
+        QuantizePolicy::EveryHop => *wire,
+        QuantizePolicy::FinalOnly => Wire::exact(),
+    }
 }
 
-/// [`ring_all_gather`] with one independent RNG stream per rank (the
-/// threaded-transport oracle; see [`ring_reduce_scatter_ranked`]).
+/// Simulates the ring all-gather that follows a reduce-scatter, giving every
+/// rank the full reduced vector, with one RNG stream per rank (see
+/// [`ring_reduce_scatter`]). Payloads are quantized per hop under
+/// [`QuantizePolicy::EveryHop`] (idempotent for already-quantized chunks
+/// under nearest rounding) and passed through otherwise.
 ///
 /// # Panics
 ///
 /// Panics if `rngs.len()` differs from the number of ranks.
-pub fn ring_all_gather_ranked(
+// Ranks act in lockstep on parallel per-rank state; indexing by rank id
+// across several arrays at once is the natural expression here.
+#[allow(clippy::needless_range_loop)]
+pub fn ring_all_gather(
     scattered: &CollectiveResult,
     n: usize,
     wire: &Wire,
     policy: QuantizePolicy,
     rngs: &mut [Rng],
 ) -> CollectiveResult {
-    ring_all_gather_impl(scattered, n, wire, policy, RngBank::PerRank(rngs))
-}
-
-// Ranks act in lockstep on parallel per-rank state; indexing by rank id
-// across several arrays at once is the natural expression here.
-#[allow(clippy::needless_range_loop)]
-fn ring_all_gather_impl(
-    scattered: &CollectiveResult,
-    n: usize,
-    wire: &Wire,
-    policy: QuantizePolicy,
-    mut rng: RngBank<'_>,
-) -> CollectiveResult {
     let r_count = scattered.per_rank.len();
     assert!(r_count > 0, "no ranks");
-    rng.check_world(r_count);
+    assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
     let bounds = chunk_bounds(n, r_count);
+    let hop_wire = hop_wire(wire, policy);
     // have[r][c] = Some(chunk c's data) once rank r holds it.
     let mut have: Vec<Vec<Option<Vec<f32>>>> = vec![vec![None; r_count]; r_count];
     for r in 0..r_count {
@@ -413,11 +343,7 @@ fn ring_all_gather_impl(
                 .as_ref()
                 .expect("ring schedule guarantees possession")
                 .clone();
-            if policy == QuantizePolicy::EveryHop {
-                bytes += wire.transmit(&mut payload, rng.for_rank(r));
-            } else {
-                bytes += payload.len() as u64 * 4;
-            }
+            bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
             payloads.push((c, payload));
         }
         for r in 0..r_count {
@@ -444,36 +370,22 @@ fn ring_all_gather_impl(
     }
 }
 
-/// Reduce-scatter followed by all-gather: a full all-reduce. Returns every
-/// rank's reduced vector and the combined bytes on the wire.
-pub fn ring_all_reduce(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rng: &mut Rng,
-) -> CollectiveResult {
-    let n = grads[0].len();
-    let rs = ring_reduce_scatter(grads, wire, policy, rng);
-    let mut ag = ring_all_gather(&rs, n, wire, policy, rng);
-    ag.bytes_on_wire += rs.bytes_on_wire;
-    ag
-}
-
-/// [`ring_all_reduce`] with one independent RNG stream per rank (the
-/// threaded-transport oracle; see [`ring_reduce_scatter_ranked`]).
+/// Reduce-scatter followed by all-gather: a full all-reduce, one RNG stream
+/// per rank. Returns every rank's reduced vector and the combined bytes on
+/// the wire.
 ///
 /// # Panics
 ///
 /// Panics if `rngs.len() != grads.len()`.
-pub fn ring_all_reduce_ranked(
+pub fn ring_all_reduce(
     grads: &[Vec<f32>],
     wire: &Wire,
     policy: QuantizePolicy,
     rngs: &mut [Rng],
 ) -> CollectiveResult {
     let n = grads[0].len();
-    let rs = ring_reduce_scatter_ranked(grads, wire, policy, rngs);
-    let mut ag = ring_all_gather_ranked(&rs, n, wire, policy, rngs);
+    let rs = ring_reduce_scatter(grads, wire, policy, rngs);
+    let mut ag = ring_all_gather(&rs, n, wire, policy, rngs);
     ag.bytes_on_wire += rs.bytes_on_wire;
     ag
 }
@@ -510,13 +422,24 @@ mod tests {
             .collect()
     }
 
+    /// One stream per rank, disjoint across `seed`s.
+    fn rngs(ranks: usize, seed: u64) -> Vec<Rng> {
+        (0..ranks)
+            .map(|r| Rng::seed_from(seed << 8 | r as u64))
+            .collect()
+    }
+
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn exact_wire_reduce_scatter_matches_reference() {
         let grads = make_grads(4, 64, 1);
         let exact = exact_sum(&grads);
-        let mut rng = Rng::seed_from(2);
-        let rs = ring_reduce_scatter(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng);
+        let rs = ring_reduce_scatter(
+            &grads,
+            &Wire::exact(),
+            QuantizePolicy::EveryHop,
+            &mut rngs(4, 2),
+        );
         for (r, (lo, hi)) in rs.owned.iter().enumerate() {
             for i in *lo..*hi {
                 let got = rs.per_rank[r][i - lo];
@@ -533,8 +456,12 @@ mod tests {
     #[test]
     fn ownership_covers_the_vector_exactly_once() {
         let grads = make_grads(5, 33, 3); // deliberately not divisible
-        let mut rng = Rng::seed_from(4);
-        let rs = ring_reduce_scatter(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng);
+        let rs = ring_reduce_scatter(
+            &grads,
+            &Wire::exact(),
+            QuantizePolicy::EveryHop,
+            &mut rngs(5, 4),
+        );
         let mut covered = vec![0u8; 33];
         for (lo, hi) in &rs.owned {
             for c in covered.iter_mut().take(*hi).skip(*lo) {
@@ -548,8 +475,12 @@ mod tests {
     fn all_reduce_gives_every_rank_the_full_sum() {
         let grads = make_grads(4, 40, 5);
         let exact = exact_sum(&grads);
-        let mut rng = Rng::seed_from(6);
-        let ar = ring_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng);
+        let ar = ring_all_reduce(
+            &grads,
+            &Wire::exact(),
+            QuantizePolicy::EveryHop,
+            &mut rngs(4, 6),
+        );
         assert_eq!(ar.per_rank.len(), 4);
         for rank in &ar.per_rank {
             for (got, want) in rank.iter().zip(&exact) {
@@ -563,8 +494,7 @@ mod tests {
         let grads = make_grads(8, 256, 7);
         let exact = exact_sum(&grads);
         let err = |wire: Wire| {
-            let mut rng = Rng::seed_from(8);
-            let rs = ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut rng);
+            let rs = ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut rngs(8, 8));
             relative_error(&rs, &exact)
         };
         let e_bf16 = err(Wire::bf16());
@@ -580,9 +510,12 @@ mod tests {
         let err_at = |ranks: usize| {
             let grads = make_grads(ranks, 512, 11);
             let exact = exact_sum(&grads);
-            let mut rng = Rng::seed_from(12);
-            let rs =
-                ring_reduce_scatter(&grads, &Wire::fp4(64), QuantizePolicy::EveryHop, &mut rng);
+            let rs = ring_reduce_scatter(
+                &grads,
+                &Wire::fp4(64),
+                QuantizePolicy::EveryHop,
+                &mut rngs(ranks, 12),
+            );
             relative_error(&rs, &exact)
         };
         let e2 = err_at(2);
@@ -600,9 +533,12 @@ mod tests {
         let err_at = |ranks: usize| {
             let grads = make_grads(ranks, 512, 13);
             let exact = exact_sum(&grads);
-            let mut rng = Rng::seed_from(14);
-            let rs =
-                ring_reduce_scatter(&grads, &Wire::fp4(32), QuantizePolicy::FinalOnly, &mut rng);
+            let rs = ring_reduce_scatter(
+                &grads,
+                &Wire::fp4(32),
+                QuantizePolicy::FinalOnly,
+                &mut rngs(ranks, 14),
+            );
             relative_error(&rs, &exact)
         };
         let (e2, e16) = (err_at(2), err_at(16));
@@ -620,10 +556,19 @@ mod tests {
         // floor as rings grow.
         let grads = make_grads(2, 512, 15);
         let exact = exact_sum(&grads);
-        let mut rng = Rng::seed_from(16);
-        let every = ring_reduce_scatter(&grads, &Wire::fp4(32), QuantizePolicy::EveryHop, &mut rng);
-        let finale =
-            ring_reduce_scatter(&grads, &Wire::fp4(32), QuantizePolicy::FinalOnly, &mut rng);
+        let mut streams = rngs(2, 16);
+        let every = ring_reduce_scatter(
+            &grads,
+            &Wire::fp4(32),
+            QuantizePolicy::EveryHop,
+            &mut streams,
+        );
+        let finale = ring_reduce_scatter(
+            &grads,
+            &Wire::fp4(32),
+            QuantizePolicy::FinalOnly,
+            &mut streams,
+        );
         assert!(relative_error(&every, &exact) < relative_error(&finale, &exact));
     }
 
@@ -634,16 +579,18 @@ mod tests {
         // its packed codes *and* its 1×16-tile scale factor (one f32), so
         // subbyte wires are charged for scales, not just element bits.
         let grads = make_grads(4, 64, 15);
-        let mut rng = Rng::seed_from(16);
-        let rs = ring_reduce_scatter(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &mut rng);
-        assert_eq!(rs.bytes_on_wire, 12 * (16 + 4)); // 1 B/elem + scale
-        let rs4 = ring_reduce_scatter(&grads, &Wire::fp4(16), QuantizePolicy::EveryHop, &mut rng);
-        assert_eq!(rs4.bytes_on_wire, 12 * (8 + 4)); // 0.5 B/elem + scale
-        let rsb = ring_reduce_scatter(&grads, &Wire::bf16(), QuantizePolicy::EveryHop, &mut rng);
-        assert_eq!(rsb.bytes_on_wire, 12 * 16 * 2); // 2 B/elem, no scales
-                                                    // FinalOnly pays full f32 on the wire.
-        let rsf = ring_reduce_scatter(&grads, &Wire::fp4(16), QuantizePolicy::FinalOnly, &mut rng);
-        assert_eq!(rsf.bytes_on_wire, 3 * 64 * 4);
+        let mut streams = rngs(4, 16);
+        let mut bytes = |wire: Wire, policy| {
+            ring_reduce_scatter(&grads, &wire, policy, &mut streams).bytes_on_wire
+        };
+        assert_eq!(
+            bytes(Wire::fp8(16), QuantizePolicy::EveryHop),
+            12 * (16 + 4)
+        ); // 1 B/elem + scale
+        assert_eq!(bytes(Wire::fp4(16), QuantizePolicy::EveryHop), 12 * (8 + 4)); // 0.5 B/elem + scale
+        assert_eq!(bytes(Wire::bf16(), QuantizePolicy::EveryHop), 12 * 16 * 2); // 2 B/elem, no scales
+                                                                                // FinalOnly pays full f32 on the wire.
+        assert_eq!(bytes(Wire::fp4(16), QuantizePolicy::FinalOnly), 3 * 64 * 4);
     }
 
     #[test]
@@ -716,73 +663,42 @@ mod tests {
             })
             .collect();
         let exact = exact_sum(&grads);
-        let err = |wire: Wire| {
-            let mut r = Rng::seed_from(32);
-            let rs = ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut r);
-            relative_error(&rs, &exact)
+        let run = |wire: Wire, seed: u64| {
+            ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut rngs(4, seed))
         };
+        let err = |wire: Wire| relative_error(&run(wire, 32), &exact);
         let plain = err(Wire::fp4(128));
         let rht = err(Wire::rht_fp4(128, 9));
         let split = err(Wire::outlier_fp4(128, 4.0 / 512.0));
         assert!(rht < plain, "rht {rht} !< plain fp4 {plain}");
         assert!(split < plain, "outlier {split} !< plain fp4 {plain}");
-        let b_plain = {
-            let mut r = Rng::seed_from(33);
-            ring_reduce_scatter(&grads, &Wire::fp4(128), QuantizePolicy::EveryHop, &mut r)
-                .bytes_on_wire
-        };
-        let b_rht = {
-            let mut r = Rng::seed_from(33);
-            ring_reduce_scatter(
-                &grads,
-                &Wire::rht_fp4(128, 9),
-                QuantizePolicy::EveryHop,
-                &mut r,
-            )
-            .bytes_on_wire
-        };
-        assert_eq!(b_plain, b_rht, "rotation must not change wire volume");
-    }
-
-    #[test]
-    fn ranked_rng_oracle_matches_shared_stream_under_nearest_rounding() {
-        // FP8 wires round to nearest, so no stream is ever consumed and the
-        // per-rank-RNG oracle must agree with the shared-stream simulator
-        // bit for bit — results, ownership and byte counters.
-        let grads = make_grads(4, 50, 19);
-        let mut shared = Rng::seed_from(1);
-        let a = ring_all_reduce(
-            &grads,
-            &Wire::fp8(16),
-            QuantizePolicy::EveryHop,
-            &mut shared,
+        assert_eq!(
+            run(Wire::fp4(128), 33).bytes_on_wire,
+            run(Wire::rht_fp4(128, 9), 33).bytes_on_wire,
+            "rotation must not change wire volume"
         );
-        let mut rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(100 + r as u64)).collect();
-        let b = ring_all_reduce_ranked(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &mut rngs);
-        assert_eq!(a, b);
     }
 
     #[test]
     fn ranked_stochastic_wires_draw_only_each_ranks_own_sends() {
         // Under stochastic FP4 each rank's stream advances only for its own
         // transmissions: re-running with the same per-rank seeds reproduces
-        // the result exactly, and byte accounting matches the shared path.
+        // the result exactly, and byte accounting and ownership do not
+        // depend on the streams at all.
         let grads = make_grads(3, 48, 23);
-        let run = || {
-            let mut rngs: Vec<Rng> = (0..3).map(|r| Rng::seed_from(7 + r as u64)).collect();
-            ring_reduce_scatter_ranked(&grads, &Wire::fp4(16), QuantizePolicy::EveryHop, &mut rngs)
+        let run = |seed: u64| {
+            ring_reduce_scatter(
+                &grads,
+                &Wire::fp4(16),
+                QuantizePolicy::EveryHop,
+                &mut rngs(3, seed),
+            )
         };
-        let (a, b) = (run(), run());
+        let (a, b) = (run(7), run(7));
         assert_eq!(a, b, "ranked runs must be deterministic");
-        let mut shared = Rng::seed_from(5);
-        let s = ring_reduce_scatter(
-            &grads,
-            &Wire::fp4(16),
-            QuantizePolicy::EveryHop,
-            &mut shared,
-        );
-        assert_eq!(a.bytes_on_wire, s.bytes_on_wire);
-        assert_eq!(a.owned, s.owned);
+        let other = run(5);
+        assert_eq!(a.bytes_on_wire, other.bytes_on_wire);
+        assert_eq!(a.owned, other.owned);
     }
 
     #[test]
@@ -790,8 +706,7 @@ mod tests {
     fn ranked_requires_one_rng_per_rank() {
         let grads = make_grads(3, 16, 27);
         let mut rngs = vec![Rng::seed_from(0); 2];
-        let _ =
-            ring_reduce_scatter_ranked(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rngs);
+        let _ = ring_reduce_scatter(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rngs);
     }
 
     #[test]
@@ -809,8 +724,12 @@ mod tests {
     #[test]
     fn single_rank_is_a_no_op() {
         let grads = make_grads(1, 16, 17);
-        let mut rng = Rng::seed_from(18);
-        let rs = ring_reduce_scatter(&grads, &Wire::fp4(8), QuantizePolicy::EveryHop, &mut rng);
+        let rs = ring_reduce_scatter(
+            &grads,
+            &Wire::fp4(8),
+            QuantizePolicy::EveryHop,
+            &mut rngs(1, 18),
+        );
         assert_eq!(rs.bytes_on_wire, 0);
         assert_eq!(rs.owned, vec![(0, 16)]);
         assert_eq!(rs.per_rank[0], grads[0]);
@@ -825,9 +744,12 @@ mod tests {
         let trials = 400;
         let mut acc = vec![0.0f64; 32];
         for seed in 0..trials {
-            let mut rng = Rng::seed_from(seed);
-            let rs =
-                ring_reduce_scatter(&grads, &Wire::fp4(32), QuantizePolicy::EveryHop, &mut rng);
+            let rs = ring_reduce_scatter(
+                &grads,
+                &Wire::fp4(32),
+                QuantizePolicy::EveryHop,
+                &mut rngs(2, seed),
+            );
             for (r, (lo, _)) in rs.owned.iter().enumerate() {
                 for (i, v) in rs.per_rank[r].iter().enumerate() {
                     acc[lo + i] += *v as f64;

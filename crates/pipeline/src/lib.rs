@@ -10,7 +10,10 @@
 //! [`transport::proc::Task`]s). Both drivers take an optional
 //! [`transport::ChaosPlan`] — fault injection is an argument, not a parallel
 //! API — both run the same rank code behind the [`transport::Endpoint`]
-//! surface, and both are bit-identical to the in-proc [`collective`] oracle.
+//! surface, and both are bit-identical to the in-proc [`collective`] oracle
+//! — one per-rank ring simulator whose hops go through the transports' own
+//! frame codec, so the oracle pins the ring schedule and the codec is
+//! shared by construction.
 //! [`comm`] answers the same byte volumes analytically, and
 //! [`stage::StagePartition`] is the contiguous block → pipeline-stage split
 //! the stage-aware ILP constrains by (the paper's 22 blocks over 4 stages
@@ -46,12 +49,11 @@ pub mod stage;
 pub mod transport;
 
 pub use collective::{
-    ring_all_gather, ring_all_gather_ranked, ring_all_reduce, ring_all_reduce_ranked,
-    ring_reduce_scatter, ring_reduce_scatter_ranked, CollectiveResult, QuantizePolicy, Wire,
+    ring_all_gather, ring_all_reduce, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
 };
 pub use comm::{comm_saving_factor, step_comm_volume, CommVolume, WirePolicy};
 pub use stage::StagePartition;
 pub use transport::{
-    channel_mesh, data_parallel_train, pipeline_relay, run_ranks, threaded_all_reduce,
-    ChannelFabric, Endpoint, Fabric, FrameError, RankChunk, TransportError, TransportStats,
+    channel_mesh, data_parallel_train, run_ranks, threaded_all_reduce, ChannelFabric, Endpoint,
+    Fabric, FrameError, RankChunk, TransportError, TransportStats,
 };

@@ -16,6 +16,7 @@
 //! upstream, not abort it with a byte dump.
 
 use crate::collective::Wire;
+use snip_quant::wire::bf16_bits;
 use snip_quant::{PackedQuantize, PackedTensor, WireError, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
@@ -61,8 +62,9 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Serializes a payload for one hop of `wire`, consuming `rng` exactly like
-/// [`Wire::transmit`]. Returns the frame and its accounted payload bytes.
+/// Serializes a payload for one hop of `wire` — the one hop codec, shared by
+/// the fabrics and the simulator's [`Wire::transmit`]. Returns the frame
+/// and its accounted payload bytes.
 pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<u8>, u64) {
     let n = payload.len();
     let Some(codec) = wire.codec() else {
@@ -93,8 +95,8 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<
             let mut buf = Vec::with_capacity(5 + 2 * n);
             buf.push(TAG_BF16);
             buf.extend_from_slice(&(n as u32).to_le_bytes());
-            for v in fq.as_slice() {
-                buf.extend_from_slice(&((v.to_bits() >> 16) as u16).to_le_bytes());
+            for &v in fq.as_slice() {
+                buf.extend_from_slice(&bf16_bits(v).to_le_bytes());
             }
             (buf, 2 * n as u64)
         }
@@ -112,11 +114,10 @@ fn element_count(bytes: &[u8]) -> Result<usize, FrameError> {
     Ok(u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize)
 }
 
-/// Decodes a frame back to the dense payload the receiver consumes —
-/// bit-for-bit what the in-proc simulator's [`Wire::transmit`] leaves in the
-/// sender's buffer — plus the frame's accounted **payload** bytes (the same
-/// number [`encode_frame`] reported on the sending side, so both ends of a
-/// link count identical volumes).
+/// Decodes a frame back to the dense payload the receiver consumes plus the
+/// frame's accounted **payload** bytes (the same number [`encode_frame`]
+/// reported on the sending side, so both ends of a link count identical
+/// volumes).
 ///
 /// # Errors
 ///

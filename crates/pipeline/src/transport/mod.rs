@@ -2,9 +2,9 @@
 //! over pluggable fabrics.
 //!
 //! [`crate::collective`] simulates low-precision collectives in-process —
-//! every rank's state lives in one address space and payloads are handed
-//! around as `Vec<f32>`. This module is the real thing, twice over: the
-//! rank-facing surface is [`Endpoint`], generic over a byte-level
+//! every rank's state lives in one address space, and each hop's frame is
+//! encoded and decoded on the spot. This module is the real thing, twice
+//! over: the rank-facing surface is [`Endpoint`], generic over a byte-level
 //! [`Fabric`] backend, and everything that crosses a rank boundary is a
 //! byte frame — packed codes, scales and codec metadata serialized through
 //! [`snip_quant::wire`], BF16 payloads as raw `u16`s, exact payloads as raw
@@ -31,10 +31,12 @@
 //!
 //! The in-proc simulator is kept as the **oracle**: both fabrics' ring
 //! reduce-scatter / all-gather are bit-identical to
-//! [`crate::collective::ring_reduce_scatter_ranked`] (same reduced
-//! gradients, same per-rank RNG streams), and the measured per-link payload
-//! counters equal [`crate::comm::codec_wire_bytes`] exactly for every codec
-//! — including ragged tails. That equivalence is what makes the analytic
+//! [`crate::collective::ring_reduce_scatter`] (same reduced gradients, same
+//! per-rank RNG streams — the simulator's hops go through this module's
+//! [`frame`] codec, so what the oracle pins is the ring schedule), and the
+//! measured per-link payload counters equal
+//! [`crate::comm::codec_wire_bytes`] exactly for every codec — including
+//! ragged tails. That equivalence is what makes the analytic
 //! accounting trustworthy, and it is pinned by the loopback tests in
 //! `tests/transport_threads.rs` and `tests/transport_proc.rs` (run under
 //! `--release` in CI as well, where timing and buffering bugs actually
@@ -403,7 +405,7 @@ impl<F: Fabric> Endpoint<F> {
     }
 
     /// Ring reduce-scatter over serialized frames. Bit-identical to
-    /// [`crate::collective::ring_reduce_scatter_ranked`] run with each
+    /// [`crate::collective::ring_reduce_scatter`] run with each
     /// rank's RNG stream: after `world − 1` hops this rank owns the fully
     /// reduced chunk `(rank + 1) % world`.
     ///
@@ -448,7 +450,7 @@ impl<F: Fabric> Endpoint<F> {
 
     /// Ring all-gather of the reduce-scatter result: every rank ends with
     /// the full `n`-element reduced vector. Bit-identical to
-    /// [`crate::collective::ring_all_gather_ranked`].
+    /// [`crate::collective::ring_all_gather`].
     ///
     /// # Errors
     ///
@@ -505,36 +507,6 @@ impl<F: Fabric> Endpoint<F> {
         let chunk = self.ring_reduce_scatter(grad, wire, policy, rng)?;
         self.ring_all_gather(&chunk, grad.len(), wire, policy, rng)
     }
-}
-
-/// A pipeline-parallel relay over p2p send/recv: rank 0 ships `payload`
-/// through `wire` to rank 1, every middle rank forwards what it received to
-/// the next stage (re-quantizing with its own RNG, as a real pipeline hop
-/// does), and each rank returns what it received (rank 0 returns an empty
-/// vector). Generic over the fabric, so the threaded and process backends
-/// run the identical stage code.
-///
-/// # Errors
-///
-/// Any [`TransportError`] surfaced by the fabric mid-relay.
-pub fn pipeline_relay<F: Fabric>(
-    ep: &mut Endpoint<F>,
-    payload: &[f32],
-    wire: &Wire,
-    rng: &mut Rng,
-) -> Result<Vec<f32>, TransportError> {
-    let (r, w) = (ep.rank(), ep.world());
-    if r == 0 {
-        if w > 1 {
-            ep.send(1, payload, wire, rng)?;
-        }
-        return Ok(Vec::new());
-    }
-    let received = ep.recv(r - 1)?;
-    if r + 1 < w {
-        ep.send(r + 1, &received, wire, rng)?;
-    }
-    Ok(received)
 }
 
 /// Derives the wire RNG one rank uses for one training step, keyed by the
@@ -801,7 +773,8 @@ pub fn data_parallel_train(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::{exact_sum, ring_reduce_scatter_ranked};
+    use crate::collective::{exact_sum, ring_reduce_scatter};
+    use crate::comm::codec_wire_bytes;
     use snip_quant::PackedQuantize;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -826,14 +799,19 @@ mod tests {
 
     #[test]
     fn frames_round_trip_every_wire_kind() {
+        // Against the hop's independent reference: the frame decodes to
+        // `Wire::quantize` of the payload and counts the analytic volume.
         let payload: Vec<f32> = (0..37).map(|i| (i as f32 - 15.0) * 0.23).collect();
         for wire in [Wire::exact(), Wire::bf16(), Wire::fp4(16), Wire::mxfp4()] {
             let mut enc_rng = Rng::seed_from(11);
             let mut ref_rng = Rng::seed_from(11);
             let (frame, bytes) = encode_frame(&wire, &payload, &mut enc_rng);
             let mut reference = payload.clone();
-            let measured = wire.transmit(&mut reference, &mut ref_rng);
-            assert_eq!(bytes, measured, "{}", wire.label());
+            wire.quantize(&mut reference, &mut ref_rng);
+            let analytic = wire.codec().map_or(4 * payload.len() as u64, |codec| {
+                codec_wire_bytes(codec, 1, payload.len(), wire.bits())
+            });
+            assert_eq!(bytes, analytic, "{}", wire.label());
             let (decoded, rx_bytes) = decode_frame(&frame).expect("valid frame");
             assert_eq!(rx_bytes, bytes, "{}: both sides count alike", wire.label());
             assert_eq!(decoded.len(), payload.len(), "{}", wire.label());
@@ -851,7 +829,7 @@ mod tests {
                 let rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(40 + r)).collect();
                 let (threaded, stats) = reduce_scatter(&grads, &wire, policy, &rngs);
                 let mut oracle_rngs = rngs.clone();
-                let oracle = ring_reduce_scatter_ranked(&grads, &wire, policy, &mut oracle_rngs);
+                let oracle = ring_reduce_scatter(&grads, &wire, policy, &mut oracle_rngs);
                 let owned: Vec<_> = threaded.iter().map(|c| (c.lo, c.hi)).collect();
                 assert_eq!(owned, oracle.owned, "{}", wire.label());
                 assert_eq!(
@@ -927,6 +905,38 @@ mod tests {
                 .unwrap()
         );
         assert_eq!(stats.link_payload_bytes(1, 0), 0);
+    }
+
+    #[test]
+    fn bf16_frames_keep_nan_a_nan() {
+        // A NaN whose payload sits only in the low 16 bits must not arrive
+        // as ±Inf; payload bits are exempt.
+        let payload = [
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFF80_0001),
+            1.5,
+        ];
+        let (outputs, _) = run_ranks(2, None, |ep| {
+            if ep.rank() == 0 {
+                let mut rng = Rng::seed_from(1);
+                ep.send(1, &payload, &Wire::bf16(), &mut rng).unwrap();
+                Vec::new()
+            } else {
+                ep.recv(0).unwrap()
+            }
+        });
+        let got = &outputs[1];
+        assert!(
+            got[0].is_nan() && got[0].is_sign_positive(),
+            "{:#x}",
+            got[0].to_bits()
+        );
+        assert!(
+            got[1].is_nan() && got[1].is_sign_negative(),
+            "{:#x}",
+            got[1].to_bits()
+        );
+        assert_eq!(got[2], 1.5);
     }
 
     #[test]
@@ -1046,21 +1056,5 @@ mod tests {
         assert_eq!(stats.total_payload_bytes(), 0);
         assert_eq!(stats.total_frames(), 0);
         assert_eq!(rs[0].data, grads[0]);
-    }
-
-    #[test]
-    fn pipeline_relay_forwards_stage_to_stage() {
-        let payload: Vec<f32> = (0..21).map(|i| i as f32 * 0.3 - 2.0).collect();
-        let (received, stats) = run_ranks(3, None, |ep| {
-            let mut rng = Rng::seed_from(1 + ep.rank() as u64);
-            pipeline_relay(ep, &payload, &Wire::exact(), &mut rng).expect("relay")
-        });
-        assert!(received[0].is_empty());
-        assert_eq!(received[1], payload);
-        assert_eq!(received[2], payload);
-        assert_eq!(stats.link_frames(0, 1), 1);
-        assert_eq!(stats.link_frames(1, 2), 1);
-        assert_eq!(stats.link_frames(2, 0), 0);
-        assert!(stats.two_sided());
     }
 }

@@ -6,7 +6,7 @@
 //! (Megatron-style PP/DP workers), where quantized gradients must cross a
 //! real byte stream. The rank-facing surface is unchanged: a worker gets an
 //! [`Endpoint`] over a [`SocketFabric`] and runs the *same* generic
-//! collective/p2p/DP-loop code as the threaded backend, bit for bit.
+//! collective and DP-loop code as the threaded backend, bit for bit.
 //!
 //! # Launch protocol
 //!
@@ -66,7 +66,7 @@
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError, DEFAULT_RECV_DEADLINE};
-use super::{dp_train_loop, pipeline_relay, Endpoint, LinkCounters, TransportStats};
+use super::{dp_train_loop, Endpoint, LinkCounters, TransportStats};
 use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
@@ -387,9 +387,7 @@ message_enum! {
             wire: Wire => json, policy: QuantizePolicy => json, seed: u64 => u64,
             grad: Vec<f32> => f32s,
         },
-        /// One stage of [`pipeline_relay`]: ship `payload` (empty except at
-        /// the head of the pipeline) through `wire`, wire RNG from `seed`.
-        Relay = 2 { wire: Wire => json, seed: u64 => u64, payload: Vec<f32> => f32s },
+        // Tag 2 was the deleted pipeline relay; tags are not reused.
         /// Build a trainer from `trainer` and run `steps` steps of the
         /// shared data-parallel loop, all-reducing gradients through
         /// `wire` under `policy` with wire RNG streams derived from
@@ -414,8 +412,6 @@ message_enum! {
         },
         /// This rank's copy of the full reduced vector.
         AllReduce = 1 { rng_fingerprint: u64 => u64, data: Vec<f32> => f32s },
-        /// What this stage received (empty at rank 0).
-        Relay = 2 { rng_fingerprint: u64 => u64, received: Vec<f32> => f32s },
         /// Per-step `losses` and the final model parameters, flattened in
         /// visit order.
         DpTrain = 3 { losses: Vec<f64> => f64s, params: Vec<f32> => f32s },
@@ -836,18 +832,6 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task) -> Result<TaskOutp
                 data,
             })
         }
-        Task::Relay {
-            wire,
-            seed,
-            payload,
-        } => {
-            let mut rng = Rng::seed_from(*seed);
-            let received = pipeline_relay(ep, payload, wire, &mut rng).map_err(terr)?;
-            Ok(TaskOutput::Relay {
-                rng_fingerprint: rng.next_u64(),
-                received,
-            })
-        }
         Task::DpTrain {
             wire,
             policy,
@@ -1219,7 +1203,8 @@ impl ProcCollective {
 /// Ring all-reduce over the process fabric: one worker process per rank,
 /// gradients and seeds shipped to each worker, results and counters shipped
 /// back. Must be bit-identical to [`super::threaded_all_reduce`] and the
-/// in-proc ranked oracle for the same inputs and seeds.
+/// in-proc [`crate::collective::ring_all_reduce`] for the same inputs and
+/// seeds.
 ///
 /// # Errors
 ///
@@ -1330,11 +1315,6 @@ mod tests {
                     seed: 0,
                     grad: grad.clone(),
                 });
-                all.push(Task::Relay {
-                    wire,
-                    seed,
-                    payload: grad.clone(),
-                });
             }
         }
         all.push(Task::DpTrain {
@@ -1359,10 +1339,6 @@ mod tests {
             all.push(TaskOutput::AllReduce {
                 rng_fingerprint: 1,
                 data: data.clone(),
-            });
-            all.push(TaskOutput::Relay {
-                rng_fingerprint: 0,
-                received: data.clone(),
             });
             all.push(TaskOutput::DpTrain {
                 losses: data.iter().map(|&v| f64::from(v) * 1.000_000_1).collect(),

@@ -1,4 +1,5 @@
-//! Property tests for the quantized ring-collective simulator.
+//! Property tests for the quantized ring-collective simulator (one RNG
+//! stream per rank).
 
 use proptest::prelude::*;
 use snip_pipeline::collective::{
@@ -6,6 +7,13 @@ use snip_pipeline::collective::{
     Wire,
 };
 use snip_tensor::rng::Rng;
+
+/// One RNG stream per rank, disjoint across `seed`s.
+fn rngs(ranks: usize, seed: u64) -> Vec<Rng> {
+    (0..ranks)
+        .map(|r| Rng::seed_from(seed << 8 | r as u64))
+        .collect()
+}
 
 fn grads_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     (2usize..6, 4usize..40).prop_flat_map(|(ranks, n)| {
@@ -35,8 +43,8 @@ proptest! {
     #[test]
     fn exact_wire_reduce_scatter_is_exact(grads in grads_strategy(), seed in 0u64..100) {
         let exact = exact_sum(&grads);
-        let mut rng = Rng::seed_from(seed);
-        let rs = ring_reduce_scatter(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng);
+        let mut streams = rngs(grads.len(), seed);
+        let rs = ring_reduce_scatter(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut streams);
         prop_assert!(relative_error(&rs, &exact) < 1e-5);
     }
 
@@ -44,8 +52,8 @@ proptest! {
     fn exact_all_reduce_gives_identical_copies(grads in grads_strategy(), seed in 0u64..100) {
         // With exact wires the broadcast is bit-deterministic, so every
         // rank ends with the same reduced vector.
-        let mut rng = Rng::seed_from(seed);
-        let ar = ring_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng);
+        let mut streams = rngs(grads.len(), seed);
+        let ar = ring_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &mut streams);
         for rank in &ar.per_rank[1..] {
             prop_assert_eq!(rank, &ar.per_rank[0]);
         }
@@ -59,8 +67,8 @@ proptest! {
         // With quantized wires the chunk *owner* keeps its unquantized copy
         // while other ranks receive re-quantized forwards, so copies may
         // differ — but only by the wire's quantization error, never more.
-        let mut rng = Rng::seed_from(seed);
-        let ar = ring_all_reduce(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut rng);
+        let mut streams = rngs(grads.len(), seed);
+        let ar = ring_all_reduce(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut streams);
         let norm0: f64 = ar.per_rank[0]
             .iter()
             .map(|v| (*v as f64).powi(2))
@@ -83,8 +91,8 @@ proptest! {
         // across R−1 ≤ 5 hops the accumulated relative error stays well
         // under 50% — a loose but meaningful sanity envelope.
         let exact = exact_sum(&grads);
-        let mut rng = Rng::seed_from(seed);
-        let rs = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut rng);
+        let mut streams = rngs(grads.len(), seed);
+        let rs = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut streams);
         prop_assert!(relative_error(&rs, &exact) < 0.5);
         for chunk in &rs.per_rank {
             prop_assert!(chunk.iter().all(|v| v.is_finite()));
@@ -93,10 +101,10 @@ proptest! {
 
     #[test]
     fn bytes_scale_with_bits(grads in grads_strategy(), seed in 0u64..50) {
-        let mut rng = Rng::seed_from(seed);
-        let b16 = ring_reduce_scatter(&grads, &Wire::bf16(), QuantizePolicy::EveryHop, &mut rng)
+        let mut streams = rngs(grads.len(), seed);
+        let b16 = ring_reduce_scatter(&grads, &Wire::bf16(), QuantizePolicy::EveryHop, &mut streams)
             .bytes_on_wire;
-        let b8 = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut rng)
+        let b8 = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut streams)
             .bytes_on_wire;
         // Byte-accurate fp8 wires move 1 B of codes per element plus one
         // f32 scale per 1×8 tile: between half and three-quarters of the

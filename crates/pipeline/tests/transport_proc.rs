@@ -3,7 +3,7 @@
 //! These pin the PR 4 acceptance criteria: the process backend (rank
 //! workers connected by Unix sockets, spawned by re-executing this very
 //! binary) is bit-identical to the threaded transport *and* to the in-proc
-//! `collective` ranked oracle — same reduced gradients, same per-rank RNG
+//! `collective` oracle — same reduced gradients, same per-rank RNG
 //! streams (checked via post-collective fingerprints), same payload byte
 //! counters equal to `comm::codec_wire_bytes` for every codec, ragged
 //! tails included — and both sides of every socket account identical
@@ -17,15 +17,12 @@
 #[cfg(unix)]
 mod checks {
     use snip_core::{Trainer, TrainerConfig};
-    use snip_pipeline::collective::{
-        ring_all_reduce_ranked, ring_reduce_scatter_ranked, QuantizePolicy, Wire,
-    };
+    use snip_pipeline::collective::{ring_all_reduce, ring_reduce_scatter, QuantizePolicy, Wire};
     use snip_pipeline::comm::codec_wire_bytes;
     use snip_pipeline::transport::proc::{
-        launch, proc_all_reduce, proc_data_parallel_train, run_task, ProcCollective, ProcError,
-        Task,
+        launch, proc_all_reduce, proc_data_parallel_train, ProcCollective, ProcError, Task,
     };
-    use snip_pipeline::transport::{data_parallel_train, run_ranks, threaded_all_reduce};
+    use snip_pipeline::transport::{data_parallel_train, threaded_all_reduce};
     use snip_tensor::rng::Rng;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -78,7 +75,7 @@ mod checks {
         }
     }
 
-    /// All-reduce over worker processes == threaded == ranked oracle, for
+    /// All-reduce over worker processes == threaded == oracle, for
     /// every codec, with ragged tails, measured bytes and RNG streams
     /// included.
     fn proc_collectives_match_threads_and_oracle() {
@@ -96,8 +93,7 @@ mod checks {
             let (threaded, tstats) =
                 threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
             let mut oracle_rngs = rngs.clone();
-            let oracle =
-                ring_all_reduce_ranked(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
+            let oracle = ring_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
 
             assert_eq!(
                 proc.result.bytes_on_wire,
@@ -153,12 +149,8 @@ mod checks {
             let proc = proc_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
                 .expect("process reduce-scatter");
             let mut oracle_rngs = rngs.clone();
-            let oracle = ring_reduce_scatter_ranked(
-                &grads,
-                &wire,
-                QuantizePolicy::EveryHop,
-                &mut oracle_rngs,
-            );
+            let oracle =
+                ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
             assert_eq!(proc.result.owned, oracle.owned, "{}", wire.label());
             assert_eq!(
                 proc.result.bytes_on_wire,
@@ -206,46 +198,6 @@ mod checks {
             );
         }
         println!("ok - per_link_payloads_match_analytic_accounting");
-    }
-
-    /// Pipeline p2p send/recv runs unchanged over the socket backend: the
-    /// same `Task`s through the process driver and, via `run_task`, through
-    /// the thread driver.
-    fn pipeline_p2p_matches_threads() {
-        let payload: Vec<f32> = (0..41).map(|i| (i as f32 - 17.0) * 0.29).collect();
-        for wire in [Wire::exact(), Wire::bf16(), Wire::fp4(16), Wire::mxfp4()] {
-            let tasks: Vec<Task> = [7u64, 8, 9, 10]
-                .iter()
-                .enumerate()
-                .map(|(rank, &seed)| Task::Relay {
-                    wire,
-                    seed,
-                    // Only the head of the pipeline owns the payload.
-                    payload: if rank == 0 {
-                        payload.clone()
-                    } else {
-                        Vec::new()
-                    },
-                })
-                .collect();
-            let (proc, pstats) = launch(tasks.clone(), None).expect("process relay");
-            let (threaded, tstats) = run_ranks(tasks.len(), None, |ep| {
-                run_task(ep, &tasks[ep.rank()]).expect("threaded relay")
-            });
-            for (rank, (p, t)) in proc.iter().zip(&threaded).enumerate() {
-                // Encoded outputs compare received payloads and RNG
-                // fingerprints by their bits.
-                assert_eq!(p.encode(), t.encode(), "{} relay rank {rank}", wire.label());
-            }
-            assert_eq!(
-                pstats.total_payload_bytes(),
-                tstats.total_payload_bytes(),
-                "{}: relay payload bytes",
-                wire.label()
-            );
-            assert!(pstats.two_sided(), "{}", wire.label());
-        }
-        println!("ok - pipeline_p2p_matches_threads");
     }
 
     /// Data-parallel training over worker processes reproduces the threaded
@@ -338,7 +290,6 @@ mod checks {
     pub fn run_all() {
         proc_collectives_match_threads_and_oracle();
         per_link_payloads_match_analytic_accounting();
-        pipeline_p2p_matches_threads();
         dp_train_matches_threads_bit_exactly();
         dead_worker_aborts_the_fabric_with_the_root_cause();
         single_rank_process_fabric_is_a_no_op();

@@ -10,8 +10,8 @@
 
 use snip_core::{Trainer, TrainerConfig};
 use snip_pipeline::collective::{
-    exact_sum, relative_error, ring_all_reduce_ranked, ring_reduce_scatter_ranked,
-    CollectiveResult, QuantizePolicy, Wire,
+    exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter, CollectiveResult,
+    QuantizePolicy, Wire,
 };
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::{
@@ -77,8 +77,7 @@ fn threaded_collectives_are_bit_identical_to_the_inproc_oracle() {
         let (threaded, stats) =
             threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds);
         let mut oracle_rngs = seeds.clone();
-        let oracle =
-            ring_all_reduce_ranked(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
+        let oracle = ring_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
         assert_eq!(
             stats.total_payload_bytes(),
             oracle.bytes_on_wire,
@@ -140,8 +139,7 @@ fn ragged_tail_bytes_agree_across_analytic_measured_and_serialized() {
         let seeds = rngs(3, 0xCD);
         let (_, stats) = threaded_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &seeds);
         let mut oracle_rngs = seeds.clone();
-        let oracle =
-            ring_reduce_scatter_ranked(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
+        let oracle = ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
         assert_eq!(
             stats.total_payload_bytes(),
             oracle.bytes_on_wire,

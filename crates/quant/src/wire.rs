@@ -39,7 +39,7 @@
 //!    exponent: byte `b` decodes to `2^(b − 127)`, byte 0 to the subnormal
 //!    `2^-127`), four f32 bytes per scale for every other variant;
 //! 3. **outliers** (`Split` only) — `count` entries of 6 bytes each: u32
-//!    flat row-major index + the BF16 value's upper 16 bits.
+//!    flat row-major index + the BF16 value's upper 16 bits ([`bf16_bits`]).
 //!
 //! So `frame.len() == WIRE_HEADER_BYTES + wire_bytes()` always: the payload
 //! *is* the accounted wire volume, and the header is per-message envelope
@@ -219,6 +219,20 @@ fn e8m0_decode(byte: u8) -> Result<f32, WireError> {
     }
 }
 
+/// The BF16 wire encoding of a BF16-rounded `f32`: its upper 16 bits. A
+/// NaN whose payload sits only in the low half would truncate to ±Inf, so
+/// NaN ships with the quiet bit set — it arrives a NaN, payload bits exempt.
+/// Both BF16 sites of the workspace (outlier entries here, BF16 transport
+/// frames) narrow through this one function.
+pub fn bf16_bits(x: f32) -> u16 {
+    let upper = (x.to_bits() >> 16) as u16;
+    if x.is_nan() {
+        upper | 0x0040
+    } else {
+        upper
+    }
+}
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -286,8 +300,7 @@ impl PackedTensor {
         if let PackedTensor::Split { outliers, .. } = self {
             for o in outliers {
                 put_u32(&mut buf, o.index);
-                let bf16 = (o.value.to_bits() >> 16) as u16;
-                buf.extend_from_slice(&bf16.to_le_bytes());
+                buf.extend_from_slice(&bf16_bits(o.value).to_le_bytes());
             }
         }
         debug_assert_eq!(buf.len(), WIRE_HEADER_BYTES + self.wire_bytes() as usize);
@@ -744,6 +757,30 @@ mod tests {
             }
             other => panic!("expected Split pair, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_outliers_arrive_as_nan() {
+        // A NaN whose payload sits only in the low 16 bits is the first
+        // outlier picked; truncating it to BF16 would ship ±Inf.
+        let mut t = Tensor::randn(2, 16, 1.0, &mut Rng::seed_from(10));
+        t[(1, 3)] = f32::from_bits(0x7F80_0001);
+        let packed = fp4_tile(8)
+            .with_outliers(1.0 / 32.0)
+            .pack(&t, &mut Rng::seed_from(11))
+            .unwrap();
+        let back = PackedTensor::from_wire_bytes(&packed.to_wire_bytes().unwrap()).unwrap();
+        let (a, b) = (packed.dequantize(), back.dequantize());
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            if i == 16 + 3 {
+                assert!(x.is_nan() && y.is_nan(), "{x} -> {y}");
+            } else {
+                assert_eq!(x.to_bits(), y.to_bits(), "element {i}");
+            }
+        }
+        assert_eq!(bf16_bits(f32::from_bits(0xFF80_0001)), 0xFFC0);
+        assert_eq!(bf16_bits(-1.5), 0xBFC0);
+        assert_eq!(bf16_bits(f32::INFINITY), 0x7F80);
     }
 
     #[test]

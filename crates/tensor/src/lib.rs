@@ -22,7 +22,7 @@
 //!   parallel kernel (`SNIP_THREADS` overrides its size; results are
 //!   bit-identical at every size).
 //! * [`bf16`] — round-to-nearest-even BF16 rounding, shared between the
-//!   engine's fused tile store (`matmul_bf16`/`qgemm_bf16` families) and the
+//!   engine's fused tile store (the `qgemm_*_bf16` kernels) and the
 //!   standalone slice pass used elsewhere in the workspace.
 //! * [`simd`] — the runtime-dispatched SIMD backend behind the engine
 //!   (AVX2/NEON when the `simd` cargo feature is on, scalar otherwise);

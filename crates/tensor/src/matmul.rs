@@ -89,22 +89,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     crate::engine::gemm_nn(&a.into(), &b.into(), Round::Keep)
 }
 
-/// [`matmul`] with the BF16 output rounding fused into the tile store:
-/// bit-identical to `matmul` followed by [`crate::bf16::round_slice`] on
-/// the result, without the second pass over the output (each element is
-/// final when its tile is stored, so rounding at store time rounds the
-/// same value exactly once).
-///
-/// # Panics
-///
-/// Panics if `A.cols() != B.rows()`.
-pub fn matmul_bf16(a: &Tensor, b: &Tensor) -> Tensor {
-    let (_, k) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "matmul_bf16: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nn(&a.into(), &b.into(), Round::Bf16)
-}
-
 /// `C = A · Bᵀ` where `A` is `M×K` and `B` is `N×K` (the forward GEMM of a
 /// linear layer whose weight is stored `out_features × in_features`).
 ///
@@ -118,18 +102,6 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     crate::engine::gemm_nt(&a.into(), &b.into(), Round::Keep)
 }
 
-/// [`matmul_nt`] with fused BF16 output rounding — see [`matmul_bf16`].
-///
-/// # Panics
-///
-/// Panics if `A.cols() != B.cols()`.
-pub fn matmul_nt_bf16(a: &Tensor, b: &Tensor) -> Tensor {
-    let (_, k) = a.shape();
-    let (_, kb) = b.shape();
-    assert_eq!(k, kb, "matmul_nt_bf16: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nt(&a.into(), &b.into(), Round::Bf16)
-}
-
 /// `C = Aᵀ · B` where `A` is `K×M` and `B` is `K×N` (the weight-gradient GEMM
 /// `dW = dYᵀ · X`).
 ///
@@ -141,18 +113,6 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (kb, _) = b.shape();
     assert_eq!(k, kb, "matmul_tn: outer dims differ ({k} vs {kb})");
     crate::engine::gemm_tn(&a.into(), &b.into(), Round::Keep)
-}
-
-/// [`matmul_tn`] with fused BF16 output rounding — see [`matmul_bf16`].
-///
-/// # Panics
-///
-/// Panics if `A.rows() != B.rows()`.
-pub fn matmul_tn_bf16(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, _) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "matmul_tn_bf16: outer dims differ ({k} vs {kb})");
-    crate::engine::gemm_tn(&a.into(), &b.into(), Round::Bf16)
 }
 
 /// Reference (naive triple-loop) GEMM used by tests and benchmarks.

@@ -8,7 +8,8 @@
 //!
 //! Covered here:
 //!
-//! * all twelve GEMM kernels (six orientations × Keep/fused-BF16), over
+//! * all twelve GEMM kernels (six orientations × Keep/fused-BF16; the dense
+//!   fused-BF16 three via `qgemm_*_bf16` over dense operands), over
 //!   proptest-drawn shapes that exercise every lane tail (`n % 16` for the
 //!   AVX-512 masked tail, `n % 8`, `n < 8`, row-block tails `m % 4`);
 //! * fused BF16 output == two-pass (`Keep` kernel then `bf16::round_slice`);
@@ -80,6 +81,12 @@ fn random_qtensor_in(
     q
 }
 
+/// A dense GEMM operand: the fused-BF16 store runs through the `qgemm_*`
+/// entry points, the same engine path as the dense `Keep` kernels.
+fn dense(t: &Tensor) -> QOperandRef<'_> {
+    QOperandRef::Dense(t)
+}
+
 fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}: shape");
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -114,9 +121,15 @@ fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
             ("matmul", matmul::matmul(&a, &b)),
             ("matmul_nt", matmul::matmul_nt(&a, &bt)),
             ("matmul_tn", matmul::matmul_tn(&at, &b)),
-            ("matmul_bf16", matmul::matmul_bf16(&a, &b)),
-            ("matmul_nt_bf16", matmul::matmul_nt_bf16(&a, &bt)),
-            ("matmul_tn_bf16", matmul::matmul_tn_bf16(&at, &b)),
+            ("dense qgemm_bf16", packed::qgemm_bf16(dense(&a), dense(&b))),
+            (
+                "dense qgemm_nt_bf16",
+                packed::qgemm_nt_bf16(dense(&a), dense(&bt)),
+            ),
+            (
+                "dense qgemm_tn_bf16",
+                packed::qgemm_tn_bf16(dense(&at), dense(&b)),
+            ),
             (
                 "qgemm",
                 packed::qgemm(QOperandRef::from(&qa), QOperandRef::from(&qb)),
@@ -219,13 +232,18 @@ fn lane_tail_shapes_agree() {
             let a = Tensor::from_vec(m, k, a_full.as_slice()[..m * k].to_vec());
             for n in 1..=2 * 64 + 1 {
                 let bt = Tensor::from_vec(n, k, bt_full.as_slice()[..n * k].to_vec());
-                let run = || (matmul::matmul_nt(&a, &bt), matmul::matmul_nt_bf16(&a, &bt));
+                let run = || {
+                    (
+                        matmul::matmul_nt(&a, &bt),
+                        packed::qgemm_nt_bf16(dense(&a), dense(&bt)),
+                    )
+                };
                 let (keep, fused) = simd::with_forced_backend(simd::Backend::Scalar, run);
                 for bk in simd::available_backends() {
                     let got = simd::with_forced_backend(bk, run);
                     let what = format!("{m}x{k}x{n} ({})", bk.name());
                     assert_bits_eq(&got.0, &keep, &format!("matmul_nt {what}"));
-                    assert_bits_eq(&got.1, &fused, &format!("matmul_nt_bf16 {what}"));
+                    assert_bits_eq(&got.1, &fused, &format!("dense qgemm_nt_bf16 {what}"));
                 }
             }
         }
@@ -297,13 +315,18 @@ fn non_finite_operands_propagate_identically() {
                 *v = specials[(i + 3) % specials.len()];
             }
         }
-        let run = || (matmul::matmul(&a, &b), matmul::matmul_bf16(&a, &b));
+        let run = || {
+            (
+                matmul::matmul(&a, &b),
+                packed::qgemm_bf16(dense(&a), dense(&b)),
+            )
+        };
         let scalar = simd::with_forced_backend(simd::Backend::Scalar, run);
         for bk in simd::available_backends() {
             let got = simd::with_forced_backend(bk, run);
             let what = |name: &str| format!("{name} with non-finite ({})", bk.name());
             assert_bits_eq_modulo_nan(&got.0, &scalar.0, &what("matmul"));
-            assert_bits_eq_modulo_nan(&got.1, &scalar.1, &what("matmul_bf16"));
+            assert_bits_eq_modulo_nan(&got.1, &scalar.1, &what("dense qgemm_bf16"));
         }
     }
 }

@@ -115,7 +115,8 @@ fn quantized_all_reduce_of_real_gradients_is_usable() {
         })
         .collect();
     let exact = exact_sum(&grads);
-    let ar = ring_all_reduce(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &mut grng);
+    let mut rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(15 + r)).collect();
+    let ar = ring_all_reduce(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &mut rngs);
     let err = relative_error(&ar, &exact);
     assert!(err < 0.05, "FP8 all-reduce error {err} too large");
     assert!(err > 0.0, "quantization should not be exact");

@@ -151,8 +151,8 @@ fn ilp_solver_surfaces_infeasibility_with_mixed_sets() {
 #[should_panic(expected = "ranks disagree")]
 fn collective_rejects_ragged_gradients() {
     let grads = vec![vec![1.0f32; 8], vec![1.0f32; 9]];
-    let mut rng = Rng::seed_from(25);
-    let _ = ring_reduce_scatter(&grads, &Wire::bf16(), QuantizePolicy::EveryHop, &mut rng);
+    let mut rngs = [Rng::seed_from(25), Rng::seed_from(26)];
+    let _ = ring_reduce_scatter(&grads, &Wire::bf16(), QuantizePolicy::EveryHop, &mut rngs);
 }
 
 #[test]
@@ -161,8 +161,8 @@ fn collective_survives_nonfinite_gradient_entries() {
     // whole reduction (mirrors the quantizer's group-scale guard).
     let mut grads = vec![vec![0.5f32; 32]; 4];
     grads[1][7] = f32::INFINITY;
-    let mut rng = Rng::seed_from(26);
-    let rs = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut rng);
+    let mut rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(26 + r)).collect();
+    let rs = ring_reduce_scatter(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut rngs);
     let poisoned: usize = rs
         .per_rank
         .iter()
