@@ -3,10 +3,9 @@
 //! decode, all six GEMM orientations and an end-to-end training step at
 //! model-realistic shapes, each kernel beside the frozen timing of its PR-4
 //! predecessor ([`BASELINE_MS`]), plus per-backend GEMM and pack matrices
-//! with the dispatch pinned to each compiled SIMD tier in turn, the pack pool
-//! split against the single-thread kernel and the SNIP probe
-//! (`snip_core::measure`) against a plain step with its per-pass split,
-//! and writes machine-readable `BENCH_gemm.json` at the repo root.
+//! with the dispatch pinned to each compiled SIMD tier in turn, and the SNIP
+//! probe (`snip_core::measure`) against a plain step with its per-pass
+//! split, and writes machine-readable `BENCH_gemm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -115,21 +114,6 @@ struct BackendPackRow {
     ns_per_elt: f64,
 }
 
-/// The nearest-rounding pack pool split against the single-thread SIMD
-/// kernel at one shape (bytes asserted identical first). `split` says
-/// whether default dispatch splits at this size; `speedup` is
-/// `single_ms / default_ms`.
-#[derive(Debug, Serialize, Deserialize)]
-struct PackSplitRow {
-    name: String,
-    shape: String,
-    elements: usize,
-    split: bool,
-    single_ms: f64,
-    default_ms: f64,
-    speedup: f64,
-}
-
 #[derive(Debug, Serialize, Deserialize)]
 struct TrainStep {
     steps: u64,
@@ -171,13 +155,12 @@ struct Report {
     decode: Vec<KernelRow>,
     quantize: Vec<QuantizeRow>,
     backend_pack: Vec<BackendPackRow>,
-    pack_split: Vec<PackSplitRow>,
     train_step: TrainStep,
     probe: ProbeRow,
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 7;
+const SCHEMA: u64 = 8;
 
 /// Parent-commit (PR 13: three recorded full steps, scalar error
 /// statistics) `measure` on the full probe fixture — reference box, the
@@ -331,7 +314,6 @@ fn run(smoke: bool) -> Report {
     let mut decode = Vec::new();
     let mut quantize = Vec::new();
     let mut backend_pack = Vec::new();
-    let mut pack_split = Vec::new();
     let mut seen_act_shapes = std::collections::HashSet::new();
 
     for &(tokens, d_out, d_in) in shapes {
@@ -399,7 +381,6 @@ fn run(smoke: bool) -> Report {
                 backend_pack.extend(backend_pack_rows(&name, &w, quantizer, reps));
             }
         }
-        pack_split.push(pack_split_row(&w, reps));
 
         // Decode and activation quantize depend only on the activation
         // shape, which several GEMM triples can share — measure each
@@ -455,7 +436,6 @@ fn run(smoke: bool) -> Report {
         decode,
         quantize,
         backend_pack,
-        pack_split,
         train_step: TrainStep { steps, ms_per_step },
         probe: probe_row(smoke),
     }
@@ -616,41 +596,6 @@ fn backend_pack_rows(name: &str, t: &Tensor, q: Quantizer, reps: usize) -> Vec<B
             }
         })
         .collect()
-}
-
-/// Times the FP4 weight pack of `w` on one thread against default
-/// dispatch, which splits nearest-rounding packs over the pool in
-/// scale-group-aligned row bands above a size cutoff. This row is what
-/// keeps (or would retire) the split: it stays only while the 2048×768
-/// shape shows ≥ 1.3× over the single-thread SIMD kernel.
-fn pack_split_row(w: &Tensor, reps: usize) -> PackSplitRow {
-    let q = Precision::Fp4.quantizer_with_group(TensorRole::Weight, 128);
-    let (rows, cols) = w.shape();
-    let single = pool::with_threads(1, || pack_seeded(&q, w));
-    assert!(
-        pack_seeded(&q, w) == single,
-        "pack pool split changed bytes — refusing to time different math"
-    );
-    let mut rng = Rng::seed_from(11);
-    // Alternating rounds, minimum per side: robust to clock drift.
-    let (mut single_ms, mut default_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        single_ms = single_ms.min(pool::with_threads(1, || {
-            time_best_ms(reps, || q.quantize_packed(w, &mut rng).expect("packable"))
-        }));
-        default_ms = default_ms.min(time_best_ms(reps, || {
-            q.quantize_packed(w, &mut rng).expect("packable")
-        }));
-    }
-    PackSplitRow {
-        name: "quantize_fp4_weight".to_string(),
-        shape: format!("{rows}x{cols}"),
-        elements: w.len(),
-        split: pool::size() > 1 && w.len() >= snip_quant::codebook::PACK_PARALLEL_THRESHOLD,
-        single_ms,
-        default_ms,
-        speedup: single_ms / default_ms,
-    }
 }
 
 /// Times the dense and packed forward kernels at each full shape with the
@@ -871,20 +816,6 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             }
         }
     }
-    if report.pack_split.is_empty() {
-        return Err("pack_split section is empty".to_string());
-    }
-    for r in &report.pack_split {
-        for (what, v) in [
-            ("single_ms", r.single_ms),
-            ("default_ms", r.default_ms),
-            ("speedup", r.speedup),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("pack_split {}: {what} = {v}", r.shape));
-            }
-        }
-    }
     let ts = &report.train_step;
     if ts.steps == 0 || !ts.ms_per_step.is_finite() || ts.ms_per_step <= 0.0 {
         return Err(format!(
@@ -918,7 +849,7 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
     }
     Ok(format!(
         "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
-         {} backend-pack rows, {} pack-split rows, probe = {:.2} steps, \
+         {} backend-pack rows, probe = {:.2} steps, \
          {:.2} ms/train-step, {} simd on {} threads",
         report.gemm.len(),
         report.backend_gemm.len(),
@@ -926,7 +857,6 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         report.decode.len(),
         report.quantize.len(),
         report.backend_pack.len(),
-        report.pack_split.len(),
         pr.measure_over_step,
         ts.ms_per_step,
         mach.simd_backend,
@@ -981,12 +911,6 @@ fn print_summary(report: &Report) {
         println!(
             "  {:>19} {:>9}  {:>9.3} ms   {:>5.2} ns/elt  ({})  [{}]",
             r.name, r.shape, r.packed_ms, r.ns_per_elt, r.rounding, r.backend
-        );
-    }
-    for r in &report.pack_split {
-        println!(
-            "  {:>19} {:>9}  {:>9.3} ms 1 thread → {:>9.3} ms default  {:>5.2}x  (split = {})",
-            r.name, r.shape, r.single_ms, r.default_ms, r.speedup, r.split
         );
     }
     println!(

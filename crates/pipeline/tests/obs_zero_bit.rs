@@ -186,7 +186,7 @@ fn snip_updates_are_bit_identical_with_collection_on() {
 }
 
 /// The vector pack engine under collection: on every SIMD tier this
-/// process can run — and with the nearest-rounding pool split forced —
+/// process can run — and under a forced 3-way pool split —
 /// packing with telemetry on must leave the same code bytes, scales and
 /// RNG position as with it off, and must not write to the source tensor
 /// (signal extraction only reads the pack it is handed).

@@ -23,7 +23,7 @@ use crate::granularity::Granularity;
 use crate::quantizer::Rounding;
 use snip_tensor::encode::{encode_u4_with, CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
-use snip_tensor::{pool, CodeWidth, QTensor, Tensor};
+use snip_tensor::{CodeWidth, QTensor, Tensor};
 use std::sync::{Arc, OnceLock};
 
 /// The interned codebooks, indexed by the format's wire id (ids no format
@@ -43,16 +43,6 @@ impl ElementFormat {
     }
 }
 
-/// Sentinel in the encode table for keys no grid value occupies. Valid
-/// magnitude indices are `< 128`, so `0xFF` can never collide with one.
-const ENC_EMPTY: u8 = u8::MAX;
-
-/// Elements from which a nearest-rounding pack splits over the worker pool
-/// (see [`Codebook::pack_rounded_with`]). Measured on the 2-core reference
-/// box: a 2-way split runs 1.07–1.20× at 256×768 (just below), 1.24–1.40×
-/// at 384×768 (just above) and 1.7–1.8× at 2048×768.
-pub const PACK_PARALLEL_THRESHOLD: usize = 1 << 18;
-
 /// Uniform draws buffered per stochastic kernel call (see
 /// [`Codebook::pack_rounded_with`]). Even, so a chunk boundary never
 /// splits a nibble pair of an even-aligned segment.
@@ -67,13 +57,6 @@ pub struct Codebook {
     /// Non-negative representable values, ascending, starting at 0.
     nonneg: Vec<f32>,
     width: CodeWidth,
-    /// Right-shift applied to a value's f32 bit pattern to form its encode
-    /// key: keeps the exponent and exactly the mantissa bits any grid value
-    /// uses, so distinct grid values get distinct keys.
-    enc_shift: u32,
-    /// Direct map from shifted magnitude bits to the non-negative value
-    /// index ([`ENC_EMPTY`] where no grid value lands).
-    enc_table: Vec<u8>,
     /// Decode table: `lut[code] = value`.
     lut: Arc<[f32]>,
     /// Byte → value-pair expansion of `lut` (empty for byte-wide codes).
@@ -119,47 +102,16 @@ impl Codebook {
             );
             CodeWidth::U8
         };
-        let enc_shift = Self::enc_shift_for(&nonneg);
         let lut: Arc<[f32]> = Self::build_lut(&nonneg, width).into();
         let top = nonneg.len() - 1;
         Codebook {
             format,
             width,
-            enc_shift,
-            enc_table: Self::build_enc_table(&nonneg, enc_shift),
             pair: QTensor::pair_table(&lut).into(),
             lut,
             grid: CodeGrid::new(width, man_bits, emin, nonneg[top], top as u8, signed_zero),
             nonneg,
         }
-    }
-
-    /// The bit-pattern shift under which every grid value keeps all of its
-    /// significant mantissa bits (and its full exponent), so the shifted
-    /// bits of distinct grid values are distinct.
-    fn enc_shift_for(nonneg: &[f32]) -> u32 {
-        let mut needed = 0u32;
-        for &v in nonneg {
-            let mantissa = v.to_bits() & 0x7F_FFFF;
-            if mantissa != 0 {
-                needed = needed.max(23 - mantissa.trailing_zeros());
-            }
-        }
-        23 - needed
-    }
-
-    fn build_enc_table(nonneg: &[f32], shift: u32) -> Vec<u8> {
-        let max_key = (nonneg.last().expect("non-empty table").to_bits() >> shift) as usize;
-        let mut table = vec![ENC_EMPTY; max_key + 1];
-        for (i, &v) in nonneg.iter().enumerate() {
-            // Zero occupies key 0 like any other grid value (no nonzero
-            // value can collide: a normal float's bits shifted by ≤ 23 are
-            // nonzero), so the hot encode path needs no zero special-case.
-            let k = (v.to_bits() >> shift) as usize;
-            debug_assert_eq!(table[k], ENC_EMPTY, "encode keys must be distinct");
-            table[k] = i as u8;
-        }
-        table
     }
 
     fn build_lut(nonneg: &[f32], width: CodeWidth) -> Vec<f32> {
@@ -279,7 +231,7 @@ impl Codebook {
     /// The quantize→encode pair is fused: an element's code is computed
     /// directly from the exponent and rounded mantissa of its scaled bit
     /// pattern (`snip_tensor::encode::CodeGrid`) — no grid-value
-    /// reconstruction, no encode-table lookup. Codes are bit-identical to
+    /// reconstruction, no search. Codes are bit-identical to
     /// the two-step `encode(quantize_nearest(..))` /
     /// `encode(quantize_stochastic(..))` composition on every backend
     /// (`tests/pack_simd.rs`, `tests/packed_equivalence.rs`).
@@ -291,9 +243,7 @@ impl Codebook {
     /// draws are made serially, a bounded chunk of a row segment at a
     /// time, into a scratch buffer the kernel then consumes — so the
     /// stream and its final position do not depend on the vector width.
-    /// Nearest rounding never touches `rng`; from
-    /// [`PACK_PARALLEL_THRESHOLD`] elements it splits over the worker pool
-    /// in bands of whole scale-group rows (identical bytes at any split).
+    /// Nearest rounding never touches `rng`.
     ///
     /// Stochastic rounding of *integer* grids floors the signed value
     /// (`IntFormat::quantize_stochastic`), which the sign-magnitude
@@ -304,10 +254,14 @@ impl Codebook {
         granularity: Granularity,
         rounding: Rounding,
         rng: &mut Rng,
-        scale_of: impl Fn(f32) -> (f32, f32) + Sync,
+        scale_of: impl Fn(f32) -> (f32, f32),
     ) -> QTensor {
         match (rounding, self.format) {
-            (Rounding::Nearest, _) => self.pack_nearest(t, granularity, scale_of),
+            (Rounding::Nearest, _) => {
+                self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
+                    self.encode_seg(enc, seg, scale, None, cstart, row)
+                })
+            }
             (Rounding::Stochastic, ElementFormat::Float(_)) => {
                 let mut draws = [0.0f32; DRAW_CHUNK];
                 self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
@@ -346,115 +300,40 @@ impl Codebook {
         }
     }
 
-    /// Packs every group through one segment encoder, on this thread.
+    /// The one group walk behind every packing path: per scale group, scan
+    /// the group's contiguous row segments for the max-abs, derive the
+    /// scales, then hand each segment to `encode_seg(encoder, segment,
+    /// encode_scale, first_column, packed_row)` — scan and encode are fused
+    /// per group, so a group is read from memory once and re-read cache-hot.
+    /// Segments are visited row-major within each group, the same order
+    /// (and so the same stochastic-draw order) as fake quantization.
+    /// `packed_row` is the segment's whole zero-initialized packed row:
+    /// 4-bit segments of adjacent groups can share a byte.
     fn pack_groups(
         &self,
         t: &Tensor,
         granularity: Granularity,
         scale_of: impl Fn(f32) -> (f32, f32),
-        encode_seg: impl FnMut(&Encoder, &[f32], f32, usize, &mut [u8]),
-    ) -> QTensor {
-        let (rows, cols) = t.shape();
-        let mut data = vec![0u8; rows * self.width.row_bytes(cols)];
-        let mut scales = vec![0.0f32; granularity.group_count(rows, cols)];
-        self.pack_band(
-            t,
-            0..rows,
-            granularity,
-            &scale_of,
-            encode_seg,
-            &mut data,
-            &mut scales,
-        );
-        self.finish(t, granularity, scales, data)
-    }
-
-    /// Nearest-rounding pack, split over the worker pool in bands of whole
-    /// scale-group rows once the tensor is large enough to pay for the
-    /// dispatch. Every band owns disjoint `data` / `scales` ranges and a
-    /// group's codes depend on that group alone, so the bytes are the same
-    /// at every split (`tests/pack_simd.rs` pins 1 / 2 / max / max + 3).
-    /// Stochastic packs never split: their draws are one serial stream.
-    fn pack_nearest(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        scale_of: impl Fn(f32) -> (f32, f32) + Sync,
-    ) -> QTensor {
-        let nearest = |enc: &Encoder, seg: &[f32], scale: f32, cstart: usize, row: &mut [u8]| {
-            self.encode_seg(enc, seg, scale, None, cstart, row)
-        };
-        let (rows, cols) = t.shape();
-        let group_rows = match granularity {
-            Granularity::Rowwise | Granularity::Tile { .. } => 1,
-            Granularity::Block { nb } => nb,
-            Granularity::Tensorwise | Granularity::Columnwise => rows,
-        };
-        let parts = pool::parts_for(rows * cols, PACK_PARALLEL_THRESHOLD);
-        let band_rows = rows.div_ceil(parts).next_multiple_of(group_rows.max(1));
-        if band_rows >= rows || cols == 0 {
-            return self.pack_groups(t, granularity, scale_of, nearest);
-        }
-        let mut data = vec![0u8; rows * self.width.row_bytes(cols)];
-        let mut scales = vec![0.0f32; granularity.group_count(rows, cols)];
-        let bands = data
-            .chunks_mut(band_rows * self.width.row_bytes(cols))
-            .zip(scales.chunks_mut(granularity.group_count(band_rows, cols)))
-            .collect();
-        pool::for_each_owned(bands, |i, (data, scales): (&mut [u8], &mut [f32])| {
-            let band = i * band_rows..((i + 1) * band_rows).min(rows);
-            self.pack_band(t, band, granularity, &scale_of, nearest, data, scales);
-        });
-        self.finish(t, granularity, scales, data)
-    }
-
-    /// The one group walk behind every packing path, over the row band
-    /// `band` (whole scale groups) into that band's `data` / `scales`:
-    /// per scale group, scan the group's contiguous row segments for the
-    /// max-abs, derive the scales, then hand each segment to
-    /// `encode_seg(encoder, segment, encode_scale, first_column,
-    /// packed_row)` — scan and encode are fused per group, so a group is
-    /// read from memory once and re-read cache-hot. Segments are visited
-    /// row-major within each group, the same order (and so the same
-    /// stochastic-draw order) as fake quantization. `packed_row` is the
-    /// segment's whole zero-initialized packed row: 4-bit segments of
-    /// adjacent groups can share a byte.
-    #[allow(clippy::too_many_arguments)]
-    fn pack_band(
-        &self,
-        t: &Tensor,
-        band: std::ops::Range<usize>,
-        granularity: Granularity,
-        scale_of: &impl Fn(f32) -> (f32, f32),
         mut encode_seg: impl FnMut(&Encoder, &[f32], f32, usize, &mut [u8]),
-        data: &mut [u8],
-        scales: &mut [f32],
-    ) {
+    ) -> QTensor {
         let enc = Encoder::current();
-        let row_bytes = self.width.row_bytes(t.cols());
-        let mut scales = scales.iter_mut();
-        granularity.for_each_group(band.len(), t.cols(), |rr, cr| {
-            let seg = |r: usize| &t.row(band.start + r)[cr.clone()];
+        let (rows, cols) = t.shape();
+        let row_bytes = self.width.row_bytes(cols);
+        let mut data = vec![0u8; rows * row_bytes];
+        let mut scales = Vec::with_capacity(granularity.group_count(rows, cols));
+        granularity.for_each_group(rows, cols, |rr, cr| {
+            let seg = |r: usize| &t.row(r)[cr.clone()];
             let max_abs = rr.clone().fold(0.0, |m, r| enc.abs_max(seg(r), m));
             let (enc_scale, dec_scale) = scale_of(max_abs);
-            *scales.next().expect("one scale slot per group") = dec_scale;
+            scales.push(dec_scale);
             for r in rr {
                 let row = &mut data[r * row_bytes..(r + 1) * row_bytes];
                 encode_seg(&enc, seg(r), enc_scale, cr.start, row);
             }
         });
-    }
-
-    fn finish(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        scales: Vec<f32>,
-        data: Vec<u8>,
-    ) -> QTensor {
         QTensor::from_parts_with_pair(
-            t.rows(),
-            t.cols(),
+            rows,
+            cols,
             self.width,
             self.lut(),
             self.pair_lut(),
@@ -464,40 +343,17 @@ impl Codebook {
         )
     }
 
-    /// Encodes a value that lies on the format grid, via the direct-map
-    /// table: one shift and one load per element, with a **branchless**
-    /// sign-bit fold (gradient signs are coin flips the predictor cannot
-    /// learn). Signed zeros round-trip bitwise: zero occupies key 0 of the
-    /// table, so `-0.0` folds to code `half` like any negative.
+    /// Encodes a value that lies on the format grid: a binary search over
+    /// the sorted non-negative values, plus the sign half. Signed zeros
+    /// round-trip bitwise (`lut[half]` is −0). The scalar closure path
+    /// ([`Codebook::pack_with`]) encodes through it; the kernels of
+    /// [`Codebook::pack_rounded_with`] compute codes from the grid instead.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `q` is not a representable value; release builds
     /// fall back to the nearest table entry.
-    #[inline]
     pub fn encode(&self, q: f32) -> u8 {
-        let half = (self.width.lut_len() / 2) as u8;
-        let bits = q.to_bits();
-        let sign = ((bits >> 31) as u8) * half;
-        let key = ((bits & 0x7FFF_FFFF) >> self.enc_shift) as usize;
-        if let Some(&idx) = self.enc_table.get(key) {
-            if idx != ENC_EMPTY {
-                debug_assert_eq!(
-                    self.nonneg[idx as usize].to_bits(),
-                    bits & 0x7FFF_FFFF,
-                    "{q} is not on the format grid"
-                );
-                return sign + idx;
-            }
-        }
-        self.encode_binary_search(q)
-    }
-
-    /// The reference encode path: per-element binary search over the sorted
-    /// value table. [`Codebook::encode`] must agree with it code-for-code on
-    /// every grid value (property-tested); it also serves as the fallback
-    /// for off-grid inputs, where it picks the nearest table entry.
-    pub fn encode_binary_search(&self, q: f32) -> u8 {
         let half = (self.width.lut_len() / 2) as u8;
         let sign = if q.is_sign_negative() { half } else { 0 };
         if q == 0.0 {
@@ -675,32 +531,6 @@ mod tests {
                     b.to_bits(),
                     "int{bits}: element {i}: {a} vs {b}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn direct_map_encode_matches_binary_search_on_every_grid_value() {
-        let books: Vec<&Codebook> = [
-            FloatFormat::e2m1(),
-            FloatFormat::e4m3(),
-            FloatFormat::e5m2(),
-            FloatFormat::e3m4(),
-        ]
-        .into_iter()
-        .map(|f| book(f))
-        .chain(
-            [IntFormat::int4(), IntFormat::int8(), IntFormat::new(3)]
-                .into_iter()
-                .map(|f| book(f)),
-        )
-        .collect();
-        for cb in &books {
-            let lut = cb.lut();
-            for code in 0..cb.values() {
-                let v = lut[code];
-                assert_eq!(cb.encode(v), cb.encode_binary_search(v));
-                assert_eq!(cb.encode(-v), cb.encode_binary_search(-v));
             }
         }
     }

@@ -311,30 +311,3 @@ fn exact_rounding_ties_and_grid_values() {
         }
     }
 }
-
-/// Nearest-rounding packs split over the worker pool in bands of whole
-/// scale-group rows. `pool::with_threads` forces the split width whatever
-/// the size, so small ragged tensors cover: bands shorter than a block,
-/// more bands than rows, a last band of a different height, and 4-bit rows
-/// whose groups share bytes. Every split must produce the bytes of the
-/// unsplit pack (and, like it, leave the RNG untouched).
-#[test]
-fn pool_splits_pack_identical_bytes() {
-    use snip_tensor::pool;
-    let mut rng = Rng::seed_from(77);
-    for (rows, cols) in [(1, 9), (7, 29), (37, 21), (64, 33)] {
-        let t = Tensor::randn(rows, cols, 1.0, &mut rng);
-        for g in granularities(5) {
-            for (name, q) in quantizers(g, Rounding::Nearest) {
-                let pack_at =
-                    |n| pool::with_threads(n, || pack_on(simd::backend_kind(), q.as_ref(), &t, 4));
-                let (reference, rng_ref) = pack_at(1);
-                assert_eq!(rng_ref, Rng::seed_from(4), "{name}: nearest draws nothing");
-                for n in [2, pool::size(), pool::size() + 3] {
-                    let (packed, _) = pack_at(n);
-                    assert_eq!(packed, reference, "{name} {g} {rows}x{cols} split {n}");
-                }
-            }
-        }
-    }
-}

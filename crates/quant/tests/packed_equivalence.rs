@@ -1,7 +1,6 @@
 //! Packed ↔ fake-quantization bit-equivalence for the §5.2 alternative
 //! quantizers (MX, RHT, outlier split), mirroring the FP4/FP8/INT suites in
-//! the crate's unit tests, plus the direct-map encode table against its
-//! binary-search reference, plus the fused single-pass stochastic-rounding
+//! the crate's unit tests, plus the fused single-pass stochastic-rounding
 //! pack against its two-step `encode(quantize_stochastic(..))` oracle.
 //!
 //! The contract under test is [`PackedQuantize`]'s: for every quantizer,
@@ -204,40 +203,6 @@ proptest! {
         ] {
             for g in GRANULARITIES {
                 assert_fused_sr_matches_oracle(fmt, g, &t, seed);
-            }
-        }
-    }
-
-    /// The direct-map encode table agrees with the binary-search reference
-    /// on every value the quantization kernels can emit: each grid point of
-    /// each format, both signs.
-    #[test]
-    fn direct_map_encode_matches_binary_search(seed in 0u64..10_000) {
-        let mut rng = Rng::seed_from(seed);
-        let float_books = [
-            FloatFormat::e2m1(),
-            FloatFormat::e4m3(),
-            FloatFormat::e5m2(),
-            FloatFormat::e3m4(),
-        ]
-        .into_iter()
-        .map(|f| ElementFormat::from(f).codebook().unwrap());
-        let int_books = [IntFormat::int4(), IntFormat::int8(), IntFormat::new(5)]
-            .into_iter()
-            .map(|f| ElementFormat::from(f).codebook().unwrap());
-        for cb in float_books.chain(int_books) {
-            let lut = cb.lut();
-            // Every grid value, both signs.
-            for code in 0..cb.values() {
-                let v = lut[code];
-                prop_assert_eq!(cb.encode(v), cb.encode_binary_search(v), "{}", v);
-                prop_assert_eq!(cb.encode(-v), cb.encode_binary_search(-v), "-{}", v);
-            }
-            // And a handful of random grid points drawn by code.
-            for _ in 0..32 {
-                let code = (rng.next_u64() % cb.values() as u64) as usize;
-                let v = lut[code];
-                prop_assert_eq!(cb.encode(v), cb.encode_binary_search(v), "{}", v);
             }
         }
     }

@@ -47,7 +47,6 @@
 //! operation sequence for element `(i, j0 + j)`, so SIMD-vs-scalar equality
 //! is 0 ULP lane-by-lane (property-tested in `tests/simd_scalar.rs`).
 
-use crate::matmul::{for_each_row_chunk, thread_count};
 use crate::packed::{prep, QOperandRef};
 use crate::pool::{self, AlignedVec};
 use crate::Tensor;
@@ -64,6 +63,19 @@ mod simd_ops;
 mod simd_x86;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd_x86_512;
+
+/// GEMMs of fewer multiply–accumulates than this run on the calling thread;
+/// larger ones split their output rows over the pool. This engine is the
+/// only code that decides when a kernel fans out. Dispatch on the persistent
+/// pool costs a queue push plus a condvar wake (single-digit microseconds),
+/// so a split pays once the serial kernel takes a few hundred microseconds.
+/// The benchmark fixture (`benchmark/`, 256 tokens per step) sits far from
+/// the line on both sides:
+/// - per-head attention GEMMs are 64×64×64 = 262 144 MACs and run serially;
+/// - every linear-layer GEMM splits: 256×768×768 ≈ 151 M MACs (attention
+///   projections), 256×2048×768 ≈ 403 M (FFN) and 256×768×512 ≈ 101 M
+///   (LM head).
+const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Output rows per block (bounds A-side scratch to `MC × k` floats).
 const MC: usize = 64;
@@ -308,6 +320,36 @@ fn sweep_rows(
     });
 }
 
+/// Splits `rows` into `parts` contiguous chunks and runs `f(start, end,
+/// chunk)` for each chunk — on the persistent worker pool when `parts > 1`.
+/// Each chunk owns the disjoint output slice for its rows, so which worker
+/// runs it cannot affect the result.
+///
+/// # Panics
+///
+/// Panics if `out.len() != rows * cols`.
+fn for_each_row_chunk(
+    rows: usize,
+    parts: usize,
+    out: &mut [f32],
+    cols: usize,
+    f: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    assert_eq!(out.len(), rows * cols, "output buffer shape mismatch");
+    // One band — or a zero-width output, which has no bands to cut
+    // (`chunks_mut(0)` panics).
+    if parts <= 1 || rows <= 1 || cols == 0 {
+        f(0, rows, out);
+        return;
+    }
+    let chunk_rows = rows.div_ceil(parts);
+    let bands: Vec<&mut [f32]> = out.chunks_mut(chunk_rows * cols).collect();
+    pool::for_each_owned(bands, |ci, chunk| {
+        let start = ci * chunk_rows;
+        f(start, start + chunk.len() / cols, chunk);
+    });
+}
+
 /// The blocked driver shared by all three orientations: pre-materialize
 /// the B-side tile cache (tiles are j-aligned, so one build serves every
 /// row chunk — B-side decode/transpose work is a single pass over B
@@ -361,7 +403,7 @@ fn gemm_blocked_inner(
     if m == 0 {
         return c;
     }
-    let parts = thread_count(m * n * k);
+    let parts = pool::parts_for(m * n * k, PARALLEL_THRESHOLD);
     // The shared cache only pays when some sweep will re-read a tile: more
     // than one i-block per chunk, or several chunks sharing B. A skinny
     // single-sweep product (e.g. a matvec) streams B straight through

@@ -17,56 +17,7 @@
 //! every pool size and `SNIP_THREADS` setting.
 
 use crate::engine::Round;
-use crate::pool;
 use crate::Tensor;
-
-/// Problems smaller than this many multiply–accumulates run single-threaded.
-/// Dispatch on the persistent pool costs a queue push plus a condvar wake
-/// (single-digit microseconds — the old per-call `std::thread::scope` spawn
-/// paid tens of microseconds per GEMM), so parallelism pays once the serial
-/// kernel takes a few hundred microseconds: around 2^20 MACs on commodity
-/// cores.
-const PARALLEL_THRESHOLD: usize = 1 << 20;
-
-/// Per-element work below which a decode-bound rowwise operation (e.g.
-/// [`crate::QTensor::dequantize`]) stays single-threaded. Decoding is a few
-/// ops per element, so the break-even point is far more elements than for a
-/// GEMM's `m·n·k` MAC count.
-pub(crate) const DECODE_PARALLEL_THRESHOLD: usize = 1 << 20;
-
-pub(crate) fn thread_count(work: usize) -> usize {
-    pool::parts_for(work, PARALLEL_THRESHOLD)
-}
-
-/// Splits `rows` into `parts` contiguous chunks and runs `f(start, end,
-/// chunk)` for each chunk — on the persistent worker pool when `parts > 1`.
-/// Each chunk owns the disjoint output slice for its rows, so which worker
-/// runs it cannot affect the result.
-///
-/// # Panics
-///
-/// Panics if `out.len() != rows * cols`.
-pub(crate) fn for_each_row_chunk(
-    rows: usize,
-    parts: usize,
-    out: &mut [f32],
-    cols: usize,
-    f: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    assert_eq!(out.len(), rows * cols, "output buffer shape mismatch");
-    // One band — or a zero-width output, which has no bands to cut
-    // (`chunks_mut(0)` panics).
-    if parts <= 1 || rows <= 1 || cols == 0 {
-        f(0, rows, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(parts);
-    let bands: Vec<&mut [f32]> = out.chunks_mut(chunk_rows * cols).collect();
-    pool::for_each_owned(bands, |ci, chunk| {
-        let start = ci * chunk_rows;
-        f(start, start + chunk.len() / cols, chunk);
-    });
-}
 
 /// `C = A · B` where `A` is `M×K` and `B` is `K×N`.
 ///

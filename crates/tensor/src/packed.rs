@@ -40,8 +40,6 @@
 
 use crate::engine::Round;
 use crate::granularity::GroupLayout;
-use crate::matmul::{for_each_row_chunk, DECODE_PARALLEL_THRESHOLD};
-use crate::pool::parts_for;
 use crate::Tensor;
 use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use std::sync::Arc;
@@ -468,24 +466,12 @@ impl QTensor {
 
     /// Decodes the whole tensor into a dense `f32` tensor. Bit-for-bit
     /// identical to what the packing quantizer's fake-quantization path
-    /// would have produced. Multi-megabyte tensors decode their row ranges
-    /// in parallel on the worker pool (rows are independent, so the result
-    /// is identical at every pool size).
+    /// would have produced.
     pub fn dequantize(&self) -> Tensor {
         let mut t = Tensor::zeros(self.rows, self.cols);
-        let parts = parts_for(self.len(), DECODE_PARALLEL_THRESHOLD);
-        let cols = self.cols;
-        for_each_row_chunk(
-            self.rows,
-            parts,
-            t.as_mut_slice(),
-            cols,
-            |start, end, chunk| {
-                for r in start..end {
-                    self.decode_row_into(r, &mut chunk[(r - start) * cols..(r - start + 1) * cols]);
-                }
-            },
-        );
+        for r in 0..self.rows {
+            self.decode_row_into(r, t.row_mut(r));
+        }
         t
     }
 

@@ -300,7 +300,7 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// Number of tasks a region of `work` units should split into: 1 below
 /// `threshold`, the cached pool size above it, and the forced split width
 /// inside [`with_threads`] regardless of size.
-pub fn parts_for(work: usize, threshold: usize) -> usize {
+pub(crate) fn parts_for(work: usize, threshold: usize) -> usize {
     if let Some(n) = forced_threads() {
         return n;
     }

@@ -113,10 +113,6 @@ fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
         assert_bits_eq(&got.3, &reference.3, &format!("qgemm, {what}"));
         assert_bits_eq(&got.4, &reference.4, &format!("qgemm_nt, {what}"));
         assert_bits_eq(&got.5, &reference.5, &format!("qgemm_tn, {what}"));
-
-        // Parallel dequantize must also be split-invariant.
-        let dq = pool::with_threads(split, || qa.dequantize());
-        assert_bits_eq(&dq, &da, &format!("dequantize, {what}"));
     }
 }
 

@@ -17,9 +17,7 @@
 //! diff. Anything else that moves them is a bug.
 
 use serde::{Content, Serialize};
-use snip::core::{
-    measure, PolicyConfig, Scheme, SnipConfig, SnipEngine, SnipMeasurement, Trainer, TrainerConfig,
-};
+use snip::core::{measure, PolicyConfig, Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip::pipeline::{data_parallel_train, QuantizePolicy, Wire};
 use snip::quant::{crc32, Precision};
 use snip::tensor::rng::Rng;
@@ -278,7 +276,7 @@ fn measurement_and_solved_scheme() {
     let _ = t.train(2);
     let batch = t.peek_batch();
     let optimizer = t.optimizer.clone();
-    let m: SnipMeasurement = measure(
+    let m = measure(
         &mut t.model,
         &optimizer,
         &batch,
