@@ -19,6 +19,12 @@
 //! model quantizing layer `i` as injecting noise at layer `i` whose effect
 //! follows these profiles — the same one-site approximation the paper makes
 //! ("we approximate the expectation by a single sample per batch").
+//!
+//! Every norm here is a global Frobenius norm. The paper's §6.3 row-wise
+//! refinement of the direct term ranked the layers no better on Fig. 13's
+//! protocol and fell below the realised gradient error, so it is not
+//! implemented; `tests/estimator_validation.rs` holds both halves of the
+//! estimate to frozen rank-correlation floors against the realised errors.
 
 use crate::options::{FlopModel, OptionSet};
 use crate::probe::SnipMeasurement;

@@ -48,7 +48,6 @@ pub mod engine;
 pub mod options;
 pub mod policy;
 pub mod probe;
-pub mod rowwise;
 pub mod scheme;
 pub mod stats;
 pub mod trainer;
@@ -59,7 +58,6 @@ pub use engine::{SnipConfig, SnipEngine};
 pub use options::{FlopModel, OptionSet};
 pub use policy::{decide_scheme, scheme_from_tables, PipelineBalance, PolicyConfig};
 pub use probe::{measure, SnipMeasurement};
-pub use rowwise::{overhead_ratio, RowNorms, RowwiseLayerStats};
 pub use scheme::Scheme;
 pub use stats::StepStats;
 pub use trainer::{Trainer, TrainerConfig};

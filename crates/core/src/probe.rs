@@ -13,8 +13,8 @@
 //! |---|---|---|
 //! | forward | blocks-forward, **once** | block caches, final hidden state |
 //! | base (Step 1) | head forward, head backward, blocks-backward | loss, `dY`/`dW` per layer, the top gradient |
-//! | `BackwardTop` (Step 2) | noise on the saved top gradient, blocks-backward | `‖dW − dW_base‖/ε` |
-//! | `ForwardTop` (Step 3) | noise on the saved hidden state, head forward + backward, blocks-backward | `‖dW − dW_base‖/ε`, loss delta |
+//! | backward probe (Step 2) | noise on the saved top gradient, blocks-backward | `‖dW − dW_base‖/ε` |
+//! | forward probe (Step 3) | noise on the saved hidden state, head forward + backward, blocks-backward | `‖dW − dW_base‖/ε`, loss delta |
 //!
 //! Sharing the blocks-forward is legal because the three passes of the
 //! unshared formulation recompute it bit-identically:
@@ -23,8 +23,8 @@
 //!   round-to-nearest, so no pass draws from the caller's `Rng` — `measure`
 //!   asserts the state is unchanged on exit, and `tests/probe_equivalence`
 //!   checks it in release builds too;
-//! * both injection sites sit *above* the last block (`ForwardTop` perturbs
-//!   its output, `BackwardTop` the gradient entering it);
+//! * both injection sites sit *above* the last block (the forward probe
+//!   perturbs its output, the backward probe the gradient entering it);
 //! * weights are frozen for the whole of `measure` (no optimizer call).
 //!
 //! # What is retained
@@ -46,7 +46,7 @@
 
 use crate::stats::{reduce, LayerView, Reduction, StepStats};
 use serde::{Deserialize, Serialize};
-use snip_nn::inject::{Injection, InjectionSite};
+use snip_nn::inject::Injection;
 use snip_nn::model::Model;
 use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, Linear, LinearCache};
@@ -165,7 +165,6 @@ pub fn measure(
         let _span = snip_obs::span("snip.measure.probe_bwd");
         model.zero_grads();
         Injection {
-            site: InjectionSite::BackwardTop,
             epsilon,
             seed: 0x5712_0002,
         }
@@ -180,7 +179,6 @@ pub fn measure(
         let _span = snip_obs::span("snip.measure.probe_fwd");
         model.zero_grads();
         Injection {
-            site: InjectionSite::ForwardTop,
             epsilon,
             seed: 0x5712_0003,
         }

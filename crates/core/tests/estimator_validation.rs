@@ -24,7 +24,6 @@ use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, Linear, LinearCache, Model};
 use snip_quant::{LinearPrecision, Precision, Rounding, TensorRole};
 use snip_tensor::matmul::matmul_tn;
-use snip_tensor::ops::{frobenius_distance, frobenius_norm};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// BF16 training steps before the estimates are taken.
@@ -32,9 +31,12 @@ const WARMUP_STEPS: u64 = 60;
 /// Batches the estimates and the realised errors are summed over.
 const BATCHES: usize = 4;
 
-/// Frozen floors, set below the values measured when the test was written.
+/// Frozen floors, below the values measured when the test was written
+/// (forward 0.771, direct 1.000; the direct median ratio was 1.339). The
+/// direct floor sits above 0.974, what the estimate scores when it pairs
+/// the gradient errors with `‖W‖`, `‖δW‖` instead of `‖X‖`, `‖δX‖`.
 const FORWARD_SPEARMAN_FLOOR: f64 = 0.70;
-const DIRECT_SPEARMAN_FLOOR: f64 = 0.95;
+const DIRECT_SPEARMAN_FLOOR: f64 = 0.98;
 
 /// What one tapped BF16 pass keeps of a layer; `X` stays in the forward
 /// caches and `W` in the model.
@@ -80,20 +82,6 @@ fn realised_direct_error(x: &Tensor, dy: &Tensor, nb: usize) -> f64 {
     matmul_tn(&qdy, &qx).distance(&matmul_tn(dy, x))
 }
 
-/// The row-wise form of the direct estimate (paper §6.3):
-/// `(Σ_r ‖δdY_r‖·‖X_r‖ + Σ_r ‖dY_r‖·‖δX_r‖)/√M`.
-fn rowwise_direct_estimate(x: &Tensor, dy: &Tensor, nb: usize) -> f64 {
-    let qx = fp4_nearest(x, TensorRole::Input, nb);
-    let qdy = fp4_nearest(dy, TensorRole::OutputGrad, nb);
-    let paired: f64 = (0..x.rows())
-        .map(|r| {
-            frobenius_distance(qdy.row(r), dy.row(r)) * frobenius_norm(x.row(r))
-                + frobenius_norm(dy.row(r)) * frobenius_distance(qx.row(r), x.row(r))
-        })
-        .sum();
-    paired / (x.rows() as f64).sqrt()
-}
-
 fn spearman(a: &[f64], b: &[f64]) -> f64 {
     let rank = |v: &[f64]| -> Vec<f64> {
         let mut idx: Vec<usize> = (0..v.len()).collect();
@@ -118,7 +106,7 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     let mid = v.len() / 2;
-    if v.len() % 2 == 0 {
+    if v.len().is_multiple_of(2) {
         (v[mid - 1] + v[mid]) / 2.0
     } else {
         v[mid]
@@ -126,12 +114,10 @@ fn median(mut v: Vec<f64>) -> f64 {
 }
 
 /// Per-layer estimates and realised values, each summed over the batches.
-#[derive(Default)]
 struct Validation {
     forward_estimate: Vec<f64>,
     forward_realised: Vec<f64>,
     direct_estimate: Vec<f64>,
-    direct_rowwise: Vec<f64>,
     direct_realised: Vec<f64>,
 }
 
@@ -169,7 +155,6 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
     for (i, (view, layer)) in views.iter().zip(&stats.layers).enumerate() {
         v.forward_estimate[i] += loss_divergence(layer, stats.loss, fp4());
         v.direct_estimate[i] += injected_noise(layer, fp4()).direct;
-        v.direct_rowwise[i] += rowwise_direct_estimate(view.x, view.dy, cfg.quant_group);
         v.direct_realised[i] += realised_direct_error(view.x, view.dy, cfg.quant_group);
     }
     drop(views);
@@ -201,7 +186,6 @@ fn validate() -> Validation {
         forward_estimate: vec![0.0; n],
         forward_realised: vec![0.0; n],
         direct_estimate: vec![0.0; n],
-        direct_rowwise: vec![0.0; n],
         direct_realised: vec![0.0; n],
     };
     let mut rng = Rng::seed_from(0xF13);
@@ -215,22 +199,17 @@ fn validate() -> Validation {
 #[test]
 fn sensitivity_estimates_rank_the_realised_errors() {
     let v = validate();
-    let ratios = |est: &[f64]| -> Vec<f64> {
-        est.iter()
-            .zip(&v.direct_realised)
-            .map(|(e, r)| e / r)
-            .collect()
-    };
     let forward = spearman(&v.forward_estimate, &v.forward_realised);
     let direct = spearman(&v.direct_estimate, &v.direct_realised);
-    let direct_ratio = median(ratios(&v.direct_estimate));
-    let rowwise = spearman(&v.direct_rowwise, &v.direct_realised);
-    let rowwise_ratio = median(ratios(&v.direct_rowwise));
-    println!("forward: loss_divergence vs FP4 loss delta, spearman {forward:.3}");
-    println!("direct, global:   spearman {direct:.3}, median estimate/realised {direct_ratio:.3}");
-    println!(
-        "direct, row-wise: spearman {rowwise:.3}, median estimate/realised {rowwise_ratio:.3}"
+    let direct_ratio = median(
+        v.direct_estimate
+            .iter()
+            .zip(&v.direct_realised)
+            .map(|(e, r)| e / r)
+            .collect(),
     );
+    println!("forward: loss_divergence vs FP4 loss delta, spearman {forward:.3}");
+    println!("direct: spearman {direct:.3}, median estimate/realised {direct_ratio:.3}");
     assert!(
         forward >= FORWARD_SPEARMAN_FLOOR,
         "forward spearman {forward} below {FORWARD_SPEARMAN_FLOOR}"

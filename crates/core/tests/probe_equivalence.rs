@@ -1,26 +1,68 @@
 //! `probe::measure` against its oracle.
 //!
-//! [`measure_reference`] is the formulation `measure` replaced, kept here
-//! verbatim and built only from public API: three full `Model::step`s in
-//! record/probe mode, `StepStats::from_record`, `Tensor::distance` and
-//! `AdamW::update_sensitivity`. The staged probe (one shared blocks-forward,
-//! no tensor snapshots, statistics spread over the worker pool) must return
-//! a `SnipMeasurement` that is `==` to it — every `f64` bit — on every
+//! [`measure_reference`] is the formulation `measure` replaced, built only
+//! from public API: three full recorded passes — a `Model::step` in record
+//! mode and two noise-injected passes composed from the four public stages
+//! with a `StepRecord` tap — then `StepStats::from_record`,
+//! `Tensor::distance` and `AdamW::update_sensitivity`. The staged probe
+//! (one shared blocks-forward, no tensor snapshots, statistics spread over
+//! the worker pool) must return a `SnipMeasurement` that is `==` to it —
+//! every `f64` bit — on every
 //! configuration, at every pool split and on the scalar kernel tier, and
 //! must leave the model, the optimizer and the caller's `Rng` as it found
 //! them.
 
 use snip_core::stats::StepStats;
 use snip_core::{measure, Scheme, SnipMeasurement, Trainer, TrainerConfig};
-use snip_nn::inject::{Injection, InjectionSite};
+use snip_nn::inject::Injection;
 use snip_nn::model::{Model, StepOptions};
+use snip_nn::record::{LayerTap, StepRecord};
 use snip_nn::{Batch, LayerId, ModelConfig};
 use snip_optim::{AdamW, MomentPrecision};
 use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::rng::Rng;
-use snip_tensor::{pool, simd};
+use snip_tensor::{pool, simd, Tensor};
 
 const EPSILON: f64 = 1e-2;
+
+/// Where a probe pass adds its noise.
+#[derive(Clone, Copy, PartialEq)]
+enum Site {
+    /// On the last block's output, before the head (Step 3).
+    ForwardTop,
+    /// On the gradient entering the last block (Step 2).
+    BackwardTop,
+}
+
+/// One full forward + backward pass through the four stages of
+/// `Model::step`, recorded, with `noise` added at its site.
+fn probe_step(
+    model: &mut Model,
+    batch: &Batch,
+    rng: &mut Rng,
+    site: Site,
+    noise: Injection,
+) -> StepRecord {
+    let mut record = StepRecord::with_layers(model.config().n_linear_layers());
+    let inject = |at: Site, t: &mut Tensor| {
+        if at == site {
+            noise.apply(t);
+        }
+    };
+    let loss = {
+        let mut tap: Option<&mut dyn LayerTap> = Some(&mut record);
+        let (caches, mut hidden) = model.forward_blocks(batch, rng, &mut tap);
+        inject(Site::ForwardTop, &mut hidden);
+        let head = model.forward_head(&hidden, batch, rng);
+        let mut top = model.backward_head(&head, rng);
+        inject(Site::BackwardTop, &mut top);
+        model.backward_blocks(batch, &top, &caches, rng, &mut tap);
+        head.loss()
+    };
+    record.loss = loss;
+    record.ntokens = batch.num_tokens();
+    record
+}
 
 /// The body of `probe::measure` before it shared the forward.
 fn measure_reference(
@@ -45,31 +87,29 @@ fn measure_reference(
 
     // Step 2: backward-top noise.
     model.zero_grads();
-    let bwd = model
-        .step(
-            batch,
-            rng,
-            &StepOptions::probe(Injection {
-                site: InjectionSite::BackwardTop,
-                epsilon,
-                seed: 0x5712_0002,
-            }),
-        )
-        .record
-        .expect("recording requested");
+    let bwd = probe_step(
+        model,
+        batch,
+        rng,
+        Site::BackwardTop,
+        Injection {
+            epsilon,
+            seed: 0x5712_0002,
+        },
+    );
 
     // Step 3: forward-top noise.
     model.zero_grads();
-    let fwd_out = model.step(
+    let fwd = probe_step(
+        model,
         batch,
         rng,
-        &StepOptions::probe(Injection {
-            site: InjectionSite::ForwardTop,
+        Site::ForwardTop,
+        Injection {
             epsilon,
             seed: 0x5712_0003,
-        }),
+        },
     );
-    let fwd = fwd_out.record.expect("recording requested");
 
     // Gradient responses per layer (Theorem 4.2 single-sample estimate).
     let p_bwd: Vec<f64> = (0..n)

@@ -24,14 +24,13 @@
 //! (`f_k = C_k`), nor run negative FP4 — so when the budget is extreme the
 //! result is the *closest achievable* time balance, not a forced equality.
 //!
-//! [`solve_time_balanced`] feeds these targets straight into
-//! [`solve_grouped`]; the
-//! `ablation_pipeline_balance` experiment measures the resulting bubble
-//! reduction against the relative-balance interpretation.
+//! The targets feed straight into [`solve_grouped`](crate::solve_grouped)
+//! (`snip_core::policy::scheme_from_tables` composes the two under
+//! `PipelineBalance::TimeBalanced`); the `ablation_pipeline_balance`
+//! experiment measures the resulting bubble reduction against the
+//! relative-balance interpretation.
 
-use crate::grouped::solve_grouped;
-use crate::problem::McKnapsack;
-use crate::solve::{Solution, SolveError, SolveOptions};
+use crate::solve::SolveError;
 
 /// Per-stage FP4 FLOP targets (same units as `stage_flops`) that equalize
 /// stage times under the FP8/FP4 throughput model, subject to the global
@@ -141,65 +140,12 @@ pub fn imbalance_fraction(times: &[f64]) -> f64 {
     lost / (max * times.len() as f64)
 }
 
-/// Solves the grouped ILP with time-equalizing stage targets: computes each
-/// stage's FLOPs from its groups' maximum efficiency option (the all-FP4
-/// capacity), water-fills the targets, and delegates to
-/// [`solve_grouped`].
-///
-/// `stage_of[i]` assigns decision group `i` to a stage, as in
-/// `solve_grouped`; `n_stages` is the stage count; `global_target` is the
-/// paper's `E_t`.
-///
-/// # Errors
-///
-/// Propagates validation and infeasibility errors from the water-fill and
-/// the per-stage solves.
-pub fn solve_time_balanced(
-    problem: &McKnapsack,
-    stage_of: &[usize],
-    n_stages: usize,
-    global_target: f64,
-    opts: &SolveOptions,
-) -> Result<Solution, SolveError> {
-    problem.validate().map_err(SolveError::Invalid)?;
-    if stage_of.len() != problem.groups.len() {
-        return Err(SolveError::Invalid(format!(
-            "stage_of has {} entries for {} groups",
-            stage_of.len(),
-            problem.groups.len()
-        )));
-    }
-    if n_stages == 0 {
-        return Err(SolveError::Invalid("no pipeline stages".into()));
-    }
-    if let Some(&bad) = stage_of.iter().find(|&&s| s >= n_stages) {
-        return Err(SolveError::Invalid(format!(
-            "stage index {bad} out of range ({n_stages} stages)"
-        )));
-    }
-    // A group's FLOP capacity is its best achievable efficiency (all-FP4
-    // option); stage capacity is the sum over member groups.
-    let mut stage_flops = vec![0.0f64; n_stages];
-    for (i, group) in problem.groups.iter().enumerate() {
-        let cap = group
-            .iter()
-            .map(|c| c.efficiency)
-            .fold(f64::NEG_INFINITY, f64::max);
-        stage_flops[stage_of[i]] += cap.max(0.0);
-    }
-    if let Some(k) = stage_flops.iter().position(|&c| c <= 0.0) {
-        return Err(SolveError::Invalid(format!(
-            "stage {k} has no FP4 capacity (empty or zero-efficiency groups)"
-        )));
-    }
-    let targets = time_balanced_targets(&stage_flops, global_target)?;
-    solve_grouped(problem, stage_of, &targets, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Choice;
+    use crate::grouped::solve_grouped;
+    use crate::problem::{Choice, McKnapsack};
+    use crate::solve::{Solution, SolveOptions};
 
     #[test]
     fn targets_sum_to_budget() {
@@ -315,6 +261,20 @@ mod tests {
         (McKnapsack::new(groups, 0.0), vec![0, 1])
     }
 
+    /// The stage FLOPs of [`lopsided_problem`].
+    const LOPSIDED_FLOPS: [f64; 2] = [2.0, 1.0];
+
+    /// Water-fill the targets, then solve one knapsack per stage.
+    fn water_fill_then_solve(
+        p: &McKnapsack,
+        stage_of: &[usize],
+        stage_flops: &[f64],
+        e_t: f64,
+    ) -> Result<Solution, SolveError> {
+        let targets = time_balanced_targets(stage_flops, e_t)?;
+        solve_grouped(p, stage_of, &targets, &SolveOptions::default())
+    }
+
     #[test]
     fn time_balanced_solve_beats_relative_balance_on_bubble() {
         let (p, stages) = lopsided_problem();
@@ -326,7 +286,7 @@ mod tests {
         // Time-balance: water-fill clips the short stage to f = [1.5, 0];
         // only stage 0 must upgrade (to its all-FP4 option, e = 2) and the
         // short stage stays FP8 → times [0.5, 0.5], perfectly flat.
-        let bal = solve_time_balanced(&p, &stages, 2, e_t, &SolveOptions::default()).unwrap();
+        let bal = water_fill_then_solve(&p, &stages, &LOPSIDED_FLOPS, e_t).unwrap();
         // Each group is its own stage here, so per-stage FP4 = the picked
         // option's efficiency.
         let times_of = |sol: &Solution| {
@@ -336,7 +296,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &j)| p.groups[i][j].efficiency)
                 .collect();
-            stage_times(&[2.0, 1.0], &fp4)
+            stage_times(&LOPSIDED_FLOPS, &fp4)
         };
         let rel_imb = imbalance_fraction(&times_of(&rel));
         let bal_imb = imbalance_fraction(&times_of(&bal));
@@ -351,24 +311,28 @@ mod tests {
     #[test]
     fn solve_validation_errors() {
         let (p, _) = lopsided_problem();
-        assert!(matches!(
-            solve_time_balanced(&p, &[0], 1, 0.5, &SolveOptions::default()),
-            Err(SolveError::Invalid(_))
-        ));
-        assert!(matches!(
-            solve_time_balanced(&p, &[0, 3], 2, 0.5, &SolveOptions::default()),
-            Err(SolveError::Invalid(_))
-        ));
-        assert!(matches!(
-            solve_time_balanced(&p, &[0, 1], 0, 0.5, &SolveOptions::default()),
-            Err(SolveError::Invalid(_))
-        ));
+        // A stage map that misses a group, one that names a stage the
+        // targets do not have, and no stages at all.
+        let cases: [(&[usize], &[f64]); 3] = [
+            (&[0], &LOPSIDED_FLOPS),
+            (&[0, 3], &LOPSIDED_FLOPS),
+            (&[0, 1], &[]),
+        ];
+        for (stage_of, flops) in cases {
+            assert!(
+                matches!(
+                    water_fill_then_solve(&p, stage_of, flops, 0.5),
+                    Err(SolveError::Invalid(_))
+                ),
+                "{stage_of:?} over {flops:?}"
+            );
+        }
     }
 
     #[test]
     fn budget_respected_through_grouped_solve() {
         let (p, stages) = lopsided_problem();
-        let sol = solve_time_balanced(&p, &stages, 2, 0.5, &SolveOptions::default()).unwrap();
+        let sol = water_fill_then_solve(&p, &stages, &LOPSIDED_FLOPS, 0.5).unwrap();
         // Water-fill budget = E_t · total capacity = 0.5 · 3 = 1.5.
         assert!(sol.efficiency + 1e-9 >= 1.5);
     }

@@ -34,7 +34,7 @@ pub mod grouped;
 pub mod problem;
 pub mod solve;
 
-pub use balanced::{imbalance_fraction, solve_time_balanced, stage_times, time_balanced_targets};
+pub use balanced::{imbalance_fraction, stage_times, time_balanced_targets};
 pub use grouped::{contiguous_stages, solve_grouped};
 pub use problem::{Choice, McKnapsack};
 pub use solve::{solve, solve_bruteforce, Solution, SolveError, SolveOptions};

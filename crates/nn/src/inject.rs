@@ -10,22 +10,11 @@
 use serde::{Deserialize, Serialize};
 use snip_tensor::{rng::Rng, Tensor};
 
-/// Where the probe noise enters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum InjectionSite {
-    /// Added to the last transformer block's output activations during the
-    /// forward pass (Step 3).
-    ForwardTop,
-    /// Added to the gradient flowing into the last transformer block during
-    /// the backward pass (Step 2).
-    BackwardTop,
-}
-
-/// A noise-injection request for one probe pass.
+/// A noise-injection request for one probe pass. Where the noise enters is
+/// the caller's choice of tensor: SNIP's probe applies it between the
+/// stages of [`crate::model::Model::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Injection {
-    /// Injection point.
-    pub site: InjectionSite,
     /// Target Frobenius norm of the injected noise (the `ε` of Theorem 4.2).
     pub epsilon: f64,
     /// Seed for the noise tensor, so probes are reproducible.
@@ -56,7 +45,6 @@ mod tests {
     #[test]
     fn sampled_noise_has_target_norm() {
         let inj = Injection {
-            site: InjectionSite::ForwardTop,
             epsilon: 0.5,
             seed: 7,
         };
@@ -68,7 +56,6 @@ mod tests {
     #[test]
     fn same_seed_same_noise() {
         let inj = Injection {
-            site: InjectionSite::BackwardTop,
             epsilon: 1.0,
             seed: 3,
         };

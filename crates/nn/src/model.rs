@@ -10,7 +10,6 @@ use crate::batch::Batch;
 use crate::block::{Block, BlockCache};
 use crate::config::ModelConfig;
 use crate::embedding::Embedding;
-use crate::inject::{Injection, InjectionSite};
 use crate::layers::LayerId;
 use crate::linear::{Linear, LinearCache};
 use crate::loss::cross_entropy;
@@ -28,12 +27,10 @@ pub struct StepOptions {
     pub backward: bool,
     /// Record per-layer tensors and norms (SNIP Step 1).
     pub record: bool,
-    /// Optional noise-injection probe (SNIP Steps 2–3).
-    pub injection: Option<Injection>,
 }
 
 impl StepOptions {
-    /// A plain training step: backward, no recording, no injection.
+    /// A plain training step: backward, no recording.
     pub fn train() -> Self {
         StepOptions {
             backward: true,
@@ -46,16 +43,6 @@ impl StepOptions {
         StepOptions {
             backward: true,
             record: true,
-            ..Default::default()
-        }
-    }
-
-    /// A probe step: backward + recording + injection.
-    pub fn probe(injection: Injection) -> Self {
-        StepOptions {
-            backward: true,
-            record: true,
-            injection: Some(injection),
         }
     }
 }
@@ -341,9 +328,7 @@ impl Model {
     /// Runs one step: the plain composition of the four stages —
     /// [`Model::forward_blocks`], [`Model::forward_head`] and, with
     /// `opts.backward`, [`Model::backward_head`] and
-    /// [`Model::backward_blocks`]. A probe's noise enters between stages:
-    /// `ForwardTop` on the hidden state before the head, `BackwardTop` on
-    /// the gradient leaving it. With `opts.record` a [`StepRecord`] taps
+    /// [`Model::backward_blocks`]. With `opts.record` a [`StepRecord`] taps
     /// every linear layer.
     ///
     /// Gradients are *accumulated*; call [`Model::zero_grads`] between steps.
@@ -371,21 +356,12 @@ impl Model {
         } else {
             (0, 0, 0)
         };
-        let inject = |site: InjectionSite, t: &mut Tensor| {
-            if let Some(inj) = opts.injection.filter(|inj| inj.site == site) {
-                inj.apply(t);
-            }
-        };
         let (loss, linear_cache_bytes) = {
             let mut tap = record.as_mut().map(|r| r as &mut dyn LayerTap);
-            let (caches, mut hidden) = self.forward_blocks(batch, rng, &mut tap);
-            // Step 3 probe: perturb the last block's output activations.
-            inject(InjectionSite::ForwardTop, &mut hidden);
+            let (caches, hidden) = self.forward_blocks(batch, rng, &mut tap);
             let head = self.forward_head(&hidden, batch, rng);
             if opts.backward {
-                let mut top = self.backward_head(&head, rng);
-                // Step 2 probe: perturb the gradient entering the last block.
-                inject(InjectionSite::BackwardTop, &mut top);
+                let top = self.backward_head(&head, rng);
                 self.backward_blocks(batch, &top, &caches, rng, &mut tap);
             }
             let linear_cache_bytes = caches
@@ -422,15 +398,7 @@ impl Model {
 
     /// Forward-only loss on a batch (no gradient, no recording).
     pub fn forward_loss(&mut self, batch: &Batch, rng: &mut Rng) -> f64 {
-        self.step(
-            batch,
-            rng,
-            &StepOptions {
-                backward: false,
-                ..Default::default()
-            },
-        )
-        .loss
+        self.step(batch, rng, &StepOptions::default()).loss
     }
 
     /// Logits for a flattened token window — used by the evaluation harness.
@@ -583,69 +551,6 @@ mod tests {
         for (i, lr) in rec.linears.iter().enumerate() {
             assert!(lr.dw_norm() > 0.0, "layer {i} has no dw");
         }
-    }
-
-    #[test]
-    fn forward_injection_changes_loss_backward_injection_does_not() {
-        use crate::inject::{Injection, InjectionSite};
-        let (mut model, batch, mut rng) = tiny_setup();
-        let base = model.forward_loss(&batch, &mut rng);
-
-        let fwd = model.step(
-            &batch,
-            &mut rng,
-            &StepOptions::probe(Injection {
-                site: InjectionSite::ForwardTop,
-                epsilon: 1.0,
-                seed: 9,
-            }),
-        );
-        assert!(
-            (fwd.loss - base).abs() > 1e-6,
-            "forward noise must move loss"
-        );
-
-        let bwd = model.step(
-            &batch,
-            &mut rng,
-            &StepOptions::probe(Injection {
-                site: InjectionSite::BackwardTop,
-                epsilon: 1.0,
-                seed: 9,
-            }),
-        );
-        assert!(
-            (bwd.loss - base).abs() < 1e-9,
-            "backward noise must not change the forward loss"
-        );
-    }
-
-    #[test]
-    fn injection_perturbs_gradients() {
-        use crate::inject::{Injection, InjectionSite};
-        let (mut model, batch, mut rng) = tiny_setup();
-        model.zero_grads();
-        let base = model
-            .step(&batch, &mut rng, &StepOptions::record())
-            .record
-            .unwrap();
-        model.zero_grads();
-        let noisy = model
-            .step(
-                &batch,
-                &mut rng,
-                &StepOptions::probe(Injection {
-                    site: InjectionSite::BackwardTop,
-                    epsilon: 0.5,
-                    seed: 11,
-                }),
-            )
-            .record
-            .unwrap();
-        // Early-layer gradients must differ from baseline.
-        let id = LayerId::new(0, LayerKind::Q).linear_index();
-        let diff = base.linears[id].dw.distance(&noisy.linears[id].dw);
-        assert!(diff > 0.0, "probe left gradients unchanged");
     }
 
     #[test]

@@ -84,19 +84,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// Per-row Frobenius norms of a tensor (length = `rows`).
-///
-/// SNIP's memory-efficient statistics use row-wise norms instead of a single
-/// global norm (paper §6.3 "Memory Overhead of SNIP").
-pub fn row_norms(t: &Tensor) -> Vec<f64> {
-    (0..t.rows()).map(|r| frobenius_norm(t.row(r))).collect()
-}
-
-/// Reconstructs the global Frobenius norm from row-wise norms.
-pub fn norm_from_row_norms(row_norms: &[f64]) -> f64 {
-    row_norms.iter().map(|&n| n * n).sum::<f64>().sqrt()
-}
-
 /// Relative Frobenius error `‖a − b‖_F / ‖b‖_F` (0 when both are zero).
 pub fn relative_error(a: &[f32], b: &[f32]) -> f64 {
     let denom = frobenius_norm(b);
@@ -160,16 +147,6 @@ mod tests {
             let fd = (silu(x + h) - silu(x - h)) / (2.0 * h);
             assert!((silu_grad(x) - fd).abs() < 1e-3, "x = {x}");
         }
-    }
-
-    #[test]
-    fn row_norm_reconstruction() {
-        let mut rng = Rng::seed_from(12);
-        let t = Tensor::randn(7, 13, 1.3, &mut rng);
-        let rn = row_norms(&t);
-        assert_eq!(rn.len(), 7);
-        let recon = norm_from_row_norms(&rn);
-        assert!((recon - t.frobenius_norm()).abs() < 1e-9);
     }
 
     #[test]

@@ -163,15 +163,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Elementwise difference, returning a new tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
-    }
-
     /// Elementwise (Hadamard) product, returning a new tensor.
     ///
     /// # Panics
@@ -375,7 +366,6 @@ mod tests {
         let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::full(2, 2, 2.0);
         assert_eq!(a.add(&b).as_slice(), &[3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.sub(&b).as_slice(), &[-1.0, 0.0, 1.0, 2.0]);
         assert_eq!(a.mul(&b).as_slice(), &[2.0, 4.0, 6.0, 8.0]);
     }
 

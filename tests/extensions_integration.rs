@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the extension surface added on top of
-//! the paper's headline pipeline: heuristic baselines, rowwise statistics,
-//! quantized collectives, the memory model, and custom ILP option sets.
+//! the paper's headline pipeline: heuristic baselines, quantized
+//! collectives, the memory model, and custom ILP option sets.
 //! (The two cases that need the 1F1B cost model live beside it, in
 //! `crates/experiments/tests/extensions_integration.rs`.)
 
@@ -133,31 +133,6 @@ fn memory_model_consistent_with_configs_and_schemes() {
         &StateBytes::mixed_precision_bf16().with_quantized_weights(4, cfg.quant_group.pow(2)),
     );
     assert!(fp4 < bf16);
-}
-
-#[test]
-fn rowwise_statistics_from_a_real_checkpoint() {
-    let ckpt = trained(10);
-    let cfg = ckpt.config().model.clone();
-    let mut t = ckpt.clone();
-    let batch = t.peek_batch();
-    let mut rng = Rng::seed_from(15);
-    t.model.zero_grads();
-    let out = t.model.step(&batch, &mut rng, &StepOptions::record());
-    let record = out.record.expect("recorded");
-    let stats = StepStats::from_record(&record, &cfg);
-    for (i, lr) in record.linears.iter().enumerate() {
-        let rw = snip::core::RowwiseLayerStats::from_record(lr, cfg.quant_group);
-        // Rowwise norms must aggregate exactly to the Step-1 globals.
-        assert!(
-            (rw.x.global() - stats.layers[i].x_norm).abs() < 1e-9,
-            "layer {i}"
-        );
-        assert!(
-            (rw.dy.global() - stats.layers[i].dy_norm).abs() < 1e-9,
-            "layer {i}"
-        );
-    }
 }
 
 #[test]

@@ -5,9 +5,7 @@ use snip::core::{
     baselines, fisher_scheme, greedy_refinement, OptionSet, PolicyConfig, SnipConfig, SnipEngine,
     StepStats, Trainer, TrainerConfig,
 };
-use snip::ilp::{
-    solve, solve_time_balanced, time_balanced_targets, Choice, McKnapsack, SolveError, SolveOptions,
-};
+use snip::ilp::{solve, time_balanced_targets, Choice, McKnapsack, SolveError, SolveOptions};
 use snip::nn::model::StepOptions;
 use snip::nn::ModelConfig;
 use snip::pipeline::collective::{ring_reduce_scatter, QuantizePolicy, Wire};
@@ -114,19 +112,6 @@ fn engine_reports_infeasible_budget_as_typed_error() {
             .unwrap_err();
         assert_eq!(err, expected);
     }
-}
-
-#[test]
-fn time_balanced_solver_rejects_empty_capacity_stage() {
-    // A stage whose groups all have zero efficiency cannot absorb any FP4;
-    // the water-fill must flag it instead of dividing by zero.
-    let groups = vec![
-        vec![Choice::new(0.0, 0.0), Choice::new(1.0, 1.0)],
-        vec![Choice::new(0.0, 0.0)], // stage 1: no FP4 capacity
-    ];
-    let p = McKnapsack::new(groups, 0.0);
-    let err = solve_time_balanced(&p, &[0, 1], 2, 0.5, &SolveOptions::default()).unwrap_err();
-    assert!(matches!(err, SolveError::Invalid(_)), "{err:?}");
 }
 
 #[test]
