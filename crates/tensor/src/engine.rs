@@ -29,23 +29,27 @@
 //! # The accumulation-order constraint
 //!
 //! Every output element is accumulated **serially over `k`, ascending, in a
-//! single f32 accumulator** — terms are added one at a time (`acc += a0·b0;
-//! acc += a1·b1; …`), never as a fused `a0·b0 + a1·b1` tree. Blocking over
-//! output tiles only reorders *which elements* are computed when, never the
-//! order of additions within one element, so any M×N tiling is bit-exact
-//! with any other (and with the serial kernel) at every thread count.
-//! Splitting `k` across tasks or summing it through trees/SIMD horizontal
-//! adds would break both the packed-vs-dense identity and cross-split
-//! determinism.
+//! single f32 accumulator**, with **one fused multiply-add per k-step**
+//! (`acc = a0·b0 + acc`, rounded once; then `acc = a1·b1 + acc`; …) —
+//! never as an `a0·b0 + a1·b1` tree. This is the accumulate the paper's
+//! tensor-core GEMMs perform. Blocking over output tiles only reorders
+//! *which elements* are computed when, never the order of the steps within
+//! one element, so any M×N tiling is bit-exact with any other (and with the
+//! serial kernel) at every thread count. Splitting `k` across tasks or
+//! summing it through trees/SIMD horizontal adds would break both the
+//! packed-vs-dense identity and cross-split determinism.
 //!
 //! The SIMD kernels obey the same rule by vectorizing **across output
 //! elements only**: each lane owns one output column's accumulator and the
-//! `k` loop stays serial inside every lane, with a plain multiply followed
-//! by a plain add per term (no FMA — a fused multiply-add skips the
-//! intermediate rounding and would diverge from the scalar kernel by an
-//! ULP). Lane `j` of the vector performs exactly the scalar kernel's
-//! operation sequence for element `(i, j0 + j)`, so SIMD-vs-scalar equality
-//! is 0 ULP lane-by-lane (property-tested in `tests/simd_scalar.rs`).
+//! `k` loop stays serial inside every lane, one vector fused multiply-add
+//! per term. IEEE fusedMultiplyAdd has exactly one correctly rounded
+//! result, so lane `j` of the vector computes bit for bit what the scalar
+//! kernel's `f32::mul_add` computes for element `(i, j0 + j)`, and
+//! SIMD-vs-scalar equality is 0 ULP lane-by-lane (property-tested in
+//! `tests/simd_scalar.rs`). What matters for agreement is that every tier
+//! fuses — a tier that rounded the product separately would diverge by an
+//! ULP. The accepted cost: an x86-64 CPU without `fma` runs every tier
+//! scalar, and the scalar body there pays a libm `fmaf` call per element.
 
 use crate::packed::{prep, QOperandRef};
 use crate::pool::{self, AlignedVec};
@@ -120,7 +124,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut AlignedVec, &mut Vec<f32>)
 /// The shared tile kernel: `C[i0.., j0..] += Ablock · Btile` where `ablock`
 /// is `mb×k` row-major, `btile` is `k×nb` k-major, and `chunk` holds the
 /// caller's output rows (`row0` = first tile row's index within the chunk,
-/// `n` = full output row stride). Terms are added one at a time, `k`
+/// `n` = full output row stride). One fused multiply-add per term, `k`
 /// ascending, per element — see the module docs.
 ///
 /// Calls through the active row of the kernel table

@@ -2,15 +2,64 @@
 //! reference the SIMD backends are property-tested against.
 //!
 //! Per output element the arithmetic is exactly the engine contract: load
-//! the accumulator from C, add `a[kk] · b[kk]` terms one at a time with
-//! `kk` ascending, store. The register blocking below (two output rows per
+//! the accumulator from C, fold in `a[kk] · b[kk]` terms one at a time with
+//! `kk` ascending — each one fused multiply-add, `f32::mul_add`, rounded
+//! once — and store. The register blocking below (two output rows per
 //! pass, `k` in quads) only changes *which* elements are in flight
-//! together, never the order of additions within one element.
+//! together, never the order of the steps within one element.
+//!
+//! One body, two instantiations. Compiled for baseline x86-64,
+//! `f32::mul_add` is a libm `fmaf` call per element; [`tile_kernel_fma`]
+//! is the same body under `#[target_feature(enable = "fma")]`, where it
+//! lowers to `vfmadd` and vectorises. IEEE fusedMultiplyAdd has one
+//! correctly rounded answer, so the two agree bit for bit (unit-tested
+//! below); the kernel table picks the `fma` one whenever the CPU reports
+//! the flag. On a CPU without it every tier is scalar and each element
+//! pays the libm call — the accepted cost of one accumulate everywhere.
 
 /// `C[row0.., j0..] += Ablock · Btile` — see `engine::tile_kernel` for the
-/// argument contract.
+/// argument contract. The baseline instantiation of the kernel body.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn tile_kernel(
+    chunk: &mut [f32],
+    n: usize,
+    row0: usize,
+    j0: usize,
+    mb: usize,
+    nb: usize,
+    k: usize,
+    ablock: &[f32],
+    btile: &[f32],
+) {
+    tile_body(chunk, n, row0, j0, mb, nb, k, ablock, btile)
+}
+
+/// [`tile_kernel`] compiled with `fma` enabled, so each `f32::mul_add` is
+/// one `vfmadd` instead of a libm call; bit-identical to it.
+///
+/// # Safety
+///
+/// The CPU must support `fma`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "fma")]
+pub(super) unsafe fn tile_kernel_fma(
+    chunk: &mut [f32],
+    n: usize,
+    row0: usize,
+    j0: usize,
+    mb: usize,
+    nb: usize,
+    k: usize,
+    ablock: &[f32],
+    btile: &[f32],
+) {
+    tile_body(chunk, n, row0, j0, mb, nb, k, ablock, btile)
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_body(
     chunk: &mut [f32],
     n: usize,
     row0: usize,
@@ -48,16 +97,16 @@ pub(super) fn tile_kernel(
                 .zip(b3)
             {
                 let mut acc0 = *cv0;
-                acc0 += a00 * v0;
-                acc0 += a01 * v1;
-                acc0 += a02 * v2;
-                acc0 += a03 * v3;
+                acc0 = a00.mul_add(v0, acc0);
+                acc0 = a01.mul_add(v1, acc0);
+                acc0 = a02.mul_add(v2, acc0);
+                acc0 = a03.mul_add(v3, acc0);
                 *cv0 = acc0;
                 let mut acc1 = *cv1;
-                acc1 += a10 * v0;
-                acc1 += a11 * v1;
-                acc1 += a12 * v2;
-                acc1 += a13 * v3;
+                acc1 = a10.mul_add(v0, acc1);
+                acc1 = a11.mul_add(v1, acc1);
+                acc1 = a12.mul_add(v2, acc1);
+                acc1 = a13.mul_add(v3, acc1);
                 *cv1 = acc1;
             }
             kk += 4;
@@ -67,8 +116,8 @@ pub(super) fn tile_kernel(
             let a1 = arow1[kk];
             let b0 = &btile[kk * nb..(kk + 1) * nb];
             for ((cv0, cv1), &bv) in crow0.iter_mut().zip(crow1.iter_mut()).zip(b0) {
-                *cv0 += a0 * bv;
-                *cv1 += a1 * bv;
+                *cv0 = a0.mul_add(bv, *cv0);
+                *cv1 = a1.mul_add(bv, *cv1);
             }
             kk += 1;
         }
@@ -86,10 +135,10 @@ pub(super) fn tile_kernel(
             let b3 = &btile[(kk + 3) * nb..(kk + 4) * nb];
             for ((((cv, &v0), &v1), &v2), &v3) in crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
                 let mut acc = *cv;
-                acc += a0 * v0;
-                acc += a1 * v1;
-                acc += a2 * v2;
-                acc += a3 * v3;
+                acc = a0.mul_add(v0, acc);
+                acc = a1.mul_add(v1, acc);
+                acc = a2.mul_add(v2, acc);
+                acc = a3.mul_add(v3, acc);
                 *cv = acc;
             }
             kk += 4;
@@ -98,7 +147,7 @@ pub(super) fn tile_kernel(
             let a0 = arow[kk];
             let b0 = &btile[kk * nb..(kk + 1) * nb];
             for (cv, &bv) in crow.iter_mut().zip(b0) {
-                *cv += a0 * bv;
+                *cv = a0.mul_add(bv, *cv);
             }
             kk += 1;
         }
@@ -121,5 +170,108 @@ pub(super) fn round_tile(
     for i in 0..mb {
         let row = &mut chunk[(row0 + i) * n + j0..(row0 + i) * n + j0 + nb];
         crate::bf16::round_slice(row);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deterministic operand stream in `[-2, 6)` with NaN, ±Inf, ±0 and
+    /// a tiny value mixed in.
+    fn operands(len: usize, seed: u32) -> Vec<f32> {
+        const SPECIAL: [f32; 6] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-30];
+        let mut s = seed.wrapping_mul(0x9E37_79B9) | 1;
+        (0..len)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                if i % 29 == 7 {
+                    SPECIAL[(s % SPECIAL.len() as u32) as usize]
+                } else {
+                    (s >> 8) as f32 / (1u32 << 23) as f32 * 4.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    /// Every element of `chunk` as the contract states it: one serial
+    /// `mul_add` per `kk`, ascending.
+    fn reference(
+        chunk: &mut [f32],
+        n: usize,
+        mb: usize,
+        nb: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+    ) {
+        for i in 0..mb {
+            for j in 0..nb {
+                let mut acc = chunk[i * n + j];
+                for kk in 0..k {
+                    acc = a[i * k + kk].mul_add(b[kk * nb + j], acc);
+                }
+                chunk[i * n + j] = acc;
+            }
+        }
+    }
+
+    /// NaN payloads are implementation-defined; every other bit is pinned.
+    fn same_bits(x: &[f32], y: &[f32]) -> bool {
+        x.iter()
+            .zip(y)
+            .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+    }
+
+    #[test]
+    fn both_instantiations_agree_with_the_serial_fused_reference() {
+        // Ragged rows (odd `mb` takes the single-row pass), columns and
+        // `k` (every residue of the k-quad loop).
+        for (mb, nb, k) in [
+            (1, 1, 1),
+            (2, 3, 4),
+            (3, 5, 7),
+            (4, 17, 9),
+            (5, 64, 6),
+            (7, 13, 33),
+        ] {
+            let n = nb + 2;
+            let mut a = operands(mb * k, (mb * 131 + k) as u32);
+            let mut b = operands(k * nb, (nb * 71 + k) as u32);
+            let mut c0 = operands(mb * n, 5);
+            // −0 accumulators: `−0 + (+0)` is +0 under round-to-nearest,
+            // `−0 + (−0)` stays −0.
+            for (i, v) in c0.iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = -0.0;
+                }
+            }
+            // `0 × ±Inf` in the first step of element (0, 0), whatever the
+            // stream drew there.
+            a[0] = 0.0;
+            b[0] = if k % 2 == 0 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
+
+            let mut want = c0.clone();
+            reference(&mut want, n, mb, nb, k, &a, &b);
+            assert!(want[0].is_nan(), "0 × ±Inf must poison the element");
+
+            let mut got = c0.clone();
+            tile_kernel(&mut got, n, 0, 0, mb, nb, k, &a, &b);
+            assert!(same_bits(&got, &want), "baseline body at {mb}×{nb}×{k}");
+
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("fma") {
+                let mut fused = c0.clone();
+                // SAFETY: the CPU reports `fma`.
+                unsafe { tile_kernel_fma(&mut fused, n, 0, 0, mb, nb, k, &a, &b) };
+                assert!(same_bits(&fused, &got), "fma body at {mb}×{nb}×{k}");
+            }
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! keep/BF16, the two decodes, abs-max, the two code writers); the scalar
 //! reference is one more row. `active_kernels` hands out the row of the
 //! tier active on the calling thread and is the only function that builds
-//! a vector row — so the only place that states "this CPU feature was
+//! a vector row — so, with the scalar row's `fma` check beside it
+//! (`scalar_tile`), the only place that states "this CPU feature was
 //! detected" and the only code naming the ISA modules. Callers (the tile
 //! loop in `engine.rs`, the decode shims at the bottom of this file,
 //! `encode::Encoder`) are plain safe code.
@@ -19,7 +20,8 @@
 //! 2. the `SNIP_SIMD` environment variable may cap or disable the tier
 //!    (see below; read once at first use),
 //! 3. the CPU must report the instruction set (`is_x86_feature_detected!`
-//!    on x86_64; NEON is baseline on aarch64).
+//!    on x86_64, where both vector tiers also need `fma`; NEON is baseline
+//!    on aarch64).
 //!
 //! # `SNIP_SIMD` accepted values
 //!
@@ -39,14 +41,17 @@
 //!
 //! The scalar kernels are always compiled and are always the reference:
 //! the vector kernels assign one output element per lane and replay the
-//! scalar operation sequence inside each lane (multiply then add, `k`
-//! ascending, no FMA, no horizontal reduction), so switching backends can
-//! never change a result bit (`tests/simd_scalar.rs` pins this at 0 ULP;
-//! only NaN *payloads* are exempt, because LLVM leaves the operand order
-//! of scalar float multiplies unspecified, so the scalar reference itself
-//! does not pin them). That makes the selection here a pure
-//! performance decision — which is exactly why it is allowed to depend on
-//! the machine.
+//! scalar operation sequence inside each lane (one fused multiply-add per
+//! k-step, `k` ascending, no horizontal reduction, no k-splitting), so
+//! switching backends can never change a result bit (`tests/simd_scalar.rs`
+//! pins this at 0 ULP; only NaN *payloads* are exempt, because IEEE leaves
+//! which input NaN propagates to the implementation, so the scalar
+//! reference itself does not pin them). That makes the selection here a
+//! pure performance decision — which is exactly why it is allowed to
+//! depend on the machine. The scalar row itself comes in two builds of one
+//! body (see `engine/scalar.rs`): with `fma` enabled when the CPU reports
+//! it, and the baseline build (a libm `fmaf` per element) otherwise — the
+//! same bits either way.
 //!
 //! [`with_forced_backend`] pins the current thread (and, for the duration
 //! of any pool dispatch it issues, the workers that serve it) to a specific
@@ -166,8 +171,11 @@ fn detect_cpu_backend() -> Backend {
     if !compiled() {
         return Backend::Scalar;
     }
+    // The tile update is one fused multiply-add per k-step on every tier,
+    // so both x86 vector tiers need `fma` (AVX-512 includes it; asking keeps
+    // the AVX2 rung beneath it sound).
     #[cfg(target_arch = "x86_64")]
-    {
+    if std::arch::is_x86_feature_detected!("fma") {
         if std::arch::is_x86_feature_detected!("avx512f") {
             return Backend::Avx512;
         }
@@ -348,9 +356,9 @@ pub(crate) struct Kernels {
 /// match bit for bit (the tile kernel rounds in a second pass over the
 /// tile where the vector rows fuse the rounding into the store).
 static SCALAR: Kernels = Kernels {
-    tile_keep: scalar::tile_kernel,
+    tile_keep: scalar_tile,
     tile_bf16: |chunk, n, row0, j0, mb, nb, k, ablock, btile| {
-        scalar::tile_kernel(chunk, n, row0, j0, mb, nb, k, ablock, btile);
+        scalar_tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
         scalar::round_tile(chunk, n, row0, j0, mb, nb);
     },
     decode_u4_pairs: decode_u4_pairs_scalar,
@@ -359,6 +367,29 @@ static SCALAR: Kernels = Kernels {
     encode_u8: encode_u8_scalar,
     encode_u4_pairs: encode_u4_pairs_scalar,
 };
+
+/// The scalar tile kernel in the build this CPU runs fastest: compiled for
+/// `fma` when the CPU reports it, the baseline build (a libm `fmaf` per
+/// element) otherwise — the same bits either way.
+#[allow(clippy::too_many_arguments)]
+fn scalar_tile(
+    chunk: &mut [f32],
+    n: usize,
+    row0: usize,
+    j0: usize,
+    mb: usize,
+    nb: usize,
+    k: usize,
+    ablock: &[f32],
+    btile: &[f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU reports `fma`, all `tile_kernel_fma` requires.
+        return unsafe { scalar::tile_kernel_fma(chunk, n, row0, j0, mb, nb, k, ablock, btile) };
+    }
+    scalar::tile_kernel(chunk, n, row0, j0, mb, nb, k, ablock, btile)
+}
 
 /// The kernel table every dispatch on this thread uses right now — the
 /// row of [`active_backend`]. This function is the only place a vector
@@ -369,9 +400,9 @@ pub(crate) fn active_kernels() -> &'static Kernels {
     // SAFETY (every `unsafe` block in a row): the entry points and the
     // ISA decodes require their instruction set and nothing else — slice
     // bounds are asserted inside the kernels. `active_backend` returns a
-    // vector tier only after `detect_cpu_backend` saw the CPU report it
-    // (NEON is baseline on aarch64), and forcing or capping can only lower
-    // the tier within that detected chain.
+    // vector tier only after `detect_cpu_backend` saw the CPU report it,
+    // plus `fma` on x86_64 (NEON is baseline on aarch64), and forcing or
+    // capping can only lower the tier within that detected chain.
     #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
     macro_rules! vector_row {
         ($isa:ident :: $ops:ident, $feature:literal) => {{
@@ -433,7 +464,7 @@ pub(crate) fn active_kernels() -> &'static Kernels {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Backend::Avx512 => vector_row!(simd_x86_512::Avx512, "avx512f"),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Backend::Avx2 => vector_row!(simd_x86::Avx2, "avx2"),
+        Backend::Avx2 => vector_row!(simd_x86::Avx2, "avx2,fma"),
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         Backend::Neon => vector_row!(simd_neon::Neon, "neon"),
         _ => &SCALAR,

@@ -12,10 +12,13 @@
 //! `quant/tests/pack_simd.rs`.
 //!
 //! NEON is a baseline aarch64 feature, so no runtime detection is needed
-//! beyond [`super::simd`]'s feature/env gating. Multiply and add are
-//! separate `vmulq_f32` / `vaddq_f32` ops — **never** `vmlaq_f32` /
-//! `vfmaq_f32`, which contract into a fused multiply-add on aarch64 and
-//! would skip the intermediate rounding.
+//! beyond [`super::simd`]'s feature/env gating. The tile update's k-step
+//! is one fused multiply-add, `vfmaq_f32` — the same single rounding the
+//! scalar kernel's `f32::mul_add` performs (a baseline `fmadd` on
+//! aarch64). Mind its operand order: `vfmaq_f32(c, a, b)` is `c + a·b`,
+//! the accumulator *first*, where the x86 `fmadd` intrinsics take it last.
+//! The [`SimdOps::mul_add`] row is written blind like the rest of this
+//! file; `tests/simd_scalar.rs` on an Arm machine is what checks it.
 //!
 //! NEON has no gather, but the pinned mirrored-LUT layout makes the FP4
 //! table exactly 16 f32 entries = 64 bytes — `vqtbl1q_u8` range.
@@ -51,6 +54,9 @@ impl SimdOps for Neon {
         fn splat(x: f32) -> float32x4_t = vdupq_n_f32(x);
         fn mul(a: float32x4_t, b: float32x4_t) -> float32x4_t = vmulq_f32(a, b);
         fn add(a: float32x4_t, b: float32x4_t) -> float32x4_t = vaddq_f32(a, b);
+        // The accumulator is `vfmaq_f32`'s first argument.
+        fn mul_add(a: float32x4_t, b: float32x4_t, c: float32x4_t) -> float32x4_t =
+            vfmaq_f32(c, a, b);
         fn sub(a: float32x4_t, b: float32x4_t) -> float32x4_t = vsubq_f32(a, b);
         fn bits(v: float32x4_t) -> uint32x4_t = vreinterpretq_u32_f32(v);
         fn from_bits(v: uint32x4_t) -> float32x4_t = vreinterpretq_f32_u32(v);

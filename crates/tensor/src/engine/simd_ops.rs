@@ -26,17 +26,22 @@
 //! # Why this is bit-identical to the scalar kernel
 //!
 //! Each vector lane owns exactly one output element. A k-step is a
-//! broadcast of `a[kk]`, one multiply and one add — the same two IEEE-754
-//! operations, in the same operand order, that the scalar kernel performs
-//! for that element. There is **no FMA** (a fused multiply-add skips the
-//! intermediate rounding; on aarch64 that rules out `vmlaq_f32` /
-//! `vfmaq_f32`) and there are **no horizontal reductions**: the `k` loop
+//! broadcast of `a[kk]` and **one fused multiply-add** ([`SimdOps::mul_add`])
+//! into the lane's accumulator — the same single IEEE-754
+//! fusedMultiplyAdd the scalar kernel performs for that element with
+//! `f32::mul_add`. A fused multiply-add rounds once, so its result is
+//! unique: every tier and the scalar reference agree on it bit for bit.
+//! There are **no horizontal reductions** and no k-splitting: the `k` loop
 //! stays serial inside every lane, ascending, as the accumulation-order
 //! contract in the engine docs requires. Lanes never interact, so a strip
 //! is just `LANES` scalar element loops in lock-step. The one thing *not*
-//! pinned is which operand's NaN payload survives when both inputs are
-//! NaN — LLVM may commute the scalar multiply, so the scalar reference
-//! itself leaves that unspecified.
+//! pinned is which operand's NaN payload survives when several inputs are
+//! NaN — IEEE leaves it to the implementation, so the scalar reference
+//! itself leaves it unspecified.
+//!
+//! The encode kernels follow their own lane rules (no FMA there — see
+//! [`super::simd_encode`]); [`SimdOps::mul_add`] is for the tile update
+//! only.
 
 use super::simd_encode::{
     abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid, ABS_MASK, INF_BITS,
@@ -88,6 +93,9 @@ pub(super) trait SimdOps {
     unsafe fn splat(x: f32) -> Self::F;
     unsafe fn mul(a: Self::F, b: Self::F) -> Self::F;
     unsafe fn add(a: Self::F, b: Self::F) -> Self::F;
+    /// `a · b + c` per lane, rounded once (IEEE fusedMultiplyAdd): lane for
+    /// lane equal to `a.mul_add(b, c)`. The tile kernel's k-step.
+    unsafe fn mul_add(a: Self::F, b: Self::F, c: Self::F) -> Self::F;
     unsafe fn sub(a: Self::F, b: Self::F) -> Self::F;
     unsafe fn bits(v: Self::F) -> Self::I;
     unsafe fn from_bits(v: Self::I) -> Self::F;
@@ -135,8 +143,9 @@ pub(super) trait SimdOps {
 
     /// Finishes the tile columns `[j, nb)` that no whole-register strip
     /// covers, for the `MR` rows at `c` / `a` (see [`strips`]). The
-    /// default is the scalar element loop; an ISA with masked loads and
-    /// stores overrides it.
+    /// default is the scalar element loop (`f32::mul_add`, which lowers to
+    /// the ISA's scalar FMA inside the entry point); an ISA with masked
+    /// loads and stores overrides it.
     #[inline(always)]
     unsafe fn tile_tail<const MR: usize, const ROUND: bool>(
         c: &[*mut f32; MR],
@@ -151,7 +160,7 @@ pub(super) trait SimdOps {
                 let mut acc = *c[r].add(j);
                 let mut bp = btile.add(j);
                 for kk in 0..k {
-                    acc += *a[r].add(kk) * *bp;
+                    acc = (*a[r].add(kk)).mul_add(*bp, acc);
                     bp = bp.add(nb);
                 }
                 *c[r].add(j) = if ROUND { crate::bf16::round(acc) } else { acc };
@@ -249,8 +258,8 @@ unsafe fn row_block<V: SimdOps, const MR: usize, const ROUND: bool>(
 /// Runs column strips of `S` registers per row from column `j` while a
 /// whole strip fits in `nb`; returns the first column left over. `c[r]` /
 /// `a[r]` point at row `r`'s output tile row and A row. `MR × S`
-/// accumulators load from C, take one broadcast-multiply-add per `kk`
-/// against `S` B-row loads shared by all rows, and store back.
+/// accumulators load from C, take one broadcast and one fused multiply-add
+/// per `kk` against `S` B-row loads shared by all rows, and store back.
 #[inline(always)]
 unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const ROUND: bool>(
     c: &[*mut f32; MR],
@@ -276,7 +285,7 @@ unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const ROUND: bool>
             for r in 0..MR {
                 let av = V::splat(*a[r].add(kk));
                 for s in 0..S {
-                    acc[r][s] = V::add(acc[r][s], V::mul(av, b[s]));
+                    acc[r][s] = V::mul_add(av, b[s], acc[r][s]);
                 }
             }
             bp = bp.add(nb);

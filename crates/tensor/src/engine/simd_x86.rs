@@ -3,8 +3,9 @@
 //!
 //! The kernels this table instantiates (tile update, BF16 store, abs-max,
 //! encode) live in [`super::simd_ops`]; [`super::simd::active_kernels`]
-//! compiles them — and calls the decodes below — with `avx2` enabled,
-//! only after `is_x86_feature_detected!` confirmed AVX2. Column tails of
+//! compiles them with `avx2` and `fma` enabled (the tile update's
+//! [`SimdOps::mul_add`] is `vfmadd`), only after `is_x86_feature_detected!`
+//! confirmed both. The decodes below need `avx2` alone. Column tails of
 //! the tile kernel take the shared scalar loop.
 
 use super::simd::{decode_u4_pairs_scalar, decode_u8_run_scalar};
@@ -30,6 +31,7 @@ impl SimdOps for Avx2 {
         fn splat(x: f32) -> __m256 = _mm256_set1_ps(x);
         fn mul(a: __m256, b: __m256) -> __m256 = _mm256_mul_ps(a, b);
         fn add(a: __m256, b: __m256) -> __m256 = _mm256_add_ps(a, b);
+        fn mul_add(a: __m256, b: __m256, c: __m256) -> __m256 = _mm256_fmadd_ps(a, b, c);
         fn sub(a: __m256, b: __m256) -> __m256 = _mm256_sub_ps(a, b);
         fn bits(v: __m256) -> __m256i = _mm256_castps_si256(v);
         fn from_bits(v: __m256i) -> __m256 = _mm256_castsi256_ps(v);

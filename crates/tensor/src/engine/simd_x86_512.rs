@@ -18,7 +18,8 @@
 //!   scalar loop for the last `nb % LANES` columns, this one finishes any
 //!   `1..=15`-wide tail with one `__mmask16`-guarded load/store pair —
 //!   disabled lanes are never loaded or stored (AVX-512 masked loads
-//!   suppress faults), enabled lanes run the identical mul/add sequence.
+//!   suppress faults), enabled lanes run the identical fused multiply-add
+//!   sequence.
 //! * **One-permute FP4 decode.** The whole 16-entry mirrored LUT fits a
 //!   single zmm register, so a nibble decode is one `vpermps` instead of
 //!   AVX2's two half-table permutes plus a sign-select blend.
@@ -43,6 +44,7 @@ impl SimdOps for Avx512 {
         fn splat(x: f32) -> __m512 = _mm512_set1_ps(x);
         fn mul(a: __m512, b: __m512) -> __m512 = _mm512_mul_ps(a, b);
         fn add(a: __m512, b: __m512) -> __m512 = _mm512_add_ps(a, b);
+        fn mul_add(a: __m512, b: __m512, c: __m512) -> __m512 = _mm512_fmadd_ps(a, b, c);
         fn sub(a: __m512, b: __m512) -> __m512 = _mm512_sub_ps(a, b);
         fn bits(v: __m512) -> __m512i = _mm512_castps_si512(v);
         fn from_bits(v: __m512i) -> __m512 = _mm512_castsi512_ps(v);
@@ -106,7 +108,7 @@ impl SimdOps for Avx512 {
             let b0 = _mm512_maskz_loadu_ps(mask, bp);
             for r in 0..MR {
                 let av = _mm512_set1_ps(*a[r].add(kk));
-                acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
+                acc[r] = _mm512_fmadd_ps(av, b0, acc[r]);
             }
             bp = bp.add(nb);
         }

@@ -148,7 +148,9 @@ fn bf16_training() {
         "BF16",
         scheme_run(Precision::Bf16),
         Print {
-            params: 0x5aa684d5,
+            // Moved from 0x5aa684d5 when the GEMM tile update became one fused
+            // multiply-add per k-step (one rounding instead of two).
+            params: 0x964e458d,
             losses: 0x76b6366a,
             rngs: 0x9b1d434d,
         },
@@ -161,7 +163,9 @@ fn fp4_training() {
         "FP4",
         scheme_run(Precision::Fp4),
         Print {
-            params: 0xa4eae9a3,
+            // Moved from 0xa4eae9a3 when the GEMM tile update became one fused
+            // multiply-add per k-step (one rounding instead of two).
+            params: 0x4564a097,
             losses: 0x242b2394,
             rngs: 0xdaa2ad85,
         },
@@ -192,7 +196,9 @@ fn adaptive_training() {
         (print(&mut t, &losses), scheme),
         (
             Print {
-                params: 0x78b60af2,
+                // Moved from 0x78b60af2 when the GEMM tile update became one
+                // fused multiply-add per k-step (one rounding instead of two).
+                params: 0x5e4774b5,
                 losses: 0xadb9d630,
                 rngs: 0xd3647b1a,
             },
@@ -287,6 +293,8 @@ fn measurement_and_solved_scheme() {
     let scheme = engine
         .analyze_and_solve(&m, "fingerprint")
         .expect("feasible");
-    check("measurement", crc_of(&m), 0x421837e1);
+    // Moved from 0x421837e1 with the fused multiply-add tile update; the
+    // scheme solved from it did not move.
+    check("measurement", crc_of(&m), 0xaaece343);
     check("scheme", crc_of(&scheme), 0x50e746ae);
 }
