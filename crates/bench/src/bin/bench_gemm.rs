@@ -1,11 +1,10 @@
-//! The perf-trajectory runner: times quantize (fake vs packed, per rounding
-//! mode, activation tiles and weight blocks, in absolute ns per element),
-//! decode, all six GEMM orientations and an end-to-end training step at
-//! model-realistic shapes, each kernel beside the frozen timing of its PR-4
-//! predecessor ([`BASELINE_MS`]), plus per-backend GEMM and pack matrices
-//! with the dispatch pinned to each compiled SIMD tier in turn, and the SNIP
-//! probe (`snip_core::measure`) against a plain step with its per-pass
-//! split, and writes machine-readable `BENCH_gemm.json` at the repo root.
+//! The perf-trajectory runner: times every kernel a linear layer runs — all
+//! six GEMM orientations, the pack (`quantize_packed`) and the decode
+//! (`dequantize`) — at model-realistic shapes, once per (backend tier,
+//! kernel, shape) with the dispatch pinned to each compiled SIMD tier in
+//! turn, plus the SNIP probe (`snip_core::measure`) against a plain step
+//! with its per-pass split, and writes machine-readable `BENCH_gemm.json`
+//! at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -13,38 +12,41 @@
 //! cargo run --release -p snip-bench --bin bench_gemm -- --check # validate
 //! ```
 //!
-//! `--check` re-reads the JSON (same `--out` resolution) and fails unless
-//! every section is present with finite, positive timings and speedups —
-//! the CI gate that keeps the trajectory from silently rotting. Before a
-//! backend tier is timed, its result is asserted bit-identical to forced
-//! scalar on the benched operands, so a matrix never compares different
-//! math.
+//! Schema 9 holds three per-tier tables of one row type ([`Row`]) — `gemm`
+//! (GFLOP/s), `pack` and `decode` (ns per element) — plus `machine` and
+//! `probe`. The dispatched tier's rows are what a training step runs; there
+//! is no second, default-dispatch copy. Before a tier is timed, its output
+//! (GEMM and decode bits; pack codes, scales and post-call RNG state) is
+//! asserted equal to forced scalar's on the benched operands, so a table
+//! never compares different math.
+//!
+//! `--check` re-reads the JSON (same `--out` resolution) and applies one
+//! coverage rule to every table: scalar and the dispatched backend are
+//! present, every tier carries scalar's (kernel, shape) set, and every `ms`
+//! and rate is finite and > 0. At full shapes the probe must cost at most
+//! [`MAX_MEASURE_OVER_STEP`] steps.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::StepOptions;
-use snip_quant::{Precision, Quantizer, TensorRole};
+use snip_quant::{Precision, Quantizer, Rounding, TensorRole};
 use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
 use snip_tensor::{pool, rng::Rng, simd, QOperandRef, QTensor, Tensor};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-/// One kernel measurement. `baseline_ms` is the frozen [`BASELINE_MS`]
-/// timing of the kernel's PR-4 predecessor and `speedup` is
-/// `baseline_ms / current_ms`; both exist at full shapes only.
+/// One measurement: `kernel` at `shape` with the dispatch pinned to
+/// `backend`. `rate` is the table's throughput: GFLOP/s in `gemm`
+/// (`2·m·k·n` flops / `ms`), ns per element in `pack` and `decode`.
 #[derive(Debug, Serialize, Deserialize)]
-struct KernelRow {
+struct Row {
+    backend: String,
     kernel: String,
-    /// `m x k x n` of the GEMM as called (or `rows x cols` for decode).
+    /// `m x k x n` of the GEMM as called, or `rows x cols` of the packed
+    /// or decoded tensor.
     shape: String,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    baseline_ms: Option<f64>,
-    current_ms: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    speedup: Option<f64>,
-    /// Current-kernel throughput (`2·m·k·n` flops / `current_ms`); absent
-    /// for decode rows, whose work is not flop-shaped.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    gflops: Option<f64>,
+    ms: f64,
+    rate: f64,
 }
 
 /// The machine context a run's numbers depend on — recorded so trajectories
@@ -63,71 +65,12 @@ struct Machine {
     threads: usize,
 }
 
-/// One cell of the per-backend GEMM matrix: the same kernel and shape timed
-/// with the dispatch pinned to one compiled tier via
-/// [`simd::with_forced_backend`]. Results across backends are asserted
-/// bit-identical before any timing, so the matrix only ever compares
-/// identical math.
-#[derive(Debug, Serialize, Deserialize)]
-struct BackendRow {
-    backend: String,
-    kernel: String,
-    shape: String,
-    current_ms: f64,
-    gflops: f64,
-}
-
-/// One quantize measurement: the packed path against the fake-quant
-/// (dequantized `Tensor` output) path over the same input and rounding
-/// mode, under default dispatch. The absolute `*_ns_per_elt` columns are
-/// the ones to read: `ratio` (`packed_ms / fake_ms`) only says how the two
-/// paths compare *to each other* — it sat at ≈ 1.0 for three PRs while
-/// both ran scalar at ~7 ns per element, which is how a pack step costing
-/// 39 % of an FP4 train step went unnoticed here. `before_packed_ms` is the
-/// frozen parent-commit (PR 11, scalar pack kernels) timing of the same
-/// row on the reference box, where one was recorded.
-#[derive(Debug, Serialize, Deserialize)]
-struct QuantizeRow {
-    name: String,
-    shape: String,
-    rounding: String,
-    fake_ms: f64,
-    packed_ms: f64,
-    ratio: f64,
-    fake_ns_per_elt: f64,
-    packed_ns_per_elt: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    before_packed_ms: Option<f64>,
-}
-
-/// One cell of the per-backend pack matrix: `quantize_packed` on one
-/// thread with the dispatch pinned to one compiled tier. Codes, scales and
-/// the post-call RNG state are asserted identical to the forced-scalar
-/// tier's before any timing.
-#[derive(Debug, Serialize, Deserialize)]
-struct BackendPackRow {
-    backend: String,
-    name: String,
-    shape: String,
-    rounding: String,
-    packed_ms: f64,
-    ns_per_elt: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct TrainStep {
-    steps: u64,
-    ms_per_step: f64,
-}
-
 /// SNIP's probe (`snip_core::measure`, paper Fig. 6 Steps 1–3) against one
 /// plain forward+backward step of the same model and batch, both timed in
 /// the same alternating rounds (minimum per side), so `measure_over_step`
 /// — the paper budgets 2–3 steps per scheme update — is a ratio clock
 /// drift cannot move. The `*_pass_ms` columns are the probe's own
 /// `snip.measure.*` spans from one further traced call.
-/// `before_measure_ms` is the frozen parent-commit (PR 13: three recorded
-/// full steps, scalar error statistics) timing on the reference box.
 #[derive(Debug, Serialize, Deserialize)]
 struct ProbeRow {
     model: String,
@@ -140,8 +83,6 @@ struct ProbeRow {
     probe_bwd_pass_ms: f64,
     probe_fwd_pass_ms: f64,
     stats_pass_ms: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    before_measure_ms: Option<f64>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -150,76 +91,29 @@ struct Report {
     generated_by: String,
     smoke: bool,
     machine: Machine,
-    gemm: Vec<KernelRow>,
-    backend_gemm: Vec<BackendRow>,
-    decode: Vec<KernelRow>,
-    quantize: Vec<QuantizeRow>,
-    backend_pack: Vec<BackendPackRow>,
-    train_step: TrainStep,
+    gemm: Vec<Row>,
+    decode: Vec<Row>,
+    pack: Vec<Row>,
     probe: ProbeRow,
 }
 
-/// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 8;
+/// The `schema` key alone, parsed before the full report so that a file of
+/// another schema fails on its version rather than on a missing table.
+#[derive(Deserialize)]
+struct SchemaOnly {
+    schema: u64,
+}
 
-/// Parent-commit (PR 13: three recorded full steps, scalar error
-/// statistics) `measure` on the full probe fixture — reference box, the
-/// estimator of [`probe_row`], taken right before the staged probe landed.
-/// Frozen like [`BEFORE_PACKED_MS`].
-const BEFORE_MEASURE_MS: f64 = 1714.9;
+/// Schema of the report this binary writes and `--check` accepts.
+const SCHEMA: u64 = 9;
 
 /// `--check`'s ceiling on `measure_over_step` at full shapes: the paper's
 /// 2–3 steps per update plus headroom for the statistics.
 const MAX_MEASURE_OVER_STEP: f64 = 3.5;
 
-/// Parent-commit (PR 11: scalar pack kernels) `quantize_packed` timings on
-/// the reference box (2 cores, avx512f), taken with this file's
-/// min-of-reps estimator right before the vector pack engine landed:
-/// `(row name, shape, rounding, ms)`. A commit cannot re-time its parent,
-/// so the "before" column is frozen here.
-const BEFORE_PACKED_MS: &[(&str, &str, &str, f64)] = &[
-    ("quantize_fp4", "256x768", "nearest", 1.356),
-    ("quantize_fp4", "256x768", "stochastic", 1.742),
-    ("quantize_fp8", "256x768", "nearest", 1.347),
-    ("quantize_fp8", "256x768", "stochastic", 1.703),
-    ("quantize_fp4_weight", "768x768", "nearest", 3.953),
-    ("quantize_fp4_weight", "2048x768", "nearest", 10.478),
-    ("quantize_fp8_weight", "768x768", "nearest", 4.008),
-    ("quantize_fp8_weight", "2048x768", "nearest", 10.716),
-];
-
-/// The PR-4 kernels (serial i-k-j / dot-product dense loops, per-element
-/// `set_code` packing, branchy per-element decode) timed on the reference
-/// box at the full shapes, `(kernel, shape, ms)` — the `baseline_ms` column
-/// of the last report that ran them (schema 6, PR 14). The kernels
-/// themselves lived in `snip_bench::legacy` until PR 16; their numbers are
-/// frozen here like [`BEFORE_PACKED_MS`].
-const BASELINE_MS: &[(&str, &str, f64)] = &[
-    ("matmul", "256x768x768", 9.77805),
-    ("matmul_nt", "256x768x768", 48.549052),
-    ("matmul_tn", "768x256x768", 8.673641),
-    ("qgemm", "256x768x768", 9.554723),
-    ("qgemm_nt", "256x768x768", 52.388114),
-    ("qgemm_tn", "768x256x768", 8.439564),
-    ("matmul", "256x2048x768", 33.044985),
-    ("matmul_nt", "256x768x2048", 126.389906),
-    ("matmul_tn", "2048x256x768", 30.315953),
-    ("qgemm", "256x2048x768", 24.564989),
-    ("qgemm_nt", "256x768x2048", 139.912758),
-    ("qgemm_tn", "2048x256x768", 30.75029),
-    ("decode_fp4", "256x768", 0.24875599999999998),
-    ("decode_fp8", "256x768", 0.10801100000000001),
-];
-
-/// The six GEMM kernels every report must carry.
-const KERNELS: [&str; 6] = [
-    "matmul",
-    "matmul_nt",
-    "matmul_tn",
-    "qgemm",
-    "qgemm_nt",
-    "qgemm_tn",
-];
+/// Scale-group width of every benched pack: 1×128 activation tiles and
+/// 128×128 weight blocks, as `snip-nn` packs them.
+const GROUP: usize = 128;
 
 fn default_out_path() -> std::path::PathBuf {
     // crates/bench → repo root.
@@ -240,7 +134,10 @@ fn main() {
         .unwrap_or_else(default_out_path);
 
     if check {
-        match check_report(&out) {
+        let checked = std::fs::read_to_string(&out)
+            .map_err(|e| format!("read {}: {e}", out.display()))
+            .and_then(|json| check_report(&json));
+        match checked {
             Ok(summary) => println!("BENCH_gemm.json OK: {summary}"),
             Err(e) => {
                 eprintln!("BENCH_gemm.json check FAILED: {e}");
@@ -271,20 +168,93 @@ fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
-    assert_eq!(got.shape(), want.shape(), "{what}: shape mismatch");
-    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{what}: differs from forced scalar — refusing to time different math"
-        );
-    }
+/// Times `timed` with the dispatch pinned to every compiled backend tier in
+/// turn, scalar first. A tier is timed only after `gate`'s output under it
+/// equals forced scalar's — refusing to time different math. `rate` turns
+/// the measured milliseconds into the table's throughput.
+fn per_tier<G: PartialEq, R>(
+    kernel: &str,
+    shape: &str,
+    reps: usize,
+    rate: impl Fn(f64) -> f64,
+    gate: impl Fn() -> G,
+    mut timed: impl FnMut() -> R,
+) -> Vec<Row> {
+    let reference = simd::with_forced_backend(simd::Backend::Scalar, &gate);
+    simd::available_backends()
+        .into_iter()
+        .map(|backend| {
+            assert!(
+                simd::with_forced_backend(backend, &gate) == reference,
+                "{kernel} {shape} @ {}: differs from forced scalar — refusing to time different math",
+                backend.name()
+            );
+            let ms = simd::with_forced_backend(backend, || time_best_ms(reps, &mut timed));
+            Row {
+                backend: backend.name().to_string(),
+                kernel: kernel.to_string(),
+                shape: shape.to_string(),
+                ms,
+                rate: rate(ms),
+            }
+        })
+        .collect()
 }
 
-fn pack(t: &Tensor, role: TensorRole, rng: &mut Rng) -> QTensor {
-    let q: Quantizer = Precision::Fp4.quantizer_with_group(role, 128);
-    q.quantize_packed(t, rng).expect("FP4 is packable")
+/// A tensor's shape and element bits: what every tier must reproduce.
+fn bits(t: &Tensor) -> ((usize, usize), Vec<u32>) {
+    (
+        t.shape(),
+        t.as_slice().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+fn shape_of(t: &Tensor) -> String {
+    let (rows, cols) = t.shape();
+    format!("{rows}x{cols}")
+}
+
+fn ns_per_elt(elements: usize) -> impl Fn(f64) -> f64 {
+    move |ms| ms * 1e6 / elements as f64
+}
+
+fn pack(p: Precision, t: &Tensor, role: TensorRole, rng: &mut Rng) -> QTensor {
+    p.quantizer_with_group(role, GROUP)
+        .quantize_packed(t, rng)
+        .expect("FP4 and FP8 are packable")
+}
+
+/// Packs from a fixed RNG state; returns the pack and the state after.
+fn pack_seeded(q: &Quantizer, t: &Tensor) -> (QTensor, Rng) {
+    let mut rng = Rng::seed_from(11);
+    let packed = q.quantize_packed(t, &mut rng).expect("packable");
+    (packed, rng)
+}
+
+/// The `pack` rows of one quantizer: `role`'s scale layout at `p` with
+/// `rounding`, named `pack_<format>_<layout>_<rounding>`.
+fn pack_rows(
+    p: Precision,
+    role: TensorRole,
+    rounding: Rounding,
+    t: &Tensor,
+    reps: usize,
+) -> Vec<Row> {
+    let q = p.quantizer_with_group(role, GROUP).with_rounding(rounding);
+    let layout = match role {
+        TensorRole::Weight => format!("block{GROUP}x{GROUP}"),
+        TensorRole::Input | TensorRole::OutputGrad => format!("tile1x{GROUP}"),
+    };
+    let rounding = format!("{rounding:?}").to_lowercase();
+    let mut rng = Rng::seed_from(11);
+    per_tier(
+        &format!("pack_{p}_{layout}_{rounding}"),
+        &shape_of(t),
+        reps,
+        ns_per_elt(t.len()),
+        || pack_seeded(&q, t),
+        || q.quantize_packed(t, &mut rng).expect("packable"),
+    )
 }
 
 fn run(smoke: bool) -> Report {
@@ -310,19 +280,16 @@ fn run(smoke: bool) -> Report {
     };
     let mut rng = Rng::seed_from(0xBE7C);
 
-    let mut gemm = Vec::new();
-    let mut decode = Vec::new();
-    let mut quantize = Vec::new();
-    let mut backend_pack = Vec::new();
-    let mut seen_act_shapes = std::collections::HashSet::new();
+    let (mut gemm, mut decode, mut pack_table) = (Vec::new(), Vec::new(), Vec::new());
+    let mut seen_act_shapes = BTreeSet::new();
 
     for &(tokens, d_out, d_in) in shapes {
         let x = Tensor::randn(tokens, d_in, 1.0, &mut rng); // activations
         let w = Tensor::randn(d_out, d_in, 0.05, &mut rng); // weight (out×in)
         let dy = Tensor::randn(tokens, d_out, 1.0, &mut rng); // output grad
-        let qx = pack(&x, TensorRole::Input, &mut rng);
-        let qw = pack(&w, TensorRole::Weight, &mut rng);
-        let qdy = pack(&dy, TensorRole::OutputGrad, &mut rng);
+        let qx = pack(Precision::Fp4, &x, TensorRole::Input, &mut rng);
+        let qw = pack(Precision::Fp4, &w, TensorRole::Weight, &mut rng);
+        let qdy = pack(Precision::Fp4, &dy, TensorRole::OutputGrad, &mut rng);
         // Dense views of the packed operands, so dense and packed kernels
         // compute the same product.
         let (dx_, dw_, ddy_) = (qx.dequantize(), qw.dequantize(), qdy.dequantize());
@@ -330,7 +297,7 @@ fn run(smoke: bool) -> Report {
         // forward Y = X·Wᵀ (nt), input grad dX = dY·W (nn),
         // weight grad dW = dYᵀ·X (tn).
         type GemmCall<'a> = Box<dyn Fn() -> Tensor + 'a>;
-        let rows: [(&str, String, GemmCall<'_>); 6] = [
+        let kernels: [(&str, String, GemmCall<'_>); 6] = [
             (
                 "matmul",
                 format!("{tokens}x{d_out}x{d_in}"),
@@ -362,69 +329,54 @@ fn run(smoke: bool) -> Report {
                 Box::new(|| qgemm_tn(QOperandRef::from(&qdy), QOperandRef::from(&qx))),
             ),
         ];
-
         // Every orientation of one layer triple does the same 2·m·k·n flops.
         let flops = 2.0 * (tokens * d_out * d_in) as f64;
-        for (kernel, shape, current) in rows {
-            let current_ms = time_best_ms(reps, &*current);
-            let gflops = Some(flops / (current_ms * 1e6));
-            gemm.push(kernel_row(kernel.to_string(), shape, current_ms, gflops));
+        for (kernel, shape, call) in kernels {
+            gemm.extend(per_tier(
+                kernel,
+                &shape,
+                reps,
+                |ms| flops / (ms * 1e6),
+                || bits(&call()),
+                &*call,
+            ));
         }
 
         // The layer's weight, packed the way `snip-nn` packs it (block
         // scales, nearest): the largest pack of a train step.
         for p in [Precision::Fp4, Precision::Fp8] {
-            let quantizer = p.quantizer_with_group(TensorRole::Weight, 128);
-            let name = format!("quantize_{p}_weight");
-            quantize.push(quantize_row(name.clone(), &w, quantizer, reps));
-            if p == Precision::Fp4 {
-                backend_pack.extend(backend_pack_rows(&name, &w, quantizer, reps));
-            }
-        }
-
-        // Decode and activation quantize depend only on the activation
-        // shape, which several GEMM triples can share — measure each
-        // distinct shape once.
-        let act_shape = format!("{tokens}x{d_in}");
-        if !seen_act_shapes.insert(act_shape.clone()) {
-            continue;
-        }
-
-        // Decode: the pair-table path.
-        for (fmt, q) in [("fp4", &qx), ("fp8", &pack_fp8(&x, &mut rng))] {
-            let current_ms = time_best_ms(reps, || q.dequantize());
-            decode.push(kernel_row(
-                format!("decode_{fmt}"),
-                act_shape.clone(),
-                current_ms,
-                None,
+            pack_table.extend(pack_rows(
+                p,
+                TensorRole::Weight,
+                Rounding::Nearest,
+                &w,
+                reps,
             ));
         }
 
-        // Activation quantize (1×128 tiles), per rounding mode.
+        // Decode and activation packs depend only on the activation shape,
+        // which several GEMM triples can share — measure each distinct
+        // shape once.
+        if !seen_act_shapes.insert(shape_of(&x)) {
+            continue;
+        }
+        let qx8 = pack(Precision::Fp8, &x, TensorRole::Input, &mut rng);
+        for (p, q) in [(Precision::Fp4, &qx), (Precision::Fp8, &qx8)] {
+            decode.extend(per_tier(
+                &format!("decode_{p}"),
+                &shape_of(&x),
+                reps,
+                ns_per_elt(x.len()),
+                || bits(&q.dequantize()),
+                || q.dequantize(),
+            ));
+        }
         for p in [Precision::Fp4, Precision::Fp8] {
-            for rounding in [
-                snip_quant::Rounding::Nearest,
-                snip_quant::Rounding::Stochastic,
-            ] {
-                let quantizer = p
-                    .quantizer_with_group(TensorRole::Input, 128)
-                    .with_rounding(rounding);
-                let name = format!("quantize_{p}");
-                quantize.push(quantize_row(name.clone(), &x, quantizer, reps));
-                backend_pack.extend(backend_pack_rows(&name, &x, quantizer, reps));
+            for rounding in [Rounding::Nearest, Rounding::Stochastic] {
+                pack_table.extend(pack_rows(p, TensorRole::Input, rounding, &x, reps));
             }
         }
     }
-
-    let backend_gemm = backend_gemm_sweep(shapes, reps, &mut rng);
-
-    // End-to-end training step on the shared bench fixture.
-    let steps: u64 = if smoke { 2 } else { 8 };
-    let mut trainer = snip_bench::fixtures::bench_trainer();
-    let t0 = Instant::now();
-    let _ = trainer.train(steps);
-    let ms_per_step = t0.elapsed().as_secs_f64() * 1e3 / steps as f64;
 
     Report {
         schema: SCHEMA,
@@ -432,30 +384,9 @@ fn run(smoke: bool) -> Report {
         smoke,
         machine,
         gemm,
-        backend_gemm,
         decode,
-        quantize,
-        backend_pack,
-        train_step: TrainStep { steps, ms_per_step },
+        pack: pack_table,
         probe: probe_row(smoke),
-    }
-}
-
-/// A `gemm`/`decode` row: the measured time beside the frozen PR-4 timing
-/// of the same kernel and shape, where [`BASELINE_MS`] has one (the full
-/// shapes; smoke shapes have none).
-fn kernel_row(kernel: String, shape: String, current_ms: f64, gflops: Option<f64>) -> KernelRow {
-    let baseline_ms = BASELINE_MS
-        .iter()
-        .find(|(k, s, _)| *k == kernel && *s == shape)
-        .map(|&(.., ms)| ms);
-    KernelRow {
-        kernel,
-        shape,
-        baseline_ms,
-        current_ms,
-        speedup: baseline_ms.map(|b| b / current_ms),
-        gflops,
     }
 }
 
@@ -514,156 +445,17 @@ fn probe_row(smoke: bool) -> ProbeRow {
         probe_bwd_pass_ms,
         probe_fwd_pass_ms,
         stats_pass_ms,
-        before_measure_ms: (!smoke).then_some(BEFORE_MEASURE_MS),
     }
 }
 
-fn rounding_name(q: &Quantizer) -> String {
-    format!("{:?}", q.rounding()).to_lowercase()
-}
-
-fn ns_per_elt(ms: f64, t: &Tensor) -> f64 {
-    ms * 1e6 / t.len() as f64
-}
-
-/// Times the packed path against the fake-quant path on `t` under default
-/// dispatch. (The packed path emits codes *and* scales where the fake path
-/// writes a dequantized grid; both do one scan and one rounding per
-/// element.)
-fn quantize_row(name: String, t: &Tensor, quantizer: Quantizer, reps: usize) -> QuantizeRow {
-    let (rows, cols) = t.shape();
-    let shape = format!("{rows}x{cols}");
-    let rounding = rounding_name(&quantizer);
-    let mut frng = Rng::seed_from(11);
-    let fake_ms = time_best_ms(reps, || quantizer.fake_quantize(t, &mut frng));
-    let mut qrng = Rng::seed_from(11);
-    let packed_ms = time_best_ms(reps, || {
-        quantizer.quantize_packed(t, &mut qrng).expect("packable")
-    });
-    let before_packed_ms = BEFORE_PACKED_MS
-        .iter()
-        .find(|(n, s, r, _)| *n == name && *s == shape && *r == rounding)
-        .map(|&(.., ms)| ms);
-    QuantizeRow {
-        name,
-        shape,
-        rounding,
-        fake_ms,
-        packed_ms,
-        ratio: packed_ms / fake_ms,
-        fake_ns_per_elt: ns_per_elt(fake_ms, t),
-        packed_ns_per_elt: ns_per_elt(packed_ms, t),
-        before_packed_ms,
+/// Validates a report's JSON text; returns a one-line summary.
+fn check_report(json: &str) -> Result<String, String> {
+    let parse = |e: serde_json::Error| format!("parse: {e}");
+    let SchemaOnly { schema } = serde_json::from_str(json).map_err(parse)?;
+    if schema != SCHEMA {
+        return Err(format!("schema {schema}, expected {SCHEMA}"));
     }
-}
-
-/// Packs from a fixed RNG state; returns the pack and the state after.
-fn pack_seeded(q: &Quantizer, t: &Tensor) -> (QTensor, Rng) {
-    let mut rng = Rng::seed_from(11);
-    let packed = q.quantize_packed(t, &mut rng).expect("packable");
-    (packed, rng)
-}
-
-/// Times `quantize_packed` of `t` on one thread with the dispatch pinned
-/// to every compiled backend tier in turn. A tier is timed only after its
-/// codes, scales and post-call RNG state matched forced scalar.
-fn backend_pack_rows(name: &str, t: &Tensor, q: Quantizer, reps: usize) -> Vec<BackendPackRow> {
-    fn pinned<R>(backend: simd::Backend, f: impl FnOnce() -> R) -> R {
-        simd::with_forced_backend(backend, || pool::with_threads(1, f))
-    }
-    let (rows, cols) = t.shape();
-    let reference = pinned(simd::Backend::Scalar, || pack_seeded(&q, t));
-    simd::available_backends()
-        .into_iter()
-        .map(|backend| {
-            assert!(
-                pinned(backend, || pack_seeded(&q, t)) == reference,
-                "{name} @ {}: codes, scales or RNG state differ from forced scalar — \
-                 refusing to time different math",
-                backend.name()
-            );
-            let mut rng = Rng::seed_from(11);
-            let packed_ms = pinned(backend, || {
-                time_best_ms(reps, || q.quantize_packed(t, &mut rng).expect("packable"))
-            });
-            BackendPackRow {
-                backend: backend.name().to_string(),
-                name: name.to_string(),
-                shape: format!("{rows}x{cols}"),
-                rounding: rounding_name(&q),
-                packed_ms,
-                ns_per_elt: ns_per_elt(packed_ms, t),
-            }
-        })
-        .collect()
-}
-
-/// Times the dense and packed forward kernels at each full shape with the
-/// dispatch pinned to every compiled backend tier in turn. Before timing,
-/// every tier's result is asserted bit-identical to the scalar tier's, so a
-/// backend row can never record a kernel that drifted. This is the
-/// per-backend evidence for the SIMD trajectory: scalar → 8-lane AVX2 →
-/// 16-lane AVX-512 on the same box, same binary, same operands.
-fn backend_gemm_sweep(
-    shapes: &[(usize, usize, usize)],
-    reps: usize,
-    rng: &mut Rng,
-) -> Vec<BackendRow> {
-    let mut out = Vec::new();
-    for &(tokens, d_out, d_in) in shapes {
-        let dy = Tensor::randn(tokens, d_out, 1.0, rng);
-        let w = Tensor::randn(d_out, d_in, 0.05, rng);
-        let qdy = pack(&dy, TensorRole::OutputGrad, rng);
-        let qw = pack(&w, TensorRole::Weight, rng);
-        let dw_ = qw.dequantize();
-
-        type Call<'a> = Box<dyn Fn() -> Tensor + 'a>;
-        let kernels: [(&str, Call<'_>); 2] = [
-            ("matmul", Box::new(|| matmul(&dy, &dw_))),
-            (
-                "qgemm",
-                Box::new(|| qgemm(QOperandRef::from(&qdy), QOperandRef::from(&qw))),
-            ),
-        ];
-        let flops = 2.0 * (tokens * d_out * d_in) as f64;
-        for (kernel, call) in kernels {
-            let reference = simd::with_forced_backend(simd::Backend::Scalar, &*call);
-            for backend in simd::available_backends() {
-                let result = simd::with_forced_backend(backend, &*call);
-                assert_bits_eq(
-                    &result,
-                    &reference,
-                    &format!("{kernel} @ {}", backend.name()),
-                );
-                let current_ms = simd::with_forced_backend(backend, || time_best_ms(reps, &*call));
-                out.push(BackendRow {
-                    backend: backend.name().to_string(),
-                    kernel: kernel.to_string(),
-                    shape: format!("{tokens}x{d_out}x{d_in}"),
-                    current_ms,
-                    gflops: flops / (current_ms * 1e6),
-                });
-            }
-        }
-    }
-    out
-}
-
-fn pack_fp8(t: &Tensor, rng: &mut Rng) -> QTensor {
-    Precision::Fp8
-        .quantizer_with_group(TensorRole::Input, 128)
-        .quantize_packed(t, rng)
-        .expect("FP8 is packable")
-}
-
-fn check_report(path: &std::path::Path) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let report: Report =
-        serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if report.schema != SCHEMA {
-        return Err(format!("unknown schema {}", report.schema));
-    }
+    let report: Report = serde_json::from_str(json).map_err(parse)?;
     let mach = &report.machine;
     if mach.arch.is_empty() || mach.simd_backend.is_empty() {
         return Err("machine section is missing arch/simd_backend".to_string());
@@ -674,154 +466,13 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             mach.simd_lanes, mach.threads
         ));
     }
-    for kernel in KERNELS {
-        if !report.gemm.iter().any(|r| r.kernel == kernel) {
-            return Err(format!("gemm section is missing kernel `{kernel}`"));
-        }
-    }
-    for r in &report.gemm {
-        match r.gflops {
-            Some(g) if g.is_finite() && g > 0.0 => {}
-            other => return Err(format!("{} {}: gflops = {other:?}", r.kernel, r.shape)),
-        }
-    }
-    if report.backend_gemm.is_empty() {
-        return Err("backend_gemm section is empty".to_string());
-    }
-    // Every backend in the matrix must cover the same kernels, the machine's
-    // selected backend must appear, and a scalar baseline must be present
-    // (it is compiled unconditionally, so its absence means a broken sweep).
-    let backends: std::collections::BTreeSet<&str> = report
-        .backend_gemm
-        .iter()
-        .map(|r| r.backend.as_str())
-        .collect();
-    if !backends.contains("scalar") {
-        return Err("backend_gemm is missing the scalar tier".to_string());
-    }
-    if !backends.contains(mach.simd_backend.as_str()) {
-        return Err(format!(
-            "backend_gemm is missing the dispatched backend `{}`",
-            mach.simd_backend
-        ));
-    }
-    for backend in &backends {
-        for kernel in ["matmul", "qgemm"] {
-            if !report
-                .backend_gemm
-                .iter()
-                .any(|r| r.backend == *backend && r.kernel == kernel)
-            {
-                return Err(format!("backend_gemm: `{backend}` is missing `{kernel}`"));
-            }
-        }
-    }
-    for r in &report.backend_gemm {
-        for (what, v) in [("current_ms", r.current_ms), ("gflops", r.gflops)] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!(
-                    "backend_gemm {} {} {}: {what} = {v}",
-                    r.backend, r.kernel, r.shape
-                ));
-            }
-        }
-    }
-    if report.decode.is_empty() {
-        return Err("decode section is empty".to_string());
-    }
-    if report.quantize.is_empty() {
-        return Err("quantize section is empty".to_string());
-    }
-    for rounding in ["nearest", "stochastic"] {
-        if !report.quantize.iter().any(|r| r.rounding == rounding) {
-            return Err(format!("quantize section has no `{rounding}` rows"));
-        }
-    }
-    for r in report.gemm.iter().chain(&report.decode) {
-        // Full shapes carry the frozen baseline; smoke shapes have none.
-        if r.baseline_ms.is_some() == report.smoke || r.speedup.is_some() == report.smoke {
-            return Err(format!(
-                "{} {}: baseline_ms = {:?}, speedup = {:?} with smoke = {}",
-                r.kernel, r.shape, r.baseline_ms, r.speedup, report.smoke
-            ));
-        }
-        for (what, v) in [
-            ("baseline_ms", r.baseline_ms.unwrap_or(1.0)),
-            ("current_ms", r.current_ms),
-            ("speedup", r.speedup.unwrap_or(1.0)),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("{} {}: {what} = {v}", r.kernel, r.shape));
-            }
-        }
-    }
-    if !report.quantize.iter().any(|r| r.name.ends_with("_weight")) {
-        return Err("quantize section has no weight-shape rows".to_string());
-    }
-    for r in &report.quantize {
-        for (what, v) in [
-            ("fake_ms", r.fake_ms),
-            ("packed_ms", r.packed_ms),
-            ("ratio", r.ratio),
-            ("fake_ns_per_elt", r.fake_ns_per_elt),
-            ("packed_ns_per_elt", r.packed_ns_per_elt),
-            ("before_packed_ms", r.before_packed_ms.unwrap_or(1.0)),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("{} {}: {what} = {v}", r.name, r.rounding));
-            }
-        }
-    }
-    // The pack matrix mirrors the GEMM matrix: every tier covers the same
-    // cases, scalar and the dispatched backend are present.
-    let pack_backends: std::collections::BTreeSet<&str> = report
-        .backend_pack
-        .iter()
-        .map(|r| r.backend.as_str())
-        .collect();
-    if pack_backends != backends {
-        return Err(format!(
-            "backend_pack covers {pack_backends:?}, backend_gemm {backends:?}"
-        ));
-    }
-    let scalar_cases = report
-        .backend_pack
-        .iter()
-        .filter(|r| r.backend == "scalar")
-        .count();
-    for backend in &pack_backends {
-        let cases = report
-            .backend_pack
-            .iter()
-            .filter(|r| r.backend == *backend)
-            .count();
-        if cases != scalar_cases {
-            return Err(format!(
-                "backend_pack: `{backend}` has {cases} rows, scalar {scalar_cases}"
-            ));
-        }
-    }
-    for rounding in ["nearest", "stochastic"] {
-        if !report.backend_pack.iter().any(|r| r.rounding == rounding) {
-            return Err(format!("backend_pack has no `{rounding}` rows"));
-        }
-    }
-    for r in &report.backend_pack {
-        for (what, v) in [("packed_ms", r.packed_ms), ("ns_per_elt", r.ns_per_elt)] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!(
-                    "backend_pack {} {} {}: {what} = {v}",
-                    r.backend, r.name, r.rounding
-                ));
-            }
-        }
-    }
-    let ts = &report.train_step;
-    if ts.steps == 0 || !ts.ms_per_step.is_finite() || ts.ms_per_step <= 0.0 {
-        return Err(format!(
-            "train_step: steps = {}, ms_per_step = {}",
-            ts.steps, ts.ms_per_step
-        ));
+    let mut tiers = BTreeSet::new();
+    for (name, rows) in [
+        ("gemm", &report.gemm),
+        ("decode", &report.decode),
+        ("pack", &report.pack),
+    ] {
+        tiers.extend(check_table(name, rows, &mach.simd_backend)?);
     }
     let pr = &report.probe;
     for (what, v) in [
@@ -833,7 +484,6 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         ("probe_bwd_pass_ms", pr.probe_bwd_pass_ms),
         ("probe_fwd_pass_ms", pr.probe_fwd_pass_ms),
         ("stats_pass_ms", pr.stats_pass_ms),
-        ("before_measure_ms", pr.before_measure_ms.unwrap_or(1.0)),
     ] {
         if !v.is_finite() || v <= 0.0 {
             return Err(format!("probe: {what} = {v}"));
@@ -848,20 +498,53 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
-         {} backend-pack rows, probe = {:.2} steps, \
-         {:.2} ms/train-step, {} simd on {} threads",
+        "{} gemm, {} decode, {} pack rows over {}, probe = {:.2} steps, \
+         {} simd on {} threads",
         report.gemm.len(),
-        report.backend_gemm.len(),
-        backends.iter().copied().collect::<Vec<_>>().join("/"),
         report.decode.len(),
-        report.quantize.len(),
-        report.backend_pack.len(),
+        report.pack.len(),
+        Vec::from_iter(tiers).join("/"),
         pr.measure_over_step,
-        ts.ms_per_step,
         mach.simd_backend,
         mach.threads
     ))
+}
+
+/// The coverage rule every table obeys: every `ms` and rate finite and
+/// positive, a scalar tier and the `dispatched` one present, and every tier
+/// carrying exactly scalar's (kernel, shape) set. Returns the tier names.
+fn check_table<'r>(name: &str, rows: &'r [Row], dispatched: &str) -> Result<Vec<&'r str>, String> {
+    let mut tiers: BTreeMap<&'r str, BTreeSet<(&str, &str)>> = BTreeMap::new();
+    for r in rows {
+        for (what, v) in [("ms", r.ms), ("rate", r.rate)] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(format!(
+                    "{name} {} {} [{}]: {what} = {v}",
+                    r.kernel, r.shape, r.backend
+                ));
+            }
+        }
+        tiers
+            .entry(r.backend.as_str())
+            .or_default()
+            .insert((r.kernel.as_str(), r.shape.as_str()));
+    }
+    let scalar = tiers
+        .get("scalar")
+        .ok_or_else(|| format!("{name} has no scalar tier"))?;
+    if !tiers.contains_key(dispatched) {
+        return Err(format!(
+            "{name} is missing the dispatched backend `{dispatched}`"
+        ));
+    }
+    for (backend, cases) in &tiers {
+        if let Some((kernel, shape)) = scalar.symmetric_difference(cases).next() {
+            return Err(format!(
+                "{name}: `{kernel} {shape}` is in only one of the `scalar` and `{backend}` tiers"
+            ));
+        }
+    }
+    Ok(tiers.into_keys().collect())
 }
 
 fn print_summary(report: &Report) {
@@ -876,54 +559,21 @@ fn print_summary(report: &Report) {
         mach.threads,
         report.smoke
     );
-    for r in report.gemm.iter().chain(&report.decode) {
-        let gflops = r
-            .gflops
-            .map(|g| format!("  {g:>6.2} GFLOP/s"))
-            .unwrap_or_default();
-        let before = r
-            .baseline_ms
-            .map(|b| format!("  (PR 4 {b:.3} ms, {:.2}x)", b / r.current_ms))
-            .unwrap_or_default();
-        println!(
-            "  {:>12} {:>14}  {:>9.3} ms{gflops}{before}",
-            r.kernel, r.shape, r.current_ms
-        );
+    for (rows, unit) in [
+        (&report.gemm, "GFLOP/s"),
+        (&report.decode, "ns/elt"),
+        (&report.pack, "ns/elt"),
+    ] {
+        for r in rows {
+            println!(
+                "  {:>29} {:>12}  {:>9.3} ms  {:>7.2} {unit}  [{}]",
+                r.kernel, r.shape, r.ms, r.rate, r.backend
+            );
+        }
     }
-    for r in &report.backend_gemm {
-        println!(
-            "  {:>12} {:>14}  {:>9.3} ms   {:>6.2} GFLOP/s  [{}]",
-            r.kernel, r.shape, r.current_ms, r.gflops, r.backend
-        );
-    }
-    for r in &report.quantize {
-        let before = r
-            .before_packed_ms
-            .map(|b| format!("  (parent {b:.3} ms, {:.1}x)", b / r.packed_ms))
-            .unwrap_or_default();
-        println!(
-            "  {:>19} {:>9}  fake {:>7.3} ms {:>5.2} ns/elt → packed {:>7.3} ms {:>5.2} ns/elt  ({}){before}",
-            r.name, r.shape, r.fake_ms, r.fake_ns_per_elt, r.packed_ms, r.packed_ns_per_elt,
-            r.rounding
-        );
-    }
-    for r in &report.backend_pack {
-        println!(
-            "  {:>19} {:>9}  {:>9.3} ms   {:>5.2} ns/elt  ({})  [{}]",
-            r.name, r.shape, r.packed_ms, r.ns_per_elt, r.rounding, r.backend
-        );
-    }
-    println!(
-        "  {:>12} {:>14}  {:>9.3} ms/step",
-        "train_step", "-", report.train_step.ms_per_step
-    );
     let pr = &report.probe;
-    let before = pr
-        .before_measure_ms
-        .map(|b| format!("  (parent {b:.1} ms, {:.2}x)", b / pr.measure_ms))
-        .unwrap_or_default();
     println!(
-        "  {:>12} {:>14}  {:>9.3} ms = {:.2} x {:.3} ms fwd+bwd{before}\n  {:>27}  forward {:.1} + base {:.1} + probe_bwd {:.1} + probe_fwd {:.1} + stats {:.1} ms",
+        "  {:>29} {:>12}  {:>9.3} ms = {:.2} x {:.3} ms fwd+bwd\n  {:>42}  forward {:.1} + base {:.1} + probe_bwd {:.1} + probe_fwd {:.1} + stats {:.1} ms",
         "measure",
         pr.model,
         pr.measure_ms,
@@ -988,4 +638,127 @@ fn pretty(json: &str) -> String {
     }
     out.push('\n');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `cases` on both tiers of a scalar + AVX2 machine.
+    fn table(cases: &[(&str, &str)]) -> Vec<Row> {
+        ["scalar", "avx2"]
+            .iter()
+            .flat_map(|backend| {
+                cases.iter().map(move |&(kernel, shape)| Row {
+                    backend: backend.to_string(),
+                    kernel: kernel.to_string(),
+                    shape: shape.to_string(),
+                    ms: 1.5,
+                    rate: 2.5,
+                })
+            })
+            .collect()
+    }
+
+    /// A valid full-shape schema-9 report of a machine dispatching AVX2.
+    fn valid() -> Report {
+        Report {
+            schema: SCHEMA,
+            generated_by: "bench_gemm".to_string(),
+            smoke: false,
+            machine: Machine {
+                arch: "x86_64".to_string(),
+                cpu_features: vec!["avx2".to_string(), "fma".to_string()],
+                simd_compiled: true,
+                simd_backend: "avx2".to_string(),
+                simd_lanes: 8,
+                threads: 2,
+            },
+            gemm: table(&[
+                ("matmul", "256x768x768"),
+                ("qgemm", "256x768x768"),
+                ("qgemm_nt", "256x768x2048"),
+            ]),
+            decode: table(&[("decode_fp4", "256x768"), ("decode_fp8", "256x768")]),
+            pack: table(&[
+                ("pack_fp4_tile1x128_stochastic", "256x768"),
+                ("pack_fp8_block128x128_nearest", "2048x768"),
+            ]),
+            probe: ProbeRow {
+                model: "bench-768x2".to_string(),
+                tokens: 256,
+                fwd_bwd_ms: 300.0,
+                measure_ms: 750.0,
+                measure_over_step: 2.5,
+                forward_pass_ms: 100.0,
+                base_pass_ms: 200.0,
+                probe_bwd_pass_ms: 180.0,
+                probe_fwd_pass_ms: 170.0,
+                stats_pass_ms: 90.0,
+            },
+        }
+    }
+
+    fn check(report: &Report) -> Result<String, String> {
+        check_report(&serde_json::to_string(report).expect("report serializes"))
+    }
+
+    fn rejects(report: &Report, why: &str) {
+        let err = check(report).expect_err("check must reject");
+        assert!(err.contains(why), "`{err}` does not mention `{why}`");
+    }
+
+    #[test]
+    fn a_valid_report_passes() {
+        let summary = check(&valid()).expect("valid report");
+        assert!(summary.contains("6 gemm, 4 decode, 4 pack rows over avx2/scalar"));
+    }
+
+    #[test]
+    fn a_tier_missing_one_case_is_rejected() {
+        let mut r = valid();
+        r.gemm
+            .retain(|row| !(row.backend == "avx2" && row.kernel == "qgemm_nt"));
+        rejects(&r, "`qgemm_nt 256x768x2048` is in only one");
+    }
+
+    #[test]
+    fn a_table_without_scalar_is_rejected() {
+        let mut r = valid();
+        r.decode.retain(|row| row.backend != "scalar");
+        rejects(&r, "decode has no scalar tier");
+    }
+
+    #[test]
+    fn a_dispatched_backend_absent_from_pack_is_rejected() {
+        let mut r = valid();
+        r.pack.retain(|row| row.backend != "avx2");
+        rejects(&r, "pack is missing the dispatched backend `avx2`");
+    }
+
+    #[test]
+    fn a_nan_or_zero_ms_is_rejected() {
+        for ms in [f64::NAN, 0.0] {
+            let mut r = valid();
+            r.gemm[4].ms = ms;
+            rejects(&r, &format!("gemm qgemm 256x768x768 [avx2]: ms = {ms}"));
+        }
+    }
+
+    #[test]
+    fn a_full_shape_probe_over_budget_is_rejected() {
+        let mut r = valid();
+        r.probe.measure_over_step = 3.6;
+        rejects(&r, "probe: measure costs 3.60 steps");
+        // Smoke shapes are all fixed cost: the budget does not apply.
+        r.smoke = true;
+        check(&r).expect("smoke probe is not budgeted");
+    }
+
+    #[test]
+    fn a_schema_8_file_is_rejected() {
+        let mut r = valid();
+        r.schema = 8;
+        rejects(&r, "schema 8, expected 9");
+    }
 }

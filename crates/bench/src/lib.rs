@@ -1,12 +1,13 @@
 //! # snip-bench
 //!
 //! The **perf trajectory runner** `bench_gemm` (`cargo run --release -p
-//! snip-bench --bin bench_gemm`): it times quantize, decode, all six GEMM
-//! orientations and an end-to-end training step at model-realistic shapes
-//! — each kernel beside the frozen timing of its PR-4 predecessor — and
-//! writes machine-readable `BENCH_gemm.json` at the repo root. CI runs it
-//! in `--smoke` mode and validates the output with `--check`, so the
-//! trajectory cannot silently rot.
+//! snip-bench --bin bench_gemm`): it times all six GEMM orientations, the
+//! pack and the decode kernels at model-realistic shapes, once per
+//! (backend tier, kernel, shape), each tier bit-gated against forced
+//! scalar, plus the SNIP probe against a plain step, and writes
+//! machine-readable `BENCH_gemm.json` (schema 9) at the repo root. CI
+//! validates the committed file with `--check`, then runs `--smoke` and
+//! checks its output, so the trajectory cannot silently rot.
 //!
 //! End-to-end and per-layer training costs (train step by precision
 //! scheme, SNIP measure/analyze/ILP overhead, collectives, optimizer) are
@@ -41,19 +42,15 @@ pub mod fixtures {
         t
     }
 
-    /// A small warmed-up trainer for the end-to-end train-step row.
-    pub fn bench_trainer() -> Trainer {
-        warmed(ModelConfig::tiny_test(), 1e-3, 2, 16)
-    }
-
     /// The 768×2-block model of the end-to-end benchmark
     /// (`benchmark/src/fixture.rs`: ≈ 15 M parameters, 14 linear layers,
     /// 4 × 64 = 256 tokens per step, so its GEMMs are the shapes the `gemm`
     /// section times), warmed — what the `probe` section runs
-    /// `snip_core::measure` on. `smoke` swaps in [`bench_trainer`].
+    /// `snip_core::measure` on. `smoke` swaps in the `tiny_test` model at
+    /// batch 2 × 16.
     pub fn probe_trainer(smoke: bool) -> Trainer {
         if smoke {
-            return bench_trainer();
+            return warmed(ModelConfig::tiny_test(), 1e-3, 2, 16);
         }
         let model = ModelConfig {
             name: "bench-768x2".into(),

@@ -9,7 +9,6 @@ use snip_ilp::{
     contiguous_stages, solve, solve_grouped, Choice, McKnapsack, SolveError, SolveOptions,
 };
 use snip_nn::ModelConfig;
-use std::time::Duration;
 
 /// How per-stage targets are derived when pipeline balancing is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,8 +32,6 @@ pub struct PolicyConfig {
     /// Efficiency target `E_t` ∈ [0, 1]: the fraction of linear-layer FLOPs
     /// that must run in FP4.
     pub target_fp4: f64,
-    /// ILP wall-clock budget in milliseconds (paper uses 30 s).
-    pub time_limit_ms: u64,
     /// When set, decompose into this many contiguous pipeline stages and
     /// balance efficiency across them (paper §5.3).
     pub pipeline_stages: Option<usize>,
@@ -48,7 +45,6 @@ impl Default for PolicyConfig {
     fn default() -> Self {
         PolicyConfig {
             target_fp4: 0.5,
-            time_limit_ms: 30_000,
             pipeline_stages: None,
             pipeline_balance: PipelineBalance::default(),
         }
@@ -84,7 +80,8 @@ pub fn decide_scheme(
 /// pipeline stage, and the picks become a [`Scheme`]. A method is its
 /// quality table; everything after the table is this function.
 ///
-/// A solve that hits `time_limit_ms` still returns its incumbent, but bumps
+/// A solve that hits the solver's time limit ([`SolveOptions::default`], the
+/// paper's 30 s) still returns its incumbent, but bumps
 /// the `snip.solve_unproven` counter — whether or not telemetry collection
 /// is on, because the scheme then depends on machine speed and the
 /// experiment runner fails a sweep on it (the branch costs nothing until a
@@ -108,9 +105,7 @@ pub fn scheme_from_tables(
         .collect();
     let n_layers = groups.len();
     let problem = McKnapsack::new(groups, policy.target_fp4);
-    let opts = SolveOptions {
-        time_limit: Duration::from_millis(policy.time_limit_ms),
-    };
+    let opts = SolveOptions::default();
     let solution = match policy.pipeline_stages {
         None => solve(&problem, &opts)?,
         Some(0) => return Err(SolveError::Invalid("pipeline_stages must be ≥ 1".into())),
@@ -276,7 +271,6 @@ mod tests {
                 target_fp4: 0.5,
                 pipeline_stages: Some(2),
                 pipeline_balance: balance,
-                ..Default::default()
             };
             let scheme = decide_scheme(&analysis, &options, &cfg, &policy, "tb").unwrap();
             // The budget that was solved is the synthetic table's (14 equal

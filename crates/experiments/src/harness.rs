@@ -377,7 +377,6 @@ impl Study {
             target_fp4: budget,
             pipeline_stages: stages,
             pipeline_balance: balance,
-            ..Default::default()
         };
         let name = format!("SNIP@{:.0}", budget * 100.0);
         decide_scheme(

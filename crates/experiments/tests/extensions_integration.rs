@@ -38,7 +38,6 @@ fn time_balanced_policy_flattens_stage_times() {
                     target_fp4: 0.5,
                     pipeline_stages: Some(4),
                     pipeline_balance: balance,
-                    ..Default::default()
                 },
                 ..Default::default()
             },

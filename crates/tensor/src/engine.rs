@@ -416,23 +416,15 @@ fn gemm_blocked_inner(
     let reused = m > MC || (parts > 1 && m > 1);
     let bcache: Option<AlignedVec> = if reused && k * n > 0 && k * n <= B_CACHE_LIMIT {
         // Tiles are stored back to back: the tile starting at column `j0`
-        // occupies `cache[j0 * k..j1 * k]` — disjoint slices, so when the
-        // GEMM itself will run parallel the build fans out across the pool
-        // too (one task per tile; tile contents depend only on position,
-        // so the cache is identical at every split).
+        // occupies `cache[j0 * k..j1 * k]`. The build runs on the calling
+        // thread: fanning it out over the pool did not resolve as a gain in
+        // alternating `train-bf16` pairs (8 of 10 wins, median 301.6 vs
+        // 322.7 ms, inside its own 24 ms inter-quartile spread).
         let mut cache = AlignedVec::new();
-        let tiles: Vec<&mut [f32]> = cache.prep(k * n).chunks_mut(NC * k).collect();
-        let build = |t: usize, tile: &mut [f32], staging: &mut Vec<f32>| {
+        let mut staging = Vec::new();
+        for (t, tile) in cache.prep(k * n).chunks_mut(NC * k).enumerate() {
             let j0 = t * NC;
-            build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, staging);
-        };
-        if parts > 1 {
-            pool::for_each_owned(tiles, |t, tile| build(t, tile, &mut Vec::new()));
-        } else {
-            let mut staging = Vec::new();
-            for (t, tile) in tiles.into_iter().enumerate() {
-                build(t, tile, &mut staging);
-            }
+            build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, &mut staging);
         }
         if snip_obs::enabled() {
             snip_obs::counter_add("gemm.bcache.builds", 1);
