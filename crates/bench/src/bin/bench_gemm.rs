@@ -24,7 +24,8 @@
 //! coverage rule to every table: scalar and the dispatched backend are
 //! present, every tier carries scalar's (kernel, shape) set, and every `ms`
 //! and rate is finite and > 0. At full shapes the probe must cost at most
-//! [`MAX_MEASURE_OVER_STEP`] steps.
+//! [`MAX_MEASURE_OVER_STEP`] steps, and on every tier each `*_nt` GEMM at
+//! most [`MAX_NT_OVER_NN`] times its `nn` form at the same shape.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::StepOptions;
@@ -111,6 +112,12 @@ const SCHEMA: u64 = 9;
 /// 2–3 steps per update plus headroom for the statistics.
 const MAX_MEASURE_OVER_STEP: f64 = 3.5;
 
+/// `--check`'s ceiling at full shapes on `qgemm_nt ÷ qgemm` and
+/// `matmul_nt ÷ matmul` at the same `m x k x n`, per tier: equal FLOPs
+/// should cost about equal time whatever the orientation, because the ILP
+/// prices a layer by its FLOPs.
+const MAX_NT_OVER_NN: f64 = 1.25;
+
 /// Scale-group width of every benched pack: 1×128 activation tiles and
 /// 128×128 weight blocks, as `snip-nn` packs them.
 const GROUP: usize = 128;
@@ -154,59 +161,97 @@ fn main() {
     print_summary(&report);
 }
 
-/// Timing loop: one warm-up call, then `reps` timed calls, best (minimum)
-/// wall-clock per call in milliseconds. Minimum-of-reps is the standard
-/// low-noise estimator for deterministic CPU kernels.
-fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+/// One row of a table before it is timed: `timed` is the call, `gate` what
+/// every tier must reproduce, `rate` turns milliseconds into the table's
+/// throughput.
+struct Case<'a, G> {
+    kernel: String,
+    shape: String,
+    rate: Box<dyn Fn(f64) -> f64 + 'a>,
+    gate: Box<dyn Fn() -> G + 'a>,
+    timed: Box<dyn FnMut() + 'a>,
 }
 
-/// Times `timed` with the dispatch pinned to every compiled backend tier in
-/// turn, scalar first. A tier is timed only after `gate`'s output under it
-/// equals forced scalar's — refusing to time different math. `rate` turns
-/// the measured milliseconds into the table's throughput.
-fn per_tier<G: PartialEq, R>(
-    kernel: &str,
-    shape: &str,
-    reps: usize,
-    rate: impl Fn(f64) -> f64,
-    gate: impl Fn() -> G,
-    mut timed: impl FnMut() -> R,
-) -> Vec<Row> {
-    let reference = simd::with_forced_backend(simd::Backend::Scalar, &gate);
-    simd::available_backends()
-        .into_iter()
-        .map(|backend| {
+/// Times every case with the dispatch pinned to every compiled backend tier,
+/// scalar first. A tier is timed only after each case's `gate` output under
+/// it equals forced scalar's — refusing to time different math. Then one
+/// warm-up round and `reps` timed rounds each call every (case, tier) once,
+/// and a row keeps its best (minimum) round, the standard low-noise
+/// estimator for deterministic CPU kernels. Interleaving the rounds puts
+/// every row's samples in the same stretch of wall clock, so ratios between
+/// rows of one call — tiers, and the `nt ÷ nn` pairs `--check` holds —
+/// survive drift and bursts on a shared box.
+fn per_tier<G: PartialEq>(reps: usize, mut cases: Vec<Case<'_, G>>) -> Vec<Row> {
+    let tiers = simd::available_backends();
+    for c in &cases {
+        let reference = simd::with_forced_backend(simd::Backend::Scalar, &c.gate);
+        for &tier in &tiers {
             assert!(
-                simd::with_forced_backend(backend, &gate) == reference,
-                "{kernel} {shape} @ {}: differs from forced scalar — refusing to time different math",
-                backend.name()
+                simd::with_forced_backend(tier, &c.gate) == reference,
+                "{} {} @ {}: differs from forced scalar — refusing to time different math",
+                c.kernel,
+                c.shape,
+                tier.name()
             );
-            let ms = simd::with_forced_backend(backend, || time_best_ms(reps, &mut timed));
-            Row {
-                backend: backend.name().to_string(),
-                kernel: kernel.to_string(),
-                shape: shape.to_string(),
-                ms,
-                rate: rate(ms),
+        }
+    }
+    let mut best = vec![f64::INFINITY; cases.len() * tiers.len()];
+    for round in 0..=reps {
+        for (ci, c) in cases.iter_mut().enumerate() {
+            for (ti, &tier) in tiers.iter().enumerate() {
+                let ms = simd::with_forced_backend(tier, || {
+                    let t0 = Instant::now();
+                    (c.timed)();
+                    t0.elapsed().as_secs_f64() * 1e3
+                });
+                if round > 0 {
+                    let b = &mut best[ci * tiers.len() + ti];
+                    *b = b.min(ms);
+                }
             }
-        })
-        .collect()
+        }
+    }
+    let mut rows = Vec::new();
+    for (c, best) in cases.iter().zip(best.chunks(tiers.len())) {
+        for (tier, &ms) in tiers.iter().zip(best) {
+            rows.push(Row {
+                backend: tier.name().to_string(),
+                kernel: c.kernel.clone(),
+                shape: c.shape.clone(),
+                ms,
+                rate: (c.rate)(ms),
+            });
+        }
+    }
+    rows
 }
 
 /// A tensor's shape and element bits: what every tier must reproduce.
-fn bits(t: &Tensor) -> ((usize, usize), Vec<u32>) {
+type Bits = ((usize, usize), Vec<u32>);
+
+fn bits(t: &Tensor) -> Bits {
     (
         t.shape(),
         t.as_slice().iter().map(|v| v.to_bits()).collect(),
     )
+}
+
+/// The `gemm` row of `kernel` at `shape`: GFLOP/s of `flops` per call.
+fn gemm_case<'a>(
+    kernel: &str,
+    shape: &str,
+    flops: f64,
+    call: impl Fn() -> Tensor + Copy + 'a,
+) -> Case<'a, Bits> {
+    Case {
+        kernel: kernel.to_string(),
+        shape: shape.to_string(),
+        rate: Box::new(move |ms| flops / (ms * 1e6)),
+        gate: Box::new(move || bits(&call())),
+        timed: Box::new(move || {
+            std::hint::black_box(call());
+        }),
+    }
 }
 
 fn shape_of(t: &Tensor) -> String {
@@ -247,24 +292,71 @@ fn pack_rows(
     };
     let rounding = format!("{rounding:?}").to_lowercase();
     let mut rng = Rng::seed_from(11);
+    let q = &q;
     per_tier(
-        &format!("pack_{p}_{layout}_{rounding}"),
-        &shape_of(t),
         reps,
-        ns_per_elt(t.len()),
-        || pack_seeded(&q, t),
-        || q.quantize_packed(t, &mut rng).expect("packable"),
+        vec![Case {
+            kernel: format!("pack_{p}_{layout}_{rounding}"),
+            shape: shape_of(t),
+            rate: Box::new(ns_per_elt(t.len())),
+            gate: Box::new(move || pack_seeded(q, t)),
+            timed: Box::new(move || {
+                std::hint::black_box(q.quantize_packed(t, &mut rng).expect("packable"));
+            }),
+        }],
     )
+}
+
+/// One linear layer's GEMM operands at `dims` = `tokens × d_out × d_in`:
+/// activations X, weight W (out×in) and output gradient dY, packed FP4 the
+/// way `snip-nn` packs them, plus the dense views of the packs, so dense and
+/// packed kernels compute the same product.
+struct Layer {
+    dims: (usize, usize, usize),
+    x: Tensor,
+    w: Tensor,
+    qx: QTensor,
+    qw: QTensor,
+    qdy: QTensor,
+    dx: Tensor,
+    dw: Tensor,
+    ddy: Tensor,
+}
+
+impl Layer {
+    fn new(dims: (usize, usize, usize), rng: &mut Rng) -> Layer {
+        let (tokens, d_out, d_in) = dims;
+        let x = Tensor::randn(tokens, d_in, 1.0, rng);
+        let w = Tensor::randn(d_out, d_in, 0.05, rng);
+        let dy = Tensor::randn(tokens, d_out, 1.0, rng);
+        let qx = pack(Precision::Fp4, &x, TensorRole::Input, rng);
+        let qw = pack(Precision::Fp4, &w, TensorRole::Weight, rng);
+        let qdy = pack(Precision::Fp4, &dy, TensorRole::OutputGrad, rng);
+        let (dx, dw, ddy) = (qx.dequantize(), qw.dequantize(), qdy.dequantize());
+        Layer {
+            dims,
+            x,
+            w,
+            qx,
+            qw,
+            qdy,
+            dx,
+            dw,
+            ddy,
+        }
+    }
 }
 
 fn run(smoke: bool) -> Report {
     // Model-realistic linear-layer dimensions: `tokens × d_out × d_in` for
-    // an attention-ish and an MLP-ish layer (the three GEMM orientations
-    // of one layer are derived from the same triple, like `snip-nn` does).
+    // the attention projections and the FFN up- and down-projections (the
+    // three GEMM orientations of one layer are derived from the same
+    // triple, like `snip-nn` does). With both FFN triples every `nt` shape
+    // also has an `nn` row, which `--check` compares.
     let shapes: &[(usize, usize, usize)] = if smoke {
         &[(64, 160, 128)]
     } else {
-        &[(256, 768, 768), (256, 2048, 768)]
+        &[(256, 768, 768), (256, 2048, 768), (256, 768, 2048)]
     };
     let reps = if smoke { 2 } else { 5 };
     let machine = Machine {
@@ -279,104 +371,72 @@ fn run(smoke: bool) -> Report {
         threads: pool::size(),
     };
     let mut rng = Rng::seed_from(0xBE7C);
+    let layers: Vec<Layer> = shapes
+        .iter()
+        .map(|&dims| Layer::new(dims, &mut rng))
+        .collect();
 
-    let (mut gemm, mut decode, mut pack_table) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut decode, mut pack_table) = (Vec::new(), Vec::new());
     let mut seen_act_shapes = BTreeSet::new();
-
-    for &(tokens, d_out, d_in) in shapes {
-        let x = Tensor::randn(tokens, d_in, 1.0, &mut rng); // activations
-        let w = Tensor::randn(d_out, d_in, 0.05, &mut rng); // weight (out×in)
-        let dy = Tensor::randn(tokens, d_out, 1.0, &mut rng); // output grad
-        let qx = pack(Precision::Fp4, &x, TensorRole::Input, &mut rng);
-        let qw = pack(Precision::Fp4, &w, TensorRole::Weight, &mut rng);
-        let qdy = pack(Precision::Fp4, &dy, TensorRole::OutputGrad, &mut rng);
-        // Dense views of the packed operands, so dense and packed kernels
-        // compute the same product.
-        let (dx_, dw_, ddy_) = (qx.dequantize(), qw.dequantize(), qdy.dequantize());
-
-        // forward Y = X·Wᵀ (nt), input grad dX = dY·W (nn),
-        // weight grad dW = dYᵀ·X (tn).
-        type GemmCall<'a> = Box<dyn Fn() -> Tensor + 'a>;
-        let kernels: [(&str, String, GemmCall<'_>); 6] = [
-            (
-                "matmul",
-                format!("{tokens}x{d_out}x{d_in}"),
-                Box::new(|| matmul(&ddy_, &dw_)),
-            ),
-            (
-                "matmul_nt",
-                format!("{tokens}x{d_in}x{d_out}"),
-                Box::new(|| matmul_nt(&dx_, &dw_)),
-            ),
-            (
-                "matmul_tn",
-                format!("{d_out}x{tokens}x{d_in}"),
-                Box::new(|| matmul_tn(&ddy_, &dx_)),
-            ),
-            (
-                "qgemm",
-                format!("{tokens}x{d_out}x{d_in}"),
-                Box::new(|| qgemm(QOperandRef::from(&qdy), QOperandRef::from(&qw))),
-            ),
-            (
-                "qgemm_nt",
-                format!("{tokens}x{d_in}x{d_out}"),
-                Box::new(|| qgemm_nt(QOperandRef::from(&qx), QOperandRef::from(&qw))),
-            ),
-            (
-                "qgemm_tn",
-                format!("{d_out}x{tokens}x{d_in}"),
-                Box::new(|| qgemm_tn(QOperandRef::from(&qdy), QOperandRef::from(&qx))),
-            ),
-        ];
-        // Every orientation of one layer triple does the same 2·m·k·n flops.
-        let flops = 2.0 * (tokens * d_out * d_in) as f64;
-        for (kernel, shape, call) in kernels {
-            gemm.extend(per_tier(
-                kernel,
-                &shape,
-                reps,
-                |ms| flops / (ms * 1e6),
-                || bits(&call()),
-                &*call,
-            ));
-        }
-
+    for Layer { x, w, qx, .. } in &layers {
         // The layer's weight, packed the way `snip-nn` packs it (block
         // scales, nearest): the largest pack of a train step.
         for p in [Precision::Fp4, Precision::Fp8] {
-            pack_table.extend(pack_rows(
-                p,
-                TensorRole::Weight,
-                Rounding::Nearest,
-                &w,
-                reps,
-            ));
+            pack_table.extend(pack_rows(p, TensorRole::Weight, Rounding::Nearest, w, reps));
         }
 
         // Decode and activation packs depend only on the activation shape,
         // which several GEMM triples can share — measure each distinct
         // shape once.
-        if !seen_act_shapes.insert(shape_of(&x)) {
+        if !seen_act_shapes.insert(shape_of(x)) {
             continue;
         }
-        let qx8 = pack(Precision::Fp8, &x, TensorRole::Input, &mut rng);
-        for (p, q) in [(Precision::Fp4, &qx), (Precision::Fp8, &qx8)] {
+        let qx8 = pack(Precision::Fp8, x, TensorRole::Input, &mut rng);
+        for (p, q) in [(Precision::Fp4, qx), (Precision::Fp8, &qx8)] {
             decode.extend(per_tier(
-                &format!("decode_{p}"),
-                &shape_of(&x),
                 reps,
-                ns_per_elt(x.len()),
-                || bits(&q.dequantize()),
-                || q.dequantize(),
+                vec![Case {
+                    kernel: format!("decode_{p}"),
+                    shape: shape_of(x),
+                    rate: Box::new(ns_per_elt(x.len())),
+                    gate: Box::new(|| bits(&q.dequantize())),
+                    timed: Box::new(|| {
+                        std::hint::black_box(q.dequantize());
+                    }),
+                }],
             ));
         }
         for p in [Precision::Fp4, Precision::Fp8] {
             for rounding in [Rounding::Nearest, Rounding::Stochastic] {
-                pack_table.extend(pack_rows(p, TensorRole::Input, rounding, &x, reps));
+                pack_table.extend(pack_rows(p, TensorRole::Input, rounding, x, reps));
             }
         }
     }
+
+    // Forward Y = X·Wᵀ (nt), input grad dX = dY·W (nn), weight grad
+    // dW = dYᵀ·X (tn) of every layer, timed in one interleaved call so that
+    // `nt` and `nn` rows at one shape are comparable.
+    let mut cases = Vec::new();
+    for l in &layers {
+        let (tokens, d_out, d_in) = l.dims;
+        let nn = format!("{tokens}x{d_out}x{d_in}");
+        let nt = format!("{tokens}x{d_in}x{d_out}");
+        let tn = format!("{d_out}x{tokens}x{d_in}");
+        // Every orientation of one layer triple does the same 2·m·k·n flops.
+        let flops = 2.0 * (tokens * d_out * d_in) as f64;
+        let q = QOperandRef::from;
+        cases.extend([
+            gemm_case("matmul", &nn, flops, move || matmul(&l.ddy, &l.dw)),
+            gemm_case("matmul_nt", &nt, flops, move || matmul_nt(&l.dx, &l.dw)),
+            gemm_case("matmul_tn", &tn, flops, move || matmul_tn(&l.ddy, &l.dx)),
+            gemm_case("qgemm", &nn, flops, move || qgemm(q(&l.qdy), q(&l.qw))),
+            gemm_case("qgemm_nt", &nt, flops, move || qgemm_nt(q(&l.qx), q(&l.qw))),
+            gemm_case("qgemm_tn", &tn, flops, move || {
+                qgemm_tn(q(&l.qdy), q(&l.qx))
+            }),
+        ]);
+    }
+    let gemm = per_tier(reps, cases);
 
     Report {
         schema: SCHEMA,
@@ -489,13 +549,16 @@ fn check_report(json: &str) -> Result<String, String> {
             return Err(format!("probe: {what} = {v}"));
         }
     }
-    // Tiny smoke shapes are all fixed cost; the budget is a claim about
+    // Tiny smoke shapes are all fixed cost; the budgets are claims about
     // model-realistic ones.
-    if !report.smoke && pr.measure_over_step > MAX_MEASURE_OVER_STEP {
-        return Err(format!(
-            "probe: measure costs {:.2} steps ({:.1} ms / {:.1} ms), budget {MAX_MEASURE_OVER_STEP}",
-            pr.measure_over_step, pr.measure_ms, pr.fwd_bwd_ms
-        ));
+    if !report.smoke {
+        if pr.measure_over_step > MAX_MEASURE_OVER_STEP {
+            return Err(format!(
+                "probe: measure costs {:.2} steps ({:.1} ms / {:.1} ms), budget {MAX_MEASURE_OVER_STEP}",
+                pr.measure_over_step, pr.measure_ms, pr.fwd_bwd_ms
+            ));
+        }
+        check_nt_over_nn(&report.gemm)?;
     }
     Ok(format!(
         "{} gemm, {} decode, {} pack rows over {}, probe = {:.2} steps, \
@@ -545,6 +608,38 @@ fn check_table<'r>(name: &str, rows: &'r [Row], dispatched: &str) -> Result<Vec<
         }
     }
     Ok(tiers.into_keys().collect())
+}
+
+/// Every `qgemm_nt` / `matmul_nt` row must have its `qgemm` / `matmul` row
+/// at the same tier and shape, and take at most [`MAX_NT_OVER_NN`] times
+/// as long.
+fn check_nt_over_nn(gemm: &[Row]) -> Result<(), String> {
+    let ms: BTreeMap<(&str, &str, &str), f64> = gemm
+        .iter()
+        .map(|r| {
+            (
+                (r.backend.as_str(), r.kernel.as_str(), r.shape.as_str()),
+                r.ms,
+            )
+        })
+        .collect();
+    for r in gemm {
+        let Some(nn) = r.kernel.strip_suffix("_nt") else {
+            continue;
+        };
+        let (tier, shape) = (r.backend.as_str(), r.shape.as_str());
+        let nn_ms = ms
+            .get(&(tier, nn, shape))
+            .ok_or_else(|| format!("gemm {} {shape} [{tier}] has no `{nn}` row", r.kernel))?;
+        let ratio = r.ms / nn_ms;
+        if ratio > MAX_NT_OVER_NN {
+            return Err(format!(
+                "gemm {} {shape} [{tier}] takes {ratio:.2}x `{nn}` ({:.3} vs {nn_ms:.3} ms), budget {MAX_NT_OVER_NN}",
+                r.kernel, r.ms
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn print_summary(report: &Report) {
@@ -677,7 +772,7 @@ mod tests {
             gemm: table(&[
                 ("matmul", "256x768x768"),
                 ("qgemm", "256x768x768"),
-                ("qgemm_nt", "256x768x2048"),
+                ("qgemm_nt", "256x768x768"),
             ]),
             decode: table(&[("decode_fp4", "256x768"), ("decode_fp8", "256x768")]),
             pack: table(&[
@@ -719,7 +814,36 @@ mod tests {
         let mut r = valid();
         r.gemm
             .retain(|row| !(row.backend == "avx2" && row.kernel == "qgemm_nt"));
-        rejects(&r, "`qgemm_nt 256x768x2048` is in only one");
+        rejects(&r, "`qgemm_nt 256x768x768` is in only one");
+    }
+
+    #[test]
+    fn an_nt_row_at_its_budget_passes() {
+        let mut r = valid();
+        for row in r.gemm.iter_mut().filter(|row| row.kernel == "qgemm_nt") {
+            row.ms = 1.5 * MAX_NT_OVER_NN;
+        }
+        check(&r).expect("nt at exactly the budget");
+    }
+
+    #[test]
+    fn an_nt_row_over_its_budget_is_rejected() {
+        let mut r = valid();
+        r.gemm[5].ms = 1.5 * 1.3;
+        rejects(
+            &r,
+            "gemm qgemm_nt 256x768x768 [avx2] takes 1.30x `qgemm` (1.950 vs 1.500 ms)",
+        );
+        // Smoke shapes are all fixed cost: the budget does not apply.
+        r.smoke = true;
+        check(&r).expect("smoke nt is not budgeted");
+    }
+
+    #[test]
+    fn an_nt_row_without_its_nn_row_is_rejected() {
+        let mut r = valid();
+        r.gemm.retain(|row| row.kernel != "qgemm");
+        rejects(&r, "gemm qgemm_nt 256x768x768 [scalar] has no `qgemm` row");
     }
 
     #[test]

@@ -26,6 +26,15 @@
 //! the tier runtime detection, `SNIP_SIMD` and `with_forced_backend`
 //! select; it is the only place a vector kernel is reached from.
 //!
+//! The two transposed operand sides — B of `nt` ([`BSide::Transposed`])
+//! and A of `tn` ([`ASide::Transposed`]) — share one portable blocked
+//! transpose, [`transpose_into`]: source rows in bands of [`TB`] (borrowed
+//! when dense, decoded once into staging when packed), moved `TB×TB` block
+//! by block so that every store is a contiguous `TB`-float run. A transpose
+//! only moves values, so every orientation hands the tile kernel the same
+//! values in the same `k` order as `nn` over the transposed operand, and
+//! `matmul_nt(a, b) == matmul(a, bᵀ)` holds bit for bit.
+//!
 //! # The accumulation-order constraint
 //!
 //! Every output element is accumulated **serially over `k`, ascending, in a
@@ -107,8 +116,8 @@ pub(crate) enum Round {
 thread_local! {
     /// Per-worker scratch, reused across GEMM calls for the lifetime of the
     /// pool worker (or calling thread): A block, B tile (cache-line aligned
-    /// for SIMD tile-row streaming), and a row staging buffer for
-    /// transposes.
+    /// for SIMD tile-row streaming), and the staging buffer of the band
+    /// transpose ([`transpose_into`]): one band of `TB` packed rows, decoded.
     static SCRATCH: RefCell<(Vec<f32>, AlignedVec, Vec<f32>)> =
         const { RefCell::new((Vec::new(), AlignedVec::new(), Vec::new())) };
 }
@@ -151,6 +160,82 @@ fn tile_kernel(
     tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
 }
 
+/// Source rows per transpose band, and the edge of one square transpose
+/// block: a block is read as `TB` row segments of `TB` floats and written
+/// as `TB` contiguous runs of `TB` floats ([`transpose_into`]).
+const TB: usize = 8;
+
+/// Writes the transpose of the window rows `[r0, r1)` × columns `[c0, c1)`
+/// of `src` into `dst`, which is `(c1 − c0) × (r1 − r0)` row-major:
+/// `dst[c * (r1 − r0) + r] = src[r0 + r][c0 + c]`. The one transpose of the
+/// engine, behind both transposed sides ([`BSide::Transposed`],
+/// [`ASide::Transposed`]).
+///
+/// Source rows are walked in bands of [`TB`]: a dense band is the borrowed
+/// rows themselves, a packed band is decoded into `staging` (`TB × (c1 −
+/// c0)` floats), each row once. Each `TB×TB` block of the band is read
+/// through `TB` fixed-size row segments and written as `TB` contiguous
+/// `TB`-float runs, instead of one element at a destination-row stride (a
+/// block staged through a local `[[f32; TB]; TB]` measured slower); a short
+/// last band and the `(c1 − c0) % TB` tail columns take an element-wise
+/// loop. It only moves values, so the result cannot depend on the band or
+/// block size.
+fn transpose_into(
+    src: &QOperandRef<'_>,
+    (r0, r1): (usize, usize),
+    (c0, c1): (usize, usize),
+    dst: &mut [f32],
+    staging: &mut Vec<f32>,
+) {
+    let (rows, w) = (r1 - r0, c1 - c0);
+    debug_assert_eq!(dst.len(), rows * w);
+    if rows == 0 || w == 0 {
+        return;
+    }
+    let mut rb = r0;
+    while rb < r1 {
+        let re = (rb + TB).min(r1);
+        // The band as `re − rb` rows of stride `ld`, the window starting at
+        // column `off` of each.
+        let (band, ld, off): (&[f32], usize, usize) = match src {
+            QOperandRef::Dense(t) => (&t.as_slice()[rb * t.cols()..re * t.cols()], t.cols(), c0),
+            QOperandRef::Packed(t) => {
+                let buf = prep(staging, (re - rb) * w);
+                for (r, row) in buf.chunks_exact_mut(w).enumerate() {
+                    t.decode_row_range_into(rb + r, c0, c1, row);
+                }
+                (&*buf, w, 0)
+            }
+        };
+        let rr = rb - r0;
+        let mut c = 0;
+        if re - rb == TB {
+            while c + TB <= w {
+                // Fixed-size row segments: the block below unrolls fully,
+                // with no bounds check per element.
+                let block: [&[f32; TB]; TB] = std::array::from_fn(|r| {
+                    let s = r * ld + off + c;
+                    band[s..s + TB].try_into().expect("TB floats")
+                });
+                for i in 0..TB {
+                    let d = (c + i) * rows + rr;
+                    for (slot, seg) in dst[d..d + TB].iter_mut().zip(block) {
+                        *slot = seg[i];
+                    }
+                }
+                c += TB;
+            }
+        }
+        for cc in c..w {
+            let d = cc * rows + rr;
+            for (slot, seg) in dst[d..d + (re - rb)].iter_mut().zip(band.chunks(ld)) {
+                *slot = seg[off + cc];
+            }
+        }
+        rb = re;
+    }
+}
+
 /// How the B operand's elements map onto the k-major `k×nb` tile.
 #[derive(Clone, Copy)]
 enum BSide {
@@ -158,8 +243,8 @@ enum BSide {
     /// `kk` (`nn`/`tn` orientations).
     RowMajor,
     /// B is `N×K` (`nt` orientation): tile row `kk` gathers element `kk`
-    /// of B rows `[j0, j1)` — built by transposing whole B rows through the
-    /// staging buffer, each row touched once per tile.
+    /// of B rows `[j0, j1)` — the band transpose ([`transpose_into`]) of
+    /// B rows `[j0, j1)`, each B row read (or decoded) once per tile.
     Transposed,
 }
 
@@ -195,21 +280,7 @@ fn build_btile_into(
                 }
             }
         },
-        BSide::Transposed => {
-            for j in j0..j1 {
-                let row = match b {
-                    QOperandRef::Dense(t) => t.row(j),
-                    QOperandRef::Packed(t) => {
-                        let buf = prep(staging, k);
-                        t.decode_row_into(j, buf);
-                        &*buf
-                    }
-                };
-                for (kk, &v) in row.iter().enumerate() {
-                    tile[kk * nb + (j - j0)] = v;
-                }
-            }
-        }
+        BSide::Transposed => transpose_into(b, (j0, j1), (0, k), tile, staging),
     }
 }
 
@@ -219,7 +290,8 @@ enum ASide {
     /// A is `M×K`: block rows are operand rows `[i0, i1)` (`nn`/`nt`).
     RowMajor,
     /// A is `K×M` (`tn` orientation): block row `i` gathers column `i0 + i`
-    /// across all `k` operand rows.
+    /// across all `k` operand rows — the band transpose
+    /// ([`transpose_into`]) of columns `[i0, i1)` of all `k` operand rows.
     Transposed,
 }
 
@@ -235,24 +307,11 @@ fn build_ablock<'s>(
     scratch: &'s mut Vec<f32>,
     staging: &mut Vec<f32>,
 ) -> &'s [f32] {
-    let mb = i1 - i0;
     match side {
         ASide::RowMajor => a.rows_block(i0, i1, scratch),
         ASide::Transposed => {
-            let block = prep(scratch, mb * k);
-            for kk in 0..k {
-                let seg = match a {
-                    QOperandRef::Dense(t) => &t.row(kk)[i0..i1],
-                    QOperandRef::Packed(t) => {
-                        let buf = prep(staging, mb);
-                        t.decode_row_range_into(kk, i0, i1, buf);
-                        &*buf
-                    }
-                };
-                for (i, &v) in seg.iter().enumerate() {
-                    block[i * k + kk] = v;
-                }
-            }
+            let block = prep(scratch, (i1 - i0) * k);
+            transpose_into(a, (0, k), (i0, i1), block, staging);
             block
         }
     }

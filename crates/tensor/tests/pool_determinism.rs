@@ -8,7 +8,9 @@
 //!
 //! The packed kernels are additionally checked against the dense kernels
 //! over dequantized operands at every split (the 0-ULP identity must not
-//! depend on chunk boundaries).
+//! depend on chunk boundaries), and every `nt` / `tn` kernel against
+//! `matmul` over the explicitly transposed operand — the one check that is
+//! independent of the transpose the dense and packed paths share.
 
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
@@ -24,15 +26,28 @@ fn test_lut_u4() -> Vec<f32> {
     lut
 }
 
-fn random_qtensor(rows: usize, cols: usize, seed: u64) -> QTensor {
+/// An 8-bit test codebook: 256 distinct values, none of them a grid a
+/// 4-bit table could reach.
+fn test_lut_u8() -> Vec<f32> {
+    (0..256)
+        .map(|i| (i as f32 - 128.0) * 0.03125 + (i as f32 * 0.7).sin() * 0.001)
+        .collect()
+}
+
+/// A random FP4-shaped (`U4`) or FP8-shaped (`U8`) packed tensor.
+fn random_qtensor(rows: usize, cols: usize, width: CodeWidth, seed: u64) -> QTensor {
     let mut rng = Rng::seed_from(seed);
     let layout = GroupLayout::Tile { nb: 5 };
     let groups = layout.group_count(rows, cols);
     let scales: Vec<f32> = (0..groups).map(|_| 0.25 + rng.next_f32()).collect();
-    let mut q = QTensor::new_zeroed(rows, cols, CodeWidth::U4, test_lut_u4(), layout, scales);
+    let (lut, codes) = match width {
+        CodeWidth::U4 => (test_lut_u4(), 16),
+        CodeWidth::U8 => (test_lut_u8(), 256),
+    };
+    let mut q = QTensor::new_zeroed(rows, cols, width, lut, layout, scales);
     for r in 0..rows {
         for c in 0..cols {
-            q.set_code(r, c, (rng.next_u64() % 16) as u8);
+            q.set_code(r, c, (rng.next_u64() % codes) as u8);
         }
     }
     q
@@ -53,66 +68,85 @@ fn splits() -> Vec<usize> {
 }
 
 fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) {
+    use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
     let mut rng = Rng::seed_from(seed);
     let a = Tensor::randn(m, k, 1.0, &mut rng);
     let b = Tensor::randn(k, n, 1.0, &mut rng);
     let bt = Tensor::randn(n, k, 1.0, &mut rng);
     let at = Tensor::randn(k, m, 1.0, &mut rng);
-    let qa = random_qtensor(m, k, seed ^ 1);
-    let qb = random_qtensor(k, n, seed ^ 2);
-    let qbt = random_qtensor(n, k, seed ^ 3);
-    let qat = random_qtensor(k, m, seed ^ 4);
-    let (da, db, dbt, dat) = (
+    let qa = random_qtensor(m, k, CodeWidth::U4, seed ^ 1);
+    let qb = random_qtensor(k, n, CodeWidth::U4, seed ^ 2);
+    let qbt = random_qtensor(n, k, CodeWidth::U4, seed ^ 3);
+    let qat = random_qtensor(k, m, CodeWidth::U4, seed ^ 4);
+    let qb8 = random_qtensor(k, n, CodeWidth::U8, seed ^ 5);
+    let qbt8 = random_qtensor(n, k, CodeWidth::U8, seed ^ 6);
+    let (da, db, dbt, dat, db8, dbt8) = (
         qa.dequantize(),
         qb.dequantize(),
         qbt.dequantize(),
         qat.dequantize(),
+        qb8.dequantize(),
+        qbt8.dequantize(),
     );
+    let (q, d) = (QOperandRef::from, QOperandRef::from);
+    let kernels = || {
+        [
+            ("matmul", matmul::matmul(&a, &b)),
+            ("matmul_nt", matmul::matmul_nt(&a, &bt)),
+            ("matmul_tn", matmul::matmul_tn(&at, &b)),
+            ("qgemm", qgemm(q(&qa), q(&qb))),
+            ("qgemm_nt", qgemm_nt(q(&qa), q(&qbt))),
+            ("qgemm_tn", qgemm_tn(q(&qat), q(&qb))),
+            ("qgemm_nt fp8 B", qgemm_nt(q(&qa), q(&qbt8))),
+            ("qgemm_tn fp8 B", qgemm_tn(q(&qat), q(&qb8))),
+            ("qgemm_nt dense A", qgemm_nt(d(&a), q(&qbt8))),
+        ]
+    };
 
     // Serial results are the reference for every split.
-    let reference = pool::with_threads(1, || {
-        (
-            matmul::matmul(&a, &b),
-            matmul::matmul_nt(&a, &bt),
-            matmul::matmul_tn(&at, &b),
-            snip_tensor::packed::qgemm(QOperandRef::from(&qa), QOperandRef::from(&qb)),
-            snip_tensor::packed::qgemm_nt(QOperandRef::from(&qa), QOperandRef::from(&qbt)),
-            snip_tensor::packed::qgemm_tn(QOperandRef::from(&qat), QOperandRef::from(&qb)),
-        )
-    });
+    let reference = pool::with_threads(1, kernels);
 
     // The packed kernels must bit-match the dense kernels over the
     // dequantized operands, independent of split.
-    assert_bits_eq(&reference.3, &matmul::matmul(&da, &db), "qgemm vs dense");
+    assert_bits_eq(&reference[3].1, &matmul::matmul(&da, &db), "qgemm vs dense");
     assert_bits_eq(
-        &reference.4,
+        &reference[4].1,
         &matmul::matmul_nt(&da, &dbt),
         "qgemm_nt vs dense",
     );
     assert_bits_eq(
-        &reference.5,
+        &reference[5].1,
         &matmul::matmul_tn(&dat, &db),
         "qgemm_tn vs dense",
     );
 
+    // Every orientation is `nn` over the explicitly transposed operand, bit
+    // for bit: the transposed sides feed the tile kernel the same values in
+    // the same `k` order. Dense and packed share the transpose, so only
+    // this comparison against `matmul` can catch a wrong one.
+    let shape = format!("{m}x{k}x{n}");
+    let (btt, att) = (bt.transposed(), at.transposed());
+    let (dbtt, datt, dbt8t) = (dbt.transposed(), dat.transposed(), dbt8.transposed());
+    for (i, lhs, rhs) in [
+        (1, &a, &btt),
+        (2, &att, &b),
+        (4, &da, &dbtt),
+        (5, &datt, &db),
+        (6, &da, &dbt8t),
+        (7, &datt, &db8),
+        (8, &a, &dbt8t),
+    ] {
+        let (name, got) = &reference[i];
+        let what = format!("{name} vs matmul over the transposed operand, {shape}");
+        assert_bits_eq(got, &matmul::matmul(lhs, rhs), &what);
+    }
+
     for split in splits() {
-        let got = pool::with_threads(split, || {
-            (
-                matmul::matmul(&a, &b),
-                matmul::matmul_nt(&a, &bt),
-                matmul::matmul_tn(&at, &b),
-                snip_tensor::packed::qgemm(QOperandRef::from(&qa), QOperandRef::from(&qb)),
-                snip_tensor::packed::qgemm_nt(QOperandRef::from(&qa), QOperandRef::from(&qbt)),
-                snip_tensor::packed::qgemm_tn(QOperandRef::from(&qat), QOperandRef::from(&qb)),
-            )
-        });
-        let what = format!("split {split} of {m}x{k}x{n}");
-        assert_bits_eq(&got.0, &reference.0, &format!("matmul, {what}"));
-        assert_bits_eq(&got.1, &reference.1, &format!("matmul_nt, {what}"));
-        assert_bits_eq(&got.2, &reference.2, &format!("matmul_tn, {what}"));
-        assert_bits_eq(&got.3, &reference.3, &format!("qgemm, {what}"));
-        assert_bits_eq(&got.4, &reference.4, &format!("qgemm_nt, {what}"));
-        assert_bits_eq(&got.5, &reference.5, &format!("qgemm_tn, {what}"));
+        let got = pool::with_threads(split, kernels);
+        let what = format!("split {split} of {shape}");
+        for ((name, got), (_, want)) in got.iter().zip(&reference) {
+            assert_bits_eq(got, want, &format!("{name}, {what}"));
+        }
     }
 }
 
@@ -144,6 +178,22 @@ fn ragged_and_blocky_shapes_are_split_invariant() {
         (130, 96, 67),
     ] {
         check_all_kernels(m, k, n, 0xC0FFEE ^ ((m * 1000 + k * 10 + n) as u64));
+    }
+}
+
+/// The orientation identities at every transpose band and block edge: `n`
+/// and `k` straddle the 8-row band and the 64-wide `NC` tile, and `m` takes
+/// both B-tile paths — per-sweep scratch builds at one split (`m ≤ 64`) and
+/// the shared per-GEMM cache (`m > 64`).
+#[test]
+fn orientations_match_nn_at_transpose_edges() {
+    const EDGES: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 130];
+    for m in [9, 67] {
+        for k in EDGES {
+            for n in EDGES {
+                check_all_kernels(m, k, n, 0x7A5E ^ ((m * 1_000_000 + k * 1000 + n) as u64));
+            }
+        }
     }
 }
 
