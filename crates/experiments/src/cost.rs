@@ -5,9 +5,9 @@
 //! time is the sum of its layers' GEMM times at their assigned precisions
 //! (non-GEMM work is >90%-dominated by the linears, §2.1, and is ignored).
 
+use crate::stage::StagePartition;
 use snip_core::Scheme;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
-use snip_pipeline::StagePartition;
 
 /// Forward/backward compute time of one stage for one microbatch, in
 /// arbitrary units (BF16 FLOPs at unit throughput).

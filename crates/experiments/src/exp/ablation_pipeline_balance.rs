@@ -15,7 +15,7 @@ use crate::schedule::simulate_1f1b;
 use snip_core::{OptionSet, PipelineBalance, Scheme};
 use snip_ilp::imbalance_fraction;
 use snip_nn::ModelConfig;
-use snip_pipeline::StagePartition;
+use crate::stage::StagePartition;
 use snip_quant::Precision;
 
 pub fn run(ctx: &Ctx) {

@@ -11,7 +11,7 @@ use crate::schedule::simulate_1f1b;
 use crate::timeline::render_timeline;
 use snip_core::PipelineBalance;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
-use snip_pipeline::StagePartition;
+use crate::stage::StagePartition;
 use snip_quant::Precision;
 
 pub fn run(ctx: &Ctx) {

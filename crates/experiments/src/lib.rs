@@ -22,8 +22,8 @@
 //! ([`Method`]) derive; resuming under a scheme yields one [`Outcome`],
 //! printed by one row printer ([`Table`]) or one curve printer
 //! ([`print_curves`]). The 1F1B schedule simulator that draws Fig. 12
-//! ([`cost`], [`schedule`], [`timeline`]) lives here, beside its only
-//! users.
+//! ([`stage`], [`cost`], [`schedule`], [`timeline`]) lives here, beside its
+//! only users.
 //!
 //! Every experiment's numbers are **independent of machine parallelism and
 //! speed**: the GEMM engine behind each training step splits work across
@@ -37,6 +37,7 @@ pub mod cost;
 pub mod exp;
 pub mod harness;
 pub mod schedule;
+pub mod stage;
 pub mod timeline;
 
 pub use harness::*;

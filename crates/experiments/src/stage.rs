@@ -1,13 +1,12 @@
 //! Partitioning transformer blocks into pipeline stages.
 
-use serde::{Deserialize, Serialize};
 use snip_ilp::contiguous_stages;
 use snip_nn::{LayerId, LayerKind};
 
 /// A contiguous range of transformer blocks assigned to one pipeline stage.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StagePartition {
-    /// `block_of_stage[k]` = the block range `[start, end)` of stage `k`.
+    /// `ranges[k]` = the block range `[start, end)` of stage `k`.
     ranges: Vec<(usize, usize)>,
 }
 
@@ -45,18 +44,6 @@ impl StagePartition {
         self.ranges[k].0..self.ranges[k].1
     }
 
-    /// Stage owning a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is beyond the partition.
-    pub fn stage_of_block(&self, block: usize) -> usize {
-        self.ranges
-            .iter()
-            .position(|&(s, e)| block >= s && block < e)
-            .expect("block out of range")
-    }
-
     /// Linear-layer ids owned by stage `k`.
     pub fn linears(&self, k: usize) -> Vec<LayerId> {
         self.blocks(k)
@@ -84,21 +71,15 @@ mod tests {
     }
 
     #[test]
-    fn stage_of_block_round_trips() {
-        let p = StagePartition::even(22, 4);
-        for b in 0..22 {
-            let s = p.stage_of_block(b);
-            assert!(p.blocks(s).contains(&b));
-        }
-    }
-
-    #[test]
     fn partition_is_the_ilp_stage_rule() {
+        // The stages' block ranges, read back as a block → stage map, tile
+        // the blocks in order and are exactly the ILP's assignment.
         for n in 1..=24 {
             for k in 1..=n {
                 let p = StagePartition::even(n, k);
                 assert_eq!(p.n_stages(), k);
-                let by_partition: Vec<usize> = (0..n).map(|b| p.stage_of_block(b)).collect();
+                let by_partition: Vec<usize> =
+                    (0..k).flat_map(|s| p.blocks(s).map(move |_| s)).collect();
                 assert_eq!(
                     by_partition,
                     contiguous_stages(n, k),

@@ -8,9 +8,9 @@ use snip_core::{
     TrainerConfig,
 };
 use snip_experiments::cost::stage_costs;
+use snip_experiments::stage::StagePartition;
 use snip_ilp::{imbalance_fraction, stage_times};
 use snip_nn::ModelConfig;
-use snip_pipeline::StagePartition;
 use snip_quant::Precision;
 use snip_tensor::rng::Rng;
 

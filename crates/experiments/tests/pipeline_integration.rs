@@ -4,8 +4,8 @@
 use snip_core::{FlopModel, PolicyConfig, Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip_experiments::cost::stage_costs;
 use snip_experiments::schedule::simulate_1f1b;
+use snip_experiments::stage::StagePartition;
 use snip_nn::ModelConfig;
-use snip_pipeline::StagePartition;
 use snip_quant::Precision;
 use snip_tensor::rng::Rng;
 

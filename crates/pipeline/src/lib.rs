@@ -1,7 +1,6 @@
 //! # snip-pipeline
 //!
-//! Multi-rank transport and low-precision collectives for SNIP (paper §2.2,
-//! §5.3).
+//! Multi-rank transport and low-precision collectives for SNIP (paper §2.2).
 //!
 //! [`transport`] runs real multi-rank collectives and data-parallel training
 //! over serialized byte frames, with ranks on OS threads (one driver:
@@ -13,12 +12,11 @@
 //! surface, and both are bit-identical to the in-proc [`collective`] oracle
 //! — one per-rank ring simulator whose hops go through the transports' own
 //! frame codec, so the oracle pins the ring schedule and the codec is
-//! shared by construction.
-//! [`comm`] answers the same byte volumes analytically, and
-//! [`stage::StagePartition`] is the contiguous block → pipeline-stage split
-//! the stage-aware ILP constrains by (the paper's 22 blocks over 4 stages
-//! are 6/6/6/4). The 1F1B schedule *simulator* that draws Fig. 12 lives
-//! with its only users, in `snip-experiments`.
+//! shared by construction. Each rank's endpoint counts its own traffic, the
+//! drivers add the counts ([`transport::TransportStats`]), and
+//! [`comm::codec_wire_bytes`] answers the same payload volume analytically.
+//! The pipeline-stage split and the 1F1B schedule simulator that draws
+//! Fig. 12 live with their only users, in `snip-experiments`.
 //!
 //! # Example
 //!
@@ -45,14 +43,11 @@
 
 pub mod collective;
 pub mod comm;
-pub mod stage;
 pub mod transport;
 
 pub use collective::{
     ring_all_gather, ring_all_reduce, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
 };
-pub use comm::{comm_saving_factor, step_comm_volume, CommVolume, WirePolicy};
-pub use stage::StagePartition;
 pub use transport::{
     channel_mesh, data_parallel_train, run_ranks, threaded_all_reduce, ChannelFabric, Endpoint,
     Fabric, FrameError, RankChunk, TransportError, TransportStats,

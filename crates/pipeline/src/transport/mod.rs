@@ -46,15 +46,20 @@
 //!
 //! Frame layout lives in [`frame`]; decode failures are typed
 //! ([`FrameError`]), so a corrupt peer surfaces as an error, not a panic
-//! with a byte dump. Counters distinguish **payload** bytes — the accounted
-//! wire volume (`4n` / `2n` / [`snip_quant::PackedTensor::wire_bytes`]) —
-//! from **envelope** bytes (tags, frame headers and, on socket fabrics, the
-//! stream length prefix): per-message metadata a real NIC would also move
-//! but that the analytic model deliberately excludes, exactly like decode
-//! tables and rotation seeds. Both are measured, on **both sides of every
-//! link** — each rank counts what it sent *and* what it received, and the
-//! two views must agree ([`TransportStats::two_sided`]); only payload must
-//! match the analytic numbers.
+//! with a byte dump. The ledger, [`TransportStats`], distinguishes
+//! **payload** bytes — the accounted wire volume (`4n` / `2n` /
+//! [`snip_quant::PackedTensor::wire_bytes`]) — from **envelope** bytes
+//! (tags, frame headers and, on socket fabrics, the stream length prefix):
+//! per-message metadata a real NIC would also move but that
+//! [`crate::comm::codec_wire_bytes`] deliberately excludes, exactly like
+//! decode tables and rotation seeds. Both are measured, on **both sides of
+//! every link**: each [`Endpoint`] owns a plain ledger and counts what its
+//! rank sent (a `tx` row) *and* what it received (an `rx` column). Each
+//! driver adds its ranks' ledgers — [`run_ranks`] as the threads join,
+//! [`proc::launch`] from the JSON every worker sends with its result — and
+//! the two views of every link must agree ([`TransportStats::two_sided`],
+//! [`TransportStats::disagreement`]); only payload must match the analytic
+//! numbers.
 //!
 //! # Abort semantics
 //!
@@ -78,82 +83,74 @@ pub use frame::FrameError;
 
 use crate::collective::{chunk_bounds, CollectiveResult, QuantizePolicy, Wire};
 use frame::{decode_frame, encode_frame};
+use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
 use snip_tensor::rng::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Shared per-link counters. Sender ranks write the `tx_*` matrices,
-/// receiver ranks the `rx_*` matrices; both are indexed `src * world + dst`.
-pub(crate) struct LinkCounters {
-    world: usize,
-    tx_payload: Vec<AtomicU64>,
-    tx_envelope: Vec<AtomicU64>,
-    tx_frames: Vec<AtomicU64>,
-    rx_payload: Vec<AtomicU64>,
-    rx_envelope: Vec<AtomicU64>,
-    rx_frames: Vec<AtomicU64>,
+/// The payload bytes, envelope bytes and frames one side of one directed
+/// link counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct LinkCount {
+    payload: u64,
+    envelope: u64,
+    frames: u64,
 }
 
-impl LinkCounters {
-    pub(crate) fn new(world: usize) -> Self {
-        let zeros = || (0..world * world).map(|_| AtomicU64::new(0)).collect();
-        LinkCounters {
-            world,
-            tx_payload: zeros(),
-            tx_envelope: zeros(),
-            tx_frames: zeros(),
-            rx_payload: zeros(),
-            rx_envelope: zeros(),
-            rx_frames: zeros(),
-        }
-    }
-
-    fn record_tx(&self, src: usize, dst: usize, payload: u64, envelope: u64) {
-        let i = src * self.world + dst;
-        self.tx_payload[i].fetch_add(payload, Ordering::Relaxed);
-        self.tx_envelope[i].fetch_add(envelope, Ordering::Relaxed);
-        self.tx_frames[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_rx(&self, src: usize, dst: usize, payload: u64, envelope: u64) {
-        let i = src * self.world + dst;
-        self.rx_payload[i].fetch_add(payload, Ordering::Relaxed);
-        self.rx_envelope[i].fetch_add(envelope, Ordering::Relaxed);
-        self.rx_frames[i].fetch_add(1, Ordering::Relaxed);
+impl LinkCount {
+    fn record(&mut self, payload: u64, envelope: u64) {
+        self.payload += payload;
+        self.envelope += envelope;
+        self.frames += 1;
     }
 }
 
-/// Measured traffic of one transport run: per-link payload bytes (the
-/// quantity that must equal the analytic [`crate::comm::codec_wire_bytes`]),
-/// plus envelope bytes and frame counts for honesty about what the channel
-/// actually carried. Every link is counted on **both** sides — by its
-/// sender and by its receiver — and the two views must agree
-/// ([`TransportStats::two_sided`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Measured traffic: per-link payload bytes (the quantity that must equal
+/// the analytic [`crate::comm::codec_wire_bytes`]), plus envelope bytes
+/// and frame counts for honesty about what the channel actually carried.
+/// Every link is counted on **both** sides — `tx` by its sender, `rx` by
+/// its receiver, each indexed `src * world + dst` — and the two views must
+/// agree ([`TransportStats::two_sided`]).
+///
+/// An [`Endpoint`] holds one for its own rank; a driver's is the sum of
+/// every rank's.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
     world: usize,
-    payload: Vec<u64>,
-    envelope: Vec<u64>,
-    frames: Vec<u64>,
-    rx_payload: Vec<u64>,
-    rx_envelope: Vec<u64>,
-    rx_frames: Vec<u64>,
+    tx: Vec<LinkCount>,
+    rx: Vec<LinkCount>,
 }
 
 impl TransportStats {
-    fn snapshot(c: &LinkCounters) -> Self {
-        let read = |v: &[AtomicU64]| v.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+    /// An empty ledger for a `world`-rank mesh.
+    pub(crate) fn new(world: usize) -> Self {
+        let links = vec![LinkCount::default(); world * world];
         TransportStats {
-            world: c.world,
-            payload: read(&c.tx_payload),
-            envelope: read(&c.tx_envelope),
-            frames: read(&c.tx_frames),
-            rx_payload: read(&c.rx_payload),
-            rx_envelope: read(&c.rx_envelope),
-            rx_frames: read(&c.rx_frames),
+            world,
+            tx: links.clone(),
+            rx: links,
         }
+    }
+
+    /// Adds `other`'s counts link by link.
+    ///
+    /// # Errors
+    ///
+    /// A report of another world, or with `tx` / `rx` not `world²` long: on
+    /// the socket fabric it is a worker's JSON, checked, never trusted.
+    pub(crate) fn merge(&mut self, other: &TransportStats) -> Result<(), String> {
+        let links = self.world * self.world;
+        if other.world != self.world || other.tx.len() != links || other.rx.len() != links {
+            return Err("traffic report of another mesh shape".into());
+        }
+        // Saturating, so a forged report cannot overflow the launcher.
+        let pairs = self.tx.iter_mut().zip(&other.tx);
+        for (mine, theirs) in pairs.chain(self.rx.iter_mut().zip(&other.rx)) {
+            mine.payload = mine.payload.saturating_add(theirs.payload);
+            mine.envelope = mine.envelope.saturating_add(theirs.envelope);
+            mine.frames = mine.frames.saturating_add(theirs.frames);
+        }
+        Ok(())
     }
 
     /// Number of ranks.
@@ -163,45 +160,50 @@ impl TransportStats {
 
     /// Payload bytes moved from `src` to `dst`, as counted by the sender.
     pub fn link_payload_bytes(&self, src: usize, dst: usize) -> u64 {
-        self.payload[src * self.world + dst]
+        self.tx[src * self.world + dst].payload
     }
 
     /// Payload bytes moved from `src` to `dst`, as counted by the
     /// **receiver** — must equal [`TransportStats::link_payload_bytes`] for
     /// a completed run.
     pub fn link_rx_payload_bytes(&self, src: usize, dst: usize) -> u64 {
-        self.rx_payload[src * self.world + dst]
+        self.rx[src * self.world + dst].payload
     }
 
     /// Frames moved from `src` to `dst`, as counted by the sender.
     pub fn link_frames(&self, src: usize, dst: usize) -> u64 {
-        self.frames[src * self.world + dst]
+        self.tx[src * self.world + dst].frames
     }
 
     /// Total payload bytes across all links (sender side) — comparable 1:1
     /// with the in-proc simulator's `bytes_on_wire`.
     pub fn total_payload_bytes(&self) -> u64 {
-        self.payload.iter().sum()
+        self.tx.iter().map(|l| l.payload).sum()
     }
 
     /// Total envelope bytes (tags, length fields, packed frame headers,
     /// and — on socket fabrics — stream length prefixes).
     pub fn total_envelope_bytes(&self) -> u64 {
-        self.envelope.iter().sum()
+        self.tx.iter().map(|l| l.envelope).sum()
     }
 
     /// Total frames across all links (sender side).
     pub fn total_frames(&self) -> u64 {
-        self.frames.iter().sum()
+        self.tx.iter().map(|l| l.frames).sum()
     }
 
-    /// Whether every link's sender-side and receiver-side counters agree —
-    /// payload, envelope and frame counts alike. True for every completed
-    /// run: both ends of each link account the identical volume.
+    /// The first link `(src, dst)` whose sender-side and receiver-side
+    /// counts differ — payload, envelope or frames — if any.
+    pub fn disagreement(&self) -> Option<(usize, usize)> {
+        let i = self.tx.iter().zip(&self.rx).position(|(t, r)| t != r)?;
+        Some((i / self.world, i % self.world))
+    }
+
+    /// Whether every link's sender-side and receiver-side counts agree.
+    /// True for every completed run: both ends of each link account the
+    /// identical volume.
     pub fn two_sided(&self) -> bool {
-        self.payload == self.rx_payload
-            && self.envelope == self.rx_envelope
-            && self.frames == self.rx_frames
+        self.tx == self.rx
     }
 }
 
@@ -247,13 +249,13 @@ pub(crate) fn note_failure_message(message: &str) {
     snip_obs::counter_add(name, 1);
 }
 
-/// Exports a measured [`TransportStats`] snapshot into the `snip-obs`
+/// Exports a run's summed [`TransportStats`] into the `snip-obs`
 /// registry: bumps the global `transport.{payload_bytes,envelope_bytes,
 /// frames}` counters and replaces the report's `"transport"` section with
 /// this run's totals. Both mesh drivers call it — [`run_ranks`] for the
 /// threaded [`ChannelFabric`], and [`proc::launch`] for the socket
-/// fabric after the RESULT handshake has merged every worker's per-link
-/// counters — so the two transports report through one path. One relaxed
+/// fabric after the RESULT handshake has merged every worker's ledger —
+/// so the two transports report through one path. One relaxed
 /// atomic load when collection is off; reads only, so the run's numeric
 /// results are untouched either way.
 pub fn publish_transport_stats(stats: &TransportStats) {
@@ -307,7 +309,7 @@ pub fn publish_transport_stats(stats: &TransportStats) {
 /// account) over a byte-moving [`Fabric`] backend.
 pub struct Endpoint<F: Fabric> {
     fabric: F,
-    counters: Arc<LinkCounters>,
+    stats: TransportStats,
 }
 
 /// The chunk a rank owns after a transport reduce-scatter.
@@ -322,16 +324,10 @@ pub struct RankChunk {
 }
 
 impl<F: Fabric> Endpoint<F> {
-    /// Wraps a fabric in a fresh endpoint with its own counters. (The
-    /// threaded mesh instead shares one counter set across its rank
-    /// endpoints, via the crate-internal constructor.)
+    /// Wraps a fabric in a fresh endpoint with an empty traffic ledger.
     pub fn new(fabric: F) -> Self {
-        let counters = Arc::new(LinkCounters::new(fabric.world()));
-        Endpoint { fabric, counters }
-    }
-
-    pub(crate) fn with_counters(fabric: F, counters: Arc<LinkCounters>) -> Self {
-        Endpoint { fabric, counters }
+        let stats = TransportStats::new(fabric.world());
+        Endpoint { fabric, stats }
     }
 
     /// This rank's id.
@@ -344,9 +340,10 @@ impl<F: Fabric> Endpoint<F> {
         self.fabric.world()
     }
 
-    /// Snapshot of this endpoint's measured traffic.
+    /// This rank's traffic: the `tx` row of its sends and the `rx` column of
+    /// its receives. A driver returns the mesh-wide sum over ranks.
     pub fn stats(&self) -> TransportStats {
-        TransportStats::snapshot(&self.counters)
+        self.stats.clone()
     }
 
     /// Bounds how long a blocking receive waits for a stalled peer before
@@ -376,8 +373,8 @@ impl<F: Fabric> Endpoint<F> {
             .fabric
             .send_frame(dst, frame)
             .inspect_err(note_transport_failure)?;
-        self.counters
-            .record_tx(self.rank(), dst, bytes, wire_len - bytes);
+        let link = self.rank() * self.world() + dst;
+        self.stats.tx[link].record(bytes, wire_len - bytes);
         Ok(bytes)
     }
 
@@ -399,8 +396,8 @@ impl<F: Fabric> Endpoint<F> {
             note_transport_failure(&e);
             e
         })?;
-        self.counters
-            .record_rx(src, self.rank(), bytes, wire_len - bytes);
+        let link = src * self.world() + self.rank();
+        self.stats.rx[link].record(bytes, wire_len - bytes);
         Ok(payload)
     }
 
@@ -606,7 +603,7 @@ pub(crate) fn flush_run_artifacts() {
 /// `None` a pass-through plan, bit- and counter-identical to the bare
 /// fabric. Returns the per-rank results in rank order (closures that want
 /// per-rank outcomes under faults return `Result`s) plus the measured
-/// traffic.
+/// traffic: the sum of every rank endpoint's own [`TransportStats`].
 ///
 /// # Panics
 ///
@@ -621,22 +618,26 @@ where
     F: Fn(&mut Endpoint<ChaosFabric<ChannelFabric>>) -> T + Send + Sync,
 {
     let plan = chaos.cloned().unwrap_or_else(|| ChaosPlan::none(0));
-    let counters = Arc::new(LinkCounters::new(world));
+    let mut stats = TransportStats::new(world);
     let results = std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = channel_mesh(world)
             .into_iter()
             .map(|fabric| {
-                let fabric = ChaosFabric::new(fabric, plan.clone());
-                let mut ep = Endpoint::with_counters(fabric, Arc::clone(&counters));
-                scope.spawn(move || f(&mut ep))
+                let mut ep = Endpoint::new(ChaosFabric::new(fabric, plan.clone()));
+                scope.spawn(move || (f(&mut ep), ep.stats))
             })
             .collect();
         let mut outputs = Vec::with_capacity(world);
         let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
         for h in handles {
             match h.join() {
-                Ok(v) => outputs.push(v),
+                Ok((v, rank_stats)) => {
+                    stats
+                        .merge(&rank_stats)
+                        .expect("every rank's ledger has the mesh's shape");
+                    outputs.push(v);
+                }
                 Err(payload) => panics.push(payload),
             }
         }
@@ -652,7 +653,6 @@ where
         }
         outputs
     });
-    let stats = TransportStats::snapshot(&counters);
     publish_transport_stats(&stats);
     (results, stats)
 }
@@ -874,6 +874,38 @@ mod tests {
             stats.total_envelope_bytes() > 0,
             "envelopes are measured too"
         );
+    }
+
+    #[test]
+    fn merge_rejects_reports_of_another_shape() {
+        // A worker's RESULT carries its ledger as JSON; a forged one must be
+        // a typed rejection, never an index panic in the launcher.
+        let mut merged = TransportStats::new(2);
+        let mut other_world = TransportStats::new(3);
+        other_world.tx[4].record(8, 4);
+        assert!(merged.merge(&other_world).is_err());
+        let mut short_tx = TransportStats::new(2);
+        short_tx.tx.pop();
+        assert!(merged.merge(&short_tx).is_err());
+        let mut long_rx = TransportStats::new(2);
+        long_rx.rx.push(LinkCount::default());
+        assert!(merged.merge(&long_rx).is_err());
+        assert_eq!(
+            merged,
+            TransportStats::new(2),
+            "a rejected report adds nothing"
+        );
+
+        let mut rank0 = TransportStats::new(2);
+        rank0.tx[1].record(8, 4);
+        let mut rank1 = TransportStats::new(2);
+        rank1.rx[1].record(8, 4);
+        merged.merge(&rank0).expect("same mesh");
+        assert_eq!(merged.disagreement(), Some((0, 1)));
+        merged.merge(&rank1).expect("same mesh");
+        assert_eq!(merged.disagreement(), None);
+        assert!(merged.two_sided());
+        assert_eq!(merged.link_payload_bytes(0, 1), 8);
     }
 
     #[test]

@@ -32,10 +32,13 @@
 //!    that share an address space);
 //! 4. workers build the full socket mesh (connect to lower ranks, accept
 //!    from higher ranks, each stream prefixed by a 4-byte rank hello), run
-//!    the task through [`run_task`], and report `RESULT` (their side of the
-//!    per-link counters + the encoded [`TaskOutput`]) or `ERROR`;
-//! 5. the parent merges both sides of every link's counters — they must
-//!    agree exactly — and reaps the workers.
+//!    the task through [`run_task`], and report `RESULT` (their endpoint's
+//!    [`TransportStats`] as JSON, then the encoded [`TaskOutput`]) or
+//!    `ERROR`;
+//! 5. the parent adds every worker's ledger
+//!    ([`ProcError::Protocol`] for one of the wrong shape), reaps the
+//!    workers, and checks that both sides of every link agree
+//!    ([`ProcError::AccountingMismatch`] names the first that does not).
 //!
 //! Frames on mesh streams carry [`snip_quant::wire`]'s stream envelope —
 //! a length prefix plus a CRC32 of the body, so in-flight corruption is a
@@ -66,7 +69,7 @@
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError, DEFAULT_RECV_DEADLINE};
-use super::{dp_train_loop, Endpoint, LinkCounters, TransportStats};
+use super::{dp_train_loop, Endpoint, TransportStats};
 use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
@@ -227,13 +230,6 @@ impl<'a> Cursor<'a> {
         let raw = self.take(8 * n)?;
         Ok((0..n)
             .map(|i| f64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8")))
-            .collect())
-    }
-
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, String> {
-        let raw = self.take(8 * n)?;
-        Ok((0..n)
-            .map(|i| u64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8")))
             .collect())
     }
 
@@ -776,7 +772,7 @@ fn worker_run() -> Result<(), String> {
     let report = match &outcome {
         Ok(output) => {
             let mut msg = Writer(vec![MSG_RESULT]);
-            encode_stats(&mut msg, &ep.stats(), rank);
+            msg.json(&ep.stats());
             msg.0.extend_from_slice(&output.encode());
             msg.0
         }
@@ -855,23 +851,6 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task) -> Result<TaskOutp
     }
 }
 
-/// Serializes this rank's side of the link counters: its tx row (what it
-/// sent to each dst) and its rx column (what it received from each src).
-fn encode_stats(w: &mut Writer, stats: &TransportStats, rank: usize) {
-    let world = stats.world();
-    w.u32(world as u32);
-    for dst in 0..world {
-        w.u64(&stats.payload[rank * world + dst]);
-        w.u64(&stats.envelope[rank * world + dst]);
-        w.u64(&stats.frames[rank * world + dst]);
-    }
-    for src in 0..world {
-        w.u64(&stats.rx_payload[src * world + rank]);
-        w.u64(&stats.rx_envelope[src * world + rank]);
-        w.u64(&stats.rx_frames[src * world + rank]);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Parent side.
 // ---------------------------------------------------------------------------
@@ -940,7 +919,8 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
 /// The process driver: spawns `tasks.len()` rank workers by re-executing the
 /// current binary, hands worker `r` its task and the chaos plan (`None`
 /// ships the pass-through plan), and collects each worker's [`TaskOutput`]
-/// plus the merged, cross-checked traffic counters.
+/// plus the sum of every worker's traffic ledger, cross-checked link by
+/// link.
 ///
 /// The calling binary's `main` must invoke [`worker_boot`] before anything
 /// else — see the module docs for the full protocol.
@@ -1036,7 +1016,7 @@ pub fn launch(
     // on it fail with a secondary "closed its link mid-collective" cascade.
     let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
     let mut errors: Vec<(usize, String)> = Vec::new();
-    let mut merged = TransportStats::snapshot(&LinkCounters::new(world));
+    let mut merged = TransportStats::new(world);
     for (rank, ctrl) in ctrls.iter_mut().enumerate() {
         let msg = match ctrl_recv(ctrl) {
             Ok(msg) => msg,
@@ -1048,7 +1028,10 @@ pub fn launch(
         let mut c = Cursor::new(&msg);
         match c.u8().map_err(ProcError::Protocol)? {
             MSG_RESULT => {
-                merge_stats(&mut merged, &mut c, rank).map_err(ProcError::Protocol)?;
+                let report: TransportStats = c.json().map_err(ProcError::Protocol)?;
+                merged
+                    .merge(&report)
+                    .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
                 let output = TaskOutput::decode(c.rest())?;
                 if output.tag() != tasks[rank].tag() {
                     return Err(ProcError::Protocol(format!(
@@ -1090,48 +1073,15 @@ pub fn launch(
     guard.finish()?;
 
     // Both sides of every socket must have accounted the identical volume.
-    for src in 0..world {
-        for dst in 0..world {
-            let i = src * world + dst;
-            if merged.payload[i] != merged.rx_payload[i]
-                || merged.envelope[i] != merged.rx_envelope[i]
-                || merged.frames[i] != merged.rx_frames[i]
-            {
-                return Err(ProcError::AccountingMismatch { src, dst });
-            }
-        }
+    if let Some((src, dst)) = merged.disagreement() {
+        return Err(ProcError::AccountingMismatch { src, dst });
     }
-    // Workers never publish telemetry themselves: their per-link counters
-    // arrive through the RESULT handshake and are exported here, once,
-    // after the cross-check — so the socket fabric reports through the same
-    // path as the threaded mesh.
+    // Workers never publish telemetry themselves: their ledgers arrive
+    // through the RESULT handshake and are exported here, once, after the
+    // cross-check — so the socket fabric reports through the same path as
+    // the threaded mesh.
     super::publish_transport_stats(&merged);
     Ok((results, merged))
-}
-
-/// Folds one worker's stats report (its tx row and rx column) into the
-/// merged matrices.
-fn merge_stats(merged: &mut TransportStats, c: &mut Cursor<'_>, rank: usize) -> Result<(), String> {
-    let world = merged.world;
-    let reported = c.u32()? as usize;
-    if reported != world {
-        return Err(format!(
-            "rank {rank} reported world {reported}, expected {world}"
-        ));
-    }
-    let tx = c.u64s(3 * world)?;
-    let rx = c.u64s(3 * world)?;
-    for dst in 0..world {
-        merged.payload[rank * world + dst] += tx[3 * dst];
-        merged.envelope[rank * world + dst] += tx[3 * dst + 1];
-        merged.frames[rank * world + dst] += tx[3 * dst + 2];
-    }
-    for src in 0..world {
-        merged.rx_payload[src * world + rank] += rx[3 * src];
-        merged.rx_envelope[src * world + rank] += rx[3 * src + 1];
-        merged.rx_frames[src * world + rank] += rx[3 * src + 2];
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

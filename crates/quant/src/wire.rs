@@ -106,6 +106,8 @@ pub enum WireError {
         /// The offending byte.
         value: u8,
     },
+    /// The header's shape implies a frame too large to address.
+    ShapeTooLarge,
     /// Total frame length disagrees with the header's shape.
     LengthMismatch {
         /// Length the header implies.
@@ -130,6 +132,7 @@ impl std::fmt::Display for WireError {
             }
             WireError::BadHeader => write!(f, "bad frame magic or version"),
             WireError::BadTag { field, value } => write!(f, "bad {field} byte {value:#04x}"),
+            WireError::ShapeTooLarge => write!(f, "header shape is too large to address"),
             WireError::LengthMismatch { expect, got } => {
                 write!(
                     f,
@@ -315,8 +318,9 @@ impl PackedTensor {
     /// # Errors
     ///
     /// Any structural defect: short/overlong buffers, bad magic or version,
-    /// unknown variant/format/layout bytes, invalid E8M0 scale bytes, and
-    /// out-of-bounds or unsorted outlier entries.
+    /// unknown variant/format/layout bytes, a shape too large to address,
+    /// invalid E8M0 scale bytes, and out-of-bounds or unsorted outlier
+    /// entries.
     pub fn from_wire_bytes(bytes: &[u8]) -> Result<PackedTensor, WireError> {
         if bytes.len() < WIRE_HEADER_BYTES {
             return Err(WireError::TooShort {
@@ -343,16 +347,23 @@ impl PackedTensor {
         let outlier_count = get_u32(bytes, 32) as usize;
 
         let width = cb.width();
+        // Untrusted: a product of two `u32` fields fits a 64-bit `usize`,
+        // but scaling and summing them may overflow — rejected, not wrapped.
         let code_bytes = rows * width.row_bytes(cols);
         let groups = layout.group_count(rows, cols);
-        let scale_bytes = if variant == 1 { groups } else { groups * 4 };
+        let scale_bytes = groups
+            .checked_mul(if variant == 1 { 1 } else { 4 })
+            .ok_or(WireError::ShapeTooLarge)?;
         let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
         if variant == 3 && outlier_count > rows * cols {
             return Err(WireError::BadOutlier {
                 index: outlier_count as u32,
             });
         }
-        let expect = WIRE_HEADER_BYTES + code_bytes + scale_bytes + outlier_bytes;
+        let expect = [code_bytes, scale_bytes, outlier_bytes]
+            .into_iter()
+            .try_fold(WIRE_HEADER_BYTES, usize::checked_add)
+            .ok_or(WireError::ShapeTooLarge)?;
         if bytes.len() != expect {
             return Err(WireError::LengthMismatch {
                 expect,

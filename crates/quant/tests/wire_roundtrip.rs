@@ -8,7 +8,7 @@ use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
 use snip_quant::int::IntFormat;
 use snip_quant::{
-    PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES,
+    PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WireError, WIRE_HEADER_BYTES,
 };
 use snip_tensor::rng::Rng;
 use snip_tensor::{QTensor, Tensor};
@@ -219,4 +219,49 @@ fn wire_headers_match_the_recorded_bytes() {
         assert_eq!(header, want, "{name}");
         assert_eq!(PackedTensor::from_wire_bytes(&frame).expect(name), packed);
     }
+}
+
+/// A bare 36-byte frame header (layout in the `snip_quant::wire` module
+/// docs) with zero rotation block and seed: `tags` are the variant, format
+/// and layout bytes, `fields` the rows, cols, layout group length and
+/// outlier count.
+fn forged_header(tags: [u8; 3], fields: [u32; 4]) -> Vec<u8> {
+    let [variant, format, layout] = tags;
+    let [rows, cols, nb, outliers] = fields;
+    let mut frame = vec![b'S', b'P', 1, variant, format, layout, 0, 0];
+    for field in [rows, cols, nb, 0, 0, 0, outliers] {
+        frame.extend_from_slice(&field.to_le_bytes());
+    }
+    assert_eq!(frame.len(), WIRE_HEADER_BYTES);
+    frame
+}
+
+/// Header fields are untrusted input: a shape whose payload size overflows
+/// is a typed error in debug and release alike — not an arithmetic panic
+/// (debug), nor a wrapped length check that lets the slicing panic
+/// (release).
+#[test]
+fn oversized_header_shapes_are_typed_errors() {
+    const CODES_E2M1_BLOCK: [u8; 3] = [0, 0, 3];
+    const CODES_E4M3_BLOCK: [u8; 3] = [0, 1, 3];
+    const SPLIT_E4M3_TENSORWISE: [u8; 3] = [3, 1, 0];
+    let too_large = |frame: &[u8]| {
+        matches!(
+            PackedTensor::from_wire_bytes(frame),
+            Err(WireError::ShapeTooLarge)
+        )
+    };
+    let max = u32::MAX;
+    // One scale per 1×1 block: the scale bytes overflow.
+    assert!(too_large(&forged_header(
+        CODES_E4M3_BLOCK,
+        [max, max, 1, 0]
+    )));
+    // u32::MAX outliers: the section sum overflows.
+    let split = forged_header(SPLIT_E4M3_TENSORWISE, [max, max, 0, max]);
+    assert!(too_large(&split));
+    // A section sum that wraps to exactly this frame's length.
+    let mut wrapped = forged_header(CODES_E2M1_BLOCK, [4_294_902_271, 954_451_627, 1, 0]);
+    wrapped.resize(66_651_682, 0);
+    assert!(too_large(&wrapped));
 }

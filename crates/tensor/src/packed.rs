@@ -136,9 +136,11 @@ impl Serialize for QTensor {
 }
 
 impl Deserialize for QTensor {
+    /// Checks every field against the invariants the constructors assert:
+    /// a damaged checkpoint fails to load, not at its first decode.
     fn from_content(c: &Content) -> Result<Self, SerdeError> {
         let lut: Arc<[f32]> = de_field(c, "lut")?;
-        Ok(QTensor {
+        let q = QTensor {
             rows: de_field(c, "rows")?,
             cols: de_field(c, "cols")?,
             width: de_field(c, "width")?,
@@ -148,7 +150,23 @@ impl Deserialize for QTensor {
             layout: de_field(c, "layout")?,
             col_groups: de_field(c, "col_groups")?,
             scales: de_field(c, "scales")?,
-        })
+        };
+        // In order: each check keeps the next one's arithmetic in range.
+        let (rows, cols, layout) = (q.rows, q.cols, q.layout);
+        let valid = q.lut.len() == q.width.lut_len()
+            && rows.checked_mul(q.width.row_bytes(cols)) == Some(q.data.len())
+            && !matches!(
+                layout,
+                GroupLayout::Block { nb: 0 } | GroupLayout::Tile { nb: 0 }
+            )
+            && q.scales.len() == layout.group_count(rows, cols)
+            && q.col_groups == layout.col_groups(cols);
+        if !valid {
+            return Err(SerdeError::custom(format!(
+                "QTensor {rows}x{cols}: lut, data, layout, scales or col_groups break its invariants"
+            )));
+        }
+        Ok(q)
     }
 }
 
@@ -974,6 +992,43 @@ mod tests {
         for (a, b) in d0.as_slice().iter().zip(d1.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// Deserializes a 5×9 tile-scaled tensor whose serialized field `key`
+    /// was replaced by `value`.
+    fn load_forged(key: &str, value: Content) -> Result<QTensor, SerdeError> {
+        let q = random_qtensor(5, 9, GroupLayout::Tile { nb: 4 }, 92);
+        let Content::Map(mut fields) = q.to_content() else {
+            panic!("a QTensor serializes as a map");
+        };
+        fields.iter_mut().find(|(k, _)| k == key).expect("field").1 = value;
+        QTensor::from_content(&Content::Map(fields))
+    }
+
+    #[test]
+    fn deserialize_rejects_a_decode_table_of_another_width() {
+        assert!(load_forged("lut", vec![0.0f32; 256].to_content()).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_a_short_code_buffer() {
+        assert!(load_forged("data", vec![0u8; 5 * 5 - 1].to_content()).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_a_missing_scale() {
+        assert!(load_forged("scales", vec![1.0f32; 5 * 3 - 1].to_content()).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_a_zero_group_length() {
+        let layout = GroupLayout::Block { nb: 0 }.to_content();
+        assert!(load_forged("layout", layout).is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_a_stale_column_group_count() {
+        assert!(load_forged("col_groups", 4usize.to_content()).is_err());
     }
 
     /// Packed codes always decode to finite values, but the *dense* side of
