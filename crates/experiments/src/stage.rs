@@ -71,6 +71,18 @@ mod tests {
     }
 
     #[test]
+    fn stage_of_block_round_trips() {
+        // Every block lies in exactly one stage's range.
+        let p = StagePartition::even(22, 4);
+        for b in 0..22 {
+            let owners: Vec<usize> = (0..p.n_stages())
+                .filter(|&s| p.blocks(s).contains(&b))
+                .collect();
+            assert_eq!(owners.len(), 1, "block {b} owned by stages {owners:?}");
+        }
+    }
+
+    #[test]
     fn partition_is_the_ilp_stage_rule() {
         // The stages' block ranges, read back as a block → stage map, tile
         // the blocks in order and are exactly the ILP's assignment.
