@@ -15,7 +15,8 @@
 //! telemetry honest: the report's transport payload bytes must equal both
 //! the measured per-link counters **and** the analytic
 //! [`snip_pipeline::comm::codec_wire_bytes`] volume of every ring
-//! all-reduce the run performed — byte for byte.
+//! all-reduce the run performed — byte for byte. It also checks that the
+//! two ranks' parameters are bit-identical after the FP4-wire steps.
 //!
 //! Usage: `SNIP_TRACE=trace.json cargo run -p snip-experiments --bin
 //! obs_smoke`.
@@ -45,6 +46,18 @@ fn main() {
     assert!(
         losses.iter().flatten().all(|l| l.is_finite()),
         "training diverged"
+    );
+    // Every rank holds the same reduced gradient, so the replicas stay
+    // bit-identical even over the lossy wire.
+    let mut replicas: Vec<Vec<u32>> = vec![Vec::new(); WORLD];
+    for (t, bits) in trainers.iter_mut().zip(&mut replicas) {
+        t.model.visit_params_mut(&mut |p| {
+            bits.extend(p.value().as_slice().iter().map(|v| v.to_bits()))
+        });
+    }
+    assert!(
+        replicas.iter().all(|r| *r == replicas[0]),
+        "DP replicas differ"
     );
     // One SNIP scheme update on rank 0 (due at its current step), so the
     // report's overhead fraction has a probe and a solve to account for.

@@ -15,7 +15,10 @@
 //! The simulator here ([`ring_reduce_scatter`], [`ring_all_gather`],
 //! [`ring_all_reduce`]) holds all `R` ranks in one address space, each with
 //! its own RNG stream, and ships every hop through the transports' frame
-//! codec ([`Wire::transmit`]). So both fabrics are pinned against it bit
+//! codec ([`Wire::transmit`]). The all-gather encodes each reduced chunk
+//! once: the owner adopts the decode of its frame, and the ring forwards
+//! those bytes unchanged, so every rank ends an all-reduce with the same
+//! bits. Both fabrics are pinned against it bit
 //! for bit — reduced gradients, RNG streams, payload bytes — and what that
 //! pins is the ring schedule; the codec is shared by construction. Its
 //! callers are tests, which also pin the qualitative answers: BF16 wires
@@ -154,15 +157,11 @@ impl Wire {
 
     /// Sends a payload across one simulated hop: encodes it into the very
     /// frame a fabric moves ([`crate::transport::frame`]), decodes that
-    /// frame into `payload`, and returns the frame's accounted payload
-    /// bytes — packed codes + scales (one-byte E8M0 scales for MX, 6-byte
-    /// sparse entries for outliers), two bytes per element for BF16, four
-    /// for exact wires. The simulator and both transports therefore share
-    /// one hop codec, and their payloads and byte counters agree by
+    /// frame into `payload` (only once the codec has finished, so a
+    /// panicking codec leaves it as it was), and returns the frame's
+    /// accounted payload bytes. The simulator and both transports therefore
+    /// share one hop codec, and their payloads and byte counters agree by
     /// construction.
-    ///
-    /// The caller's buffer is only replaced once the codec has finished: a
-    /// panicking codec leaves `payload` exactly as it was.
     pub fn transmit(&self, payload: &mut Vec<f32>, rng: &mut Rng) -> u64 {
         let (frame, bytes) = encode_frame(self, payload, rng);
         *payload = decode_frame(&frame)
@@ -204,22 +203,17 @@ pub fn chunk_bounds(n: usize, r: usize) -> Vec<(usize, usize)> {
     (0..r).map(|i| (i * n / r, (i + 1) * n / r)).collect()
 }
 
-fn exact_reference(grads: &[Vec<f32>]) -> Vec<f32> {
-    let n = grads[0].len();
-    let mut sum = vec![0.0f32; n];
+/// The exact elementwise sum of all ranks' gradients (the collective's
+/// numerical reference).
+pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
+    assert!(!grads.is_empty(), "no ranks");
+    let mut sum = vec![0.0f32; grads[0].len()];
     for g in grads {
         for (s, v) in sum.iter_mut().zip(g) {
             *s += v;
         }
     }
     sum
-}
-
-/// The exact elementwise sum of all ranks' gradients (the collective's
-/// numerical reference).
-pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
-    assert!(!grads.is_empty(), "no ranks");
-    exact_reference(grads)
 }
 
 /// Simulates a ring reduce-scatter over `R = grads.len()` ranks, rank `r`
@@ -233,9 +227,6 @@ pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
 ///
 /// Panics if `grads` is empty, ranks disagree on the gradient length, or
 /// `rngs.len() != grads.len()`.
-// Ranks act in lockstep on parallel per-rank state; indexing by rank id
-// across several arrays at once is the natural expression here.
-#[allow(clippy::needless_range_loop)]
 pub fn ring_reduce_scatter(
     grads: &[Vec<f32>],
     wire: &Wire,
@@ -254,40 +245,32 @@ pub fn ring_reduce_scatter(
     let hop_wire = hop_wire(wire, policy);
     let mut local: Vec<Vec<f32>> = grads.to_vec();
     let mut bytes = 0u64;
-
     for s in 0..r_count.saturating_sub(1) {
-        // All sends are computed before any receive lands (ranks progress
-        // in lockstep).
-        let mut payloads: Vec<(usize, Vec<f32>)> = Vec::with_capacity(r_count);
-        for r in 0..r_count {
-            let c = (r + r_count - s % r_count) % r_count;
-            let (lo, hi) = bounds[c];
-            let mut payload = local[r][lo..hi].to_vec();
-            bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
-            payloads.push((c, payload));
-        }
-        for r in 0..r_count {
-            let dst = (r + 1) % r_count;
-            let (c, payload) = &payloads[r];
-            let (lo, _) = bounds[*c];
-            for (i, v) in payload.iter().enumerate() {
-                local[dst][lo + i] += v;
+        // Every rank sends before any receive lands (ranks act in lockstep).
+        let sent: Vec<(usize, Vec<f32>)> = (0..r_count)
+            .map(|r| {
+                let (lo, hi) = bounds[(r + r_count - s) % r_count];
+                let mut payload = local[r][lo..hi].to_vec();
+                bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
+                (lo, payload)
+            })
+            .collect();
+        for (r, (lo, payload)) in sent.into_iter().enumerate() {
+            for (l, v) in local[(r + 1) % r_count][lo..].iter_mut().zip(payload) {
+                *l += v;
             }
         }
     }
-
-    let mut per_rank = Vec::with_capacity(r_count);
-    let mut owned = Vec::with_capacity(r_count);
-    for r in 0..r_count {
-        let c = (r + 1) % r_count;
-        let (lo, hi) = bounds[c];
-        let mut chunk = local[r][lo..hi].to_vec();
-        if policy == QuantizePolicy::FinalOnly {
-            wire.quantize(&mut chunk, &mut rngs[r]);
-        }
-        per_rank.push(chunk);
-        owned.push((lo, hi));
-    }
+    let owned: Vec<(usize, usize)> = (0..r_count).map(|r| bounds[(r + 1) % r_count]).collect();
+    let per_rank = (owned.iter().zip(local).zip(rngs))
+        .map(|((&(lo, hi), sums), rng)| {
+            let mut chunk = sums[lo..hi].to_vec();
+            if policy == QuantizePolicy::FinalOnly {
+                wire.quantize(&mut chunk, rng);
+            }
+            chunk
+        })
+        .collect();
     CollectiveResult {
         per_rank,
         owned,
@@ -297,7 +280,7 @@ pub fn ring_reduce_scatter(
 
 /// What each hop ships through: `wire` itself under
 /// [`QuantizePolicy::EveryHop`], full-precision f32 otherwise.
-fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
+pub(crate) fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
     match policy {
         QuantizePolicy::EveryHop => *wire,
         QuantizePolicy::FinalOnly => Wire::exact(),
@@ -306,16 +289,16 @@ fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
 
 /// Simulates the ring all-gather that follows a reduce-scatter, giving every
 /// rank the full reduced vector, with one RNG stream per rank (see
-/// [`ring_reduce_scatter`]). Payloads are quantized per hop under
-/// [`QuantizePolicy::EveryHop`] (idempotent for already-quantized chunks
-/// under nearest rounding) and passed through otherwise.
+/// [`ring_reduce_scatter`]). Rank `r` encodes its chunk once through the hop
+/// wire, drawing from `rngs[r]`, and every rank — the owner included — holds
+/// the decode of that one frame, so all ranks end with the same bits. The
+/// ring forwards the frame unchanged across `R − 1` links, which is what
+/// `bytes_on_wire` charges; forwarding moves no value, so the simulator
+/// does not replay it.
 ///
 /// # Panics
 ///
 /// Panics if `rngs.len()` differs from the number of ranks.
-// Ranks act in lockstep on parallel per-rank state; indexing by rank id
-// across several arrays at once is the natural expression here.
-#[allow(clippy::needless_range_loop)]
 pub fn ring_all_gather(
     scattered: &CollectiveResult,
     n: usize,
@@ -328,43 +311,19 @@ pub fn ring_all_gather(
     assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
     let bounds = chunk_bounds(n, r_count);
     let hop_wire = hop_wire(wire, policy);
-    // have[r][c] = Some(chunk c's data) once rank r holds it.
-    let mut have: Vec<Vec<Option<Vec<f32>>>> = vec![vec![None; r_count]; r_count];
-    for r in 0..r_count {
-        let c = (r + 1) % r_count;
-        have[r][c] = Some(scattered.per_rank[r].clone());
-    }
+    let hops = r_count as u64 - 1;
+    let mut full = vec![0.0f32; n];
     let mut bytes = 0u64;
-    for s in 0..r_count.saturating_sub(1) {
-        let mut payloads: Vec<(usize, Vec<f32>)> = Vec::with_capacity(r_count);
-        for r in 0..r_count {
-            let c = (r + 1 + r_count - s % r_count) % r_count;
-            let mut payload = have[r][c]
-                .as_ref()
-                .expect("ring schedule guarantees possession")
-                .clone();
-            bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
-            payloads.push((c, payload));
+    for (r, (chunk, rng)) in scattered.per_rank.iter().zip(rngs).enumerate() {
+        let (lo, hi) = bounds[(r + 1) % r_count];
+        let mut own = chunk.clone();
+        if hops > 0 {
+            bytes += hops * hop_wire.transmit(&mut own, rng);
         }
-        for r in 0..r_count {
-            let dst = (r + 1) % r_count;
-            let (c, payload) = payloads[r].clone();
-            have[dst][c] = Some(payload);
-        }
+        full[lo..hi].copy_from_slice(&own);
     }
-    let per_rank: Vec<Vec<f32>> = (0..r_count)
-        .map(|r| {
-            let mut full = vec![0.0f32; n];
-            for c in 0..r_count {
-                let (lo, hi) = bounds[c];
-                let chunk = have[r][c].as_ref().expect("all chunks gathered");
-                full[lo..hi].copy_from_slice(chunk);
-            }
-            full
-        })
-        .collect();
     CollectiveResult {
-        per_rank,
+        per_rank: vec![full; r_count],
         owned: vec![(0, n); r_count],
         bytes_on_wire: bytes,
     }
@@ -396,13 +355,11 @@ pub fn ring_all_reduce(
 pub fn relative_error(result: &CollectiveResult, exact: &[f32]) -> f64 {
     let mut err2 = 0.0f64;
     let mut ref2 = 0.0f64;
-    for (rank, (lo, hi)) in result.owned.iter().enumerate() {
-        for (i, got) in result.per_rank[rank].iter().enumerate() {
-            let want = exact[lo + i] as f64;
-            err2 += (*got as f64 - want).powi(2);
-            ref2 += want.powi(2);
+    for (&(lo, _), chunk) in result.owned.iter().zip(&result.per_rank) {
+        for (got, want) in chunk.iter().zip(&exact[lo..]) {
+            err2 += (*got as f64 - *want as f64).powi(2);
+            ref2 += (*want as f64).powi(2);
         }
-        debug_assert_eq!(hi - lo, result.per_rank[rank].len());
     }
     if ref2 == 0.0 {
         0.0

@@ -42,6 +42,14 @@ pub enum FrameError {
     },
     /// The packed body failed to deserialize.
     Packed(WireError),
+    /// A well-formed frame whose element count is not the length of the
+    /// ring chunk it must fill: the two ranks disagree on the vector's size.
+    Elements {
+        /// Elements of the chunk the ring schedule expects.
+        expect: usize,
+        /// Elements the frame carried.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -56,6 +64,9 @@ impl std::fmt::Display for FrameError {
                 )
             }
             FrameError::Packed(e) => write!(f, "packed frame body: {e}"),
+            FrameError::Elements { expect, got } => {
+                write!(f, "{got} elements for a chunk of {expect}")
+            }
         }
     }
 }
@@ -127,40 +138,24 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<(Vec<f32>, u64), FrameError> 
         return Err(FrameError::Empty);
     };
     match tag {
-        TAG_EXACT => {
+        TAG_EXACT | TAG_BF16 => {
+            let width = if tag == TAG_EXACT { 4 } else { 2 };
             let n = element_count(bytes)?;
-            let expect = 5 + 4 * n;
+            let expect = 5 + width * n;
             if bytes.len() != expect {
                 return Err(FrameError::Length {
                     expect,
                     got: bytes.len(),
                 });
             }
-            let data = (0..n)
-                .map(|i| {
-                    f32::from_le_bytes(bytes[5 + 4 * i..9 + 4 * i].try_into().expect("4 bytes"))
+            // A BF16 element is the upper half of the f32 bit pattern.
+            let data = (bytes[5..].chunks_exact(width))
+                .map(|b| match *b {
+                    [hi0, hi1] => f32::from_le_bytes([0, 0, hi0, hi1]),
+                    _ => f32::from_le_bytes(b.try_into().expect("4 bytes")),
                 })
                 .collect();
-            Ok((data, 4 * n as u64))
-        }
-        TAG_BF16 => {
-            let n = element_count(bytes)?;
-            let expect = 5 + 2 * n;
-            if bytes.len() != expect {
-                return Err(FrameError::Length {
-                    expect,
-                    got: bytes.len(),
-                });
-            }
-            let data = (0..n)
-                .map(|i| {
-                    let half = u16::from_le_bytes(
-                        bytes[5 + 2 * i..7 + 2 * i].try_into().expect("2 bytes"),
-                    );
-                    f32::from_bits(u32::from(half) << 16)
-                })
-                .collect();
-            Ok((data, 2 * n as u64))
+            Ok((data, (width * n) as u64))
         }
         TAG_PACKED => {
             let packed = PackedTensor::from_wire_bytes(&bytes[1..]).map_err(FrameError::Packed)?;

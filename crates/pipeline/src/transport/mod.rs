@@ -29,9 +29,10 @@
 //! ([`threaded_all_reduce`], [`data_parallel_train`], …) are fault-free
 //! delegations onto the drivers.
 //!
-//! The in-proc simulator is kept as the **oracle**: both fabrics' ring
-//! reduce-scatter / all-gather are bit-identical to
-//! [`crate::collective::ring_reduce_scatter`] (same reduced gradients, same
+//! The all-gather encodes each reduced chunk once — the owner keeps the
+//! frame's decode, the ring forwards its bytes — so every rank holds the
+//! same reduced vector. The in-proc simulator is the **oracle**: both
+//! fabrics' ring collectives are bit-identical to [`crate::collective`] (same
 //! per-rank RNG streams — the simulator's hops go through this module's
 //! [`frame`] codec, so what the oracle pins is the ring schedule), and the
 //! measured per-link payload counters equal
@@ -81,7 +82,7 @@ pub use fabric::{
 };
 pub use frame::FrameError;
 
-use crate::collective::{chunk_bounds, CollectiveResult, QuantizePolicy, Wire};
+use crate::collective::{chunk_bounds, hop_wire, CollectiveResult, QuantizePolicy, Wire};
 use frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
@@ -369,6 +370,17 @@ impl<F: Fabric> Endpoint<F> {
         rng: &mut Rng,
     ) -> Result<u64, TransportError> {
         let (frame, bytes) = encode_frame(wire, payload, rng);
+        self.send_frame(dst, frame, bytes)
+    }
+
+    /// Ships an encoded frame to `dst`, counting `bytes` of it as payload
+    /// and the rest of what the fabric moved as envelope.
+    fn send_frame(
+        &mut self,
+        dst: usize,
+        frame: Vec<u8>,
+        bytes: u64,
+    ) -> Result<u64, TransportError> {
         let wire_len = self
             .fabric
             .send_frame(dst, frame)
@@ -387,18 +399,35 @@ impl<F: Fabric> Endpoint<F> {
     /// [`TransportError::Frame`] / [`TransportError::Stream`] if it
     /// delivered damaged bytes.
     pub fn recv(&mut self, src: usize) -> Result<Vec<f32>, TransportError> {
+        self.recv_frame(src, None).map(|(_, payload, _)| payload)
+    }
+
+    /// Blocks for the next frame from `src` and counts it. Returns the
+    /// frame itself (so it can be forwarded), its decoded payload and its
+    /// accounted payload bytes. A payload of another length than `expect`
+    /// is a typed [`FrameError::Elements`].
+    fn recv_frame(
+        &mut self,
+        src: usize,
+        expect: Option<usize>,
+    ) -> Result<(Vec<u8>, Vec<f32>, u64), TransportError> {
         let (frame, wire_len) = self
             .fabric
             .recv_frame(src)
             .inspect_err(note_transport_failure)?;
-        let (payload, bytes) = decode_frame(&frame).map_err(|error| {
-            let e = TransportError::Frame { src, error };
-            note_transport_failure(&e);
-            e
-        })?;
+        let (payload, bytes) = decode_frame(&frame)
+            .and_then(|(payload, bytes)| match expect {
+                Some(expect) if payload.len() != expect => Err(FrameError::Elements {
+                    expect,
+                    got: payload.len(),
+                }),
+                _ => Ok((payload, bytes)),
+            })
+            .map_err(|error| TransportError::Frame { src, error })
+            .inspect_err(note_transport_failure)?;
         let link = src * self.world() + self.rank();
         self.stats.rx[link].record(bytes, wire_len - bytes);
-        Ok(payload)
+        Ok((frame, payload, bytes))
     }
 
     /// Ring reduce-scatter over serialized frames. Bit-identical to
@@ -408,7 +437,8 @@ impl<F: Fabric> Endpoint<F> {
     ///
     /// # Errors
     ///
-    /// Any [`TransportError`] surfaced by the fabric mid-ring.
+    /// Any [`TransportError`] surfaced by the fabric mid-ring;
+    /// [`FrameError::Elements`] if the ranks' vectors differ in length.
     pub fn ring_reduce_scatter(
         &mut self,
         grad: &[f32],
@@ -419,22 +449,15 @@ impl<F: Fabric> Endpoint<F> {
         let (r, w) = (self.rank(), self.world());
         let bounds = chunk_bounds(grad.len(), w);
         let mut local = grad.to_vec();
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        let exact = Wire::exact();
+        let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
+        let hop_wire = hop_wire(wire, policy);
         for s in 0..w.saturating_sub(1) {
-            let hop_wire = if policy == QuantizePolicy::EveryHop {
-                wire
-            } else {
-                &exact
-            };
-            let c = (r + w - s % w) % w;
-            let (lo, hi) = bounds[c];
-            self.send(next, &local[lo..hi], hop_wire, rng)?;
-            let cp = (prev + w - s % w) % w;
-            let (plo, _) = bounds[cp];
-            for (i, v) in self.recv(prev)?.iter().enumerate() {
-                local[plo + i] += v;
+            let (lo, hi) = bounds[(r + w - s) % w];
+            self.send(next, &local[lo..hi], &hop_wire, rng)?;
+            let (plo, phi) = bounds[(prev + w - s) % w];
+            let (_, payload, _) = self.recv_frame(prev, Some(phi - plo))?;
+            for (l, v) in local[plo..phi].iter_mut().zip(&payload) {
+                *l += v;
             }
         }
         let (lo, hi) = bounds[(r + 1) % w];
@@ -446,12 +469,15 @@ impl<F: Fabric> Endpoint<F> {
     }
 
     /// Ring all-gather of the reduce-scatter result: every rank ends with
-    /// the full `n`-element reduced vector. Bit-identical to
-    /// [`crate::collective::ring_all_gather`].
+    /// the same bits of the full `n`-element reduced vector. This rank
+    /// encodes its chunk once (its only RNG draw here) and keeps the
+    /// frame's decode; later steps forward received frames unchanged.
+    /// Bit-identical to [`crate::collective::ring_all_gather`].
     ///
     /// # Errors
     ///
-    /// Any [`TransportError`] surfaced by the fabric mid-ring.
+    /// Any [`TransportError`] surfaced by the fabric mid-ring;
+    /// [`FrameError::Elements`] if the ranks' vectors differ in length.
     pub fn ring_all_gather(
         &mut self,
         chunk: &RankChunk,
@@ -461,29 +487,23 @@ impl<F: Fabric> Endpoint<F> {
         rng: &mut Rng,
     ) -> Result<Vec<f32>, TransportError> {
         let (r, w) = (self.rank(), self.world());
-        let bounds = chunk_bounds(n, w);
-        let mut have: Vec<Option<Vec<f32>>> = vec![None; w];
-        have[(r + 1) % w] = Some(chunk.data.clone());
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        let exact = Wire::exact();
-        for s in 0..w.saturating_sub(1) {
-            let hop_wire = if policy == QuantizePolicy::EveryHop {
-                wire
-            } else {
-                &exact
-            };
-            let c = (r + 1 + w - s % w) % w;
-            let payload = have[c]
-                .as_ref()
-                .expect("ring schedule guarantees possession");
-            self.send(next, payload, hop_wire, rng)?;
-            let cp = (prev + 1 + w - s % w) % w;
-            have[cp] = Some(self.recv(prev)?);
+        if w == 1 {
+            return Ok(chunk.data.clone());
         }
+        let bounds = chunk_bounds(n, w);
+        let (mut frame, mut bytes) = encode_frame(&hop_wire(wire, policy), &chunk.data, rng);
+        let (own, _) = decode_frame(&frame).expect("a frame encoded in-process decodes");
         let mut full = vec![0.0f32; n];
-        for (c, (lo, hi)) in bounds.iter().enumerate() {
-            full[*lo..*hi].copy_from_slice(have[c].as_ref().expect("all chunks gathered"));
+        let (lo, hi) = bounds[(r + 1) % w];
+        full[lo..hi].copy_from_slice(&own);
+        let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
+        // Step `s` receives chunk `r − s`, which step `s + 1` forwards.
+        for s in 0..w - 1 {
+            self.send_frame(next, frame, bytes)?;
+            let (lo, hi) = bounds[(r + w - s) % w];
+            let payload;
+            (frame, payload, bytes) = self.recv_frame(prev, Some(hi - lo))?;
+            full[lo..hi].copy_from_slice(&payload);
         }
         Ok(full)
     }

@@ -60,28 +60,29 @@ proptest! {
     }
 
     #[test]
-    fn quantized_all_reduce_copies_agree_within_wire_error(
+    fn quantized_all_reduce_copies_are_bit_identical(
         grads in grads_strategy(),
         seed in 0u64..100,
+        kind in 0usize..8,
     ) {
-        // With quantized wires the chunk *owner* keeps its unquantized copy
-        // while other ranks receive re-quantized forwards, so copies may
-        // differ — but only by the wire's quantization error, never more.
+        // Each chunk is encoded once, by its owner, and every rank — the
+        // owner included — holds the decode of that one frame: on every
+        // wire, all ranks end with the same bits.
+        let wires = [
+            Wire::exact(),
+            Wire::bf16(),
+            Wire::fp8(8),
+            Wire::fp4(8),
+            Wire::mxfp4(),
+            Wire::rht_fp4(8, 3),
+            Wire::outlier_fp4(8, 0.1),
+            Wire::int8(8),
+        ];
         let mut streams = rngs(grads.len(), seed);
-        let ar = ring_all_reduce(&grads, &Wire::fp8(8), QuantizePolicy::EveryHop, &mut streams);
-        let norm0: f64 = ar.per_rank[0]
-            .iter()
-            .map(|v| (*v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
+        let ar = ring_all_reduce(&grads, &wires[kind], QuantizePolicy::EveryHop, &mut streams);
+        let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for rank in &ar.per_rank[1..] {
-            let diff: f64 = rank
-                .iter()
-                .zip(&ar.per_rank[0])
-                .map(|(a, b)| ((*a - *b) as f64).powi(2))
-                .sum::<f64>()
-                .sqrt();
-            prop_assert!(diff <= 0.2 * norm0 + 1e-6, "copies diverged: {diff} vs ‖·‖ {norm0}");
+            prop_assert_eq!(bits(rank), bits(&ar.per_rank[0]), "{}", wires[kind].label());
         }
     }
 

@@ -76,14 +76,14 @@ mod checks {
     }
 
     /// All-reduce over worker processes == threaded == oracle, for
-    /// every codec, with ragged tails, measured bytes and RNG streams
-    /// included.
+    /// every codec and ring size, with ragged tails, measured bytes and RNG
+    /// streams included — and every rank holds rank 0's bits, because each
+    /// chunk is encoded once, by its owner, and forwarded unchanged.
     fn proc_collectives_match_threads_and_oracle() {
-        // 5 ranks, 57 elements: chunks of 11–12 elements, none aligned to
-        // the 32-wide scale groups.
-        let world = 5;
+        // 57 elements: chunks of 11–29 elements, none aligned to the
+        // 32-wide scale groups.
         let n = 57;
-        for wire in all_wires() {
+        for (world, wire) in (2..=5).flat_map(|w| all_wires().into_iter().map(move |x| (w, x))) {
             let grads = make_grads(world, n, 21);
             let seeds: Vec<u64> = (0..world as u64).map(|r| 0xAB ^ r).collect();
             let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
@@ -116,9 +116,10 @@ mod checks {
                 .zip(&oracle.per_rank)
                 .enumerate()
             {
-                let ctx = format!("{} rank {rank}", wire.label());
+                let ctx = format!("{} world {world} rank {rank}", wire.label());
                 assert_bits_equal(p, t, &format!("{ctx} (proc vs threads)"));
                 assert_bits_equal(p, o, &format!("{ctx} (proc vs oracle)"));
+                assert_bits_equal(p, &proc.result.per_rank[0], &format!("{ctx} (vs rank 0)"));
             }
             // Same RNG streams: each rank's next draw after the collective
             // matches the oracle's.
@@ -201,9 +202,10 @@ mod checks {
     }
 
     /// Data-parallel training over worker processes reproduces the threaded
-    /// run bit for bit: losses, final parameters, and payload volumes.
+    /// run bit for bit: losses, final parameters, and payload volumes. On
+    /// every wire, lossy ones included, the two replicas end bit-identical.
     fn dp_train_matches_threads_bit_exactly() {
-        for wire in [Wire::exact(), Wire::fp8(16)] {
+        for wire in [Wire::exact(), Wire::fp8(16), Wire::fp4(16), Wire::bf16()] {
             let mut cfgs = Vec::new();
             for rank in 0..2u64 {
                 let mut cfg = TrainerConfig::tiny();
@@ -239,6 +241,11 @@ mod checks {
                     &format!("{} rank {rank} final params", wire.label()),
                 );
             }
+            assert_bits_equal(
+                &proc.params[1],
+                &proc.params[0],
+                &format!("{} replicas", wire.label()),
+            );
             assert_eq!(
                 proc.stats.total_payload_bytes(),
                 tstats.total_payload_bytes(),

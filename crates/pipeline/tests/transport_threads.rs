@@ -15,9 +15,11 @@ use snip_pipeline::collective::{
 };
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::{
-    data_parallel_train, run_ranks, threaded_all_reduce, TransportStats,
+    data_parallel_train, is_cascade_error, run_ranks, threaded_all_reduce, ChaosPlan, FrameError,
+    TransportError, TransportStats,
 };
 use snip_tensor::rng::Rng;
+use std::time::{Duration, Instant};
 
 fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = Rng::seed_from(seed);
@@ -67,35 +69,113 @@ fn all_wires() -> Vec<Wire> {
     ]
 }
 
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn threaded_collectives_are_bit_identical_to_the_inproc_oracle() {
-    // 6 ranks, 57 elements: chunks of 9–10 elements, none aligned to the
-    // 32-wide scale groups — stochastic FP4 draws and ragged tails at once.
-    for wire in all_wires() {
-        let grads = make_grads(6, 57, 21);
-        let seeds = rngs(6, 0xAB);
-        let (threaded, stats) =
-            threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds);
-        let mut oracle_rngs = seeds.clone();
-        let oracle = ring_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
-        assert_eq!(
-            stats.total_payload_bytes(),
-            oracle.bytes_on_wire,
-            "{}: measured vs simulated bytes",
-            wire.label()
-        );
-        for (rank, (t, o)) in threaded.per_rank.iter().zip(&oracle.per_rank).enumerate() {
-            assert_eq!(t.len(), o.len(), "{}", wire.label());
-            for (i, (a, b)) in t.iter().zip(o).enumerate() {
+    // 57 elements: chunks of 9–29 elements, none aligned to the 32-wide
+    // scale groups — stochastic FP4 draws and ragged tails at once. Each
+    // chunk is encoded once, by its owner, so every rank holds the same
+    // bits as rank 0 too.
+    for world in 2..=6 {
+        for wire in std::iter::once(Wire::exact()).chain(all_wires()) {
+            let grads = make_grads(world, 57, 21);
+            let seeds = rngs(world, 0xAB);
+            let (threaded, stats) =
+                threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds);
+            let mut oracle_rngs = seeds.clone();
+            let oracle = ring_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
+            let ctx = format!("{} world {world}", wire.label());
+            assert_eq!(
+                stats.total_payload_bytes(),
+                oracle.bytes_on_wire,
+                "{ctx}: measured vs simulated bytes"
+            );
+            for (rank, (t, o)) in threaded.per_rank.iter().zip(&oracle.per_rank).enumerate() {
+                assert_eq!(bits(t), bits(o), "{ctx} rank {rank} vs oracle");
                 assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{}: rank {rank} element {i}: {a} vs {b}",
-                    wire.label()
+                    bits(t),
+                    bits(&threaded.per_rank[0]),
+                    "{ctx} rank {rank} vs rank 0"
                 );
             }
         }
     }
+}
+
+#[test]
+fn all_gather_draws_only_for_the_owners_one_encode() {
+    // World 4, stochastic FP4: after the reduce-scatter, each rank's stream
+    // advances by exactly one encode of its own chunk, whose decode it
+    // keeps; the forwarded chunks cost no draw.
+    let wire = Wire::fp4(8);
+    let grads = make_grads(4, 70, 9);
+    let seeds = rngs(4, 0x3C);
+    let (outcomes, _) = run_ranks(4, None, |ep| {
+        let mut rng = seeds[ep.rank()].clone();
+        let chunk = ep
+            .ring_reduce_scatter(&grads[ep.rank()], &wire, QuantizePolicy::EveryHop, &mut rng)
+            .expect("reduce-scatter");
+        let mut reference = rng.clone();
+        let mut own = chunk.data.clone();
+        wire.transmit(&mut own, &mut reference);
+        let full = ep
+            .ring_all_gather(
+                &chunk,
+                grads[0].len(),
+                &wire,
+                QuantizePolicy::EveryHop,
+                &mut rng,
+            )
+            .expect("all-gather");
+        let kept = full[chunk.lo..chunk.hi].to_vec();
+        (rng.next_u64(), reference.next_u64(), kept, own)
+    });
+    for (rank, (after, reference, kept, own)) in outcomes.into_iter().enumerate() {
+        assert_eq!(
+            after, reference,
+            "rank {rank}: stream moved by more than one encode"
+        );
+        assert_eq!(
+            bits(&kept),
+            bits(&own),
+            "rank {rank} keeps the decode of its frame"
+        );
+    }
+}
+
+#[test]
+fn a_chunk_of_another_length_is_a_typed_error_on_both_ranks() {
+    // Ranks whose vectors differ in length (10 vs 12) must each fail with a
+    // typed frame error naming the peer and both counts — not an index
+    // panic on one rank and a silent partial sum on the other.
+    let lens = [10usize, 12];
+    let plan = ChaosPlan::none(0).with_recv_deadline(Duration::from_secs(10));
+    let _telemetry = snip_obs::enabled_scope(true);
+    let before = snip_obs::counter_value("transport.frame_error");
+    let start = Instant::now();
+    let (outcomes, _) = run_ranks(2, Some(&plan), |ep| {
+        let grad = vec![1.0f32; lens[ep.rank()]];
+        let mut rng = Rng::seed_from(ep.rank() as u64);
+        ep.ring_all_reduce(&grad, &Wire::fp4(8), QuantizePolicy::EveryHop, &mut rng)
+    });
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "within the deadline"
+    );
+    let mismatch = |src, expect, got| TransportError::Frame {
+        src,
+        error: FrameError::Elements { expect, got },
+    };
+    assert_eq!(outcomes[0], Err(mismatch(1, 5, 6)));
+    assert_eq!(outcomes[1], Err(mismatch(0, 6, 5)));
+    for outcome in &outcomes {
+        let message = outcome.as_ref().expect_err("typed error").to_string();
+        assert!(!is_cascade_error(&message), "a primary fault: {message}");
+    }
+    assert_eq!(snip_obs::counter_value("transport.frame_error") - before, 2);
 }
 
 #[test]
@@ -220,6 +300,31 @@ fn data_parallel_training_over_exact_wires_matches_single_rank_bit_exactly() {
         stats.total_payload_bytes() > 0,
         "gradients crossed the wire"
     );
+}
+
+#[test]
+fn data_parallel_replicas_stay_bit_identical_on_lossy_wires() {
+    for wire in [Wire::fp4(16), Wire::bf16()] {
+        let ranks = (0..2u64)
+            .map(|rank| {
+                let mut cfg = TrainerConfig::tiny();
+                cfg.data_seed = 100 + rank;
+                Trainer::new(cfg).unwrap()
+            })
+            .collect();
+        let (mut trainers, _, _) =
+            data_parallel_train(ranks, 3, &wire, QuantizePolicy::EveryHop, 0x51);
+        let params: Vec<Vec<u32>> = trainers
+            .iter_mut()
+            .map(|t| {
+                let mut flat = Vec::new();
+                t.model
+                    .visit_params_mut(&mut |p| flat.extend(bits(p.value().as_slice())));
+                flat
+            })
+            .collect();
+        assert_eq!(params[0], params[1], "{}: replicas drifted", wire.label());
+    }
 }
 
 #[test]
