@@ -64,7 +64,7 @@
 //! assert!(outcomes[0].is_err() && outcomes[2].is_err());
 //! ```
 
-use super::fabric::{Fabric, TransportError};
+use super::fabric::{Fabric, TransportError, DEFAULT_RECV_DEADLINE};
 use super::{root_cause, try_data_parallel_train};
 use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
@@ -152,9 +152,9 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// The scheduled faults. Empty means pure passthrough.
     pub faults: Vec<Fault>,
-    /// When set, building a [`ChaosFabric`] lowers the inner fabric's recv
-    /// deadline to this many microseconds (see
-    /// [`super::fabric::DEFAULT_RECV_DEADLINE`] for the default).
+    /// When set, the drivers build every fabric run under this plan with a
+    /// recv deadline of this many microseconds instead of
+    /// [`DEFAULT_RECV_DEADLINE`].
     pub recv_deadline_micros: Option<u64>,
 }
 
@@ -238,6 +238,12 @@ impl ChaosPlan {
         self
     }
 
+    /// The recv deadline fabrics run under this plan are built with.
+    pub(crate) fn recv_deadline(&self) -> Duration {
+        self.recv_deadline_micros
+            .map_or(DEFAULT_RECV_DEADLINE, Duration::from_micros)
+    }
+
     /// `true` when the plan injects nothing — the passthrough contract
     /// applies.
     pub fn is_passthrough(&self) -> bool {
@@ -293,13 +299,11 @@ pub struct ChaosFabric<F: Fabric> {
 }
 
 impl<F: Fabric> ChaosFabric<F> {
-    /// Decorates `inner` with `plan`'s fault schedule, applying the plan's
-    /// recv-deadline override if it has one.
-    pub fn new(mut inner: F, plan: ChaosPlan) -> Self {
+    /// Decorates `inner` with `plan`'s fault schedule. (The plan's recv
+    /// deadline is the inner fabric's to honour: the drivers build it with
+    /// [`ChaosPlan`]'s deadline.)
+    pub fn new(inner: F, plan: ChaosPlan) -> Self {
         let (rank, world) = (inner.rank(), inner.world());
-        if let Some(micros) = plan.recv_deadline_micros {
-            inner.set_recv_deadline(Duration::from_micros(micros));
-        }
         ChaosFabric {
             inner: Some(inner),
             rank,
@@ -476,12 +480,6 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
         }
         Ok((frame, wire))
     }
-
-    fn set_recv_deadline(&mut self, deadline: Duration) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.set_recv_deadline(deadline);
-        }
-    }
 }
 
 /// A completed recovery run: the trainers at their final step, every
@@ -513,7 +511,7 @@ pub type RecoveredRun = (Vec<Trainer>, Vec<Vec<f64>>, usize);
 /// # Errors
 ///
 /// The root-cause [`TransportError`] of the last attempt (primary faults
-/// preferred over [`super::is_cascade_error`] cascades) once
+/// preferred over `PeerClosed` / `Timeout` cascades) once
 /// `max_retries` is exhausted.
 ///
 /// # Panics
@@ -548,8 +546,9 @@ pub fn data_parallel_train_with_recovery(
         let snapshot = current.clone();
         let (returned, outcomes, _) =
             try_data_parallel_train(current, remaining, wire, policy, comm_seed, Some(plan));
-        let errors: Vec<TransportError> = outcomes.iter().filter_map(|(_, e)| e.clone()).collect();
-        let Some(root) = root_cause(&errors).cloned() else {
+        let mut errors: Vec<TransportError> =
+            outcomes.iter().filter_map(|(_, e)| e.clone()).collect();
+        let Some(root) = root_cause(&errors, TransportError::is_cascade) else {
             for (rank, (l, _)) in outcomes.into_iter().enumerate() {
                 losses[rank].extend(l);
             }
@@ -559,7 +558,7 @@ pub fn data_parallel_train_with_recovery(
             snip_obs::counter_add("transport.retries", 1);
         }
         if retries >= max_retries {
-            return Err(root);
+            return Err(errors.swap_remove(root));
         }
         retries += 1;
         let reached = returned[0].step_count();

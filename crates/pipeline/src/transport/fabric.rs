@@ -114,10 +114,24 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+impl TransportError {
+    /// `true` for the variants a primary fault induces at the ranks that
+    /// were merely waiting on the faulted one: `PeerClosed` and `Timeout`.
+    /// The typed form of [`is_cascade_error`], which classifies the same
+    /// errors by their text.
+    pub(crate) fn is_cascade(&self) -> bool {
+        matches!(
+            self,
+            TransportError::PeerClosed { .. } | TransportError::Timeout { .. }
+        )
+    }
+}
+
 /// `true` when an error's message marks it as a *secondary* failure — the
 /// cascade a primary fault (kill, corruption, panic) induces at the ranks
-/// that were merely waiting on the faulted one. Launchers use this for
-/// root-cause attribution: report the first non-cascade error, because the
+/// that were merely waiting on the faulted one. Root-cause attribution uses
+/// it where a failure survives only as text (panic payloads, process
+/// workers' reports): report the first non-cascade error, because the
 /// `PeerClosed`/`Timeout` storm around it is a consequence, not a cause.
 pub fn is_cascade_error(message: &str) -> bool {
     message.contains("mid-collective")
@@ -146,16 +160,10 @@ pub trait Fabric {
 
     /// Blocks for the next frame from `src` (per-link FIFO). Returns the
     /// frame and the wire bytes it occupied. Waits at most the recv
-    /// deadline ([`DEFAULT_RECV_DEADLINE`] unless lowered via
-    /// [`Fabric::set_recv_deadline`]) before failing with
+    /// deadline the fabric was built with ([`DEFAULT_RECV_DEADLINE`] unless
+    /// a chaos plan lowers it) before failing with
     /// [`TransportError::Timeout`].
     fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError>;
-
-    /// Bounds how long [`Fabric::recv_frame`] waits for a stalled peer.
-    /// The default implementation is a no-op for backends that cannot
-    /// block indefinitely; both shipped backends (channels, sockets)
-    /// override it.
-    fn set_recv_deadline(&mut self, _deadline: Duration) {}
 }
 
 /// The in-process backend: ranks on OS threads, one unbounded mpsc channel
@@ -176,12 +184,12 @@ pub struct ChannelFabric {
 }
 
 /// Builds the `world × world` channel mesh, returning one fabric per rank
-/// (in rank order).
+/// (in rank order) whose receives wait at most `deadline` for a frame.
 ///
 /// # Panics
 ///
 /// Panics if `world` is zero.
-pub fn channel_mesh(world: usize) -> Vec<ChannelFabric> {
+pub fn channel_mesh(world: usize, deadline: Duration) -> Vec<ChannelFabric> {
     assert!(world > 0, "need at least one rank");
     // links[src][dst] starts as the (sender, receiver) pair of that link.
     let mut txs: Vec<Vec<Option<Sender<Vec<u8>>>>> = (0..world)
@@ -205,7 +213,7 @@ pub fn channel_mesh(world: usize) -> Vec<ChannelFabric> {
             world,
             senders: senders.into_iter().map(|s| s.expect("filled")).collect(),
             receivers: receivers.into_iter().map(|r| r.expect("filled")).collect(),
-            deadline: DEFAULT_RECV_DEADLINE,
+            deadline,
         })
         .collect()
 }
@@ -240,9 +248,5 @@ impl Fabric for ChannelFabric {
             })?;
         let wire = frame.len() as u64;
         Ok((frame, wire))
-    }
-
-    fn set_recv_deadline(&mut self, deadline: Duration) {
-        self.deadline = deadline;
     }
 }

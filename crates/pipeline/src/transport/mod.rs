@@ -17,9 +17,9 @@
 //!   rank.
 //! * [`proc::SocketFabric`] — `R` ranks in `R` worker **processes**
 //!   connected by Unix-domain sockets carrying length-prefixed frames.
-//!   [`proc::launch`] spawns the workers by re-executing the current binary
-//!   and hands each one a typed [`proc::Task`]; see the [`proc`] module
-//!   docs for the handshake.
+//!   [`proc::launch`] spawns the workers by re-executing the current binary,
+//!   writes each one a typed [`proc::Task`] on its stdin and reads its
+//!   report from its stdout; see the [`proc`] module docs for the protocol.
 //!
 //! Both drivers take an `Option<&ChaosPlan>` and are the only places a
 //! [`ChaosFabric`] is built (a pass-through plan when no faults are asked
@@ -87,7 +87,6 @@ use frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
 use snip_tensor::rng::Rng;
-use std::time::Duration;
 
 /// The payload bytes, envelope bytes and frames one side of one directed
 /// link counted.
@@ -229,9 +228,8 @@ pub(crate) fn note_transport_failure(error: &TransportError) {
 }
 
 /// [`note_transport_failure`] for failures that only survive as display
-/// strings — worker processes report errors over the control socket as
-/// text, so the launcher classifies them by the typed errors' own
-/// `Display` wording.
+/// strings — worker processes report errors on their stdout as text, so
+/// the launcher classifies them by the typed errors' own `Display` wording.
 pub(crate) fn note_failure_message(message: &str) {
     if !snip_obs::enabled() {
         return;
@@ -255,7 +253,7 @@ pub(crate) fn note_failure_message(message: &str) {
 /// frames}` counters and replaces the report's `"transport"` section with
 /// this run's totals. Both mesh drivers call it — [`run_ranks`] for the
 /// threaded [`ChannelFabric`], and [`proc::launch`] for the socket
-/// fabric after the RESULT handshake has merged every worker's ledger —
+/// fabric after merging the ledger of every worker's RESULT report —
 /// so the two transports report through one path. One relaxed
 /// atomic load when collection is off; reads only, so the run's numeric
 /// results are untouched either way.
@@ -345,13 +343,6 @@ impl<F: Fabric> Endpoint<F> {
     /// its receives. A driver returns the mesh-wide sum over ranks.
     pub fn stats(&self) -> TransportStats {
         self.stats.clone()
-    }
-
-    /// Bounds how long a blocking receive waits for a stalled peer before
-    /// failing with [`TransportError::Timeout`]
-    /// ([`fabric::DEFAULT_RECV_DEADLINE`] until changed).
-    pub fn set_recv_deadline(&mut self, deadline: Duration) {
-        self.fabric.set_recv_deadline(deadline);
     }
 
     /// Point-to-point send (pipeline p2p): quantizes `payload` through the
@@ -590,14 +581,15 @@ pub(crate) fn dp_train_loop<F: Fabric>(
     (losses, None)
 }
 
-/// The root cause among the errors a failed mesh reported: the first that
-/// is not an [`is_cascade_error`] consequence of somebody else's failure
-/// (falling back to the first error when every rank saw only the cascade).
-pub(crate) fn root_cause(errors: &[TransportError]) -> Option<&TransportError> {
-    errors
-        .iter()
-        .find(|e| !is_cascade_error(&e.to_string()))
-        .or(errors.first())
+/// The index of the root cause among the failures a mesh reported: the
+/// first that is not a cascade of somebody else's failure, else the first
+/// (every rank saw only the cascade); `None` when nothing failed. The one
+/// rule for typed errors ([`TransportError::is_cascade`]) and for failures
+/// that survive only as text, panic payloads and process workers' reports
+/// ([`is_cascade_error`]).
+pub(crate) fn root_cause<T>(failures: &[T], is_cascade: impl Fn(&T) -> bool) -> Option<usize> {
+    let primary = failures.iter().position(|f| !is_cascade(f));
+    primary.or((!failures.is_empty()).then_some(0))
 }
 
 /// The message of a caught panic, when it carried one (`panic!` payloads
@@ -641,7 +633,7 @@ where
     let mut stats = TransportStats::new(world);
     let results = std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = channel_mesh(world)
+        let handles: Vec<_> = channel_mesh(world, plan.recv_deadline())
             .into_iter()
             .map(|fabric| {
                 let mut ep = Endpoint::new(ChaosFabric::new(fabric, plan.clone()));
@@ -661,14 +653,13 @@ where
                 Err(payload) => panics.push(payload),
             }
         }
-        if !panics.is_empty() {
-            // Resume the root cause, not a bystander's cascade panic: one
-            // rank's real failure makes every peer blocked on it panic with
-            // a secondary PeerClosed unwrap.
-            let is_cascade = |p: &Box<dyn std::any::Any + Send>| {
-                panic_text(p.as_ref()).is_some_and(is_cascade_error)
-            };
-            let root = panics.iter().position(|p| !is_cascade(p)).unwrap_or(0);
+        // Resume the root cause, not a bystander's cascade panic: one rank's
+        // real failure makes every peer blocked on it panic with a secondary
+        // PeerClosed unwrap.
+        let is_cascade = |p: &Box<dyn std::any::Any + Send>| {
+            panic_text(p.as_ref()).is_some_and(is_cascade_error)
+        };
+        if let Some(root) = root_cause(&panics, is_cascade) {
             std::panic::resume_unwind(panics.swap_remove(root));
         }
         outputs
@@ -784,8 +775,8 @@ pub fn data_parallel_train(
         try_data_parallel_train(trainers, steps, wire, policy, comm_seed, None);
     let (losses, errors): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
     let errors: Vec<TransportError> = errors.into_iter().flatten().collect();
-    if let Some(root) = root_cause(&errors) {
-        panic!("data-parallel all-reduce failed: {root}");
+    if let Some(root) = root_cause(&errors, TransportError::is_cascade) {
+        panic!("data-parallel all-reduce failed: {}", errors[root]);
     }
     (trainers, losses, stats)
 }
@@ -1098,6 +1089,42 @@ mod tests {
             outputs[1].1,
             Some(Err(TransportError::PeerClosed { rank: 0 }))
         );
+    }
+
+    #[test]
+    fn typed_cascade_rule_agrees_with_the_text_rule() {
+        let every_variant = [
+            TransportError::PeerClosed { rank: 1 },
+            TransportError::Frame {
+                src: 0,
+                error: FrameError::Elements { expect: 4, got: 3 },
+            },
+            TransportError::Stream {
+                src: 2,
+                error: snip_quant::StreamError::Crc { expect: 1, got: 2 },
+            },
+            TransportError::Timeout {
+                src: 3,
+                elapsed: std::time::Duration::from_millis(1500),
+            },
+            TransportError::Killed { rank: 0 },
+            TransportError::Io {
+                rank: 1,
+                message: "broken pipe".into(),
+            },
+        ];
+        for e in &every_variant {
+            assert_eq!(e.is_cascade(), is_cascade_error(&e.to_string()), "{e}");
+        }
+        let cascades = every_variant.iter().filter(|e| e.is_cascade()).count();
+        assert_eq!(cascades, 2, "PeerClosed and Timeout, nothing else");
+        let picked = |errors: &[TransportError]| root_cause(errors, TransportError::is_cascade);
+        assert_eq!(picked(&every_variant), Some(1), "the first primary fault");
+        assert_eq!(
+            picked(&[every_variant[3].clone(), every_variant[0].clone()]),
+            Some(0)
+        );
+        assert_eq!(picked(&[]), None);
     }
 
     #[test]

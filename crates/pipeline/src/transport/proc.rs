@@ -13,32 +13,41 @@
 //! [`launch`] takes one typed [`Task`] per rank (plus an optional
 //! [`ChaosPlan`] every worker applies to its fabric) and spawns `R` workers
 //! by **re-executing the current binary** (`std::env::current_exe`) with
-//! `SNIP_RANK_*` environment variables naming the fabric directory, the
-//! worker's rank and the world size. Any binary that launches a process
-//! fabric must therefore call [`worker_boot`] **first thing in `main`**: in
-//! a worker process it never returns (it runs the assigned task and exits),
-//! in the parent it is a no-op. A worker whose `main` forgot the call
-//! refuses to launch a nested fabric, so the mistake surfaces as an error
-//! instead of a fork bomb.
+//! one environment variable, the `SNIP_RANK_WORKER` boot marker. Any
+//! binary that launches a process fabric must therefore call
+//! [`worker_boot`] **first thing in `main`**: in a worker process it never
+//! returns (it runs the assigned task and exits), in the parent it is a
+//! no-op. A worker whose `main` forgot the call refuses to launch a nested
+//! fabric, so the mistake surfaces as an error instead of a fork bomb.
 //!
-//! The handshake, all over Unix sockets in a private temp directory:
+//! A worker's stdin and stdout pipes are its whole control channel: they
+//! belong to one rank and close when it dies. Each carries one
+//! [`snip_quant::stream_frame`] (length prefix + CRC32 of the body),
+//! written whole and read to EOF:
 //!
-//! 1. the parent binds a control listener and spawns the workers;
-//! 2. each worker binds its own mesh listener, connects to the control
-//!    socket and reports `READY{rank}`;
-//! 3. once every rank is ready the parent sends each worker `START` with
-//!    the chaos plan and its own encoded [`Task`] (codec + seeds + its own
-//!    payload — peers' data never crosses, unlike the threaded closures
-//!    that share an address space);
-//! 4. workers build the full socket mesh (connect to lower ranks, accept
-//!    from higher ranks, each stream prefixed by a 4-byte rank hello), run
-//!    the task through [`run_task`], and report `RESULT` (their endpoint's
-//!    [`TransportStats`] as JSON, then the encoded [`TaskOutput`]) or
-//!    `ERROR`;
-//! 5. the parent adds every worker's ledger
-//!    ([`ProcError::Protocol`] for one of the wrong shape), reaps the
-//!    workers, and checks that both sides of every link agree
+//! 1. the parent writes `START` to the worker's stdin and closes it: the
+//!    fabric directory (private to the user, mode `0700`), the rank, the
+//!    world size, the chaos plan and the worker's own encoded [`Task`]
+//!    (codec + seeds + its own payload — peers' data never crosses, unlike
+//!    the threaded closures that share an address space);
+//! 2. the worker binds its mesh listener in the fabric directory and builds
+//!    the full socket mesh: it dials every lower rank (retrying until that
+//!    rank's listener is bound, since nothing orders the workers' starts)
+//!    and accepts every higher one, each stream prefixed by a 4-byte rank
+//!    hello;
+//! 3. it runs the task through [`run_task`], writes one report to its
+//!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
+//!    the encoded [`TaskOutput`]) or `ERROR` — and exits;
+//! 4. one parent thread per worker reads that report. A worker that exits
+//!    without one leaves an empty pipe, and the launch fails at once naming
+//!    its rank. Once every report is in, the parent adds every worker's
+//!    ledger ([`ProcError::Protocol`] for one of the wrong shape), reaps
+//!    the workers, and checks that both sides of every link agree
 //!    ([`ProcError::AccountingMismatch`] names the first that does not).
+//!
+//! No library code a worker runs prints to stdout. A stray write would fail
+//! the report's length or CRC check as a typed [`ProcError::Protocol`];
+//! it cannot pass for a result.
 //!
 //! Frames on mesh streams carry [`snip_quant::wire`]'s stream envelope —
 //! a length prefix plus a CRC32 of the body, so in-flight corruption is a
@@ -68,18 +77,20 @@
 //! and reshape the outputs.
 
 use super::chaos::{ChaosFabric, ChaosPlan};
-use super::fabric::{is_cascade_error, Fabric, TransportError, DEFAULT_RECV_DEADLINE};
-use super::{dp_train_loop, Endpoint, TransportStats};
+use super::fabric::{is_cascade_error, Fabric, TransportError};
+use super::{dp_train_loop, root_cause, Endpoint, TransportStats};
 use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::{
-    stream_body_len, stream_check_body, stream_envelope, stream_frame, StreamDecoder,
-    STREAM_ENVELOPE_BYTES,
+    stream_body_len, stream_check_body, stream_envelope, StreamDecoder, STREAM_ENVELOPE_BYTES,
 };
 use snip_tensor::rng::Rng;
+use std::ffi::OsStr;
 use std::io::{ErrorKind, Read, Write};
 use std::net::Shutdown;
+use std::os::unix::ffi::OsStrExt;
+use std::os::unix::fs::DirBuilderExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -88,24 +99,19 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant, SystemTime};
 
 const ENV_WORKER: &str = "SNIP_RANK_WORKER";
-const ENV_DIR: &str = "SNIP_RANK_DIR";
-const ENV_RANK: &str = "SNIP_RANK_ID";
-const ENV_WORLD: &str = "SNIP_RANK_WORLD";
 /// Chaos-harness hook: a worker whose rank matches this variable's value
-/// exits before reporting READY, simulating a rank that dies during spawn.
-/// Public so the chaos harness can set it; unset in normal operation.
-pub const ENV_EXIT_BEFORE_READY: &str = "SNIP_CHAOS_EXIT_BEFORE_READY";
+/// exits right after reading its `START`, simulating a rank that dies
+/// during boot. Public so the chaos harness can set it; unset in normal
+/// operation.
+pub const ENV_EXIT_AT_BOOT: &str = "SNIP_CHAOS_EXIT_AT_BOOT";
 
-/// How long the parent waits for workers to connect and report ready.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(120);
-/// How long the parent waits for a worker's result (covers debug-build DP
-/// training loops).
+/// How long the parent waits for every worker's report (covers debug-build
+/// DP training loops).
 const RESULT_TIMEOUT: Duration = Duration::from_secs(600);
-/// How long a worker waits for mesh peers to dial in.
+/// How long a worker waits for mesh peers to bind and to dial in.
 const MESH_TIMEOUT: Duration = Duration::from_secs(120);
 
 // Control-plane message tags.
-const MSG_READY: u8 = 1;
 const MSG_START: u8 = 2;
 const MSG_RESULT: u8 = 3;
 const MSG_ERROR: u8 = 4;
@@ -113,16 +119,17 @@ const MSG_ERROR: u8 = 4;
 /// Everything that can go wrong launching or running a process fabric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProcError {
-    /// Spawning or handshaking with the workers failed.
+    /// Spawning the workers, or reaching them over their pipes, failed.
     Launch(String),
-    /// A worker reported a task failure (transport error, panic, bad spec).
+    /// A worker reported a task failure (transport error, panic, bad spec)
+    /// or exited without a report.
     Worker {
         /// The failing rank.
         rank: usize,
         /// Its error report.
         message: String,
     },
-    /// A worker's control message was malformed.
+    /// A control message (`START` or a worker's report) was malformed.
     Protocol(String),
     /// The sender-side and receiver-side counters of a link disagree —
     /// bytes were lost or double-counted somewhere, which the equivalence
@@ -140,7 +147,7 @@ impl std::fmt::Display for ProcError {
         match self {
             ProcError::Launch(m) => write!(f, "launching rank workers failed: {m}"),
             ProcError::Worker { rank, message } => write!(f, "rank {rank} failed: {message}"),
-            ProcError::Protocol(m) => write!(f, "malformed worker message: {m}"),
+            ProcError::Protocol(m) => write!(f, "malformed control message: {m}"),
             ProcError::AccountingMismatch { src, dst } => write!(
                 f,
                 "link {src} → {dst}: sender and receiver counters disagree"
@@ -152,25 +159,42 @@ impl std::fmt::Display for ProcError {
 impl std::error::Error for ProcError {}
 
 // ---------------------------------------------------------------------------
-// Control-plane framing: length-prefixed messages over a Unix stream.
+// Stream framing: mesh frames, and the one frame per control pipe.
 // ---------------------------------------------------------------------------
 
-fn ctrl_send(stream: &mut UnixStream, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&stream_frame(body))
+/// Writes `body` as one [`snip_quant::stream_frame`]: envelope and body as
+/// two writes, so the body is never copied.
+fn write_frame(to: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
+    to.write_all(&stream_envelope(body))?;
+    to.write_all(body)
 }
 
-fn ctrl_recv(stream: &mut UnixStream) -> std::io::Result<Vec<u8>> {
-    let invalid = |e| {
-        std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("control frame rejected: {e}"),
-        )
-    };
-    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
-    stream.read_exact(&mut envelope)?;
-    let mut body = vec![0u8; stream_body_len(&envelope).map_err(invalid)?];
-    stream.read_exact(&mut body)?;
-    stream_check_body(&envelope, &body).map_err(invalid)?;
+/// Reads a control pipe to EOF into one buffer sized by its frame's length
+/// prefix, so a large report lands without regrowing (and re-copying) it.
+fn read_pipe(from: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    let envelope = STREAM_ENVELOPE_BYTES as u64;
+    from.by_ref().take(envelope).read_to_end(&mut bytes)?;
+    if bytes.len() == STREAM_ENVELOPE_BYTES {
+        bytes.reserve_exact(stream_body_len(&bytes).unwrap_or(0));
+    }
+    from.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// The body of the one [`write_frame`] a control pipe carried, checked
+/// against its length prefix and CRC — a short, long or damaged pipe is an
+/// error, never a payload.
+fn unframe(bytes: &[u8]) -> Result<&[u8], String> {
+    if bytes.len() < STREAM_ENVELOPE_BYTES {
+        return Err(format!("{} bytes, no frame envelope", bytes.len()));
+    }
+    let (envelope, body) = bytes.split_at(STREAM_ENVELOPE_BYTES);
+    let len = stream_body_len(envelope).map_err(|e| e.to_string())?;
+    if body.len() != len {
+        return Err(format!("frame of {len} bytes, pipe held {}", body.len()));
+    }
+    stream_check_body(envelope, body).map_err(|e| e.to_string())?;
     Ok(body)
 }
 
@@ -233,11 +257,16 @@ impl<'a> Cursor<'a> {
             .collect())
     }
 
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> Result<&'a [u8], String> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
     /// A length-prefixed JSON blob — how serde-derived configuration
     /// (codecs, trainer configs, chaos plans) rides inside binary messages.
     fn json<T: Deserialize>(&mut self) -> Result<T, String> {
-        let len = self.u32()? as usize;
-        serde_json::from_slice(self.take(len)?).map_err(|e| format!("embedded json: {e:?}"))
+        serde_json::from_slice(self.bytes()?).map_err(|e| format!("embedded json: {e:?}"))
     }
 
     /// Everything not yet consumed.
@@ -277,10 +306,13 @@ impl Writer {
         self.u64(&(*v as u64));
     }
 
+    fn bytes(&mut self, v: &[u8]) {
+        self.u32(v.len() as u32);
+        self.0.extend_from_slice(v);
+    }
+
     fn json<T: Serialize>(&mut self, v: &T) {
-        let json = serde_json::to_vec(v).expect("config types serialize");
-        self.u32(json.len() as u32);
-        self.0.extend_from_slice(&json);
+        self.bytes(&serde_json::to_vec(v).expect("config types serialize"));
     }
 
     fn f32s(&mut self, vs: &[f32]) {
@@ -342,6 +374,14 @@ macro_rules! message_enum {
                 w.0
             }
 
+            /// Reads one message from `c`, leaving whatever follows it.
+            fn read(c: &mut Cursor<'_>) -> Result<Self, String> {
+                Ok(match c.u8()? {
+                    $($tag => $name::$variant { $($field: c.$codec()?),* },)*
+                    other => return Err(format!("unknown tag {other}")),
+                })
+            }
+
             /// Decodes [`Self::encode`]'s bytes.
             ///
             /// # Errors
@@ -350,17 +390,9 @@ macro_rules! message_enum {
             /// an unknown tag or malformed embedded JSON — never a panic.
             pub fn decode(bytes: &[u8]) -> Result<Self, ProcError> {
                 let mut c = Cursor::new(bytes);
-                let mut read = || {
-                    let message = match c.u8()? {
-                        $($tag => $name::$variant { $($field: c.$codec()?),* },)*
-                        other => return Err(format!("unknown tag {other}")),
-                    };
-                    c.done()?;
-                    Ok(message)
-                };
-                read().map_err(|e: String| {
-                    ProcError::Protocol(format!("{}: {e}", stringify!($name)))
-                })
+                Self::read(&mut c)
+                    .and_then(|message| c.done().map(|()| message))
+                    .map_err(|e| ProcError::Protocol(format!("{}: {e}", stringify!($name))))
             }
         }
     };
@@ -414,6 +446,53 @@ message_enum! {
     }
 }
 
+/// The launcher's one message to a worker, written to its stdin: where the
+/// fabric lives, who the worker is, the chaos plan and its task.
+#[derive(Debug)]
+struct Start {
+    dir: PathBuf,
+    rank: usize,
+    world: usize,
+    plan: ChaosPlan,
+    task: Task,
+}
+
+impl Start {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer(vec![MSG_START]);
+        w.bytes(self.dir.as_os_str().as_bytes());
+        w.usize(&self.rank);
+        w.usize(&self.world);
+        w.json(&self.plan);
+        w.0.extend_from_slice(&self.task.encode());
+        w.0
+    }
+
+    /// Decodes [`Start::encode`]'s bytes; a rank outside the world is as
+    /// malformed as a truncated message.
+    fn decode(bytes: &[u8]) -> Result<Start, ProcError> {
+        let read = |c: &mut Cursor<'_>| {
+            if c.u8()? != MSG_START {
+                return Err("not a START message".to_string());
+            }
+            // Fields are read in the order they are written.
+            let start = Start {
+                dir: PathBuf::from(OsStr::from_bytes(c.bytes()?)),
+                rank: c.usize()?,
+                world: c.usize()?,
+                plan: c.json()?,
+                task: Task::read(c)?,
+            };
+            c.done()?;
+            if start.rank >= start.world {
+                return Err(format!("rank {} outside world {}", start.rank, start.world));
+            }
+            Ok(start)
+        };
+        read(&mut Cursor::new(bytes)).map_err(|e| ProcError::Protocol(format!("START: {e}")))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The socket fabric.
 // ---------------------------------------------------------------------------
@@ -447,16 +526,19 @@ fn io_err(rank: usize, e: &std::io::Error) -> TransportError {
 }
 
 impl SocketFabric {
-    /// Builds this rank's side of the full socket mesh: dial every lower
-    /// rank's listener (announcing our rank in a 4-byte hello), accept one
-    /// stream from every higher rank, then hand each stream's read half to
-    /// a reader thread.
+    /// Builds this rank's side of the full socket mesh in `dir`: bind our
+    /// listener, dial every lower rank's (announcing our rank in a 4-byte
+    /// hello), accept one stream from every higher rank, then hand each
+    /// stream's read half to a reader thread. Receives wait at most
+    /// `deadline` for a frame.
     fn connect(
-        listener: UnixListener,
         dir: &Path,
         rank: usize,
         world: usize,
+        deadline: Duration,
     ) -> Result<SocketFabric, String> {
+        let listener = UnixListener::bind(mesh_sock(dir, rank))
+            .map_err(|e| format!("binding the mesh listener: {e}"))?;
         let mut streams: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
         for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
             let path = mesh_sock(dir, peer);
@@ -470,9 +552,9 @@ impl SocketFabric {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("mesh listener: {e}"))?;
-        let deadline = Instant::now() + MESH_TIMEOUT;
+        let accept_by = Instant::now() + MESH_TIMEOUT;
         for _ in rank + 1..world {
-            let mut stream = accept_deadline(&listener, deadline)
+            let mut stream = accept_deadline(&listener, accept_by)
                 .map_err(|e| format!("accepting a higher rank: {e}"))?;
             let mut hello = [0u8; 4];
             stream
@@ -499,7 +581,7 @@ impl SocketFabric {
             world,
             writers: streams,
             inboxes,
-            deadline: DEFAULT_RECV_DEADLINE,
+            deadline,
         })
     }
 }
@@ -559,12 +641,7 @@ impl Fabric for SocketFabric {
             return Err(TransportError::PeerClosed { rank: dst });
         };
         let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
-        // Envelope and body as two writes: the body is never copied.
-        let write = |w: &mut UnixStream| -> std::io::Result<()> {
-            w.write_all(&stream_envelope(&frame))?;
-            w.write_all(&frame)
-        };
-        write(writer).map_err(|e| match e.kind() {
+        write_frame(writer, &frame).map_err(|e| match e.kind() {
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
                 TransportError::PeerClosed { rank: dst }
             }
@@ -590,10 +667,6 @@ impl Fabric for SocketFabric {
             }),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::PeerClosed { rank: src }),
         }
-    }
-
-    fn set_recv_deadline(&mut self, deadline: Duration) {
-        self.deadline = deadline;
     }
 }
 
@@ -649,55 +722,6 @@ fn accept_deadline(listener: &UnixListener, deadline: Instant) -> std::io::Resul
     }
 }
 
-/// Accepts one control connection during the READY handshake, failing fast
-/// with [`ProcError::Worker`] if a worker whose READY is still outstanding
-/// (no control stream yet in `ctrls`) has already exited.
-fn accept_ready(
-    listener: &UnixListener,
-    deadline: Instant,
-    guard: &mut WorkerGuard,
-    ctrls: &[Option<UnixStream>],
-) -> Result<UnixStream, ProcError> {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| ProcError::Launch(format!("control stream: {e}")))?;
-                return Ok(stream);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                for (rank, child) in guard.children.iter_mut().enumerate() {
-                    if ctrls[rank].is_some() {
-                        continue;
-                    }
-                    if let Ok(Some(status)) = child.try_wait() {
-                        return Err(ProcError::Worker {
-                            rank,
-                            message: format!("worker exited with {status} before reporting READY"),
-                        });
-                    }
-                }
-                if Instant::now() >= deadline {
-                    return Err(ProcError::Launch(
-                        "timed out waiting for workers to report ready — does the \
-                         launching binary's main() call transport::proc::worker_boot() \
-                         first?"
-                            .into(),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(ProcError::Launch(format!(
-                    "waiting for workers to report ready: {e}"
-                )))
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Worker side.
 // ---------------------------------------------------------------------------
@@ -720,55 +744,28 @@ pub fn worker_boot() {
     std::process::exit(code);
 }
 
-fn env_usize(key: &str) -> Result<usize, String> {
-    std::env::var(key)
-        .map_err(|_| format!("{key} not set"))?
-        .parse::<usize>()
-        .map_err(|e| format!("{key}: {e}"))
-}
-
 fn worker_run() -> Result<(), String> {
-    let dir = PathBuf::from(std::env::var(ENV_DIR).map_err(|_| format!("{ENV_DIR} not set"))?);
-    let rank = env_usize(ENV_RANK)?;
-    let world = env_usize(ENV_WORLD)?;
-    if rank >= world {
-        return Err(format!("rank {rank} out of range for world {world}"));
-    }
-    // Chaos-harness hook: die before the READY handshake, exercising the
-    // launcher's fail-fast path for a worker that never comes up. Workers
-    // inherit the launcher's environment, so a test sets this around one
-    // launch.
-    if std::env::var(ENV_EXIT_BEFORE_READY).ok().as_deref() == Some(&rank.to_string()) {
+    let bytes = read_pipe(&mut std::io::stdin()).map_err(|e| format!("reading START: {e}"))?;
+    let start = Start::decode(unframe(&bytes)?).map_err(|e| e.to_string())?;
+    // Chaos-harness hook: die right after START, exercising the launcher's
+    // fail-fast path for a worker that never reports. Workers inherit the
+    // launcher's environment, so a test sets this around one launch.
+    if std::env::var(ENV_EXIT_AT_BOOT).ok().as_deref() == Some(&start.rank.to_string()) {
         std::process::exit(17);
     }
-    let listener = UnixListener::bind(mesh_sock(&dir, rank))
-        .map_err(|e| format!("binding the mesh listener: {e}"))?;
-    let mut ctrl = connect_retry(&dir.join("c"), HANDSHAKE_TIMEOUT)
-        .map_err(|e| format!("dialing the control socket: {e}"))?;
-    ctrl.set_read_timeout(Some(RESULT_TIMEOUT))
-        .map_err(|e| format!("control stream: {e}"))?;
-    let mut ready = Writer(vec![MSG_READY]);
-    ready.u32(rank as u32);
-    ctrl_send(&mut ctrl, &ready.0).map_err(|e| format!("sending READY: {e}"))?;
-
-    let start = ctrl_recv(&mut ctrl).map_err(|e| format!("waiting for START: {e}"))?;
-    let mut c = Cursor::new(&start);
-    if c.u8()? != MSG_START {
-        return Err("expected a START message".into());
-    }
-    let plan: ChaosPlan = c.json()?;
-    let task = Task::decode(c.rest()).map_err(|e| e.to_string())?;
 
     // Every worker's fabric is decorated; a launch without faults ships the
     // pass-through plan, which is bit- and counter-identical to bare sockets.
-    let fabric = SocketFabric::connect(listener, &dir, rank, world)?;
-    let mut ep = Endpoint::new(ChaosFabric::new(fabric, plan));
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_task(&mut ep, &task)))
-            .unwrap_or_else(|panic| {
-                let text = super::panic_text(panic.as_ref()).unwrap_or("opaque panic");
-                Err(format!("task panicked: {text}"))
-            });
+    let deadline = start.plan.recv_deadline();
+    let fabric = SocketFabric::connect(&start.dir, start.rank, start.world, deadline)?;
+    let mut ep = Endpoint::new(ChaosFabric::new(fabric, start.plan));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_task(&mut ep, &start.task)
+    }))
+    .unwrap_or_else(|panic| {
+        let text = super::panic_text(panic.as_ref()).unwrap_or("opaque panic");
+        Err(format!("task panicked: {text}"))
+    });
     let report = match &outcome {
         Ok(output) => {
             let mut msg = Writer(vec![MSG_RESULT]);
@@ -780,7 +777,10 @@ fn worker_run() -> Result<(), String> {
     };
     // Drop the endpoint (closing the mesh) only after the report is staged:
     // peers may still be draining our buffered frames.
-    ctrl_send(&mut ctrl, &report).map_err(|e| format!("sending the result: {e}"))?;
+    let mut stdout = std::io::stdout().lock();
+    write_frame(&mut stdout, &report)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| format!("writing the report: {e}"))?;
     drop(ep);
     outcome.map(|_| ())
 }
@@ -855,16 +855,15 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task) -> Result<TaskOutp
 // Parent side.
 // ---------------------------------------------------------------------------
 
-/// Kills and reaps the spawned workers unless the launch completed.
-struct WorkerGuard {
-    children: Vec<Child>,
-    armed: bool,
-}
+/// Kills and reaps the spawned workers when the launch scope ends — a no-op
+/// for those [`WorkerGuard::finish`] already reaped (`Child::kill` signals
+/// no process once `wait` has returned).
+struct WorkerGuard(Vec<Child>);
 
 impl WorkerGuard {
-    fn finish(mut self) -> Result<(), ProcError> {
-        self.armed = false;
-        for (rank, child) in self.children.iter_mut().enumerate() {
+    /// Reaps every worker; the first that exited unsuccessfully is an error.
+    fn finish(&mut self) -> Result<(), ProcError> {
+        for (rank, child) in self.0.iter_mut().enumerate() {
             let status = child
                 .wait()
                 .map_err(|e| ProcError::Launch(format!("reaping rank {rank}: {e}")))?;
@@ -881,10 +880,7 @@ impl WorkerGuard {
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        for child in &mut self.children {
+        for child in &mut self.0 {
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -900,6 +896,9 @@ impl Drop for DirGuard {
     }
 }
 
+/// Creates the fabric's socket directory, owner-only (`0700`): a mesh
+/// listener trusts the rank hello of whoever connects, so no other local
+/// user may reach it, whatever the umask.
 fn fabric_dir() -> Result<PathBuf, ProcError> {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nonce = SystemTime::now()
@@ -911,7 +910,9 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
         std::process::id(),
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::create_dir_all(&dir)
+    std::fs::DirBuilder::new()
+        .mode(0o700)
+        .create(&dir)
         .map_err(|e| ProcError::Launch(format!("creating {}: {e}", dir.display())))?;
     Ok(dir)
 }
@@ -927,10 +928,10 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
 ///
 /// # Errors
 ///
-/// [`ProcError`] on spawn/handshake failures, worker task failures (with
-/// the root cause from the failing rank — including the typed fault a chaos
-/// schedule injects), malformed control messages, or a per-link accounting
-/// mismatch between sender and receiver.
+/// [`ProcError`] on spawn or pipe failures, a worker that exits without a
+/// report, worker task failures (with the root cause from the failing rank —
+/// including the typed fault a chaos schedule injects), malformed control
+/// messages, or a per-link accounting mismatch between sender and receiver.
 ///
 /// # Panics
 ///
@@ -950,82 +951,76 @@ pub fn launch(
     assert!(world > 0, "need at least one rank");
     let dir = fabric_dir()?;
     let _dir_guard = DirGuard(dir.clone());
-    let listener = UnixListener::bind(dir.join("c"))
-        .map_err(|e| ProcError::Launch(format!("binding the control socket: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ProcError::Launch(format!("control socket: {e}")))?;
     let exe = std::env::current_exe()
         .map_err(|e| ProcError::Launch(format!("resolving current_exe: {e}")))?;
-    let children: Vec<Child> = (0..world)
-        .map(|rank| {
-            Command::new(&exe)
+    let calm = ChaosPlan::none(0);
+    let plan = chaos.unwrap_or(&calm);
+    let tags: Vec<u8> = tasks.iter().map(Task::tag).collect();
+    // One scoped thread per worker writes its START and reads its one
+    // report; the reports meet in one channel, in whatever order the workers
+    // finish. Leaving the scope early drops the guard first, which kills the
+    // workers and so ends every thread the scope then joins.
+    let (mut guard, bodies) = std::thread::scope(|scope| {
+        let mut guard = WorkerGuard(Vec::with_capacity(world));
+        let (tx, reports) = channel();
+        for (rank, task) in tasks.into_iter().enumerate() {
+            let mut child = Command::new(&exe)
                 .env(ENV_WORKER, "1")
-                .env(ENV_DIR, &dir)
-                .env(ENV_RANK, rank.to_string())
-                .env(ENV_WORLD, world.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
                 .stderr(Stdio::inherit())
                 .spawn()
-                .map_err(|e| ProcError::Launch(format!("spawning rank {rank}: {e}")))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut guard = WorkerGuard {
-        children,
-        armed: true,
-    };
-
-    // Handshake: accept one control connection per rank, identified by its
-    // READY message. Between accept polls, check whether any worker whose
-    // READY is still outstanding has already died — a rank that exits
-    // before reporting in fails the launch *now*, with a typed error naming
-    // it, instead of stalling the parent until the handshake deadline.
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    let mut ctrls: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
-    for _ in 0..world {
-        let mut stream = accept_ready(&listener, deadline, &mut guard, &ctrls)?;
-        stream
-            .set_read_timeout(Some(RESULT_TIMEOUT))
-            .map_err(|e| ProcError::Launch(format!("control stream: {e}")))?;
-        let ready =
-            ctrl_recv(&mut stream).map_err(|e| ProcError::Launch(format!("reading READY: {e}")))?;
-        let [MSG_READY, a, b, c, d] = ready[..] else {
-            return Err(ProcError::Protocol("expected READY".into()));
-        };
-        let rank = u32::from_le_bytes([a, b, c, d]) as usize;
-        if rank >= world || ctrls[rank].is_some() {
-            return Err(ProcError::Protocol(format!("duplicate or bad rank {rank}")));
+                .map_err(|e| ProcError::Launch(format!("spawning rank {rank}: {e}")))?;
+            let mut stdin = child.stdin.take().expect("stdin is piped");
+            let mut stdout = child.stdout.take().expect("stdout is piped");
+            guard.0.push(child);
+            let start = Start {
+                dir: dir.clone(),
+                rank,
+                world,
+                plan: plan.clone(),
+                task,
+            }
+            .encode();
+            let tx = tx.clone();
+            scope.spawn(move || {
+                let written = write_frame(&mut stdin, &start);
+                drop(stdin); // EOF after START: it is all the worker reads
+                let _ = tx.send((rank, written.and_then(|()| read_pipe(&mut stdout))));
+            });
         }
-        ctrls[rank] = Some(stream);
-    }
-    let mut ctrls: Vec<UnixStream> = ctrls.into_iter().map(|s| s.expect("all ready")).collect();
-
-    // Everyone is listening: release the tasks.
-    let calm = ChaosPlan::none(0);
-    for (rank, (ctrl, task)) in ctrls.iter_mut().zip(&tasks).enumerate() {
-        let mut msg = Writer(vec![MSG_START]);
-        msg.json(chaos.unwrap_or(&calm));
-        msg.0.extend_from_slice(&task.encode());
-        ctrl_send(ctrl, &msg.0)
-            .map_err(|e| ProcError::Launch(format!("sending START to rank {rank}: {e}")))?;
-    }
-
-    // Collect every rank's report before judging the run, so a failure is
-    // attributed to its root cause: one dead rank makes every peer blocked
-    // on it fail with a secondary "closed its link mid-collective" cascade.
+        // Collect every rank's report before judging the run, so a failure
+        // is attributed to its root cause: one dead rank makes every peer
+        // blocked on it fail with a secondary "closed its link
+        // mid-collective" cascade. A worker that exits without a report is a
+        // root cause by itself.
+        let deadline = Instant::now() + RESULT_TIMEOUT;
+        let mut bodies = vec![Vec::new(); world];
+        for _ in 0..world {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let (rank, report) = reports.recv_timeout(wait).map_err(|_| {
+                ProcError::Launch(format!("no report from every worker in {RESULT_TIMEOUT:?}"))
+            })?;
+            let message = match report {
+                Ok(bytes) if !bytes.is_empty() => {
+                    bodies[rank] = bytes;
+                    continue;
+                }
+                Ok(_) => "worker exited without a report".to_string(),
+                Err(e) => format!("worker pipe failed: {e}"),
+            };
+            return Err(ProcError::Worker { rank, message });
+        }
+        Ok((guard, bodies))
+    })?;
     let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
     let mut errors: Vec<(usize, String)> = Vec::new();
     let mut merged = TransportStats::new(world);
-    for (rank, ctrl) in ctrls.iter_mut().enumerate() {
-        let msg = match ctrl_recv(ctrl) {
-            Ok(msg) => msg,
-            Err(e) => {
-                errors.push((rank, format!("control stream: {e}")));
-                continue;
-            }
-        };
-        let mut c = Cursor::new(&msg);
+    // Consumed rank by rank: each raw report is freed once decoded.
+    for (rank, bytes) in bodies.into_iter().enumerate() {
+        let msg = unframe(&bytes)
+            .map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
+        let mut c = Cursor::new(msg);
         match c.u8().map_err(ProcError::Protocol)? {
             MSG_RESULT => {
                 let report: TransportStats = c.json().map_err(ProcError::Protocol)?;
@@ -1033,7 +1028,7 @@ pub fn launch(
                     .merge(&report)
                     .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
                 let output = TaskOutput::decode(c.rest())?;
-                if output.tag() != tasks[rank].tag() {
+                if output.tag() != tags[rank] {
                     return Err(ProcError::Protocol(format!(
                         "rank {rank} answered its task with another task's output"
                     )));
@@ -1050,23 +1045,17 @@ pub fn launch(
             }
         }
     }
-    if !errors.is_empty() {
+    // Root-cause attribution: the first *primary* fault. Everything matching
+    // the cascade shapes (`PeerClosed` at a rank waiting on the dead one, a
+    // timeout induced by a stalled neighbour) is a consequence of the
+    // primary, not a cause; when every report is a cascade, the first one.
+    if let Some(root) = root_cause(&errors, |(_, m)| is_cascade_error(m)) {
         // Workers never publish telemetry (their registries die with them),
         // so the launcher classifies their failure reports into the
         // transport failure counters here.
         for (_, message) in &errors {
             super::note_failure_message(message);
         }
-        // Root-cause attribution: the first *primary* fault. Everything
-        // matching the cascade shapes (`PeerClosed` at a rank waiting on
-        // the dead one, a timeout induced by a stalled neighbour) is a
-        // consequence of the primary, not a cause; if the primary never
-        // reported (e.g. a kill so abrupt even its ERROR was lost), fall
-        // back to the first cascade.
-        let root = errors
-            .iter()
-            .position(|(_, m)| !is_cascade_error(m))
-            .unwrap_or(0);
         let (rank, message) = errors.swap_remove(root);
         return Err(ProcError::Worker { rank, message });
     }
@@ -1076,8 +1065,8 @@ pub fn launch(
     if let Some((src, dst)) = merged.disagreement() {
         return Err(ProcError::AccountingMismatch { src, dst });
     }
-    // Workers never publish telemetry themselves: their ledgers arrive
-    // through the RESULT handshake and are exported here, once, after the
+    // Workers never publish telemetry themselves: their ledgers arrive in
+    // their RESULT reports and are exported here, once, after the
     // cross-check — so the socket fabric reports through the same path as
     // the threaded mesh.
     super::publish_transport_stats(&merged);
@@ -1226,7 +1215,7 @@ pub fn proc_data_parallel_train(
         run.params.push(params);
     }
     // Close the span before flushing so the run itself appears in the trace.
-    // Only the parent writes: workers exited after the RESULT handshake and
+    // Only the parent writes: workers exit after their RESULT report and
     // never call flush.
     drop(dp_span);
     super::flush_run_artifacts();
@@ -1236,6 +1225,7 @@ pub fn proc_data_parallel_train(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snip_quant::stream_frame;
 
     /// Payloads chosen to break a lossy encoding: empty, odd lengths, and a
     /// NaN whose payload bits a float-level copy could canonicalize.
@@ -1329,7 +1319,74 @@ mod tests {
             assert_eq!(back.encode(), bytes, "{task:?}");
             assert_eq!(back.tag(), task.tag());
             rejects_damage(&bytes, Task::decode);
+
+            // The START header around it: fabric dir, rank, world, plan.
+            let start = |rank, world| Start {
+                dir: PathBuf::from("snip-fab-test-\u{e9}"),
+                rank,
+                world,
+                plan: ChaosPlan::kill(9, 1, 4).with_recv_deadline(Duration::from_millis(7)),
+                task: task.clone(),
+            };
+            let bytes = start(2, 3).encode();
+            let back = Start::decode(&bytes).expect("a well-formed START decodes");
+            assert_eq!(back.encode(), bytes, "{task:?}");
+            assert_eq!(
+                (back.dir.clone(), back.rank, back.world),
+                (start(2, 3).dir, 2, 3)
+            );
+            assert_eq!(back.plan, start(2, 3).plan);
+            rejects_damage(&bytes, Start::decode);
+            for (rank, world) in [(3, 3), (7, 3), (0, 0)] {
+                assert!(
+                    matches!(
+                        Start::decode(&start(rank, world).encode()),
+                        Err(ProcError::Protocol(_))
+                    ),
+                    "rank {rank} of world {world}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_control_pipe_holds_exactly_one_intact_frame() {
+        // What the reading end gets from a pipe holding `bytes`, then EOF.
+        let pipe = |bytes: &[u8]| read_pipe(&mut &bytes[..]).expect("in-memory read");
+        let framed = stream_frame(b"a worker's report");
+        let mut written = Vec::new();
+        write_frame(&mut written, b"a worker's report").expect("in-memory write");
+        assert_eq!(written, framed);
+        assert_eq!(unframe(&pipe(&framed)), Ok(&b"a worker's report"[..]));
+        for cut in 0..framed.len() {
+            assert!(
+                unframe(&pipe(&framed[..cut])).is_err(),
+                "prefix of {cut} bytes"
+            );
+        }
+        // A stray write on the worker's stdout, before or after the report.
+        let stray: &[u8] = b"hi\n";
+        for polluted in [[stray, &framed].concat(), [&framed, stray].concat()] {
+            assert!(unframe(&pipe(&polluted)).is_err());
+        }
+        let mut flipped = framed.clone();
+        *flipped.last_mut().expect("non-empty") ^= 1;
+        assert!(
+            unframe(&pipe(&flipped)).is_err(),
+            "the CRC catches a flipped byte"
+        );
+    }
+
+    #[test]
+    fn fabric_dir_is_owner_only() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = fabric_dir().expect("fabric dir");
+        let _guard = DirGuard(dir.clone());
+        let mode = std::fs::metadata(&dir)
+            .expect("metadata")
+            .permissions()
+            .mode();
+        assert_eq!(mode & 0o777, 0o700, "{}", dir.display());
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod checks {
     use snip_pipeline::transport::{
         channel_mesh, data_parallel_train, data_parallel_train_with_recovery, run_ranks,
         threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, RankChunk,
-        TransportError, TransportStats,
+        TransportError, TransportStats, DEFAULT_RECV_DEADLINE,
     };
     use snip_quant::StreamError;
     use snip_tensor::rng::Rng;
@@ -133,7 +133,7 @@ mod checks {
         rngs: &[Rng],
     ) -> (Vec<Vec<f32>>, [u64; 3]) {
         let per_rank: Vec<(Vec<f32>, TransportStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = channel_mesh(grads.len())
+            let handles: Vec<_> = channel_mesh(grads.len(), DEFAULT_RECV_DEADLINE)
                 .into_iter()
                 .map(|fabric| {
                     scope.spawn(move || {
@@ -526,19 +526,21 @@ mod checks {
         }
     }
 
-    /// A worker that dies before reporting READY fails the *launch* with
-    /// a typed error naming the dead rank — promptly, not after the full
-    /// handshake timeout.
-    fn pre_ready_death_fails_launch_naming_the_rank() {
-        std::env::set_var(snip_pipeline::transport::proc::ENV_EXIT_BEFORE_READY, "1");
+    /// A worker that dies at boot, right after reading its START, fails
+    /// the *launch* with a typed error naming the dead rank — promptly, as
+    /// EOF on its own pipe, while its peers still wait for it in the mesh
+    /// (`timed` prints how long that took).
+    fn boot_death_fails_launch_naming_the_rank() {
+        std::env::set_var(snip_pipeline::transport::proc::ENV_EXIT_AT_BOOT, "1");
         let grads = make_grads(3, 16, 31);
         let err = proc_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &[1, 2, 3])
-            .expect_err("a worker dead before READY must fail the launch");
-        std::env::remove_var(snip_pipeline::transport::proc::ENV_EXIT_BEFORE_READY);
+            .expect_err("a worker dead at boot must fail the launch");
+        std::env::remove_var(snip_pipeline::transport::proc::ENV_EXIT_AT_BOOT);
+        assert!(err.to_string().contains("rank 1"), "got: {err}");
         match err {
             ProcError::Worker { rank, message } => {
                 assert_eq!(rank, 1, "the dead rank must be named: {message}");
-                assert!(message.contains("before reporting READY"), "got: {message}");
+                assert!(message.contains("without a report"), "got: {message}");
             }
             other => panic!("expected a worker failure, got {other}"),
         }
@@ -673,9 +675,9 @@ mod checks {
             proc_chaos_sweep_reports_root_causes,
         );
         timed(
-            "pre_ready_death_fails_launch_naming_the_rank",
+            "boot_death_fails_launch_naming_the_rank",
             Duration::from_secs(30),
-            pre_ready_death_fails_launch_naming_the_rank,
+            boot_death_fails_launch_naming_the_rank,
         );
         timed(
             "dp_chaos_kill_rolls_every_rank_to_a_step_boundary",

@@ -29,8 +29,9 @@
 //!   and dense fake quantization is derived from the packed form (decode),
 //!   bit-identical to the oracle. To add a quantization method, add a
 //!   [`Recipe`] arm (and a [`PackedTensor`] shape if its packed form needs
-//!   new metadata); an out-of-tree method implements [`PackedQuantize`],
-//!   which is all that caches, optimizer moments and wires consume.
+//!   new metadata). Caches, optimizer moments and wires hold the concrete
+//!   [`Quantizer`]; only the analytic comm-volume accounting is generic
+//!   over [`PackedQuantize`].
 //! * [`Precision`] / [`LinearPrecision`] — the *policy-level* vocabulary: the
 //!   precision assigned to each quantized operand of a linear layer, and the
 //!   effective precision of each of its three GEMMs.

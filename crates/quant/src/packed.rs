@@ -19,10 +19,12 @@
 //!   sparse BF16 outlier list ([`PackedTensor::Split`]).
 //!
 //! To add a quantization method in tree, add a `Recipe` arm and, if its
-//! packed form needs new metadata, a `PackedTensor` shape; out of tree,
-//! implement [`PackedQuantize`] — everything downstream (linear-layer
-//! caches, optimizer moments, collective wires, comm-volume accounting)
-//! consumes the trait, not the concrete quantizer.
+//! packed form needs new metadata, a `PackedTensor` shape. Out of tree,
+//! implementing [`PackedQuantize`] reaches only the code that is generic
+//! over it — today the analytic comm-volume accounting
+//! (`snip_pipeline::comm::codec_wire_bytes`). Linear-layer caches,
+//! optimizer moments and collective wires hold the concrete
+//! [`crate::Quantizer`].
 
 use crate::rht;
 use snip_tensor::rng::Rng;
