@@ -73,6 +73,22 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Appends `N` little-endian bytes per element of `vs` in one bulk write:
+/// the buffer grows once, then each element fills its own `N`-byte slot —
+/// a loop the compiler turns into plain copies, where a push per element
+/// re-checks capacity every time.
+pub(crate) fn extend_le<T, const N: usize>(
+    buf: &mut Vec<u8>,
+    vs: &[T],
+    le_bytes: impl Fn(&T) -> [u8; N],
+) {
+    let at = buf.len();
+    buf.resize(at + N * vs.len(), 0);
+    for (slot, v) in buf[at..].chunks_exact_mut(N).zip(vs) {
+        slot.copy_from_slice(&le_bytes(v));
+    }
+}
+
 /// Serializes a payload for one hop of `wire` — the one hop codec, shared by
 /// the fabrics and the simulator's [`Wire::transmit`]. Returns the frame
 /// and its accounted payload bytes.
@@ -82,9 +98,7 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<
         let mut buf = Vec::with_capacity(5 + 4 * n);
         buf.push(TAG_EXACT);
         buf.extend_from_slice(&(n as u32).to_le_bytes());
-        for v in payload {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_le(&mut buf, payload, |v| v.to_le_bytes());
         return (buf, 4 * n as u64);
     };
     let t = Tensor::from_vec(1, n, payload.to_vec());
@@ -106,9 +120,7 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<
             let mut buf = Vec::with_capacity(5 + 2 * n);
             buf.push(TAG_BF16);
             buf.extend_from_slice(&(n as u32).to_le_bytes());
-            for &v in fq.as_slice() {
-                buf.extend_from_slice(&bf16_bits(v).to_le_bytes());
-            }
+            extend_le(&mut buf, fq.as_slice(), |&v| bf16_bits(v).to_le_bytes());
             (buf, 2 * n as u64)
         }
     }

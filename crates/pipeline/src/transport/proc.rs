@@ -37,10 +37,13 @@
 //!    hello;
 //! 3. it runs the task through [`run_task`], writes one report to its
 //!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
-//!    the encoded [`TaskOutput`]) or `ERROR` — and exits;
-//! 4. one parent thread per worker reads that report. A worker that exits
-//!    without one leaves an empty pipe, and the launch fails at once naming
-//!    its rank. Once every report is in, the parent adds every worker's
+//!    its [`TaskOutput`], encoded straight into the report buffer) or
+//!    `ERROR` — and exits;
+//! 4. one parent thread per worker reads that report and checks its length
+//!    and CRC in that thread, as soon as the pipe hits EOF, so the ranks'
+//!    checks overlap. A worker that exits without a report leaves an empty
+//!    pipe, and the launch fails at once naming its rank. Once every report
+//!    is in, the parent decodes them one rank at a time, adds every worker's
 //!    ledger ([`ProcError::Protocol`] for one of the wrong shape), reaps
 //!    the workers, and checks that both sides of every link agree
 //!    ([`ProcError::AccountingMismatch`] names the first that does not).
@@ -78,6 +81,7 @@
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError};
+use super::frame::extend_le;
 use super::{dp_train_loop, root_cause, Endpoint, TransportStats};
 use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
@@ -244,16 +248,18 @@ impl<'a> Cursor<'a> {
     fn f32s(&mut self) -> Result<Vec<f32>, String> {
         let n = self.u32()? as usize;
         let raw = self.take(4 * n)?;
-        Ok((0..n)
-            .map(|i| f32::from_le_bytes(raw[4 * i..4 * i + 4].try_into().expect("4")))
+        Ok(raw
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4")))
             .collect())
     }
 
     fn f64s(&mut self) -> Result<Vec<f64>, String> {
         let n = self.u32()? as usize;
         let raw = self.take(8 * n)?;
-        Ok((0..n)
-            .map(|i| f64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8")))
+        Ok(raw
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8")))
             .collect())
     }
 
@@ -317,16 +323,12 @@ impl Writer {
 
     fn f32s(&mut self, vs: &[f32]) {
         self.u32(vs.len() as u32);
-        for v in vs {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_le(&mut self.0, vs, |v| v.to_le_bytes());
     }
 
     fn f64s(&mut self, vs: &[f64]) {
         self.u32(vs.len() as u32);
-        for v in vs {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
+        extend_le(&mut self.0, vs, |v| v.to_le_bytes());
     }
 }
 
@@ -364,13 +366,20 @@ macro_rules! message_enum {
                 }
             }
 
-            /// The control-plane encoding: the variant's tag byte, then its
-            /// fields in declaration order.
-            pub fn encode(&self) -> Vec<u8> {
-                let mut w = Writer(vec![self.tag()]);
+            /// Appends the control-plane encoding to `w`: the variant's tag
+            /// byte, then its fields in declaration order.
+            fn write(&self, w: &mut Writer) {
+                w.0.push(self.tag());
                 match self {
                     $($name::$variant { $($field),* } => { $(w.$codec($field);)* })*
                 }
+            }
+
+            /// The control-plane encoding on its own: `write` into a fresh
+            /// buffer.
+            pub fn encode(&self) -> Vec<u8> {
+                let mut w = Writer(Vec::new());
+                self.write(&mut w);
                 w.0
             }
 
@@ -464,7 +473,7 @@ impl Start {
         w.usize(&self.rank);
         w.usize(&self.world);
         w.json(&self.plan);
-        w.0.extend_from_slice(&self.task.encode());
+        self.task.write(&mut w);
         w.0
     }
 
@@ -766,23 +775,30 @@ fn worker_run() -> Result<(), String> {
         let text = super::panic_text(panic.as_ref()).unwrap_or("opaque panic");
         Err(format!("task panicked: {text}"))
     });
-    let report = match &outcome {
-        Ok(output) => {
-            let mut msg = Writer(vec![MSG_RESULT]);
-            msg.json(&ep.stats());
-            msg.0.extend_from_slice(&output.encode());
-            msg.0
-        }
-        Err(message) => [&[MSG_ERROR], message.as_bytes()].concat(),
-    };
     // Drop the endpoint (closing the mesh) only after the report is staged:
     // peers may still be draining our buffered frames.
+    let report = report(&ep.stats(), &outcome);
     let mut stdout = std::io::stdout().lock();
     write_frame(&mut stdout, &report)
         .and_then(|()| stdout.flush())
         .map_err(|e| format!("writing the report: {e}"))?;
     drop(ep);
     outcome.map(|_| ())
+}
+
+/// A worker's one report: `RESULT` — its ledger as JSON, then its
+/// [`TaskOutput`] written in place, with no intermediate encoding to copy —
+/// or `ERROR` and the failure text.
+fn report(stats: &TransportStats, outcome: &Result<TaskOutput, String>) -> Vec<u8> {
+    match outcome {
+        Ok(output) => {
+            let mut msg = Writer(vec![MSG_RESULT]);
+            msg.json(stats);
+            output.write(&mut msg);
+            msg.0
+        }
+        Err(message) => [&[MSG_ERROR], message.as_bytes()].concat(),
+    }
 }
 
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
@@ -960,7 +976,7 @@ pub fn launch(
     // report; the reports meet in one channel, in whatever order the workers
     // finish. Leaving the scope early drops the guard first, which kills the
     // workers and so ends every thread the scope then joins.
-    let (mut guard, bodies) = std::thread::scope(|scope| {
+    let (mut guard, framed) = std::thread::scope(|scope| {
         let mut guard = WorkerGuard(Vec::with_capacity(world));
         let (tx, reports) = channel();
         for (rank, task) in tasks.into_iter().enumerate() {
@@ -986,24 +1002,32 @@ pub fn launch(
             scope.spawn(move || {
                 let written = write_frame(&mut stdin, &start);
                 drop(stdin); // EOF after START: it is all the worker reads
-                let _ = tx.send((rank, written.and_then(|()| read_pipe(&mut stdout))));
+
+                // The frame is checked here, at EOF, so the ranks' CRC passes
+                // over their reports overlap instead of queueing in `launch`.
+                let report = written.and_then(|()| read_pipe(&mut stdout)).map(|bytes| {
+                    let checked = unframe(&bytes).map(|_| ());
+                    (bytes, checked)
+                });
+                let _ = tx.send((rank, report));
             });
         }
         // Collect every rank's report before judging the run, so a failure
         // is attributed to its root cause: one dead rank makes every peer
         // blocked on it fail with a secondary "closed its link
         // mid-collective" cascade. A worker that exits without a report is a
-        // root cause by itself.
+        // root cause by itself; a report that fails its frame check is judged
+        // with the others below, in rank order.
         let deadline = Instant::now() + RESULT_TIMEOUT;
-        let mut bodies = vec![Vec::new(); world];
+        let mut framed = vec![Ok(Vec::new()); world];
         for _ in 0..world {
             let wait = deadline.saturating_duration_since(Instant::now());
             let (rank, report) = reports.recv_timeout(wait).map_err(|_| {
                 ProcError::Launch(format!("no report from every worker in {RESULT_TIMEOUT:?}"))
             })?;
             let message = match report {
-                Ok(bytes) if !bytes.is_empty() => {
-                    bodies[rank] = bytes;
+                Ok((bytes, checked)) if !bytes.is_empty() => {
+                    framed[rank] = checked.map(|()| bytes);
                     continue;
                 }
                 Ok(_) => "worker exited without a report".to_string(),
@@ -1011,15 +1035,16 @@ pub fn launch(
             };
             return Err(ProcError::Worker { rank, message });
         }
-        Ok((guard, bodies))
+        Ok((guard, framed))
     })?;
     let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
     let mut errors: Vec<(usize, String)> = Vec::new();
     let mut merged = TransportStats::new(world);
     // Consumed rank by rank: each raw report is freed once decoded.
-    for (rank, bytes) in bodies.into_iter().enumerate() {
-        let msg = unframe(&bytes)
-            .map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
+    for (rank, report) in framed.into_iter().enumerate() {
+        let bytes =
+            report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
+        let msg = &bytes[STREAM_ENVELOPE_BYTES..];
         let mut c = Cursor::new(msg);
         match c.u8().map_err(ProcError::Protocol)? {
             MSG_RESULT => {
@@ -1398,5 +1423,78 @@ mod tests {
             assert_eq!(back.tag(), output.tag());
             rejects_damage(&bytes, TaskOutput::decode);
         }
+    }
+
+    #[test]
+    fn a_model_sized_result_round_trips_through_the_bulk_paths() {
+        // ≈ 1 Mi parameters, with the bit patterns a lossy bulk copy would
+        // alter: NaN payloads of both signs, −0.0, ±Inf, subnormals.
+        let specials = [
+            f32::from_bits(0x7FC1_2345),
+            f32::from_bits(0xFF80_0001),
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+        ];
+        let params: Vec<f32> = (0..(1 << 20) + 3)
+            .map(|i| match i % 97 {
+                k @ 0..=5 => specials[k],
+                _ => (i as f32).sin() * 3.0,
+            })
+            .collect();
+        let losses = vec![
+            f64::from_bits(0x7FF8_0000_0000_BEEF),
+            -0.0,
+            f64::NEG_INFINITY,
+            6.25,
+        ];
+        let output = TaskOutput::DpTrain {
+            losses: losses.clone(),
+            params: params.clone(),
+        };
+        let bytes = output.encode();
+        assert_eq!(
+            bytes.len(),
+            1 + (4 + 8 * losses.len()) + (4 + 4 * params.len())
+        );
+        let TaskOutput::DpTrain {
+            losses: back_losses,
+            params: back_params,
+        } = TaskOutput::decode(&bytes).expect("a well-formed output decodes")
+        else {
+            panic!("DpTrain decodes as DpTrain");
+        };
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits32(&back_params) == bits32(&params),
+            "params bits differ"
+        );
+        assert_eq!(bits64(&back_losses), bits64(&losses));
+        for damaged in [
+            bytes[..bytes.len() - 1].to_vec(),
+            [&bytes[..], &[0]].concat(),
+        ] {
+            assert!(matches!(
+                TaskOutput::decode(&damaged),
+                Err(ProcError::Protocol(_))
+            ));
+        }
+
+        // The worker's RESULT writes the output in place after its ledger:
+        // the same bytes `encode` produces on its own.
+        let stats = TransportStats::new(2);
+        let result = report(&stats, &Ok(output));
+        let mut c = Cursor::new(&result);
+        assert_eq!(c.u8(), Ok(MSG_RESULT));
+        let ledger: TransportStats = c.json().expect("ledger json");
+        assert_eq!(ledger, stats);
+        assert!(
+            c.rest() == &bytes[..],
+            "in-place RESULT differs from encode()"
+        );
+        let failed = report(&stats, &Err("boom".into()));
+        assert_eq!(failed, [&[MSG_ERROR][..], b"boom"].concat());
     }
 }

@@ -461,12 +461,62 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Table-driven and
-/// dependency-free; used by [`stream_frame`] / [`StreamDecoder`] to detect
-/// payload corruption at the framing layer.
+/// The slice-by-16 tables: row 0 is [`CRC32_TABLE`], and row `k` advances
+/// row `k − 1`'s entry by one zero byte, so `CRC32_SLICES[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes.
+const CRC32_SLICES: [[u32; 256]; 16] = {
+    let mut slices = [[0u32; 256]; 16];
+    slices[0] = CRC32_TABLE;
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Used by
+/// [`stream_frame`] / [`StreamDecoder`] to detect payload corruption at the
+/// framing layer, so every socket frame and control-pipe report is hashed
+/// once at each end.
+///
+/// Slice-by-16: each step folds 16 bytes (four little-endian `u32` loads)
+/// through 16 compile-time lookup tables, with independent
+/// lookups the CPU can overlap; the `len % 16` tail runs the byte loop.
+/// Portable and dependency-free, and the same CRC as the byte loop for
+/// every input. Its throughput is the benchmark's `quant.crc32_gbps` row.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_SLICES;
+    let lane = |x: u32, k: usize| t[k][(x & 0xFF) as usize];
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let (a, b) = (word(&block[0..4]) ^ c, word(&block[4..8]));
+        let (d, e) = (word(&block[8..12]), word(&block[12..16]));
+        c = lane(a, 15)
+            ^ lane(a >> 8, 14)
+            ^ lane(a >> 16, 13)
+            ^ lane(a >> 24, 12)
+            ^ lane(b, 11)
+            ^ lane(b >> 8, 10)
+            ^ lane(b >> 16, 9)
+            ^ lane(b >> 24, 8)
+            ^ lane(d, 7)
+            ^ lane(d >> 8, 6)
+            ^ lane(d >> 16, 5)
+            ^ lane(d >> 24, 4)
+            ^ lane(e, 3)
+            ^ lane(e >> 8, 2)
+            ^ lane(e >> 16, 1)
+            ^ lane(e >> 24, 0);
+    }
+    for &b in blocks.remainder() {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -872,6 +922,11 @@ mod tests {
             PackedTensor::Codes(q).to_wire_bytes(),
             Err(WireError::UnknownLut)
         );
+    }
+
+    #[test]
+    fn slice_table_row_zero_is_the_byte_table() {
+        assert_eq!(CRC32_SLICES[0], CRC32_TABLE);
     }
 
     #[test]

@@ -50,8 +50,40 @@ fn bodies_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..40), 0..8)
 }
 
+/// The byte-at-a-time IEEE CRC32, bit by bit: the reference the sliced
+/// `crc32` must equal on every input.
+fn crc32_reference(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The sliced CRC equals the byte loop over every length 0..=300 —
+    /// so every `len % 16` tail, with and without whole blocks before it —
+    /// taken at any start offset inside a larger buffer, so the 16-byte
+    /// blocks fall on every alignment.
+    #[test]
+    fn crc32_equals_the_byte_loop_at_every_length_and_offset(
+        buf in proptest::collection::vec(0u8..=255, 316),
+        offset in 0usize..16,
+    ) {
+        for len in 0..=300 {
+            let bytes = &buf[offset..offset + len];
+            prop_assert_eq!(crc32(bytes), crc32_reference(bytes), "len {}", len);
+        }
+    }
 
     /// Any split of a valid frame sequence round-trips: the decoder yields
     /// exactly the original bodies whatever the read chunking was — this
@@ -173,6 +205,7 @@ fn crc32_matches_the_ieee_check_vector() {
     // The canonical CRC-32/ISO-HDLC check value: crc32("123456789").
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
 }
 
 #[test]
