@@ -18,6 +18,7 @@
 
 use serde::{Content, Serialize};
 use snip::core::{measure, PolicyConfig, Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
+use snip::nn::ModelConfig;
 use snip::pipeline::{data_parallel_train, QuantizePolicy, Wire};
 use snip::quant::{crc32, Precision};
 use snip::tensor::rng::Rng;
@@ -168,6 +169,49 @@ fn fp4_training() {
             params: 0x4564a097,
             losses: 0x242b2394,
             rngs: 0xdaa2ad85,
+        },
+    );
+}
+
+/// A trainer whose every activation, weight and gradient buffer holds at
+/// least 32 Ki floats (hidden 256 × 4 × 64 tokens, FFN 1024, vocab 512; one block keeps
+/// the debug build quick), so
+/// the step's tensor storage is recycled between steps. The `tiny()` prints
+/// above sit below that size and never reuse a buffer.
+fn wide() -> Trainer {
+    let mut cfg = TrainerConfig::tiny();
+    cfg.model = ModelConfig {
+        name: "wide-256".into(),
+        vocab_size: 512,
+        hidden: 256,
+        n_layers: 1,
+        n_heads: 4,
+        ffn_hidden: 1024,
+        max_seq: 64,
+        rope_theta: 10_000.0,
+        quant_group: 128,
+    };
+    (cfg.batch_size, cfg.seq_len) = (4, 64);
+    Trainer::new(cfg).expect("wide trainer")
+}
+
+/// Four BF16 steps, then four FP4 steps on the same trainer: a step whose
+/// buffers come back with stale contents must initialize every one of them.
+#[test]
+fn recycled_buffers_training() {
+    let mut t = wide();
+    let n = t.config().model.n_linear_layers();
+    t.apply_scheme(&Scheme::uniform(Precision::Bf16, n));
+    let mut losses = t.train(STEPS);
+    t.apply_scheme(&Scheme::uniform(Precision::Fp4, n));
+    losses.extend(t.train(STEPS));
+    check(
+        "recycled-buffers",
+        print(&mut t, &losses),
+        Print {
+            params: 0x67fdaed3,
+            losses: 0x833a18c8,
+            rngs: 0xb4951841,
         },
     );
 }
