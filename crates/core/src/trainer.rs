@@ -13,6 +13,7 @@ use snip_data::BatchStream;
 use snip_nn::model::{Model, StepOptions, StepOutput};
 use snip_nn::ModelConfig;
 use snip_optim::{clip::clip_global_norm, AdamW, AdamWConfig, LrSchedule};
+use snip_tensor::arena;
 use snip_tensor::rng::Rng;
 use std::path::Path;
 
@@ -178,10 +179,15 @@ impl Trainer {
     /// cursor, the trainer RNG, the optimizer's `lr` and the gradient
     /// accumulators. [`Trainer::try_train_step_with_grad_hook`] undoes
     /// those.
+    ///
+    /// The whole step, hook included, runs inside one
+    /// [`arena::scope`]: the large buffers it drops are kept for the next
+    /// step on this thread instead of going back to the allocator.
     fn step_core<E>(
         &mut self,
         hook: &mut dyn FnMut(&mut Model) -> Result<(), E>,
     ) -> Result<StepOutput, E> {
+        let _arena = arena::scope();
         let _span = snip_obs::span("train_step");
         let lr = self.cfg.schedule.lr_at(self.step);
         self.optimizer.set_lr(lr);

@@ -19,7 +19,7 @@ use crate::collective::Wire;
 use snip_quant::wire::bf16_bits;
 use snip_quant::{PackedQuantize, PackedTensor, WireError, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
-use snip_tensor::Tensor;
+use snip_tensor::{arena, Tensor};
 
 pub(crate) const TAG_EXACT: u8 = 0;
 pub(crate) const TAG_BF16: u8 = 1;
@@ -101,7 +101,9 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<
         extend_le(&mut buf, payload, |v| v.to_le_bytes());
         return (buf, 4 * n as u64);
     };
-    let t = Tensor::from_vec(1, n, payload.to_vec());
+    let mut copy = arena::take(n);
+    copy.copy_from_slice(payload);
+    let t = Tensor::from_vec(1, n, copy);
     match codec.pack(&t, rng) {
         Some(packed) => {
             let bytes = packed.wire_bytes();
@@ -140,7 +142,8 @@ fn element_count(bytes: &[u8]) -> Result<usize, FrameError> {
 /// Decodes a frame back to the dense payload the receiver consumes plus the
 /// frame's accounted **payload** bytes (the same number [`encode_frame`]
 /// reported on the sending side, so both ends of a link count identical
-/// volumes).
+/// volumes). The payload comes from the [`arena`]: a receiver inside a
+/// training step hands it back with [`arena::give`] once consumed.
 ///
 /// # Errors
 ///
@@ -161,12 +164,13 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<(Vec<f32>, u64), FrameError> 
                 });
             }
             // A BF16 element is the upper half of the f32 bit pattern.
-            let data = (bytes[5..].chunks_exact(width))
-                .map(|b| match *b {
+            let mut data = arena::take(n);
+            for (v, b) in data.iter_mut().zip(bytes[5..].chunks_exact(width)) {
+                *v = match *b {
                     [hi0, hi1] => f32::from_le_bytes([0, 0, hi0, hi1]),
                     _ => f32::from_le_bytes(b.try_into().expect("4 bytes")),
-                })
-                .collect();
+                };
+            }
             Ok((data, (width * n) as u64))
         }
         TAG_PACKED => {

@@ -86,6 +86,7 @@ use crate::collective::{chunk_bounds, hop_wire, CollectiveResult, QuantizePolicy
 use frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
+use snip_tensor::arena;
 use snip_tensor::rng::Rng;
 
 /// The payload bytes, envelope bytes and frames one side of one directed
@@ -439,7 +440,8 @@ impl<F: Fabric> Endpoint<F> {
     ) -> Result<RankChunk, TransportError> {
         let (r, w) = (self.rank(), self.world());
         let bounds = chunk_bounds(grad.len(), w);
-        let mut local = grad.to_vec();
+        let mut local = arena::take(grad.len());
+        local.copy_from_slice(grad);
         let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
         let hop_wire = hop_wire(wire, policy);
         for s in 0..w.saturating_sub(1) {
@@ -450,9 +452,12 @@ impl<F: Fabric> Endpoint<F> {
             for (l, v) in local[plo..phi].iter_mut().zip(&payload) {
                 *l += v;
             }
+            arena::give(payload);
         }
         let (lo, hi) = bounds[(r + 1) % w];
-        let mut data = local[lo..hi].to_vec();
+        let mut data = arena::take(hi - lo);
+        data.copy_from_slice(&local[lo..hi]);
+        arena::give(local);
         if policy == QuantizePolicy::FinalOnly {
             wire.quantize(&mut data, rng);
         }
@@ -479,14 +484,18 @@ impl<F: Fabric> Endpoint<F> {
     ) -> Result<Vec<f32>, TransportError> {
         let (r, w) = (self.rank(), self.world());
         if w == 1 {
-            return Ok(chunk.data.clone());
+            let mut full = arena::take(chunk.data.len());
+            full.copy_from_slice(&chunk.data);
+            return Ok(full);
         }
         let bounds = chunk_bounds(n, w);
         let (mut frame, mut bytes) = encode_frame(&hop_wire(wire, policy), &chunk.data, rng);
         let (own, _) = decode_frame(&frame).expect("a frame encoded in-process decodes");
-        let mut full = vec![0.0f32; n];
+        // Every element is written: the `w` chunks tile `[0, n)`.
+        let mut full = arena::take(n);
         let (lo, hi) = bounds[(r + 1) % w];
         full[lo..hi].copy_from_slice(&own);
+        arena::give(own);
         let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
         // Step `s` receives chunk `r − s`, which step `s + 1` forwards.
         for s in 0..w - 1 {
@@ -495,12 +504,14 @@ impl<F: Fabric> Endpoint<F> {
             let payload;
             (frame, payload, bytes) = self.recv_frame(prev, Some(hi - lo))?;
             full[lo..hi].copy_from_slice(&payload);
+            arena::give(payload);
         }
         Ok(full)
     }
 
     /// Ring all-reduce: reduce-scatter followed by all-gather. Returns this
-    /// rank's copy of the reduced vector.
+    /// rank's copy of the reduced vector, taken from the [`arena`]: inside a
+    /// training step, hand it back with [`arena::give`] once consumed.
     ///
     /// # Errors
     ///
@@ -513,7 +524,9 @@ impl<F: Fabric> Endpoint<F> {
         rng: &mut Rng,
     ) -> Result<Vec<f32>, TransportError> {
         let chunk = self.ring_reduce_scatter(grad, wire, policy, rng)?;
-        self.ring_all_gather(&chunk, grad.len(), wire, policy, rng)
+        let full = self.ring_all_gather(&chunk, grad.len(), wire, policy, rng);
+        arena::give(chunk.data);
+        full
     }
 }
 
@@ -569,6 +582,7 @@ pub(crate) fn dp_train_loop<F: Fabric>(
                         for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&sum) {
                             *g = v * inv_world;
                         }
+                        arena::give(sum);
                     });
             });
             reduced

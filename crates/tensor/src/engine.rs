@@ -60,10 +60,11 @@
 //! ULP. The accepted cost: an x86-64 CPU without `fma` runs every tier
 //! scalar, and the scalar body there pays a libm `fmaf` call per element.
 
+use crate::arena;
 use crate::packed::{prep, QOperandRef};
 use crate::pool::{self, AlignedVec};
 use crate::Tensor;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 mod scalar;
 pub mod simd;
@@ -120,6 +121,27 @@ thread_local! {
     /// transpose ([`transpose_into`]): one band of `TB` packed rows, decoded.
     static SCRATCH: RefCell<(Vec<f32>, AlignedVec, Vec<f32>)> =
         const { RefCell::new((Vec::new(), AlignedVec::new(), Vec::new())) };
+
+    /// The calling thread's B-tile cache ([`gemm_blocked_inner`]). A GEMM
+    /// takes it out and puts it back, so a nested call on the same thread
+    /// builds its own instead of aliasing it. It is kept between GEMMs only
+    /// inside an [`arena::scope`] (a training step), like the step's other
+    /// large buffers.
+    static BCACHE: Cell<AlignedVec> = const { Cell::new(AlignedVec::new()) };
+}
+
+/// Returns a B-tile cache to [`BCACHE`] inside an arena scope (poisoned
+/// with NaN in builds with debug assertions, like the arena's buffers);
+/// frees it outside one.
+fn keep_bcache(mut cache: AlignedVec) {
+    if !arena::in_scope() {
+        return;
+    }
+    if cfg!(debug_assertions) {
+        let len = cache.as_slice().len();
+        cache.prep(len).fill(f32::NAN);
+    }
+    BCACHE.set(cache);
 }
 
 fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut AlignedVec, &mut Vec<f32>) -> R) -> R {
@@ -475,11 +497,12 @@ fn gemm_blocked_inner(
     let reused = m > MC || (parts > 1 && m > 1);
     let bcache: Option<AlignedVec> = if reused && k * n > 0 && k * n <= B_CACHE_LIMIT {
         // Tiles are stored back to back: the tile starting at column `j0`
-        // occupies `cache[j0 * k..j1 * k]`. The build runs on the calling
+        // occupies `cache[j0 * k..j1 * k]`. The build writes every element,
+        // so the reused cache is not cleared first. It runs on the calling
         // thread: fanning it out over the pool did not resolve as a gain in
         // alternating `train-bf16` pairs (8 of 10 wins, median 301.6 vs
         // 322.7 ms, inside its own 24 ms inter-quartile spread).
-        let mut cache = AlignedVec::new();
+        let mut cache = BCACHE.take();
         let mut staging = Vec::new();
         for (t, tile) in cache.prep(k * n).chunks_mut(NC * k).enumerate() {
             let j0 = t * NC;
@@ -497,6 +520,9 @@ fn gemm_blocked_inner(
     for_each_row_chunk(m, parts, cdata, n, |start, end, chunk| {
         sweep_rows(a, a_side, b, b_side, n, k, round, btiles, start, end, chunk);
     });
+    if let Some(cache) = bcache {
+        keep_bcache(cache);
+    }
     c
 }
 
@@ -523,4 +549,54 @@ pub(crate) fn gemm_tn(a: &QOperandRef<'_>, b: &QOperandRef<'_>, round: Round) ->
     let (kb, n) = b.shape();
     debug_assert_eq!(k, kb);
     gemm_blocked(a, ASide::Transposed, b, BSide::RowMajor, round, m, n, k)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Rng;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A B-tile cache kept from an earlier GEMM is refilled without being
+    /// cleared. Filled with NaN, any element the build failed to write
+    /// would reach the output; the bits must equal a freshly built cache's
+    /// at every split, in every orientation that builds one.
+    #[test]
+    fn a_reused_nan_filled_bcache_gives_fresh_bits() {
+        // Ragged against MC, NC and TB on every side.
+        let (m, k, n) = (131, 77, 203);
+        let mut rng = Rng::seed_from(5);
+        let a = Tensor::randn(m, k, 1.0, &mut rng);
+        let at = Tensor::randn(k, m, 1.0, &mut rng);
+        let b = Tensor::randn(k, n, 1.0, &mut rng);
+        let bt = Tensor::randn(n, k, 1.0, &mut rng);
+        let run = || {
+            [
+                gemm_nn(&(&a).into(), &(&b).into(), Round::Keep),
+                gemm_nt(&(&a).into(), &(&bt).into(), Round::Keep),
+                gemm_tn(&(&at).into(), &(&b).into(), Round::Keep),
+                gemm_nn(&(&a).into(), &(&b).into(), Round::Bf16),
+            ]
+            .map(|c| bits(&c))
+        };
+        let max = pool::size();
+        for split in [1, 2, max, max + 3] {
+            // Outside an arena scope every call builds a new cache.
+            let fresh = pool::with_threads(split, run);
+            assert_eq!(BCACHE.take().as_slice().len(), 0, "kept outside a scope");
+
+            let _step = arena::scope();
+            let mut stale = AlignedVec::new();
+            stale.prep(2 * k * n).fill(f32::NAN);
+            let ptr = stale.as_slice().as_ptr();
+            BCACHE.set(stale);
+            let reused = pool::with_threads(split, run);
+            let kept = BCACHE.take();
+            assert_eq!(kept.as_slice().as_ptr(), ptr, "split {split}: not reused");
+            assert_eq!(reused, fresh, "split {split}");
+        }
+    }
 }

@@ -21,6 +21,9 @@
 //! * [`pool`] — the lazily-initialized persistent worker pool behind every
 //!   parallel kernel (`SNIP_THREADS` overrides its size; results are
 //!   bit-identical at every size).
+//! * [`arena`] — the step-scoped, thread-local free list behind `Tensor`
+//!   storage: inside a training step, buffers of 128 KiB and up are reused
+//!   from the step before instead of coming back from the allocator.
 //! * [`bf16`] — round-to-nearest-even BF16 rounding, shared between the
 //!   engine's fused tile store (the `qgemm_*_bf16` kernels) and the
 //!   standalone slice pass used elsewhere in the workspace.
@@ -51,6 +54,7 @@
 //! assert!(n.is_finite());
 //! ```
 
+pub mod arena;
 pub mod bf16;
 mod engine;
 pub mod granularity;

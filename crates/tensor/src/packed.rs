@@ -486,7 +486,9 @@ impl QTensor {
     /// identical to what the packing quantizer's fake-quantization path
     /// would have produced.
     pub fn dequantize(&self) -> Tensor {
-        let mut t = Tensor::zeros(self.rows, self.cols);
+        // Every row is decoded in full, so the buffer needs no clearing.
+        let data = crate::arena::take(self.rows * self.cols);
+        let mut t = Tensor::from_vec(self.rows, self.cols, data);
         for r in 0..self.rows {
             self.decode_row_into(r, t.row_mut(r));
         }

@@ -51,8 +51,9 @@ pub(crate) const SCRATCH_ALIGN: usize = 64;
 /// aligned tile bases mean an 8-lane load never splits across two lines.
 /// Alignment can't change results — only which micro-op the load decodes to.
 ///
-/// Like the `prep` pattern on `Vec`, `prep` here zero-fills the requested
-/// length; capacity never shrinks for the lifetime of the worker.
+/// Like the `prep` pattern on `Vec`, `prep` here hands out the requested
+/// length with unspecified contents, for callers that overwrite every
+/// element; capacity never shrinks for the lifetime of the buffer.
 pub(crate) struct AlignedVec {
     ptr: NonNull<f32>,
     cap: usize,
@@ -78,26 +79,25 @@ impl AlignedVec {
             .expect("scratch layout overflow")
     }
 
-    /// Returns a zeroed slice of exactly `len` floats, growing the
-    /// allocation if needed.
+    /// Returns a slice of exactly `len` floats with unspecified contents:
+    /// whatever the last user left, or zeros where the buffer just grew.
+    /// Grows to exactly `len` when it must (a power-of-two round-up made a
+    /// 6 MiB B-tile cache cost 8), and never shrinks.
     pub(crate) fn prep(&mut self, len: usize) -> &mut [f32] {
         if len > self.cap {
-            let new_cap = len.next_power_of_two();
-            let layout = Self::layout(new_cap);
+            let layout = Self::layout(len);
             // Grow-only scratch has no contents worth copying: drop the old
-            // allocation and take a fresh zeroed one.
+            // allocation and take a fresh one, zeroed so that every float
+            // up to `cap` is initialized.
             unsafe { self.release() };
             let raw = unsafe { alloc_zeroed(layout) } as *mut f32;
             self.ptr = NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout));
-            self.cap = new_cap;
-            self.len = len;
-            // Freshly zeroed; skip the fill below.
-            return unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len) };
+            self.cap = len;
         }
         self.len = len;
-        let s = unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len) };
-        s.fill(0.0);
-        s
+        // SAFETY: `len <= cap`, and all `cap` floats were initialized by
+        // `alloc_zeroed` and have only been written as `f32` since.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len) }
     }
 
     /// The slice produced by the last [`prep`](Self::prep) call.
@@ -113,6 +113,12 @@ impl AlignedVec {
             self.cap = 0;
             self.len = 0;
         }
+    }
+}
+
+impl Default for AlignedVec {
+    fn default() -> Self {
+        AlignedVec::new()
     }
 }
 
@@ -469,15 +475,29 @@ mod tests {
     }
 
     #[test]
-    fn aligned_vec_is_aligned_zeroed_and_reusable() {
+    fn aligned_vec_is_aligned_exact_and_reusable() {
         let mut v = AlignedVec::new();
+        let mut cap = 0;
         for len in [1usize, 7, 64, 65, 1000, 3] {
+            let grows = len > cap;
+            cap = cap.max(len);
             let s = v.prep(len);
             assert_eq!(s.len(), len);
             assert_eq!(s.as_ptr() as usize % SCRATCH_ALIGN, 0);
-            assert!(s.iter().all(|&x| x == 0.0), "len {len} not zeroed");
-            s.fill(3.5); // dirty it so the next prep must re-zero
+            if grows {
+                assert!(
+                    s.iter().all(|&x| x == 0.0),
+                    "len {len}: fresh growth is zeroed"
+                );
+            } else {
+                assert!(
+                    s.iter().all(|&x| x == 3.5),
+                    "len {len}: reuse keeps contents"
+                );
+            }
+            s.fill(3.5);
             assert_eq!(v.as_slice().len(), len);
+            assert_eq!(v.cap, cap, "grows to the exact length");
         }
     }
 }

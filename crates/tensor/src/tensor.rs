@@ -1,5 +1,6 @@
 //! Dense row-major 2-D `f32` tensor.
 
+use crate::arena;
 use crate::rng::Rng;
 use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use std::fmt;
@@ -19,7 +20,11 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(t[(1, 2)], 5.0);
 /// assert_eq!(t.shape(), (2, 3));
 /// ```
-#[derive(Clone, PartialEq, Serialize)]
+///
+/// Storage of at least [`arena::FLOOR`] floats comes from, and goes back
+/// to, the step-scoped [`arena`]: inside a training step a tensor reuses
+/// the buffer of one dropped at the same size in the step before.
+#[derive(PartialEq, Serialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -41,23 +46,39 @@ impl Deserialize for Tensor {
     }
 }
 
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let mut data = arena::take(self.data.len());
+        data.copy_from_slice(&self.data);
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        arena::give(std::mem::take(&mut self.data));
+    }
+}
+
 impl Tensor {
     /// Creates a tensor of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Tensor {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: arena::zeroed(rows * cols),
         }
     }
 
     /// Creates a tensor filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Tensor {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
+        let mut data = arena::take(rows * cols);
+        data.fill(value);
+        Tensor { rows, cols, data }
     }
 
     /// Creates a tensor from an existing buffer.
@@ -77,10 +98,12 @@ impl Tensor {
 
     /// Creates a tensor by evaluating `f(row, col)` at every position.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
+        let mut data = arena::take(rows * cols);
+        if cols > 0 {
+            for (r, row) in data.chunks_exact_mut(cols).enumerate() {
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot = f(r, c);
+                }
             }
         }
         Tensor { rows, cols, data }
@@ -135,9 +158,10 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consumes the tensor, returning the backing buffer. The buffer leaves
+    /// the arena's care: hand it back with [`arena::give`] once done.
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Immutable view of row `r`.
@@ -162,10 +186,14 @@ impl Tensor {
 
     /// Returns a new tensor with the same shape whose entries are `f(x)`.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = arena::take(self.data.len());
+        for (o, &x) in data.iter_mut().zip(&self.data) {
+            *o = f(x);
+        }
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
         }
     }
 
@@ -200,15 +228,14 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
+        let mut data = arena::take(self.data.len());
+        for (o, (&a, &b)) in data.iter_mut().zip(self.data.iter().zip(&other.data)) {
+            *o = f(a, b);
+        }
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data,
         }
     }
 
