@@ -9,9 +9,9 @@
 //! outputs and B-tile caches all come back from the step before.
 //!
 //! Byte buffers (alignment 1) are counted but allowed: under FP4 the packed
-//! codes of every quantized operand — about 20 allocations and 8 MiB per
-//! step at this shape — still come from the heap, because the arena
-//! recycles `f32` storage only.
+//! codes of the quantized operands — 6 allocations and 768 KiB per step at
+//! this shape — still come from the heap, because the arena recycles `f32`
+//! storage only. Run with `--nocapture` to see both counts.
 
 use snip_core::{Scheme, Trainer, TrainerConfig};
 use snip_nn::ModelConfig;
