@@ -15,10 +15,9 @@
 
 use crate::harness::*;
 use snip_nn::ModelConfig;
-use snip_pipeline::collective::{
-    exact_sum, relative_error, CollectiveResult, QuantizePolicy, Wire,
-};
-use snip_pipeline::transport::{run_ranks, ChaosPlan};
+use snip_pipeline::collective::{QuantizePolicy, Wire};
+use snip_pipeline::transport::{run_ranks, ChaosPlan, RankChunk};
+use snip_tensor::ops::relative_error;
 use snip_tensor::rng::Rng;
 
 /// Per-frame delay bound (microseconds) for the `--chaos` schedule — large
@@ -78,59 +77,60 @@ pub fn run(ctx: &Ctx) {
     };
 
     // One reduce-scatter on the chosen transport, rank `r` drawing from
-    // seed `0x2000 + r`, in the in-proc oracle's result shape with bytes
-    // from the measured per-link payload counters. Under `--chaos` the
-    // identical collective is replayed under a seeded delay-only schedule:
-    // link delays may reorder rank wakeups but never frames, so every
-    // shard and every byte counter must come back unchanged.
-    let reduce = |grads: &[Vec<f32>], wire: &Wire, policy: QuantizePolicy| -> CollectiveResult {
+    // seed `0x2000 + r`: every rank's owned chunk and the measured payload
+    // bytes. Under `--chaos` the identical collective is replayed under a
+    // seeded delay-only schedule: link delays may reorder rank wakeups but
+    // never frames, so every chunk and every byte counter must come back
+    // unchanged.
+    let reduce = |grads: &[Vec<f32>], wire: &Wire, policy: QuantizePolicy| {
         const FAULT_FREE: &str = "reduce-scatter (delay-only chaos must not fail a rank)";
-        let run = |plan: Option<&ChaosPlan>| match transport {
-            #[cfg(unix)]
-            Transport::Process => {
-                use snip_pipeline::transport::proc::{launch, ProcCollective, Task};
-                let tasks = grads
-                    .iter()
-                    .enumerate()
-                    .map(|(r, grad)| Task::ReduceScatter {
-                        wire: *wire,
-                        policy,
-                        seed: 0x2000 + r as u64,
-                        grad: grad.clone(),
+        let run = |plan: Option<&ChaosPlan>| -> (Vec<RankChunk>, u64) {
+            let (chunks, stats) = match transport {
+                #[cfg(unix)]
+                Transport::Process => {
+                    use snip_pipeline::transport::proc::{launch, Task, TaskOutput};
+                    let tasks = grads
+                        .iter()
+                        .enumerate()
+                        .map(|(r, grad)| Task::ReduceScatter {
+                            wire: *wire,
+                            policy,
+                            seed: 0x2000 + r as u64,
+                            grad: grad.clone(),
+                        });
+                    let (outputs, stats) = launch(tasks.collect(), plan).expect(FAULT_FREE);
+                    let chunks = outputs.into_iter().map(|output| match output {
+                        TaskOutput::ReduceScatter { lo, hi, data, .. } => RankChunk { lo, hi, data },
+                        other => unreachable!("launch matches outputs to tasks, got {other:?}"),
                     });
-                let (outputs, stats) = launch(tasks.collect(), plan).expect(FAULT_FREE);
-                ProcCollective::from_outputs(outputs, stats).result
-            }
-            #[cfg(not(unix))]
-            Transport::Process => unreachable!("rejected above"),
-            Transport::Threads => {
-                let (chunks, stats) = run_ranks(grads.len(), plan, |ep| {
+                    (chunks.collect(), stats)
+                }
+                #[cfg(not(unix))]
+                Transport::Process => unreachable!("rejected above"),
+                Transport::Threads => run_ranks(grads.len(), plan, |ep| {
                     let mut rng = Rng::seed_from(0x2000 + ep.rank() as u64);
                     ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
                         .expect(FAULT_FREE)
-                });
-                CollectiveResult {
-                    owned: chunks.iter().map(|c| (c.lo, c.hi)).collect(),
-                    per_rank: chunks.into_iter().map(|c| c.data).collect(),
-                    bytes_on_wire: stats.total_payload_bytes(),
-                }
-            }
+                }),
+            };
+            (chunks, stats.total_payload_bytes())
         };
         let calm = run(None);
         if let Some(seed) = chaos_seed {
             let plan = ChaosPlan::delay_all_links(seed, grads.len(), CHAOS_DELAY_MICROS);
-            let chaos = run(Some(&plan));
-            assert_eq!(chaos.owned, calm.owned, "chaos delay changed chunk bounds");
-            for (rank, (got, want)) in chaos.per_rank.iter().zip(&calm.per_rank).enumerate() {
+            let (chunks, bytes) = run(Some(&plan));
+            for (rank, (got, want)) in chunks.iter().zip(&calm.0).enumerate() {
+                assert_eq!(
+                    (got.lo, got.hi),
+                    (want.lo, want.hi),
+                    "chaos delay changed chunk bounds"
+                );
                 assert!(
-                    got.iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+                    got.data.iter().map(|v| v.to_bits()).eq(want.data.iter().map(|v| v.to_bits())),
                     "chaos delay changed rank {rank}'s reduce-scatter bits"
                 );
             }
-            assert_eq!(
-                chaos.bytes_on_wire, calm.bytes_on_wire,
-                "chaos delay changed bytes on the wire"
-            );
+            assert_eq!(bytes, calm.1, "chaos delay changed bytes on the wire");
         }
         calm
     };
@@ -142,8 +142,15 @@ pub fn run(ctx: &Ctx) {
     );
     for ranks in [2usize, 4, 8, 16] {
         let grads = grads_for(ranks);
-        let exact = exact_sum(&grads);
-        let bf16_bytes = reduce(&grads, &Wire::bf16(), QuantizePolicy::EveryHop).bytes_on_wire;
+        let mut exact = vec![0.0f32; flat.len()];
+        for g in &grads {
+            for (s, v) in exact.iter_mut().zip(g) {
+                *s += v;
+            }
+        }
+        // The first row, BF16 every-hop, is the reference the savings are
+        // quoted against.
+        let mut bf16_bytes = None;
         for (wire, policy, plabel) in [
             (Wire::bf16(), QuantizePolicy::EveryHop, "every-hop"),
             (Wire::fp8(nb), QuantizePolicy::EveryHop, "every-hop"),
@@ -161,13 +168,16 @@ pub fn run(ctx: &Ctx) {
             ),
             (Wire::fp4(nb), QuantizePolicy::FinalOnly, "final-only"),
         ] {
-            let rs = reduce(&grads, &wire, policy);
-            let err = relative_error(&rs, &exact);
-            let saving = bf16_bytes as f64 / rs.bytes_on_wire.max(1) as f64;
+            let (mut chunks, bytes) = reduce(&grads, &wire, policy);
+            // The owned chunks tile the vector; in position order they are
+            // the reduced gradient.
+            chunks.sort_by_key(|c| c.lo);
+            let reduced: Vec<f32> = chunks.into_iter().flat_map(|c| c.data).collect();
+            let err = relative_error(&reduced, &exact);
+            let saving = *bf16_bytes.get_or_insert(bytes) as f64 / bytes.max(1) as f64;
             println!(
-                "{ranks:<8} {:<8} {plabel:<12} {err:>12.2e} {:>12} {saving:>9.2}x",
+                "{ranks:<8} {:<8} {plabel:<12} {err:>12.2e} {bytes:>12} {saving:>9.2}x",
                 wire.label(),
-                rs.bytes_on_wire
             );
         }
         println!();

@@ -1,33 +1,21 @@
-//! Wire formats for low-precision collectives, and the in-proc ring
-//! simulator that is the transports' oracle.
+//! Wire formats for low-precision collectives.
 //!
 //! The paper flags *"extending low-precision support to reduce-scatter"* as
 //! promising-but-challenging future work (§2.2). [`crate::comm`] accounts
 //! for the bytes such a kernel would save; [`Wire`] names the codec of one
-//! hop, and [`crate::transport`] runs the collective for real. Partial sums
-//! accumulate in f32 at each receiver (the realistic design — accumulating
-//! *in* FP4/FP8 diverges immediately), so the open question the paper
-//! points at becomes measurable: how much error do `R − 1` payload
-//! quantizations inject into the reduced gradient, for which wire format,
-//! and at how many ranks? The `comm_precision` experiment sweeps exactly
-//! that over the transports.
+//! hop, [`QuantizePolicy`] says which hops use it, [`chunk_bounds`] splits
+//! a vector over the ring, and [`crate::transport`] runs the collective.
+//! Partial sums accumulate in f32 at each receiver (the realistic design —
+//! accumulating *in* FP4/FP8 diverges immediately), so the open question
+//! the paper points at becomes measurable: how much error do `R − 1`
+//! payload quantizations inject into the reduced gradient, for which wire
+//! format, and at how many ranks? The `comm_precision` experiment sweeps
+//! exactly that over the transports.
 //!
-//! The simulator here ([`ring_reduce_scatter`], [`ring_all_gather`],
-//! [`ring_all_reduce`]) holds all `R` ranks in one address space, each with
-//! its own RNG stream, and ships every hop through the transports' frame
-//! codec ([`Wire::transmit`]). The all-gather encodes each reduced chunk
-//! once: the owner adopts the decode of its frame, and the ring forwards
-//! those bytes unchanged, so every rank ends an all-reduce with the same
-//! bits. Both fabrics are pinned against it bit
-//! for bit — reduced gradients, RNG streams, payload bytes — and what that
-//! pins is the ring schedule; the codec is shared by construction. Its
-//! callers are tests, which also pin the qualitative answers: BF16 wires
-//! are essentially free; every-hop FP4 error grows with ring size (partial
-//! sums are re-quantized `R − 1` times); and the *final-only* policy
-//! (reduce exactly, quantize the stored result once) is a storage-error
-//! floor that is independent of ring size — every-hop starts **below** that
-//! floor on small rings, because the receiver's own addend is never
-//! quantized, and crosses it as `R` grows.
+//! The transports' oracle is an in-proc ring simulator that lives with the
+//! tests, in `tests/support/mod.rs`: all ranks in one address space, one
+//! RNG stream each, every hop through [`Wire::transmit`]. The unit tests
+//! below use it to pin what each wire costs in error and bytes.
 
 use crate::transport::frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
@@ -159,9 +147,9 @@ impl Wire {
     /// frame a fabric moves ([`crate::transport::frame`]), decodes that
     /// frame into `payload` (only once the codec has finished, so a
     /// panicking codec leaves it as it was), and returns the frame's
-    /// accounted payload bytes. The simulator and both transports therefore
-    /// share one hop codec, and their payloads and byte counters agree by
-    /// construction.
+    /// accounted payload bytes. The test-support ring simulator and both
+    /// transports therefore share one hop codec, and their payloads and byte
+    /// counters agree by construction.
     pub fn transmit(&self, payload: &mut Vec<f32>, rng: &mut Rng) -> u64 {
         let (frame, bytes) = encode_frame(self, payload, rng);
         *payload = decode_frame(&frame)
@@ -184,98 +172,11 @@ pub enum QuantizePolicy {
     FinalOnly,
 }
 
-/// Outcome of a collective, simulated or run over a transport.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CollectiveResult {
-    /// Per-rank payload: the owned reduced chunk (reduce-scatter) or the
-    /// full reduced vector (all-reduce).
-    pub per_rank: Vec<Vec<f32>>,
-    /// Chunk ownership: `owned[r] = (start, end)` of rank `r`'s chunk.
-    pub owned: Vec<(usize, usize)>,
-    /// Total payload bytes that crossed the ring (all ranks, all hops).
-    pub bytes_on_wire: u64,
-}
-
 /// Chunk boundaries distributing `n` elements over `r` ranks (chunk `i` is
 /// `[i·n/r, (i+1)·n/r)`, remainder spread evenly).
 pub fn chunk_bounds(n: usize, r: usize) -> Vec<(usize, usize)> {
     assert!(r > 0, "need at least one rank");
     (0..r).map(|i| (i * n / r, (i + 1) * n / r)).collect()
-}
-
-/// The exact elementwise sum of all ranks' gradients (the collective's
-/// numerical reference).
-pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
-    assert!(!grads.is_empty(), "no ranks");
-    let mut sum = vec![0.0f32; grads[0].len()];
-    for g in grads {
-        for (s, v) in sum.iter_mut().zip(g) {
-            *s += v;
-        }
-    }
-    sum
-}
-
-/// Simulates a ring reduce-scatter over `R = grads.len()` ranks, rank `r`
-/// drawing its stochastic-rounding randomness from `rngs[r]` — exactly the
-/// draws its own sends (and, under [`QuantizePolicy::FinalOnly`], its own
-/// stored chunk) require, as in the transports, whose ranks each own their
-/// stream. After `R − 1` hops rank `r` owns the fully reduced chunk
-/// `(r + 1) mod R`.
-///
-/// # Panics
-///
-/// Panics if `grads` is empty, ranks disagree on the gradient length, or
-/// `rngs.len() != grads.len()`.
-pub fn ring_reduce_scatter(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &mut [Rng],
-) -> CollectiveResult {
-    let r_count = grads.len();
-    assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
-    assert!(r_count > 0, "no ranks");
-    let n = grads[0].len();
-    assert!(
-        grads.iter().all(|g| g.len() == n),
-        "ranks disagree on gradient length"
-    );
-    let bounds = chunk_bounds(n, r_count);
-    let hop_wire = hop_wire(wire, policy);
-    let mut local: Vec<Vec<f32>> = grads.to_vec();
-    let mut bytes = 0u64;
-    for s in 0..r_count.saturating_sub(1) {
-        // Every rank sends before any receive lands (ranks act in lockstep).
-        let sent: Vec<(usize, Vec<f32>)> = (0..r_count)
-            .map(|r| {
-                let (lo, hi) = bounds[(r + r_count - s) % r_count];
-                let mut payload = local[r][lo..hi].to_vec();
-                bytes += hop_wire.transmit(&mut payload, &mut rngs[r]);
-                (lo, payload)
-            })
-            .collect();
-        for (r, (lo, payload)) in sent.into_iter().enumerate() {
-            for (l, v) in local[(r + 1) % r_count][lo..].iter_mut().zip(payload) {
-                *l += v;
-            }
-        }
-    }
-    let owned: Vec<(usize, usize)> = (0..r_count).map(|r| bounds[(r + 1) % r_count]).collect();
-    let per_rank = (owned.iter().zip(local).zip(rngs))
-        .map(|((&(lo, hi), sums), rng)| {
-            let mut chunk = sums[lo..hi].to_vec();
-            if policy == QuantizePolicy::FinalOnly {
-                wire.quantize(&mut chunk, rng);
-            }
-            chunk
-        })
-        .collect();
-    CollectiveResult {
-        per_rank,
-        owned,
-        bytes_on_wire: bytes,
-    }
 }
 
 /// What each hop ships through: `wire` itself under
@@ -287,90 +188,10 @@ pub(crate) fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
     }
 }
 
-/// Simulates the ring all-gather that follows a reduce-scatter, giving every
-/// rank the full reduced vector, with one RNG stream per rank (see
-/// [`ring_reduce_scatter`]). Rank `r` encodes its chunk once through the hop
-/// wire, drawing from `rngs[r]`, and every rank — the owner included — holds
-/// the decode of that one frame, so all ranks end with the same bits. The
-/// ring forwards the frame unchanged across `R − 1` links, which is what
-/// `bytes_on_wire` charges; forwarding moves no value, so the simulator
-/// does not replay it.
-///
-/// # Panics
-///
-/// Panics if `rngs.len()` differs from the number of ranks.
-pub fn ring_all_gather(
-    scattered: &CollectiveResult,
-    n: usize,
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &mut [Rng],
-) -> CollectiveResult {
-    let r_count = scattered.per_rank.len();
-    assert!(r_count > 0, "no ranks");
-    assert_eq!(rngs.len(), r_count, "need exactly one RNG stream per rank");
-    let bounds = chunk_bounds(n, r_count);
-    let hop_wire = hop_wire(wire, policy);
-    let hops = r_count as u64 - 1;
-    let mut full = vec![0.0f32; n];
-    let mut bytes = 0u64;
-    for (r, (chunk, rng)) in scattered.per_rank.iter().zip(rngs).enumerate() {
-        let (lo, hi) = bounds[(r + 1) % r_count];
-        let mut own = chunk.clone();
-        if hops > 0 {
-            bytes += hops * hop_wire.transmit(&mut own, rng);
-        }
-        full[lo..hi].copy_from_slice(&own);
-    }
-    CollectiveResult {
-        per_rank: vec![full; r_count],
-        owned: vec![(0, n); r_count],
-        bytes_on_wire: bytes,
-    }
-}
-
-/// Reduce-scatter followed by all-gather: a full all-reduce, one RNG stream
-/// per rank. Returns every rank's reduced vector and the combined bytes on
-/// the wire.
-///
-/// # Panics
-///
-/// Panics if `rngs.len() != grads.len()`.
-pub fn ring_all_reduce(
-    grads: &[Vec<f32>],
-    wire: &Wire,
-    policy: QuantizePolicy,
-    rngs: &mut [Rng],
-) -> CollectiveResult {
-    let n = grads[0].len();
-    let rs = ring_reduce_scatter(grads, wire, policy, rngs);
-    let mut ag = ring_all_gather(&rs, n, wire, policy, rngs);
-    ag.bytes_on_wire += rs.bytes_on_wire;
-    ag
-}
-
-/// Relative L2 error of a reduced result against the exact sum, over the
-/// positions each rank owns (reduce-scatter) or the full vector
-/// (all-reduce).
-pub fn relative_error(result: &CollectiveResult, exact: &[f32]) -> f64 {
-    let mut err2 = 0.0f64;
-    let mut ref2 = 0.0f64;
-    for (&(lo, _), chunk) in result.owned.iter().zip(&result.per_rank) {
-        for (got, want) in chunk.iter().zip(&exact[lo..]) {
-            err2 += (*got as f64 - *want as f64).powi(2);
-            ref2 += (*want as f64).powi(2);
-        }
-    }
-    if ref2 == 0.0 {
-        0.0
-    } else {
-        (err2 / ref2).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::{exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter};
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = Rng::seed_from(seed);

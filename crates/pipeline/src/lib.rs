@@ -8,15 +8,18 @@
 //! Unix sockets (one driver: [`transport::proc::launch`], fed typed
 //! [`transport::proc::Task`]s). Both drivers take an optional
 //! [`transport::ChaosPlan`] — fault injection is an argument, not a parallel
-//! API — both run the same rank code behind the [`transport::Endpoint`]
-//! surface, and both are bit-identical to the in-proc [`collective`] oracle
-//! — one per-rank ring simulator whose hops go through the transports' own
-//! frame codec, so the oracle pins the ring schedule and the codec is
-//! shared by construction. Each rank's endpoint counts its own traffic, the
-//! drivers add the counts ([`transport::TransportStats`]), and
-//! [`comm::codec_wire_bytes`] answers the same payload volume analytically.
-//! The pipeline-stage split and the 1F1B schedule simulator that draws
-//! Fig. 12 live with their only users, in `snip-experiments`.
+//! API — and both run the same rank code behind the [`transport::Endpoint`]
+//! surface. [`collective`] holds the wire formats every hop uses. Each
+//! rank's endpoint counts its own traffic, the drivers add the counts
+//! ([`transport::TransportStats`]), and [`comm::codec_wire_bytes`] answers
+//! the same payload volume analytically.
+//!
+//! Both fabrics are tested bit for bit against an in-proc ring simulator
+//! whose hops go through the transports' own frame codec, so the oracle
+//! pins the ring schedule and the codec is shared by construction. The
+//! simulator is test support (`tests/support/mod.rs`), not part of this
+//! crate's API. The pipeline-stage split and the 1F1B schedule simulator
+//! that draws Fig. 12 live with their only users, in `snip-experiments`.
 //!
 //! # Example
 //!
@@ -45,9 +48,15 @@ pub mod collective;
 pub mod comm;
 pub mod transport;
 
-pub use collective::{
-    ring_all_gather, ring_all_reduce, ring_reduce_scatter, CollectiveResult, QuantizePolicy, Wire,
-};
+// The unit tests reach the test-support oracle under the same paths the
+// integration tests use.
+#[cfg(test)]
+extern crate self as snip_pipeline;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
+
+pub use collective::{QuantizePolicy, Wire};
 pub use transport::{
     channel_mesh, data_parallel_train, run_ranks, threaded_all_reduce, ChannelFabric, Endpoint,
     Fabric, FrameError, RankChunk, TransportError, TransportStats,

@@ -90,7 +90,7 @@ pub(crate) fn extend_le<T, const N: usize>(
 }
 
 /// Serializes a payload for one hop of `wire` — the one hop codec, shared by
-/// the fabrics and the simulator's [`Wire::transmit`]. Returns the frame
+/// the fabrics and [`Wire::transmit`]. Returns the frame
 /// and its accounted payload bytes.
 pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<u8>, u64) {
     let n = payload.len();

@@ -1,10 +1,7 @@
 //! Real multi-rank transport: ranks exchanging **serialized byte frames**
 //! over pluggable fabrics.
 //!
-//! [`crate::collective`] simulates low-precision collectives in-process —
-//! every rank's state lives in one address space, and each hop's frame is
-//! encoded and decoded on the spot. This module is the real thing, twice
-//! over: the rank-facing surface is [`Endpoint`], generic over a byte-level
+//! The rank-facing surface is [`Endpoint`], generic over a byte-level
 //! [`Fabric`] backend, and everything that crosses a rank boundary is a
 //! byte frame — packed codes, scales and codec metadata serialized through
 //! [`snip_quant::wire`], BF16 payloads as raw `u16`s, exact payloads as raw
@@ -31,11 +28,12 @@
 //!
 //! The all-gather encodes each reduced chunk once — the owner keeps the
 //! frame's decode, the ring forwards its bytes — so every rank holds the
-//! same reduced vector. The in-proc simulator is the **oracle**: both
-//! fabrics' ring collectives are bit-identical to [`crate::collective`] (same
-//! per-rank RNG streams — the simulator's hops go through this module's
-//! [`frame`] codec, so what the oracle pins is the ring schedule), and the
-//! measured per-link payload counters equal
+//! same reduced vector. The **oracle** is an in-proc ring simulator kept
+//! with the tests (`tests/support/mod.rs`, also compiled into this crate's
+//! unit tests): both fabrics' ring collectives are bit-identical to it
+//! (same per-rank RNG streams — the simulator's hops go through this
+//! module's [`frame`] codec, so what the oracle pins is the ring schedule),
+//! and the measured per-link payload counters equal
 //! [`crate::comm::codec_wire_bytes`] exactly for every codec — including
 //! ragged tails. That equivalence is what makes the analytic
 //! accounting trustworthy, and it is pinned by the loopback tests in
@@ -82,7 +80,7 @@ pub use fabric::{
 };
 pub use frame::FrameError;
 
-use crate::collective::{chunk_bounds, hop_wire, CollectiveResult, QuantizePolicy, Wire};
+use crate::collective::{chunk_bounds, hop_wire, QuantizePolicy, Wire};
 use frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
@@ -177,7 +175,7 @@ impl TransportStats {
     }
 
     /// Total payload bytes across all links (sender side) — comparable 1:1
-    /// with the in-proc simulator's `bytes_on_wire`.
+    /// with the test-support simulator's `bytes_on_wire`.
     pub fn total_payload_bytes(&self) -> u64 {
         self.tx.iter().map(|l| l.payload).sum()
     }
@@ -422,10 +420,12 @@ impl<F: Fabric> Endpoint<F> {
         Ok((frame, payload, bytes))
     }
 
-    /// Ring reduce-scatter over serialized frames. Bit-identical to
-    /// [`crate::collective::ring_reduce_scatter`] run with each
-    /// rank's RNG stream: after `world − 1` hops this rank owns the fully
-    /// reduced chunk `(rank + 1) % world`.
+    /// Ring reduce-scatter over serialized frames: after `world − 1` hops
+    /// this rank owns the fully reduced chunk `(rank + 1) % world`. Every
+    /// hop ships through `wire` under [`QuantizePolicy::EveryHop`]; under
+    /// [`QuantizePolicy::FinalOnly`] hops are exact and the owned chunk is
+    /// quantized once. The tests pin it bit for bit against the in-proc
+    /// ring simulator run with each rank's RNG stream.
     ///
     /// # Errors
     ///
@@ -468,7 +468,7 @@ impl<F: Fabric> Endpoint<F> {
     /// the same bits of the full `n`-element reduced vector. This rank
     /// encodes its chunk once (its only RNG draw here) and keeps the
     /// frame's decode; later steps forward received frames unchanged.
-    /// Bit-identical to [`crate::collective::ring_all_gather`].
+    /// The tests pin it bit for bit against the in-proc ring simulator.
     ///
     /// # Errors
     ///
@@ -683,43 +683,26 @@ where
 }
 
 /// Runs a full threaded all-reduce with one gradient vector and one RNG
-/// stream per rank, assembling the per-rank results into the same
-/// [`CollectiveResult`] shape the in-proc simulator returns (with
-/// `bytes_on_wire` taken from the *measured* payload counters).
+/// stream per rank: [`run_ranks`] over [`Endpoint::ring_all_reduce`].
+/// Returns what the driver does — every rank's reduced vector, in rank
+/// order, and the measured traffic.
 ///
 /// # Panics
 ///
-/// Panics if `grads` is empty, lengths disagree, `rngs.len()` differs, or
-/// the collective fails mid-ring.
+/// Panics if `grads` is empty, `rngs.len()` differs, or the collective
+/// fails mid-ring (gradients of different lengths fail it).
 pub fn threaded_all_reduce(
     grads: &[Vec<f32>],
     wire: &Wire,
     policy: QuantizePolicy,
     rngs: &[Rng],
-) -> (CollectiveResult, TransportStats) {
-    check_world(grads, rngs);
-    let n = grads[0].len();
-    let (full, stats) = run_ranks(grads.len(), None, |ep| {
+) -> (Vec<Vec<f32>>, TransportStats) {
+    assert_eq!(rngs.len(), grads.len(), "need one RNG stream per rank");
+    run_ranks(grads.len(), None, |ep| {
         let mut rng = rngs[ep.rank()].clone();
         ep.ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
             .expect("threaded all-reduce failed")
-    });
-    let result = CollectiveResult {
-        per_rank: full,
-        owned: vec![(0, n); grads.len()],
-        bytes_on_wire: stats.total_payload_bytes(),
-    };
-    (result, stats)
-}
-
-pub(crate) fn check_world(grads: &[Vec<f32>], rngs: &[Rng]) {
-    assert!(!grads.is_empty(), "no ranks");
-    let n = grads[0].len();
-    assert!(
-        grads.iter().all(|g| g.len() == n),
-        "ranks disagree on gradient length"
-    );
-    assert_eq!(rngs.len(), grads.len(), "need one RNG stream per rank");
+    })
 }
 
 /// Synchronous data-parallel training over the threaded transport: each
@@ -798,8 +781,8 @@ pub fn data_parallel_train(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::{exact_sum, ring_reduce_scatter};
     use crate::comm::codec_wire_bytes;
+    use crate::support::{exact_sum, ring_reduce_scatter};
     use snip_quant::PackedQuantize;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -1030,7 +1013,7 @@ mod tests {
         let rngs: Vec<Rng> = (0..5).map(Rng::seed_from).collect();
         let (result, _) =
             threaded_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &rngs);
-        for rank in &result.per_rank {
+        for rank in &result {
             for (got, want) in rank.iter().zip(&exact) {
                 assert!((got - want).abs() < 1e-5);
             }

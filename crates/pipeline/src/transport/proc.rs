@@ -76,14 +76,14 @@
 //! through [`launch`], over channels through
 //! `run_ranks(world, chaos, |ep| run_task(ep, &tasks[ep.rank()]))`, and
 //! under a chaos plan on either, with nothing else to write. The named
-//! `proc_*` helpers below are fault-free delegations that build the tasks
-//! and reshape the outputs.
+//! `proc_*` helpers below are fault-free delegations that build the tasks;
+//! `proc_all_reduce` returns the launch as it is.
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError};
 use super::frame::extend_le;
 use super::{dp_train_loop, root_cause, Endpoint, TransportStats};
-use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
+use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::{
@@ -440,7 +440,7 @@ message_enum! {
     /// What a rank worker reports back: one variant per [`Task`] variant,
     /// under the same tag. Every `rng_fingerprint` is the rank's
     /// `rng.next_u64()` drawn after the task — it pins that the wire RNG
-    /// stream advanced exactly as the oracle's did.
+    /// stream advanced exactly as the test-support oracle's did.
     pub enum TaskOutput {
         /// The fully reduced `data` of the chunk `[lo, hi)` this rank owns.
         ReduceScatter = 0 {
@@ -1102,19 +1102,6 @@ pub fn launch(
 // Public task wrappers.
 // ---------------------------------------------------------------------------
 
-/// A collective's outcome over the process fabric.
-#[derive(Clone, Debug)]
-pub struct ProcCollective {
-    /// Per-rank reduced payloads, in the in-proc simulator's shape
-    /// (`bytes_on_wire` comes from the *measured* payload counters).
-    pub result: CollectiveResult,
-    /// Each rank's `rng.next_u64()` drawn after the collective — pins that
-    /// the per-rank RNG streams advanced exactly as the oracle's did.
-    pub rng_fingerprints: Vec<u64>,
-    /// Merged two-sided traffic counters.
-    pub stats: TransportStats,
-}
-
 /// A data-parallel training run's outcome over the process fabric.
 #[derive(Clone, Debug)]
 pub struct ProcDpTrain {
@@ -1128,47 +1115,12 @@ pub struct ProcDpTrain {
     pub stats: TransportStats,
 }
 
-impl ProcCollective {
-    /// Reshapes a collective launch's outputs into the in-proc simulator's
-    /// result shape.
-    pub fn from_outputs(outputs: Vec<TaskOutput>, stats: TransportStats) -> Self {
-        let mut result = CollectiveResult {
-            per_rank: Vec::new(),
-            owned: Vec::new(),
-            bytes_on_wire: stats.total_payload_bytes(),
-        };
-        let mut rng_fingerprints = Vec::new();
-        for output in outputs {
-            let (lo, hi, fingerprint, data) = match output {
-                TaskOutput::ReduceScatter {
-                    lo,
-                    hi,
-                    rng_fingerprint,
-                    data,
-                } => (lo, hi, rng_fingerprint, data),
-                TaskOutput::AllReduce {
-                    rng_fingerprint,
-                    data,
-                } => (0, data.len(), rng_fingerprint, data),
-                other => unreachable!("launch matches outputs to tasks, got {other:?}"),
-            };
-            result.owned.push((lo, hi));
-            result.per_rank.push(data);
-            rng_fingerprints.push(fingerprint);
-        }
-        ProcCollective {
-            result,
-            rng_fingerprints,
-            stats,
-        }
-    }
-}
-
 /// Ring all-reduce over the process fabric: one worker process per rank,
 /// gradients and seeds shipped to each worker, results and counters shipped
-/// back. Must be bit-identical to [`super::threaded_all_reduce`] and the
-/// in-proc [`crate::collective::ring_all_reduce`] for the same inputs and
-/// seeds.
+/// back. Returns what [`launch`] does: one [`TaskOutput::AllReduce`] per
+/// rank, in rank order, and the merged traffic. Bit-identical to
+/// [`super::threaded_all_reduce`] for the same inputs and seeds (and, in
+/// the tests, to the in-proc ring simulator).
 ///
 /// # Errors
 ///
@@ -1182,7 +1134,7 @@ pub fn proc_all_reduce(
     wire: &Wire,
     policy: QuantizePolicy,
     seeds: &[u64],
-) -> Result<ProcCollective, ProcError> {
+) -> Result<(Vec<TaskOutput>, TransportStats), ProcError> {
     assert_eq!(seeds.len(), grads.len(), "need one seed per rank");
     let tasks = grads
         .iter()
@@ -1193,8 +1145,7 @@ pub fn proc_all_reduce(
             seed,
             grad: grad.clone(),
         });
-    let (outputs, stats) = launch(tasks.collect(), None)?;
-    Ok(ProcCollective::from_outputs(outputs, stats))
+    launch(tasks.collect(), None)
 }
 
 /// Synchronous data-parallel training over the process fabric: each worker

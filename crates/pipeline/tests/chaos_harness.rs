@@ -26,13 +26,14 @@
 //! `--release`, and a fault that deadlocks instead of unwinding fails
 //! the per-check wall-clock guard rather than hanging the job.
 
+mod support;
+
 #[cfg(unix)]
 mod checks {
+    use crate::support::ProcCollective;
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
-    use snip_pipeline::transport::proc::{
-        launch, proc_all_reduce, ProcCollective, ProcError, Task,
-    };
+    use snip_pipeline::transport::proc::{launch, proc_all_reduce, ProcError, Task};
     use snip_pipeline::transport::{
         channel_mesh, data_parallel_train, data_parallel_train_with_recovery, run_ranks,
         threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, RankChunk,
@@ -117,8 +118,7 @@ mod checks {
                 seed,
                 grad: grad.clone(),
             });
-        let (outputs, stats) = launch(tasks.collect(), Some(plan))?;
-        Ok(ProcCollective::from_outputs(outputs, stats))
+        launch(tasks.collect(), Some(plan)).map(ProcCollective::from_launch)
     }
 
     /// An all-reduce over **undecorated** `ChannelFabric`s. The drivers
@@ -182,7 +182,7 @@ mod checks {
                 "{}: every counter must match the undecorated run",
                 wire.label()
             );
-            for (rank, (b, c)) in bare.per_rank.iter().zip(&chaos).enumerate() {
+            for (rank, (b, c)) in bare.iter().zip(&chaos).enumerate() {
                 let c = c.as_ref().expect("fault-free rank must succeed");
                 assert_bits_equal(b, c, &format!("{} rank {rank}", wire.label()));
             }
@@ -200,7 +200,7 @@ mod checks {
                 "{}: counters must match the undecorated fabric",
                 wire.label()
             );
-            for (rank, (u, b)) in undecorated.iter().zip(&bare.per_rank).enumerate() {
+            for (rank, (u, b)) in undecorated.iter().zip(&bare).enumerate() {
                 assert_bits_equal(u, b, &format!("{} undecorated rank {rank}", wire.label()));
             }
 
@@ -237,7 +237,7 @@ mod checks {
             let (delayed, delayed_stats) =
                 all_reduce_under(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &slow);
             assert_eq!(bare_stats, delayed_stats, "{}", wire.label());
-            for (rank, (b, d)) in bare.per_rank.iter().zip(&delayed).enumerate() {
+            for (rank, (b, d)) in bare.iter().zip(&delayed).enumerate() {
                 let d = d.as_ref().expect("delays are not failures");
                 assert_bits_equal(b, d, &format!("{} rank {rank}", wire.label()));
             }
@@ -408,8 +408,9 @@ mod checks {
             &ChaosPlan::none(1),
         )
         .expect("fault-free chaos run");
-        let bare =
-            proc_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds).expect("bare run");
+        let bare = proc_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
+            .map(ProcCollective::from_launch)
+            .expect("bare run");
         assert_eq!(calm.rng_fingerprints, bare.rng_fingerprints);
         assert_eq!(
             calm.stats.total_payload_bytes(),

@@ -1,12 +1,12 @@
 //! Property tests for the quantized ring-collective simulator (one RNG
-//! stream per rank).
+//! stream per rank), the transports' test-support oracle.
+
+mod support;
 
 use proptest::prelude::*;
-use snip_pipeline::collective::{
-    chunk_bounds, exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter, QuantizePolicy,
-    Wire,
-};
+use snip_pipeline::collective::{chunk_bounds, QuantizePolicy, Wire};
 use snip_tensor::rng::Rng;
+use support::{exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter};
 
 /// One RNG stream per rank, disjoint across `seed`s.
 fn rngs(ranks: usize, seed: u64) -> Vec<Rng> {

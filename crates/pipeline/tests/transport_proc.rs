@@ -3,7 +3,7 @@
 //! These pin the PR 4 acceptance criteria: the process backend (rank
 //! workers connected by Unix sockets, spawned by re-executing this very
 //! binary) is bit-identical to the threaded transport *and* to the in-proc
-//! `collective` oracle — same reduced gradients, same per-rank RNG
+//! ring simulator of `support` — same reduced gradients, same per-rank RNG
 //! streams (checked via post-collective fingerprints), same payload byte
 //! counters equal to `comm::codec_wire_bytes` for every codec, ragged
 //! tails included — and both sides of every socket account identical
@@ -14,13 +14,16 @@
 //! Cargo.toml) because spawned rank workers re-enter through `main`, which
 //! must divert them into `worker_boot()` before any test logic runs.
 
+mod support;
+
 #[cfg(unix)]
 mod checks {
+    use crate::support::{ring_all_reduce, ring_reduce_scatter, ProcCollective};
     use snip_core::{Trainer, TrainerConfig};
-    use snip_pipeline::collective::{ring_all_reduce, ring_reduce_scatter, QuantizePolicy, Wire};
+    use snip_pipeline::collective::{QuantizePolicy, Wire};
     use snip_pipeline::comm::codec_wire_bytes;
     use snip_pipeline::transport::proc::{
-        launch, proc_all_reduce, proc_data_parallel_train, ProcCollective, ProcError, Task,
+        launch, proc_all_reduce, proc_data_parallel_train, ProcError, Task,
     };
     use snip_pipeline::transport::{data_parallel_train, threaded_all_reduce};
     use snip_tensor::rng::Rng;
@@ -64,8 +67,7 @@ mod checks {
                 seed,
                 grad: grad.clone(),
             });
-        let (outputs, stats) = launch(tasks.collect(), None)?;
-        Ok(ProcCollective::from_outputs(outputs, stats))
+        launch(tasks.collect(), None).map(ProcCollective::from_launch)
     }
 
     fn assert_bits_equal(a: &[f32], b: &[f32], ctx: &str) {
@@ -89,6 +91,7 @@ mod checks {
             let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
 
             let proc = proc_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
+                .map(ProcCollective::from_launch)
                 .expect("process all-reduce");
             let (threaded, tstats) =
                 threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
@@ -112,7 +115,7 @@ mod checks {
                 .result
                 .per_rank
                 .iter()
-                .zip(&threaded.per_rank)
+                .zip(&threaded)
                 .zip(&oracle.per_rank)
                 .enumerate()
             {

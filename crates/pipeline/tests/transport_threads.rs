@@ -1,18 +1,17 @@
 //! Loopback tests for the threaded multi-rank transport.
 //!
 //! These pin the PR 3 acceptance criteria: the threaded transport is
-//! bit-identical to the in-proc `collective` simulator (same reduced
+//! bit-identical to the in-proc ring simulator of `support` (same reduced
 //! gradients, same per-rank RNG streams), and its measured per-link payload
 //! counters equal `comm::codec_wire_bytes` exactly for every codec —
 //! including ragged-tail shapes where `cols` is not divisible by the scale
 //! group. CI runs this file under `cargo test --release` as well: thread
 //! interleavings shift with optimization, and timing bugs hide in debug.
 
+mod support;
+
 use snip_core::{Trainer, TrainerConfig};
-use snip_pipeline::collective::{
-    exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter, CollectiveResult,
-    QuantizePolicy, Wire,
-};
+use snip_pipeline::collective::{QuantizePolicy, Wire};
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::{
     data_parallel_train, is_cascade_error, run_ranks, threaded_all_reduce, ChaosPlan, FrameError,
@@ -20,6 +19,7 @@ use snip_pipeline::transport::{
 };
 use snip_tensor::rng::Rng;
 use std::time::{Duration, Instant};
+use support::{exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter, CollectiveResult};
 
 fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = Rng::seed_from(seed);
@@ -93,13 +93,9 @@ fn threaded_collectives_are_bit_identical_to_the_inproc_oracle() {
                 oracle.bytes_on_wire,
                 "{ctx}: measured vs simulated bytes"
             );
-            for (rank, (t, o)) in threaded.per_rank.iter().zip(&oracle.per_rank).enumerate() {
+            for (rank, (t, o)) in threaded.iter().zip(&oracle.per_rank).enumerate() {
                 assert_eq!(bits(t), bits(o), "{ctx} rank {rank} vs oracle");
-                assert_eq!(
-                    bits(t),
-                    bits(&threaded.per_rank[0]),
-                    "{ctx} rank {rank} vs rank 0"
-                );
+                assert_eq!(bits(t), bits(&threaded[0]), "{ctx} rank {rank} vs rank 0");
             }
         }
     }

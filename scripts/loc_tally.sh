@@ -2,18 +2,26 @@
 # Non-test line tally of the workspace crates: every `.rs` file under
 # `crates/*/src`, counted up to (not including) its first `#[cfg(test)]`
 # line, or whole when it has none. Prints one line per crate, then the
-# total.
+# total, then — outside the total — a `test-support` line for the shared
+# test modules under `crates/*/tests/support`, counted the same way, so
+# code moved out of a crate's API into test support shows as moved, not
+# deleted.
 #
 #   scripts/loc_tally.sh            # from anywhere inside the checkout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-find crates/*/src -name '*.rs' -print0 |
-    xargs -0 awk '
-        FNR == 1 { if (file != "") print crate, n; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; on = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
-        on { n++ }
-        END { if (file != "") print crate, n }' |
+# Prints `<crate> <lines>` per file of the given roots.
+count() {
+    find "$@" -name '*.rs' -print0 |
+        xargs -0 -r awk '
+            FNR == 1 { if (file != "") print crate, n; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; on = 1 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
+            on { n++ }
+            END { if (file != "") print crate, n }'
+}
+
+count crates/*/src |
     awk '
         { sum[$1] += $2; total += $2 }
         END {
@@ -21,3 +29,7 @@ find crates/*/src -name '*.rs' -print0 |
             close("sort")
             printf "%-18s %6d\n", "total", total
         }'
+shopt -s nullglob
+support=(crates/*/tests/support)
+if ((${#support[@]})); then count "${support[@]}"; fi |
+    awk '{ n += $2 } END { printf "%-18s %6d\n", "test-support", n }'

@@ -11,9 +11,9 @@ use snip::core::{
 use snip::nn::memory::{MemoryModel, StateBytes};
 use snip::nn::model::StepOptions;
 use snip::nn::ModelConfig;
-use snip::pipeline::collective::{
-    exact_sum, relative_error, ring_all_reduce, QuantizePolicy, Wire,
-};
+use snip::pipeline::collective::{QuantizePolicy, Wire};
+use snip::pipeline::transport::threaded_all_reduce;
+use snip::tensor::ops::relative_error;
 use snip::tensor::rng::Rng;
 
 fn trained(steps: u64) -> Trainer {
@@ -114,12 +114,19 @@ fn quantized_all_reduce_of_real_gradients_is_usable() {
                 .collect()
         })
         .collect();
-    let exact = exact_sum(&grads);
-    let mut rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(15 + r)).collect();
-    let ar = ring_all_reduce(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &mut rngs);
-    let err = relative_error(&ar, &exact);
-    assert!(err < 0.05, "FP8 all-reduce error {err} too large");
-    assert!(err > 0.0, "quantization should not be exact");
+    let mut exact = vec![0.0f32; flat.len()];
+    for g in &grads {
+        for (s, v) in exact.iter_mut().zip(g) {
+            *s += v;
+        }
+    }
+    let rngs: Vec<Rng> = (0..4).map(|r| Rng::seed_from(15 + r)).collect();
+    let (reduced, _) = threaded_all_reduce(&grads, &Wire::fp8(16), QuantizePolicy::EveryHop, &rngs);
+    for copy in &reduced {
+        let err = relative_error(copy, &exact);
+        assert!(err < 0.05, "FP8 all-reduce error {err} too large");
+        assert!(err > 0.0, "quantization should not be exact");
+    }
 }
 
 #[test]
