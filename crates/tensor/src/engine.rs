@@ -61,8 +61,8 @@
 //! scalar, and the scalar body there pays a libm `fmaf` call per element.
 
 use crate::arena;
-use crate::packed::{prep, QOperandRef};
-use crate::pool::{self, AlignedVec};
+use crate::packed::QOperandRef;
+use crate::pool;
 use crate::Tensor;
 use std::cell::{Cell, RefCell};
 
@@ -114,42 +114,78 @@ pub(crate) enum Round {
     Bf16,
 }
 
+/// Floats per 64-byte cache line.
+const LINE: usize = 16;
+
+/// The `len`-float window of `buf` that starts on the buffer's first
+/// 64-byte cache line: every scratch slice of the engine — A blocks,
+/// B tiles, the B-tile cache, transpose staging — comes from here.
+///
+/// Why aligned: the tile kernels stream k-major B-tile rows with
+/// full-width vector loads, and a load that straddles two cache lines costs
+/// two line accesses. Tiles start at multiples of 64 floats into the
+/// window, so an aligned window keeps every tile row on its own lines; an
+/// unaligned `Vec<f32>` made every AVX2 and AVX-512 `bench_gemm` `gemm`
+/// row slower (CHANGES.md has the measured factors). The kernels use
+/// unaligned loads, so alignment changes speed, never bits: an offset
+/// `align_offset` cannot compute falls back to 0.
+///
+/// A buffer too short for the window is replaced by exactly `len + LINE −
+/// 1` zeros (no round-up: a 6 MiB B-tile cache stays 6 MiB); a longer one
+/// is reused, and the window keeps whatever the last user left there —
+/// callers overwrite every element. The buffer never shrinks.
+fn window(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len + LINE - 1 {
+        // Nothing in a too-short buffer is worth copying: free it before
+        // taking the replacement, so the two never coexist.
+        *buf = Vec::new();
+        *buf = vec![0.0; len + LINE - 1];
+    }
+    let off = match buf.as_ptr().align_offset(LINE * std::mem::size_of::<f32>()) {
+        off if off < LINE => off,
+        _ => 0,
+    };
+    &mut buf[off..off + len]
+}
+
+/// One thread's GEMM scratch, every slice of it a [`window`]. Named fields:
+/// the three buffers share a type, so a positional tuple could swap them
+/// silently.
+struct Scratch {
+    /// The A block of the current sweep, when it is decoded or transposed.
+    ablock: Vec<f32>,
+    /// The B tile of the current sweep, when there is no shared cache.
+    btile: Vec<f32>,
+    /// One band of `TB` decoded rows for [`transpose_into`].
+    staging: Vec<f32>,
+}
+
 thread_local! {
     /// Per-worker scratch, reused across GEMM calls for the lifetime of the
-    /// pool worker (or calling thread): A block, B tile (cache-line aligned
-    /// for SIMD tile-row streaming), and the staging buffer of the band
-    /// transpose ([`transpose_into`]): one band of `TB` packed rows, decoded.
-    static SCRATCH: RefCell<(Vec<f32>, AlignedVec, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), AlignedVec::new(), Vec::new())) };
+    /// pool worker (or calling thread).
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch { ablock: Vec::new(), btile: Vec::new(), staging: Vec::new() })
+    };
 
     /// The calling thread's B-tile cache ([`gemm_blocked_inner`]). A GEMM
     /// takes it out and puts it back, so a nested call on the same thread
     /// builds its own instead of aliasing it. It is kept between GEMMs only
     /// inside an [`arena::scope`] (a training step), like the step's other
     /// large buffers.
-    static BCACHE: Cell<AlignedVec> = const { Cell::new(AlignedVec::new()) };
+    static BCACHE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Returns a B-tile cache to [`BCACHE`] inside an arena scope (poisoned
 /// with NaN in builds with debug assertions, like the arena's buffers);
 /// frees it outside one.
-fn keep_bcache(mut cache: AlignedVec) {
+fn keep_bcache(mut cache: Vec<f32>) {
     if !arena::in_scope() {
         return;
     }
     if cfg!(debug_assertions) {
-        let len = cache.as_slice().len();
-        cache.prep(len).fill(f32::NAN);
+        cache.fill(f32::NAN);
     }
     BCACHE.set(cache);
-}
-
-fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut AlignedVec, &mut Vec<f32>) -> R) -> R {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        let (a, b, r) = &mut *s;
-        f(a, b, r)
-    })
 }
 
 /// The shared tile kernel: `C[i0.., j0..] += Ablock · Btile` where `ablock`
@@ -222,7 +258,7 @@ fn transpose_into(
         let (band, ld, off): (&[f32], usize, usize) = match src {
             QOperandRef::Dense(t) => (&t.as_slice()[rb * t.cols()..re * t.cols()], t.cols(), c0),
             QOperandRef::Packed(t) => {
-                let buf = prep(staging, (re - rb) * w);
+                let buf = window(staging, (re - rb) * w);
                 for (r, row) in buf.chunks_exact_mut(w).enumerate() {
                     t.decode_row_range_into(rb + r, c0, c1, row);
                 }
@@ -318,8 +354,9 @@ enum ASide {
 }
 
 /// Materializes the `mb×k` row-major A block for output rows `[i0, i1)` —
-/// a direct borrow for dense row-major operands, one decode (or transpose)
-/// per block sweep otherwise.
+/// a direct borrow for dense row-major operands (their rows are already
+/// contiguous), one decode (or transpose) per block sweep otherwise: this
+/// is what bounds packed-row decoding to one decode per sweep.
 fn build_ablock<'s>(
     a: &'s QOperandRef<'s>,
     side: ASide,
@@ -329,10 +366,17 @@ fn build_ablock<'s>(
     scratch: &'s mut Vec<f32>,
     staging: &mut Vec<f32>,
 ) -> &'s [f32] {
-    match side {
-        ASide::RowMajor => a.rows_block(i0, i1, scratch),
-        ASide::Transposed => {
-            let block = prep(scratch, (i1 - i0) * k);
+    match (side, a) {
+        (ASide::RowMajor, QOperandRef::Dense(t)) => &t.as_slice()[i0 * k..i1 * k],
+        (ASide::RowMajor, QOperandRef::Packed(t)) => {
+            let block = window(scratch, (i1 - i0) * k);
+            for r in 0..i1 - i0 {
+                t.decode_row_into(i0 + r, &mut block[r * k..(r + 1) * k]);
+            }
+            block
+        }
+        (ASide::Transposed, _) => {
+            let block = window(scratch, (i1 - i0) * k);
             transpose_into(a, (0, k), (i0, i1), block, staging);
             block
         }
@@ -362,11 +406,11 @@ fn sweep_rows(
     // Hoisted so the tile loop pays the telemetry gate once per sweep, not
     // per tile (and nothing at all beyond this load when collection is off).
     let obs = snip_obs::enabled();
-    with_scratch(|sa, sb, sr| {
+    SCRATCH.with_borrow_mut(|s| {
         let mut i0 = start;
         while i0 < end {
             let i1 = (i0 + MC).min(end);
-            let ablock = build_ablock(a, a_side, k, i0, i1, sa, sr);
+            let ablock = build_ablock(a, a_side, k, i0, i1, &mut s.ablock, &mut s.staging);
             let mut j0 = 0;
             while j0 < n {
                 let j1 = (j0 + NC).min(n);
@@ -381,8 +425,8 @@ fn sweep_rows(
                         if obs {
                             snip_obs::counter_add("gemm.btile.scratch_builds", 1);
                         }
-                        let tile = sb.prep(k * (j1 - j0));
-                        build_btile_into(b, b_side, k, j0, j1, tile, sr);
+                        let tile = window(&mut s.btile, k * (j1 - j0));
+                        build_btile_into(b, b_side, k, j0, j1, tile, &mut s.staging);
                         tile
                     }
                 };
@@ -495,27 +539,26 @@ fn gemm_blocked_inner(
     // per-worker scratch instead — same traffic as reading B once, no
     // up-front allocation.
     let reused = m > MC || (parts > 1 && m > 1);
-    let bcache: Option<AlignedVec> = if reused && k * n > 0 && k * n <= B_CACHE_LIMIT {
+    let mut bcache = (reused && k * n > 0 && k * n <= B_CACHE_LIMIT).then(|| BCACHE.take());
+    let btiles: Option<&[f32]> = bcache.as_mut().map(|cache| {
         // Tiles are stored back to back: the tile starting at column `j0`
-        // occupies `cache[j0 * k..j1 * k]`. The build writes every element,
+        // occupies `tiles[j0 * k..j1 * k]`. The build writes every element,
         // so the reused cache is not cleared first. It runs on the calling
         // thread: fanning it out over the pool did not resolve as a gain in
         // alternating `train-bf16` pairs (8 of 10 wins, median 301.6 vs
         // 322.7 ms, inside its own 24 ms inter-quartile spread).
-        let mut cache = BCACHE.take();
-        let mut staging = Vec::new();
-        for (t, tile) in cache.prep(k * n).chunks_mut(NC * k).enumerate() {
-            let j0 = t * NC;
-            build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, &mut staging);
-        }
+        let tiles = window(cache, k * n);
+        SCRATCH.with_borrow_mut(|s| {
+            for (t, tile) in tiles.chunks_mut(NC * k).enumerate() {
+                let j0 = t * NC;
+                build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, &mut s.staging);
+            }
+        });
         if snip_obs::enabled() {
             snip_obs::counter_add("gemm.bcache.builds", 1);
         }
-        Some(cache)
-    } else {
-        None
-    };
-    let btiles = bcache.as_ref().map(|cache| cache.as_slice());
+        &*tiles
+    });
     let cdata = c.as_mut_slice();
     for_each_row_chunk(m, parts, cdata, n, |start, end, chunk| {
         sweep_rows(a, a_side, b, b_side, n, k, round, btiles, start, end, chunk);
@@ -560,6 +603,32 @@ mod tests {
         t.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The tile kernels' speed depends on every scratch window starting on
+    /// a cache line, and nothing else fails when that is lost: pin it for
+    /// every length from one float to past three lines, across growth and
+    /// reuse, together with exact, zeroed growth.
+    #[test]
+    fn scratch_windows_are_line_aligned_exact_and_reused() {
+        let line = LINE * std::mem::size_of::<f32>();
+        let mut grown = Vec::new();
+        for len in 1..=3 * LINE + 1 {
+            let s = window(&mut grown, len);
+            assert_eq!(s.len(), len);
+            assert_eq!(s.as_ptr() as usize % line, 0, "growth to {len}");
+            assert!(s.iter().all(|&x| x == 0.0), "growth to {len} is zeroed");
+            assert_eq!(grown.capacity(), len + LINE - 1, "growth to {len} is exact");
+            grown.fill(3.5);
+        }
+        let ptr = grown.as_ptr();
+        for len in (1..=3 * LINE + 1).rev() {
+            let s = window(&mut grown, len);
+            assert_eq!(s.len(), len);
+            assert_eq!(s.as_ptr() as usize % line, 0, "reuse at {len}");
+            assert!(s.iter().all(|&x| x == 3.5), "reuse at {len} keeps contents");
+            assert_eq!(grown.as_ptr(), ptr, "reuse at {len} reallocated");
+        }
+    }
+
     /// A B-tile cache kept from an earlier GEMM is refilled without being
     /// cleared. Filled with NaN, any element the build failed to write
     /// would reach the output; the bits must equal a freshly built cache's
@@ -586,16 +655,15 @@ mod tests {
         for split in [1, 2, max, max + 3] {
             // Outside an arena scope every call builds a new cache.
             let fresh = pool::with_threads(split, run);
-            assert_eq!(BCACHE.take().as_slice().len(), 0, "kept outside a scope");
+            assert_eq!(BCACHE.take().len(), 0, "kept outside a scope");
 
             let _step = arena::scope();
-            let mut stale = AlignedVec::new();
-            stale.prep(2 * k * n).fill(f32::NAN);
-            let ptr = stale.as_slice().as_ptr();
+            let stale = vec![f32::NAN; 2 * k * n];
+            let ptr = stale.as_ptr();
             BCACHE.set(stale);
             let reused = pool::with_threads(split, run);
             let kept = BCACHE.take();
-            assert_eq!(kept.as_slice().as_ptr(), ptr, "split {split}: not reused");
+            assert_eq!(kept.as_ptr(), ptr, "split {split}: not reused");
             assert_eq!(reused, fresh, "split {split}");
         }
     }

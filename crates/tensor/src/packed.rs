@@ -559,40 +559,6 @@ impl QOperandRef<'_> {
             QOperandRef::Packed(t) => t.get(r, c),
         }
     }
-
-    /// Rows `[r0, r1)` as one contiguous row-major block: a direct borrow
-    /// for dense operands (their rows are already contiguous), a block
-    /// decode into `scratch` for packed ones. Called once per block sweep
-    /// by the GEMM engine — this is what bounds packed-row decoding to one
-    /// decode per sweep.
-    pub(crate) fn rows_block<'s>(
-        &'s self,
-        r0: usize,
-        r1: usize,
-        scratch: &'s mut Vec<f32>,
-    ) -> &'s [f32] {
-        match self {
-            QOperandRef::Dense(t) => &t.as_slice()[r0 * t.cols()..r1 * t.cols()],
-            QOperandRef::Packed(t) => {
-                let cols = t.cols();
-                let buf = prep(scratch, (r1 - r0) * cols);
-                for r in r0..r1 {
-                    t.decode_row_into(r, &mut buf[(r - r0) * cols..(r - r0 + 1) * cols]);
-                }
-                buf
-            }
-        }
-    }
-}
-
-/// Grows `scratch` to at least `len` and returns the `len`-prefix. Contents
-/// are unspecified — callers overwrite every element. Never shrinks, so a
-/// pool worker's scratch reaches a steady state and stops allocating.
-pub(crate) fn prep(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if scratch.len() < len {
-        scratch.resize(len, 0.0);
-    }
-    &mut scratch[..len]
 }
 
 /// `C = A · B` over packed/dense operands (`A`: `M×K`, `B`: `K×N`).

@@ -29,104 +29,10 @@
 //! the current thread only (the worker count itself never changes after
 //! init).
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Cache-line alignment for GEMM scratch buffers: covers every vector width
-/// we dispatch to (32-byte AVX2, 64-byte AVX-512) and keeps tiles from
-/// straddling lines.
-pub(crate) const SCRATCH_ALIGN: usize = 64;
-
-/// A grow-only `f32` buffer whose storage is always [`SCRATCH_ALIGN`]-byte
-/// aligned — `Vec<f32>` only guarantees 4.
-///
-/// The B-side tile cache and per-worker tile scratch live in these so the
-/// SIMD microkernels stream k-major tile rows from aligned, cache-line-sized
-/// slots. The kernels still use unaligned loads (output rows land at
-/// arbitrary `j0` offsets and correctness never depends on alignment), but
-/// aligned tile bases mean an 8-lane load never splits across two lines.
-/// Alignment can't change results — only which micro-op the load decodes to.
-///
-/// Like the `prep` pattern on `Vec`, `prep` here hands out the requested
-/// length with unspecified contents, for callers that overwrite every
-/// element; capacity never shrinks for the lifetime of the buffer.
-pub(crate) struct AlignedVec {
-    ptr: NonNull<f32>,
-    cap: usize,
-    len: usize,
-}
-
-// SAFETY: the buffer is plain `f32` storage with unique ownership; sending
-// it (or a shared reference) across threads is as safe as `Vec<f32>`.
-unsafe impl Send for AlignedVec {}
-unsafe impl Sync for AlignedVec {}
-
-impl AlignedVec {
-    pub(crate) const fn new() -> Self {
-        AlignedVec {
-            ptr: NonNull::dangling(),
-            cap: 0,
-            len: 0,
-        }
-    }
-
-    fn layout(cap: usize) -> Layout {
-        Layout::from_size_align(cap * std::mem::size_of::<f32>(), SCRATCH_ALIGN)
-            .expect("scratch layout overflow")
-    }
-
-    /// Returns a slice of exactly `len` floats with unspecified contents:
-    /// whatever the last user left, or zeros where the buffer just grew.
-    /// Grows to exactly `len` when it must (a power-of-two round-up made a
-    /// 6 MiB B-tile cache cost 8), and never shrinks.
-    pub(crate) fn prep(&mut self, len: usize) -> &mut [f32] {
-        if len > self.cap {
-            let layout = Self::layout(len);
-            // Grow-only scratch has no contents worth copying: drop the old
-            // allocation and take a fresh one, zeroed so that every float
-            // up to `cap` is initialized.
-            unsafe { self.release() };
-            let raw = unsafe { alloc_zeroed(layout) } as *mut f32;
-            self.ptr = NonNull::new(raw).unwrap_or_else(|| handle_alloc_error(layout));
-            self.cap = len;
-        }
-        self.len = len;
-        // SAFETY: `len <= cap`, and all `cap` floats were initialized by
-        // `alloc_zeroed` and have only been written as `f32` since.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), len) }
-    }
-
-    /// The slice produced by the last [`prep`](Self::prep) call.
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Frees the current allocation (no-op when empty). Caller must not use
-    /// `ptr` afterwards without reassigning it.
-    unsafe fn release(&mut self) {
-        if self.cap > 0 {
-            dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.cap));
-            self.cap = 0;
-            self.len = 0;
-        }
-    }
-}
-
-impl Default for AlignedVec {
-    fn default() -> Self {
-        AlignedVec::new()
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        unsafe { self.release() };
-    }
-}
 
 /// One parallel region: a fixed number of task indices, a lifetime-erased
 /// task function, and a completion latch.
@@ -472,32 +378,5 @@ mod tests {
     #[test]
     fn size_is_at_least_one() {
         assert!(size() >= 1);
-    }
-
-    #[test]
-    fn aligned_vec_is_aligned_exact_and_reusable() {
-        let mut v = AlignedVec::new();
-        let mut cap = 0;
-        for len in [1usize, 7, 64, 65, 1000, 3] {
-            let grows = len > cap;
-            cap = cap.max(len);
-            let s = v.prep(len);
-            assert_eq!(s.len(), len);
-            assert_eq!(s.as_ptr() as usize % SCRATCH_ALIGN, 0);
-            if grows {
-                assert!(
-                    s.iter().all(|&x| x == 0.0),
-                    "len {len}: fresh growth is zeroed"
-                );
-            } else {
-                assert!(
-                    s.iter().all(|&x| x == 3.5),
-                    "len {len}: reuse keeps contents"
-                );
-            }
-            s.fill(3.5);
-            assert_eq!(v.as_slice().len(), len);
-            assert_eq!(v.cap, cap, "grows to the exact length");
-        }
     }
 }

@@ -53,13 +53,6 @@ impl Rng {
         }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// subsystem (data, init, rounding, probes) its own stream.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let a = self.next_u64();
-        Rng::seed_from(a ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Returns the next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -219,15 +212,6 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fork_gives_independent_stream() {
-        let mut parent = Rng::seed_from(5);
-        let mut child = parent.fork(1);
-        let a: Vec<u64> = (0..16).map(|_| parent.next_u64()).collect();
-        let b: Vec<u64> = (0..16).map(|_| child.next_u64()).collect();
-        assert_ne!(a, b);
     }
 
     #[test]

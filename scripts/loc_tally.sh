@@ -5,31 +5,36 @@
 # total, then — outside the total — a `test-support` line for the shared
 # test modules under `crates/*/tests/support`, counted the same way, so
 # code moved out of a crate's API into test support shows as moved, not
-# deleted.
+# deleted; last, one `unsafe <crate>` line per crate: how many of its
+# non-test lines contain the word `unsafe`.
 #
 #   scripts/loc_tally.sh            # from anywhere inside the checkout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Prints `<crate> <lines>` per file of the given roots.
+# Prints `<crate> <lines> <unsafe lines>` per file of the given roots.
 count() {
     find "$@" -name '*.rs' -print0 |
         xargs -0 -r awk '
-            FNR == 1 { if (file != "") print crate, n; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; on = 1 }
+            FNR == 1 { if (file != "") print crate, n, u; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; u = 0; on = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
             on { n++ }
-            END { if (file != "") print crate, n }'
+            on && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { u++ }
+            END { if (file != "") print crate, n, u }'
 }
 
-count crates/*/src |
-    awk '
-        { sum[$1] += $2; total += $2 }
-        END {
-            for (c in sum) printf "%-18s %6d\n", c, sum[c] | "sort"
-            close("sort")
-            printf "%-18s %6d\n", "total", total
-        }'
+crates=$(count crates/*/src)
+awk '
+    { sum[$1] += $2; total += $2 }
+    END {
+        for (c in sum) printf "%-18s %6d\n", c, sum[c] | "sort"
+        close("sort")
+        printf "%-18s %6d\n", "total", total
+    }' <<<"$crates"
 shopt -s nullglob
 support=(crates/*/tests/support)
 if ((${#support[@]})); then count "${support[@]}"; fi |
     awk '{ n += $2 } END { printf "%-18s %6d\n", "test-support", n }'
+awk '
+    { sum[$1] += $3 }
+    END { for (c in sum) printf "%-18s %6d\n", "unsafe " c, sum[c] | "sort" }' <<<"$crates"
