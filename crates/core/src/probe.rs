@@ -39,12 +39,12 @@
 //!
 //! The ≈ 200 per-layer statistics (norms, quantization errors, gradient
 //! distances, AdamW sensitivities) run on the worker pool, one whole
-//! reduction per task (`stats::reduce`), each in ascending serial `f64`
-//! order — so a [`SnipMeasurement`] is identical at every thread count and
-//! equal, bit for bit, to the three-full-steps reference kept as the test
-//! oracle in `tests/probe_equivalence.rs`.
+//! reduction per task (`snip_tensor::pool::reduce`), each in ascending
+//! serial `f64` order — so a [`SnipMeasurement`] is identical at every
+//! thread count and equal, bit for bit, to the three-full-steps reference
+//! kept as the test oracle in `tests/probe_equivalence.rs`.
 
-use crate::stats::{reduce, LayerView, Reduction, StepStats};
+use crate::stats::{LayerView, StepStats};
 use serde::{Deserialize, Serialize};
 use snip_nn::inject::Injection;
 use snip_nn::model::Model;
@@ -52,6 +52,7 @@ use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, Linear, LinearCache};
 use snip_optim::AdamW;
 use snip_quant::{LinearPrecision, Precision};
+use snip_tensor::pool::{reduce, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// Everything the divergence analysis needs, extracted from one batch.

@@ -7,29 +7,16 @@
 //! needs — after this step the model tensors can be dropped.
 //!
 //! Every statistic is one independent scalar reduction over a borrowed
-//! tensor, and `reduce` runs them **one reduction per pool task**: a task
-//! sums its whole tensor serially in ascending element order, so a value
-//! never depends on the thread count or on which worker computed it.
+//! tensor, and [`pool::reduce`] runs them **one reduction per pool task**: a
+//! task sums its whole tensor serially in ascending element order, so a
+//! value never depends on the thread count or on which worker computed it.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::record::StepRecord;
 use snip_nn::{LayerId, ModelConfig};
 use snip_quant::{Precision, TensorRole};
-use snip_tensor::{pool, Tensor};
-
-/// One independent scalar reduction over borrowed tensors.
-pub(crate) type Reduction<'a> = Box<dyn FnOnce() -> f64 + Send + 'a>;
-
-/// Evaluates every reduction across the worker pool, one task each, and
-/// returns their values in task order.
-pub(crate) fn reduce(tasks: Vec<Reduction<'_>>) -> Vec<f64> {
-    let mut values = vec![0.0; tasks.len()];
-    pool::for_each_owned(
-        values.iter_mut().zip(tasks).collect(),
-        |_, (value, task)| *value = task(),
-    );
-    values
-}
+use snip_tensor::pool::{self, Reduction};
+use snip_tensor::Tensor;
 
 /// The tensors and in-pass norms of one linear layer on a statistics
 /// iteration, borrowed from wherever they live — a [`StepRecord`]'s
@@ -162,7 +149,7 @@ impl StepStats {
                 }
             }
         }
-        let values = reduce(tasks);
+        let values = pool::reduce(tasks);
         let err = |r: &[f64]| ErrorByPrecision {
             fp4: r[0],
             fp8: r[1],

@@ -15,6 +15,10 @@ use snip_tensor::{
     Tensor,
 };
 
+/// Trainable parameters per block: two norm gains and seven linear weights
+/// ([`Block::params_mut`]).
+pub(crate) const PARAMS_PER_BLOCK: usize = 9;
+
 /// One transformer block with its seven quantizable linear layers.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Block {
@@ -137,13 +141,29 @@ impl Block {
         }
     }
 
-    /// Visits every trainable parameter of the block in a fixed order.
+    /// Every trainable parameter of the block in its fixed order:
+    /// `attn_norm`, the seven linear weights in [`LayerKind::ALL`] order,
+    /// `mlp_norm`.
+    pub fn params_mut(&mut self) -> [&mut Param; PARAMS_PER_BLOCK] {
+        [
+            self.attn_norm.gain_mut(),
+            self.wq.weight_mut(),
+            self.wk.weight_mut(),
+            self.wv.weight_mut(),
+            self.wo.weight_mut(),
+            self.gate.weight_mut(),
+            self.up.weight_mut(),
+            self.down.weight_mut(),
+            self.mlp_norm.gain_mut(),
+        ]
+    }
+
+    /// Visits every trainable parameter of the block in
+    /// [`Block::params_mut`] order.
     pub fn visit_params_mut(&mut self, f: &mut impl FnMut(&mut Param)) {
-        f(self.attn_norm.gain_mut());
-        for kind in LayerKind::ALL {
-            f(self.linear_mut(kind).weight_mut());
+        for p in self.params_mut() {
+            f(p);
         }
-        f(self.mlp_norm.gain_mut());
     }
 
     fn fwd_linear(

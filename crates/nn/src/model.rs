@@ -7,7 +7,7 @@
 //! three backward passes over it.
 
 use crate::batch::Batch;
-use crate::block::{Block, BlockCache};
+use crate::block::{Block, BlockCache, PARAMS_PER_BLOCK};
 use crate::config::ModelConfig;
 use crate::embedding::Embedding;
 use crate::layers::LayerId;
@@ -18,6 +18,7 @@ use crate::param::Param;
 use crate::record::{LayerTap, StepRecord};
 use serde::{Deserialize, Serialize};
 use snip_quant::LinearPrecision;
+use snip_tensor::pool::{self, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// Options controlling one training/evaluation step.
@@ -182,25 +183,33 @@ impl Model {
             .collect()
     }
 
-    /// Visits every trainable parameter in a fixed, deterministic order.
-    pub fn visit_params_mut(&mut self, f: &mut impl FnMut(&mut Param)) {
-        f(self.embed.table_mut());
+    /// Every trainable parameter in its fixed, deterministic order:
+    /// `embed`, then per block [`Block::params_mut`] (`attn_norm, Q, K, V,
+    /// O, Gate, Up, Down, mlp_norm`), then `final_norm`, `lm_head`.
+    /// Optimizers key their per-parameter state by this order.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = Vec::with_capacity(3 + self.blocks.len() * PARAMS_PER_BLOCK);
+        params.push(self.embed.table_mut());
         for b in &mut self.blocks {
-            b.visit_params_mut(f);
+            params.extend(b.params_mut());
         }
-        f(self.final_norm.gain_mut());
-        f(self.lm_head.weight_mut());
+        params.push(self.final_norm.gain_mut());
+        params.push(self.lm_head.weight_mut());
+        params
+    }
+
+    /// Visits every trainable parameter in [`Model::params_mut`] order.
+    pub fn visit_params_mut(&mut self, f: &mut impl FnMut(&mut Param)) {
+        for p in self.params_mut() {
+            f(p);
+        }
     }
 
     /// Index of a quantizable linear layer's weight in the
-    /// [`Model::visit_params_mut`] order. Optimizers key their per-parameter
+    /// [`Model::params_mut`] order. Optimizers key their per-parameter
     /// state by this order, so SNIP uses it to pair a layer with its AdamW
     /// moments.
-    ///
-    /// Visit order: `embed`, then per block `attn_norm, Q, K, V, O, Gate,
-    /// Up, Down, mlp_norm`, then `final_norm`, `lm_head`.
     pub fn param_index_of(&self, id: LayerId) -> usize {
-        const PARAMS_PER_BLOCK: usize = 9; // 2 norms + 7 linears
         1 + id.block * PARAMS_PER_BLOCK + 1 + id.kind.index()
     }
 
@@ -214,16 +223,23 @@ impl Model {
         self.lm_head.set_exact_mode(exact);
     }
 
-    /// Zeroes all gradient accumulators.
+    /// Zeroes all gradient accumulators, one parameter per pool task.
     pub fn zero_grads(&mut self) {
-        self.visit_params_mut(&mut |p| p.zero_grad());
+        pool::for_each_owned(self.params_mut(), |_, p| p.zero_grad());
     }
 
-    /// Global gradient norm across all parameters.
+    /// Global gradient norm across all parameters: one squared sum per
+    /// pool task, added in parameter order.
     pub fn grad_norm(&mut self) -> f64 {
-        let mut sq = 0.0;
-        self.visit_params_mut(&mut |p| sq += p.grad().squared_sum());
-        sq.sqrt()
+        let params = self.params_mut();
+        let tasks = params
+            .iter()
+            .map(|p| Box::new(move || p.grad().squared_sum()) as Reduction<'_>)
+            .collect();
+        pool::reduce(tasks)
+            .into_iter()
+            .fold(0.0, |sq, s| sq + s)
+            .sqrt()
     }
 
     /// Total number of scalar parameters.
@@ -527,6 +543,25 @@ mod tests {
         let fd = (mp.forward_loss(&batch, &mut rng) - mm.forward_loss(&batch, &mut rng))
             / (2.0 * h as f64);
         assert!((fd - an).abs() < 2e-2 * (1.0 + an.abs()), "fd={fd} an={an}");
+    }
+
+    #[test]
+    fn param_index_of_names_the_layer_weight_in_params_mut_order() {
+        let (mut model, _, _) = tiny_setup();
+        assert_eq!(model.config().n_layers, 2);
+        let ids: Vec<LayerId> = (0..model.config().n_linear_layers())
+            .map(LayerId::from_linear_index)
+            .collect();
+        let names: Vec<String> = ids
+            .iter()
+            .map(|&id| model.linear(id).weight().name().to_owned())
+            .collect();
+        let indices: Vec<usize> = ids.iter().map(|&id| model.param_index_of(id)).collect();
+        let params = model.params_mut();
+        assert_eq!(params.len(), 3 + 2 * PARAMS_PER_BLOCK);
+        for ((id, name), index) in ids.iter().zip(&names).zip(indices) {
+            assert_eq!(params[index].name(), name, "{id:?}");
+        }
     }
 
     #[test]

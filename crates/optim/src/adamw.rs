@@ -28,7 +28,7 @@ use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
 use snip_quant::{Quantizer, Rounding};
 use snip_tensor::rng::Rng;
-use snip_tensor::{QTensor, Tensor};
+use snip_tensor::{pool, QTensor, Tensor};
 
 /// Storage precision of the AdamW moment state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,7 +176,7 @@ impl StoredMoments {
 /// The AdamW optimizer.
 ///
 /// Per-parameter state is keyed by position in the model's deterministic
-/// [`Model::visit_params_mut`] order.
+/// [`Model::params_mut`] order.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AdamW {
     cfg: AdamWConfig,
@@ -226,25 +226,35 @@ impl AdamW {
     }
 
     /// Applies one AdamW update to every parameter of the model using the
-    /// accumulated gradients. Gradients are *not* zeroed.
+    /// accumulated gradients, one parameter per pool task. Gradients are
+    /// *not* zeroed.
     ///
     /// Under packed moments the previous `m`/`v` are decoded, updated in
-    /// f32, applied to the FP32 master weights, and re-quantized — the
-    /// low-precision state is the *only* deviation from the f32 recipe.
+    /// f32, applied to the FP32 master weights, and re-quantized (inside
+    /// the parameter's task) — the low-precision state is the *only*
+    /// deviation from the f32 recipe.
     pub fn update(&mut self, model: &mut Model) {
         self.step += 1;
         let t = self.step as i32;
         let cfg = self.cfg;
         let bias1 = 1.0 - cfg.beta1.powi(t);
         let bias2 = 1.0 - cfg.beta2.powi(t);
-        let states = &mut self.states;
-        let mut idx = 0usize;
-        model.visit_params_mut(&mut |p| {
+        let params = model.params_mut();
+        // New parameters get zero moments, in order, before the fan-out.
+        for p in params.iter().skip(self.states.len()) {
             let (rows, cols) = p.value().shape();
-            if states.len() <= idx {
-                states.push(StoredMoments::zeros(rows, cols, cfg.moments));
-            }
-            let st = &mut states[idx];
+            self.states
+                .push(StoredMoments::zeros(rows, cols, cfg.moments));
+        }
+        let lr = cfg.lr as f32;
+        let b1 = cfg.beta1 as f32;
+        let b2 = cfg.beta2 as f32;
+        let eps = cfg.eps as f32;
+        let wd = cfg.weight_decay as f32;
+        let inv_bias1 = (1.0 / bias1) as f32;
+        let inv_bias2 = (1.0 / bias2) as f32;
+        let work = params.into_iter().zip(&mut self.states).collect();
+        pool::for_each_owned(work, |_, (p, st)| {
             // Working copies of the moments: borrowed in place for dense
             // storage, decoded for packed.
             let mut decoded = match st {
@@ -259,13 +269,6 @@ impl AdamW {
             let (value, grad) = p.value_grad_mut();
             let v_data = value.as_mut_slice();
             let g_data = grad.as_slice();
-            let lr = cfg.lr as f32;
-            let b1 = cfg.beta1 as f32;
-            let b2 = cfg.beta2 as f32;
-            let eps = cfg.eps as f32;
-            let wd = cfg.weight_decay as f32;
-            let inv_bias1 = (1.0 / bias1) as f32;
-            let inv_bias2 = (1.0 / bias2) as f32;
             for i in 0..v_data.len() {
                 let g = g_data[i];
                 // Decoupled weight decay.
@@ -282,7 +285,6 @@ impl AdamW {
                     v: pack_moment(&v_quantizer(), &d.v),
                 };
             }
-            idx += 1;
         });
     }
 

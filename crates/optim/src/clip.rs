@@ -1,9 +1,10 @@
 //! Global gradient-norm clipping.
 
 use snip_nn::model::Model;
+use snip_tensor::pool;
 
-/// Scales all gradients so the global norm does not exceed `max_norm`.
-/// Returns the pre-clip global norm.
+/// Scales all gradients so the global norm does not exceed `max_norm`,
+/// one parameter per pool task. Returns the pre-clip global norm.
 ///
 /// # Panics
 ///
@@ -13,7 +14,7 @@ pub fn clip_global_norm(model: &mut Model, max_norm: f64) -> f64 {
     let norm = model.grad_norm();
     if norm > max_norm && norm > 0.0 {
         let scale = (max_norm / norm) as f32;
-        model.visit_params_mut(&mut |p| p.grad_mut().scale(scale));
+        pool::for_each_owned(model.params_mut(), |_, p| p.grad_mut().scale(scale));
     }
     norm
 }

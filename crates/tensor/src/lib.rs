@@ -74,7 +74,7 @@ pub use packed::{CodeWidth, QOperandRef, QTensor};
 // but `snip-tensor` is its canonical address for the rest of the stack:
 // `SNIP_SIMD`, `SNIP_THREADS` and `SNIP_TRACE` all parse through it.
 pub use snip_obs::env;
-pub use tensor::Tensor;
+pub use tensor::{Tensor, PARALLEL_ELEMENTS};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

@@ -1,17 +1,22 @@
-//! A lazily-initialized, persistent worker pool for the GEMM engine.
+//! A lazily-initialized, persistent worker pool for every parallel region
+//! of a training step.
 //!
-//! The dense and packed GEMM kernels used to spawn fresh OS threads per call
-//! via `std::thread::scope`; at tens of microseconds per spawn — more under
-//! load — that overhead was paid three times per linear layer per training
-//! step. This pool spawns its workers **once**, on the first parallel
-//! dispatch, and afterwards a parallel GEMM costs one queue push and a
-//! condvar wake (single-digit microseconds, amortized across the job).
+//! Its users are the GEMM engine (output-row bands of one product), the
+//! elementwise [`Tensor`](crate::Tensor) ops (contiguous element bands of
+//! one large tensor), the per-parameter passes of `snip-nn` and
+//! `snip-optim` (gradient zeroing, the clip norm and scale, the AdamW
+//! update) and the SNIP probe's statistics ([`reduce`]). The pool spawns
+//! its workers **once**, on the first parallel dispatch, and afterwards a
+//! region costs one queue push and a condvar wake (single-digit
+//! microseconds, amortized across the job) — spawning fresh threads per
+//! call used to cost tens of microseconds each.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** The pool never decides *what* a task computes — a job
 //!    is a fixed list of `tasks` indices and each index owns a fixed,
-//!    disjoint slice of the output. Which worker runs an index never changes
+//!    disjoint slice of the output (or one whole reduction, whose value is
+//!    returned in task order). Which worker runs an index never changes
 //!    the result, so outputs are bit-identical for every pool size
 //!    (property-tested in `tests/pool_determinism.rs`).
 //! 2. **std only.** No rayon/crossbeam: a `Mutex<VecDeque>` job board, a
@@ -26,8 +31,9 @@
 //! and cached — per-call `available_parallelism` syscalls were measurable on
 //! the old path. Tests and tuning code can force the *task split* of a
 //! region with [`with_threads`], which overrides the parallelism decision on
-//! the current thread only (the worker count itself never changes after
-//! init).
+//! the current thread and on the workers serving its regions, and caps the
+//! threads a region runs on at that split (the worker count itself never
+//! changes after init).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -58,6 +64,10 @@ struct Job {
     /// tier on every thread that serves it (thread-locals don't cross the
     /// pool on their own).
     forced_backend: Option<crate::engine::simd::Backend>,
+    /// The dispatching thread's forced task split at submit time (see
+    /// [`with_threads`]), installed the same way so a region nested inside
+    /// a task splits as it would on the caller.
+    forced_split: Option<usize>,
     /// Submit time against the trace epoch, captured only when telemetry
     /// collection is on; workers turn it into the `pool.queue_wait_ns`
     /// histogram when they pop a board entry.
@@ -75,7 +85,9 @@ impl Job {
     /// count it completed. Tasks run under the submitting thread's forced
     /// SIMD backend (a no-op re-install on the caller itself).
     fn drain(&self) {
-        crate::engine::simd::with_forced_raw(self.forced_backend, || self.drain_inner());
+        crate::engine::simd::with_forced_raw(self.forced_backend, || {
+            with_split(self.forced_split, || self.drain_inner())
+        });
     }
 
     fn drain_inner(&self) {
@@ -151,7 +163,7 @@ fn pool() -> &'static Pool {
         for i in 1..threads {
             let board = Arc::clone(&board);
             std::thread::Builder::new()
-                .name(format!("snip-gemm-{i}"))
+                .name(format!("snip-pool-{i}"))
                 .spawn(move || loop {
                     let job = {
                         let mut q = board.queue.lock().expect("job board poisoned");
@@ -170,7 +182,7 @@ fn pool() -> &'static Pool {
                     }
                     job.drain();
                 })
-                .expect("failed to spawn GEMM pool worker");
+                .expect("failed to spawn pool worker");
         }
         Pool { board, threads }
     })
@@ -189,16 +201,24 @@ pub(crate) fn forced_threads() -> Option<usize> {
 }
 
 /// Runs `f` with every parallel region on this thread forced to split into
-/// exactly `n` tasks (bypassing the work-size threshold), then restores the
-/// previous setting. `n` is a *split* width, not a worker count: values
-/// above the pool size still execute, with tasks queuing for free workers.
+/// exactly `n` tasks (bypassing the work-size threshold) and to run on at
+/// most `n` threads, the caller included, then restores the previous
+/// setting. Workers serving those regions inherit the setting for nested
+/// regions. `n` is a *split* width, not a worker count: values above the
+/// pool size still execute, with tasks queuing for free workers, and
+/// `with_threads(1, …)` runs everything on the calling thread.
 ///
 /// Kernel results are bit-identical for every `n` — this hook exists so
 /// tests can prove that cheaply (serial vs. split runs of small problems)
 /// and so callers can pin the split for benchmarking.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let n = n.max(1);
-    let prev = FORCED.with(|c| c.replace(Some(n)));
+    with_split(Some(n.max(1)), f)
+}
+
+/// Runs `f` with this thread's forced split set to `split`, restoring the
+/// previous value afterwards (also on unwind).
+fn with_split<R>(split: Option<usize>, f: impl FnOnce() -> R) -> R {
+    let prev = FORCED.with(|c| c.replace(split));
     struct Restore(Option<usize>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -240,6 +260,23 @@ pub fn for_each_owned<T: Send>(items: Vec<T>, f: impl Fn(usize, T) + Sync) {
     });
 }
 
+/// One independent scalar reduction over borrowed data.
+pub type Reduction<'a> = Box<dyn FnOnce() -> f64 + Send + 'a>;
+
+/// Evaluates every reduction across the pool, one whole reduction per task,
+/// and returns their values in task order. A task runs its reduction
+/// serially from start to end, so a value never depends on the split or on
+/// which worker computed it; a caller that combines the values folds them
+/// in task order.
+pub fn reduce(tasks: Vec<Reduction<'_>>) -> Vec<f64> {
+    let mut values = vec![0.0; tasks.len()];
+    for_each_owned(
+        values.iter_mut().zip(tasks).collect(),
+        |_, (value, task)| *value = task(),
+    );
+    values
+}
+
 /// Executes `task(0..tasks)` across the pool, returning when every index
 /// has completed. The calling thread participates, so progress never
 /// depends on a free worker. Panics in tasks propagate to the caller after
@@ -272,12 +309,15 @@ pub(crate) fn run(tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         finished: Condvar::new(),
         panic: Mutex::new(None),
         forced_backend: crate::engine::simd::forced_backend(),
+        forced_split: forced_threads(),
         submitted_ns: obs.then(snip_obs::trace::now_ns),
     });
     // One board entry per helper we could use; each popped entry drains the
     // job, so more entries than `threads - 1` would only wake workers to
-    // find nothing left.
-    let helpers = (tasks - 1).min(p.threads.saturating_sub(1));
+    // find nothing left. A forced split also caps the threads: under
+    // `with_threads(1, …)` the caller drains every task itself.
+    let threads = job.forced_split.map_or(p.threads, |n| n.min(p.threads));
+    let helpers = (tasks - 1).min(threads.saturating_sub(1));
     if helpers > 0 {
         let mut q = p.board.queue.lock().expect("job board poisoned");
         for _ in 0..helpers {
@@ -355,6 +395,51 @@ mod tests {
             assert_eq!(forced_threads(), Some(3));
         });
         assert_eq!(forced_threads(), None);
+    }
+
+    /// The distinct threads that ran the tasks of one 64-task region under
+    /// `with_threads(n)`, each task busy long enough for idle workers to
+    /// claim some.
+    fn threads_serving(n: usize) -> std::collections::HashSet<std::thread::ThreadId> {
+        let ids = Mutex::new(std::collections::HashSet::new());
+        with_threads(n, || {
+            run(64, &|_| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                ids.lock().unwrap().insert(std::thread::current().id());
+            })
+        });
+        ids.into_inner().unwrap()
+    }
+
+    #[test]
+    fn a_forced_split_caps_the_threads_a_region_runs_on() {
+        let caller = std::thread::current().id();
+        assert_eq!(threads_serving(1), [caller].into_iter().collect());
+        assert!(threads_serving(2).len() <= 2);
+        // Whichever thread runs a task, a region nested in it splits (and
+        // is capped) as the dispatching thread's would be.
+        let seen = Mutex::new(Vec::new());
+        with_threads(3, || {
+            run(16, &|_| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                seen.lock().unwrap().push(forced_threads());
+            })
+        });
+        assert_eq!(seen.into_inner().unwrap(), vec![Some(3); 16]);
+    }
+
+    #[test]
+    fn reduce_returns_values_in_task_order() {
+        let data: Vec<f64> = (0..40).map(f64::from).collect();
+        for split in [1, 2, 3, size() + 3] {
+            let tasks = data
+                .chunks(7)
+                .map(|c| Box::new(move || c.iter().sum::<f64>()) as Reduction<'_>)
+                .collect();
+            let got = with_threads(split, || reduce(tasks));
+            let want: Vec<f64> = data.chunks(7).map(|c| c.iter().sum()).collect();
+            assert_eq!(got, want, "split {split}");
+        }
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! [`snip_tensor::pool::with_threads`], which is exactly what `SNIP_THREADS`
 //! pins at pool init, but scoped per test case.
 //!
+//! The banded elementwise ops (`Tensor::map`, `zip`, `add_assign`) are held
+//! to the same rule at lengths around their size floor
+//! ([`snip_tensor::PARALLEL_ELEMENTS`]) and around the split count.
+//!
 //! The packed kernels are additionally checked against the dense kernels
 //! over dequantized operands at every split (the 0-ULP identity must not
 //! depend on chunk boundaries), and every `nt` / `tn` kernel against
@@ -14,7 +18,9 @@
 
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
-use snip_tensor::{matmul, pool, CodeWidth, GroupLayout, QOperandRef, QTensor, Tensor};
+use snip_tensor::{
+    matmul, pool, CodeWidth, GroupLayout, QOperandRef, QTensor, Tensor, PARALLEL_ELEMENTS,
+};
 
 /// A 4-bit sign-magnitude test codebook over {0, 0.5, …, 3.5}.
 fn test_lut_u4() -> Vec<f32> {
@@ -161,6 +167,63 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_all_kernels(m, k, n, seed);
+    }
+}
+
+/// `map`, `zip` and `add_assign` on a `1 × len` tensor at every split
+/// (and unforced, where the size floor decides) against one plain serial
+/// loop per op.
+fn check_elementwise(len: usize, seed: u64) {
+    let mut rng = Rng::seed_from(seed);
+    let a = Tensor::randn(1, len, 2.0, &mut rng);
+    let b = Tensor::randn(1, len, 2.0, &mut rng);
+    let silu = |x: f32| x / (1.0 + (-x).exp());
+    let glu = |g: f32, u: f32| silu(g) * u - g;
+    let (xs, ys) = (a.as_slice(), b.as_slice());
+    let want_map = Tensor::from_vec(1, len, xs.iter().map(|&x| silu(x)).collect());
+    let want_zip = Tensor::from_vec(
+        1,
+        len,
+        xs.iter().zip(ys).map(|(&g, &u)| glu(g, u)).collect(),
+    );
+    let want_sum = Tensor::from_vec(1, len, xs.iter().zip(ys).map(|(&x, &y)| x + y).collect());
+    let ops = || {
+        let mut sum = a.clone();
+        sum.add_assign(&b);
+        [a.map(silu), a.zip(&b, glu), sum]
+    };
+    let unforced = ops();
+    let forced = splits()
+        .into_iter()
+        .map(|split| (split, pool::with_threads(split, ops)));
+    for (split, got) in std::iter::once((0, unforced)).chain(forced) {
+        for (name, got, want) in [
+            ("map", &got[0], &want_map),
+            ("zip", &got[1], &want_zip),
+            ("add_assign", &got[2], &want_sum),
+        ] {
+            assert_bits_eq(got, want, &format!("{name}, len {len}, split {split}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Lengths just around the split count (more tasks than elements, one
+    /// element per band, ragged last bands) and just around the size floor.
+    #[test]
+    fn elementwise_ops_are_bit_identical_at_every_split(
+        near_floor in 0usize..2,
+        delta in 0usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let len = if near_floor == 1 {
+            PARALLEL_ELEMENTS - 6 + delta
+        } else {
+            delta
+        };
+        check_elementwise(len, seed);
     }
 }
 
