@@ -12,6 +12,18 @@
 //!            dW = Q_g(dY)ᵀ · Q_x(X)          (output BF16, accumulated FP32)
 //! ```
 //!
+//! The FP32 master weight is never copied for a GEMM. A packable weight
+//! precision (FP8/FP4) packs it once per forward into the cache; BF16 — the
+//! one non-packable weight precision — and exact mode read the master
+//! weight in place, BF16 through the engine's rounded operand
+//! ([`QOperandRef::Bf16Rounded`], bit-identical to a GEMM over a rounded
+//! copy). A [`LinearCache`] therefore describes its layer's weight *as it
+//! was at forward*, and must be consumed before that weight changes (debug
+//! builds check a CRC of the weight bits at backward). A training step,
+//! SNIP's probe (one forward, several backward passes) and the
+//! data-parallel gradient hook all finish their backward passes before the
+//! optimizer touches a weight.
+//!
 //! These three calls — `qgemm_nt_bf16`, `qgemm_bf16`, `qgemm_tn_bf16` —
 //! are the hottest loops of every training step. They dispatch into
 //! `snip-tensor`'s pool-backed, cache-blocked GEMM engine with the BF16
@@ -46,7 +58,8 @@ pub struct Linear {
     exact: bool,
 }
 
-/// A quantized GEMM operand held for the backward pass: bit-packed when the
+/// A quantized activation held for the backward pass (the input `X`, and
+/// the output gradient inside [`Linear::backward`]): bit-packed when the
 /// operand's precision supports it (FP4/FP8 — 8× / 4× smaller than f32),
 /// dense only for BF16 emulation and exact mode.
 #[derive(Clone, Debug)]
@@ -100,8 +113,10 @@ impl QCache {
         }
     }
 
-    /// Resident bytes of this cached operand (codes + scales + decode table
-    /// for packed storage, raw buffer for dense).
+    /// Resident bytes of this cached operand: codes, scales and the
+    /// container for packed storage ([`QTensor::resident_bytes`]; the
+    /// decode table is shared per format and not charged), the raw buffer
+    /// and the container for dense.
     pub fn resident_bytes(&self) -> usize {
         match self {
             QCache::Dense(t) => std::mem::size_of::<Tensor>() + t.len() * 4,
@@ -110,26 +125,113 @@ impl QCache {
     }
 }
 
-/// Activations saved by [`Linear::forward`] for the backward pass.
+/// How the backward `dX` GEMM reads its layer's weight — recorded by
+/// [`Linear::forward`], so a precision change between forward and backward
+/// cannot switch the read mid-step.
+#[derive(Clone, Debug)]
+pub enum WeightCache {
+    /// The quantized weight, bit-packed: the packable precisions (FP8/FP4).
+    Packed(QTensor),
+    /// The master weight, read in place through BF16 rounding
+    /// ([`QOperandRef::Bf16Rounded`]): BF16, which rounds to nearest and
+    /// draws nothing, so the rounded read equals the fake-quantized copy.
+    Bf16Rounded,
+    /// The master weight, read in place as is (exact mode).
+    Exact,
+}
+
+impl WeightCache {
+    /// Whether the weight is held bit-packed.
+    pub fn is_packed(&self) -> bool {
+        matches!(self, WeightCache::Packed(_))
+    }
+
+    /// The GEMM operand: the packed codes, or `weight` — the layer's
+    /// master weight — read the recorded way.
+    fn operand<'a>(&'a self, weight: &'a Tensor) -> QOperandRef<'a> {
+        match self {
+            WeightCache::Packed(q) => QOperandRef::Packed(q),
+            WeightCache::Bf16Rounded => QOperandRef::Bf16Rounded(weight),
+            WeightCache::Exact => QOperandRef::Dense(weight),
+        }
+    }
+
+    /// The packed weight, decoded — bit for bit the fake-quantized weight.
+    /// An in-place read holds no values of its own (they are
+    /// [`Linear::weight`]'s, read the recorded way), so it yields an empty
+    /// `0 × 0` tensor.
+    pub fn dequantize(&self) -> Tensor {
+        match self {
+            WeightCache::Packed(q) => q.dequantize(),
+            WeightCache::Bf16Rounded | WeightCache::Exact => Tensor::zeros(0, 0),
+        }
+    }
+
+    /// Resident bytes: those of the packed weight ([`QTensor::resident_bytes`]),
+    /// 0 for an in-place read — it holds no copy.
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            WeightCache::Packed(q) => q.resident_bytes(),
+            WeightCache::Bf16Rounded | WeightCache::Exact => 0,
+        }
+    }
+}
+
+/// What [`Linear::forward`] saves for the backward pass.
 ///
-/// `qx`/`qw` are the *quantized* operands — exactly what the backward GEMMs
-/// consume, and (during BF16 statistics collection) numerically equal to the
-/// BF16 activations/weights. Subbyte operands stay bit-packed here, which
-/// is where the packed representation pays off: the dominant activation
-/// memory of the backward pass shrinks by ~8× under FP4.
+/// `qx` is the *quantized* input — exactly what the `dW` GEMM consumes,
+/// and (during BF16 statistics collection) numerically equal to the BF16
+/// activations. `qw` says how the `dX` GEMM reads the weight: packed codes
+/// under FP8/FP4, the master weight in place under BF16 and exact mode.
+/// Subbyte operands stay bit-packed here, which is where the packed
+/// representation pays off: the dominant activation memory of the backward
+/// pass shrinks by ~8× under FP4.
+///
+/// A cache is only valid until its layer's weight changes (see the module
+/// docs); debug builds check that at backward.
 #[derive(Clone, Debug)]
 pub struct LinearCache {
     /// Quantized input activations, `tokens × in_features`.
     pub qx: QCache,
-    /// Quantized weight, `out_features × in_features`.
-    pub qw: QCache,
+    /// The weight read of the backward `dX` GEMM.
+    pub qw: WeightCache,
+    /// CRC-32 of the weight bits at forward.
+    #[cfg(debug_assertions)]
+    weight_crc: u32,
 }
 
 impl LinearCache {
+    fn new(qx: QCache, qw: WeightCache, _weight: &Tensor) -> Self {
+        LinearCache {
+            qx,
+            qw,
+            #[cfg(debug_assertions)]
+            weight_crc: weight_crc(_weight),
+        }
+    }
+
     /// Total resident bytes of the saved operands.
     pub fn resident_bytes(&self) -> usize {
         self.qx.resident_bytes() + self.qw.resident_bytes()
     }
+
+    /// Debug builds: panics unless `_weight` still has the bits the forward
+    /// read.
+    fn check_weight(&self, _weight: &Tensor) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            weight_crc(_weight),
+            self.weight_crc,
+            "the layer's weight changed between forward and backward"
+        );
+    }
+}
+
+/// CRC-32 of a weight's element bits.
+#[cfg(debug_assertions)]
+fn weight_crc(w: &Tensor) -> u32 {
+    let bytes: Vec<u8> = w.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    snip_quant::wire::crc32(&bytes)
 }
 
 impl Linear {
@@ -204,25 +306,33 @@ impl Linear {
     }
 
     /// Forward pass: quantizes `x` and `W` (bit-packed for subbyte
-    /// precisions), runs the quantized GEMM, rounds the output to BF16.
-    /// Returns the output and the cache for backward.
+    /// precisions; a BF16 weight is read in place through rounding), runs
+    /// the quantized GEMM, rounds the output to BF16. Returns the output
+    /// and the cache for backward.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_features`.
     pub fn forward(&self, x: &Tensor, rng: &mut Rng) -> (Tensor, LinearCache) {
+        let w = self.weight.value();
         if self.exact {
             let qx = QCache::Dense(x.clone());
-            let qw = QCache::Dense(self.weight.value().clone());
-            let y = qgemm_nt(qx.operand(), qw.operand());
-            return (y, LinearCache { qx, qw });
+            let y = qgemm_nt(qx.operand(), QOperandRef::Dense(w));
+            return (y, LinearCache::new(qx, WeightCache::Exact, w));
         }
         let qx = self.quantize_cached(TensorRole::Input, x, rng);
-        let qw = self.quantize_cached(TensorRole::Weight, self.weight.value(), rng);
+        let q = self.quantizer(TensorRole::Weight);
+        let qw = if q.packable() {
+            let packed = q.quantize_packed(w, rng);
+            WeightCache::Packed(packed.expect("a layer quantizer packs to plain codes"))
+        } else {
+            // BF16, the one non-packable weight precision.
+            WeightCache::Bf16Rounded
+        };
         // The `_bf16` kernel folds the BF16 rounding into the tile store —
         // bit-identical to rounding the plain qgemm output in a second pass.
-        let y = qgemm_nt_bf16(qx.operand(), qw.operand());
-        (y, LinearCache { qx, qw })
+        let y = qgemm_nt_bf16(qx.operand(), qw.operand(w));
+        (y, LinearCache::new(qx, qw, w))
     }
 
     /// Backward pass: quantizes `dy` once, computes `dX` (returned) and `dW`
@@ -230,7 +340,9 @@ impl Linear {
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent with the cached forward.
+    /// Panics if shapes are inconsistent with the cached forward, and in
+    /// debug builds if the weight changed since the forward that made
+    /// `cache`.
     pub fn backward(&mut self, dy: &Tensor, cache: &LinearCache, rng: &mut Rng) -> Tensor {
         self.backward_recorded(dy, cache, rng).0
     }
@@ -243,14 +355,16 @@ impl Linear {
         cache: &LinearCache,
         rng: &mut Rng,
     ) -> (Tensor, Tensor) {
+        let w = self.weight.value();
+        cache.check_weight(w);
         if self.exact {
-            let dx = qgemm(QOperandRef::from(dy), cache.qw.operand());
+            let dx = qgemm(QOperandRef::from(dy), cache.qw.operand(w));
             let dw = qgemm_tn(QOperandRef::from(dy), cache.qx.operand());
             self.weight.accumulate_grad(&dw);
             return (dx, dw);
         }
         let qdy = self.quantize_cached(TensorRole::OutputGrad, dy, rng);
-        let dx = qgemm_bf16(qdy.operand(), cache.qw.operand());
+        let dx = qgemm_bf16(qdy.operand(), cache.qw.operand(w));
         let dw = qgemm_tn_bf16(qdy.operand(), cache.qx.operand());
         self.weight.accumulate_grad(&dw);
         (dx, dw)
@@ -456,6 +570,22 @@ mod tests {
         lin.set_precision(LinearPrecision::uniform(Precision::Bf16));
         let (_, cache16) = lin.forward(&x, &mut rng);
         assert!(!cache16.qx.is_packed());
+    }
+
+    /// A cache describes its layer's weight as the forward read it: an
+    /// edit before the backward trips the debug CRC check instead of
+    /// silently mixing two weights into one step.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "weight changed between forward and backward")]
+    fn a_weight_edited_between_forward_and_backward_trips_the_crc_check() {
+        let mut rng = Rng::seed_from(26);
+        let mut lin = Linear::new("w", 3, 4, 1.0, 4, &mut rng);
+        let x = Tensor::randn(2, 4, 1.0, &mut rng);
+        let dy = Tensor::randn(2, 3, 1.0, &mut rng);
+        let (_, cache) = lin.forward(&x, &mut rng);
+        lin.weight_mut().value_mut()[(1, 2)] += 1.0;
+        let _ = lin.backward(&dy, &cache, &mut rng);
     }
 
     #[test]

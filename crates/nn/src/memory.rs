@@ -29,7 +29,10 @@ pub const BYTES_PER_GB: f64 = 1e9;
 /// group-wise scale factors amortize to fractions of a byte.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StateBytes {
-    /// Working weights (the copy GEMMs read).
+    /// Working weights (the copy GEMMs read). This is the GPU recipe's
+    /// accounting: the CPU emulator packs FP8/FP4 working weights, but
+    /// reads a BF16 one in place from the master weight through rounding
+    /// and holds no copy.
     pub weights: f64,
     /// Gradient accumulators.
     pub grads: f64,

@@ -447,33 +447,54 @@ mod tests {
         (model, batch, rng)
     }
 
+    /// `linear_cache_bytes` is exact accounting of what a step keeps for
+    /// backward. BF16 keeps every layer's input dense and reads its weight
+    /// in place, so it charges the inputs alone — no weight bytes; FP8 and
+    /// FP4 charge the packed input (1×nb tiles) and the packed weight
+    /// (nb×nb blocks) of every block layer. The LM head is outside the
+    /// scheme and stays BF16 (dense input, in-place weight) throughout.
     #[test]
     fn fp4_scheme_shrinks_the_measured_backward_cache() {
+        use snip_quant::{PackedQuantize, TensorRole};
+        use snip_tensor::QTensor;
         let (mut model, batch, mut rng) = tiny_setup();
-        let n = model.config().n_linear_layers();
-        let bf16 = model.step(&batch, &mut rng, &StepOptions::train());
-        assert!(bf16.linear_cache_bytes > 0);
-
-        model.set_scheme(&vec![
-            snip_quant::LinearPrecision::uniform(Precision::Fp4);
-            n
-        ]);
-        let fp4 = model.step(&batch, &mut rng, &StepOptions::train());
-        let ratio = bf16.linear_cache_bytes as f64 / fp4.linear_cache_bytes as f64;
-        // tiny_test is a worst case for the ratio: 1×8 tiles cost 0.5 B of
-        // scales per element on top of 0.5 B of codes, the LM head stays
-        // high-precision (dense), and per-tensor metadata is significant on
-        // 16×16 tensors. Paper-scale shapes with 128-wide groups approach
-        // 8×; see the Linear-level test for the per-operand bound.
-        assert!(ratio >= 2.0, "fp4 cache only {ratio}x smaller");
-
-        model.set_scheme(&vec![
-            snip_quant::LinearPrecision::uniform(Precision::Fp8);
-            n
-        ]);
-        let fp8 = model.step(&batch, &mut rng, &StepOptions::train());
-        assert!(fp4.linear_cache_bytes < fp8.linear_cache_bytes);
-        assert!(fp8.linear_cache_bytes < bf16.linear_cache_bytes);
+        let cfg = model.config().clone();
+        let tokens = batch.num_tokens();
+        let dense = |cols: usize| std::mem::size_of::<Tensor>() + tokens * cols * 4;
+        let packed = |p: Precision, role, rows, cols| {
+            let q = p.quantizer_with_group(role, cfg.quant_group);
+            let bytes = q.packed_wire_bytes(rows, cols).expect("packable");
+            std::mem::size_of::<QTensor>() + bytes as usize
+        };
+        let expected = |p: Precision| {
+            let block: usize = LayerKind::ALL
+                .iter()
+                .map(|kind| {
+                    let (out, inp) = kind.dims(&cfg);
+                    match p {
+                        Precision::Bf16 => dense(inp),
+                        _ => {
+                            packed(p, TensorRole::Input, tokens, inp)
+                                + packed(p, TensorRole::Weight, out, inp)
+                        }
+                    }
+                })
+                .sum();
+            cfg.n_layers * block + dense(cfg.hidden)
+        };
+        let mut measured = |p| {
+            model.set_scheme(&vec![LinearPrecision::uniform(p); cfg.n_linear_layers()]);
+            model
+                .step(&batch, &mut rng, &StepOptions::train())
+                .linear_cache_bytes
+        };
+        let [bf16, fp8, fp4] = [Precision::Bf16, Precision::Fp8, Precision::Fp4].map(|p| {
+            let bytes = measured(p);
+            assert_eq!(bytes, expected(p), "{p}");
+            bytes
+        });
+        assert!(fp4 < fp8, "fp4 {fp4} B vs fp8 {fp8} B");
+        assert!(fp4 < bf16, "fp4 {fp4} B vs bf16 {bf16} B");
     }
 
     #[test]

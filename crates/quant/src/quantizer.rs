@@ -213,29 +213,52 @@ impl Quantizer {
     ///
     /// This is the dense oracle every packed path must reproduce bit for
     /// bit.
+    ///
+    /// Telemetry (`quant.ns`) times the copy of `t` together with the
+    /// rounding it feeds; an RHT rotation and an outlier carve, and the
+    /// copy they work on, stay outside the timer.
     pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        let mut q = t.clone();
         match self.recipe {
             Recipe::Unscaled => {
                 let _t = QuantTimer::start();
+                if self.is_bf16_nearest() {
+                    // One pass, banded on the pool: the copy is the rounding.
+                    return t.map(crate::format::bf16_round);
+                }
+                let mut q = t.clone();
                 self.round_unscaled(q.as_mut_slice(), rng);
+                q
             }
-            Recipe::MaxAbs | Recipe::Mx => self.fake_groups(&mut q, rng),
-            Recipe::Rht { block, seed } => {
-                rht::rotate_rows(&mut q, block, seed, true);
+            Recipe::MaxAbs | Recipe::Mx => {
+                let _t = QuantTimer::start();
+                let mut q = t.clone();
                 self.fake_groups(&mut q, rng);
+                q
+            }
+            Recipe::Rht { block, seed } => {
+                let mut q = t.clone();
+                rht::rotate_rows(&mut q, block, seed, true);
+                {
+                    let _t = QuantTimer::start();
+                    self.fake_groups(&mut q, rng);
+                }
                 rht::rotate_rows(&mut q, block, seed, false);
+                q
             }
             Recipe::Outlier { fraction } => {
+                let mut q = t.clone();
                 let outliers = outlier::carve(&mut q, fraction);
-                self.fake_groups(&mut q, rng);
+                {
+                    let _t = QuantTimer::start();
+                    self.fake_groups(&mut q, rng);
+                }
                 let data = q.as_mut_slice();
                 for o in outliers {
                     data[o.index as usize] = o.value;
                 }
+                q
             }
         }
-        q
     }
 
     /// Maps a group's max-abs to its `(encode, decode)` multipliers — the
@@ -265,7 +288,6 @@ impl Quantizer {
     /// [`Granularity::for_each_group`] order, which is the stochastic-draw
     /// order the packers reproduce.
     fn fake_groups(&self, t: &mut Tensor, rng: &mut Rng) {
-        let _t = QuantTimer::start();
         let (rows, cols) = t.shape();
         let fmt = self.format;
         let scale_of = self.scale_of();
@@ -294,17 +316,23 @@ impl Quantizer {
         });
     }
 
+    /// Whether this rounds onto the BF16 grid to nearest: one bit-twiddle
+    /// per element ([`crate::format::bf16_round`]), no draws.
+    fn is_bf16_nearest(&self) -> bool {
+        let bf16 = matches!(self.format, ElementFormat::Float(f) if f.kind() == FormatKind::Bf16);
+        bf16 && self.rounding == Rounding::Nearest
+    }
+
     /// Rounds values onto the format grid directly — the unscaled
     /// quantizer's whole job, element by element.
     fn round_unscaled(&self, values: &mut [f32], rng: &mut Rng) {
-        let fmt = self.format;
-        let stochastic = self.rounding == Rounding::Stochastic;
-        // Fast path for BF16 emulation: one bit-twiddle per element.
-        let bf16 = matches!(fmt, ElementFormat::Float(f) if f.kind() == FormatKind::Bf16);
-        if bf16 && !stochastic {
+        // Fast path for BF16 emulation.
+        if self.is_bf16_nearest() {
             crate::format::bf16_round_slice(values);
             return;
         }
+        let fmt = self.format;
+        let stochastic = self.rounding == Rounding::Stochastic;
         for v in values {
             *v = if stochastic {
                 fmt.quantize_stochastic(*v, rng.next_f32())

@@ -15,6 +15,10 @@
 /// largest finite BF16 rounds to infinity, exactly as IEEE-754
 /// narrowing would.
 ///
+/// Branch-free: the NaN test selects between the input bits and the
+/// rounded bits instead of returning early, so loops over it vectorize
+/// (the GEMM engine's rounded-operand decode, [`round_into`], is one).
+///
 /// # Example
 ///
 /// ```
@@ -23,18 +27,30 @@
 /// ```
 #[inline]
 pub fn round(x: f32) -> f32 {
-    if x.is_nan() {
-        return x;
-    }
     let bits = x.to_bits();
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    f32::from_bits(rounded & 0xFFFF_0000)
+    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000;
+    // All ones when `x` is NaN (exponent all ones, mantissa non-zero).
+    let nan = 0u32.wrapping_sub(u32::from(bits & 0x7FFF_FFFF > 0x7F80_0000));
+    f32::from_bits((bits & nan) | (rounded & !nan))
 }
 
 /// Applies [`round`] to every element of a slice.
 pub fn round_slice(data: &mut [f32]) {
     for v in data {
         *v = round(*v);
+    }
+}
+
+/// Writes [`round`] of every element of `src` into `dst`: the rounding
+/// copy behind [`crate::QOperandRef::Bf16Rounded`].
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn round_into(src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "round_into length mismatch");
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = round(s);
     }
 }
 
@@ -70,6 +86,35 @@ mod tests {
         // The largest finite f32 overflows bf16 and must round to +inf.
         assert_eq!(round(f32::MAX), f32::INFINITY);
         assert_eq!(round(f32::MIN), f32::NEG_INFINITY);
+    }
+
+    /// The branch-free select against the early-return form it replaced,
+    /// over every exponent with mantissa edges, ties and NaN payloads.
+    #[test]
+    fn branch_free_round_matches_the_early_return_form() {
+        let reference = |x: f32| {
+            if x.is_nan() {
+                return x;
+            }
+            let bits = x.to_bits();
+            f32::from_bits(bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000)
+        };
+        let mantissas = [0, 1, 0x7FFF, 0x8000, 0x8001, 0x1_7FFF, 0x1_8000, 0x7F_FFFF];
+        let mut src = Vec::new();
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0..=0xFFu32 {
+                for m in mantissas {
+                    src.push(f32::from_bits(sign | exp << 23 | m));
+                }
+            }
+        }
+        let mut dst = vec![0.0; src.len()];
+        round_into(&src, &mut dst);
+        for (&x, &y) in src.iter().zip(&dst) {
+            let (want, at) = (reference(x).to_bits(), x.to_bits());
+            assert_eq!(round(x).to_bits(), want, "{at:#010x}");
+            assert_eq!(y.to_bits(), want, "{at:#010x}");
+        }
     }
 
     #[test]

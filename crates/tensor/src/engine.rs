@@ -1,15 +1,20 @@
 //! The cache-blocked GEMM engine behind both the dense and the packed
 //! kernels.
 //!
-//! One implementation serves all three orientations and all four operand
-//! combinations (dense×dense through packed×packed): operands are
-//! [`QOperandRef`]s. The B-side tile cache is materialized **once per
-//! GEMM** and shared read-only by every row chunk; each chunk's A block is
-//! borrowed in place (dense, row-major) or decoded **once per block sweep**
-//! into reusable per-worker scratch (the old `qgemm_nt` panel loop
-//! re-decoded every packed A row ⌈n/32⌉ times). Because the dense and
-//! packed kernels literally share this code, the 0-ULP packed-vs-dense
-//! identity holds by construction.
+//! One implementation serves all three orientations and every operand
+//! combination: operands are [`QOperandRef`]s, of two classes. A dense
+//! operand is borrowed in place; every other one — packed codes, or dense
+//! storage read through BF16 rounding — is *decoded* row segment by row
+//! segment through [`QOperandRef::decode_row_range_into`], the one decode
+//! arm of every builder below. The B-side tile cache is materialized
+//! **once per GEMM**, its tiles built in parallel on the pool, and shared
+//! read-only by every row chunk; each chunk's A block is borrowed in place
+//! (dense, row-major) or decoded **once per block sweep** into reusable
+//! per-worker scratch (the old `qgemm_nt` panel loop re-decoded every
+//! packed A row ⌈n/32⌉ times). Because every operand class shares this
+//! code and the decode only changes *where* a value comes from, the 0-ULP
+//! identity of a GEMM over a decoded operand with the dense GEMM over its
+//! decoded values holds by construction.
 //!
 //! Every orientation reduces to the same tile kernel: an `mb×k` row-major
 //! A block times a `k×nb` k-major B tile, accumulated into an `mb×nb`
@@ -29,7 +34,7 @@
 //! The two transposed operand sides — B of `nt` ([`BSide::Transposed`])
 //! and A of `tn` ([`ASide::Transposed`]) — share one portable blocked
 //! transpose, [`transpose_into`]: source rows in bands of [`TB`] (borrowed
-//! when dense, decoded once into staging when packed), moved `TB×TB` block
+//! when dense, decoded once into staging otherwise), moved `TB×TB` block
 //! by block so that every store is a contiguous `TB`-float run. A transpose
 //! only moves values, so every orientation hands the tile kernel the same
 //! values in the same `k` order as `nn` over the transposed operand, and
@@ -230,7 +235,7 @@ const TB: usize = 8;
 /// [`ASide::Transposed`]).
 ///
 /// Source rows are walked in bands of [`TB`]: a dense band is the borrowed
-/// rows themselves, a packed band is decoded into `staging` (`TB × (c1 −
+/// rows themselves, any other band is decoded into `staging` (`TB × (c1 −
 /// c0)` floats), each row once. Each `TB×TB` block of the band is read
 /// through `TB` fixed-size row segments and written as `TB` contiguous
 /// `TB`-float runs, instead of one element at a destination-row stride (a
@@ -257,10 +262,10 @@ fn transpose_into(
         // column `off` of each.
         let (band, ld, off): (&[f32], usize, usize) = match src {
             QOperandRef::Dense(t) => (&t.as_slice()[rb * t.cols()..re * t.cols()], t.cols(), c0),
-            QOperandRef::Packed(t) => {
+            _ => {
                 let buf = window(staging, (re - rb) * w);
                 for (r, row) in buf.chunks_exact_mut(w).enumerate() {
-                    t.decode_row_range_into(rb + r, c0, c1, row);
+                    src.decode_row_range_into(rb + r, c0, c1, row);
                 }
                 (&*buf, w, 0)
             }
@@ -313,7 +318,8 @@ enum BSide {
 const B_CACHE_LIMIT: usize = 1 << 24;
 
 /// Materializes the `k×nb` k-major B tile for columns `[j0, j1)` into
-/// `tile` (length `k * nb`).
+/// `tile` (length `k * nb`). A row-major tile row is a row segment of B,
+/// copied or decoded alike.
 fn build_btile_into(
     b: &QOperandRef<'_>,
     side: BSide,
@@ -326,18 +332,11 @@ fn build_btile_into(
     let nb = j1 - j0;
     debug_assert_eq!(tile.len(), k * nb);
     match side {
-        BSide::RowMajor => match b {
-            QOperandRef::Dense(t) => {
-                for (kk, dst) in tile.chunks_exact_mut(nb).enumerate() {
-                    dst.copy_from_slice(&t.row(kk)[j0..j1]);
-                }
+        BSide::RowMajor => {
+            for (kk, dst) in tile.chunks_exact_mut(nb).enumerate() {
+                b.decode_row_range_into(kk, j0, j1, dst);
             }
-            QOperandRef::Packed(t) => {
-                for (kk, dst) in tile.chunks_exact_mut(nb).enumerate() {
-                    t.decode_row_range_into(kk, j0, j1, dst);
-                }
-            }
-        },
+        }
         BSide::Transposed => transpose_into(b, (j0, j1), (0, k), tile, staging),
     }
 }
@@ -356,7 +355,7 @@ enum ASide {
 /// Materializes the `mb×k` row-major A block for output rows `[i0, i1)` —
 /// a direct borrow for dense row-major operands (their rows are already
 /// contiguous), one decode (or transpose) per block sweep otherwise: this
-/// is what bounds packed-row decoding to one decode per sweep.
+/// is what bounds row decoding to one decode per sweep.
 fn build_ablock<'s>(
     a: &'s QOperandRef<'s>,
     side: ASide,
@@ -368,10 +367,10 @@ fn build_ablock<'s>(
 ) -> &'s [f32] {
     match (side, a) {
         (ASide::RowMajor, QOperandRef::Dense(t)) => &t.as_slice()[i0 * k..i1 * k],
-        (ASide::RowMajor, QOperandRef::Packed(t)) => {
+        (ASide::RowMajor, _) => {
             let block = window(scratch, (i1 - i0) * k);
-            for r in 0..i1 - i0 {
-                t.decode_row_into(i0 + r, &mut block[r * k..(r + 1) * k]);
+            for (r, row) in block.chunks_exact_mut(k).enumerate() {
+                a.decode_row_range_into(i0 + r, 0, k, row);
             }
             block
         }
@@ -482,7 +481,8 @@ fn for_each_row_chunk(
 /// The blocked driver shared by all three orientations: pre-materialize
 /// the B-side tile cache (tiles are j-aligned, so one build serves every
 /// row chunk — B-side decode/transpose work is a single pass over B
-/// regardless of `m` or the chunk count), then row-chunk the output across
+/// regardless of `m` or the chunk count; a split GEMM builds its tiles on
+/// the pool, one task per tile), then row-chunk the output across
 /// the pool, sweeping `MC×NC` output tiles per chunk with the A block
 /// materialized once per sweep. Oversized B operands skip the shared cache
 /// and build tiles per sweep from bounded per-worker scratch.
@@ -543,17 +543,26 @@ fn gemm_blocked_inner(
     let btiles: Option<&[f32]> = bcache.as_mut().map(|cache| {
         // Tiles are stored back to back: the tile starting at column `j0`
         // occupies `tiles[j0 * k..j1 * k]`. The build writes every element,
-        // so the reused cache is not cleared first. It runs on the calling
-        // thread: fanning it out over the pool did not resolve as a gain in
-        // alternating `train-bf16` pairs (8 of 10 wins, median 301.6 vs
-        // 322.7 ms, inside its own 24 ms inter-quartile spread).
+        // so the reused cache is not cleared first. Each tile is one task
+        // that owns its slice and stages through the `SCRATCH` of whichever
+        // thread runs it; no `SCRATCH` borrow is held across the dispatch,
+        // since the calling thread runs tasks too. An unsplit GEMM builds
+        // on the calling thread without a dispatch.
         let tiles = window(cache, k * n);
-        SCRATCH.with_borrow_mut(|s| {
-            for (t, tile) in tiles.chunks_mut(NC * k).enumerate() {
-                let j0 = t * NC;
+        let build = |t: usize, tile: &mut [f32]| {
+            let j0 = t * NC;
+            SCRATCH.with_borrow_mut(|s| {
                 build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, &mut s.staging);
+            });
+        };
+        let owned: Vec<&mut [f32]> = tiles.chunks_mut(NC * k).collect();
+        if parts > 1 {
+            pool::for_each_owned(owned, build);
+        } else {
+            for (t, tile) in owned.into_iter().enumerate() {
+                build(t, tile);
             }
-        });
+        }
         if snip_obs::enabled() {
             snip_obs::counter_add("gemm.bcache.builds", 1);
         }

@@ -14,7 +14,9 @@
 //! * [`packed`] — bit-packed subbyte tensors ([`QTensor`]: 4/8-bit codes +
 //!   per-group scales) and quantized GEMM kernels that decode them on the
 //!   fly, bit-for-bit equivalent to the dense kernels over dequantized
-//!   operands (they share one blocked engine).
+//!   operands (they share one blocked engine). [`QOperandRef`] also reads
+//!   dense storage through BF16 rounding (`Bf16Rounded`), a BF16 view of an
+//!   f32 tensor without a rounded copy.
 //! * [`granularity`] — [`GroupLayout`], the scaling granularity (paper
 //!   §2.3): which elements share a scale, the walk over those groups and
 //!   the scale-vector indexing of packed storage.
@@ -28,7 +30,8 @@
 //!   engine's fused tile store (the `qgemm_*_bf16` kernels) and the
 //!   standalone slice pass used elsewhere in the workspace.
 //! * [`simd`] — the runtime-dispatched SIMD backend behind the engine
-//!   (AVX2/NEON when the `simd` cargo feature is on, scalar otherwise);
+//!   (AVX-512 or AVX2 on x86_64, NEON on aarch64, when the `simd` cargo
+//!   feature is on; scalar otherwise);
 //!   exposes introspection (`backend()`, `lane_width()`) and the
 //!   `with_forced_backend` test hook. Results are bit-identical across
 //!   backends by construction: lanes vectorize *output elements* only.

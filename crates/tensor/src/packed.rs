@@ -520,14 +520,21 @@ impl QTensor {
     }
 }
 
-/// One GEMM operand: either a dense `f32` tensor (borrowed rows, no copy)
-/// or a packed tensor (rows decoded into caller scratch on demand).
+/// One GEMM operand. The engine has two classes of them: a dense operand
+/// is borrowed in place (its rows are the values), every other variant is
+/// *decoded* row segment by row segment into engine scratch through
+/// [`QOperandRef::decode_row_range_into`].
 #[derive(Clone, Copy, Debug)]
 pub enum QOperandRef<'a> {
     /// Dense operand.
     Dense(&'a Tensor),
     /// Packed operand.
     Packed(&'a QTensor),
+    /// Dense f32 storage whose elements the GEMM sees as
+    /// [`crate::bf16::round`]`(v)` (NaN passes through): a BF16 view of an
+    /// f32 tensor without a rounded copy of it. A GEMM over it is bit for
+    /// bit the GEMM over `Dense` of the rounded copy.
+    Bf16Rounded(&'a Tensor),
 }
 
 impl<'a> From<&'a Tensor> for QOperandRef<'a> {
@@ -546,17 +553,25 @@ impl QOperandRef<'_> {
     /// `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         match self {
-            QOperandRef::Dense(t) => t.shape(),
+            QOperandRef::Dense(t) | QOperandRef::Bf16Rounded(t) => t.shape(),
             QOperandRef::Packed(t) => t.shape(),
         }
     }
 
-    /// The element at `(r, c)` (decoded if packed).
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f32 {
+    /// Writes the column range `[c0, c1)` of row `r`, as the GEMM sees it,
+    /// into `out` (length `c1 - c0`): a copy for a dense operand, a decode
+    /// ([`QTensor::decode_row_range_into`]) for a packed one, a rounding
+    /// copy ([`crate::bf16::round_into`]) for a rounded one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or the range is out of bounds, or `out.len() != c1 -
+    /// c0`.
+    pub fn decode_row_range_into(&self, r: usize, c0: usize, c1: usize, out: &mut [f32]) {
         match self {
-            QOperandRef::Dense(t) => t[(r, c)],
-            QOperandRef::Packed(t) => t.get(r, c),
+            QOperandRef::Dense(t) => out.copy_from_slice(&t.row(r)[c0..c1]),
+            QOperandRef::Packed(t) => t.decode_row_range_into(r, c0, c1, out),
+            QOperandRef::Bf16Rounded(t) => crate::bf16::round_into(&t.row(r)[c0..c1], out),
         }
     }
 }

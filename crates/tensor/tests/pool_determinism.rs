@@ -15,6 +15,11 @@
 //! depend on chunk boundaries), and every `nt` / `tn` kernel against
 //! `matmul` over the explicitly transposed operand — the one check that is
 //! independent of the transpose the dense and packed paths share.
+//!
+//! The rounded operand (`QOperandRef::Bf16Rounded`) is held to the same
+//! construction: on either side of every kernel it must equal the GEMM over
+//! `Dense` of a rounded copy, at every split and on the forced scalar tier,
+//! over inputs that carry rounding ties, subnormals, ±Inf and NaN.
 
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
@@ -167,6 +172,110 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_all_kernels(m, k, n, seed);
+    }
+}
+
+/// A Gaussian tensor salted with the values BF16 rounding treats
+/// specially: ties to even in both directions, subnormals (ones that round
+/// to zero and ones that carry into the normal range), the largest finite
+/// f32 (rounds to infinity), ±Inf and NaNs with payloads. Non-finite values
+/// are rarer, so most outputs stay finite.
+fn bf16_edge_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
+    const FINITE: [u32; 6] = [
+        0x3F80_8000, // 1 + 2^-8: a tie, stays at 1.0 (even)
+        0xBF81_8000, // a negative tie that rounds away to even
+        0x0000_8001, // a subnormal that rounds up
+        0x0000_7FFF, // a subnormal that rounds to +0
+        0x807F_FFFF, // the largest negative subnormal, carries into the normal range
+        0x7F7F_FFFF, // f32::MAX, rounds to +Inf
+    ];
+    const NON_FINITE: [u32; 4] = [0x7F80_0000, 0xFF80_0000, 0x7FC0_0000, 0xFF81_2345];
+    let mut rng = Rng::seed_from(seed);
+    let mut t = Tensor::randn(rows, cols, 1.0, &mut rng);
+    for v in t.as_mut_slice() {
+        let draw = rng.next_u64();
+        *v = match draw % 64 {
+            0..=5 => f32::from_bits(FINITE[(draw >> 8) as usize % FINITE.len()]),
+            6 => f32::from_bits(NON_FINITE[(draw >> 8) as usize % NON_FINITE.len()]),
+            _ => *v,
+        };
+    }
+    t
+}
+
+/// Every kernel, plain and `_bf16`, with `Bf16Rounded` on the A side, on
+/// the B side and on both, against the same kernel over `Dense` of
+/// `bf16::round_slice`d copies at the same split — every split, and the
+/// scalar tier forced. The reference runs at the same split and tier
+/// because where NaNs of different payloads meet, which payload an FMA
+/// propagates depends on the instruction; every other bit is also pinned
+/// across splits by the kernel checks above.
+fn check_rounded_operand(m: usize, k: usize, n: usize, seed: u64) {
+    use snip_tensor::packed::{
+        qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16,
+    };
+    type Kernel = fn(QOperandRef<'_>, QOperandRef<'_>) -> Tensor;
+    let rounded_copy = |t: &Tensor| {
+        let mut c = t.clone();
+        snip_tensor::bf16::round_slice(c.as_mut_slice());
+        c
+    };
+    let a = bf16_edge_tensor(m, k, seed ^ 1);
+    let at = bf16_edge_tensor(k, m, seed ^ 2);
+    let b = bf16_edge_tensor(k, n, seed ^ 3);
+    let bt = bf16_edge_tensor(n, k, seed ^ 4);
+    // (name, kernel, A, B) in each kernel's orientation.
+    let cases: [(&str, Kernel, &Tensor, &Tensor); 6] = [
+        ("qgemm", qgemm, &a, &b),
+        ("qgemm_bf16", qgemm_bf16, &a, &b),
+        ("qgemm_nt", qgemm_nt, &a, &bt),
+        ("qgemm_nt_bf16", qgemm_nt_bf16, &a, &bt),
+        ("qgemm_tn", qgemm_tn, &at, &b),
+        ("qgemm_tn_bf16", qgemm_tn_bf16, &at, &b),
+    ];
+    let shape = format!("{m}x{k}x{n}");
+    for (name, kernel, lhs, rhs) in cases {
+        let (rl, rr) = (rounded_copy(lhs), rounded_copy(rhs));
+        let (dense, rounded) = (QOperandRef::Dense, QOperandRef::Bf16Rounded);
+        for (side, got_of, want_of) in [
+            ("A", [rounded(lhs), dense(rhs)], [dense(&rl), dense(rhs)]),
+            ("B", [dense(lhs), rounded(rhs)], [dense(lhs), dense(&rr)]),
+            (
+                "A and B",
+                [rounded(lhs), rounded(rhs)],
+                [dense(&rl), dense(&rr)],
+            ),
+        ] {
+            let what = format!("{name}, Bf16Rounded {side}, {shape}");
+            let run =
+                |split| [got_of, want_of].map(|[l, r]| pool::with_threads(split, || kernel(l, r)));
+            for split in splits() {
+                let [got, want] = run(split);
+                assert_bits_eq(&got, &want, &format!("{what}, split {split}"));
+            }
+            let [got, want] =
+                snip_tensor::simd::with_forced_backend(snip_tensor::simd::Backend::Scalar, || {
+                    run(2)
+                });
+            assert_bits_eq(&got, &want, &format!("{what}, forced scalar"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `m` and `n` reach past one `MC`/`NC` block, so the shared B-tile
+    /// cache and its per-tile parallel build are exercised as well as the
+    /// per-sweep scratch tiles.
+    #[test]
+    fn the_rounded_operand_equals_the_dense_gemm_over_a_rounded_copy(
+        m in 1usize..140,
+        k in 1usize..48,
+        n in 1usize..140,
+        seed in 0u64..1_000_000,
+    ) {
+        check_rounded_operand(m, k, n, seed);
     }
 }
 

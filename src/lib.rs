@@ -39,8 +39,10 @@
 //!
 //! * `nn::Linear` forward/backward — FP4/FP8/INT operands (`qx`, `qw`, and
 //!   the quantized `dy`) are packed; the GEMMs ([`tensor::packed::qgemm`],
-//!   `qgemm_nt`, `qgemm_tn`) decode rows on the fly. BF16 operands and
-//!   exact-mode tensors stay dense f32 (`nn::QCache::Dense`).
+//!   `qgemm_nt`, `qgemm_tn`) decode rows on the fly. BF16 activations and
+//!   exact-mode tensors stay dense f32 (`nn::QCache::Dense`); a BF16 or
+//!   exact-mode weight is read in place, BF16 through rounding
+//!   (`nn::WeightCache`, [`tensor::QOperandRef::Bf16Rounded`]).
 //! * `pipeline::collective::Wire::transmit` — FP4/FP8 wire payloads travel
 //!   packed (codes + scales, byte-accurate); BF16/exact wires stay dense.
 //! * GEMM *outputs*, gradients in the optimizer, probes, and statistics are
