@@ -29,11 +29,11 @@
 //!
 //! # What is retained
 //!
-//! No [`snip_nn::record::StepRecord`]: the base pass keeps one `dW` per
-//! layer (taken by move from the backward GEMM) and a copy of the transient
-//! `dY`; `X` is borrowed from the forward caches, `W` from the model. A
-//! probe pass leaves its `dW` in the gradient accumulators (zeroed before
-//! the pass), where it is read against the retained base `dW`.
+//! No [`snip_nn::record::StepRecord`]: the base pass keeps a copy of one
+//! `dW` per layer (the weight gradient its backward GEMM wrote, which the
+//! next pass overwrites) and of the transient `dY`; `X` is borrowed from
+//! the forward caches, `W` from the model. A probe pass leaves its `dW` in
+//! the weight gradients, where it is read against the retained base `dW`.
 //!
 //! # One reduction per task
 //!
@@ -75,9 +75,9 @@ pub struct SnipMeasurement {
     pub fwd_loss_delta: f64,
 }
 
-/// What the base pass keeps of one layer: the transient output gradient
-/// (copied), the weight gradient (moved out of the backward GEMM) and the
-/// two norms of tensors that do not outlive their stage.
+/// What the base pass keeps of one layer: copies of the transient output
+/// gradient and of the weight gradient (which the probe passes overwrite),
+/// and the two norms of tensors that do not outlive their stage.
 #[derive(Default)]
 struct BaseLayer {
     dy: Tensor,
@@ -94,17 +94,17 @@ impl LayerTap for BaseTap {
         self.0[id.linear_index()].y_norm = y.frobenius_norm();
     }
 
-    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor) {
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor) {
         let layer = &mut self.0[id.linear_index()];
         layer.dy = dy.clone();
-        layer.dw = dw;
+        layer.dw = dw.clone();
         layer.dx_norm = dx.frobenius_norm();
     }
 }
 
 /// Per-layer gradient response of the probe pass that just ran (Theorem 4.2
-/// single-sample estimate): the gradient accumulators against the retained
-/// base gradients, over `ε`.
+/// single-sample estimate): the weight gradients it wrote against the
+/// retained base gradients, over `ε`.
 fn gradient_response(model: &Model, base: &[BaseLayer], epsilon: f64) -> Vec<f64> {
     let tasks = base
         .iter()
@@ -149,10 +149,13 @@ pub fn measure(
     };
 
     // Step 1: the baseline iteration's head and full backward. Its `dW`
-    // comes out of the backward GEMMs through the tap, not out of the
-    // accumulators, so whatever gradients the caller left need no zeroing.
+    // is copied out of the weight gradients through the tap. The reset
+    // only readies the written gradients (debug builds check that each is
+    // written once per pass) and zeroes the accumulated ones, which no
+    // pass reads.
     let (base_loss, mut top) = {
         let _span = snip_obs::span("snip.measure.base");
+        model.zero_grads();
         let head = model.forward_head(&hidden, batch, rng);
         let top = model.backward_head(&head, rng);
         let mut tap: Option<&mut dyn LayerTap> = Some(&mut tap);
@@ -222,7 +225,7 @@ pub fn measure(
         (stats, h_sens)
     };
 
-    model.zero_grads();
+    model.zero_all_grads();
     model.set_scheme(&saved_scheme);
     debug_assert!(
         *rng == rng_on_entry,

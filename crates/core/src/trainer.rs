@@ -221,10 +221,11 @@ impl Trainer {
     /// moments or the step count (see `step_core`). What it has touched is
     /// snapshotted before the step and restored on `Err`: the batch-stream
     /// cursor, the trainer RNG and the optimizer's `lr` — three small
-    /// values, no tensor copy. Gradients are not restored but **zeroed**:
-    /// they are step-scoped scratch (every step begins with `zero_grads`),
-    /// so no later step can observe what they held. A hook must confine
-    /// its writes to `Param::grad_mut`.
+    /// values, no tensor copy. Gradients are not restored but **zeroed**,
+    /// every one of them ([`Model::zero_all_grads`]): they are step-scoped
+    /// scratch (every step begins with `zero_grads`, and each linear
+    /// weight's is then written whole), so no later step can observe what
+    /// they held. A hook must confine its writes to `Param::grad_mut`.
     ///
     /// # Errors
     ///
@@ -241,7 +242,7 @@ impl Trainer {
             self.stream.rewind(cursor);
             self.rng = rng;
             self.optimizer.set_lr(lr);
-            self.model.zero_grads();
+            self.model.zero_all_grads();
         })
     }
 
@@ -451,7 +452,7 @@ mod tests {
         };
         let zeroed = |t: &Trainer| {
             let mut t = t.clone();
-            t.model.zero_grads();
+            t.model.zero_all_grads();
             serde_json::to_vec(&t).unwrap()
         };
         let mut t = Trainer::new(cfg.clone()).unwrap();

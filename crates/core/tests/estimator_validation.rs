@@ -61,10 +61,10 @@ impl LayerTap for Tap {
         self.0[id.linear_index()].y_norm = y.frobenius_norm();
     }
 
-    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor) {
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor) {
         let layer = &mut self.0[id.linear_index()];
         layer.dy = dy.clone();
-        layer.dw = dw;
+        layer.dw = dw.clone();
         layer.dx_norm = dx.frobenius_norm();
     }
 }
@@ -133,6 +133,8 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
     let cfg = model.config().clone();
     let n = cfg.n_linear_layers();
     let mut tap = Tap((0..n).map(|_| Tapped::default()).collect());
+    // The pass writes every linear weight's gradient once.
+    model.zero_grads();
     let (caches, hidden) = model.forward_blocks(batch, rng, &mut Some(&mut tap as _));
     let head = model.forward_head(&hidden, batch, rng);
     let top = model.backward_head(&head, rng);
@@ -164,7 +166,6 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
         v.direct_realised[i] += realised_direct_error(view.x, view.dy, cfg.quant_group);
     }
     drop(views);
-    model.zero_grads();
     stats.loss
 }
 

@@ -241,7 +241,7 @@ fn staged_probe_equals_the_three_step_reference() {
         // and leaves them zeroed — the only change it may make.
         let before = {
             let mut zeroed = t.clone();
-            zeroed.model.zero_grads();
+            zeroed.model.zero_all_grads();
             state_bytes(&zeroed)
         };
         assert!(

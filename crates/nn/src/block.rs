@@ -191,14 +191,11 @@ impl Block {
     ) -> Tensor {
         let id = LayerId::new(self.index, kind);
         let lin = self.linear_mut(kind);
-        match tap {
-            Some(tap) => {
-                let (dx, dw) = lin.backward_recorded(dy, cache, rng);
-                tap.backward(id, dy, dw, &dx);
-                dx
-            }
-            None => lin.backward(dy, cache, rng),
+        let dx = lin.backward(dy, cache, rng);
+        if let Some(tap) = tap {
+            tap.backward(id, dy, lin.weight().grad(), &dx);
         }
+        dx
     }
 
     /// Forward pass over `(batch·seq) × hidden` activations.
@@ -246,8 +243,8 @@ impl Block {
         )
     }
 
-    /// Backward pass; returns the gradient w.r.t. the block input and
-    /// accumulates parameter gradients.
+    /// Backward pass; returns the gradient w.r.t. the block input, writes
+    /// the linear weights' gradients and accumulates the norm gains'.
     pub fn backward(
         &mut self,
         dy: &Tensor,

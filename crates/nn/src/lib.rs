@@ -14,8 +14,9 @@
 //!   … [`model::Model::backward_blocks`]), so SNIP's probe can share one
 //!   forward between its three passes,
 //! * Gaussian noise-injection probes ([`inject::Injection`], SNIP Steps 2–3),
-//! * FP32 master weights with explicit gradient accumulators
-//!   ([`param::Param`]).
+//! * FP32 master weights and their gradients ([`param::Param`]): written
+//!   whole by each linear layer's weight-gradient GEMM, accumulated
+//!   elsewhere.
 //!
 //! # Example
 //!

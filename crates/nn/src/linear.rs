@@ -9,8 +9,13 @@
 //! ```text
 //!  forward:  Y  = Q_x(X) · Q_w(W)ᵀ           (output BF16)
 //!  backward: dX = Q_g(dY) · Q_w(W)           (output BF16)
-//!            dW = Q_g(dY)ᵀ · Q_x(X)          (output BF16, accumulated FP32)
+//!            dW = Q_g(dY)ᵀ · Q_x(X)          (output BF16, written FP32)
 //! ```
+//!
+//! `dW` is not a temporary: the weight-gradient GEMM stores it straight
+//! into the weight's FP32 gradient ([`Param::grad_to_write`]), which holds
+//! nothing else — each weight meets exactly one weight-gradient GEMM per
+//! pass, so there is nothing to accumulate and nothing to zero first.
 //!
 //! The FP32 master weight is never copied for a GEMM. A packable weight
 //! precision (FP8/FP4) packs it once per forward into the cache; BF16 — the
@@ -24,8 +29,9 @@
 //! data-parallel gradient hook all finish their backward passes before the
 //! optimizer touches a weight.
 //!
-//! These three calls — `qgemm_nt_bf16`, `qgemm_bf16`, `qgemm_tn_bf16` —
-//! are the hottest loops of every training step. They dispatch into
+//! These three GEMMs — `qgemm_nt_bf16`, `qgemm_bf16`, and the `tn`
+//! product written in place through [`gemm_into`] — are the hottest loops
+//! of every training step. They dispatch into
 //! `snip-tensor`'s pool-backed, cache-blocked GEMM engine with the BF16
 //! output rounding fused into the tile store (bit-identical to rounding in
 //! a second pass, without touching the output twice): packed operands are
@@ -39,9 +45,10 @@ use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use snip_quant::{LinearPrecision, Quantizer, TensorRole};
 use snip_tensor::{
-    packed::{qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16},
+    gemm_into,
+    packed::{qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16},
     rng::Rng,
-    QOperandRef, QTensor, Tensor,
+    Orientation, QOperandRef, QTensor, Round, Tensor,
 };
 
 /// A linear layer `y = x · Wᵀ` with per-operand quantization.
@@ -335,39 +342,44 @@ impl Linear {
         (y, LinearCache::new(qx, qw, w))
     }
 
-    /// Backward pass: quantizes `dy` once, computes `dX` (returned) and `dW`
-    /// (accumulated into the weight's FP32 gradient).
+    /// Backward pass: quantizes `dy` once and returns `dX`. `dW` — BF16
+    /// rounded, plain in exact mode — is written straight into the weight's
+    /// gradient, replacing whatever it held ([`Param::grad_to_write`]):
+    /// bit for bit what adding it into a zeroed gradient gave, since
+    /// [`gemm_into`] stores `0 + dW`.
     ///
     /// # Panics
     ///
     /// Panics if shapes are inconsistent with the cached forward, and in
     /// debug builds if the weight changed since the forward that made
-    /// `cache`.
+    /// `cache`, or if the gradient was already written since the last
+    /// [`crate::model::Model::zero_grads`].
     pub fn backward(&mut self, dy: &Tensor, cache: &LinearCache, rng: &mut Rng) -> Tensor {
-        self.backward_recorded(dy, cache, rng).0
-    }
-
-    /// Backward pass that also returns the (BF16-rounded) `dW` tensor for
-    /// recording; gradient accumulation still happens.
-    pub fn backward_recorded(
-        &mut self,
-        dy: &Tensor,
-        cache: &LinearCache,
-        rng: &mut Rng,
-    ) -> (Tensor, Tensor) {
         let w = self.weight.value();
         cache.check_weight(w);
         if self.exact {
             let dx = qgemm(QOperandRef::from(dy), cache.qw.operand(w));
-            let dw = qgemm_tn(QOperandRef::from(dy), cache.qx.operand());
-            self.weight.accumulate_grad(&dw);
-            return (dx, dw);
+            let dw = self.weight.grad_to_write();
+            gemm_into(
+                dw,
+                dy.into(),
+                cache.qx.operand(),
+                Orientation::Tn,
+                Round::Keep,
+            );
+            return dx;
         }
         let qdy = self.quantize_cached(TensorRole::OutputGrad, dy, rng);
         let dx = qgemm_bf16(qdy.operand(), cache.qw.operand(w));
-        let dw = qgemm_tn_bf16(qdy.operand(), cache.qx.operand());
-        self.weight.accumulate_grad(&dw);
-        (dx, dw)
+        let dw = self.weight.grad_to_write();
+        gemm_into(
+            dw,
+            qdy.operand(),
+            cache.qx.operand(),
+            Orientation::Tn,
+            Round::Bf16,
+        );
+        dx
     }
 }
 
@@ -463,18 +475,56 @@ mod tests {
         assert!(e4 > e8, "fp4 ({e4}) should be noisier than fp8 ({e8})");
     }
 
+    /// A weight's gradient is written, not accumulated: a second backward
+    /// with no reset in between would silently replace the first `dW`.
+    #[cfg(debug_assertions)]
     #[test]
-    fn gradients_accumulate_across_calls() {
+    #[should_panic(expected = "written twice without zero_grads in between")]
+    fn a_second_backward_without_a_reset_trips_the_written_once_check() {
         let mut rng = Rng::seed_from(24);
         let mut lin = Linear::new("w", 3, 3, 1.0, 4, &mut rng);
         let x = Tensor::randn(2, 3, 1.0, &mut rng);
         let dy = Tensor::randn(2, 3, 1.0, &mut rng);
         let (_, cache) = lin.forward(&x, &mut rng);
         let _ = lin.backward(&dy, &cache, &mut rng);
-        let g1 = lin.weight().grad().frobenius_norm();
         let _ = lin.backward(&dy, &cache, &mut rng);
-        let g2 = lin.weight().grad().frobenius_norm();
-        assert!((g2 - 2.0 * g1).abs() < 1e-6 * g1.max(1.0));
+    }
+
+    /// backward → reset → backward on the same inputs and draws writes the
+    /// same gradient bits: the write depends on nothing the gradient held.
+    #[test]
+    fn backward_reset_backward_gives_bit_identical_gradients() {
+        for precision in [
+            LinearPrecision::uniform(Precision::Bf16),
+            LinearPrecision::uniform(Precision::Fp4),
+        ] {
+            for exact in [false, true] {
+                let mut rng = Rng::seed_from(24);
+                let mut lin = Linear::new("w", 5, 6, 1.0, 4, &mut rng);
+                lin.set_precision(precision);
+                lin.set_exact_mode(exact);
+                let x = Tensor::randn(3, 6, 1.0, &mut rng);
+                let dy = Tensor::randn(3, 5, 1.0, &mut rng);
+                let (_, cache) = lin.forward(&x, &mut rng);
+                let bits = |lin: &Linear| -> Vec<u32> {
+                    lin.weight()
+                        .grad()
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                let _ = lin.backward(&dy, &cache, &mut rng.clone());
+                let first = bits(&lin);
+                lin.weight_mut().rearm_grad();
+                let _ = lin.backward(&dy, &cache, &mut rng.clone());
+                assert_eq!(bits(&lin), first, "{precision}, exact {exact}");
+                assert!(
+                    first.iter().any(|&b| b != 0),
+                    "{precision}: a zero gradient"
+                );
+            }
+        }
     }
 
     #[test]
@@ -502,8 +552,8 @@ mod tests {
 
             let mut rng_new = Rng::seed_from(77);
             let (y, cache) = lin.forward(&x, &mut rng_new);
-            lin.weight_mut().zero_grad();
-            let (dx, dw) = lin.backward_recorded(&dy, &cache, &mut rng_new);
+            let dx = lin.backward(&dy, &cache, &mut rng_new);
+            let dw = lin.weight().grad().clone();
 
             // Reference: the fake-quantization data flow of the seed.
             let mut rng_ref = Rng::seed_from(77);
@@ -531,8 +581,22 @@ mod tests {
             }
             // Same stochastic draws consumed.
             assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "{precision}");
-            // Cache dequantization reproduces the fake-quant operands.
-            for (got, want) in [(cache.qx.dequantize(), qx), (cache.qw.dequantize(), qw)] {
+            // The operands the GEMMs read reproduce the fake-quant ones: the
+            // input through its cache, the weight the way `qw` recorded —
+            // its packed codes, or the master weight read in place (an
+            // in-place read's `dequantize` is empty: it holds no values).
+            let read = cache.qw.operand(lin.weight().value());
+            let (rows, cols) = read.shape();
+            let mut w_read = Tensor::zeros(rows, cols);
+            for r in 0..rows {
+                read.decode_row_range_into(r, 0, cols, w_read.row_mut(r));
+            }
+            let mut pairs = vec![(cache.qx.dequantize(), &qx), (w_read, &qw)];
+            if cache.qw.is_packed() {
+                pairs.push((cache.qw.dequantize(), &qw));
+            }
+            for (got, want) in pairs {
+                assert_eq!(got.shape(), want.shape(), "{precision} cache");
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{precision} cache");
                 }
@@ -588,15 +652,56 @@ mod tests {
         let _ = lin.backward(&dy, &cache, &mut rng);
     }
 
+    /// A tapped backward hands the tap the `dW` it wrote: each layer's
+    /// recorded `dw` is that layer's gradient.
     #[test]
     fn recorded_backward_returns_dw() {
-        let mut rng = Rng::seed_from(25);
-        let mut lin = Linear::new("w", 3, 4, 1.0, 4, &mut rng);
-        let x = Tensor::randn(2, 4, 1.0, &mut rng);
-        let dy = Tensor::randn(2, 3, 1.0, &mut rng);
-        lin.weight_mut().zero_grad();
-        let (_, cache) = lin.forward(&x, &mut rng);
-        let (_, dw) = lin.backward_recorded(&dy, &cache, &mut rng);
-        assert_eq!(&dw, lin.weight().grad());
+        use crate::model::{Model, StepOptions};
+        use crate::{Batch, LayerId, ModelConfig};
+        let cfg = ModelConfig::tiny_test();
+        let mut model = Model::new(cfg.clone(), 25).unwrap();
+        let batch = Batch::from_sequences(&[vec![1, 2, 3, 4, 5, 6, 7, 8, 9]], 8);
+        model.zero_grads();
+        let out = model.step(&batch, &mut Rng::seed_from(25), &StepOptions::record());
+        let record = out.record.expect("recording requested");
+        for i in 0..cfg.n_linear_layers() {
+            let id = LayerId::from_linear_index(i);
+            assert_eq!(
+                &record.layer(id).dw,
+                model.linear(id).weight().grad(),
+                "layer {i}"
+            );
+        }
+    }
+
+    /// `dW` lands in the gradient, and equals `0 + dW` — the gradient a
+    /// zeroed accumulator gave — bit for bit, whatever the gradient held
+    /// before (here NaN), in BF16 and exact mode.
+    #[test]
+    fn backward_writes_dw_into_the_gradient() {
+        use snip_tensor::packed::{qgemm_tn, qgemm_tn_bf16};
+        for exact in [false, true] {
+            let mut rng = Rng::seed_from(25);
+            let mut lin = Linear::new("w", 3, 4, 1.0, 4, &mut rng);
+            lin.set_exact_mode(exact);
+            let x = Tensor::randn(2, 4, 1.0, &mut rng);
+            let dy = Tensor::randn(2, 3, 1.0, &mut rng);
+            lin.weight_mut().grad_mut().as_mut_slice().fill(f32::NAN);
+            let (_, cache) = lin.forward(&x, &mut rng);
+            let mut draws = rng.clone();
+            let _ = lin.backward(&dy, &cache, &mut rng);
+
+            let mut want = Tensor::zeros(3, 4);
+            if exact {
+                want.add_assign(&qgemm_tn(QOperandRef::from(&dy), cache.qx.operand()));
+            } else {
+                let qdy = lin
+                    .quantizer(TensorRole::OutputGrad)
+                    .fake_quantize(&dy, &mut draws);
+                want.add_assign(&qgemm_tn_bf16(QOperandRef::from(&qdy), cache.qx.operand()));
+            }
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(lin.weight().grad()), bits(&want), "exact {exact}");
+        }
     }
 }

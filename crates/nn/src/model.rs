@@ -24,7 +24,7 @@ use snip_tensor::{rng::Rng, Tensor};
 /// Options controlling one training/evaluation step.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepOptions {
-    /// Run the backward pass and accumulate gradients.
+    /// Run the backward pass, filling the gradients ([`Model::step`]).
     pub backward: bool,
     /// Record per-layer tensors and norms (SNIP Step 1).
     pub record: bool,
@@ -223,8 +223,32 @@ impl Model {
         self.lm_head.set_exact_mode(exact);
     }
 
-    /// Zeroes all gradient accumulators, one parameter per pool task.
+    /// Readies every gradient for the next backward pass. The gradients a
+    /// backward *accumulates* into — the embedding table's and the norm
+    /// gains' — are zeroed, one parameter per pool task. A linear weight's
+    /// gradient is *written* whole by its layer's one weight-gradient GEMM
+    /// ([`Linear::backward`]), so it is left as it is (re-armed,
+    /// [`Param::rearm_grad`]): until the next backward writes it, it holds
+    /// the last pass's `dW`. [`Model::zero_all_grads`] zeroes those too.
     pub fn zero_grads(&mut self) {
+        let mut accumulated = Vec::with_capacity(2 + 2 * self.blocks.len());
+        accumulated.push(self.embed.table_mut());
+        for b in &mut self.blocks {
+            // `attn_norm`, the seven linear weights, `mlp_norm`.
+            let [attn_norm, linears @ .., mlp_norm] = b.params_mut();
+            accumulated.extend([attn_norm, mlp_norm]);
+            linears.into_iter().for_each(Param::rearm_grad);
+        }
+        accumulated.push(self.final_norm.gain_mut());
+        self.lm_head.weight_mut().rearm_grad();
+        pool::for_each_owned(accumulated, |_, p| p.zero_grad());
+    }
+
+    /// Zeroes every gradient, the linear weights' included, one parameter
+    /// per pool task: for a state that must not carry a step's gradients
+    /// on (a rolled-back step, a finished probe). A step needs only
+    /// [`Model::zero_grads`].
+    pub fn zero_all_grads(&mut self) {
         pool::for_each_owned(self.params_mut(), |_, p| p.zero_grad());
     }
 
@@ -308,18 +332,19 @@ impl Model {
     }
 
     /// Stage 3 — head backward: through the LM head and `final_norm`
-    /// (accumulating their gradients). Returns the gradient entering the
-    /// last transformer block.
+    /// (writing the head weight's gradient, accumulating the gain's).
+    /// Returns the gradient entering the last transformer block.
     pub fn backward_head(&mut self, head: &HeadForward, rng: &mut Rng) -> Tensor {
         let dhn = self.lm_head.backward(&head.dlogits, &head.head_cache, rng);
         self.final_norm.backward(&dhn, &head.hn_cache)
     }
 
     /// Stage 4 — blocks-backward: from `top`, the gradient entering the
-    /// last block, down through every block and the embedding,
-    /// accumulating their gradients. `caches` are the ones
-    /// [`Model::forward_blocks`] returned for the same batch; they are only
-    /// read, so one forward can serve several backward passes.
+    /// last block, down through every block and the embedding, writing
+    /// their linear weights' gradients and accumulating the rest. `caches`
+    /// are the ones [`Model::forward_blocks`] returned for the same batch;
+    /// they are only read, so one forward can serve several backward
+    /// passes.
     ///
     /// # Panics
     ///
@@ -347,7 +372,10 @@ impl Model {
     /// [`Model::backward_blocks`]. With `opts.record` a [`StepRecord`] taps
     /// every linear layer.
     ///
-    /// Gradients are *accumulated*; call [`Model::zero_grads`] between steps.
+    /// The backward writes each linear weight's gradient once and
+    /// accumulates the embedding's and the norm gains'; call
+    /// [`Model::zero_grads`] between steps (debug builds panic on a second
+    /// write without it).
     ///
     /// # Panics
     ///
@@ -484,6 +512,7 @@ mod tests {
         };
         let mut measured = |p| {
             model.set_scheme(&vec![LinearPrecision::uniform(p); cfg.n_linear_layers()]);
+            model.zero_grads();
             model
                 .step(&batch, &mut rng, &StepOptions::train())
                 .linear_cache_bytes

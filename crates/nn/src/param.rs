@@ -1,18 +1,59 @@
 //! Trainable parameters.
 
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use snip_tensor::{rng::Rng, Tensor};
 
-/// A trainable parameter: an FP32 master value plus its gradient accumulator.
+/// A trainable parameter: an FP32 master value plus its gradient.
 ///
 /// Mixed-precision training keeps master weights in full precision (paper
 /// Fig. 5, following DeepSeek-V3); quantization happens on the fly when a
 /// linear layer consumes the weight.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// A gradient is filled one of two ways. Most are *accumulated*
+/// ([`Param::accumulate_grad`], or in place through [`Param::grad_mut`])
+/// and must start each step at zero ([`Param::zero_grad`]). A linear
+/// layer's weight gradient is *written*: its one weight-gradient GEMM of
+/// the pass stores `dW` whole through [`Param::grad_to_write`], so it needs
+/// no zeroing — only [`Param::rearm_grad`], which debug builds use to check
+/// that no second write silently replaces the first.
+#[derive(Clone, Debug)]
 pub struct Param {
     name: String,
     value: Tensor,
     grad: Tensor,
+    /// Debug builds: `grad` was handed out by [`Param::grad_to_write`]
+    /// since the last [`Param::zero_grad`] / [`Param::rearm_grad`]. Check
+    /// state only: neither serialized nor compared.
+    #[cfg(debug_assertions)]
+    written: bool,
+}
+
+impl PartialEq for Param {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.name, &self.value, &self.grad) == (&other.name, &other.value, &other.grad)
+    }
+}
+
+impl Serialize for Param {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("name".into(), self.name.to_content()),
+            ("value".into(), self.value.to_content()),
+            ("grad".into(), self.grad.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for Param {
+    fn from_content(c: &Content) -> Result<Self, SerdeError> {
+        Ok(Param {
+            name: de_field(c, "name")?,
+            value: de_field(c, "value")?,
+            grad: de_field(c, "grad")?,
+            #[cfg(debug_assertions)]
+            written: false,
+        })
+    }
 }
 
 impl Param {
@@ -23,6 +64,8 @@ impl Param {
             name: name.into(),
             value,
             grad: Tensor::zeros(r, c),
+            #[cfg(debug_assertions)]
+            written: false,
         }
     }
 
@@ -57,14 +100,45 @@ impl Param {
         &mut self.value
     }
 
-    /// Accumulated gradient.
+    /// The gradient.
     pub fn grad(&self) -> &Tensor {
         &self.grad
     }
 
-    /// Mutable gradient accumulator.
+    /// The gradient, to update in place (accumulate, scale, reduce).
     pub fn grad_mut(&mut self) -> &mut Tensor {
         &mut self.grad
+    }
+
+    /// The gradient, for its one producer of this pass to overwrite whole
+    /// (a linear layer's weight-gradient GEMM): whatever it holds is stale.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if it was already handed out since the last
+    /// [`Param::zero_grad`] or [`Param::rearm_grad`]: a second write would
+    /// replace the first instead of adding to it.
+    pub fn grad_to_write(&mut self) -> &mut Tensor {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                !self.written,
+                "gradient of `{}` written twice without zero_grads in between",
+                self.name
+            );
+            self.written = true;
+        }
+        &mut self.grad
+    }
+
+    /// Readies a written gradient for the next pass without zeroing it:
+    /// the next [`Param::grad_to_write`] overwrites every element. Only
+    /// debug builds have anything to do (the written-once check).
+    pub fn rearm_grad(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            self.written = false;
+        }
     }
 
     /// Splits into `(value, grad)` mutable borrows — the optimizer needs both.
@@ -81,9 +155,10 @@ impl Param {
         self.grad.add_assign(g);
     }
 
-    /// Zeroes the gradient accumulator.
+    /// Zeroes the gradient (and re-arms it, see [`Param::rearm_grad`]).
     pub fn zero_grad(&mut self) {
         self.grad.fill_zero();
+        self.rearm_grad();
     }
 
     /// Number of scalar parameters.

@@ -18,18 +18,19 @@ use snip_tensor::Tensor;
 /// backward stages of [`crate::model::Model`] call it once per layer with
 /// what exists only at that moment, and each tap keeps what it needs:
 /// [`StepRecord`] snapshots every tensor (it outlives the model borrow),
-/// while SNIP's probe keeps only the transient `dY`, takes `dW` by move and
-/// borrows everything else from the model and the forward caches later.
+/// while SNIP's probe keeps only the transient `dY` and `dW` and borrows
+/// everything else from the model and the forward caches later.
 pub trait LayerTap {
     /// After layer `id`'s forward GEMM: the layer, the quantized operands it
     /// saved for backward, and its output `y`.
     fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor);
 
     /// After layer `id`'s backward GEMMs: the output gradient `dy` it
-    /// received, the (BF16-rounded) weight gradient `dw` it produced — by
-    /// value, already accumulated into the parameter, so keeping it costs
-    /// no copy — and the input gradient `dx` it returns.
-    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor);
+    /// received, the (BF16-rounded) weight gradient `dw` it produced —
+    /// borrowed from the weight's gradient, where the GEMM wrote it and the
+    /// next pass overwrites it, so a tap that keeps it copies it — and the
+    /// input gradient `dx` it returns.
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor);
 }
 
 /// Everything recorded about one linear layer in one step.
@@ -114,10 +115,10 @@ impl LayerTap for StepRecord {
         lr.y_norm = y.frobenius_norm();
     }
 
-    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: Tensor, dx: &Tensor) {
+    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor) {
         let lr = self.layer_mut(id);
         lr.dy = dy.clone();
-        lr.dw = dw;
+        lr.dw = dw.clone();
         lr.dx_norm = dx.frobenius_norm();
     }
 }

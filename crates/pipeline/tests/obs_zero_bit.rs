@@ -147,6 +147,37 @@ proptest! {
     }
 }
 
+/// GEMMs large enough to build the shared B-tile cache, in both of its
+/// builds (row-major bands for `nn` / `tn`, per-tile transposes for `nt`),
+/// unsplit and split: bit-identical with collection on, and the
+/// `gemm.btile.build_ns` counter that times the builds moves only then.
+#[test]
+fn bcache_builds_are_bit_identical_and_timed_only_with_collection_on() {
+    use snip_tensor::pool;
+    let (m, k, n) = (131, 77, 203);
+    let mut rng = Rng::seed_from(9);
+    let a = Tensor::randn(m, k, 1.0, &mut rng);
+    let at = Tensor::randn(k, m, 1.0, &mut rng);
+    let b = Tensor::randn(k, n, 1.0, &mut rng);
+    let bt = Tensor::randn(n, k, 1.0, &mut rng);
+    let (off, on) = off_then_on(|| {
+        let before = snip_obs::counter_value("gemm.btile.build_ns");
+        let out = [1, 2].map(|split| {
+            pool::with_threads(split, || {
+                [
+                    bits(&matmul(&a, &b)),
+                    bits(&matmul_nt(&a, &bt)),
+                    bits(&matmul_tn(&at, &b)),
+                ]
+            })
+        });
+        (out, snip_obs::counter_value("gemm.btile.build_ns") > before)
+    });
+    assert_eq!(off.0, on.0, "telemetry changed a GEMM");
+    assert!(!off.1, "B-tile builds timed with collection off");
+    assert!(on.1, "no B-tile build timed with collection on");
+}
+
 #[test]
 fn training_steps_are_bit_identical_with_collection_on() {
     // End to end: a quantized model under full instrumentation (model.step

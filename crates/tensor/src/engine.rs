@@ -1,44 +1,97 @@
 //! The cache-blocked GEMM engine behind both the dense and the packed
 //! kernels.
 //!
-//! One implementation serves all three orientations and every operand
-//! combination: operands are [`QOperandRef`]s, of two classes. A dense
-//! operand is borrowed in place; every other one — packed codes, or dense
-//! storage read through BF16 rounding — is *decoded* row segment by row
-//! segment through [`QOperandRef::decode_row_range_into`], the one decode
-//! arm of every builder below. The B-side tile cache is materialized
-//! **once per GEMM**, its tiles built in parallel on the pool, and shared
-//! read-only by every row chunk; each chunk's A block is borrowed in place
-//! (dense, row-major) or decoded **once per block sweep** into reusable
-//! per-worker scratch (the old `qgemm_nt` panel loop re-decoded every
-//! packed A row ⌈n/32⌉ times). Because every operand class shares this
-//! code and the decode only changes *where* a value comes from, the 0-ULP
-//! identity of a GEMM over a decoded operand with the dense GEMM over its
-//! decoded values holds by construction.
+//! # One path, and every GEMM stores its output
+//!
+//! One implementation serves all three [`Orientation`]s, both [`Round`]ings
+//! and every operand combination. [`gemm_into`] writes a product into a
+//! caller's tensor (a linear layer writes its weight gradient this way);
+//! the nine returning kernels — `matmul`, `matmul_nt`, `matmul_tn`
+//! ([`crate::matmul`]) and `qgemm{,_nt,_tn}{,_bf16}` ([`crate::packed`]) —
+//! take their output from [`arena::take`] and run the same driver,
+//! [`write_product`]. No output is zero-filled first: the tile kernel
+//! *stores* `C = A·B`, every accumulator starting at +0 ([`tile_kernel`]),
+//! and nothing reads an output element before its tile is written.
+//! Starting at +0 gives the bits of adding the product into a zero-filled
+//! `C`, because the engine calls the tile kernel once per output tile with
+//! the whole `k` extent. [`gemm_into`]'s store also adds +0
+//! ([`STORE_PLUS_ZERO`]), so that writing a gradient is bit for bit the
+//! `0 + dW` that accumulating it into a zeroed one was.
+//!
+//! # Operands
+//!
+//! Operands are [`QOperandRef`]s, of two classes. A dense operand is
+//! borrowed in place; every other one — packed codes, or dense storage read
+//! through BF16 rounding — is *decoded* row segment by row segment through
+//! [`QOperandRef::decode_row_range_into`], the one decode arm of every
+//! builder below (packed FP4 rows decode two elements per byte load through
+//! the codebook's pair table, [`crate::QTensor::pair_table`]). Because every
+//! operand class shares this code and the decode only changes *where* a
+//! value comes from, the 0-ULP identity of a GEMM over a decoded operand
+//! with the dense GEMM over its decoded values holds by construction.
+//!
+//! # Blocking and the pool
 //!
 //! Every orientation reduces to the same tile kernel: an `mb×k` row-major
-//! A block times a `k×nb` k-major B tile, accumulated into an `mb×nb`
-//! output tile as rank-1 updates — the vectorizable form (the naive
-//! dot-product `nt` kernel was a serial FMA latency chain; rewriting it as
-//! rank-1 updates over a transposed B tile is the single largest win in
-//! this engine). The tile kernel has two bodies behind one dispatch
-//! table: the portable scalar kernel in [`scalar`] (always compiled, always
-//! the reference) and one vector kernel, written once in `simd_ops` over a
-//! per-ISA vector-op table and instantiated for AVX2 (`simd_x86`), AVX-512
-//! (`simd_x86_512`) and NEON (`simd_neon`) when the `simd` cargo feature is
-//! on. [`simd::active_kernels`] resolves the table row — tile update,
-//! decodes, abs-max and encode kernels as plain function pointers — for
-//! the tier runtime detection, `SNIP_SIMD` and `with_forced_backend`
-//! select; it is the only place a vector kernel is reached from.
+//! A block times a `k×nb` k-major B tile, stored into an `mb×nb` output
+//! tile ([`MC`]`×`[`NC`] at most) as rank-1 updates — the vectorizable form
+//! (the old dot-product `nt` kernel was a serial FMA latency chain;
+//! rewriting it as rank-1 updates over a transposed B tile is the single
+//! largest win in this engine). The `k` loop is register-blocked, one
+//! fused multiply-add per term.
 //!
-//! The two transposed operand sides — B of `nt` ([`BSide::Transposed`])
-//! and A of `tn` ([`ASide::Transposed`]) — share one portable blocked
-//! transpose, [`transpose_into`]: source rows in bands of [`TB`] (borrowed
-//! when dense, decoded once into staging otherwise), moved `TB×TB` block
-//! by block so that every store is a contiguous `TB`-float run. A transpose
+//! - **The B side** is materialized **once per GEMM** into a tile cache
+//!   ([`build_bcache`]) that every row chunk reads: tiles are j-aligned,
+//!   so one build serves all of them, and B's decode or transpose is one
+//!   pass over B whatever `m` or the chunk count. A split GEMM builds on
+//!   the pool, an unsplit one on the calling thread. A row-major B
+//!   ([`BSide::RowMajor`]: the weight of every `dX` GEMM, the activation of
+//!   every weight gradient) splits by bands of source rows, each band
+//!   decoded row by row straight into every tile ([`decode_row_band`]); a
+//!   transposed B is one task per tile. The cache is kept between GEMMs
+//!   inside an arena scope ([`BCACHE`]); a B beyond [`B_CACHE_LIMIT`], or a
+//!   single-sweep product, builds its tiles per sweep in per-worker scratch
+//!   instead.
+//! - **The A side** is borrowed in place when dense and row-major, and
+//!   otherwise decoded or transposed **once per block sweep** into
+//!   per-worker scratch ([`build_ablock`]; the old `qgemm_nt` panel loop
+//!   re-decoded every packed A row ⌈n/32⌉ times).
+//! - **The output** is split into contiguous row chunks over the
+//!   persistent worker pool ([`crate::pool`]) above [`PARALLEL_THRESHOLD`]
+//!   multiply–accumulates; each chunk owns its rows. [`pool::with_threads`]
+//!   forces a split for tests and benches.
+//! - **Scratch** — A blocks, B tiles, the B-tile cache, transpose staging —
+//!   is plain `Vec<f32>`, every slice of it a [`window`] starting on a
+//!   64-byte line. The alignment is a speed contract only (the kernels
+//!   load unaligned), pinned by its unit test.
+//!
+//! The two transposed operand sides — B of `nt` ([`BSide::Transposed`]:
+//! every forward, the attention scores) and A of `tn` ([`ASide::Transposed`]:
+//! every weight gradient) — share one portable blocked transpose,
+//! [`transpose_into`]: source rows in bands of [`TB`] (borrowed when dense,
+//! decoded once into staging otherwise), moved `TB×TB` block by block so
+//! that every store is a contiguous `TB`-float run, through fixed-size row
+//! references that unroll without bounds checks (no `unsafe`). A transpose
 //! only moves values, so every orientation hands the tile kernel the same
 //! values in the same `k` order as `nn` over the transposed operand, and
-//! `matmul_nt(a, b) == matmul(a, bᵀ)` holds bit for bit.
+//! `matmul_nt(a, b) == matmul(a, bᵀ)` holds bit for bit;
+//! `tests/pool_determinism.rs` checks that independently of the transpose.
+//!
+//! # Kernels and tiers
+//!
+//! The tile kernel has two bodies behind one dispatch table: the portable
+//! scalar kernel in [`scalar`] (always compiled, always the reference; its
+//! `fma` build whenever the CPU has `fma`) and one vector kernel, written
+//! once in `simd_ops` over a per-ISA vector-op table and instantiated for
+//! AVX2 (`simd_x86`), AVX-512 (`simd_x86_512`) and NEON (`simd_neon`) when
+//! the `simd` cargo feature is on. [`simd::active_kernels`] resolves the
+//! table row — tile update, decodes, abs-max and encode kernels as plain
+//! function pointers — for the tier runtime detection, `SNIP_SIMD` and
+//! [`simd::with_forced_backend`] select; it is the only place a vector
+//! kernel is reached from. `SNIP_SIMD` caps dispatch (`0` / `off` /
+//! `scalar`, `avx2`, `neon`, `avx512`), and a forced tier propagates to the
+//! pool workers serving the region. The lane rules, and how to add a
+//! backend, are in the `simd_ops` docs.
 //!
 //! # The accumulation-order constraint
 //!
@@ -51,7 +104,10 @@
 //! one element, so any M×N tiling is bit-exact with any other (and with the
 //! serial kernel) at every thread count. Splitting `k` across tasks or
 //! summing it through trees/SIMD horizontal adds would break both the
-//! packed-vs-dense identity and cross-split determinism.
+//! packed-vs-dense identity and cross-split determinism
+//! (`tests/pool_determinism.rs` pins every kernel at splits 1 / 2 / max /
+//! max+3). The kernels never skip `a == 0` terms: the skip defeated
+//! vectorization and dropped `0 × NaN/Inf` propagation.
 //!
 //! The SIMD kernels obey the same rule by vectorizing **across output
 //! elements only**: each lane owns one output column's accumulator and the
@@ -64,6 +120,14 @@
 //! fuses — a tier that rounded the product separately would diverge by an
 //! ULP. The accepted cost: an x86-64 CPU without `fma` runs every tier
 //! scalar, and the scalar body there pays a libm `fmaf` call per element.
+//!
+//! # Measured
+//!
+//! `BENCH_gemm.json` at the repository root (`bench_gemm`, schema 9) holds
+//! the numbers: per backend tier, the `gemm` table times all six
+//! orientations at the three linear-layer shapes, `decode` and `pack` the
+//! codecs, and `probe` SNIP's measurement against a plain step. Its
+//! `--check` holds every `nt` row to `MAX_NT_OVER_NN` times its `nn` row.
 
 use crate::arena;
 use crate::packed::QOperandRef;
@@ -102,6 +166,19 @@ const MC: usize = 64;
 /// keeps a 64×64 f32 output tile (16 KiB) L1-resident.
 const NC: usize = 64;
 
+/// Which operands a GEMM reads transposed: the three products of a linear
+/// layer (paper Fig. 5; [`crate::matmul`] names them).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Orientation {
+    /// `C = A · B` (`A`: `M×K`, `B`: `K×N`): the input gradient `dX = dY · W`.
+    Nn,
+    /// `C = A · Bᵀ` (`A`: `M×K`, `B`: `N×K`): the forward `Y = X · Wᵀ`.
+    Nt,
+    /// `C = Aᵀ · B` (`A`: `K×M`, `B`: `K×N`): the weight gradient
+    /// `dW = dYᵀ · X`.
+    Tn,
+}
+
 /// What happens to each output element at tile-store time.
 ///
 /// `Bf16` folds the round-to-nearest-even BF16 rounding of
@@ -111,12 +188,39 @@ const NC: usize = 64;
 /// per output tile with the whole `k` extent), so the fused store is
 /// bit-identical to `Round::Keep` followed by
 /// [`crate::bf16::round_slice`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Round {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Round {
     /// Store the raw f32 accumulators.
     Keep,
     /// Round every stored element to BF16 (kept in f32 storage).
     Bf16,
+}
+
+/// What the tile store does to each finished accumulator: a set of the
+/// `STORE_*` flags, and a const generic of the vector tile bodies.
+pub(crate) type Store = u8;
+/// Round to BF16 ([`Round::Bf16`]).
+pub(crate) const STORE_BF16: Store = 1;
+/// Add +0, after any rounding: −0 becomes +0, every other value (NaN
+/// included) stays as it is. [`gemm_into`] stores this way, so that
+/// writing a product equals adding it into a zeroed tensor — the kernels
+/// start their accumulators at +0, but a negative sum too small for f32
+/// (or a BF16-rounded one) still comes out as −0.
+pub(crate) const STORE_PLUS_ZERO: Store = 2;
+
+/// `v` finished as `store` says: the scalar form of the vector stores.
+#[inline(always)]
+pub(crate) fn finish(store: Store, v: f32) -> f32 {
+    let v = if store & STORE_BF16 != 0 {
+        crate::bf16::round(v)
+    } else {
+        v
+    };
+    if store & STORE_PLUS_ZERO != 0 {
+        v + 0.0
+    } else {
+        v
+    }
 }
 
 /// Floats per 64-byte cache line.
@@ -193,18 +297,21 @@ fn keep_bcache(mut cache: Vec<f32>) {
     BCACHE.set(cache);
 }
 
-/// The shared tile kernel: `C[i0.., j0..] += Ablock · Btile` where `ablock`
-/// is `mb×k` row-major, `btile` is `k×nb` k-major, and `chunk` holds the
-/// caller's output rows (`row0` = first tile row's index within the chunk,
-/// `n` = full output row stride). One fused multiply-add per term, `k`
-/// ascending, per element — see the module docs.
+/// The shared tile kernel: `C[row0.., j0..] = Ablock · Btile` where
+/// `ablock` is `mb×k` row-major, `btile` is `k×nb` k-major, and `chunk`
+/// holds the caller's output rows (`row0` = first tile row's index within
+/// the chunk, `n` = full output row stride). Every accumulator starts at
+/// +0 and takes one fused multiply-add per term, `k` ascending — see the
+/// module docs. The tile's previous contents are never read: the kernel
+/// *stores* its output, it does not add into it.
 ///
 /// Calls through the active row of the kernel table
-/// ([`simd::active_kernels`]): a vector row folds [`Round::Bf16`] into the
-/// tile store, the scalar row rounds in a second pass over the tile.
+/// ([`simd::active_kernels`]): a vector row folds the `store` flags into
+/// the tile store, the scalar row applies them in a second pass over the
+/// tile.
 #[allow(clippy::too_many_arguments)]
 fn tile_kernel(
-    round: Round,
+    store: Store,
     chunk: &mut [f32],
     n: usize,
     row0: usize,
@@ -215,12 +322,7 @@ fn tile_kernel(
     ablock: &[f32],
     btile: &[f32],
 ) {
-    let kernels = simd::active_kernels();
-    let tile = match round {
-        Round::Keep => kernels.tile_keep,
-        Round::Bf16 => kernels.tile_bf16,
-    };
-    tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
+    (simd::active_kernels().tile)(store, chunk, n, row0, j0, mb, nb, k, ablock, btile);
 }
 
 /// Source rows per transpose band, and the edge of one square transpose
@@ -318,8 +420,8 @@ enum BSide {
 const B_CACHE_LIMIT: usize = 1 << 24;
 
 /// Materializes the `k×nb` k-major B tile for columns `[j0, j1)` into
-/// `tile` (length `k * nb`). A row-major tile row is a row segment of B,
-/// copied or decoded alike.
+/// `tile` (length `k * nb`): one band of all `k` rows for a row-major B
+/// ([`decode_row_band`]), the band transpose for a transposed one.
 fn build_btile_into(
     b: &QOperandRef<'_>,
     side: BSide,
@@ -329,15 +431,94 @@ fn build_btile_into(
     tile: &mut [f32],
     staging: &mut Vec<f32>,
 ) {
-    let nb = j1 - j0;
-    debug_assert_eq!(tile.len(), k * nb);
+    debug_assert_eq!(tile.len(), k * (j1 - j0));
+    match side {
+        BSide::RowMajor => decode_row_band(b, (0, k), (j0, j1), &mut [tile]),
+        BSide::Transposed => transpose_into(b, (j0, j1), (0, k), tile, staging),
+    }
+}
+
+/// Writes rows `[r0, r1)` of a row-major B into their row band of each
+/// k-major tile across the columns `[j0, j1)`: `bands[t]` is rows `[r0,
+/// r1)` of the tile at columns `[j0 + t·NC, min(j0 + (t+1)·NC, j1))`, so
+/// `(r1 − r0) × nb` floats. Each source row is read once, left to right,
+/// its segments decoded straight into their tiles through
+/// [`QOperandRef::decode_row_range_into`]. Reading a tile's `k` rows as `k`
+/// strided segments is the same work in the other loop order, and it is
+/// slower: the row order streams the source.
+fn decode_row_band(
+    b: &QOperandRef<'_>,
+    (r0, r1): (usize, usize),
+    (j0, j1): (usize, usize),
+    bands: &mut [&mut [f32]],
+) {
+    for r in 0..r1 - r0 {
+        for (t, band) in bands.iter_mut().enumerate() {
+            let c0 = j0 + t * NC;
+            let c1 = (c0 + NC).min(j1);
+            let nb = c1 - c0;
+            b.decode_row_range_into(r0 + r, c0, c1, &mut band[r * nb..(r + 1) * nb]);
+        }
+    }
+}
+
+/// Builds the shared B-tile cache of a `k×n` (row-major) or `n×k`
+/// (transposed) B into `tiles`: the tiles back to back, the one starting
+/// at column `j0` occupying `tiles[j0 * k..j1 * k]`. The build writes every
+/// element, so a reused cache is not cleared first. A split GEMM (`parts >
+/// 1`) builds on the pool, an unsplit one on the calling thread:
+/// - a row-major B splits by bands of source rows, each task writing its
+///   band of *every* tile ([`decode_row_band`]) through owned slices;
+/// - a transposed B is one task per tile, staging through the `SCRATCH`
+///   of whichever thread runs it. No `SCRATCH` borrow is held across the
+///   dispatch, since the calling thread runs tasks too.
+fn build_bcache(
+    b: &QOperandRef<'_>,
+    side: BSide,
+    k: usize,
+    n: usize,
+    parts: usize,
+    tiles: &mut [f32],
+) {
+    let tiles: Vec<&mut [f32]> = tiles.chunks_mut(NC * k).collect();
     match side {
         BSide::RowMajor => {
-            for (kk, dst) in tile.chunks_exact_mut(nb).enumerate() {
-                b.decode_row_range_into(kk, j0, j1, dst);
+            let rows = k.div_ceil(parts);
+            // `bands[i][t]`: source rows `[i·rows, …)` of tile `t`.
+            let mut bands: Vec<Vec<&mut [f32]>> =
+                (0..k.div_ceil(rows)).map(|_| Vec::new()).collect();
+            for tile in tiles {
+                let nb = tile.len() / k;
+                for (band, seg) in bands.iter_mut().zip(tile.chunks_mut(rows * nb)) {
+                    band.push(seg);
+                }
+            }
+            let build = |i: usize, mut band: Vec<&mut [f32]>| {
+                let r0 = i * rows;
+                decode_row_band(b, (r0, (r0 + rows).min(k)), (0, n), &mut band);
+            };
+            if bands.len() > 1 {
+                pool::for_each_owned(bands, build);
+            } else {
+                bands.into_iter().for_each(|band| build(0, band));
             }
         }
-        BSide::Transposed => transpose_into(b, (j0, j1), (0, k), tile, staging),
+        BSide::Transposed => {
+            let build = |t: usize, tile: &mut [f32]| {
+                let j0 = t * NC;
+                SCRATCH.with_borrow_mut(|s| {
+                    transpose_into(b, (j0, j0 + tile.len() / k), (0, k), tile, &mut s.staging);
+                });
+            };
+            if parts > 1 {
+                pool::for_each_owned(tiles, build);
+            } else {
+                tiles
+                    .into_iter()
+                    .enumerate()
+                    .for_each(|(t, tile)| build(t, tile));
+            }
+        }
     }
 }
 
@@ -369,8 +550,9 @@ fn build_ablock<'s>(
         (ASide::RowMajor, QOperandRef::Dense(t)) => &t.as_slice()[i0 * k..i1 * k],
         (ASide::RowMajor, _) => {
             let block = window(scratch, (i1 - i0) * k);
-            for (r, row) in block.chunks_exact_mut(k).enumerate() {
-                a.decode_row_range_into(i0 + r, 0, k, row);
+            // Indexed, not `chunks_exact_mut(k)`: `k` may be 0.
+            for r in 0..i1 - i0 {
+                a.decode_row_range_into(i0 + r, 0, k, &mut block[r * k..(r + 1) * k]);
             }
             block
         }
@@ -396,7 +578,7 @@ fn sweep_rows(
     b_side: BSide,
     n: usize,
     k: usize,
-    round: Round,
+    store: Store,
     bcache: Option<&[f32]>,
     start: usize,
     end: usize,
@@ -430,7 +612,7 @@ fn sweep_rows(
                     }
                 };
                 tile_kernel(
-                    round,
+                    store,
                     chunk,
                     n,
                     i0 - start,
@@ -478,30 +660,110 @@ fn for_each_row_chunk(
     });
 }
 
-/// The blocked driver shared by all three orientations: pre-materialize
-/// the B-side tile cache (tiles are j-aligned, so one build serves every
-/// row chunk — B-side decode/transpose work is a single pass over B
-/// regardless of `m` or the chunk count; a split GEMM builds its tiles on
-/// the pool, one task per tile), then row-chunk the output across
-/// the pool, sweeping `MC×NC` output tiles per chunk with the A block
-/// materialized once per sweep. Oversized B operands skip the shared cache
-/// and build tiles per sweep from bounded per-worker scratch.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked(
+/// `(m, n, k)` of an `orientation` product of `a` and `b`.
+///
+/// # Panics
+///
+/// Panics, naming the kernel `what`, if the operands' shared dimension
+/// differs.
+fn dims(
+    what: &str,
+    orientation: Orientation,
     a: &QOperandRef<'_>,
-    a_side: ASide,
     b: &QOperandRef<'_>,
-    b_side: BSide,
+) -> (usize, usize, usize) {
+    let ((ar, ac), (br, bc)) = (a.shape(), b.shape());
+    match orientation {
+        Orientation::Nn => {
+            assert_eq!(ac, br, "{what}: inner dims differ ({ac} vs {br})");
+            (ar, bc, ac)
+        }
+        Orientation::Nt => {
+            assert_eq!(ac, bc, "{what}: inner dims differ ({ac} vs {bc})");
+            (ar, br, ac)
+        }
+        Orientation::Tn => {
+            assert_eq!(ar, br, "{what}: outer dims differ ({ar} vs {br})");
+            (ac, bc, ar)
+        }
+    }
+}
+
+/// Writes the `orientation` product of `a` and `b` into `c`, rounded as
+/// `round` says: the engine's entry point for a caller's tensor. Every
+/// element of `c` is overwritten and none is read, so `c` may hold
+/// anything — last step's gradient, say.
+///
+/// The bits are `0 + C` for the `C` the returning kernel of the same
+/// orientation and rounding computes (`matmul*`, `qgemm*`): exactly what
+/// adding the product into a zeroed `c` gave. The store adds +0, which
+/// changes nothing but the −0 of a negative sum too small to represent.
+///
+/// # Panics
+///
+/// Panics if the operands' shared dimension differs or `c` is not `m × n`.
+pub fn gemm_into(
+    c: &mut Tensor,
+    a: QOperandRef<'_>,
+    b: QOperandRef<'_>,
+    orientation: Orientation,
     round: Round,
-    m: usize,
-    n: usize,
-    k: usize,
+) {
+    let store = store_of(round) | STORE_PLUS_ZERO;
+    write_product("gemm_into", c, &a, &b, orientation, store);
+}
+
+fn store_of(round: Round) -> Store {
+    match round {
+        Round::Keep => 0,
+        Round::Bf16 => STORE_BF16,
+    }
+}
+
+/// The product as a new tensor, its storage taken from [`arena::take`]
+/// with no zero fill: the body of the nine returning kernels, which name
+/// themselves in `what` for the shape panics.
+pub(crate) fn gemm(
+    what: &str,
+    a: QOperandRef<'_>,
+    b: QOperandRef<'_>,
+    orientation: Orientation,
+    round: Round,
 ) -> Tensor {
+    let (m, n, _) = dims(what, orientation, &a, &b);
+    let mut c = Tensor::from_vec(m, n, arena::take(m * n));
+    write_product(what, &mut c, &a, &b, orientation, store_of(round));
+    c
+}
+
+/// The one GEMM path: shape checks naming the kernel `what`, then the
+/// telemetry wrapper around [`gemm_blocked`], which stores as `store`
+/// says.
+fn write_product(
+    what: &str,
+    c: &mut Tensor,
+    a: &QOperandRef<'_>,
+    b: &QOperandRef<'_>,
+    orientation: Orientation,
+    store: Store,
+) {
+    let (m, n, k) = dims(what, orientation, a, b);
+    assert_eq!(
+        c.shape(),
+        (m, n),
+        "{what}: output shape differs from the {m}×{n} product"
+    );
+    let (a_side, b_side) = match orientation {
+        Orientation::Nn => (ASide::RowMajor, BSide::RowMajor),
+        Orientation::Nt => (ASide::RowMajor, BSide::Transposed),
+        Orientation::Tn => (ASide::Transposed, BSide::RowMajor),
+    };
+    let out = c.as_mut_slice();
     // Telemetry wrapper: one relaxed load when collection is off; when on,
     // count the call against the active backend and accumulate wall time
     // on the dispatching thread (`gemm.ns` backs `StepOutput::gemm_ns`).
     if !snip_obs::enabled() {
-        return gemm_blocked_inner(a, a_side, b, b_side, round, m, n, k);
+        return gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out);
     }
     let dispatch = match simd::active_backend() {
         simd::Backend::Scalar => "gemm.dispatch.scalar",
@@ -512,25 +774,29 @@ fn gemm_blocked(
     snip_obs::counter_add("gemm.calls", 1);
     snip_obs::counter_add(dispatch, 1);
     let t0 = snip_obs::trace::now_ns();
-    let c = gemm_blocked_inner(a, a_side, b, b_side, round, m, n, k);
+    gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out);
     snip_obs::counter_add("gemm.ns", snip_obs::trace::now_ns().saturating_sub(t0));
-    c
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_inner(
+/// The blocked driver shared by all three orientations: pre-materialize
+/// the B-side tile cache ([`build_bcache`]; tiles are j-aligned, so one
+/// build serves every row chunk — B-side decode/transpose work is a single
+/// pass over B regardless of `m` or the chunk count), then row-chunk the
+/// output `c` (`m × n`, contents ignored) across the pool, sweeping
+/// `MC×NC` output tiles per chunk with the A block materialized once per
+/// sweep. Oversized B operands skip the shared cache and build tiles per
+/// sweep from bounded per-worker scratch.
+fn gemm_blocked(
     a: &QOperandRef<'_>,
     a_side: ASide,
     b: &QOperandRef<'_>,
     b_side: BSide,
-    round: Round,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> Tensor {
-    let mut c = Tensor::zeros(m, n);
+    store: Store,
+    (m, n, k): (usize, usize, usize),
+    c: &mut [f32],
+) {
     if m == 0 {
-        return c;
+        return;
     }
     let parts = pool::parts_for(m * n * k, PARALLEL_THRESHOLD);
     // The shared cache only pays when some sweep will re-read a tile: more
@@ -541,66 +807,25 @@ fn gemm_blocked_inner(
     let reused = m > MC || (parts > 1 && m > 1);
     let mut bcache = (reused && k * n > 0 && k * n <= B_CACHE_LIMIT).then(|| BCACHE.take());
     let btiles: Option<&[f32]> = bcache.as_mut().map(|cache| {
-        // Tiles are stored back to back: the tile starting at column `j0`
-        // occupies `tiles[j0 * k..j1 * k]`. The build writes every element,
-        // so the reused cache is not cleared first. Each tile is one task
-        // that owns its slice and stages through the `SCRATCH` of whichever
-        // thread runs it; no `SCRATCH` borrow is held across the dispatch,
-        // since the calling thread runs tasks too. An unsplit GEMM builds
-        // on the calling thread without a dispatch.
+        let obs = snip_obs::enabled();
+        let t0 = if obs { snip_obs::trace::now_ns() } else { 0 };
         let tiles = window(cache, k * n);
-        let build = |t: usize, tile: &mut [f32]| {
-            let j0 = t * NC;
-            SCRATCH.with_borrow_mut(|s| {
-                build_btile_into(b, b_side, k, j0, j0 + tile.len() / k, tile, &mut s.staging);
-            });
-        };
-        let owned: Vec<&mut [f32]> = tiles.chunks_mut(NC * k).collect();
-        if parts > 1 {
-            pool::for_each_owned(owned, build);
-        } else {
-            for (t, tile) in owned.into_iter().enumerate() {
-                build(t, tile);
-            }
-        }
-        if snip_obs::enabled() {
+        build_bcache(b, b_side, k, n, parts, tiles);
+        if obs {
             snip_obs::counter_add("gemm.bcache.builds", 1);
+            snip_obs::counter_add(
+                "gemm.btile.build_ns",
+                snip_obs::trace::now_ns().saturating_sub(t0),
+            );
         }
         &*tiles
     });
-    let cdata = c.as_mut_slice();
-    for_each_row_chunk(m, parts, cdata, n, |start, end, chunk| {
-        sweep_rows(a, a_side, b, b_side, n, k, round, btiles, start, end, chunk);
+    for_each_row_chunk(m, parts, c, n, |start, end, chunk| {
+        sweep_rows(a, a_side, b, b_side, n, k, store, btiles, start, end, chunk);
     });
     if let Some(cache) = bcache {
         keep_bcache(cache);
     }
-    c
-}
-
-/// `C = A · B` (`A`: `M×K`, `B`: `K×N`). Inner dims must already be
-/// validated by the public wrappers.
-pub(crate) fn gemm_nn(a: &QOperandRef<'_>, b: &QOperandRef<'_>, round: Round) -> Tensor {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    debug_assert_eq!(k, kb);
-    gemm_blocked(a, ASide::RowMajor, b, BSide::RowMajor, round, m, n, k)
-}
-
-/// `C = A · Bᵀ` (`A`: `M×K`, `B`: `N×K`).
-pub(crate) fn gemm_nt(a: &QOperandRef<'_>, b: &QOperandRef<'_>, round: Round) -> Tensor {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    debug_assert_eq!(k, kb);
-    gemm_blocked(a, ASide::RowMajor, b, BSide::Transposed, round, m, n, k)
-}
-
-/// `C = Aᵀ · B` (`A`: `K×M`, `B`: `K×N`).
-pub(crate) fn gemm_tn(a: &QOperandRef<'_>, b: &QOperandRef<'_>, round: Round) -> Tensor {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    debug_assert_eq!(k, kb);
-    gemm_blocked(a, ASide::Transposed, b, BSide::RowMajor, round, m, n, k)
 }
 
 #[cfg(test)]
@@ -638,6 +863,46 @@ mod tests {
         }
     }
 
+    /// The row-major cache build splits by bands of source rows, each band
+    /// written into every tile. Into a NaN-filled buffer, at band counts
+    /// that do not divide `k` (and more bands than rows), it must lay out
+    /// exactly the tiles the layout defines — tile `t` holds B rows `0..k`
+    /// of columns `[t·NC, …)`, k-major — for a dense and a decoded B; so
+    /// must the one-tile scratch build.
+    #[test]
+    fn row_band_build_lays_out_every_tile() {
+        let (k, n) = (77, 203);
+        let b = Tensor::randn(k, n, 1.0, &mut Rng::seed_from(6));
+        let mut rounded = b.clone();
+        crate::bf16::round_slice(rounded.as_mut_slice());
+        for (op, values) in [
+            (QOperandRef::Dense(&b), &b),
+            (QOperandRef::Bf16Rounded(&b), &rounded),
+        ] {
+            let mut want = vec![0.0f32; k * n];
+            for j0 in (0..n).step_by(NC) {
+                let nb = NC.min(n - j0);
+                for kk in 0..k {
+                    for j in 0..nb {
+                        want[j0 * k + kk * nb + j] = values[(kk, j0 + j)];
+                    }
+                }
+            }
+            let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            for parts in [1, 2, 3, 5, 76, 77, 80] {
+                let mut cache = vec![f32::NAN; k * n];
+                build_bcache(&op, BSide::RowMajor, k, n, parts, &mut cache);
+                let got: Vec<u32> = cache.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{parts} bands");
+            }
+            let j0 = 3 * NC;
+            let mut tile = vec![f32::NAN; k * (n - j0)];
+            build_btile_into(&op, BSide::RowMajor, k, j0, n, &mut tile, &mut Vec::new());
+            let got: Vec<u32> = tile.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want[j0 * k..], "scratch tile");
+        }
+    }
+
     /// A B-tile cache kept from an earlier GEMM is refilled without being
     /// cleared. Filled with NaN, any element the build failed to write
     /// would reach the output; the bits must equal a freshly built cache's
@@ -651,12 +916,34 @@ mod tests {
         let at = Tensor::randn(k, m, 1.0, &mut rng);
         let b = Tensor::randn(k, n, 1.0, &mut rng);
         let bt = Tensor::randn(n, k, 1.0, &mut rng);
+        let rounded = QOperandRef::Bf16Rounded;
         let run = || {
             [
-                gemm_nn(&(&a).into(), &(&b).into(), Round::Keep),
-                gemm_nt(&(&a).into(), &(&bt).into(), Round::Keep),
-                gemm_tn(&(&at).into(), &(&b).into(), Round::Keep),
-                gemm_nn(&(&a).into(), &(&b).into(), Round::Bf16),
+                gemm("nn", (&a).into(), (&b).into(), Orientation::Nn, Round::Keep),
+                gemm(
+                    "nt",
+                    (&a).into(),
+                    (&bt).into(),
+                    Orientation::Nt,
+                    Round::Keep,
+                ),
+                gemm(
+                    "tn",
+                    (&at).into(),
+                    (&b).into(),
+                    Orientation::Tn,
+                    Round::Keep,
+                ),
+                gemm("nn", (&a).into(), (&b).into(), Orientation::Nn, Round::Bf16),
+                // Decoded row-major B: the row bands decode into the cache.
+                gemm("nn", (&a).into(), rounded(&b), Orientation::Nn, Round::Bf16),
+                gemm(
+                    "tn",
+                    (&at).into(),
+                    rounded(&b),
+                    Orientation::Tn,
+                    Round::Keep,
+                ),
             ]
             .map(|c| bits(&c))
         };

@@ -1,10 +1,12 @@
 //! The portable scalar tile kernel — always compiled, always the
 //! reference the SIMD backends are property-tested against.
 //!
-//! Per output element the arithmetic is exactly the engine contract: load
-//! the accumulator from C, fold in `a[kk] · b[kk]` terms one at a time with
+//! Per output element the arithmetic is exactly the engine contract: start
+//! the accumulator at +0, fold in `a[kk] · b[kk]` terms one at a time with
 //! `kk` ascending — each one fused multiply-add, `f32::mul_add`, rounded
-//! once — and store. The register blocking below (two output rows per
+//! once — and store. The accumulators live in the output rows themselves,
+//! which the kernel zeroes before its `k` loop; it never reads what the
+//! caller left there. The register blocking below (two output rows per
 //! pass, `k` in quads) only changes *which* elements are in flight
 //! together, never the order of the steps within one element.
 //!
@@ -17,7 +19,7 @@
 //! the flag. On a CPU without it every tier is scalar and each element
 //! pays the libm call — the accepted cost of one accumulate everywhere.
 
-/// `C[row0.., j0..] += Ablock · Btile` — see `engine::tile_kernel` for the
+/// `C[row0.., j0..] = Ablock · Btile` — see `engine::tile_kernel` for the
 /// argument contract. The baseline instantiation of the kernel body.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn tile_kernel(
@@ -80,6 +82,8 @@ fn tile_body(
         let (head, tail) = chunk.split_at_mut((row0 + i + 1) * n);
         let crow0 = &mut head[(row0 + i) * n + j0..(row0 + i) * n + j0 + nb];
         let crow1 = &mut tail[j0..j0 + nb];
+        crow0.fill(0.0);
+        crow1.fill(0.0);
         let mut kk = 0;
         while kk + 4 <= k {
             let (a00, a01, a02, a03) = (arow0[kk], arow0[kk + 1], arow0[kk + 2], arow0[kk + 3]);
@@ -126,6 +130,7 @@ fn tile_body(
     if i < mb {
         let arow = &ablock[i * k..(i + 1) * k];
         let crow = &mut chunk[(row0 + i) * n + j0..(row0 + i) * n + j0 + nb];
+        crow.fill(0.0);
         let mut kk = 0;
         while kk + 4 <= k {
             let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
@@ -154,12 +159,13 @@ fn tile_body(
     }
 }
 
-/// BF16-rounds the `mb×nb` output tile at (`row0`, `j0`) in place — the
-/// scalar counterpart of the SIMD kernels' fused rounding store. The tile
-/// kernel runs once per output tile with the full `k` extent, so every
-/// element is final when this pass runs; rounding after the store is
-/// therefore bit-identical to rounding inside it.
-pub(super) fn round_tile(
+/// Finishes the `mb×nb` output tile at (`row0`, `j0`) in place as `store`
+/// says (`engine::finish`) — the scalar counterpart of the SIMD kernels'
+/// fused store. The tile kernel runs once per output tile with the full
+/// `k` extent, so every element is final when this pass runs; finishing
+/// after the store is therefore bit-identical to finishing inside it.
+pub(super) fn finish_tile(
+    store: super::Store,
     chunk: &mut [f32],
     n: usize,
     row0: usize,
@@ -167,9 +173,14 @@ pub(super) fn round_tile(
     mb: usize,
     nb: usize,
 ) {
+    if store == 0 {
+        return;
+    }
     for i in 0..mb {
         let row = &mut chunk[(row0 + i) * n + j0..(row0 + i) * n + j0 + nb];
-        crate::bf16::round_slice(row);
+        for v in row {
+            *v = super::finish(store, *v);
+        }
     }
 }
 
@@ -196,8 +207,8 @@ mod tests {
             .collect()
     }
 
-    /// Every element of `chunk` as the contract states it: one serial
-    /// `mul_add` per `kk`, ascending.
+    /// Every tile element of `chunk` as the contract states it: +0, then one
+    /// serial `mul_add` per `kk`, ascending. What the chunk held is ignored.
     fn reference(
         chunk: &mut [f32],
         n: usize,
@@ -209,7 +220,7 @@ mod tests {
     ) {
         for i in 0..mb {
             for j in 0..nb {
-                let mut acc = chunk[i * n + j];
+                let mut acc = 0.0f32;
                 for kk in 0..k {
                     acc = a[i * k + kk].mul_add(b[kk * nb + j], acc);
                 }
@@ -228,8 +239,9 @@ mod tests {
     #[test]
     fn both_instantiations_agree_with_the_serial_fused_reference() {
         // Ragged rows (odd `mb` takes the single-row pass), columns and
-        // `k` (every residue of the k-quad loop).
+        // `k` (every residue of the k-quad loop, and no terms at all).
         for (mb, nb, k) in [
+            (3, 5, 0),
             (1, 1, 1),
             (2, 3, 4),
             (3, 5, 7),
@@ -240,26 +252,34 @@ mod tests {
             let n = nb + 2;
             let mut a = operands(mb * k, (mb * 131 + k) as u32);
             let mut b = operands(k * nb, (nb * 71 + k) as u32);
+            // What the output held before the call — NaN, ±Inf, −0 — must
+            // not reach the result: the kernel stores, it does not add.
             let mut c0 = operands(mb * n, 5);
-            // −0 accumulators: `−0 + (+0)` is +0 under round-to-nearest,
-            // `−0 + (−0)` stays −0.
             for (i, v) in c0.iter_mut().enumerate() {
-                if i % 3 == 0 {
-                    *v = -0.0;
+                match i % 3 {
+                    0 => *v = -0.0,
+                    1 => *v = f32::NAN,
+                    _ => {}
                 }
             }
-            // `0 × ±Inf` in the first step of element (0, 0), whatever the
-            // stream drew there.
-            a[0] = 0.0;
-            b[0] = if k % 2 == 0 {
-                f32::INFINITY
-            } else {
-                f32::NEG_INFINITY
-            };
+            if k > 0 {
+                // `0 × ±Inf` in the first step of element (0, 0), whatever
+                // the stream drew there.
+                a[0] = 0.0;
+                b[0] = if k % 2 == 0 {
+                    f32::INFINITY
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
 
             let mut want = c0.clone();
             reference(&mut want, n, mb, nb, k, &a, &b);
-            assert!(want[0].is_nan(), "0 × ±Inf must poison the element");
+            assert_eq!(want[0].is_nan(), k > 0, "0 × ±Inf must poison the element");
+            if k == 0 {
+                // No terms: +0, never the −0 the chunk held there.
+                assert_eq!(want[0].to_bits(), 0);
+            }
 
             let mut got = c0.clone();
             tile_kernel(&mut got, n, 0, 0, mb, nb, k, &a, &b);

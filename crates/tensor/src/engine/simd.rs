@@ -62,6 +62,7 @@
 
 use super::scalar;
 use super::simd_encode::{abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid};
+use super::Store;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -324,7 +325,7 @@ pub fn with_forced_backend<R>(requested: Backend, f: impl FnOnce() -> R) -> R {
 }
 
 /// The tile-kernel signature — argument contract in `engine::tile_kernel`.
-type TileFn = fn(&mut [f32], usize, usize, usize, usize, usize, usize, &[f32], &[f32]);
+type TileFn = fn(Store, &mut [f32], usize, usize, usize, usize, usize, usize, &[f32], &[f32]);
 /// A 4-bit pair decoder: `(bytes, lut, pair, scale, out)`.
 type DecodePairsFn = fn(&[u8], &[f32], &[f32], f32, &mut [f32]);
 /// A code writer: `(grid, seg, scale, uniforms, out)`.
@@ -336,10 +337,9 @@ type EncodeFn = fn(&CodeGrid, &[f32], f32, Option<&[f32]>, &mut [u8]);
 /// [`super::simd_encode::Encoder`] call through it.
 #[derive(Debug)]
 pub(crate) struct Kernels {
-    /// `Round::Keep` tile update.
-    pub(crate) tile_keep: TileFn,
-    /// `Round::Bf16` tile update (BF16 rounding at store time).
-    pub(crate) tile_bf16: TileFn,
+    /// The tile update, finishing each stored element as its `Store`
+    /// flags say (`engine::finish`).
+    pub(crate) tile: TileFn,
     /// See [`decode_u4_pairs`].
     pub(crate) decode_u4_pairs: DecodePairsFn,
     /// See [`decode_u8_run`].
@@ -353,13 +353,12 @@ pub(crate) struct Kernels {
 }
 
 /// The scalar row: the always-compiled reference every other row must
-/// match bit for bit (the tile kernel rounds in a second pass over the
-/// tile where the vector rows fuse the rounding into the store).
+/// match bit for bit (the tile kernel finishes its elements in a second
+/// pass over the tile where the vector rows fuse that into the store).
 static SCALAR: Kernels = Kernels {
-    tile_keep: scalar_tile,
-    tile_bf16: |chunk, n, row0, j0, mb, nb, k, ablock, btile| {
+    tile: |store, chunk, n, row0, j0, mb, nb, k, ablock, btile| {
         scalar_tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
-        scalar::round_tile(chunk, n, row0, j0, mb, nb);
+        scalar::finish_tile(store, chunk, n, row0, j0, mb, nb);
     },
     decode_u4_pairs: decode_u4_pairs_scalar,
     decode_u8_run: decode_u8_run_scalar,
@@ -406,10 +405,10 @@ pub(crate) fn active_kernels() -> &'static Kernels {
     #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
     macro_rules! vector_row {
         ($isa:ident :: $ops:ident, $feature:literal) => {{
-            use super::{simd_ops, $isa};
+            use super::{simd_ops, $isa, STORE_BF16, STORE_PLUS_ZERO};
             #[allow(clippy::too_many_arguments)]
             #[target_feature(enable = $feature)]
-            unsafe fn tile<const ROUND: bool>(
+            unsafe fn tile<const STORE: Store>(
                 c: &mut [f32],
                 n: usize,
                 r: usize,
@@ -420,7 +419,7 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                 a: &[f32],
                 b: &[f32],
             ) {
-                simd_ops::tile::<$isa::$ops, ROUND>(c, n, r, j, mb, nb, k, a, b)
+                simd_ops::tile::<$isa::$ops, STORE>(c, n, r, j, mb, nb, k, a, b)
             }
             #[target_feature(enable = $feature)]
             unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
@@ -437,11 +436,14 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                 simd_ops::encode::<$isa::$ops, NIBBLES>(grid, seg, scale, uniforms, out)
             }
             static ROW: Kernels = Kernels {
-                tile_keep: |c, n, r, j, mb, nb, k, a, b| unsafe {
-                    tile::<false>(c, n, r, j, mb, nb, k, a, b)
-                },
-                tile_bf16: |c, n, r, j, mb, nb, k, a, b| unsafe {
-                    tile::<true>(c, n, r, j, mb, nb, k, a, b)
+                tile: |store, c, n, r, j, mb, nb, k, a, b| unsafe {
+                    let tile = match store {
+                        0 => tile::<0>,
+                        STORE_BF16 => tile::<STORE_BF16>,
+                        STORE_PLUS_ZERO => tile::<STORE_PLUS_ZERO>,
+                        _ => tile::<{ STORE_BF16 | STORE_PLUS_ZERO }>,
+                    };
+                    tile(c, n, r, j, mb, nb, k, a, b)
                 },
                 decode_u4_pairs: |bytes, lut, pair, scale, out| unsafe {
                     $isa::decode_u4_pairs(bytes, lut, pair, scale, out)

@@ -5,8 +5,8 @@
 //! implementation of [`SimdOps`] — loads, stores, a dozen float/integer
 //! lane operations, per-lane predicates, the two code-narrowing shuffles —
 //! plus the decode routines that are genuinely ISA-shaped. The kernels
-//! themselves — the rank-1 tile update with its fused BF16 store
-//! ([`tile`]), the abs-max fold ([`abs_max_bits`]) and the code writers
+//! themselves — the rank-1 tile update with its fused store ([`tile`],
+//! [`finish`]), the abs-max fold ([`abs_max_bits`]) and the code writers
 //! ([`encode`]; lane rules in the [`super::simd_encode`] docs) — exist
 //! once, here, generic over the table, so the body an Arm machine runs is
 //! the body the x86 tiers test.
@@ -42,11 +42,32 @@
 //! The encode kernels follow their own lane rules (no FMA there — see
 //! [`super::simd_encode`]); [`SimdOps::mul_add`] is for the tile update
 //! only.
+//!
+//! # Adding an arch backend
+//!
+//! Add `engine/simd_<arch>.rs` with a unit struct implementing [`SimdOps`]:
+//! the vector types `F` / `I` / `M`, `LANES`, [`SimdOps::MAX_STRIP`], the
+//! one-intrinsic ops as [`op_rows!`] rows, and the two narrowing stores —
+//! plus the two decodes `decode_u4_pairs` / `decode_u8_run`, which stay
+//! ISA-specific (permute, gather or table-lookup shaped). There is no
+//! kernel to write: the tile update and its store, the abs-max fold and the
+//! encode arithmetic are the bodies here, already tested by every other
+//! tier. Gate the file on `all(feature = "simd", target_arch = ...)`, give
+//! it a `Backend` variant with its tier, extend the detection, lane-width
+//! and feature lists in [`super::simd`], and add one `vector_row!` arm to
+//! [`super::simd::active_kernels`] (ops type + `#[target_feature]` string).
+//! Column tails default to the scalar loop of [`SimdOps::tile_tail`]; an
+//! ISA with masking overrides it (the AVX-512 table finishes any `nb % 16`
+//! tail under one `__mmask16`). The NEON table is written blind — no
+//! aarch64 toolchain on the build box — and first compiled by CI's
+//! `check-aarch64` job; `tests/simd_scalar.rs` and the scalar / capped CI
+//! jobs gate any port, and no backend may change a bit.
 
 use super::simd_encode::{
     abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid, ABS_MASK, INF_BITS,
     MAGIC, MAGIC_BITS,
 };
+use super::{Store, STORE_BF16, STORE_PLUS_ZERO};
 
 /// Writes a backend's one-intrinsic ops as table rows:
 /// `fn name(args) -> Ret = expr;` becomes the `#[inline(always)] unsafe fn`
@@ -147,7 +168,7 @@ pub(super) trait SimdOps {
     /// the ISA's scalar FMA inside the entry point); an ISA with masked
     /// loads and stores overrides it.
     #[inline(always)]
-    unsafe fn tile_tail<const MR: usize, const ROUND: bool>(
+    unsafe fn tile_tail<const MR: usize, const STORE: Store>(
         c: &[*mut f32; MR],
         a: &[*const f32; MR],
         k: usize,
@@ -157,15 +178,31 @@ pub(super) trait SimdOps {
     ) {
         for j in j..nb {
             for r in 0..MR {
-                let mut acc = *c[r].add(j);
+                let mut acc = 0.0f32;
                 let mut bp = btile.add(j);
                 for kk in 0..k {
                     acc = (*a[r].add(kk)).mul_add(*bp, acc);
                     bp = bp.add(nb);
                 }
-                *c[r].add(j) = if ROUND { crate::bf16::round(acc) } else { acc };
+                *c[r].add(j) = super::finish(STORE, acc);
             }
         }
+    }
+}
+
+/// A vector of finished accumulators as the `STORE` flags say — the
+/// vector form of `engine::finish`: BF16 rounding, then `+ 0`.
+#[inline(always)]
+pub(super) unsafe fn finish<V: SimdOps, const STORE: Store>(v: V::F) -> V::F {
+    let v = if STORE & STORE_BF16 != 0 {
+        bf16_round::<V>(v)
+    } else {
+        v
+    };
+    if STORE & STORE_PLUS_ZERO != 0 {
+        V::add(v, V::splat(0.0))
+    } else {
+        v
     }
 }
 
@@ -174,7 +211,7 @@ pub(super) trait SimdOps {
 /// lanes add the round-to-nearest-even bias and truncate the low mantissa
 /// half.
 #[inline(always)]
-pub(super) unsafe fn bf16_round<V: SimdOps>(x: V::F) -> V::F {
+unsafe fn bf16_round<V: SimdOps>(x: V::F) -> V::F {
     let bits = V::bits(x);
     let lsb = V::and(V::shr(bits, 16), V::splat_i(1));
     let rounded = V::add_i(bits, V::add_i(lsb, V::splat_i(0x7FFF)));
@@ -183,7 +220,7 @@ pub(super) unsafe fn bf16_round<V: SimdOps>(x: V::F) -> V::F {
 }
 
 /// The vector tile kernel — same contract as `engine::tile_kernel`, with
-/// `ROUND` fusing the BF16 rounding into the store. Rows are processed in
+/// the `STORE` flags ([`finish`]) fused into the store. Rows are processed in
 /// register blocks of 4/2/1; columns in the ISA's strip ladder, every
 /// active lane owning one output element end-to-end.
 ///
@@ -193,7 +230,7 @@ pub(super) unsafe fn bf16_round<V: SimdOps>(x: V::F) -> V::F {
 /// access relies on are asserted.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(super) unsafe fn tile<V: SimdOps, const ROUND: bool>(
+pub(super) unsafe fn tile<V: SimdOps, const STORE: Store>(
     chunk: &mut [f32],
     n: usize,
     row0: usize,
@@ -211,15 +248,15 @@ pub(super) unsafe fn tile<V: SimdOps, const ROUND: bool>(
     let bbase = btile.as_ptr();
     let mut i = 0;
     while i + 4 <= mb {
-        row_block::<V, 4, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
+        row_block::<V, 4, STORE>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
         i += 4;
     }
     while i + 2 <= mb {
-        row_block::<V, 2, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
+        row_block::<V, 2, STORE>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
         i += 2;
     }
     if i < mb {
-        row_block::<V, 1, ROUND>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
+        row_block::<V, 1, STORE>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
     }
 }
 
@@ -228,7 +265,7 @@ pub(super) unsafe fn tile<V: SimdOps, const ROUND: bool>(
 /// operation sequence.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn row_block<V: SimdOps, const MR: usize, const ROUND: bool>(
+unsafe fn row_block<V: SimdOps, const MR: usize, const STORE: Store>(
     cbase: *mut f32,
     n: usize,
     row: usize,
@@ -246,22 +283,23 @@ unsafe fn row_block<V: SimdOps, const MR: usize, const ROUND: bool>(
     }
     let mut j = 0;
     if V::MAX_STRIP >= 4 {
-        j = strips::<V, MR, 4, ROUND>(&c, &a, k, btile, nb, j);
+        j = strips::<V, MR, 4, STORE>(&c, &a, k, btile, nb, j);
     }
-    j = strips::<V, MR, 2, ROUND>(&c, &a, k, btile, nb, j);
-    j = strips::<V, MR, 1, ROUND>(&c, &a, k, btile, nb, j);
+    j = strips::<V, MR, 2, STORE>(&c, &a, k, btile, nb, j);
+    j = strips::<V, MR, 1, STORE>(&c, &a, k, btile, nb, j);
     if j < nb {
-        V::tile_tail::<MR, ROUND>(&c, &a, k, btile, nb, j);
+        V::tile_tail::<MR, STORE>(&c, &a, k, btile, nb, j);
     }
 }
 
 /// Runs column strips of `S` registers per row from column `j` while a
 /// whole strip fits in `nb`; returns the first column left over. `c[r]` /
 /// `a[r]` point at row `r`'s output tile row and A row. `MR × S`
-/// accumulators load from C, take one broadcast and one fused multiply-add
-/// per `kk` against `S` B-row loads shared by all rows, and store back.
+/// accumulators start at +0, take one broadcast and one fused multiply-add
+/// per `kk` against `S` B-row loads shared by all rows, and are stored to
+/// C, which they never read.
 #[inline(always)]
-unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const ROUND: bool>(
+unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const STORE: Store>(
     c: &[*mut f32; MR],
     a: &[*const f32; MR],
     k: usize,
@@ -271,11 +309,6 @@ unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const ROUND: bool>
 ) -> usize {
     while j + S * V::LANES <= nb {
         let mut acc = [[V::splat(0.0); S]; MR];
-        for r in 0..MR {
-            for (s, v) in acc[r].iter_mut().enumerate() {
-                *v = V::loadu(c[r].add(j + s * V::LANES));
-            }
-        }
         let mut bp = btile.add(j);
         for kk in 0..k {
             let mut b = [V::splat(0.0); S];
@@ -292,8 +325,7 @@ unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const ROUND: bool>
         }
         for r in 0..MR {
             for (s, &v) in acc[r].iter().enumerate() {
-                let v = if ROUND { bf16_round::<V>(v) } else { v };
-                V::storeu(c[r].add(j + s * V::LANES), v);
+                V::storeu(c[r].add(j + s * V::LANES), finish::<V, STORE>(v));
             }
         }
         j += S * V::LANES;

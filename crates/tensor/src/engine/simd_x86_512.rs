@@ -25,7 +25,8 @@
 //!   AVX2's two half-table permutes plus a sign-select blend.
 
 use super::simd::{decode_u4_pairs_scalar, decode_u8_run_scalar};
-use super::simd_ops::{bf16_round, op_rows, SimdOps};
+use super::simd_ops::{finish, op_rows, SimdOps};
+use super::Store;
 use std::arch::x86_64::*;
 
 /// The AVX-512 (foundation) op table.
@@ -86,11 +87,11 @@ impl SimdOps for Avx512 {
     }
 
     /// The masked tail: lanes `>= nb - j` are disabled end-to-end — the
-    /// masked loads fault-suppress them and the masked store never writes
-    /// them; active lanes run the exact strip sequence of
+    /// masked B loads fault-suppress them and the masked store never writes
+    /// them; active lanes start at +0 and run the exact strip sequence of
     /// `simd_ops::strips`.
     #[inline(always)]
-    unsafe fn tile_tail<const MR: usize, const ROUND: bool>(
+    unsafe fn tile_tail<const MR: usize, const STORE: Store>(
         c: &[*mut f32; MR],
         a: &[*const f32; MR],
         k: usize,
@@ -100,9 +101,6 @@ impl SimdOps for Avx512 {
     ) {
         let mask: __mmask16 = (1u16 << (nb - j)) - 1;
         let mut acc = [_mm512_setzero_ps(); MR];
-        for r in 0..MR {
-            acc[r] = _mm512_maskz_loadu_ps(mask, c[r].add(j));
-        }
         let mut bp = btile.add(j);
         for kk in 0..k {
             let b0 = _mm512_maskz_loadu_ps(mask, bp);
@@ -113,12 +111,7 @@ impl SimdOps for Avx512 {
             bp = bp.add(nb);
         }
         for r in 0..MR {
-            let v = if ROUND {
-                bf16_round::<Self>(acc[r])
-            } else {
-                acc[r]
-            };
-            _mm512_mask_storeu_ps(c[r].add(j), mask, v);
+            _mm512_mask_storeu_ps(c[r].add(j), mask, finish::<Self, STORE>(acc[r]));
         }
     }
 }

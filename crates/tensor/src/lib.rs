@@ -10,7 +10,8 @@
 //!   flattened, so a 2-D tensor keeps the whole stack simple and auditable.
 //! * [`matmul`] — cache-blocked GEMM kernels in the three orientations used
 //!   by a linear layer's forward and backward passes, dispatched on the
-//!   persistent worker pool for large problems.
+//!   persistent worker pool for large problems; [`gemm_into`] writes any
+//!   of them into a caller's tensor.
 //! * [`packed`] — bit-packed subbyte tensors ([`QTensor`]: 4/8-bit codes +
 //!   per-group scales) and quantized GEMM kernels that decode them on the
 //!   fly, bit-for-bit equivalent to the dense kernels over dequantized
@@ -70,6 +71,7 @@ mod tensor;
 
 pub use engine::simd;
 pub use engine::simd_encode as encode;
+pub use engine::{gemm_into, Orientation, Round};
 pub use granularity::GroupLayout;
 pub use packed::{CodeWidth, QOperandRef, QTensor};
 // The shared env-var parse + warn-once helper. It lives in `snip-obs`

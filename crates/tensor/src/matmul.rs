@@ -16,7 +16,7 @@
 //! (`k` ascending), so results are deterministic — bit-identical — for
 //! every pool size and `SNIP_THREADS` setting.
 
-use crate::engine::Round;
+use crate::engine::{gemm, Orientation, Round};
 use crate::Tensor;
 
 /// `C = A · B` where `A` is `M×K` and `B` is `K×N`.
@@ -34,10 +34,7 @@ use crate::Tensor;
 /// assert_eq!(matmul(&a, &b).as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (_, k) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "matmul: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nn(&a.into(), &b.into(), Round::Keep)
+    gemm("matmul", a.into(), b.into(), Orientation::Nn, Round::Keep)
 }
 
 /// `C = A · Bᵀ` where `A` is `M×K` and `B` is `N×K` (the forward GEMM of a
@@ -47,10 +44,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if `A.cols() != B.cols()`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (_, k) = a.shape();
-    let (_, kb) = b.shape();
-    assert_eq!(k, kb, "matmul_nt: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nt(&a.into(), &b.into(), Round::Keep)
+    gemm(
+        "matmul_nt",
+        a.into(),
+        b.into(),
+        Orientation::Nt,
+        Round::Keep,
+    )
 }
 
 /// `C = Aᵀ · B` where `A` is `K×M` and `B` is `K×N` (the weight-gradient GEMM
@@ -60,10 +60,13 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if `A.rows() != B.rows()`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, _) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "matmul_tn: outer dims differ ({k} vs {kb})");
-    crate::engine::gemm_tn(&a.into(), &b.into(), Round::Keep)
+    gemm(
+        "matmul_tn",
+        a.into(),
+        b.into(),
+        Orientation::Tn,
+        Round::Keep,
+    )
 }
 
 /// Reference (naive triple-loop) GEMM used by tests and benchmarks.

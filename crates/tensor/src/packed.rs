@@ -38,7 +38,7 @@
 //! (`crate::granularity`) says which elements share a scale and in what
 //! order the scales are stored.
 
-use crate::engine::Round;
+use crate::engine::{gemm, Orientation, Round};
 use crate::granularity::GroupLayout;
 use crate::Tensor;
 use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
@@ -587,10 +587,7 @@ impl QOperandRef<'_> {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (_, k) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "qgemm: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nn(&a, &b, Round::Keep)
+    gemm("qgemm", a, b, Orientation::Nn, Round::Keep)
 }
 
 /// [`qgemm`] with the BF16 output rounding fused into the tile store:
@@ -603,10 +600,7 @@ pub fn qgemm(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (_, k) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "qgemm_bf16: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nn(&a, &b, Round::Bf16)
+    gemm("qgemm_bf16", a, b, Orientation::Nn, Round::Bf16)
 }
 
 /// `C = A · Bᵀ` over packed/dense operands (`A`: `M×K`, `B`: `N×K`) — the
@@ -619,10 +613,7 @@ pub fn qgemm_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm_nt(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (_, k) = a.shape();
-    let (_, kb) = b.shape();
-    assert_eq!(k, kb, "qgemm_nt: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nt(&a, &b, Round::Keep)
+    gemm("qgemm_nt", a, b, Orientation::Nt, Round::Keep)
 }
 
 /// [`qgemm_nt`] with fused BF16 output rounding — see [`qgemm_bf16`].
@@ -631,10 +622,7 @@ pub fn qgemm_nt(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm_nt_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (_, k) = a.shape();
-    let (_, kb) = b.shape();
-    assert_eq!(k, kb, "qgemm_nt_bf16: inner dims differ ({k} vs {kb})");
-    crate::engine::gemm_nt(&a, &b, Round::Bf16)
+    gemm("qgemm_nt_bf16", a, b, Orientation::Nt, Round::Bf16)
 }
 
 /// `C = Aᵀ · B` over packed/dense operands (`A`: `K×M`, `B`: `K×N`) — the
@@ -645,10 +633,7 @@ pub fn qgemm_nt_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if outer dimensions differ.
 pub fn qgemm_tn(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (k, _) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "qgemm_tn: outer dims differ ({k} vs {kb})");
-    crate::engine::gemm_tn(&a, &b, Round::Keep)
+    gemm("qgemm_tn", a, b, Orientation::Tn, Round::Keep)
 }
 
 /// [`qgemm_tn`] with fused BF16 output rounding — see [`qgemm_bf16`].
@@ -657,10 +642,7 @@ pub fn qgemm_tn(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if outer dimensions differ.
 pub fn qgemm_tn_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    let (k, _) = a.shape();
-    let (kb, _) = b.shape();
-    assert_eq!(k, kb, "qgemm_tn_bf16: outer dims differ ({k} vs {kb})");
-    crate::engine::gemm_tn(&a, &b, Round::Bf16)
+    gemm("qgemm_tn_bf16", a, b, Orientation::Tn, Round::Bf16)
 }
 
 #[cfg(test)]

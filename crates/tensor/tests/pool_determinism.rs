@@ -24,7 +24,8 @@
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
 use snip_tensor::{
-    matmul, pool, CodeWidth, GroupLayout, QOperandRef, QTensor, Tensor, PARALLEL_ELEMENTS,
+    gemm_into, matmul, pool, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor, Round,
+    Tensor, PARALLEL_ELEMENTS,
 };
 
 /// A 4-bit sign-magnitude test codebook over {0, 0.5, …, 3.5}.
@@ -276,6 +277,207 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_rounded_operand(m, k, n, seed);
+    }
+}
+
+/// [`bf16_edge_tensor`] with −0 mixed in as well.
+fn special_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut t = bf16_edge_tensor(rows, cols, seed);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if (i as u64 ^ seed).is_multiple_of(13) {
+            *v = -0.0;
+        }
+    }
+    t
+}
+
+/// The engine contract computed directly, over dense `m×k` and `k×n`
+/// values: each element starts at +0 and takes one `mul_add` per `k` step,
+/// ascending — what every kernel stored when its output was zero-filled
+/// and accumulated into — then BF16 rounding for the `_bf16` kernels.
+fn reference_product(a: &Tensor, b: &Tensor, round: Round) -> Tensor {
+    let (m, k) = a.shape();
+    let n = b.cols();
+    Tensor::from_fn(m, n, |i, j| {
+        let acc = (0..k).fold(0.0f32, |acc, kk| a[(i, kk)].mul_add(b[(kk, j)], acc));
+        match round {
+            Round::Keep => acc,
+            Round::Bf16 => snip_tensor::bf16::round(acc),
+        }
+    })
+}
+
+/// Bit equality where NaN payloads are exempt (which input NaN an FMA
+/// propagates depends on the instruction); −0 against +0 is a mismatch.
+fn assert_bits_eq_nan(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            "{what}: element {i}: {a:e} vs {b:e}"
+        );
+    }
+}
+
+/// Every kernel stores its output instead of adding into it. The
+/// returning kernels (`matmul*`, `qgemm*`) give the bits the contract
+/// gives from a zeroed output ([`reference_product`]), for each
+/// orientation and rounding over dense, `Bf16Rounded` and packed operands.
+/// [`gemm_into`], writing into a NaN-poisoned destination at every split
+/// and on the forced scalar tier, gives `0 + C` of those bits — what a
+/// zeroed gradient accumulating a returned `dW` held. The two differ only
+/// where a negative sum too small for f32 (or for BF16) came out as −0,
+/// which `0 + C` turns into +0; the special-valued inputs reach that.
+/// `k` is 0, 1 and ragged.
+fn check_stores_into_poison(m: usize, k: usize, n: usize, seed: u64) {
+    use snip_tensor::packed::{
+        qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16,
+    };
+    type Kernel = fn(QOperandRef<'_>, QOperandRef<'_>) -> Tensor;
+    let kernels: [(Orientation, Round, Kernel); 6] = [
+        (Orientation::Nn, Round::Keep, qgemm),
+        (Orientation::Nn, Round::Bf16, qgemm_bf16),
+        (Orientation::Nt, Round::Keep, qgemm_nt),
+        (Orientation::Nt, Round::Bf16, qgemm_nt_bf16),
+        (Orientation::Tn, Round::Keep, qgemm_tn),
+        (Orientation::Tn, Round::Bf16, qgemm_tn_bf16),
+    ];
+    let rounded_copy = |t: &Tensor| {
+        let mut c = t.clone();
+        snip_tensor::bf16::round_slice(c.as_mut_slice());
+        c
+    };
+    for (orientation, round, kernel) in kernels {
+        // Operand shapes in this orientation, and the `nn` view of each.
+        let (ashape, bshape) = match orientation {
+            Orientation::Nn => ((m, k), (k, n)),
+            Orientation::Nt => ((m, k), (n, k)),
+            Orientation::Tn => ((k, m), (k, n)),
+        };
+        let nn_a = |t: Tensor| match orientation {
+            Orientation::Tn => t.transposed(),
+            _ => t,
+        };
+        let nn_b = |t: Tensor| match orientation {
+            Orientation::Nt => t.transposed(),
+            _ => t,
+        };
+        let a = special_tensor(ashape.0, ashape.1, seed ^ 1);
+        let b = special_tensor(bshape.0, bshape.1, seed ^ 2);
+        let qa = random_qtensor(ashape.0, ashape.1, CodeWidth::U4, seed ^ 3);
+        let qb = random_qtensor(bshape.0, bshape.1, CodeWidth::U8, seed ^ 4);
+        // (label, A, B, their decoded values).
+        let cases = [
+            (
+                "dense",
+                QOperandRef::Dense(&a),
+                QOperandRef::Dense(&b),
+                a.clone(),
+                b.clone(),
+            ),
+            (
+                "rounded A, packed B",
+                QOperandRef::Bf16Rounded(&a),
+                QOperandRef::Packed(&qb),
+                rounded_copy(&a),
+                qb.dequantize(),
+            ),
+            (
+                "packed A, rounded B",
+                QOperandRef::Packed(&qa),
+                QOperandRef::Bf16Rounded(&b),
+                qa.dequantize(),
+                rounded_copy(&b),
+            ),
+        ];
+        for (label, lhs, rhs, da, db) in cases {
+            let what = format!("{orientation:?} {round:?} {label}, {m}x{k}x{n}");
+            let want = reference_product(&nn_a(da), &nn_b(db), round);
+            let mut want_written = Tensor::zeros(m, n);
+            want_written.add_assign(&want);
+            let write = || {
+                let mut c = Tensor::full(m, n, f32::NAN);
+                gemm_into(&mut c, lhs, rhs, orientation, round);
+                c
+            };
+            for split in splits() {
+                let got = pool::with_threads(split, write);
+                assert_bits_eq_nan(&got, &want_written, &format!("{what}, split {split}"));
+            }
+            let got =
+                snip_tensor::simd::with_forced_backend(snip_tensor::simd::Backend::Scalar, || {
+                    pool::with_threads(2, write)
+                });
+            assert_bits_eq_nan(&got, &want_written, &format!("{what}, forced scalar"));
+
+            let returned = kernel(lhs, rhs);
+            assert_bits_eq_nan(&returned, &want, &format!("{what}, returned"));
+            if label == "dense" && round == Round::Keep {
+                let dense = match orientation {
+                    Orientation::Nn => matmul::matmul,
+                    Orientation::Nt => matmul::matmul_nt,
+                    Orientation::Tn => matmul::matmul_tn,
+                };
+                assert_bits_eq_nan(&dense(&a, &b), &want, &format!("{what}, dense kernel"));
+            }
+            let mut accumulated = Tensor::zeros(m, n);
+            accumulated.add_assign(&returned);
+            assert_bits_eq_nan(&write(), &accumulated, &format!("{what}, write vs 0 + C"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `m` and `n` reach past one `MC`/`NC` block, so both the shared
+    /// B-tile cache (row bands and transposed tiles) and the per-sweep
+    /// scratch tiles write the output.
+    #[test]
+    fn every_kernel_stores_its_output_over_a_poisoned_destination(
+        m in 1usize..100,
+        k in 2usize..40,
+        n in 1usize..100,
+        seed in 0u64..1_000_000,
+    ) {
+        for k in [0, 1, k] {
+            check_stores_into_poison(m, k, n, seed);
+        }
+    }
+}
+
+/// The returning kernels take their output from the arena without
+/// clearing it: with NaN-filled buffers of exactly the output's length
+/// (large enough to be kept) waiting there, every kernel still returns the
+/// bits of a fresh output.
+#[test]
+fn returned_outputs_from_nan_filled_arena_buffers_are_fresh() {
+    use snip_tensor::arena;
+    use snip_tensor::packed::{qgemm_bf16, qgemm_nt_bf16, qgemm_tn_bf16};
+    let (m, k, n) = (131, 37, 263);
+    assert!(m * n >= arena::FLOOR);
+    let a = special_tensor(m, k, 1);
+    let at = special_tensor(k, m, 2);
+    let b = special_tensor(k, n, 3);
+    let bt = special_tensor(n, k, 4);
+    let (d, r) = (QOperandRef::Dense, QOperandRef::Bf16Rounded);
+    let run = || {
+        [
+            matmul::matmul(&a, &b),
+            matmul::matmul_nt(&a, &bt),
+            matmul::matmul_tn(&at, &b),
+            qgemm_bf16(d(&a), r(&b)),
+            qgemm_nt_bf16(r(&a), d(&bt)),
+            qgemm_tn_bf16(d(&at), r(&b)),
+        ]
+    };
+    let fresh = run();
+    let _step = arena::scope();
+    for _ in 0..fresh.len() {
+        arena::give(vec![f32::NAN; m * n]);
+    }
+    for (i, (got, want)) in run().iter().zip(&fresh).enumerate() {
+        assert_bits_eq_nan(got, want, &format!("kernel {i}"));
     }
 }
 
