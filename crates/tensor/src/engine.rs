@@ -71,7 +71,7 @@
 //! [`transpose_into`]: source rows in bands of [`TB`] (borrowed when dense,
 //! decoded once into staging otherwise), moved `TB×TB` block by block so
 //! that every store is a contiguous `TB`-float run, through fixed-size row
-//! references that unroll without bounds checks (no `unsafe`). A transpose
+//! references that unroll without bounds checks, in safe code. A transpose
 //! only moves values, so every orientation hands the tile kernel the same
 //! values in the same `k` order as `nn` over the transposed operand, and
 //! `matmul_nt(a, b) == matmul(a, bᵀ)` holds bit for bit;

@@ -191,11 +191,18 @@ pub(super) trait SimdOps {
 }
 
 /// A vector of finished accumulators as the `STORE` flags say — the
-/// vector form of `engine::finish`: BF16 rounding, then `+ 0`.
+/// vector form of `engine::finish`. BF16 rounding is the vector form of
+/// [`crate::bf16::round`]: NaN lanes pass through payload-intact, other
+/// lanes add the round-to-nearest-even bias and truncate the low mantissa
+/// half. Then `+ 0`.
 #[inline(always)]
 pub(super) unsafe fn finish<V: SimdOps, const STORE: Store>(v: V::F) -> V::F {
     let v = if STORE & STORE_BF16 != 0 {
-        bf16_round::<V>(v)
+        let bits = V::bits(v);
+        let lsb = V::and(V::shr(bits, 16), V::splat_i(1));
+        let rounded = V::add_i(bits, V::add_i(lsb, V::splat_i(0x7FFF)));
+        let rounded = V::and(rounded, V::splat_i(0xFFFF_0000));
+        V::select(V::ordered(v), V::from_bits(rounded), v)
     } else {
         v
     };
@@ -204,19 +211,6 @@ pub(super) unsafe fn finish<V: SimdOps, const STORE: Store>(v: V::F) -> V::F {
     } else {
         v
     }
-}
-
-/// Rounds each lane to BF16 (kept in f32) — the vector form of
-/// [`crate::bf16::round`]: NaN lanes pass through payload-intact, other
-/// lanes add the round-to-nearest-even bias and truncate the low mantissa
-/// half.
-#[inline(always)]
-unsafe fn bf16_round<V: SimdOps>(x: V::F) -> V::F {
-    let bits = V::bits(x);
-    let lsb = V::and(V::shr(bits, 16), V::splat_i(1));
-    let rounded = V::add_i(bits, V::add_i(lsb, V::splat_i(0x7FFF)));
-    let rounded = V::and(rounded, V::splat_i(0xFFFF_0000));
-    V::select(V::ordered(x), V::from_bits(rounded), x)
 }
 
 /// The vector tile kernel — same contract as `engine::tile_kernel`, with
