@@ -31,9 +31,13 @@
 //!
 //! No [`snip_nn::record::StepRecord`]: the base pass keeps a copy of one
 //! `dW` per layer (the weight gradient its backward GEMM wrote, which the
-//! next pass overwrites) and of the transient `dY`; `X` is borrowed from
-//! the forward caches, `W` from the model. A probe pass leaves its `dW` in
-//! the weight gradients, where it is read against the retained base `dW`.
+//! next pass overwrites) and of the transient `dY`; `W` is borrowed from
+//! the model. A probe pass leaves its `dW` in the weight gradients, where
+//! it is read against the retained base `dW`. The forward caches hold each
+//! block's layer inputs once, read in place (Q, K and V share one, Gate
+//! and Up another); the statistics stage rounds each distinct input once —
+//! `X` as the GEMMs read it — and drops each block's caches as it goes, so
+//! the stats tasks run with the rounded inputs alone.
 //!
 //! # One reduction per task
 //!
@@ -49,11 +53,12 @@ use serde::{Deserialize, Serialize};
 use snip_nn::inject::Injection;
 use snip_nn::model::Model;
 use snip_nn::record::LayerTap;
-use snip_nn::{Batch, LayerId, Linear, LinearCache};
+use snip_nn::{Batch, LayerId, LayerKind, Linear, LinearCache};
 use snip_optim::AdamW;
 use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::pool::{reduce, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
+use std::sync::Arc;
 
 /// Everything the divergence analysis needs, extracted from one batch.
 /// Norms only, no tensors.
@@ -195,15 +200,28 @@ pub fn measure(
 
     let (stats, h_sens) = {
         let _span = snip_obs::span("snip.measure.stats");
+        // Each distinct input rounded once (`xs`; `x_of` maps a layer to
+        // its entry): the readers of one input are adjacent in
+        // `LayerKind::ALL` order.
+        let mut xs = Vec::new();
+        let mut x_of = Vec::with_capacity(n);
+        for cache in caches {
+            let mut last: Option<&Arc<Tensor>> = None;
+            for kind in LayerKind::ALL {
+                let qx = &cache.linear(kind).qx;
+                let x = qx.source().expect("BF16 reads every input in place");
+                if !last.is_some_and(|l| Arc::ptr_eq(l, x)) {
+                    xs.push(qx.dequantize());
+                }
+                last = Some(x);
+                x_of.push(xs.len() - 1);
+            }
+        }
         let ids = || (0..n).map(LayerId::from_linear_index);
         let views: Vec<LayerView<'_>> = ids()
             .zip(&base)
             .map(|(id, b)| LayerView {
-                x: caches[id.block]
-                    .linear(id.kind)
-                    .qx
-                    .as_dense()
-                    .expect("BF16 operands are cached dense"),
+                x: &xs[x_of[id.linear_index()]],
                 w: model.linear(id).weight().value(),
                 dy: &b.dy,
                 dw: &b.dw,

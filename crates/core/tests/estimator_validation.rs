@@ -44,8 +44,8 @@ const BATCHES: usize = 16;
 const FORWARD_SPEARMAN_FLOOR: f64 = 0.70;
 const DIRECT_SPEARMAN_FLOOR: f64 = 0.98;
 
-/// What one tapped BF16 pass keeps of a layer; `X` stays in the forward
-/// caches and `W` in the model.
+/// What one tapped BF16 pass keeps of a layer; `X` is read from the
+/// forward caches and `W` from the model.
 #[derive(Default)]
 struct Tapped {
     dy: Tensor,
@@ -139,6 +139,12 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
     let head = model.forward_head(&hidden, batch, rng);
     let top = model.backward_head(&head, rng);
     model.backward_blocks(batch, &top, &caches, rng, &mut Some(&mut tap as _));
+    let xs: Vec<Tensor> = (0..n)
+        .map(|i| {
+            let id = LayerId::from_linear_index(i);
+            caches[id.block].linear(id.kind).qx.dequantize()
+        })
+        .collect();
     let views: Vec<LayerView<'_>> = tap
         .0
         .iter()
@@ -146,11 +152,7 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
         .map(|(i, t)| {
             let id = LayerId::from_linear_index(i);
             LayerView {
-                x: caches[id.block]
-                    .linear(id.kind)
-                    .qx
-                    .as_dense()
-                    .expect("BF16 operands are cached dense"),
+                x: &xs[i],
                 w: model.linear(id).weight().value(),
                 dy: &t.dy,
                 dw: &t.dw,

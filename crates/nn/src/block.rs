@@ -4,7 +4,7 @@
 use crate::attention::{Attention, AttentionCache};
 use crate::config::ModelConfig;
 use crate::layers::{LayerId, LayerKind};
-use crate::linear::{Linear, LinearCache};
+use crate::linear::{self, Linear, LinearCache};
 use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
 use crate::record::LayerTap;
@@ -14,6 +14,7 @@ use snip_tensor::{
     rng::Rng,
     Tensor,
 };
+use std::sync::Arc;
 
 /// Trainable parameters per block: two norm gains and seven linear weights
 /// ([`Block::params_mut`]).
@@ -68,14 +69,13 @@ impl BlockCache {
         }
     }
 
-    /// Resident bytes of the seven saved linear-layer operand pairs — the
+    /// Resident bytes of the seven linear layers' saved operands — the
     /// part of the backward-pass footprint the packed representation
-    /// shrinks (subbyte precisions store `qx`/`qw` bit-packed).
+    /// shrinks (subbyte precisions store `qx`/`qw` bit-packed). An input
+    /// held in place counts once, however many layers read it
+    /// (`linear::cache_bytes`).
     pub fn linear_cache_bytes(&self) -> usize {
-        LayerKind::ALL
-            .iter()
-            .map(|&kind| self.linear(kind).resident_bytes())
-            .sum()
+        linear::cache_bytes(LayerKind::ALL.map(|kind| self.linear(kind)))
     }
 }
 
@@ -169,7 +169,7 @@ impl Block {
     fn fwd_linear(
         &self,
         kind: LayerKind,
-        x: &Tensor,
+        x: Arc<Tensor>,
         rng: &mut Rng,
         tap: &mut Option<&mut dyn LayerTap>,
     ) -> (Tensor, LinearCache) {
@@ -198,10 +198,13 @@ impl Block {
         dx
     }
 
-    /// Forward pass over `(batch·seq) × hidden` activations.
+    /// Forward pass over `(batch·seq) × hidden` activations. Each layer
+    /// input is made once and shared by the layers that read it (a handle
+    /// each); the block input and `x2` move into the norm caches, and the
+    /// residual sums read them back from there.
     pub fn forward(
         &self,
-        x: &Tensor,
+        x: Tensor,
         batch: usize,
         seq: usize,
         rng: &mut Rng,
@@ -209,20 +212,22 @@ impl Block {
     ) -> (Tensor, BlockCache) {
         // Attention half.
         let (xn1, nc1) = self.attn_norm.forward(x);
-        let (q, qc) = self.fwd_linear(LayerKind::Q, &xn1, rng, tap);
-        let (k, kc) = self.fwd_linear(LayerKind::K, &xn1, rng, tap);
-        let (v, vc) = self.fwd_linear(LayerKind::V, &xn1, rng, tap);
+        let xn1 = Arc::new(xn1);
+        let (q, qc) = self.fwd_linear(LayerKind::Q, xn1.clone(), rng, tap);
+        let (k, kc) = self.fwd_linear(LayerKind::K, xn1.clone(), rng, tap);
+        let (v, vc) = self.fwd_linear(LayerKind::V, xn1, rng, tap);
         let (attn_out, ac) = self.attention.forward(&q, &k, &v, batch, seq);
-        let (o, oc) = self.fwd_linear(LayerKind::O, &attn_out, rng, tap);
-        let x2 = x.add(&o);
+        let (mut x2, oc) = self.fwd_linear(LayerKind::O, Arc::new(attn_out), rng, tap);
+        x2.add_assign(&nc1.x); // o + x: the residual
 
         // MLP half (SwiGLU).
-        let (xn2, nc2) = self.mlp_norm.forward(&x2);
-        let (gate_out, gc) = self.fwd_linear(LayerKind::Gate, &xn2, rng, tap);
-        let (up_out, uc) = self.fwd_linear(LayerKind::Up, &xn2, rng, tap);
+        let (xn2, nc2) = self.mlp_norm.forward(x2);
+        let xn2 = Arc::new(xn2);
+        let (gate_out, gc) = self.fwd_linear(LayerKind::Gate, xn2.clone(), rng, tap);
+        let (up_out, uc) = self.fwd_linear(LayerKind::Up, xn2, rng, tap);
         let a = gate_out.zip(&up_out, |g, u| silu(g) * u);
-        let (d, dc) = self.fwd_linear(LayerKind::Down, &a, rng, tap);
-        let y = x2.add(&d);
+        let (mut y, dc) = self.fwd_linear(LayerKind::Down, Arc::new(a), rng, tap);
+        y.add_assign(&nc2.x); // d + x2: the residual
 
         (
             y,
@@ -280,7 +285,9 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_quant::LinearPrecision;
+    use snip_quant::{LinearPrecision, TensorRole};
+    use snip_tensor::bf16::round_slice;
+    use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 
     fn tiny_block() -> (Block, ModelConfig, Rng) {
         let cfg = ModelConfig::tiny_test();
@@ -293,7 +300,7 @@ mod tests {
     fn forward_preserves_shape_and_is_finite() {
         let (block, cfg, mut rng) = tiny_block();
         let x = Tensor::randn(2 * 8, cfg.hidden, 1.0, &mut rng);
-        let (y, _) = block.forward(&x, 2, 8, &mut rng, &mut None);
+        let (y, _) = block.forward(x.clone(), 2, 8, &mut rng, &mut None);
         assert_eq!(y.shape(), x.shape());
         assert!(y.all_finite());
     }
@@ -304,11 +311,15 @@ mod tests {
         block.set_exact_mode(true);
         let x = Tensor::randn(4, cfg.hidden, 0.5, &mut rng);
         let r = Tensor::randn(4, cfg.hidden, 0.5, &mut rng);
-        let (_, cache) = block.forward(&x, 1, 4, &mut rng, &mut None);
+        let (_, cache) = block.forward(x.clone(), 1, 4, &mut rng, &mut None);
         let dx = block.backward(&r, &cache, &mut rng, &mut None);
 
         let loss = |block: &Block, x: &Tensor, rng: &mut Rng| -> f64 {
-            block.forward(x, 1, 4, rng, &mut None).0.mul(&r).sum()
+            block
+                .forward(x.clone(), 1, 4, rng, &mut None)
+                .0
+                .mul(&r)
+                .sum()
         };
         for &(i, j) in &[(0usize, 0usize), (1, 7), (3, 15)] {
             let h = 1e-2f32;
@@ -332,7 +343,7 @@ mod tests {
         let x = Tensor::randn(4, cfg.hidden, 0.5, &mut rng);
         let r = Tensor::randn(4, cfg.hidden, 0.5, &mut rng);
         block.visit_params_mut(&mut |p| p.zero_grad());
-        let (_, cache) = block.forward(&x, 1, 4, &mut rng, &mut None);
+        let (_, cache) = block.forward(x.clone(), 1, 4, &mut rng, &mut None);
         let _ = block.backward(&r, &cache, &mut rng, &mut None);
 
         // Check one weight entry in several layers, including V and Down
@@ -344,8 +355,16 @@ mod tests {
             bp.linear_mut(kind).weight_mut().value_mut()[(0, 1)] += h;
             let mut bm = block.clone();
             bm.linear_mut(kind).weight_mut().value_mut()[(0, 1)] -= h;
-            let lp = bp.forward(&x, 1, 4, &mut rng, &mut None).0.mul(&r).sum();
-            let lm = bm.forward(&x, 1, 4, &mut rng, &mut None).0.mul(&r).sum();
+            let lp = bp
+                .forward(x.clone(), 1, 4, &mut rng, &mut None)
+                .0
+                .mul(&r)
+                .sum();
+            let lm = bm
+                .forward(x.clone(), 1, 4, &mut rng, &mut None)
+                .0
+                .mul(&r)
+                .sum();
             let fd = (lp - lm) / (2.0 * h as f64);
             assert!(
                 (fd - an).abs() < 2e-2 * (1.0 + an.abs()),
@@ -361,7 +380,7 @@ mod tests {
         let mut rec = crate::record::StepRecord::with_layers(14);
         {
             let mut rec_ref: Option<&mut dyn LayerTap> = Some(&mut rec);
-            let (y, cache) = block.forward(&x, 1, 4, &mut rng, &mut rec_ref);
+            let (y, cache) = block.forward(x.clone(), 1, 4, &mut rng, &mut rec_ref);
             let _ = block.backward(&y, &cache, &mut rng, &mut rec_ref);
         }
         for kind in LayerKind::ALL {
@@ -375,6 +394,134 @@ mod tests {
         }
         // Block 1's records remain untouched.
         assert_eq!(rec.layer(LayerId::new(1, LayerKind::Q)).x_norm(), 0.0);
+    }
+
+    /// The fake-quantization data flow of one linear layer: it
+    /// fake-quantizes its own copy of each operand (exact mode: takes them
+    /// as they are) and rounds each GEMM output to BF16 (exact: keeps it).
+    struct FakeQuant(bool);
+
+    impl FakeQuant {
+        fn quantize(&self, lin: &Linear, role: TensorRole, t: &Tensor, rng: &mut Rng) -> Tensor {
+            if self.0 {
+                t.clone()
+            } else {
+                lin.quantizer(role).fake_quantize(t, rng)
+            }
+        }
+
+        fn round(&self, mut t: Tensor) -> Tensor {
+            if !self.0 {
+                round_slice(t.as_mut_slice());
+            }
+            t
+        }
+
+        /// `Y` and the operand copies.
+        fn forward(&self, lin: &Linear, x: &Tensor, rng: &mut Rng) -> (Tensor, [Tensor; 2]) {
+            let qx = self.quantize(lin, TensorRole::Input, x, rng);
+            let qw = self.quantize(lin, TensorRole::Weight, lin.weight().value(), rng);
+            (self.round(matmul_nt(&qx, &qw)), [qx, qw])
+        }
+
+        /// `dX` and `0 + dW`, the gradient a zeroed accumulator held.
+        fn backward(
+            &self,
+            lin: &Linear,
+            dy: &Tensor,
+            [qx, qw]: &[Tensor; 2],
+            rng: &mut Rng,
+        ) -> (Tensor, Tensor) {
+            let qdy = self.quantize(lin, TensorRole::OutputGrad, dy, rng);
+            let dw = self.round(matmul_tn(&qdy, qx)).map(|v| 0.0 + v);
+            (self.round(matmul(&qdy, qw)), dw)
+        }
+    }
+
+    /// [`Block::forward`] and [`Block::backward`] written out over
+    /// [`FakeQuant`] layers — every layer with its own operand copies, the
+    /// residual sums as `x + o` and `x2 + d` — on a clone of `block`.
+    /// Returns `Y`, `dX` and the seven `dW` in [`LayerKind::ALL`] order.
+    fn fake_quant_pass(
+        block: &Block,
+        exact: bool,
+        x: &Tensor,
+        dy: &Tensor,
+        rng: &mut Rng,
+    ) -> (Tensor, Tensor, Vec<Tensor>) {
+        let f = FakeQuant(exact);
+        let mut b = block.clone();
+        let (xn1, nc1) = b.attn_norm.forward(x.clone());
+        let (q, cq) = f.forward(&b.wq, &xn1, rng);
+        let (k, ck) = f.forward(&b.wk, &xn1, rng);
+        let (v, cv) = f.forward(&b.wv, &xn1, rng);
+        let (attn_out, ac) = b.attention.forward(&q, &k, &v, 1, x.rows());
+        let (o, co) = f.forward(&b.wo, &attn_out, rng);
+        let x2 = x.add(&o);
+        let (xn2, nc2) = b.mlp_norm.forward(x2.clone());
+        let (g, cg) = f.forward(&b.gate, &xn2, rng);
+        let (u, cu) = f.forward(&b.up, &xn2, rng);
+        let a = g.zip(&u, |g, u| silu(g) * u);
+        let (d, cd) = f.forward(&b.down, &a, rng);
+        let y = x2.add(&d);
+
+        let (da, dw_down) = f.backward(&b.down, dy, &cd, rng);
+        let dgate = da.zip(&u, |d, u| d * u).zip(&g, |d, g| d * silu_grad(g));
+        let dup = da.zip(&g, |d, g| d * silu(g));
+        let (mut dxn2, dw_gate) = f.backward(&b.gate, &dgate, &cg, rng);
+        let (dxn2_up, dw_up) = f.backward(&b.up, &dup, &cu, rng);
+        dxn2.add_assign(&dxn2_up);
+        let mut dx2 = b.mlp_norm.backward(&dxn2, &nc2);
+        dx2.add_assign(dy);
+        let (dattn_out, dw_o) = f.backward(&b.wo, &dx2, &co, rng);
+        let (dq, dk, dv) = b.attention.backward(&dattn_out, &ac);
+        let (mut dxn1, dw_q) = f.backward(&b.wq, &dq, &cq, rng);
+        let (dxn1_k, dw_k) = f.backward(&b.wk, &dk, &ck, rng);
+        let (dxn1_v, dw_v) = f.backward(&b.wv, &dv, &cv, rng);
+        dxn1.add_assign(&dxn1_k);
+        dxn1.add_assign(&dxn1_v);
+        let mut dx = b.attn_norm.backward(&dxn1, &nc1);
+        dx.add_assign(&dx2);
+        (y, dx, vec![dw_q, dw_k, dw_v, dw_o, dw_gate, dw_up, dw_down])
+    }
+
+    /// Q, K and V share one input handle, Gate and Up another, under a
+    /// scheme that mixes in-place reads with packed ones: outputs, `dX`,
+    /// every `dW` and the draws equal the data flow in which each layer
+    /// fake-quantizes its own copy, bit for bit, and in exact mode too.
+    #[test]
+    fn shared_inputs_match_the_fake_quant_data_flow_bit_for_bit() {
+        use snip_quant::Precision::{Bf16, Fp4, Fp8};
+        let scheme = [Bf16, Fp4, Bf16, Fp8, Bf16, Fp4, Bf16];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for exact in [false, true] {
+            let (mut block, cfg, mut rng) = tiny_block();
+            for (kind, p) in LayerKind::ALL.into_iter().zip(scheme) {
+                block
+                    .linear_mut(kind)
+                    .set_precision(LinearPrecision::uniform(p));
+            }
+            block.set_exact_mode(exact);
+            let x = Tensor::randn(8, cfg.hidden, 1.0, &mut rng);
+            let dy = Tensor::randn(8, cfg.hidden, 1.0, &mut rng);
+            let mut rng_ref = rng.clone();
+            let (y_ref, dx_ref, dw_ref) = fake_quant_pass(&block, exact, &x, &dy, &mut rng_ref);
+
+            let (y, cache) = block.forward(x, 1, 8, &mut rng, &mut None);
+            let held = |kind| cache.linear(kind).qx.source().map(Arc::as_ptr);
+            assert_eq!(held(LayerKind::Q), held(LayerKind::V), "exact {exact}");
+            assert!(held(LayerKind::Q).is_some(), "exact {exact}");
+            assert_eq!(held(LayerKind::K).is_some(), exact);
+            let dx = block.backward(&dy, &cache, &mut rng, &mut None);
+
+            assert_eq!(bits(&y), bits(&y_ref), "Y, exact {exact}");
+            assert_eq!(bits(&dx), bits(&dx_ref), "dX, exact {exact}");
+            for (kind, want) in LayerKind::ALL.into_iter().zip(&dw_ref) {
+                let got = block.linear(kind).weight().grad();
+                assert_eq!(bits(got), bits(want), "dW {kind}, exact {exact}");
+            }
+            assert_eq!(rng.next_u64(), rng_ref.next_u64(), "draws, exact {exact}");
+        }
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub mod rope;
 pub use batch::Batch;
 pub use config::ModelConfig;
 pub use layers::{LayerId, LayerKind};
-pub use linear::{Linear, LinearCache, QCache, WeightCache};
+pub use linear::{Linear, LinearCache, QOperand};
 pub use model::{Model, StepOptions, StepOutput};

@@ -17,21 +17,30 @@
 //! nothing else — each weight meets exactly one weight-gradient GEMM per
 //! pass, so there is nothing to accumulate and nothing to zero first.
 //!
-//! The FP32 master weight is never copied for a GEMM. A packable weight
-//! precision (FP8/FP4) packs it once per forward into the cache; BF16 — the
-//! one non-packable weight precision — and exact mode read the master
-//! weight in place, BF16 through the engine's rounded operand
-//! ([`QOperandRef::Bf16Rounded`], bit-identical to a GEMM over a rounded
-//! copy). A [`LinearCache`] therefore describes its layer's weight *as it
-//! was at forward*, and must be consumed before that weight changes (debug
-//! builds check a CRC of the weight bits at backward). A training step,
-//! SNIP's probe (one forward, several backward passes) and the
-//! data-parallel gradient hook all finish their backward passes before the
-//! optimizer touches a weight.
+//! # Operands are packed or read in place, never copied
 //!
-//! These three GEMMs — `qgemm_nt_bf16`, `qgemm_bf16`, and the `tn`
-//! product written in place through [`gemm_into`] — are the hottest loops
-//! of every training step. They dispatch into
+//! Each of the three operands `X`, `W` and `dY` is a [`QOperand`], picked
+//! the same way for every role: bit-packed codes under a packable
+//! precision (FP8/FP4), otherwise its source tensor read in place — BF16
+//! through the engine's rounded operand ([`QOperandRef::Bf16Rounded`],
+//! bit-identical to a GEMM over a rounded copy), exact mode as is. BF16 is
+//! unscaled round-to-nearest and draws nothing, so the in-place read equals
+//! the fake-quantized copy it replaces, draw for draw. The sources are the
+//! FP32 master weight, the `dy` argument of [`Linear::backward`], and the
+//! layer input, which [`Linear::forward`] takes as a shared handle
+//! (`Arc<Tensor>`): layers fed the same input (Q, K and V; Gate and Up)
+//! hold one tensor between them, and a packed layer holds none — its clone
+//! of the handle is dropped once the codes exist.
+//!
+//! A [`LinearCache`] describes its layer's weight *as it was at forward*,
+//! and must be consumed before that weight changes (debug builds check a
+//! CRC of the weight bits at backward). A training step, SNIP's probe (one
+//! forward, several backward passes) and the data-parallel gradient hook
+//! all finish their backward passes before the optimizer touches a weight.
+//!
+//! These three GEMMs — the forward and `dX` products through [`gemm`], the
+//! `dW` product written in place through [`gemm_into`] — are the hottest
+//! loops of every training step. They dispatch into
 //! `snip-tensor`'s pool-backed, cache-blocked GEMM engine with the BF16
 //! output rounding fused into the tile store (bit-identical to rounding in
 //! a second pass, without touching the output twice): packed operands are
@@ -45,11 +54,10 @@ use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use snip_quant::{LinearPrecision, Quantizer, TensorRole};
 use snip_tensor::{
-    gemm_into,
-    packed::{qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16},
-    rng::Rng,
-    Orientation, QOperandRef, QTensor, Round, Tensor,
+    bf16, gemm, gemm_into, rng::Rng, Orientation, QOperandRef, QTensor, Round, Tensor,
 };
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A linear layer `y = x · Wᵀ` with per-operand quantization.
 ///
@@ -65,161 +73,125 @@ pub struct Linear {
     exact: bool,
 }
 
-/// A quantized activation held for the backward pass (the input `X`, and
-/// the output gradient inside [`Linear::backward`]): bit-packed when the
-/// operand's precision supports it (FP4/FP8 — 8× / 4× smaller than f32),
-/// dense only for BF16 emulation and exact mode.
+/// One GEMM operand of a linear layer — its input `X`, weight `W` or
+/// output gradient `dY` — as the layer reads it: bit-packed codes, or the
+/// source tensor `S` read in place. [`Linear`] picks the variant the same
+/// way for every role (see the module docs).
+///
+/// The input's source is the shared layer input (`S = Arc<Tensor>`), the
+/// output gradient's the `dy` argument (`S = &Tensor`); the cached weight
+/// read holds no source (`S = ()`), because its source is the layer's
+/// master weight.
 #[derive(Clone, Debug)]
-pub enum QCache {
-    /// Dense f32 storage (BF16-emulated or exact-mode operands).
-    Dense(Tensor),
-    /// Bit-packed subbyte storage with per-group scales.
+pub enum QOperand<S> {
+    /// Bit-packed codes with per-group scales: the packable precisions
+    /// (FP8/FP4), 4× / 8× smaller than f32.
     Packed(QTensor),
+    /// The source read through BF16 rounding: BF16, which rounds to
+    /// nearest and draws nothing, so the read equals the fake-quantized
+    /// copy.
+    Bf16Rounded(S),
+    /// The source read as is (exact mode).
+    Exact(S),
 }
 
-impl QCache {
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
+impl<S> QOperand<S> {
+    /// Whether the operand is held bit-packed.
+    pub fn is_packed(&self) -> bool {
+        matches!(self, QOperand::Packed(_))
+    }
+
+    /// The source an in-place read holds (`None` when packed).
+    pub fn source(&self) -> Option<&S> {
         match self {
-            QCache::Dense(t) => t.shape(),
-            QCache::Packed(t) => t.shape(),
+            QOperand::Packed(_) => None,
+            QOperand::Bf16Rounded(s) | QOperand::Exact(s) => Some(s),
         }
     }
 
-    /// Whether the operand is stored bit-packed.
-    pub fn is_packed(&self) -> bool {
-        matches!(self, QCache::Packed(_))
+    /// The GEMM operand: the packed codes, or `source` read the recorded
+    /// way.
+    fn read<'a>(&'a self, source: &'a Tensor) -> QOperandRef<'a> {
+        match self {
+            QOperand::Packed(q) => QOperandRef::Packed(q),
+            QOperand::Bf16Rounded(_) => QOperandRef::Bf16Rounded(source),
+            QOperand::Exact(_) => QOperandRef::Dense(source),
+        }
     }
 
-    /// A GEMM operand view (no decode for dense, on-the-fly decode for
-    /// packed).
+    /// The same read with the source dropped: how a cache records the
+    /// weight read, whose source is the layer's master weight.
+    fn without_source(self) -> QOperand<()> {
+        match self {
+            QOperand::Packed(q) => QOperand::Packed(q),
+            QOperand::Bf16Rounded(_) => QOperand::Bf16Rounded(()),
+            QOperand::Exact(_) => QOperand::Exact(()),
+        }
+    }
+
+    /// Resident bytes of the packed codes ([`QTensor::resident_bytes`]; the
+    /// decode table is shared per format and not charged), 0 for an
+    /// in-place read: its source belongs to someone else, and a step's
+    /// accounting counts a held input once.
+    pub fn resident_bytes(&self) -> usize {
+        match self {
+            QOperand::Packed(q) => q.resident_bytes(),
+            QOperand::Bf16Rounded(_) | QOperand::Exact(_) => 0,
+        }
+    }
+}
+
+impl<S: Deref<Target = Tensor>> QOperand<S> {
+    /// The GEMM operand over the held source.
     pub fn operand(&self) -> QOperandRef<'_> {
         match self {
-            QCache::Dense(t) => QOperandRef::Dense(t),
-            QCache::Packed(t) => QOperandRef::Packed(t),
+            QOperand::Packed(q) => QOperandRef::Packed(q),
+            QOperand::Bf16Rounded(s) | QOperand::Exact(s) => self.read(s),
         }
     }
 
-    /// The operand itself when it is stored dense — every BF16-emulated
-    /// operand is, which is what lets SNIP's probe borrow its statistics
-    /// inputs from the forward caches instead of copying them.
-    pub fn as_dense(&self) -> Option<&Tensor> {
-        match self {
-            QCache::Dense(t) => Some(t),
-            QCache::Packed(_) => None,
-        }
-    }
-
-    /// Materializes the operand as a dense tensor — bit-for-bit what the
-    /// fake-quantization path would have produced. Probes and statistics
-    /// read the cache through this.
+    /// The operand as a dense tensor, bit for bit the values the GEMM reads
+    /// — the fake-quantized tensor. Statistics and taps read an input
+    /// through this.
     pub fn dequantize(&self) -> Tensor {
         match self {
-            QCache::Dense(t) => t.clone(),
-            QCache::Packed(t) => t.dequantize(),
-        }
-    }
-
-    /// Resident bytes of this cached operand: codes, scales and the
-    /// container for packed storage ([`QTensor::resident_bytes`]; the
-    /// decode table is shared per format and not charged), the raw buffer
-    /// and the container for dense.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            QCache::Dense(t) => std::mem::size_of::<Tensor>() + t.len() * 4,
-            QCache::Packed(t) => t.resident_bytes(),
-        }
-    }
-}
-
-/// How the backward `dX` GEMM reads its layer's weight — recorded by
-/// [`Linear::forward`], so a precision change between forward and backward
-/// cannot switch the read mid-step.
-#[derive(Clone, Debug)]
-pub enum WeightCache {
-    /// The quantized weight, bit-packed: the packable precisions (FP8/FP4).
-    Packed(QTensor),
-    /// The master weight, read in place through BF16 rounding
-    /// ([`QOperandRef::Bf16Rounded`]): BF16, which rounds to nearest and
-    /// draws nothing, so the rounded read equals the fake-quantized copy.
-    Bf16Rounded,
-    /// The master weight, read in place as is (exact mode).
-    Exact,
-}
-
-impl WeightCache {
-    /// Whether the weight is held bit-packed.
-    pub fn is_packed(&self) -> bool {
-        matches!(self, WeightCache::Packed(_))
-    }
-
-    /// The GEMM operand: the packed codes, or `weight` — the layer's
-    /// master weight — read the recorded way.
-    fn operand<'a>(&'a self, weight: &'a Tensor) -> QOperandRef<'a> {
-        match self {
-            WeightCache::Packed(q) => QOperandRef::Packed(q),
-            WeightCache::Bf16Rounded => QOperandRef::Bf16Rounded(weight),
-            WeightCache::Exact => QOperandRef::Dense(weight),
-        }
-    }
-
-    /// The packed weight, decoded — bit for bit the fake-quantized weight.
-    /// An in-place read holds no values of its own (they are
-    /// [`Linear::weight`]'s, read the recorded way), so it yields an empty
-    /// `0 × 0` tensor.
-    pub fn dequantize(&self) -> Tensor {
-        match self {
-            WeightCache::Packed(q) => q.dequantize(),
-            WeightCache::Bf16Rounded | WeightCache::Exact => Tensor::zeros(0, 0),
-        }
-    }
-
-    /// Resident bytes: those of the packed weight ([`QTensor::resident_bytes`]),
-    /// 0 for an in-place read — it holds no copy.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            WeightCache::Packed(q) => q.resident_bytes(),
-            WeightCache::Bf16Rounded | WeightCache::Exact => 0,
+            QOperand::Packed(q) => q.dequantize(),
+            QOperand::Bf16Rounded(s) => s.map(bf16::round),
+            QOperand::Exact(s) => Tensor::clone(s),
         }
     }
 }
 
 /// What [`Linear::forward`] saves for the backward pass.
 ///
-/// `qx` is the *quantized* input — exactly what the `dW` GEMM consumes,
-/// and (during BF16 statistics collection) numerically equal to the BF16
-/// activations. `qw` says how the `dX` GEMM reads the weight: packed codes
+/// `qx` is the input as the forward GEMM read it — exactly what the `dW`
+/// GEMM consumes: packed codes under FP8/FP4, where the dominant activation
+/// memory of the backward pass shrinks by ~8× (FP4) and the cache keeps
+/// no f32 input, or the shared layer input itself under BF16 and exact
+/// mode. `qw` says how the `dX` GEMM reads the weight: packed codes
 /// under FP8/FP4, the master weight in place under BF16 and exact mode.
-/// Subbyte operands stay bit-packed here, which is where the packed
-/// representation pays off: the dominant activation memory of the backward
-/// pass shrinks by ~8× under FP4.
 ///
 /// A cache is only valid until its layer's weight changes (see the module
 /// docs); debug builds check that at backward.
 #[derive(Clone, Debug)]
 pub struct LinearCache {
-    /// Quantized input activations, `tokens × in_features`.
-    pub qx: QCache,
+    /// The input read, `tokens × in_features`.
+    pub qx: QOperand<Arc<Tensor>>,
     /// The weight read of the backward `dX` GEMM.
-    pub qw: WeightCache,
+    pub qw: QOperand<()>,
     /// CRC-32 of the weight bits at forward.
     #[cfg(debug_assertions)]
     weight_crc: u32,
 }
 
 impl LinearCache {
-    fn new(qx: QCache, qw: WeightCache, _weight: &Tensor) -> Self {
+    fn new(qx: QOperand<Arc<Tensor>>, qw: QOperand<()>, _weight: &Tensor) -> Self {
         LinearCache {
             qx,
             qw,
             #[cfg(debug_assertions)]
             weight_crc: weight_crc(_weight),
         }
-    }
-
-    /// Total resident bytes of the saved operands.
-    pub fn resident_bytes(&self) -> usize {
-        self.qx.resident_bytes() + self.qw.resident_bytes()
     }
 
     /// Debug builds: panics unless `_weight` still has the bits the forward
@@ -232,6 +204,25 @@ impl LinearCache {
             "the layer's weight changed between forward and backward"
         );
     }
+}
+
+/// Resident bytes of `caches` together: every packed operand, and every
+/// layer input held in place — its buffer and container — once, however
+/// many of the caches share it (Q, K and V share one input, Gate and Up
+/// another).
+pub(crate) fn cache_bytes<'a>(caches: impl IntoIterator<Item = &'a LinearCache>) -> usize {
+    let mut held: Vec<&Arc<Tensor>> = Vec::new();
+    let mut bytes = 0;
+    for cache in caches {
+        bytes += cache.qx.resident_bytes() + cache.qw.resident_bytes();
+        if let Some(x) = cache.qx.source() {
+            if !held.iter().any(|h| Arc::ptr_eq(h, x)) {
+                held.push(x);
+                bytes += std::mem::size_of::<Tensor>() + x.len() * 4;
+            }
+        }
+    }
+    bytes
 }
 
 /// CRC-32 of a weight's element bits.
@@ -291,7 +282,26 @@ impl Linear {
         &mut self.weight
     }
 
-    fn quantizer(&self, role: TensorRole) -> Quantizer {
+    /// The operand `role` reads from `source`: exact mode reads it as is,
+    /// a packable precision packs it (drawing what the fake-quantized copy
+    /// would draw), and BF16 — the one precision without codes — reads it
+    /// through rounding, drawing nothing.
+    fn quantize<S: Deref<Target = Tensor>>(
+        &self,
+        role: TensorRole,
+        source: S,
+        rng: &mut Rng,
+    ) -> QOperand<S> {
+        if self.exact {
+            return QOperand::Exact(source);
+        }
+        match self.quantizer(role).quantize_packed(&source, rng) {
+            Some(codes) => QOperand::Packed(codes),
+            None => QOperand::Bf16Rounded(source),
+        }
+    }
+
+    pub(crate) fn quantizer(&self, role: TensorRole) -> Quantizer {
         let p = match role {
             TensorRole::Input => self.precision.input,
             TensorRole::Weight => self.precision.weight,
@@ -300,53 +310,42 @@ impl Linear {
         p.quantizer_with_group(role, self.quant_group)
     }
 
-    /// Quantizes one GEMM operand, bit-packed when the precision allows.
-    /// The packed and fake-quantized forms are numerically identical and
-    /// consume identical stochastic-rounding draws, so which storage is
-    /// chosen never changes the training trajectory.
-    fn quantize_cached(&self, role: TensorRole, t: &Tensor, rng: &mut Rng) -> QCache {
-        let q = self.quantizer(role);
-        match q.quantize_packed(t, rng) {
-            Some(packed) => QCache::Packed(packed),
-            None => QCache::Dense(q.fake_quantize(t, rng)),
+    /// How every GEMM output of the layer is stored: BF16, or as computed
+    /// in exact mode.
+    fn output_round(&self) -> Round {
+        if self.exact {
+            Round::Keep
+        } else {
+            Round::Bf16
         }
     }
 
-    /// Forward pass: quantizes `x` and `W` (bit-packed for subbyte
-    /// precisions; a BF16 weight is read in place through rounding), runs
-    /// the quantized GEMM, rounds the output to BF16. Returns the output
-    /// and the cache for backward.
+    /// Forward pass: reads `x` and `W` as their precisions say (packed, or
+    /// in place through rounding), runs the GEMM with its output rounded
+    /// to BF16. Returns the output and the cache for backward, which keeps
+    /// `x` only if the input is read in place.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != in_features`.
-    pub fn forward(&self, x: &Tensor, rng: &mut Rng) -> (Tensor, LinearCache) {
+    pub fn forward(&self, x: Arc<Tensor>, rng: &mut Rng) -> (Tensor, LinearCache) {
         let w = self.weight.value();
-        if self.exact {
-            let qx = QCache::Dense(x.clone());
-            let y = qgemm_nt(qx.operand(), QOperandRef::Dense(w));
-            return (y, LinearCache::new(qx, WeightCache::Exact, w));
-        }
-        let qx = self.quantize_cached(TensorRole::Input, x, rng);
-        let q = self.quantizer(TensorRole::Weight);
-        let qw = if q.packable() {
-            let packed = q.quantize_packed(w, rng);
-            WeightCache::Packed(packed.expect("a layer quantizer packs to plain codes"))
-        } else {
-            // BF16, the one non-packable weight precision.
-            WeightCache::Bf16Rounded
-        };
-        // The `_bf16` kernel folds the BF16 rounding into the tile store —
-        // bit-identical to rounding the plain qgemm output in a second pass.
-        let y = qgemm_nt_bf16(qx.operand(), qw.operand(w));
-        (y, LinearCache::new(qx, qw, w))
+        let qx = self.quantize(TensorRole::Input, x, rng);
+        let qw = self.quantize(TensorRole::Weight, w, rng);
+        let y = gemm(
+            qx.operand(),
+            qw.operand(),
+            Orientation::Nt,
+            self.output_round(),
+        );
+        (y, LinearCache::new(qx, qw.without_source(), w))
     }
 
-    /// Backward pass: quantizes `dy` once and returns `dX`. `dW` — BF16
-    /// rounded, plain in exact mode — is written straight into the weight's
-    /// gradient, replacing whatever it held ([`Param::grad_to_write`]):
-    /// bit for bit what adding it into a zeroed gradient gave, since
-    /// [`gemm_into`] stores `0 + dW`.
+    /// Backward pass: reads `dy` once (packed, or in place) and returns
+    /// `dX`. `dW` is written straight into the weight's gradient, replacing
+    /// whatever it held ([`Param::grad_to_write`]): bit for bit what adding
+    /// it into a zeroed gradient gave, since [`gemm_into`] stores `0 + dW`.
+    /// Both outputs are BF16 rounded, plain in exact mode.
     ///
     /// # Panics
     ///
@@ -357,27 +356,15 @@ impl Linear {
     pub fn backward(&mut self, dy: &Tensor, cache: &LinearCache, rng: &mut Rng) -> Tensor {
         let w = self.weight.value();
         cache.check_weight(w);
-        if self.exact {
-            let dx = qgemm(QOperandRef::from(dy), cache.qw.operand(w));
-            let dw = self.weight.grad_to_write();
-            gemm_into(
-                dw,
-                dy.into(),
-                cache.qx.operand(),
-                Orientation::Tn,
-                Round::Keep,
-            );
-            return dx;
-        }
-        let qdy = self.quantize_cached(TensorRole::OutputGrad, dy, rng);
-        let dx = qgemm_bf16(qdy.operand(), cache.qw.operand(w));
-        let dw = self.weight.grad_to_write();
+        let round = self.output_round();
+        let qdy = self.quantize(TensorRole::OutputGrad, dy, rng);
+        let dx = gemm(qdy.operand(), cache.qw.read(w), Orientation::Nn, round);
         gemm_into(
-            dw,
+            self.weight.grad_to_write(),
             qdy.operand(),
             cache.qx.operand(),
             Orientation::Tn,
-            Round::Bf16,
+            round,
         );
         dx
     }
@@ -398,13 +385,13 @@ mod tests {
         let x = Tensor::randn(3, 4, 0.5, &mut rng);
         let r = Tensor::randn(3, 5, 0.5, &mut rng);
 
-        let (y, cache) = lin.forward(&x, &mut rng);
+        let (y, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
         assert_eq!(y.shape(), (3, 5));
         let dx = lin.backward(&r, &cache, &mut rng);
 
         // dL/dx[i,j] via central differences
         let loss = |lin: &Linear, x: &Tensor, rng: &mut Rng| -> f64 {
-            let (y, _) = lin.forward(x, rng);
+            let (y, _) = lin.forward(Arc::new(x.clone()), rng);
             y.mul(&r).sum()
         };
         for &(i, j) in &[(0usize, 0usize), (1, 2), (2, 3)] {
@@ -435,7 +422,7 @@ mod tests {
         let r = Tensor::randn(6, 4, 0.5, &mut rng);
 
         lin.weight_mut().zero_grad();
-        let (_, cache) = lin.forward(&x, &mut rng);
+        let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
         let _ = lin.backward(&r, &cache, &mut rng);
         let dw = lin.weight().grad().clone();
 
@@ -445,8 +432,8 @@ mod tests {
             lp.weight_mut().value_mut()[(i, j)] += h;
             let mut lm = lin.clone();
             lm.weight_mut().value_mut()[(i, j)] -= h;
-            let (yp, _) = lp.forward(&x, &mut rng);
-            let (ym, _) = lm.forward(&x, &mut rng);
+            let (yp, _) = lp.forward(Arc::new(x.clone()), &mut rng);
+            let (ym, _) = lm.forward(Arc::new(x.clone()), &mut rng);
             let fd = (yp.mul(&r).sum() - ym.mul(&r).sum()) / (2.0 * h as f64);
             let an = dw[(i, j)] as f64;
             assert!(
@@ -461,12 +448,12 @@ mod tests {
         let mut rng = Rng::seed_from(23);
         let mut lin = Linear::new("w", 16, 16, 1.0, 8, &mut rng);
         let x = Tensor::randn(8, 16, 1.0, &mut rng);
-        let (y_ref, _) = lin.forward(&x, &mut rng); // bf16 default
+        let (y_ref, _) = lin.forward(Arc::new(x.clone()), &mut rng); // bf16 default
 
         lin.set_precision(LinearPrecision::uniform(Precision::Fp8));
-        let (y8, _) = lin.forward(&x, &mut rng);
+        let (y8, _) = lin.forward(Arc::new(x.clone()), &mut rng);
         lin.set_precision(LinearPrecision::uniform(Precision::Fp4));
-        let (y4, _) = lin.forward(&x, &mut rng);
+        let (y4, _) = lin.forward(Arc::new(x.clone()), &mut rng);
 
         let e8 = y8.distance(&y_ref) / y_ref.frobenius_norm();
         let e4 = y4.distance(&y_ref) / y_ref.frobenius_norm();
@@ -485,7 +472,7 @@ mod tests {
         let mut lin = Linear::new("w", 3, 3, 1.0, 4, &mut rng);
         let x = Tensor::randn(2, 3, 1.0, &mut rng);
         let dy = Tensor::randn(2, 3, 1.0, &mut rng);
-        let (_, cache) = lin.forward(&x, &mut rng);
+        let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
         let _ = lin.backward(&dy, &cache, &mut rng);
         let _ = lin.backward(&dy, &cache, &mut rng);
     }
@@ -505,7 +492,7 @@ mod tests {
                 lin.set_exact_mode(exact);
                 let x = Tensor::randn(3, 6, 1.0, &mut rng);
                 let dy = Tensor::randn(3, 5, 1.0, &mut rng);
-                let (_, cache) = lin.forward(&x, &mut rng);
+                let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
                 let bits = |lin: &Linear| -> Vec<u32> {
                     lin.weight()
                         .grad()
@@ -543,6 +530,11 @@ mod tests {
                 grad: Precision::Fp4,
             },
             LinearPrecision::uniform(Precision::Bf16),
+            LinearPrecision {
+                input: Precision::Bf16,
+                weight: Precision::Fp4,
+                grad: Precision::Bf16,
+            },
         ] {
             let mut rng = Rng::seed_from(31);
             let mut lin = Linear::new("w", 12, 16, 1.0, 8, &mut rng);
@@ -551,7 +543,7 @@ mod tests {
             let dy = Tensor::randn(6, 12, 1.0, &mut rng);
 
             let mut rng_new = Rng::seed_from(77);
-            let (y, cache) = lin.forward(&x, &mut rng_new);
+            let (y, cache) = lin.forward(Arc::new(x.clone()), &mut rng_new);
             let dx = lin.backward(&dy, &cache, &mut rng_new);
             let dw = lin.weight().grad().clone();
 
@@ -583,19 +575,14 @@ mod tests {
             assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "{precision}");
             // The operands the GEMMs read reproduce the fake-quant ones: the
             // input through its cache, the weight the way `qw` recorded —
-            // its packed codes, or the master weight read in place (an
-            // in-place read's `dequantize` is empty: it holds no values).
-            let read = cache.qw.operand(lin.weight().value());
+            // its packed codes, or the master weight read in place.
+            let read = cache.qw.read(lin.weight().value());
             let (rows, cols) = read.shape();
             let mut w_read = Tensor::zeros(rows, cols);
             for r in 0..rows {
                 read.decode_row_range_into(r, 0, cols, w_read.row_mut(r));
             }
-            let mut pairs = vec![(cache.qx.dequantize(), &qx), (w_read, &qw)];
-            if cache.qw.is_packed() {
-                pairs.push((cache.qw.dequantize(), &qw));
-            }
-            for (got, want) in pairs {
+            for (got, want) in [(cache.qx.dequantize(), &qx), (w_read, &qw)] {
                 assert_eq!(got.shape(), want.shape(), "{precision} cache");
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{precision} cache");
@@ -610,7 +597,7 @@ mod tests {
         let mut lin = Linear::new("w", 128, 256, 1.0, 128, &mut rng);
         lin.set_precision(LinearPrecision::uniform(Precision::Fp4));
         let x = Tensor::randn(64, 256, 1.0, &mut rng);
-        let (_, cache) = lin.forward(&x, &mut rng);
+        let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
 
         assert!(cache.qx.is_packed(), "FP4 activations must be packed");
         assert!(cache.qw.is_packed(), "FP4 weights must be packed");
@@ -630,9 +617,9 @@ mod tests {
             dense / got
         );
 
-        // BF16 falls back to dense storage.
+        // BF16 reads the input in place.
         lin.set_precision(LinearPrecision::uniform(Precision::Bf16));
-        let (_, cache16) = lin.forward(&x, &mut rng);
+        let (_, cache16) = lin.forward(Arc::new(x.clone()), &mut rng);
         assert!(!cache16.qx.is_packed());
     }
 
@@ -647,7 +634,7 @@ mod tests {
         let mut lin = Linear::new("w", 3, 4, 1.0, 4, &mut rng);
         let x = Tensor::randn(2, 4, 1.0, &mut rng);
         let dy = Tensor::randn(2, 3, 1.0, &mut rng);
-        let (_, cache) = lin.forward(&x, &mut rng);
+        let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
         lin.weight_mut().value_mut()[(1, 2)] += 1.0;
         let _ = lin.backward(&dy, &cache, &mut rng);
     }
@@ -679,7 +666,6 @@ mod tests {
     /// before (here NaN), in BF16 and exact mode.
     #[test]
     fn backward_writes_dw_into_the_gradient() {
-        use snip_tensor::packed::{qgemm_tn, qgemm_tn_bf16};
         for exact in [false, true] {
             let mut rng = Rng::seed_from(25);
             let mut lin = Linear::new("w", 3, 4, 1.0, 4, &mut rng);
@@ -687,18 +673,28 @@ mod tests {
             let x = Tensor::randn(2, 4, 1.0, &mut rng);
             let dy = Tensor::randn(2, 3, 1.0, &mut rng);
             lin.weight_mut().grad_mut().as_mut_slice().fill(f32::NAN);
-            let (_, cache) = lin.forward(&x, &mut rng);
+            let (_, cache) = lin.forward(Arc::new(x.clone()), &mut rng);
             let mut draws = rng.clone();
             let _ = lin.backward(&dy, &cache, &mut rng);
 
             let mut want = Tensor::zeros(3, 4);
             if exact {
-                want.add_assign(&qgemm_tn(QOperandRef::from(&dy), cache.qx.operand()));
+                want.add_assign(&gemm(
+                    QOperandRef::from(&dy),
+                    cache.qx.operand(),
+                    Orientation::Tn,
+                    Round::Keep,
+                ));
             } else {
                 let qdy = lin
                     .quantizer(TensorRole::OutputGrad)
                     .fake_quantize(&dy, &mut draws);
-                want.add_assign(&qgemm_tn_bf16(QOperandRef::from(&qdy), cache.qx.operand()));
+                want.add_assign(&gemm(
+                    QOperandRef::from(&qdy),
+                    cache.qx.operand(),
+                    Orientation::Tn,
+                    Round::Bf16,
+                ));
             }
             let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(lin.weight().grad()), bits(&want), "exact {exact}");

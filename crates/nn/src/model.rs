@@ -11,7 +11,7 @@ use crate::block::{Block, BlockCache, PARAMS_PER_BLOCK};
 use crate::config::ModelConfig;
 use crate::embedding::Embedding;
 use crate::layers::LayerId;
-use crate::linear::{Linear, LinearCache};
+use crate::linear::{self, Linear, LinearCache};
 use crate::loss::cross_entropy;
 use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 use snip_quant::LinearPrecision;
 use snip_tensor::pool::{self, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
+use std::sync::Arc;
 
 /// Options controlling one training/evaluation step.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,7 +60,8 @@ pub struct StepOutput {
     pub record: Option<StepRecord>,
     /// Resident bytes of the quantized linear-layer operands saved for the
     /// backward pass (measured, not estimated: subbyte precisions hold
-    /// these bit-packed, BF16 holds them dense).
+    /// these bit-packed; BF16 holds each layer input once, in place, and
+    /// no weight bytes).
     pub linear_cache_bytes: usize,
     /// Wall time of the whole step (forward + backward), populated from
     /// telemetry spans when `SNIP_TRACE` collection is on; 0 when off.
@@ -297,7 +299,8 @@ impl Model {
         )
     }
 
-    /// The one loop over the blocks' forward passes.
+    /// The one loop over the blocks' forward passes; each block's input
+    /// moves into it.
     fn forward_tokens(
         &self,
         tokens: &[u32],
@@ -310,7 +313,7 @@ impl Model {
         let mut x = self.embed.forward(tokens);
         let mut caches = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            let (y, c) = block.forward(&x, batch, seq, rng, tap);
+            let (y, c) = block.forward(x, batch, seq, rng, tap);
             x = y;
             caches.push(c);
         }
@@ -318,10 +321,12 @@ impl Model {
     }
 
     /// Stage 2 — head forward: `final_norm`, the LM head and the loss on a
-    /// final hidden state from [`Model::forward_blocks`].
+    /// final hidden state from [`Model::forward_blocks`]. `hidden` is
+    /// borrowed (SNIP's probe runs the head twice on it), so `final_norm`
+    /// caches a copy.
     pub fn forward_head(&self, hidden: &Tensor, batch: &Batch, rng: &mut Rng) -> HeadForward {
-        let (hn, hn_cache) = self.final_norm.forward(hidden);
-        let (logits, head_cache) = self.lm_head.forward(&hn, rng);
+        let (hn, hn_cache) = self.final_norm.forward(hidden.clone());
+        let (logits, head_cache) = self.lm_head.forward(Arc::new(hn), rng);
         let (loss, dlogits) = cross_entropy(&logits, batch.targets());
         HeadForward {
             loss,
@@ -412,7 +417,7 @@ impl Model {
                 .iter()
                 .map(BlockCache::linear_cache_bytes)
                 .sum::<usize>()
-                + head.head_cache.resident_bytes();
+                + linear::cache_bytes([&head.head_cache]);
             (head.loss, linear_cache_bytes)
         };
         let ntokens = batch.num_tokens();
@@ -449,8 +454,8 @@ impl Model {
     pub fn logits(&self, tokens: &[u32], batch: usize, seq: usize, rng: &mut Rng) -> Tensor {
         assert_eq!(tokens.len(), batch * seq, "bad token count");
         let (_, x) = self.forward_tokens(tokens, batch, seq, rng, &mut None);
-        let (hn, _) = self.final_norm.forward(&x);
-        let (logits, _) = self.lm_head.forward(&hn, rng);
+        let (hn, _) = self.final_norm.forward(x);
+        let (logits, _) = self.lm_head.forward(Arc::new(hn), rng);
         logits
     }
 }
@@ -476,11 +481,12 @@ mod tests {
     }
 
     /// `linear_cache_bytes` is exact accounting of what a step keeps for
-    /// backward. BF16 keeps every layer's input dense and reads its weight
-    /// in place, so it charges the inputs alone — no weight bytes; FP8 and
-    /// FP4 charge the packed input (1×nb tiles) and the packed weight
-    /// (nb×nb blocks) of every block layer. The LM head is outside the
-    /// scheme and stays BF16 (dense input, in-place weight) throughout.
+    /// backward. BF16 reads every input and weight in place, so it charges
+    /// each distinct layer input once — Q, K and V share `xn1`, Gate and Up
+    /// `xn2` — and no weight bytes; FP8 and FP4 charge the packed input
+    /// (1×nb tiles) and the packed weight (nb×nb blocks) of every block
+    /// layer, and no f32 input. The LM head is outside the scheme and stays
+    /// BF16 (input held, in-place weight) throughout.
     #[test]
     fn fp4_scheme_shrinks_the_measured_backward_cache() {
         use snip_quant::{PackedQuantize, TensorRole};
@@ -495,19 +501,21 @@ mod tests {
             std::mem::size_of::<QTensor>() + bytes as usize
         };
         let expected = |p: Precision| {
-            let block: usize = LayerKind::ALL
-                .iter()
-                .map(|kind| {
-                    let (out, inp) = kind.dims(&cfg);
-                    match p {
-                        Precision::Bf16 => dense(inp),
-                        _ => {
-                            packed(p, TensorRole::Input, tokens, inp)
-                                + packed(p, TensorRole::Weight, out, inp)
-                        }
-                    }
-                })
-                .sum();
+            let block: usize = match p {
+                // The first reader of each distinct input.
+                Precision::Bf16 => [LayerKind::Q, LayerKind::O, LayerKind::Gate, LayerKind::Down]
+                    .iter()
+                    .map(|kind| dense(kind.dims(&cfg).1))
+                    .sum(),
+                _ => LayerKind::ALL
+                    .iter()
+                    .map(|kind| {
+                        let (out, inp) = kind.dims(&cfg);
+                        packed(p, TensorRole::Input, tokens, inp)
+                            + packed(p, TensorRole::Weight, out, inp)
+                    })
+                    .sum(),
+            };
             cfg.n_layers * block + dense(cfg.hidden)
         };
         let mut measured = |p| {
@@ -517,13 +525,15 @@ mod tests {
                 .step(&batch, &mut rng, &StepOptions::train())
                 .linear_cache_bytes
         };
-        let [bf16, fp8, fp4] = [Precision::Bf16, Precision::Fp8, Precision::Fp4].map(|p| {
+        let [_, fp8, fp4] = [Precision::Bf16, Precision::Fp8, Precision::Fp4].map(|p| {
             let bytes = measured(p);
             assert_eq!(bytes, expected(p), "{p}");
             bytes
         });
+        // No FP4-vs-BF16 order at these shapes: BF16's eight held inputs
+        // (hidden 16) weigh less than FP4's 28 packed operands, whose
+        // containers and scales dominate below a few hundred columns.
         assert!(fp4 < fp8, "fp4 {fp4} B vs fp8 {fp8} B");
-        assert!(fp4 < bf16, "fp4 {fp4} B vs bf16 {bf16} B");
     }
 
     #[test]

@@ -40,12 +40,14 @@ impl RmsNorm {
         &mut self.gain
     }
 
-    /// Forward pass over `tokens × dim` activations.
+    /// Forward pass over `tokens × dim` activations. The input moves into
+    /// the cache, where the backward pass (and a caller that needs it back,
+    /// through [`RmsNormCache::x`]) reads it.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols()` differs from the gain dimension.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, RmsNormCache) {
+    pub fn forward(&self, x: Tensor) -> (Tensor, RmsNormCache) {
         let (rows, cols) = x.shape();
         assert_eq!(cols, self.gain.value().cols(), "dimension mismatch");
         let g = self.gain.value().row(0);
@@ -61,13 +63,7 @@ impl RmsNorm {
                 yr[c] = xr[c] * inv * g[c];
             }
         }
-        (
-            y,
-            RmsNormCache {
-                x: x.clone(),
-                inv_rms,
-            },
-        )
+        (y, RmsNormCache { x, inv_rms })
     }
 
     /// Backward pass: returns `dx` and accumulates the gain gradient.
@@ -107,7 +103,7 @@ mod tests {
         let mut rng = Rng::seed_from(31);
         let norm = RmsNorm::new("n", 32);
         let x = Tensor::randn(4, 32, 3.0, &mut rng);
-        let (y, _) = norm.forward(&x);
+        let (y, _) = norm.forward(x.clone());
         for r in 0..4 {
             let ms: f32 = y.row(r).iter().map(|&v| v * v).sum::<f32>() / 32.0;
             assert!((ms - 1.0).abs() < 1e-3, "row {r}: ms = {ms}");
@@ -123,10 +119,11 @@ mod tests {
         let x = Tensor::randn(3, 8, 1.0, &mut rng);
         let r_proj = Tensor::randn(3, 8, 1.0, &mut rng);
 
-        let (_, cache) = norm.forward(&x);
+        let (_, cache) = norm.forward(x.clone());
         let dx = norm.backward(&r_proj, &cache);
 
-        let loss = |norm: &RmsNorm, x: &Tensor| -> f64 { norm.forward(x).0.mul(&r_proj).sum() };
+        let loss =
+            |norm: &RmsNorm, x: &Tensor| -> f64 { norm.forward(x.clone()).0.mul(&r_proj).sum() };
         for &(i, j) in &[(0usize, 0usize), (1, 3), (2, 7)] {
             let h = 1e-3f32;
             let mut xp = x.clone();
@@ -146,7 +143,7 @@ mod tests {
         let x = Tensor::randn(4, 6, 1.0, &mut rng);
         let r_proj = Tensor::randn(4, 6, 1.0, &mut rng);
         norm.gain_mut().zero_grad();
-        let (_, cache) = norm.forward(&x);
+        let (_, cache) = norm.forward(x.clone());
         let _ = norm.backward(&r_proj, &cache);
         let dg = norm.gain().grad().clone();
 
@@ -156,7 +153,8 @@ mod tests {
             np.gain_mut().value_mut()[(0, j)] += h;
             let mut nm = norm.clone();
             nm.gain_mut().value_mut()[(0, j)] -= h;
-            let fd = (np.forward(&x).0.mul(&r_proj).sum() - nm.forward(&x).0.mul(&r_proj).sum())
+            let fd = (np.forward(x.clone()).0.mul(&r_proj).sum()
+                - nm.forward(x.clone()).0.mul(&r_proj).sum())
                 / (2.0 * h as f64);
             let an = dg[(0, j)] as f64;
             assert!((fd - an).abs() < 1e-2 * (1.0 + an.abs()), "fd={fd} an={an}");
@@ -167,7 +165,7 @@ mod tests {
     fn zero_input_is_stable() {
         let mut norm = RmsNorm::new("n", 4);
         let x = Tensor::zeros(2, 4);
-        let (y, cache) = norm.forward(&x);
+        let (y, cache) = norm.forward(x.clone());
         assert!(y.all_finite());
         let dx = norm.backward(&Tensor::full(2, 4, 1.0), &cache);
         assert!(dx.all_finite());

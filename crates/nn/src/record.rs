@@ -21,8 +21,9 @@ use snip_tensor::Tensor;
 /// while SNIP's probe keeps only the transient `dY` and `dW` and borrows
 /// everything else from the model and the forward caches later.
 pub trait LayerTap {
-    /// After layer `id`'s forward GEMM: the layer, the quantized operands it
-    /// saved for backward, and its output `y`.
+    /// After layer `id`'s forward GEMM: the layer, the operand reads it
+    /// saved for backward (`cache.qx.dequantize()` is `X` as the GEMM read
+    /// it), and its output `y`.
     fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor);
 
     /// After layer `id`'s backward GEMMs: the output gradient `dy` it
@@ -108,8 +109,8 @@ impl StepRecord {
 impl LayerTap for StepRecord {
     fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor) {
         let lr = self.layer_mut(id);
-        // Statistics read the quantized activations through the packed
-        // cache; dequantization reproduces the fake-quant values bitwise.
+        // X as the forward GEMM read it — decoded codes, or the held input
+        // rounded — bit for bit the fake-quantized activations.
         lr.x = cache.qx.dequantize();
         lr.w = lin.weight().value().clone();
         lr.y_norm = y.frobenius_norm();

@@ -19,7 +19,7 @@ use crate::collective::Wire;
 use snip_quant::wire::bf16_bits;
 use snip_quant::{PackedQuantize, PackedTensor, WireError, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
-use snip_tensor::{arena, Tensor};
+use snip_tensor::{arena, bf16, Tensor};
 
 pub(crate) const TAG_EXACT: u8 = 0;
 pub(crate) const TAG_BF16: u8 = 1;
@@ -101,31 +101,33 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<
         extend_le(&mut buf, payload, |v| v.to_le_bytes());
         return (buf, 4 * n as u64);
     };
+    if !codec.packable() {
+        // BF16, the one wire codec without codes: unscaled round to
+        // nearest, which draws nothing — 2 bytes per element, the upper
+        // half of the rounded f32 pattern, narrowed straight from the
+        // payload.
+        let mut buf = Vec::with_capacity(5 + 2 * n);
+        buf.push(TAG_BF16);
+        buf.extend_from_slice(&(n as u32).to_le_bytes());
+        extend_le(&mut buf, payload, |&v| {
+            bf16_bits(bf16::round(v)).to_le_bytes()
+        });
+        return (buf, 2 * n as u64);
+    }
     let mut copy = arena::take(n);
     copy.copy_from_slice(payload);
-    let t = Tensor::from_vec(1, n, copy);
-    match codec.pack(&t, rng) {
-        Some(packed) => {
-            let bytes = packed.wire_bytes();
-            let mut buf = Vec::with_capacity(1 + WIRE_HEADER_BYTES + bytes as usize);
-            buf.push(TAG_PACKED);
-            buf.extend_from_slice(
-                &packed
-                    .to_wire_bytes()
-                    .expect("wire codecs use built-in formats"),
-            );
-            (buf, bytes)
-        }
-        None => {
-            // BF16: 2 bytes per element, the upper half of the f32 pattern.
-            let fq = codec.fake_reference(&t, rng);
-            let mut buf = Vec::with_capacity(5 + 2 * n);
-            buf.push(TAG_BF16);
-            buf.extend_from_slice(&(n as u32).to_le_bytes());
-            extend_le(&mut buf, fq.as_slice(), |&v| bf16_bits(v).to_le_bytes());
-            (buf, 2 * n as u64)
-        }
-    }
+    let packed = codec
+        .pack(&Tensor::from_vec(1, n, copy), rng)
+        .expect("a packable codec packs");
+    let bytes = packed.wire_bytes();
+    let mut buf = Vec::with_capacity(1 + WIRE_HEADER_BYTES + bytes as usize);
+    buf.push(TAG_PACKED);
+    buf.extend_from_slice(
+        &packed
+            .to_wire_bytes()
+            .expect("wire codecs use built-in formats"),
+    );
+    (buf, bytes)
 }
 
 /// Reads the `u32` element count after the tag byte.
@@ -212,6 +214,57 @@ mod tests {
             decode_frame(&[TAG_PACKED, b'X', b'P', 1]),
             Err(FrameError::Packed(_))
         ));
+    }
+
+    /// A BF16 frame carries `bf16_bits` of the codec's fake-quantized
+    /// payload, element for element, and draws nothing: quiet and
+    /// signalling NaNs of both signs, ±Inf, ±0, subnormals, exact ties
+    /// rounding down and up to even (normal and subnormal), and finite
+    /// values that round to ±Inf.
+    #[test]
+    fn bf16_frames_narrow_the_fake_quantized_payload() {
+        let tie = 2f32.powi(-8); // half a BF16 ulp at 1.0
+        let payload = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC1_2345),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x0000_8000),
+            f32::from_bits(0x0001_8000),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            1.0 + tie,
+            1.0 + 3.0 * tie,
+            -(1.0 + tie),
+            f32::MAX,
+            -f32::MAX,
+            0.1,
+            -123.456,
+        ];
+        let wire = Wire::bf16();
+        let mut rng = Rng::seed_from(3);
+        let (frame, bytes) = encode_frame(&wire, &payload, &mut rng);
+
+        let mut rng_ref = Rng::seed_from(3);
+        let t = Tensor::from_vec(1, payload.len(), payload.clone());
+        let fq = wire
+            .codec()
+            .expect("lossy")
+            .fake_reference(&t, &mut rng_ref);
+        let mut want = vec![TAG_BF16];
+        want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        for &v in fq.as_slice() {
+            want.extend_from_slice(&bf16_bits(v).to_le_bytes());
+        }
+        assert_eq!(frame, want);
+        assert_eq!(bytes, 2 * payload.len() as u64);
+        assert!(rng == rng_ref, "a BF16 frame drew from the rng");
     }
 
     proptest! {

@@ -449,9 +449,9 @@ fn exp2i(e: i32) -> f32 {
 /// framework (paper Fig. 5): GEMM outputs and non-linear ops stay in BF16.
 ///
 /// The implementation lives in [`snip_tensor::bf16`] so the GEMM engine
-/// can fuse the identical rounding into its tile store (the `*_bf16`
-/// kernel variants); this re-export keeps the historical `snip-quant`
-/// call sites working against the single source of truth.
+/// can fuse the identical rounding into its tile store (`Round::Bf16`)
+/// and its rounded operand reads; this re-export keeps the historical
+/// `snip-quant` call sites working against the single source of truth.
 ///
 /// # Example
 ///

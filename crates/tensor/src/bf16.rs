@@ -2,11 +2,13 @@
 //!
 //! GEMM outputs and non-linear ops stay in BF16 (paper Fig. 5). The
 //! rounding lives in `snip-tensor` (not `snip-quant`) because the GEMM
-//! engine fuses it into the tile store of the `*_bf16` kernels: one
-//! implementation serves both the fused store and the standalone
-//! [`round_slice`] pass, which is what makes
-//! `qgemm_nt_bf16(a, b)` bit-identical to `qgemm_nt(a, b)` followed by
-//! `round_slice` — by construction, not by test alone.
+//! engine fuses it into its tile store ([`crate::Round::Bf16`]) and reads
+//! dense operands through it ([`crate::QOperandRef::Bf16Rounded`]): one
+//! implementation serves the fused store, the rounded operand and the
+//! standalone [`round_slice`] pass, which is what makes
+//! `gemm(a, b, o, Round::Bf16)` bit-identical to `gemm(a, b, o,
+//! Round::Keep)` followed by `round_slice` — by construction, not by test
+//! alone.
 //! `snip_quant::format::bf16_round` delegates here.
 
 /// Rounds an `f32` to the nearest BF16 value (round-to-nearest-even),

@@ -4,11 +4,14 @@
 //! # One path, and every GEMM stores its output
 //!
 //! One implementation serves all three [`Orientation`]s, both [`Round`]ings
-//! and every operand combination. [`gemm_into`] writes a product into a
-//! caller's tensor (a linear layer writes its weight gradient this way);
-//! the nine returning kernels — `matmul`, `matmul_nt`, `matmul_tn`
-//! ([`crate::matmul`]) and `qgemm{,_nt,_tn}{,_bf16}` ([`crate::packed`]) —
-//! take their output from [`arena::take`] and run the same driver,
+//! and every operand combination, behind two entry points: [`gemm_into`]
+//! writes a product into a caller's tensor (a linear layer writes its
+//! weight gradient this way), and [`gemm`] returns it (a linear layer's
+//! forward and input-gradient GEMMs). [`gemm`] takes its output from
+//! [`arena::take`]; the six plain kernels — `matmul`, `matmul_nt`,
+//! `matmul_tn` ([`crate::matmul`]) and `qgemm{,_nt,_tn}`
+//! ([`crate::packed`]) — are [`gemm`] at one orientation with
+//! [`Round::Keep`], and both entry points run the same driver,
 //! [`write_product`]. No output is zero-filled first: the tile kernel
 //! *stores* `C = A·B`, every accumulator starting at +0 ([`tile_kernel`]),
 //! and nothing reads an output element before its tile is written.
@@ -694,10 +697,10 @@ fn dims(
 /// element of `c` is overwritten and none is read, so `c` may hold
 /// anything — last step's gradient, say.
 ///
-/// The bits are `0 + C` for the `C` the returning kernel of the same
-/// orientation and rounding computes (`matmul*`, `qgemm*`): exactly what
-/// adding the product into a zeroed `c` gave. The store adds +0, which
-/// changes nothing but the −0 of a negative sum too small to represent.
+/// The bits are `0 + C` for the `C` that [`gemm`] computes at the same
+/// orientation and rounding: exactly what adding the product into a
+/// zeroed `c` gave. The store adds +0, which changes nothing but the −0 of
+/// a negative sum too small to represent.
 ///
 /// # Panics
 ///
@@ -720,19 +723,29 @@ fn store_of(round: Round) -> Store {
     }
 }
 
-/// The product as a new tensor, its storage taken from [`arena::take`]
-/// with no zero fill: the body of the nine returning kernels, which name
-/// themselves in `what` for the shape panics.
-pub(crate) fn gemm(
-    what: &str,
+/// The `orientation` product of `a` and `b` as a new tensor, rounded as
+/// `round` says: the engine's returning entry point. The storage comes
+/// from [`arena::take`] with no zero fill; every element is stored.
+///
+/// Bit-for-bit identical to the same product over the operands' decoded
+/// values (`Dense` of a dequantized or rounded copy) — not by analogy but
+/// by construction: every operand class runs the one blocked driver, which
+/// visits `k` in ascending order per output element. [`Round::Bf16`] is
+/// bit-identical to [`Round::Keep`] followed by
+/// [`crate::bf16::round_slice`], without the second pass.
+///
+/// # Panics
+///
+/// Panics if the operands' shared dimension differs.
+pub fn gemm(
     a: QOperandRef<'_>,
     b: QOperandRef<'_>,
     orientation: Orientation,
     round: Round,
 ) -> Tensor {
-    let (m, n, _) = dims(what, orientation, &a, &b);
+    let (m, n, _) = dims("gemm", orientation, &a, &b);
     let mut c = Tensor::from_vec(m, n, arena::take(m * n));
-    write_product(what, &mut c, &a, &b, orientation, store_of(round));
+    write_product("gemm", &mut c, &a, &b, orientation, store_of(round));
     c
 }
 
@@ -919,31 +932,13 @@ mod tests {
         let rounded = QOperandRef::Bf16Rounded;
         let run = || {
             [
-                gemm("nn", (&a).into(), (&b).into(), Orientation::Nn, Round::Keep),
-                gemm(
-                    "nt",
-                    (&a).into(),
-                    (&bt).into(),
-                    Orientation::Nt,
-                    Round::Keep,
-                ),
-                gemm(
-                    "tn",
-                    (&at).into(),
-                    (&b).into(),
-                    Orientation::Tn,
-                    Round::Keep,
-                ),
-                gemm("nn", (&a).into(), (&b).into(), Orientation::Nn, Round::Bf16),
+                gemm((&a).into(), (&b).into(), Orientation::Nn, Round::Keep),
+                gemm((&a).into(), (&bt).into(), Orientation::Nt, Round::Keep),
+                gemm((&at).into(), (&b).into(), Orientation::Tn, Round::Keep),
+                gemm((&a).into(), (&b).into(), Orientation::Nn, Round::Bf16),
                 // Decoded row-major B: the row bands decode into the cache.
-                gemm("nn", (&a).into(), rounded(&b), Orientation::Nn, Round::Bf16),
-                gemm(
-                    "tn",
-                    (&at).into(),
-                    rounded(&b),
-                    Orientation::Tn,
-                    Round::Keep,
-                ),
+                gemm((&a).into(), rounded(&b), Orientation::Nn, Round::Bf16),
+                gemm((&at).into(), rounded(&b), Orientation::Tn, Round::Keep),
             ]
             .map(|c| bits(&c))
         };

@@ -10,8 +10,10 @@
 //!   flattened, so a 2-D tensor keeps the whole stack simple and auditable.
 //! * [`matmul`] — cache-blocked GEMM kernels in the three orientations used
 //!   by a linear layer's forward and backward passes, dispatched on the
-//!   persistent worker pool for large problems; [`gemm_into`] writes any
-//!   of them into a caller's tensor.
+//!   persistent worker pool for large problems. Every GEMM of the crate is
+//!   one of two engine entry points: [`gemm`] returns the product of any
+//!   orientation, operand pair and output rounding, [`gemm_into`] writes
+//!   it into a caller's tensor.
 //! * [`packed`] — bit-packed subbyte tensors ([`QTensor`]: 4/8-bit codes +
 //!   per-group scales) and quantized GEMM kernels that decode them on the
 //!   fly, bit-for-bit equivalent to the dense kernels over dequantized
@@ -28,7 +30,7 @@
 //!   storage: inside a training step, buffers of 128 KiB and up are reused
 //!   from the step before instead of coming back from the allocator.
 //! * [`bf16`] — round-to-nearest-even BF16 rounding, shared between the
-//!   engine's fused tile store (the `qgemm_*_bf16` kernels) and the
+//!   engine's fused tile store ([`Round::Bf16`]), its rounded operand and the
 //!   standalone slice pass used elsewhere in the workspace.
 //! * [`simd`] — the runtime-dispatched SIMD backend behind the engine
 //!   (AVX-512 or AVX2 on x86_64, NEON on aarch64, when the `simd` cargo
@@ -71,7 +73,7 @@ mod tensor;
 
 pub use engine::simd;
 pub use engine::simd_encode as encode;
-pub use engine::{gemm_into, Orientation, Round};
+pub use engine::{gemm, gemm_into, Orientation, Round};
 pub use granularity::GroupLayout;
 pub use packed::{CodeWidth, QOperandRef, QTensor};
 // The shared env-var parse + warn-once helper. It lives in `snip-obs`
@@ -84,9 +86,7 @@ pub use tensor::{Tensor, PARALLEL_ELEMENTS};
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::matmul::{matmul, matmul_nt, matmul_tn};
-    pub use crate::packed::{
-        qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16, QOperandRef, QTensor,
-    };
+    pub use crate::packed::{qgemm, qgemm_nt, qgemm_tn, QOperandRef, QTensor};
     pub use crate::rng::Rng;
     pub use crate::Tensor;
 }

@@ -34,7 +34,7 @@ use crate::Tensor;
 /// assert_eq!(matmul(&a, &b).as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm("matmul", a.into(), b.into(), Orientation::Nn, Round::Keep)
+    gemm(a.into(), b.into(), Orientation::Nn, Round::Keep)
 }
 
 /// `C = A · Bᵀ` where `A` is `M×K` and `B` is `N×K` (the forward GEMM of a
@@ -44,13 +44,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if `A.cols() != B.cols()`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm(
-        "matmul_nt",
-        a.into(),
-        b.into(),
-        Orientation::Nt,
-        Round::Keep,
-    )
+    gemm(a.into(), b.into(), Orientation::Nt, Round::Keep)
 }
 
 /// `C = Aᵀ · B` where `A` is `K×M` and `B` is `K×N` (the weight-gradient GEMM
@@ -60,13 +54,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if `A.rows() != B.rows()`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    gemm(
-        "matmul_tn",
-        a.into(),
-        b.into(),
-        Orientation::Tn,
-        Round::Keep,
-    )
+    gemm(a.into(), b.into(), Orientation::Tn, Round::Keep)
 }
 
 /// Reference (naive triple-loop) GEMM used by tests and benchmarks.

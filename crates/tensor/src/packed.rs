@@ -587,20 +587,7 @@ impl QOperandRef<'_> {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm", a, b, Orientation::Nn, Round::Keep)
-}
-
-/// [`qgemm`] with the BF16 output rounding fused into the tile store:
-/// bit-identical to `qgemm` followed by [`crate::bf16::round_slice`] on
-/// the result, without the second pass over the output. This is the
-/// quantized-GEMM form SNIP's linear layers use — their outputs live in
-/// BF16 "high precision" (paper Fig. 5).
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn qgemm_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm_bf16", a, b, Orientation::Nn, Round::Bf16)
+    gemm(a, b, Orientation::Nn, Round::Keep)
 }
 
 /// `C = A · Bᵀ` over packed/dense operands (`A`: `M×K`, `B`: `N×K`) — the
@@ -613,16 +600,7 @@ pub fn qgemm_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if inner dimensions differ.
 pub fn qgemm_nt(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm_nt", a, b, Orientation::Nt, Round::Keep)
-}
-
-/// [`qgemm_nt`] with fused BF16 output rounding — see [`qgemm_bf16`].
-///
-/// # Panics
-///
-/// Panics if inner dimensions differ.
-pub fn qgemm_nt_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm_nt_bf16", a, b, Orientation::Nt, Round::Bf16)
+    gemm(a, b, Orientation::Nt, Round::Keep)
 }
 
 /// `C = Aᵀ · B` over packed/dense operands (`A`: `K×M`, `B`: `K×N`) — the
@@ -633,16 +611,7 @@ pub fn qgemm_nt_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
 ///
 /// Panics if outer dimensions differ.
 pub fn qgemm_tn(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm_tn", a, b, Orientation::Tn, Round::Keep)
-}
-
-/// [`qgemm_tn`] with fused BF16 output rounding — see [`qgemm_bf16`].
-///
-/// # Panics
-///
-/// Panics if outer dimensions differ.
-pub fn qgemm_tn_bf16(a: QOperandRef<'_>, b: QOperandRef<'_>) -> Tensor {
-    gemm("qgemm_tn_bf16", a, b, Orientation::Tn, Round::Bf16)
+    gemm(a, b, Orientation::Tn, Round::Keep)
 }
 
 #[cfg(test)]

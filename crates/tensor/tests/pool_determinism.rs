@@ -24,8 +24,8 @@
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
 use snip_tensor::{
-    gemm_into, matmul, pool, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor, Round,
-    Tensor, PARALLEL_ELEMENTS,
+    gemm, gemm_into, matmul, pool, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor,
+    Round, Tensor, PARALLEL_ELEMENTS,
 };
 
 /// A 4-bit sign-magnitude test codebook over {0, 0.5, …, 3.5}.
@@ -204,7 +204,7 @@ fn bf16_edge_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     t
 }
 
-/// Every kernel, plain and `_bf16`, with `Bf16Rounded` on the A side, on
+/// Every kernel, plain and BF16-rounding, with `Bf16Rounded` on the A side, on
 /// the B side and on both, against the same kernel over `Dense` of
 /// `bf16::round_slice`d copies at the same split — every split, and the
 /// scalar tier forced. The reference runs at the same split and tier
@@ -212,9 +212,7 @@ fn bf16_edge_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
 /// propagates depends on the instruction; every other bit is also pinned
 /// across splits by the kernel checks above.
 fn check_rounded_operand(m: usize, k: usize, n: usize, seed: u64) {
-    use snip_tensor::packed::{
-        qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16,
-    };
+    use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
     type Kernel = fn(QOperandRef<'_>, QOperandRef<'_>) -> Tensor;
     let rounded_copy = |t: &Tensor| {
         let mut c = t.clone();
@@ -228,11 +226,26 @@ fn check_rounded_operand(m: usize, k: usize, n: usize, seed: u64) {
     // (name, kernel, A, B) in each kernel's orientation.
     let cases: [(&str, Kernel, &Tensor, &Tensor); 6] = [
         ("qgemm", qgemm, &a, &b),
-        ("qgemm_bf16", qgemm_bf16, &a, &b),
+        (
+            "gemm nn bf16",
+            |a, b| gemm(a, b, Orientation::Nn, Round::Bf16),
+            &a,
+            &b,
+        ),
         ("qgemm_nt", qgemm_nt, &a, &bt),
-        ("qgemm_nt_bf16", qgemm_nt_bf16, &a, &bt),
+        (
+            "gemm nt bf16",
+            |a, b| gemm(a, b, Orientation::Nt, Round::Bf16),
+            &a,
+            &bt,
+        ),
         ("qgemm_tn", qgemm_tn, &at, &b),
-        ("qgemm_tn_bf16", qgemm_tn_bf16, &at, &b),
+        (
+            "gemm tn bf16",
+            |a, b| gemm(a, b, Orientation::Tn, Round::Bf16),
+            &at,
+            &b,
+        ),
     ];
     let shape = format!("{m}x{k}x{n}");
     for (name, kernel, lhs, rhs) in cases {
@@ -294,7 +307,7 @@ fn special_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
 /// The engine contract computed directly, over dense `m×k` and `k×n`
 /// values: each element starts at +0 and takes one `mul_add` per `k` step,
 /// ascending — what every kernel stored when its output was zero-filled
-/// and accumulated into — then BF16 rounding for the `_bf16` kernels.
+/// and accumulated into — then BF16 rounding for the `Round::Bf16` kernels.
 fn reference_product(a: &Tensor, b: &Tensor, round: Round) -> Tensor {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -330,17 +343,21 @@ fn assert_bits_eq_nan(got: &Tensor, want: &Tensor, what: &str) {
 /// which `0 + C` turns into +0; the special-valued inputs reach that.
 /// `k` is 0, 1 and ragged.
 fn check_stores_into_poison(m: usize, k: usize, n: usize, seed: u64) {
-    use snip_tensor::packed::{
-        qgemm, qgemm_bf16, qgemm_nt, qgemm_nt_bf16, qgemm_tn, qgemm_tn_bf16,
-    };
+    use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
     type Kernel = fn(QOperandRef<'_>, QOperandRef<'_>) -> Tensor;
     let kernels: [(Orientation, Round, Kernel); 6] = [
         (Orientation::Nn, Round::Keep, qgemm),
-        (Orientation::Nn, Round::Bf16, qgemm_bf16),
+        (Orientation::Nn, Round::Bf16, |a, b| {
+            gemm(a, b, Orientation::Nn, Round::Bf16)
+        }),
         (Orientation::Nt, Round::Keep, qgemm_nt),
-        (Orientation::Nt, Round::Bf16, qgemm_nt_bf16),
+        (Orientation::Nt, Round::Bf16, |a, b| {
+            gemm(a, b, Orientation::Nt, Round::Bf16)
+        }),
         (Orientation::Tn, Round::Keep, qgemm_tn),
-        (Orientation::Tn, Round::Bf16, qgemm_tn_bf16),
+        (Orientation::Tn, Round::Bf16, |a, b| {
+            gemm(a, b, Orientation::Tn, Round::Bf16)
+        }),
     ];
     let rounded_copy = |t: &Tensor| {
         let mut c = t.clone();
@@ -453,7 +470,6 @@ proptest! {
 #[test]
 fn returned_outputs_from_nan_filled_arena_buffers_are_fresh() {
     use snip_tensor::arena;
-    use snip_tensor::packed::{qgemm_bf16, qgemm_nt_bf16, qgemm_tn_bf16};
     let (m, k, n) = (131, 37, 263);
     assert!(m * n >= arena::FLOOR);
     let a = special_tensor(m, k, 1);
@@ -466,9 +482,9 @@ fn returned_outputs_from_nan_filled_arena_buffers_are_fresh() {
             matmul::matmul(&a, &b),
             matmul::matmul_nt(&a, &bt),
             matmul::matmul_tn(&at, &b),
-            qgemm_bf16(d(&a), r(&b)),
-            qgemm_nt_bf16(r(&a), d(&bt)),
-            qgemm_tn_bf16(d(&at), r(&b)),
+            gemm(d(&a), r(&b), Orientation::Nn, Round::Bf16),
+            gemm(r(&a), d(&bt), Orientation::Nt, Round::Bf16),
+            gemm(d(&at), r(&b), Orientation::Tn, Round::Bf16),
         ]
     };
     let fresh = run();

@@ -8,8 +8,8 @@
 //!
 //! Covered here:
 //!
-//! * all twelve GEMM kernels (six orientations × Keep/fused-BF16; the dense
-//!   fused-BF16 three via `qgemm_*_bf16` over dense operands), over
+//! * all twelve GEMM kernels (six orientations × Keep/fused-BF16; the
+//!   fused-BF16 six via `gemm(.., Round::Bf16)`), over
 //!   proptest-drawn shapes that exercise every lane tail (`n % 16` for the
 //!   AVX-512 masked tail, `n % 8`, `n < 8`, row-block tails `m % 4`);
 //! * fused BF16 output == two-pass (`Keep` kernel then `bf16::round_slice`);
@@ -28,8 +28,9 @@
 
 use proptest::prelude::*;
 use snip_tensor::rng::Rng;
+use snip_tensor::Orientation::{Nn, Nt, Tn};
 use snip_tensor::{
-    bf16, matmul, packed, simd, CodeWidth, GroupLayout, QOperandRef, QTensor, Tensor,
+    bf16, gemm, matmul, packed, simd, CodeWidth, GroupLayout, QOperandRef, QTensor, Round, Tensor,
 };
 
 /// A 4-bit sign-magnitude codebook over {0, 0.5, …, 3.5} — same mirrored
@@ -121,14 +122,17 @@ fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
             ("matmul", matmul::matmul(&a, &b)),
             ("matmul_nt", matmul::matmul_nt(&a, &bt)),
             ("matmul_tn", matmul::matmul_tn(&at, &b)),
-            ("dense qgemm_bf16", packed::qgemm_bf16(dense(&a), dense(&b))),
             (
-                "dense qgemm_nt_bf16",
-                packed::qgemm_nt_bf16(dense(&a), dense(&bt)),
+                "dense gemm nn bf16",
+                gemm(dense(&a), dense(&b), Nn, Round::Bf16),
             ),
             (
-                "dense qgemm_tn_bf16",
-                packed::qgemm_tn_bf16(dense(&at), dense(&b)),
+                "dense gemm nt bf16",
+                gemm(dense(&a), dense(&bt), Nt, Round::Bf16),
+            ),
+            (
+                "dense gemm tn bf16",
+                gemm(dense(&at), dense(&b), Tn, Round::Bf16),
             ),
             (
                 "qgemm",
@@ -143,16 +147,31 @@ fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
                 packed::qgemm_tn(QOperandRef::from(&qat), QOperandRef::from(&qb)),
             ),
             (
-                "qgemm_bf16",
-                packed::qgemm_bf16(QOperandRef::from(&qa), QOperandRef::from(&qb)),
+                "gemm nn bf16",
+                gemm(
+                    QOperandRef::from(&qa),
+                    QOperandRef::from(&qb),
+                    Nn,
+                    Round::Bf16,
+                ),
             ),
             (
-                "qgemm_nt_bf16",
-                packed::qgemm_nt_bf16(QOperandRef::from(&qa), QOperandRef::from(&qbt)),
+                "gemm nt bf16",
+                gemm(
+                    QOperandRef::from(&qa),
+                    QOperandRef::from(&qbt),
+                    Nt,
+                    Round::Bf16,
+                ),
             ),
             (
-                "qgemm_tn_bf16",
-                packed::qgemm_tn_bf16(QOperandRef::from(&qat), QOperandRef::from(&qb)),
+                "gemm tn bf16",
+                gemm(
+                    QOperandRef::from(&qat),
+                    QOperandRef::from(&qb),
+                    Tn,
+                    Round::Bf16,
+                ),
             ),
             ("dequantize u4", qa.dequantize()),
             ("dequantize u8", q8.dequantize()),
@@ -235,7 +254,7 @@ fn lane_tail_shapes_agree() {
                 let run = || {
                     (
                         matmul::matmul_nt(&a, &bt),
-                        packed::qgemm_nt_bf16(dense(&a), dense(&bt)),
+                        gemm(dense(&a), dense(&bt), Nt, Round::Bf16),
                     )
                 };
                 let (keep, fused) = simd::with_forced_backend(simd::Backend::Scalar, run);
@@ -243,7 +262,7 @@ fn lane_tail_shapes_agree() {
                     let got = simd::with_forced_backend(bk, run);
                     let what = format!("{m}x{k}x{n} ({})", bk.name());
                     assert_bits_eq(&got.0, &keep, &format!("matmul_nt {what}"));
-                    assert_bits_eq(&got.1, &fused, &format!("dense qgemm_nt_bf16 {what}"));
+                    assert_bits_eq(&got.1, &fused, &format!("dense gemm nt bf16 {what}"));
                 }
             }
         }
@@ -318,7 +337,7 @@ fn non_finite_operands_propagate_identically() {
         let run = || {
             (
                 matmul::matmul(&a, &b),
-                packed::qgemm_bf16(dense(&a), dense(&b)),
+                gemm(dense(&a), dense(&b), Nn, Round::Bf16),
             )
         };
         let scalar = simd::with_forced_backend(simd::Backend::Scalar, run);
@@ -326,7 +345,7 @@ fn non_finite_operands_propagate_identically() {
             let got = simd::with_forced_backend(bk, run);
             let what = |name: &str| format!("{name} with non-finite ({})", bk.name());
             assert_bits_eq_modulo_nan(&got.0, &scalar.0, &what("matmul"));
-            assert_bits_eq_modulo_nan(&got.1, &scalar.1, &what("dense qgemm_bf16"));
+            assert_bits_eq_modulo_nan(&got.1, &scalar.1, &what("dense gemm nn bf16"));
         }
     }
 }

@@ -37,17 +37,18 @@
 //!
 //! **Which call sites are packed vs f32:**
 //!
-//! * `nn::Linear` forward/backward — FP4/FP8/INT operands (`qx`, `qw`, and
-//!   the quantized `dy`) are packed; the GEMMs ([`tensor::packed::qgemm`],
-//!   `qgemm_nt`, `qgemm_tn`) decode rows on the fly. BF16 activations and
-//!   exact-mode tensors stay dense f32 (`nn::QCache::Dense`); a BF16 or
-//!   exact-mode weight is read in place, BF16 through rounding
-//!   (`nn::WeightCache`, [`tensor::QOperandRef::Bf16Rounded`]).
+//! * `nn::Linear` forward/backward — every operand (`X`, `W` and `dY`) is an
+//!   `nn::QOperand`: FP4/FP8/INT operands are packed and the GEMMs
+//!   ([`tensor::gemm`], [`tensor::gemm_into`]) decode rows on the fly;
+//!   BF16 and exact-mode operands are their f32 source read in place, BF16
+//!   through rounding ([`tensor::QOperandRef::Bf16Rounded`]) — never a
+//!   copy. A layer input is one shared tensor for every layer that reads
+//!   it, held by the BF16 and exact-mode layers only.
 //! * `pipeline::collective::Wire::transmit` — FP4/FP8 wire payloads travel
 //!   packed (codes + scales, byte-accurate); BF16/exact wires stay dense.
 //! * GEMM *outputs*, gradients in the optimizer, probes, and statistics are
 //!   always dense f32/BF16: `core`'s probe and stats read saved activations
-//!   through `nn::QCache::dequantize`, which reproduces the fake-quantized
+//!   through `nn::QOperand::dequantize`, which reproduces the fake-quantized
 //!   values **bit-for-bit** — the packed representation never changes a
 //!   training trajectory (property-tested in `tests/packed_subbyte.rs`).
 //!
