@@ -35,9 +35,9 @@
 //! the model. A probe pass leaves its `dW` in the weight gradients, where
 //! it is read against the retained base `dW`. The forward caches hold each
 //! block's layer inputs once, read in place (Q, K and V share one, Gate
-//! and Up another); the statistics stage rounds each distinct input once —
-//! `X` as the GEMMs read it — and drops each block's caches as it goes, so
-//! the stats tasks run with the rounded inputs alone.
+//! and Up another); the statistics stage rounds each distinct input once
+//! ([`held_inputs`]) — `X` as the GEMMs read it — and drops each block's
+//! caches as it goes, so the stats tasks run with the rounded inputs alone.
 //!
 //! # One reduction per task
 //!
@@ -51,6 +51,7 @@
 use crate::stats::{LayerView, StepStats};
 use serde::{Deserialize, Serialize};
 use snip_nn::inject::Injection;
+use snip_nn::linear::held_inputs;
 use snip_nn::model::Model;
 use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, LayerKind, Linear, LinearCache};
@@ -58,7 +59,6 @@ use snip_optim::AdamW;
 use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::pool::{reduce, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
-use std::sync::Arc;
 
 /// Everything the divergence analysis needs, extracted from one batch.
 /// Norms only, no tensors.
@@ -201,21 +201,15 @@ pub fn measure(
     let (stats, h_sens) = {
         let _span = snip_obs::span("snip.measure.stats");
         // Each distinct input rounded once (`xs`; `x_of` maps a layer to
-        // its entry): the readers of one input are adjacent in
-        // `LayerKind::ALL` order.
+        // its entry), and each block's caches dropped once read.
         let mut xs = Vec::new();
         let mut x_of = Vec::with_capacity(n);
         for cache in caches {
-            let mut last: Option<&Arc<Tensor>> = None;
-            for kind in LayerKind::ALL {
-                let qx = &cache.linear(kind).qx;
-                let x = qx.source().expect("BF16 reads every input in place");
-                if !last.is_some_and(|l| Arc::ptr_eq(l, x)) {
-                    xs.push(qx.dequantize());
-                }
-                last = Some(x);
-                x_of.push(xs.len() - 1);
-            }
+            let (held, slots) = held_inputs(LayerKind::ALL.map(|kind| cache.linear(kind)));
+            let first = xs.len();
+            xs.extend(held.iter().map(|x| x.dequantize()));
+            let in_place = "BF16 reads every input in place";
+            x_of.extend(slots.iter().map(|slot| first + slot.expect(in_place)));
         }
         let ids = || (0..n).map(LayerId::from_linear_index);
         let views: Vec<LayerView<'_>> = ids()

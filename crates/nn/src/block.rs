@@ -73,9 +73,9 @@ impl BlockCache {
     /// part of the backward-pass footprint the packed representation
     /// shrinks (subbyte precisions store `qx`/`qw` bit-packed). An input
     /// held in place counts once, however many layers read it
-    /// (`linear::cache_bytes`).
+    /// ([`linear::held_inputs`]).
     pub fn linear_cache_bytes(&self) -> usize {
-        linear::cache_bytes(LayerKind::ALL.map(|kind| self.linear(kind)))
+        linear::cache_bytes(&LayerKind::ALL.map(|kind| self.linear(kind)))
     }
 }
 
@@ -201,7 +201,8 @@ impl Block {
     /// Forward pass over `(batch·seq) × hidden` activations. Each layer
     /// input is made once and shared by the layers that read it (a handle
     /// each); the block input and `x2` move into the norm caches, and the
-    /// residual sums read them back from there.
+    /// residual sums `o + x`, `d + x2` read them back from there (the bits
+    /// of `x + o`, `x2 + d` but for a NaN payload, which Rust leaves open).
     pub fn forward(
         &self,
         x: Tensor,

@@ -206,23 +206,38 @@ impl LinearCache {
     }
 }
 
+/// The layer inputs `caches` hold in place, each once however many caches
+/// share it (Q, K and V share one, Gate and Up another; its first reader
+/// stands for it), and per cache the index of its input — `None` if packed.
+pub fn held_inputs<'a>(
+    caches: impl IntoIterator<Item = &'a LinearCache>,
+) -> (Vec<&'a QOperand<Arc<Tensor>>>, Vec<Option<usize>>) {
+    let mut held: Vec<&QOperand<Arc<Tensor>>> = Vec::new();
+    let mut slot = |qx: &'a QOperand<Arc<Tensor>>| {
+        let x = qx.source()?;
+        let i = held
+            .iter()
+            .position(|h| h.source().is_some_and(|s| Arc::ptr_eq(s, x)));
+        Some(i.unwrap_or_else(|| {
+            held.push(qx);
+            held.len() - 1
+        }))
+    };
+    let slots = caches.into_iter().map(|c| slot(&c.qx)).collect();
+    (held, slots)
+}
+
 /// Resident bytes of `caches` together: every packed operand, and every
-/// layer input held in place — its buffer and container — once, however
-/// many of the caches share it (Q, K and V share one input, Gate and Up
-/// another).
-pub(crate) fn cache_bytes<'a>(caches: impl IntoIterator<Item = &'a LinearCache>) -> usize {
-    let mut held: Vec<&Arc<Tensor>> = Vec::new();
-    let mut bytes = 0;
-    for cache in caches {
-        bytes += cache.qx.resident_bytes() + cache.qw.resident_bytes();
-        if let Some(x) = cache.qx.source() {
-            if !held.iter().any(|h| Arc::ptr_eq(h, x)) {
-                held.push(x);
-                bytes += std::mem::size_of::<Tensor>() + x.len() * 4;
-            }
-        }
-    }
-    bytes
+/// [held input](held_inputs) — its buffer and container — once.
+pub(crate) fn cache_bytes(caches: &[&LinearCache]) -> usize {
+    let (held, _) = held_inputs(caches.iter().copied());
+    let held = held.iter().filter_map(|x| x.source());
+    let packed = caches
+        .iter()
+        .map(|c| c.qx.resident_bytes() + c.qw.resident_bytes());
+    held.map(|x| std::mem::size_of::<Tensor>() + x.len() * 4)
+        .chain(packed)
+        .sum()
 }
 
 /// CRC-32 of a weight's element bits.

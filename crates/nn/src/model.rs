@@ -417,7 +417,7 @@ impl Model {
                 .iter()
                 .map(BlockCache::linear_cache_bytes)
                 .sum::<usize>()
-                + linear::cache_bytes([&head.head_cache]);
+                + linear::cache_bytes(&[&head.head_cache]);
             (head.loss, linear_cache_bytes)
         };
         let ntokens = batch.num_tokens();
@@ -491,49 +491,59 @@ mod tests {
     fn fp4_scheme_shrinks_the_measured_backward_cache() {
         use snip_quant::{PackedQuantize, TensorRole};
         use snip_tensor::QTensor;
-        let (mut model, batch, mut rng) = tiny_setup();
+        let (mut model, short, mut rng) = tiny_setup();
         let cfg = model.config().clone();
-        let tokens = batch.num_tokens();
-        let dense = |cols: usize| std::mem::size_of::<Tensor>() + tokens * cols * 4;
-        let packed = |p: Precision, role, rows, cols| {
-            let q = p.quantizer_with_group(role, cfg.quant_group);
-            let bytes = q.packed_wire_bytes(rows, cols).expect("packable");
-            std::mem::size_of::<QTensor>() + bytes as usize
-        };
-        let expected = |p: Precision| {
-            let block: usize = match p {
-                // The first reader of each distinct input.
-                Precision::Bf16 => [LayerKind::Q, LayerKind::O, LayerKind::Gate, LayerKind::Down]
-                    .iter()
-                    .map(|kind| dense(kind.dims(&cfg).1))
-                    .sum(),
-                _ => LayerKind::ALL
-                    .iter()
-                    .map(|kind| {
-                        let (out, inp) = kind.dims(&cfg);
-                        packed(p, TensorRole::Input, tokens, inp)
-                            + packed(p, TensorRole::Weight, out, inp)
-                    })
-                    .sum(),
+        let sequences: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| (0..17).map(|t| (5 * s + t) % 17).collect())
+            .collect();
+        let long = Batch::from_sequences(&sequences, 16);
+        let [short, long] = [short, long].map(|batch| {
+            let tokens = batch.num_tokens();
+            let dense = |cols: usize| std::mem::size_of::<Tensor>() + tokens * cols * 4;
+            let packed = |p: Precision, role, rows, cols| {
+                let q = p.quantizer_with_group(role, cfg.quant_group);
+                let bytes = q.packed_wire_bytes(rows, cols).expect("packable");
+                std::mem::size_of::<QTensor>() + bytes as usize
             };
-            cfg.n_layers * block + dense(cfg.hidden)
-        };
-        let mut measured = |p| {
-            model.set_scheme(&vec![LinearPrecision::uniform(p); cfg.n_linear_layers()]);
-            model.zero_grads();
-            model
-                .step(&batch, &mut rng, &StepOptions::train())
-                .linear_cache_bytes
-        };
-        let [_, fp8, fp4] = [Precision::Bf16, Precision::Fp8, Precision::Fp4].map(|p| {
-            let bytes = measured(p);
-            assert_eq!(bytes, expected(p), "{p}");
-            bytes
+            let expected = |p: Precision| {
+                let block: usize = match p {
+                    // The first reader of each distinct input.
+                    Precision::Bf16 => {
+                        [LayerKind::Q, LayerKind::O, LayerKind::Gate, LayerKind::Down]
+                            .iter()
+                            .map(|kind| dense(kind.dims(&cfg).1))
+                            .sum()
+                    }
+                    _ => LayerKind::ALL
+                        .iter()
+                        .map(|kind| {
+                            let (out, inp) = kind.dims(&cfg);
+                            packed(p, TensorRole::Input, tokens, inp)
+                                + packed(p, TensorRole::Weight, out, inp)
+                        })
+                        .sum(),
+                };
+                cfg.n_layers * block + dense(cfg.hidden)
+            };
+            [Precision::Bf16, Precision::Fp8, Precision::Fp4].map(|p| {
+                model.set_scheme(&vec![LinearPrecision::uniform(p); cfg.n_linear_layers()]);
+                model.zero_grads();
+                let bytes = model
+                    .step(&batch, &mut rng, &StepOptions::train())
+                    .linear_cache_bytes;
+                assert_eq!(bytes, expected(p), "{p} at {tokens} tokens");
+                bytes
+            })
         });
-        // No FP4-vs-BF16 order at these shapes: BF16's eight held inputs
-        // (hidden 16) weigh less than FP4's 28 packed operands, whose
-        // containers and scales dominate below a few hundred columns.
-        assert!(fp4 < fp8, "fp4 {fp4} B vs fp8 {fp8} B");
+        for [_, fp8, fp4] in [short, long] {
+            assert!(fp4 < fp8, "fp4 {fp4} B vs fp8 {fp8} B");
+        }
+        // FP4 undercuts BF16 once the per-token inputs outweigh the fixed
+        // packed weights, containers and scales: at 16 tokens (hidden 16)
+        // BF16's nine held inputs weigh less than FP4's 28 packed
+        // operands, at 64 tokens they weigh more.
+        let [bf16, _, fp4] = long;
+        assert!(fp4 < bf16, "fp4 {fp4} B vs bf16 {bf16} B");
     }
 
     #[test]
