@@ -4,17 +4,22 @@
 //!
 //! # The staged passes
 //!
-//! The three iterations share everything that is identical between them, so
-//! [`measure`] costs under three forward+backward steps instead of three
-//! full ones plus tensor snapshots. It composes the stages of
-//! [`Model::step`] directly:
+//! [`measure`] is built from the four stages of [`Model::step`]:
+//! [`Model::forward_blocks`] (→ block caches + final hidden state),
+//! [`Model::forward_head`] (final norm, LM head, loss),
+//! [`Model::backward_head`] (→ the gradient entering the last block) and
+//! [`Model::backward_blocks`]. `Model::step` is their plain composition;
+//! `measure` composes them differently and adds its noise between stages
+//! itself ([`Injection`]). The three iterations share everything that is
+//! identical between them, so they cost under three forward+backward steps
+//! instead of three full ones plus tensor snapshots:
 //!
-//! | pass | stages run | output |
+//! | pass | stages run | keeps |
 //! |---|---|---|
-//! | forward | blocks-forward, **once** | block caches, final hidden state |
-//! | base (Step 1) | head forward, head backward, blocks-backward | loss, `dY`/`dW` per layer, the top gradient |
-//! | backward probe (Step 2) | noise on the saved top gradient, blocks-backward | `‖dW − dW_base‖/ε` |
-//! | forward probe (Step 3) | noise on the saved hidden state, head forward + backward, blocks-backward | `‖dW − dW_base‖/ε`, loss delta |
+//! | forward | blocks-forward, **once** | block caches, final hidden state, `‖Y‖` per layer |
+//! | base (Step 1) | head forward, head backward, blocks-backward | loss, the top gradient, `dW` (in the weight gradients), per layer `‖∇X‖` and `dY`'s statistics |
+//! | backward probe (Step 2) | noise on the saved top gradient, blocks-backward | `‖dW − dW_base‖/ε` per layer |
+//! | forward probe (Step 3) | noise on the saved hidden state, head forward + backward, blocks-backward | `‖dW − dW_base‖/ε` per layer, loss delta |
 //!
 //! Sharing the blocks-forward is legal because the three passes of the
 //! unshared formulation recompute it bit-identically:
@@ -22,33 +27,76 @@
 //! * the probe forces the BF16 scheme, BF16 quantization is unscaled
 //!   round-to-nearest, so no pass draws from the caller's `Rng` — `measure`
 //!   asserts the state is unchanged on exit, and `tests/probe_equivalence`
-//!   checks it in release builds too;
+//!   checks it in release builds too; if a future high-precision scheme
+//!   ever draws, that test fails instead of the probe silently drifting;
 //! * both injection sites sit *above* the last block (the forward probe
 //!   perturbs its output, the backward probe the gradient entering it);
 //! * weights are frozen for the whole of `measure` (no optimizer call).
 //!
 //! # What is retained
 //!
-//! No [`snip_nn::record::StepRecord`]: the base pass keeps a copy of one
-//! `dW` per layer (the weight gradient its backward GEMM wrote, which the
-//! next pass overwrites) and of the transient `dY`; `W` is borrowed from
-//! the model. A probe pass leaves its `dW` in the weight gradients, where
-//! it is read against the retained base `dW`. The forward caches hold each
-//! block's layer inputs once, read in place (Q, K and V share one, Gate
-//! and Up another); the statistics stage rounds each distinct input once
-//! ([`held_inputs`]) — `X` as the GEMMs read it — and drops each block's
-//! caches as it goes, so the stats tasks run with the rounded inputs alone.
+//! Statistics, not tensors: no [`StepRecord`](snip_nn::record::StepRecord).
+//! Each pass observes the linear layers through a [`LayerTap`], and keeps
+//! of a tensor only what it needs while the tensor is live.
+//!
+//! * **`dY`** exists only while its layer's backward runs, so the base
+//!   pass's tap reduces it there — its norm and its FP4/FP8/BF16 error
+//!   norms ([`OperandStats`]), one pool task each — and keeps none.
+//! * **The base `dW`** is written by the base pass into the weight
+//!   gradients, as on a training step, and then moved out of them without
+//!   a copy. It is read for `‖∇W‖`, for the AdamW sensitivity and as the
+//!   base of both gradient distances, and moved back before the closing
+//!   [`Model::zero_all_grads`].
+//! * **A probe pass's `dW`** goes into one scratch buffer its tap lends
+//!   ([`LayerTap::lend_dw`]), sized for each layer in turn within the
+//!   storage of the largest weight. The tap reduces `‖dW − dW_base‖` as
+//!   soon as the layer's GEMM has written it, and the next layer's GEMM
+//!   overwrites it. A probe pass never writes a weight gradient, and that
+//!   buffer — one largest linear weight in f32 — is all the probe holds
+//!   beyond a BF16 training step (`tests/probe_memory.rs` checks it with a
+//!   counting allocator).
+//! * **`W`** is borrowed from the model. **`X`**: the forward caches hold
+//!   each block's layer inputs once, read in place (Q, K and V share one,
+//!   Gate and Up another); the statistics stage rounds each distinct input
+//!   once ([`held_inputs`]) — `X` as the GEMMs read it — and drops each
+//!   block's caches as it goes.
+//!
+//! [`Model::zero_grads`] runs before each pass. It zeroes the accumulated
+//! gradients (embedding, norm gains), which no pass reads, and re-arms the
+//! written ones for the debug check that each is written once per pass.
 //!
 //! # One reduction per task
 //!
-//! The ≈ 200 per-layer statistics (norms, quantization errors, gradient
-//! distances, AdamW sensitivities) run on the worker pool, one whole
-//! reduction per task (`snip_tensor::pool::reduce`), each in ascending
-//! serial `f64` order — so a [`SnipMeasurement`] is identical at every
-//! thread count and equal, bit for bit, to the three-full-steps reference
-//! kept as the test oracle in `tests/probe_equivalence.rs`.
+//! The ≈ 200 per-layer statistics — 4 norms and 9 quantization errors
+//! ([`OperandStats`] of `X`, `W` and `dY`, and `‖∇W‖`), 2 gradient
+//! distances and 1 AdamW sensitivity per layer — are each one whole
+//! reduction in ascending serial `f64` order: the statistics and the
+//! sensitivities through [`reduce`], one reduction per pool task, the
+//! distances on the calling thread as their `dW` is written. Never split
+//! one reduction across tasks: that is what makes a [`SnipMeasurement`]
+//! identical at every thread count and `==`, bit for bit, to the oracle.
+//! [`Quantizer::error_norm`] of a packable format is
+//! [`Quantizer::quantize_packed`] plus a row-streamed decode-and-diff (no
+//! `q(t)` materialised; bit-equal to `fake_quantize(t).distance(t)`,
+//! proptested); [`AdamW::update_sensitivity`] evaluates its `sqrt`s and
+//! divides in 64-lane chunks.
+//!
+//! [`Quantizer::error_norm`]: snip_quant::Quantizer::error_norm
+//! [`Quantizer::quantize_packed`]: snip_quant::Quantizer::quantize_packed
+//!
+//! # The oracle
+//!
+//! The formulation `measure` replaced — three recorded full passes, then
+//! [`StepStats::from_record`], [`Tensor::distance`] and
+//! [`AdamW::update_sensitivity`] — lives as `measure_reference` in
+//! `tests/probe_equivalence.rs`. `measure == measure_reference` on tiny,
+//! ragged, packed-FP8-moment, FP4-scheme and mixed-scheme configurations,
+//! at pool splits 1, 2, max and max + 3, and on the forced-scalar kernel
+//! tier. The probe's cost is `core.measure_over_step` in `benchmark/` and
+//! the `probe` section of `BENCH_gemm.json` (`bench_gemm --check` fails
+//! above 3.5 steps).
 
-use crate::stats::{LayerView, StepStats};
+use crate::stats::{LayerView, OperandStats, StepStats};
 use serde::{Deserialize, Serialize};
 use snip_nn::inject::Injection;
 use snip_nn::linear::held_inputs;
@@ -56,9 +104,10 @@ use snip_nn::model::Model;
 use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, LayerKind, Linear, LinearCache};
 use snip_optim::AdamW;
-use snip_quant::{LinearPrecision, Precision};
+use snip_quant::{LinearPrecision, Precision, TensorRole};
 use snip_tensor::pool::{reduce, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
+use std::mem;
 
 /// Everything the divergence analysis needs, extracted from one batch.
 /// Norms only, no tensors.
@@ -80,46 +129,79 @@ pub struct SnipMeasurement {
     pub fwd_loss_delta: f64,
 }
 
-/// What the base pass keeps of one layer: copies of the transient output
-/// gradient and of the weight gradient (which the probe passes overwrite),
-/// and the two norms of tensors that do not outlive their stage.
+/// What the base pass keeps of one layer: the statistics of its output
+/// gradient, reduced while the gradient was live, and the norms of its
+/// forward output and input gradient.
 #[derive(Default)]
 struct BaseLayer {
-    dy: Tensor,
-    dw: Tensor,
+    dy: OperandStats,
     y_norm: f64,
     dx_norm: f64,
 }
 
-/// The base pass's tap, indexed by [`LayerId::linear_index`].
-struct BaseTap(Vec<BaseLayer>);
+/// The base pass's tap: per layer (indexed by [`LayerId::linear_index`])
+/// what [`BaseLayer`] keeps, with errors measured over scale groups of
+/// `group` elements. It keeps no tensor: `dW` stays in the weight
+/// gradients.
+struct BaseTap {
+    layers: Vec<BaseLayer>,
+    group: usize,
+}
 
 impl LayerTap for BaseTap {
     fn forward(&mut self, id: LayerId, _lin: &Linear, _cache: &LinearCache, y: &Tensor) {
-        self.0[id.linear_index()].y_norm = y.frobenius_norm();
+        self.layers[id.linear_index()].y_norm = y.frobenius_norm();
     }
 
-    fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor) {
-        let layer = &mut self.0[id.linear_index()];
-        layer.dy = dy.clone();
-        layer.dw = dw.clone();
+    fn backward(&mut self, id: LayerId, dy: &Tensor, _dw: &Tensor, dx: &Tensor) {
+        let layer = &mut self.layers[id.linear_index()];
+        layer.dy = OperandStats::of(dy, TensorRole::OutputGrad, self.group);
         layer.dx_norm = dx.frobenius_norm();
     }
 }
 
-/// Per-layer gradient response of the probe pass that just ran (Theorem 4.2
-/// single-sample estimate): the weight gradients it wrote against the
-/// retained base gradients, over `ε`.
-fn gradient_response(model: &Model, base: &[BaseLayer], epsilon: f64) -> Vec<f64> {
-    let tasks = base
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let probe_dw = model.linear(LayerId::from_linear_index(i)).weight().grad();
-            Box::new(move || b.dw.distance(probe_dw)) as Reduction<'_>
-        })
+/// A probe pass's tap: it lends every layer one scratch buffer for its
+/// `dW`, and reduces the gradient response `‖dW − dW_base‖ / ε` (Theorem
+/// 4.2 single-sample estimate) as soon as the GEMM has written it.
+struct ProbeTap<'a> {
+    /// The base pass's `dW` per layer.
+    base: &'a [Tensor],
+    /// The lent buffer's storage, sized for the largest weight up front.
+    scratch: Vec<f32>,
+    /// Per layer, the response of the pass that last ran.
+    response: Vec<f64>,
+    epsilon: f64,
+}
+
+impl LayerTap for ProbeTap<'_> {
+    fn forward(&mut self, _id: LayerId, _lin: &Linear, _cache: &LinearCache, _y: &Tensor) {}
+
+    fn backward(&mut self, id: LayerId, _dy: &Tensor, dw: &Tensor, _dx: &Tensor) {
+        let i = id.linear_index();
+        self.response[i] = self.base[i].distance(dw) / self.epsilon;
+    }
+
+    fn lend_dw(&mut self, _id: LayerId, (rows, cols): (usize, usize)) -> Option<Tensor> {
+        let mut data = mem::take(&mut self.scratch);
+        data.resize(rows * cols, 0.0);
+        Some(Tensor::from_vec(rows, cols, data))
+    }
+
+    fn reclaim_dw(&mut self, dw: Tensor) {
+        self.scratch = dw.into_vec();
+    }
+}
+
+/// Swaps `grads[i]` with the gradient of linear layer `i`'s weight: moves
+/// each layer's `dW` out of the model, or back in, without a copy.
+fn swap_linear_grads(model: &mut Model, grads: &mut [Tensor]) {
+    let index: Vec<usize> = (0..grads.len())
+        .map(|i| model.param_index_of(LayerId::from_linear_index(i)))
         .collect();
-    reduce(tasks).into_iter().map(|d| d / epsilon).collect()
+    let mut params = model.params_mut();
+    for (grad, i) in grads.iter_mut().zip(index) {
+        mem::swap(grad, params[i].grad_mut());
+    }
 }
 
 /// Runs Steps 1–3 on the given batch. The model's weights are untouched
@@ -141,10 +223,14 @@ pub fn measure(
     let rng_on_entry = rng.clone();
     let cfg = model.config().clone();
     let n = cfg.n_linear_layers();
+    let ids = || (0..n).map(LayerId::from_linear_index);
     // Force BF16 for measurement, restore afterwards.
     let saved_scheme = model.scheme();
     model.set_scheme(&vec![LinearPrecision::uniform(Precision::Bf16); n]);
-    let mut tap = BaseTap((0..n).map(|_| BaseLayer::default()).collect());
+    let mut tap = BaseTap {
+        layers: (0..n).map(|_| BaseLayer::default()).collect(),
+        group: cfg.quant_group,
+    };
 
     // The blocks-forward all three passes share.
     let (caches, mut hidden) = {
@@ -154,20 +240,29 @@ pub fn measure(
     };
 
     // Step 1: the baseline iteration's head and full backward. Its `dW`
-    // is copied out of the weight gradients through the tap. The reset
-    // only readies the written gradients (debug builds check that each is
-    // written once per pass) and zeroes the accumulated ones, which no
-    // pass reads.
-    let (base_loss, mut top) = {
+    // lands in the weight gradients and is then moved out of them. The
+    // reset only readies the written gradients (debug builds check that
+    // each is written once per pass) and zeroes the accumulated ones,
+    // which no pass reads.
+    let (base_loss, mut top, mut base_dw) = {
         let _span = snip_obs::span("snip.measure.base");
         model.zero_grads();
         let head = model.forward_head(&hidden, batch, rng);
         let top = model.backward_head(&head, rng);
         let mut tap: Option<&mut dyn LayerTap> = Some(&mut tap);
         model.backward_blocks(batch, &top, &caches, rng, &mut tap);
-        (head.loss(), top)
+        let mut base_dw: Vec<Tensor> = ids().map(|_| Tensor::default()).collect();
+        swap_linear_grads(model, &mut base_dw);
+        (head.loss(), top, base_dw)
     };
-    let base = tap.0;
+    let base = tap.layers;
+    let largest = ids().map(|id| model.linear(id).weight().numel()).max();
+    let mut probe = ProbeTap {
+        base: &base_dw,
+        scratch: Vec::with_capacity(largest.unwrap_or_default()),
+        response: vec![0.0; n],
+        epsilon,
+    };
 
     // Step 2: backward-top noise on the gradient the base pass produced.
     let p_bwd = {
@@ -178,8 +273,8 @@ pub fn measure(
             seed: 0x5712_0002,
         }
         .apply(&mut top);
-        model.backward_blocks(batch, &top, &caches, rng, &mut None);
-        gradient_response(model, &base, epsilon)
+        model.backward_blocks(batch, &top, &caches, rng, &mut Some(&mut probe));
+        probe.response.clone()
     };
     drop(top);
 
@@ -194,8 +289,8 @@ pub fn measure(
         .apply(&mut hidden);
         let head = model.forward_head(&hidden, batch, rng);
         let top = model.backward_head(&head, rng);
-        model.backward_blocks(batch, &top, &caches, rng, &mut None);
-        (gradient_response(model, &base, epsilon), head.loss())
+        model.backward_blocks(batch, &top, &caches, rng, &mut Some(&mut probe));
+        (probe.response, head.loss())
     };
 
     let (stats, h_sens) = {
@@ -211,14 +306,14 @@ pub fn measure(
             let in_place = "BF16 reads every input in place";
             x_of.extend(slots.iter().map(|slot| first + slot.expect(in_place)));
         }
-        let ids = || (0..n).map(LayerId::from_linear_index);
         let views: Vec<LayerView<'_>> = ids()
             .zip(&base)
-            .map(|(id, b)| LayerView {
+            .zip(&base_dw)
+            .map(|((id, b), dw)| LayerView {
                 x: &xs[x_of[id.linear_index()]],
                 w: model.linear(id).weight().value(),
-                dy: &b.dy,
-                dw: &b.dw,
+                dy: b.dy,
+                dw,
                 y_norm: b.y_norm,
                 dx_norm: b.dx_norm,
             })
@@ -227,16 +322,17 @@ pub fn measure(
         // AdamW update sensitivity at the current moments and gradients.
         let h_sens = reduce(
             ids()
-                .zip(&base)
-                .map(|(id, b)| {
+                .zip(&base_dw)
+                .map(|(id, dw)| {
                     let param = model.param_index_of(id);
-                    Box::new(move || optimizer.update_sensitivity(param, &b.dw)) as Reduction<'_>
+                    Box::new(move || optimizer.update_sensitivity(param, dw)) as Reduction<'_>
                 })
                 .collect(),
         );
         (stats, h_sens)
     };
 
+    swap_linear_grads(model, &mut base_dw);
     model.zero_all_grads();
     model.set_scheme(&saved_scheme);
     debug_assert!(
@@ -321,6 +417,11 @@ mod tests {
             "weights must be untouched"
         );
         assert_eq!(model.grad_norm(), 0.0, "gradients must be zeroed");
+        // The base `dW` the probe moved out of the weight gradients went
+        // back: every gradient has its weight's shape again.
+        for p in model.params_mut() {
+            assert_eq!(p.grad().shape(), p.value().shape(), "{}", p.name());
+        }
     }
 
     #[test]

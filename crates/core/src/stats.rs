@@ -18,17 +18,19 @@ use snip_quant::{Precision, TensorRole};
 use snip_tensor::pool::{self, Reduction};
 use snip_tensor::Tensor;
 
-/// The tensors and in-pass norms of one linear layer on a statistics
+/// The tensors and in-pass statistics of one linear layer on a statistics
 /// iteration, borrowed from wherever they live — a [`StepRecord`]'s
-/// snapshots, or the model, its forward caches and the probe's tap.
+/// snapshots, or the model, its forward caches and the probe's tap. The
+/// output gradient comes as its statistics: it lives only while its
+/// layer's backward runs, so the probe reduces it there.
 #[derive(Clone, Copy, Debug)]
 pub struct LayerView<'a> {
     /// Input activations as consumed by the forward GEMM (`tokens × in`).
     pub x: &'a Tensor,
     /// Weight (`out × in`).
     pub w: &'a Tensor,
-    /// Output gradient (`tokens × out`).
-    pub dy: &'a Tensor,
+    /// Statistics of the output gradient (`tokens × out`).
+    pub dy: OperandStats,
     /// Weight gradient of the step (`out × in`).
     pub dw: &'a Tensor,
     /// `‖Y‖_F` of the forward output.
@@ -56,6 +58,53 @@ impl ErrorByPrecision {
             Precision::Fp8 => self.fp8,
             Precision::Bf16 => self.bf16,
         }
+    }
+}
+
+/// The statistics of one GEMM operand of a layer (`X`, `W` or `dY`): its
+/// Frobenius norm and its quantization-error norm under each candidate
+/// precision — four reductions, each its own pool task. A layer's thirteen
+/// are these for its three operands plus `‖∇W‖`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct OperandStats {
+    /// `‖t‖_F`.
+    pub norm: f64,
+    /// `‖q(t) − t‖_F` per candidate precision.
+    pub err: ErrorByPrecision,
+}
+
+impl OperandStats {
+    /// Reductions per operand: the norm and one error norm per precision.
+    const TASKS: usize = 4;
+
+    /// The [`OperandStats::TASKS`] reductions of `t` read in `role`, with
+    /// scale groups of `group` elements, in the order
+    /// [`OperandStats::from_values`] reads them.
+    fn tasks<'a>(t: &'a Tensor, role: TensorRole, group: usize) -> [Reduction<'a>; Self::TASKS] {
+        let err = |p: Precision| -> Reduction<'a> {
+            let q = p.quantizer_with_group(role, group);
+            Box::new(move || q.error_norm(t))
+        };
+        [
+            Box::new(move || t.frobenius_norm()),
+            err(Precision::Fp4),
+            err(Precision::Fp8),
+            err(Precision::Bf16),
+        ]
+    }
+
+    /// The statistics from the values of [`OperandStats::tasks`].
+    fn from_values(r: &[f64]) -> Self {
+        let [norm, fp4, fp8, bf16] = r.try_into().expect("one value per task");
+        OperandStats {
+            norm,
+            err: ErrorByPrecision { fp4, fp8, bf16 },
+        }
+    }
+
+    /// The statistics of `t` read in `role`, reduced now on the pool.
+    pub fn of(t: &Tensor, role: TensorRole, group: usize) -> Self {
+        Self::from_values(&pool::reduce(Self::tasks(t, role, group).into()))
     }
 }
 
@@ -105,13 +154,20 @@ impl StepStats {
     /// `cfg.quant_group` is the scale-group length used when measuring
     /// quantization errors.
     pub fn from_record(record: &StepRecord, cfg: &ModelConfig) -> Self {
+        let dy_tasks = record
+            .linears
+            .iter()
+            .flat_map(|lr| OperandStats::tasks(&lr.dy, TensorRole::OutputGrad, cfg.quant_group))
+            .collect();
+        let dys = pool::reduce(dy_tasks);
         let views: Vec<LayerView<'_>> = record
             .linears
             .iter()
-            .map(|lr| LayerView {
+            .zip(dys.chunks_exact(OperandStats::TASKS))
+            .map(|(lr, dy)| LayerView {
                 x: &lr.x,
                 w: &lr.w,
-                dy: &lr.dy,
+                dy: OperandStats::from_values(dy),
                 dw: &lr.dw,
                 y_norm: lr.y_norm,
                 dx_norm: lr.dx_norm,
@@ -122,57 +178,45 @@ impl StepStats {
 
     /// Derives statistics from borrowed per-layer tensors (indexed by
     /// [`LayerId::linear_index`]) of a step with the given loss and token
-    /// count: per layer four Frobenius norms and nine quantization-error
-    /// norms, every one its own pool task (see the module docs).
+    /// count: per layer the [`OperandStats`] of `X` and `W` and `‖∇W‖`,
+    /// every reduction its own pool task (see the module docs); `dY`'s
+    /// come with the view.
     pub fn from_views(
         loss: f64,
         ntokens: usize,
         views: &[LayerView<'_>],
         cfg: &ModelConfig,
     ) -> Self {
-        const PRECISIONS: [Precision; 3] = [Precision::Fp4, Precision::Fp8, Precision::Bf16];
-        const PER_LAYER: usize = 4 + 3 * PRECISIONS.len();
+        const PER_LAYER: usize = 2 * OperandStats::TASKS + 1;
         let nb = cfg.quant_group;
         let mut tasks: Vec<Reduction<'_>> = Vec::with_capacity(views.len() * PER_LAYER);
         for v in views {
-            for t in [v.x, v.w, v.dy, v.dw] {
-                tasks.push(Box::new(move || t.frobenius_norm()));
-            }
-            for (role, t) in [
-                (TensorRole::Input, v.x),
-                (TensorRole::Weight, v.w),
-                (TensorRole::OutputGrad, v.dy),
-            ] {
-                for p in PRECISIONS {
-                    let q = p.quantizer_with_group(role, nb);
-                    tasks.push(Box::new(move || q.error_norm(t)));
-                }
-            }
+            tasks.extend(OperandStats::tasks(v.x, TensorRole::Input, nb));
+            tasks.extend(OperandStats::tasks(v.w, TensorRole::Weight, nb));
+            tasks.push(Box::new(move || v.dw.frobenius_norm()));
         }
         let values = pool::reduce(tasks);
-        let err = |r: &[f64]| ErrorByPrecision {
-            fp4: r[0],
-            fp8: r[1],
-            bf16: r[2],
-        };
         let layers = views
             .iter()
             .zip(values.chunks_exact(PER_LAYER))
             .map(|(v, r)| {
+                let (x, rest) = r.split_at(OperandStats::TASKS);
+                let (w, dw) = rest.split_at(OperandStats::TASKS);
+                let (x, w) = (OperandStats::from_values(x), OperandStats::from_values(w));
                 let (out_features, in_features) = v.w.shape();
                 LayerStats {
                     tokens: v.x.rows(),
                     out_features,
                     in_features,
-                    x_norm: r[0],
-                    w_norm: r[1],
+                    x_norm: x.norm,
+                    w_norm: w.norm,
                     y_norm: v.y_norm,
-                    dy_norm: r[2],
+                    dy_norm: v.dy.norm,
                     dx_norm: v.dx_norm,
-                    dw_norm: r[3],
-                    x_err: err(&r[4..7]),
-                    w_err: err(&r[7..10]),
-                    dy_err: err(&r[10..13]),
+                    dw_norm: dw[0],
+                    x_err: x.err,
+                    w_err: w.err,
+                    dy_err: v.dy.err,
                 }
             })
             .collect();

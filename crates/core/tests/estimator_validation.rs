@@ -18,7 +18,7 @@
 //! the four stages of `Model::step`, as `probe::measure` takes them.
 
 use snip_core::divergence::{injected_noise, loss_divergence};
-use snip_core::stats::{LayerView, StepStats};
+use snip_core::stats::{LayerView, OperandStats, StepStats};
 use snip_core::{Trainer, TrainerConfig};
 use snip_nn::record::LayerTap;
 use snip_nn::{Batch, LayerId, Linear, LinearCache, Model};
@@ -154,7 +154,7 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
             LayerView {
                 x: &xs[i],
                 w: model.linear(id).weight().value(),
-                dy: &t.dy,
+                dy: OperandStats::of(&t.dy, TensorRole::OutputGrad, cfg.quant_group),
                 dw: &t.dw,
                 y_norm: t.y_norm,
                 dx_norm: t.dx_norm,
@@ -162,10 +162,10 @@ fn backward_half(model: &mut Model, batch: &Batch, rng: &mut Rng, v: &mut Valida
         })
         .collect();
     let stats = StepStats::from_views(head.loss(), batch.num_tokens(), &views, &cfg);
-    for (i, (view, layer)) in views.iter().zip(&stats.layers).enumerate() {
+    for (i, ((view, t), layer)) in views.iter().zip(&tap.0).zip(&stats.layers).enumerate() {
         v.forward_estimate[i] += loss_divergence(layer, stats.loss, fp4());
         v.direct_estimate[i] += injected_noise(layer, fp4()).direct;
-        v.direct_realised[i] += realised_direct_error(view.x, view.dy, cfg.quant_group);
+        v.direct_realised[i] += realised_direct_error(view.x, &t.dy, cfg.quant_group);
     }
     drop(views);
     stats.loss

@@ -8,7 +8,10 @@
 //!    this repo's estimator is the global-norm one, which ranked the layers
 //!    at least as well on Fig. 13's protocol
 //!    (`crates/core/tests/estimator_validation.rs`) and stores a fixed
-//!    18 values per linear layer whatever its shape.
+//!    18 values per linear layer whatever its shape. While measuring it
+//!    holds one tensor beyond a training step's: a largest linear weight
+//!    in f32, the scratch its probe passes write `dW` into
+//!    (`crates/core/tests/probe_memory.rs`).
 
 use crate::harness::*;
 use snip_nn::memory::{
@@ -137,6 +140,20 @@ pub fn run(ctx: &Ctx) {
     );
     println!("(the count per layer is fixed, so the ratio falls with every tensor");
     println!(" dimension; the paper-scale rows above are the <1% claim check)");
+    // While it measures, the probe holds one tensor beyond a BF16 training
+    // step: the scratch its probe passes write each layer's dW into.
+    let scratch = 4 * layers
+        .iter()
+        .map(|l| l.out_features * l.in_features)
+        .max()
+        .unwrap_or(0);
+    let master = 4 * study.cfg().param_count();
+    println!(
+        "transient working set (analytic): one largest linear weight in f32, the dW scratch = {scratch} B ({:.2}% of the {master} B f32 master weights)",
+        100.0 * scratch as f64 / master as f64
+    );
+    println!("(checked by crates/core/tests/probe_memory.rs: a measured step's live-byte peak");
+    println!(" exceeds a plain step's by at most this plus a stated slack)");
 
     // --- Measured packed backward-pass cache ---------------------------
     // Not an estimate: the model's linear layers store their saved GEMM

@@ -191,9 +191,13 @@ impl Block {
     ) -> Tensor {
         let id = LayerId::new(self.index, kind);
         let lin = self.linear_mut(kind);
-        let dx = lin.backward(dy, cache, rng);
+        let mut lent = tap.as_mut().and_then(|tap| tap.lend_dw(id, lin.dims()));
+        let dx = lin.backward_to(dy, cache, rng, lent.as_mut());
         if let Some(tap) = tap {
-            tap.backward(id, dy, lin.weight().grad(), &dx);
+            tap.backward(id, dy, lent.as_ref().unwrap_or(lin.weight().grad()), &dx);
+            if let Some(dw) = lent {
+                tap.reclaim_dw(dw);
+            }
         }
         dx
     }

@@ -15,8 +15,8 @@
 //!   forward between its three passes,
 //! * Gaussian noise-injection probes ([`inject::Injection`], SNIP Steps 2–3),
 //! * FP32 master weights and their gradients ([`param::Param`]): written
-//!   whole by each linear layer's weight-gradient GEMM, accumulated
-//!   elsewhere.
+//!   whole by each linear layer's weight-gradient GEMM (or into a buffer a
+//!   tap lends, [`record::LayerTap::lend_dw`]), accumulated elsewhere.
 //!
 //! # Example
 //!

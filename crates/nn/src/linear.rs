@@ -15,7 +15,10 @@
 //! `dW` is not a temporary: the weight-gradient GEMM stores it straight
 //! into the weight's FP32 gradient ([`Param::grad_to_write`]), which holds
 //! nothing else — each weight meets exactly one weight-gradient GEMM per
-//! pass, so there is nothing to accumulate and nothing to zero first.
+//! pass, so there is nothing to accumulate and nothing to zero first. A
+//! caller may lend another destination instead ([`Linear::backward_to`]):
+//! SNIP's probe passes write into one reused scratch buffer, so the weight
+//! gradients keep the statistics pass's `dW`.
 //!
 //! # Operands are packed or read in place, never copied
 //!
@@ -369,13 +372,32 @@ impl Linear {
     /// `cache`, or if the gradient was already written since the last
     /// [`crate::model::Model::zero_grads`].
     pub fn backward(&mut self, dy: &Tensor, cache: &LinearCache, rng: &mut Rng) -> Tensor {
+        self.backward_to(dy, cache, rng, None)
+    }
+
+    /// [`Linear::backward`] with `dW` written into `dw` when given — an
+    /// `out × in` buffer the caller lends, whose bits it takes whole —
+    /// and into the weight's gradient otherwise. A lent write leaves the
+    /// gradient, and its written-once check, as they were; `dX`, `dW` and
+    /// the draws from `rng` are the same either way.
+    ///
+    /// # Panics
+    ///
+    /// As [`Linear::backward`], and if `dw` is not `out × in`.
+    pub fn backward_to(
+        &mut self,
+        dy: &Tensor,
+        cache: &LinearCache,
+        rng: &mut Rng,
+        dw: Option<&mut Tensor>,
+    ) -> Tensor {
         let w = self.weight.value();
         cache.check_weight(w);
         let round = self.output_round();
         let qdy = self.quantize(TensorRole::OutputGrad, dy, rng);
         let dx = gemm(qdy.operand(), cache.qw.read(w), Orientation::Nn, round);
         gemm_into(
-            self.weight.grad_to_write(),
+            dw.unwrap_or_else(|| self.weight.grad_to_write()),
             qdy.operand(),
             cache.qx.operand(),
             Orientation::Tn,
@@ -673,6 +695,41 @@ mod tests {
                 model.linear(id).weight().grad(),
                 "layer {i}"
             );
+        }
+    }
+
+    /// A lent destination takes the `dW` the gradient would have got, bit
+    /// for bit, with the same `dX` and draws, and leaves the gradient alone:
+    /// its bits (here NaN) and its written-once state — the default write
+    /// that follows would panic in a debug build had the lent one armed it.
+    #[test]
+    fn a_lent_destination_takes_dw_and_leaves_the_gradient_alone() {
+        for (precision, exact) in [
+            (LinearPrecision::uniform(Precision::Bf16), false),
+            (LinearPrecision::uniform(Precision::Fp4), false),
+            (LinearPrecision::uniform(Precision::Bf16), true),
+        ] {
+            let mut rng = Rng::seed_from(27);
+            let mut lin = Linear::new("w", 6, 8, 1.0, 4, &mut rng);
+            lin.set_precision(precision);
+            lin.set_exact_mode(exact);
+            let x = Tensor::randn(5, 8, 1.0, &mut rng);
+            let dy = Tensor::randn(5, 6, 1.0, &mut rng);
+            let (_, cache) = lin.forward(Arc::new(x), &mut rng);
+            lin.weight_mut().grad_mut().as_mut_slice().fill(f32::NAN);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let nan = bits(lin.weight().grad());
+
+            let mut lent_rng = rng.clone();
+            let mut lent = Tensor::full(6, 8, f32::NAN);
+            let lent_dx = lin.backward_to(&dy, &cache, &mut lent_rng, Some(&mut lent));
+            assert_eq!(bits(lin.weight().grad()), nan, "{precision}, exact {exact}");
+
+            let dx = lin.backward(&dy, &cache, &mut rng);
+            let what = format!("{precision}, exact {exact}");
+            assert_eq!(bits(&lent), bits(lin.weight().grad()), "{what}: dW");
+            assert_eq!(bits(&lent_dx), bits(&dx), "{what}: dX");
+            assert_eq!(lent_rng.next_u64(), rng.next_u64(), "{what}: draws");
         }
     }
 

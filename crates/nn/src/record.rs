@@ -18,8 +18,14 @@ use snip_tensor::Tensor;
 /// backward stages of [`crate::model::Model`] call it once per layer with
 /// what exists only at that moment, and each tap keeps what it needs:
 /// [`StepRecord`] snapshots every tensor (it outlives the model borrow),
-/// while SNIP's probe keeps only the transient `dY` and `dW` and borrows
-/// everything else from the model and the forward caches later.
+/// while SNIP's probe reduces each tensor to its statistics while it is
+/// live and keeps no tensor at all.
+///
+/// A tap may also say where a layer's weight-gradient GEMM writes `dW`
+/// ([`LayerTap::lend_dw`]). By default it lends nothing and `dW` lands in
+/// the weight's gradient, as on every training step; the probe lends one
+/// reused scratch buffer, so its noise-injected passes leave the weight
+/// gradients, and the base `dW` it moved out of them, untouched.
 pub trait LayerTap {
     /// After layer `id`'s forward GEMM: the layer, the operand reads it
     /// saved for backward (`cache.qx.dequantize()` is `X` as the GEMM read
@@ -27,11 +33,24 @@ pub trait LayerTap {
     fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor);
 
     /// After layer `id`'s backward GEMMs: the output gradient `dy` it
-    /// received, the (BF16-rounded) weight gradient `dw` it produced —
-    /// borrowed from the weight's gradient, where the GEMM wrote it and the
-    /// next pass overwrites it, so a tap that keeps it copies it — and the
-    /// input gradient `dx` it returns.
+    /// received, the (BF16-rounded) weight gradient `dw` it produced, and
+    /// the input gradient `dx` it returns. `dw` is the buffer
+    /// [`LayerTap::lend_dw`] lent, or else the weight's gradient, which
+    /// the next pass overwrites — so a tap that keeps it copies it.
     fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor);
+
+    /// Before layer `id`'s backward: a buffer of the weight's `shape`
+    /// (`out × in`) to write `dW` into instead of the weight's gradient,
+    /// which that pass then leaves as it was. The buffer comes back as
+    /// [`LayerTap::backward`]'s `dw`, then through
+    /// [`LayerTap::reclaim_dw`]. `None`, the default: the gradient.
+    fn lend_dw(&mut self, _id: LayerId, _shape: (usize, usize)) -> Option<Tensor> {
+        None
+    }
+
+    /// After [`LayerTap::backward`]: the buffer [`LayerTap::lend_dw`]
+    /// lent, back with the layer's `dW` in it. The default drops it.
+    fn reclaim_dw(&mut self, _dw: Tensor) {}
 }
 
 /// Everything recorded about one linear layer in one step.
