@@ -26,10 +26,11 @@
 //! written whole and read to EOF:
 //!
 //! 1. the parent writes `START` to the worker's stdin and closes it: the
-//!    fabric directory (private to the user, mode `0700`), the rank, the
+//!    fabric directory (private to the user, mode `0700`, because a mesh
+//!    listener trusts the rank hello of whoever connects), the rank, the
 //!    world size, the chaos plan and the worker's own encoded [`Task`]
-//!    (codec + seeds + its own payload — peers' data never crosses, unlike
-//!    the threaded closures that share an address space);
+//!    (codec config as JSON, float payloads as raw bits; peers' data never
+//!    crosses, unlike the threaded closures that share an address space);
 //! 2. the worker binds its mesh listener in the fabric directory and builds
 //!    the full socket mesh: it dials every lower rank (retrying until that
 //!    rank's listener is bound, since nothing orders the workers' starts)
@@ -39,25 +40,51 @@
 //!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
 //!    its [`TaskOutput`], encoded straight into the report buffer) or
 //!    `ERROR` — and exits;
-//! 4. one parent thread per worker reads that report and checks its length
-//!    and CRC in that thread, as soon as the pipe hits EOF, so the ranks'
-//!    checks overlap. A worker that exits without a report leaves an empty
-//!    pipe, and the launch fails at once naming its rank. Once every report
-//!    is in, the parent decodes them one rank at a time, adds every worker's
-//!    ledger ([`ProcError::Protocol`] for one of the wrong shape), reaps
-//!    the workers, and checks that both sides of every link agree
-//!    ([`ProcError::AccountingMismatch`] names the first that does not).
+//! 4. one parent thread per worker decodes that report as it streams and
+//!    hands the decoded, verified report to one channel, so the ranks'
+//!    decodes overlap their transfers. A worker that exits without a report
+//!    leaves an empty pipe, and the launch fails at once naming its rank.
+//!    Once every report is in, the parent judges them in rank order: a
+//!    malformed report is [`ProcError::Protocol`], `ERROR` reports are
+//!    attributed to their root cause, and every `RESULT`'s ledger is added
+//!    by `TransportStats::merge` ([`ProcError::Protocol`] for one of
+//!    the wrong shape). It then reaps the workers and checks that both
+//!    sides of every link agree ([`TransportStats::disagreement`];
+//!    [`ProcError::AccountingMismatch`] names the first that does not).
+//!
+//! ## Decoded as it streams
+//!
+//! Both ends read their pipe through one reader over [`std::io::Read`]: the
+//! worker its `START`, each launcher thread its worker's report. It judges
+//! the length prefix first ([`snip_quant::stream_body_len`]), then decodes
+//! each field straight into its final value while every body byte passes
+//! through one incremental [`snip_quant::Crc32`]. A float vector is
+//! allocated once, at its declared count, and only after that count is
+//! checked against the bytes the frame has left; it is filled through a
+//! small stage buffer, so a report's raw bytes are never held beside its
+//! decoded output. Nothing decoded is released until, in this order, the
+//! message has ended exactly at the frame's declared length, the pipe is at
+//! EOF, and the CRC matches ([`snip_quant::stream_check_crc`]): the CRC
+//! verdict at EOF gates the output. A short, long, stray-byte-polluted or
+//! damaged pipe is a typed error, never a message. [`Task::decode`] and
+//! [`TaskOutput::decode`] read a bare encoding through the same reader.
 //!
 //! No library code a worker runs prints to stdout. A stray write would fail
-//! the report's length or CRC check as a typed [`ProcError::Protocol`];
-//! it cannot pass for a result.
+//! the report's length, EOF or CRC check as a typed [`ProcError::Protocol`];
+//! it cannot pass for a result. Each writer checks its frame's size against
+//! [`snip_quant::STREAM_MAX_FRAME_BYTES`] before writing it: a `START` too
+//! large for one frame fails the launch as [`ProcError::Launch`], and a
+//! worker whose `RESULT` would not fit reports `ERROR` instead, naming the
+//! size and the bound.
 //!
 //! Frames on mesh streams carry [`snip_quant::wire`]'s stream envelope —
 //! a length prefix plus a CRC32 of the body, so in-flight corruption is a
 //! typed [`snip_quant::StreamError::Crc`] at decode instead of a silently
 //! damaged gradient — and are reassembled from arbitrarily chunked reads
-//! by a dedicated reader thread per link, which also keeps every socket
-//! drained so ring steps can never deadlock on full kernel buffers.
+//! by a dedicated reader thread per link ([`snip_quant::StreamDecoder`],
+//! property-tested under adversarial chunking in `quant/tests/wire_stream.rs`),
+//! which also keeps every socket drained so ring steps can never deadlock
+//! on full kernel buffers.
 //!
 //! # Abort semantics
 //!
@@ -77,7 +104,25 @@
 //! `run_ranks(world, chaos, |ep| run_task(ep, &tasks[ep.rank()]))`, and
 //! under a chaos plan on either, with nothing else to write. The named
 //! `proc_*` helpers below are fault-free delegations that build the tasks;
-//! `proc_all_reduce` returns the launch as it is.
+//! `proc_all_reduce` returns the launch as it is. Beside [`launch`] and
+//! [`super::run_ranks`] the DP entry points are [`super::try_data_parallel_train`]
+//! (per-rank outcomes, optional chaos), [`super::data_parallel_train`] (its
+//! fault-free form) and [`super::data_parallel_train_with_recovery`] (its
+//! retry driver), all over one fallible DP step loop; the benchmark pins the
+//! fault-free delegations [`super::threaded_all_reduce`],
+//! [`proc_all_reduce`] and [`proc_data_parallel_train`].
+//!
+//! # Equivalence contract
+//!
+//! The process backend is bit-identical to the threaded one and to the
+//! in-proc ring oracle of the tests: same reduced gradients, same per-rank
+//! RNG streams, same final DP model parameters, with payload counters equal
+//! to [`crate::comm::codec_wire_bytes`] for every codec, ragged tails
+//! included. `tests/transport_proc.rs` pins it (CI runs it in debug and
+//! `--release`), and `snip-exp comm_precision --transport process` prints
+//! the threads table byte for byte, `--chaos` included (CI `chaos-smoke`
+//! diffs the two). `tests/launch_memory.rs` pins that the launcher holds
+//! each rank's output once.
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError};
@@ -87,7 +132,8 @@ use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::{
-    stream_body_len, stream_check_body, stream_envelope, StreamDecoder, STREAM_ENVELOPE_BYTES,
+    stream_body_len, stream_check_crc, stream_envelope, Crc32, StreamDecoder,
+    STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES,
 };
 use snip_tensor::rng::Rng;
 use std::ffi::OsStr;
@@ -173,129 +219,265 @@ fn write_frame(to: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     to.write_all(body)
 }
 
-/// Reads a control pipe to EOF into one buffer sized by its frame's length
-/// prefix, so a large report lands without regrowing (and re-copying) it.
-fn read_pipe(from: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    let envelope = STREAM_ENVELOPE_BYTES as u64;
-    from.by_ref().take(envelope).read_to_end(&mut bytes)?;
-    if bytes.len() == STREAM_ENVELOPE_BYTES {
-        bytes.reserve_exact(stream_body_len(&bytes).unwrap_or(0));
+/// The one size check on a control frame, made before it is written:
+/// [`stream_envelope`] cannot frame a body above [`STREAM_MAX_FRAME_BYTES`],
+/// and a `START` or a report that large is a typed error, not a panic.
+fn check_frame_len(len: usize) -> Result<(), String> {
+    if len > STREAM_MAX_FRAME_BYTES {
+        return Err(format!(
+            "a control frame of {len} bytes exceeds the stream bound of \
+             {STREAM_MAX_FRAME_BYTES} bytes"
+        ));
     }
-    from.read_to_end(&mut bytes)?;
-    Ok(bytes)
+    Ok(())
 }
 
-/// The body of the one [`write_frame`] a control pipe carried, checked
-/// against its length prefix and CRC — a short, long or damaged pipe is an
-/// error, never a payload.
-fn unframe(bytes: &[u8]) -> Result<&[u8], String> {
-    if bytes.len() < STREAM_ENVELOPE_BYTES {
-        return Err(format!("{} bytes, no frame envelope", bytes.len()));
-    }
-    let (envelope, body) = bytes.split_at(STREAM_ENVELOPE_BYTES);
-    let len = stream_body_len(envelope).map_err(|e| e.to_string())?;
-    if body.len() != len {
-        return Err(format!("frame of {len} bytes, pipe held {}", body.len()));
-    }
-    stream_check_body(envelope, body).map_err(|e| e.to_string())?;
-    Ok(body)
+/// Why a control pipe did not yield one intact message.
+#[derive(Debug)]
+enum PipeError {
+    /// EOF before the first byte: the writer exited without a frame.
+    Empty,
+    /// Reading the pipe failed.
+    Io(std::io::Error),
+    /// The bytes are not one intact frame holding one well-formed message.
+    Malformed(String),
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian buffer helpers for the task/result payloads.
-// ---------------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
+impl From<String> for PipeError {
+    fn from(message: String) -> Self {
+        PipeError::Malformed(message)
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, at: 0 }
+impl std::fmt::Display for PipeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PipeError::Empty => write!(f, "0 bytes, no frame envelope"),
+            PipeError::Io(e) => write!(f, "{e}"),
+            PipeError::Malformed(m) => write!(f, "{m}"),
+        }
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
+/// Fills `buf` from `from` until it is full or the stream ends; the count
+/// read.
+fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> Result<usize, PipeError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match from.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(PipeError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
+/// Bytes [`Fields::floats`] reads per pass: whole `f32`s and `f64`s, and
+/// the capacity of a default Linux pipe.
+const STAGE_BYTES: usize = 64 * 1024;
+
+/// Reads the fields of one control message straight from a byte stream
+/// into their final values, hashing every byte it takes. It never reads
+/// past the `left` bytes the message declares, and it checks every length
+/// field against them before allocating for it. Over a control pipe the
+/// message is the body of one frame ([`read_frame`]); over a slice, a bare
+/// encoding ([`decode_message`]).
+struct Fields<R> {
+    from: R,
+    /// Message bytes not yet read.
+    left: usize,
+    crc: Crc32,
+}
+
+impl<R: Read> Fields<R> {
+    /// The next `n` message bytes may be read: a field no longer than
+    /// what is left of the message.
+    fn claim(&self, n: usize) -> Result<(), PipeError> {
+        if n > self.left {
             return Err(format!(
-                "message truncated: need {n} more bytes at offset {}",
-                self.at
-            ));
-        };
-        let slice = &self.buf[self.at..end];
-        self.at = end;
-        Ok(slice)
+                "message truncated: a {n}-byte field with {} bytes left",
+                self.left
+            )
+            .into());
+        }
+        Ok(())
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    /// Reads exactly `buf.len()` message bytes into `buf`.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), PipeError> {
+        self.claim(buf.len())?;
+        let got = read_up_to(&mut self.from, buf)?;
+        self.left -= got;
+        self.crc.update(&buf[..got]);
+        if got < buf.len() {
+            return Err(format!("stream ended {} bytes before its frame did", self.left).into());
+        }
+        Ok(())
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PipeError> {
+        let mut bytes = [0u8; N];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    fn u8(&mut self) -> Result<u8, PipeError> {
+        Ok(self.array::<1>()?[0])
     }
 
-    fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|e| format!("index field: {e}"))
+    fn u32(&mut self) -> Result<u32, PipeError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
-    fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.u32()? as usize;
-        let raw = self.take(4 * n)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().expect("4")))
-            .collect())
+    fn u64(&mut self) -> Result<u64, PipeError> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.u32()? as usize;
-        let raw = self.take(8 * n)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().expect("8")))
-            .collect())
+    fn usize(&mut self) -> Result<usize, PipeError> {
+        Ok(usize::try_from(self.u64()?).map_err(|e| format!("index field: {e}"))?)
+    }
+
+    /// `n` message bytes as one buffer.
+    fn take(&mut self, n: usize) -> Result<Vec<u8>, PipeError> {
+        self.claim(n)?;
+        let mut bytes = vec![0u8; n];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
     /// A length-prefixed byte string.
-    fn bytes(&mut self) -> Result<&'a [u8], String> {
+    fn bytes(&mut self) -> Result<Vec<u8>, PipeError> {
         let len = self.u32()? as usize;
         self.take(len)
     }
 
     /// A length-prefixed JSON blob — how serde-derived configuration
-    /// (codecs, trainer configs, chaos plans) rides inside binary messages.
-    fn json<T: Deserialize>(&mut self) -> Result<T, String> {
-        serde_json::from_slice(self.bytes()?).map_err(|e| format!("embedded json: {e:?}"))
+    /// (codecs, trainer configs, chaos plans, ledgers) rides inside binary
+    /// messages.
+    fn json<T: Deserialize>(&mut self) -> Result<T, PipeError> {
+        Ok(serde_json::from_slice(&self.bytes()?).map_err(|e| format!("embedded json: {e:?}"))?)
     }
 
-    /// Everything not yet consumed.
-    fn rest(&mut self) -> &'a [u8] {
-        let slice = &self.buf[self.at..];
-        self.at = self.buf.len();
-        slice
+    /// Everything left of the message.
+    fn rest(&mut self) -> Result<Vec<u8>, PipeError> {
+        self.take(self.left)
     }
 
-    fn done(&self) -> Result<(), String> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "message has {} trailing bytes",
-                self.buf.len() - self.at
-            ))
+    fn f32s(&mut self) -> Result<Vec<f32>, PipeError> {
+        self.floats(f32::from_le_bytes)
+    }
+
+    fn f64s(&mut self) -> Result<Vec<f64>, PipeError> {
+        self.floats(f64::from_le_bytes)
+    }
+
+    /// A count-prefixed vector of `W`-byte little-endian values, read into
+    /// one allocation of the declared count — made only once the count
+    /// fits what is left of the message — through a [`STAGE_BYTES`] buffer.
+    fn floats<T, const W: usize>(
+        &mut self,
+        from_le: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, PipeError> {
+        let count = self.u32()? as usize;
+        let len = count.checked_mul(W).filter(|&len| len <= self.left);
+        let Some(len) = len else {
+            return Err(format!(
+                "{count} values of {W} bytes declared, {} bytes left",
+                self.left
+            )
+            .into());
+        };
+        let mut values = Vec::with_capacity(count);
+        let mut stage = vec![0u8; len.min(STAGE_BYTES)];
+        let mut todo = len;
+        while todo > 0 {
+            let piece = &mut stage[..todo.min(STAGE_BYTES)];
+            self.fill(piece)?;
+            values.extend(
+                piece
+                    .chunks_exact(W)
+                    .map(|b| from_le(b.try_into().expect("W-byte chunk"))),
+            );
+            todo -= piece.len();
         }
+        Ok(values)
+    }
+
+    /// Runs `read` over the message; it must end exactly where the message
+    /// does.
+    fn whole<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, PipeError>,
+    ) -> Result<T, PipeError> {
+        let message = read(self)?;
+        if self.left > 0 {
+            return Err(format!("{} bytes left after the message", self.left).into());
+        }
+        Ok(message)
     }
 }
 
-/// The write side of [`Cursor`]: each method appends what the cursor method
-/// of the same name reads back. Methods take references so the
+/// Decodes a bare message encoding through `read`, which must consume it
+/// exactly.
+fn decode_message<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut Fields<&'a [u8]>) -> Result<T, PipeError>,
+) -> Result<T, PipeError> {
+    let mut fields = Fields {
+        from: bytes,
+        left: bytes.len(),
+        crc: Crc32::new(),
+    };
+    fields.whole(read)
+}
+
+/// Reads the one [`write_frame`] a control pipe carries and decodes its
+/// body through `read` as it streams: the length prefix is judged before
+/// anything else, every body byte goes through the CRC as it is read, and
+/// the raw body is never held whole. The decoded message is returned
+/// only once, in this order, the body ended exactly at its declared
+/// length, the pipe is at EOF, and the CRC matches — a short, long,
+/// polluted or damaged pipe is an error, never a message.
+fn read_frame<R: Read, T>(
+    mut from: R,
+    read: impl FnOnce(&mut Fields<R>) -> Result<T, PipeError>,
+) -> Result<T, PipeError> {
+    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
+    let (prefix, crc_field) = envelope.split_at_mut(STREAM_PREFIX_BYTES);
+    let got = read_up_to(&mut from, prefix)?;
+    if got == 0 {
+        return Err(PipeError::Empty);
+    }
+    let len = if got < prefix.len() {
+        Err(format!("{got} bytes, no frame envelope"))
+    } else {
+        stream_body_len(prefix).map_err(|e| e.to_string())
+    }?;
+    let got = read_up_to(&mut from, crc_field)?;
+    if got < crc_field.len() {
+        return Err(format!("{} bytes, no frame envelope", STREAM_PREFIX_BYTES + got).into());
+    }
+    let mut fields = Fields {
+        from,
+        left: len,
+        crc: Crc32::new(),
+    };
+    let message = fields.whole(read)?;
+    if read_up_to(&mut fields.from, &mut [0u8; 1])? > 0 {
+        return Err(format!("stray bytes after the frame of {len} bytes").into());
+    }
+    stream_check_crc(&envelope, fields.crc.finish()).map_err(|e| e.to_string())?;
+    Ok(message)
+}
+
+// ---------------------------------------------------------------------------
+// The write side of the task/result payloads.
+// ---------------------------------------------------------------------------
+
+/// The write side of [`Fields`]: each method appends what the `Fields`
+/// method of the same name reads back. Methods take references so the
 /// [`message_enum!`] encoders can pass borrowed fields straight through.
 struct Writer(Vec<u8>);
 
@@ -337,7 +519,7 @@ impl Writer {
 // ---------------------------------------------------------------------------
 
 /// Declares a control-plane message enum from one list: per variant its tag
-/// byte, and per field its type and the [`Writer`]/[`Cursor`] method that
+/// byte, and per field its type and the [`Writer`]/[`Fields`] method that
 /// moves it (`json` for serde-derived configuration, `f32s`/`f64s` for
 /// float vectors as raw little-endian bits — so NaN payloads survive). The
 /// enum, `tag`, `encode` and `decode` all expand from that list, so the
@@ -383,11 +565,11 @@ macro_rules! message_enum {
                 w.0
             }
 
-            /// Reads one message from `c`, leaving whatever follows it.
-            fn read(c: &mut Cursor<'_>) -> Result<Self, String> {
-                Ok(match c.u8()? {
-                    $($tag => $name::$variant { $($field: c.$codec()?),* },)*
-                    other => return Err(format!("unknown tag {other}")),
+            /// Reads one message from `f`, leaving whatever follows it.
+            fn read<R: Read>(f: &mut Fields<R>) -> Result<Self, PipeError> {
+                Ok(match f.u8()? {
+                    $($tag => $name::$variant { $($field: f.$codec()?),* },)*
+                    other => return Err(format!("unknown tag {other}").into()),
                 })
             }
 
@@ -398,9 +580,7 @@ macro_rules! message_enum {
             /// [`ProcError::Protocol`] on truncated input, trailing bytes,
             /// an unknown tag or malformed embedded JSON — never a panic.
             pub fn decode(bytes: &[u8]) -> Result<Self, ProcError> {
-                let mut c = Cursor::new(bytes);
-                Self::read(&mut c)
-                    .and_then(|message| c.done().map(|()| message))
+                decode_message(bytes, Self::read)
                     .map_err(|e| ProcError::Protocol(format!("{}: {e}", stringify!($name))))
             }
         }
@@ -477,28 +657,50 @@ impl Start {
         w.0
     }
 
-    /// Decodes [`Start::encode`]'s bytes; a rank outside the world is as
+    /// Reads [`Start::encode`]'s bytes; a rank outside the world is as
     /// malformed as a truncated message.
-    fn decode(bytes: &[u8]) -> Result<Start, ProcError> {
-        let read = |c: &mut Cursor<'_>| {
-            if c.u8()? != MSG_START {
-                return Err("not a START message".to_string());
-            }
-            // Fields are read in the order they are written.
-            let start = Start {
-                dir: PathBuf::from(OsStr::from_bytes(c.bytes()?)),
-                rank: c.usize()?,
-                world: c.usize()?,
-                plan: c.json()?,
-                task: Task::read(c)?,
-            };
-            c.done()?;
-            if start.rank >= start.world {
-                return Err(format!("rank {} outside world {}", start.rank, start.world));
-            }
-            Ok(start)
+    fn read<R: Read>(f: &mut Fields<R>) -> Result<Start, PipeError> {
+        if f.u8()? != MSG_START {
+            return Err("not a START message".to_string().into());
+        }
+        // Fields are read in the order they are written.
+        let start = Start {
+            dir: PathBuf::from(OsStr::from_bytes(&f.bytes()?)),
+            rank: f.usize()?,
+            world: f.usize()?,
+            plan: f.json()?,
+            task: Task::read(f)?,
         };
-        read(&mut Cursor::new(bytes)).map_err(|e| ProcError::Protocol(format!("START: {e}")))
+        if start.rank >= start.world {
+            let (rank, world) = (start.rank, start.world);
+            return Err(format!("rank {rank} outside world {world}").into());
+        }
+        Ok(start)
+    }
+}
+
+/// A worker's report as the launcher reads it: the RESULT's ledger and
+/// output, or the ERROR's failure text.
+#[derive(Debug)]
+enum Report {
+    Result {
+        ledger: TransportStats,
+        output: TaskOutput,
+    },
+    Error(String),
+}
+
+impl Report {
+    /// Reads what [`result_report`] or an ERROR report wrote.
+    fn read<R: Read>(f: &mut Fields<R>) -> Result<Report, PipeError> {
+        Ok(match f.u8()? {
+            MSG_RESULT => Report::Result {
+                ledger: f.json()?,
+                output: TaskOutput::read(f)?,
+            },
+            MSG_ERROR => Report::Error(String::from_utf8_lossy(&f.rest()?).into_owned()),
+            other => return Err(format!("unexpected control tag {other}").into()),
+        })
     }
 }
 
@@ -754,8 +956,8 @@ pub fn worker_boot() {
 }
 
 fn worker_run() -> Result<(), String> {
-    let bytes = read_pipe(&mut std::io::stdin()).map_err(|e| format!("reading START: {e}"))?;
-    let start = Start::decode(unframe(&bytes)?).map_err(|e| e.to_string())?;
+    let start = read_frame(std::io::stdin().lock(), Start::read)
+        .map_err(|e| format!("malformed START: {e}"))?;
     // Chaos-harness hook: die right after START, exercising the launcher's
     // fail-fast path for a worker that never reports. Workers inherit the
     // launcher's environment, so a test sets this around one launch.
@@ -777,28 +979,28 @@ fn worker_run() -> Result<(), String> {
     });
     // Drop the endpoint (closing the mesh) only after the report is staged:
     // peers may still be draining our buffered frames.
-    let report = report(&ep.stats(), &outcome);
+    let (report, failure) = match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
+        Ok(result) => (result, None),
+        Err(message) => ([&[MSG_ERROR], message.as_bytes()].concat(), Some(message)),
+    };
     let mut stdout = std::io::stdout().lock();
     write_frame(&mut stdout, &report)
         .and_then(|()| stdout.flush())
         .map_err(|e| format!("writing the report: {e}"))?;
     drop(ep);
-    outcome.map(|_| ())
+    failure.map_or(Ok(()), Err)
 }
 
-/// A worker's one report: `RESULT` — its ledger as JSON, then its
-/// [`TaskOutput`] written in place, with no intermediate encoding to copy —
-/// or `ERROR` and the failure text.
-fn report(stats: &TransportStats, outcome: &Result<TaskOutput, String>) -> Vec<u8> {
-    match outcome {
-        Ok(output) => {
-            let mut msg = Writer(vec![MSG_RESULT]);
-            msg.json(stats);
-            output.write(&mut msg);
-            msg.0
-        }
-        Err(message) => [&[MSG_ERROR], message.as_bytes()].concat(),
-    }
+/// A worker's `RESULT` report: its ledger as JSON, then its [`TaskOutput`]
+/// written in place, with no intermediate encoding to copy. A RESULT too
+/// large for one control frame is the failure the worker reports in its
+/// place, as `ERROR` and the failure text.
+fn result_report(stats: &TransportStats, output: &TaskOutput) -> Result<Vec<u8>, String> {
+    let mut msg = Writer(vec![MSG_RESULT]);
+    msg.json(stats);
+    output.write(&mut msg);
+    check_frame_len(msg.0.len()).map_err(|e| format!("task output: {e}"))?;
+    Ok(msg.0)
 }
 
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
@@ -976,20 +1178,10 @@ pub fn launch(
     // report; the reports meet in one channel, in whatever order the workers
     // finish. Leaving the scope early drops the guard first, which kills the
     // workers and so ends every thread the scope then joins.
-    let (mut guard, framed) = std::thread::scope(|scope| {
+    let (mut guard, received) = std::thread::scope(|scope| {
         let mut guard = WorkerGuard(Vec::with_capacity(world));
         let (tx, reports) = channel();
         for (rank, task) in tasks.into_iter().enumerate() {
-            let mut child = Command::new(&exe)
-                .env(ENV_WORKER, "1")
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| ProcError::Launch(format!("spawning rank {rank}: {e}")))?;
-            let mut stdin = child.stdin.take().expect("stdin is piped");
-            let mut stdout = child.stdout.take().expect("stdout is piped");
-            guard.0.push(child);
             let start = Start {
                 dir: dir.clone(),
                 rank,
@@ -998,17 +1190,29 @@ pub fn launch(
                 task,
             }
             .encode();
+            check_frame_len(start.len())
+                .map_err(|e| ProcError::Launch(format!("START of rank {rank}: {e}")))?;
+            let mut child = Command::new(&exe)
+                .env(ENV_WORKER, "1")
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| ProcError::Launch(format!("spawning rank {rank}: {e}")))?;
+            let mut stdin = child.stdin.take().expect("stdin is piped");
+            let stdout = child.stdout.take().expect("stdout is piped");
+            guard.0.push(child);
             let tx = tx.clone();
             scope.spawn(move || {
                 let written = write_frame(&mut stdin, &start);
-                drop(stdin); // EOF after START: it is all the worker reads
+                // EOF after START: it is all the worker reads.
+                drop((stdin, start));
 
-                // The frame is checked here, at EOF, so the ranks' CRC passes
-                // over their reports overlap instead of queueing in `launch`.
-                let report = written.and_then(|()| read_pipe(&mut stdout)).map(|bytes| {
-                    let checked = unframe(&bytes).map(|_| ());
-                    (bytes, checked)
-                });
+                // Each rank's report is decoded here as it streams, so the
+                // ranks' decodes and CRC passes overlap their transfers.
+                let report = written
+                    .map_err(PipeError::Io)
+                    .and_then(|()| read_frame(stdout, Report::read));
                 let _ = tx.send((rank, report));
             });
         }
@@ -1016,43 +1220,41 @@ pub fn launch(
         // is attributed to its root cause: one dead rank makes every peer
         // blocked on it fail with a secondary "closed its link
         // mid-collective" cascade. A worker that exits without a report is a
-        // root cause by itself; a report that fails its frame check is judged
-        // with the others below, in rank order.
+        // root cause by itself; a malformed report is judged with the others
+        // below, in rank order.
         let deadline = Instant::now() + RESULT_TIMEOUT;
-        let mut framed = vec![Ok(Vec::new()); world];
+        let mut received = Vec::with_capacity(world);
         for _ in 0..world {
             let wait = deadline.saturating_duration_since(Instant::now());
             let (rank, report) = reports.recv_timeout(wait).map_err(|_| {
                 ProcError::Launch(format!("no report from every worker in {RESULT_TIMEOUT:?}"))
             })?;
             let message = match report {
-                Ok((bytes, checked)) if !bytes.is_empty() => {
-                    framed[rank] = checked.map(|()| bytes);
+                Ok(report) => {
+                    received.push((rank, Ok(report)));
                     continue;
                 }
-                Ok(_) => "worker exited without a report".to_string(),
-                Err(e) => format!("worker pipe failed: {e}"),
+                Err(PipeError::Malformed(e)) => {
+                    received.push((rank, Err(e)));
+                    continue;
+                }
+                Err(PipeError::Empty) => "worker exited without a report".to_string(),
+                Err(PipeError::Io(e)) => format!("worker pipe failed: {e}"),
             };
             return Err(ProcError::Worker { rank, message });
         }
-        Ok((guard, framed))
+        received.sort_by_key(|&(rank, _)| rank);
+        Ok((guard, received))
     })?;
     let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
     let mut errors: Vec<(usize, String)> = Vec::new();
     let mut merged = TransportStats::new(world);
-    // Consumed rank by rank: each raw report is freed once decoded.
-    for (rank, report) in framed.into_iter().enumerate() {
-        let bytes =
-            report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
-        let msg = &bytes[STREAM_ENVELOPE_BYTES..];
-        let mut c = Cursor::new(msg);
-        match c.u8().map_err(ProcError::Protocol)? {
-            MSG_RESULT => {
-                let report: TransportStats = c.json().map_err(ProcError::Protocol)?;
+    for (rank, report) in received {
+        match report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))? {
+            Report::Result { ledger, output } => {
                 merged
-                    .merge(&report)
+                    .merge(&ledger)
                     .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
-                let output = TaskOutput::decode(c.rest())?;
                 if output.tag() != tags[rank] {
                     return Err(ProcError::Protocol(format!(
                         "rank {rank} answered its task with another task's output"
@@ -1060,14 +1262,7 @@ pub fn launch(
                 }
                 results.push(output);
             }
-            MSG_ERROR => {
-                errors.push((rank, String::from_utf8_lossy(&msg[1..]).into_owned()));
-            }
-            other => {
-                return Err(ProcError::Protocol(format!(
-                    "unexpected control tag {other} from rank {rank}"
-                )));
-            }
+            Report::Error(message) => errors.push((rank, message)),
         }
     }
     // Root-cause attribution: the first *primary* fault. Everything matching
@@ -1203,6 +1398,11 @@ mod tests {
     use super::*;
     use snip_quant::stream_frame;
 
+    /// [`Start::read`] over a bare encoding, as [`Task::decode`] reads one.
+    fn decode_start(bytes: &[u8]) -> Result<Start, ProcError> {
+        decode_message(bytes, Start::read).map_err(|e| ProcError::Protocol(e.to_string()))
+    }
+
     /// Payloads chosen to break a lossy encoding: empty, odd lengths, and a
     /// NaN whose payload bits a float-level copy could canonicalize.
     fn payloads() -> Vec<Vec<f32>> {
@@ -1305,18 +1505,18 @@ mod tests {
                 task: task.clone(),
             };
             let bytes = start(2, 3).encode();
-            let back = Start::decode(&bytes).expect("a well-formed START decodes");
+            let back = decode_start(&bytes).expect("a well-formed START decodes");
             assert_eq!(back.encode(), bytes, "{task:?}");
             assert_eq!(
                 (back.dir.clone(), back.rank, back.world),
                 (start(2, 3).dir, 2, 3)
             );
             assert_eq!(back.plan, start(2, 3).plan);
-            rejects_damage(&bytes, Start::decode);
+            rejects_damage(&bytes, decode_start);
             for (rank, world) in [(3, 3), (7, 3), (0, 0)] {
                 assert!(
                     matches!(
-                        Start::decode(&start(rank, world).encode()),
+                        decode_start(&start(rank, world).encode()),
                         Err(ProcError::Protocol(_))
                     ),
                     "rank {rank} of world {world}"
@@ -1327,29 +1527,217 @@ mod tests {
 
     #[test]
     fn a_control_pipe_holds_exactly_one_intact_frame() {
-        // What the reading end gets from a pipe holding `bytes`, then EOF.
-        let pipe = |bytes: &[u8]| read_pipe(&mut &bytes[..]).expect("in-memory read");
+        // What the reading end decodes from a pipe holding `bytes`, then EOF:
+        // the whole body, as the ERROR report's text is read.
+        let pipe = |bytes: &[u8]| read_frame(bytes, |f| f.rest());
         let framed = stream_frame(b"a worker's report");
         let mut written = Vec::new();
         write_frame(&mut written, b"a worker's report").expect("in-memory write");
         assert_eq!(written, framed);
-        assert_eq!(unframe(&pipe(&framed)), Ok(&b"a worker's report"[..]));
-        for cut in 0..framed.len() {
+        assert_eq!(pipe(&framed).expect("intact"), b"a worker's report");
+        assert!(matches!(pipe(&[]), Err(PipeError::Empty)));
+        for cut in 1..framed.len() {
             assert!(
-                unframe(&pipe(&framed[..cut])).is_err(),
+                matches!(pipe(&framed[..cut]), Err(PipeError::Malformed(_))),
                 "prefix of {cut} bytes"
             );
         }
         // A stray write on the worker's stdout, before or after the report.
         let stray: &[u8] = b"hi\n";
         for polluted in [[stray, &framed].concat(), [&framed, stray].concat()] {
-            assert!(unframe(&pipe(&polluted)).is_err());
+            assert!(matches!(pipe(&polluted), Err(PipeError::Malformed(_))));
         }
         let mut flipped = framed.clone();
         *flipped.last_mut().expect("non-empty") ^= 1;
         assert!(
-            unframe(&pipe(&flipped)).is_err(),
+            matches!(pipe(&flipped), Err(PipeError::Malformed(m)) if m.contains("crc mismatch")),
             "the CRC catches a flipped byte"
+        );
+    }
+
+    /// A `Read` over `bytes` that returns the next of `sizes` bytes per call
+    /// (cycling), as a pipe returns whatever its writer has sent so far.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        sizes: Vec<usize>,
+        call: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let want = self.sizes[self.call % self.sizes.len()];
+            self.call += 1;
+            let n = want.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// One byte per read, and seeded random splits from 1 byte to past the
+    /// stage buffer.
+    fn splits(seed: u64) -> Vec<Vec<usize>> {
+        let mut rng = Rng::seed_from(seed);
+        let random = (0..31).map(|_| 1 + (rng.next_u64() % 70_000) as usize);
+        vec![vec![1], random.collect()]
+    }
+
+    #[test]
+    fn split_reads_decode_to_the_whole_buffer_message() {
+        let start = |task| Start {
+            dir: PathBuf::from("snip-fab-split"),
+            rank: 1,
+            world: 2,
+            plan: ChaosPlan::none(3),
+            task,
+        };
+        // Outputs big enough to cross the stage buffer, NaN payloads in both
+        // float widths.
+        let nan32 = f32::from_bits(0x7FA1_2345);
+        let nan64 = f64::from_bits(0xFFF0_0000_0000_0BAD);
+        let big: Vec<f32> = (0..40_000)
+            .map(|i| if i % 9 == 0 { nan32 } else { i as f32 })
+            .collect();
+        let mut all_outputs = outputs();
+        all_outputs.push(TaskOutput::DpTrain {
+            losses: vec![nan64, 1.5, -0.0],
+            params: big.clone(),
+        });
+        all_outputs.push(TaskOutput::AllReduce {
+            rng_fingerprint: 5,
+            data: big,
+        });
+        let stats = TransportStats::new(2);
+        for (seed, task) in tasks().into_iter().enumerate() {
+            let body = start(task).encode();
+            let framed = stream_frame(&body);
+            let whole = read_frame(&framed[..], Start::read).expect("whole START");
+            assert_eq!(whole.encode(), body);
+            for sizes in splits(seed as u64) {
+                let pipe = Trickle {
+                    bytes: &framed,
+                    sizes,
+                    call: 0,
+                };
+                let split = read_frame(pipe, Start::read).expect("split START");
+                assert_eq!(split.encode(), body);
+            }
+        }
+        for (seed, output) in all_outputs.into_iter().enumerate() {
+            let body = result_report(&stats, &output).expect("fits a frame");
+            let framed = stream_frame(&body);
+            let whole = read_frame(&framed[..], Report::read).expect("whole report");
+            for sizes in splits(100 + seed as u64) {
+                let pipe = Trickle {
+                    bytes: &framed,
+                    sizes,
+                    call: 0,
+                };
+                let split = read_frame(pipe, Report::read).expect("split report");
+                for report in [&whole, &split] {
+                    let Report::Result {
+                        ledger,
+                        output: back,
+                    } = report
+                    else {
+                        panic!("RESULT decodes as RESULT");
+                    };
+                    assert_eq!(ledger, &stats);
+                    // Bits, not `PartialEq`: NaN payloads must survive.
+                    assert_eq!(back.encode(), output.encode(), "{output:?}");
+                }
+            }
+        }
+        let error = [&[MSG_ERROR][..], "boom \u{e9}".as_bytes()].concat();
+        let pipe = Trickle {
+            bytes: &stream_frame(&error),
+            sizes: vec![1],
+            call: 0,
+        };
+        assert!(
+            matches!(read_frame(pipe, Report::read), Ok(Report::Error(m)) if m == "boom \u{e9}")
+        );
+    }
+
+    #[test]
+    fn a_count_beyond_the_message_is_rejected_before_allocating() {
+        // An AllReduce output declaring u32::MAX floats (16 GiB) with none
+        // of them present: the count is judged against the bytes left
+        // before `Vec::with_capacity` could see it.
+        let mut bytes = vec![1u8];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 12]);
+        match TaskOutput::decode(&bytes) {
+            Err(ProcError::Protocol(m)) => assert!(
+                m.contains("4294967295 values of 4 bytes declared, 12 bytes left"),
+                "{m}"
+            ),
+            other => panic!("decoded {other:?}"),
+        }
+        let mut report = Writer(vec![MSG_RESULT]);
+        report.json(&TransportStats::new(2));
+        report.0.extend_from_slice(&bytes);
+        let framed = stream_frame(&report.0);
+        assert!(matches!(
+            read_frame(&framed[..], Report::read),
+            Err(PipeError::Malformed(m)) if m.contains("values of 4 bytes declared")
+        ));
+    }
+
+    #[test]
+    fn no_output_escapes_a_frame_that_fails_length_eof_or_crc() {
+        let output = TaskOutput::DpTrain {
+            losses: vec![2.5],
+            params: vec![1.0, f32::from_bits(0x7FC0_0001)],
+        };
+        let body = result_report(&TransportStats::new(2), &output).expect("fits");
+        let framed = stream_frame(&body);
+        assert!(read_frame(&framed[..], Report::read).is_ok());
+        let set_len = |bytes: &mut Vec<u8>, len: usize| {
+            bytes[..STREAM_PREFIX_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+        };
+        let verdict = |bytes: &[u8]| match read_frame(bytes, Report::read) {
+            Ok(report) => panic!("a failed frame released {report:?}"),
+            Err(e) => e.to_string(),
+        };
+        // The body decodes in full, but the envelope declared one byte more
+        // (the pipe holds it, so only the length check can object).
+        let mut long = framed.clone();
+        set_len(&mut long, body.len() + 1);
+        long.push(0);
+        assert!(verdict(&long).contains("1 bytes left after the message"));
+        // One byte less: the message runs out of frame.
+        let mut short = framed.clone();
+        set_len(&mut short, body.len() - 1);
+        assert!(verdict(&short).contains("2 values of 4 bytes declared, 7 bytes left"));
+        // An intact frame with a byte after it fails at EOF, before the CRC
+        // is consulted — here the CRC is wrong too.
+        let mut trailing = framed.clone();
+        trailing[STREAM_PREFIX_BYTES] ^= 1;
+        trailing.push(b'\n');
+        assert!(verdict(&trailing).contains("stray bytes after the frame"));
+        trailing.pop();
+        assert!(verdict(&trailing).contains("crc mismatch"));
+        // A flipped payload bit decodes to a plausible output; the CRC
+        // withholds it.
+        let mut flipped = framed.clone();
+        *flipped.last_mut().expect("non-empty") ^= 0x40;
+        assert!(verdict(&flipped).contains("crc mismatch"));
+        // An oversized prefix is judged before anything else is read.
+        let mut oversize = framed;
+        set_len(&mut oversize, STREAM_MAX_FRAME_BYTES + 1);
+        assert!(verdict(&oversize).contains("exceeds the sanity bound"));
+    }
+
+    #[test]
+    fn an_oversize_control_frame_is_refused_before_it_is_written() {
+        assert_eq!(check_frame_len(STREAM_MAX_FRAME_BYTES), Ok(()));
+        let refused = check_frame_len(STREAM_MAX_FRAME_BYTES + 1).expect_err("over the bound");
+        assert!(
+            refused.contains(&(STREAM_MAX_FRAME_BYTES + 1).to_string())
+                && refused.contains(&STREAM_MAX_FRAME_BYTES.to_string()),
+            "{refused}"
         );
     }
 
@@ -1436,16 +1824,13 @@ mod tests {
         // The worker's RESULT writes the output in place after its ledger:
         // the same bytes `encode` produces on its own.
         let stats = TransportStats::new(2);
-        let result = report(&stats, &Ok(output));
-        let mut c = Cursor::new(&result);
-        assert_eq!(c.u8(), Ok(MSG_RESULT));
-        let ledger: TransportStats = c.json().expect("ledger json");
-        assert_eq!(ledger, stats);
-        assert!(
-            c.rest() == &bytes[..],
-            "in-place RESULT differs from encode()"
-        );
-        let failed = report(&stats, &Err("boom".into()));
-        assert_eq!(failed, [&[MSG_ERROR][..], b"boom"].concat());
+        let result = result_report(&stats, &output).expect("fits a frame");
+        let ledger = decode_message(&result, |f| {
+            assert_eq!(f.u8().expect("tag"), MSG_RESULT);
+            let ledger: TransportStats = f.json()?;
+            assert!(f.rest()? == bytes, "in-place RESULT differs from encode()");
+            Ok(ledger)
+        });
+        assert_eq!(ledger.expect("RESULT decodes"), stats);
     }
 }

@@ -483,43 +483,74 @@ const CRC32_SLICES: [[u32; 256]; 16] = {
 /// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Used by
 /// [`stream_frame`] / [`StreamDecoder`] to detect payload corruption at the
 /// framing layer, so every socket frame and control-pipe report is hashed
-/// once at each end.
+/// once at each end. One [`Crc32`] fed the whole slice; its throughput is
+/// the benchmark's `quant.crc32_gbps` row.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut hasher = Crc32::new();
+    hasher.update(bytes);
+    hasher.finish()
+}
+
+/// An incremental [`crc32`]: feeding a byte string in any split gives the
+/// CRC of the whole, so a reader can hash a body as it streams in.
 ///
 /// Slice-by-16: each step folds 16 bytes (four little-endian `u32` loads)
 /// through 16 compile-time lookup tables, with independent
-/// lookups the CPU can overlap; the `len % 16` tail runs the byte loop.
-/// Portable and dependency-free, and the same CRC as the byte loop for
-/// every input. Its throughput is the benchmark's `quant.crc32_gbps` row.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_SLICES;
-    let lane = |x: u32, k: usize| t[k][(x & 0xFF) as usize];
-    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    let mut c = 0xFFFF_FFFFu32;
-    let mut blocks = bytes.chunks_exact(16);
-    for block in &mut blocks {
-        let (a, b) = (word(&block[0..4]) ^ c, word(&block[4..8]));
-        let (d, e) = (word(&block[8..12]), word(&block[12..16]));
-        c = lane(a, 15)
-            ^ lane(a >> 8, 14)
-            ^ lane(a >> 16, 13)
-            ^ lane(a >> 24, 12)
-            ^ lane(b, 11)
-            ^ lane(b >> 8, 10)
-            ^ lane(b >> 16, 9)
-            ^ lane(b >> 24, 8)
-            ^ lane(d, 7)
-            ^ lane(d >> 8, 6)
-            ^ lane(d >> 16, 5)
-            ^ lane(d >> 24, 4)
-            ^ lane(e, 3)
-            ^ lane(e >> 8, 2)
-            ^ lane(e >> 16, 1)
-            ^ lane(e >> 24, 0);
+/// lookups the CPU can overlap; the `len % 16` tail of each
+/// [`Crc32::update`] runs the byte loop. Portable and dependency-free, and
+/// the same CRC as the byte loop for every input and every split.
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
     }
-    for &b in blocks.remainder() {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+}
+
+impl Crc32 {
+    /// The hasher of the empty string.
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    !c
+
+    /// Folds `bytes` into the running checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_SLICES;
+        let lane = |x: u32, k: usize| t[k][(x & 0xFF) as usize];
+        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let mut c = self.0;
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            let (a, b) = (word(&block[0..4]) ^ c, word(&block[4..8]));
+            let (d, e) = (word(&block[8..12]), word(&block[12..16]));
+            c = lane(a, 15)
+                ^ lane(a >> 8, 14)
+                ^ lane(a >> 16, 13)
+                ^ lane(a >> 24, 12)
+                ^ lane(b, 11)
+                ^ lane(b >> 8, 10)
+                ^ lane(b >> 16, 9)
+                ^ lane(b >> 24, 8)
+                ^ lane(d, 7)
+                ^ lane(d >> 8, 6)
+                ^ lane(d >> 16, 5)
+                ^ lane(d >> 24, 4)
+                ^ lane(e, 3)
+                ^ lane(e >> 8, 2)
+                ^ lane(e >> 16, 1)
+                ^ lane(e >> 24, 0);
+        }
+        for &b in blocks.remainder() {
+            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The CRC32 of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
 }
 
 /// Everything that can go wrong at the byte-stream framing layer (the
@@ -576,7 +607,7 @@ impl std::error::Error for StreamError {}
 /// The stream envelope of `body`: little-endian `u32` length, then
 /// little-endian `u32` [`crc32`] of the body. This function is the only
 /// place those bytes are laid out; [`stream_body_len`] and
-/// [`stream_check_body`] are the only place they are judged. A writer that
+/// [`stream_check_crc`] are the only place they are judged. A writer that
 /// owns its body sends envelope and body as two writes (the socket fabric);
 /// [`stream_frame`] is the one-buffer form.
 ///
@@ -617,16 +648,17 @@ pub fn stream_body_len(envelope: &[u8]) -> Result<usize, StreamError> {
     Ok(len as usize)
 }
 
-/// Checks a received `body` against the checksum its `envelope` carries.
+/// Checks `got`, the [`crc32`] of a received body, against the checksum its
+/// `envelope` carries.
 ///
 /// # Panics
 ///
 /// Panics if `envelope` holds fewer than [`STREAM_ENVELOPE_BYTES`] bytes.
-pub fn stream_check_body(envelope: &[u8], body: &[u8]) -> Result<(), StreamError> {
+pub fn stream_check_crc(envelope: &[u8], got: u32) -> Result<(), StreamError> {
     let field = envelope[STREAM_PREFIX_BYTES..STREAM_ENVELOPE_BYTES]
         .try_into()
         .expect("crc field");
-    let (expect, got) = (u32::from_le_bytes(field), crc32(body));
+    let expect = u32::from_le_bytes(field);
     if got != expect {
         return Err(StreamError::Crc { expect, got });
     }
@@ -696,7 +728,7 @@ impl StreamDecoder {
             return Ok(None);
         }
         let body = pending[STREAM_ENVELOPE_BYTES..STREAM_ENVELOPE_BYTES + len].to_vec();
-        stream_check_body(pending, &body)?;
+        stream_check_crc(pending, crc32(&body))?;
         self.read += STREAM_ENVELOPE_BYTES + len;
         // Compact once the consumed prefix dominates, so the buffer does not
         // grow without bound across a long-lived link.

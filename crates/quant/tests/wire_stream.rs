@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
 use snip_quant::{
-    crc32, stream_frame, PackedQuantize, PackedTensor, Quantizer, Rounding, StreamDecoder,
+    crc32, stream_frame, Crc32, PackedQuantize, PackedTensor, Quantizer, Rounding, StreamDecoder,
     StreamError, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
 };
 use snip_tensor::rng::Rng;
@@ -83,6 +83,24 @@ proptest! {
             let bytes = &buf[offset..offset + len];
             prop_assert_eq!(crc32(bytes), crc32_reference(bytes), "len {}", len);
         }
+    }
+
+    /// The incremental hasher fed in any split gives the CRC of the whole:
+    /// a reader may hash a body in whatever pieces its reads return.
+    #[test]
+    fn the_incremental_crc_is_split_invariant(
+        buf in proptest::collection::vec(0u8..=255, 0..300),
+        cuts in proptest::collection::vec(0usize..300, 0..8),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(buf.len())).collect();
+        cuts.sort_unstable();
+        let mut hasher = Crc32::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([buf.len()]) {
+            hasher.update(&buf[at..cut]);
+            at = cut;
+        }
+        prop_assert_eq!(hasher.finish(), crc32_reference(&buf));
     }
 
     /// Any split of a valid frame sequence round-trips: the decoder yields
