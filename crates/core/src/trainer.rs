@@ -3,8 +3,9 @@
 //!
 //! The paper's evaluation protocol (§6.1) resumes pretraining from saved
 //! intermediate checkpoints under different quantization schemes. [`Trainer`]
-//! packages model + optimizer + data stream + RNG into one serializable unit
-//! so experiments can create checkpoints and branch from them exactly.
+//! packages model + optimizer + data stream + RNG into one resumable unit,
+//! and [`Trainer::save`] / [`Trainer::load`] persist it bit for bit so
+//! experiments can create checkpoints and branch from them exactly.
 
 use crate::engine::SnipEngine;
 use crate::scheme::Scheme;
@@ -13,8 +14,11 @@ use snip_data::BatchStream;
 use snip_nn::model::{Model, StepOptions, StepOutput};
 use snip_nn::ModelConfig;
 use snip_optim::{clip::clip_global_norm, AdamW, AdamWConfig, LrSchedule};
+use snip_quant::wire::{read_file_frame, write_file_frame, FieldError, Fields, Writer};
 use snip_tensor::arena;
 use snip_tensor::rng::Rng;
+use std::fs::File;
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 /// Full trainer configuration.
@@ -71,7 +75,7 @@ impl TrainerConfig {
 }
 
 /// A resumable trainer (model + optimizer + data + RNG + step counter).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Trainer {
     cfg: TrainerConfig,
     /// The model being trained.
@@ -82,13 +86,10 @@ pub struct Trainer {
     rng: Rng,
     step: u64,
     /// Loss of the most recent training step (0.0 before the first step).
-    /// Feeds the `"training"` section of the per-run telemetry report;
-    /// `default` keeps checkpoints from before this field loadable.
-    #[serde(default)]
+    /// Feeds the `"training"` section of the per-run telemetry report.
     last_loss: f64,
     /// Why the most recent SNIP scheme update could not be applied (see
     /// [`Trainer::last_scheme_error`]); `None` while updates succeed.
-    #[serde(default)]
     last_scheme_error: Option<String>,
 }
 
@@ -97,8 +98,12 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns the model-config validation message on inconsistency.
+    /// Returns the model-config validation message on inconsistency, and
+    /// an error for an empty batch shape or a language without states.
     pub fn new(cfg: TrainerConfig) -> Result<Self, String> {
+        if cfg.batch_size == 0 || cfg.seq_len == 0 || cfg.language.n_states == 0 {
+            return Err("batch size, sequence length and language states must be positive".into());
+        }
         let model = Model::new(cfg.model.clone(), cfg.init_seed)?;
         let optimizer = AdamW::new(cfg.adamw);
         let language = snip_data::SyntheticLanguage::new(
@@ -362,25 +367,145 @@ impl Trainer {
         snip_obs::flush()
     }
 
-    /// Saves the full trainer state as JSON.
+    /// Saves the trainer's state as one checkpoint file (layout in the
+    /// [`snip_quant::wire`] docs), streamed through the field codec with
+    /// no copy of the state, atomically: it writes `path` plus `.tmp`,
+    /// syncs it, renames it over `path` and syncs the directory, so `path`
+    /// holds either the old checkpoint or the whole new one.
     ///
     /// # Errors
     ///
-    /// I/O or serialization failures.
+    /// I/O failures; the temporary file is removed.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), std::io::Error> {
-        let json = serde_json::to_vec(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
+        let path = path.as_ref();
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = Path::new(&tmp);
+        let written = (|| {
+            let out = BufWriter::new(File::create(tmp)?);
+            let file = write_file_frame(out, |w| self.write_state(w))?
+                .into_inner()
+                .map_err(std::io::IntoInnerError::into_error)?;
+            file.sync_all()?;
+            std::fs::rename(tmp, path)?;
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(tmp);
+        }
+        written
     }
 
-    /// Restores a trainer saved by [`Trainer::save`].
+    /// Restores a trainer saved by [`Trainer::save`]: it builds
+    /// `Trainer::new` from the checkpoint's configuration and overwrites
+    /// that trainer's state as the file streams in. Gradients are zero;
+    /// caches and derived tables are rebuilt from the configuration.
     ///
     /// # Errors
     ///
-    /// I/O or deserialization failures.
+    /// I/O failures as they are; a file that is not one intact checkpoint
+    /// — truncated, extended, damaged, or holding state of another shape
+    /// than its configuration — as [`ErrorKind::InvalidData`] around a
+    /// [`FieldError`]. No partly loaded trainer is ever returned.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, std::io::Error> {
-        let bytes = std::fs::read(path)?;
-        serde_json::from_slice(&bytes).map_err(std::io::Error::other)
+        let file = BufReader::new(File::open(path)?);
+        read_file_frame(file, Trainer::read_state).map_err(|e| match e {
+            FieldError::Io(e) => e,
+            e => std::io::Error::new(ErrorKind::InvalidData, e),
+        })
     }
+
+    /// The bytes [`Trainer::save`] writes, in memory: two trainers with the
+    /// same state (gradients aside) have the same checkpoint bytes.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        let out = write_file_frame(std::io::Cursor::new(Vec::new()), |w| self.write_state(w));
+        out.expect("writing to memory cannot fail").into_inner()
+    }
+
+    /// The checkpoint body: the configuration as embedded JSON, the step,
+    /// `last_loss` and `last_scheme_error`, the trainer RNG and the batch
+    /// stream's cursor, the model ([`Model::write_state`]) and the
+    /// optimizer ([`AdamW::write_state`]).
+    fn write_state<W: Write>(&self, w: &mut Writer<W>) {
+        w.json(&self.cfg);
+        w.u64(&self.step);
+        w.u64(&self.last_loss.to_bits());
+        match &self.last_scheme_error {
+            None => w.u8(0),
+            Some(message) => {
+                w.u8(1);
+                w.bytes(message.as_bytes());
+            }
+        }
+        for rng in [&self.rng, &self.stream.cursor()] {
+            let (state, spare) = rng.state();
+            state.iter().for_each(|word| w.u64(word));
+            match spare {
+                None => w.u8(0),
+                Some(bits) => {
+                    w.u8(1);
+                    w.u64(&bits);
+                }
+            }
+        }
+        self.model.write_state(w);
+        self.optimizer.write_state(w);
+    }
+
+    /// Reads what [`Trainer::write_state`] wrote. The configuration is
+    /// input too: the parameters it declares must fit the bytes left in
+    /// the file (4 per value at least) before a model is built for them.
+    fn read_state<R: Read>(f: &mut Fields<R>) -> Result<Trainer, FieldError> {
+        let cfg: TrainerConfig = f.json()?;
+        let left = f.left() as u128;
+        let declared = declared_params(&cfg.model);
+        if declared.is_none_or(|n| n.saturating_mul(4) > left) {
+            return Err(format!(
+                "the configuration declares {declared:?} parameters; {left} bytes are left"
+            )
+            .into());
+        }
+        let mut t = Trainer::new(cfg).map_err(|e| format!("trainer config: {e}"))?;
+        t.step = f.u64()?;
+        t.last_loss = f64::from_bits(f.u64()?);
+        t.last_scheme_error = match f.u8()? {
+            0 => None,
+            1 => Some(String::from_utf8(f.bytes()?).map_err(|e| format!("scheme error: {e}"))?),
+            byte => return Err(format!("scheme-error flag byte {byte}").into()),
+        };
+        t.rng = read_rng(f)?;
+        t.stream.rewind(read_rng(f)?);
+        t.model.read_state(f)?;
+        t.optimizer.read_state(f, &t.model)?;
+        Ok(t)
+    }
+}
+
+/// An [`Rng`] as [`Trainer::write_state`] writes it: four state words, then
+/// a flag byte and, when set, the cached Gaussian's bits.
+fn read_rng<R: Read>(f: &mut Fields<R>) -> Result<Rng, FieldError> {
+    let mut state = [0u64; 4];
+    for word in &mut state {
+        *word = f.u64()?;
+    }
+    let spare = match f.u8()? {
+        0 => None,
+        1 => Some(f.u64()?),
+        byte => return Err(format!("rng flag byte {byte}").into()),
+    };
+    Ok(Rng::from_state(state, spare))
+}
+
+/// The parameter count [`ModelConfig::param_count`] gives, computed without
+/// overflow for any configuration (`None` past `u128`).
+fn declared_params(m: &ModelConfig) -> Option<u128> {
+    let [h, f, v, l] = [m.hidden, m.ffn_hidden, m.vocab_size, m.n_layers].map(|d| d as u128);
+    let block = (4 * h)
+        .checked_mul(h)?
+        .checked_add((3 * h).checked_mul(f)?)?;
+    let blocks = l.checked_mul(block.checked_add(2 * h)?)?;
+    (2 * v).checked_mul(h)?.checked_add(blocks)?.checked_add(h)
 }
 
 #[cfg(test)]
@@ -388,6 +513,15 @@ mod tests {
     use super::*;
     use crate::engine::SnipConfig;
     use crate::policy::PolicyConfig;
+    use snip_quant::wire::FILE_ENVELOPE_BYTES;
+
+    /// Everything a trainer holds, as bits: its checkpoint bytes, and the
+    /// gradients a checkpoint leaves out.
+    fn state(t: &Trainer) -> (Vec<u8>, Vec<u32>) {
+        let params = t.model.params();
+        let grads = params.iter().flat_map(|p| p.grad().as_slice());
+        (t.checkpoint_bytes(), grads.map(|g| g.to_bits()).collect())
+    }
 
     #[test]
     fn training_reduces_loss() {
@@ -421,20 +555,289 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip_is_exact() {
-        let dir = std::env::temp_dir().join("snip_trainer_test");
+        use snip_optim::MomentPrecision;
+        let dir = std::env::temp_dir().join(format!("snip_trainer_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
+        let path = dir.join("ckpt.bin");
+        for moments in [MomentPrecision::F32, MomentPrecision::PackedFp8] {
+            let mut t = Trainer::new(TrainerConfig::tiny().with_moment_precision(moments)).unwrap();
+            let _ = t.train(10);
+            t.save(&path).unwrap();
+            assert!(std::fs::read(&path).unwrap() == t.checkpoint_bytes());
+            let mut restored = Trainer::load(&path).unwrap();
+            assert_eq!(restored.step_count(), t.step_count());
+            assert!(restored.checkpoint_bytes() == t.checkpoint_bytes());
+            // Continuing from the checkpoint must match continuing the
+            // original.
+            let a = t.train(3);
+            let b = restored.train(3);
+            assert_eq!(a, b, "{moments:?}: checkpoint resume must be bit-exact");
+            assert!(state(&restored) == state(&t), "{moments:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
+    /// A file frame around `body` with a valid CRC: a forged body reaches
+    /// the loader's structural checks.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut file = snip_quant::wire::FILE_MAGIC.to_vec();
+        file.extend((body.len() as u64).to_le_bytes());
+        file.extend(snip_quant::crc32(body).to_le_bytes());
+        file.extend(body);
+        file
+    }
+
+    /// What [`Trainer::load`] makes of a file holding `bytes`.
+    fn load_bytes(bytes: &[u8]) -> Result<Trainer, FieldError> {
+        read_file_frame(bytes, Trainer::read_state)
+    }
+
+    /// Loads `bytes`, which must be refused as malformed; the message.
+    fn refused(bytes: &[u8], what: &str) -> String {
+        match load_bytes(bytes) {
+            Ok(_) => panic!("{what}: a bad checkpoint loaded"),
+            Err(FieldError::Malformed(m)) => m,
+            Err(e) => panic!("{what}: {e:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_state_survives_a_round_trip() {
+        let specials = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(0x7FA1_2345),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut t = Trainer::new(TrainerConfig::tiny()).unwrap();
-        let _ = t.train(10);
-        t.save(&path).unwrap();
-        let mut restored = Trainer::load(&path).unwrap();
-        assert_eq!(restored.step_count(), t.step_count());
-        // Continuing from the checkpoint must match continuing the original.
-        let a = t.train(3);
-        let b = restored.train(3);
-        assert_eq!(a, b, "checkpoint resume must be bit-exact");
+        let _ = t.train(2);
+        t.model.params_mut()[1].value_mut().as_mut_slice()[..4].copy_from_slice(&specials);
+        // The f32 first moment of parameter 0, set through the optimizer's
+        // own state: `t`, `lr` and the entry count, then `m`'s count.
+        let mut w = Writer::new(Vec::new());
+        t.optimizer.write_state(&mut w);
+        let mut optimizer = w.finish().unwrap().0;
+        for (k, v) in specials.iter().enumerate() {
+            let at = 8 + 8 + 8 + 4 + 4 * k;
+            optimizer[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        snip_quant::wire::decode_message(&optimizer, |f| t.optimizer.read_state(f, &t.model))
+            .unwrap();
+        let path = std::env::temp_dir().join(format!("snip_non_finite_{}.bin", std::process::id()));
+        for loss in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+        ] {
+            t.last_loss = loss;
+            t.save(&path).unwrap();
+            let back = Trainer::load(&path).unwrap();
+            assert_eq!(back.last_loss.to_bits(), loss.to_bits());
+            assert_eq!(
+                bits(&back.model.params()[1].value().as_slice()[..4]),
+                bits(&specials)
+            );
+            let m = back.optimizer.moments(0).unwrap().m;
+            assert_eq!(bits(&m.as_slice()[..4]), bits(&specials));
+            assert!(back.checkpoint_bytes() == t.checkpoint_bytes());
+        }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_size_is_the_analytic_count() {
+        use snip_optim::MomentPrecision;
+        use snip_quant::wire::FILE_ENVELOPE_BYTES;
+        use snip_quant::WIRE_HEADER_BYTES;
+        for moments in [MomentPrecision::F32, MomentPrecision::PackedFp8] {
+            let mut t = Trainer::new(TrainerConfig::tiny().with_moment_precision(moments)).unwrap();
+            let _ = t.train(3);
+            t.last_scheme_error = Some("infeasible".into());
+            let params = t.model.params();
+            let shapes: Vec<(usize, usize)> = params.iter().map(|p| p.value().shape()).collect();
+            let n: usize = shapes.iter().map(|(r, c)| r * c).sum();
+            assert_eq!(n, t.config().model.param_count());
+            let spare = |rng: &Rng| 8 * usize::from(rng.state().1.is_some());
+            // The envelope; the configuration; step and last_loss; the
+            // scheme-error flag and string; two RNGs; per linear layer three
+            // precision bytes and the exact flag; the optimizer's t, lr and
+            // entry count.
+            let fixed = FILE_ENVELOPE_BYTES
+                + 4
+                + serde_json::to_vec(t.config()).unwrap().len()
+                + 16
+                + (1 + 4 + "infeasible".len())
+                + 2 * (32 + 1)
+                + spare(&t.rng)
+                + spare(&t.stream.cursor())
+                + 4 * (t.config().model.n_linear_layers() + 1)
+                + 24;
+            // Per parameter: its values, 4 B each, after a count; then its
+            // two moments — 4 B per value after a count, or a packed frame
+            // of 1 B per value plus a 4-byte scale per 1×128 tile.
+            let values = 4 * shapes.len() + 4 * n;
+            let moments_bytes: usize = match moments {
+                MomentPrecision::F32 => 2 * (4 * shapes.len() + 4 * n),
+                MomentPrecision::PackedFp8 => shapes
+                    .iter()
+                    .map(|&(r, c)| 2 * (WIRE_HEADER_BYTES + r * c + 4 * r * c.div_ceil(128)))
+                    .sum(),
+            };
+            assert_eq!(
+                t.checkpoint_bytes().len(),
+                fixed + values + moments_bytes,
+                "{moments:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn damaged_checkpoints_are_typed_errors() {
+        let mut t = Trainer::new(TrainerConfig::tiny()).unwrap();
+        let _ = t.train(2);
+        let file = t.checkpoint_bytes();
+        assert!(load_bytes(&file).is_ok());
+        let body = &file[FILE_ENVELOPE_BYTES..];
+        assert!(matches!(load_bytes(&[]), Err(FieldError::Empty)));
+        // Truncated anywhere, the envelope's edges included.
+        let cuts = (1..file.len())
+            .step_by(61)
+            .chain([19, 20, 21, file.len() - 1]);
+        for cut in cuts {
+            refused(&file[..cut], &format!("cut at {cut}"));
+        }
+        // Extended: a stray byte after the frame, or a frame one byte long.
+        let mut long = file.clone();
+        long.push(0);
+        assert!(refused(&long, "stray byte").contains("stray bytes"));
+        let extended = framed(&[body, &[0]].concat());
+        assert!(refused(&extended, "extended").contains("1 bytes left after the message"));
+        // Bit-flipped: the CRC or a structural check refuses each.
+        for at in (0..file.len()).step_by(37) {
+            let mut flipped = file.clone();
+            flipped[at] ^= 1 << (at % 8);
+            refused(&flipped, &format!("bit flip at byte {at}"));
+        }
+        // Through the file system the refusal is `InvalidData`, and no
+        // trainer comes back.
+        let path = std::env::temp_dir().join(format!("snip_damaged_{}.bin", std::process::id()));
+        std::fs::write(&path, &file[..file.len() / 2]).unwrap();
+        let err = Trainer::load(&path).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `t`'s checkpoint body, and where in it the model's state and the
+    /// optimizer's start.
+    fn body_and_sections(t: &Trainer) -> (Vec<u8>, usize, usize) {
+        let written = |write: &dyn Fn(&mut Writer<Vec<u8>>)| {
+            let mut w = Writer::new(Vec::new());
+            write(&mut w);
+            w.written() as usize
+        };
+        let model = written(&|w| t.model.write_state(w));
+        let optimizer = written(&|w| t.optimizer.write_state(w));
+        let body = t.checkpoint_bytes()[FILE_ENVELOPE_BYTES..].to_vec();
+        let optimizer_at = body.len() - optimizer;
+        (body, optimizer_at - model, optimizer_at)
+    }
+
+    /// `body` with its embedded configuration replaced by `cfg`'s JSON.
+    fn with_config(body: &[u8], cfg: &[u8]) -> Vec<u8> {
+        let len = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+        let mut forged = (cfg.len() as u32).to_le_bytes().to_vec();
+        forged.extend(cfg);
+        forged.extend(&body[4 + len..]);
+        forged
+    }
+
+    /// Forgeries behind a valid CRC: the structural checks refuse a value
+    /// vector of the wrong length, packed moments whose frame header
+    /// disagrees with their parameter, and a configuration that does not
+    /// fit the state that follows it.
+    #[test]
+    fn mismatched_checkpoints_are_typed_errors() {
+        use snip_optim::MomentPrecision;
+        let mut t = Trainer::new(TrainerConfig::tiny()).unwrap();
+        let _ = t.train(2);
+        let (body, model_at, _) = body_and_sections(&t);
+        let count = u32::from_le_bytes(body[model_at..model_at + 4].try_into().unwrap());
+        let with_count = |n: u32| {
+            let mut forged = body.clone();
+            forged[model_at..model_at + 4].copy_from_slice(&n.to_le_bytes());
+            framed(&forged)
+        };
+        for (n, case) in [
+            (count - 1, "a short buffer"),
+            (count + 1, "a long buffer"),
+            (u32::MAX, "an overflowing count"),
+        ] {
+            let m = refused(&with_count(n), case);
+            assert!(m.contains("values where"), "{case}: {m}");
+        }
+
+        let mut packed =
+            Trainer::new(TrainerConfig::tiny().with_moment_precision(MomentPrecision::PackedFp8))
+                .unwrap();
+        let _ = packed.train(2);
+        let (body, _, optimizer_at) = body_and_sections(&packed);
+        // The first moment's frame header, after t, lr and the entry count.
+        let header = optimizer_at + 24;
+        let forge = |at: usize, bytes: &[u8]| {
+            let mut forged = body.clone();
+            forged[header + at..header + at + bytes.len()].copy_from_slice(bytes);
+            framed(&forged)
+        };
+        assert!(load_bytes(&framed(&body)).is_ok());
+        for (forged, case) in [
+            (forge(4, &[0]), "a decode table of another width (E2M1)"),
+            (
+                forge(8, &[body[header + 8] + 1]),
+                "a short code buffer (one more row)",
+            ),
+            (
+                forge(16, &8u32.to_le_bytes()),
+                "a missing scale (8-wide tiles: twice the scales)",
+            ),
+            (forge(16, &0u32.to_le_bytes()), "a zero group length"),
+            (
+                forge(5, &[3]),
+                "a stale column-group count (blocks for tiles)",
+            ),
+            (forge(3, &[1]), "another packed variant (MX)"),
+            (forge(0, b"XX"), "no frame magic"),
+        ] {
+            refused(&forged, case);
+        }
+
+        // A configuration of another shape, an invalid one, and one whose
+        // parameters could not fit the file: refused before a trainer is
+        // built for the last two.
+        let (body, _, _) = body_and_sections(&t);
+        let cfg = |edit: &dyn Fn(&mut TrainerConfig)| {
+            let mut cfg = TrainerConfig::tiny();
+            edit(&mut cfg);
+            framed(&with_config(&body, &serde_json::to_vec(&cfg).unwrap()))
+        };
+        let wider = refused(&cfg(&|c| c.model.vocab_size += 1), "wider vocabulary");
+        assert!(wider.contains("values where"), "{wider}");
+        let invalid = refused(&cfg(&|c| c.model.n_heads = 3), "invalid configuration");
+        assert!(invalid.contains("trainer config"), "{invalid}");
+        let empty = refused(&cfg(&|c| c.batch_size = 0), "empty batch");
+        assert!(empty.contains("trainer config"), "{empty}");
+        let huge = refused(
+            &cfg(&|c| c.model.hidden = 1 << 40),
+            "a model beyond the file",
+        );
+        assert!(huge.contains("bytes are left"), "{huge}");
+        let overflowing = refused(
+            &cfg(&|c| c.model.hidden = usize::MAX),
+            "an overflowing model",
+        );
+        assert!(overflowing.contains("None"), "{overflowing}");
+        assert!(load_bytes(&cfg(&|_| {})).is_ok());
     }
 
     #[test]
@@ -453,7 +856,7 @@ mod tests {
         let zeroed = |t: &Trainer| {
             let mut t = t.clone();
             t.model.zero_all_grads();
-            serde_json::to_vec(&t).unwrap()
+            state(&t)
         };
         let mut t = Trainer::new(cfg.clone()).unwrap();
         let mut calm = Trainer::new(cfg).unwrap();
@@ -468,14 +871,14 @@ mod tests {
             });
             assert_eq!(failed, Err("link died"));
             assert_eq!(t.step_count(), 4);
-            assert_eq!(
-                serde_json::to_vec(&t).unwrap(),
-                before,
+            assert!(
+                state(&t) == before,
                 "attempt {attempt}: a failed step leaves the pre-step state with zeroed gradients"
             );
         }
         // The retried step and three more match a trainer that never faulted:
-        // losses and every parameter (and everything else that serializes).
+        // losses, every parameter and gradient, and everything else a
+        // checkpoint holds.
         let retried: Vec<f64> = (0..4)
             .map(|_| {
                 t.try_train_step_with_grad_hook::<&str>(&mut |_| Ok(()))
@@ -484,10 +887,7 @@ mod tests {
             .collect();
         assert_eq!(retried, calm.train(4));
         assert_eq!(t.step_count(), 8);
-        assert_eq!(
-            serde_json::to_vec(&t).unwrap(),
-            serde_json::to_vec(&calm).unwrap()
-        );
+        assert!(state(&t) == state(&calm));
     }
 
     #[test]
@@ -583,11 +983,11 @@ mod tests {
         assert!(ratio >= 3.0, "moment bytes only {ratio:.2}x smaller");
 
         // Checkpoint resume stays bit-exact with packed moments: the codes
-        // and scales serialize verbatim.
+        // and scales are stored as they are.
         let dir =
             std::env::temp_dir().join(format!("snip_trainer_packed_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
+        let path = dir.join("ckpt.bin");
         t.save(&path).unwrap();
         let mut restored = Trainer::load(&path).unwrap();
         let a = t.train(3);

@@ -33,10 +33,13 @@ fn fresh() -> Trainer {
     Trainer::new(TrainerConfig::tiny()).expect("tiny trainer")
 }
 
-/// Everything a run leaves behind: parameters, moments, gradients, data
-/// cursor, RNG, step count and the installed scheme.
-fn state(t: &Trainer) -> Vec<u8> {
-    serde_json::to_vec(t).expect("trainer serializes")
+/// Everything a run leaves behind: parameters, moments, data cursor, RNG,
+/// step count and the installed scheme (the checkpoint bytes), and the
+/// gradients a checkpoint leaves out (their bits).
+fn state(t: &Trainer) -> (Vec<u8>, Vec<u32>) {
+    let params = t.model.params();
+    let grads = params.iter().flat_map(|p| p.grad().as_slice());
+    (t.checkpoint_bytes(), grads.map(|g| g.to_bits()).collect())
 }
 
 /// One run, a step per call: loss bits and the scheme each step trained
@@ -45,7 +48,7 @@ fn state(t: &Trainer) -> Vec<u8> {
 struct Run {
     losses: Vec<u64>,
     schemes: Vec<Vec<LinearPrecision>>,
-    state: Vec<u8>,
+    state: (Vec<u8>, Vec<u32>),
 }
 
 fn run(mut t: Trainer, steps: u64, e: &SnipEngine) -> Run {
@@ -126,7 +129,7 @@ fn checkpoint_at_any_step_of_a_period_resumes_bit_exactly() {
     let whole = run(fresh(), STEPS, &engine());
     let dir = std::env::temp_dir().join(format!("snip_adaptive_det_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch directory");
-    let path = dir.join("ckpt.json");
+    let path = dir.join("ckpt.bin");
     // From the step before the first update through the whole next period:
     // saved just before an update step, on one, and at every lag after it.
     for j in PERIOD - 1..=2 * PERIOD {

@@ -212,10 +212,13 @@ fn cases() -> Vec<(&'static str, Trainer)> {
     ]
 }
 
-/// Everything of a trainer the probe could have disturbed, as bytes (the
-/// trainer serializes its model with gradients, optimizer and RNG).
-fn state_bytes(t: &Trainer) -> Vec<u8> {
-    serde_json::to_vec(t).expect("trainer serializes")
+/// Everything of a trainer the probe could have disturbed, as bits: its
+/// checkpoint bytes (parameters, scheme, optimizer, RNG and data cursor)
+/// and its gradients.
+fn state_bytes(t: &Trainer) -> (Vec<u8>, Vec<u32>) {
+    let params = t.model.params();
+    let grads = params.iter().flat_map(|p| p.grad().as_slice());
+    (t.checkpoint_bytes(), grads.map(|g| g.to_bits()).collect())
 }
 
 #[test]

@@ -17,8 +17,8 @@
 
 use snip_core::{PolicyConfig, SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip_nn::{LayerId, ModelConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+#[path = "support/counting.rs"]
+mod counting;
 
 /// Bytes the update step may hold beyond the plain step's mark and the
 /// scratch: 512 KiB, the probe's small state and allocator noise (a
@@ -27,54 +27,6 @@ const SLACK: usize = 512 * 1024;
 
 /// Steps between scheme updates: steps 0..3 are plain, step 4 measures.
 const PERIOD: u64 = 4;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting live bytes and their high-water mark.
-struct Counting;
-
-impl Counting {
-    fn grow(bytes: usize) {
-        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-        PEAK.fetch_max(live, Relaxed);
-    }
-
-    fn shrink(bytes: usize) {
-        LIVE.fetch_sub(bytes, Relaxed);
-    }
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; counting touches only atomics and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grow(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::grow(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            Self::grow(new_size - layout.size());
-        } else {
-            Self::shrink(layout.size() - new_size);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::shrink(layout.size());
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 fn trainer() -> Trainer {
     let mut cfg = TrainerConfig::tiny();
@@ -95,9 +47,7 @@ fn trainer() -> Trainer {
 
 /// The high-water mark of live bytes over one `train_with_engine` step.
 fn peak_of_step(t: &mut Trainer, engine: &SnipEngine) -> usize {
-    PEAK.store(LIVE.load(Relaxed), Relaxed);
-    t.train_with_engine(1, engine);
-    PEAK.load(Relaxed)
+    counting::high_water(|| t.train_with_engine(1, engine)).0
 }
 
 /// One test, so no other test's thread allocates while the marks are taken.
@@ -133,7 +83,7 @@ fn a_measured_step_holds_at_most_one_weight_more_than_a_plain_step() {
         })
         .max()
         .expect("linear layers");
-    let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
+    let mib = counting::mib;
     println!(
         "plain step {:.2} MiB, measured step {:.2} MiB (+{:.2}); \
          bound +{:.2} (largest weight {:.2} + slack {:.2})",

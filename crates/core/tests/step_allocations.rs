@@ -16,64 +16,11 @@
 use snip_core::{Scheme, Trainer, TrainerConfig};
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+#[path = "support/counting.rs"]
+mod counting;
 
 /// 128 KiB: the arena floor in bytes.
 const LARGE: usize = 128 * 1024;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static WIDE_CALLS: AtomicUsize = AtomicUsize::new(0);
-static WIDE_BYTES: AtomicUsize = AtomicUsize::new(0);
-static BYTE_CALLS: AtomicUsize = AtomicUsize::new(0);
-static BYTE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting large allocations while `COUNTING` is
-/// set — on every thread, pool workers included.
-struct Counting;
-
-impl Counting {
-    fn note(layout: Layout) {
-        if layout.size() < LARGE || !COUNTING.load(Relaxed) {
-            return;
-        }
-        let (calls, bytes) = if layout.align() == 1 {
-            (&BYTE_CALLS, &BYTE_BYTES)
-        } else {
-            (&WIDE_CALLS, &WIDE_BYTES)
-        };
-        calls.fetch_add(1, Relaxed);
-        bytes.fetch_add(layout.size(), Relaxed);
-    }
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; counting touches only atomics and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            Self::note(Layout::from_size_align_unchecked(new_size, layout.align()));
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 fn trainer(p: Precision) -> Trainer {
     let mut cfg = TrainerConfig::tiny();
@@ -100,13 +47,8 @@ fn trainer(p: Precision) -> Trainer {
 fn steady_state(p: Precision) -> [usize; 4] {
     let mut t = trainer(p);
     t.train(3);
-    for c in [&WIDE_CALLS, &WIDE_BYTES, &BYTE_CALLS, &BYTE_BYTES] {
-        c.store(0, Relaxed);
-    }
-    COUNTING.store(true, Relaxed);
-    t.train(3);
-    COUNTING.store(false, Relaxed);
-    [&WIDE_CALLS, &WIDE_BYTES, &BYTE_CALLS, &BYTE_BYTES].map(|c| c.load(Relaxed) / 3)
+    let (counts, _) = counting::large_allocations(LARGE, || t.train(3));
+    counts.map(|c| c / 3)
 }
 
 /// One test, so no other test's thread allocates while counting is on.

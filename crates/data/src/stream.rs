@@ -1,14 +1,13 @@
 //! Token streams and batch iterators.
 
 use crate::synthetic::SyntheticLanguage;
-use serde::{Deserialize, Serialize};
 use snip_nn::batch::Batch;
 use snip_tensor::rng::Rng;
 
 /// An infinite, seeded stream of training batches drawn from a synthetic
 /// language. Mirrors the "sample ~1% of the original dataset" protocol of the
 /// paper (§6.1): every run sees a fresh but reproducible slice of data.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BatchStream {
     language: SyntheticLanguage,
     rng: Rng,

@@ -50,7 +50,7 @@ impl Default for LanguageConfig {
 }
 
 /// A seeded synthetic language model (the data-generating process).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyntheticLanguage {
     cfg: LanguageConfig,
     /// `transitions[s]` = unnormalized next-state weights.

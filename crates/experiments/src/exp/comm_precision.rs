@@ -96,7 +96,7 @@ pub fn run(ctx: &Ctx) {
                             wire: *wire,
                             policy,
                             seed: 0x2000 + r as u64,
-                            grad: grad.clone(),
+                            grad: grad.into(),
                         });
                     let (outputs, stats) = launch(tasks.collect(), plan).expect(FAULT_FREE);
                     let chunks = outputs.into_iter().map(|output| match output {

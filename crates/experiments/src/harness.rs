@@ -203,11 +203,13 @@ pub fn language_of(cfg: &TrainerConfig) -> SyntheticLanguage {
 
 /// Builds (or loads from `cache_dir`) a BF16 checkpoint of `model` trained
 /// for `steps`. Mirrors the paper's protocol of resuming public
-/// intermediate checkpoints (§6.1). An unwritable cache only costs time.
+/// intermediate checkpoints (§6.1). An unwritable cache only costs time;
+/// [`Trainer::save`] replaces a file atomically, so a cached file is whole
+/// or absent.
 pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams, cache_dir: &Path) -> Trainer {
     let _ = std::fs::create_dir_all(cache_dir);
     let key = format!(
-        "{}-s{}-b{}x{}.json",
+        "{}-s{}-b{}x{}.ckpt",
         model.name, steps, p.batch_size, p.seq_len
     );
     let path = cache_dir.join(&key);
@@ -218,7 +220,7 @@ pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams, cache_dir: &Pat
     }
     // Reuse the longest earlier checkpoint of the same lineage if present.
     let prefix = format!("{}-s", model.name);
-    let suffix = format!("-b{}x{}.json", p.batch_size, p.seq_len);
+    let suffix = format!("-b{}x{}.ckpt", p.batch_size, p.seq_len);
     let earlier = std::fs::read_dir(cache_dir)
         .into_iter()
         .flatten()
@@ -239,10 +241,7 @@ pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams, cache_dir: &Pat
     while trainer.step_count() < steps {
         trainer.train_step();
     }
-    let tmp = path.with_extension("tmp");
-    if trainer.save(&tmp).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
+    let _ = trainer.save(&path);
     trainer
 }
 

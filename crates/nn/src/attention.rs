@@ -2,7 +2,6 @@
 //! quantizes only the Q/K/V/O *projections*, not the attention math, §2.2).
 
 use crate::rope::Rope;
-use serde::{Deserialize, Serialize};
 use snip_tensor::{
     matmul::{matmul, matmul_nt, matmul_tn},
     ops::softmax_rows_inplace,
@@ -14,7 +13,7 @@ use snip_tensor::{
 /// Operates on already-projected Q/K/V activations of shape
 /// `(batch·seq) × hidden`; heads are interpreted as contiguous column blocks
 /// of width `head_dim`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Attention {
     n_heads: usize,
     head_dim: usize,

@@ -8,7 +8,6 @@ use crate::linear::{self, Linear, LinearCache};
 use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
 use crate::record::LayerTap;
-use serde::{Deserialize, Serialize};
 use snip_tensor::{
     ops::{silu, silu_grad},
     rng::Rng,
@@ -21,7 +20,7 @@ use std::sync::Arc;
 pub(crate) const PARAMS_PER_BLOCK: usize = 9;
 
 /// One transformer block with its seven quantizable linear layers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Block {
     index: usize,
     attn_norm: RmsNorm,
@@ -134,6 +133,19 @@ impl Block {
         }
     }
 
+    /// The seven linear layers in [`LayerKind::ALL`] order.
+    pub fn linears_mut(&mut self) -> [&mut Linear; 7] {
+        [
+            &mut self.wq,
+            &mut self.wk,
+            &mut self.wv,
+            &mut self.wo,
+            &mut self.gate,
+            &mut self.up,
+            &mut self.down,
+        ]
+    }
+
     /// Switches every linear layer of the block to exact (f32) math.
     pub fn set_exact_mode(&mut self, exact: bool) {
         for kind in LayerKind::ALL {
@@ -155,6 +167,21 @@ impl Block {
             self.up.weight_mut(),
             self.down.weight_mut(),
             self.mlp_norm.gain_mut(),
+        ]
+    }
+
+    /// [`Block::params_mut`], read-only.
+    pub fn params(&self) -> [&Param; PARAMS_PER_BLOCK] {
+        [
+            self.attn_norm.gain(),
+            self.wq.weight(),
+            self.wk.weight(),
+            self.wv.weight(),
+            self.wo.weight(),
+            self.gate.weight(),
+            self.up.weight(),
+            self.down.weight(),
+            self.mlp_norm.gain(),
         ]
     }
 

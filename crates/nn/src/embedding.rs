@@ -1,11 +1,10 @@
 //! Token embedding table.
 
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// A `vocab × hidden` embedding lookup (kept in high precision).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Embedding {
     table: Param,
 }

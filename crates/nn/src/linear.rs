@@ -54,7 +54,6 @@
 //! machine's parallelism or instruction set.
 
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 use snip_quant::{LinearPrecision, Quantizer, TensorRole};
 use snip_tensor::{
     bf16, gemm, gemm_into, rng::Rng, Orientation, QOperandRef, QTensor, Round, Tensor,
@@ -65,14 +64,13 @@ use std::sync::Arc;
 /// A linear layer `y = x · Wᵀ` with per-operand quantization.
 ///
 /// The weight is stored `out_features × in_features`; no bias (Llama-style).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     weight: Param,
     precision: LinearPrecision,
     quant_group: usize,
     /// When `true`, bypass all quantization and BF16 rounding (exact f32
     /// math). Used by gradient-check tests and as an FP32 reference mode.
-    #[serde(default)]
     exact: bool,
 }
 
@@ -273,6 +271,11 @@ impl Linear {
     /// Enables or disables exact (f32, quantization-free) math.
     pub fn set_exact_mode(&mut self, exact: bool) {
         self.exact = exact;
+    }
+
+    /// Whether the layer runs exact (f32, quantization-free) math.
+    pub fn exact(&self) -> bool {
+        self.exact
     }
 
     /// `(out_features, in_features)`.

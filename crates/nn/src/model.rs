@@ -10,16 +10,17 @@ use crate::batch::Batch;
 use crate::block::{Block, BlockCache, PARAMS_PER_BLOCK};
 use crate::config::ModelConfig;
 use crate::embedding::Embedding;
-use crate::layers::LayerId;
+use crate::layers::{LayerId, LayerKind};
 use crate::linear::{self, Linear, LinearCache};
 use crate::loss::cross_entropy;
 use crate::norm::{RmsNorm, RmsNormCache};
 use crate::param::Param;
 use crate::record::{LayerTap, StepRecord};
-use serde::{Deserialize, Serialize};
-use snip_quant::LinearPrecision;
+use snip_quant::wire::{FieldError, Fields, Writer};
+use snip_quant::{LinearPrecision, Precision};
 use snip_tensor::pool::{self, Reduction};
 use snip_tensor::{rng::Rng, Tensor};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Options controlling one training/evaluation step.
@@ -107,7 +108,7 @@ impl HeadForward {
 /// let out = model.step(&batch, &mut rng, &StepOptions::train());
 /// assert!(out.loss.is_finite());
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Model {
     cfg: ModelConfig,
     embed: Embedding,
@@ -198,6 +199,83 @@ impl Model {
         params.push(self.final_norm.gain_mut());
         params.push(self.lm_head.weight_mut());
         params
+    }
+
+    /// [`Model::params_mut`], read-only.
+    pub fn params(&self) -> Vec<&Param> {
+        let mut params = Vec::with_capacity(3 + self.blocks.len() * PARAMS_PER_BLOCK);
+        params.push(self.embed.table());
+        for b in &self.blocks {
+            params.extend(b.params());
+        }
+        params.push(self.final_norm.gain());
+        params.push(self.lm_head.weight());
+        params
+    }
+
+    /// Writes the model's state into a checkpoint body (the checkpoint
+    /// layout is in the [`snip_quant::wire`] docs): every parameter's value
+    /// as raw `f32` bits in [`Model::params_mut`] order, then per linear
+    /// layer — each block's in [`LayerKind::ALL`] order, then the LM head —
+    /// its input, weight and gradient precision (one byte each, the index
+    /// in [`Precision::ALL`]) and its exact flag. Gradients, caches and
+    /// derived tables are not state.
+    pub fn write_state<W: Write>(&self, w: &mut Writer<W>) {
+        for p in self.params() {
+            w.f32s(p.value().as_slice());
+        }
+        let linears = self
+            .blocks
+            .iter()
+            .flat_map(|b| LayerKind::ALL.map(|k| b.linear(k)));
+        for l in linears.chain([&self.lm_head]) {
+            let p = l.precision();
+            for byte in [p.input, p.weight, p.grad].map(|p| p as u8) {
+                w.u8(byte);
+            }
+            w.u8(u8::from(l.exact()));
+        }
+    }
+
+    /// Reads what [`Model::write_state`] wrote into this model, which must
+    /// have the shapes the state was written from (a model built from the
+    /// same [`ModelConfig`]).
+    ///
+    /// # Errors
+    ///
+    /// A value vector of another length than its parameter, or a
+    /// precision or flag byte out of range, as [`FieldError::Malformed`];
+    /// the model is then partly overwritten.
+    pub fn read_state<R: Read>(&mut self, f: &mut Fields<R>) -> Result<(), FieldError> {
+        for p in self.params_mut() {
+            f.f32s_into(p.value_mut().as_mut_slice())?;
+        }
+        let mut layers: Vec<&mut Linear> = Vec::with_capacity(self.cfg.n_linear_layers() + 1);
+        for b in &mut self.blocks {
+            layers.extend(b.linears_mut());
+        }
+        layers.push(&mut self.lm_head);
+        for l in layers {
+            let mut precision = [Precision::Bf16; 3];
+            for p in &mut precision {
+                let byte = f.u8()?;
+                *p = *Precision::ALL
+                    .get(usize::from(byte))
+                    .ok_or_else(|| format!("precision byte {byte}"))?;
+            }
+            let [input, weight, grad] = precision;
+            l.set_precision(LinearPrecision {
+                input,
+                weight,
+                grad,
+            });
+            l.set_exact_mode(match f.u8()? {
+                0 => false,
+                1 => true,
+                byte => return Err(format!("exact flag byte {byte}").into()),
+            });
+        }
+        Ok(())
     }
 
     /// Visits every trainable parameter in [`Model::params_mut`] order.
@@ -666,12 +744,33 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_behaviour() {
+    fn state_round_trip_preserves_behaviour() {
         let (mut model, batch, rng) = tiny_setup();
-        let json = serde_json::to_string(&model).unwrap();
-        let mut restored: Model = serde_json::from_str(&json).unwrap();
+        let n = model.config().n_linear_layers();
+        let mut scheme = vec![LinearPrecision::uniform(Precision::Fp8); n];
+        scheme[1] = LinearPrecision {
+            input: Precision::Fp4,
+            weight: Precision::Bf16,
+            grad: Precision::Fp8,
+        };
+        model.set_scheme(&scheme);
+        model.blocks[1].set_exact_mode(true);
+        let mut w = Writer::new(Vec::new());
+        model.write_state(&mut w);
+        let bytes = w.finish().expect("in-memory write").0;
+        // Another seed: every value must come from the state.
+        let mut restored = Model::new(model.config().clone(), 99).unwrap();
+        snip_quant::wire::decode_message(&bytes, |f| restored.read_state(f)).unwrap();
+        assert_eq!(restored.scheme(), scheme);
+        let exact = |m: &Model| {
+            m.blocks
+                .iter()
+                .map(|b| b.linear(LayerKind::Q).exact())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(exact(&restored), [false, true]);
         let a = model.forward_loss(&batch, &mut rng.clone());
         let b = restored.forward_loss(&batch, &mut rng.clone());
-        assert_eq!(a, b);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 }

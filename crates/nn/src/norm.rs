@@ -1,14 +1,13 @@
 //! RMSNorm (kept in high precision — paper §2.2 quantizes only linear layers).
 
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 use snip_tensor::Tensor;
 
 const EPS: f32 = 1e-5;
 
 /// Root-mean-square layer normalization with a learnable gain:
 /// `y = x / rms(x) ⊙ g`, `rms(x) = sqrt(mean(x²) + ε)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RmsNorm {
     gain: Param,
 }

@@ -1,6 +1,5 @@
 //! Trainable parameters.
 
-use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// A trainable parameter: an FP32 master value plus its gradient.
@@ -23,7 +22,7 @@ pub struct Param {
     grad: Tensor,
     /// Debug builds: `grad` was handed out by [`Param::grad_to_write`]
     /// since the last [`Param::zero_grad`] / [`Param::rearm_grad`]. Check
-    /// state only: neither serialized nor compared.
+    /// state only: not compared.
     #[cfg(debug_assertions)]
     written: bool,
 }
@@ -31,28 +30,6 @@ pub struct Param {
 impl PartialEq for Param {
     fn eq(&self, other: &Self) -> bool {
         (&self.name, &self.value, &self.grad) == (&other.name, &other.value, &other.grad)
-    }
-}
-
-impl Serialize for Param {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("name".into(), self.name.to_content()),
-            ("value".into(), self.value.to_content()),
-            ("grad".into(), self.grad.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for Param {
-    fn from_content(c: &Content) -> Result<Self, SerdeError> {
-        Ok(Param {
-            name: de_field(c, "name")?,
-            value: de_field(c, "value")?,
-            grad: de_field(c, "grad")?,
-            #[cfg(debug_assertions)]
-            written: false,
-        })
     }
 }
 

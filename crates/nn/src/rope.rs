@@ -1,11 +1,10 @@
 //! Rotary positional embeddings (RoPE), applied to Q and K projections.
 
-use serde::{Deserialize, Serialize};
 use snip_tensor::Tensor;
 
 /// Precomputed RoPE rotation tables for a maximum sequence length and head
 /// dimension.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Rope {
     head_dim: usize,
     max_seq: usize,

@@ -26,9 +26,11 @@ use serde::{Deserialize, Serialize};
 use snip_nn::model::Model;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
+use snip_quant::wire::{FieldError, Fields, Writer};
 use snip_quant::{Quantizer, Rounding};
 use snip_tensor::rng::Rng;
 use snip_tensor::{pool, QTensor, Tensor};
+use std::io::{Read, Write};
 
 /// Storage precision of the AdamW moment state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,7 +79,7 @@ impl Default for AdamWConfig {
 
 /// Per-parameter moment state, as dense tensors. For packed storage this is
 /// the *decoded view* — bit-identical to what the update loop reads.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MomentState {
     /// First moment `m_t`.
     pub m: Tensor,
@@ -113,7 +115,7 @@ fn pack_moment(q: &Quantizer, t: &Tensor) -> QTensor {
 }
 
 /// How one parameter's moments are actually stored.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 enum StoredMoments {
     /// Dense f32 tensors.
     Dense {
@@ -177,7 +179,7 @@ impl StoredMoments {
 ///
 /// Per-parameter state is keyed by position in the model's deterministic
 /// [`Model::params_mut`] order.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AdamW {
     cfg: AdamWConfig,
     step: u64,
@@ -223,6 +225,78 @@ impl AdamW {
     /// `snip_nn::model::StepOutput::linear_cache_bytes`.
     pub fn moment_state_bytes(&self) -> usize {
         self.states.iter().map(StoredMoments::resident_bytes).sum()
+    }
+
+    /// Writes the optimizer's state into a checkpoint body (the checkpoint
+    /// layout is in the [`snip_quant::wire`] docs): the step count `t`,
+    /// the learning rate a schedule last set (as `f64` bits), the number of
+    /// parameters with moments (0 before the first update), and per
+    /// parameter its `m` and `v` — raw `f32` bits, or under
+    /// [`MomentPrecision::PackedFp8`] the codes and tile scales as they are
+    /// ([`Writer::codes`]).
+    pub fn write_state<W: Write>(&self, w: &mut Writer<W>) {
+        w.u64(&self.step);
+        w.u64(&self.cfg.lr.to_bits());
+        w.usize(&self.states.len());
+        for st in &self.states {
+            match st {
+                StoredMoments::Dense { m, v } => {
+                    w.f32s(m.as_slice());
+                    w.f32s(v.as_slice());
+                }
+                StoredMoments::PackedFp8 { m, v } => {
+                    w.codes(m);
+                    w.codes(v);
+                }
+            }
+        }
+    }
+
+    /// Reads what [`AdamW::write_state`] wrote into this optimizer, which
+    /// must have been built from the same configuration, for `model`'s
+    /// parameters.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError::Malformed`] for more moment entries than `model` has
+    /// parameters, or moments of another shape than their parameter; the
+    /// optimizer is then partly overwritten.
+    pub fn read_state<R: Read>(
+        &mut self,
+        f: &mut Fields<R>,
+        model: &Model,
+    ) -> Result<(), FieldError> {
+        self.step = f.u64()?;
+        self.cfg.lr = f64::from_bits(f.u64()?);
+        let params = model.params();
+        let count = f.usize()?;
+        if count > params.len() {
+            let n = params.len();
+            return Err(format!("{count} moment entries for {n} parameters").into());
+        }
+        self.states = Vec::with_capacity(count);
+        for p in &params[..count] {
+            let (rows, cols) = p.value().shape();
+            let st = match self.cfg.moments {
+                MomentPrecision::F32 => {
+                    let (mut m, mut v) = (Tensor::zeros(rows, cols), Tensor::zeros(rows, cols));
+                    f.f32s_into(m.as_mut_slice())?;
+                    f.f32s_into(v.as_mut_slice())?;
+                    StoredMoments::Dense { m, v }
+                }
+                MomentPrecision::PackedFp8 => {
+                    let (m, v) = (f.codes()?, f.codes()?);
+                    if m.shape() != (rows, cols) || v.shape() != (rows, cols) {
+                        let (m, v) = (m.shape(), v.shape());
+                        let name = p.name();
+                        return Err(format!("moments {m:?}, {v:?} of {name}, {rows}x{cols}").into());
+                    }
+                    StoredMoments::PackedFp8 { m, v }
+                }
+            };
+            self.states.push(st);
+        }
+        Ok(())
     }
 
     /// Applies one AdamW update to every parameter of the model using the
@@ -481,16 +555,29 @@ mod tests {
         assert_eq!(opt.update_sensitivity(0, &g), 0.0);
     }
 
+    /// `opt`'s state written and read back into a fresh optimizer of the
+    /// same configuration.
+    fn reloaded(opt: &AdamW, model: &Model) -> AdamW {
+        let mut w = Writer::new(Vec::new());
+        opt.write_state(&mut w);
+        let bytes = w.finish().expect("in-memory write").0;
+        let mut restored = AdamW::new(*opt.config());
+        snip_quant::wire::decode_message(&bytes, |f| restored.read_state(f, model))
+            .expect("state reads back");
+        restored
+    }
+
     #[test]
-    fn serde_round_trip() {
+    fn state_round_trip() {
         let (mut model, batch, mut rng) = setup();
         let mut opt = AdamW::new(AdamWConfig::default());
         model.zero_grads();
         let _ = model.step(&batch, &mut rng, &StepOptions::train());
         opt.update(&mut model);
-        let json = serde_json::to_string(&opt).unwrap();
-        let restored: AdamW = serde_json::from_str(&json).unwrap();
+        opt.set_lr(7e-4);
+        let restored = reloaded(&opt, &model);
         assert_eq!(restored.step_count(), opt.step_count());
+        assert_eq!(restored.config(), opt.config());
         assert_eq!(restored.moments(3), opt.moments(3));
     }
 
@@ -592,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_serde_round_trip_is_bit_exact() {
+    fn packed_state_round_trip_is_bit_exact() {
         let (mut model, batch, mut rng) = setup();
         let mut opt = AdamW::new(packed_cfg(2e-3));
         for _ in 0..2 {
@@ -600,8 +687,7 @@ mod tests {
             let _ = model.step(&batch, &mut rng, &StepOptions::train());
             opt.update(&mut model);
         }
-        let json = serde_json::to_string(&opt).unwrap();
-        let restored: AdamW = serde_json::from_str(&json).unwrap();
+        let restored = reloaded(&opt, &model);
         assert_eq!(restored.step_count(), opt.step_count());
         for i in 0..8 {
             assert_eq!(restored.moments(i), opt.moments(i), "param {i}");

@@ -29,8 +29,9 @@
 //!    fabric directory (private to the user, mode `0700`, because a mesh
 //!    listener trusts the rank hello of whoever connects), the rank, the
 //!    world size, the chaos plan and the worker's own encoded [`Task`]
-//!    (codec config as JSON, float payloads as raw bits; peers' data never
-//!    crosses, unlike the threaded closures that share an address space);
+//!    (codec config as JSON, float payloads as raw bits, encoded straight
+//!    from the caller's borrowed gradient; peers' data never crosses,
+//!    unlike the threaded closures that share an address space);
 //! 2. the worker binds its mesh listener in the fabric directory and builds
 //!    the full socket mesh: it dials every lower rank (retrying until that
 //!    rank's listener is bound, since nothing orders the workers' starts)
@@ -54,20 +55,13 @@
 //!
 //! ## Decoded as it streams
 //!
-//! Both ends read their pipe through one reader over [`std::io::Read`]: the
-//! worker its `START`, each launcher thread its worker's report. It judges
-//! the length prefix first ([`snip_quant::stream_body_len`]), then decodes
-//! each field straight into its final value while every body byte passes
-//! through one incremental [`snip_quant::Crc32`]. A float vector is
-//! allocated once, at its declared count, and only after that count is
-//! checked against the bytes the frame has left; it is filled through a
-//! small stage buffer, so a report's raw bytes are never held beside its
-//! decoded output. Nothing decoded is released until, in this order, the
-//! message has ended exactly at the frame's declared length, the pipe is at
-//! EOF, and the CRC matches ([`snip_quant::stream_check_crc`]): the CRC
-//! verdict at EOF gates the output. A short, long, stray-byte-polluted or
-//! damaged pipe is a typed error, never a message. [`Task::decode`] and
-//! [`TaskOutput::decode`] read a bare encoding through the same reader.
+//! Messages are written and read with the workspace's field codec
+//! ([`snip_quant::wire`]: [`Writer`], [`Fields`]). Both ends read their
+//! pipe with [`read_frame`] — the worker its `START`, each launcher thread
+//! its worker's report — so a report's raw bytes are never held beside its
+//! decoded output, and a short, long, polluted or damaged pipe is a typed
+//! error, never a message. [`Task::decode`] and [`TaskOutput::decode`]
+//! read a bare encoding with the same codec.
 //!
 //! No library code a worker runs prints to stdout. A stray write would fail
 //! the report's length, EOF or CRC check as a typed [`ProcError::Protocol`];
@@ -126,16 +120,16 @@
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{is_cascade_error, Fabric, TransportError};
-use super::frame::extend_le;
 use super::{dp_train_loop, root_cause, Endpoint, TransportStats};
 use crate::collective::{QuantizePolicy, Wire};
-use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
+use snip_quant::wire::{decode_message, read_frame, FieldError, Fields, Writer};
 use snip_quant::{
-    stream_body_len, stream_check_crc, stream_envelope, Crc32, StreamDecoder,
-    STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES,
+    stream_envelope, stream_envelope_of, StreamDecoder, STREAM_ENVELOPE_BYTES,
+    STREAM_MAX_FRAME_BYTES,
 };
 use snip_tensor::rng::Rng;
+use std::borrow::Cow;
 use std::ffi::OsStr;
 use std::io::{ErrorKind, Read, Write};
 use std::net::Shutdown;
@@ -212,11 +206,25 @@ impl std::error::Error for ProcError {}
 // Stream framing: mesh frames, and the one frame per control pipe.
 // ---------------------------------------------------------------------------
 
-/// Writes `body` as one [`snip_quant::stream_frame`]: envelope and body as
-/// two writes, so the body is never copied.
-fn write_frame(to: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    to.write_all(&stream_envelope(body))?;
+/// Writes one [`snip_quant::stream_frame`]: its envelope and body as two
+/// writes, so the body is never copied.
+fn write_frame(
+    to: &mut impl Write,
+    envelope: &[u8; STREAM_ENVELOPE_BYTES],
+    body: &[u8],
+) -> std::io::Result<()> {
+    to.write_all(envelope)?;
     to.write_all(body)
+}
+
+/// A control message ready for its pipe: the stream envelope and the body
+/// `w` wrote. The envelope's CRC is the one `w` took as it wrote, so the
+/// body is hashed once, and its size is checked before anything is
+/// written.
+fn framed(w: Writer<Vec<u8>>) -> Result<([u8; STREAM_ENVELOPE_BYTES], Vec<u8>), String> {
+    let (body, crc) = w.finish().map_err(|e| e.to_string())?;
+    check_frame_len(body.len())?;
+    Ok((stream_envelope_of(body.len(), crc), body))
 }
 
 /// The one size check on a control frame, made before it is written:
@@ -232,288 +240,6 @@ fn check_frame_len(len: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Why a control pipe did not yield one intact message.
-#[derive(Debug)]
-enum PipeError {
-    /// EOF before the first byte: the writer exited without a frame.
-    Empty,
-    /// Reading the pipe failed.
-    Io(std::io::Error),
-    /// The bytes are not one intact frame holding one well-formed message.
-    Malformed(String),
-}
-
-impl From<String> for PipeError {
-    fn from(message: String) -> Self {
-        PipeError::Malformed(message)
-    }
-}
-
-impl std::fmt::Display for PipeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipeError::Empty => write!(f, "0 bytes, no frame envelope"),
-            PipeError::Io(e) => write!(f, "{e}"),
-            PipeError::Malformed(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-/// Fills `buf` from `from` until it is full or the stream ends; the count
-/// read.
-fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> Result<usize, PipeError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match from.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(PipeError::Io(e)),
-        }
-    }
-    Ok(got)
-}
-
-/// Bytes [`Fields::floats`] reads per pass: whole `f32`s and `f64`s, and
-/// the capacity of a default Linux pipe.
-const STAGE_BYTES: usize = 64 * 1024;
-
-/// Reads the fields of one control message straight from a byte stream
-/// into their final values, hashing every byte it takes. It never reads
-/// past the `left` bytes the message declares, and it checks every length
-/// field against them before allocating for it. Over a control pipe the
-/// message is the body of one frame ([`read_frame`]); over a slice, a bare
-/// encoding ([`decode_message`]).
-struct Fields<R> {
-    from: R,
-    /// Message bytes not yet read.
-    left: usize,
-    crc: Crc32,
-}
-
-impl<R: Read> Fields<R> {
-    /// The next `n` message bytes may be read: a field no longer than
-    /// what is left of the message.
-    fn claim(&self, n: usize) -> Result<(), PipeError> {
-        if n > self.left {
-            return Err(format!(
-                "message truncated: a {n}-byte field with {} bytes left",
-                self.left
-            )
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Reads exactly `buf.len()` message bytes into `buf`.
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), PipeError> {
-        self.claim(buf.len())?;
-        let got = read_up_to(&mut self.from, buf)?;
-        self.left -= got;
-        self.crc.update(&buf[..got]);
-        if got < buf.len() {
-            return Err(format!("stream ended {} bytes before its frame did", self.left).into());
-        }
-        Ok(())
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], PipeError> {
-        let mut bytes = [0u8; N];
-        self.fill(&mut bytes)?;
-        Ok(bytes)
-    }
-
-    fn u8(&mut self) -> Result<u8, PipeError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PipeError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, PipeError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, PipeError> {
-        Ok(usize::try_from(self.u64()?).map_err(|e| format!("index field: {e}"))?)
-    }
-
-    /// `n` message bytes as one buffer.
-    fn take(&mut self, n: usize) -> Result<Vec<u8>, PipeError> {
-        self.claim(n)?;
-        let mut bytes = vec![0u8; n];
-        self.fill(&mut bytes)?;
-        Ok(bytes)
-    }
-
-    /// A length-prefixed byte string.
-    fn bytes(&mut self) -> Result<Vec<u8>, PipeError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    /// A length-prefixed JSON blob — how serde-derived configuration
-    /// (codecs, trainer configs, chaos plans, ledgers) rides inside binary
-    /// messages.
-    fn json<T: Deserialize>(&mut self) -> Result<T, PipeError> {
-        Ok(serde_json::from_slice(&self.bytes()?).map_err(|e| format!("embedded json: {e:?}"))?)
-    }
-
-    /// Everything left of the message.
-    fn rest(&mut self) -> Result<Vec<u8>, PipeError> {
-        self.take(self.left)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, PipeError> {
-        self.floats(f32::from_le_bytes)
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, PipeError> {
-        self.floats(f64::from_le_bytes)
-    }
-
-    /// A count-prefixed vector of `W`-byte little-endian values, read into
-    /// one allocation of the declared count — made only once the count
-    /// fits what is left of the message — through a [`STAGE_BYTES`] buffer.
-    fn floats<T, const W: usize>(
-        &mut self,
-        from_le: fn([u8; W]) -> T,
-    ) -> Result<Vec<T>, PipeError> {
-        let count = self.u32()? as usize;
-        let len = count.checked_mul(W).filter(|&len| len <= self.left);
-        let Some(len) = len else {
-            return Err(format!(
-                "{count} values of {W} bytes declared, {} bytes left",
-                self.left
-            )
-            .into());
-        };
-        let mut values = Vec::with_capacity(count);
-        let mut stage = vec![0u8; len.min(STAGE_BYTES)];
-        let mut todo = len;
-        while todo > 0 {
-            let piece = &mut stage[..todo.min(STAGE_BYTES)];
-            self.fill(piece)?;
-            values.extend(
-                piece
-                    .chunks_exact(W)
-                    .map(|b| from_le(b.try_into().expect("W-byte chunk"))),
-            );
-            todo -= piece.len();
-        }
-        Ok(values)
-    }
-
-    /// Runs `read` over the message; it must end exactly where the message
-    /// does.
-    fn whole<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T, PipeError>,
-    ) -> Result<T, PipeError> {
-        let message = read(self)?;
-        if self.left > 0 {
-            return Err(format!("{} bytes left after the message", self.left).into());
-        }
-        Ok(message)
-    }
-}
-
-/// Decodes a bare message encoding through `read`, which must consume it
-/// exactly.
-fn decode_message<'a, T>(
-    bytes: &'a [u8],
-    read: impl FnOnce(&mut Fields<&'a [u8]>) -> Result<T, PipeError>,
-) -> Result<T, PipeError> {
-    let mut fields = Fields {
-        from: bytes,
-        left: bytes.len(),
-        crc: Crc32::new(),
-    };
-    fields.whole(read)
-}
-
-/// Reads the one [`write_frame`] a control pipe carries and decodes its
-/// body through `read` as it streams: the length prefix is judged before
-/// anything else, every body byte goes through the CRC as it is read, and
-/// the raw body is never held whole. The decoded message is returned
-/// only once, in this order, the body ended exactly at its declared
-/// length, the pipe is at EOF, and the CRC matches — a short, long,
-/// polluted or damaged pipe is an error, never a message.
-fn read_frame<R: Read, T>(
-    mut from: R,
-    read: impl FnOnce(&mut Fields<R>) -> Result<T, PipeError>,
-) -> Result<T, PipeError> {
-    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
-    let (prefix, crc_field) = envelope.split_at_mut(STREAM_PREFIX_BYTES);
-    let got = read_up_to(&mut from, prefix)?;
-    if got == 0 {
-        return Err(PipeError::Empty);
-    }
-    let len = if got < prefix.len() {
-        Err(format!("{got} bytes, no frame envelope"))
-    } else {
-        stream_body_len(prefix).map_err(|e| e.to_string())
-    }?;
-    let got = read_up_to(&mut from, crc_field)?;
-    if got < crc_field.len() {
-        return Err(format!("{} bytes, no frame envelope", STREAM_PREFIX_BYTES + got).into());
-    }
-    let mut fields = Fields {
-        from,
-        left: len,
-        crc: Crc32::new(),
-    };
-    let message = fields.whole(read)?;
-    if read_up_to(&mut fields.from, &mut [0u8; 1])? > 0 {
-        return Err(format!("stray bytes after the frame of {len} bytes").into());
-    }
-    stream_check_crc(&envelope, fields.crc.finish()).map_err(|e| e.to_string())?;
-    Ok(message)
-}
-
-// ---------------------------------------------------------------------------
-// The write side of the task/result payloads.
-// ---------------------------------------------------------------------------
-
-/// The write side of [`Fields`]: each method appends what the `Fields`
-/// method of the same name reads back. Methods take references so the
-/// [`message_enum!`] encoders can pass borrowed fields straight through.
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: &u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: &usize) {
-        self.u64(&(*v as u64));
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.0.extend_from_slice(v);
-    }
-
-    fn json<T: Serialize>(&mut self, v: &T) {
-        self.bytes(&serde_json::to_vec(v).expect("config types serialize"));
-    }
-
-    fn f32s(&mut self, vs: &[f32]) {
-        self.u32(vs.len() as u32);
-        extend_le(&mut self.0, vs, |v| v.to_le_bytes());
-    }
-
-    fn f64s(&mut self, vs: &[f64]) {
-        self.u32(vs.len() as u32);
-        extend_le(&mut self.0, vs, |v| v.to_le_bytes());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tasks and their outputs.
 // ---------------------------------------------------------------------------
@@ -527,7 +253,7 @@ impl Writer {
 macro_rules! message_enum {
     (
         $(#[$meta:meta])*
-        pub enum $name:ident {
+        pub enum $name:ident $(<$lt:lifetime>)? {
             $(
                 $(#[$vmeta:meta])*
                 $variant:ident = $tag:literal { $($field:ident: $ty:ty => $codec:ident),* $(,)? }
@@ -536,11 +262,11 @@ macro_rules! message_enum {
     ) => {
         $(#[$meta])*
         #[derive(Clone, Debug, PartialEq)]
-        pub enum $name {
+        pub enum $name $(<$lt>)? {
             $($(#[$vmeta])* $variant { $($field: $ty),* }),*
         }
 
-        impl $name {
+        impl $(<$lt>)? $name $(<$lt>)? {
             /// The byte that names the variant on the wire.
             fn tag(&self) -> u8 {
                 match self {
@@ -550,8 +276,8 @@ macro_rules! message_enum {
 
             /// Appends the control-plane encoding to `w`: the variant's tag
             /// byte, then its fields in declaration order.
-            fn write(&self, w: &mut Writer) {
-                w.0.push(self.tag());
+            fn write<W: Write>(&self, w: &mut Writer<W>) {
+                w.u8(self.tag());
                 match self {
                     $($name::$variant { $($field),* } => { $(w.$codec($field);)* })*
                 }
@@ -559,16 +285,20 @@ macro_rules! message_enum {
 
             /// The control-plane encoding on its own: `write` into a fresh
             /// buffer.
+            ///
+            /// # Panics
+            ///
+            /// Panics if a float vector holds more than `u32::MAX` values.
             pub fn encode(&self) -> Vec<u8> {
-                let mut w = Writer(Vec::new());
+                let mut w = Writer::new(Vec::new());
                 self.write(&mut w);
-                w.0
+                w.finish().expect("every field fits its count").0
             }
 
             /// Reads one message from `f`, leaving whatever follows it.
-            fn read<R: Read>(f: &mut Fields<R>) -> Result<Self, PipeError> {
+            fn read<R: Read>(f: &mut Fields<R>) -> Result<Self, FieldError> {
                 Ok(match f.u8()? {
-                    $($tag => $name::$variant { $($field: f.$codec()?),* },)*
+                    $($tag => $name::$variant { $($field: <$ty>::from(f.$codec()?)),* },)*
                     other => return Err(format!("unknown tag {other}").into()),
                 })
             }
@@ -589,20 +319,22 @@ macro_rules! message_enum {
 
 message_enum! {
     /// What one rank worker is asked to do: one variant per task, carrying
-    /// exactly that task's inputs. Ships to the worker inside `START`.
+    /// exactly that task's inputs. Ships to the worker inside `START`, which
+    /// the launcher encodes straight from a borrowed gradient
+    /// (`Cow::Borrowed`); a worker decodes its task owned.
     // One `Task` exists per rank per launch; boxing the config buys nothing.
     #[allow(clippy::large_enum_variant)]
-    pub enum Task {
+    pub enum Task<'a> {
         /// Ring reduce-scatter of this rank's `grad` through `wire` under
         /// `policy`; the rank's wire RNG stream starts from `seed`.
         ReduceScatter = 0 {
             wire: Wire => json, policy: QuantizePolicy => json, seed: u64 => u64,
-            grad: Vec<f32> => f32s,
+            grad: Cow<'a, [f32]> => f32s,
         },
         /// Ring all-reduce (reduce-scatter + all-gather); same inputs.
         AllReduce = 1 {
             wire: Wire => json, policy: QuantizePolicy => json, seed: u64 => u64,
-            grad: Vec<f32> => f32s,
+            grad: Cow<'a, [f32]> => f32s,
         },
         // Tag 2 was the deleted pipeline relay; tags are not reused.
         /// Build a trainer from `trainer` and run `steps` steps of the
@@ -638,28 +370,29 @@ message_enum! {
 /// The launcher's one message to a worker, written to its stdin: where the
 /// fabric lives, who the worker is, the chaos plan and its task.
 #[derive(Debug)]
-struct Start {
+struct Start<'a> {
     dir: PathBuf,
     rank: usize,
     world: usize,
     plan: ChaosPlan,
-    task: Task,
+    task: Task<'a>,
 }
 
-impl Start {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(vec![MSG_START]);
+impl Start<'_> {
+    fn write(&self) -> Writer<Vec<u8>> {
+        let mut w = Writer::new(Vec::new());
+        w.u8(MSG_START);
         w.bytes(self.dir.as_os_str().as_bytes());
         w.usize(&self.rank);
         w.usize(&self.world);
         w.json(&self.plan);
         self.task.write(&mut w);
-        w.0
+        w
     }
 
-    /// Reads [`Start::encode`]'s bytes; a rank outside the world is as
+    /// Reads what [`Start::write`] wrote; a rank outside the world is as
     /// malformed as a truncated message.
-    fn read<R: Read>(f: &mut Fields<R>) -> Result<Start, PipeError> {
+    fn read<R: Read>(f: &mut Fields<R>) -> Result<Start<'static>, FieldError> {
         if f.u8()? != MSG_START {
             return Err("not a START message".to_string().into());
         }
@@ -692,7 +425,7 @@ enum Report {
 
 impl Report {
     /// Reads what [`result_report`] or an ERROR report wrote.
-    fn read<R: Read>(f: &mut Fields<R>) -> Result<Report, PipeError> {
+    fn read<R: Read>(f: &mut Fields<R>) -> Result<Report, FieldError> {
         Ok(match f.u8()? {
             MSG_RESULT => Report::Result {
                 ledger: f.json()?,
@@ -852,7 +585,7 @@ impl Fabric for SocketFabric {
             return Err(TransportError::PeerClosed { rank: dst });
         };
         let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
-        write_frame(writer, &frame).map_err(|e| match e.kind() {
+        write_frame(writer, &stream_envelope(&frame), &frame).map_err(|e| match e.kind() {
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
                 TransportError::PeerClosed { rank: dst }
             }
@@ -979,28 +712,35 @@ fn worker_run() -> Result<(), String> {
     });
     // Drop the endpoint (closing the mesh) only after the report is staged:
     // peers may still be draining our buffered frames.
-    let (report, failure) = match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
-        Ok(result) => (result, None),
-        Err(message) => ([&[MSG_ERROR], message.as_bytes()].concat(), Some(message)),
-    };
+    let ((envelope, report), failure) =
+        match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
+            Ok(result) => (result, None),
+            Err(message) => {
+                let report = [&[MSG_ERROR], message.as_bytes()].concat();
+                ((stream_envelope(&report), report), Some(message))
+            }
+        };
     let mut stdout = std::io::stdout().lock();
-    write_frame(&mut stdout, &report)
+    write_frame(&mut stdout, &envelope, &report)
         .and_then(|()| stdout.flush())
         .map_err(|e| format!("writing the report: {e}"))?;
     drop(ep);
     failure.map_or(Ok(()), Err)
 }
 
-/// A worker's `RESULT` report: its ledger as JSON, then its [`TaskOutput`]
-/// written in place, with no intermediate encoding to copy. A RESULT too
-/// large for one control frame is the failure the worker reports in its
-/// place, as `ERROR` and the failure text.
-fn result_report(stats: &TransportStats, output: &TaskOutput) -> Result<Vec<u8>, String> {
-    let mut msg = Writer(vec![MSG_RESULT]);
+/// A worker's `RESULT` report, framed: its ledger as JSON, then its
+/// [`TaskOutput`] written in place, with no intermediate encoding to copy.
+/// A RESULT too large for one control frame is the failure the worker
+/// reports in its place, as `ERROR` and the failure text.
+fn result_report(
+    stats: &TransportStats,
+    output: &TaskOutput,
+) -> Result<([u8; STREAM_ENVELOPE_BYTES], Vec<u8>), String> {
+    let mut msg = Writer::new(Vec::new());
+    msg.u8(MSG_RESULT);
     msg.json(stats);
     output.write(&mut msg);
-    check_frame_len(msg.0.len()).map_err(|e| format!("task output: {e}"))?;
-    Ok(msg.0)
+    framed(msg).map_err(|e| format!("task output: {e}"))
 }
 
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
@@ -1011,7 +751,7 @@ fn result_report(stats: &TransportStats, output: &TaskOutput) -> Result<Vec<u8>,
 /// The failure as text, with the [`TransportError`]'s `Display` wording
 /// intact (that wording is what [`is_cascade_error`] attributes root causes
 /// from).
-pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task) -> Result<TaskOutput, String> {
+pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<TaskOutput, String> {
     let terr = |e: TransportError| format!("transport: {e}");
     match task {
         Task::ReduceScatter {
@@ -1155,7 +895,7 @@ fn fabric_dir() -> Result<PathBuf, ProcError> {
 ///
 /// Panics if `tasks` is empty.
 pub fn launch(
-    tasks: Vec<Task>,
+    tasks: Vec<Task<'_>>,
     chaos: Option<&ChaosPlan>,
 ) -> Result<(Vec<TaskOutput>, TransportStats), ProcError> {
     if std::env::var_os(ENV_WORKER).is_some() {
@@ -1188,9 +928,8 @@ pub fn launch(
                 world,
                 plan: plan.clone(),
                 task,
-            }
-            .encode();
-            check_frame_len(start.len())
+            };
+            let (envelope, start) = framed(start.write())
                 .map_err(|e| ProcError::Launch(format!("START of rank {rank}: {e}")))?;
             let mut child = Command::new(&exe)
                 .env(ENV_WORKER, "1")
@@ -1204,14 +943,14 @@ pub fn launch(
             guard.0.push(child);
             let tx = tx.clone();
             scope.spawn(move || {
-                let written = write_frame(&mut stdin, &start);
+                let written = write_frame(&mut stdin, &envelope, &start);
                 // EOF after START: it is all the worker reads.
                 drop((stdin, start));
 
                 // Each rank's report is decoded here as it streams, so the
                 // ranks' decodes and CRC passes overlap their transfers.
                 let report = written
-                    .map_err(PipeError::Io)
+                    .map_err(FieldError::Io)
                     .and_then(|()| read_frame(stdout, Report::read));
                 let _ = tx.send((rank, report));
             });
@@ -1234,12 +973,12 @@ pub fn launch(
                     received.push((rank, Ok(report)));
                     continue;
                 }
-                Err(PipeError::Malformed(e)) => {
+                Err(FieldError::Malformed(e)) => {
                     received.push((rank, Err(e)));
                     continue;
                 }
-                Err(PipeError::Empty) => "worker exited without a report".to_string(),
-                Err(PipeError::Io(e)) => format!("worker pipe failed: {e}"),
+                Err(FieldError::Empty) => "worker exited without a report".to_string(),
+                Err(FieldError::Io(e)) => format!("worker pipe failed: {e}"),
             };
             return Err(ProcError::Worker { rank, message });
         }
@@ -1338,7 +1077,7 @@ pub fn proc_all_reduce(
             wire: *wire,
             policy,
             seed,
-            grad: grad.clone(),
+            grad: grad.into(),
         });
     launch(tasks.collect(), None)
 }
@@ -1396,11 +1135,23 @@ pub fn proc_data_parallel_train(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_quant::stream_frame;
+    use snip_quant::{stream_frame, STREAM_PREFIX_BYTES};
 
     /// [`Start::read`] over a bare encoding, as [`Task::decode`] reads one.
-    fn decode_start(bytes: &[u8]) -> Result<Start, ProcError> {
+    fn decode_start(bytes: &[u8]) -> Result<Start<'static>, ProcError> {
         decode_message(bytes, Start::read).map_err(|e| ProcError::Protocol(e.to_string()))
+    }
+
+    impl Start<'_> {
+        /// The bare encoding [`Start::write`] produces.
+        fn encode(&self) -> Vec<u8> {
+            self.write().finish().expect("in-memory write").0
+        }
+    }
+
+    /// The body of a RESULT report.
+    fn result_body(stats: &TransportStats, output: &TaskOutput) -> Vec<u8> {
+        result_report(stats, output).expect("fits a frame").1
     }
 
     /// Payloads chosen to break a lossy encoding: empty, odd lengths, and a
@@ -1414,7 +1165,7 @@ mod tests {
         ]
     }
 
-    fn tasks() -> Vec<Task> {
+    fn tasks() -> Vec<Task<'static>> {
         let (policy, seed) = (QuantizePolicy::FinalOnly, u64::MAX - 6);
         let mut all = Vec::new();
         for grad in payloads() {
@@ -1423,13 +1174,13 @@ mod tests {
                     wire,
                     policy,
                     seed,
-                    grad: grad.clone(),
+                    grad: grad.clone().into(),
                 });
                 all.push(Task::AllReduce {
                     wire,
                     policy: QuantizePolicy::EveryHop,
                     seed: 0,
-                    grad: grad.clone(),
+                    grad: grad.clone().into(),
                 });
             }
         }
@@ -1532,25 +1283,26 @@ mod tests {
         let pipe = |bytes: &[u8]| read_frame(bytes, |f| f.rest());
         let framed = stream_frame(b"a worker's report");
         let mut written = Vec::new();
-        write_frame(&mut written, b"a worker's report").expect("in-memory write");
+        let body = b"a worker's report";
+        write_frame(&mut written, &stream_envelope(body), body).expect("in-memory write");
         assert_eq!(written, framed);
         assert_eq!(pipe(&framed).expect("intact"), b"a worker's report");
-        assert!(matches!(pipe(&[]), Err(PipeError::Empty)));
+        assert!(matches!(pipe(&[]), Err(FieldError::Empty)));
         for cut in 1..framed.len() {
             assert!(
-                matches!(pipe(&framed[..cut]), Err(PipeError::Malformed(_))),
+                matches!(pipe(&framed[..cut]), Err(FieldError::Malformed(_))),
                 "prefix of {cut} bytes"
             );
         }
         // A stray write on the worker's stdout, before or after the report.
         let stray: &[u8] = b"hi\n";
         for polluted in [[stray, &framed].concat(), [&framed, stray].concat()] {
-            assert!(matches!(pipe(&polluted), Err(PipeError::Malformed(_))));
+            assert!(matches!(pipe(&polluted), Err(FieldError::Malformed(_))));
         }
         let mut flipped = framed.clone();
         *flipped.last_mut().expect("non-empty") ^= 1;
         assert!(
-            matches!(pipe(&flipped), Err(PipeError::Malformed(m)) if m.contains("crc mismatch")),
+            matches!(pipe(&flipped), Err(FieldError::Malformed(m)) if m.contains("crc mismatch")),
             "the CRC catches a flipped byte"
         );
     }
@@ -1624,7 +1376,7 @@ mod tests {
             }
         }
         for (seed, output) in all_outputs.into_iter().enumerate() {
-            let body = result_report(&stats, &output).expect("fits a frame");
+            let body = result_body(&stats, &output);
             let framed = stream_frame(&body);
             let whole = read_frame(&framed[..], Report::read).expect("whole report");
             for sizes in splits(100 + seed as u64) {
@@ -1675,13 +1427,14 @@ mod tests {
             ),
             other => panic!("decoded {other:?}"),
         }
-        let mut report = Writer(vec![MSG_RESULT]);
+        let mut report = Writer::new(vec![MSG_RESULT]);
         report.json(&TransportStats::new(2));
-        report.0.extend_from_slice(&bytes);
-        let framed = stream_frame(&report.0);
+        let mut report = report.finish().expect("in-memory write").0;
+        report.extend_from_slice(&bytes);
+        let framed = stream_frame(&report);
         assert!(matches!(
             read_frame(&framed[..], Report::read),
-            Err(PipeError::Malformed(m)) if m.contains("values of 4 bytes declared")
+            Err(FieldError::Malformed(m)) if m.contains("values of 4 bytes declared")
         ));
     }
 
@@ -1691,7 +1444,7 @@ mod tests {
             losses: vec![2.5],
             params: vec![1.0, f32::from_bits(0x7FC0_0001)],
         };
-        let body = result_report(&TransportStats::new(2), &output).expect("fits");
+        let body = result_body(&TransportStats::new(2), &output);
         let framed = stream_frame(&body);
         assert!(read_frame(&framed[..], Report::read).is_ok());
         let set_len = |bytes: &mut Vec<u8>, len: usize| {
@@ -1824,7 +1577,7 @@ mod tests {
         // The worker's RESULT writes the output in place after its ledger:
         // the same bytes `encode` produces on its own.
         let stats = TransportStats::new(2);
-        let result = result_report(&stats, &output).expect("fits a frame");
+        let result = result_body(&stats, &output);
         let ledger = decode_message(&result, |f| {
             assert_eq!(f.u8().expect("tag"), MSG_RESULT);
             let ledger: TransportStats = f.json()?;

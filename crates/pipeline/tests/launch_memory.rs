@@ -1,31 +1,37 @@
-//! The process launcher holds each rank's output once.
+//! The process launcher holds each rank's output once, and no copy of its input.
 //!
 //! A worker's report streams through its stdout pipe and is decoded as it
 //! arrives, so the launcher never holds a report's raw bytes beside the
-//! decoded output. This binary installs a counting global allocator — live
-//! heap bytes of every thread, the launcher's per-worker threads included,
-//! and their high-water mark — and launches a zero-step two-rank `DpTrain`
-//! whose outputs are dominated by the model parameters (hidden 256 × 2
-//! blocks, FFN 1024, vocab 512: about 9 MiB per rank).
+//! decoded output, and it encodes `START` from the caller's data, so it
+//! holds no copy of a gradient it is asked to reduce. This binary counts
+//! with the shared counting allocator (`core/tests/support/counting.rs`:
+//! live heap bytes of every thread, the launcher's per-worker threads
+//! included, and their high-water mark). It launches a zero-step two-rank
+//! `DpTrain` whose outputs are dominated by the model parameters (hidden
+//! 256 × 2 blocks, FFN 1024, vocab 512: about 9 MiB per rank), and a
+//! two-rank exact all-reduce of 16 MiB per rank.
 //!
-//! The launch's high-water mark above what was live before it may exceed
-//! the returned parameters' bytes by at most [`SLACK`]. A launcher that
+//! Each launch's high-water mark above what was live before it may exceed
+//! the returned outputs' bytes by at most [`SLACK`]. A launcher that
 //! buffered each whole report before decoding it would hold one more
-//! report per rank at its peak. A second check decodes a task output that
-//! declares 16 GiB of floats with none present: its count must be refused
-//! before anything is allocated for it.
+//! report per rank at its peak; one that copied each gradient into its
+//! task would hold one more gradient. A third check decodes a task output
+//! that declares 16 GiB of floats with none present: its count must be
+//! refused before anything is allocated for it.
 //!
 //! Its own binary because of the allocator, and `harness = false` because
 //! the launch re-executes this binary as the rank workers, which divert
 //! into `worker_boot()` first thing in `main`. Prints the marks.
 
+#[path = "../../core/tests/support/counting.rs"]
+mod counting;
+
 #[cfg(unix)]
 mod checks {
+    use super::counting::{high_water, live, mib};
     use snip_core::TrainerConfig;
     use snip_pipeline::collective::{QuantizePolicy, Wire};
-    use snip_pipeline::transport::proc::{proc_data_parallel_train, TaskOutput};
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use snip_pipeline::transport::proc::{proc_all_reduce, proc_data_parallel_train, TaskOutput};
 
     /// Bytes the launch may hold beyond its returned parameters: 2 MiB for
     /// the losses, ledgers, `START` encodings, per-worker stage buffers,
@@ -33,65 +39,12 @@ mod checks {
     /// rank's parameters at this shape).
     const SLACK: usize = 2 << 20;
 
-    static LIVE: AtomicUsize = AtomicUsize::new(0);
-    static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-    /// The system allocator, counting live bytes and their high-water mark.
-    struct Counting;
-
-    impl Counting {
-        fn grow(bytes: usize) {
-            let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-            PEAK.fetch_max(live, Relaxed);
-        }
-
-        fn shrink(bytes: usize) {
-            LIVE.fetch_sub(bytes, Relaxed);
-        }
-    }
-
-    // SAFETY: every call forwards to `System` with the caller's arguments
-    // unchanged; counting touches only atomics and never allocates.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            Self::grow(layout.size());
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            Self::grow(layout.size());
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if new_size > layout.size() {
-                Self::grow(new_size - layout.size());
-            } else {
-                Self::shrink(layout.size() - new_size);
-            }
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            Self::shrink(layout.size());
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: Counting = Counting;
-
     /// The high-water mark of live bytes over `f`, above what was live
     /// when it started, and its result.
     fn peak_over<T>(f: impl FnOnce() -> T) -> (usize, T) {
-        let base = LIVE.load(Relaxed);
-        PEAK.store(base, Relaxed);
-        let out = f();
-        (PEAK.load(Relaxed) - base, out)
-    }
-
-    fn mib(bytes: usize) -> f64 {
-        bytes as f64 / (1024.0 * 1024.0)
+        let base = live();
+        let (peak, out) = high_water(f);
+        (peak - base, out)
     }
 
     fn config(data_seed: u64) -> TrainerConfig {
@@ -125,6 +78,40 @@ mod checks {
         println!("ok - a_launch_holds_each_rank_output_once");
     }
 
+    fn an_all_reduce_encodes_start_from_the_callers_gradients() {
+        // 16 MiB of gradient per rank, owned by the caller: START is
+        // encoded from the borrow, so the launch holds no copy of it
+        // beside the two START encodings, which are gone before the
+        // outputs arrive.
+        const N: usize = 4 << 20;
+        let grads: Vec<Vec<f32>> = (0..2)
+            .map(|r| (0..N).map(|i| (i % 1024) as f32 * 0.5 + r as f32).collect())
+            .collect();
+        let (peak, (outputs, _)) = peak_over(|| {
+            proc_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &[1, 2])
+                .expect("an exact all-reduce succeeds")
+        });
+        let returned: usize = outputs
+            .iter()
+            .map(|o| match o {
+                TaskOutput::AllReduce { data, .. } => 4 * data.len(),
+                other => panic!("an all-reduce returned {other:?}"),
+            })
+            .sum();
+        println!(
+            "all-reduce high-water mark +{:.2} MiB; bound {:.2} (outputs {:.2} + slack {:.2})",
+            mib(peak),
+            mib(returned + SLACK),
+            mib(returned),
+            mib(SLACK)
+        );
+        assert!(
+            peak <= returned + SLACK,
+            "the all-reduce launch held {peak} B; at most {returned} + {SLACK} allowed"
+        );
+        println!("ok - an_all_reduce_encodes_start_from_the_callers_gradients");
+    }
+
     fn a_declared_count_is_judged_before_it_is_allocated() {
         // TaskOutput::AllReduce: tag, fingerprint, then u32::MAX floats.
         let mut bytes = vec![1u8];
@@ -139,6 +126,7 @@ mod checks {
 
     pub fn run_all() {
         a_launch_holds_each_rank_output_once();
+        an_all_reduce_encodes_start_from_the_callers_gradients();
         a_declared_count_is_judged_before_it_is_allocated();
     }
 }

@@ -65,7 +65,7 @@ mod checks {
                 wire: *wire,
                 policy,
                 seed,
-                grad: grad.clone(),
+                grad: grad.into(),
             });
         launch(tasks.collect(), None).map(ProcCollective::from_launch)
     }

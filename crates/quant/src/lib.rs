@@ -70,9 +70,9 @@ pub use codebook::Codebook;
 pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
 pub use quantizer::{Quantizer, Recipe, Rounding};
 pub use wire::{
-    crc32, stream_body_len, stream_check_crc, stream_envelope, stream_frame, Crc32, StreamDecoder,
-    StreamError, WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
-    STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
+    crc32, stream_body_len, stream_check_crc, stream_envelope, stream_envelope_of, stream_frame,
+    Crc32, StreamDecoder, StreamError, WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES,
+    STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
 };
 
 use format::FloatFormat;

@@ -1,18 +1,31 @@
-//! Canonical byte serialization of [`PackedTensor`] — the wire codec.
+//! The workspace's one binary codec: what crosses a process boundary or
+//! goes to disk is written and read here.
 //!
-//! The comm simulator accounts packed byte volumes analytically; a *real*
-//! transport needs the packed form as an actual byte buffer that can cross a
-//! process/rank boundary and decode bit-identically on the other side. This
-//! module defines that buffer: [`PackedTensor::to_wire_bytes`] /
-//! [`PackedTensor::from_wire_bytes`] round-trip every packed representation
-//! the crate produces, and the payload section is byte-for-byte the volume
-//! [`PackedTensor::wire_bytes`] (and therefore
-//! [`crate::PackedQuantize::packed_wire_bytes`]) accounts.
+//! Four layers, each built on the one before:
 //!
-//! # Serialized layout
+//! 1. **The [`PackedTensor`] frame** — the canonical bytes of a packed
+//!    tensor ([`PackedTensor::to_wire_bytes`] /
+//!    [`PackedTensor::from_wire_bytes`]), whose payload is byte for byte the
+//!    volume [`PackedTensor::wire_bytes`] (and therefore
+//!    [`crate::PackedQuantize::packed_wire_bytes`]) accounts. Collective
+//!    hops ship packed gradients in it.
+//! 2. **The stream envelope** — a length prefix and a CRC32 of the body
+//!    ([`stream_frame`], [`StreamDecoder`]), so a socket or pipe can
+//!    delimit frames and a damaged body is a typed [`StreamError::Crc`]
+//!    before anything in it is interpreted.
+//! 3. **The field codec** — [`Writer`] and [`Fields`]: a message as a
+//!    sequence of typed fields, written and read as they stream.
+//! 4. **The file frame** — the field codec's message in a file
+//!    ([`write_file_frame`], [`read_file_frame`]); a trainer checkpoint is
+//!    one.
+//!
+//! All multi-byte fields are **little-endian**. Floats always travel as
+//! their raw bits, so NaN payloads, ±Inf and −0 survive every layer.
+//!
+//! # The packed-tensor frame
 //!
 //! A frame is a fixed [`WIRE_HEADER_BYTES`]-byte header followed by the
-//! payload. All multi-byte fields are **little-endian**.
+//! payload.
 //!
 //! ```text
 //! offset size field
@@ -51,11 +64,93 @@
 //! it through the interned per-format [`crate::Codebook`], so a
 //! deserialized tensor shares the same table allocation as locally packed
 //! ones. Custom code tables outside the built-in FP4/FP8/INT formats are
-//! rejected with [`WireError::UnknownLut`].
+//! rejected with [`WireError::UnknownLut`]. Round trips are bit-exact,
+//! property-tested across every quantizer and ragged shapes
+//! (`tests/wire_roundtrip.rs`, which also pins golden headers).
+//!
+//! # The stream envelope
+//!
+//! ```text
+//! [u32 body length][u32 crc32(body)][body]
+//! ```
+//!
+//! [`stream_envelope`] is the one place those bytes are laid out;
+//! [`stream_body_len`] and [`stream_check_crc`] are the one place they are
+//! judged. A length above [`STREAM_MAX_FRAME_BYTES`] is corruption
+//! ([`StreamError::Oversize`]), refused before anything is allocated for
+//! it. Socket links reassemble frames from arbitrarily chunked reads with
+//! a [`StreamDecoder`]; a process's control pipe carries exactly one frame,
+//! read by [`read_frame`].
+//!
+//! # The field codec
+//!
+//! A message is a sequence of fields. Each [`Writer`] method appends one,
+//! and the [`Fields`] method of the same name reads it back:
+//!
+//! | method | bytes |
+//! |---|---|
+//! | `u8`, `u32`, `u64` | the value |
+//! | `usize` | as a `u64` |
+//! | `bytes` | `u32` length, then the bytes |
+//! | `json` | `bytes` of the value's JSON — serde-derived configuration |
+//! | `f32s`, `f64s` | `u32` count, then the raw bits |
+//! | `codes` | a [`PackedTensor::Codes`] frame, its length fixed by its header |
+//!
+//! A [`Writer`] hashes every byte it writes with one [`Crc32`], so framing
+//! its message takes no second pass ([`stream_envelope_of`]), and it moves
+//! float vectors through one [`STAGE_BYTES`] buffer straight from the
+//! caller's slice. [`Fields`] reads straight from a byte stream into each
+//! field's final value: it never reads past the length the message
+//! declares, checks every count against the bytes left before it
+//! allocates, and fills float vectors through one stage buffer
+//! ([`Fields::f32s_into`] in place). Over a stream or file frame,
+//! nothing decoded is released until, in this order, the message ended
+//! exactly at its declared length, the stream is at EOF, and the CRC of
+//! the bytes read matches: a short, long, polluted or damaged input is a
+//! typed [`FieldError`], never a message. [`decode_message`] reads a bare
+//! encoding the same way, without a CRC.
+//!
+//! # The file frame and the checkpoint layout
+//!
+//! ```text
+//! [FILE_MAGIC: 8 bytes][u64 body length][u32 crc32(body)][body]
+//! ```
+//!
+//! The length is a `u64`: a file is not bound by
+//! [`STREAM_MAX_FRAME_BYTES`]. [`write_file_frame`] streams the body
+//! through a [`Writer`] and then seeks back to fill in the envelope; the
+//! last digit of [`FILE_MAGIC`] is the layout version.
+//!
+//! A trainer checkpoint (`snip_core::Trainer::save`) is one file frame
+//! whose body holds exactly the state a resume needs, in this order:
+//!
+//! 1. the trainer configuration, `json`;
+//! 2. the step, then the last step's loss as `f64` bits, both `u64`;
+//! 3. the last scheme-update error: a `u8` flag, then its text as `bytes`;
+//! 4. the trainer RNG, then the batch stream's cursor: four `u64` state
+//!    words, a `u8` flag and, when set, the cached Gaussian's bits;
+//! 5. the model: every parameter's value as `f32s`, in the model's
+//!    parameter order; then per linear layer — each block's Q, K, V, O,
+//!    Gate, Up, Down, then the LM head — its input, weight and gradient
+//!    precision (`u8` each) and its exact-mode flag (`u8`);
+//! 6. the optimizer: its step count and learning rate (`u64`, the latter
+//!    `f64` bits), the number of parameters with moments (`usize`; 0 before
+//!    the first update), then per parameter `m` and `v` — `f32s`, or under
+//!    packed FP8 moments one `codes` frame each, whose format id names the
+//!    decode table.
+//!
+//! Gradients, forward caches and derived tables (RoPE, the synthetic
+//! language) are not state: loading builds a trainer from the
+//! configuration and overwrites its state as the file streams in. So the
+//! file is 12 bytes per parameter with f32 moments and about 6 with packed
+//! FP8 moments, plus the configuration and a fixed header.
 
+use crate::codebook::Codebook;
 use crate::format::ElementFormat;
 use crate::packed::{PackedOutlier, PackedTensor};
+use serde::{Deserialize, Serialize};
 use snip_tensor::{GroupLayout, QTensor};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 
 /// Size of the fixed frame header preceding the payload.
 pub const WIRE_HEADER_BYTES: usize = 36;
@@ -151,8 +246,8 @@ impl std::error::Error for WireError {}
 /// Identifies the format whose decode table matches `q`'s, among
 /// everything a frame can name (every format with a wire id). Locally
 /// packed tensors share the interned per-format table, so the match is
-/// usually a pointer comparison; tensors whose table lost its interning
-/// (serde round trips) match by bitwise content.
+/// usually a pointer comparison; tensors built over a copy of a table
+/// match by bitwise content.
 fn identify(q: &QTensor) -> Result<ElementFormat, WireError> {
     let lut = q.lut();
     (0..ElementFormat::WIRE_ID_END)
@@ -236,16 +331,129 @@ pub fn bf16_bits(x: f32) -> u16 {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn get_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
 }
 
 fn get_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The fixed header of a frame holding `q`'s codes as `variant`, with that
+/// variant's RHT block and seed and outlier count (zero where they do not
+/// apply).
+fn header(
+    q: &QTensor,
+    variant: u8,
+    block: u32,
+    seed: u64,
+    outlier_count: u32,
+) -> Result<[u8; WIRE_HEADER_BYTES], WireError> {
+    let fmt = identify(q)?;
+    let (rows, cols) = q.shape();
+    let (ltag, lnb) = layout_tag(q.layout());
+    let mut h = [0u8; WIRE_HEADER_BYTES];
+    h[0..2].copy_from_slice(&MAGIC);
+    h[2] = VERSION;
+    h[3] = variant;
+    h[4] = fmt.wire_id().expect("identified by its code table");
+    h[5] = ltag;
+    // Bytes 6..8 are reserved (zero).
+    h[8..12].copy_from_slice(&(rows as u32).to_le_bytes());
+    h[12..16].copy_from_slice(&(cols as u32).to_le_bytes());
+    h[16..20].copy_from_slice(&lnb.to_le_bytes());
+    h[20..24].copy_from_slice(&block.to_le_bytes());
+    h[24..32].copy_from_slice(&seed.to_le_bytes());
+    h[32..36].copy_from_slice(&outlier_count.to_le_bytes());
+    Ok(h)
+}
+
+/// A frame header, judged: its tags resolved and the length of every
+/// payload section it implies computed without overflow.
+struct Header {
+    variant: u8,
+    codebook: &'static Codebook,
+    layout: GroupLayout,
+    rows: usize,
+    cols: usize,
+    block: usize,
+    seed: u64,
+    outlier_count: usize,
+    code_bytes: usize,
+    groups: usize,
+    scale_bytes: usize,
+    /// Codes, scales and outliers: everything after the header.
+    payload: usize,
+}
+
+impl Header {
+    fn parse(bytes: &[u8; WIRE_HEADER_BYTES]) -> Result<Header, WireError> {
+        if bytes[0..2] != MAGIC || bytes[2] != VERSION {
+            return Err(WireError::BadHeader);
+        }
+        let variant = bytes[3];
+        let bad_format = WireError::BadTag {
+            field: "format",
+            value: bytes[4],
+        };
+        let codebook = ElementFormat::from_wire_id(bytes[4])
+            .and_then(ElementFormat::codebook)
+            .ok_or(bad_format)?;
+        let layout = layout_of(bytes[5], get_u32(bytes, 16))?;
+        let rows = get_u32(bytes, 8) as usize;
+        let cols = get_u32(bytes, 12) as usize;
+        let outlier_count = get_u32(bytes, 32) as usize;
+
+        // Untrusted: a product of two `u32` fields fits a 64-bit `usize`,
+        // but scaling and summing them may overflow — rejected, not wrapped.
+        let code_bytes = rows * codebook.width().row_bytes(cols);
+        let groups = layout.group_count(rows, cols);
+        let scale_bytes = groups
+            .checked_mul(if variant == 1 { 1 } else { 4 })
+            .ok_or(WireError::ShapeTooLarge)?;
+        let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
+        if variant == 3 && outlier_count > rows * cols {
+            return Err(WireError::BadOutlier {
+                index: outlier_count as u32,
+            });
+        }
+        let payload = [code_bytes, scale_bytes, outlier_bytes]
+            .into_iter()
+            .try_fold(0, usize::checked_add)
+            .filter(|p| p.checked_add(WIRE_HEADER_BYTES).is_some())
+            .ok_or(WireError::ShapeTooLarge)?;
+        Ok(Header {
+            variant,
+            codebook,
+            layout,
+            rows,
+            cols,
+            block: get_u32(bytes, 20) as usize,
+            seed: get_u64(bytes, 24),
+            outlier_count,
+            code_bytes,
+            groups,
+            scale_bytes,
+            payload,
+        })
+    }
+
+    /// The frame's codes tensor over its code bytes and decoded scales,
+    /// whose lengths the header fixed; the decode tables are the
+    /// format's interned ones.
+    fn codes(&self, data: Vec<u8>, scales: Vec<f32>) -> QTensor {
+        let cb = self.codebook;
+        QTensor::from_parts_with_pair(
+            self.rows,
+            self.cols,
+            cb.width(),
+            cb.lut(),
+            cb.pair_lut(),
+            self.layout,
+            scales,
+            data,
+        )
+    }
 }
 
 impl PackedTensor {
@@ -261,9 +469,6 @@ impl PackedTensor {
     /// power of two.
     pub fn to_wire_bytes(&self) -> Result<Vec<u8>, WireError> {
         let q = self.codes();
-        let fmt = identify(q)?;
-        let (rows, cols) = q.shape();
-        let (ltag, lnb) = layout_tag(q.layout());
         let (variant, block, seed, outlier_count) = match self {
             PackedTensor::Codes(_) => (0u8, 0u32, 0u64, 0u32),
             PackedTensor::Mx(_) => (1, 0, 0, 0),
@@ -276,20 +481,7 @@ impl PackedTensor {
             ),
         };
         let mut buf = Vec::with_capacity(WIRE_HEADER_BYTES + self.wire_bytes() as usize);
-        buf.extend_from_slice(&MAGIC);
-        buf.push(VERSION);
-        buf.push(variant);
-        buf.push(fmt.wire_id().expect("identified by its code table"));
-        buf.push(ltag);
-        buf.extend_from_slice(&[0, 0]); // reserved
-        put_u32(&mut buf, rows as u32);
-        put_u32(&mut buf, cols as u32);
-        put_u32(&mut buf, lnb);
-        put_u32(&mut buf, block);
-        buf.extend_from_slice(&seed.to_le_bytes());
-        put_u32(&mut buf, outlier_count);
-        debug_assert_eq!(buf.len(), WIRE_HEADER_BYTES);
-
+        buf.extend_from_slice(&header(q, variant, block, seed, outlier_count)?);
         buf.extend_from_slice(q.packed_data());
         if matches!(self, PackedTensor::Mx(_)) {
             for &s in q.scales() {
@@ -302,7 +494,7 @@ impl PackedTensor {
         }
         if let PackedTensor::Split { outliers, .. } = self {
             for o in outliers {
-                put_u32(&mut buf, o.index);
+                buf.extend_from_slice(&o.index.to_le_bytes());
                 buf.extend_from_slice(&bf16_bits(o.value).to_le_bytes());
             }
         }
@@ -322,113 +514,69 @@ impl PackedTensor {
     /// invalid E8M0 scale bytes, and out-of-bounds or unsorted outlier
     /// entries.
     pub fn from_wire_bytes(bytes: &[u8]) -> Result<PackedTensor, WireError> {
-        if bytes.len() < WIRE_HEADER_BYTES {
+        let Some((head, body)) = bytes.split_first_chunk::<WIRE_HEADER_BYTES>() else {
             return Err(WireError::TooShort {
                 need: WIRE_HEADER_BYTES,
                 got: bytes.len(),
             });
-        }
-        if bytes[0..2] != MAGIC || bytes[2] != VERSION {
-            return Err(WireError::BadHeader);
-        }
-        let variant = bytes[3];
-        let bad_format = WireError::BadTag {
-            field: "format",
-            value: bytes[4],
         };
-        let cb = ElementFormat::from_wire_id(bytes[4])
-            .and_then(ElementFormat::codebook)
-            .ok_or(bad_format)?;
-        let layout = layout_of(bytes[5], get_u32(bytes, 16))?;
-        let rows = get_u32(bytes, 8) as usize;
-        let cols = get_u32(bytes, 12) as usize;
-        let block = get_u32(bytes, 20) as usize;
-        let seed = get_u64(bytes, 24);
-        let outlier_count = get_u32(bytes, 32) as usize;
-
-        let width = cb.width();
-        // Untrusted: a product of two `u32` fields fits a 64-bit `usize`,
-        // but scaling and summing them may overflow — rejected, not wrapped.
-        let code_bytes = rows * width.row_bytes(cols);
-        let groups = layout.group_count(rows, cols);
-        let scale_bytes = groups
-            .checked_mul(if variant == 1 { 1 } else { 4 })
-            .ok_or(WireError::ShapeTooLarge)?;
-        let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
-        if variant == 3 && outlier_count > rows * cols {
-            return Err(WireError::BadOutlier {
-                index: outlier_count as u32,
-            });
-        }
-        let expect = [code_bytes, scale_bytes, outlier_bytes]
-            .into_iter()
-            .try_fold(WIRE_HEADER_BYTES, usize::checked_add)
-            .ok_or(WireError::ShapeTooLarge)?;
-        if bytes.len() != expect {
+        let h = Header::parse(head)?;
+        if body.len() != h.payload {
             return Err(WireError::LengthMismatch {
-                expect,
+                expect: WIRE_HEADER_BYTES + h.payload,
                 got: bytes.len(),
             });
         }
-
-        let data = bytes[WIRE_HEADER_BYTES..WIRE_HEADER_BYTES + code_bytes].to_vec();
-        let scales_at = WIRE_HEADER_BYTES + code_bytes;
-        let scales: Vec<f32> = if variant == 1 {
-            bytes[scales_at..scales_at + groups]
+        let (codes, rest) = body.split_at(h.code_bytes);
+        let (scales, outliers) = rest.split_at(h.scale_bytes);
+        let scales: Vec<f32> = if h.variant == 1 {
+            scales
                 .iter()
                 .map(|&b| e8m0_decode(b))
                 .collect::<Result<_, _>>()?
         } else {
-            (0..groups)
-                .map(|g| f32::from_bits(get_u32(bytes, scales_at + g * 4)))
+            scales
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
                 .collect()
         };
-        let q = QTensor::from_parts_with_pair(
-            rows,
-            cols,
-            width,
-            cb.lut(),
-            cb.pair_lut(),
-            layout,
-            scales,
-            data,
-        );
+        let q = h.codes(codes.to_vec(), scales);
 
-        match variant {
+        match h.variant {
             0 => Ok(PackedTensor::Codes(q)),
             1 => Ok(PackedTensor::Mx(q)),
             2 => {
-                if !block.is_power_of_two() {
+                if !h.block.is_power_of_two() {
                     return Err(WireError::BadTag {
                         field: "rotation block",
-                        value: bytes[20],
+                        value: head[20],
                     });
                 }
                 Ok(PackedTensor::Rotated {
                     codes: q,
-                    block,
-                    seed,
+                    block: h.block,
+                    seed: h.seed,
                 })
             }
             3 => {
-                let at = scales_at + scale_bytes;
-                let mut outliers = Vec::with_capacity(outlier_count);
+                let mut parsed = Vec::with_capacity(h.outlier_count);
                 let mut prev: Option<u32> = None;
-                for i in 0..outlier_count {
-                    let index = get_u32(bytes, at + i * 6);
-                    let bf16 = u16::from_le_bytes(
-                        bytes[at + i * 6 + 4..at + i * 6 + 6].try_into().unwrap(),
-                    );
-                    if index as usize >= rows * cols || prev.is_some_and(|p| p >= index) {
+                for entry in outliers.chunks_exact(6) {
+                    let index = get_u32(entry, 0);
+                    let bf16 = u16::from_le_bytes([entry[4], entry[5]]);
+                    if index as usize >= h.rows * h.cols || prev.is_some_and(|p| p >= index) {
                         return Err(WireError::BadOutlier { index });
                     }
                     prev = Some(index);
-                    outliers.push(PackedOutlier {
+                    parsed.push(PackedOutlier {
                         index,
                         value: f32::from_bits(u32::from(bf16) << 16),
                     });
                 }
-                Ok(PackedTensor::Split { body: q, outliers })
+                Ok(PackedTensor::Split {
+                    body: q,
+                    outliers: parsed,
+                })
             }
             v => Err(WireError::BadTag {
                 field: "variant",
@@ -616,14 +764,24 @@ impl std::error::Error for StreamError {}
 /// Panics if `body` exceeds [`STREAM_MAX_FRAME_BYTES`] (no frame this crate
 /// produces comes near it).
 pub fn stream_envelope(body: &[u8]) -> [u8; STREAM_ENVELOPE_BYTES] {
+    stream_envelope_of(body.len(), crc32(body))
+}
+
+/// The [`stream_envelope`] of a `len`-byte body whose [`crc32`] is `crc`:
+/// for a body a [`Writer`] hashed as it wrote it, so that framing it takes
+/// no second pass.
+///
+/// # Panics
+///
+/// Panics if `len` exceeds [`STREAM_MAX_FRAME_BYTES`].
+pub fn stream_envelope_of(len: usize, crc: u32) -> [u8; STREAM_ENVELOPE_BYTES] {
     assert!(
-        body.len() <= STREAM_MAX_FRAME_BYTES,
-        "frame body of {} bytes exceeds the stream bound",
-        body.len()
+        len <= STREAM_MAX_FRAME_BYTES,
+        "frame body of {len} bytes exceeds the stream bound"
     );
     let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
-    envelope[..STREAM_PREFIX_BYTES].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    envelope[STREAM_PREFIX_BYTES..].copy_from_slice(&crc32(body).to_le_bytes());
+    envelope[..STREAM_PREFIX_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
+    envelope[STREAM_PREFIX_BYTES..].copy_from_slice(&crc.to_le_bytes());
     envelope
 }
 
@@ -753,6 +911,557 @@ impl StreamDecoder {
         };
         Err(StreamError::Truncated { need, got: pending })
     }
+}
+
+// ---------------------------------------------------------------------------
+// The field codec: messages and files read as they stream.
+// ---------------------------------------------------------------------------
+
+/// Why a stream did not yield one intact message.
+#[derive(Debug)]
+pub enum FieldError {
+    /// EOF before the first byte: the writer left no frame at all.
+    Empty,
+    /// Reading the stream failed.
+    Io(std::io::Error),
+    /// The bytes are not one intact frame holding one well-formed message.
+    Malformed(String),
+}
+
+impl From<String> for FieldError {
+    fn from(message: String) -> Self {
+        FieldError::Malformed(message)
+    }
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldError::Empty => write!(f, "0 bytes, no frame envelope"),
+            FieldError::Io(e) => write!(f, "{e}"),
+            FieldError::Malformed(m) => write!(f, "{m}"),
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// Bytes a [`Writer`] or [`Fields`] moves per pass of a float vector: whole
+/// `f32`s and `f64`s, and the capacity of a default Linux pipe.
+pub const STAGE_BYTES: usize = 64 * 1024;
+
+/// Fills `buf` from `from` until it is full or the stream ends; the count
+/// read.
+fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> Result<usize, FieldError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match from.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(FieldError::Io(e)),
+        }
+    }
+    Ok(got)
+}
+
+/// The write side of the field codec: each method appends what the
+/// [`Fields`] method of the same name reads back, and every byte written
+/// goes through one incremental [`Crc32`], so a frame's checksum needs no
+/// second pass over its body. Float vectors move through one
+/// [`STAGE_BYTES`] buffer per call, straight from the caller's slice.
+///
+/// A write never fails on the spot: the first error (an I/O error, a field
+/// too long for its `u32` prefix, codes of a table no frame can name) is
+/// kept, every later write is skipped, and [`Writer::finish`] returns it.
+pub struct Writer<W> {
+    to: W,
+    written: u64,
+    crc: Crc32,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> Writer<W> {
+    /// A writer appending to `to`.
+    pub fn new(to: W) -> Self {
+        Writer {
+            to,
+            written: 0,
+            crc: Crc32::new(),
+            error: None,
+        }
+    }
+
+    /// Bytes written so far.
+    pub fn written(&self) -> u64 {
+        self.written
+    }
+
+    /// Keeps `error` unless an earlier one is kept already.
+    fn fail(&mut self, error: std::io::Error) {
+        self.error.get_or_insert(error);
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_some() {
+            return;
+        }
+        match self.to.write_all(bytes) {
+            Ok(()) => {
+                self.crc.update(bytes);
+                self.written += bytes.len() as u64;
+            }
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// A `u32` length or count prefix.
+    fn count(&mut self, n: usize) {
+        match u32::try_from(n) {
+            Ok(n) => self.u32(n),
+            Err(_) => self.fail(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("a field of {n} items overflows its u32 count"),
+            )),
+        }
+    }
+
+    /// `vs` as `N`-byte little-endian values, through the stage buffer.
+    fn values<T, const N: usize>(&mut self, vs: &[T], le_bytes: impl Fn(&T) -> [u8; N]) {
+        let mut stage = vec![0u8; (N * vs.len()).min(STAGE_BYTES)];
+        for chunk in vs.chunks(STAGE_BYTES / N) {
+            let bytes = &mut stage[..N * chunk.len()];
+            for (slot, v) in bytes.chunks_exact_mut(N).zip(chunk) {
+                slot.copy_from_slice(&le_bytes(v));
+            }
+            self.put(bytes);
+        }
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: &u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    /// A `usize` as a little-endian `u64`.
+    pub fn usize(&mut self, v: &usize) {
+        self.u64(&(*v as u64));
+    }
+
+    /// A `u32`-length-prefixed byte string.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.count(v.len());
+        self.put(v);
+    }
+
+    /// A length-prefixed JSON blob — how serde-derived configuration rides
+    /// inside binary messages.
+    pub fn json<T: Serialize>(&mut self, v: &T) {
+        self.bytes(&serde_json::to_vec(v).expect("config types serialize"));
+    }
+
+    /// A count-prefixed vector of `f32`s as their raw little-endian bits,
+    /// so NaN payloads, ±Inf and −0 survive.
+    pub fn f32s(&mut self, vs: &[f32]) {
+        self.count(vs.len());
+        self.values(vs, |v| v.to_le_bytes());
+    }
+
+    /// A count-prefixed vector of `f64`s as their raw little-endian bits.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.count(vs.len());
+        self.values(vs, |v| v.to_le_bytes());
+    }
+
+    /// `q` as the wire frame of [`PackedTensor::Codes`] — byte for byte
+    /// what [`PackedTensor::to_wire_bytes`] returns for it — streamed: the
+    /// header, then the codes and scales straight from `q`. Its length is
+    /// fixed by the header, so it carries no prefix of its own.
+    pub fn codes(&mut self, q: &QTensor) {
+        match header(q, 0, 0, 0, 0) {
+            Ok(h) => {
+                self.put(&h);
+                self.put(q.packed_data());
+                self.values(q.scales(), |s| s.to_le_bytes());
+            }
+            Err(e) => self.fail(std::io::Error::new(ErrorKind::InvalidInput, e)),
+        }
+    }
+
+    /// The sink and the [`crc32`] of everything written, or the first
+    /// error a write met.
+    ///
+    /// # Errors
+    ///
+    /// The error kept by the first write that failed.
+    pub fn finish(self) -> std::io::Result<(W, u32)> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((self.to, self.crc.finish())),
+        }
+    }
+}
+
+/// The read side of the field codec: reads the fields of one message
+/// straight from a byte stream into their final values, hashing every byte
+/// it takes. It never reads past the `left` bytes the message declares,
+/// and it checks every length field against them before allocating for
+/// it. Over a pipe the message is the body of one stream frame
+/// ([`read_frame`]), in a file the body of one file frame
+/// ([`read_file_frame`]), and over a slice a bare encoding
+/// ([`decode_message`]).
+pub struct Fields<R> {
+    from: R,
+    /// Message bytes not yet read.
+    left: usize,
+    crc: Crc32,
+}
+
+impl<R: Read> Fields<R> {
+    fn new(from: R, len: usize) -> Self {
+        Fields {
+            from,
+            left: len,
+            crc: Crc32::new(),
+        }
+    }
+
+    /// Message bytes not yet read: what a length read from the message may
+    /// claim at most.
+    pub fn left(&self) -> usize {
+        self.left
+    }
+
+    /// The next `n` message bytes may be read: a field no longer than
+    /// what is left of the message.
+    fn claim(&self, n: usize) -> Result<(), FieldError> {
+        if n > self.left {
+            return Err(format!(
+                "message truncated: a {n}-byte field with {} bytes left",
+                self.left
+            )
+            .into());
+        }
+        Ok(())
+    }
+
+    /// Reads exactly `buf.len()` message bytes into `buf`.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), FieldError> {
+        self.claim(buf.len())?;
+        let got = read_up_to(&mut self.from, buf)?;
+        self.left -= got;
+        self.crc.update(&buf[..got]);
+        if got < buf.len() {
+            return Err(format!("stream ended {} bytes before its frame did", self.left).into());
+        }
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], FieldError> {
+        let mut bytes = [0u8; N];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, FieldError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, FieldError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, FieldError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `usize` written as a `u64`; one that does not fit is malformed.
+    pub fn usize(&mut self) -> Result<usize, FieldError> {
+        Ok(usize::try_from(self.u64()?).map_err(|e| format!("index field: {e}"))?)
+    }
+
+    /// `n` message bytes as one buffer.
+    fn take(&mut self, n: usize) -> Result<Vec<u8>, FieldError> {
+        self.claim(n)?;
+        let mut bytes = vec![0u8; n];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// A length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, FieldError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// A length-prefixed JSON blob.
+    pub fn json<T: Deserialize>(&mut self) -> Result<T, FieldError> {
+        Ok(serde_json::from_slice(&self.bytes()?).map_err(|e| format!("embedded json: {e:?}"))?)
+    }
+
+    /// Everything left of the message.
+    pub fn rest(&mut self) -> Result<Vec<u8>, FieldError> {
+        self.take(self.left)
+    }
+
+    /// A count-prefixed vector of `f32`s.
+    pub fn f32s(&mut self) -> Result<Vec<f32>, FieldError> {
+        let count = self.u32()? as usize;
+        self.values(count, f32::from_le_bytes)
+    }
+
+    /// A count-prefixed vector of `f64`s.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, FieldError> {
+        let count = self.u32()? as usize;
+        self.values(count, f64::from_le_bytes)
+    }
+
+    /// A count-prefixed vector of `f32`s read in place into `dst`, whose
+    /// length the count must equal: no allocation beyond the stage buffer.
+    pub fn f32s_into(&mut self, dst: &mut [f32]) -> Result<(), FieldError> {
+        let count = self.u32()? as usize;
+        if count != dst.len() {
+            return Err(format!("{count} values where {} belong", dst.len()).into());
+        }
+        let mut slots = dst.iter_mut();
+        self.staged(count, f32::from_le_bytes, |values| {
+            // `values` first: a zip takes from its left side before it
+            // finds the right one empty.
+            for (v, slot) in values.zip(slots.by_ref()) {
+                *slot = v;
+            }
+        })
+    }
+
+    /// The byte length of `count` `W`-byte values, if it fits what is left
+    /// of the message.
+    fn judge<const W: usize>(&self, count: usize) -> Result<usize, FieldError> {
+        let len = count.checked_mul(W).filter(|&len| len <= self.left);
+        len.ok_or_else(|| {
+            format!(
+                "{count} values of {W} bytes declared, {} bytes left",
+                self.left
+            )
+            .into()
+        })
+    }
+
+    /// `count` `W`-byte little-endian values, read into one allocation of
+    /// that count — made only once the count fits what is left of the
+    /// message.
+    fn values<T, const W: usize>(
+        &mut self,
+        count: usize,
+        from_le: fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, FieldError> {
+        self.judge::<W>(count)?;
+        let mut values = Vec::with_capacity(count);
+        self.staged(count, from_le, |more| values.extend(more))?;
+        Ok(values)
+    }
+
+    /// Reads `count` `W`-byte values through one [`STAGE_BYTES`] buffer,
+    /// handing `sink` each pass's values; the count is judged against the
+    /// bytes left before the stage is allocated.
+    fn staged<T, const W: usize>(
+        &mut self,
+        count: usize,
+        from_le: fn([u8; W]) -> T,
+        mut sink: impl FnMut(&mut dyn Iterator<Item = T>),
+    ) -> Result<(), FieldError> {
+        let len = self.judge::<W>(count)?;
+        let mut stage = vec![0u8; len.min(STAGE_BYTES)];
+        let mut todo = len;
+        while todo > 0 {
+            let piece = &mut stage[..todo.min(STAGE_BYTES)];
+            self.fill(piece)?;
+            sink(
+                &mut piece
+                    .chunks_exact(W)
+                    .map(|b| from_le(b.try_into().expect("W-byte chunk"))),
+            );
+            todo -= piece.len();
+        }
+        Ok(())
+    }
+
+    /// A frame [`Writer::codes`] wrote: the header is judged first, and
+    /// the codes and scales are read into the tensor's own buffers, sized
+    /// by the header once its payload fits what is left of the message.
+    /// The decode tables are the format's interned ones.
+    pub fn codes(&mut self) -> Result<QTensor, FieldError> {
+        let bad = |e: WireError| format!("packed codes: {e}");
+        let h = Header::parse(&self.array()?).map_err(bad)?;
+        if h.variant != 0 {
+            let variant = h.variant;
+            return Err(format!("packed codes: variant {variant} is not plain codes").into());
+        }
+        self.claim(h.payload)?;
+        let data = self.take(h.code_bytes)?;
+        let scales = self.values(h.groups, f32::from_le_bytes)?;
+        Ok(h.codes(data, scales))
+    }
+
+    /// Runs `read` over the message; it must end exactly where the message
+    /// does.
+    fn whole<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, FieldError>,
+    ) -> Result<T, FieldError> {
+        let message = read(self)?;
+        if self.left > 0 {
+            return Err(format!("{} bytes left after the message", self.left).into());
+        }
+        Ok(message)
+    }
+}
+
+/// Reads the `len`-byte message `from` holds through `read`, then requires,
+/// in this order, that the message ended exactly at `len`, that the stream
+/// is at EOF, and that the bytes read hash to `crc`. Only then is the
+/// message released: a short, long, polluted or damaged stream is an
+/// error, never a message.
+fn read_body<R: Read, T>(
+    from: R,
+    len: usize,
+    crc: u32,
+    read: impl FnOnce(&mut Fields<R>) -> Result<T, FieldError>,
+) -> Result<T, FieldError> {
+    let mut fields = Fields::new(from, len);
+    let message = fields.whole(read)?;
+    if read_up_to(&mut fields.from, &mut [0u8; 1])? > 0 {
+        return Err(format!("stray bytes after the frame of {len} bytes").into());
+    }
+    let got = fields.crc.finish();
+    if got != crc {
+        return Err(StreamError::Crc { expect: crc, got }.to_string().into());
+    }
+    Ok(message)
+}
+
+/// Decodes a bare encoding — no envelope, so no CRC — through `read`,
+/// which must consume it exactly.
+///
+/// # Errors
+///
+/// [`FieldError::Malformed`] for truncated input, trailing bytes or
+/// whatever `read` rejects.
+pub fn decode_message<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(&mut Fields<&'a [u8]>) -> Result<T, FieldError>,
+) -> Result<T, FieldError> {
+    Fields::new(bytes, bytes.len()).whole(read)
+}
+
+/// Reads the one [`stream_frame`] `from` carries — a control pipe — and
+/// decodes its body through `read` as it streams: the length prefix is
+/// judged before anything else ([`stream_body_len`]), every body byte goes
+/// through the CRC as it is read, and the raw body is never held whole.
+/// The decoded message is returned only once, in this order, the body
+/// ended exactly at its declared length, the stream is at EOF, and the
+/// CRC matches.
+///
+/// # Errors
+///
+/// [`FieldError::Empty`] for a stream that ended before its first byte,
+/// [`FieldError::Io`] for a failed read, [`FieldError::Malformed`] for
+/// anything else that is not one intact frame holding one message.
+pub fn read_frame<R: Read, T>(
+    mut from: R,
+    read: impl FnOnce(&mut Fields<R>) -> Result<T, FieldError>,
+) -> Result<T, FieldError> {
+    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
+    let (prefix, crc_field) = envelope.split_at_mut(STREAM_PREFIX_BYTES);
+    let got = read_up_to(&mut from, prefix)?;
+    if got == 0 {
+        return Err(FieldError::Empty);
+    }
+    let len = if got < prefix.len() {
+        Err(format!("{got} bytes, no frame envelope"))
+    } else {
+        stream_body_len(prefix).map_err(|e| e.to_string())
+    }?;
+    let got = read_up_to(&mut from, crc_field)?;
+    if got < crc_field.len() {
+        return Err(format!("{} bytes, no frame envelope", STREAM_PREFIX_BYTES + got).into());
+    }
+    let crc = u32::from_le_bytes(envelope[STREAM_PREFIX_BYTES..].try_into().expect("crc"));
+    read_body(from, len, crc, read)
+}
+
+/// The first bytes of a file frame: names the file kind and its layout
+/// version (the trailing digit).
+pub const FILE_MAGIC: [u8; 8] = *b"SNIPCKP1";
+
+/// Bytes of a file frame's envelope: [`FILE_MAGIC`], the `u64` body
+/// length and the `u32` [`crc32`] of the body, little-endian.
+pub const FILE_ENVELOPE_BYTES: usize = 20;
+
+/// Writes one file frame to `to`: a placeholder envelope, the body `write`
+/// streams through a [`Writer`], then — seeking back — the envelope with
+/// the body's length and CRC. Unlike a [`stream_frame`], a file frame has
+/// a `u64` length and no size bound. Returns `to`, positioned after the
+/// envelope; flushing and syncing it are the caller's.
+///
+/// # Errors
+///
+/// The first error writing the body met, or one writing or seeking `to`.
+pub fn write_file_frame<W: Write + Seek>(
+    mut to: W,
+    write: impl FnOnce(&mut Writer<&mut W>),
+) -> std::io::Result<W> {
+    to.write_all(&[0; FILE_ENVELOPE_BYTES])?;
+    let mut body = Writer::new(&mut to);
+    write(&mut body);
+    let len = body.written();
+    let (_, crc) = body.finish()?;
+    to.seek(SeekFrom::Start(0))?;
+    to.write_all(&FILE_MAGIC)?;
+    to.write_all(&len.to_le_bytes())?;
+    to.write_all(&crc.to_le_bytes())?;
+    Ok(to)
+}
+
+/// Reads the file frame [`write_file_frame`] wrote, decoding its body
+/// through `read` as it streams, with [`read_frame`]'s rules: the envelope
+/// is judged first, counts are checked against the bytes left before
+/// anything is allocated for them, and the message is released only once
+/// it ended at the declared length, the file is at EOF and the CRC
+/// matches.
+///
+/// # Errors
+///
+/// As [`read_frame`]; an envelope without [`FILE_MAGIC`] is
+/// [`FieldError::Malformed`].
+pub fn read_file_frame<R: Read, T>(
+    mut from: R,
+    read: impl FnOnce(&mut Fields<R>) -> Result<T, FieldError>,
+) -> Result<T, FieldError> {
+    let mut envelope = [0u8; FILE_ENVELOPE_BYTES];
+    let got = read_up_to(&mut from, &mut envelope)?;
+    if got == 0 {
+        return Err(FieldError::Empty);
+    }
+    if got < FILE_ENVELOPE_BYTES || envelope[..8] != FILE_MAGIC {
+        return Err(format!("{got} bytes with no {FILE_ENVELOPE_BYTES}-byte file envelope").into());
+    }
+    let len = u64::from_le_bytes(envelope[8..16].try_into().expect("length"));
+    let len = usize::try_from(len).map_err(|_| format!("a body of {len} bytes"))?;
+    let crc = u32::from_le_bytes(envelope[16..].try_into().expect("crc"));
+    read_body(from, len, crc, read)
 }
 
 #[cfg(test)]
@@ -969,5 +1678,143 @@ mod tests {
         assert_eq!(frame.len(), WIRE_HEADER_BYTES);
         let back = PackedTensor::from_wire_bytes(&frame).unwrap();
         assert_eq!(back.shape(), (0, 8));
+    }
+
+    /// The bytes `write` writes through a fresh [`Writer`].
+    fn written(write: impl FnOnce(&mut Writer<Vec<u8>>)) -> Vec<u8> {
+        let mut w = Writer::new(Vec::new());
+        write(&mut w);
+        let len = w.written();
+        let (bytes, crc) = w.finish().expect("in-memory write");
+        assert_eq!((len as usize, crc), (bytes.len(), crc32(&bytes)));
+        bytes
+    }
+
+    #[test]
+    fn streamed_codes_are_the_wire_frame() {
+        // Code buffers and scale vectors both wider than a stage buffer.
+        for (fmt, rows, cols) in [
+            (FloatFormat::e4m3(), 3, 200),
+            (FloatFormat::e5m2(), 300, 1000),
+            (FloatFormat::e2m1(), 301, 999),
+            (FloatFormat::e4m3(), 0, 5),
+        ] {
+            let q = Quantizer::new(fmt, Granularity::Tile { nb: 2 }, Rounding::Nearest);
+            let t = Tensor::randn(rows, cols, 2.0, &mut Rng::seed_from(rows as u64));
+            let packed = q.quantize_packed(&t, &mut Rng::seed_from(1)).unwrap();
+            let bytes = written(|w| w.codes(&packed));
+            let frame = PackedTensor::Codes(packed.clone()).to_wire_bytes().unwrap();
+            assert!(bytes == frame, "{rows}x{cols}");
+            let back = decode_message(&bytes, Fields::codes).expect("codes decode");
+            assert_eq!(back, packed);
+            assert!(std::ptr::eq(back.lut(), packed.lut()), "the interned table");
+        }
+        // Another variant's frame is not plain codes.
+        let mx = crate::Quantizer::mxfp4()
+            .pack(&Tensor::full(2, 32, 1.0), &mut Rng::seed_from(2))
+            .unwrap();
+        let frame = mx.to_wire_bytes().unwrap();
+        let refused = decode_message(&frame, Fields::codes)
+            .unwrap_err()
+            .to_string();
+        assert!(refused.contains("not plain codes"), "{refused}");
+    }
+
+    #[test]
+    fn float_vectors_cross_stage_buffers_bit_for_bit() {
+        let nan32 = f32::from_bits(0x7FA1_2345);
+        let nan64 = f64::from_bits(0xFFF0_0000_0000_0BAD);
+        for n in [
+            0,
+            1,
+            STAGE_BYTES / 4 - 1,
+            STAGE_BYTES / 4,
+            3 * STAGE_BYTES / 4 + 5,
+        ] {
+            let f32s: Vec<f32> = (0..n)
+                .map(|i| if i % 7 == 0 { nan32 } else { i as f32 - 0.5 })
+                .collect();
+            let f64s: Vec<f64> = (0..n)
+                .map(|i| if i % 5 == 0 { nan64 } else { -(i as f64) })
+                .collect();
+            let bytes = written(|w| {
+                w.f32s(&f32s);
+                w.f64s(&f64s);
+                w.f32s(&f32s);
+            });
+            let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (a, b, c) = decode_message(&bytes, |f| {
+                let mut into = vec![0.0f32; n];
+                let read = (f.f32s()?, f.f64s()?, f.f32s_into(&mut into));
+                Ok((read.0, read.1, read.2.map(|()| into)?))
+            })
+            .expect("vectors decode");
+            assert!(
+                bits32(&a) == bits32(&f32s) && bits32(&c) == bits32(&f32s),
+                "{n}"
+            );
+            assert!(
+                b.iter().zip(&f64s).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{n}"
+            );
+        }
+        // A count that is not the destination's length is refused before a
+        // byte of values is read.
+        let bytes = written(|w| w.f32s(&[1.0, 2.0]));
+        let refused = decode_message(&bytes, |f| f.f32s_into(&mut [0.0; 3])).unwrap_err();
+        assert!(
+            refused.to_string().contains("2 values where 3 belong"),
+            "{refused}"
+        );
+    }
+
+    #[test]
+    fn file_frames_release_nothing_that_fails_length_eof_or_crc() {
+        let write = |w: &mut Writer<&mut std::io::Cursor<Vec<u8>>>| {
+            w.u64(&7);
+            w.f32s(&[1.0; 40_000]);
+        };
+        let file = write_file_frame(std::io::Cursor::new(Vec::new()), write)
+            .expect("in-memory write")
+            .into_inner();
+        assert_eq!(file.len(), FILE_ENVELOPE_BYTES + 8 + 4 + 160_000);
+        assert_eq!(file[..8], FILE_MAGIC);
+        let read = |bytes: &[u8]| {
+            read_file_frame(bytes, |f| Ok((f.u64()?, f.f32s()?.len()))).map_err(|e| e.to_string())
+        };
+        assert_eq!(read(&file), Ok((7, 40_000)));
+        assert!(matches!(
+            read_file_frame(&[][..], |f| f.u8()),
+            Err(FieldError::Empty)
+        ));
+        for cut in [
+            1,
+            8,
+            FILE_ENVELOPE_BYTES - 1,
+            FILE_ENVELOPE_BYTES + 9,
+            file.len() - 1,
+        ] {
+            assert!(read(&file[..cut]).is_err(), "cut at {cut}");
+        }
+        let extended = [&file[..], b"\n"].concat();
+        assert!(read(&extended).unwrap_err().contains("stray bytes"));
+        let mut flipped = file.clone();
+        *flipped.last_mut().expect("non-empty") ^= 0x40;
+        assert!(read(&flipped).unwrap_err().contains("crc mismatch"));
+        let mut magic = file.clone();
+        magic[7] = b'0';
+        assert!(read(&magic)
+            .unwrap_err()
+            .contains("no 20-byte file envelope"));
+        // A declared length past what the file holds runs out; one short
+        // of it leaves the message unfinished.
+        let mut long = file.clone();
+        long[8..16].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert!(read(&long).is_err());
+        let mut short = file;
+        short[8..16].copy_from_slice(&12u64.to_le_bytes());
+        assert!(read(&short)
+            .unwrap_err()
+            .contains("values of 4 bytes declared"));
     }
 }

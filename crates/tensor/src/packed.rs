@@ -41,11 +41,10 @@
 use crate::engine::{gemm, Orientation, Round};
 use crate::granularity::GroupLayout;
 use crate::Tensor;
-use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use std::sync::Arc;
 
 /// Storage width of one code.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CodeWidth {
     /// 4-bit codes, two per byte (FP4 E2M1, INT4, narrower integer grids).
     U4,
@@ -89,11 +88,9 @@ impl CodeWidth {
 /// [`QTensor::new_zeroed`] + [`QTensor::set_code`] is the element-wise
 /// form (all-zero codes are valid: code 0 decodes to 0).
 ///
-/// Serialization stores the codes, scales and decode table verbatim, so a
-/// deserialized tensor decodes bit-for-bit identically (packed optimizer
-/// state survives checkpoint round trips exactly); the decode table (and
-/// the pair table derived from it) loses its cross-tensor interning until
-/// the owning format re-quantizes.
+/// A checkpoint stores the codes and scales verbatim and names the decode
+/// table by its format (`snip_quant::wire`), so a loaded tensor decodes
+/// bit-for-bit identically and shares the format's interned tables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QTensor {
     rows: usize,
@@ -107,67 +104,14 @@ pub struct QTensor {
     lut: Arc<[f32]>,
     /// Byte → decoded `[low nibble, high nibble]` value pairs, flattened
     /// (`pair[2b]`, `pair[2b + 1]`), for 4-bit codes; empty for byte-wide
-    /// codes. Derived from `lut` (see [`QTensor::pair_table`]), shared per
-    /// format like `lut` when built through a quantizer, and never
-    /// serialized — deserialization rebuilds it.
+    /// codes. Derived from `lut` (see [`QTensor::pair_table`]) and shared
+    /// per format like `lut` when built through a quantizer.
     pair: Arc<[f32]>,
     layout: GroupLayout,
     /// Cached `layout.col_groups(cols)`.
     col_groups: usize,
     /// Group → decode multiplier.
     scales: Vec<f32>,
-}
-
-impl Serialize for QTensor {
-    fn to_content(&self) -> Content {
-        // Field-for-field what `#[derive(Serialize)]` emitted before the
-        // derived `pair` table existed — the serialized form is unchanged.
-        Content::Map(vec![
-            (String::from("rows"), self.rows.to_content()),
-            (String::from("cols"), self.cols.to_content()),
-            (String::from("width"), self.width.to_content()),
-            (String::from("data"), self.data.to_content()),
-            (String::from("lut"), self.lut.to_content()),
-            (String::from("layout"), self.layout.to_content()),
-            (String::from("col_groups"), self.col_groups.to_content()),
-            (String::from("scales"), self.scales.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for QTensor {
-    /// Checks every field against the invariants the constructors assert:
-    /// a damaged checkpoint fails to load, not at its first decode.
-    fn from_content(c: &Content) -> Result<Self, SerdeError> {
-        let lut: Arc<[f32]> = de_field(c, "lut")?;
-        let q = QTensor {
-            rows: de_field(c, "rows")?,
-            cols: de_field(c, "cols")?,
-            width: de_field(c, "width")?,
-            data: de_field(c, "data")?,
-            pair: QTensor::pair_table(&lut).into(),
-            lut,
-            layout: de_field(c, "layout")?,
-            col_groups: de_field(c, "col_groups")?,
-            scales: de_field(c, "scales")?,
-        };
-        // In order: each check keeps the next one's arithmetic in range.
-        let (rows, cols, layout) = (q.rows, q.cols, q.layout);
-        let valid = q.lut.len() == q.width.lut_len()
-            && rows.checked_mul(q.width.row_bytes(cols)) == Some(q.data.len())
-            && !matches!(
-                layout,
-                GroupLayout::Block { nb: 0 } | GroupLayout::Tile { nb: 0 }
-            )
-            && q.scales.len() == layout.group_count(rows, cols)
-            && q.col_groups == layout.col_groups(cols);
-        if !valid {
-            return Err(SerdeError::custom(format!(
-                "QTensor {rows}x{cols}: lut, data, layout, scales or col_groups break its invariants"
-            )));
-        }
-        Ok(q)
-    }
 }
 
 impl QTensor {
@@ -911,58 +855,6 @@ mod tests {
         }
         // Byte-wide tables have no pair expansion.
         assert!(QTensor::pair_table(&vec![0.0f32; 256]).is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_decode_and_format() {
-        // The `pair` table is derived state: it is not serialized, and a
-        // deserialized tensor must rebuild it and decode bit-identically.
-        let q = random_qtensor(5, 9, GroupLayout::Tile { nb: 4 }, 91);
-        let json = serde_json::to_string(&q).expect("serialize");
-        assert!(!json.contains("pair"), "pair table must not be serialized");
-        let back: QTensor = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, q);
-        let (d0, d1) = (q.dequantize(), back.dequantize());
-        for (a, b) in d0.as_slice().iter().zip(d1.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Deserializes a 5×9 tile-scaled tensor whose serialized field `key`
-    /// was replaced by `value`.
-    fn load_forged(key: &str, value: Content) -> Result<QTensor, SerdeError> {
-        let q = random_qtensor(5, 9, GroupLayout::Tile { nb: 4 }, 92);
-        let Content::Map(mut fields) = q.to_content() else {
-            panic!("a QTensor serializes as a map");
-        };
-        fields.iter_mut().find(|(k, _)| k == key).expect("field").1 = value;
-        QTensor::from_content(&Content::Map(fields))
-    }
-
-    #[test]
-    fn deserialize_rejects_a_decode_table_of_another_width() {
-        assert!(load_forged("lut", vec![0.0f32; 256].to_content()).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_a_short_code_buffer() {
-        assert!(load_forged("data", vec![0u8; 5 * 5 - 1].to_content()).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_a_missing_scale() {
-        assert!(load_forged("scales", vec![1.0f32; 5 * 3 - 1].to_content()).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_a_zero_group_length() {
-        let layout = GroupLayout::Block { nb: 0 }.to_content();
-        assert!(load_forged("layout", layout).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_a_stale_column_group_count() {
-        assert!(load_forged("col_groups", 4usize.to_content()).is_err());
     }
 
     /// Packed codes always decode to finite values, but the *dense* side of

@@ -6,8 +6,6 @@
 //! than depending on an external RNG crate so the streams are stable across
 //! platforms and dependency upgrades.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic xoshiro256++ random number generator.
 ///
 /// # Example
@@ -18,11 +16,10 @@ use serde::{Deserialize, Serialize};
 /// let mut b = Rng::seed_from(7);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rng {
     state: [u64; 4],
     /// Cached second output of the Box–Muller transform.
-    #[serde(default)]
     gauss_spare: Option<u64>,
 }
 
@@ -51,6 +48,19 @@ impl Rng {
             state,
             gauss_spare: None,
         }
+    }
+
+    /// The generator's whole state: the xoshiro256++ words and the cached
+    /// second Box–Muller output (its `f64` bits), as [`Rng::from_state`]
+    /// takes them back — how a checkpoint stores a stream position.
+    pub fn state(&self) -> ([u64; 4], Option<u64>) {
+        (self.state, self.gauss_spare)
+    }
+
+    /// The generator whose [`Rng::state`] is `(state, gauss_spare)`: it
+    /// continues that stream exactly.
+    pub fn from_state(state: [u64; 4], gauss_spare: Option<u64>) -> Self {
+        Rng { state, gauss_spare }
     }
 
     /// Returns the next raw 64-bit output.
@@ -236,11 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_stream() {
+    fn state_round_trip_preserves_stream() {
         let mut rng = Rng::seed_from(77);
         rng.next_gaussian(); // populate spare
-        let json = serde_json::to_string(&rng).unwrap();
-        let mut restored: Rng = serde_json::from_str(&json).unwrap();
+        let (state, spare) = rng.state();
+        assert!(spare.is_some());
+        let mut restored = Rng::from_state(state, spare);
+        assert_eq!(restored, rng);
+        assert_eq!(rng.next_gaussian(), restored.next_gaussian());
         assert_eq!(rng.next_u64(), restored.next_u64());
     }
 }

@@ -3,7 +3,6 @@
 use crate::arena;
 use crate::pool;
 use crate::rng::Rng;
-use serde::{de_field, Content, Deserialize, Error as SerdeError, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -25,26 +24,11 @@ use std::ops::{Index, IndexMut};
 /// Storage of at least [`arena::FLOOR`] floats comes from, and goes back
 /// to, the step-scoped [`arena`]: inside a training step a tensor reuses
 /// the buffer of one dropped at the same size in the step before.
-#[derive(PartialEq, Serialize)]
+#[derive(PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-impl Deserialize for Tensor {
-    /// Checks the buffer against the shape: a damaged checkpoint fails to
-    /// load, not at its first step.
-    fn from_content(c: &Content) -> Result<Self, SerdeError> {
-        let (rows, cols): (usize, usize) = (de_field(c, "rows")?, de_field(c, "cols")?);
-        let data: Vec<f32> = de_field(c, "data")?;
-        if rows.checked_mul(cols) != Some(data.len()) {
-            return Err(SerdeError::custom(format!(
-                "Tensor {rows}x{cols}: buffer of wrong length"
-            )));
-        }
-        Ok(Tensor { rows, cols, data })
-    }
 }
 
 impl Clone for Tensor {
@@ -515,38 +499,6 @@ mod tests {
         let t = Tensor::randn(100, 100, 0.5, &mut rng);
         let std = (t.squared_sum() / t.len() as f64).sqrt();
         assert!((std - 0.5).abs() < 0.02, "std = {std}");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = Tensor::from_fn(2, 3, |r, c| r as f32 - c as f32);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
-        assert_eq!(
-            json,
-            r#"{"rows":2,"cols":3,"data":[0.0,-1.0,-2.0,1.0,0.0,-1.0]}"#
-        );
-    }
-
-    #[test]
-    fn deserialize_rejects_a_short_buffer() {
-        let forged = r#"{"rows":2,"cols":3,"data":[0.0,1.0,2.0,3.0,4.0]}"#;
-        assert!(serde_json::from_str::<Tensor>(forged).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_a_long_buffer() {
-        let forged = r#"{"rows":2,"cols":2,"data":[0.0,1.0,2.0,3.0,4.0]}"#;
-        assert!(serde_json::from_str::<Tensor>(forged).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_an_overflowing_shape() {
-        // 2^32 × 2^32 wraps to 0 in u64: an unchecked product would accept
-        // the empty buffer.
-        let forged = r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#;
-        assert!(serde_json::from_str::<Tensor>(forged).is_err());
     }
 
     #[test]

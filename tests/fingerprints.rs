@@ -20,6 +20,7 @@ use serde::{Content, Serialize};
 use snip::core::{measure, PolicyConfig, Scheme, SnipConfig, SnipEngine, Trainer, TrainerConfig};
 use snip::nn::ModelConfig;
 use snip::pipeline::{data_parallel_train, QuantizePolicy, Wire};
+use snip::quant::wire::{decode_message, FieldError, Fields, FILE_ENVELOPE_BYTES};
 use snip::quant::{crc32, Precision};
 use snip::tensor::rng::Rng;
 use std::fmt;
@@ -104,21 +105,46 @@ fn print(t: &mut Trainer, losses: &[f64]) -> Print {
         .iter()
         .flat_map(|l| l.to_bits().to_le_bytes())
         .collect();
-    // The trainer keeps both streams private; its serialized form names them.
-    let state = t.to_content();
-    let rng = state.get("rng").expect("trainer rng");
-    let cursor = state
-        .get("stream")
-        .and_then(|s| s.get("rng"))
-        .expect("batch-stream cursor");
-    let mut rngs = Vec::new();
-    content_bytes(rng, &mut rngs);
-    content_bytes(cursor, &mut rngs);
+    // The trainer keeps both streams private; its checkpoint holds them,
+    // after the configuration, the step, `last_loss` and the scheme error.
+    // Each is reduced as the map `{state: [u64; 4], gauss_spare}` it was
+    // recorded as.
+    let checkpoint = t.checkpoint_bytes();
+    let rngs = decode_message(&checkpoint[FILE_ENVELOPE_BYTES..], |f| {
+        let _: TrainerConfig = f.json()?;
+        let _step_and_loss = (f.u64()?, f.u64()?);
+        if f.u8()? == 1 {
+            f.bytes()?;
+        }
+        let mut rngs = Vec::new();
+        for _ in 0..2 {
+            content_bytes(&rng_content(f)?, &mut rngs);
+        }
+        f.rest()?;
+        Ok(rngs)
+    })
+    .expect("a trainer's checkpoint decodes");
     Print {
         params: crc32(&params),
         losses: crc32(&losses),
         rngs: crc32(&rngs),
     }
+}
+
+/// One RNG of a checkpoint, as the map its fingerprint was recorded from.
+fn rng_content(f: &mut Fields<&[u8]>) -> Result<Content, FieldError> {
+    let mut state = Vec::new();
+    for _ in 0..4 {
+        state.push(Content::U64(f.u64()?));
+    }
+    let spare = match f.u8()? {
+        0 => Content::Null,
+        _ => Content::U64(f.u64()?),
+    };
+    Ok(Content::Map(vec![
+        ("state".into(), Content::Seq(state)),
+        ("gauss_spare".into(), spare),
+    ]))
 }
 
 fn check<T: PartialEq + fmt::Debug>(name: &str, got: T, want: T) {

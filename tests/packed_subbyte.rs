@@ -14,7 +14,7 @@ use snip::quant::{Quantizer, Rounding};
 use snip::tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip::tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
 use snip::tensor::rng::Rng;
-use snip::tensor::{QOperandRef, QTensor, Tensor};
+use snip::tensor::{QOperandRef, Tensor};
 
 const FORMATS: [fn() -> FloatFormat; 4] = [
     FloatFormat::e2m1,
@@ -157,13 +157,12 @@ proptest! {
 
 /// The scaling-granularity enum moved from `snip-quant` to `snip-tensor`
 /// (one definition; `Granularity` is now `GroupLayout`'s name in
-/// `snip-quant`). Checkpoints hold serialized `QTensor`s (the AdamW
-/// moments), so what the previous definition wrote must still read back
-/// equal — the `GroupLayout` tags and the `QTensor` literal below were
-/// serialized at the commit before the move — and what is written now must
-/// be those same strings. No checkpoint holds a `Quantizer` (only a `Wire`
-/// inside the same-binary START message does), so its literal follows the
-/// type's current fields; it is here to carry the layout tags.
+/// `snip-quant`). A serialized `Quantizer` — the codec of a `Wire` inside a
+/// START message — carries the `GroupLayout` tags, so what the previous
+/// definition wrote must still read back equal (the tags below were
+/// serialized at the commit before the move), and what is written now must
+/// be those same strings. The quantizer's own literal follows the type's
+/// current fields.
 #[test]
 fn serialized_forms_survive_the_granularity_merge() {
     const FMT: &str =
@@ -182,23 +181,6 @@ fn serialized_forms_survive_the_granularity_merge() {
         assert_eq!(serde_json::from_str::<Quantizer>(&json).unwrap(), q, "{g}");
         assert_eq!(serde_json::to_string(&q).unwrap(), json, "{g}");
     }
-
-    let json = concat!(
-        r#"{"rows":2,"cols":3,"width":"U4","data":[245,7,151,0],"#,
-        r#""lut":[0.0,0.5,1.0,1.5,2.0,3.0,4.0,6.0,-0.0,-0.5,-1.0,-1.5,-2.0,-3.0,-4.0,-6.0],"#,
-        r#""layout":{"Tile":{"nb":2}},"col_groups":2,"#,
-        r#""scales":[0.1666666716337204,1.0,0.5,1.0]}"#
-    );
-    let t = Tensor::from_vec(2, 3, vec![0.5, -1.0, 6.0, 3.0, -0.25, 0.0]);
-    let packed = Quantizer::new(
-        FloatFormat::e2m1(),
-        Granularity::Tile { nb: 2 },
-        Rounding::Nearest,
-    )
-    .quantize_packed(&t, &mut Rng::seed_from(0))
-    .unwrap();
-    assert_eq!(serde_json::from_str::<QTensor>(json).unwrap(), packed);
-    assert_eq!(serde_json::to_string(&packed).unwrap(), json);
 }
 
 /// A serialized `FloatFormat` spells out its fields, but the codebook is
