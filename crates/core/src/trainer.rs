@@ -101,10 +101,21 @@ impl Trainer {
     /// Returns the model-config validation message on inconsistency, and
     /// an error for an empty batch shape or a language without states.
     pub fn new(cfg: TrainerConfig) -> Result<Self, String> {
+        let seed = cfg.init_seed;
+        Trainer::around(cfg, |m| Model::new(m, seed))
+    }
+
+    /// The trainer of `cfg` around the model `model` builds from
+    /// `cfg.model` (checked after the batch shape, as [`Trainer::new`]
+    /// documents).
+    fn around(
+        cfg: TrainerConfig,
+        model: impl FnOnce(ModelConfig) -> Result<Model, String>,
+    ) -> Result<Self, String> {
         if cfg.batch_size == 0 || cfg.seq_len == 0 || cfg.language.n_states == 0 {
             return Err("batch size, sequence length and language states must be positive".into());
         }
-        let model = Model::new(cfg.model.clone(), cfg.init_seed)?;
+        let model = model(cfg.model.clone())?;
         let optimizer = AdamW::new(cfg.adamw);
         let language = snip_data::SyntheticLanguage::new(
             snip_data::LanguageConfig {
@@ -397,10 +408,12 @@ impl Trainer {
         written
     }
 
-    /// Restores a trainer saved by [`Trainer::save`]: it builds
-    /// `Trainer::new` from the checkpoint's configuration and overwrites
-    /// that trainer's state as the file streams in. Gradients are zero;
-    /// caches and derived tables are rebuilt from the configuration.
+    /// Restores a trainer saved by [`Trainer::save`]: it builds the
+    /// trainer of the checkpoint's configuration around a
+    /// [`Model::blank`] (nothing is drawn for the parameters the file
+    /// holds) and overwrites its state as the file streams in. Gradients
+    /// are zero; caches and derived tables are rebuilt from the
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -466,7 +479,8 @@ impl Trainer {
             )
             .into());
         }
-        let mut t = Trainer::new(cfg).map_err(|e| format!("trainer config: {e}"))?;
+        let mut t =
+            Trainer::around(cfg, Model::blank).map_err(|e| format!("trainer config: {e}"))?;
         t.step = f.u64()?;
         t.last_loss = f64::from_bits(f.u64()?);
         t.last_scheme_error = match f.u8()? {

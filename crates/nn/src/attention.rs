@@ -5,7 +5,7 @@ use crate::rope::Rope;
 use snip_tensor::{
     matmul::{matmul, matmul_nt, matmul_tn},
     ops::softmax_rows_inplace,
-    Tensor,
+    pool, Tensor,
 };
 
 /// Scaled-dot-product multi-head attention with causal masking and RoPE.
@@ -13,6 +13,11 @@ use snip_tensor::{
 /// Operates on already-projected Q/K/V activations of shape
 /// `(batch·seq) × hidden`; heads are interpreted as contiguous column blocks
 /// of width `head_dim`.
+///
+/// Sequences are independent, so both passes run one pool task per
+/// sequence: a task owns that sequence's row band of every tensor it writes
+/// and walks the heads in order, computing exactly what a batch of one
+/// would. Results are bit-identical on every pool split.
 #[derive(Clone, Debug)]
 pub struct Attention {
     n_heads: usize,
@@ -35,6 +40,17 @@ pub struct AttentionCache {
     seq: usize,
 }
 
+/// The row bands of `t`, `band` elements (one sequence) each; none for
+/// empty sequences (`chunks_mut(0)` would panic).
+fn bands(t: &mut Tensor, band: usize) -> std::slice::ChunksMut<'_, f32> {
+    t.as_mut_slice().chunks_mut(band.max(1))
+}
+
+/// Row band `b` of `t`, `band` elements (one sequence) long.
+fn band(t: &Tensor, b: usize, band: usize) -> &[f32] {
+    &t.as_slice()[b * band..(b + 1) * band]
+}
+
 impl Attention {
     /// Creates an attention module.
     pub fn new(n_heads: usize, head_dim: usize, max_seq: usize, rope_theta: f32) -> Self {
@@ -50,30 +66,25 @@ impl Attention {
         self.n_heads * self.head_dim
     }
 
-    /// Copies head `h` of sequence `b` out of a `(batch·seq) × hidden` tensor.
-    fn head(&self, x: &Tensor, b: usize, h: usize, seq: usize) -> Tensor {
-        let mut out = Tensor::zeros(seq, self.head_dim);
-        for t in 0..seq {
-            let src = &x.row(b * seq + t)[h * self.head_dim..(h + 1) * self.head_dim];
-            out.row_mut(t).copy_from_slice(src);
+    /// Head `h`'s columns of each row of a `seq × hidden` band, as a
+    /// `seq × head_dim` tensor.
+    fn head(&self, band: &[f32], h: usize) -> Tensor {
+        let cols = h * self.head_dim..(h + 1) * self.head_dim;
+        let mut out = Tensor::zeros(band.len() / self.hidden(), self.head_dim);
+        let rows = out.as_mut_slice().chunks_exact_mut(self.head_dim);
+        for (dst, src) in rows.zip(band.chunks_exact(self.hidden())) {
+            dst.copy_from_slice(&src[cols.clone()]);
         }
         out
     }
 
-    /// Writes a `seq × head_dim` slice back into place.
-    fn set_head(&self, x: &mut Tensor, b: usize, h: usize, seq: usize, slice: &Tensor) {
-        for t in 0..seq {
-            let dst = &mut x.row_mut(b * seq + t)[h * self.head_dim..(h + 1) * self.head_dim];
-            dst.copy_from_slice(slice.row(t));
-        }
-    }
-
-    /// Adds a `seq × head_dim` slice into place (for gradient accumulation).
-    fn add_head(&self, x: &mut Tensor, b: usize, h: usize, seq: usize, slice: &Tensor) {
-        for t in 0..seq {
-            let dst = &mut x.row_mut(b * seq + t)[h * self.head_dim..(h + 1) * self.head_dim];
-            for (d, s) in dst.iter_mut().zip(slice.row(t)) {
-                *d += s;
+    /// `f(band element, head element)` over head `h`'s columns of a band.
+    fn write_head(&self, band: &mut [f32], h: usize, slice: &Tensor, f: impl Fn(&mut f32, f32)) {
+        let cols = h * self.head_dim..(h + 1) * self.head_dim;
+        let rows = band.chunks_exact_mut(self.hidden());
+        for (dst, src) in rows.zip(slice.as_slice().chunks_exact(self.head_dim)) {
+            for (d, &s) in dst[cols.clone()].iter_mut().zip(src) {
+                f(d, s);
             }
         }
     }
@@ -92,27 +103,62 @@ impl Attention {
         batch: usize,
         seq: usize,
     ) -> (Tensor, AttentionCache) {
+        let _span = snip_obs::span("nn.attention.fwd");
         let hidden = self.hidden();
         assert_eq!(q.shape(), (batch * seq, hidden), "bad q shape");
         assert_eq!(k.shape(), q.shape(), "bad k shape");
         assert_eq!(v.shape(), q.shape(), "bad v shape");
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let width = seq * hidden;
 
-        // Apply RoPE to q and k, head by head.
+        // RoPE rotates q and k in place, head by head.
         let mut q_rot = q.clone();
         let mut k_rot = k.clone();
         let mut out = Tensor::zeros(batch * seq, hidden);
-        let mut probs = Vec::with_capacity(batch * self.n_heads);
-        for b in 0..batch {
-            for h in 0..self.n_heads {
-                let mut qh = self.head(q, b, h, seq);
-                let mut kh = self.head(k, b, h, seq);
+        let mut probs: Vec<Vec<Tensor>> = (0..batch).map(|_| Vec::new()).collect();
+        let tasks = bands(&mut out, width)
+            .zip(bands(&mut q_rot, width))
+            .zip(bands(&mut k_rot, width))
+            .zip(&mut probs)
+            .map(|(((o, q), k), p)| (o, q, k, p))
+            .collect();
+        pool::for_each_owned(tasks, |b, (out, q_rot, k_rot, probs)| {
+            *probs = self.forward_sequence(q_rot, k_rot, band(v, b, width), out);
+        });
+        (
+            out,
+            AttentionCache {
+                q_rot,
+                k_rot,
+                v: v.clone(),
+                probs: probs.into_iter().flatten().collect(),
+                batch,
+                seq,
+            },
+        )
+    }
+
+    /// The forward pass of one sequence, heads in order: rotates its
+    /// `q_rot` / `k_rot` bands (copies of q and k) in place, writes its
+    /// `out` band and returns the heads' probabilities.
+    fn forward_sequence(
+        &self,
+        q_rot: &mut [f32],
+        k_rot: &mut [f32],
+        v: &[f32],
+        out: &mut [f32],
+    ) -> Vec<Tensor> {
+        let seq = v.len() / self.hidden();
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        (0..self.n_heads)
+            .map(|h| {
+                let mut qh = self.head(q_rot, h);
+                let mut kh = self.head(k_rot, h);
                 self.rope.apply(&mut qh);
                 self.rope.apply(&mut kh);
-                self.set_head(&mut q_rot, b, h, seq, &qh);
-                self.set_head(&mut k_rot, b, h, seq, &kh);
+                self.write_head(q_rot, h, &qh, |d, s| *d = s);
+                self.write_head(k_rot, h, &kh, |d, s| *d = s);
 
-                let vh = self.head(v, b, h, seq);
+                let vh = self.head(v, h);
                 let mut scores = matmul_nt(&qh, &kh);
                 scores.scale(scale);
                 // Causal mask: position i attends to j ≤ i.
@@ -124,69 +170,80 @@ impl Attention {
                 }
                 softmax_rows_inplace(&mut scores);
                 let attended = matmul(&scores, &vh);
-                self.set_head(&mut out, b, h, seq, &attended);
-                probs.push(scores);
-            }
-        }
-        (
-            out,
-            AttentionCache {
-                q_rot,
-                k_rot,
-                v: v.clone(),
-                probs,
-                batch,
-                seq,
-            },
-        )
+                self.write_head(out, h, &attended, |d, s| *d = s);
+                scores
+            })
+            .collect()
     }
 
     /// Backward pass: gradient w.r.t. the *pre-RoPE* q, k and v.
     pub fn backward(&self, dout: &Tensor, cache: &AttentionCache) -> (Tensor, Tensor, Tensor) {
+        let _span = snip_obs::span("nn.attention.bwd");
         let (batch, seq) = (cache.batch, cache.seq);
         let hidden = self.hidden();
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let width = seq * hidden;
         let mut dq = Tensor::zeros(batch * seq, hidden);
         let mut dk = Tensor::zeros(batch * seq, hidden);
         let mut dv = Tensor::zeros(batch * seq, hidden);
-
-        for b in 0..batch {
-            for h in 0..self.n_heads {
-                let p = &cache.probs[b * self.n_heads + h];
-                let da = self.head(dout, b, h, seq);
-                let qh = self.head(&cache.q_rot, b, h, seq);
-                let kh = self.head(&cache.k_rot, b, h, seq);
-                let vh = self.head(&cache.v, b, h, seq);
-
-                // dV = Pᵀ · dA
-                let dvh = matmul_tn(p, &da);
-                // dP = dA · Vᵀ
-                let dp = matmul_nt(&da, &vh);
-                // Softmax backward per row: dS = P ⊙ (dP − rowsum(dP ⊙ P)).
-                let mut ds = Tensor::zeros(seq, seq);
-                for i in 0..seq {
-                    let pi = p.row(i);
-                    let dpi = dp.row(i);
-                    let dot: f32 = pi.iter().zip(dpi).map(|(&a, &b)| a * b).sum();
-                    let dsi = ds.row_mut(i);
-                    for j in 0..seq {
-                        dsi[j] = pi[j] * (dpi[j] - dot);
-                    }
-                }
-                ds.scale(scale);
-                // dQ_rot = dS · K ; dK_rot = dSᵀ · Q
-                let mut dqh = matmul(&ds, &kh);
-                let mut dkh = matmul_tn(&ds, &qh);
-                // Undo RoPE (adjoint).
-                self.rope.apply_transposed(&mut dqh);
-                self.rope.apply_transposed(&mut dkh);
-
-                self.add_head(&mut dq, b, h, seq, &dqh);
-                self.add_head(&mut dk, b, h, seq, &dkh);
-                self.add_head(&mut dv, b, h, seq, &dvh);
-            }
-        }
+        let tasks = bands(&mut dq, width)
+            .zip(bands(&mut dk, width))
+            .zip(bands(&mut dv, width))
+            .map(|((dq, dk), dv)| [dq, dk, dv])
+            .collect();
+        pool::for_each_owned(tasks, |b, grads| {
+            let heads = b * self.n_heads..(b + 1) * self.n_heads;
+            let [dout, q_rot, k_rot, v] =
+                [dout, &cache.q_rot, &cache.k_rot, &cache.v].map(|t| band(t, b, width));
+            self.backward_sequence(dout, [q_rot, k_rot, v], &cache.probs[heads], grads);
+        });
         (dq, dk, dv)
+    }
+
+    /// The backward pass of one sequence, heads in order: adds each head's
+    /// `[dq, dk, dv]` into the sequence's (zeroed) gradient bands.
+    fn backward_sequence(
+        &self,
+        dout: &[f32],
+        [q_rot, k_rot, v]: [&[f32]; 3],
+        probs: &[Tensor],
+        [dq, dk, dv]: [&mut [f32]; 3],
+    ) {
+        let seq = v.len() / self.hidden();
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let add = |d: &mut f32, s: f32| *d += s;
+        for (h, p) in probs.iter().enumerate() {
+            let da = self.head(dout, h);
+            let qh = self.head(q_rot, h);
+            let kh = self.head(k_rot, h);
+            let vh = self.head(v, h);
+
+            // dV = Pᵀ · dA
+            let dvh = matmul_tn(p, &da);
+            // dP = dA · Vᵀ
+            let dp = matmul_nt(&da, &vh);
+            // Softmax backward per row: dS = P ⊙ (dP − rowsum(dP ⊙ P)).
+            let mut ds = Tensor::zeros(seq, seq);
+            for i in 0..seq {
+                let pi = p.row(i);
+                let dpi = dp.row(i);
+                let dot: f32 = pi.iter().zip(dpi).map(|(&a, &b)| a * b).sum();
+                let dsi = ds.row_mut(i);
+                for j in 0..seq {
+                    dsi[j] = pi[j] * (dpi[j] - dot);
+                }
+            }
+            ds.scale(scale);
+            // dQ_rot = dS · K ; dK_rot = dSᵀ · Q
+            let mut dqh = matmul(&ds, &kh);
+            let mut dkh = matmul_tn(&ds, &qh);
+            // Undo RoPE (adjoint).
+            self.rope.apply_transposed(&mut dqh);
+            self.rope.apply_transposed(&mut dkh);
+
+            self.write_head(dq, h, &dqh, add);
+            self.write_head(dk, h, &dkh, add);
+            self.write_head(dv, h, &dvh, add);
+        }
     }
 }
 
@@ -264,6 +321,76 @@ mod tests {
                 assert!((out[(r, c)] - out_single[(r, c)]).abs() < 1e-5);
             }
         }
+    }
+
+    /// Rows `b·seq .. (b+1)·seq` of `t`: sequence `b` of a batch.
+    fn sequence(t: &Tensor, b: usize, seq: usize) -> Tensor {
+        Tensor::from_fn(seq, t.cols(), |r, c| t[(b * seq + r, c)])
+    }
+
+    fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<u32> {
+        ts.into_iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// Forward outputs, the cache's `probs` and backward `dq` / `dk` / `dv`
+    /// over a batch equal, bit for bit, the single-sequence calls stacked
+    /// (the oracle runs on one thread), at splits 1, 2, the pool size and
+    /// the pool size + 3.
+    fn check_against_single_sequences(attn: &Attention, batch: usize, seq: usize, seed: u64) {
+        let mut rng = Rng::seed_from(seed);
+        let [q, k, v, dout] =
+            [(); 4].map(|_| Tensor::randn(batch * seq, attn.hidden(), 0.7, &mut rng));
+        let singles: Vec<_> = pool::with_threads(1, || {
+            (0..batch)
+                .map(|b| {
+                    let [q, k, v, dout] = [&q, &k, &v, &dout].map(|t| sequence(t, b, seq));
+                    let (out, cache) = attn.forward(&q, &k, &v, 1, seq);
+                    let grads = attn.backward(&dout, &cache);
+                    (out, cache.probs, grads)
+                })
+                .collect()
+        });
+        let want = [
+            bits(singles.iter().map(|s| &s.0)),
+            bits(singles.iter().flat_map(|s| &s.1)),
+            bits(singles.iter().map(|s| &s.2 .0)),
+            bits(singles.iter().map(|s| &s.2 .1)),
+            bits(singles.iter().map(|s| &s.2 .2)),
+        ];
+        for split in [1, 2, pool::size(), pool::size() + 3] {
+            let (out, cache, (dq, dk, dv)) = pool::with_threads(split, || {
+                let (out, cache) = attn.forward(&q, &k, &v, batch, seq);
+                let grads = attn.backward(&dout, &cache);
+                (out, cache, grads)
+            });
+            assert_eq!(cache.probs.len(), batch * attn.n_heads);
+            let got = [
+                bits([&out]),
+                bits(&cache.probs),
+                bits([&dq]),
+                bits([&dk]),
+                bits([&dv]),
+            ];
+            let names = ["out", "probs", "dq", "dk", "dv"];
+            for ((name, got), want) in names.iter().zip(&got).zip(&want) {
+                assert!(
+                    got == want,
+                    "{name} differs at split {split} (batch {batch}, seq {seq})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn attention_batches_equal_stacked_single_sequences() {
+        let cfg = crate::config::ModelConfig::tiny_test();
+        let tiny = Attention::new(cfg.n_heads, cfg.head_dim(), cfg.max_seq, cfg.rope_theta);
+        check_against_single_sequences(&tiny, 2, 16, 61);
+        check_against_single_sequences(&tiny, 3, 5, 62);
+        let wide = Attention::new(12, 64, 64, 10_000.0);
+        check_against_single_sequences(&wide, 4, 64, 63);
     }
 
     #[test]

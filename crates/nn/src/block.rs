@@ -6,7 +6,7 @@ use crate::config::ModelConfig;
 use crate::layers::{LayerId, LayerKind};
 use crate::linear::{self, Linear, LinearCache};
 use crate::norm::{RmsNorm, RmsNormCache};
-use crate::param::Param;
+use crate::param::{Init, Param};
 use crate::record::LayerTap;
 use snip_tensor::{
     ops::{silu, silu_grad},
@@ -82,6 +82,11 @@ impl Block {
     /// Builds block `index` of a model. Residual-writing projections (O and
     /// Down) use a `1/√(2·n_layers)` init gain for depth stability.
     pub fn new(index: usize, cfg: &ModelConfig, rng: &mut Rng) -> Self {
+        Block::init(index, cfg, &mut Init::Draw(rng))
+    }
+
+    /// [`Block::new`] with its linear weights from `init`.
+    pub(crate) fn init(index: usize, cfg: &ModelConfig, init: &mut Init) -> Self {
         let h = cfg.hidden;
         let f = cfg.ffn_hidden;
         let residual_gain = 1.0 / (2.0 * cfg.n_layers as f32).sqrt();
@@ -90,15 +95,15 @@ impl Block {
         Block {
             index,
             attn_norm: RmsNorm::new(name("attn_norm"), h),
-            wq: Linear::new(name("q"), h, h, 1.0, g, rng),
-            wk: Linear::new(name("k"), h, h, 1.0, g, rng),
-            wv: Linear::new(name("v"), h, h, 1.0, g, rng),
-            wo: Linear::new(name("o"), h, h, residual_gain, g, rng),
+            wq: Linear::init(name("q"), h, h, 1.0, g, init),
+            wk: Linear::init(name("k"), h, h, 1.0, g, init),
+            wv: Linear::init(name("v"), h, h, 1.0, g, init),
+            wo: Linear::init(name("o"), h, h, residual_gain, g, init),
             attention: Attention::new(cfg.n_heads, cfg.head_dim(), cfg.max_seq, cfg.rope_theta),
             mlp_norm: RmsNorm::new(name("mlp_norm"), h),
-            gate: Linear::new(name("gate"), f, h, 1.0, g, rng),
-            up: Linear::new(name("up"), f, h, 1.0, g, rng),
-            down: Linear::new(name("down"), h, f, residual_gain, g, rng),
+            gate: Linear::init(name("gate"), f, h, 1.0, g, init),
+            up: Linear::init(name("up"), f, h, 1.0, g, init),
+            down: Linear::init(name("down"), h, f, residual_gain, g, init),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Token embedding table.
 
-use crate::param::Param;
+use crate::param::{Init, Param};
 use snip_tensor::{rng::Rng, Tensor};
 
 /// A `vocab × hidden` embedding lookup (kept in high precision).
@@ -18,8 +18,19 @@ impl Embedding {
         std: f32,
         rng: &mut Rng,
     ) -> Self {
+        Embedding::init(name, vocab, hidden, std, &mut Init::Draw(rng))
+    }
+
+    /// [`Embedding::new`] with its table from `init`.
+    pub(crate) fn init(
+        name: impl Into<String>,
+        vocab: usize,
+        hidden: usize,
+        std: f32,
+        init: &mut Init,
+    ) -> Self {
         Embedding {
-            table: Param::randn(name, vocab, hidden, std, rng),
+            table: init.param(name.into(), vocab, hidden, std),
         }
     }
 

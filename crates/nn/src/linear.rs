@@ -53,7 +53,7 @@
 //! SIMD-backend setting — so the training trajectory never depends on the
 //! machine's parallelism or instruction set.
 
-use crate::param::Param;
+use crate::param::{Init, Param};
 use snip_quant::{LinearPrecision, Quantizer, TensorRole};
 use snip_tensor::{
     bf16, gemm, gemm_into, rng::Rng, Orientation, QOperandRef, QTensor, Round, Tensor,
@@ -259,9 +259,22 @@ impl Linear {
         quant_group: usize,
         rng: &mut Rng,
     ) -> Self {
+        let init = &mut Init::Draw(rng);
+        Linear::init(name, out_features, in_features, gain, quant_group, init)
+    }
+
+    /// [`Linear::new`] with its weight from `init`.
+    pub(crate) fn init(
+        name: impl Into<String>,
+        out_features: usize,
+        in_features: usize,
+        gain: f32,
+        quant_group: usize,
+        init: &mut Init,
+    ) -> Self {
         let std = gain / (in_features as f32).sqrt();
         Linear {
-            weight: Param::randn(name, out_features, in_features, std, rng),
+            weight: init.param(name.into(), out_features, in_features, std),
             precision: LinearPrecision::default(),
             quant_group,
             exact: false,

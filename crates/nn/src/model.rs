@@ -14,7 +14,7 @@ use crate::layers::{LayerId, LayerKind};
 use crate::linear::{self, Linear, LinearCache};
 use crate::loss::cross_entropy;
 use crate::norm::{RmsNorm, RmsNormCache};
-use crate::param::Param;
+use crate::param::{Init, Param};
 use crate::record::{LayerTap, StepRecord};
 use snip_quant::wire::{FieldError, Fields, Writer};
 use snip_quant::{LinearPrecision, Precision};
@@ -124,20 +124,36 @@ impl Model {
     ///
     /// Returns the config-validation message if `cfg` is inconsistent.
     pub fn new(cfg: ModelConfig, seed: u64) -> Result<Self, String> {
+        Model::build(cfg, Init::Draw(&mut Rng::seed_from(seed)))
+    }
+
+    /// A model of `cfg`'s shapes whose Gaussian-initialised parameters (the
+    /// embedding and every linear weight) are allocated zero, not drawn —
+    /// for a caller that overwrites every value, as a checkpoint load does
+    /// through [`Model::read_state`]. The norm gains start at 1 as in
+    /// [`Model::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the config-validation message if `cfg` is inconsistent.
+    pub fn blank(cfg: ModelConfig) -> Result<Self, String> {
+        Model::build(cfg, Init::Blank)
+    }
+
+    fn build(cfg: ModelConfig, mut init: Init) -> Result<Self, String> {
         cfg.validate()?;
-        let mut rng = Rng::seed_from(seed);
-        let embed = Embedding::new("embed", cfg.vocab_size, cfg.hidden, 0.02, &mut rng);
+        let embed = Embedding::init("embed", cfg.vocab_size, cfg.hidden, 0.02, &mut init);
         let blocks = (0..cfg.n_layers)
-            .map(|i| Block::new(i, &cfg, &mut rng))
+            .map(|i| Block::init(i, &cfg, &mut init))
             .collect();
         let final_norm = RmsNorm::new("final_norm", cfg.hidden);
-        let lm_head = Linear::new(
+        let lm_head = Linear::init(
             "lm_head",
             cfg.vocab_size,
             cfg.hidden,
             1.0,
             cfg.quant_group,
-            &mut rng,
+            &mut init,
         );
         Ok(Model {
             cfg,
@@ -691,6 +707,26 @@ mod tests {
         let fd = (mp.forward_loss(&batch, &mut rng) - mm.forward_loss(&batch, &mut rng))
             / (2.0 * h as f64);
         assert!((fd - an).abs() < 2e-2 * (1.0 + an.abs()), "fd={fd} an={an}");
+    }
+
+    #[test]
+    fn blank_model_has_the_shapes_of_a_drawn_one_and_draws_nothing() {
+        let cfg = ModelConfig::tiny_test();
+        let drawn = Model::new(cfg.clone(), 42).unwrap();
+        let blank = Model::blank(cfg).unwrap();
+        assert_eq!(blank.params().len(), drawn.params().len());
+        for (b, d) in blank.params().into_iter().zip(drawn.params()) {
+            assert_eq!((b.name(), b.value().shape()), (d.name(), d.value().shape()));
+            if b.name().ends_with("norm") {
+                assert_eq!(b.value(), d.value(), "{}: gains start at 1", b.name());
+            } else {
+                assert!(
+                    b.value().as_slice().iter().all(|&v| v == 0.0),
+                    "{}",
+                    b.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,24 @@ pub struct Param {
     written: bool,
 }
 
+/// Where a constructor's Gaussian-initialised parameters come from.
+pub(crate) enum Init<'a> {
+    /// Drawn from this stream, in construction order.
+    Draw(&'a mut Rng),
+    /// Left zero, for a caller that overwrites every value.
+    Blank,
+}
+
+impl Init<'_> {
+    /// A `rows × cols` parameter: Gaussian of deviation `std`, or zero.
+    pub(crate) fn param(&mut self, name: String, rows: usize, cols: usize, std: f32) -> Param {
+        match self {
+            Init::Draw(rng) => Param::randn(name, rows, cols, std, rng),
+            Init::Blank => Param::new(name, Tensor::zeros(rows, cols)),
+        }
+    }
+}
+
 impl PartialEq for Param {
     fn eq(&self, other: &Self) -> bool {
         (&self.name, &self.value, &self.grad) == (&other.name, &other.value, &other.grad)

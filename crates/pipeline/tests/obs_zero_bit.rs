@@ -178,21 +178,39 @@ fn bcache_builds_are_bit_identical_and_timed_only_with_collection_on() {
     assert!(on.1, "no B-tile build timed with collection on");
 }
 
+/// The phase spans of the attention passes.
+const ATTENTION_SPANS: [&str; 2] = ["nn.attention.fwd", "nn.attention.bwd"];
+
+/// Spans named `name` recorded so far, on every thread.
+fn spans_recorded(name: &str) -> u64 {
+    snip_obs::hist_snapshot(name).map_or(0, |h| h.count)
+}
+
 #[test]
 fn training_steps_are_bit_identical_with_collection_on() {
     // End to end: a quantized model under full instrumentation (model.step
-    // span, quantizer timers, pack signals, pool/gemm counters) must
-    // retrace the uninstrumented run's losses exactly.
+    // span, attention phase spans, quantizer timers, pack signals,
+    // pool/gemm counters) must retrace the uninstrumented run's losses
+    // exactly.
     let (off, on) = off_then_on(|| {
+        let before = ATTENTION_SPANS.map(spans_recorded);
         let mut t = Trainer::new(TrainerConfig::tiny()).expect("tiny trainer");
         t.apply_scheme(&Scheme::uniform(
             Precision::Fp4,
             t.config().model.n_linear_layers(),
         ));
         let losses: Vec<u64> = (0..3).map(|_| t.train_step().to_bits()).collect();
-        losses
+        let spans = ATTENTION_SPANS.map(spans_recorded);
+        (losses, [0, 1].map(|i| spans[i] - before[i]))
     });
-    assert_eq!(off, on, "telemetry changed a training trajectory");
+    assert_eq!(off.0, on.0, "telemetry changed a training trajectory");
+    assert_eq!(
+        off.1,
+        [0, 0],
+        "attention spans recorded with collection off"
+    );
+    // One forward and one backward per block and step: 2 blocks, 3 steps.
+    assert_eq!(on.1, [6, 6], "attention spans with collection on");
 }
 
 /// One SNIP update under collection (the `snip.measure*` spans and the

@@ -16,13 +16,18 @@
 //! `matmul` over the explicitly transposed operand — the one check that is
 //! independent of the transpose the dense and packed paths share.
 //!
+//! The Gaussian fill (`Rng::fill_gaussian`, whose transform runs in pool
+//! bands) must equal the per-element `next_gaussian` loop — every output
+//! bit and the generator state it leaves — at every split, around its
+//! draw-block size and with a Box–Muller spare pending or not.
+//!
 //! The rounded operand (`QOperandRef::Bf16Rounded`) is held to the same
 //! construction: on either side of every kernel it must equal the GEMM over
 //! `Dense` of a rounded copy, at every split and on the forced scalar tier,
 //! over inputs that carry rounding ties, subnormals, ±Inf and NaN.
 
 use proptest::prelude::*;
-use snip_tensor::rng::Rng;
+use snip_tensor::rng::{Rng, GAUSSIAN_BLOCK_PAIRS};
 use snip_tensor::{
     gemm, gemm_into, matmul, pool, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor,
     Round, Tensor, PARALLEL_ELEMENTS,
@@ -642,4 +647,48 @@ fn oversubscribed_split_handles_tiny_problems() {
     let want = pool::with_threads(1, || matmul::matmul(&a, &b));
     let got = pool::with_threads(64, || matmul::matmul(&a, &b));
     assert_bits_eq(&got, &want, "64-way split of 2x3x2");
+}
+
+/// `Rng::fill_gaussian` is one `(next_gaussian() as f32) * std` per
+/// element: output bits and the final `Rng::state()` (the xoshiro words and
+/// the pending spare) at lengths 0–3 and at one draw block −1, 0 and +1
+/// pairs, odd and even, starting with a spare pending and without, on the
+/// unforced split and at 1, 2 and pool size + 3.
+#[test]
+fn gaussian_fill_equals_the_per_element_draws() {
+    let mut lens: Vec<usize> = (0..4).collect();
+    for pairs in [
+        GAUSSIAN_BLOCK_PAIRS - 1,
+        GAUSSIAN_BLOCK_PAIRS,
+        GAUSSIAN_BLOCK_PAIRS + 1,
+    ] {
+        lens.extend([2 * pairs, 2 * pairs + 1]);
+    }
+    let std = 0.7f32;
+    for len in lens {
+        for spare in [false, true] {
+            let mut start = Rng::seed_from(0x6A55 ^ len as u64);
+            if spare {
+                start.next_gaussian();
+            }
+            assert_eq!(start.state().1.is_some(), spare);
+            let mut want_rng = start.clone();
+            let want: Vec<u32> = (0..len)
+                .map(|_| ((want_rng.next_gaussian() as f32) * std).to_bits())
+                .collect();
+            for split in [None, Some(1), Some(2), Some(pool::size() + 3)] {
+                let mut rng = start.clone();
+                let mut got = vec![f32::NAN; len];
+                let mut fill = || rng.fill_gaussian(&mut got, std);
+                match split {
+                    None => fill(),
+                    Some(n) => pool::with_threads(n, fill),
+                }
+                let what = format!("len {len}, spare {spare}, split {split:?}");
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{what}: output bits differ");
+                assert_eq!(rng.state(), want_rng.state(), "{what}: state");
+            }
+        }
+    }
 }
