@@ -317,10 +317,9 @@ pub fn greedy_snip_scheme(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_nn::{
-        batch::Batch,
-        model::{Model, StepOptions},
-    };
+    use crate::probe::measure;
+    use snip_nn::{batch::Batch, model::Model};
+    use snip_optim::{AdamW, AdamWConfig};
 
     fn stats_for(cfg: &ModelConfig) -> StepStats {
         let mut model = Model::new(cfg.clone(), 41).unwrap();
@@ -332,9 +331,8 @@ mod tests {
             ],
             8,
         );
-        model.zero_grads();
-        let out = model.step(&batch, &mut rng, &StepOptions::record());
-        StepStats::from_record(&out.record.unwrap(), cfg)
+        let opt = AdamW::new(AdamWConfig::default());
+        measure(&mut model, &opt, &batch, &mut rng, 1e-2).stats
     }
 
     #[test]

@@ -1,14 +1,37 @@
 //! The periodic SNIP workflow engine (paper Fig. 6 / §3).
 //!
-//! One synchronous code path: Steps 1–3 (statistics + probes,
-//! [`measure`]), Step 4 (divergence analysis, [`analyze`]) and Step 5 (the
-//! ILP, [`decide_scheme`]) all run on the calling thread, and the caller
-//! applies the returned scheme (Step 6) before its next training step. The
-//! paper offloads Steps 4–5 to the CPU so the GPUs keep training; on this
-//! CPU simulator they cost ≈ 0.03 ms per update against a ≈ 300 ms step
-//! (`core.analyze_ms` + `core.decide_ms` in `benchmark/`), so there is
-//! nothing to overlap — and running them in line makes the whole loop a
-//! pure function of seed and step. [`SnipEngine`] is plain data and `Sync`.
+//! # The adaptive loop
+//!
+//! [`Trainer::train_with_engine`](crate::Trainer::train_with_engine) is the
+//! Fig. 6 loop, **one synchronous code path**. On a step where
+//! [`SnipEngine::is_update_due`], it draws one probe batch and calls
+//! [`SnipEngine::generate_scheme`]: [`measure`] → [`analyze`] →
+//! [`decide_scheme`], composed only in [`SnipEngine::analyze_and_solve`].
+//! It installs the scheme ([`Trainer::apply_scheme`](crate::Trainer::apply_scheme))
+//! or keeps the [`SolveError`] in
+//! [`Trainer::last_scheme_error`](crate::Trainer::last_scheme_error) (and
+//! counts `snip.solve_failed`), and *then* runs
+//! [`Trainer::train_step`](crate::Trainer::train_step): the scheme measured
+//! at step `s` governs step `s`. [`SnipEngine`] is plain data and `Sync`;
+//! nothing in this crate holds a thread, a channel or pending state.
+//!
+//! So the loop is a pure function of seed and step: the schedule depends on
+//! the absolute step, the scheme lives in each layer's
+//! [`Linear::precision`](snip_nn::Linear::precision), the probe draws
+//! nothing, and nothing is in flight between steps. Reruns repeat bit for
+//! bit, `n` calls of one step equal one call of `n` steps, and
+//! [`Trainer::save`](crate::Trainer::save) / [`Trainer::load`](crate::Trainer::load)
+//! resume bit-exactly at any step with a fresh engine
+//! (`tests/adaptive_determinism.rs`).
+//!
+//! Steps 4–5 run in line, with no apply lag: the paper offloads them so the
+//! GPUs keep training, but here `core.analyze_ms` + `core.decide_ms` (in
+//! `benchmark/`) are orders of magnitude below a step. A traced
+//! `snip.solve` span above ~5 % of `update_period` steps would justify a
+//! fixed lag, blocking if late, with the pending measurement in the
+//! checkpoint. The one wall-clock input to a scheme is the 30 s cap of the
+//! default [`SolveOptions`](snip_ilp::SolveOptions), which no benchmark
+//! instance reaches.
 
 use crate::divergence::analyze;
 use crate::options::{FlopModel, OptionSet};

@@ -7,13 +7,12 @@
 mod tests {
     use crate::baselines::{fisher_scheme, fisher_sensitivity, greedy_refinement};
     use crate::options::{FlopModel, OptionSet};
+    use crate::probe::measure;
     use crate::stats::StepStats;
     use snip_ilp::{solve, Choice, McKnapsack, SolveError, SolveOptions};
     use snip_nn::ModelConfig;
-    use snip_nn::{
-        batch::Batch,
-        model::{Model, StepOptions},
-    };
+    use snip_nn::{batch::Batch, model::Model};
+    use snip_optim::{AdamW, AdamWConfig};
     use snip_quant::{LinearPrecision, Precision};
     use snip_tensor::rng::Rng;
 
@@ -27,9 +26,8 @@ mod tests {
             ],
             8,
         );
-        model.zero_grads();
-        let out = model.step(&batch, &mut rng, &StepOptions::record());
-        StepStats::from_record(&out.record.unwrap(), cfg)
+        let opt = AdamW::new(AdamWConfig::default());
+        measure(&mut model, &opt, &batch, &mut rng, 1e-2).stats
     }
 
     #[test]

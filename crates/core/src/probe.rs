@@ -87,7 +87,7 @@
 //! # The oracle
 //!
 //! The formulation `measure` replaced — three recorded full passes, then
-//! [`StepStats::from_record`], [`Tensor::distance`] and
+//! [`StepStats::from_views`], [`Tensor::distance`] and
 //! [`AdamW::update_sensitivity`] — lives as `measure_reference` in
 //! `tests/probe_equivalence.rs`. `measure == measure_reference` on tiny,
 //! ragged, packed-FP8-moment, FP4-scheme and mixed-scheme configurations,

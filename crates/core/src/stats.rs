@@ -1,10 +1,11 @@
-//! Per-layer statistics derived from a recorded training step
-//! (SNIP Step 1, paper Fig. 6).
+//! Per-layer statistics of one high-precision training step (SNIP Step 1,
+//! paper Fig. 6).
 //!
 //! Besides the raw Frobenius norms, this module pre-computes the
 //! quantization-error norms `‖δX‖`, `‖δW‖`, `‖δ∇Y‖` for every candidate
 //! precision, which is everything the divergence analysis (§4.2–§4.3)
-//! needs — after this step the model tensors can be dropped.
+//! needs — after this step the model tensors can be dropped. Further
+//! quantization options (§5.2) are measured by [`option_errors`].
 //!
 //! Every statistic is one independent scalar reduction over a borrowed
 //! tensor, and [`pool::reduce`] runs them **one reduction per pool task**: a
@@ -12,17 +13,17 @@
 //! value never depends on the thread count or on which worker computed it.
 
 use serde::{Deserialize, Serialize};
-use snip_nn::record::StepRecord;
-use snip_nn::{LayerId, ModelConfig};
-use snip_quant::{Precision, TensorRole};
+use snip_nn::model::Model;
+use snip_nn::record::LayerTap;
+use snip_nn::{Batch, LayerId, Linear, LinearCache, ModelConfig};
+use snip_quant::{LinearPrecision, Precision, Quantizer, TensorRole};
 use snip_tensor::pool::{self, Reduction};
-use snip_tensor::Tensor;
+use snip_tensor::{rng::Rng, Tensor};
 
 /// The tensors and in-pass statistics of one linear layer on a statistics
-/// iteration, borrowed from wherever they live — a [`StepRecord`]'s
-/// snapshots, or the model, its forward caches and the probe's tap. The
-/// output gradient comes as its statistics: it lives only while its
-/// layer's backward runs, so the probe reduces it there.
+/// iteration, borrowed from the model, its forward caches and the probe's
+/// tap. The output gradient comes as its statistics: it lives only while
+/// its layer's backward runs, so the probe reduces it there.
 #[derive(Clone, Copy, Debug)]
 pub struct LayerView<'a> {
     /// Input activations as consumed by the forward GEMM (`tokens × in`).
@@ -108,10 +109,68 @@ impl OperandStats {
     }
 }
 
-/// Statistics of one quantizable linear layer from one recorded step.
+/// [`option_errors`]'s tap: per layer, one relative error per option.
+struct OptionTap<'a> {
+    options: &'a [(TensorRole, Quantizer)],
+    errors: Vec<Vec<f64>>,
+}
+
+impl OptionTap<'_> {
+    /// Layer `id`'s error under every option of `role`, one pool task each.
+    fn reduce(&mut self, id: LayerId, role: TensorRole, t: &Tensor) {
+        let options = self.options;
+        let picked = || options.iter().enumerate().filter(|(_, (r, _))| *r == role);
+        let tasks =
+            picked().map(|(_, (_, q))| Box::new(move || q.relative_error(t)) as Reduction<'_>);
+        for ((j, _), e) in picked().zip(pool::reduce(tasks.collect())) {
+            self.errors[id.linear_index()][j] = e;
+        }
+    }
+}
+
+impl LayerTap for OptionTap<'_> {
+    fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, _y: &Tensor) {
+        self.reduce(id, TensorRole::Input, &cache.qx.dequantize());
+        self.reduce(id, TensorRole::Weight, lin.weight().value());
+    }
+
+    fn backward(&mut self, id: LayerId, dy: &Tensor, _dw: &Tensor, _dx: &Tensor) {
+        self.reduce(id, TensorRole::OutputGrad, dy);
+    }
+}
+
+/// [`Quantizer::relative_error`] of each `(role, quantizer)` option on each
+/// linear layer's operand of that role — `errors[layer][option]`, layers by
+/// [`LayerId::linear_index`] — over one BF16 step on `batch`, run through
+/// [`Model`]'s four stages as [`measure`](crate::probe::measure) does. `X`
+/// is read as the forward GEMM read it, `dY` while its backward runs; no
+/// tensor is kept. Scheme and weights are restored, gradients zeroed.
+pub fn option_errors(
+    model: &mut Model,
+    batch: &Batch,
+    rng: &mut Rng,
+    options: &[(TensorRole, Quantizer)],
+) -> Vec<Vec<f64>> {
+    let saved_scheme = model.scheme();
+    let n = saved_scheme.len();
+    model.set_scheme(&vec![LinearPrecision::uniform(Precision::Bf16); n]);
+    let errors = vec![vec![0.0; options.len()]; n];
+    let mut tap = OptionTap { options, errors };
+    model.zero_grads();
+    let mut tapped: Option<&mut dyn LayerTap> = Some(&mut tap);
+    let (caches, hidden) = model.forward_blocks(batch, rng, &mut tapped);
+    let head = model.forward_head(&hidden, batch, rng);
+    let top = model.backward_head(&head, rng);
+    model.backward_blocks(batch, &top, &caches, rng, &mut tapped);
+    model.zero_all_grads();
+    model.set_scheme(&saved_scheme);
+    tap.errors
+}
+
+/// Statistics of one quantizable linear layer from one statistics step.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayerStats {
-    /// Tokens in the recorded batch (`M` of the activations).
+    /// Tokens in the step's batch (`M` of the activations).
     pub tokens: usize,
     /// Layer output features (`N`).
     pub out_features: usize,
@@ -137,45 +196,18 @@ pub struct LayerStats {
     pub dy_err: ErrorByPrecision,
 }
 
-/// Statistics for every layer of a recorded step.
+/// Statistics for every layer of one statistics step.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepStats {
-    /// Training loss of the recorded (high-precision) step.
+    /// Training loss of the (high-precision) statistics step.
     pub loss: f64,
-    /// Tokens in the recorded batch.
+    /// Tokens in the step's batch.
     pub ntokens: usize,
     /// Per-layer stats, indexed by [`LayerId::linear_index`].
     pub layers: Vec<LayerStats>,
 }
 
 impl StepStats {
-    /// Derives statistics from a recorded step.
-    ///
-    /// `cfg.quant_group` is the scale-group length used when measuring
-    /// quantization errors.
-    pub fn from_record(record: &StepRecord, cfg: &ModelConfig) -> Self {
-        let dy_tasks = record
-            .linears
-            .iter()
-            .flat_map(|lr| OperandStats::tasks(&lr.dy, TensorRole::OutputGrad, cfg.quant_group))
-            .collect();
-        let dys = pool::reduce(dy_tasks);
-        let views: Vec<LayerView<'_>> = record
-            .linears
-            .iter()
-            .zip(dys.chunks_exact(OperandStats::TASKS))
-            .map(|(lr, dy)| LayerView {
-                x: &lr.x,
-                w: &lr.w,
-                dy: OperandStats::from_values(dy),
-                dw: &lr.dw,
-                y_norm: lr.y_norm,
-                dx_norm: lr.dx_norm,
-            })
-            .collect();
-        Self::from_views(record.loss, record.ntokens, &views, cfg)
-    }
-
     /// Derives statistics from borrowed per-layer tensors (indexed by
     /// [`LayerId::linear_index`]) of a step with the given loss and token
     /// count: per layer the [`OperandStats`] of `X` and `W` and `‖∇W‖`,
@@ -236,11 +268,8 @@ impl StepStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snip_nn::{
-        batch::Batch,
-        model::{Model, StepOptions},
-    };
-    use snip_tensor::rng::Rng;
+    use crate::probe::measure;
+    use snip_optim::{AdamW, AdamWConfig};
 
     fn collect() -> (StepStats, ModelConfig) {
         let cfg = ModelConfig::tiny_test();
@@ -253,9 +282,8 @@ mod tests {
             ],
             8,
         );
-        model.zero_grads();
-        let out = model.step(&batch, &mut rng, &StepOptions::record());
-        (StepStats::from_record(&out.record.unwrap(), &cfg), cfg)
+        let opt = AdamW::new(AdamWConfig::default());
+        (measure(&mut model, &opt, &batch, &mut rng, 1e-2).stats, cfg)
     }
 
     #[test]

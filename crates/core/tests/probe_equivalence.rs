@@ -1,9 +1,9 @@
-//! `probe::measure` against its oracle.
+//! `probe::measure` and `stats::option_errors` against their oracle.
 //!
 //! [`measure_reference`] is the formulation `measure` replaced, built only
 //! from public API: three full recorded passes — a `Model::step` in record
 //! mode and two noise-injected passes composed from the four public stages
-//! with a `StepRecord` tap — then `StepStats::from_record`,
+//! with a `StepRecord` tap — then [`stats_of_record`],
 //! `Tensor::distance` and `AdamW::update_sensitivity`. The staged probe
 //! (one shared blocks-forward, no tensor snapshots, statistics spread over
 //! the worker pool) must return a `SnipMeasurement` that is `==` to it —
@@ -12,14 +12,14 @@
 //! must leave the model, the optimizer and the caller's `Rng` as it found
 //! them.
 
-use snip_core::stats::StepStats;
+use snip_core::stats::{option_errors, LayerView, OperandStats, StepStats};
 use snip_core::{measure, Scheme, SnipMeasurement, Trainer, TrainerConfig};
 use snip_nn::inject::Injection;
 use snip_nn::model::{Model, StepOptions};
 use snip_nn::record::{LayerTap, StepRecord};
 use snip_nn::{Batch, LayerId, ModelConfig};
 use snip_optim::{AdamW, MomentPrecision};
-use snip_quant::{LinearPrecision, Precision};
+use snip_quant::{LinearPrecision, Precision, Quantizer, TensorRole};
 use snip_tensor::rng::Rng;
 use snip_tensor::{pool, simd, Tensor};
 
@@ -62,6 +62,24 @@ fn probe_step(
     record.loss = loss;
     record.ntokens = batch.num_tokens();
     record
+}
+
+/// The statistics of a recorded step: each layer's snapshots read as
+/// [`LayerView`]s, `dY` reduced by [`OperandStats::of`].
+fn stats_of_record(record: &StepRecord, cfg: &ModelConfig) -> StepStats {
+    let views: Vec<LayerView<'_>> = record
+        .linears
+        .iter()
+        .map(|lr| LayerView {
+            x: &lr.x,
+            w: &lr.w,
+            dy: OperandStats::of(&lr.dy, TensorRole::OutputGrad, cfg.quant_group),
+            dw: &lr.dw,
+            y_norm: lr.y_norm,
+            dx_norm: lr.dx_norm,
+        })
+        .collect();
+    StepStats::from_views(record.loss, record.ntokens, &views, cfg)
 }
 
 /// The body of `probe::measure` before it shared the forward.
@@ -128,7 +146,7 @@ fn measure_reference(
         .collect();
 
     let fwd_loss_delta = (fwd.loss - base.loss).abs();
-    let stats = StepStats::from_record(&base, &cfg);
+    let stats = stats_of_record(&base, &cfg);
 
     model.zero_grads();
     model.set_scheme(&saved_scheme);
@@ -342,4 +360,84 @@ fn staged_probe_equals_the_reference_past_the_parallel_thresholds() {
         EPSILON,
     );
     assert_eq!(again, want, "consecutive measurements are identical");
+}
+
+/// `option_errors` reduces each live operand to the relative errors a
+/// recorded BF16 step of the same batch gives its snapshot, bit for bit, at
+/// every pool split, and leaves the installed scheme, the weights and the
+/// caller's `Rng` as it found them.
+#[test]
+fn option_errors_equal_the_relative_errors_of_a_recorded_step() {
+    let n = TrainerConfig::tiny().model.n_linear_layers();
+    let mut t = warmed(TrainerConfig::tiny(), Some(mixed_scheme(n)));
+    let batch = t.peek_batch();
+    let nb = t.config().model.quant_group;
+    let roles = [
+        TensorRole::Input,
+        TensorRole::Weight,
+        TensorRole::OutputGrad,
+    ];
+    let options: Vec<(TensorRole, Quantizer)> = roles
+        .into_iter()
+        .flat_map(|role| {
+            let fp4 = Precision::Fp4.quantizer_with_group(role, nb);
+            [
+                fp4,
+                fp4.with_rht(8, 17),
+                fp4.with_outliers(0.01),
+                Quantizer::mxfp4(),
+                Precision::Fp8.quantizer_with_group(role, nb),
+            ]
+            .map(|q| (role, q))
+        })
+        .collect();
+
+    let mut reference = t.clone();
+    reference
+        .model
+        .set_scheme(&vec![LinearPrecision::uniform(Precision::Bf16); n]);
+    reference.model.zero_grads();
+    let record = reference
+        .model
+        .step(&batch, &mut Rng::seed_from(3), &StepOptions::record())
+        .record
+        .expect("recording requested");
+    let want: Vec<Vec<f64>> = record
+        .linears
+        .iter()
+        .map(|lr| {
+            let operand = |role| match role {
+                TensorRole::Input => &lr.x,
+                TensorRole::Weight => &lr.w,
+                TensorRole::OutputGrad => &lr.dy,
+            };
+            options
+                .iter()
+                .map(|(role, q)| q.relative_error(operand(*role)))
+                .collect()
+        })
+        .collect();
+    assert!(
+        want.iter().flatten().all(|&e| e > 0.0),
+        "degenerate reference"
+    );
+
+    let before = {
+        let mut zeroed = t.clone();
+        zeroed.model.zero_all_grads();
+        state_bytes(&zeroed)
+    };
+    let rng = Rng::seed_from(3);
+    let mut tap_rng = rng.clone();
+    let got = option_errors(&mut t.model, &batch, &mut tap_rng, &options);
+    assert_eq!(got, want, "default dispatch");
+    assert_eq!(tap_rng, rng, "a BF16 step draws nothing");
+    assert_eq!(state_bytes(&t), before, "scheme, weights and gradients");
+    let max = pool::size();
+    for split in [1, 2, max + 3] {
+        let got = pool::with_threads(split, || {
+            option_errors(&mut t.model, &batch, &mut rng.clone(), &options)
+        });
+        assert_eq!(got, want, "pool split {split}");
+    }
 }

@@ -10,11 +10,12 @@
 //! INT4, and FP8/INT8 references.
 
 use crate::harness::*;
+use snip_core::stats::option_errors;
 use snip_nn::ModelConfig;
 use snip_quant::granularity::Granularity;
 use snip_quant::int::IntFormat;
 use snip_quant::{Precision, Quantizer, Rounding, TensorRole};
-use snip_tensor::Tensor;
+use snip_tensor::rng::Rng;
 
 pub fn run(ctx: &Ctx) {
     println!("# Ablation: quantization options on checkpoint tensors");
@@ -24,35 +25,22 @@ pub fn run(ctx: &Ctx) {
         ModelConfig::tinyllama_1b_sim(),
         3 * ctx.params.ckpt_unit,
     );
-    let record = study.record();
     let nb = study.cfg().quant_group;
     // RHT blocks must be powers of two; use the largest ≤ nb.
     let rht_block =
         (1usize << (usize::BITS - 1 - (nb.leading_zeros().min(usize::BITS - 1)))).max(2);
 
-    let tensors_of = |role: TensorRole| -> Vec<&Tensor> {
-        record
-            .linears
-            .iter()
-            .map(|lr| match role {
-                TensorRole::Input => &lr.x,
-                TensorRole::Weight => &lr.w,
-                TensorRole::OutputGrad => &lr.dy,
-            })
-            .collect()
-    };
-
-    for (role, label) in [
+    let roles = [
         (TensorRole::Input, "activations X"),
         (TensorRole::Weight, "weights W"),
         (TensorRole::OutputGrad, "output grads dY"),
-    ] {
-        let ts = tensors_of(role);
+    ];
+    let options_of = |role: TensorRole| -> [(&str, Quantizer); 7] {
         let fp4 = Precision::Fp4.quantizer_with_group(role, nb);
         let fp8 = Precision::Fp8.quantizer_with_group(role, nb);
         let int =
             |format: IntFormat| Quantizer::new(format, Granularity::Tile { nb }, Rounding::Nearest);
-        let options: [(&str, Quantizer); 7] = [
+        [
             ("fp4 (paper recipe)", fp4),
             ("mxfp4 (E8M0 scales)", Quantizer::mxfp4()),
             ("rht-fp4", fp4.with_rht(rht_block, 17)),
@@ -60,11 +48,25 @@ pub fn run(ctx: &Ctx) {
             ("int4", int(IntFormat::int4())),
             ("fp8 (reference)", fp8),
             ("int8 (reference)", int(IntFormat::int8())),
-        ];
+        ]
+    };
+    let options: Vec<(TensorRole, Quantizer)> = roles
+        .iter()
+        .flat_map(|&(role, _)| options_of(role).map(|(_, q)| (role, q)))
+        .collect();
+    // Every layer's X, W and dY of one BF16 step on the next batch.
+    let mut t = study.ckpt().clone();
+    let batch = t.peek_batch();
+    let errors = option_errors(&mut t.model, &batch, &mut Rng::seed_from(0xE0E1), &options);
+
+    // Each option's mean over layers, in the order `options` lists them.
+    let mut means = (0..options.len())
+        .map(|j| errors.iter().map(|layer| layer[j]).sum::<f64>() / errors.len() as f64);
+    for (role, label) in roles {
         println!("## {label}");
         println!("{:<22} {:>12}", "option", "rel. error");
-        for (name, q) in options {
-            let err = ts.iter().map(|t| q.relative_error(t)).sum::<f64>() / ts.len() as f64;
+        for (name, _) in options_of(role) {
+            let err = means.next().expect("one mean per option");
             println!("{name:<22} {err:>12.5}");
         }
         println!();

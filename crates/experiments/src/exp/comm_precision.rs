@@ -9,9 +9,9 @@
 //! Both transports print the same table, byte for byte (same per-rank
 //! seeds, same codecs, same frames); `--chaos <seed>` replays every row
 //! under a seeded delay-only fault schedule and asserts it bit-identical to
-//! the calm run. Gradients come from a real checkpoint record (per-rank
-//! variants are the recorded dW plus small per-rank Gaussian noise,
-//! emulating different microbatches).
+//! the calm run. Gradients come from a real checkpoint step (per-rank
+//! variants are its dW plus small per-rank Gaussian noise, emulating
+//! different microbatches).
 
 use crate::harness::*;
 use snip_nn::ModelConfig;
@@ -50,18 +50,12 @@ pub fn run(ctx: &Ctx) {
     }
     println!();
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.ckpt_unit);
-    let record = study.record();
-
-    // One long gradient vector: all dW tensors concatenated.
-    let flat: Vec<f32> = record
-        .linears
-        .iter()
-        .flat_map(|lr| lr.dw.as_slice().iter().copied())
-        .collect();
+    // One long gradient vector: every layer's dW of a BF16 step.
+    let flat = study.weight_grads();
     println!(
         "gradient vector: {} elements from {} linear layers\n",
         flat.len(),
-        record.linears.len()
+        study.cfg().n_linear_layers()
     );
     let grads_for = |ranks: usize| -> Vec<Vec<f32>> {
         let mut rng = Rng::seed_from(0xC0);

@@ -12,10 +12,9 @@ use snip_core::{
 use snip_data::{LanguageConfig, SyntheticLanguage};
 use snip_eval::{evaluate, EvalConfig, EvalReport};
 use snip_nn::model::StepOptions;
-use snip_nn::record::StepRecord;
 use snip_nn::{LayerId, ModelConfig};
 use snip_optim::{AdamWConfig, LrSchedule};
-use snip_quant::{LinearPrecision, Precision};
+use snip_quant::Precision;
 use snip_tensor::rng::Rng;
 use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
@@ -337,7 +336,7 @@ impl Study {
         })
     }
 
-    /// Step-1 statistics — what a BF16 record step on the same batch yields.
+    /// Step-1 statistics of a BF16 step on the checkpoint's next batch.
     pub fn stats(&self) -> &StepStats {
         &self.measurement().stats
     }
@@ -354,19 +353,19 @@ impl Study {
         })
     }
 
-    /// A full BF16-step record of the same batch — the raw X/W/∇Y/∇W
-    /// tensors the statistics are norms of, for the tensor-level
-    /// experiments.
-    pub fn record(&self) -> StepRecord {
+    /// The weight gradients of one BF16 step on the checkpoint's next
+    /// batch, concatenated in [`LayerId::linear_index`] order.
+    pub fn weight_grads(&self) -> Vec<f32> {
         let mut t = self.ckpt.clone();
         let batch = t.peek_batch();
-        let mut rng = Rng::seed_from(0xE0E1);
         let n = self.cfg().n_linear_layers();
-        t.model
-            .set_scheme(&vec![LinearPrecision::uniform(Precision::Bf16); n]);
+        Scheme::uniform(Precision::Bf16, n).apply(&mut t.model);
         t.model.zero_grads();
-        let out = t.model.step(&batch, &mut rng, &StepOptions::record());
-        out.record.expect("recorded")
+        t.model
+            .step(&batch, &mut Rng::seed_from(0), &StepOptions::train());
+        let ids = (0..n).map(LayerId::from_linear_index);
+        let grads = ids.flat_map(|id| t.model.linear(id).weight().grad().as_slice());
+        grads.copied().collect()
     }
 
     /// `SNIP@B`: Step 5 on the study's analysis — globally, or with one
@@ -588,6 +587,7 @@ pub fn print_curves(curves: &[(&str, &[f64])], stride: usize, decimals: usize) {
 mod tests {
     use super::*;
     use snip_core::{SnipConfig, SnipEngine};
+    use snip_nn::record::{LayerTap, StepRecord};
 
     #[test]
     fn quick_params_are_smaller() {
@@ -645,17 +645,21 @@ mod tests {
         }
     }
 
-    /// One measurement replaced the separate record step and the
-    /// per-budget re-measurement without moving a number.
+    /// The study's statistics come from a BF16 step on the checkpoint's
+    /// next batch, and one measurement serves every budget the engine
+    /// would re-measure for.
     #[test]
     fn study_matches_the_record_step_and_the_engine() {
         let study = tiny_study();
         let cfg = study.cfg().clone();
+        let mut t = study.ckpt().clone();
+        let batch = t.peek_batch();
         assert_eq!(
-            *study.stats(),
-            StepStats::from_record(&study.record(), &cfg),
-            "Study::stats vs a BF16 record step on the same checkpoint and batch"
+            study.stats().loss,
+            t.model.forward_loss(&batch, &mut Rng::seed_from(0)),
+            "Study::stats vs a BF16 forward on the checkpoint's next batch"
         );
+        assert_eq!(study.stats().ntokens, batch.num_tokens());
         for budget in [0.25, 0.5, 0.75] {
             let mut t = study.ckpt().clone();
             let engine = SnipEngine::new(
@@ -683,6 +687,35 @@ mod tests {
                 .unwrap();
             assert_eq!(study.scheme(Method::Snip, budget), by_engine, "{budget}");
         }
+    }
+
+    /// `weight_grads` is, bit for bit, the concatenated `dW` a record of
+    /// the same BF16 step snapshots.
+    #[test]
+    fn weight_grads_are_the_recorded_steps_dw() {
+        let study = tiny_study();
+        let mut t = study.ckpt().clone();
+        let batch = t.peek_batch();
+        let model = &mut t.model;
+        let mut record = StepRecord::with_layers(model.config().n_linear_layers());
+        model.zero_grads();
+        {
+            let rng = &mut Rng::seed_from(0);
+            let mut tap: Option<&mut dyn LayerTap> = Some(&mut record);
+            let (caches, hidden) = model.forward_blocks(&batch, rng, &mut tap);
+            let head = model.forward_head(&hidden, &batch, rng);
+            let top = model.backward_head(&head, rng);
+            model.backward_blocks(&batch, &top, &caches, rng, &mut tap);
+        }
+        let bits = |v: &f32| v.to_bits();
+        let want: Vec<u32> = record
+            .linears
+            .iter()
+            .flat_map(|lr| lr.dw.as_slice())
+            .map(bits)
+            .collect();
+        let got: Vec<u32> = study.weight_grads().iter().map(bits).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

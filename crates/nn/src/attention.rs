@@ -3,10 +3,12 @@
 
 use crate::rope::Rope;
 use snip_tensor::{
+    gemm_into,
     matmul::{matmul, matmul_nt, matmul_tn},
     ops::softmax_rows_inplace,
     pool, Tensor,
 };
+use snip_tensor::{Orientation::Nt, Round::Keep};
 
 /// Scaled-dot-product multi-head attention with causal masking and RoPE.
 ///
@@ -17,7 +19,8 @@ use snip_tensor::{
 /// Sequences are independent, so both passes run one pool task per
 /// sequence: a task owns that sequence's row band of every tensor it writes
 /// and walks the heads in order, computing exactly what a batch of one
-/// would. Results are bit-identical on every pool split.
+/// would. Results are bit-identical on every pool split. The probabilities
+/// a cache keeps are allocated on the calling thread, not by a pool worker.
 #[derive(Clone, Debug)]
 pub struct Attention {
     n_heads: usize,
@@ -114,15 +117,15 @@ impl Attention {
         let mut q_rot = q.clone();
         let mut k_rot = k.clone();
         let mut out = Tensor::zeros(batch * seq, hidden);
-        let mut probs: Vec<Vec<Tensor>> = (0..batch).map(|_| Vec::new()).collect();
+        let mut probs = vec![Tensor::zeros(seq, seq); batch * self.n_heads];
         let tasks = bands(&mut out, width)
             .zip(bands(&mut q_rot, width))
             .zip(bands(&mut k_rot, width))
-            .zip(&mut probs)
+            .zip(probs.chunks_mut(self.n_heads.max(1)))
             .map(|(((o, q), k), p)| (o, q, k, p))
             .collect();
         pool::for_each_owned(tasks, |b, (out, q_rot, k_rot, probs)| {
-            *probs = self.forward_sequence(q_rot, k_rot, band(v, b, width), out);
+            self.forward_sequence(q_rot, k_rot, band(v, b, width), out, probs);
         });
         (
             out,
@@ -130,7 +133,7 @@ impl Attention {
                 q_rot,
                 k_rot,
                 v: v.clone(),
-                probs: probs.into_iter().flatten().collect(),
+                probs,
                 batch,
                 seq,
             },
@@ -139,41 +142,39 @@ impl Attention {
 
     /// The forward pass of one sequence, heads in order: rotates its
     /// `q_rot` / `k_rot` bands (copies of q and k) in place, writes its
-    /// `out` band and returns the heads' probabilities.
+    /// `out` band and writes each head's probabilities into `probs`.
     fn forward_sequence(
         &self,
         q_rot: &mut [f32],
         k_rot: &mut [f32],
         v: &[f32],
         out: &mut [f32],
-    ) -> Vec<Tensor> {
+        probs: &mut [Tensor],
+    ) {
         let seq = v.len() / self.hidden();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        (0..self.n_heads)
-            .map(|h| {
-                let mut qh = self.head(q_rot, h);
-                let mut kh = self.head(k_rot, h);
-                self.rope.apply(&mut qh);
-                self.rope.apply(&mut kh);
-                self.write_head(q_rot, h, &qh, |d, s| *d = s);
-                self.write_head(k_rot, h, &kh, |d, s| *d = s);
+        for (h, scores) in probs.iter_mut().enumerate() {
+            let mut qh = self.head(q_rot, h);
+            let mut kh = self.head(k_rot, h);
+            self.rope.apply(&mut qh);
+            self.rope.apply(&mut kh);
+            self.write_head(q_rot, h, &qh, |d, s| *d = s);
+            self.write_head(k_rot, h, &kh, |d, s| *d = s);
 
-                let vh = self.head(v, h);
-                let mut scores = matmul_nt(&qh, &kh);
-                scores.scale(scale);
-                // Causal mask: position i attends to j ≤ i.
-                for i in 0..seq {
-                    let row = scores.row_mut(i);
-                    for v in &mut row[i + 1..] {
-                        *v = f32::NEG_INFINITY;
-                    }
+            let vh = self.head(v, h);
+            gemm_into(scores, (&qh).into(), (&kh).into(), Nt, Keep);
+            scores.scale(scale);
+            // Causal mask: position i attends to j ≤ i.
+            for i in 0..seq {
+                let row = scores.row_mut(i);
+                for v in &mut row[i + 1..] {
+                    *v = f32::NEG_INFINITY;
                 }
-                softmax_rows_inplace(&mut scores);
-                let attended = matmul(&scores, &vh);
-                self.write_head(out, h, &attended, |d, s| *d = s);
-                scores
-            })
-            .collect()
+            }
+            softmax_rows_inplace(scores);
+            let attended = matmul(scores, &vh);
+            self.write_head(out, h, &attended, |d, s| *d = s);
+        }
     }
 
     /// Backward pass: gradient w.r.t. the *pre-RoPE* q, k and v.

@@ -422,15 +422,16 @@ mod tests {
         }
         for kind in LayerKind::ALL {
             let lr = rec.layer(LayerId::new(0, kind));
-            assert!(lr.x_norm() > 0.0, "{kind} x missing");
-            assert!(lr.w_norm() > 0.0, "{kind} w missing");
-            assert!(lr.dy_norm() > 0.0, "{kind} dy missing");
-            assert!(lr.dw_norm() > 0.0, "{kind} dw missing");
+            assert!(lr.x.frobenius_norm() > 0.0, "{kind} x missing");
+            assert!(lr.w.frobenius_norm() > 0.0, "{kind} w missing");
+            assert!(lr.dy.frobenius_norm() > 0.0, "{kind} dy missing");
+            assert!(lr.dw.frobenius_norm() > 0.0, "{kind} dw missing");
             assert!(lr.y_norm > 0.0, "{kind} y_norm missing");
             assert!(lr.dx_norm > 0.0, "{kind} dx_norm missing");
         }
         // Block 1's records remain untouched.
-        assert_eq!(rec.layer(LayerId::new(1, LayerKind::Q)).x_norm(), 0.0);
+        let untouched = rec.layer(LayerId::new(1, LayerKind::Q));
+        assert_eq!(untouched.x.frobenius_norm(), 0.0);
     }
 
     /// The fake-quantization data flow of one linear layer: it

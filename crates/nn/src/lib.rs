@@ -7,9 +7,9 @@
 //! Everything SNIP needs from the model is first-class here:
 //!
 //! * per-layer precision assignment ([`model::Model::set_scheme`]),
-//! * statistics recording on a training step ([`model::StepOptions::record`],
-//!   SNIP Step 1), through the per-layer observer ([`record::LayerTap`])
-//!   the step's stages call,
+//! * a per-layer observer of a step ([`record::LayerTap`]), through which
+//!   SNIP's Step-1 statistics reduce live operands (the snapshotting
+//!   [`record::StepRecord`] is their test oracle),
 //! * the step's four stages as public calls ([`model::Model::forward_blocks`]
 //!   … [`model::Model::backward_blocks`]), so SNIP's probe can share one
 //!   forward between its three passes,

@@ -572,7 +572,7 @@ mod tests {
         // The packed path must reproduce the seed's fake-quantization
         // implementation exactly — same outputs, same gradients, same RNG
         // stream — so training trajectories are unchanged.
-        use snip_quant::format::bf16_round_slice;
+        use snip_tensor::bf16::round_slice;
         use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
         for precision in [
             LinearPrecision::uniform(Precision::Fp4),
@@ -609,14 +609,14 @@ mod tests {
                 .quantizer(TensorRole::Weight)
                 .fake_quantize(lin.weight().value(), &mut rng_ref);
             let mut y_ref = matmul_nt(&qx, &qw);
-            bf16_round_slice(y_ref.as_mut_slice());
+            round_slice(y_ref.as_mut_slice());
             let qdy = lin
                 .quantizer(TensorRole::OutputGrad)
                 .fake_quantize(&dy, &mut rng_ref);
             let mut dx_ref = matmul(&qdy, &qw);
-            bf16_round_slice(dx_ref.as_mut_slice());
+            round_slice(dx_ref.as_mut_slice());
             let mut dw_ref = matmul_tn(&qdy, &qx);
-            bf16_round_slice(dw_ref.as_mut_slice());
+            round_slice(dw_ref.as_mut_slice());
 
             for (got, want) in [(&y, &y_ref), (&dx, &dx_ref), (&dw, &dw_ref)] {
                 assert_eq!(got.shape(), want.shape());

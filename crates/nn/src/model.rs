@@ -28,7 +28,7 @@ use std::sync::Arc;
 pub struct StepOptions {
     /// Run the backward pass, filling the gradients ([`Model::step`]).
     pub backward: bool,
-    /// Record per-layer tensors and norms (SNIP Step 1).
+    /// Snapshot every linear layer into a [`StepRecord`] (a test oracle).
     pub record: bool,
 }
 
@@ -41,7 +41,7 @@ impl StepOptions {
         }
     }
 
-    /// A statistics-collection step (backward + recording).
+    /// A recorded step: backward, and a [`StepRecord`] of every layer.
     pub fn record() -> Self {
         StepOptions {
             backward: true,
@@ -768,7 +768,7 @@ mod tests {
         assert_eq!(rec.ntokens, batch.num_tokens());
         assert!(rec.loss > 0.0);
         for (i, lr) in rec.linears.iter().enumerate() {
-            assert!(lr.dw_norm() > 0.0, "layer {i} has no dw");
+            assert!(lr.dw.frobenius_norm() > 0.0, "layer {i} has no dw");
         }
     }
 

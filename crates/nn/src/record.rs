@@ -1,14 +1,12 @@
-//! Per-step recording of tensors and norms (SNIP Step 1: "Collect Stats",
-//! paper Fig. 6).
+//! Per-layer observation of a step (SNIP Step 1: "Collect Stats", paper
+//! Fig. 6).
 //!
-//! When a training step runs with recording enabled, every quantizable linear
-//! layer captures its input activations, weight snapshot, output gradient and
-//! weight gradient, plus the Frobenius norms of everything else SNIP's
-//! divergence analysis consumes (§4.2–§4.3). Recording is designed to run on
-//! a *high-precision* (BF16) iteration, matching the paper's workflow.
-//!
-//! The model's stages report each layer to a [`LayerTap`]; [`StepRecord`] is
-//! the tap that snapshots everything.
+//! The model's stages report each quantizable linear layer to a
+//! [`LayerTap`]. SNIP's statistics taps (`snip_core`'s probe and
+//! `option_errors`) reduce each live operand and keep no tensor.
+//! [`StepRecord`], what [`StepOptions::record`](crate::model::StepOptions::record)
+//! fills, snapshots every layer's `X`, `W`, `dY` and `dW`: the oracle those
+//! taps are tested against.
 
 use crate::layers::LayerId;
 use crate::linear::{Linear, LinearCache};
@@ -18,8 +16,8 @@ use snip_tensor::Tensor;
 /// backward stages of [`crate::model::Model`] call it once per layer with
 /// what exists only at that moment, and each tap keeps what it needs:
 /// [`StepRecord`] snapshots every tensor (it outlives the model borrow),
-/// while SNIP's probe reduces each tensor to its statistics while it is
-/// live and keeps no tensor at all.
+/// while SNIP's statistics reduce each tensor while it is live and keep no
+/// tensor at all.
 ///
 /// A tap may also say where a layer's weight-gradient GEMM writes `dW`
 /// ([`LayerTap::lend_dw`]). By default it lends nothing and `dW` lands in
@@ -70,28 +68,6 @@ pub struct LinearRecord {
     pub dx_norm: f64,
 }
 
-impl LinearRecord {
-    /// `‖∇_W L‖_F`.
-    pub fn dw_norm(&self) -> f64 {
-        self.dw.frobenius_norm()
-    }
-
-    /// `‖X‖_F`.
-    pub fn x_norm(&self) -> f64 {
-        self.x.frobenius_norm()
-    }
-
-    /// `‖W‖_F`.
-    pub fn w_norm(&self) -> f64 {
-        self.w.frobenius_norm()
-    }
-
-    /// `‖∇_Y L‖_F`.
-    pub fn dy_norm(&self) -> f64 {
-        self.dy.frobenius_norm()
-    }
-}
-
 /// A full step record: loss plus one [`LinearRecord`] per quantizable layer,
 /// indexed by [`LayerId::linear_index`].
 #[derive(Clone, Debug, Default)]
@@ -118,16 +94,11 @@ impl StepRecord {
     pub fn layer(&self, id: LayerId) -> &LinearRecord {
         &self.linears[id.linear_index()]
     }
-
-    /// Mutable record for a specific layer.
-    pub fn layer_mut(&mut self, id: LayerId) -> &mut LinearRecord {
-        &mut self.linears[id.linear_index()]
-    }
 }
 
 impl LayerTap for StepRecord {
     fn forward(&mut self, id: LayerId, lin: &Linear, cache: &LinearCache, y: &Tensor) {
-        let lr = self.layer_mut(id);
+        let lr = &mut self.linears[id.linear_index()];
         // X as the forward GEMM read it — decoded codes, or the held input
         // rounded — bit for bit the fake-quantized activations.
         lr.x = cache.qx.dequantize();
@@ -136,7 +107,7 @@ impl LayerTap for StepRecord {
     }
 
     fn backward(&mut self, id: LayerId, dy: &Tensor, dw: &Tensor, dx: &Tensor) {
-        let lr = self.layer_mut(id);
+        let lr = &mut self.linears[id.linear_index()];
         lr.dy = dy.clone();
         lr.dw = dw.clone();
         lr.dx_norm = dx.frobenius_norm();
@@ -158,9 +129,8 @@ mod tests {
     fn layer_indexing() {
         let mut r = StepRecord::with_layers(14);
         let id = LayerId::new(1, LayerKind::V);
-        r.layer_mut(id).y_norm = 3.5;
+        r.linears[id.linear_index()].y_norm = 3.5;
         assert_eq!(r.layer(id).y_norm, 3.5);
-        assert_eq!(r.linears[id.linear_index()].y_norm, 3.5);
     }
 
     #[test]
@@ -169,7 +139,7 @@ mod tests {
             dw: Tensor::from_vec(1, 2, vec![3.0, 4.0]),
             ..Default::default()
         };
-        assert!((rec.dw_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(rec.x_norm(), 0.0);
+        assert!((rec.dw.frobenius_norm() - 5.0).abs() < 1e-12);
+        assert_eq!(rec.x.frobenius_norm(), 0.0);
     }
 }

@@ -151,9 +151,9 @@ impl FloatFormat {
 
     /// BF16 expressed in the same framework (e8m7, IEEE exponent range).
     ///
-    /// The fast bit-twiddling path in [`bf16_round`] should be preferred for
-    /// inner loops; this constant exists so BF16 participates uniformly in
-    /// error analysis.
+    /// The fast bit-twiddling path in [`snip_tensor::bf16::round`] should
+    /// be preferred for inner loops; this constant exists so BF16
+    /// participates uniformly in error analysis.
     pub const fn bf16() -> Self {
         FloatFormat {
             kind: FormatKind::Bf16,
@@ -444,35 +444,10 @@ fn exp2i(e: i32) -> f32 {
     }
 }
 
-/// Rounds an `f32` to the nearest BF16 value (round-to-nearest-even),
-/// returning it as `f32`. This is the "high precision" of the training
-/// framework (paper Fig. 5): GEMM outputs and non-linear ops stay in BF16.
-///
-/// The implementation lives in [`snip_tensor::bf16`] so the GEMM engine
-/// can fuse the identical rounding into its tile store (`Round::Bf16`)
-/// and its rounded operand reads; this re-export keeps the historical
-/// `snip-quant` call sites working against the single source of truth.
-///
-/// # Example
-///
-/// ```
-/// use snip_quant::format::bf16_round;
-/// let x = 1.0 + 2f32.powi(-9); // below bf16 resolution at 1.0
-/// assert_eq!(bf16_round(x), 1.0);
-/// ```
-#[inline]
-pub fn bf16_round(x: f32) -> f32 {
-    snip_tensor::bf16::round(x)
-}
-
-/// Applies [`bf16_round`] to every element of a slice.
-pub fn bf16_round_slice(data: &mut [f32]) {
-    snip_tensor::bf16::round_slice(data);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snip_tensor::bf16;
 
     #[test]
     fn e2m1_value_set_matches_mx_spec() {
@@ -582,27 +557,27 @@ mod tests {
 
     #[test]
     fn bf16_round_matches_known_values() {
-        assert_eq!(bf16_round(1.0), 1.0);
-        assert_eq!(bf16_round(0.0), 0.0);
+        assert_eq!(bf16::round(1.0), 1.0);
+        assert_eq!(bf16::round(0.0), 0.0);
         // 1 + 2^-8 is exactly between 1.0 and 1.00390625 (next bf16);
         // ties-to-even keeps 1.0.
-        assert_eq!(bf16_round(1.0 + 2f32.powi(-8)), 1.0);
+        assert_eq!(bf16::round(1.0 + 2f32.powi(-8)), 1.0);
         // 1 + 3*2^-9 rounds up.
-        assert_eq!(bf16_round(1.0 + 3.0 * 2f32.powi(-9)), 1.0 + 2f32.powi(-7));
+        assert_eq!(bf16::round(1.0 + 3.0 * 2f32.powi(-9)), 1.0 + 2f32.powi(-7));
         // The fast bit path agrees with the generic codec on normal values.
         let generic = FloatFormat::bf16();
         for &x in &[3.0e38f32, 1.5e-20, -7.25, 0.333, 123_456.79] {
-            assert_eq!(bf16_round(x), generic.quantize_nearest(x), "x = {x}");
+            assert_eq!(bf16::round(x), generic.quantize_nearest(x), "x = {x}");
         }
-        assert!(bf16_round(f32::NAN).is_nan());
+        assert!(bf16::round(f32::NAN).is_nan());
     }
 
     #[test]
     fn bf16_is_idempotent() {
         let mut x = -0.1f32;
         for _ in 0..100 {
-            let once = bf16_round(x);
-            assert_eq!(bf16_round(once), once);
+            let once = bf16::round(x);
+            assert_eq!(bf16::round(once), once);
             x += 0.37;
         }
     }

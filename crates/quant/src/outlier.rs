@@ -14,7 +14,6 @@
 //! SNIP's ILP sense (§5.2); the `ablation_rht` experiment compares all of
 //! them head-to-head.
 
-use crate::format;
 use crate::packed::PackedOutlier;
 use serde::{Deserialize, Serialize};
 use snip_tensor::Tensor;
@@ -86,7 +85,7 @@ pub(crate) fn carve(t: &mut Tensor, fraction: f64) -> Vec<PackedOutlier> {
         .into_iter()
         .map(|i| PackedOutlier {
             index: u32::try_from(i).expect("tensor indexable by u32"),
-            value: format::bf16_round(std::mem::take(&mut data[i])),
+            value: snip_tensor::bf16::round(std::mem::take(&mut data[i])),
         })
         .collect()
 }

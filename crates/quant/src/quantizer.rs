@@ -223,7 +223,7 @@ impl Quantizer {
                 let _t = QuantTimer::start();
                 if self.is_bf16_nearest() {
                     // One pass, banded on the pool: the copy is the rounding.
-                    return t.map(crate::format::bf16_round);
+                    return t.map(snip_tensor::bf16::round);
                 }
                 let mut q = t.clone();
                 self.round_unscaled(q.as_mut_slice(), rng);
@@ -317,7 +317,7 @@ impl Quantizer {
     }
 
     /// Whether this rounds onto the BF16 grid to nearest: one bit-twiddle
-    /// per element ([`crate::format::bf16_round`]), no draws.
+    /// per element ([`snip_tensor::bf16::round`]), no draws.
     fn is_bf16_nearest(&self) -> bool {
         let bf16 = matches!(self.format, ElementFormat::Float(f) if f.kind() == FormatKind::Bf16);
         bf16 && self.rounding == Rounding::Nearest
@@ -328,7 +328,7 @@ impl Quantizer {
     fn round_unscaled(&self, values: &mut [f32], rng: &mut Rng) {
         // Fast path for BF16 emulation.
         if self.is_bf16_nearest() {
-            crate::format::bf16_round_slice(values);
+            snip_tensor::bf16::round_slice(values);
             return;
         }
         let fmt = self.format;

@@ -8,8 +8,8 @@
 //! standalone [`round_slice`] pass, which is what makes
 //! `gemm(a, b, o, Round::Bf16)` bit-identical to `gemm(a, b, o,
 //! Round::Keep)` followed by `round_slice` — by construction, not by test
-//! alone.
-//! `snip_quant::format::bf16_round` delegates here.
+//! alone. Every other BF16 rounding in the workspace (`snip-quant`'s
+//! unscaled quantizer and outlier values, `snip-nn`'s tests) calls these.
 
 /// Rounds an `f32` to the nearest BF16 value (round-to-nearest-even),
 /// returning it as `f32`. NaN passes through with its payload untouched

@@ -5,11 +5,12 @@
 //! `crates/experiments/tests/extensions_integration.rs`.)
 
 use snip::core::{
-    baselines, fisher_scheme, greedy_snip_scheme, FlopModel, OptionSet, PolicyConfig, SnipConfig,
-    SnipEngine, StepStats, Trainer, TrainerConfig,
+    baselines, fisher_scheme, greedy_snip_scheme, measure, FlopModel, OptionSet, PolicyConfig,
+    SnipConfig, SnipEngine, StepStats, Trainer, TrainerConfig,
 };
 use snip::nn::memory::{MemoryModel, StateBytes};
 use snip::nn::model::StepOptions;
+use snip::nn::LayerId;
 use snip::nn::ModelConfig;
 use snip::pipeline::collective::{QuantizePolicy, Wire};
 use snip::pipeline::transport::threaded_all_reduce;
@@ -30,9 +31,7 @@ fn stats_of(t: &Trainer) -> StepStats {
     let mut tm = t.clone();
     let batch = tm.peek_batch();
     let mut rng = Rng::seed_from(9);
-    tm.model.zero_grads();
-    let out = tm.model.step(&batch, &mut rng, &StepOptions::record());
-    StepStats::from_record(&out.record.expect("recorded"), &tm.config().model)
+    measure(&mut tm.model, &t.optimizer, &batch, &mut rng, 1e-2).stats
 }
 
 #[test]
@@ -99,12 +98,11 @@ fn quantized_all_reduce_of_real_gradients_is_usable() {
     let batch = t.peek_batch();
     let mut rng = Rng::seed_from(13);
     t.model.zero_grads();
-    let out = t.model.step(&batch, &mut rng, &StepOptions::record());
-    let record = out.record.expect("recorded");
-    let flat: Vec<f32> = record
-        .linears
-        .iter()
-        .flat_map(|lr| lr.dw.as_slice().iter().copied())
+    t.model.step(&batch, &mut rng, &StepOptions::train());
+    let flat: Vec<f32> = (0..t.config().model.n_linear_layers())
+        .map(LayerId::from_linear_index)
+        .flat_map(|id| t.model.linear(id).weight().grad().as_slice())
+        .copied()
         .collect();
     let mut grng = Rng::seed_from(14);
     let grads: Vec<Vec<f32>> = (0..4)

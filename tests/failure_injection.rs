@@ -2,11 +2,10 @@
 //! degenerate inputs must fail loudly and cleanly — never with NaN schemes.
 
 use snip::core::{
-    baselines, fisher_scheme, greedy_refinement, OptionSet, PolicyConfig, SnipConfig, SnipEngine,
-    StepStats, Trainer, TrainerConfig,
+    baselines, fisher_scheme, greedy_refinement, measure, OptionSet, PolicyConfig, SnipConfig,
+    SnipEngine, StepStats, Trainer, TrainerConfig,
 };
 use snip::ilp::{solve, time_balanced_targets, Choice, McKnapsack, SolveError, SolveOptions};
-use snip::nn::model::StepOptions;
 use snip::nn::ModelConfig;
 use snip::pipeline::collective::{QuantizePolicy, Wire};
 use snip::pipeline::transport::run_ranks;
@@ -27,9 +26,7 @@ fn stats_of(t: &Trainer) -> StepStats {
     let mut tm = t.clone();
     let batch = tm.peek_batch();
     let mut rng = Rng::seed_from(21);
-    tm.model.zero_grads();
-    let out = tm.model.step(&batch, &mut rng, &StepOptions::record());
-    StepStats::from_record(&out.record.expect("recorded"), &tm.config().model)
+    measure(&mut tm.model, &t.optimizer, &batch, &mut rng, 1e-2).stats
 }
 
 #[test]

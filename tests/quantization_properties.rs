@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use snip::ilp::{solve, solve_bruteforce, Choice, McKnapsack, SolveOptions};
-use snip::quant::format::{bf16_round, FloatFormat};
+use snip::quant::format::FloatFormat;
 use snip::quant::granularity::Granularity;
 use snip::quant::{Precision, Quantizer, Rounding, TensorRole};
+use snip::tensor::bf16;
 use snip::tensor::rng::Rng;
 use snip::tensor::Tensor;
 
@@ -41,8 +42,8 @@ proptest! {
     /// BF16 rounding is idempotent and within half a BF16 ULP.
     #[test]
     fn bf16_round_properties(x in -1e30f32..1e30) {
-        let r = bf16_round(x);
-        prop_assert_eq!(bf16_round(r), r);
+        let r = bf16::round(x);
+        prop_assert_eq!(bf16::round(r), r);
         // ULP at |x|: exponent step of 2^-8 relative.
         let ulp = x.abs() * 2f32.powi(-8) + f32::MIN_POSITIVE;
         prop_assert!((r - x).abs() <= ulp, "x={}, r={}", x, r);
