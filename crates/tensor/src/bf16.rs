@@ -4,7 +4,8 @@
 //! rounding lives in `snip-tensor` (not `snip-quant`) because the GEMM
 //! engine fuses it into its tile store ([`crate::Round::Bf16`]) and reads
 //! dense operands through it ([`crate::QOperandRef::Bf16Rounded`]): one
-//! implementation serves the fused store, the rounded operand and the
+//! implementation — on the engine's vector tiers, the same bit operations
+//! in registers — serves the fused store, the rounded operand and the
 //! standalone [`round_slice`] pass, which is what makes
 //! `gemm(a, b, o, Round::Bf16)` bit-identical to `gemm(a, b, o,
 //! Round::Keep)` followed by `round_slice` — by construction, not by test
@@ -19,7 +20,9 @@
 ///
 /// Branch-free: the NaN test selects between the input bits and the
 /// rounded bits instead of returning early, so loops over it vectorize
-/// (the GEMM engine's rounded-operand decode, [`round_into`], is one).
+/// ([`round_into`] is one). The GEMM engine's vector tiers round with the
+/// register form of these bit operations, in the tile store and in the
+/// band moves that read a BF16-rounded operand.
 ///
 /// # Example
 ///
@@ -44,7 +47,8 @@ pub fn round_slice(data: &mut [f32]) {
 }
 
 /// Writes [`round`] of every element of `src` into `dst`: the rounding
-/// copy behind [`crate::QOperandRef::Bf16Rounded`].
+/// copy of [`crate::QOperandRef::decode_row_range_into`] for a
+/// [`crate::QOperandRef::Bf16Rounded`] operand.
 ///
 /// # Panics
 ///

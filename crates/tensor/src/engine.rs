@@ -23,15 +23,18 @@
 //!
 //! # Operands
 //!
-//! Operands are [`QOperandRef`]s, of two classes. A dense operand is
-//! borrowed in place; every other one — packed codes, or dense storage read
-//! through BF16 rounding — is *decoded* row segment by row segment through
-//! [`QOperandRef::decode_row_range_into`], the one decode arm of every
-//! builder below (packed FP4 rows decode two elements per byte load through
-//! the codebook's pair table, [`crate::QTensor::pair_table`]). Because every
-//! operand class shares this code and the decode only changes *where* a
-//! value comes from, the 0-ULP identity of a GEMM over a decoded operand
-//! with the dense GEMM over its decoded values holds by construction.
+//! Operands are [`QOperandRef`]s, of two classes. An operand stored as f32
+//! — dense, or dense storage read through BF16 rounding — is *read in
+//! place* ([`in_place`]): the builders below move its rows straight into
+//! blocks and tiles through the kernel table's band moves, which round a
+//! BF16-rounded operand in registers with the tile store's own rounding.
+//! A packed operand is *decoded* row segment by row segment through
+//! [`QOperandRef::decode_row_range_into`] (packed FP4 rows decode two
+//! elements per byte load through the codebook's pair table,
+//! [`crate::QTensor::pair_table`]). Either way a builder only changes
+//! *where* a value comes from, so the 0-ULP identity of a GEMM over a
+//! rounded or decoded operand with the dense GEMM over its rounded or
+//! decoded values holds by construction.
 //!
 //! # Blocking and the pool
 //!
@@ -47,16 +50,18 @@
 //!   ([`build_bcache`]) that every row chunk reads: tiles are j-aligned,
 //!   so one build serves all of them, and B's decode or transpose is one
 //!   pass over B whatever `m` or the chunk count. A split GEMM builds on
-//!   the pool, an unsplit one on the calling thread. A row-major B
-//!   ([`BSide::RowMajor`]: the weight of every `dX` GEMM, the activation of
-//!   every weight gradient) splits by bands of source rows, each band
-//!   decoded row by row straight into every tile ([`decode_row_band`]); a
-//!   transposed B is one task per tile. The cache is kept between GEMMs
-//!   inside an arena scope ([`BCACHE`]); a B beyond [`B_CACHE_LIMIT`], or a
+//!   the pool, one task per band of source rows, an unsplit one on the
+//!   calling thread. A row-major B ([`BSide::RowMajor`]: the weight of
+//!   every `dX` GEMM, the activation of every weight gradient) bands its
+//!   `k` rows, each band written straight into every tile
+//!   ([`decode_row_band`]); a transposed B ([`BSide::Transposed`]: the
+//!   weight of every forward) bands its `n` rows by whole tiles, each band
+//!   transposed tile by tile. The cache is kept between GEMMs inside an
+//!   arena scope ([`BCACHE`]); a B beyond [`B_CACHE_LIMIT`], or a
 //!   single-sweep product, builds its tiles per sweep in per-worker scratch
 //!   instead.
 //! - **The A side** is borrowed in place when dense and row-major, and
-//!   otherwise decoded or transposed **once per block sweep** into
+//!   otherwise rounded, decoded or transposed **once per block sweep** into
 //!   per-worker scratch ([`build_ablock`]; the old `qgemm_nt` panel loop
 //!   re-decoded every packed A row ⌈n/32⌉ times).
 //! - **The output** is split into contiguous row chunks over the
@@ -70,25 +75,28 @@
 //!
 //! The two transposed operand sides — B of `nt` ([`BSide::Transposed`]:
 //! every forward, the attention scores) and A of `tn` ([`ASide::Transposed`]:
-//! every weight gradient) — share one portable blocked transpose,
-//! [`transpose_into`]: source rows in bands of [`TB`] (borrowed when dense,
-//! decoded once into staging otherwise), moved `TB×TB` block by block so
-//! that every store is a contiguous `TB`-float run, through fixed-size row
-//! references that unroll without bounds checks, in safe code. A transpose
-//! only moves values, so every orientation hands the tile kernel the same
-//! values in the same `k` order as `nn` over the transposed operand, and
+//! every weight gradient) — share one blocked transpose,
+//! [`transpose_into`]: source rows in bands of [`TB`] (borrowed when read
+//! in place, decoded once into staging when packed), each band moved by
+//! the kernel table's `transpose` — `TB` rows of `LANES` columns loaded,
+//! rounded if the operand is BF16-rounded, and shuffled in registers on a
+//! vector tier; `TB×TB` blocks through fixed-size row references, in safe
+//! code, on the scalar one. A transpose only moves (and rounds) values,
+//! so every orientation hands the tile kernel the same values in the same
+//! `k` order as `nn` over the transposed operand, and
 //! `matmul_nt(a, b) == matmul(a, bᵀ)` holds bit for bit;
 //! `tests/pool_determinism.rs` checks that independently of the transpose.
 //!
 //! # Kernels and tiers
 //!
-//! The tile kernel has two bodies behind one dispatch table: the portable
-//! scalar kernel in [`scalar`] (always compiled, always the reference; its
-//! `fma` build whenever the CPU has `fma`) and one vector kernel, written
-//! once in `simd_ops` over a per-ISA vector-op table and instantiated for
-//! AVX2 (`simd_x86`), AVX-512 (`simd_x86_512`) and NEON (`simd_neon`) when
-//! the `simd` cargo feature is on. [`simd::active_kernels`] resolves the
-//! table row — tile update, decodes, abs-max and encode kernels as plain
+//! The tile kernel and the band moves have two bodies behind one dispatch
+//! table: the portable scalar kernels in [`scalar`] (always compiled,
+//! always the reference; the tile kernel's `fma` build whenever the CPU
+//! has `fma`) and one vector body each, written once in `simd_ops` over a
+//! per-ISA vector-op table and instantiated for AVX2 (`simd_x86`), AVX-512
+//! (`simd_x86_512`) and NEON (`simd_neon`) when the `simd` cargo feature
+//! is on. [`simd::active_kernels`] resolves the table row — tile update,
+//! band transpose and copy, decodes, abs-max and encode kernels as plain
 //! function pointers — for the tier runtime detection, `SNIP_SIMD` and
 //! [`simd::with_forced_backend`] select; it is the only place a vector
 //! kernel is reached from. `SNIP_SIMD` caps dispatch (`0` / `off` /
@@ -268,7 +276,7 @@ struct Scratch {
     ablock: Vec<f32>,
     /// The B tile of the current sweep, when there is no shared cache.
     btile: Vec<f32>,
-    /// One band of `TB` decoded rows for [`transpose_into`].
+    /// One band of `TB` decoded packed rows for [`transpose_into`].
     staging: Vec<f32>,
 }
 
@@ -328,10 +336,22 @@ fn tile_kernel(
     (simd::active_kernels().tile)(store, chunk, n, row0, j0, mb, nb, k, ablock, btile);
 }
 
-/// Source rows per transpose band, and the edge of one square transpose
-/// block: a block is read as `TB` row segments of `TB` floats and written
-/// as `TB` contiguous runs of `TB` floats ([`transpose_into`]).
+/// Source rows per band of a band move, and the edge of one square
+/// transpose block: a block is read as `TB` row segments and written as
+/// contiguous `TB`-float runs ([`transpose_into`]).
 const TB: usize = 8;
+
+/// The storage of an operand read in place, its row stride, and whether
+/// its values are rounded to BF16 on the way into a block or tile:
+/// `Dense` as it is, `Bf16Rounded` rounded — in registers, by the band
+/// kernels. `None` for a packed operand, whose rows are decoded instead.
+fn in_place<'a>(op: &QOperandRef<'a>) -> Option<(&'a [f32], usize, bool)> {
+    match *op {
+        QOperandRef::Dense(t) => Some((t.as_slice(), t.cols(), false)),
+        QOperandRef::Bf16Rounded(t) => Some((t.as_slice(), t.cols(), true)),
+        QOperandRef::Packed(_) => None,
+    }
+}
 
 /// Writes the transpose of the window rows `[r0, r1)` × columns `[c0, c1)`
 /// of `src` into `dst`, which is `(c1 − c0) × (r1 − r0)` row-major:
@@ -339,14 +359,13 @@ const TB: usize = 8;
 /// engine, behind both transposed sides ([`BSide::Transposed`],
 /// [`ASide::Transposed`]).
 ///
-/// Source rows are walked in bands of [`TB`]: a dense band is the borrowed
-/// rows themselves, any other band is decoded into `staging` (`TB × (c1 −
-/// c0)` floats), each row once. Each `TB×TB` block of the band is read
-/// through `TB` fixed-size row segments and written as `TB` contiguous
-/// `TB`-float runs, instead of one element at a destination-row stride (a
-/// block staged through a local `[[f32; TB]; TB]` measured slower); a short
-/// last band and the `(c1 − c0) % TB` tail columns take an element-wise
-/// loop. It only moves values, so the result cannot depend on the band or
+/// Source rows are walked in bands of [`TB`]: a dense or BF16-rounded band
+/// is the borrowed rows themselves, a packed band is decoded into
+/// `staging` (`TB × (c1 − c0)` floats), each row once. Each band goes
+/// through the kernel table's `transpose` — `TB×TB` blocks in registers on
+/// a vector tier, the fixed-size row segments of `scalar::transpose` on
+/// the scalar one — which rounds a BF16-rounded band on the way. It only
+/// moves (and rounds) values, so the result cannot depend on the band or
 /// block size.
 fn transpose_into(
     src: &QOperandRef<'_>,
@@ -360,46 +379,22 @@ fn transpose_into(
     if rows == 0 || w == 0 {
         return;
     }
+    let transpose = simd::active_kernels().transpose;
     let mut rb = r0;
     while rb < r1 {
         let re = (rb + TB).min(r1);
-        // The band as `re − rb` rows of stride `ld`, the window starting at
-        // column `off` of each.
-        let (band, ld, off): (&[f32], usize, usize) = match src {
-            QOperandRef::Dense(t) => (&t.as_slice()[rb * t.cols()..re * t.cols()], t.cols(), c0),
-            _ => {
+        // The band as `re − rb` rows of stride `ld`, each `w` wide.
+        let (band, ld, round): (&[f32], usize, bool) = match in_place(src) {
+            Some((data, ld, round)) => (&data[rb * ld + c0..(re - 1) * ld + c1], ld, round),
+            None => {
                 let buf = window(staging, (re - rb) * w);
                 for (r, row) in buf.chunks_exact_mut(w).enumerate() {
                     src.decode_row_range_into(rb + r, c0, c1, row);
                 }
-                (&*buf, w, 0)
+                (&*buf, w, false)
             }
         };
-        let rr = rb - r0;
-        let mut c = 0;
-        if re - rb == TB {
-            while c + TB <= w {
-                // Fixed-size row segments: the block below unrolls fully,
-                // with no bounds check per element.
-                let block: [&[f32; TB]; TB] = std::array::from_fn(|r| {
-                    let s = r * ld + off + c;
-                    band[s..s + TB].try_into().expect("TB floats")
-                });
-                for i in 0..TB {
-                    let d = (c + i) * rows + rr;
-                    for (slot, seg) in dst[d..d + TB].iter_mut().zip(block) {
-                        *slot = seg[i];
-                    }
-                }
-                c += TB;
-            }
-        }
-        for cc in c..w {
-            let d = cc * rows + rr;
-            for (slot, seg) in dst[d..d + (re - rb)].iter_mut().zip(band.chunks(ld)) {
-                *slot = seg[off + cc];
-            }
-        }
+        transpose(round, band, ld, re - rb, w, &mut dst[rb - r0..], rows);
         rb = re;
     }
 }
@@ -444,37 +439,70 @@ fn build_btile_into(
 /// Writes rows `[r0, r1)` of a row-major B into their row band of each
 /// k-major tile across the columns `[j0, j1)`: `bands[t]` is rows `[r0,
 /// r1)` of the tile at columns `[j0 + t·NC, min(j0 + (t+1)·NC, j1))`, so
-/// `(r1 − r0) × nb` floats. Each source row is read once, left to right,
-/// its segments decoded straight into their tiles through
-/// [`QOperandRef::decode_row_range_into`]. Reading a tile's `k` rows as `k`
-/// strided segments is the same work in the other loop order, and it is
-/// slower: the row order streams the source.
+/// `(r1 − r0) × nb` floats. The source streams left to right: a packed
+/// row is decoded segment by segment straight into its tiles
+/// ([`QOperandRef::decode_row_range_into`]); an operand read in place
+/// moves [`TB`] rows at a time through the kernel table's `copy`, one
+/// `TB × nb` block per tile, rounded in registers when BF16-rounded.
+/// Reading a tile's `k` rows as `k` strided segments is the same work in
+/// the other loop order, and it is slower: the row order streams the
+/// source.
 fn decode_row_band(
     b: &QOperandRef<'_>,
     (r0, r1): (usize, usize),
     (j0, j1): (usize, usize),
     bands: &mut [&mut [f32]],
 ) {
-    for r in 0..r1 - r0 {
-        for (t, band) in bands.iter_mut().enumerate() {
-            let c0 = j0 + t * NC;
-            let c1 = (c0 + NC).min(j1);
-            let nb = c1 - c0;
-            b.decode_row_range_into(r0 + r, c0, c1, &mut band[r * nb..(r + 1) * nb]);
+    let segment = |t: usize| {
+        let c0 = j0 + t * NC;
+        (c0, (c0 + NC).min(j1))
+    };
+    let Some((data, ld, round)) = in_place(b) else {
+        for r in 0..r1 - r0 {
+            for (t, band) in bands.iter_mut().enumerate() {
+                let (c0, c1) = segment(t);
+                let nb = c1 - c0;
+                b.decode_row_range_into(r0 + r, c0, c1, &mut band[r * nb..(r + 1) * nb]);
+            }
         }
+        return;
+    };
+    let copy = simd::active_kernels().copy;
+    let mut rb = r0;
+    while rb < r1 {
+        let re = (rb + TB).min(r1);
+        for (t, band) in bands.iter_mut().enumerate() {
+            let (c0, c1) = segment(t);
+            let nb = c1 - c0;
+            let src = &data[rb * ld + c0..(re - 1) * ld + c1];
+            copy(
+                round,
+                src,
+                ld,
+                re - rb,
+                nb,
+                &mut band[(rb - r0) * nb..(re - r0) * nb],
+                nb,
+            );
+        }
+        rb = re;
     }
 }
 
 /// Builds the shared B-tile cache of a `k×n` (row-major) or `n×k`
 /// (transposed) B into `tiles`: the tiles back to back, the one starting
 /// at column `j0` occupying `tiles[j0 * k..j1 * k]`. The build writes every
-/// element, so a reused cache is not cleared first. A split GEMM (`parts >
-/// 1`) builds on the pool, an unsplit one on the calling thread:
-/// - a row-major B splits by bands of source rows, each task writing its
-///   band of *every* tile ([`decode_row_band`]) through owned slices;
-/// - a transposed B is one task per tile, staging through the `SCRATCH`
-///   of whichever thread runs it. No `SCRATCH` borrow is held across the
-///   dispatch, since the calling thread runs tasks too.
+/// element, so a reused cache is not cleared first. Either side splits by
+/// bands of source rows, `parts` bands at most, one pool task each (one
+/// band, on the calling thread, when the GEMM is not split):
+/// - a row-major B's band is `k / parts` of its rows, and each task
+///   writes its row band of *every* tile ([`decode_row_band`]) through
+///   owned slices;
+/// - a transposed B's source rows are the tiles' columns, so its band is
+///   a run of whole tiles, one contiguous slice of the cache; each task
+///   transposes its tiles in turn, staging a packed B through the
+///   `SCRATCH` of whichever thread runs it. No `SCRATCH` borrow is held
+///   across the dispatch, since the calling thread runs tasks too.
 fn build_bcache(
     b: &QOperandRef<'_>,
     side: BSide,
@@ -483,9 +511,9 @@ fn build_bcache(
     parts: usize,
     tiles: &mut [f32],
 ) {
-    let tiles: Vec<&mut [f32]> = tiles.chunks_mut(NC * k).collect();
     match side {
         BSide::RowMajor => {
+            let tiles = tiles.chunks_mut(NC * k);
             let rows = k.div_ceil(parts);
             // `bands[i][t]`: source rows `[i·rows, …)` of tile `t`.
             let mut bands: Vec<Vec<&mut [f32]>> =
@@ -507,19 +535,20 @@ fn build_bcache(
             }
         }
         BSide::Transposed => {
-            let build = |t: usize, tile: &mut [f32]| {
-                let j0 = t * NC;
+            let per = n.div_ceil(NC).div_ceil(parts) * NC;
+            let bands: Vec<&mut [f32]> = tiles.chunks_mut(per * k).collect();
+            let build = |i: usize, band: &mut [f32]| {
                 SCRATCH.with_borrow_mut(|s| {
-                    transpose_into(b, (j0, j0 + tile.len() / k), (0, k), tile, &mut s.staging);
+                    for (t, tile) in band.chunks_mut(NC * k).enumerate() {
+                        let j0 = i * per + t * NC;
+                        transpose_into(b, (j0, j0 + tile.len() / k), (0, k), tile, &mut s.staging);
+                    }
                 });
             };
-            if parts > 1 {
-                pool::for_each_owned(tiles, build);
+            if bands.len() > 1 {
+                pool::for_each_owned(bands, build);
             } else {
-                tiles
-                    .into_iter()
-                    .enumerate()
-                    .for_each(|(t, tile)| build(t, tile));
+                bands.into_iter().for_each(|band| build(0, band));
             }
         }
     }
@@ -538,8 +567,10 @@ enum ASide {
 
 /// Materializes the `mb×k` row-major A block for output rows `[i0, i1)` —
 /// a direct borrow for dense row-major operands (their rows are already
-/// contiguous), one decode (or transpose) per block sweep otherwise: this
-/// is what bounds row decoding to one decode per sweep.
+/// contiguous), one decode, rounding copy or transpose per block sweep
+/// otherwise: this is what bounds row decoding to one decode per sweep. A
+/// BF16-rounded row-major block is one span of `mb × k` floats in the
+/// source, rounded through the kernel table's `copy` in one call.
 fn build_ablock<'s>(
     a: &'s QOperandRef<'s>,
     side: ASide,
@@ -553,6 +584,11 @@ fn build_ablock<'s>(
         (ASide::RowMajor, QOperandRef::Dense(t)) => &t.as_slice()[i0 * k..i1 * k],
         (ASide::RowMajor, _) => {
             let block = window(scratch, (i1 - i0) * k);
+            if let Some((data, _, round)) = in_place(a) {
+                let span = &data[i0 * k..i1 * k];
+                (simd::active_kernels().copy)(round, span, 0, 1, span.len(), block, 0);
+                return block;
+            }
             // Indexed, not `chunks_exact_mut(k)`: `k` may be 0.
             for r in 0..i1 - i0 {
                 a.decode_row_range_into(i0 + r, 0, k, &mut block[r * k..(r + 1) * k]);
@@ -845,6 +881,7 @@ fn gemm_blocked(
 mod tests {
     use super::*;
     use crate::rng::Rng;
+    use crate::QTensor;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|x| x.to_bits()).collect()
@@ -913,6 +950,90 @@ mod tests {
             build_btile_into(&op, BSide::RowMajor, k, j0, n, &mut tile, &mut Vec::new());
             let got: Vec<u32> = tile.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want[j0 * k..], "scratch tile");
+        }
+    }
+
+    /// A packed `rows × cols` operand with codes drawn at random: 4-bit
+    /// codes over a mirrored FP4-style table, or byte codes over an
+    /// irregular 256-entry one, five-column scale groups.
+    fn random_packed(rows: usize, cols: usize, width: crate::CodeWidth, seed: u64) -> QTensor {
+        let mut rng = Rng::seed_from(seed);
+        let (lut, codes): (Vec<f32>, u64) = match width {
+            crate::CodeWidth::U4 => (
+                (0..16)
+                    .map(|i| (i % 8) as f32 * 0.5 * if i < 8 { 1.0 } else { -1.0 })
+                    .collect(),
+                16,
+            ),
+            crate::CodeWidth::U8 => (
+                (0..256)
+                    .map(|i| (i as f32 - 128.0) * 0.03125 + (i as f32).sin() * 1e-3)
+                    .collect(),
+                256,
+            ),
+        };
+        let layout = crate::GroupLayout::Tile { nb: 5 };
+        let scales = (0..layout.group_count(rows, cols))
+            .map(|_| 0.25 + rng.next_f32())
+            .collect();
+        let mut q = QTensor::new_zeroed(rows, cols, width, lut, layout, scales);
+        for r in 0..rows {
+            for c in 0..cols {
+                q.set_code(r, c, (rng.next_u64() % codes) as u8);
+            }
+        }
+        q
+    }
+
+    /// The transposed cache build splits by bands of whole tiles and moves
+    /// each `TB`-row band through the kernel table's transpose. Into a
+    /// NaN-filled buffer, with `k` and `n` multiples of neither 8 nor 16
+    /// (so every build has short bands, vector blocks and scalar tail
+    /// columns), at band counts 1, 2 and more bands than tiles, on every
+    /// backend tier, it must lay out exactly the tiles the layout defines
+    /// — tile `t` holds B columns `0..k` of B rows `[t·NC, …)`, k-major —
+    /// for a dense, a BF16-rounded, a packed FP4 and a packed FP8 B; so
+    /// must the one-tile scratch build.
+    #[test]
+    fn transposed_band_build_lays_out_every_tile() {
+        use crate::CodeWidth::{U4, U8};
+        let (n, k) = (203, 45);
+        let b = Tensor::randn(n, k, 1.0, &mut Rng::seed_from(7));
+        let mut rounded = b.clone();
+        crate::bf16::round_slice(rounded.as_mut_slice());
+        let (q4, q8) = (random_packed(n, k, U4, 8), random_packed(n, k, U8, 9));
+        let (d4, d8) = (q4.dequantize(), q8.dequantize());
+        for (what, op, values) in [
+            ("dense", QOperandRef::Dense(&b), &b),
+            ("bf16-rounded", QOperandRef::Bf16Rounded(&b), &rounded),
+            ("fp4", QOperandRef::Packed(&q4), &d4),
+            ("fp8", QOperandRef::Packed(&q8), &d8),
+        ] {
+            let mut want = vec![0.0f32; k * n];
+            for j0 in (0..n).step_by(NC) {
+                let nb = NC.min(n - j0);
+                for kk in 0..k {
+                    for j in 0..nb {
+                        want[j0 * k + kk * nb + j] = values[(j0 + j, kk)];
+                    }
+                }
+            }
+            let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            for backend in simd::available_backends() {
+                simd::with_forced_backend(backend, || {
+                    for parts in [1, 2, pool::size() + 3] {
+                        let mut cache = vec![f32::NAN; k * n];
+                        build_bcache(&op, BSide::Transposed, k, n, parts, &mut cache);
+                        let got: Vec<u32> = cache.iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(got, want, "{what}, {parts} bands ({backend:?})");
+                    }
+                    let j0 = 3 * NC;
+                    let mut tile = vec![f32::NAN; k * (n - j0)];
+                    build_btile_into(&op, BSide::Transposed, k, j0, n, &mut tile, &mut Vec::new());
+                    let got: Vec<u32> = tile.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want[j0 * k..], "{what}, scratch tile ({backend:?})");
+                });
+            }
         }
     }
 

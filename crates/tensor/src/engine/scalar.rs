@@ -159,6 +159,101 @@ fn tile_body(
     }
 }
 
+/// Moves the `rows × w` band at `src` (row `r` at `src[r * ld..][..w]`,
+/// `rows ≤ TB`) into `dst` transposed, `dst[c * ldd + r]`, each value
+/// rounded to BF16 when `round` (`engine::finish`) — the scalar row of the
+/// kernel table's `transpose`, and the reference every vector row matches.
+///
+/// A whole band is read `TB×TB` block by block through `TB` fixed-size row
+/// segments and written as `TB` contiguous `TB`-float runs, instead of one
+/// element at a destination-row stride (a block staged through a local
+/// `[[f32; TB]; TB]` measured slower); a short band and the `w % TB` tail
+/// columns take an element-wise loop. It only moves values, so the result
+/// cannot depend on the block size.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` is too short for the band.
+pub(super) fn transpose(
+    round: bool,
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    w: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    // One instantiation per store, so the element loops carry no branch.
+    if round {
+        transpose_as::<{ super::STORE_BF16 }>(src, ld, rows, w, dst, ldd)
+    } else {
+        transpose_as::<0>(src, ld, rows, w, dst, ldd)
+    }
+}
+
+#[inline(always)]
+fn transpose_as<const STORE: super::Store>(
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    w: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    const TB: usize = super::TB;
+    let mut c = 0;
+    if rows == TB {
+        while c + TB <= w {
+            // Fixed-size row segments: the block below unrolls fully, with
+            // no bounds check per element.
+            let block: [&[f32; TB]; TB] = std::array::from_fn(|r| {
+                let s = r * ld + c;
+                src[s..s + TB].try_into().expect("TB floats")
+            });
+            for i in 0..TB {
+                let d = (c + i) * ldd;
+                for (slot, seg) in dst[d..d + TB].iter_mut().zip(block) {
+                    *slot = super::finish(STORE, seg[i]);
+                }
+            }
+            c += TB;
+        }
+    }
+    for c in c..w {
+        for r in 0..rows {
+            dst[c * ldd + r] = super::finish(STORE, src[r * ld + c]);
+        }
+    }
+}
+
+/// Copies the `rows × w` band at `src` (row `r` at `src[r * ld..][..w]`)
+/// into `dst` row for row, `dst[r * ldd + c]`, each value rounded to BF16
+/// when `round` — the scalar row of the kernel table's `copy`.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` is too short for the band.
+pub(super) fn copy(
+    round: bool,
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    w: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    for r in 0..rows {
+        let (s, d) = (&src[r * ld..r * ld + w], &mut dst[r * ldd..r * ldd + w]);
+        if round {
+            for (slot, &v) in d.iter_mut().zip(s) {
+                *slot = crate::bf16::round(v);
+            }
+        } else {
+            d.copy_from_slice(s);
+        }
+    }
+}
+
 /// Finishes the `mb×nb` output tile at (`row0`, `j0`) in place as `store`
 /// says (`engine::finish`) — the scalar counterpart of the SIMD kernels'
 /// fused store. The tile kernel runs once per output tile with the full

@@ -2,14 +2,15 @@
 //! and the engine's one dispatch point.
 //!
 //! Every backend is a row of function pointers (`Kernels`: tile update
-//! keep/BF16, the two decodes, abs-max, the two code writers); the scalar
-//! reference is one more row. `active_kernels` hands out the row of the
-//! tier active on the calling thread and is the only function that builds
-//! a vector row — so, with the scalar row's `fma` check beside it
-//! (`scalar_tile`), the only place that states "this CPU feature was
-//! detected" and the only code naming the ISA modules. Callers (the tile
-//! loop in `engine.rs`, the decode shims at the bottom of this file,
-//! `encode::Encoder`) are plain safe code.
+//! keep/BF16, the band transpose and copy, the two decodes, abs-max, the
+//! two code writers); the scalar reference is one more row.
+//! `active_kernels` hands out the row of the tier active on the calling
+//! thread and is the only function that builds a vector row — so, with
+//! the scalar row's `fma` check beside it (`scalar_tile`), the only place
+//! that states "this CPU feature was detected" and the only code naming
+//! the ISA modules. Callers (the tile loop and band moves in `engine.rs`,
+//! the decode shims at the bottom of this file, `encode::Encoder`) are
+//! plain safe code.
 //!
 //! The `simd` cargo feature compiles the vector kernels (one generic body
 //! per kernel in `simd_ops`, instantiated for AVX2 and AVX-512 on
@@ -330,6 +331,10 @@ type TileFn = fn(Store, &mut [f32], usize, usize, usize, usize, usize, usize, &[
 type DecodePairsFn = fn(&[u8], &[f32], &[f32], f32, &mut [f32]);
 /// A code writer: `(grid, seg, scale, uniforms, out)`.
 type EncodeFn = fn(&CodeGrid, &[f32], f32, Option<&[f32]>, &mut [u8]);
+/// A band move: `(round, src, ld, rows, w, dst, ldd)` — the `rows × w`
+/// band at `src` (row stride `ld`, `rows ≤ TB`) into `dst` (row stride
+/// `ldd`), rounded to BF16 when `round`.
+type BandFn = fn(bool, &[f32], usize, usize, usize, &mut [f32], usize);
 
 /// One backend's kernels as plain function pointers — the single dispatch
 /// point of the engine. [`active_kernels`] resolves the row for the
@@ -340,6 +345,12 @@ pub(crate) struct Kernels {
     /// The tile update, finishing each stored element as its `Store`
     /// flags say (`engine::finish`).
     pub(crate) tile: TileFn,
+    /// A band transposed, `dst[c · ldd + r] = src[r · ld + c]`: the
+    /// transposed operand sides' `TB×TB` blocks (`engine::transpose_into`).
+    pub(crate) transpose: BandFn,
+    /// A band copied row for row, `dst[r · ldd + c] = src[r · ld + c]`: the
+    /// row-major B tiles and the A blocks of an operand read in place.
+    pub(crate) copy: BandFn,
     /// See [`decode_u4_pairs`].
     pub(crate) decode_u4_pairs: DecodePairsFn,
     /// See [`decode_u8_run`].
@@ -360,6 +371,8 @@ static SCALAR: Kernels = Kernels {
         scalar_tile(chunk, n, row0, j0, mb, nb, k, ablock, btile);
         scalar::finish_tile(store, chunk, n, row0, j0, mb, nb);
     },
+    transpose: scalar::transpose,
+    copy: scalar::copy,
     decode_u4_pairs: decode_u4_pairs_scalar,
     decode_u8_run: decode_u8_run_scalar,
     abs_max_bits: abs_max_bits_scalar,
@@ -422,6 +435,17 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                 simd_ops::tile::<$isa::$ops, STORE>(c, n, r, j, mb, nb, k, a, b)
             }
             #[target_feature(enable = $feature)]
+            unsafe fn band<const TRANSPOSE: bool, const STORE: Store>(
+                src: &[f32],
+                ld: usize,
+                rows: usize,
+                w: usize,
+                dst: &mut [f32],
+                ldd: usize,
+            ) {
+                simd_ops::band::<$isa::$ops, TRANSPOSE, STORE>(src, ld, rows, w, dst, ldd)
+            }
+            #[target_feature(enable = $feature)]
             unsafe fn abs_max_bits(seg: &[f32], acc: u32) -> u32 {
                 simd_ops::abs_max_bits::<$isa::$ops>(seg, acc)
             }
@@ -444,6 +468,22 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                         _ => tile::<{ STORE_BF16 | STORE_PLUS_ZERO }>,
                     };
                     tile(c, n, r, j, mb, nb, k, a, b)
+                },
+                transpose: |round, src, ld, rows, w, dst, ldd| unsafe {
+                    let band = if round {
+                        band::<true, STORE_BF16>
+                    } else {
+                        band::<true, 0>
+                    };
+                    band(src, ld, rows, w, dst, ldd)
+                },
+                copy: |round, src, ld, rows, w, dst, ldd| unsafe {
+                    let band = if round {
+                        band::<false, STORE_BF16>
+                    } else {
+                        band::<false, 0>
+                    };
+                    band(src, ld, rows, w, dst, ldd)
                 },
                 decode_u4_pairs: |bytes, lut, pair, scale, out| unsafe {
                     $isa::decode_u4_pairs(bytes, lut, pair, scale, out)

@@ -43,10 +43,12 @@ impl SimdOps for Neon {
     /// All-ones lanes where the predicate holds.
     type M = uint32x4_t;
     const LANES: usize = 4;
-    /// `4 rows × 2 accumulators + 2 B loads + 1 broadcast` — the AVX2
-    /// shape; the 32-register file would take a wider strip if an Arm
-    /// machine shows it pays.
+    /// `4 rows × 2 accumulators + 2 B loads + 1 broadcast`; the
+    /// 32-register file would take a wider strip, or the 6-row block, if an
+    /// Arm machine measures that it pays. The block transpose is the
+    /// trait's spilling default.
     const MAX_STRIP: usize = 2;
+    const MAX_ROWS: usize = 4;
 
     op_rows! {
         fn loadu(p: *const f32) -> float32x4_t = vld1q_f32(p);

@@ -3,10 +3,11 @@
 //!
 //! Each vector backend (`simd_x86`, `simd_x86_512`, `simd_neon`) is an
 //! implementation of [`SimdOps`] — loads, stores, a dozen float/integer
-//! lane operations, per-lane predicates, the two code-narrowing shuffles —
-//! plus the decode routines that are genuinely ISA-shaped. The kernels
-//! themselves — the rank-1 tile update with its fused store ([`tile`],
-//! [`finish`]), the abs-max fold ([`abs_max_bits`]) and the code writers
+//! lane operations, per-lane predicates, the two code-narrowing shuffles,
+//! the block transpose — plus the decode routines that are genuinely
+//! ISA-shaped. The kernels themselves — the rank-1 tile update with its
+//! fused store ([`tile`], [`finish`]), the band transpose and copy
+//! ([`band`]), the abs-max fold ([`abs_max_bits`]) and the code writers
 //! ([`encode`]; lane rules in the [`super::simd_encode`] docs) — exist
 //! once, here, generic over the table, so the body an Arm machine runs is
 //! the body the x86 tiers test.
@@ -46,20 +47,23 @@
 //! # Adding an arch backend
 //!
 //! Add `engine/simd_<arch>.rs` with a unit struct implementing [`SimdOps`]:
-//! the vector types `F` / `I` / `M`, `LANES`, [`SimdOps::MAX_STRIP`], the
-//! one-intrinsic ops as [`op_rows!`] rows, and the two narrowing stores —
-//! plus the two decodes `decode_u4_pairs` / `decode_u8_run`, which stay
-//! ISA-specific (permute, gather or table-lookup shaped). There is no
-//! kernel to write: the tile update and its store, the abs-max fold and the
-//! encode arithmetic are the bodies here, already tested by every other
-//! tier. Gate the file on `all(feature = "simd", target_arch = ...)`, give
-//! it a `Backend` variant with its tier, extend the detection, lane-width
-//! and feature lists in [`super::simd`], and add one `vector_row!` arm to
+//! the vector types `F` / `I` / `M`, `LANES`, [`SimdOps::MAX_STRIP`] and
+//! [`SimdOps::MAX_ROWS`], the one-intrinsic ops as [`op_rows!`] rows, and
+//! the two narrowing stores — plus the two decodes `decode_u4_pairs` /
+//! `decode_u8_run`, which stay ISA-specific (permute, gather or
+//! table-lookup shaped). There is no kernel to write: the tile update and
+//! its store, the band moves, the abs-max fold and the encode arithmetic
+//! are the bodies here, already tested by every other tier. Gate the file
+//! on `all(feature = "simd", target_arch = ...)`, give it a `Backend`
+//! variant with its tier, extend the detection, lane-width and feature
+//! lists in [`super::simd`], and add one `vector_row!` arm to
 //! [`super::simd::active_kernels`] (ops type + `#[target_feature]` string).
 //! Column tails default to the scalar loop of [`SimdOps::tile_tail`]; an
 //! ISA with masking overrides it (the AVX-512 table finishes any `nb % 16`
-//! tail under one `__mmask16`). The NEON table is written blind — no
-//! aarch64 toolchain on the build box — and first compiled by CI's
+//! tail under one `__mmask16`). The block transpose defaults to a spill
+//! through the stack ([`SimdOps::store_transposed`]); an ISA with register
+//! shuffles overrides it (AVX2 and AVX-512 do). The NEON table is written
+//! blind — no aarch64 toolchain on the build box — and first compiled by CI's
 //! `check-aarch64` job; `tests/simd_scalar.rs` and the scalar / capped CI
 //! jobs gate any port, and no backend may change a bit.
 
@@ -67,7 +71,7 @@ use super::simd_encode::{
     abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid, ABS_MASK, INF_BITS,
     MAGIC, MAGIC_BITS,
 };
-use super::{Store, STORE_BF16, STORE_PLUS_ZERO};
+use super::{Store, STORE_BF16, STORE_PLUS_ZERO, TB};
 
 /// Writes a backend's one-intrinsic ops as table rows:
 /// `fn name(args) -> Ret = expr;` becomes the `#[inline(always)] unsafe fn`
@@ -105,9 +109,14 @@ pub(super) trait SimdOps {
     const LANES: usize;
     /// Widest column strip of the tile kernel, in registers per output
     /// row (4 or 2): the ladder runs `MAX_STRIP`, …, 2, 1, then
-    /// [`tile_tail`](Self::tile_tail). 4 rows × `MAX_STRIP` accumulators +
-    /// `MAX_STRIP` B loads + 1 broadcast must fit the register file.
+    /// [`tile_tail`](Self::tile_tail).
     const MAX_STRIP: usize;
+    /// Tallest register block of the tile kernel, in output rows (6 or 4):
+    /// the row ladder runs `MAX_ROWS`, then 4, 2, 1 for the rows left.
+    /// `MAX_ROWS × MAX_STRIP` accumulators + `MAX_STRIP` B loads + 1
+    /// broadcast must fit the register file; within that, the taller block
+    /// is kept where `bench_gemm` measured it faster.
+    const MAX_ROWS: usize;
 
     unsafe fn loadu(p: *const f32) -> Self::F;
     unsafe fn storeu(p: *mut f32, v: Self::F);
@@ -162,6 +171,24 @@ pub(super) trait SimdOps {
     /// lane in the high nibble — and writes the `LANES / 2` bytes to `p`.
     unsafe fn store_nibble_pairs(p: *mut u8, codes: Self::I);
 
+    /// Stores the transpose of `TB` source-row segments of `LANES` floats
+    /// each (`rows[r]` holds row `r`): column `c` of the block becomes the
+    /// `TB` floats at `dst + c · ldd`, row order. The default spills the
+    /// registers and scatters element by element; an ISA with in-register
+    /// shuffles overrides it.
+    #[inline(always)]
+    unsafe fn store_transposed(rows: &[Self::F; TB], dst: *mut f32, ldd: usize) {
+        let mut spill = [[0.0f32; 16]; TB];
+        for (line, &v) in spill.iter_mut().zip(rows) {
+            Self::storeu(line.as_mut_ptr(), v);
+        }
+        for c in 0..Self::LANES {
+            for (r, line) in spill.iter().enumerate() {
+                *dst.add(c * ldd + r) = line[c];
+            }
+        }
+    }
+
     /// Finishes the tile columns `[j, nb)` that no whole-register strip
     /// covers, for the `MR` rows at `c` / `a` (see [`strips`]). The
     /// default is the scalar element loop (`f32::mul_add`, which lowers to
@@ -215,8 +242,9 @@ pub(super) unsafe fn finish<V: SimdOps, const STORE: Store>(v: V::F) -> V::F {
 
 /// The vector tile kernel — same contract as `engine::tile_kernel`, with
 /// the `STORE` flags ([`finish`]) fused into the store. Rows are processed in
-/// register blocks of 4/2/1; columns in the ISA's strip ladder, every
-/// active lane owning one output element end-to-end.
+/// register blocks of [`SimdOps::MAX_ROWS`] (6 where the table says so),
+/// then 4/2/1; columns in the ISA's strip ladder, every active lane owning
+/// one output element end-to-end.
 ///
 /// # Safety
 ///
@@ -241,6 +269,12 @@ pub(super) unsafe fn tile<V: SimdOps, const STORE: Store>(
     let abase = ablock.as_ptr();
     let bbase = btile.as_ptr();
     let mut i = 0;
+    if V::MAX_ROWS >= 6 {
+        while i + 6 <= mb {
+            row_block::<V, 6, STORE>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
+            i += 6;
+        }
+    }
     while i + 4 <= mb {
         row_block::<V, 4, STORE>(cbase, n, row0 + i, j0, abase.add(i * k), k, bbase, nb);
         i += 4;
@@ -325,6 +359,79 @@ unsafe fn strips<V: SimdOps, const MR: usize, const S: usize, const STORE: Store
         j += S * V::LANES;
     }
     j
+}
+
+/// A band of at most `TB` source rows moved into `dst` — transposed with
+/// `TRANSPOSE` (`dst[c · ldd + r] = src[r · ld + c]`), row for row without
+/// (`dst[r · ldd + c]`) — every value finished as `STORE` says (BF16
+/// rounding or nothing) in registers on the way, through the tile store's
+/// [`finish`]. A whole band moves `LANES` columns per step (transposed
+/// through [`SimdOps::store_transposed`]); a short transposed band and the
+/// columns no whole register covers take the scalar rows `scalar::transpose`
+/// and `scalar::copy`, which this matches bit for bit: both only move
+/// values and round them the one way.
+///
+/// # Safety
+///
+/// `V`'s instruction set must be available. The bounds every pointer
+/// access relies on are asserted.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(super) unsafe fn band<V: SimdOps, const TRANSPOSE: bool, const STORE: Store>(
+    src: &[f32],
+    ld: usize,
+    rows: usize,
+    w: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    if rows == 0 || w == 0 {
+        return;
+    }
+    assert!(rows <= TB && (rows - 1) * ld + w <= src.len());
+    let (dst_rows, dst_w) = if TRANSPOSE { (w, rows) } else { (rows, w) };
+    assert!((dst_rows - 1) * ldd + dst_w <= dst.len());
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    let mut c = 0;
+    if !TRANSPOSE {
+        if STORE == 0 {
+            // A plain copy is `memcpy`'s job (the scalar row's).
+            return super::scalar::copy(false, src, ld, rows, w, dst, ldd);
+        }
+        c = w - w % V::LANES;
+        for r in 0..rows {
+            let (s, d) = (sp.add(r * ld), dp.add(r * ldd));
+            for j in (0..c).step_by(V::LANES) {
+                V::storeu(d.add(j), finish::<V, STORE>(V::loadu(s.add(j))));
+            }
+        }
+    } else if rows == TB {
+        while c + V::LANES <= w {
+            let mut v = [V::splat(0.0); TB];
+            for (r, reg) in v.iter_mut().enumerate() {
+                *reg = finish::<V, STORE>(V::loadu(sp.add(r * ld + c)));
+            }
+            V::store_transposed(&v, dp.add(c * ldd), ldd);
+            c += V::LANES;
+        }
+    }
+    if c < w {
+        let rest = if TRANSPOSE {
+            super::scalar::transpose
+        } else {
+            super::scalar::copy
+        };
+        let d = if TRANSPOSE { c * ldd } else { c };
+        rest(
+            STORE & STORE_BF16 != 0,
+            &src[c..],
+            ld,
+            rows,
+            w - c,
+            &mut dst[d..],
+            ldd,
+        );
+    }
 }
 
 /// The vector abs-max fold — see `Encoder::abs_max`. Integer max over

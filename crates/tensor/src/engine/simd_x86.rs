@@ -10,6 +10,7 @@
 
 use super::simd::{decode_u4_pairs_scalar, decode_u8_run_scalar};
 use super::simd_ops::{op_rows, SimdOps};
+use super::TB;
 use std::arch::x86_64::*;
 
 /// The AVX2 op table.
@@ -21,9 +22,10 @@ impl SimdOps for Avx2 {
     /// All-ones lanes where the predicate holds.
     type M = __m256i;
     const LANES: usize = 8;
-    /// `4 rows × 2 accumulators + 2 B loads + 1 broadcast` fits the 16 ymm
-    /// registers.
     const MAX_STRIP: usize = 2;
+    /// `6 rows × 2 accumulators + 2 B loads + 1 broadcast` = 15 of the 16
+    /// ymm registers.
+    const MAX_ROWS: usize = 6;
 
     op_rows! {
         fn loadu(p: *const f32) -> __m256 = _mm256_loadu_ps(p);
@@ -64,6 +66,32 @@ impl SimdOps for Avx2 {
         let mut lanes = [0u32; 8];
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
         lanes.iter().fold(0, |x, &l| x.max(l))
+    }
+    /// The 8×8 block transpose: pairs of rows interleave within 128-bit
+    /// lanes (`unpack`), quads gather one column's four rows per lane
+    /// (`shuffle`), and the two lanes of a column meet across halves
+    /// (`permute2f128`).
+    #[inline(always)]
+    unsafe fn store_transposed(rows: &[__m256; TB], dst: *mut f32, ldd: usize) {
+        let mut s = [_mm256_setzero_ps(); TB];
+        for h in 0..2 {
+            let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|r| rows[4 * h + r]);
+            let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+            // `s[4h + q]`, lane L: rows 4h..4h+4 of column 4L + q.
+            s[4 * h] = _mm256_shuffle_ps::<0x44>(t0, t2);
+            s[4 * h + 1] = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            s[4 * h + 2] = _mm256_shuffle_ps::<0x44>(t1, t3);
+            s[4 * h + 3] = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        }
+        for q in 0..4 {
+            let (lo, hi) = (s[q], s[4 + q]);
+            _mm256_storeu_ps(dst.add(q * ldd), _mm256_permute2f128_ps::<0x20>(lo, hi));
+            _mm256_storeu_ps(
+                dst.add((4 + q) * ldd),
+                _mm256_permute2f128_ps::<0x31>(lo, hi),
+            );
+        }
     }
     #[inline(always)]
     unsafe fn store_code_bytes(p: *mut u8, codes: __m256i) {

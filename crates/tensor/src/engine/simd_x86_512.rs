@@ -10,10 +10,14 @@
 //!
 //! What 512-bit adds beyond width:
 //!
-//! * **A 64-column strip.** 4 rows × 4 accumulators + 4 B loads + 1
-//!   broadcast uses 21 of the 32 zmm registers — a full `NC = 64` output
-//!   tile is one such strip, and each `a[kk]` broadcast feeds all 64
-//!   columns.
+//! * **A 6×64 register block.** 6 rows × 4 accumulators + 4 B loads + 1
+//!   broadcast uses 29 of the 32 zmm registers — a full `NC = 64` output
+//!   tile row is one such strip, each `a[kk]` broadcast feeds all 64
+//!   columns, and each B load feeds six rows (the 4-row block, 21
+//!   registers, now only finishes a block's last rows).
+//! * **A 16-column block transpose** for the transposed operand sides:
+//!   eight source-row segments of 16 floats become sixteen 8-float column
+//!   runs in registers ([`SimdOps::store_transposed`]).
 //! * **Masked column tails.** Where the other backends fall back to a
 //!   scalar loop for the last `nb % LANES` columns, this one finishes any
 //!   `1..=15`-wide tail with one `__mmask16`-guarded load/store pair —
@@ -26,7 +30,7 @@
 
 use super::simd::{decode_u4_pairs_scalar, decode_u8_run_scalar};
 use super::simd_ops::{finish, op_rows, SimdOps};
-use super::Store;
+use super::{Store, TB};
 use std::arch::x86_64::*;
 
 /// The AVX-512 (foundation) op table.
@@ -38,6 +42,7 @@ impl SimdOps for Avx512 {
     type M = __mmask16;
     const LANES: usize = 16;
     const MAX_STRIP: usize = 4;
+    const MAX_ROWS: usize = 6;
 
     op_rows! {
         fn loadu(p: *const f32) -> __m512 = _mm512_loadu_ps(p);
@@ -70,6 +75,38 @@ impl SimdOps for Avx512 {
         fn keep_i(m: __mmask16, v: __m512i) -> __m512i = _mm512_maskz_mov_epi32(m, v);
         fn inc_where(v: __m512i, m: __mmask16) -> __m512i =
             _mm512_mask_add_epi32(v, m, v, _mm512_set1_epi32(1));
+    }
+
+    /// The 8×16 block transpose: the AVX2 8×8 steps within each 128-bit
+    /// lane (`unpack`, then `shuffle` — lane L of `s[4h + q]` holds rows
+    /// 4h..4h+4 of column 4L + q), then one two-source permute per pair
+    /// of output columns joins each column's two row quads into a 256-bit
+    /// half, stored on its own.
+    #[inline(always)]
+    unsafe fn store_transposed(rows: &[__m512; TB], dst: *mut f32, ldd: usize) {
+        let mut s = [_mm512_setzero_ps(); TB];
+        for h in 0..2 {
+            let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|r| rows[4 * h + r]);
+            let (t0, t1) = (_mm512_unpacklo_ps(r0, r1), _mm512_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm512_unpacklo_ps(r2, r3), _mm512_unpackhi_ps(r2, r3));
+            s[4 * h] = _mm512_shuffle_ps::<0x44>(t0, t2);
+            s[4 * h + 1] = _mm512_shuffle_ps::<0xEE>(t0, t2);
+            s[4 * h + 2] = _mm512_shuffle_ps::<0x44>(t1, t3);
+            s[4 * h + 3] = _mm512_shuffle_ps::<0xEE>(t1, t3);
+        }
+        // Lanes L, L + 1 of the rows-0..4 and rows-4..8 registers: columns
+        // 4L + q (low half) and 4L + 4 + q (high half).
+        let lanes01 = _mm512_setr_epi32(0, 1, 2, 3, 16, 17, 18, 19, 4, 5, 6, 7, 20, 21, 22, 23);
+        let lanes23 =
+            _mm512_setr_epi32(8, 9, 10, 11, 24, 25, 26, 27, 12, 13, 14, 15, 28, 29, 30, 31);
+        for q in 0..4 {
+            for (l, idx) in [(0, lanes01), (8, lanes23)] {
+                let cols = _mm512_permutex2var_ps(s[q], idx, s[4 + q]);
+                let high = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(cols));
+                _mm256_storeu_ps(dst.add((l + q) * ldd), _mm512_castps512_ps256(cols));
+                _mm256_storeu_ps(dst.add((l + 4 + q) * ldd), _mm256_castpd_ps(high));
+            }
+        }
     }
 
     #[inline(always)]

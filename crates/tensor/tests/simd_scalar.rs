@@ -11,7 +11,9 @@
 //! * all twelve GEMM kernels (six orientations × Keep/fused-BF16; the
 //!   fused-BF16 six via `gemm(.., Round::Bf16)`), over
 //!   proptest-drawn shapes that exercise every lane tail (`n % 16` for the
-//!   AVX-512 masked tail, `n % 8`, `n < 8`, row-block tails `m % 4`);
+//!   AVX-512 masked tail, `n % 8`, `n < 8`, the row ladder's tails
+//!   `m % 6` and `m % 4`), plus the three orientations over BF16-rounded
+//!   operands, whose blocks and tiles are rounded by the band moves;
 //! * fused BF16 output == two-pass (`Keep` kernel then `bf16::round_slice`);
 //! * the FP4 pair-table decode and the FP8/INT8 LUT decode (`dequantize`),
 //!   including ragged columns around the 32-wide AVX-512 pair strip;
@@ -88,6 +90,11 @@ fn dense(t: &Tensor) -> QOperandRef<'_> {
     QOperandRef::Dense(t)
 }
 
+/// A dense tensor read through BF16 rounding.
+fn rounded(t: &Tensor) -> QOperandRef<'_> {
+    QOperandRef::Bf16Rounded(t)
+}
+
 fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}: shape");
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
@@ -101,8 +108,9 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// Runs all twelve GEMM kernels (six orientations × Keep/BF16) plus both
-/// decode widths under a forced-scalar reference run, then once per
+/// Runs all twelve GEMM kernels (six orientations × Keep/BF16), both
+/// decode widths and the three orientations over BF16-rounded operands
+/// under a forced-scalar reference run, then once per
 /// non-scalar backend tier (and once under plain dispatch), asserting
 /// 0-ULP equality against the reference each time.
 fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
@@ -175,6 +183,18 @@ fn check_simd_matches_scalar(m: usize, k: usize, n: usize, seed: u64) {
             ),
             ("dequantize u4", qa.dequantize()),
             ("dequantize u8", q8.dequantize()),
+            (
+                "rounded gemm nn",
+                gemm(rounded(&a), rounded(&b), Nn, Round::Keep),
+            ),
+            (
+                "rounded gemm nt",
+                gemm(rounded(&a), rounded(&bt), Nt, Round::Keep),
+            ),
+            (
+                "rounded gemm tn",
+                gemm(rounded(&at), rounded(&b), Tn, Round::Keep),
+            ),
         ]
     };
 
@@ -222,13 +242,14 @@ proptest! {
 }
 
 /// Every strip and tail boundary of the tile kernel, once: one body serves
-/// every tier, so the full ladder — row blocks 4/2/1 and 4+1 (`m ∈ 1..=5`),
+/// every tier, so the full ladder — row blocks 6/4/2/1, every `m % 6`
+/// remainder with zero, one and two 6-row blocks before it (`m ∈ 1..=13`),
 /// every tile width and the 64 + 64 + 1 tile split (`n ∈ 1..=2·64+1`: the
 /// AVX-512 64/32/16 strips and all fifteen masked tails, the AVX2/NEON
 /// double and single strips and every scalar tail), `k ∈ {1, 7}`, raw and
 /// fused-BF16 stores — runs on every tier against forced scalar. A fixed
-/// shape list then takes all twelve kernels and both decodes through the
-/// same tails.
+/// shape list then takes every kernel and both decodes through the same
+/// tails, each `m ∈ 1..=13` at least once.
 #[test]
 fn lane_tail_shapes_agree() {
     eprintln!(
@@ -245,9 +266,9 @@ fn lane_tail_shapes_agree() {
     for k in [1, 7] {
         // One operand pair per `k`, sliced per shape: `n` columns of B,
         // `m` rows of A.
-        let a_full = Tensor::randn(5, k, 1.0, &mut rng);
+        let a_full = Tensor::randn(13, k, 1.0, &mut rng);
         let bt_full = Tensor::randn(2 * 64 + 1, k, 1.0, &mut rng);
-        for m in 1..=5 {
+        for m in 1..=13 {
             let a = Tensor::from_vec(m, k, a_full.as_slice()[..m * k].to_vec());
             for n in 1..=2 * 64 + 1 {
                 let bt = Tensor::from_vec(n, k, bt_full.as_slice()[..n * k].to_vec());
@@ -282,6 +303,10 @@ fn lane_tail_shapes_agree() {
         (11, 13, 40),
         (2, 21, 64),
         (4, 6, 71),
+        (8, 12, 20),
+        (10, 15, 65),
+        (12, 17, 50),
+        (13, 24, 33),
     ] {
         check_simd_matches_scalar(m, k, n, 0xBEEF ^ ((m * 971 + k * 31 + n) as u64));
     }
