@@ -4,47 +4,49 @@
 //! a seeded [`ChaosPlan`] — the *same* decorator wraps the threaded
 //! [`super::ChannelFabric`] and the process [`super::proc::SocketFabric`], so one
 //! fault schedule exercises both backends and must surface the **same
-//! typed error at the same rank** on each. Five fault classes ship:
-//!
-//! * [`Fault::Kill`] — the fabric drops its inner backend at a scheduled
-//!   transport operation, closing every link the rank owns. The killed
-//!   rank observes the sticky [`TransportError::Killed`]; peers observe
-//!   the ordinary [`TransportError::PeerClosed`] cascade, exactly as if
-//!   the process had died.
-//! * [`Fault::Delay`] — a bounded, seed-deterministic sender-side stall
-//!   before each frame on one link. Delays never reorder frames (the
-//!   sleep happens *before* the FIFO send), so a delay-only plan changes
-//!   wall-clock time and nothing else: results, RNG streams and byte
-//!   counters stay bit-identical.
-//! * [`Fault::Truncate`] — one scheduled frame on one link is cut
-//!   mid-stream. Surfaces as [`TransportError::Stream`] carrying
-//!   [`snip_quant::StreamError::Truncated`]; the link is dead afterwards.
-//! * [`Fault::Corrupt`] — one scheduled frame has a payload byte flipped
-//!   in flight. The stream envelope's CRC32 catches it:
-//!   [`TransportError::Stream`] carrying
-//!   [`snip_quant::StreamError::Crc`]; the link is dead afterwards.
-//! * [`Fault::Close`] — one directed link closes after a scheduled number
-//!   of frames; both ends observe [`TransportError::PeerClosed`] at the
-//!   same frame index, since each end enforces the schedule locally.
+//! typed error at the same rank** on each. The five fault classes are the
+//! variants of [`Fault`], each documented with the error it surfaces: a
+//! kill drops the rank's inner fabric (peers see the ordinary
+//! [`TransportError::PeerClosed`] cascade, exactly as if the process had
+//! died), a delay stalls a link without reordering it, and truncation,
+//! corruption and a closed link break one link at a scheduled frame.
 //!
 //! Everything is a pure function of the plan's seed and the fabric's own
-//! operation counters — no wall clock, no OS randomness — so a failing
-//! chaos run replays bit-for-bit under a debugger. The dual contract is
-//! pinned by `tests/chaos_harness.rs`:
+//! operation counters — every draw is `mix(seed, link, index, salt)`, a
+//! splitmix64 finalizer over the per-link frame counters and the operation
+//! clock; no wall clock, no OS randomness — so the same plan injects the
+//! same faults whatever the thread interleaving, and a failing chaos run
+//! replays bit-for-bit under a debugger. The dual contract is pinned by
+//! `tests/chaos_harness.rs`:
 //!
-//! 1. **Fault-free transparency**: a plan with no faults is a pure
-//!    passthrough — gradients, RNG streams and both-sided payload
-//!    counters are bit-identical to the undecorated fabric.
+//! 1. **Fault-free transparency**: under a plan with no faults, or only
+//!    delays, gradients, RNG streams and both-sided payload counters are
+//!    bit-identical to the undecorated fabric — the chaos analog of the
+//!    telemetry zero-bit contract.
 //! 2. **Typed failure, bounded unwind**: every injected fault produces
-//!    its documented [`TransportError`] at the faulted rank, and every
-//!    surviving rank unwinds with a typed cascade error within the recv
-//!    deadline — never a deadlock, never a panic from transport code.
+//!    its documented [`TransportError`] at the faulted rank — the first
+//!    error its endpoint records, so both drivers name the rank and its
+//!    [`super::FailureClass`] as the root cause (see the
+//!    [transport docs](super)) — and every surviving rank unwinds with a
+//!    typed cascade error within the recv deadline
+//!    ([`ChaosPlan::with_recv_deadline`]) — never a deadlock, never a
+//!    panic from transport code.
+//!
+//! `tests/chaos_harness.rs` also checks that a process launch names the
+//! same rank, class and failure counters as the threaded run of the same
+//! plan, and that a killed-and-retried run
+//! ([`data_parallel_train_with_recovery`]) is bit-identical to an unfaulted
+//! one; CI's `chaos-smoke` runs it in debug, `--release` and `--release`
+//! with telemetry collection on. **To add a fault class**: extend
+//! [`Fault`], draw randomness only through `mix` over the existing
+//! counters, and pin (a) the typed error at the faulted rank, (b) a clean
+//! unwind at the survivors within the deadline, (c) the fault-free
+//! identity.
 //!
 //! # Worked example: kill a rank mid-collective
 //!
-//! A plan is an argument of the two mesh drivers — [`super::run_ranks`] on
-//! threads, [`super::proc::launch`] on processes — which wrap every rank's
-//! fabric in a [`ChaosFabric`]:
+//! A plan is an argument of the two mesh drivers, [`super::run_ranks`] and
+//! [`super::proc::launch`]:
 //!
 //! ```
 //! use snip_pipeline::collective::{QuantizePolicy, Wire};
@@ -93,7 +95,8 @@ pub enum Fault {
     /// Every frame on the directed link `src → dst` is delayed by a
     /// seed-deterministic duration in `[0, max_micros]` before the send.
     /// FIFO-preserving by construction: the stall happens on the sender's
-    /// thread before the frame enters the link.
+    /// thread before the frame enters the link, so a delay changes
+    /// wall-clock time and nothing else.
     Delay {
         /// Sending rank.
         src: usize,
@@ -159,77 +162,59 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
+    /// The schedule of `faults` under `seed`, at the default recv deadline.
+    fn of(seed: u64, faults: Vec<Fault>) -> Self {
+        ChaosPlan {
+            seed,
+            faults,
+            recv_deadline_micros: None,
+        }
+    }
+
     /// The empty schedule: a decorated fabric behaves bit-identically to
     /// the bare one.
     pub fn none(seed: u64) -> Self {
-        ChaosPlan {
-            seed,
-            faults: Vec::new(),
-            recv_deadline_micros: None,
-        }
+        ChaosPlan::of(seed, Vec::new())
     }
 
     /// Kill `rank` at its `op`-th transport operation.
     pub fn kill(seed: u64, rank: usize, op: u64) -> Self {
-        ChaosPlan {
-            seed,
-            faults: vec![Fault::Kill { rank, op }],
-            recv_deadline_micros: None,
-        }
+        ChaosPlan::of(seed, vec![Fault::Kill { rank, op }])
     }
 
     /// Close the directed link `src → dst` after `after_frames` frames.
     pub fn close_link(seed: u64, src: usize, dst: usize, after_frames: u64) -> Self {
-        ChaosPlan {
-            seed,
-            faults: vec![Fault::Close {
-                src,
-                dst,
-                after_frames,
-            }],
-            recv_deadline_micros: None,
-        }
+        let close = Fault::Close {
+            src,
+            dst,
+            after_frames,
+        };
+        ChaosPlan::of(seed, vec![close])
     }
 
     /// Truncate the `frame`-th frame on `src → dst` mid-stream.
     pub fn truncate(seed: u64, src: usize, dst: usize, frame: u64) -> Self {
-        ChaosPlan {
-            seed,
-            faults: vec![Fault::Truncate { src, dst, frame }],
-            recv_deadline_micros: None,
-        }
+        ChaosPlan::of(seed, vec![Fault::Truncate { src, dst, frame }])
     }
 
     /// Flip one payload byte of the `frame`-th frame on `src → dst`.
     pub fn corrupt(seed: u64, src: usize, dst: usize, frame: u64) -> Self {
-        ChaosPlan {
-            seed,
-            faults: vec![Fault::Corrupt { src, dst, frame }],
-            recv_deadline_micros: None,
-        }
+        ChaosPlan::of(seed, vec![Fault::Corrupt { src, dst, frame }])
     }
 
     /// Delay every directed link of a `world`-rank mesh by up to
     /// `max_micros` per frame — the "slow network, nothing broken"
     /// schedule. Results must stay bit-identical to a calm run.
     pub fn delay_all_links(seed: u64, world: usize, max_micros: u64) -> Self {
-        let mut faults = Vec::new();
-        for src in 0..world {
-            for dst in 0..world {
-                if src != dst {
-                    faults.push(Fault::Delay {
-                        src,
-                        dst,
-                        max_micros,
-                    });
-                }
-            }
-        }
-        ChaosPlan {
-            seed,
-            faults,
-            recv_deadline_micros: None,
-        }
+        let links = (0..world).flat_map(|src| (0..world).map(move |dst| (src, dst)));
+        let faults = links
+            .filter(|(src, dst)| src != dst)
+            .map(|(src, dst)| Fault::Delay {
+                src,
+                dst,
+                max_micros,
+            });
+        ChaosPlan::of(seed, faults.collect())
     }
 
     /// Lower the recv deadline for fabrics run under this plan.
@@ -242,12 +227,6 @@ impl ChaosPlan {
     pub(crate) fn recv_deadline(&self) -> Duration {
         self.recv_deadline_micros
             .map_or(DEFAULT_RECV_DEADLINE, Duration::from_micros)
-    }
-
-    /// `true` when the plan injects nothing — the passthrough contract
-    /// applies.
-    pub fn is_passthrough(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -265,17 +244,14 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A fault-injecting decorator over any [`Fabric`] backend.
-///
-/// With an empty plan it is a transparent proxy: every call forwards to
-/// the inner fabric and every counter matches the undecorated run. With
-/// faults scheduled, it applies them deterministically from the plan seed
-/// and its own per-link frame counters — see the [module docs](self) for
-/// the fault classes and the worked example.
+/// A fault-injecting decorator over any [`Fabric`] backend, applying its
+/// plan from the plan's seed and its own per-link frame counters (see the
+/// [module docs](self)); with an empty plan a transparent proxy.
 pub struct ChaosFabric<F: Fabric> {
     /// `None` once a [`Fault::Kill`] has fired: dropping the inner fabric
     /// closes every link this rank owns, which is precisely how a real
-    /// rank death looks to the peers.
+    /// rank death looks to the peers, and every later operation fails with
+    /// the sticky [`TransportError::Killed`].
     inner: Option<F>,
     rank: usize,
     world: usize,
@@ -289,12 +265,8 @@ pub struct ChaosFabric<F: Fabric> {
     /// Frames received per source (indexes [`Fault::Truncate`] /
     /// [`Fault::Corrupt`] / [`Fault::Close`] on the rx side).
     recvd: Vec<u64>,
-    /// The sticky error a killed fabric keeps returning.
-    dead: Option<TransportError>,
-    /// Links this rank can no longer send on ([`Fault::Close`]).
-    closed_tx: Vec<bool>,
-    /// Links this rank can no longer receive on ([`Fault::Close`], or a
-    /// damage fault already fired on them).
+    /// Links this rank can no longer receive on: a damage fault fired on
+    /// them. (A [`Fault::Close`] needs no state: its frame count stops.)
     closed_rx: Vec<bool>,
 }
 
@@ -312,33 +284,25 @@ impl<F: Fabric> ChaosFabric<F> {
             op: 0,
             sent: vec![0; world],
             recvd: vec![0; world],
-            dead: None,
-            closed_tx: vec![false; world],
             closed_rx: vec![false; world],
         }
     }
 
     /// Advances the operation clock and fires a scheduled kill: drops the
-    /// inner fabric (closing all links) and makes the error sticky.
+    /// inner fabric, closing all links.
     fn tick(&mut self) -> Result<(), TransportError> {
-        if let Some(e) = &self.dead {
-            return Err(e.clone());
-        }
-        let at = self.op;
+        let (at, me) = (self.op, self.rank);
         self.op += 1;
-        for fault in &self.plan.faults {
-            if let Fault::Kill { rank, op } = fault {
-                if *rank == self.rank && at >= *op {
-                    // Dropping the fabric is the kill: channel senders
-                    // disconnect, sockets close, peers see PeerClosed.
-                    self.inner = None;
-                    let e = TransportError::Killed { rank: self.rank };
-                    self.dead = Some(e.clone());
-                    return Err(e);
-                }
-            }
+        let due = |f: &Fault| matches!(*f, Fault::Kill { rank, op } if rank == me && at >= op);
+        if self.plan.faults.iter().any(due) {
+            // Dropping the fabric is the kill: channel senders disconnect,
+            // sockets close, peers see PeerClosed.
+            self.inner = None;
         }
-        Ok(())
+        match self.inner {
+            Some(_) => Ok(()),
+            None => Err(TransportError::Killed { rank: me }),
+        }
     }
 
     /// Re-envelopes `frame` the way a socket would, applies the scheduled
@@ -394,9 +358,6 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
 
     fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError> {
         self.tick()?;
-        if self.closed_tx[dst] {
-            return Err(TransportError::PeerClosed { rank: dst });
-        }
         let at = self.sent[dst];
         let mut delay = 0u64;
         for fault in &self.plan.faults {
@@ -406,7 +367,6 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
                     dst: d,
                     after_frames,
                 } if src == self.rank && d == dst && at >= after_frames => {
-                    self.closed_tx[dst] = true;
                     return Err(TransportError::PeerClosed { rank: dst });
                 }
                 Fault::Delay {
@@ -436,22 +396,17 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
 
     fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError> {
         self.tick()?;
-        if self.closed_rx[src] {
-            return Err(TransportError::PeerClosed { rank: src });
-        }
-        let at = self.recvd[src];
-        for fault in &self.plan.faults {
-            if let Fault::Close {
+        let (at, me) = (self.recvd[src], self.rank);
+        let closes = |f: &Fault| match *f {
+            Fault::Close {
                 src: s,
                 dst,
                 after_frames,
-            } = *fault
-            {
-                if s == src && dst == self.rank && at >= after_frames {
-                    self.closed_rx[src] = true;
-                    return Err(TransportError::PeerClosed { rank: src });
-                }
-            }
+            } => s == src && dst == me && at >= after_frames,
+            _ => false,
+        };
+        if self.closed_rx[src] || self.plan.faults.iter().any(closes) {
+            return Err(TransportError::PeerClosed { rank: src });
         }
         let inner = self
             .inner

@@ -7,12 +7,8 @@
 //! [`Fabric`] trait: a full mesh of per-link FIFO byte channels.
 //!
 //! **To add a transport backend, implement [`Fabric`]** and hand the
-//! implementation to [`super::Endpoint::new`]. Two backends ship today:
-//!
-//! * [`ChannelFabric`] — ranks on OS threads in one process, one mpsc
-//!   channel per directed link ([`channel_mesh`] builds the full mesh).
-//! * [`super::proc::SocketFabric`] — ranks in separate OS processes, one
-//!   Unix-domain socket per rank pair carrying length-prefixed frames.
+//! implementation to [`super::Endpoint::new`]; [`ChannelFabric`] and
+//! [`super::proc::SocketFabric`] ship today (see the [transport docs](super)).
 //!
 //! Both share one failure model: **a closed link is the abort signal**.
 //! There is no in-band abort broadcast — when a rank dies, its fabric is
@@ -21,7 +17,9 @@
 //! on that rank observes [`TransportError::PeerClosed`]. The error cascades
 //! along whatever links ranks are actually waiting on, so the whole mesh
 //! fails fast instead of deadlocking — the same semantics TCP gives a real
-//! collective runtime for free.
+//! collective runtime for free. A peer that is alive but stalled is a
+//! [`TransportError::Timeout`] after the fabric's recv deadline, and the
+//! drivers judge every failed rank by its [`FailureClass`].
 
 use super::frame::FrameError;
 use snip_quant::StreamError;
@@ -115,28 +113,79 @@ impl std::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 impl TransportError {
-    /// `true` for the variants a primary fault induces at the ranks that
-    /// were merely waiting on the faulted one: `PeerClosed` and `Timeout`.
-    /// The typed form of [`is_cascade_error`], which classifies the same
-    /// errors by their text.
+    /// `true` for `PeerClosed` and `Timeout`, the errors a primary fault
+    /// induces at the ranks waiting on it ([`FailureClass::is_cascade`]).
     pub(crate) fn is_cascade(&self) -> bool {
-        matches!(
-            self,
-            TransportError::PeerClosed { .. } | TransportError::Timeout { .. }
-        )
+        FailureClass::of(Some(self)).is_cascade()
     }
 }
 
-/// `true` when an error's message marks it as a *secondary* failure — the
-/// cascade a primary fault (kill, corruption, panic) induces at the ranks
-/// that were merely waiting on the faulted one. Root-cause attribution uses
-/// it where a failure survives only as text (panic payloads, process
-/// workers' reports): report the first non-cascade error, because the
-/// `PeerClosed`/`Timeout` storm around it is a consequence, not a cause.
-pub fn is_cascade_error(message: &str) -> bool {
-    message.contains("mid-collective")
-        || message.contains("PeerClosed")
-        || message.contains("timed out after")
+/// What stopped a rank: the class of the first [`TransportError`] its
+/// endpoint recorded ([`FailureClass::of`], the one map from an error to
+/// its class), or [`FailureClass::Task`] when it recorded none. Both mesh
+/// drivers attribute root causes and count failures by the class alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureClass {
+    /// [`TransportError::PeerClosed`].
+    PeerClosed,
+    /// [`TransportError::Frame`] or [`TransportError::Stream`].
+    Frame,
+    /// [`TransportError::Timeout`].
+    Timeout,
+    /// [`TransportError::Killed`].
+    Killed,
+    /// [`TransportError::Io`].
+    Io,
+    /// No transport error: the task itself failed (a bad configuration, a
+    /// panic), or a process worker died without a report.
+    Task,
+}
+
+impl FailureClass {
+    /// Every class, indexed by its discriminant (`class as u8`, its byte in
+    /// a worker's `ERROR` report).
+    pub(crate) const ALL: [FailureClass; 6] = [
+        FailureClass::PeerClosed,
+        FailureClass::Frame,
+        FailureClass::Timeout,
+        FailureClass::Killed,
+        FailureClass::Io,
+        FailureClass::Task,
+    ];
+
+    /// The class of a rank whose endpoint recorded `error` first.
+    pub fn of(error: Option<&TransportError>) -> FailureClass {
+        match error {
+            Some(TransportError::PeerClosed { .. }) => FailureClass::PeerClosed,
+            Some(TransportError::Frame { .. } | TransportError::Stream { .. }) => {
+                FailureClass::Frame
+            }
+            Some(TransportError::Timeout { .. }) => FailureClass::Timeout,
+            Some(TransportError::Killed { .. }) => FailureClass::Killed,
+            Some(TransportError::Io { .. }) => FailureClass::Io,
+            None => FailureClass::Task,
+        }
+    }
+
+    /// `true` when the failure is *secondary*: the cascade a primary fault
+    /// (kill, corruption, a task failure) induces at the ranks that were
+    /// merely waiting on the faulted one — a consequence, not a cause.
+    pub fn is_cascade(self) -> bool {
+        matches!(self, FailureClass::PeerClosed | FailureClass::Timeout)
+    }
+
+    /// The `snip-obs` counter a failure of this class bumps; none for
+    /// [`FailureClass::Task`], which is not a transport failure.
+    pub(crate) fn counter(self) -> Option<&'static str> {
+        Some(match self {
+            FailureClass::PeerClosed => "transport.peer_closed",
+            FailureClass::Frame => "transport.frame_error",
+            FailureClass::Timeout => "transport.timeout",
+            FailureClass::Killed => "transport.killed",
+            FailureClass::Io => "transport.io_error",
+            FailureClass::Task => return None,
+        })
+    }
 }
 
 /// A full mesh of per-link FIFO byte channels connecting `world` ranks.
@@ -167,10 +216,8 @@ pub trait Fabric {
 }
 
 /// The in-process backend: ranks on OS threads, one unbounded mpsc channel
-/// per directed link. The channel *is* the link — when a rank's fabric
-/// drops, its `Sender`s disconnect and every peer's pending `recv` on those
-/// links fails with [`TransportError::PeerClosed`] once buffered frames are
-/// drained, exactly mirroring socket EOF semantics.
+/// per directed link. The channel *is* the link: a dropped fabric's
+/// `Sender`s disconnect, exactly mirroring socket EOF.
 pub struct ChannelFabric {
     rank: usize,
     world: usize,

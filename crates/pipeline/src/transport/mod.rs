@@ -19,54 +19,71 @@
 //!   report from its stdout; see the [`proc`] module docs for the protocol.
 //!
 //! Both drivers take an `Option<&ChaosPlan>` and are the only places a
-//! [`ChaosFabric`] is built (a pass-through plan when no faults are asked
-//! for), so fault injection is an argument, not a second set of entry
-//! points. Rank code is written once against `Endpoint<F>` and runs
-//! unchanged on either fabric, with or without faults; the named helpers
-//! ([`threaded_all_reduce`], [`data_parallel_train`], …) are fault-free
-//! delegations onto the drivers.
+//! [`ChaosFabric`] is built, so rank code is written once against
+//! `Endpoint<F>` and runs on either fabric, with or without faults; the
+//! named helpers ([`threaded_all_reduce`], [`data_parallel_train`], …) are
+//! fault-free delegations onto the drivers.
+//!
+//! # Collectives and the oracle
+//!
+//! [`data_parallel_train`] puts one [`Trainer`] per rank thread and
+//! all-reduces every gradient through the trainer's gradient hook
+//! (`dp_train_loop`, the one DP step loop both fabrics run).
+//! [`crate::collective`] keeps only the wire formats, and each driver
+//! returns its fabric's own shapes ([`threaded_all_reduce`]: the vectors
+//! and stats of [`run_ranks`]; [`proc::proc_all_reduce`]: those of
+//! [`proc::launch`]).
 //!
 //! The all-gather encodes each reduced chunk once — the owner keeps the
-//! frame's decode, the ring forwards its bytes — so every rank holds the
-//! same reduced vector. The **oracle** is an in-proc ring simulator kept
-//! with the tests (`tests/support/mod.rs`, also compiled into this crate's
-//! unit tests): both fabrics' ring collectives are bit-identical to it
-//! (same per-rank RNG streams — the simulator's hops go through this
-//! module's [`frame`] codec, so what the oracle pins is the ring schedule),
-//! and the measured per-link payload counters equal
-//! [`crate::comm::codec_wire_bytes`] exactly for every codec — including
-//! ragged tails. That equivalence is what makes the analytic
-//! accounting trustworthy, and it is pinned by the loopback tests in
-//! `tests/transport_threads.rs` and `tests/transport_proc.rs` (run under
-//! `--release` in CI as well, where timing and buffering bugs actually
-//! surface).
+//! frame's decode, the ring forwards its bytes, with no per-hop encode or
+//! draw — so every rank ends an all-reduce with the same bits. The
+//! **oracle** is an in-proc ring simulator kept with the tests
+//! (`tests/support/mod.rs`, also compiled into this crate's unit tests; not
+//! crate API), one [`Rng`] stream per rank. Its hops go through [`frame`]'s
+//! codec ([`Wire::transmit`]; [`Wire::quantize`] stays the independent
+//! reference), so what it pins is the ring schedule: both fabrics are
+//! bit-identical to it — reduced gradients, RNG streams, byte counts — and
+//! their per-link payload counters equal [`crate::comm::codec_wire_bytes`]
+//! for every codec, ragged tails included (`tests/transport_threads.rs`,
+//! `tests/transport_proc.rs`, `tests/collective_properties.rs`, also run
+//! under `--release` in CI, where timing bugs surface). A peer's chunk of
+//! the wrong length is a typed [`FrameError::Elements`], not an index panic.
 //!
 //! # Frames and accounting
 //!
 //! Frame layout lives in [`frame`]; decode failures are typed
-//! ([`FrameError`]), so a corrupt peer surfaces as an error, not a panic
-//! with a byte dump. The ledger, [`TransportStats`], distinguishes
-//! **payload** bytes — the accounted wire volume (`4n` / `2n` /
-//! [`snip_quant::PackedTensor::wire_bytes`]) — from **envelope** bytes
-//! (tags, frame headers and, on socket fabrics, the stream length prefix):
-//! per-message metadata a real NIC would also move but that
-//! [`crate::comm::codec_wire_bytes`] deliberately excludes, exactly like
-//! decode tables and rotation seeds. Both are measured, on **both sides of
-//! every link**: each [`Endpoint`] owns a plain ledger and counts what its
-//! rank sent (a `tx` row) *and* what it received (an `rx` column). Each
-//! driver adds its ranks' ledgers — [`run_ranks`] as the threads join,
-//! [`proc::launch`] from the JSON every worker sends with its result — and
-//! the two views of every link must agree ([`TransportStats::two_sided`],
-//! [`TransportStats::disagreement`]); only payload must match the analytic
-//! numbers.
+//! ([`FrameError`]), never a panic. Each [`Endpoint`] counts what its rank
+//! sent and received in a [`TransportStats`], and each driver adds its
+//! ranks' ledgers — [`run_ranks`] as the threads join, [`proc::launch`]
+//! from every worker's `RESULT`. **Payload** bytes (`4n` / `2n` /
+//! [`snip_quant::PackedTensor::wire_bytes`]) must match the analytic
+//! numbers; **envelope** bytes (tags, frame headers, stream length
+//! prefixes) are measured but, like decode tables and rotation seeds,
+//! excluded from [`crate::comm::codec_wire_bytes`].
 //!
-//! # Abort semantics
+//! # Abort semantics and root-cause attribution
 //!
 //! There is no in-band abort message. A dying rank closes its links
 //! (dropping channel senders, closing sockets), peers observe
 //! [`TransportError::PeerClosed`] once in-flight frames drain, and the
 //! failure cascades along whichever links ranks are blocked on — the mesh
 //! fails fast instead of deadlocking, on threads and processes alike.
+//!
+//! Every [`Endpoint`] records the first [`TransportError`] it observes, and
+//! a failed rank is judged by the [`FailureClass`] of that record
+//! ([`FailureClass::Task`] when there is none), never by its text. One rule,
+//! `root_cause` — the first failure that is not a cascade, else the first —
+//! picks what every driver reports: the panic [`run_ranks`] resumes (each
+//! rank's panic is caught before its endpoint drops), the error
+//! [`threaded_all_reduce`], [`data_parallel_train`] and
+//! [`data_parallel_train_with_recovery`] fail with, and the
+//! [`proc::ProcError::Worker`] of [`proc::launch`], whose class the
+//! worker's `ERROR` report carries. The class also names the `snip-obs`
+//! failure counter (`transport.{peer_closed,frame_error,timeout,killed,
+//! io_error}`, none for a task failure): the endpoint bumps it wherever a
+//! rank observes an error, the launcher once per `ERROR` report (workers
+//! publish no telemetry), and [`publish_transport_stats`] reports them
+//! with `transport.retries` under `failures`.
 
 pub mod chaos;
 pub mod fabric;
@@ -76,7 +93,7 @@ pub mod proc;
 
 pub use chaos::{data_parallel_train_with_recovery, ChaosFabric, ChaosPlan, Fault};
 pub use fabric::{
-    channel_mesh, is_cascade_error, ChannelFabric, Fabric, TransportError, DEFAULT_RECV_DEADLINE,
+    channel_mesh, ChannelFabric, Fabric, FailureClass, TransportError, DEFAULT_RECV_DEADLINE,
 };
 pub use frame::FrameError;
 
@@ -86,6 +103,7 @@ use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
 use snip_tensor::arena;
 use snip_tensor::rng::Rng;
+use std::panic::AssertUnwindSafe;
 
 /// The payload bytes, envelope bytes and frames one side of one directed
 /// link counted.
@@ -110,9 +128,6 @@ impl LinkCount {
 /// Every link is counted on **both** sides — `tx` by its sender, `rx` by
 /// its receiver, each indexed `src * world + dst` — and the two views must
 /// agree ([`TransportStats::two_sided`]).
-///
-/// An [`Endpoint`] holds one for its own rank; a driver's is the sum of
-/// every rank's.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
     world: usize,
@@ -206,56 +221,21 @@ impl TransportStats {
     }
 }
 
-/// Bumps the failure counter matching a typed transport error —
-/// `transport.{peer_closed,frame_error,timeout,killed,io_error}` — under
-/// the usual zero-bit contract (one relaxed load when telemetry is off).
-/// [`Endpoint::send`] / [`Endpoint::recv`] call it on every error path,
-/// so the telemetry report counts faults exactly where ranks observe
-/// them.
-pub(crate) fn note_transport_failure(error: &TransportError) {
-    if !snip_obs::enabled() {
-        return;
+/// Bumps the failure counter of `class`, if it has one, under the zero-bit
+/// contract: on every error path of an [`Endpoint`], and once per worker
+/// `ERROR` report in [`proc::launch`].
+pub(crate) fn note_failure(class: FailureClass) {
+    if let Some(name) = class.counter().filter(|_| snip_obs::enabled()) {
+        snip_obs::counter_add(name, 1);
     }
-    let name = match error {
-        TransportError::PeerClosed { .. } => "transport.peer_closed",
-        TransportError::Frame { .. } | TransportError::Stream { .. } => "transport.frame_error",
-        TransportError::Timeout { .. } => "transport.timeout",
-        TransportError::Killed { .. } => "transport.killed",
-        TransportError::Io { .. } => "transport.io_error",
-    };
-    snip_obs::counter_add(name, 1);
-}
-
-/// [`note_transport_failure`] for failures that only survive as display
-/// strings — worker processes report errors on their stdout as text, so
-/// the launcher classifies them by the typed errors' own `Display` wording.
-pub(crate) fn note_failure_message(message: &str) {
-    if !snip_obs::enabled() {
-        return;
-    }
-    let name = if message.contains("mid-collective") || message.contains("PeerClosed") {
-        "transport.peer_closed"
-    } else if message.contains("damaged stream") || message.contains("corrupt frame") {
-        "transport.frame_error"
-    } else if message.contains("timed out after") {
-        "transport.timeout"
-    } else if message.contains("chaos schedule") {
-        "transport.killed"
-    } else {
-        "transport.io_error"
-    };
-    snip_obs::counter_add(name, 1);
 }
 
 /// Exports a run's summed [`TransportStats`] into the `snip-obs`
 /// registry: bumps the global `transport.{payload_bytes,envelope_bytes,
 /// frames}` counters and replaces the report's `"transport"` section with
-/// this run's totals. Both mesh drivers call it — [`run_ranks`] for the
-/// threaded [`ChannelFabric`], and [`proc::launch`] for the socket
-/// fabric after merging the ledger of every worker's RESULT report —
-/// so the two transports report through one path. One relaxed
-/// atomic load when collection is off; reads only, so the run's numeric
-/// results are untouched either way.
+/// this run's totals. Both mesh drivers call it, [`proc::launch`] after
+/// merging its workers' ledgers. One relaxed atomic load when collection
+/// is off; reads only, so the run's numeric results are untouched.
 pub fn publish_transport_stats(stats: &TransportStats) {
     if !snip_obs::enabled() {
         return;
@@ -272,23 +252,15 @@ pub fn publish_transport_stats(stats: &TransportStats) {
     // Failure counters accumulate globally (across every rank thread and
     // every run in the process), so the report's transport section shows
     // the run's cumulative fault picture next to its traffic.
+    let counters = FailureClass::ALL.iter().filter_map(|class| class.counter());
     let failures = Content::Map(
-        [
-            ("peer_closed", "transport.peer_closed"),
-            ("frame_error", "transport.frame_error"),
-            ("timeout", "transport.timeout"),
-            ("killed", "transport.killed"),
-            ("io_error", "transport.io_error"),
-            ("retries", "transport.retries"),
-        ]
-        .iter()
-        .map(|(key, counter)| {
-            (
-                String::from(*key),
-                Content::U64(snip_obs::counter_value(counter)),
-            )
-        })
-        .collect(),
+        counters
+            .chain(["transport.retries"])
+            .map(|counter| {
+                let key = counter.trim_start_matches("transport.").to_string();
+                (key, Content::U64(snip_obs::counter_value(counter)))
+            })
+            .collect(),
     );
     snip_obs::report::set_section(
         "transport",
@@ -308,6 +280,8 @@ pub fn publish_transport_stats(stats: &TransportStats) {
 pub struct Endpoint<F: Fabric> {
     fabric: F,
     stats: TransportStats,
+    /// The first error this rank observed, which a failed rank is judged by.
+    failure: Option<TransportError>,
 }
 
 /// The chunk a rank owns after a transport reduce-scatter.
@@ -325,7 +299,11 @@ impl<F: Fabric> Endpoint<F> {
     /// Wraps a fabric in a fresh endpoint with an empty traffic ledger.
     pub fn new(fabric: F) -> Self {
         let stats = TransportStats::new(fabric.world());
-        Endpoint { fabric, stats }
+        Endpoint {
+            fabric,
+            stats,
+            failure: None,
+        }
     }
 
     /// This rank's id.
@@ -374,10 +352,18 @@ impl<F: Fabric> Endpoint<F> {
         let wire_len = self
             .fabric
             .send_frame(dst, frame)
-            .inspect_err(note_transport_failure)?;
+            .map_err(|e| self.failed(e))?;
         let link = self.rank() * self.world() + dst;
         self.stats.tx[link].record(bytes, wire_len - bytes);
         Ok(bytes)
+    }
+
+    /// Every error path of the endpoint: counts `error` and keeps it if it
+    /// is the first this rank observed.
+    fn failed(&mut self, error: TransportError) -> TransportError {
+        note_failure(FailureClass::of(Some(&error)));
+        self.failure.get_or_insert_with(|| error.clone());
+        error
     }
 
     /// Point-to-point receive: blocks for the next frame from `src` and
@@ -401,10 +387,7 @@ impl<F: Fabric> Endpoint<F> {
         src: usize,
         expect: Option<usize>,
     ) -> Result<(Vec<u8>, Vec<f32>, u64), TransportError> {
-        let (frame, wire_len) = self
-            .fabric
-            .recv_frame(src)
-            .inspect_err(note_transport_failure)?;
+        let (frame, wire_len) = self.fabric.recv_frame(src).map_err(|e| self.failed(e))?;
         let (payload, bytes) = decode_frame(&frame)
             .and_then(|(payload, bytes)| match expect {
                 Some(expect) if payload.len() != expect => Err(FrameError::Elements {
@@ -413,8 +396,7 @@ impl<F: Fabric> Endpoint<F> {
                 }),
                 _ => Ok((payload, bytes)),
             })
-            .map_err(|error| TransportError::Frame { src, error })
-            .inspect_err(note_transport_failure)?;
+            .map_err(|error| self.failed(TransportError::Frame { src, error }))?;
         let link = src * self.world() + self.rank();
         self.stats.rx[link].record(bytes, wire_len - bytes);
         Ok((frame, payload, bytes))
@@ -554,10 +536,8 @@ pub type RankRunOutcome = (Vec<f64>, Option<TransportError>);
 /// (then averaging) before clipping and the optimizer update. Both fabrics
 /// drive this one loop, with or without faults. A transport failure
 /// mid-step rolls that step back
-/// ([`Trainer::try_train_step_with_grad_hook`]) and ends the loop. Wire
-/// randomness is re-derived every step from `(comm_seed, rank, absolute
-/// step index)` — see [`step_comm_rng`] — so a retried step replays the
-/// identical wire stream an unfaulted run would have used.
+/// ([`Trainer::try_train_step_with_grad_hook`]) and ends the loop. Each
+/// step's wire randomness is [`step_comm_rng`]'s.
 pub(crate) fn dp_train_loop<F: Fabric>(
     ep: &mut Endpoint<F>,
     trainer: &mut Trainer,
@@ -596,23 +576,21 @@ pub(crate) fn dp_train_loop<F: Fabric>(
 }
 
 /// The index of the root cause among the failures a mesh reported: the
-/// first that is not a cascade of somebody else's failure, else the first
-/// (every rank saw only the cascade); `None` when nothing failed. The one
-/// rule for typed errors ([`TransportError::is_cascade`]) and for failures
-/// that survive only as text, panic payloads and process workers' reports
-/// ([`is_cascade_error`]).
+/// first that is not a cascade, else the first (every rank saw only the
+/// cascade); `None` when nothing failed. Every driver attributes failures
+/// by it, judging each by its [`FailureClass`].
 pub(crate) fn root_cause<T>(failures: &[T], is_cascade: impl Fn(&T) -> bool) -> Option<usize> {
     let primary = failures.iter().position(|f| !is_cascade(f));
     primary.or((!failures.is_empty()).then_some(0))
 }
 
-/// The message of a caught panic, when it carried one (`panic!` payloads
-/// are a `String` or a `&str`).
-pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
+/// Panics with the root cause among a fault-free run's typed errors, if any
+/// rank failed: `"{what} failed: {error}"`.
+fn expect_no_failure<'a>(what: &str, errors: impl Iterator<Item = &'a TransportError>) {
+    let errors: Vec<_> = errors.collect();
+    if let Some(root) = root_cause(&errors, |e| e.is_cascade()) {
+        panic!("{what} failed: {}", errors[root]);
+    }
 }
 
 /// Writes the telemetry artifacts at the end of a training run — the trace
@@ -634,10 +612,11 @@ pub(crate) fn flush_run_artifacts() {
 /// # Panics
 ///
 /// Panics if `world` is zero or any rank thread panics. A panicking rank's
-/// endpoint is dropped during unwind, which closes its links; peers blocked
-/// mid-collective observe [`TransportError::PeerClosed`] and fail fast
-/// instead of deadlocking on a hop that will never arrive. The propagated
-/// panic is the root cause, not a bystander's cascade panic.
+/// panic is caught, then its endpoint is dropped, which closes its links:
+/// peers blocked mid-collective observe [`TransportError::PeerClosed`] and
+/// fail fast instead of deadlocking on a hop that will never arrive. The
+/// propagated panic is the root cause, judged by the [`FailureClass`] of
+/// each panicked rank's recorded error, not a bystander's cascade panic.
 pub fn run_ranks<T, F>(world: usize, chaos: Option<&ChaosPlan>, f: F) -> (Vec<T>, TransportStats)
 where
     T: Send,
@@ -651,30 +630,29 @@ where
             .into_iter()
             .map(|fabric| {
                 let mut ep = Endpoint::new(ChaosFabric::new(fabric, plan.clone()));
-                scope.spawn(move || (f(&mut ep), ep.stats))
+                scope.spawn(move || {
+                    let output = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ep)));
+                    (output, ep.stats, FailureClass::of(ep.failure.as_ref()))
+                })
             })
             .collect();
         let mut outputs = Vec::with_capacity(world);
-        let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
+        let mut panics = Vec::new();
         for h in handles {
-            match h.join() {
-                Ok((v, rank_stats)) => {
-                    stats
-                        .merge(&rank_stats)
-                        .expect("every rank's ledger has the mesh's shape");
-                    outputs.push(v);
-                }
-                Err(payload) => panics.push(payload),
+            let (output, rank_stats, class) = h.join().expect("rank panics are caught in the rank");
+            stats
+                .merge(&rank_stats)
+                .expect("every rank's ledger has the mesh's shape");
+            match output {
+                Ok(v) => outputs.push(v),
+                Err(payload) => panics.push((payload, class)),
             }
         }
         // Resume the root cause, not a bystander's cascade panic: one rank's
         // real failure makes every peer blocked on it panic with a secondary
         // PeerClosed unwrap.
-        let is_cascade = |p: &Box<dyn std::any::Any + Send>| {
-            panic_text(p.as_ref()).is_some_and(is_cascade_error)
-        };
-        if let Some(root) = root_cause(&panics, is_cascade) {
-            std::panic::resume_unwind(panics.swap_remove(root));
+        if let Some(root) = root_cause(&panics, |(_, class)| class.is_cascade()) {
+            std::panic::resume_unwind(panics.swap_remove(root).0);
         }
         outputs
     });
@@ -689,8 +667,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `grads` is empty, `rngs.len()` differs, or the collective
-/// fails mid-ring (gradients of different lengths fail it).
+/// Panics if `grads` is empty or `rngs.len()` differs, or with the
+/// root-cause [`TransportError`] if the collective fails mid-ring
+/// (gradients of different lengths fail it).
 pub fn threaded_all_reduce(
     grads: &[Vec<f32>],
     wire: &Wire,
@@ -698,11 +677,15 @@ pub fn threaded_all_reduce(
     rngs: &[Rng],
 ) -> (Vec<Vec<f32>>, TransportStats) {
     assert_eq!(rngs.len(), grads.len(), "need one RNG stream per rank");
-    run_ranks(grads.len(), None, |ep| {
+    let (outcomes, stats) = run_ranks(grads.len(), None, |ep| {
         let mut rng = rngs[ep.rank()].clone();
         ep.ring_all_reduce(&grads[ep.rank()], wire, policy, &mut rng)
-            .expect("threaded all-reduce failed")
-    })
+    });
+    expect_no_failure(
+        "threaded all-reduce",
+        outcomes.iter().filter_map(|o| o.as_ref().err()),
+    );
+    (outcomes.into_iter().flatten().collect(), stats)
 }
 
 /// Synchronous data-parallel training over the threaded transport: each
@@ -715,11 +698,9 @@ pub fn threaded_all_reduce(
 /// whatever state they reached — failed steps rolled back, completed steps
 /// kept — so a caller can inspect, resume or retry.
 ///
-/// Wire randomness is derived per rank *and per step* from `comm_seed` and
-/// the absolute step index (`step_comm_rng`) — identical to
-/// [`proc::proc_data_parallel_train`], which must reproduce a calm run bit
-/// for bit, and to the recovery driver, whose retried steps must replay
-/// this run's exact wire streams.
+/// Wire randomness is `step_comm_rng`'s, as in every DP entry point, so
+/// [`proc::proc_data_parallel_train`] and the recovery driver reproduce
+/// this run bit for bit.
 ///
 /// # Panics
 ///
@@ -770,11 +751,9 @@ pub fn data_parallel_train(
 ) -> (Vec<Trainer>, Vec<Vec<f64>>, TransportStats) {
     let (trainers, outcomes, stats) =
         try_data_parallel_train(trainers, steps, wire, policy, comm_seed, None);
-    let (losses, errors): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
-    let errors: Vec<TransportError> = errors.into_iter().flatten().collect();
-    if let Some(root) = root_cause(&errors, TransportError::is_cascade) {
-        panic!("data-parallel all-reduce failed: {}", errors[root]);
-    }
+    let errors = outcomes.iter().filter_map(|(_, e)| e.as_ref());
+    expect_no_failure("data-parallel all-reduce", errors);
+    let losses = outcomes.into_iter().map(|(losses, _)| losses).collect();
     (trainers, losses, stats)
 }
 
@@ -1020,34 +999,79 @@ mod tests {
         }
     }
 
+    /// The text of the panic [`run_ranks`] propagates when running `f`.
+    fn propagated_panic<T: Send + std::fmt::Debug>(
+        world: usize,
+        chaos: Option<&ChaosPlan>,
+        f: impl Fn(&mut Endpoint<ChaosFabric<ChannelFabric>>) -> T + Send + Sync,
+    ) -> String {
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| run_ranks(world, chaos, f)));
+        let payload = result.expect_err("panic must propagate, not deadlock");
+        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn panicking_rank_aborts_the_mesh_instead_of_deadlocking() {
         // Rank 1 dies before sending; ranks 0 and 2 are blocked waiting on
         // it. Its links close during unwind, so peers observe PeerClosed
         // and fail fast — the whole call panics (propagated by run_ranks)
         // rather than hanging forever.
-        let result = std::panic::catch_unwind(|| {
-            run_ranks(3, None, |ep| {
-                let mut rng = Rng::seed_from(1);
-                if ep.rank() == 1 {
-                    panic!("rank 1 exploded");
-                }
-                ep.send((ep.rank() + 1) % 3, &[1.0], &Wire::exact(), &mut rng)
-                    .unwrap();
-                ep.recv(1).unwrap()
-            })
+        let text = propagated_panic(3, None, |ep| {
+            let mut rng = Rng::seed_from(1);
+            if ep.rank() == 1 {
+                panic!("rank 1 exploded");
+            }
+            ep.send((ep.rank() + 1) % 3, &[1.0], &Wire::exact(), &mut rng)
+                .unwrap();
+            ep.recv(1).unwrap()
         });
         // The propagated panic is the root cause, not a peer's cascade.
-        let payload = result.expect_err("panic must propagate, not deadlock");
-        let text = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
         assert!(
             text.contains("rank 1 exploded"),
             "got panic payload {text:?}"
+        );
+    }
+
+    #[test]
+    fn the_propagated_panic_is_judged_by_the_recorded_error_not_its_text() {
+        // Every rank unwraps an all-reduce in which rank 1 is killed: the
+        // kill drops rank 1's links before its own closure panics, so its
+        // peers' cascade panics may come first.
+        let plan = ChaosPlan::kill(3, 1, 1);
+        let text = propagated_panic(3, Some(&plan), |ep| {
+            let mut rng = Rng::seed_from(ep.rank() as u64);
+            let grad = [ep.rank() as f32; 12];
+            ep.ring_all_reduce(&grad, &Wire::exact(), QuantizePolicy::EveryHop, &mut rng)
+                .unwrap()
+        });
+        assert!(text.contains("Killed { rank: 1 }"), "got {text:?}");
+        // A primary panic whose text reads like a cascade, behind the real
+        // cascade of the rank blocked on it.
+        let text = propagated_panic(2, None, |ep| {
+            if ep.rank() == 1 {
+                panic!("rank 1 timed out after 5 s waiting for its input");
+            }
+            ep.recv(1).unwrap()
+        });
+        assert!(text.starts_with("rank 1 timed out after"), "got {text:?}");
+    }
+
+    #[test]
+    fn threaded_all_reduce_panics_with_the_typed_root_cause() {
+        // Gradients of different lengths fail both ranks with a typed frame
+        // error; the panic names the first, in its display wording.
+        let grads = [vec![1.0f32; 10], vec![1.0; 12]];
+        let rngs = [Rng::seed_from(0), Rng::seed_from(1)];
+        let wire = Wire::exact();
+        let result = std::panic::catch_unwind(|| {
+            threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs)
+        });
+        let payload = result.expect_err("a mismatched ring fails");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("threaded all-reduce failed: corrupt frame from rank 1: 6 elements for a chunk of 5")
         );
     }
 
@@ -1089,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn typed_cascade_rule_agrees_with_the_text_rule() {
+    fn each_failure_class_has_one_counter_and_one_cascade_rule() {
         let every_variant = [
             TransportError::PeerClosed { rank: 1 },
             TransportError::Frame {
@@ -1110,8 +1134,29 @@ mod tests {
                 message: "broken pipe".into(),
             },
         ];
-        for e in &every_variant {
-            assert_eq!(e.is_cascade(), is_cascade_error(&e.to_string()), "{e}");
+        use FailureClass::*;
+        let classes: Vec<_> = every_variant
+            .iter()
+            .map(|e| FailureClass::of(Some(e)))
+            .collect();
+        assert_eq!(classes, [PeerClosed, Frame, Frame, Timeout, Killed, Io]);
+        assert_eq!(FailureClass::of(None), Task, "no recorded error");
+        assert_eq!(
+            FailureClass::ALL.map(FailureClass::counter),
+            [
+                Some("transport.peer_closed"),
+                Some("transport.frame_error"),
+                Some("transport.timeout"),
+                Some("transport.killed"),
+                Some("transport.io_error"),
+                None, // a task failure is not a transport failure
+            ]
+        );
+        for (byte, class) in FailureClass::ALL.into_iter().enumerate() {
+            assert_eq!(
+                class as usize, byte,
+                "{class:?}: ALL is indexed by discriminant"
+            );
         }
         let cascades = every_variant.iter().filter(|e| e.is_cascade()).count();
         assert_eq!(cascades, 2, "PeerClosed and Timeout, nothing else");

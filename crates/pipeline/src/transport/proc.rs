@@ -40,14 +40,16 @@
 //! 3. it runs the task through [`run_task`], writes one report to its
 //!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
 //!    its [`TaskOutput`], encoded straight into the report buffer) or
-//!    `ERROR` — and exits;
+//!    `ERROR` (the [`FailureClass`] of the first transport error its
+//!    endpoint recorded, one byte, then the failure text) — and exits;
 //! 4. one parent thread per worker decodes that report as it streams and
 //!    hands the decoded, verified report to one channel, so the ranks'
 //!    decodes overlap their transfers. A worker that exits without a report
 //!    leaves an empty pipe, and the launch fails at once naming its rank.
 //!    Once every report is in, the parent judges them in rank order: a
 //!    malformed report is [`ProcError::Protocol`], `ERROR` reports are
-//!    attributed to their root cause, and every `RESULT`'s ledger is added
+//!    counted and attributed to their root cause by their class, and every
+//!    `RESULT`'s ledger is added
 //!    by `TransportStats::merge` ([`ProcError::Protocol`] for one of
 //!    the wrong shape). It then reaps the workers and checks that both
 //!    sides of every link agree ([`TransportStats::disagreement`];
@@ -82,12 +84,10 @@
 //!
 //! # Abort semantics
 //!
-//! There is no abort message. A worker that panics or exits closes its
-//! sockets (its fabric's `Drop` shuts them down explicitly, and process
-//! exit closes whatever remains); peers see EOF after the buffered frames —
-//! [`TransportError::PeerClosed`] — and the failure cascades through the
-//! mesh exactly as it does on threads. The parent reports the root cause
-//! from the failing worker's `ERROR` message.
+//! As on threads (see the [transport docs](super)): a worker that panics or
+//! exits closes its sockets — its fabric's `Drop` shuts them down, process
+//! exit closes the rest — and the launcher reports the root cause by the
+//! class each failing worker's `ERROR` report carries, never by its text.
 //!
 //! # Adding a task
 //!
@@ -98,29 +98,23 @@
 //! `run_ranks(world, chaos, |ep| run_task(ep, &tasks[ep.rank()]))`, and
 //! under a chaos plan on either, with nothing else to write. The named
 //! `proc_*` helpers below are fault-free delegations that build the tasks;
-//! `proc_all_reduce` returns the launch as it is. Beside [`launch`] and
-//! [`super::run_ranks`] the DP entry points are [`super::try_data_parallel_train`]
-//! (per-rank outcomes, optional chaos), [`super::data_parallel_train`] (its
-//! fault-free form) and [`super::data_parallel_train_with_recovery`] (its
-//! retry driver), all over one fallible DP step loop; the benchmark pins the
+//! `proc_all_reduce` returns the launch as it is. The benchmark pins the
 //! fault-free delegations [`super::threaded_all_reduce`],
 //! [`proc_all_reduce`] and [`proc_data_parallel_train`].
 //!
 //! # Equivalence contract
 //!
 //! The process backend is bit-identical to the threaded one and to the
-//! in-proc ring oracle of the tests: same reduced gradients, same per-rank
-//! RNG streams, same final DP model parameters, with payload counters equal
-//! to [`crate::comm::codec_wire_bytes`] for every codec, ragged tails
-//! included. `tests/transport_proc.rs` pins it (CI runs it in debug and
-//! `--release`), and `snip-exp comm_precision --transport process` prints
-//! the threads table byte for byte, `--chaos` included (CI `chaos-smoke`
-//! diffs the two). `tests/launch_memory.rs` pins that the launcher holds
-//! each rank's output once.
+//! oracle (see the [transport docs](super)), final DP model parameters
+//! included: `tests/transport_proc.rs` pins it, and `snip-exp
+//! comm_precision --transport process` prints the threads table byte for
+//! byte, `--chaos` included (CI `chaos-smoke` diffs the two).
+//! `tests/launch_memory.rs` pins that the launcher holds each rank's
+//! output once.
 
 use super::chaos::{ChaosFabric, ChaosPlan};
-use super::fabric::{is_cascade_error, Fabric, TransportError};
-use super::{dp_train_loop, root_cause, Endpoint, TransportStats};
+use super::fabric::{Fabric, FailureClass, TransportError};
+use super::{dp_train_loop, note_failure, root_cause, Endpoint, TransportStats};
 use crate::collective::{QuantizePolicy, Wire};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::wire::{decode_message, read_frame, FieldError, Fields, Writer};
@@ -170,6 +164,9 @@ pub enum ProcError {
     Worker {
         /// The failing rank.
         rank: usize,
+        /// What its endpoint recorded; [`FailureClass::Task`] when nothing,
+        /// or when the worker sent no report.
+        class: FailureClass,
         /// Its error report.
         message: String,
     },
@@ -190,7 +187,7 @@ impl std::fmt::Display for ProcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProcError::Launch(m) => write!(f, "launching rank workers failed: {m}"),
-            ProcError::Worker { rank, message } => write!(f, "rank {rank} failed: {message}"),
+            ProcError::Worker { rank, message, .. } => write!(f, "rank {rank} failed: {message}"),
             ProcError::Protocol(m) => write!(f, "malformed control message: {m}"),
             ProcError::AccountingMismatch { src, dst } => write!(
                 f,
@@ -413,25 +410,30 @@ impl Start<'_> {
 }
 
 /// A worker's report as the launcher reads it: the RESULT's ledger and
-/// output, or the ERROR's failure text.
+/// output, or the ERROR's failure class and text.
 #[derive(Debug)]
 enum Report {
     Result {
         ledger: TransportStats,
         output: TaskOutput,
     },
-    Error(String),
+    Error(FailureClass, String),
 }
 
 impl Report {
-    /// Reads what [`result_report`] or an ERROR report wrote.
+    /// Reads what [`result_report`] or [`error_report`] wrote.
     fn read<R: Read>(f: &mut Fields<R>) -> Result<Report, FieldError> {
         Ok(match f.u8()? {
             MSG_RESULT => Report::Result {
                 ledger: f.json()?,
                 output: TaskOutput::read(f)?,
             },
-            MSG_ERROR => Report::Error(String::from_utf8_lossy(&f.rest()?).into_owned()),
+            MSG_ERROR => {
+                let byte = f.u8()?;
+                let class = FailureClass::ALL.get(usize::from(byte));
+                let class = *class.ok_or_else(|| format!("unknown failure class {byte}"))?;
+                Report::Error(class, String::from_utf8_lossy(&f.rest()?).into_owned())
+            }
             other => return Err(format!("unexpected control tag {other}").into()),
         })
     }
@@ -707,7 +709,9 @@ fn worker_run() -> Result<(), String> {
         run_task(&mut ep, &start.task)
     }))
     .unwrap_or_else(|panic| {
-        let text = super::panic_text(panic.as_ref()).unwrap_or("opaque panic");
+        let text = (panic.downcast_ref::<String>().map(String::as_str))
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("opaque panic");
         Err(format!("task panicked: {text}"))
     });
     // Drop the endpoint (closing the mesh) only after the report is staged:
@@ -716,7 +720,7 @@ fn worker_run() -> Result<(), String> {
         match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
             Ok(result) => (result, None),
             Err(message) => {
-                let report = [&[MSG_ERROR], message.as_bytes()].concat();
+                let report = error_report(FailureClass::of(ep.failure.as_ref()), &message);
                 ((stream_envelope(&report), report), Some(message))
             }
         };
@@ -743,14 +747,20 @@ fn result_report(
     framed(msg).map_err(|e| format!("task output: {e}"))
 }
 
+/// The body of a worker's `ERROR` report: its failure class as one byte,
+/// then the failure text.
+fn error_report(class: FailureClass, message: &str) -> Vec<u8> {
+    [&[MSG_ERROR, class as u8], message.as_bytes()].concat()
+}
+
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
 /// place task bodies live, generic over the fabric.
 ///
 /// # Errors
 ///
-/// The failure as text, with the [`TransportError`]'s `Display` wording
-/// intact (that wording is what [`is_cascade_error`] attributes root causes
-/// from).
+/// The failure as text, a [`TransportError`] in its `Display` wording. The
+/// text is for people: drivers classify a failed rank by the error its
+/// endpoint recorded ([`FailureClass::of`]), never by this message.
 pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<TaskOutput, String> {
     let terr = |e: TransportError| format!("transport: {e}");
     match task {
@@ -828,6 +838,7 @@ impl WorkerGuard {
             if !status.success() {
                 return Err(ProcError::Worker {
                     rank,
+                    class: FailureClass::Task,
                     message: format!("worker exited with {status}"),
                 });
             }
@@ -980,13 +991,17 @@ pub fn launch(
                 Err(FieldError::Empty) => "worker exited without a report".to_string(),
                 Err(FieldError::Io(e)) => format!("worker pipe failed: {e}"),
             };
-            return Err(ProcError::Worker { rank, message });
+            return Err(ProcError::Worker {
+                rank,
+                class: FailureClass::Task,
+                message,
+            });
         }
         received.sort_by_key(|&(rank, _)| rank);
         Ok((guard, received))
     })?;
     let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
-    let mut errors: Vec<(usize, String)> = Vec::new();
+    let mut errors: Vec<(usize, FailureClass, String)> = Vec::new();
     let mut merged = TransportStats::new(world);
     for (rank, report) in received {
         match report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))? {
@@ -1001,22 +1016,23 @@ pub fn launch(
                 }
                 results.push(output);
             }
-            Report::Error(message) => errors.push((rank, message)),
+            Report::Error(class, message) => errors.push((rank, class, message)),
         }
     }
-    // Root-cause attribution: the first *primary* fault. Everything matching
-    // the cascade shapes (`PeerClosed` at a rank waiting on the dead one, a
-    // timeout induced by a stalled neighbour) is a consequence of the
-    // primary, not a cause; when every report is a cascade, the first one.
-    if let Some(root) = root_cause(&errors, |(_, m)| is_cascade_error(m)) {
+    // The root cause is the first worker whose class is not a cascade of
+    // another's fault (`PeerClosed` at a rank waiting on the dead one).
+    if let Some(root) = root_cause(&errors, |(_, class, _)| class.is_cascade()) {
         // Workers never publish telemetry (their registries die with them),
-        // so the launcher classifies their failure reports into the
-        // transport failure counters here.
-        for (_, message) in &errors {
-            super::note_failure_message(message);
+        // so the launcher counts their failures here, one per report.
+        for (_, class, _) in &errors {
+            note_failure(*class);
         }
-        let (rank, message) = errors.swap_remove(root);
-        return Err(ProcError::Worker { rank, message });
+        let (rank, class, message) = errors.swap_remove(root);
+        return Err(ProcError::Worker {
+            rank,
+            class,
+            message,
+        });
     }
     guard.finish()?;
 
@@ -1083,11 +1099,9 @@ pub fn proc_all_reduce(
 }
 
 /// Synchronous data-parallel training over the process fabric: each worker
-/// builds its own [`Trainer`] from its config and runs the same step loop
-/// as [`super::data_parallel_train`] (wire randomness re-derived per
-/// rank and per step from `comm_seed` and the absolute step index), so the
-/// two backends produce bit-identical losses and final parameters for the
-/// same configs.
+/// builds its own [`Trainer`] from its config and runs the same step loop,
+/// with the same wire randomness, as [`super::data_parallel_train`], so the
+/// two backends produce bit-identical losses and final parameters.
 ///
 /// # Errors
 ///
@@ -1400,15 +1414,22 @@ mod tests {
                 }
             }
         }
-        let error = [&[MSG_ERROR][..], "boom \u{e9}".as_bytes()].concat();
-        let pipe = Trickle {
-            bytes: &stream_frame(&error),
-            sizes: vec![1],
-            call: 0,
-        };
-        assert!(
-            matches!(read_frame(pipe, Report::read), Ok(Report::Error(m)) if m == "boom \u{e9}")
-        );
+        for class in FailureClass::ALL {
+            let pipe = Trickle {
+                bytes: &stream_frame(&error_report(class, "boom \u{e9}")),
+                sizes: vec![1],
+                call: 0,
+            };
+            assert!(matches!(
+                read_frame(pipe, Report::read),
+                Ok(Report::Error(c, m)) if c == class && m == "boom \u{e9}"
+            ));
+        }
+        let unknown = [MSG_ERROR, FailureClass::ALL.len() as u8];
+        assert!(matches!(
+            read_frame(&stream_frame(&unknown)[..], Report::read),
+            Err(FieldError::Malformed(m)) if m.contains("unknown failure class 6")
+        ));
     }
 
     #[test]

@@ -30,17 +30,18 @@ mod support;
 
 #[cfg(unix)]
 mod checks {
-    use crate::support::ProcCollective;
+    use crate::support::{failure_counters_moved_by, ProcCollective};
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
     use snip_pipeline::transport::proc::{launch, proc_all_reduce, ProcError, Task};
     use snip_pipeline::transport::{
         channel_mesh, data_parallel_train, data_parallel_train_with_recovery, run_ranks,
-        threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, RankChunk,
+        threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, FailureClass, RankChunk,
         TransportError, TransportStats, DEFAULT_RECV_DEADLINE,
     };
     use snip_quant::StreamError;
     use snip_tensor::rng::Rng;
+    use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
 
     /// Runs one check under a wall-clock budget: chaos that deadlocks
@@ -167,7 +168,7 @@ mod checks {
     fn fault_free_chaos_is_bit_identical_to_bare_fabric() {
         let world = 4;
         let calm = ChaosPlan::none(0xFEED);
-        assert!(calm.is_passthrough());
+        assert!(calm.faults.is_empty());
         for wire in [Wire::exact(), Wire::bf16(), Wire::fp4(16), Wire::fp8(32)] {
             let grads = make_grads(world, 53, 11);
             let rngs: Vec<Rng> = (0..world as u64).map(Rng::seed_from).collect();
@@ -447,84 +448,86 @@ mod checks {
         }
 
         // Kill: the worker's own Killed error is the attributed root.
-        let err = proc_all_reduce_under(
-            &grads,
-            &wire,
-            QuantizePolicy::EveryHop,
-            &seeds,
-            &ChaosPlan::kill(0x1C, 1, 2),
-        )
-        .expect_err("a killed rank must fail the run");
-        match err {
-            ProcError::Worker { rank, message } => {
-                assert_eq!(rank, 1, "root cause must be the killed rank: {message}");
-                assert!(
-                    message.contains("killed by its chaos schedule"),
-                    "got: {message}"
-                );
-            }
-            other => panic!("expected a worker failure, got {other}"),
-        }
+        let (rank, message, moved) =
+            proc_failure_matches_threads(&grads, &wire, &seeds, &ChaosPlan::kill(0x1C, 1, 2));
+        assert_eq!(rank, 1, "root cause must be the killed rank: {message}");
+        assert!(
+            message.contains("killed by its chaos schedule"),
+            "got: {message}"
+        );
+        assert_eq!(moved.get("transport.killed"), Some(&1), "{moved:?}");
 
         // Corruption: the receiver's CRC check names the damaged link.
-        let err = proc_all_reduce_under(
-            &grads,
-            &wire,
-            QuantizePolicy::EveryHop,
-            &seeds,
-            &ChaosPlan::corrupt(0x2C, 0, 1, 0),
-        )
-        .expect_err("a corrupted frame must fail the run");
-        match err {
-            ProcError::Worker { rank, message } => {
-                assert_eq!(rank, 1, "the receiver detects the damage: {message}");
-                assert!(
-                    message.contains("damaged stream from rank 0")
-                        && message.contains("crc mismatch"),
-                    "got: {message}"
-                );
-            }
-            other => panic!("expected a worker failure, got {other}"),
-        }
+        let (rank, message, _) =
+            proc_failure_matches_threads(&grads, &wire, &seeds, &ChaosPlan::corrupt(0x2C, 0, 1, 0));
+        assert_eq!(rank, 1, "the receiver detects the damage: {message}");
+        assert!(
+            message.contains("damaged stream from rank 0") && message.contains("crc mismatch"),
+            "got: {message}"
+        );
 
         // Truncation: same path, different typed defect.
-        let err = proc_all_reduce_under(
+        let (rank, message, _) = proc_failure_matches_threads(
             &grads,
             &wire,
-            QuantizePolicy::EveryHop,
             &seeds,
             &ChaosPlan::truncate(0x3C, 2, 0, 1),
-        )
-        .expect_err("a truncated frame must fail the run");
-        match err {
-            ProcError::Worker { rank, message } => {
-                assert_eq!(rank, 0, "the receiver detects the damage: {message}");
-                assert!(
-                    message.contains("damaged stream from rank 2")
-                        && message.contains("ended mid-frame"),
-                    "got: {message}"
-                );
-            }
-            other => panic!("expected a worker failure, got {other}"),
-        }
+        );
+        assert_eq!(rank, 0, "the receiver detects the damage: {message}");
+        assert!(
+            message.contains("damaged stream from rank 2") && message.contains("ended mid-frame"),
+            "got: {message}"
+        );
 
         // Close: both ends fail with PeerClosed — all errors are
         // cascades, and the launcher still reports a deterministic one.
-        let err = proc_all_reduce_under(
+        let (rank, message, _) = proc_failure_matches_threads(
             &grads,
             &wire,
-            QuantizePolicy::EveryHop,
             &seeds,
             &ChaosPlan::close_link(0x4C, 0, 1, 0),
-        )
-        .expect_err("a closed link must fail the run");
-        match err {
-            ProcError::Worker { rank, message } => {
-                assert!(rank == 0 || rank == 1, "link ends only: rank {rank}");
-                assert!(message.contains("closed its link"), "got: {message}");
-            }
-            other => panic!("expected a worker failure, got {other}"),
-        }
+        );
+        assert!(rank == 0 || rank == 1, "link ends only: rank {rank}");
+        assert!(message.contains("closed its link"), "got: {message}");
+    }
+
+    /// Runs an all-reduce under `plan` on both fabrics. The launch must
+    /// fail as a worker failure whose class is that of the typed error the
+    /// threaded run reports at the same rank, and move the same transport
+    /// failure counters. Returns the failed rank, the launcher's message
+    /// and the counters moved.
+    fn proc_failure_matches_threads(
+        grads: &[Vec<f32>],
+        wire: &Wire,
+        seeds: &[u64],
+        plan: &ChaosPlan,
+    ) -> (usize, String, BTreeMap<String, u64>) {
+        let policy = QuantizePolicy::EveryHop;
+        let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+        let ((outcomes, _), on_threads) =
+            failure_counters_moved_by(|| all_reduce_under(grads, wire, policy, &rngs, plan));
+        let (err, on_procs) = failure_counters_moved_by(|| {
+            proc_all_reduce_under(grads, wire, policy, seeds, plan)
+                .expect_err("a faulted run must fail")
+        });
+        let ProcError::Worker {
+            rank,
+            class,
+            message,
+        } = err
+        else {
+            panic!("expected a worker failure, got {err}");
+        };
+        let on_thread = outcomes[rank]
+            .as_ref()
+            .expect_err("same rank fails on threads");
+        assert_eq!(
+            class,
+            FailureClass::of(Some(on_thread)),
+            "rank {rank}: {message} vs {on_thread}"
+        );
+        assert_eq!(on_procs, on_threads, "{plan:?}: failure counters");
+        (rank, message, on_procs)
     }
 
     /// A worker that dies at boot, right after reading its START, fails
@@ -539,7 +542,7 @@ mod checks {
         std::env::remove_var(snip_pipeline::transport::proc::ENV_EXIT_AT_BOOT);
         assert!(err.to_string().contains("rank 1"), "got: {err}");
         match err {
-            ProcError::Worker { rank, message } => {
+            ProcError::Worker { rank, message, .. } => {
                 assert_eq!(rank, 1, "the dead rank must be named: {message}");
                 assert!(message.contains("without a report"), "got: {message}");
             }

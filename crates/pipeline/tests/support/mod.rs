@@ -28,6 +28,7 @@ use snip_pipeline::transport::proc::TaskOutput;
 #[cfg(unix)]
 use snip_pipeline::transport::TransportStats;
 use snip_tensor::rng::Rng;
+use std::collections::BTreeMap;
 
 /// Outcome of a collective, simulated or reshaped from a transport's.
 #[derive(Clone, Debug, PartialEq)]
@@ -255,4 +256,28 @@ impl ProcCollective {
             stats,
         }
     }
+}
+
+/// Runs `f` with telemetry collection on and returns its result beside the
+/// transport failure counters it moved, each with its increment: every
+/// `transport.*` counter but the traffic totals, which a thread run
+/// publishes even when a rank fails and a failed launch never does.
+/// Counters are process-global, so callers must not run other transport
+/// work meanwhile.
+pub fn failure_counters_moved_by<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>) {
+    let _telemetry = snip_obs::enabled_scope(true);
+    let traffic = ["payload_bytes", "envelope_bytes", "frames"].map(|n| format!("transport.{n}"));
+    let read = || {
+        let mut counters = snip_obs::registry::snapshot().counters;
+        counters.retain(|name, _| name.starts_with("transport.") && !traffic.contains(name));
+        counters
+    };
+    let before = read();
+    let output = f();
+    let mut moved = read();
+    for (name, value) in &mut moved {
+        *value -= before.get(name).copied().unwrap_or(0);
+    }
+    moved.retain(|_, increment| *increment > 0);
+    (output, moved)
 }

@@ -18,14 +18,18 @@ mod support;
 
 #[cfg(unix)]
 mod checks {
-    use crate::support::{ring_all_reduce, ring_reduce_scatter, ProcCollective};
+    use crate::support::{
+        failure_counters_moved_by, ring_all_reduce, ring_reduce_scatter, ProcCollective,
+    };
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
     use snip_pipeline::comm::codec_wire_bytes;
     use snip_pipeline::transport::proc::{
-        launch, proc_all_reduce, proc_data_parallel_train, ProcError, Task,
+        launch, proc_all_reduce, proc_data_parallel_train, run_task, ProcError, Task,
     };
-    use snip_pipeline::transport::{data_parallel_train, threaded_all_reduce};
+    use snip_pipeline::transport::{
+        data_parallel_train, run_ranks, threaded_all_reduce, FailureClass,
+    };
     use snip_tensor::rng::Rng;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -263,19 +267,31 @@ mod checks {
 
     /// A rank that dies pre-collective aborts the whole fabric via stream
     /// close: the launcher reports the root cause, not a peer's cascade,
-    /// and nothing deadlocks.
+    /// and nothing deadlocks. The dead rank's failure is a task failure, so
+    /// it moves no transport counter; its peers' cascades count exactly as
+    /// the thread fabric counts them for the same tasks.
     fn dead_worker_aborts_the_fabric_with_the_root_cause() {
         let mut cfgs = vec![TrainerConfig::tiny(); 3];
         // Rank 1's config fails model validation, so its worker dies before
         // its first all-reduce; ranks 0 and 2 block on it and must be
         // released by its sockets closing.
         cfgs[1].model.n_heads = 0;
-        let err =
-            proc_data_parallel_train(&cfgs, 2, &Wire::exact(), QuantizePolicy::EveryHop, 0x11)
-                .expect_err("rank 1 must fail the run");
+        let (wire, policy, comm_seed) = (Wire::exact(), QuantizePolicy::EveryHop, 0x11);
+        let train = |cfgs: &[TrainerConfig], steps| {
+            failure_counters_moved_by(|| {
+                proc_data_parallel_train(cfgs, steps, &wire, policy, comm_seed)
+                    .expect_err("rank 1 must fail the run")
+            })
+        };
+        let (err, on_procs) = train(&cfgs, 2);
         match err {
-            ProcError::Worker { rank, message } => {
+            ProcError::Worker {
+                rank,
+                class,
+                message,
+            } => {
                 assert_eq!(rank, 1, "root cause must be rank 1, got: {message}");
+                assert_eq!(class, FailureClass::Task, "{message}");
                 assert!(
                     !message.contains("mid-collective"),
                     "root cause must not be a cascade: {message}"
@@ -283,6 +299,40 @@ mod checks {
             }
             other => panic!("expected a worker failure, got {other}"),
         }
+        let tasks: Vec<Task> = cfgs
+            .iter()
+            .map(|cfg| Task::DpTrain {
+                wire,
+                policy,
+                comm_seed,
+                steps: 2,
+                trainer: cfg.clone(),
+            })
+            .collect();
+        let (_, on_threads) =
+            failure_counters_moved_by(|| run_ranks(3, None, |ep| run_task(ep, &tasks[ep.rank()])));
+        assert_eq!(on_procs, on_threads, "process vs thread failure counters");
+        assert!(
+            !on_procs.contains_key("transport.io_error"),
+            "a task failure is not an i/o failure: {on_procs:?}"
+        );
+        // With no step to run, rank 1's failure is the only one.
+        let (err, on_procs) = train(&cfgs[..2], 0);
+        assert!(
+            matches!(
+                err,
+                ProcError::Worker {
+                    rank: 1,
+                    class: FailureClass::Task,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+        assert!(
+            on_procs.is_empty(),
+            "no transport counter moves: {on_procs:?}"
+        );
         println!("ok - dead_worker_aborts_the_fabric_with_the_root_cause");
     }
 

@@ -14,7 +14,7 @@ use snip_core::{Trainer, TrainerConfig};
 use snip_pipeline::collective::{QuantizePolicy, Wire};
 use snip_pipeline::comm::codec_wire_bytes;
 use snip_pipeline::transport::{
-    data_parallel_train, is_cascade_error, run_ranks, threaded_all_reduce, ChaosPlan, FrameError,
+    data_parallel_train, run_ranks, threaded_all_reduce, ChaosPlan, FailureClass, FrameError,
     TransportError, TransportStats,
 };
 use snip_tensor::rng::Rng;
@@ -168,8 +168,9 @@ fn a_chunk_of_another_length_is_a_typed_error_on_both_ranks() {
     assert_eq!(outcomes[0], Err(mismatch(1, 5, 6)));
     assert_eq!(outcomes[1], Err(mismatch(0, 6, 5)));
     for outcome in &outcomes {
-        let message = outcome.as_ref().expect_err("typed error").to_string();
-        assert!(!is_cascade_error(&message), "a primary fault: {message}");
+        let error = outcome.as_ref().expect_err("typed error");
+        let class = FailureClass::of(Some(error));
+        assert!(!class.is_cascade(), "a primary fault: {error}");
     }
     assert_eq!(snip_obs::counter_value("transport.frame_error") - before, 2);
 }
