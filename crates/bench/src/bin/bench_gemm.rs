@@ -3,8 +3,9 @@
 //! (`dequantize`) — at model-realistic shapes, once per (backend tier,
 //! kernel, shape) with the dispatch pinned to each compiled SIMD tier in
 //! turn, plus the SNIP probe (`snip_core::measure`) against a plain step
-//! with its per-pass split, and writes machine-readable `BENCH_gemm.json`
-//! at the repo root.
+//! with its per-pass split and the Gaussian init (`Rng::fill_gaussian`,
+//! `Model::new`), and writes machine-readable `BENCH_gemm.json` at the repo
+//! root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -12,20 +13,24 @@
 //! cargo run --release -p snip-bench --bin bench_gemm -- --check # validate
 //! ```
 //!
-//! Schema 9 holds three per-tier tables of one row type ([`Row`]) — `gemm`
-//! (GFLOP/s), `pack` and `decode` (ns per element) — plus `machine` and
-//! `probe`. The dispatched tier's rows are what a training step runs; there
+//! Schema 10 holds three per-tier tables of one row type ([`Row`]) — `gemm`
+//! (GFLOP/s), `pack` and `decode` (ns per element) — plus `machine`,
+//! `probe` and `init` ([`InitTable`], whose `fill` is a fourth per-tier
+//! table). The dispatched tier's rows are what a training step runs; there
 //! is no second, default-dispatch copy. Before a tier is timed, its output
-//! (GEMM and decode bits; pack codes, scales and post-call RNG state) is
-//! asserted equal to forced scalar's on the benched operands, so a table
-//! never compares different math.
+//! (GEMM and decode bits; pack codes, scales and post-call RNG state; fill
+//! bits and RNG state) is asserted equal to forced scalar's on the benched
+//! operands, so a table never compares different math.
 //!
 //! `--check` re-reads the JSON (same `--out` resolution) and applies one
 //! coverage rule to every table: scalar and the dispatched backend are
 //! present, every tier carries scalar's (kernel, shape) set, and every `ms`
 //! and rate is finite and > 0. At full shapes the probe must cost at most
 //! [`MAX_MEASURE_OVER_STEP`] steps, and on every tier each `*_nt` GEMM at
-//! most [`MAX_NT_OVER_NN`] times its `nn` form at the same shape.
+//! most [`MAX_NT_OVER_NN`] times its `nn` form at the same shape. At the
+//! `libm` row's shape each vector tier's one-thread fill must be
+//! [`MIN_FILL_OVER_LIBM`] times faster than that row, and at most
+//! [`MAX_FALLBACK_RATE`] of the fixture's pairs may fall back to libm.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::StepOptions;
@@ -86,6 +91,27 @@ struct ProbeRow {
     stats_pass_ms: f64,
 }
 
+/// Gaussian init: `fill` holds `Rng::fill_gaussian` (the certified vector
+/// Box–Muller) per tier at each fixture weight shape, once on one thread
+/// (kernel `fill_gaussian_t1`) and once at the pool's default size
+/// (`fill_gaussian_t<threads>`), in ns per output; `libm` is the
+/// per-element `next_gaussian` loop on one thread at the largest shape —
+/// the reference every fill reproduces bit for bit, and what a fill cost
+/// before the certified kernel. `model_new_*` time the bench fixture's
+/// `Model::new` at the default dispatch, and `fallbacks` counts the pairs
+/// of its `pairs` that the certificate sent back to libm
+/// (`rng.gaussian.{pairs,fallbacks}`).
+#[derive(Debug, Serialize, Deserialize)]
+struct InitTable {
+    fill: Vec<Row>,
+    libm: Row,
+    model: String,
+    model_new_t1_ms: f64,
+    model_new_ms: f64,
+    pairs: u64,
+    fallbacks: u64,
+}
+
 #[derive(Debug, Serialize, Deserialize)]
 struct Report {
     schema: u64,
@@ -96,6 +122,7 @@ struct Report {
     decode: Vec<Row>,
     pack: Vec<Row>,
     probe: ProbeRow,
+    init: InitTable,
 }
 
 /// The `schema` key alone, parsed before the full report so that a file of
@@ -106,7 +133,18 @@ struct SchemaOnly {
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 9;
+const SCHEMA: u64 = 10;
+
+/// `--check`'s floor on the speed of every vector tier's one-thread fill
+/// over the `libm` row: the certified kernel exists to be this much
+/// faster than the transform it reproduces.
+const MIN_FILL_OVER_LIBM: f64 = 2.0;
+
+/// `--check`'s ceiling on `fallbacks ÷ pairs` at the fixture. The
+/// certificate's interval is 2⁻⁴⁵ wide, so about one pair in a million
+/// falls back; a fast path that falls back far more often is broken, or no
+/// faster than libm.
+const MAX_FALLBACK_RATE: f64 = 1e-5;
 
 /// `--check`'s ceiling on `measure_over_step` at full shapes: the paper's
 /// 2–3 steps per update plus headroom for the statistics.
@@ -447,7 +485,106 @@ fn run(smoke: bool) -> Report {
         decode,
         pack: pack_table,
         probe: probe_row(smoke),
+        init: init_table(smoke, reps),
     }
+}
+
+/// The `init` table: the fill per tier and thread count at the fixture's
+/// weight shapes, the libm loop, and the fixture's `Model::new`.
+fn init_table(smoke: bool, reps: usize) -> InitTable {
+    let shapes: &[(usize, usize)] = if smoke {
+        &[(128, 256)]
+    } else {
+        &[(768, 768), (2048, 768)]
+    };
+    let std = 0.02f32;
+    let fill = |len: usize| {
+        let mut rng = Rng::seed_from(0x1417);
+        let mut out = vec![0.0f32; len];
+        rng.fill_gaussian(&mut out, std);
+        (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), rng)
+    };
+    let mut cases = Vec::new();
+    for &(rows, cols) in shapes {
+        let len = rows * cols;
+        for threads in [1, pool::size()] {
+            let mut out = vec![0.0f32; len];
+            let mut rng = Rng::seed_from(0x1417);
+            cases.push(Case {
+                kernel: format!("fill_gaussian_t{threads}"),
+                shape: format!("{rows}x{cols}"),
+                rate: Box::new(ns_per_elt(len)),
+                gate: Box::new(move || pool::with_threads(threads, || fill(len))),
+                timed: Box::new(move || {
+                    pool::with_threads(threads, || rng.fill_gaussian(&mut out, std))
+                }),
+            });
+        }
+    }
+    let fill_rows = per_tier(reps, cases);
+
+    let &(rows, cols) = shapes.last().expect("one shape");
+    let len = rows * cols;
+    let mut out = vec![0.0f32; len];
+    let mut rng = Rng::seed_from(0x1417);
+    let libm_ms = best_ms(reps, || {
+        for o in out.iter_mut() {
+            *o = (rng.next_gaussian() as f32) * std;
+        }
+        std::hint::black_box(&out);
+    });
+    let libm = Row {
+        backend: "libm".to_string(),
+        kernel: "next_gaussian".to_string(),
+        shape: format!("{rows}x{cols}"),
+        ms: libm_ms,
+        rate: ns_per_elt(len)(libm_ms),
+    };
+
+    let cfg = snip_bench::fixtures::bench_model(smoke);
+    let model_new = || snip_nn::Model::new(cfg.clone(), 0).expect("valid fixture");
+    let time_model_new = |threads| {
+        best_ms(reps.min(3), || {
+            std::hint::black_box(pool::with_threads(threads, model_new));
+        })
+    };
+    let (model_new_t1_ms, model_new_ms) = (time_model_new(1), time_model_new(pool::size()));
+    let [pairs, fallbacks] = gaussian_counts(|| {
+        std::hint::black_box(model_new());
+    });
+    InitTable {
+        fill: fill_rows,
+        libm,
+        model: cfg.name,
+        model_new_t1_ms,
+        model_new_ms,
+        pairs,
+        fallbacks,
+    }
+}
+
+/// The best of `rounds` timed calls of `f` after one warm-up call, in ms.
+fn best_ms(rounds: usize, mut f: impl FnMut()) -> f64 {
+    (0..=rounds)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .skip(1)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The Gaussian pairs `f` transformed and the fallbacks among them
+/// (`rng.gaussian.{pairs,fallbacks}`), counted with collection on.
+fn gaussian_counts(f: impl FnOnce()) -> [u64; 2] {
+    let counted = ["rng.gaussian.pairs", "rng.gaussian.fallbacks"];
+    let before = counted.map(snip_obs::counter_value);
+    {
+        let _collect = snip_obs::enabled_scope(true);
+        f();
+    }
+    std::array::from_fn(|i| snip_obs::counter_value(counted[i]) - before[i])
 }
 
 /// Times `measure` against a plain step on the probe fixture and reads
@@ -560,14 +697,18 @@ fn check_report(json: &str) -> Result<String, String> {
         }
         check_nt_over_nn(&report.gemm)?;
     }
+    check_init(&report.init, &mach.simd_backend)?;
     Ok(format!(
-        "{} gemm, {} decode, {} pack rows over {}, probe = {:.2} steps, \
-         {} simd on {} threads",
+        "{} gemm, {} decode, {} pack, {} init rows over {}, probe = {:.2} steps, \
+         {} of {} pairs fell back, {} simd on {} threads",
         report.gemm.len(),
         report.decode.len(),
         report.pack.len(),
+        report.init.fill.len(),
         Vec::from_iter(tiers).join("/"),
         pr.measure_over_step,
+        report.init.fallbacks,
+        report.init.pairs,
         mach.simd_backend,
         mach.threads
     ))
@@ -608,6 +749,46 @@ fn check_table<'r>(name: &str, rows: &'r [Row], dispatched: &str) -> Result<Vec<
         }
     }
     Ok(tiers.into_keys().collect())
+}
+
+/// The `init` table: its `fill` rows obey the coverage rule, every number
+/// is finite and positive, every vector tier's one-thread fill at the
+/// `libm` row's shape is at least [`MIN_FILL_OVER_LIBM`] times faster,
+/// and at most [`MAX_FALLBACK_RATE`] of the fixture's pairs fell back.
+fn check_init(init: &InitTable, dispatched: &str) -> Result<(), String> {
+    check_table("init.fill", &init.fill, dispatched)?;
+    let l = &init.libm;
+    for (what, v) in [
+        ("libm ms", l.ms),
+        ("libm rate", l.rate),
+        ("model_new_t1_ms", init.model_new_t1_ms),
+        ("model_new_ms", init.model_new_ms),
+        ("pairs", init.pairs as f64),
+    ] {
+        if !v.is_finite() || v <= 0.0 {
+            return Err(format!("init: {what} = {v}"));
+        }
+    }
+    for r in &init.fill {
+        if r.backend == "scalar" || r.kernel != "fill_gaussian_t1" || r.shape != l.shape {
+            continue;
+        }
+        let speedup = l.rate / r.rate;
+        if speedup < MIN_FILL_OVER_LIBM {
+            return Err(format!(
+                "init: {} {} [{}] is {speedup:.2}x the libm row ({:.2} vs {:.2} ns/output), floor {MIN_FILL_OVER_LIBM}",
+                r.kernel, r.shape, r.backend, r.rate, l.rate
+            ));
+        }
+    }
+    let rate = init.fallbacks as f64 / init.pairs as f64;
+    if rate > MAX_FALLBACK_RATE {
+        return Err(format!(
+            "init: {} of {} pairs fell back ({rate:.2e}), ceiling {MAX_FALLBACK_RATE:e}",
+            init.fallbacks, init.pairs
+        ));
+    }
+    Ok(())
 }
 
 /// Every `qgemm_nt` / `matmul_nt` row must have its `qgemm` / `matmul` row
@@ -654,10 +835,13 @@ fn print_summary(report: &Report) {
         mach.threads,
         report.smoke
     );
+    let init = &report.init;
     for (rows, unit) in [
-        (&report.gemm, "GFLOP/s"),
+        (&report.gemm[..], "GFLOP/s"),
         (&report.decode, "ns/elt"),
         (&report.pack, "ns/elt"),
+        (&init.fill, "ns/elt"),
+        (std::slice::from_ref(&init.libm), "ns/elt"),
     ] {
         for r in rows {
             println!(
@@ -680,6 +864,16 @@ fn print_summary(report: &Report) {
         pr.probe_bwd_pass_ms,
         pr.probe_fwd_pass_ms,
         pr.stats_pass_ms
+    );
+    println!(
+        "  {:>29} {:>12}  {:>9.3} ms on 1 thread, {:.3} ms on {}; {} of {} pairs fell back",
+        "Model::new",
+        init.model,
+        init.model_new_t1_ms,
+        init.model_new_ms,
+        report.machine.threads,
+        init.fallbacks,
+        init.pairs
     );
 }
 
@@ -791,6 +985,24 @@ mod tests {
                 probe_fwd_pass_ms: 170.0,
                 stats_pass_ms: 90.0,
             },
+            init: InitTable {
+                fill: table(&[
+                    ("fill_gaussian_t1", "2048x768"),
+                    ("fill_gaussian_t2", "2048x768"),
+                ]),
+                libm: Row {
+                    backend: "libm".to_string(),
+                    kernel: "next_gaussian".to_string(),
+                    shape: "2048x768".to_string(),
+                    ms: 40.0,
+                    rate: 2.0 * 2.5,
+                },
+                model: "bench-768x2".to_string(),
+                model_new_t1_ms: 120.0,
+                model_new_ms: 110.0,
+                pairs: 7_471_104,
+                fallbacks: 6,
+            },
         }
     }
 
@@ -806,7 +1018,8 @@ mod tests {
     #[test]
     fn a_valid_report_passes() {
         let summary = check(&valid()).expect("valid report");
-        assert!(summary.contains("6 gemm, 4 decode, 4 pack rows over avx2/scalar"));
+        assert!(summary.contains("6 gemm, 4 decode, 4 pack, 4 init rows over avx2/scalar"));
+        assert!(summary.contains("6 of 7471104 pairs fell back"));
     }
 
     #[test]
@@ -883,6 +1096,68 @@ mod tests {
     fn a_schema_8_file_is_rejected() {
         let mut r = valid();
         r.schema = 8;
-        rejects(&r, "schema 8, expected 9");
+        rejects(&r, "schema 8, expected 10");
+    }
+
+    #[test]
+    fn a_schema_9_file_without_init_is_rejected() {
+        let mut r = valid();
+        r.schema = 9;
+        rejects(&r, "schema 9, expected 10");
+    }
+
+    #[test]
+    fn a_vector_fill_under_twice_libm_is_rejected() {
+        let mut r = valid();
+        // The libm row takes 5 ns/output; 2.5 is exactly the floor.
+        check(&r).expect("a vector fill at the floor passes");
+        let avx2_t1 = |row: &Row| row.backend == "avx2" && row.kernel == "fill_gaussian_t1";
+        r.init
+            .fill
+            .iter_mut()
+            .filter(|row| avx2_t1(row))
+            .for_each(|row| row.rate = 2.6);
+        rejects(
+            &r,
+            "init: fill_gaussian_t1 2048x768 [avx2] is 1.92x the libm row",
+        );
+        // Scalar is the reference tier and the pool rows are not floored.
+        let mut r = valid();
+        for row in r.init.fill.iter_mut().filter(|row| !avx2_t1(row)) {
+            row.rate = 4.9;
+        }
+        check(&r).expect("scalar and t2 rows are not floored");
+    }
+
+    #[test]
+    fn a_fallback_rate_over_the_ceiling_is_rejected() {
+        let mut r = valid();
+        r.init.fallbacks = 75;
+        rejects(
+            &r,
+            "init: 75 of 7471104 pairs fell back (1.00e-5), ceiling 1e-5",
+        );
+        r.init.pairs = 0;
+        rejects(&r, "init: pairs = 0");
+    }
+
+    /// The bench fixture's `Model::new` draws its 7.47 M pairs with at most
+    /// [`MAX_FALLBACK_RATE`] of them recomputed by libm (≈ 6 expected): a
+    /// fast path that always fell back would draw the same bits, and fail
+    /// here.
+    #[test]
+    fn the_fixture_model_falls_back_below_the_ceiling() {
+        let [pairs, fallbacks] = gaussian_counts(|| {
+            let model = snip_bench::fixtures::bench_model(false);
+            snip_nn::Model::new(model, 0).expect("valid fixture");
+        });
+        assert_eq!(
+            pairs, 7_471_104,
+            "the fixture's Gaussian parameters, in pairs"
+        );
+        assert!(
+            fallbacks as f64 <= MAX_FALLBACK_RATE * pairs as f64,
+            "{fallbacks} of {pairs} pairs fell back"
+        );
     }
 }

@@ -4,8 +4,9 @@
 //! snip-bench --bin bench_gemm`): it times all six GEMM orientations, the
 //! pack and the decode kernels at model-realistic shapes, once per
 //! (backend tier, kernel, shape), each tier bit-gated against forced
-//! scalar, plus the SNIP probe against a plain step, and writes
-//! machine-readable `BENCH_gemm.json` (schema 9) at the repo root. CI
+//! scalar, plus the SNIP probe against a plain step and the Gaussian init,
+//! and writes machine-readable `BENCH_gemm.json` (schema 10) at the repo
+//! root. CI
 //! validates the committed file with `--check`, then runs `--smoke` and
 //! checks its output, so the trajectory cannot silently rot.
 //!
@@ -44,15 +45,14 @@ pub mod fixtures {
 
     /// The 768×2-block model of the end-to-end benchmark
     /// (`benchmark/src/fixture.rs`: ≈ 15 M parameters, 14 linear layers,
-    /// 4 × 64 = 256 tokens per step, so its GEMMs are the shapes the `gemm`
-    /// section times), warmed — what the `probe` section runs
-    /// `snip_core::measure` on. `smoke` swaps in the `tiny_test` model at
-    /// batch 2 × 16.
-    pub fn probe_trainer(smoke: bool) -> Trainer {
+    /// so its weights are the shapes the `init` section fills and its
+    /// GEMMs at 256 tokens the shapes the `gemm` section times); `smoke`
+    /// swaps in the `tiny_test` model.
+    pub fn bench_model(smoke: bool) -> ModelConfig {
         if smoke {
-            return warmed(ModelConfig::tiny_test(), 1e-3, 2, 16);
+            return ModelConfig::tiny_test();
         }
-        let model = ModelConfig {
+        ModelConfig {
             name: "bench-768x2".into(),
             vocab_size: 512,
             hidden: 768,
@@ -62,7 +62,15 @@ pub mod fixtures {
             max_seq: 64,
             rope_theta: 10_000.0,
             quant_group: 128,
-        };
-        warmed(model, 3e-4, 4, 64)
+        }
+    }
+
+    /// [`bench_model`] at 4 × 64 = 256 tokens per step (smoke: 2 × 16),
+    /// warmed — what the `probe` section runs `snip_core::measure` on.
+    pub fn probe_trainer(smoke: bool) -> Trainer {
+        if smoke {
+            return warmed(bench_model(true), 1e-3, 2, 16);
+        }
+        warmed(bench_model(false), 3e-4, 4, 64)
     }
 }

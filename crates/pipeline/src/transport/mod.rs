@@ -55,9 +55,11 @@
 //! ([`FrameError`]), never a panic. Each [`Endpoint`] counts what its rank
 //! sent and received in a [`TransportStats`], and each driver adds its
 //! ranks' ledgers — [`run_ranks`] as the threads join, [`proc::launch`]
-//! from every worker's `RESULT`. **Payload** bytes (`4n` / `2n` /
-//! [`snip_quant::PackedTensor::wire_bytes`]) must match the analytic
-//! numbers; **envelope** bytes (tags, frame headers, stream length
+//! from every worker's report, `ERROR` included — and publishes the sum
+//! ([`publish_transport_stats`]) whether or not a rank failed (a launch
+//! that loses a worker's report has no ledger to publish). **Payload**
+//! bytes (`4n` / `2n` / [`snip_quant::PackedTensor::wire_bytes`]) must
+//! match the analytic numbers; **envelope** bytes (tags, frame headers, stream length
 //! prefixes) are measured but, like decode tables and rotation seeds,
 //! excluded from [`crate::comm::codec_wire_bytes`].
 //!
@@ -233,8 +235,8 @@ pub(crate) fn note_failure(class: FailureClass) {
 /// Exports a run's summed [`TransportStats`] into the `snip-obs`
 /// registry: bumps the global `transport.{payload_bytes,envelope_bytes,
 /// frames}` counters and replaces the report's `"transport"` section with
-/// this run's totals. Both mesh drivers call it, [`proc::launch`] after
-/// merging its workers' ledgers. One relaxed atomic load when collection
+/// this run's totals. Both mesh drivers call it, on success and on
+/// failure, [`proc::launch`] after merging its workers' ledgers. One relaxed atomic load when collection
 /// is off; reads only, so the run's numeric results are untouched.
 pub fn publish_transport_stats(stats: &TransportStats) {
     if !snip_obs::enabled() {
@@ -648,16 +650,19 @@ where
                 Err(payload) => panics.push((payload, class)),
             }
         }
-        // Resume the root cause, not a bystander's cascade panic: one rank's
-        // real failure makes every peer blocked on it panic with a secondary
+        // The root cause, not a bystander's cascade panic: one rank's real
+        // failure makes every peer blocked on it panic with a secondary
         // PeerClosed unwrap.
-        if let Some(root) = root_cause(&panics, |(_, class)| class.is_cascade()) {
-            std::panic::resume_unwind(panics.swap_remove(root).0);
+        match root_cause(&panics, |(_, class)| class.is_cascade()) {
+            Some(root) => Err(panics.swap_remove(root).0),
+            None => Ok(outputs),
         }
-        outputs
     });
     publish_transport_stats(&stats);
-    (results, stats)
+    match results {
+        Ok(results) => (results, stats),
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
 }
 
 /// Runs a full threaded all-reduce with one gradient vector and one RNG

@@ -41,19 +41,22 @@
 //!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
 //!    its [`TaskOutput`], encoded straight into the report buffer) or
 //!    `ERROR` (the [`FailureClass`] of the first transport error its
-//!    endpoint recorded, one byte, then the failure text) — and exits;
+//!    endpoint recorded, one byte, its ledger as JSON, then the failure
+//!    text) — and exits;
 //! 4. one parent thread per worker decodes that report as it streams and
 //!    hands the decoded, verified report to one channel, so the ranks'
 //!    decodes overlap their transfers. A worker that exits without a report
 //!    leaves an empty pipe, and the launch fails at once naming its rank.
 //!    Once every report is in, the parent judges them in rank order: a
-//!    malformed report is [`ProcError::Protocol`], `ERROR` reports are
-//!    counted and attributed to their root cause by their class, and every
-//!    `RESULT`'s ledger is added
-//!    by `TransportStats::merge` ([`ProcError::Protocol`] for one of
-//!    the wrong shape). It then reaps the workers and checks that both
-//!    sides of every link agree ([`TransportStats::disagreement`];
-//!    [`ProcError::AccountingMismatch`] names the first that does not).
+//!    malformed report is [`ProcError::Protocol`], every report's ledger is
+//!    added by `TransportStats::merge` ([`ProcError::Protocol`] for one of
+//!    the wrong shape), and `ERROR` reports are counted and attributed to
+//!    their root cause by their class. A failed run publishes the merged
+//!    traffic of its reports as the threaded driver publishes its ranks'
+//!    and returns the root cause; a run without one reaps the workers,
+//!    checks that both sides of every link agree
+//!    ([`TransportStats::disagreement`]; [`ProcError::AccountingMismatch`]
+//!    names the first that does not) and publishes.
 //!
 //! ## Decoded as it streams
 //!
@@ -409,30 +412,32 @@ impl Start<'_> {
     }
 }
 
-/// A worker's report as the launcher reads it: the RESULT's ledger and
-/// output, or the ERROR's failure class and text.
+/// A worker's report as the launcher reads it: its ledger, and the
+/// RESULT's output or the ERROR's failure class and text.
 #[derive(Debug)]
-enum Report {
-    Result {
-        ledger: TransportStats,
-        output: TaskOutput,
-    },
-    Error(FailureClass, String),
+struct Report {
+    ledger: TransportStats,
+    outcome: Result<TaskOutput, (FailureClass, String)>,
 }
 
 impl Report {
     /// Reads what [`result_report`] or [`error_report`] wrote.
     fn read<R: Read>(f: &mut Fields<R>) -> Result<Report, FieldError> {
         Ok(match f.u8()? {
-            MSG_RESULT => Report::Result {
+            MSG_RESULT => Report {
                 ledger: f.json()?,
-                output: TaskOutput::read(f)?,
+                outcome: Ok(TaskOutput::read(f)?),
             },
             MSG_ERROR => {
                 let byte = f.u8()?;
                 let class = FailureClass::ALL.get(usize::from(byte));
                 let class = *class.ok_or_else(|| format!("unknown failure class {byte}"))?;
-                Report::Error(class, String::from_utf8_lossy(&f.rest()?).into_owned())
+                let ledger = f.json()?;
+                let message = String::from_utf8_lossy(&f.rest()?).into_owned();
+                Report {
+                    ledger,
+                    outcome: Err((class, message)),
+                }
             }
             other => return Err(format!("unexpected control tag {other}").into()),
         })
@@ -720,7 +725,8 @@ fn worker_run() -> Result<(), String> {
         match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
             Ok(result) => (result, None),
             Err(message) => {
-                let report = error_report(FailureClass::of(ep.failure.as_ref()), &message);
+                let class = FailureClass::of(ep.failure.as_ref());
+                let report = error_report(class, &ep.stats(), &message);
                 ((stream_envelope(&report), report), Some(message))
             }
         };
@@ -748,9 +754,17 @@ fn result_report(
 }
 
 /// The body of a worker's `ERROR` report: its failure class as one byte,
-/// then the failure text.
-fn error_report(class: FailureClass, message: &str) -> Vec<u8> {
-    [&[MSG_ERROR, class as u8], message.as_bytes()].concat()
+/// its ledger as JSON, then the failure text.
+fn error_report(class: FailureClass, stats: &TransportStats, message: &str) -> Vec<u8> {
+    let mut msg = Writer::new(Vec::new());
+    msg.u8(MSG_ERROR);
+    msg.u8(class as u8);
+    msg.json(stats);
+    // Writing into a `Vec` fails only on a length beyond `u32`, which a
+    // ledger of a few counters per link never reaches.
+    let (mut body, _) = msg.finish().expect("a ledger fits its length prefix");
+    body.extend_from_slice(message.as_bytes());
+    body
 }
 
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
@@ -1004,29 +1018,31 @@ pub fn launch(
     let mut errors: Vec<(usize, FailureClass, String)> = Vec::new();
     let mut merged = TransportStats::new(world);
     for (rank, report) in received {
-        match report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))? {
-            Report::Result { ledger, output } => {
-                merged
-                    .merge(&ledger)
-                    .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
-                if output.tag() != tags[rank] {
-                    return Err(ProcError::Protocol(format!(
-                        "rank {rank} answered its task with another task's output"
-                    )));
-                }
-                results.push(output);
+        let Report { ledger, outcome } =
+            report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
+        merged
+            .merge(&ledger)
+            .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
+        match outcome {
+            Ok(output) if output.tag() != tags[rank] => {
+                return Err(ProcError::Protocol(format!(
+                    "rank {rank} answered its task with another task's output"
+                )));
             }
-            Report::Error(class, message) => errors.push((rank, class, message)),
+            Ok(output) => results.push(output),
+            Err((class, message)) => errors.push((rank, class, message)),
         }
     }
     // The root cause is the first worker whose class is not a cascade of
     // another's fault (`PeerClosed` at a rank waiting on the dead one).
     if let Some(root) = root_cause(&errors, |(_, class, _)| class.is_cascade()) {
         // Workers never publish telemetry (their registries die with them),
-        // so the launcher counts their failures here, one per report.
+        // so the launcher counts their failures here, one per report, and
+        // publishes their traffic as a threaded run with failed ranks does.
         for (_, class, _) in &errors {
             note_failure(*class);
         }
+        super::publish_transport_stats(&merged);
         let (rank, class, message) = errors.swap_remove(root);
         return Err(ProcError::Worker {
             rank,
@@ -1401,9 +1417,9 @@ mod tests {
                 };
                 let split = read_frame(pipe, Report::read).expect("split report");
                 for report in [&whole, &split] {
-                    let Report::Result {
+                    let Report {
                         ledger,
-                        output: back,
+                        outcome: Ok(back),
                     } = report
                     else {
                         panic!("RESULT decodes as RESULT");
@@ -1414,16 +1430,19 @@ mod tests {
                 }
             }
         }
+        // An ERROR carries its worker's ledger too.
+        let mut ledger = TransportStats::new(3);
+        ledger.tx[5].record(64, 8);
+        ledger.rx[6].record(16, 8);
         for class in FailureClass::ALL {
             let pipe = Trickle {
-                bytes: &stream_frame(&error_report(class, "boom \u{e9}")),
+                bytes: &stream_frame(&error_report(class, &ledger, "boom \u{e9}")),
                 sizes: vec![1],
                 call: 0,
             };
-            assert!(matches!(
-                read_frame(pipe, Report::read),
-                Ok(Report::Error(c, m)) if c == class && m == "boom \u{e9}"
-            ));
+            let report = read_frame(pipe, Report::read).expect("ERROR decodes");
+            assert_eq!(report.ledger, ledger);
+            assert!(matches!(report.outcome, Err((c, m)) if c == class && m == "boom \u{e9}"));
         }
         let unknown = [MSG_ERROR, FailureClass::ALL.len() as u8];
         assert!(matches!(

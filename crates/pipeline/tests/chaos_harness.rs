@@ -30,7 +30,7 @@ mod support;
 
 #[cfg(unix)]
 mod checks {
-    use crate::support::{failure_counters_moved_by, ProcCollective};
+    use crate::support::{failure_counters_moved_by, Moved, ProcCollective};
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
     use snip_pipeline::transport::proc::{launch, proc_all_reduce, ProcError, Task};
@@ -41,7 +41,6 @@ mod checks {
     };
     use snip_quant::StreamError;
     use snip_tensor::rng::Rng;
-    use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
 
     /// Runs one check under a wall-clock budget: chaos that deadlocks
@@ -448,17 +447,27 @@ mod checks {
         }
 
         // Kill: the worker's own Killed error is the attributed root.
-        let (rank, message, moved) =
+        let (rank, message, on_procs, on_threads) =
             proc_failure_matches_threads(&grads, &wire, &seeds, &ChaosPlan::kill(0x1C, 1, 2));
         assert_eq!(rank, 1, "root cause must be the killed rank: {message}");
         assert!(
             message.contains("killed by its chaos schedule"),
             "got: {message}"
         );
-        assert_eq!(moved.get("transport.killed"), Some(&1), "{moved:?}");
+        assert_eq!(
+            on_procs.failures.get("transport.killed"),
+            Some(&1),
+            "{on_procs:?}"
+        );
+        // Rank 1's first send precedes any failure, so its ledger holds a
+        // frame, and both drivers publish a failed run's ledgers.
+        assert!(
+            on_procs.frames > 0 && on_threads.frames > 0,
+            "traffic published: {on_procs:?} / {on_threads:?}"
+        );
 
         // Corruption: the receiver's CRC check names the damaged link.
-        let (rank, message, _) =
+        let (rank, message, ..) =
             proc_failure_matches_threads(&grads, &wire, &seeds, &ChaosPlan::corrupt(0x2C, 0, 1, 0));
         assert_eq!(rank, 1, "the receiver detects the damage: {message}");
         assert!(
@@ -467,7 +476,7 @@ mod checks {
         );
 
         // Truncation: same path, different typed defect.
-        let (rank, message, _) = proc_failure_matches_threads(
+        let (rank, message, ..) = proc_failure_matches_threads(
             &grads,
             &wire,
             &seeds,
@@ -481,7 +490,7 @@ mod checks {
 
         // Close: both ends fail with PeerClosed — all errors are
         // cascades, and the launcher still reports a deterministic one.
-        let (rank, message, _) = proc_failure_matches_threads(
+        let (rank, message, ..) = proc_failure_matches_threads(
             &grads,
             &wire,
             &seeds,
@@ -495,13 +504,13 @@ mod checks {
     /// fail as a worker failure whose class is that of the typed error the
     /// threaded run reports at the same rank, and move the same transport
     /// failure counters. Returns the failed rank, the launcher's message
-    /// and the counters moved.
+    /// and the counters each fabric moved, processes first.
     fn proc_failure_matches_threads(
         grads: &[Vec<f32>],
         wire: &Wire,
         seeds: &[u64],
         plan: &ChaosPlan,
-    ) -> (usize, String, BTreeMap<String, u64>) {
+    ) -> (usize, String, Moved, Moved) {
         let policy = QuantizePolicy::EveryHop;
         let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
         let ((outcomes, _), on_threads) =
@@ -526,8 +535,11 @@ mod checks {
             FailureClass::of(Some(on_thread)),
             "rank {rank}: {message} vs {on_thread}"
         );
-        assert_eq!(on_procs, on_threads, "{plan:?}: failure counters");
-        (rank, message, on_procs)
+        assert_eq!(
+            on_procs.failures, on_threads.failures,
+            "{plan:?}: failure counters"
+        );
+        (rank, message, on_procs, on_threads)
     }
 
     /// A worker that dies at boot, right after reading its START, fails

@@ -258,26 +258,41 @@ impl ProcCollective {
     }
 }
 
+/// The `transport.*` counters a run moved.
+#[derive(Debug)]
+pub struct Moved {
+    /// Every failure counter that moved, with its increment.
+    pub failures: BTreeMap<String, u64>,
+    /// How far `transport.frames` moved: the run published its traffic.
+    pub frames: u64,
+}
+
 /// Runs `f` with telemetry collection on and returns its result beside the
-/// transport failure counters it moved, each with its increment: every
-/// `transport.*` counter but the traffic totals, which a thread run
-/// publishes even when a rank fails and a failed launch never does.
-/// Counters are process-global, so callers must not run other transport
-/// work meanwhile.
-pub fn failure_counters_moved_by<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>) {
+/// transport counters it moved. Both drivers publish a failed run's
+/// traffic (the launcher from every worker's report), but how much of it
+/// there is depends on scheduling: how far the surviving ranks get before
+/// a peer's failure reaches them. Every failure case of `transport_proc`
+/// and `chaos_harness` — a dead worker, kill, corruption, truncation, a
+/// closed link — moved a different frame count on at least one fabric
+/// across five runs (a kill at op 2: 4–6 frames on threads, 4–5 on
+/// processes), so callers compare `failures` across fabrics and only ask
+/// `frames` to have moved. Counters are process-global, so callers must
+/// not run other transport work meanwhile.
+pub fn failure_counters_moved_by<T>(f: impl FnOnce() -> T) -> (T, Moved) {
     let _telemetry = snip_obs::enabled_scope(true);
-    let traffic = ["payload_bytes", "envelope_bytes", "frames"].map(|n| format!("transport.{n}"));
     let read = || {
         let mut counters = snip_obs::registry::snapshot().counters;
-        counters.retain(|name, _| name.starts_with("transport.") && !traffic.contains(name));
+        counters.retain(|name, _| name.starts_with("transport."));
         counters
     };
     let before = read();
     let output = f();
-    let mut moved = read();
-    for (name, value) in &mut moved {
+    let mut failures = read();
+    for (name, value) in &mut failures {
         *value -= before.get(name).copied().unwrap_or(0);
     }
-    moved.retain(|_, increment| *increment > 0);
-    (output, moved)
+    let frames = failures.get("transport.frames").copied().unwrap_or(0);
+    let traffic = ["payload_bytes", "envelope_bytes", "frames"].map(|n| format!("transport.{n}"));
+    failures.retain(|name, increment| *increment > 0 && !traffic.contains(name));
+    (output, Moved { failures, frames })
 }

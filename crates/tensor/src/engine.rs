@@ -134,10 +134,11 @@
 //!
 //! # Measured
 //!
-//! `BENCH_gemm.json` at the repository root (`bench_gemm`, schema 9) holds
+//! `BENCH_gemm.json` at the repository root (`bench_gemm`, schema 10) holds
 //! the numbers: per backend tier, the `gemm` table times all six
 //! orientations at the three linear-layer shapes, `decode` and `pack` the
-//! codecs, and `probe` SNIP's measurement against a plain step. Its
+//! codecs, `probe` SNIP's measurement against a plain step, and `init` the
+//! Gaussian init (the kernel table's `gaussian` row, [`crate::math`]). Its
 //! `--check` holds every `nt` row to `MAX_NT_OVER_NN` times its `nn` row.
 
 use crate::arena;

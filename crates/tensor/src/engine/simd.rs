@@ -3,7 +3,8 @@
 //!
 //! Every backend is a row of function pointers (`Kernels`: tile update
 //! keep/BF16, the band transpose and copy, the two decodes, abs-max, the
-//! two code writers); the scalar reference is one more row.
+//! two code writers, the Box–Muller transform); the scalar reference is
+//! one more row.
 //! `active_kernels` hands out the row of the tier active on the calling
 //! thread and is the only function that builds a vector row — so, with
 //! the scalar row's `fma` check beside it (`scalar_tile`), the only place
@@ -64,6 +65,7 @@
 use super::scalar;
 use super::simd_encode::{abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid};
 use super::Store;
+use crate::math;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -336,6 +338,9 @@ type EncodeFn = fn(&CodeGrid, &[f32], f32, Option<&[f32]>, &mut [u8]);
 /// `ldd`), rounded to BF16 when `round`.
 type BandFn = fn(bool, &[f32], usize, usize, usize, &mut [f32], usize);
 
+/// A Box–Muller transform: `(pairs, std, out)`, returning the fallbacks.
+type GaussianFn = fn(&[[f64; 2]], f32, &mut [f32]) -> usize;
+
 /// One backend's kernels as plain function pointers — the single dispatch
 /// point of the engine. [`active_kernels`] resolves the row for the
 /// current thread; the GEMM engine, the decode shims below and
@@ -361,6 +366,8 @@ pub(crate) struct Kernels {
     pub(crate) encode_u8: EncodeFn,
     /// Whole bytes of 4-bit code pairs (two elements per output byte).
     pub(crate) encode_u4_pairs: EncodeFn,
+    /// See [`gaussian_pairs`].
+    pub(crate) gaussian: GaussianFn,
 }
 
 /// The scalar row: the always-compiled reference every other row must
@@ -378,6 +385,7 @@ static SCALAR: Kernels = Kernels {
     abs_max_bits: abs_max_bits_scalar,
     encode_u8: encode_u8_scalar,
     encode_u4_pairs: encode_u4_pairs_scalar,
+    gaussian: |pairs, std, out| math::gaussian_pairs(pairs, std, out, math::GAUSSIAN_DELTA),
 };
 
 /// The scalar tile kernel in the build this CPU runs fastest: compiled for
@@ -459,6 +467,10 @@ pub(crate) fn active_kernels() -> &'static Kernels {
             ) {
                 simd_ops::encode::<$isa::$ops, NIBBLES>(grid, seg, scale, uniforms, out)
             }
+            #[target_feature(enable = $feature)]
+            unsafe fn gaussian(pairs: &[[f64; 2]], std: f32, out: &mut [f32]) -> usize {
+                math::gaussian_pairs(pairs, std, out, math::GAUSSIAN_DELTA)
+            }
             static ROW: Kernels = Kernels {
                 tile: |store, c, n, r, j, mb, nb, k, a, b| unsafe {
                     let tile = match store {
@@ -498,6 +510,7 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                 encode_u4_pairs: |grid, seg, scale, uniforms, out| unsafe {
                     encode::<true>(grid, seg, scale, uniforms, out)
                 },
+                gaussian: |pairs, std, out| unsafe { gaussian(pairs, std, out) },
             };
             &ROW
         }};
@@ -544,6 +557,18 @@ pub(super) fn decode_u4_pairs_scalar(
         ob[0] = p[0] * scale;
         ob[1] = p[1] * scale;
     }
+}
+
+/// Writes the Box–Muller outputs of `pairs` into `out` (two per pair),
+/// bit for bit `(c as f32) · std, (s as f32) · std` of the libm transform
+/// [`math::box_muller`], and returns how many pairs were recomputed by it.
+/// Every row runs the one body, [`math::gaussian_pairs`]: the vector rows
+/// compile it under their `#[target_feature]`, where its loop over pairs
+/// vectorizes one pair per lane, the scalar row at baseline. The certified
+/// values are the in-tree math's, identical on every row, so rows differ
+/// in speed only.
+pub(crate) fn gaussian_pairs(pairs: &[[f64; 2]], std: f32, out: &mut [f32]) -> usize {
+    (active_kernels().gaussian)(pairs, std, out)
 }
 
 /// Decodes a run of one-byte codes: `out[i] = lut[codes[i]] * scale`

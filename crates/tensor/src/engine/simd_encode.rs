@@ -30,10 +30,64 @@
 //! decision; `quant/tests/pack_simd.rs` pins every tier against forced
 //! scalar and against the fake-quant oracle.
 //!
-//! Stochastic rounding never draws inside a kernel: the caller draws one
-//! uniform per element, serially and in element order, into a bounded
-//! scratch buffer and passes it as `uniforms` — so the RNG stream is
-//! independent of the lane width.
+//! # One code rule
+//!
+//! A ≤ 8-bit grid is a [`CodeGrid`], and an element's code is computed
+//! from the exponent and rounded mantissa of its scaled bit pattern. The
+//! float formats *and* the symmetric integer grids use the same
+//! arithmetic; [`CodeGrid::nearest_code`] and [`CodeGrid::stochastic_code`]
+//! are the always-compiled scalar reference and the segment tails. The top
+//! value must sit at the top index, so saturation is a clamp of the
+//! magnitude ([`CodeGrid::new`] asserts it); NaN and exact-zero lanes are
+//! masked to code 0 last.
+//!
+//! # The draw-buffer RNG contract
+//!
+//! Kernels never draw. A stochastic pack keeps the fake-quant oracle's
+//! contract — one `next_f32()` per element, unconditionally, in the
+//! group walk's row-major-within-group order — by drawing each row
+//! segment's uniforms serially into a 256-entry stack buffer that the
+//! kernel then consumes as `uniforms`, so codes, scales and the final RNG
+//! state do not depend on the lane width. Integer stochastic rounding
+//! floors the *signed* value, which sign-magnitude lanes do not model; it
+//! stays on the scalar closure path.
+//!
+//! # One group walk, on the calling thread
+//!
+//! `snip-quant`'s `Codebook` is interned once per format and holds the
+//! decode and pair tables plus the [`CodeGrid`]. Its `pack_groups` is the
+//! only sweep: it hands contiguous row segments to a segment encoder —
+//! these kernels (`pack_rounded_with`, which `Quantizer` calls under its
+//! recipe's scale rule for every recipe), or a scalar closure (`pack`,
+//! `pack_with`: the two-step reference and the extension point for custom
+//! rounding, encoding through `Codebook::encode`, a binary search over the
+//! sorted values). The pack engine never fans out over the pool: a split of
+//! it measured ≈ 1.0× at every benchmark shape, and its history is in
+//! `CHANGES.md`. The pool's users are listed in [`crate::pool`].
+//!
+//! # Adding an encode backend
+//!
+//! There is none to add separately. The abs-max fold, the encode constants
+//! and the code arithmetic are one generic body each in `simd_ops`, and a
+//! new ISA gets them by implementing the `SimdOps` op table (see
+//! "Adding an arch backend" there). The ISA-specific part of encoding is
+//! the two narrowing stores: `store_code_bytes` (the low byte of each lane
+//! → one byte per lane) and `store_nibble_pairs` (whole bytes only —
+//! [`Encoder::encode_u4`] does the odd head and tail nibbles). Run this
+//! module's `every_backend_matches_the_scalar_reference` (every segment
+//! length `0..=2·step+1` × both nibble alignments × nearest/stochastic)
+//! and `quant/tests/pack_simd.rs` (every tier against forced scalar *and*
+//! against the fake-quant reference: codes, scales, post-call RNG state;
+//! NaN, ±Inf, −0, subnormal, exact-tie and all-zero cases). The NEON op
+//! table was written without an aarch64 toolchain: its rows are the first
+//! thing to verify on an Arm machine.
+//!
+//! # Measurements
+//!
+//! The per-tier cost of every pack a training step makes is the `pack`
+//! table of `BENCH_gemm.json`: rows `pack_<format>_<layout>_<rounding>`,
+//! in ns per element, for the weight blocks and the activation tiles at
+//! each benchmark shape.
 
 use super::simd::{active_kernels, Kernels};
 use crate::packed::CodeWidth;

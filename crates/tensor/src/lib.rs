@@ -64,6 +64,7 @@ pub mod arena;
 pub mod bf16;
 mod engine;
 pub mod granularity;
+pub mod math;
 pub mod matmul;
 pub mod ops;
 pub mod packed;

@@ -3,9 +3,7 @@
 //!
 //! Its users are the GEMM engine (output-row bands of one product), the
 //! elementwise [`Tensor`](crate::Tensor) ops (contiguous element bands of
-//! one large tensor), the Box–Muller transform of
-//! [`Rng::fill_gaussian`](crate::rng::Rng::fill_gaussian) (output bands of
-//! one serially drawn block), `snip-nn`'s attention (one task per
+//! one large tensor), `snip-nn`'s attention (one task per
 //! sequence, forward and backward), the per-parameter passes of `snip-nn`
 //! and `snip-optim` (gradient zeroing, the clip norm and scale, the AdamW
 //! update) and the SNIP probe's statistics ([`reduce`]). The pool spawns

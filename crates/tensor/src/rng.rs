@@ -6,7 +6,8 @@
 //! than depending on an external RNG crate so the streams are stable across
 //! platforms and dependency upgrades.
 
-use crate::pool;
+use crate::math::box_muller;
+use crate::simd;
 
 /// A deterministic xoshiro256++ random number generator.
 ///
@@ -25,31 +26,13 @@ pub struct Rng {
     gauss_spare: Option<u64>,
 }
 
-/// Uniform pairs [`Rng::fill_gaussian`] draws ahead of one transform:
-/// 128 KiB of `f64`s, whatever the fill's length, and 16 Ki outputs per
-/// parallel region. Measured on a 2-core AVX-512 box at the benchmark
-/// fixture's weight sizes (0.6 M and 1.6 M outputs), median ratio of
-/// interleaved one-band and two-band fills: 1.39–1.41× at 4 Ki pairs,
-/// 1.58× at 8 Ki, and 1.60–1.61× at 16 Ki for twice the buffer.
-pub const GAUSSIAN_BLOCK_PAIRS: usize = 8192;
-
-/// [`Rng::fill_gaussian`] transforms a block of fewer outputs than this on
-/// the calling thread; larger blocks split into one band per pool thread.
-/// The transform costs ≈ 25 ns per output on one thread. Measured as
-/// above: 1 Ki outputs read 0.79–0.94× (the region costs more than it
-/// saves), 2 Ki 1.10–1.13×, 4 Ki 1.29–1.40×, 32 Ki 1.22–1.49×.
-pub const PARALLEL_GAUSSIANS: usize = 1 << 11;
-
-/// The Box–Muller transform of one uniform pair: `(r·cos θ, r·sin θ)` with
-/// `r = √(−2 ln u1)` and `θ = 2π·u2`, in the order
-/// [`Rng::next_gaussian`] hands them out (the sine term is the spare).
-#[inline]
-fn box_muller([u1, u2]: [f64; 2]) -> (f64, f64) {
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * std::f64::consts::PI * u2;
-    let (s, c) = theta.sin_cos();
-    (r * c, r * s)
-}
+/// Uniform pairs [`Rng::fill_gaussian`] draws ahead of one transform, into
+/// a stack buffer of 16 KiB. The fill runs on the calling thread: the
+/// certified transform costs about what the serial draws do, and a pool
+/// split of it measured below 1.05× at the fixture's weight sizes — the
+/// `fill_gaussian_t1` against the `fill_gaussian_t<threads>` rows of
+/// `BENCH_gemm.json`'s `init` table.
+pub const GAUSSIAN_BLOCK_PAIRS: usize = 1024;
 
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -158,11 +141,11 @@ impl Rng {
     /// `(next_gaussian() as f32) * std` per element.
     ///
     /// The uniforms are drawn serially, [`GAUSSIAN_BLOCK_PAIRS`] pairs at a
-    /// time, into a buffer; the transform of a block (`ln`, `sqrt`,
-    /// `sin_cos`, the narrowing and the scale) runs in contiguous bands over
-    /// the worker pool from [`PARALLEL_GAUSSIANS`] elements on. Each
-    /// element is computed from its own pair by the same expression on any
-    /// split, so the output is bit-identical on every split.
+    /// time, and each block goes through the kernel table's certified
+    /// Box–Muller transform ([`crate::math`]), which reproduces the libm
+    /// pair's outputs bit for bit on every tier. With collection on, the
+    /// pairs transformed and those the certificate sent back to libm are
+    /// counted as `rng.gaussian.pairs` and `rng.gaussian.fallbacks`.
     pub fn fill_gaussian(&mut self, mut out: &mut [f32], std: f32) {
         if out.is_empty() {
             return;
@@ -172,25 +155,16 @@ impl Rng {
             out = &mut out[1..];
         }
         let (body, tail) = out.split_at_mut(out.len() & !1);
-        let transform = |out: &mut [f32], pairs: &[[f64; 2]]| {
-            for (o, &pair) in out.chunks_exact_mut(2).zip(pairs) {
-                let (c, s) = box_muller(pair);
-                o[0] = (c as f32) * std;
-                o[1] = (s as f32) * std;
-            }
-        };
-        let mut drawn = Vec::with_capacity((body.len() / 2).min(GAUSSIAN_BLOCK_PAIRS));
+        let mut drawn = [[0.0; 2]; GAUSSIAN_BLOCK_PAIRS];
+        let mut fallbacks = 0;
         for block in body.chunks_mut(2 * GAUSSIAN_BLOCK_PAIRS) {
-            drawn.clear();
-            drawn.extend((0..block.len() / 2).map(|_| self.uniform_pair()));
-            let parts = pool::parts_for(block.len(), PARALLEL_GAUSSIANS);
-            if parts <= 1 {
-                transform(block, &drawn);
-                continue;
-            }
-            let band = drawn.len().div_ceil(parts);
-            let bands = block.chunks_mut(2 * band).zip(drawn.chunks(band));
-            pool::for_each_owned(bands.collect(), |_, (out, pairs)| transform(out, pairs));
+            let drawn = &mut drawn[..block.len() / 2];
+            drawn.fill_with(|| self.uniform_pair());
+            fallbacks += simd::gaussian_pairs(drawn, std, block);
+        }
+        if snip_obs::enabled() {
+            snip_obs::counter_add("rng.gaussian.pairs", body.len() as u64 / 2);
+            snip_obs::counter_add("rng.gaussian.fallbacks", fallbacks as u64);
         }
         if let [last] = tail {
             let (c, s) = box_muller(self.uniform_pair());

@@ -16,10 +16,11 @@
 //! `matmul` over the explicitly transposed operand — the one check that is
 //! independent of the transpose the dense and packed paths share.
 //!
-//! The Gaussian fill (`Rng::fill_gaussian`, whose transform runs in pool
-//! bands) must equal the per-element `next_gaussian` loop — every output
-//! bit and the generator state it leaves — at every split, around its
-//! draw-block size and with a Box–Muller spare pending or not.
+//! The Gaussian fill (`Rng::fill_gaussian`, whose certified transform runs
+//! through the kernel table) must equal the per-element `next_gaussian`
+//! loop — every output bit and the generator state it leaves — at every
+//! split, around its draw-block size, with a Box–Muller spare pending or
+//! not, and at a million outputs on every forced tier.
 //!
 //! The rounded operand (`QOperandRef::Bf16Rounded`) is held to the same
 //! construction: on either side of every kernel it must equal the GEMM over
@@ -29,7 +30,7 @@
 use proptest::prelude::*;
 use snip_tensor::rng::{Rng, GAUSSIAN_BLOCK_PAIRS};
 use snip_tensor::{
-    gemm, gemm_into, matmul, pool, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor,
+    gemm, gemm_into, matmul, pool, simd, CodeWidth, GroupLayout, Orientation, QOperandRef, QTensor,
     Round, Tensor, PARALLEL_ELEMENTS,
 };
 
@@ -689,6 +690,49 @@ fn gaussian_fill_equals_the_per_element_draws() {
                 assert!(got == want, "{what}: output bits differ");
                 assert_eq!(rng.state(), want_rng.state(), "{what}: state");
             }
+        }
+    }
+}
+
+/// At a million outputs (about one fallback to libm expected per seed) on
+/// three seeds, the fill equals the per-element draws on every forced
+/// tier: output bits, the final state, and a fallback rate within the
+/// `BENCH_gemm.json` `--check` ceiling of 10⁻⁵ per pair — a fast path that
+/// fell back on every pair would still match the bits, and fail here.
+#[test]
+fn gaussian_fill_equals_the_draws_at_a_million_outputs_on_every_tier() {
+    let len = (1 << 20) + 1;
+    let std = 0.02f32;
+    for seed in [1u64, 0x5EED, u64::MAX] {
+        let start = Rng::seed_from(seed);
+        let mut want_rng = start.clone();
+        let want: Vec<u32> = (0..len)
+            .map(|_| ((want_rng.next_gaussian() as f32) * std).to_bits())
+            .collect();
+        for tier in simd::available_backends() {
+            let mut rng = start.clone();
+            let mut got = vec![f32::NAN; len];
+            let counters = ["rng.gaussian.pairs", "rng.gaussian.fallbacks"];
+            let before = counters.map(snip_obs::counter_value);
+            {
+                let _collect = snip_obs::enabled_scope(true);
+                simd::with_forced_backend(tier, || rng.fill_gaussian(&mut got, std));
+            }
+            let [pairs, fallbacks] =
+                std::array::from_fn(|i| snip_obs::counter_value(counters[i]) - before[i]);
+            let what = format!("seed {seed:#x}, {}", tier.name());
+            assert!(
+                got.iter().map(|v| v.to_bits()).eq(want.iter().copied()),
+                "{what}: bits"
+            );
+            assert_eq!(rng.state(), want_rng.state(), "{what}: state");
+            // Other tests' fills may count while collection is on: a rate,
+            // not an exact count.
+            assert!(pairs >= len as u64 / 2, "{what}: {pairs} pairs counted");
+            assert!(
+                fallbacks as f64 <= 1e-5 * pairs as f64,
+                "{what}: {fallbacks} of {pairs} pairs fell back"
+            );
         }
     }
 }
