@@ -3,9 +3,9 @@
 //! (`dequantize`) — at model-realistic shapes, once per (backend tier,
 //! kernel, shape) with the dispatch pinned to each compiled SIMD tier in
 //! turn, plus the SNIP probe (`snip_core::measure`) against a plain step
-//! with its per-pass split and the Gaussian init (`Rng::fill_gaussian`,
-//! `Model::new`), and writes machine-readable `BENCH_gemm.json` at the repo
-//! root.
+//! with its per-pass split, the Gaussian init (`Rng::fill_gaussian`,
+//! `Model::new`) and the CRC-32 (`snip_tensor::crc`), and writes
+//! machine-readable `BENCH_gemm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -13,14 +13,15 @@
 //! cargo run --release -p snip-bench --bin bench_gemm -- --check # validate
 //! ```
 //!
-//! Schema 10 holds three per-tier tables of one row type ([`Row`]) — `gemm`
-//! (GFLOP/s), `pack` and `decode` (ns per element) — plus `machine`,
-//! `probe` and `init` ([`InitTable`], whose `fill` is a fourth per-tier
-//! table). The dispatched tier's rows are what a training step runs; there
-//! is no second, default-dispatch copy. Before a tier is timed, its output
-//! (GEMM and decode bits; pack codes, scales and post-call RNG state; fill
-//! bits and RNG state) is asserted equal to forced scalar's on the benched
-//! operands, so a table never compares different math.
+//! Schema 11 holds four per-tier tables of one row type ([`Row`]) — `gemm`
+//! (GFLOP/s), `pack` and `decode` (ns per element), `crc` (GB/s) — plus
+//! `machine`, `probe` and `init` ([`InitTable`], whose `fill` is a fifth
+//! per-tier table). The dispatched tier's rows are what a training step
+//! runs; there is no second, default-dispatch copy. Before a tier is
+//! timed, its output (GEMM and decode bits; pack codes, scales and
+//! post-call RNG state; fill bits and RNG state; the CRC) is asserted equal
+//! to forced scalar's on the benched operands, so a table never compares
+//! different math.
 //!
 //! `--check` re-reads the JSON (same `--out` resolution) and applies one
 //! coverage rule to every table: scalar and the dispatched backend are
@@ -30,14 +31,17 @@
 //! most [`MAX_NT_OVER_NN`] times its `nn` form at the same shape. At the
 //! `libm` row's shape each vector tier's one-thread fill must be
 //! [`MIN_FILL_OVER_LIBM`] times faster than that row, and at most
-//! [`MAX_FALLBACK_RATE`] of the fixture's pairs may fall back to libm.
+//! [`MAX_FALLBACK_RATE`] of the fixture's pairs may fall back to libm. On
+//! an x86_64 machine with `pclmulqdq` the dispatched tier's `crc32` row
+//! must be [`MIN_CRC_OVER_TABLE`] times the scalar (table) row at every
+//! size.
 
 use serde::{Deserialize, Serialize};
 use snip_nn::StepOptions;
 use snip_quant::{Precision, Quantizer, Rounding, TensorRole};
 use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::packed::{qgemm, qgemm_nt, qgemm_tn};
-use snip_tensor::{pool, rng::Rng, simd, QOperandRef, QTensor, Tensor};
+use snip_tensor::{crc::crc32, pool, rng::Rng, simd, QOperandRef, QTensor, Tensor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
@@ -123,6 +127,11 @@ struct Report {
     pack: Vec<Row>,
     probe: ProbeRow,
     init: InitTable,
+    /// The `crc32` row per tier at 64 KiB, 4 MiB and the bench fixture's
+    /// parameter body (what a data-parallel worker's `RESULT` hashes), in
+    /// GB/s; the scalar tier is the slice-by-16 table. `shape` is the
+    /// buffer's length in bytes.
+    crc: Vec<Row>,
 }
 
 /// The `schema` key alone, parsed before the full report so that a file of
@@ -133,12 +142,18 @@ struct SchemaOnly {
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 10;
+const SCHEMA: u64 = 11;
 
 /// `--check`'s floor on the speed of every vector tier's one-thread fill
 /// over the `libm` row: the certified kernel exists to be this much
 /// faster than the transform it reproduces.
 const MIN_FILL_OVER_LIBM: f64 = 2.0;
+
+/// `--check`'s floor on the dispatched tier's `crc32` rate over the
+/// scalar tier's (the slice-by-16 table) at every size, on a machine whose
+/// vector row folds (x86_64 with `pclmulqdq`): the fold exists to be this
+/// much faster.
+const MIN_CRC_OVER_TABLE: f64 = 3.0;
 
 /// `--check`'s ceiling on `fallbacks ÷ pairs` at the fixture. The
 /// certificate's interval is 2⁻⁴⁵ wide, so about one pair in a million
@@ -486,7 +501,40 @@ fn run(smoke: bool) -> Report {
         pack: pack_table,
         probe: probe_row(smoke),
         init: init_table(smoke, reps),
+        crc: crc_table(smoke, reps),
     }
+}
+
+/// The `crc` table: [`crc32`] on every tier over one buffer of random
+/// bytes, cut at each size. Each timed call hashes its size often enough
+/// to move 4 MiB, so the 64 KiB rows are not a timer's resolution.
+fn crc_table(smoke: bool, reps: usize) -> Vec<Row> {
+    let body = 4 * snip_bench::fixtures::bench_model(smoke).param_count();
+    let sizes = [64 << 10, 4 << 20, body];
+    let mut rng = Rng::seed_from(0xC5C);
+    let mut bytes = vec![0u8; sizes.into_iter().max().expect("three sizes")];
+    for chunk in bytes.chunks_mut(8) {
+        chunk.copy_from_slice(&rng.next_u64().to_le_bytes()[..chunk.len()]);
+    }
+    let cases = sizes
+        .into_iter()
+        .map(|size| {
+            let bytes = &bytes[..size];
+            let calls = (4 << 20) / size + 1;
+            Case {
+                kernel: "crc32".to_string(),
+                shape: size.to_string(),
+                rate: Box::new(move |ms| (calls * size) as f64 / (ms * 1e6)),
+                gate: Box::new(move || crc32(bytes)),
+                timed: Box::new(move || {
+                    for _ in 0..calls {
+                        std::hint::black_box(crc32(std::hint::black_box(bytes)));
+                    }
+                }),
+            }
+        })
+        .collect();
+    per_tier(reps, cases)
 }
 
 /// The `init` table: the fill per tier and thread count at the fixture's
@@ -698,13 +746,15 @@ fn check_report(json: &str) -> Result<String, String> {
         check_nt_over_nn(&report.gemm)?;
     }
     check_init(&report.init, &mach.simd_backend)?;
+    check_crc(&report.crc, mach)?;
     Ok(format!(
-        "{} gemm, {} decode, {} pack, {} init rows over {}, probe = {:.2} steps, \
+        "{} gemm, {} decode, {} pack, {} init, {} crc rows over {}, probe = {:.2} steps, \
          {} of {} pairs fell back, {} simd on {} threads",
         report.gemm.len(),
         report.decode.len(),
         report.pack.len(),
         report.init.fill.len(),
+        report.crc.len(),
         Vec::from_iter(tiers).join("/"),
         pr.measure_over_step,
         report.init.fallbacks,
@@ -791,6 +841,32 @@ fn check_init(init: &InitTable, dispatched: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The `crc` table: its rows obey the coverage rule, and on an x86_64
+/// machine with `pclmulqdq` whose dispatch is a vector tier, that tier's
+/// row is at least [`MIN_CRC_OVER_TABLE`] times the scalar row at every
+/// size.
+fn check_crc(crc: &[Row], mach: &Machine) -> Result<(), String> {
+    check_table("crc", crc, &mach.simd_backend)?;
+    let folds = mach.arch == "x86_64" && mach.cpu_features.iter().any(|f| f == "pclmulqdq");
+    if !folds || mach.simd_backend == "scalar" {
+        return Ok(());
+    }
+    for r in crc.iter().filter(|r| r.backend == mach.simd_backend) {
+        let table = crc
+            .iter()
+            .find(|t| t.backend == "scalar" && t.shape == r.shape)
+            .expect("the coverage rule gives every row its scalar row");
+        let speedup = r.rate / table.rate;
+        if speedup < MIN_CRC_OVER_TABLE {
+            return Err(format!(
+                "crc: {} {} [{}] is {speedup:.2}x the table row ({:.2} vs {:.2} GB/s), floor {MIN_CRC_OVER_TABLE}",
+                r.kernel, r.shape, r.backend, r.rate, table.rate
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Every `qgemm_nt` / `matmul_nt` row must have its `qgemm` / `matmul` row
 /// at the same tier and shape, and take at most [`MAX_NT_OVER_NN`] times
 /// as long.
@@ -842,6 +918,7 @@ fn print_summary(report: &Report) {
         (&report.pack, "ns/elt"),
         (&init.fill, "ns/elt"),
         (std::slice::from_ref(&init.libm), "ns/elt"),
+        (&report.crc, "GB/s"),
     ] {
         for r in rows {
             println!(
@@ -949,7 +1026,7 @@ mod tests {
             .collect()
     }
 
-    /// A valid full-shape schema-9 report of a machine dispatching AVX2.
+    /// A valid full-shape report of a machine dispatching AVX2.
     fn valid() -> Report {
         Report {
             schema: SCHEMA,
@@ -957,7 +1034,7 @@ mod tests {
             smoke: false,
             machine: Machine {
                 arch: "x86_64".to_string(),
-                cpu_features: vec!["avx2".to_string(), "fma".to_string()],
+                cpu_features: ["pclmulqdq", "avx2", "fma"].map(String::from).to_vec(),
                 simd_compiled: true,
                 simd_backend: "avx2".to_string(),
                 simd_lanes: 8,
@@ -1003,6 +1080,14 @@ mod tests {
                 pairs: 7_471_104,
                 fallbacks: 6,
             },
+            // The fold at 3x the table.
+            crc: table(&[("crc32", "65536"), ("crc32", "59784192")])
+                .into_iter()
+                .map(|row| Row {
+                    rate: if row.backend == "scalar" { 1.5 } else { 4.5 },
+                    ..row
+                })
+                .collect(),
         }
     }
 
@@ -1018,7 +1103,7 @@ mod tests {
     #[test]
     fn a_valid_report_passes() {
         let summary = check(&valid()).expect("valid report");
-        assert!(summary.contains("6 gemm, 4 decode, 4 pack, 4 init rows over avx2/scalar"));
+        assert!(summary.contains("6 gemm, 4 decode, 4 pack, 4 init, 4 crc rows over avx2/scalar"));
         assert!(summary.contains("6 of 7471104 pairs fell back"));
     }
 
@@ -1096,14 +1181,36 @@ mod tests {
     fn a_schema_8_file_is_rejected() {
         let mut r = valid();
         r.schema = 8;
-        rejects(&r, "schema 8, expected 10");
+        rejects(&r, "schema 8, expected 11");
     }
 
     #[test]
     fn a_schema_9_file_without_init_is_rejected() {
         let mut r = valid();
         r.schema = 9;
-        rejects(&r, "schema 9, expected 10");
+        rejects(&r, "schema 9, expected 11");
+    }
+
+    #[test]
+    fn a_schema_10_file_without_crc_is_rejected() {
+        let mut r = valid();
+        r.schema = 10;
+        rejects(&r, "schema 10, expected 11");
+    }
+
+    #[test]
+    fn a_dispatched_crc_row_under_three_times_the_table_is_rejected() {
+        let mut r = valid();
+        r.crc[3].rate = 4.4;
+        rejects(
+            &r,
+            "crc: crc32 59784192 [avx2] is 2.93x the table row (4.40 vs 1.50 GB/s), floor 3",
+        );
+        // A machine whose vector row is the table has no floor.
+        r.machine.cpu_features.retain(|f| f != "pclmulqdq");
+        check(&r).expect("no fold, no floor");
+        r.crc.retain(|row| row.backend != "avx2");
+        rejects(&r, "crc is missing the dispatched backend `avx2`");
     }
 
     #[test]

@@ -35,6 +35,46 @@
 //! quantizers and collectives with collection force-toggled both ways.
 //! This is what makes the global [`set_enabled`] test hook safe.
 //!
+//! ## Who reports what
+//!
+//! Four layers above this crate record into it; none of them depends on
+//! another for its telemetry:
+//!
+//! - `snip-tensor`: the pool's queue-wait and job-latency histograms, GEMM
+//!   dispatch counts per backend, and the B-tile cache's hit and build
+//!   counters;
+//! - `snip-quant`: every pack reports its signals through one computation,
+//!   `quant::signals::pack_signal`, into [`quantsig`], plus leaf-level
+//!   `quant.ns` timers;
+//! - `snip-pipeline`: both transport drivers export their merged
+//!   two-sided link counters through `transport::publish_transport_stats`,
+//!   on success and on failure — the process launcher after merging the
+//!   ledgers its workers' reports carry, since a worker's own registry
+//!   dies with it;
+//! - `snip-core`: `train_step` spans, `trainer.steps` / `trainer.loss`,
+//!   and `Trainer::write_run_report`.
+//!
+//! ## Artifacts
+//!
+//! With a path, the end of a `data_parallel_train` /
+//! `proc_data_parallel_train` run (or an explicit
+//! `Trainer::write_run_report`) calls [`flush`], which writes a Chrome
+//! trace-event JSON loadable in Perfetto and `RUN_REPORT.json` beside it:
+//! counters, gauges, histograms, quant signals and the domain sections
+//! (`transport`, `training`) that layers publish through
+//! [`report::set_section`] right before the flush. The schemas live in
+//! `crates/obs/schema/`; [`report::validate_chrome_trace`] and
+//! [`report::validate_run_report`] enforce them, and CI's `obs-smoke` job
+//! runs both against a real two-rank training run (which also asserts the
+//! report's transport bytes equal `comm::codec_wire_bytes`, exactly).
+//!
+//! ## The controller-signal seam
+//!
+//! [`quantsig`] accumulates, per quantizer kind, the cheap signals a
+//! precision policy needs — per-pack abs-max, group-scale saturation rate,
+//! clip counts and mean packed-round error — so a controller can read
+//! [`quantsig::snapshot`] instead of inventing probes of its own.
+//!
 //! ## Worked example: a trace you can open in Perfetto
 //!
 //! ```no_run
@@ -63,6 +103,11 @@
 //!    [`span`], which is self-gating.
 //! 3. Nothing else: the metric appears in `RUN_REPORT.json` (and, for
 //!    spans, the Chrome trace) automatically at the next [`flush`].
+//!
+//! Counters and histograms merge lock-free per-thread shards; the
+//! registry's mutex is taken only on a thread's first use of a name. Any
+//! new instrumentation keeps both properties above: the disabled path is
+//! one relaxed load, and recording changes no result bit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};

@@ -56,8 +56,8 @@
 //! sent and received in a [`TransportStats`], and each driver adds its
 //! ranks' ledgers — [`run_ranks`] as the threads join, [`proc::launch`]
 //! from every worker's report, `ERROR` included — and publishes the sum
-//! ([`publish_transport_stats`]) whether or not a rank failed (a launch
-//! that loses a worker's report has no ledger to publish). **Payload**
+//! ([`publish_transport_stats`]) whether or not a rank failed (a worker
+//! that exits without a report adds no ledger). **Payload**
 //! bytes (`4n` / `2n` / [`snip_quant::PackedTensor::wire_bytes`]) must
 //! match the analytic numbers; **envelope** bytes (tags, frame headers, stream length
 //! prefixes) are measured but, like decode tables and rotation seeds,

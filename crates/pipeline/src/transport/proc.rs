@@ -36,27 +36,36 @@
 //!    the full socket mesh: it dials every lower rank (retrying until that
 //!    rank's listener is bound, since nothing orders the workers' starts)
 //!    and accepts every higher one, each stream prefixed by a 4-byte rank
-//!    hello;
-//! 3. it runs the task through [`run_task`], writes one report to its
-//!    stdout — `RESULT` (its endpoint's [`TransportStats`] as JSON, then
-//!    its [`TaskOutput`], encoded straight into the report buffer) or
+//!    hello; a worker that cannot build its mesh reports `ERROR` with an
+//!    empty ledger;
+//! 3. it runs the task and writes one report to its stdout — `RESULT` (its
+//!    endpoint's [`TransportStats`] as JSON, then its [`TaskOutput`]) or
 //!    `ERROR` (the [`FailureClass`] of the first transport error its
 //!    endpoint recorded, one byte, its ledger as JSON, then the failure
-//!    text) — and exits;
+//!    text) — and exits. A `RESULT` is written in two passes and never
+//!    held whole: the first writes the body into nothing, for its length
+//!    and CRC, and the length is checked against the frame bound; the
+//!    second writes the envelope, then the body again straight to stdout
+//!    through the writer's stage buffer, a `DpTrain` output read from the
+//!    trainer's parameter tensors in place. The pipe bytes are those of
+//!    the buffered encoding ([`TaskOutput::encode`] after the ledger);
 //! 4. one parent thread per worker decodes that report as it streams and
 //!    hands the decoded, verified report to one channel, so the ranks'
-//!    decodes overlap their transfers. A worker that exits without a report
-//!    leaves an empty pipe, and the launch fails at once naming its rank.
-//!    Once every report is in, the parent judges them in rank order: a
-//!    malformed report is [`ProcError::Protocol`], every report's ledger is
-//!    added by `TransportStats::merge` ([`ProcError::Protocol`] for one of
-//!    the wrong shape), and `ERROR` reports are counted and attributed to
-//!    their root cause by their class. A failed run publishes the merged
-//!    traffic of its reports as the threaded driver publishes its ranks'
-//!    and returns the root cause; a run without one reaps the workers,
-//!    checks that both sides of every link agree
-//!    ([`TransportStats::disagreement`]; [`ProcError::AccountingMismatch`]
-//!    names the first that does not) and publishes.
+//!    decodes overlap their transfers. A worker that exits without a
+//!    report leaves an empty pipe; the parent then removes the fabric
+//!    directory, so every peer still building the mesh (which can never
+//!    form without that worker) fails at once and reports. The parent
+//!    collects every report within `RESULT_TIMEOUT`, then judges: a
+//!    worker without a report is the root cause, named by its rank; then a
+//!    launch some worker never answered; then, in rank order, a malformed
+//!    report or a ledger of the wrong shape ([`ProcError::Protocol`]);
+//!    then the `ERROR` reports, counted and attributed to their root cause
+//!    by their class; a run with none reaps the workers and checks that
+//!    both sides of every link agree ([`TransportStats::disagreement`];
+//!    [`ProcError::AccountingMismatch`] names the first that does not).
+//!    Whatever the verdict, the ledgers of every decoded report are added
+//!    by `TransportStats::merge` and published, as the threaded driver
+//!    publishes its ranks'.
 //!
 //! ## Decoded as it streams
 //!
@@ -122,7 +131,7 @@ use crate::collective::{QuantizePolicy, Wire};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::wire::{decode_message, read_frame, FieldError, Fields, Writer};
 use snip_quant::{
-    stream_envelope, stream_envelope_of, StreamDecoder, STREAM_ENVELOPE_BYTES,
+    stream_check_crc, stream_envelope, stream_envelope_of, StreamDecoder, STREAM_ENVELOPE_BYTES,
     STREAM_MAX_FRAME_BYTES,
 };
 use snip_tensor::rng::Rng;
@@ -223,18 +232,18 @@ fn write_frame(
 /// written.
 fn framed(w: Writer<Vec<u8>>) -> Result<([u8; STREAM_ENVELOPE_BYTES], Vec<u8>), String> {
     let (body, crc) = w.finish().map_err(|e| e.to_string())?;
-    check_frame_len(body.len())?;
+    check_frame_len(body.len(), STREAM_MAX_FRAME_BYTES)?;
     Ok((stream_envelope_of(body.len(), crc), body))
 }
 
 /// The one size check on a control frame, made before it is written:
 /// [`stream_envelope`] cannot frame a body above [`STREAM_MAX_FRAME_BYTES`],
 /// and a `START` or a report that large is a typed error, not a panic.
-fn check_frame_len(len: usize) -> Result<(), String> {
-    if len > STREAM_MAX_FRAME_BYTES {
+/// Every caller passes that bound but the tests, which pass a smaller one.
+fn check_frame_len(len: usize, bound: usize) -> Result<(), String> {
+    if len > bound {
         return Err(format!(
-            "a control frame of {len} bytes exceeds the stream bound of \
-             {STREAM_MAX_FRAME_BYTES} bytes"
+            "a control frame of {len} bytes exceeds the stream bound of {bound} bytes"
         ));
     }
     Ok(())
@@ -481,7 +490,7 @@ impl SocketFabric {
     /// listener, dial every lower rank's (announcing our rank in a 4-byte
     /// hello), accept one stream from every higher rank, then hand each
     /// stream's read half to a reader thread. Receives wait at most
-    /// `deadline` for a frame.
+    /// `deadline` for a frame. Building fails at once if `dir` is removed.
     fn connect(
         dir: &Path,
         rank: usize,
@@ -493,7 +502,7 @@ impl SocketFabric {
         let mut streams: Vec<Option<UnixStream>> = (0..world).map(|_| None).collect();
         for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
             let path = mesh_sock(dir, peer);
-            let mut stream = connect_retry(&path, MESH_TIMEOUT)
+            let mut stream = connect_retry(dir, &path, MESH_TIMEOUT)
                 .map_err(|e| format!("dialing rank {peer}: {e}"))?;
             stream
                 .write_all(&(rank as u32).to_le_bytes())
@@ -505,7 +514,7 @@ impl SocketFabric {
             .map_err(|e| format!("mesh listener: {e}"))?;
         let accept_by = Instant::now() + MESH_TIMEOUT;
         for _ in rank + 1..world {
-            let mut stream = accept_deadline(&listener, accept_by)
+            let mut stream = accept_deadline(&listener, dir, accept_by)
                 .map_err(|e| format!("accepting a higher rank: {e}"))?;
             let mut hello = [0u8; 4];
             stream
@@ -632,7 +641,18 @@ impl Drop for SocketFabric {
     }
 }
 
-fn connect_retry(path: &Path, timeout: Duration) -> std::io::Result<UnixStream> {
+/// The error of a mesh step whose fabric directory is gone: the launcher
+/// removes it to abort a launch that lost a worker before the mesh formed.
+fn fabric_gone(dir: &Path) -> std::io::Error {
+    std::io::Error::new(
+        ErrorKind::NotFound,
+        format!("the launch was aborted: {} is gone", dir.display()),
+    )
+}
+
+/// Dials the listener at `path` in the fabric directory `dir`, retrying
+/// until it is bound, `timeout` passes or `dir` is removed.
+fn connect_retry(dir: &Path, path: &Path, timeout: Duration) -> std::io::Result<UnixStream> {
     let deadline = Instant::now() + timeout;
     loop {
         match UnixStream::connect(path) {
@@ -642,6 +662,9 @@ fn connect_retry(path: &Path, timeout: Duration) -> std::io::Result<UnixStream> 
                     e.kind(),
                     ErrorKind::NotFound | ErrorKind::ConnectionRefused | ErrorKind::WouldBlock
                 );
+                if !dir.is_dir() {
+                    return Err(fabric_gone(dir));
+                }
                 if !retriable || Instant::now() >= deadline {
                     return Err(e);
                 }
@@ -651,7 +674,13 @@ fn connect_retry(path: &Path, timeout: Duration) -> std::io::Result<UnixStream> 
     }
 }
 
-fn accept_deadline(listener: &UnixListener, deadline: Instant) -> std::io::Result<UnixStream> {
+/// Accepts one connection on the listener bound in the fabric directory
+/// `dir`, waiting until `deadline` or until `dir` is removed.
+fn accept_deadline(
+    listener: &UnixListener,
+    dir: &Path,
+    deadline: Instant,
+) -> std::io::Result<UnixStream> {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -659,6 +688,9 @@ fn accept_deadline(listener: &UnixListener, deadline: Instant) -> std::io::Resul
                 return Ok(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if !dir.is_dir() {
+                    return Err(fabric_gone(dir));
+                }
                 if Instant::now() >= deadline {
                     return Err(std::io::Error::new(
                         ErrorKind::TimedOut,
@@ -707,11 +739,19 @@ fn worker_run() -> Result<(), String> {
 
     // Every worker's fabric is decorated; a launch without faults ships the
     // pass-through plan, which is bit- and counter-identical to bare sockets.
+    // A mesh that cannot be built is reported like a failed task, with the
+    // empty ledger of a worker that sent nothing.
     let deadline = start.plan.recv_deadline();
-    let fabric = SocketFabric::connect(&start.dir, start.rank, start.world, deadline)?;
+    let fabric = match SocketFabric::connect(&start.dir, start.rank, start.world, deadline) {
+        Ok(fabric) => fabric,
+        Err(message) => {
+            let stats = TransportStats::new(start.world);
+            return report(&stats, Err(message), FailureClass::Task);
+        }
+    };
     let mut ep = Endpoint::new(ChaosFabric::new(fabric, start.plan));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_task(&mut ep, &start.task)
+        run_held(&mut ep, &start.task)
     }))
     .unwrap_or_else(|panic| {
         let text = (panic.downcast_ref::<String>().map(String::as_str))
@@ -719,38 +759,80 @@ fn worker_run() -> Result<(), String> {
             .unwrap_or("opaque panic");
         Err(format!("task panicked: {text}"))
     });
-    // Drop the endpoint (closing the mesh) only after the report is staged:
-    // peers may still be draining our buffered frames.
-    let ((envelope, report), failure) =
-        match outcome.and_then(|output| result_report(&ep.stats(), &output)) {
-            Ok(result) => (result, None),
-            Err(message) => {
-                let class = FailureClass::of(ep.failure.as_ref());
-                let report = error_report(class, &ep.stats(), &message);
-                ((stream_envelope(&report), report), Some(message))
-            }
-        };
-    let mut stdout = std::io::stdout().lock();
-    write_frame(&mut stdout, &envelope, &report)
-        .and_then(|()| stdout.flush())
-        .map_err(|e| format!("writing the report: {e}"))?;
+    // Drop the endpoint (closing the mesh) only after the report is
+    // written: peers may still be draining our buffered frames.
+    let class = FailureClass::of(ep.failure.as_ref());
+    let reported = report(&ep.stats(), outcome, class);
     drop(ep);
+    reported
+}
+
+/// Sends this worker's report to its stdout; the task's failure, if any,
+/// as the worker's own.
+fn report(
+    stats: &TransportStats,
+    outcome: Result<Held, String>,
+    class: FailureClass,
+) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    let failure = send_report(&mut stdout, stats, outcome, class, STREAM_MAX_FRAME_BYTES)
+        .map_err(|e| format!("writing the report: {e}"))?;
     failure.map_or(Ok(()), Err)
 }
 
-/// A worker's `RESULT` report, framed: its ledger as JSON, then its
-/// [`TaskOutput`] written in place, with no intermediate encoding to copy.
-/// A RESULT too large for one control frame is the failure the worker
-/// reports in its place, as `ERROR` and the failure text.
-fn result_report(
+/// Writes a worker's one report to `to` and flushes it: `RESULT` when the
+/// task succeeded and its report fits `bound` bytes, else `ERROR` with
+/// `class` and the failure text, which is returned.
+///
+/// A `RESULT` is streamed, not built: one pass writes its body into
+/// nothing for its length and CRC, and only a body within `bound` is
+/// written — its envelope, then the body again, straight from the output
+/// (a trainer's parameters read in place) through the writer's stage
+/// buffer. That second pass hashes as it writes, and a body that does not
+/// hash to its envelope's CRC is an error.
+///
+/// # Errors
+///
+/// A failed write to `to`, or a `RESULT` whose two passes disagree.
+fn send_report(
+    to: &mut impl Write,
     stats: &TransportStats,
-    output: &TaskOutput,
-) -> Result<([u8; STREAM_ENVELOPE_BYTES], Vec<u8>), String> {
-    let mut msg = Writer::new(Vec::new());
-    msg.u8(MSG_RESULT);
-    msg.json(stats);
-    output.write(&mut msg);
-    framed(msg).map_err(|e| format!("task output: {e}"))
+    outcome: Result<Held, String>,
+    class: FailureClass,
+    bound: usize,
+) -> std::io::Result<Option<String>> {
+    let envelope = outcome.and_then(|held| {
+        let mut measured = Writer::new(std::io::sink());
+        write_result(&mut measured, stats, &held);
+        let len = usize::try_from(measured.written()).unwrap_or(usize::MAX);
+        let (_, crc) = measured.finish().map_err(|e| format!("task output: {e}"))?;
+        check_frame_len(len, bound).map_err(|e| format!("task output: {e}"))?;
+        Ok((stream_envelope_of(len, crc), held))
+    });
+    match envelope {
+        Ok((envelope, held)) => {
+            to.write_all(&envelope)?;
+            let mut body = Writer::new(&mut *to);
+            write_result(&mut body, stats, &held);
+            let (_, crc) = body.finish()?;
+            stream_check_crc(&envelope, crc).map_err(std::io::Error::other)?;
+            to.flush()?;
+            Ok(None)
+        }
+        Err(message) => {
+            let report = error_report(class, stats, &message);
+            write_frame(to, &stream_envelope(&report), &report)?;
+            to.flush()?;
+            Ok(Some(message))
+        }
+    }
+}
+
+/// Writes a `RESULT` body: its ledger as JSON, then the output.
+fn write_result<W: Write>(w: &mut Writer<W>, stats: &TransportStats, held: &Held) {
+    w.u8(MSG_RESULT);
+    w.json(stats);
+    held.write(w);
 }
 
 /// The body of a worker's `ERROR` report: its failure class as one byte,
@@ -767,6 +849,57 @@ fn error_report(class: FailureClass, stats: &TransportStats, message: &str) -> V
     body
 }
 
+/// A task's result as a worker holds it until its report is written: a
+/// [`Task::DpTrain`] keeps its trainer, whose parameters the report reads
+/// in place rather than from a flattened copy.
+// One `Held` exists per worker; boxing the trainer buys nothing.
+#[allow(clippy::large_enum_variant)]
+enum Held {
+    Output(TaskOutput),
+    DpTrain { losses: Vec<f64>, trainer: Trainer },
+}
+
+impl Held {
+    /// The [`TaskOutput`] this stands for, a trainer's parameters
+    /// flattened in visit order.
+    fn into_output(self) -> TaskOutput {
+        match self {
+            Held::Output(output) => output,
+            Held::DpTrain { losses, trainer } => {
+                let params = trainer.model.params();
+                let mut flat = Vec::with_capacity(params.iter().map(|p| p.numel()).sum());
+                for p in params {
+                    flat.extend_from_slice(p.value().as_slice());
+                }
+                TaskOutput::DpTrain {
+                    losses,
+                    params: flat,
+                }
+            }
+        }
+    }
+
+    /// Writes what [`TaskOutput::write`] writes for [`Held::into_output`],
+    /// without building it.
+    fn write<W: Write>(&self, w: &mut Writer<W>) {
+        match self {
+            Held::Output(output) => output.write(w),
+            Held::DpTrain { losses, trainer } => {
+                let params = trainer.model.params();
+                let parts: Vec<&[f32]> = params.iter().map(|p| p.value().as_slice()).collect();
+                // The variant's tag, named by an empty value of it.
+                let dp_train = TaskOutput::DpTrain {
+                    losses: Vec::new(),
+                    params: Vec::new(),
+                };
+                w.u8(dp_train.tag());
+                w.f64s(losses);
+                w.f32s_joined(&parts);
+            }
+        }
+    }
+}
+
 /// Runs one rank's [`Task`] over an already-connected endpoint — the single
 /// place task bodies live, generic over the fabric.
 ///
@@ -776,6 +909,11 @@ fn error_report(class: FailureClass, stats: &TransportStats, message: &str) -> V
 /// text is for people: drivers classify a failed rank by the error its
 /// endpoint recorded ([`FailureClass::of`]), never by this message.
 pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<TaskOutput, String> {
+    run_held(ep, task).map(Held::into_output)
+}
+
+/// [`run_task`], its result held for a report.
+fn run_held<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<Held, String> {
     let terr = |e: TransportError| format!("transport: {e}");
     match task {
         Task::ReduceScatter {
@@ -788,12 +926,12 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<Task
             let chunk = ep
                 .ring_reduce_scatter(grad, wire, *policy, &mut rng)
                 .map_err(terr)?;
-            Ok(TaskOutput::ReduceScatter {
+            Ok(Held::Output(TaskOutput::ReduceScatter {
                 lo: chunk.lo,
                 hi: chunk.hi,
                 rng_fingerprint: rng.next_u64(),
                 data: chunk.data,
-            })
+            }))
         }
         Task::AllReduce {
             wire,
@@ -805,10 +943,10 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<Task
             let data = ep
                 .ring_all_reduce(grad, wire, *policy, &mut rng)
                 .map_err(terr)?;
-            Ok(TaskOutput::AllReduce {
+            Ok(Held::Output(TaskOutput::AllReduce {
                 rng_fingerprint: rng.next_u64(),
                 data,
-            })
+            }))
         }
         Task::DpTrain {
             wire,
@@ -824,11 +962,7 @@ pub fn run_task<F: Fabric>(ep: &mut Endpoint<F>, task: &Task<'_>) -> Result<Task
             if let Some(e) = error {
                 return Err(terr(e));
             }
-            let mut params = Vec::new();
-            trainer.model.visit_params_mut(&mut |p| {
-                params.extend_from_slice(p.value().as_slice());
-            });
-            Ok(TaskOutput::DpTrain { losses, params })
+            Ok(Held::DpTrain { losses, trainer })
         }
     }
 }
@@ -943,7 +1077,7 @@ pub fn launch(
     // report; the reports meet in one channel, in whatever order the workers
     // finish. Leaving the scope early drops the guard first, which kills the
     // workers and so ends every thread the scope then joins.
-    let (mut guard, received) = std::thread::scope(|scope| {
+    let collected = std::thread::scope(|scope| {
         let mut guard = WorkerGuard(Vec::with_capacity(world));
         let (tx, reports) = channel();
         for (rank, task) in tasks.into_iter().enumerate() {
@@ -981,68 +1115,112 @@ pub fn launch(
             });
         }
         // Collect every rank's report before judging the run, so a failure
-        // is attributed to its root cause: one dead rank makes every peer
+        // is attributed to its root cause (one dead rank makes every peer
         // blocked on it fail with a secondary "closed its link
-        // mid-collective" cascade. A worker that exits without a report is a
-        // root cause by itself; a malformed report is judged with the others
-        // below, in rank order.
+        // mid-collective" cascade) and the traffic of every report that
+        // arrives is published.
         let deadline = Instant::now() + RESULT_TIMEOUT;
         let mut received = Vec::with_capacity(world);
         for _ in 0..world {
             let wait = deadline.saturating_duration_since(Instant::now());
-            let (rank, report) = reports.recv_timeout(wait).map_err(|_| {
-                ProcError::Launch(format!("no report from every worker in {RESULT_TIMEOUT:?}"))
-            })?;
-            let message = match report {
-                Ok(report) => {
-                    received.push((rank, Ok(report)));
-                    continue;
-                }
-                Err(FieldError::Malformed(e)) => {
-                    received.push((rank, Err(e)));
-                    continue;
-                }
-                Err(FieldError::Empty) => "worker exited without a report".to_string(),
-                Err(FieldError::Io(e)) => format!("worker pipe failed: {e}"),
+            let Ok((rank, report)) = reports.recv_timeout(wait) else {
+                // Dropping the guard kills the workers still running, so the
+                // scope can join their threads.
+                return Ok((None, received));
             };
-            return Err(ProcError::Worker {
-                rank,
-                class: FailureClass::Task,
-                message,
-            });
+            if matches!(report, Err(FieldError::Empty | FieldError::Io(_))) {
+                // A worker that died before joining the mesh leaves its
+                // peers waiting for it until `MESH_TIMEOUT`. Without the
+                // fabric directory no listener can be bound or dialled, so
+                // every peer still building the mesh fails at once and
+                // reports; one already past it is not affected.
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            received.push((rank, report));
         }
-        received.sort_by_key(|&(rank, _)| rank);
-        Ok((guard, received))
+        Ok((Some(guard), received))
     })?;
-    let mut results: Vec<TaskOutput> = Vec::with_capacity(world);
-    let mut errors: Vec<(usize, FailureClass, String)> = Vec::new();
+    let (guard, received) = collected;
     let mut merged = TransportStats::new(world);
-    for (rank, report) in received {
-        let Report { ledger, outcome } =
-            report.map_err(|e| ProcError::Protocol(format!("report of rank {rank}: {e}")))?;
-        merged
-            .merge(&ledger)
-            .map_err(|e| ProcError::Protocol(format!("rank {rank}: {e}")))?;
-        match outcome {
+    let judged = judge(guard, received, &tags, &mut merged);
+    // Workers never publish telemetry (their registries die with them):
+    // their ledgers arrive in their reports and are exported here, once,
+    // whether or not the run failed — as the threaded driver publishes its
+    // ranks' — so the socket fabric reports through the same path.
+    super::publish_transport_stats(&merged);
+    judged.map(|results| (results, merged))
+}
+
+/// Judges a launch from the reports its workers sent — `guard` is `None`
+/// when some worker never answered in time — adding every decoded report's
+/// ledger to `merged` first. A worker that exited without a report is a
+/// root cause by itself; then a launch some worker never answered; then, in
+/// rank order, a malformed report, a ledger of the wrong shape or an output
+/// of another task; then the root cause among the `ERROR` reports; then a
+/// worker that exited unsuccessfully; then a link whose two ends disagree.
+fn judge(
+    guard: Option<WorkerGuard>,
+    mut reports: Vec<(usize, Result<Report, FieldError>)>,
+    tags: &[u8],
+    merged: &mut TransportStats,
+) -> Result<Vec<TaskOutput>, ProcError> {
+    reports.sort_by_key(|&(rank, _)| rank);
+    let mut results: Vec<TaskOutput> = Vec::with_capacity(tags.len());
+    let mut errors: Vec<(usize, FailureClass, String)> = Vec::new();
+    let mut malformed = None;
+    let mut lost = None;
+    for (rank, report) in reports {
+        let report = match report {
+            Ok(report) => report,
+            Err(FieldError::Malformed(e)) => {
+                malformed.get_or_insert(format!("report of rank {rank}: {e}"));
+                continue;
+            }
+            Err(FieldError::Empty) => {
+                lost.get_or_insert((rank, "worker exited without a report".to_string()));
+                continue;
+            }
+            Err(FieldError::Io(e)) => {
+                lost.get_or_insert((rank, format!("worker pipe failed: {e}")));
+                continue;
+            }
+        };
+        if let Err(e) = merged.merge(&report.ledger) {
+            malformed.get_or_insert(format!("rank {rank}: {e}"));
+            continue;
+        }
+        match report.outcome {
             Ok(output) if output.tag() != tags[rank] => {
-                return Err(ProcError::Protocol(format!(
+                malformed.get_or_insert(format!(
                     "rank {rank} answered its task with another task's output"
-                )));
+                ));
             }
             Ok(output) => results.push(output),
             Err((class, message)) => errors.push((rank, class, message)),
         }
     }
+    // The launcher counts its workers' failures, one per `ERROR` report.
+    for (_, class, _) in &errors {
+        note_failure(*class);
+    }
+    if let Some((rank, message)) = lost {
+        return Err(ProcError::Worker {
+            rank,
+            class: FailureClass::Task,
+            message,
+        });
+    }
+    let Some(mut guard) = guard else {
+        return Err(ProcError::Launch(format!(
+            "no report from every worker in {RESULT_TIMEOUT:?}"
+        )));
+    };
+    if let Some(e) = malformed {
+        return Err(ProcError::Protocol(e));
+    }
     // The root cause is the first worker whose class is not a cascade of
     // another's fault (`PeerClosed` at a rank waiting on the dead one).
     if let Some(root) = root_cause(&errors, |(_, class, _)| class.is_cascade()) {
-        // Workers never publish telemetry (their registries die with them),
-        // so the launcher counts their failures here, one per report, and
-        // publishes their traffic as a threaded run with failed ranks does.
-        for (_, class, _) in &errors {
-            note_failure(*class);
-        }
-        super::publish_transport_stats(&merged);
         let (rank, class, message) = errors.swap_remove(root);
         return Err(ProcError::Worker {
             rank,
@@ -1051,17 +1229,11 @@ pub fn launch(
         });
     }
     guard.finish()?;
-
     // Both sides of every socket must have accounted the identical volume.
     if let Some((src, dst)) = merged.disagreement() {
         return Err(ProcError::AccountingMismatch { src, dst });
     }
-    // Workers never publish telemetry themselves: their ledgers arrive in
-    // their RESULT reports and are exported here, once, after the
-    // cross-check — so the socket fabric reports through the same path as
-    // the threaded mesh.
-    super::publish_transport_stats(&merged);
-    Ok((results, merged))
+    Ok(results)
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,9 +1351,32 @@ mod tests {
         }
     }
 
-    /// The body of a RESULT report.
+    /// The body of a RESULT report, buffered: the oracle a streamed report
+    /// ([`send_report`]) must equal byte for byte.
     fn result_body(stats: &TransportStats, output: &TaskOutput) -> Vec<u8> {
-        result_report(stats, output).expect("fits a frame").1
+        let mut msg = Writer::new(Vec::new());
+        msg.u8(MSG_RESULT);
+        msg.json(stats);
+        output.write(&mut msg);
+        msg.finish().expect("in-memory write").0
+    }
+
+    /// What [`send_report`] writes for `outcome` under `bound`, and the
+    /// failure it returns.
+    fn sent(outcome: Result<Held, String>, bound: usize) -> (Vec<u8>, Option<String>) {
+        let mut pipe = Vec::new();
+        let stats = ledger();
+        let failure = send_report(&mut pipe, &stats, outcome, FailureClass::Io, bound)
+            .expect("in-memory write");
+        (pipe, failure)
+    }
+
+    /// A ledger with traffic on two links.
+    fn ledger() -> TransportStats {
+        let mut stats = TransportStats::new(2);
+        stats.tx[1].record(4096, 12);
+        stats.rx[2].record(4096, 12);
+        stats
     }
 
     /// Payloads chosen to break a lossy encoding: empty, odd lengths, and a
@@ -1525,13 +1720,68 @@ mod tests {
 
     #[test]
     fn an_oversize_control_frame_is_refused_before_it_is_written() {
-        assert_eq!(check_frame_len(STREAM_MAX_FRAME_BYTES), Ok(()));
-        let refused = check_frame_len(STREAM_MAX_FRAME_BYTES + 1).expect_err("over the bound");
+        let max = STREAM_MAX_FRAME_BYTES;
+        assert_eq!(check_frame_len(max, max), Ok(()));
+        let refused = check_frame_len(max + 1, max).expect_err("over the bound");
         assert!(
-            refused.contains(&(STREAM_MAX_FRAME_BYTES + 1).to_string())
-                && refused.contains(&STREAM_MAX_FRAME_BYTES.to_string()),
+            refused.contains(&(max + 1).to_string()) && refused.contains(&max.to_string()),
             "{refused}"
         );
+
+        // A RESULT one byte over the bound is reported as an ERROR naming
+        // its size and the bound, and the pipe holds that frame alone: not
+        // a byte of the RESULT went out before it.
+        let output = TaskOutput::AllReduce {
+            rng_fingerprint: 9,
+            data: vec![0.5; 1000],
+        };
+        let len = result_body(&ledger(), &output).len();
+        let (pipe, failure) = sent(Ok(Held::Output(output.clone())), len - 1);
+        let failure = failure.expect("an oversize RESULT fails the worker");
+        assert!(
+            failure.contains(&format!("{len} bytes"))
+                && failure.contains(&format!("{} bytes", len - 1)),
+            "{failure}"
+        );
+        let report = read_frame(&pipe[..], Report::read).expect("one intact ERROR frame");
+        assert_eq!(report.ledger, ledger());
+        assert!(matches!(report.outcome, Err((FailureClass::Io, m)) if m == failure));
+        // At the bound it is a RESULT.
+        assert_eq!(sent(Ok(Held::Output(output)), len).1, None);
+    }
+
+    #[test]
+    fn a_streamed_result_is_the_buffered_frame_byte_for_byte() {
+        // Outputs across the stage buffer, and a trainer whose parameters
+        // are read in place.
+        let mut all = outputs();
+        all.push(TaskOutput::DpTrain {
+            losses: vec![f64::from_bits(0xFFF0_0000_0000_0BAD), 2.5],
+            params: (0..70_001).map(|i| i as f32 * 0.5 - 9.0).collect(),
+        });
+        for output in all {
+            let (pipe, failure) = sent(Ok(Held::Output(output.clone())), STREAM_MAX_FRAME_BYTES);
+            assert_eq!(failure, None);
+            assert!(
+                pipe == stream_frame(&result_body(&ledger(), &output)),
+                "{output:?}"
+            );
+        }
+        let mut trainer = Trainer::new(TrainerConfig::tiny()).expect("tiny trainer");
+        let mut params = Vec::new();
+        trainer.model.visit_params_mut(&mut |p| {
+            params.extend_from_slice(p.value().as_slice());
+        });
+        assert!(trainer.model.params().len() > 1, "several parts to join");
+        let losses = vec![3.25, f64::NAN];
+        let oracle = TaskOutput::DpTrain {
+            losses: losses.clone(),
+            params,
+        };
+        let held = Held::DpTrain { losses, trainer };
+        let (pipe, failure) = sent(Ok(held), STREAM_MAX_FRAME_BYTES);
+        assert_eq!(failure, None);
+        assert!(pipe == stream_frame(&result_body(&ledger(), &oracle)));
     }
 
     #[test]

@@ -547,10 +547,30 @@ mod checks {
     /// EOF on its own pipe, while its peers still wait for it in the mesh
     /// (`timed` prints how long that took).
     fn boot_death_fails_launch_naming_the_rank() {
+        use serde::Content;
+        use snip_obs::report::{build_report, set_section};
+        /// The published `transport` section's `world` and `frames`.
+        fn published() -> Option<(u64, u64)> {
+            let Content::Map(top) = build_report() else {
+                return None;
+            };
+            let (_, Content::Map(section)) = top.into_iter().find(|(k, _)| k == "transport")?
+            else {
+                return None;
+            };
+            let field = |name: &str| match section.iter().find(|(k, _)| k == name) {
+                Some((_, Content::U64(v))) => Some(*v),
+                _ => None,
+            };
+            Some((field("world")?, field("frames")?))
+        }
+        set_section("transport", Content::Null);
         std::env::set_var(snip_pipeline::transport::proc::ENV_EXIT_AT_BOOT, "1");
         let grads = make_grads(3, 16, 31);
-        let err = proc_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &[1, 2, 3])
-            .expect_err("a worker dead at boot must fail the launch");
+        let (err, moved) = failure_counters_moved_by(|| {
+            proc_all_reduce(&grads, &Wire::exact(), QuantizePolicy::EveryHop, &[1, 2, 3])
+                .expect_err("a worker dead at boot must fail the launch")
+        });
         std::env::remove_var(snip_pipeline::transport::proc::ENV_EXIT_AT_BOOT);
         assert!(err.to_string().contains("rank 1"), "got: {err}");
         match err {
@@ -560,6 +580,12 @@ mod checks {
             }
             other => panic!("expected a worker failure, got {other}"),
         }
+        // The survivors' reports were collected and their ledgers merged
+        // and published: the mesh never formed, so the sum of their
+        // ledgers is no frame at all, and the launch published exactly
+        // that for its world of three.
+        assert_eq!(published(), Some((3, moved.frames)), "{moved:?}");
+        assert_eq!(moved.frames, 0, "{moved:?}");
     }
 
     /// Data-parallel training under a kill reports typed per-rank

@@ -149,6 +149,10 @@ use crate::codebook::Codebook;
 use crate::format::ElementFormat;
 use crate::packed::{PackedOutlier, PackedTensor};
 use serde::{Deserialize, Serialize};
+/// The workspace's CRC-32, which every stream frame and file frame
+/// carries: defined with its kernel rows in [`snip_tensor::crc`] and
+/// re-exported here unchanged.
+pub use snip_tensor::crc::{crc32, Crc32};
 use snip_tensor::{GroupLayout, QTensor};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 
@@ -586,121 +590,6 @@ impl PackedTensor {
     }
 }
 
-/// IEEE 802.3 CRC32 lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time — the dependency-free checksum behind the stream
-/// envelope.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// The slice-by-16 tables: row 0 is [`CRC32_TABLE`], and row `k` advances
-/// row `k − 1`'s entry by one zero byte, so `CRC32_SLICES[k][b]` is the CRC
-/// contribution of byte `b` followed by `k` zero bytes.
-const CRC32_SLICES: [[u32; 256]; 16] = {
-    let mut slices = [[0u32; 256]; 16];
-    slices[0] = CRC32_TABLE;
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = slices[k - 1][i];
-            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    slices
-};
-
-/// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Used by
-/// [`stream_frame`] / [`StreamDecoder`] to detect payload corruption at the
-/// framing layer, so every socket frame and control-pipe report is hashed
-/// once at each end. One [`Crc32`] fed the whole slice; its throughput is
-/// the benchmark's `quant.crc32_gbps` row.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut hasher = Crc32::new();
-    hasher.update(bytes);
-    hasher.finish()
-}
-
-/// An incremental [`crc32`]: feeding a byte string in any split gives the
-/// CRC of the whole, so a reader can hash a body as it streams in.
-///
-/// Slice-by-16: each step folds 16 bytes (four little-endian `u32` loads)
-/// through 16 compile-time lookup tables, with independent
-/// lookups the CPU can overlap; the `len % 16` tail of each
-/// [`Crc32::update`] runs the byte loop. Portable and dependency-free, and
-/// the same CRC as the byte loop for every input and every split.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32(u32);
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-impl Crc32 {
-    /// The hasher of the empty string.
-    pub fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    /// Folds `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC32_SLICES;
-        let lane = |x: u32, k: usize| t[k][(x & 0xFF) as usize];
-        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let mut c = self.0;
-        let mut blocks = bytes.chunks_exact(16);
-        for block in &mut blocks {
-            let (a, b) = (word(&block[0..4]) ^ c, word(&block[4..8]));
-            let (d, e) = (word(&block[8..12]), word(&block[12..16]));
-            c = lane(a, 15)
-                ^ lane(a >> 8, 14)
-                ^ lane(a >> 16, 13)
-                ^ lane(a >> 24, 12)
-                ^ lane(b, 11)
-                ^ lane(b >> 8, 10)
-                ^ lane(b >> 16, 9)
-                ^ lane(b >> 24, 8)
-                ^ lane(d, 7)
-                ^ lane(d >> 8, 6)
-                ^ lane(d >> 16, 5)
-                ^ lane(d >> 24, 4)
-                ^ lane(e, 3)
-                ^ lane(e >> 8, 2)
-                ^ lane(e >> 16, 1)
-                ^ lane(e >> 24, 0);
-        }
-        for &b in blocks.remainder() {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// The CRC32 of everything fed so far.
-    pub fn finish(&self) -> u32 {
-        !self.0
-    }
-}
-
 /// Everything that can go wrong at the byte-stream framing layer (the
 /// length-prefixed encoding a socket transport uses to delimit frames on a
 /// continuous stream). Deliberately separate from [`WireError`]: a stream
@@ -1073,8 +962,17 @@ impl<W: Write> Writer<W> {
     /// A count-prefixed vector of `f32`s as their raw little-endian bits,
     /// so NaN payloads, ±Inf and −0 survive.
     pub fn f32s(&mut self, vs: &[f32]) {
-        self.count(vs.len());
-        self.values(vs, |v| v.to_le_bytes());
+        self.f32s_joined(&[vs]);
+    }
+
+    /// `parts` as one count-prefixed `f32` vector: byte for byte what
+    /// [`Writer::f32s`] writes for their concatenation, without building
+    /// it.
+    pub fn f32s_joined(&mut self, parts: &[&[f32]]) {
+        self.count(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            self.values(part, |v| v.to_le_bytes());
+        }
     }
 
     /// A count-prefixed vector of `f64`s as their raw little-endian bits.
@@ -1666,11 +1564,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_table_row_zero_is_the_byte_table() {
-        assert_eq!(CRC32_SLICES[0], CRC32_TABLE);
-    }
-
-    #[test]
     fn empty_tensors_serialize() {
         let t = Tensor::zeros(0, 8);
         let packed = fp4_tile(8).pack(&t, &mut Rng::seed_from(8)).unwrap();
@@ -1688,6 +1581,21 @@ mod tests {
         let (bytes, crc) = w.finish().expect("in-memory write");
         assert_eq!((len as usize, crc), (bytes.len(), crc32(&bytes)));
         bytes
+    }
+
+    #[test]
+    fn joined_parts_are_the_vector_of_their_concatenation() {
+        // Parts shorter than, across and longer than a stage buffer, and
+        // an empty one.
+        let floats = STAGE_BYTES / 4;
+        let parts: Vec<Vec<f32>> = [3, 0, floats - 1, 2 * floats + 5, 1]
+            .iter()
+            .enumerate()
+            .map(|(p, &len)| (0..len).map(|i| (i * 7 + p) as f32 - 0.5).collect())
+            .collect();
+        let slices: Vec<&[f32]> = parts.iter().map(Vec::as_slice).collect();
+        assert!(written(|w| w.f32s_joined(&slices)) == written(|w| w.f32s(&parts.concat())));
+        assert_eq!(written(|w| w.f32s_joined(&[])), written(|w| w.f32s(&[])));
     }
 
     #[test]

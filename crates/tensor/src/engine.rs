@@ -147,6 +147,8 @@ use crate::pool;
 use crate::Tensor;
 use std::cell::{Cell, RefCell};
 
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod crc_x86;
 mod scalar;
 pub mod simd;
 pub mod simd_encode;

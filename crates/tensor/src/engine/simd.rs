@@ -3,8 +3,8 @@
 //!
 //! Every backend is a row of function pointers (`Kernels`: tile update
 //! keep/BF16, the band transpose and copy, the two decodes, abs-max, the
-//! two code writers, the Box–Muller transform); the scalar reference is
-//! one more row.
+//! two code writers, the Box–Muller transform, the CRC-32 update); the
+//! scalar reference is one more row.
 //! `active_kernels` hands out the row of the tier active on the calling
 //! thread and is the only function that builds a vector row — so, with
 //! the scalar row's `fma` check beside it (`scalar_tile`), the only place
@@ -65,7 +65,7 @@
 use super::scalar;
 use super::simd_encode::{abs_max_bits_scalar, encode_u4_pairs_scalar, encode_u8_scalar, CodeGrid};
 use super::Store;
-use crate::math;
+use crate::{crc, math};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -259,6 +259,10 @@ pub fn detected_features() -> Vec<&'static str> {
     {
         for (name, have) in [
             ("sse4.2", std::arch::is_x86_feature_detected!("sse4.2")),
+            (
+                "pclmulqdq",
+                std::arch::is_x86_feature_detected!("pclmulqdq"),
+            ),
             ("avx", std::arch::is_x86_feature_detected!("avx")),
             ("avx2", std::arch::is_x86_feature_detected!("avx2")),
             ("fma", std::arch::is_x86_feature_detected!("fma")),
@@ -368,6 +372,8 @@ pub(crate) struct Kernels {
     pub(crate) encode_u4_pairs: EncodeFn,
     /// See [`gaussian_pairs`].
     pub(crate) gaussian: GaussianFn,
+    /// See [`crc32_update`].
+    pub(crate) crc32: fn(u32, &[u8]) -> u32,
 }
 
 /// The scalar row: the always-compiled reference every other row must
@@ -386,6 +392,7 @@ static SCALAR: Kernels = Kernels {
     encode_u8: encode_u8_scalar,
     encode_u4_pairs: encode_u4_pairs_scalar,
     gaussian: |pairs, std, out| math::gaussian_pairs(pairs, std, out, math::GAUSSIAN_DELTA),
+    crc32: crc::update_table,
 };
 
 /// The scalar tile kernel in the build this CPU runs fastest: compiled for
@@ -423,6 +430,19 @@ pub(crate) fn active_kernels() -> &'static Kernels {
     // vector tier only after `detect_cpu_backend` saw the CPU report it,
     // plus `fma` on x86_64 (NEON is baseline on aarch64), and forcing or
     // capping can only lower the tier within that detected chain.
+    /// The vector rows' `crc32`: on x86_64 the carry-less-multiply fold
+    /// when the CPU reports `pclmulqdq` (which no tier's detection
+    /// implies), the table otherwise and on aarch64.
+    #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn vector_crc32(state: u32, bytes: &[u8]) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq") {
+            // SAFETY: the CPU reports `pclmulqdq`, all `crc_x86::update`
+            // requires.
+            return unsafe { super::crc_x86::update(state, bytes) };
+        }
+        crc::update_table(state, bytes)
+    }
     #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
     macro_rules! vector_row {
         ($isa:ident :: $ops:ident, $feature:literal) => {{
@@ -511,6 +531,7 @@ pub(crate) fn active_kernels() -> &'static Kernels {
                     encode::<true>(grid, seg, scale, uniforms, out)
                 },
                 gaussian: |pairs, std, out| unsafe { gaussian(pairs, std, out) },
+                crc32: vector_crc32,
             };
             &ROW
         }};
@@ -569,6 +590,13 @@ pub(super) fn decode_u4_pairs_scalar(
 /// in speed only.
 pub(crate) fn gaussian_pairs(pairs: &[[f64; 2]], std: f32, out: &mut [f32]) -> usize {
     (active_kernels().gaussian)(pairs, std, out)
+}
+
+/// `state` — a CRC-32 register before its final inversion — advanced over
+/// `bytes` by the active row ([`crate::crc`]); every row returns the
+/// slice-by-16 table's value.
+pub(crate) fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    (active_kernels().crc32)(state, bytes)
 }
 
 /// Decodes a run of one-byte codes: `out[i] = lut[codes[i]] * scale`

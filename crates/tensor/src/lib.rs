@@ -41,6 +41,9 @@
 //! * [`encode`] — the pack engine: the same backends' quantize→encode
 //!   kernels (group abs-max scan, 4-bit and 8-bit code writers) that
 //!   `snip-quant` packs through, bit-identical across backends.
+//! * [`crc`] — the workspace's CRC-32 ([`crc::Crc32`]), a row of the same
+//!   kernel table: slice-by-16 tables on scalar, a carry-less-multiply
+//!   fold on x86_64 CPUs with `pclmulqdq`; the same value on every row.
 //! * [`ops`] — elementwise and reduction helpers (softmax, SiLU, norms).
 //! * [`rng`] — deterministic xoshiro256++ random streams with Gaussian
 //!   sampling; all randomness in the workspace flows from explicit seeds so
@@ -62,6 +65,7 @@
 
 pub mod arena;
 pub mod bf16;
+pub mod crc;
 mod engine;
 pub mod granularity;
 pub mod math;
