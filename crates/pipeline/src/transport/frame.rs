@@ -216,6 +216,71 @@ mod tests {
         ));
     }
 
+    /// The full bytes and the accounted payload bytes of one hop frame per
+    /// frame kind — exact, BF16, tilewise FP4 and MXFP4 — over a fixed
+    /// 10-element payload at a fixed seed. Recorded before the hop codec
+    /// moved onto the field codec: the data-link layout is a contract of
+    /// that move.
+    #[test]
+    fn golden_hop_frames() {
+        let payload: Vec<f32> = (0..10).map(|i| (i as f32 - 4.5) * 0.37).collect();
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        // Tag 0: count, raw f32 bits. Tag 1: count, BF16 halves. Tag 2: the
+        // 36-byte packed header (magic, version, variant, format, layout,
+        // reserved; rows, cols, group; RHT block, seed; outliers), codes,
+        // then f32 tile scales or E8M0 bytes.
+        let golden = [
+            (
+                Wire::exact(),
+                concat!(
+                    "00",
+                    "0a000000",
+                    "b81ed5bf90c2a5bfcdcc6cbf7b140ebfa4703dbe",
+                    "a4703d3e7b140e3fcdcc6c3f90c2a53fb81ed53f"
+                ),
+                40,
+            ),
+            (
+                Wire::bf16(),
+                concat!("01", "0a000000", "d5bfa6bf6dbf0ebf3dbe3d3e0e3f6d3fa63fd53f"),
+                20,
+            ),
+            (
+                Wire::fp4(8),
+                concat!(
+                    "02",
+                    "5350010000040000",
+                    "010000000a00000008000000",
+                    "00000000",
+                    "0000000000000000",
+                    "00000000",
+                    "ffcd196476",
+                    "7b148e3e7b148e3e"
+                ),
+                13,
+            ),
+            (
+                Wire::mxfp4(),
+                concat!(
+                    "02",
+                    "5350010100040000",
+                    "010000000a00000020000000",
+                    "00000000",
+                    "0000000000000000",
+                    "00000000",
+                    "deab184264",
+                    "7e"
+                ),
+                6,
+            ),
+        ];
+        for (wire, want, want_bytes) in golden {
+            let (frame, bytes) = encode_frame(&wire, &payload, &mut Rng::seed_from(7));
+            assert_eq!(hex(&frame), want, "{}", wire.label());
+            assert_eq!(bytes, want_bytes, "{}", wire.label());
+        }
+    }
+
     /// A BF16 frame carries `bf16_bits` of the codec's fake-quantized
     /// payload, element for element, and draws nothing: quiet and
     /// signalling NaNs of both signs, ±Inf, ±0, subnormals, exact ties
