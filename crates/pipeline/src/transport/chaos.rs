@@ -67,12 +67,14 @@
 //! ```
 
 use super::fabric::{Fabric, TransportError, DEFAULT_RECV_DEADLINE};
+use super::frame::Frame;
 use super::{root_cause, try_data_parallel_train};
 use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::Trainer;
+use snip_quant::wire::{read_stream_frame, ReadError};
 use snip_quant::{
-    stream_frame, StreamDecoder, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_PREFIX_BYTES,
+    stream_envelope_of, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_PREFIX_BYTES,
 };
 use std::time::Duration;
 
@@ -305,13 +307,15 @@ impl<F: Fabric> ChaosFabric<F> {
         }
     }
 
-    /// Re-envelopes `frame` the way a socket would, applies the scheduled
-    /// damage (a mid-stream cut or a single byte flip), and decodes the
-    /// damaged stream through the real [`StreamDecoder`] — so the error a
-    /// chaos run surfaces is byte-for-byte the error genuine link damage
-    /// would produce, on *any* backend. The link is dead afterwards.
-    fn damage(&mut self, src: usize, frame: &[u8], truncate: bool) -> TransportError {
-        let mut stream = stream_frame(frame);
+    /// Envelopes `frame` the way a socket does — with the CRC its writer
+    /// took — applies the scheduled damage (a mid-stream cut or a single
+    /// byte flip), and reads the damaged stream back through the socket
+    /// link's own reader, [`read_stream_frame`] — so the error a chaos run
+    /// surfaces is byte-for-byte the error genuine link damage would
+    /// produce, on *any* backend. The link is dead afterwards.
+    fn damage(&mut self, src: usize, frame: &Frame, truncate: bool) -> TransportError {
+        let mut stream = stream_envelope_of(frame.len(), frame.crc).to_vec();
+        stream.extend_from_slice(frame);
         let r = mix(
             self.plan.seed,
             (src * self.world + self.rank) as u64,
@@ -333,17 +337,10 @@ impl<F: Fabric> ChaosFabric<F> {
             stream[idx] ^= ((r >> 32) as u8) | 1;
         }
         self.closed_rx[src] = true;
-        let mut dec = StreamDecoder::new();
-        dec.feed(&stream);
-        let error = match dec.next_frame() {
-            Err(e) => e,
-            Ok(Some(_)) => unreachable!("chaos damage always breaks the stream"),
-            Ok(None) => match dec.finish() {
-                Err(e) => e,
-                Ok(()) => unreachable!("chaos damage always breaks the stream"),
-            },
-        };
-        TransportError::Stream { src, error }
+        match read_stream_frame(&mut &stream[..]) {
+            Err(ReadError::Stream(error)) => TransportError::Stream { src, error },
+            other => unreachable!("chaos damage always breaks the stream, read {other:?}"),
+        }
     }
 }
 
@@ -356,7 +353,7 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
         self.world
     }
 
-    fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError> {
+    fn send_frame(&mut self, dst: usize, frame: Frame) -> Result<u64, TransportError> {
         self.tick()?;
         let at = self.sent[dst];
         let mut delay = 0u64;
@@ -394,7 +391,7 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
         Ok(wire)
     }
 
-    fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError> {
+    fn recv_frame(&mut self, src: usize) -> Result<(Frame, u64), TransportError> {
         self.tick()?;
         let (at, me) = (self.recvd[src], self.rank);
         let closes = |f: &Fault| match *f {

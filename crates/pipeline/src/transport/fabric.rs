@@ -21,7 +21,7 @@
 //! [`TransportError::Timeout`] after the fabric's recv deadline, and the
 //! drivers judge every failed rank by its [`FailureClass`].
 
-use super::frame::FrameError;
+use super::frame::{Frame, FrameError};
 use snip_quant::StreamError;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -202,17 +202,18 @@ pub trait Fabric {
     /// Number of ranks in the mesh.
     fn world(&self) -> usize;
 
-    /// Ships one frame to `dst`. Returns the total wire bytes moved — the
-    /// frame plus any per-frame transport overhead (e.g. a stream length
-    /// prefix), so callers can account envelope bytes honestly per backend.
-    fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError>;
+    /// Ships one frame, with the CRC its writer took, to `dst`. Returns the
+    /// total wire bytes moved — the frame plus any per-frame transport
+    /// overhead (e.g. a stream envelope, which carries that CRC), so callers
+    /// can account envelope bytes honestly per backend.
+    fn send_frame(&mut self, dst: usize, frame: Frame) -> Result<u64, TransportError>;
 
     /// Blocks for the next frame from `src` (per-link FIFO). Returns the
-    /// frame and the wire bytes it occupied. Waits at most the recv
-    /// deadline the fabric was built with ([`DEFAULT_RECV_DEADLINE`] unless
-    /// a chaos plan lowers it) before failing with
-    /// [`TransportError::Timeout`].
-    fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError>;
+    /// frame, with the CRC it was sent with, and the wire bytes it
+    /// occupied. Waits at most the recv deadline the fabric was built with
+    /// ([`DEFAULT_RECV_DEADLINE`] unless a chaos plan lowers it) before
+    /// failing with [`TransportError::Timeout`].
+    fn recv_frame(&mut self, src: usize) -> Result<(Frame, u64), TransportError>;
 }
 
 /// The in-process backend: ranks on OS threads, one unbounded mpsc channel
@@ -223,9 +224,9 @@ pub struct ChannelFabric {
     world: usize,
     /// `senders[dst]` — this rank's exclusive sending half of link
     /// `rank → dst`.
-    senders: Vec<Sender<Vec<u8>>>,
+    senders: Vec<Sender<Frame>>,
     /// `receivers[src]` — the receiving half of link `src → rank`.
-    receivers: Vec<Receiver<Vec<u8>>>,
+    receivers: Vec<Receiver<Frame>>,
     /// Longest a `recv_frame` waits before reporting a stalled peer.
     deadline: Duration,
 }
@@ -238,28 +239,28 @@ pub struct ChannelFabric {
 /// Panics if `world` is zero.
 pub fn channel_mesh(world: usize, deadline: Duration) -> Vec<ChannelFabric> {
     assert!(world > 0, "need at least one rank");
-    // links[src][dst] starts as the (sender, receiver) pair of that link.
-    let mut txs: Vec<Vec<Option<Sender<Vec<u8>>>>> = (0..world)
-        .map(|_| (0..world).map(|_| None).collect())
+    // Link `src → dst` is one channel: `src` keeps its sender, `dst` its
+    // receiver, which lands at index `src` because sources come in order.
+    let mut receivers: Vec<Vec<Receiver<Frame>>> = (0..world).map(|_| Vec::new()).collect();
+    let senders: Vec<Vec<Sender<Frame>>> = (0..world)
+        .map(|_| {
+            let link = |dst: usize| {
+                let (tx, rx) = channel();
+                receivers[dst].push(rx);
+                tx
+            };
+            (0..world).map(link).collect()
+        })
         .collect();
-    let mut rxs: Vec<Vec<Option<Receiver<Vec<u8>>>>> = (0..world)
-        .map(|_| (0..world).map(|_| None).collect())
-        .collect();
-    for src in 0..world {
-        for dst in 0..world {
-            let (tx, rx) = channel();
-            txs[src][dst] = Some(tx);
-            rxs[dst][src] = Some(rx);
-        }
-    }
-    txs.into_iter()
-        .zip(rxs)
+    senders
+        .into_iter()
+        .zip(receivers)
         .enumerate()
         .map(|(rank, (senders, receivers))| ChannelFabric {
             rank,
             world,
-            senders: senders.into_iter().map(|s| s.expect("filled")).collect(),
-            receivers: receivers.into_iter().map(|r| r.expect("filled")).collect(),
+            senders,
+            receivers,
             deadline,
         })
         .collect()
@@ -274,7 +275,7 @@ impl Fabric for ChannelFabric {
         self.world
     }
 
-    fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError> {
+    fn send_frame(&mut self, dst: usize, frame: Frame) -> Result<u64, TransportError> {
         let wire = frame.len() as u64;
         self.senders[dst]
             .send(frame)
@@ -282,7 +283,7 @@ impl Fabric for ChannelFabric {
         Ok(wire)
     }
 
-    fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError> {
+    fn recv_frame(&mut self, src: usize) -> Result<(Frame, u64), TransportError> {
         let start = Instant::now();
         let frame = self.receivers[src]
             .recv_timeout(self.deadline)

@@ -1,47 +1,56 @@
 //! Payload frame codec: the byte representation of one transport message.
 //!
-//! A frame is one tag byte plus a body:
+//! A frame is one tag byte plus a body, written by one
+//! [`snip_quant::wire::Writer`] and read by [`decode_message`] — the field
+//! codec of control pipes and checkpoints:
 //!
 //! ```text
-//! tag 0  exact : u32 element count + count × f32 (little-endian)
-//! tag 1  bf16  : u32 element count + count × u16 (upper BF16 bits)
-//! tag 2  packed: a snip_quant::wire frame (header + codes + scales + …)
+//! tag 0  exact : Writer::f32s   — u32 element count + count × f32 bits
+//! tag 1  bf16  : Writer::bf16s  — u32 element count + count × u16 (upper BF16 bits)
+//! tag 2  packed: Writer::packed — a snip_quant::wire frame (header + codes + scales + …)
 //! ```
 //!
 //! Decoding is **total**: every structural defect — an empty buffer, an
 //! unknown tag, a count that disagrees with the buffer length, a malformed
-//! packed frame — comes back as a typed [`FrameError`], never a panic. That
-//! matters once frames arrive over a socket from another process: a corrupt
-//! or truncated peer message must surface as an error the worker can report
-//! upstream, not abort it with a byte dump.
+//! packed frame — is a [`FrameError::Malformed`] carrying the codec's
+//! message, never a panic, so a corrupt or truncated peer message surfaces
+//! as an error the worker can report upstream.
 
 use crate::collective::Wire;
-use snip_quant::wire::bf16_bits;
-use snip_quant::{PackedQuantize, PackedTensor, WireError, WIRE_HEADER_BYTES};
+use snip_quant::wire::{decode_message, Fields, Writer};
+use snip_quant::{PackedQuantize, WIRE_HEADER_BYTES};
 use snip_tensor::rng::Rng;
-use snip_tensor::{arena, bf16, Tensor};
+use snip_tensor::{arena, Tensor};
 
-pub(crate) const TAG_EXACT: u8 = 0;
-pub(crate) const TAG_BF16: u8 = 1;
-pub(crate) const TAG_PACKED: u8 = 2;
+const TAG_EXACT: u8 = 0;
+const TAG_BF16: u8 = 1;
+const TAG_PACKED: u8 = 2;
+
+/// One encoded hop as the fabrics move it: its bytes and the CRC-32 the
+/// [`Writer`] took as it wrote them, which the socket envelope carries — so
+/// neither a send nor an all-gather forward hashes a hop again.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Frame {
+    /// The frame's bytes: a tag byte, then its body.
+    pub bytes: Vec<u8>,
+    /// [`snip_quant::crc32`] of `bytes`.
+    pub crc: u32,
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
 
 /// A structurally invalid payload frame (corruption or truncation by the
 /// peer, or a peer speaking a different protocol version).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FrameError {
-    /// Zero-length frame.
-    Empty,
-    /// The tag byte is not a known frame kind.
-    UnknownTag(u8),
-    /// The frame body is shorter or longer than its element count implies.
-    Length {
-        /// Bytes the header implies.
-        expect: usize,
-        /// Bytes received.
-        got: usize,
-    },
-    /// The packed body failed to deserialize.
-    Packed(WireError),
+    /// The bytes are not one well-formed hop frame: the codec's message.
+    Malformed(String),
     /// A well-formed frame whose element count is not the length of the
     /// ring chunk it must fill: the two ranks disagree on the vector's size.
     Elements {
@@ -55,15 +64,7 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Empty => write!(f, "empty frame"),
-            FrameError::UnknownTag(tag) => write!(f, "unknown frame tag {tag:#04x}"),
-            FrameError::Length { expect, got } => {
-                write!(
-                    f,
-                    "frame length {got} does not match header (expect {expect})"
-                )
-            }
-            FrameError::Packed(e) => write!(f, "packed frame body: {e}"),
+            FrameError::Malformed(m) => write!(f, "{m}"),
             FrameError::Elements { expect, got } => {
                 write!(f, "{got} elements for a chunk of {expect}")
             }
@@ -73,72 +74,44 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Appends `N` little-endian bytes per element of `vs` in one bulk write:
-/// the buffer grows once, then each element fills its own `N`-byte slot —
-/// a loop the compiler turns into plain copies, where a push per element
-/// re-checks capacity every time.
-pub(crate) fn extend_le<T, const N: usize>(
-    buf: &mut Vec<u8>,
-    vs: &[T],
-    le_bytes: impl Fn(&T) -> [u8; N],
-) {
-    let at = buf.len();
-    buf.resize(at + N * vs.len(), 0);
-    for (slot, v) in buf[at..].chunks_exact_mut(N).zip(vs) {
-        slot.copy_from_slice(&le_bytes(v));
-    }
-}
-
 /// Serializes a payload for one hop of `wire` — the one hop codec, shared by
-/// the fabrics and [`Wire::transmit`]. Returns the frame
-/// and its accounted payload bytes.
-pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Vec<u8>, u64) {
+/// the fabrics and [`Wire::transmit`]. Returns the frame and its accounted
+/// payload bytes.
+pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Frame, u64) {
     let n = payload.len();
-    let Some(codec) = wire.codec() else {
-        let mut buf = Vec::with_capacity(5 + 4 * n);
-        buf.push(TAG_EXACT);
-        buf.extend_from_slice(&(n as u32).to_le_bytes());
-        extend_le(&mut buf, payload, |v| v.to_le_bytes());
-        return (buf, 4 * n as u64);
+    let tagged = |tag: u8, len: usize| {
+        let mut w = Writer::new(Vec::with_capacity(len));
+        w.u8(tag);
+        w
     };
-    if !codec.packable() {
+    let (w, bytes) = match wire.codec() {
+        None => {
+            let mut w = tagged(TAG_EXACT, 5 + 4 * n);
+            w.f32s(payload);
+            (w, 4 * n as u64)
+        }
         // BF16, the one wire codec without codes: unscaled round to
-        // nearest, which draws nothing — 2 bytes per element, the upper
-        // half of the rounded f32 pattern, narrowed straight from the
-        // payload.
-        let mut buf = Vec::with_capacity(5 + 2 * n);
-        buf.push(TAG_BF16);
-        buf.extend_from_slice(&(n as u32).to_le_bytes());
-        extend_le(&mut buf, payload, |&v| {
-            bf16_bits(bf16::round(v)).to_le_bytes()
-        });
-        return (buf, 2 * n as u64);
-    }
-    let mut copy = arena::take(n);
-    copy.copy_from_slice(payload);
-    let packed = codec
-        .pack(&Tensor::from_vec(1, n, copy), rng)
-        .expect("a packable codec packs");
-    let bytes = packed.wire_bytes();
-    let mut buf = Vec::with_capacity(1 + WIRE_HEADER_BYTES + bytes as usize);
-    buf.push(TAG_PACKED);
-    buf.extend_from_slice(
-        &packed
-            .to_wire_bytes()
-            .expect("wire codecs use built-in formats"),
-    );
-    (buf, bytes)
-}
-
-/// Reads the `u32` element count after the tag byte.
-fn element_count(bytes: &[u8]) -> Result<usize, FrameError> {
-    if bytes.len() < 5 {
-        return Err(FrameError::Length {
-            expect: 5,
-            got: bytes.len(),
-        });
-    }
-    Ok(u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize)
+        // nearest, which draws nothing — 2 bytes per element, narrowed
+        // straight from the payload.
+        Some(codec) if !codec.packable() => {
+            let mut w = tagged(TAG_BF16, 5 + 2 * n);
+            w.bf16s(payload);
+            (w, 2 * n as u64)
+        }
+        Some(codec) => {
+            let mut copy = arena::take(n);
+            copy.copy_from_slice(payload);
+            let packed = codec
+                .pack(&Tensor::from_vec(1, n, copy), rng)
+                .expect("a packable codec packs");
+            let bytes = packed.wire_bytes();
+            let mut w = tagged(TAG_PACKED, 1 + WIRE_HEADER_BYTES + bytes as usize);
+            w.packed(&packed).expect("wire codecs use built-in formats");
+            (w, bytes)
+        }
+    };
+    let (frame, crc) = w.finish().expect("a hop's count fits its u32 field");
+    (Frame { bytes: frame, crc }, bytes)
 }
 
 /// Decodes a frame back to the dense payload the receiver consumes plus the
@@ -149,71 +122,68 @@ fn element_count(bytes: &[u8]) -> Result<usize, FrameError> {
 ///
 /// # Errors
 ///
-/// A typed [`FrameError`] for every structural defect; never panics.
-pub(crate) fn decode_frame(bytes: &[u8]) -> Result<(Vec<f32>, u64), FrameError> {
-    let Some(&tag) = bytes.first() else {
-        return Err(FrameError::Empty);
-    };
-    match tag {
-        TAG_EXACT | TAG_BF16 => {
-            let width = if tag == TAG_EXACT { 4 } else { 2 };
-            let n = element_count(bytes)?;
-            let expect = 5 + width * n;
-            if bytes.len() != expect {
-                return Err(FrameError::Length {
-                    expect,
-                    got: bytes.len(),
-                });
-            }
-            // A BF16 element is the upper half of the f32 bit pattern.
-            let mut data = arena::take(n);
-            for (v, b) in data.iter_mut().zip(bytes[5..].chunks_exact(width)) {
-                *v = match *b {
-                    [hi0, hi1] => f32::from_le_bytes([0, 0, hi0, hi1]),
-                    _ => f32::from_le_bytes(b.try_into().expect("4 bytes")),
-                };
-            }
-            Ok((data, (width * n) as u64))
+/// [`FrameError::Malformed`] for every structural defect; never panics.
+pub(crate) fn decode_frame(frame: &[u8]) -> Result<(Vec<f32>, u64), FrameError> {
+    decode_message(frame, |f: &mut Fields<&[u8]>| match f.u8()? {
+        TAG_EXACT => {
+            let payload = f.f32s_in(arena::take)?;
+            let bytes = 4 * payload.len() as u64;
+            Ok((payload, bytes))
+        }
+        TAG_BF16 => {
+            let payload = f.bf16s_in(arena::take)?;
+            let bytes = 2 * payload.len() as u64;
+            Ok((payload, bytes))
         }
         TAG_PACKED => {
-            let packed = PackedTensor::from_wire_bytes(&bytes[1..]).map_err(FrameError::Packed)?;
-            let payload = (bytes.len() - 1 - WIRE_HEADER_BYTES) as u64;
-            Ok((packed.dequantize().into_vec(), payload))
+            let packed = f.packed()?;
+            Ok((packed.dequantize().into_vec(), packed.wire_bytes()))
         }
-        other => Err(FrameError::UnknownTag(other)),
-    }
+        tag => Err(format!("unknown frame tag {tag:#04x}").into()),
+    })
+    .map_err(|e| FrameError::Malformed(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use snip_quant::wire::bf16_bits;
 
     #[test]
     fn corrupt_frames_yield_typed_errors_not_panics() {
-        assert_eq!(decode_frame(&[]), Err(FrameError::Empty));
-        assert_eq!(decode_frame(&[7]), Err(FrameError::UnknownTag(7)));
-        assert_eq!(decode_frame(&[0xFF]), Err(FrameError::UnknownTag(0xFF)));
+        // The codec's message for a frame that must not decode.
+        let malformed = |bytes: &[u8]| match decode_frame(bytes) {
+            Err(FrameError::Malformed(m)) => m,
+            other => panic!("{bytes:?} decoded to {other:?}"),
+        };
+        // An empty frame has no tag.
+        assert_eq!(
+            malformed(&[]),
+            "message truncated: a 1-byte field with 0 bytes left"
+        );
+        assert_eq!(malformed(&[7]), "unknown frame tag 0x07");
+        assert_eq!(malformed(&[0xFF]), "unknown frame tag 0xff");
         // Count field cut off.
         assert_eq!(
-            decode_frame(&[TAG_EXACT, 1, 0]),
-            Err(FrameError::Length { expect: 5, got: 3 })
+            malformed(&[TAG_EXACT, 1, 0]),
+            "message truncated: a 4-byte field with 2 bytes left"
         );
         // Count promises more elements than the body carries.
         assert_eq!(
-            decode_frame(&[TAG_EXACT, 2, 0, 0, 0, 1, 2, 3, 4]),
-            Err(FrameError::Length { expect: 13, got: 9 })
+            malformed(&[TAG_EXACT, 2, 0, 0, 0, 1, 2, 3, 4]),
+            "2 values of 4 bytes declared, 4 bytes left"
         );
         // Trailing garbage after a complete body is also corruption.
         assert_eq!(
-            decode_frame(&[TAG_BF16, 1, 0, 0, 0, 1, 2, 3]),
-            Err(FrameError::Length { expect: 7, got: 8 })
+            malformed(&[TAG_BF16, 1, 0, 0, 0, 1, 2, 3]),
+            "1 bytes left after the message"
         );
         // A packed frame whose wire body is damaged.
-        assert!(matches!(
-            decode_frame(&[TAG_PACKED, b'X', b'P', 1]),
-            Err(FrameError::Packed(_))
-        ));
+        assert_eq!(
+            malformed(&[TAG_PACKED, b'X', b'P', 1]),
+            "packed frame: frame too short: need 36 bytes, got 3"
+        );
     }
 
     /// The full bytes and the accounted payload bytes of one hop frame per
@@ -327,7 +297,8 @@ mod tests {
         for &v in fq.as_slice() {
             want.extend_from_slice(&bf16_bits(v).to_le_bytes());
         }
-        assert_eq!(frame, want);
+        assert_eq!(frame.bytes, want);
+        assert_eq!(frame.crc, snip_quant::crc32(&want));
         assert_eq!(bytes, 2 * payload.len() as u64);
         assert!(rng == rng_ref, "a BF16 frame drew from the rng");
     }
@@ -366,14 +337,15 @@ mod tests {
             let wires = [Wire::exact(), Wire::bf16(), Wire::fp4(8), Wire::fp8(16)];
             let payload: Vec<f32> = (0..n).map(|i| i as f32 * 0.37 - 2.0).collect();
             let mut rng = Rng::seed_from(9);
-            let (mut frame, _) = encode_frame(&wires[kind], &payload, &mut rng);
+            let (frame, _) = encode_frame(&wires[kind], &payload, &mut rng);
+            let mut frame = frame.bytes;
             let tag = frame[0];
             let at = at_sel % frame.len();
             frame[at] ^= flip;
             let outcome = decode_frame(&frame);
             if (tag == TAG_EXACT || tag == TAG_BF16) && (1..5).contains(&at) {
                 // The element count now disagrees with the frame length.
-                prop_assert!(matches!(outcome, Err(FrameError::Length { .. })));
+                prop_assert!(matches!(outcome, Err(FrameError::Malformed(_))));
             }
         }
     }

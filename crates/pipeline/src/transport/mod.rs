@@ -51,8 +51,10 @@
 //!
 //! # Frames and accounting
 //!
-//! Frame layout lives in [`frame`]; decode failures are typed
-//! ([`FrameError`]), never a panic. Each [`Endpoint`] counts what its rank
+//! Frame layout lives in [`frame`], written and read by
+//! [`snip_quant::wire`]'s field codec; a [`Frame`] moves with the CRC its
+//! writer took, which the socket envelope carries. Decode failures are
+//! typed ([`FrameError`]), never a panic. Each [`Endpoint`] counts what its rank
 //! sent and received in a [`TransportStats`], and each driver adds its
 //! ranks' ledgers — [`run_ranks`] as the threads join, [`proc::launch`]
 //! from every worker's report, `ERROR` included — and publishes the sum
@@ -97,7 +99,7 @@ pub use chaos::{data_parallel_train_with_recovery, ChaosFabric, ChaosPlan, Fault
 pub use fabric::{
     channel_mesh, ChannelFabric, Fabric, FailureClass, TransportError, DEFAULT_RECV_DEADLINE,
 };
-pub use frame::FrameError;
+pub use frame::{Frame, FrameError};
 
 use crate::collective::{chunk_bounds, hop_wire, QuantizePolicy, Wire};
 use frame::{decode_frame, encode_frame};
@@ -345,12 +347,7 @@ impl<F: Fabric> Endpoint<F> {
 
     /// Ships an encoded frame to `dst`, counting `bytes` of it as payload
     /// and the rest of what the fabric moved as envelope.
-    fn send_frame(
-        &mut self,
-        dst: usize,
-        frame: Vec<u8>,
-        bytes: u64,
-    ) -> Result<u64, TransportError> {
+    fn send_frame(&mut self, dst: usize, frame: Frame, bytes: u64) -> Result<u64, TransportError> {
         let wire_len = self
             .fabric
             .send_frame(dst, frame)
@@ -381,14 +378,14 @@ impl<F: Fabric> Endpoint<F> {
     }
 
     /// Blocks for the next frame from `src` and counts it. Returns the
-    /// frame itself (so it can be forwarded), its decoded payload and its
-    /// accounted payload bytes. A payload of another length than `expect`
-    /// is a typed [`FrameError::Elements`].
+    /// frame itself (so it can be forwarded with the CRC it arrived with),
+    /// its decoded payload and its accounted payload bytes. A payload of
+    /// another length than `expect` is a typed [`FrameError::Elements`].
     fn recv_frame(
         &mut self,
         src: usize,
         expect: Option<usize>,
-    ) -> Result<(Vec<u8>, Vec<f32>, u64), TransportError> {
+    ) -> Result<(Frame, Vec<f32>, u64), TransportError> {
         let (frame, wire_len) = self.fabric.recv_frame(src).map_err(|e| self.failed(e))?;
         let (payload, bytes) = decode_frame(&frame)
             .and_then(|(payload, bytes)| match expect {
@@ -451,7 +448,8 @@ impl<F: Fabric> Endpoint<F> {
     /// Ring all-gather of the reduce-scatter result: every rank ends with
     /// the same bits of the full `n`-element reduced vector. This rank
     /// encodes its chunk once (its only RNG draw here) and keeps the
-    /// frame's decode; later steps forward received frames unchanged.
+    /// frame's decode; later steps forward received frames unchanged, with
+    /// the CRC they arrived with.
     /// The tests pin it bit for bit against the in-proc ring simulator.
     ///
     /// # Errors

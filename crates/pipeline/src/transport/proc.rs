@@ -69,13 +69,14 @@
 //!
 //! ## Decoded as it streams
 //!
-//! Messages are written and read with the workspace's field codec
-//! ([`snip_quant::wire`]: [`Writer`], [`Fields`]). Both ends read their
-//! pipe with [`read_frame`] — the worker its `START`, each launcher thread
-//! its worker's report — so a report's raw bytes are never held beside its
-//! decoded output, and a short, long, polluted or damaged pipe is a typed
-//! error, never a message. [`Task::decode`] and [`TaskOutput::decode`]
-//! read a bare encoding with the same codec.
+//! Every byte a worker exchanges — control messages and mesh frames alike —
+//! is written with the workspace's field codec ([`snip_quant::wire`]:
+//! [`Writer`], [`Fields`]) and read through its one stream-envelope reader.
+//! Both ends read their pipe with [`read_frame`] — the worker its `START`,
+//! each launcher thread its worker's report — so a report's raw bytes are
+//! never held beside its decoded output, and a short, long, polluted or
+//! damaged pipe is a typed error, never a message. [`Task::decode`] and
+//! [`TaskOutput::decode`] read a bare encoding with the same codec.
 //!
 //! No library code a worker runs prints to stdout. A stray write would fail
 //! the report's length, EOF or CRC check as a typed [`ProcError::Protocol`];
@@ -86,13 +87,13 @@
 //! size and the bound.
 //!
 //! Frames on mesh streams carry [`snip_quant::wire`]'s stream envelope —
-//! a length prefix plus a CRC32 of the body, so in-flight corruption is a
-//! typed [`snip_quant::StreamError::Crc`] at decode instead of a silently
-//! damaged gradient — and are reassembled from arbitrarily chunked reads
-//! by a dedicated reader thread per link ([`snip_quant::StreamDecoder`],
-//! property-tested under adversarial chunking in `quant/tests/wire_stream.rs`),
-//! which also keeps every socket drained so ring steps can never deadlock
-//! on full kernel buffers.
+//! a length prefix plus the CRC32 the hop's [`Writer`] took, so in-flight
+//! corruption is a typed [`snip_quant::StreamError::Crc`] instead of a
+//! silently damaged gradient. A dedicated reader thread per link reads each
+//! frame straight from the buffered socket with [`read_stream_frame`]
+//! (property-tested under adversarial chunking in
+//! `quant/tests/wire_stream.rs`), which also keeps every socket drained so
+//! ring steps can never deadlock on full kernel buffers.
 //!
 //! # Abort semantics
 //!
@@ -126,18 +127,21 @@
 
 use super::chaos::{ChaosFabric, ChaosPlan};
 use super::fabric::{Fabric, FailureClass, TransportError};
+use super::frame::Frame;
 use super::{dp_train_loop, note_failure, root_cause, Endpoint, TransportStats};
 use crate::collective::{QuantizePolicy, Wire};
 use snip_core::{Trainer, TrainerConfig};
-use snip_quant::wire::{decode_message, read_frame, FieldError, Fields, Writer};
+use snip_quant::wire::{
+    decode_message, read_frame, read_stream_frame, FieldError, Fields, ReadError, Writer,
+    STAGE_BYTES,
+};
 use snip_quant::{
-    stream_check_crc, stream_envelope, stream_envelope_of, StreamDecoder, STREAM_ENVELOPE_BYTES,
-    STREAM_MAX_FRAME_BYTES,
+    stream_envelope, stream_envelope_of, StreamError, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
 };
 use snip_tensor::rng::Rng;
 use std::borrow::Cow;
 use std::ffi::OsStr;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::ffi::OsStrExt;
 use std::os::unix::fs::DirBuilderExt;
@@ -457,14 +461,14 @@ impl Report {
 // The socket fabric.
 // ---------------------------------------------------------------------------
 
-/// What a link's reader thread hands the owning rank: a reassembled frame
-/// or the typed defect that ended the stream.
-type LinkFrame = Result<Vec<u8>, TransportError>;
+/// What a link's reader thread hands the owning rank: a frame whose CRC
+/// matched, or the typed defect that ended the stream.
+type LinkFrame = Result<Frame, TransportError>;
 
 /// The process backend of [`Fabric`]: one Unix-domain socket per rank pair,
-/// length-prefixed frames, a reader thread per link reassembling frames
-/// from arbitrarily chunked reads (and keeping the socket drained, so bulk
-/// ring steps cannot deadlock on full kernel buffers).
+/// frames in the stream envelope, and a reader thread per link reading each
+/// frame straight from the socket (and keeping it drained, so bulk ring
+/// steps cannot deadlock on full kernel buffers).
 pub struct SocketFabric {
     rank: usize,
     world: usize,
@@ -546,43 +550,24 @@ impl SocketFabric {
     }
 }
 
-/// One link's read side: reassemble length-prefixed frames from whatever
-/// chunks the socket delivers and forward them (or a typed error) to the
-/// owning rank. Exits on EOF or error; clean EOF after a frame boundary
-/// just drops the channel, which the owner observes as `PeerClosed`.
-fn reader_loop(mut stream: UnixStream, peer: usize, tx: std::sync::mpsc::Sender<LinkFrame>) {
-    let mut decoder = StreamDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
+/// One link's read side: reads each frame, envelope and body, straight
+/// from the buffered socket ([`read_stream_frame`]) and forwards it (or the
+/// typed defect that ended the stream) to the owning rank. Exits on EOF or
+/// error; a clean EOF on a frame boundary just drops the channel, which the
+/// owner observes as `PeerClosed`.
+fn reader_loop(stream: UnixStream, peer: usize, tx: std::sync::mpsc::Sender<LinkFrame>) {
+    let mut from = BufReader::with_capacity(STAGE_BYTES, stream);
     loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                if let Err(error) = decoder.finish() {
-                    let _ = tx.send(Err(TransportError::Stream { src: peer, error }));
-                }
-                return;
-            }
-            Ok(n) => {
-                decoder.feed(&buf[..n]);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            if tx.send(Ok(frame)).is_err() {
-                                return; // owner gone; stop draining
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(error) => {
-                            let _ = tx.send(Err(TransportError::Stream { src: peer, error }));
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => {
-                let _ = tx.send(Err(io_err(peer, &e)));
-                return;
-            }
+        let frame = match read_stream_frame(&mut from) {
+            Ok(Some((bytes, crc))) => Ok(Frame { bytes, crc }),
+            Ok(None) => return,
+            Err(ReadError::Stream(error)) => Err(TransportError::Stream { src: peer, error }),
+            Err(ReadError::Io(e)) => Err(io_err(peer, &e)),
+        };
+        let failed = frame.is_err();
+        // Stop draining once the owner is gone or the stream is broken.
+        if tx.send(frame).is_err() || failed {
+            return;
         }
     }
 }
@@ -596,12 +581,14 @@ impl Fabric for SocketFabric {
         self.world
     }
 
-    fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError> {
+    fn send_frame(&mut self, dst: usize, frame: Frame) -> Result<u64, TransportError> {
         let Some(writer) = self.writers.get_mut(dst).and_then(Option::as_mut) else {
             return Err(TransportError::PeerClosed { rank: dst });
         };
         let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
-        write_frame(writer, &stream_envelope(&frame), &frame).map_err(|e| match e.kind() {
+        // The envelope carries the CRC the hop's writer took: no second pass.
+        let envelope = stream_envelope_of(frame.len(), frame.crc);
+        write_frame(writer, &envelope, &frame).map_err(|e| match e.kind() {
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
                 TransportError::PeerClosed { rank: dst }
             }
@@ -610,7 +597,7 @@ impl Fabric for SocketFabric {
         Ok(wire)
     }
 
-    fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError> {
+    fn recv_frame(&mut self, src: usize) -> Result<(Frame, u64), TransportError> {
         let Some(inbox) = self.inboxes.get(src).and_then(Option::as_ref) else {
             return Err(TransportError::PeerClosed { rank: src });
         };
@@ -807,15 +794,17 @@ fn send_report(
         let len = usize::try_from(measured.written()).unwrap_or(usize::MAX);
         let (_, crc) = measured.finish().map_err(|e| format!("task output: {e}"))?;
         check_frame_len(len, bound).map_err(|e| format!("task output: {e}"))?;
-        Ok((stream_envelope_of(len, crc), held))
+        Ok((len, crc, held))
     });
     match envelope {
-        Ok((envelope, held)) => {
-            to.write_all(&envelope)?;
+        Ok((len, expect, held)) => {
+            to.write_all(&stream_envelope_of(len, expect))?;
             let mut body = Writer::new(&mut *to);
             write_result(&mut body, stats, &held);
-            let (_, crc) = body.finish()?;
-            stream_check_crc(&envelope, crc).map_err(std::io::Error::other)?;
+            let (_, got) = body.finish()?;
+            if got != expect {
+                return Err(std::io::Error::other(StreamError::Crc { expect, got }));
+            }
             to.flush()?;
             Ok(None)
         }

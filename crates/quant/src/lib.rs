@@ -53,6 +53,106 @@
 //! let lp = LinearPrecision::uniform(Precision::Fp4);
 //! assert_eq!(lp.forward_gemm(), Precision::Fp4);
 //! ```
+//!
+//! # The packed subbyte path
+//!
+//! No subbyte GEMM is emulated with a fake-quantize → `f32` round trip.
+//! [`snip_tensor::QTensor`] stores FP4 as two codes per byte (FP8 and INT8
+//! one per byte) with per-group `f32` scales and a per-format shared decode
+//! table. The engine's two entry points, [`snip_tensor::gemm`] and
+//! [`snip_tensor::gemm_into`] ([`snip_tensor::packed::qgemm`],
+//! [`qgemm_nt`](snip_tensor::packed::qgemm_nt) and
+//! [`qgemm_tn`](snip_tensor::packed::qgemm_tn) are `gemm` at one
+//! orientation), decode rows on the fly inside the same blocked,
+//! multi-threaded loops as the dense kernels, so a packed result is
+//! **bit-identical** to the dense GEMM over dequantized operands (0 ULP,
+//! property-tested).
+//!
+//! Every GEMM operand of `snip_nn::Linear` — `X`, `W` and `dY` — is one
+//! type, `snip_nn::QOperand`: packed codes under FP8/FP4, otherwise its
+//! source read in place — BF16 through the engine's rounded operand
+//! ([`snip_tensor::QOperandRef::Bf16Rounded`], bit-identical to a GEMM over
+//! a rounded copy), exact mode as is. No step makes a fake-quantized copy.
+//! A layer input is one `Arc<Tensor>` shared by the layers that read it (Q,
+//! K and V; Gate and Up): the BF16 and exact layers hold the handle, a
+//! packed layer only its codes, so under FP8/FP4 no `f32` input outlives
+//! the forward. `StepOutput::linear_cache_bytes` counts each held input
+//! once (`snip_nn::linear::held_inputs`, which the probe's statistics stage
+//! uses too); `model::tests::fp4_scheme_shrinks_the_measured_backward_cache`
+//! checks the exact sum per scheme, and
+//! `linear::tests::fp4_backward_cache_is_packed_and_at_least_7x_smaller`
+//! the size of one packed operand. A `LinearCache` is valid only until its
+//! layer's weight changes; debug builds check a CRC of the weight at
+//! backward. FP8/FP4 *inputs* round to nearest and draw nothing, so Q, K
+//! and V pack identical codes.
+//!
+//! ## One quantizer; packed codes are canonical
+//!
+//! [`Quantizer`] is element format ([`format::ElementFormat`]: a
+//! [`format::FloatFormat`] or an [`int::IntFormat`]) × scale layout ×
+//! [`Rounding`] × [`Recipe`], and each scaled recipe has one packed shape:
+//!
+//! | [`Recipe`] | packed form |
+//! |---|---|
+//! | `Unscaled` (BF16) | none |
+//! | `MaxAbs` | [`PackedTensor::Codes`] |
+//! | `Mx`: power-of-two E8M0 block scales, one byte each on a wire | [`PackedTensor::Mx`] |
+//! | `Rht { block, seed }`: codes of the rotated domain + the rotation seed | [`PackedTensor::Rotated`] |
+//! | `Outlier { fraction }`: packed dense body + sparse BF16 outlier list | [`PackedTensor::Split`] |
+//!
+//! The §5.2 alternatives are its constructors
+//! (`Quantizer::new(IntFormat::int4(), …)`, [`Quantizer::int8_tile`],
+//! [`Quantizer::mxfp4`] / [`Quantizer::mxfp8`], [`Quantizer::with_rht`],
+//! [`Quantizer::with_outliers`]), and it is the one in-tree implementor of
+//! [`PackedQuantize`], producing a [`PackedTensor`]; dense fake
+//! quantization is *derived* from it (decode of the packed form).
+//!
+//! **To add a quantization method**, add a [`Recipe`] arm — its scale rule
+//! in `Quantizer::scale_of`, its arm in [`Quantizer::fake_quantize`] and in
+//! the pack — plus a [`PackedTensor`] shape (and a [`wire`] variant byte)
+//! if its packed form carries new metadata. `snip_nn::Linear`,
+//! `snip_optim::AdamW` and `snip_pipeline::collective::Wire` hold the
+//! concrete [`Quantizer`]; only `snip_pipeline::comm::codec_wire_bytes` is
+//! generic over [`PackedQuantize`], so an out-of-tree implementor reaches
+//! the comm-volume accounting and nothing else (the benchmark imports the
+//! trait, so it stays). A new ≤ 8-bit *element grid* is an
+//! [`format::ElementFormat`] arm: it owns the grid maximum, the two
+//! rounding rules, the wire id and (through the id) the interned
+//! [`Codebook`].
+//!
+//! The packed path is bit- and RNG-stream-identical to the fake-quant
+//! oracle, property-tested across format × granularity × rounding × recipe
+//! (`tests/packed_equivalence.rs`). [`Quantizer::fake_quantize`] stays as
+//! the reference oracle — never delete it; the equivalence tests depend on
+//! it. No training step calls it: outside tests it is reached only through
+//! [`PackedQuantize::fake_reference`] (of a BF16 codec) and
+//! [`Quantizer::error_norm`]'s fallback for formats without a code table.
+//! The 36-byte wire header (format ids `0–3` / `0x10 | bits`, variant bytes
+//! `0–3`, layout tags; laid out in the [`wire`] docs) is pinned by golden
+//! literals in `tests/wire_roundtrip.rs`.
+//!
+//! Scale groups have one layout enum, [`snip_tensor::GroupLayout`] (the
+//! group walk, [`group_index`](snip_tensor::GroupLayout::group_index) and
+//! [`group_count`](snip_tensor::GroupLayout::group_count) in one file);
+//! [`granularity::Granularity`] is its name here. An empty tensor has 0
+//! groups under every layout, so packed ≡ fake holds there too.
+//!
+//! ## Packed state beyond GEMM operands
+//!
+//! * **Optimizer moments**: `snip_optim::AdamW` stores `m` and `v` as packed
+//!   FP8 [`QTensor`](snip_tensor::QTensor)s (`m` E4M3, `v` E5M2, 1×128 tile
+//!   scales) behind `AdamWConfig::moments = MomentPrecision::PackedFp8`,
+//!   measured by `AdamW::moment_state_bytes`. The `f32` master weights stay
+//!   (§4.3.2), and checkpoint round trips are bit-exact: a checkpoint
+//!   stores the codes and scales as they are ([`wire::Writer::codes`]).
+//!   Analytic accounting: `StateBytes::with_quantized_moments`.
+//! * **Collective payloads**: `snip_pipeline::collective::Wire` holds an
+//!   `Option<Quantizer>` (`Wire::codec()`), so `mxfp4`, `rht_fp4`,
+//!   `outlier_fp4` and `int8` wires ship byte-accurate packed volumes next
+//!   to the `fp4`, `fp8` and `bf16` recipes, each hop through
+//!   [`wire::Writer::packed`] and [`wire::Fields::packed`];
+//!   `comm::codec_wire_bytes` answers the same numbers analytically through
+//!   [`PackedQuantize::packed_wire_bytes`].
 
 pub mod codebook;
 pub mod format;
@@ -70,9 +170,9 @@ pub use codebook::Codebook;
 pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
 pub use quantizer::{Quantizer, Recipe, Rounding};
 pub use wire::{
-    crc32, stream_body_len, stream_check_crc, stream_envelope, stream_envelope_of, stream_frame,
-    Crc32, StreamDecoder, StreamError, WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES,
-    STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
+    crc32, stream_envelope, stream_envelope_of, stream_frame, Crc32, StreamDecoder, StreamError,
+    WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
 };
 
 use format::FloatFormat;

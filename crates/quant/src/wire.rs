@@ -1,18 +1,24 @@
 //! The workspace's one binary codec: what crosses a process boundary or
 //! goes to disk is written and read here.
 //!
-//! Four layers, each built on the one before:
+//! Four pieces, each written by [`Writer`] and read by [`Fields`] or the
+//! one envelope reader:
 //!
 //! 1. **The [`PackedTensor`] frame** — the canonical bytes of a packed
-//!    tensor ([`PackedTensor::to_wire_bytes`] /
-//!    [`PackedTensor::from_wire_bytes`]), whose payload is byte for byte the
-//!    volume [`PackedTensor::wire_bytes`] (and therefore
-//!    [`crate::PackedQuantize::packed_wire_bytes`]) accounts. Collective
-//!    hops ship packed gradients in it.
-//! 2. **The stream envelope** — a length prefix and a CRC32 of the body
-//!    ([`stream_frame`], [`StreamDecoder`]), so a socket or pipe can
-//!    delimit frames and a damaged body is a typed [`StreamError::Crc`]
-//!    before anything in it is interpreted.
+//!    tensor, whose payload is byte for byte the volume
+//!    [`PackedTensor::wire_bytes`] (and therefore
+//!    [`crate::PackedQuantize::packed_wire_bytes`]) accounts. One writer,
+//!    [`Writer::packed`], and one reader, [`Fields::packed`], serve all four
+//!    variants: [`PackedTensor::to_wire_bytes`] /
+//!    [`PackedTensor::from_wire_bytes`] and the checkpoint's
+//!    [`Writer::codes`] / [`Fields::codes`] are those two. Collective hops
+//!    ship packed gradients in it.
+//! 2. **The stream envelope** — a length prefix and a CRC32 of the body, so
+//!    a socket or pipe can delimit frames and a damaged body is a typed
+//!    [`StreamError`] before anything in it is interpreted. One envelope
+//!    reader serves both kinds of stream: [`read_frame`] decodes a control
+//!    pipe's one frame as it streams, [`read_stream_frame`] reads a socket
+//!    link's frames one at a time.
 //! 3. **The field codec** — [`Writer`] and [`Fields`]: a message as a
 //!    sequence of typed fields, written and read as they stream.
 //! 4. **The file frame** — the field codec's message in a file
@@ -74,13 +80,18 @@
 //! [u32 body length][u32 crc32(body)][body]
 //! ```
 //!
-//! [`stream_envelope`] is the one place those bytes are laid out;
-//! [`stream_body_len`] and [`stream_check_crc`] are the one place they are
-//! judged. A length above [`STREAM_MAX_FRAME_BYTES`] is corruption
-//! ([`StreamError::Oversize`]), refused before anything is allocated for
-//! it. Socket links reassemble frames from arbitrarily chunked reads with
-//! a [`StreamDecoder`]; a process's control pipe carries exactly one frame,
-//! read by [`read_frame`].
+//! [`stream_envelope_of`] is the one place those bytes are laid out, for a
+//! body whose CRC a [`Writer`] took as it wrote it ([`stream_envelope`]
+//! hashes a finished body first). One envelope reader judges them, and it
+//! judges the length from the prefix alone: a length above
+//! [`STREAM_MAX_FRAME_BYTES`] is corruption ([`StreamError::Oversize`]),
+//! refused before anything is allocated for it. A process's control pipe
+//! carries exactly one frame, decoded as it streams by [`read_frame`]. A
+//! socket link carries a sequence, each frame read whole by
+//! [`read_stream_frame`] and released with its CRC once the CRC matches, so
+//! a rank that forwards it frames it again without hashing it.
+//! [`stream_frame`] and [`StreamDecoder`] (a buffer fed chunks) are the
+//! one-buffer forms; no transport path uses them.
 //!
 //! # The field codec
 //!
@@ -94,7 +105,8 @@
 //! | `bytes` | `u32` length, then the bytes |
 //! | `json` | `bytes` of the value's JSON — serde-derived configuration |
 //! | `f32s`, `f64s` | `u32` count, then the raw bits |
-//! | `codes` | a [`PackedTensor::Codes`] frame, its length fixed by its header |
+//! | `bf16s` (read by `bf16s_in`) | `u32` count, then each value rounded to BF16, as its upper 16 bits ([`bf16_bits`]) |
+//! | `packed`, `codes` | a [`PackedTensor`] frame (`codes`: a [`PackedTensor::Codes`] one), its length fixed by its header |
 //!
 //! A [`Writer`] hashes every byte it writes with one [`Crc32`], so framing
 //! its message takes no second pass ([`stream_envelope_of`]), and it moves
@@ -103,12 +115,14 @@
 //! field's final value: it never reads past the length the message
 //! declares, checks every count against the bytes left before it
 //! allocates, and fills float vectors through one stage buffer
-//! ([`Fields::f32s_into`] in place). Over a stream or file frame,
-//! nothing decoded is released until, in this order, the message ended
-//! exactly at its declared length, the stream is at EOF, and the CRC of
-//! the bytes read matches: a short, long, polluted or damaged input is a
-//! typed [`FieldError`], never a message. [`decode_message`] reads a bare
-//! encoding the same way, without a CRC.
+//! ([`Fields::f32s_into`] in place; [`Fields::f32s_in`] and
+//! [`Fields::bf16s_in`] into a buffer the caller makes for the count). Over
+//! a stream or file frame, nothing decoded is released until, in this
+//! order, the message ended exactly at its declared length, the stream is
+//! at EOF, and the CRC of the bytes read matches: a short, long, polluted
+//! or damaged input is a typed [`FieldError`], never a message.
+//! [`decode_message`] reads a bare encoding the same way, without hashing
+//! it.
 //!
 //! # The file frame and the checkpoint layout
 //!
@@ -145,7 +159,6 @@
 //! file is 12 bytes per parameter with f32 moments and about 6 with packed
 //! FP8 moments, plus the configuration and a fixed header.
 
-use crate::codebook::Codebook;
 use crate::format::ElementFormat;
 use crate::packed::{PackedOutlier, PackedTensor};
 use serde::{Deserialize, Serialize};
@@ -153,7 +166,7 @@ use serde::{Deserialize, Serialize};
 /// carries: defined with its kernel rows in [`snip_tensor::crc`] and
 /// re-exported here unchanged.
 pub use snip_tensor::crc::{crc32, Crc32};
-use snip_tensor::{GroupLayout, QTensor};
+use snip_tensor::{bf16, GroupLayout, QTensor};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 
 /// Size of the fixed frame header preceding the payload.
@@ -335,136 +348,12 @@ pub fn bf16_bits(x: f32) -> u16 {
     }
 }
 
-fn get_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
-}
-
-fn get_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
-}
-
-/// The fixed header of a frame holding `q`'s codes as `variant`, with that
-/// variant's RHT block and seed and outlier count (zero where they do not
-/// apply).
-fn header(
-    q: &QTensor,
-    variant: u8,
-    block: u32,
-    seed: u64,
-    outlier_count: u32,
-) -> Result<[u8; WIRE_HEADER_BYTES], WireError> {
-    let fmt = identify(q)?;
-    let (rows, cols) = q.shape();
-    let (ltag, lnb) = layout_tag(q.layout());
-    let mut h = [0u8; WIRE_HEADER_BYTES];
-    h[0..2].copy_from_slice(&MAGIC);
-    h[2] = VERSION;
-    h[3] = variant;
-    h[4] = fmt.wire_id().expect("identified by its code table");
-    h[5] = ltag;
-    // Bytes 6..8 are reserved (zero).
-    h[8..12].copy_from_slice(&(rows as u32).to_le_bytes());
-    h[12..16].copy_from_slice(&(cols as u32).to_le_bytes());
-    h[16..20].copy_from_slice(&lnb.to_le_bytes());
-    h[20..24].copy_from_slice(&block.to_le_bytes());
-    h[24..32].copy_from_slice(&seed.to_le_bytes());
-    h[32..36].copy_from_slice(&outlier_count.to_le_bytes());
-    Ok(h)
-}
-
-/// A frame header, judged: its tags resolved and the length of every
-/// payload section it implies computed without overflow.
-struct Header {
-    variant: u8,
-    codebook: &'static Codebook,
-    layout: GroupLayout,
-    rows: usize,
-    cols: usize,
-    block: usize,
-    seed: u64,
-    outlier_count: usize,
-    code_bytes: usize,
-    groups: usize,
-    scale_bytes: usize,
-    /// Codes, scales and outliers: everything after the header.
-    payload: usize,
-}
-
-impl Header {
-    fn parse(bytes: &[u8; WIRE_HEADER_BYTES]) -> Result<Header, WireError> {
-        if bytes[0..2] != MAGIC || bytes[2] != VERSION {
-            return Err(WireError::BadHeader);
-        }
-        let variant = bytes[3];
-        let bad_format = WireError::BadTag {
-            field: "format",
-            value: bytes[4],
-        };
-        let codebook = ElementFormat::from_wire_id(bytes[4])
-            .and_then(ElementFormat::codebook)
-            .ok_or(bad_format)?;
-        let layout = layout_of(bytes[5], get_u32(bytes, 16))?;
-        let rows = get_u32(bytes, 8) as usize;
-        let cols = get_u32(bytes, 12) as usize;
-        let outlier_count = get_u32(bytes, 32) as usize;
-
-        // Untrusted: a product of two `u32` fields fits a 64-bit `usize`,
-        // but scaling and summing them may overflow — rejected, not wrapped.
-        let code_bytes = rows * codebook.width().row_bytes(cols);
-        let groups = layout.group_count(rows, cols);
-        let scale_bytes = groups
-            .checked_mul(if variant == 1 { 1 } else { 4 })
-            .ok_or(WireError::ShapeTooLarge)?;
-        let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
-        if variant == 3 && outlier_count > rows * cols {
-            return Err(WireError::BadOutlier {
-                index: outlier_count as u32,
-            });
-        }
-        let payload = [code_bytes, scale_bytes, outlier_bytes]
-            .into_iter()
-            .try_fold(0, usize::checked_add)
-            .filter(|p| p.checked_add(WIRE_HEADER_BYTES).is_some())
-            .ok_or(WireError::ShapeTooLarge)?;
-        Ok(Header {
-            variant,
-            codebook,
-            layout,
-            rows,
-            cols,
-            block: get_u32(bytes, 20) as usize,
-            seed: get_u64(bytes, 24),
-            outlier_count,
-            code_bytes,
-            groups,
-            scale_bytes,
-            payload,
-        })
-    }
-
-    /// The frame's codes tensor over its code bytes and decoded scales,
-    /// whose lengths the header fixed; the decode tables are the
-    /// format's interned ones.
-    fn codes(&self, data: Vec<u8>, scales: Vec<f32>) -> QTensor {
-        let cb = self.codebook;
-        QTensor::from_parts_with_pair(
-            self.rows,
-            self.cols,
-            cb.width(),
-            cb.lut(),
-            cb.pair_lut(),
-            self.layout,
-            scales,
-            data,
-        )
-    }
-}
-
 impl PackedTensor {
     /// Serializes this tensor into a self-describing byte frame (see the
-    /// [module docs](crate::wire) for the layout). The returned buffer is
-    /// exactly [`WIRE_HEADER_BYTES`]` + self.wire_bytes()` long — the
-    /// payload is byte-for-byte the accounted wire volume.
+    /// [module docs](crate::wire) for the layout) through
+    /// [`Writer::packed`]. The returned buffer is exactly
+    /// [`WIRE_HEADER_BYTES`]` + self.wire_bytes()` long — the payload is
+    /// byte-for-byte the accounted wire volume.
     ///
     /// # Errors
     ///
@@ -472,44 +361,18 @@ impl PackedTensor {
     /// format, [`WireError::BadMxScale`] when an MX scale is not an E8M0
     /// power of two.
     pub fn to_wire_bytes(&self) -> Result<Vec<u8>, WireError> {
-        let q = self.codes();
-        let (variant, block, seed, outlier_count) = match self {
-            PackedTensor::Codes(_) => (0u8, 0u32, 0u64, 0u32),
-            PackedTensor::Mx(_) => (1, 0, 0, 0),
-            PackedTensor::Rotated { block, seed, .. } => (2, *block as u32, *seed, 0),
-            PackedTensor::Split { outliers, .. } => (
-                3,
-                0,
-                0,
-                u32::try_from(outliers.len()).expect("u32 outliers"),
-            ),
-        };
-        let mut buf = Vec::with_capacity(WIRE_HEADER_BYTES + self.wire_bytes() as usize);
-        buf.extend_from_slice(&header(q, variant, block, seed, outlier_count)?);
-        buf.extend_from_slice(q.packed_data());
-        if matches!(self, PackedTensor::Mx(_)) {
-            for &s in q.scales() {
-                buf.push(e8m0_encode(s)?);
-            }
-        } else {
-            for &s in q.scales() {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
-        }
-        if let PackedTensor::Split { outliers, .. } = self {
-            for o in outliers {
-                buf.extend_from_slice(&o.index.to_le_bytes());
-                buf.extend_from_slice(&bf16_bits(o.value).to_le_bytes());
-            }
-        }
-        debug_assert_eq!(buf.len(), WIRE_HEADER_BYTES + self.wire_bytes() as usize);
-        Ok(buf)
+        let mut w = Writer::new(Vec::with_capacity(
+            WIRE_HEADER_BYTES + self.wire_bytes() as usize,
+        ));
+        w.packed(self)?;
+        Ok(w.finish().expect("a frame writes into memory").0)
     }
 
     /// Reconstructs a tensor from a frame produced by
-    /// [`PackedTensor::to_wire_bytes`]. The result decodes **bit-for-bit**
-    /// identically to the original (property-tested across every quantizer),
-    /// and its decode table is the interned per-format allocation.
+    /// [`PackedTensor::to_wire_bytes`], through [`Fields::packed`]'s
+    /// reader. The result decodes **bit-for-bit** identically to the
+    /// original (property-tested across every quantizer), and its decode
+    /// table is the interned per-format allocation.
     ///
     /// # Errors
     ///
@@ -518,76 +381,139 @@ impl PackedTensor {
     /// invalid E8M0 scale bytes, and out-of-bounds or unsorted outlier
     /// entries.
     pub fn from_wire_bytes(bytes: &[u8]) -> Result<PackedTensor, WireError> {
-        let Some((head, body)) = bytes.split_first_chunk::<WIRE_HEADER_BYTES>() else {
-            return Err(WireError::TooShort {
-                need: WIRE_HEADER_BYTES,
-                got: bytes.len(),
-            });
-        };
-        let h = Header::parse(head)?;
-        if body.len() != h.payload {
+        let mut f = Fields::new(bytes, bytes.len(), false);
+        let packed = read_packed(&mut f).map_err(|fault| match fault {
+            FrameFault::Wire(e) => e,
+            // The payload was judged against the slice, which reads whole.
+            FrameFault::Field(e) => unreachable!("an in-memory frame reads whole: {e}"),
+        })?;
+        if f.left > 0 {
             return Err(WireError::LengthMismatch {
-                expect: WIRE_HEADER_BYTES + h.payload,
+                expect: bytes.len() - f.left,
                 got: bytes.len(),
             });
         }
-        let (codes, rest) = body.split_at(h.code_bytes);
-        let (scales, outliers) = rest.split_at(h.scale_bytes);
-        let scales: Vec<f32> = if h.variant == 1 {
-            scales
-                .iter()
-                .map(|&b| e8m0_decode(b))
-                .collect::<Result<_, _>>()?
-        } else {
-            scales
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
-                .collect()
-        };
-        let q = h.codes(codes.to_vec(), scales);
-
-        match h.variant {
-            0 => Ok(PackedTensor::Codes(q)),
-            1 => Ok(PackedTensor::Mx(q)),
-            2 => {
-                if !h.block.is_power_of_two() {
-                    return Err(WireError::BadTag {
-                        field: "rotation block",
-                        value: head[20],
-                    });
-                }
-                Ok(PackedTensor::Rotated {
-                    codes: q,
-                    block: h.block,
-                    seed: h.seed,
-                })
-            }
-            3 => {
-                let mut parsed = Vec::with_capacity(h.outlier_count);
-                let mut prev: Option<u32> = None;
-                for entry in outliers.chunks_exact(6) {
-                    let index = get_u32(entry, 0);
-                    let bf16 = u16::from_le_bytes([entry[4], entry[5]]);
-                    if index as usize >= h.rows * h.cols || prev.is_some_and(|p| p >= index) {
-                        return Err(WireError::BadOutlier { index });
-                    }
-                    prev = Some(index);
-                    parsed.push(PackedOutlier {
-                        index,
-                        value: f32::from_bits(u32::from(bf16) << 16),
-                    });
-                }
-                Ok(PackedTensor::Split {
-                    body: q,
-                    outliers: parsed,
-                })
-            }
-            v => Err(WireError::BadTag {
-                field: "variant",
-                value: v,
-            }),
-        }
+        Ok(packed)
     }
+}
+
+/// Why a packed frame did not read: its own bytes are malformed, or the
+/// message or stream it sits in failed.
+enum FrameFault {
+    Wire(WireError),
+    Field(FieldError),
+}
+
+impl From<WireError> for FrameFault {
+    fn from(e: WireError) -> Self {
+        FrameFault::Wire(e)
+    }
+}
+
+impl From<FieldError> for FrameFault {
+    fn from(e: FieldError) -> Self {
+        FrameFault::Field(e)
+    }
+}
+
+/// The one packed-frame reader. The header is read and judged first: its
+/// tags resolved, the length of every payload section it implies computed
+/// without overflow, and the payload held to what is left of the message.
+/// Then the codes, scales and outliers are read into the tensor's own
+/// buffers; the decode tables are the format's interned ones.
+fn read_packed<R: Read>(f: &mut Fields<R>) -> Result<PackedTensor, FrameFault> {
+    let left = f.left;
+    if left < WIRE_HEADER_BYTES {
+        let need = WIRE_HEADER_BYTES;
+        return Err(WireError::TooShort { need, got: left }.into());
+    }
+    let [m0, m1, version, variant, format, layout, _, _] = f.array()?;
+    if [m0, m1] != MAGIC || version != VERSION {
+        return Err(WireError::BadHeader.into());
+    }
+    let bad_format = WireError::BadTag {
+        field: "format",
+        value: format,
+    };
+    let book = ElementFormat::from_wire_id(format)
+        .and_then(ElementFormat::codebook)
+        .ok_or(bad_format)?;
+    let (rows, cols, nb) = (f.u32()? as usize, f.u32()? as usize, f.u32()?);
+    let layout = layout_of(layout, nb)?;
+    let (block, seed, outlier_count) = (f.u32()?, f.u64()?, f.u32()? as usize);
+
+    // Untrusted: a product of two `u32` fields fits a 64-bit `usize`, but
+    // scaling and summing them may overflow — rejected, not wrapped.
+    let code_bytes = rows * book.width().row_bytes(cols);
+    let groups = layout.group_count(rows, cols);
+    let scale_bytes = groups
+        .checked_mul(if variant == 1 { 1 } else { 4 })
+        .ok_or(WireError::ShapeTooLarge)?;
+    let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
+    if variant == 3 && outlier_count > rows * cols {
+        let index = outlier_count as u32;
+        return Err(WireError::BadOutlier { index }.into());
+    }
+    let payload = [code_bytes, scale_bytes, outlier_bytes]
+        .into_iter()
+        .try_fold(0, usize::checked_add)
+        .filter(|p| p.checked_add(WIRE_HEADER_BYTES).is_some())
+        .ok_or(WireError::ShapeTooLarge)?;
+    if payload > f.left {
+        return Err(WireError::LengthMismatch {
+            expect: WIRE_HEADER_BYTES + payload,
+            got: left,
+        }
+        .into());
+    }
+
+    let data = f.take(code_bytes)?;
+    let scales = if variant == 1 {
+        let bytes = f.take(groups)?;
+        bytes
+            .into_iter()
+            .map(e8m0_decode)
+            .collect::<Result<_, _>>()?
+    } else {
+        f.values(groups, Vec::with_capacity, f32::from_le_bytes)?
+    };
+    let (width, lut, pair) = (book.width(), book.lut(), book.pair_lut());
+    let q = QTensor::from_parts_with_pair(rows, cols, width, lut, pair, layout, scales, data);
+    Ok(match variant {
+        0 => PackedTensor::Codes(q),
+        1 => PackedTensor::Mx(q),
+        2 if block.is_power_of_two() => PackedTensor::Rotated {
+            codes: q,
+            block: block as usize,
+            seed,
+        },
+        3 => {
+            let entries = f.values(outlier_count, Vec::with_capacity, |e: [u8; 6]| {
+                let [i0, i1, i2, i3, v0, v1] = e;
+                let index = u32::from_le_bytes([i0, i1, i2, i3]);
+                (index, u16::from_le_bytes([v0, v1]))
+            })?;
+            let mut outliers = Vec::with_capacity(entries.len());
+            for (index, bf16) in entries {
+                let last = outliers.last().map(|o: &PackedOutlier| o.index);
+                if index as usize >= rows * cols || last.is_some_and(|p| p >= index) {
+                    return Err(WireError::BadOutlier { index }.into());
+                }
+                let value = f32::from_bits(u32::from(bf16) << 16);
+                outliers.push(PackedOutlier { index, value });
+            }
+            PackedTensor::Split { body: q, outliers }
+        }
+        // The low byte of the rotation block field.
+        2 => Err(WireError::BadTag {
+            field: "rotation block",
+            value: block as u8,
+        })?,
+        value => Err(WireError::BadTag {
+            field: "variant",
+            value,
+        })?,
+    })
 }
 
 /// Everything that can go wrong at the byte-stream framing layer (the
@@ -642,11 +568,8 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// The stream envelope of `body`: little-endian `u32` length, then
-/// little-endian `u32` [`crc32`] of the body. This function is the only
-/// place those bytes are laid out; [`stream_body_len`] and
-/// [`stream_check_crc`] are the only place they are judged. A writer that
-/// owns its body sends envelope and body as two writes (the socket fabric);
-/// [`stream_frame`] is the one-buffer form.
+/// little-endian `u32` [`crc32`] of the body — [`stream_envelope_of`] after
+/// hashing `body`.
 ///
 /// # Panics
 ///
@@ -656,9 +579,9 @@ pub fn stream_envelope(body: &[u8]) -> [u8; STREAM_ENVELOPE_BYTES] {
     stream_envelope_of(body.len(), crc32(body))
 }
 
-/// The [`stream_envelope`] of a `len`-byte body whose [`crc32`] is `crc`:
-/// for a body a [`Writer`] hashed as it wrote it, so that framing it takes
-/// no second pass.
+/// The stream envelope of a `len`-byte body whose [`crc32`] is `crc`: the
+/// only place those bytes are laid out, for a body a [`Writer`] hashed as
+/// it wrote it, so that framing it takes no second pass.
 ///
 /// # Panics
 ///
@@ -674,38 +597,9 @@ pub fn stream_envelope_of(len: usize, crc: u32) -> [u8; STREAM_ENVELOPE_BYTES] {
     envelope
 }
 
-/// The length field of an envelope, unjudged.
-fn declared_len(envelope: &[u8]) -> u32 {
-    let prefix = envelope[..STREAM_PREFIX_BYTES].try_into().expect("prefix");
-    u32::from_le_bytes(prefix)
-}
-
-/// The body length an envelope declares — judged from its first
-/// [`STREAM_PREFIX_BYTES`] bytes alone, so an implausible prefix fails
-/// before the rest of the envelope has arrived.
-///
-/// # Panics
-///
-/// Panics if `envelope` holds fewer than [`STREAM_PREFIX_BYTES`] bytes.
-pub fn stream_body_len(envelope: &[u8]) -> Result<usize, StreamError> {
-    let len = declared_len(envelope);
-    if len as usize > STREAM_MAX_FRAME_BYTES {
-        return Err(StreamError::Oversize { len });
-    }
-    Ok(len as usize)
-}
-
-/// Checks `got`, the [`crc32`] of a received body, against the checksum its
-/// `envelope` carries.
-///
-/// # Panics
-///
-/// Panics if `envelope` holds fewer than [`STREAM_ENVELOPE_BYTES`] bytes.
-pub fn stream_check_crc(envelope: &[u8], got: u32) -> Result<(), StreamError> {
-    let field = envelope[STREAM_PREFIX_BYTES..STREAM_ENVELOPE_BYTES]
-        .try_into()
-        .expect("crc field");
-    let expect = u32::from_le_bytes(field);
+/// Checks `got`, the [`crc32`] of a received body, against `expect`, the
+/// checksum its envelope carries.
+fn check_crc(expect: u32, got: u32) -> Result<(), StreamError> {
     if got != expect {
         return Err(StreamError::Crc { expect, got });
     }
@@ -713,9 +607,8 @@ pub fn stream_check_crc(envelope: &[u8], got: u32) -> Result<(), StreamError> {
 }
 
 /// Wraps a frame body for a byte stream: its [`stream_envelope`] followed by
-/// the body. The inverse is [`StreamDecoder`], which reassembles frames
-/// from arbitrarily chunked reads and verifies the checksum before
-/// releasing a body.
+/// the body, in one buffer. [`read_stream_frame`] reads a sequence of them
+/// back.
 ///
 /// # Panics
 ///
@@ -727,19 +620,14 @@ pub fn stream_frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Incremental decoder for a stream of [`stream_frame`]-encoded frames.
-///
-/// Feed it whatever byte chunks arrive — a socket read may split a frame
-/// anywhere, including inside the length prefix — and pull complete frame
-/// bodies out with [`StreamDecoder::next_frame`]. Any split of a valid
-/// frame sequence reassembles to the same frames (property-tested);
-/// corruption surfaces as a typed [`StreamError`], never a panic.
+/// A buffer of [`stream_frame`]-encoded frames, fed whatever chunks arrive,
+/// from which complete frame bodies are pulled with
+/// [`StreamDecoder::next_frame`] through [`read_stream_frame`]. No
+/// transport path reads with it; the benchmark times it.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
+    /// Bytes fed and not yet popped as a frame.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted lazily to keep feeds amortized
-    /// O(bytes)).
-    read: usize,
 }
 
 impl StreamDecoder {
@@ -750,15 +638,7 @@ impl StreamDecoder {
 
     /// Appends freshly received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
-        if self.read > 0 && self.read == self.buf.len() {
-            self.buf.clear();
-            self.read = 0;
-        }
         self.buf.extend_from_slice(bytes);
-    }
-
-    fn pending_len(&self) -> usize {
-        self.buf.len() - self.read
     }
 
     /// Pops the next complete frame body, `Ok(None)` if more bytes are
@@ -766,40 +646,108 @@ impl StreamDecoder {
     /// not a plausible frame, or [`StreamError::Crc`] if the body fails its
     /// envelope checksum.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, StreamError> {
-        if self.pending_len() < STREAM_PREFIX_BYTES {
-            return Ok(None);
-        }
-        let pending = &self.buf[self.read..];
-        let len = stream_body_len(pending)?;
-        if pending.len() < STREAM_ENVELOPE_BYTES + len {
-            return Ok(None);
-        }
-        let body = pending[STREAM_ENVELOPE_BYTES..STREAM_ENVELOPE_BYTES + len].to_vec();
-        stream_check_crc(pending, crc32(&body))?;
-        self.read += STREAM_ENVELOPE_BYTES + len;
-        // Compact once the consumed prefix dominates, so the buffer does not
-        // grow without bound across a long-lived link.
-        if self.read > 4096 && self.read * 2 > self.buf.len() {
-            self.buf.drain(..self.read);
-            self.read = 0;
-        }
-        Ok(Some(body))
-    }
-
-    /// Call at end of stream: `Ok(())` if the stream ended exactly on a
-    /// frame boundary, [`StreamError::Truncated`] if a frame was cut off.
-    pub fn finish(&self) -> Result<(), StreamError> {
-        let pending = self.pending_len();
-        if pending == 0 {
-            return Ok(());
-        }
-        let need = if pending >= STREAM_PREFIX_BYTES {
-            STREAM_ENVELOPE_BYTES + declared_len(&self.buf[self.read..]) as usize
-        } else {
-            STREAM_ENVELOPE_BYTES
+        let mut pending = &self.buf[..];
+        let body = match read_stream_frame(&mut pending) {
+            Ok(frame) => frame.map(|(body, _)| body),
+            // The rest of the frame has not been fed yet.
+            Err(ReadError::Stream(StreamError::Truncated { .. })) => return Ok(None),
+            Err(ReadError::Stream(e)) => return Err(e),
+            Err(ReadError::Io(e)) => unreachable!("a slice reads without error: {e}"),
         };
-        Err(StreamError::Truncated { need, got: pending })
+        let popped = self.buf.len() - pending.len();
+        self.buf.drain(..popped);
+        Ok(body)
     }
+}
+
+/// Why a stream did not yield its next frame.
+#[derive(Debug)]
+pub enum ReadError {
+    /// Reading the stream failed.
+    Io(std::io::Error),
+    /// The bytes read are not one intact frame.
+    Stream(StreamError),
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> Self {
+        ReadError::Io(e)
+    }
+}
+
+impl From<StreamError> for ReadError {
+    fn from(e: StreamError) -> Self {
+        ReadError::Stream(e)
+    }
+}
+
+/// The one stream-envelope reader: the body length, judged from the prefix
+/// alone — an implausible one fails before the CRC field is read — and the
+/// CRC; `None` at EOF before the first byte. An envelope cut short is
+/// [`StreamError::Truncated`].
+fn read_envelope(from: &mut impl Read) -> Result<Option<(usize, u32)>, ReadError> {
+    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
+    let got = read_up_to(from, &mut envelope[..STREAM_PREFIX_BYTES])?;
+    if got == 0 {
+        return Ok(None);
+    }
+    let need = STREAM_ENVELOPE_BYTES;
+    if got < STREAM_PREFIX_BYTES {
+        return Err(StreamError::Truncated { need, got }.into());
+    }
+    let len = u32::from_le_bytes(envelope[..STREAM_PREFIX_BYTES].try_into().expect("prefix"));
+    if len as usize > STREAM_MAX_FRAME_BYTES {
+        return Err(StreamError::Oversize { len }.into());
+    }
+    let len = len as usize;
+    let got = got + read_up_to(from, &mut envelope[STREAM_PREFIX_BYTES..])?;
+    if got < need {
+        return Err(StreamError::Truncated {
+            need: need + len,
+            got,
+        }
+        .into());
+    }
+    let crc = envelope[STREAM_PREFIX_BYTES..]
+        .try_into()
+        .expect("crc field");
+    Ok(Some((len, u32::from_le_bytes(crc))))
+}
+
+/// Reads the next frame of a stream of frames — a socket link — whole,
+/// through [`read_frame`]'s envelope reader, hashing the body one
+/// [`STAGE_BYTES`] piece at a time as it lands. The body is released with
+/// the CRC its envelope carried once that CRC matches, so a rank forwarding
+/// it envelopes it again without hashing it. `Ok(None)` when the stream
+/// ends on a frame boundary.
+///
+/// # Errors
+///
+/// [`ReadError::Io`] for a failed read; [`ReadError::Stream`] for an
+/// [`StreamError::Oversize`] length (refused before anything is allocated),
+/// a stream cut mid-frame ([`StreamError::Truncated`]) or a damaged body
+/// ([`StreamError::Crc`]).
+pub fn read_stream_frame(from: &mut impl Read) -> Result<Option<(Vec<u8>, u32)>, ReadError> {
+    let Some((len, crc)) = read_envelope(from)? else {
+        return Ok(None);
+    };
+    let mut body = Vec::with_capacity(len);
+    let mut hash = Crc32::new();
+    while body.len() < len {
+        let at = body.len();
+        body.resize(len.min(at + STAGE_BYTES), 0);
+        let got = read_up_to(from, &mut body[at..])?;
+        hash.update(&body[at..at + got]);
+        if at + got < body.len() {
+            return Err(StreamError::Truncated {
+                need: STREAM_ENVELOPE_BYTES + len,
+                got: STREAM_ENVELOPE_BYTES + at + got,
+            }
+            .into());
+        }
+    }
+    check_crc(crc, hash.finish())?;
+    Ok(Some((body, crc)))
 }
 
 // ---------------------------------------------------------------------------
@@ -823,6 +771,21 @@ impl From<String> for FieldError {
     }
 }
 
+impl From<std::io::Error> for FieldError {
+    fn from(e: std::io::Error) -> Self {
+        FieldError::Io(e)
+    }
+}
+
+impl From<ReadError> for FieldError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => FieldError::Io(e),
+            ReadError::Stream(e) => FieldError::Malformed(e.to_string()),
+        }
+    }
+}
+
 impl std::fmt::Display for FieldError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -841,14 +804,14 @@ pub const STAGE_BYTES: usize = 64 * 1024;
 
 /// Fills `buf` from `from` until it is full or the stream ends; the count
 /// read.
-fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> Result<usize, FieldError> {
+fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
         match from.read(&mut buf[got..]) {
             Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(FieldError::Io(e)),
+            Err(e) => return Err(e),
         }
     }
     Ok(got)
@@ -981,19 +944,81 @@ impl<W: Write> Writer<W> {
         self.values(vs, |v| v.to_le_bytes());
     }
 
-    /// `q` as the wire frame of [`PackedTensor::Codes`] — byte for byte
-    /// what [`PackedTensor::to_wire_bytes`] returns for it — streamed: the
-    /// header, then the codes and scales straight from `q`. Its length is
-    /// fixed by the header, so it carries no prefix of its own.
+    /// A count-prefixed vector of `vs` rounded to BF16 (nearest, ties to
+    /// even), each value as its upper 16 bits ([`bf16_bits`]): half the
+    /// bytes of [`Writer::f32s`], narrowed straight from the caller's slice.
+    pub fn bf16s(&mut self, vs: &[f32]) {
+        self.count(vs.len());
+        self.values(vs, |&v| bf16_bits(bf16::round(v)).to_le_bytes());
+    }
+
+    /// `p` as its wire frame (the [module docs](crate::wire) give the
+    /// layout) — the one packed-frame writer: the header, then the codes,
+    /// scales and outliers straight from `p`. Its length is fixed by the
+    /// header, so it carries no prefix of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnknownLut`] when the code table is not a built-in
+    /// format, [`WireError::BadMxScale`] when an MX scale is not an E8M0
+    /// power of two; either is found before a byte is written.
+    pub fn packed(&mut self, p: &PackedTensor) -> Result<(), WireError> {
+        let (variant, block, seed, outliers) = match p {
+            PackedTensor::Codes(_) => (0, 0, 0, &[][..]),
+            PackedTensor::Mx(_) => (1, 0, 0, &[][..]),
+            PackedTensor::Rotated { block, seed, .. } => (2, *block as u32, *seed, &[][..]),
+            PackedTensor::Split { outliers, .. } => (3, 0, 0, &outliers[..]),
+        };
+        self.frame(p.codes(), variant, block, seed, outliers)
+    }
+
+    /// `q` as the wire frame of [`PackedTensor::Codes`]: what
+    /// [`Writer::packed`] writes for it, a table no frame can name kept as
+    /// the writer's error.
     pub fn codes(&mut self, q: &QTensor) {
-        match header(q, 0, 0, 0, 0) {
-            Ok(h) => {
-                self.put(&h);
-                self.put(q.packed_data());
-                self.values(q.scales(), |s| s.to_le_bytes());
-            }
-            Err(e) => self.fail(std::io::Error::new(ErrorKind::InvalidInput, e)),
+        if let Err(e) = self.frame(q, 0, 0, 0, &[]) {
+            self.fail(std::io::Error::new(ErrorKind::InvalidInput, e));
         }
+    }
+
+    /// The frame of `q`'s codes as `variant`, with that variant's RHT
+    /// block and seed and outliers (zero and empty where they do not
+    /// apply).
+    fn frame(
+        &mut self,
+        q: &QTensor,
+        variant: u8,
+        block: u32,
+        seed: u64,
+        outliers: &[PackedOutlier],
+    ) -> Result<(), WireError> {
+        let format = identify(q)?
+            .wire_id()
+            .expect("identified by its code table");
+        let mx_scales: Option<Vec<u8>> = (variant == 1)
+            .then(|| q.scales().iter().map(|&s| e8m0_encode(s)).collect())
+            .transpose()?;
+        let ((rows, cols), (layout, nb)) = (q.shape(), layout_tag(q.layout()));
+        self.put(&MAGIC);
+        // Then two reserved (zero) bytes.
+        self.put(&[VERSION, variant, format, layout, 0, 0]);
+        for field in [rows as u32, cols as u32, nb, block] {
+            self.u32(field);
+        }
+        self.u64(&seed);
+        self.u32(u32::try_from(outliers.len()).expect("u32 outliers"));
+        self.put(q.packed_data());
+        match mx_scales {
+            Some(bytes) => self.put(&bytes),
+            None => self.values(q.scales(), |s| s.to_le_bytes()),
+        }
+        self.values(outliers, |o| {
+            let mut entry = [0u8; 6];
+            entry[..4].copy_from_slice(&o.index.to_le_bytes());
+            entry[4..].copy_from_slice(&bf16_bits(o.value).to_le_bytes());
+            entry
+        });
+        Ok(())
     }
 
     /// The sink and the [`crc32`] of everything written, or the first
@@ -1022,15 +1047,16 @@ pub struct Fields<R> {
     from: R,
     /// Message bytes not yet read.
     left: usize,
-    crc: Crc32,
+    /// The CRC of the bytes read, when a frame's envelope carries one.
+    crc: Option<Crc32>,
 }
 
 impl<R: Read> Fields<R> {
-    fn new(from: R, len: usize) -> Self {
+    fn new(from: R, len: usize, hash: bool) -> Self {
         Fields {
             from,
             left: len,
-            crc: Crc32::new(),
+            crc: hash.then(Crc32::new),
         }
     }
 
@@ -1058,7 +1084,9 @@ impl<R: Read> Fields<R> {
         self.claim(buf.len())?;
         let got = read_up_to(&mut self.from, buf)?;
         self.left -= got;
-        self.crc.update(&buf[..got]);
+        if let Some(crc) = &mut self.crc {
+            crc.update(&buf[..got]);
+        }
         if got < buf.len() {
             return Err(format!("stream ended {} bytes before its frame did", self.left).into());
         }
@@ -1117,14 +1145,37 @@ impl<R: Read> Fields<R> {
 
     /// A count-prefixed vector of `f32`s.
     pub fn f32s(&mut self) -> Result<Vec<f32>, FieldError> {
-        let count = self.u32()? as usize;
-        self.values(count, f32::from_le_bytes)
+        self.f32s_in(Vec::with_capacity)
     }
 
     /// A count-prefixed vector of `f64`s.
     pub fn f64s(&mut self) -> Result<Vec<f64>, FieldError> {
         let count = self.u32()? as usize;
-        self.values(count, f64::from_le_bytes)
+        self.values(count, Vec::with_capacity, f64::from_le_bytes)
+    }
+
+    /// A count-prefixed vector of `f32`s, read into the buffer `alloc`
+    /// makes for the count (its contents replaced) once the count fits
+    /// what is left of the message.
+    pub fn f32s_in(
+        &mut self,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Result<Vec<f32>, FieldError> {
+        let count = self.u32()? as usize;
+        self.values(count, alloc, f32::from_le_bytes)
+    }
+
+    /// What [`Writer::bf16s`] wrote, each value widened to the `f32` its
+    /// BF16 bits stand for, into `alloc`'s buffer as in
+    /// [`Fields::f32s_in`].
+    pub fn bf16s_in(
+        &mut self,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Result<Vec<f32>, FieldError> {
+        let count = self.u32()? as usize;
+        self.values(count, alloc, |half: [u8; 2]| {
+            f32::from_bits(u32::from(u16::from_le_bytes(half)) << 16)
+        })
     }
 
     /// A count-prefixed vector of `f32`s read in place into `dst`, whose
@@ -1157,16 +1208,18 @@ impl<R: Read> Fields<R> {
         })
     }
 
-    /// `count` `W`-byte little-endian values, read into one allocation of
-    /// that count — made only once the count fits what is left of the
-    /// message.
+    /// `count` `W`-byte little-endian values, read into the buffer `alloc`
+    /// makes for that count (cleared first) — made only once the count fits
+    /// what is left of the message.
     fn values<T, const W: usize>(
         &mut self,
         count: usize,
+        alloc: impl FnOnce(usize) -> Vec<T>,
         from_le: fn([u8; W]) -> T,
     ) -> Result<Vec<T>, FieldError> {
         self.judge::<W>(count)?;
-        let mut values = Vec::with_capacity(count);
+        let mut values = alloc(count);
+        values.clear();
         self.staged(count, from_le, |more| values.extend(more))?;
         Ok(values)
     }
@@ -1196,21 +1249,29 @@ impl<R: Read> Fields<R> {
         Ok(())
     }
 
-    /// A frame [`Writer::codes`] wrote: the header is judged first, and
-    /// the codes and scales are read into the tensor's own buffers, sized
-    /// by the header once its payload fits what is left of the message.
-    /// The decode tables are the format's interned ones.
+    /// A frame [`Writer::packed`] wrote — the one packed-frame reader: the
+    /// header is judged first, and the codes, scales and outliers are read
+    /// into the tensor's own buffers, sized by the header once its payload
+    /// fits what is left of the message. The decode tables are the
+    /// format's interned ones.
+    pub fn packed(&mut self) -> Result<PackedTensor, FieldError> {
+        read_packed(self).map_err(|fault| match fault {
+            FrameFault::Wire(e) => format!("packed frame: {e}").into(),
+            FrameFault::Field(e) => e,
+        })
+    }
+
+    /// A frame [`Writer::codes`] wrote: [`Fields::packed`], which must be
+    /// plain codes.
     pub fn codes(&mut self) -> Result<QTensor, FieldError> {
-        let bad = |e: WireError| format!("packed codes: {e}");
-        let h = Header::parse(&self.array()?).map_err(bad)?;
-        if h.variant != 0 {
-            let variant = h.variant;
-            return Err(format!("packed codes: variant {variant} is not plain codes").into());
+        match self.packed()? {
+            PackedTensor::Codes(q) => Ok(q),
+            _ => Err(
+                "packed codes: a frame of another variant is not plain codes"
+                    .to_string()
+                    .into(),
+            ),
         }
-        self.claim(h.payload)?;
-        let data = self.take(h.code_bytes)?;
-        let scales = self.values(h.groups, f32::from_le_bytes)?;
-        Ok(h.codes(data, scales))
     }
 
     /// Runs `read` over the message; it must end exactly where the message
@@ -1238,20 +1299,18 @@ fn read_body<R: Read, T>(
     crc: u32,
     read: impl FnOnce(&mut Fields<R>) -> Result<T, FieldError>,
 ) -> Result<T, FieldError> {
-    let mut fields = Fields::new(from, len);
+    let mut fields = Fields::new(from, len, true);
     let message = fields.whole(read)?;
     if read_up_to(&mut fields.from, &mut [0u8; 1])? > 0 {
         return Err(format!("stray bytes after the frame of {len} bytes").into());
     }
-    let got = fields.crc.finish();
-    if got != crc {
-        return Err(StreamError::Crc { expect: crc, got }.to_string().into());
-    }
+    let got = fields.crc.as_ref().map_or(crc, Crc32::finish);
+    check_crc(crc, got).map_err(|e| e.to_string())?;
     Ok(message)
 }
 
-/// Decodes a bare encoding — no envelope, so no CRC — through `read`,
-/// which must consume it exactly.
+/// Decodes a bare encoding — no envelope, so no CRC and no hashing —
+/// through `read`, which must consume it exactly.
 ///
 /// # Errors
 ///
@@ -1261,16 +1320,16 @@ pub fn decode_message<'a, T>(
     bytes: &'a [u8],
     read: impl FnOnce(&mut Fields<&'a [u8]>) -> Result<T, FieldError>,
 ) -> Result<T, FieldError> {
-    Fields::new(bytes, bytes.len()).whole(read)
+    Fields::new(bytes, bytes.len(), false).whole(read)
 }
 
 /// Reads the one [`stream_frame`] `from` carries — a control pipe — and
-/// decodes its body through `read` as it streams: the length prefix is
-/// judged before anything else ([`stream_body_len`]), every body byte goes
-/// through the CRC as it is read, and the raw body is never held whole.
-/// The decoded message is returned only once, in this order, the body
-/// ended exactly at its declared length, the stream is at EOF, and the
-/// CRC matches.
+/// decodes its body through `read` as it streams: the envelope is read by
+/// the one envelope reader [`read_stream_frame`] uses, its length judged
+/// before anything else, every body byte goes through the CRC as it is
+/// read, and the raw body is never held whole. The decoded message is
+/// returned only once, in this order, the body ended exactly at its
+/// declared length, the stream is at EOF, and the CRC matches.
 ///
 /// # Errors
 ///
@@ -1281,22 +1340,7 @@ pub fn read_frame<R: Read, T>(
     mut from: R,
     read: impl FnOnce(&mut Fields<R>) -> Result<T, FieldError>,
 ) -> Result<T, FieldError> {
-    let mut envelope = [0u8; STREAM_ENVELOPE_BYTES];
-    let (prefix, crc_field) = envelope.split_at_mut(STREAM_PREFIX_BYTES);
-    let got = read_up_to(&mut from, prefix)?;
-    if got == 0 {
-        return Err(FieldError::Empty);
-    }
-    let len = if got < prefix.len() {
-        Err(format!("{got} bytes, no frame envelope"))
-    } else {
-        stream_body_len(prefix).map_err(|e| e.to_string())
-    }?;
-    let got = read_up_to(&mut from, crc_field)?;
-    if got < crc_field.len() {
-        return Err(format!("{} bytes, no frame envelope", STREAM_PREFIX_BYTES + got).into());
-    }
-    let crc = u32::from_le_bytes(envelope[STREAM_PREFIX_BYTES..].try_into().expect("crc"));
+    let (len, crc) = read_envelope(&mut from)?.ok_or(FieldError::Empty)?;
     read_body(from, len, crc, read)
 }
 

@@ -1,49 +1,97 @@
-//! Property tests for the length-prefixed, CRC-checked stream frame codec.
+//! Property tests for the length-prefixed, CRC-checked stream frame codec,
+//! read the way a socket link reads it: [`read_stream_frame`] over a stream
+//! whose reads return arbitrary pieces.
 //!
 //! A socket delivers bytes in arbitrary chunks: a frame may be split inside
 //! its envelope, inside its body, or arrive glued to its neighbours — and a
 //! damaged link can flip, drop, or lie about any byte in flight. These
-//! tests pin the decoder's contract under that adversarial input: **any**
-//! split of a valid frame sequence reassembles to exactly the original
-//! frames, while truncation, garbage prefixes, and chaos-generated
-//! corruption (bit flips, length-prefix lies) surface a typed
-//! `StreamError` — never a panic, never an out-of-bounds read, never a
-//! silently damaged frame.
+//! tests pin the reader's contract under that adversarial input: **any**
+//! chunking of a valid frame sequence reads back exactly the original
+//! frames, each with the CRC its envelope carried, while truncation,
+//! garbage prefixes, and chaos-generated corruption (bit flips,
+//! length-prefix lies) surface a typed `StreamError` — never a panic,
+//! never an out-of-bounds read, never a silently damaged frame. One
+//! property holds the one-buffer `StreamDecoder` to the same frames.
+//!
+//! The binary counts its allocations (the shared counting allocator), so
+//! an implausible length prefix is shown to be refused before anything is
+//! allocated for it.
+
+#[path = "../../core/tests/support/counting.rs"]
+mod counting;
 
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
+use snip_quant::wire::{read_stream_frame, ReadError};
 use snip_quant::{
     crc32, stream_frame, Crc32, PackedQuantize, PackedTensor, Quantizer, Rounding, StreamDecoder,
-    StreamError, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    StreamError, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES,
 };
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
+use std::io::Read;
 
-/// Feeds `bytes` to a fresh decoder in chunks whose sizes cycle through
-/// `chunk_sizes` (interpreted mod a small bound, so any u8 works), pulling
-/// every completed frame as it goes.
-fn decode_chunked(bytes: &[u8], chunk_sizes: &[u8]) -> Result<Vec<Vec<u8>>, StreamError> {
-    let mut dec = StreamDecoder::new();
-    let mut frames = Vec::new();
-    let mut at = 0;
-    let mut k = 0;
-    while at < bytes.len() {
-        let step = if chunk_sizes.is_empty() {
-            1
-        } else {
-            1 + (chunk_sizes[k % chunk_sizes.len()] as usize) % 13
-        };
-        k += 1;
-        let end = (at + step).min(bytes.len());
-        dec.feed(&bytes[at..end]);
-        at = end;
-        while let Some(frame) = dec.next_frame()? {
-            frames.push(frame);
+/// A `Read` over `bytes` whose reads return at most 1–13 bytes each, the
+/// sizes cycling through `sizes` (interpreted mod 13, so any `u8` works;
+/// one byte per read when empty): a socket delivering a stream in whatever
+/// pieces it likes.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [u8],
+    call: usize,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(bytes: &'a [u8], sizes: &'a [u8]) -> Self {
+        Chunked {
+            bytes,
+            sizes,
+            call: 0,
         }
     }
-    dec.finish()?;
-    Ok(frames)
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = match self.sizes {
+            [] => 1,
+            sizes => 1 + usize::from(sizes[self.call % sizes.len()]) % 13,
+        };
+        self.call += 1;
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Reads every frame of `from` with the link reader until the stream ends
+/// on a frame boundary: the bodies, each released with the CRC of its
+/// bytes, or the defect that ended the stream.
+fn read_all(from: &mut impl Read) -> Result<Vec<Vec<u8>>, StreamError> {
+    let mut frames = Vec::new();
+    loop {
+        match read_stream_frame(from) {
+            Ok(Some((body, crc))) => {
+                assert_eq!(crc, crc32(&body), "a frame is released with its own CRC");
+                frames.push(body);
+            }
+            Ok(None) => return Ok(frames),
+            Err(ReadError::Stream(e)) => return Err(e),
+            Err(ReadError::Io(e)) => panic!("an in-memory read failed: {e}"),
+        }
+    }
+}
+
+/// [`read_all`] over `bytes` delivered in `chunk_sizes` pieces.
+fn read_chunked(bytes: &[u8], chunk_sizes: &[u8]) -> Result<Vec<Vec<u8>>, StreamError> {
+    read_all(&mut Chunked::new(bytes, chunk_sizes))
+}
+
+/// `bodies` as one stream of frames.
+fn framed(bodies: &[Vec<u8>]) -> Vec<u8> {
+    bodies.iter().flat_map(|body| stream_frame(body)).collect()
 }
 
 fn bodies_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -103,42 +151,56 @@ proptest! {
         prop_assert_eq!(hasher.finish(), crc32_reference(&buf));
     }
 
-    /// Any split of a valid frame sequence round-trips: the decoder yields
-    /// exactly the original bodies whatever the read chunking was — this
-    /// covers short writes too, since a writer's chunk boundaries are just
-    /// the reader's chunk boundaries.
+    /// Any chunking of a valid frame sequence round-trips: the reader
+    /// yields exactly the original bodies whatever the read sizes were —
+    /// this covers short writes too, since a writer's chunk boundaries are
+    /// just the reader's chunk boundaries.
     #[test]
     fn any_split_of_a_valid_sequence_round_trips(
         bodies in bodies_strategy(),
         chunks in proptest::collection::vec(0u8..=255, 0..24),
     ) {
-        let mut stream = Vec::new();
-        for body in &bodies {
-            stream.extend_from_slice(&stream_frame(body));
+        prop_assert_eq!(read_chunked(&framed(&bodies), &chunks), Ok(bodies));
+    }
+
+    /// The one-buffer decoder, fed the same chunks, reassembles the same
+    /// frames.
+    #[test]
+    fn stream_decoder_reassembles_any_split(
+        bodies in bodies_strategy(),
+        chunks in proptest::collection::vec(0u8..=255, 0..24),
+    ) {
+        let stream = framed(&bodies);
+        let mut from = Chunked::new(&stream, &chunks);
+        let (mut dec, mut piece, mut decoded) = (StreamDecoder::new(), [0u8; 13], Vec::new());
+        loop {
+            let n = from.read(&mut piece).expect("in-memory read");
+            if n == 0 {
+                break;
+            }
+            dec.feed(&piece[..n]);
+            while let Some(frame) = dec.next_frame().expect("valid stream") {
+                decoded.push(frame);
+            }
         }
-        let decoded = decode_chunked(&stream, &chunks).expect("valid stream");
         prop_assert_eq!(decoded, bodies);
     }
 
-    /// A truncated stream (cut anywhere strictly inside a frame) yields
-    /// `Truncated` from `finish`, and every frame decoded before the cut is
-    /// one of the originals — never a fabricated frame, never a panic.
+    /// A stream cut anywhere strictly inside a frame is `Truncated` with
+    /// fewer bytes than the frame needs; a cut on a frame boundary reads a
+    /// clean prefix of the original sequence — never a fabricated frame,
+    /// never a panic.
     #[test]
     fn truncated_streams_error_cleanly(
         bodies in bodies_strategy(),
         chunks in proptest::collection::vec(0u8..=255, 0..24),
         cut_sel in 0usize..10_000,
     ) {
-        let mut stream = Vec::new();
-        for body in &bodies {
-            stream.extend_from_slice(&stream_frame(body));
-        }
+        let stream = framed(&bodies);
         if !stream.is_empty() {
             let cut = cut_sel % stream.len();
-            match decode_chunked(&stream[..cut], &chunks) {
+            match read_chunked(&stream[..cut], &chunks) {
                 Ok(decoded) => {
-                    // The cut landed exactly on a frame boundary: a clean
-                    // prefix of the original sequence.
                     prop_assert_eq!(decoded.as_slice(), &bodies[..decoded.len()]);
                 }
                 Err(StreamError::Truncated { need, got }) => prop_assert!(got < need),
@@ -148,8 +210,8 @@ proptest! {
     }
 
     /// A garbage prefix whose length field is implausible is rejected as
-    /// `Oversize` instead of triggering a giant allocation, whatever the
-    /// chunking.
+    /// `Oversize` from the prefix alone, whatever the chunking: the reader
+    /// takes no byte past the prefix and allocates nothing for the length.
     #[test]
     fn garbage_length_prefixes_are_rejected(
         tail in proptest::collection::vec(0u8..=255, 0..40),
@@ -158,17 +220,20 @@ proptest! {
     ) {
         let mut stream = (huge as u32).to_le_bytes().to_vec();
         stream.extend_from_slice(&tail);
-        prop_assert_eq!(
-            decode_chunked(&stream, &chunks),
-            Err(StreamError::Oversize { len: huge as u32 })
+        let mut from = Chunked::new(&stream, &chunks);
+        let ([.., calls, _], read) =
+            counting::large_allocations(1 << 20, || read_stream_frame(&mut from));
+        prop_assert!(
+            matches!(read, Err(ReadError::Stream(StreamError::Oversize { len })) if len == huge as u32)
         );
+        prop_assert_eq!(calls, 0, "a byte buffer was allocated for the length");
+        prop_assert_eq!(from.bytes.len(), tail.len(), "only the prefix is read");
     }
 
     /// Chaos corruption: XOR one byte anywhere in a valid stream — body,
-    /// checksum, or length prefix — and decoding reports a typed error
+    /// checksum, or length prefix — and reading reports a typed error
     /// (`Crc` for payload damage, `Truncated`/`Oversize` when the length
-    /// field lies), never a panic and never a silently altered frame. Any
-    /// frames decoded before the damage are bit-exact originals.
+    /// field lies), never a panic and never a silently altered frame.
     #[test]
     fn single_byte_corruption_is_always_caught(
         bodies in bodies_strategy(),
@@ -176,14 +241,11 @@ proptest! {
         at_sel in 0usize..10_000,
         flip in 1u8..=255,
     ) {
-        let mut stream = Vec::new();
-        for body in &bodies {
-            stream.extend_from_slice(&stream_frame(body));
-        }
+        let mut stream = framed(&bodies);
         if !stream.is_empty() {
             let at = at_sel % stream.len();
             stream[at] ^= flip;
-            match decode_chunked(&stream, &chunks) {
+            match read_chunked(&stream, &chunks) {
                 Ok(_) => panic!("corruption at byte {at} went undetected"),
                 Err(StreamError::Crc { expect, got }) => prop_assert_ne!(expect, got),
                 Err(StreamError::Truncated { need, got }) => prop_assert!(got < need),
@@ -207,7 +269,7 @@ proptest! {
         if lie as usize != body.len() {
             let mut stream = stream_frame(&body);
             stream[..4].copy_from_slice(&lie.to_le_bytes());
-            match decode_chunked(&stream, &chunks) {
+            match read_chunked(&stream, &chunks) {
                 Ok(_) => {
                     panic!("length lie {lie} for a {}-byte body went undetected", body.len())
                 }
@@ -215,6 +277,15 @@ proptest! {
                 Err(e) => panic!("unexpected error {e}"),
             }
         }
+    }
+
+    /// No byte soup panics the reader: every outcome is a value.
+    #[test]
+    fn byte_soup_never_panics(
+        soup in proptest::collection::vec(0u8..=255, 0..200),
+        chunks in proptest::collection::vec(0u8..=255, 0..8),
+    ) {
+        let _ = read_chunked(&soup, &chunks);
     }
 }
 
@@ -229,7 +300,7 @@ fn crc32_matches_the_ieee_check_vector() {
 #[test]
 fn packed_wire_frames_survive_stream_chunking() {
     // The end-to-end composition a socket link runs: PackedTensor wire
-    // frames inside stream frames, reassembled from 1-byte reads.
+    // frames inside stream frames, read back from 1-byte reads.
     let q = Quantizer::new(
         FloatFormat::e2m1(),
         Granularity::Tile { nb: 8 },
@@ -238,11 +309,8 @@ fn packed_wire_frames_survive_stream_chunking() {
     let t = Tensor::randn(3, 21, 1.0, &mut Rng::seed_from(4));
     let packed = q.pack(&t, &mut Rng::seed_from(5)).expect("packable");
     let frame = packed.to_wire_bytes().expect("built-in format");
-    let mut stream = Vec::new();
-    for _ in 0..3 {
-        stream.extend_from_slice(&stream_frame(&frame));
-    }
-    let frames = decode_chunked(&stream, &[0]).expect("valid stream");
+    let frames =
+        read_chunked(&framed(&[frame.clone(), frame.clone(), frame]), &[0]).expect("valid stream");
     assert_eq!(frames.len(), 3);
     for f in frames {
         let back = PackedTensor::from_wire_bytes(&f).expect("round trip");
@@ -255,23 +323,25 @@ fn packed_wire_frames_survive_stream_chunking() {
 
 #[test]
 fn empty_and_boundary_streams() {
-    let mut dec = StreamDecoder::new();
-    assert_eq!(dec.next_frame(), Ok(None));
-    assert_eq!(dec.finish(), Ok(()));
+    assert_eq!(read_chunked(&[], &[]), Ok(Vec::new()));
     // A lone empty frame is a bare envelope: zero length + crc of nothing.
     let empty = stream_frame(&[]);
     assert_eq!(empty.len(), STREAM_ENVELOPE_BYTES);
-    dec.feed(&empty);
-    assert_eq!(dec.next_frame(), Ok(Some(Vec::new())));
-    assert_eq!(dec.next_frame(), Ok(None));
-    assert_eq!(dec.finish(), Ok(()));
-    // A bare partial prefix is truncation.
-    dec.feed(&[1, 0]);
+    assert_eq!(read_chunked(&empty, &[]), Ok(vec![Vec::new()]));
+    // A bare partial prefix is truncation of the envelope.
     assert_eq!(
-        dec.finish(),
+        read_chunked(&[1, 0], &[]),
         Err(StreamError::Truncated {
             need: STREAM_ENVELOPE_BYTES,
             got: 2
+        })
+    );
+    // A whole prefix cut inside its CRC field needs the body it declared.
+    assert_eq!(
+        read_chunked(&[3, 0, 0, 0, 9], &[]),
+        Err(StreamError::Truncated {
+            need: STREAM_ENVELOPE_BYTES + 3,
+            got: STREAM_PREFIX_BYTES + 1
         })
     );
 }
