@@ -126,12 +126,12 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Fram
 pub(crate) fn decode_frame(frame: &[u8]) -> Result<(Vec<f32>, u64), FrameError> {
     decode_message(frame, |f: &mut Fields<&[u8]>| match f.u8()? {
         TAG_EXACT => {
-            let payload = f.f32s_in(arena::take)?;
+            let payload = f.f32s()?;
             let bytes = 4 * payload.len() as u64;
             Ok((payload, bytes))
         }
         TAG_BF16 => {
-            let payload = f.bf16s_in(arena::take)?;
+            let payload = f.bf16s()?;
             let bytes = 2 * payload.len() as u64;
             Ok((payload, bytes))
         }

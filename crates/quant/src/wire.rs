@@ -105,7 +105,7 @@
 //! | `bytes` | `u32` length, then the bytes |
 //! | `json` | `bytes` of the value's JSON — serde-derived configuration |
 //! | `f32s`, `f64s` | `u32` count, then the raw bits |
-//! | `bf16s` (read by `bf16s_in`) | `u32` count, then each value rounded to BF16, as its upper 16 bits ([`bf16_bits`]) |
+//! | `bf16s` | `u32` count, then each value rounded to BF16, as its upper 16 bits ([`bf16_bits`]) |
 //! | `packed`, `codes` | a [`PackedTensor`] frame (`codes`: a [`PackedTensor::Codes`] one), its length fixed by its header |
 //!
 //! A [`Writer`] hashes every byte it writes with one [`Crc32`], so framing
@@ -115,8 +115,8 @@
 //! field's final value: it never reads past the length the message
 //! declares, checks every count against the bytes left before it
 //! allocates, and fills float vectors through one stage buffer
-//! ([`Fields::f32s_into`] in place; [`Fields::f32s_in`] and
-//! [`Fields::bf16s_in`] into a buffer the caller makes for the count). Over
+//! ([`Fields::f32s_into`] in place; [`Fields::f32s`] and [`Fields::bf16s`]
+//! into a buffer from [`snip_tensor::arena`]). Over
 //! a stream or file frame, nothing decoded is released until, in this
 //! order, the message ended exactly at its declared length, the stream is
 //! at EOF, and the CRC of the bytes read matches: a short, long, polluted
@@ -166,7 +166,7 @@ use serde::{Deserialize, Serialize};
 /// carries: defined with its kernel rows in [`snip_tensor::crc`] and
 /// re-exported here unchanged.
 pub use snip_tensor::crc::{crc32, Crc32};
-use snip_tensor::{bf16, GroupLayout, QTensor};
+use snip_tensor::{arena, bf16, GroupLayout, QTensor};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 
 /// Size of the fixed frame header preceding the payload.
@@ -1143,9 +1143,12 @@ impl<R: Read> Fields<R> {
         self.take(self.left)
     }
 
-    /// A count-prefixed vector of `f32`s.
+    /// A count-prefixed vector of `f32`s, in a buffer from
+    /// [`snip_tensor::arena`]: recycled inside a training step, a fresh
+    /// allocation anywhere else.
     pub fn f32s(&mut self) -> Result<Vec<f32>, FieldError> {
-        self.f32s_in(Vec::with_capacity)
+        let count = self.u32()? as usize;
+        self.values(count, arena::take, f32::from_le_bytes)
     }
 
     /// A count-prefixed vector of `f64`s.
@@ -1154,26 +1157,12 @@ impl<R: Read> Fields<R> {
         self.values(count, Vec::with_capacity, f64::from_le_bytes)
     }
 
-    /// A count-prefixed vector of `f32`s, read into the buffer `alloc`
-    /// makes for the count (its contents replaced) once the count fits
-    /// what is left of the message.
-    pub fn f32s_in(
-        &mut self,
-        alloc: impl FnOnce(usize) -> Vec<f32>,
-    ) -> Result<Vec<f32>, FieldError> {
-        let count = self.u32()? as usize;
-        self.values(count, alloc, f32::from_le_bytes)
-    }
-
     /// What [`Writer::bf16s`] wrote, each value widened to the `f32` its
-    /// BF16 bits stand for, into `alloc`'s buffer as in
-    /// [`Fields::f32s_in`].
-    pub fn bf16s_in(
-        &mut self,
-        alloc: impl FnOnce(usize) -> Vec<f32>,
-    ) -> Result<Vec<f32>, FieldError> {
+    /// BF16 bits stand for, in a buffer from the arena as in
+    /// [`Fields::f32s`].
+    pub fn bf16s(&mut self) -> Result<Vec<f32>, FieldError> {
         let count = self.u32()? as usize;
-        self.values(count, alloc, |half: [u8; 2]| {
+        self.values(count, arena::take, |half: [u8; 2]| {
             f32::from_bits(u32::from(u16::from_le_bytes(half)) << 16)
         })
     }
