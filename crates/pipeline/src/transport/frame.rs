@@ -79,6 +79,8 @@ impl std::error::Error for FrameError {}
 /// payload bytes.
 pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Frame, u64) {
     let n = payload.len();
+    // A writer that has written `tag`, over a buffer of the frame's size
+    // (a capacity hint only: the codec lays the bytes out).
     let tagged = |tag: u8, len: usize| {
         let mut w = Writer::new(Vec::with_capacity(len));
         w.u8(tag);
