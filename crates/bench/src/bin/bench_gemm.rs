@@ -499,7 +499,7 @@ fn run(smoke: bool) -> Report {
         gemm,
         decode,
         pack: pack_table,
-        probe: probe_row(smoke),
+        probe: probe_row(smoke, reps),
         init: init_table(smoke, reps),
         crc: crc_table(smoke, reps),
     }
@@ -635,9 +635,10 @@ fn gaussian_counts(f: impl FnOnce()) -> [u64; 2] {
     std::array::from_fn(|i| snip_obs::counter_value(counted[i]) - before[i])
 }
 
-/// Times `measure` against a plain step on the probe fixture and reads
-/// the per-pass split from the probe's spans.
-fn probe_row(smoke: bool) -> ProbeRow {
+/// Times `measure` against a plain step on the probe fixture — the best of
+/// `reps` timed rounds after one warm-up round, as every other table — and
+/// reads the per-pass split from the probe's spans.
+fn probe_row(smoke: bool, reps: usize) -> ProbeRow {
     let mut t = snip_bench::fixtures::probe_trainer(smoke);
     let batch = t.peek_batch();
     let mut rng = Rng::seed_from(0x5712);
@@ -645,7 +646,7 @@ fn probe_row(smoke: bool) -> ProbeRow {
         snip_core::measure(&mut t.model, &t.optimizer, &batch, &mut rng, 1e-2)
     };
     let (mut fwd_bwd_ms, mut measure_ms) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..if smoke { 2 } else { 4 } {
+    for round in 0..=reps {
         let t0 = Instant::now();
         t.model.zero_grads();
         std::hint::black_box(

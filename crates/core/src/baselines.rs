@@ -115,7 +115,7 @@ pub fn error_minimizing_scheme(
 /// is the squared gradient, so the score is the quadratic form
 /// `δᵀ·F·δ` under the usual diagonal approximation, rather than SNIP's
 /// first-order norm estimate.
-pub fn fisher_sensitivity(stats: &LayerStats, option: LinearPrecision) -> f64 {
+pub(crate) fn fisher_sensitivity(stats: &LayerStats, option: LinearPrecision) -> f64 {
     let m = stats.tokens as f64;
     let n = stats.out_features as f64;
     let k = stats.in_features as f64;

@@ -107,7 +107,7 @@ pub fn injected_noise(stats: &LayerStats, option: LinearPrecision) -> InjectedNo
 /// Weight divergence of quantizing layer `i` with `option` (§4.3): the sum
 /// over all layers `l` of the induced weight-update error, via the AdamW
 /// sensitivity, normalized per Definition 4.4.
-pub fn weight_divergence(m: &SnipMeasurement, i: usize, option: LinearPrecision) -> f64 {
+pub(crate) fn weight_divergence(m: &SnipMeasurement, i: usize, option: LinearPrecision) -> f64 {
     let n_layers = m.stats.layers.len();
     let noise = injected_noise(&m.stats.layers[i], option);
     let mut total = 0.0;

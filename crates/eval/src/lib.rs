@@ -26,5 +26,5 @@
 pub mod harness;
 pub mod tasks;
 
-pub use harness::{evaluate, score_item, EvalConfig, EvalReport, TaskScore};
+pub use harness::{evaluate, score_item, EvalConfig, EvalReport};
 pub use tasks::{Task, TaskItem};

@@ -79,7 +79,7 @@ impl Task {
     }
 
     /// Number of choices per item.
-    pub fn n_choices(self) -> usize {
+    pub(crate) fn n_choices(self) -> usize {
         match self {
             Task::NextToken | Task::Bigram | Task::OrderPair => 2,
             _ => 4,

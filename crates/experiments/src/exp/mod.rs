@@ -21,7 +21,7 @@ macro_rules! registry {
         $(pub mod $name;)*
 
         /// Every experiment, in sweep order.
-        pub const REGISTRY: &[Experiment] = &[
+        pub(crate) const REGISTRY: &[Experiment] = &[
             $(Experiment {
                 name: stringify!($name),
                 artefact: $artefact,

@@ -1,8 +1,8 @@
 //! The study skeleton every experiment shares: run sizes ([`ExpParams`],
 //! [`Ctx`]), the checkpoint cache ([`checkpoint`]), one measured checkpoint
-//! from which every named scheme derives ([`Study`], [`Method`]), one result
+//! from which every named scheme derives (`Study`, `Method`), one result
 //! of resuming under a scheme ([`Outcome`]) and its two printers
-//! ([`Table`], [`print_curves`]).
+//! ([`Table`], `print_curves`).
 
 use snip_core::baselines::{self, ErrorMetric};
 use snip_core::{
@@ -160,7 +160,7 @@ impl Ctx {
 /// regimes — the regime where subbyte quantization error becomes visible
 /// (mature LLM checkpoints are in this regime; `sanity_maturity` measures
 /// where it starts).
-pub fn experiment_language() -> LanguageConfig {
+pub(crate) fn experiment_language() -> LanguageConfig {
     LanguageConfig {
         vocab: 64,
         copy_prob: 0.2,
@@ -190,7 +190,7 @@ pub fn trainer_config(model: ModelConfig, p: &ExpParams) -> TrainerConfig {
 }
 
 /// The language matching a trainer's data stream (for evaluation).
-pub fn language_of(cfg: &TrainerConfig) -> SyntheticLanguage {
+pub(crate) fn language_of(cfg: &TrainerConfig) -> SyntheticLanguage {
     SyntheticLanguage::new(
         LanguageConfig {
             vocab: cfg.model.vocab_size,
@@ -248,7 +248,7 @@ pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams, cache_dir: &Pat
 /// [`Study::scheme`] ignores the budget for the uniform schemes and the
 /// structural `E-layer-type`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Method {
+pub(crate) enum Method {
     /// One precision everywhere.
     Uniform(Precision),
     /// `SNIP@B`: the framework itself (Steps 1–5).
@@ -271,7 +271,7 @@ pub enum Method {
 
 impl Method {
     /// The §6.1 comparison set, in the order the paper's tables list it.
-    pub const PAPER_BASELINES: [Method; 7] = [
+    pub(crate) const PAPER_BASELINES: [Method; 7] = [
         Method::MinAbsErr,
         Method::MinRelErr,
         Method::Random(0),
@@ -287,7 +287,7 @@ impl Method {
 /// Step-4 analysis over the {FP8, FP4} option pair and every named scheme
 /// derive from that measurement, so all methods of one experiment are
 /// compared on identical numbers.
-pub struct Study {
+pub(crate) struct Study {
     ckpt: Trainer,
     flops: FlopModel,
     eval_items: usize,
@@ -355,7 +355,7 @@ impl Study {
 
     /// The weight gradients of one BF16 step on the checkpoint's next
     /// batch, concatenated in [`LayerId::linear_index`] order.
-    pub fn weight_grads(&self) -> Vec<f32> {
+    pub(crate) fn weight_grads(&self) -> Vec<f32> {
         let mut t = self.ckpt.clone();
         let batch = t.peek_batch();
         let n = self.cfg().n_linear_layers();
@@ -418,7 +418,7 @@ impl Study {
 
     /// Percentage of the FLOPs of `layers` (one pipeline stage's, say) that
     /// `scheme` runs in FP4.
-    pub fn fp4_pct_of(&self, scheme: &Scheme, layers: &[LayerId]) -> f64 {
+    pub(crate) fn fp4_pct_of(&self, scheme: &Scheme, layers: &[LayerId]) -> f64 {
         let total: f64 = layers
             .iter()
             .map(|id| self.flops.fraction(id.linear_index()))
@@ -479,7 +479,7 @@ impl Outcome {
     }
 
     /// Mean loss over three held-out batches.
-    pub fn val_loss(&self) -> f64 {
+    pub(crate) fn val_loss(&self) -> f64 {
         *self
             .val_loss
             .get_or_init(|| self.trained.clone().validation_loss(2, 3))
@@ -557,7 +557,7 @@ impl Table {
     }
 
     /// One outcome as differences over `base`.
-    pub fn delta_row(&self, label: &str, o: &Outcome, base: &Outcome) -> String {
+    pub(crate) fn delta_row(&self, label: &str, o: &Outcome, base: &Outcome) -> String {
         self.line(label, |&(_, col, w)| {
             let delta = o.value(col) - base.value(col);
             format!("{delta:>w$.d$}", d = col.decimals())
@@ -567,7 +567,7 @@ impl Table {
 
 /// The one curve-table printer: one 18-wide column per named curve, one
 /// row per `stride`-th step (the figures' x-axis), `decimals` per value.
-pub fn print_curves(curves: &[(&str, &[f64])], stride: usize, decimals: usize) {
+pub(crate) fn print_curves(curves: &[(&str, &[f64])], stride: usize, decimals: usize) {
     print!("{:<6}", "step");
     for (name, _) in curves {
         print!("{name:>18}");

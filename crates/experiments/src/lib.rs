@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--quick` selects reduced sizes ([`ExpParams::quick`]); an unknown name
-//! or flag exits 2 listing the names ([`exp::REGISTRY`] — ROADMAP.md
+//! or flag exits 2 listing the names (`exp::REGISTRY` — ROADMAP.md
 //! open item 8(j) maps each to its paper artefact). `SNIP_CKPT_DIR` moves
 //! the trainer-checkpoint cache (default `target/snip_checkpoints`).
 //! `comm_precision` additionally takes `--transport threads|process` and
@@ -17,11 +17,11 @@
 //! telemetry artifacts and needs the process-wide `SNIP_TRACE`.
 //!
 //! The experiments share one skeleton ([`harness`]): a cached checkpoint
-//! and **one** SNIP measurement of it ([`Study`]), from which Step-1
+//! and **one** SNIP measurement of it (`Study`), from which Step-1
 //! statistics, the divergence analysis and every named scheme
-//! ([`Method`]) derive; resuming under a scheme yields one [`Outcome`],
+//! (`Method`) derive; resuming under a scheme yields one [`Outcome`],
 //! printed by one row printer ([`Table`]) or one curve printer
-//! ([`print_curves`]). The 1F1B schedule simulator that draws Fig. 12
+//! (`print_curves`). The 1F1B schedule simulator that draws Fig. 12
 //! ([`stage`], [`cost`], [`schedule`], [`timeline`]) lives here, beside its
 //! only users.
 //!

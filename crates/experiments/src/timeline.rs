@@ -6,7 +6,7 @@ use crate::schedule::{Phase, PipelineSim};
 /// is `F<mb>` or `B<mb>`; width is proportional to duration.
 ///
 /// `width` is the total character budget for the time axis.
-pub fn render_timeline(sim: &PipelineSim, width: usize) -> String {
+pub(crate) fn render_timeline(sim: &PipelineSim, width: usize) -> String {
     let n_stages = sim.stage_busy.len();
     let scale = width as f64 / sim.makespan.max(1e-12);
     let mut out = String::new();

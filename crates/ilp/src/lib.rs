@@ -37,4 +37,4 @@ pub mod solve;
 pub use balanced::{imbalance_fraction, stage_times, time_balanced_targets};
 pub use grouped::{contiguous_stages, solve_grouped};
 pub use problem::{Choice, McKnapsack};
-pub use solve::{solve, solve_bruteforce, Solution, SolveError, SolveOptions};
+pub use solve::{solve, solve_bruteforce, SolveError, SolveOptions};

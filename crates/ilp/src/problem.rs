@@ -73,7 +73,7 @@ impl McKnapsack {
     }
 
     /// The maximum achievable efficiency (each group at its max).
-    pub fn max_efficiency(&self) -> f64 {
+    pub(crate) fn max_efficiency(&self) -> f64 {
         self.groups
             .iter()
             .map(|g| {
@@ -85,7 +85,7 @@ impl McKnapsack {
     }
 
     /// Whether some assignment can satisfy the target.
-    pub fn is_feasible(&self) -> bool {
+    pub(crate) fn is_feasible(&self) -> bool {
         self.max_efficiency() >= self.target - 1e-12
     }
 

@@ -22,7 +22,7 @@ use snip_tensor::{Orientation::Nt, Round::Keep};
 /// would. Results are bit-identical on every pool split. The probabilities
 /// a cache keeps are allocated on the calling thread, not by a pool worker.
 #[derive(Clone, Debug)]
-pub struct Attention {
+pub(crate) struct Attention {
     n_heads: usize,
     head_dim: usize,
     rope: Rope,
@@ -30,7 +30,7 @@ pub struct Attention {
 
 /// Saved forward state for the backward pass.
 #[derive(Clone, Debug)]
-pub struct AttentionCache {
+pub(crate) struct AttentionCache {
     /// Post-RoPE queries, `(batch·seq) × hidden`.
     q_rot: Tensor,
     /// Post-RoPE keys.

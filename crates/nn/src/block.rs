@@ -126,7 +126,7 @@ impl Block {
     }
 
     /// Mutable access to a linear layer by kind.
-    pub fn linear_mut(&mut self, kind: LayerKind) -> &mut Linear {
+    pub(crate) fn linear_mut(&mut self, kind: LayerKind) -> &mut Linear {
         match kind {
             LayerKind::Q => &mut self.wq,
             LayerKind::K => &mut self.wk,
@@ -139,7 +139,7 @@ impl Block {
     }
 
     /// The seven linear layers in [`LayerKind::ALL`] order.
-    pub fn linears_mut(&mut self) -> [&mut Linear; 7] {
+    pub(crate) fn linears_mut(&mut self) -> [&mut Linear; 7] {
         [
             &mut self.wq,
             &mut self.wk,

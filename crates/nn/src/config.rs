@@ -35,7 +35,7 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     /// Head dimension.
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         self.hidden / self.n_heads
     }
 

@@ -1,27 +1,17 @@
 //! Token embedding table.
 
 use crate::param::{Init, Param};
-use snip_tensor::{rng::Rng, Tensor};
+use snip_tensor::Tensor;
 
 /// A `vocab × hidden` embedding lookup (kept in high precision).
 #[derive(Clone, Debug)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     table: Param,
 }
 
 impl Embedding {
-    /// Creates a Gaussian-initialized embedding table.
-    pub fn new(
-        name: impl Into<String>,
-        vocab: usize,
-        hidden: usize,
-        std: f32,
-        rng: &mut Rng,
-    ) -> Self {
-        Embedding::init(name, vocab, hidden, std, &mut Init::Draw(rng))
-    }
-
-    /// [`Embedding::new`] with its table from `init`.
+    /// Creates a `vocab × hidden` table from `init` (Gaussian with standard
+    /// deviation `std` when it draws).
     pub(crate) fn init(
         name: impl Into<String>,
         vocab: usize,
@@ -40,7 +30,7 @@ impl Embedding {
     }
 
     /// Mutable access to the table parameter.
-    pub fn table_mut(&mut self) -> &mut Param {
+    pub(crate) fn table_mut(&mut self) -> &mut Param {
         &mut self.table
     }
 
@@ -75,6 +65,20 @@ impl Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snip_tensor::rng::Rng;
+
+    impl Embedding {
+        /// Creates a Gaussian-initialized embedding table.
+        fn new(
+            name: impl Into<String>,
+            vocab: usize,
+            hidden: usize,
+            std: f32,
+            rng: &mut Rng,
+        ) -> Self {
+            Embedding::init(name, vocab, hidden, std, &mut Init::Draw(rng))
+        }
+    }
 
     #[test]
     fn gather_matches_table_rows() {

@@ -39,7 +39,7 @@ impl LayerKind {
     ];
 
     /// Number of linear layer kinds per block.
-    pub const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 7;
 
     /// Position in [`LayerKind::ALL`].
     pub fn index(self) -> usize {
@@ -59,7 +59,7 @@ impl LayerKind {
     /// # Panics
     ///
     /// Panics if `i >= 7`.
-    pub fn from_index(i: usize) -> Self {
+    pub(crate) fn from_index(i: usize) -> Self {
         Self::ALL[i]
     }
 
@@ -77,7 +77,7 @@ impl LayerKind {
     }
 
     /// Whether this is one of the attention projections.
-    pub fn is_attention(self) -> bool {
+    pub(crate) fn is_attention(self) -> bool {
         matches!(
             self,
             LayerKind::Q | LayerKind::K | LayerKind::V | LayerKind::O

@@ -13,10 +13,10 @@
 //! ```
 //!
 //! `dW` is not a temporary: the weight-gradient GEMM stores it straight
-//! into the weight's FP32 gradient ([`Param::grad_to_write`]), which holds
+//! into the weight's FP32 gradient (`Param::grad_to_write`), which holds
 //! nothing else — each weight meets exactly one weight-gradient GEMM per
 //! pass, so there is nothing to accumulate and nothing to zero first. A
-//! caller may lend another destination instead ([`Linear::backward_to`]):
+//! caller may lend another destination instead (`Linear::backward_to`):
 //! SNIP's probe passes write into one reused scratch buffer, so the weight
 //! gradients keep the statistics pass's `dW`.
 //!
@@ -97,11 +97,6 @@ pub enum QOperand<S> {
 }
 
 impl<S> QOperand<S> {
-    /// Whether the operand is held bit-packed.
-    pub fn is_packed(&self) -> bool {
-        matches!(self, QOperand::Packed(_))
-    }
-
     /// The source an in-place read holds (`None` when packed).
     pub fn source(&self) -> Option<&S> {
         match self {
@@ -302,7 +297,7 @@ impl Linear {
     }
 
     /// Reassigns the layer's precision (SNIP Step 6 applies new schemes here).
-    pub fn set_precision(&mut self, p: LinearPrecision) {
+    pub(crate) fn set_precision(&mut self, p: LinearPrecision) {
         self.precision = p;
     }
 
@@ -312,7 +307,7 @@ impl Linear {
     }
 
     /// Mutable access to the weight parameter (optimizer use).
-    pub fn weight_mut(&mut self) -> &mut Param {
+    pub(crate) fn weight_mut(&mut self) -> &mut Param {
         &mut self.weight
     }
 
@@ -377,7 +372,7 @@ impl Linear {
 
     /// Backward pass: reads `dy` once (packed, or in place) and returns
     /// `dX`. `dW` is written straight into the weight's gradient, replacing
-    /// whatever it held ([`Param::grad_to_write`]): bit for bit what adding
+    /// whatever it held (`Param::grad_to_write`): bit for bit what adding
     /// it into a zeroed gradient gave, since [`gemm_into`] stores `0 + dW`.
     /// Both outputs are BF16 rounded, plain in exact mode.
     ///
@@ -400,7 +395,7 @@ impl Linear {
     /// # Panics
     ///
     /// As [`Linear::backward`], and if `dw` is not `out × in`.
-    pub fn backward_to(
+    pub(crate) fn backward_to(
         &mut self,
         dy: &Tensor,
         cache: &LinearCache,
@@ -427,6 +422,13 @@ impl Linear {
 mod tests {
     use super::*;
     use snip_quant::Precision;
+
+    impl<S> QOperand<S> {
+        /// Whether the operand is held bit-packed.
+        fn is_packed(&self) -> bool {
+            matches!(self, QOperand::Packed(_))
+        }
+    }
 
     fn finite_difference_check(precision: LinearPrecision) {
         // With BF16 ("effectively exact" at these magnitudes) the manual

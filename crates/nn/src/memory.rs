@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 /// Bytes per gigabyte in vendor marketing units (the paper's "1120 GB" is
 /// decimal: 70e9 params × 16 B = 1.12e12 B).
-pub const BYTES_PER_GB: f64 = 1e9;
+pub(crate) const BYTES_PER_GB: f64 = 1e9;
 
 /// Bytes **per parameter** held by each persistent training-state component.
 ///
@@ -126,7 +126,7 @@ pub struct MemoryBreakdown {
 
 impl MemoryBreakdown {
     /// Persistent model states only (the paper's "excluding activations").
-    pub fn model_states(&self) -> f64 {
+    pub(crate) fn model_states(&self) -> f64 {
         self.weights + self.grads + self.master + self.optimizer
     }
 
@@ -190,7 +190,12 @@ impl MemoryModel {
 /// `b` = microbatch size, `h` = hidden size and `a` = attention heads. The
 /// `5·a·s²` term is the attention-probability storage that FlashAttention
 /// removes; pass `flash = true` to drop it.
-pub fn activation_bytes_per_block(cfg: &ModelConfig, batch: usize, seq: usize, flash: bool) -> f64 {
+pub(crate) fn activation_bytes_per_block(
+    cfg: &ModelConfig,
+    batch: usize,
+    seq: usize,
+    flash: bool,
+) -> f64 {
     let s = seq as f64;
     let b = batch as f64;
     let h = cfg.hidden as f64;

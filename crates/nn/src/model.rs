@@ -324,7 +324,7 @@ impl Model {
     /// gains' — are zeroed, one parameter per pool task. A linear weight's
     /// gradient is *written* whole by its layer's one weight-gradient GEMM
     /// ([`Linear::backward`]), so it is left as it is (re-armed,
-    /// [`Param::rearm_grad`]): until the next backward writes it, it holds
+    /// `Param::rearm_grad`): until the next backward writes it, it holds
     /// the last pass's `dW`. [`Model::zero_all_grads`] zeroes those too.
     pub fn zero_grads(&mut self) {
         let mut accumulated = Vec::with_capacity(2 + 2 * self.blocks.len());

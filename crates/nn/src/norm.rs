@@ -8,13 +8,13 @@ const EPS: f32 = 1e-5;
 /// Root-mean-square layer normalization with a learnable gain:
 /// `y = x / rms(x) ⊙ g`, `rms(x) = sqrt(mean(x²) + ε)`.
 #[derive(Clone, Debug)]
-pub struct RmsNorm {
+pub(crate) struct RmsNorm {
     gain: Param,
 }
 
 /// Saved forward state for the backward pass.
 #[derive(Clone, Debug)]
-pub struct RmsNormCache {
+pub(crate) struct RmsNormCache {
     /// Input activations.
     pub x: Tensor,
     /// Per-row `1 / rms(x)`.
@@ -35,7 +35,7 @@ impl RmsNorm {
     }
 
     /// Mutable access to the gain parameter.
-    pub fn gain_mut(&mut self) -> &mut Param {
+    pub(crate) fn gain_mut(&mut self) -> &mut Param {
         &mut self.gain
     }
 

@@ -9,11 +9,11 @@ use snip_tensor::{rng::Rng, Tensor};
 /// linear layer consumes the weight.
 ///
 /// A gradient is filled one of two ways. Most are *accumulated*
-/// ([`Param::accumulate_grad`], or in place through [`Param::grad_mut`])
-/// and must start each step at zero ([`Param::zero_grad`]). A linear
+/// (`Param::accumulate_grad`, or in place through [`Param::grad_mut`])
+/// and must start each step at zero (`Param::zero_grad`). A linear
 /// layer's weight gradient is *written*: its one weight-gradient GEMM of
-/// the pass stores `dW` whole through [`Param::grad_to_write`], so it needs
-/// no zeroing — only [`Param::rearm_grad`], which debug builds use to check
+/// the pass stores `dW` whole through `Param::grad_to_write`, so it needs
+/// no zeroing — only `Param::rearm_grad`, which debug builds use to check
 /// that no second write silently replaces the first.
 #[derive(Clone, Debug)]
 pub struct Param {
@@ -113,7 +113,7 @@ impl Param {
     /// Debug builds panic if it was already handed out since the last
     /// [`Param::zero_grad`] or [`Param::rearm_grad`]: a second write would
     /// replace the first instead of adding to it.
-    pub fn grad_to_write(&mut self) -> &mut Tensor {
+    pub(crate) fn grad_to_write(&mut self) -> &mut Tensor {
         #[cfg(debug_assertions)]
         {
             assert!(
@@ -129,7 +129,7 @@ impl Param {
     /// Readies a written gradient for the next pass without zeroing it:
     /// the next [`Param::grad_to_write`] overwrites every element. Only
     /// debug builds have anything to do (the written-once check).
-    pub fn rearm_grad(&mut self) {
+    pub(crate) fn rearm_grad(&mut self) {
         #[cfg(debug_assertions)]
         {
             self.written = false;
@@ -146,12 +146,12 @@ impl Param {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn accumulate_grad(&mut self, g: &Tensor) {
+    pub(crate) fn accumulate_grad(&mut self, g: &Tensor) {
         self.grad.add_assign(g);
     }
 
     /// Zeroes the gradient (and re-arms it, see [`Param::rearm_grad`]).
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.fill_zero();
         self.rearm_grad();
     }

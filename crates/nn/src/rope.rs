@@ -5,7 +5,7 @@ use snip_tensor::Tensor;
 /// Precomputed RoPE rotation tables for a maximum sequence length and head
 /// dimension.
 #[derive(Clone, Debug)]
-pub struct Rope {
+pub(crate) struct Rope {
     head_dim: usize,
     max_seq: usize,
     /// `cos[t][i]`, `sin[t][i]` for pair index `i < head_dim/2`.
@@ -44,11 +44,6 @@ impl Rope {
         }
     }
 
-    /// Head dimension the tables were built for.
-    pub fn head_dim(&self) -> usize {
-        self.head_dim
-    }
-
     /// Rotates each row of a `seq × head_dim` tensor by its position's angle.
     ///
     /// # Panics
@@ -61,7 +56,7 @@ impl Rope {
     /// Inverse rotation — the exact adjoint of [`Rope::apply`], used in the
     /// backward pass (rotations are orthonormal, so the adjoint is the
     /// rotation by the negated angle).
-    pub fn apply_transposed(&self, x: &mut Tensor) {
+    pub(crate) fn apply_transposed(&self, x: &mut Tensor) {
         self.rotate(x, true);
     }
 

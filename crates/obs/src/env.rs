@@ -29,11 +29,6 @@ impl<T> EnvValue<T> {
             _ => default,
         }
     }
-
-    /// True only for `Unrecognized`.
-    pub fn is_unrecognized(&self) -> bool {
-        matches!(self, EnvValue::Unrecognized)
-    }
 }
 
 /// Pure half of the idiom: classifies `raw` (as read from the environment)
@@ -79,6 +74,13 @@ pub fn warn_unrecognized(name: &str, raw: &str, accepted: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> EnvValue<T> {
+        /// True only for `Unrecognized`.
+        fn is_unrecognized(&self) -> bool {
+            matches!(self, EnvValue::Unrecognized)
+        }
+    }
 
     #[test]
     fn unset_and_blank_are_unset() {

@@ -125,7 +125,7 @@ pub use registry::{
 pub use trace::{span, Span};
 
 /// Accepted-value table for `SNIP_TRACE`, shown by the warn-once path.
-pub const SNIP_TRACE_ACCEPTED: &str =
+pub(crate) const SNIP_TRACE_ACCEPTED: &str =
     "0|off|false (disabled), 1|on|true (trace to ./snip_trace.json), or a trace path ending in .json";
 
 // 0 = not yet initialized, 1 = collection off, 2 = collection on.

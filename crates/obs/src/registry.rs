@@ -27,17 +27,8 @@ pub const HIST_BUCKETS: usize = 64;
 
 /// Maps a value to its power-of-two bucket: `floor(log2(max(v, 1)))`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (63 - (v | 1).leading_zeros()) as usize
-}
-
-/// Inclusive lower edge of bucket `i` (`0` for bucket 0, else `2^i`).
-pub fn bucket_lower_edge(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << i
-    }
 }
 
 struct HistCell {
@@ -211,6 +202,15 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inclusive lower edge of bucket `i` (`0` for bucket 0, else `2^i`).
+    fn bucket_lower_edge(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64 << i
+        }
+    }
 
     #[test]
     fn bucket_edges_are_powers_of_two() {

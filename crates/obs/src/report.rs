@@ -33,9 +33,9 @@ impl serde::Deserialize for Json {
 }
 
 /// The committed report schema (see `crates/obs/schema/`).
-pub const RUN_REPORT_SCHEMA: &str = include_str!("../schema/run_report.schema.json");
+pub(crate) const RUN_REPORT_SCHEMA: &str = include_str!("../schema/run_report.schema.json");
 /// The committed trace schema (see `crates/obs/schema/`).
-pub const CHROME_TRACE_SCHEMA: &str = include_str!("../schema/chrome_trace.schema.json");
+pub(crate) const CHROME_TRACE_SCHEMA: &str = include_str!("../schema/chrome_trace.schema.json");
 
 fn sections() -> &'static Mutex<BTreeMap<String, Content>> {
     static S: OnceLock<Mutex<BTreeMap<String, Content>>> = OnceLock::new();
@@ -120,7 +120,7 @@ pub fn build_report() -> Content {
 }
 
 /// Serializes [`build_report`] to a JSON string.
-pub fn report_json() -> String {
+pub(crate) fn report_json() -> String {
     serde_json::to_string(&Json(build_report())).expect("report serialization is infallible")
 }
 
@@ -165,7 +165,7 @@ fn number_of(c: &Content) -> Option<f64> {
 }
 
 /// Extracts an unsigned integer field, tolerating the JSON number forms.
-pub fn content_u64(c: &Content) -> Option<u64> {
+pub(crate) fn content_u64(c: &Content) -> Option<u64> {
     match c {
         Content::U64(v) => Some(*v),
         Content::I64(v) => u64::try_from(*v).ok(),

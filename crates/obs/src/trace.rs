@@ -7,7 +7,7 @@
 //! trace file itself is not inspected). When collection is off the guard is
 //! inert and construction costs one relaxed atomic load.
 //!
-//! [`chrome_trace_json`] serializes everything recorded so far into the
+//! [`crate::flush`] writes everything recorded so far in the
 //! Chrome trace-event JSON object format (`{"traceEvents": [...]}`), which
 //! `chrome://tracing` and <https://ui.perfetto.dev> load directly. Events
 //! are sorted by timestamp so consumers (including the checked-in schema
@@ -35,7 +35,7 @@ pub fn now_ns() -> u64 {
 
 /// One completed span, in epoch-relative nanoseconds.
 #[derive(Clone, Debug)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Span name (the `name` field of the Chrome event).
     pub name: &'static str,
     /// Small dense id of the recording thread.
@@ -81,7 +81,7 @@ fn with_local<R>(f: impl FnOnce(u64, &ThreadBuf) -> R) -> R {
 /// Records one finished span. Public so instrumentation that measures
 /// durations itself (e.g. cross-thread queue waits) can emit events without
 /// a guard.
-pub fn record_event(name: &'static str, start_ns: u64, dur_ns: u64) {
+pub(crate) fn record_event(name: &'static str, start_ns: u64, dur_ns: u64) {
     with_local(|tid, buf| {
         let mut events = buf.events.lock().expect("trace buffer");
         if events.len() < MAX_EVENTS_PER_THREAD {
@@ -146,7 +146,7 @@ impl Drop for Span {
 
 /// Snapshot of every event recorded so far, in timestamp order. The buffers
 /// are not drained: repeated exports each see the complete trace.
-pub fn events_snapshot() -> Vec<TraceEvent> {
+pub(crate) fn events_snapshot() -> Vec<TraceEvent> {
     let bufs: Vec<Arc<ThreadBuf>> = sinks().lock().expect("trace sinks").clone();
     let mut all = Vec::new();
     for buf in bufs {
@@ -179,7 +179,7 @@ struct ChromeTrace {
 /// Serializes all recorded spans as a Chrome trace-event JSON object.
 /// Timestamps and durations are microseconds (the trace format's unit),
 /// sorted so `ts` is non-decreasing.
-pub fn chrome_trace_json() -> String {
+pub(crate) fn chrome_trace_json() -> String {
     let pid = std::process::id() as u64;
     let trace = ChromeTrace {
         traceEvents: events_snapshot()

@@ -29,5 +29,5 @@ pub mod adamw;
 pub mod clip;
 pub mod schedule;
 
-pub use adamw::{AdamW, AdamWConfig, MomentPrecision, MomentState};
+pub use adamw::{AdamW, AdamWConfig, MomentPrecision};
 pub use schedule::LrSchedule;

@@ -436,7 +436,7 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
 
 /// A completed recovery run: the trainers at their final step, every
 /// rank's kept-step losses, and the number of retries spent.
-pub type RecoveredRun = (Vec<Trainer>, Vec<Vec<f64>>, usize);
+pub(crate) type RecoveredRun = (Vec<Trainer>, Vec<Vec<f64>>, usize);
 
 /// Synchronous data-parallel training that survives transport faults:
 /// run, and when a fault stops the world, retry from the last good

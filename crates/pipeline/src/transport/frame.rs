@@ -108,11 +108,13 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Fram
                 .expect("a packable codec packs");
             let bytes = packed.wire_bytes();
             let mut w = tagged(TAG_PACKED, 1 + WIRE_HEADER_BYTES + bytes as usize);
-            w.packed(&packed).expect("wire codecs use built-in formats");
+            w.packed(&packed);
             (w, bytes)
         }
     };
-    let (frame, crc) = w.finish().expect("a hop's count fits its u32 field");
+    let (frame, crc) = w
+        .finish()
+        .expect("a hop's count fits its u32 field and its codec is a built-in format");
     (Frame { bytes: frame, crc }, bytes)
 }
 

@@ -212,7 +212,7 @@ impl TransportStats {
 
     /// The first link `(src, dst)` whose sender-side and receiver-side
     /// counts differ — payload, envelope or frames — if any.
-    pub fn disagreement(&self) -> Option<(usize, usize)> {
+    pub(crate) fn disagreement(&self) -> Option<(usize, usize)> {
         let i = self.tx.iter().zip(&self.rx).position(|(t, r)| t != r)?;
         Some((i / self.world, i % self.world))
     }
@@ -529,7 +529,7 @@ pub(crate) fn step_comm_rng(comm_seed: u64, rank: usize, step: u64) -> Rng {
 /// One rank's outcome from a data-parallel run: the losses of the steps it
 /// completed, plus the typed error that stopped it (`None` when it ran to
 /// the end).
-pub type RankRunOutcome = (Vec<f64>, Option<TransportError>);
+pub(crate) type RankRunOutcome = (Vec<f64>, Option<TransportError>);
 
 /// One rank's synchronous data-parallel training loop: up to `steps` steps
 /// of `trainer`, each all-reducing every parameter gradient through `wire`
@@ -697,9 +697,10 @@ pub fn threaded_all_reduce(
 /// each rank updates from the same reduced gradient a ZeRO-style DP run
 /// would see. `chaos` injects a fault schedule (`None` runs calm).
 ///
-/// Every rank returns its [`RankRunOutcome`]; trainers come back in
-/// whatever state they reached — failed steps rolled back, completed steps
-/// kept — so a caller can inspect, resume or retry.
+/// Every rank returns its losses and the first transport error it met, if
+/// any; trainers come back in whatever state they reached — failed steps
+/// rolled back, completed steps kept — so a caller can inspect, resume or
+/// retry.
 ///
 /// Wire randomness is `step_comm_rng`'s, as in every DP entry point, so
 /// [`proc::proc_data_parallel_train`] and the recovery driver reproduce

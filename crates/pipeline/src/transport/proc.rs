@@ -61,7 +61,7 @@
 //!    report or a ledger of the wrong shape ([`ProcError::Protocol`]);
 //!    then the `ERROR` reports, counted and attributed to their root cause
 //!    by their class; a run with none reaps the workers and checks that
-//!    both sides of every link agree ([`TransportStats::disagreement`];
+//!    both sides of every link agree (`TransportStats::disagreement`;
 //!    [`ProcError::AccountingMismatch`] names the first that does not).
 //!    Whatever the verdict, the ledgers of every decoded report are added
 //!    by `TransportStats::merge` and published, as the threaded driver

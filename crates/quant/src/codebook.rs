@@ -162,7 +162,7 @@ impl Codebook {
     /// The byte → value-pair expansion of this format's decode table (the
     /// branch-free 4-bit decode path reads it; empty for byte-wide codes),
     /// shared per format like [`Codebook::lut`].
-    pub fn pair_lut(&self) -> Arc<[f32]> {
+    pub(crate) fn pair_lut(&self) -> Arc<[f32]> {
         self.pair.clone()
     }
 

@@ -20,7 +20,7 @@
 //!   `snip_core::stats`). The pluggable quantization options of §5.2 are
 //!   its constructors: `Quantizer::new(IntFormat::int4(), …)` /
 //!   [`Quantizer::int8_tile`] (integer grids), [`Quantizer::mxfp4`]
-//!   (MXFP4-style power-of-two block scales, [`mx`]),
+//!   (MXFP4-style power-of-two block scales, [`Recipe::Mx`]),
 //!   [`Quantizer::with_rht`] (randomized Hadamard pre-rotation, [`rht`]),
 //!   [`Quantizer::with_outliers`] (dense + sparse high-precision outlier
 //!   split, [`outlier`]).
@@ -35,6 +35,13 @@
 //! * [`Precision`] / [`LinearPrecision`] — the *policy-level* vocabulary: the
 //!   precision assigned to each quantized operand of a linear layer, and the
 //!   effective precision of each of its three GEMMs.
+//! * [`wire`] — the workspace's one binary codec: the field codec
+//!   ([`wire::Writer`] / [`wire::Fields`]), the [`PackedTensor`] frame
+//!   ([`PackedTensor::to_wire_bytes`] / [`PackedTensor::from_wire_bytes`]),
+//!   the stream envelope and the file frame. A reader has one error,
+//!   [`wire::FieldError`]: a damaged frame is its `Malformed`, naming the
+//!   defect. A writer keeps its first error until [`wire::Writer::finish`];
+//!   [`StreamError`] is the stream envelope's.
 //!
 //! # Example
 //!
@@ -158,7 +165,7 @@ pub mod codebook;
 pub mod format;
 pub mod granularity;
 pub mod int;
-pub mod mx;
+mod mx;
 pub mod outlier;
 pub mod packed;
 mod quantizer;
@@ -171,8 +178,8 @@ pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
 pub use quantizer::{Quantizer, Recipe, Rounding};
 pub use wire::{
     crc32, stream_envelope, stream_envelope_of, stream_frame, Crc32, StreamDecoder, StreamError,
-    WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
-    STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
+    STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES,
+    WIRE_HEADER_BYTES,
 };
 
 use format::FloatFormat;
@@ -229,7 +236,7 @@ impl Precision {
     }
 
     /// The number format backing this precision in our emulation.
-    pub fn float_format(self) -> FloatFormat {
+    pub(crate) fn float_format(self) -> FloatFormat {
         match self {
             Precision::Fp4 => FloatFormat::e2m1(),
             Precision::Fp8 => FloatFormat::e4m3(),
@@ -240,7 +247,7 @@ impl Precision {
     /// Default tile/block length for scale groups. The paper uses 128; the
     /// value is exposed so scaled-down experiments can shrink it together
     /// with their hidden dimensions.
-    pub const DEFAULT_GROUP: usize = 128;
+    pub(crate) const DEFAULT_GROUP: usize = 128;
 
     /// The paper's quantizer recipe for this precision and tensor role:
     /// 1×128 tilewise for activations/gradients, 128×128 blockwise for
@@ -271,7 +278,7 @@ impl Precision {
     /// Effective precision of a GEMM whose two quantized operands have the
     /// given precisions: the GEMM runs at the *wider* (slower) operand's
     /// precision — an FP4×FP8 product executes as an FP8 GEMM.
-    pub fn combine(a: Precision, b: Precision) -> Precision {
+    pub(crate) fn combine(a: Precision, b: Precision) -> Precision {
         a.max(b)
     }
 

@@ -11,7 +11,7 @@
 //! variant as [`crate::Recipe::Mx`]; this module holds its scale rule.
 
 /// MX block size fixed by the specification.
-pub const MX_BLOCK: usize = 32;
+pub(crate) const MX_BLOCK: usize = 32;
 
 /// The E8M0 exponent range: `2^-127` (stored subnormal in f32) to `2^127`.
 const E8M0_MIN: i32 = -127;
@@ -21,7 +21,7 @@ const E8M0_MAX: i32 = 127;
 /// `max_abs / 2^e ≤ grid_max` (the element format's largest magnitude),
 /// clamped to the E8M0 exponent range. All-zero and non-finite blocks
 /// scale by 1.
-pub fn block_scale(grid_max: f32, max_abs: f32) -> f32 {
+pub(crate) fn block_scale(grid_max: f32, max_abs: f32) -> f32 {
     if max_abs <= 0.0 || !max_abs.is_finite() {
         return 1.0;
     }

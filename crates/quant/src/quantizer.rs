@@ -44,7 +44,7 @@ pub enum Recipe {
     /// `scale = grid_max / max|group|` per layout group — the paper's
     /// recipe. Packs to [`PackedTensor::Codes`].
     MaxAbs,
-    /// MX: a power-of-two E8M0 scale ([`mx::block_scale`]) per `1×32` tile.
+    /// MX: a power-of-two E8M0 scale (`mx::block_scale`) per `1×32` tile.
     /// Packs to [`PackedTensor::Mx`] (one byte per scale on the wire).
     Mx,
     /// Max-abs scaling in the randomized-Hadamard-rotated domain

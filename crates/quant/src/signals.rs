@@ -1,7 +1,7 @@
 //! Pack-signal extraction: the quantization statistics fed to `snip-obs`
 //! for the adaptive precision controller.
 //!
-//! [`crate::Quantizer`]'s pack calls [`record_pack`] on the tensor *as the
+//! [`crate::Quantizer`]'s pack calls `record_pack` on the tensor *as the
 //! packer saw it* (post-rotation for RHT, inliers-only for the outlier
 //! split) together with the packed body it produced, so every recipe
 //! reports through the same computation:
@@ -31,7 +31,7 @@ const REL_TOL: f32 = 1e-5;
 
 /// Computes the pack signals for `seen` (the tensor the packer quantized)
 /// against `q` (the packed body it produced). Exposed for tests; hot paths
-/// call [`record_pack`] which gates on [`snip_obs::enabled`] first.
+/// call `record_pack`, which gates on [`snip_obs::enabled`] first.
 pub fn pack_signal(seen: &Tensor, q: &QTensor) -> PackSignal {
     let (rows, cols) = seen.shape();
     debug_assert_eq!(seen.shape(), q.shape(), "pack must preserve shape");
@@ -82,7 +82,7 @@ pub fn pack_signal(seen: &Tensor, q: &QTensor) -> PackSignal {
 /// Records one pack into the `kind` accumulator when telemetry collection
 /// is on; a single relaxed atomic load otherwise.
 #[inline]
-pub fn record_pack(kind: &'static str, seen: &Tensor, q: &QTensor) {
+pub(crate) fn record_pack(kind: &'static str, seen: &Tensor, q: &QTensor) {
     if !snip_obs::enabled() {
         return;
     }

@@ -70,7 +70,9 @@
 //! it through the interned per-format [`crate::Codebook`], so a
 //! deserialized tensor shares the same table allocation as locally packed
 //! ones. Custom code tables outside the built-in FP4/FP8/INT formats are
-//! rejected with [`WireError::UnknownLut`]. Round trips are bit-exact,
+//! rejected: the [`Writer`] keeps the defect as its error, before a byte of
+//! the frame is written. A damaged frame reads as a
+//! [`FieldError::Malformed`] naming its defect. Round trips are bit-exact,
 //! property-tested across every quantizer and ragged shapes
 //! (`tests/wire_roundtrip.rs`, which also pins golden headers).
 //!
@@ -195,77 +197,23 @@ pub const STREAM_MAX_FRAME_BYTES: usize = 1 << 30;
 const MAGIC: [u8; 2] = *b"SP";
 const VERSION: u8 = 1;
 
-/// Everything that can go wrong serializing or deserializing a frame.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireError {
-    /// The code table is not one of the built-in formats.
-    UnknownLut,
-    /// A scale is not an E8M0-representable power of two.
-    BadMxScale(f32),
-    /// Buffer shorter than the fixed header.
-    TooShort {
-        /// Bytes required.
-        need: usize,
-        /// Bytes available.
-        got: usize,
-    },
-    /// The magic bytes or version do not match.
-    BadHeader,
-    /// An enum byte (variant/format/layout) is out of range.
-    BadTag {
-        /// Which field was malformed.
-        field: &'static str,
-        /// The offending byte.
-        value: u8,
-    },
-    /// The header's shape implies a frame too large to address.
-    ShapeTooLarge,
-    /// Total frame length disagrees with the header's shape.
-    LengthMismatch {
-        /// Length the header implies.
-        expect: usize,
-        /// Length received.
-        got: usize,
-    },
-    /// An outlier entry is out of bounds or out of order.
-    BadOutlier {
-        /// The offending flat index.
-        index: u32,
-    },
+/// A packed frame's own defect as the field codec's error: a reader's
+/// [`FieldError::Malformed`], a writer's kept I/O error.
+fn malformed(defect: impl std::fmt::Display) -> String {
+    format!("packed frame: {defect}")
 }
 
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::UnknownLut => write!(f, "code table is not a built-in wire format"),
-            WireError::BadMxScale(s) => write!(f, "MX scale {s} is not an E8M0 power of two"),
-            WireError::TooShort { need, got } => {
-                write!(f, "frame too short: need {need} bytes, got {got}")
-            }
-            WireError::BadHeader => write!(f, "bad frame magic or version"),
-            WireError::BadTag { field, value } => write!(f, "bad {field} byte {value:#04x}"),
-            WireError::ShapeTooLarge => write!(f, "header shape is too large to address"),
-            WireError::LengthMismatch { expect, got } => {
-                write!(
-                    f,
-                    "frame length {got} does not match header (expect {expect})"
-                )
-            }
-            WireError::BadOutlier { index } => {
-                write!(f, "outlier index {index} out of bounds or out of order")
-            }
-        }
-    }
+/// A header byte out of its field's range.
+fn bad_tag(field: &str, value: u8) -> String {
+    malformed(format_args!("bad {field} byte {value:#04x}"))
 }
-
-impl std::error::Error for WireError {}
 
 /// Identifies the format whose decode table matches `q`'s, among
 /// everything a frame can name (every format with a wire id). Locally
 /// packed tensors share the interned per-format table, so the match is
 /// usually a pointer comparison; tensors built over a copy of a table
 /// match by bitwise content.
-fn identify(q: &QTensor) -> Result<ElementFormat, WireError> {
+fn identify(q: &QTensor) -> Result<ElementFormat, String> {
     let lut = q.lut();
     (0..ElementFormat::WIRE_ID_END)
         .filter_map(ElementFormat::from_wire_id)
@@ -279,7 +227,7 @@ fn identify(q: &QTensor) -> Result<ElementFormat, WireError> {
                         .zip(lut)
                         .all(|(a, b)| a.to_bits() == b.to_bits()))
         })
-        .ok_or(WireError::UnknownLut)
+        .ok_or_else(|| malformed("code table is not a built-in wire format"))
 }
 
 fn layout_tag(layout: GroupLayout) -> (u8, u32) {
@@ -292,24 +240,20 @@ fn layout_tag(layout: GroupLayout) -> (u8, u32) {
     }
 }
 
-fn layout_of(tag: u8, nb: u32) -> Result<GroupLayout, WireError> {
-    let bad = || WireError::BadTag {
-        field: "layout",
-        value: tag,
-    };
+fn layout_of(tag: u8, nb: u32) -> Result<GroupLayout, String> {
     match tag {
         0 => Ok(GroupLayout::Tensorwise),
         1 => Ok(GroupLayout::Rowwise),
         2 => Ok(GroupLayout::Columnwise),
         3 if nb > 0 => Ok(GroupLayout::Block { nb: nb as usize }),
         4 if nb > 0 => Ok(GroupLayout::Tile { nb: nb as usize }),
-        _ => Err(bad()),
+        _ => Err(bad_tag("layout", tag)),
     }
 }
 
 /// Encodes a power-of-two decode scale as its E8M0 exponent byte
 /// (`2^(b − 127)`; byte 0 is the subnormal `2^-127`, byte 255 is invalid).
-fn e8m0_encode(scale: f32) -> Result<u8, WireError> {
+fn e8m0_encode(scale: f32) -> Result<u8, String> {
     let bits = scale.to_bits();
     if bits == 1u32 << 22 {
         return Ok(0); // 2^-127, stored subnormal
@@ -318,18 +262,17 @@ fn e8m0_encode(scale: f32) -> Result<u8, WireError> {
     if scale > 0.0 && bits & 0x7F_FFFF == 0 && exp != 0 && exp != 0xFF {
         Ok(exp as u8) // value = 2^(exp − 127)
     } else {
-        Err(WireError::BadMxScale(scale))
+        Err(malformed(format_args!(
+            "MX scale {scale} is not an E8M0 power of two"
+        )))
     }
 }
 
 /// Inverse of [`e8m0_encode`], bit-exact.
-fn e8m0_decode(byte: u8) -> Result<f32, WireError> {
+fn e8m0_decode(byte: u8) -> Result<f32, String> {
     match byte {
         0 => Ok(f32::from_bits(1 << 22)),
-        255 => Err(WireError::BadTag {
-            field: "e8m0 scale",
-            value: byte,
-        }),
+        255 => Err(bad_tag("e8m0 scale", byte)),
         b => Ok(f32::from_bits(u32::from(b) << 23)),
     }
 }
@@ -357,15 +300,14 @@ impl PackedTensor {
     ///
     /// # Errors
     ///
-    /// [`WireError::UnknownLut`] when the code table is not a built-in
-    /// format, [`WireError::BadMxScale`] when an MX scale is not an E8M0
-    /// power of two.
-    pub fn to_wire_bytes(&self) -> Result<Vec<u8>, WireError> {
+    /// The error [`Writer::packed`] keeps: the code table is not a
+    /// built-in format, or an MX scale is not an E8M0 power of two.
+    pub fn to_wire_bytes(&self) -> std::io::Result<Vec<u8>> {
         let mut w = Writer::new(Vec::with_capacity(
             WIRE_HEADER_BYTES + self.wire_bytes() as usize,
         ));
-        w.packed(self)?;
-        Ok(w.finish().expect("a frame writes into memory").0)
+        w.packed(self);
+        Ok(w.finish()?.0)
     }
 
     /// Reconstructs a tensor from a frame produced by
@@ -376,151 +318,29 @@ impl PackedTensor {
     ///
     /// # Errors
     ///
-    /// Any structural defect: short/overlong buffers, bad magic or version,
-    /// unknown variant/format/layout bytes, a shape too large to address,
-    /// invalid E8M0 scale bytes, and out-of-bounds or unsorted outlier
-    /// entries.
-    pub fn from_wire_bytes(bytes: &[u8]) -> Result<PackedTensor, WireError> {
+    /// [`FieldError::Malformed`] naming any structural defect:
+    /// short/overlong buffers, bad magic or version, unknown
+    /// variant/format/layout bytes, a shape too large to address, invalid
+    /// E8M0 scale bytes, and out-of-bounds or unsorted outlier entries.
+    pub fn from_wire_bytes(bytes: &[u8]) -> Result<PackedTensor, FieldError> {
         let mut f = Fields::new(bytes, bytes.len(), false);
-        let packed = read_packed(&mut f).map_err(|fault| match fault {
-            FrameFault::Wire(e) => e,
-            // The payload was judged against the slice, which reads whole.
-            FrameFault::Field(e) => unreachable!("an in-memory frame reads whole: {e}"),
-        })?;
+        let packed = f.packed()?;
         if f.left > 0 {
-            return Err(WireError::LengthMismatch {
-                expect: bytes.len() - f.left,
-                got: bytes.len(),
-            });
+            let (expect, got) = (bytes.len() - f.left, bytes.len());
+            return Err(malformed(format_args!(
+                "frame length {got} does not match header (expect {expect})"
+            ))
+            .into());
         }
         Ok(packed)
     }
 }
 
-/// Why a packed frame did not read: its own bytes are malformed, or the
-/// message or stream it sits in failed.
-enum FrameFault {
-    Wire(WireError),
-    Field(FieldError),
-}
-
-impl From<WireError> for FrameFault {
-    fn from(e: WireError) -> Self {
-        FrameFault::Wire(e)
-    }
-}
-
-impl From<FieldError> for FrameFault {
-    fn from(e: FieldError) -> Self {
-        FrameFault::Field(e)
-    }
-}
-
-/// The one packed-frame reader. The header is read and judged first: its
-/// tags resolved, the length of every payload section it implies computed
-/// without overflow, and the payload held to what is left of the message.
-/// Then the codes, scales and outliers are read into the tensor's own
-/// buffers; the decode tables are the format's interned ones.
-fn read_packed<R: Read>(f: &mut Fields<R>) -> Result<PackedTensor, FrameFault> {
-    let left = f.left;
-    if left < WIRE_HEADER_BYTES {
-        let need = WIRE_HEADER_BYTES;
-        return Err(WireError::TooShort { need, got: left }.into());
-    }
-    let [m0, m1, version, variant, format, layout, _, _] = f.array()?;
-    if [m0, m1] != MAGIC || version != VERSION {
-        return Err(WireError::BadHeader.into());
-    }
-    let bad_format = WireError::BadTag {
-        field: "format",
-        value: format,
-    };
-    let book = ElementFormat::from_wire_id(format)
-        .and_then(ElementFormat::codebook)
-        .ok_or(bad_format)?;
-    let (rows, cols, nb) = (f.u32()? as usize, f.u32()? as usize, f.u32()?);
-    let layout = layout_of(layout, nb)?;
-    let (block, seed, outlier_count) = (f.u32()?, f.u64()?, f.u32()? as usize);
-
-    // Untrusted: a product of two `u32` fields fits a 64-bit `usize`, but
-    // scaling and summing them may overflow — rejected, not wrapped.
-    let code_bytes = rows * book.width().row_bytes(cols);
-    let groups = layout.group_count(rows, cols);
-    let scale_bytes = groups
-        .checked_mul(if variant == 1 { 1 } else { 4 })
-        .ok_or(WireError::ShapeTooLarge)?;
-    let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
-    if variant == 3 && outlier_count > rows * cols {
-        let index = outlier_count as u32;
-        return Err(WireError::BadOutlier { index }.into());
-    }
-    let payload = [code_bytes, scale_bytes, outlier_bytes]
-        .into_iter()
-        .try_fold(0, usize::checked_add)
-        .filter(|p| p.checked_add(WIRE_HEADER_BYTES).is_some())
-        .ok_or(WireError::ShapeTooLarge)?;
-    if payload > f.left {
-        return Err(WireError::LengthMismatch {
-            expect: WIRE_HEADER_BYTES + payload,
-            got: left,
-        }
-        .into());
-    }
-
-    let data = f.take(code_bytes)?;
-    let scales = if variant == 1 {
-        let bytes = f.take(groups)?;
-        bytes
-            .into_iter()
-            .map(e8m0_decode)
-            .collect::<Result<_, _>>()?
-    } else {
-        f.values(groups, Vec::with_capacity, f32::from_le_bytes)?
-    };
-    let (width, lut, pair) = (book.width(), book.lut(), book.pair_lut());
-    let q = QTensor::from_parts_with_pair(rows, cols, width, lut, pair, layout, scales, data);
-    Ok(match variant {
-        0 => PackedTensor::Codes(q),
-        1 => PackedTensor::Mx(q),
-        2 if block.is_power_of_two() => PackedTensor::Rotated {
-            codes: q,
-            block: block as usize,
-            seed,
-        },
-        3 => {
-            let entries = f.values(outlier_count, Vec::with_capacity, |e: [u8; 6]| {
-                let [i0, i1, i2, i3, v0, v1] = e;
-                let index = u32::from_le_bytes([i0, i1, i2, i3]);
-                (index, u16::from_le_bytes([v0, v1]))
-            })?;
-            let mut outliers = Vec::with_capacity(entries.len());
-            for (index, bf16) in entries {
-                let last = outliers.last().map(|o: &PackedOutlier| o.index);
-                if index as usize >= rows * cols || last.is_some_and(|p| p >= index) {
-                    return Err(WireError::BadOutlier { index }.into());
-                }
-                let value = f32::from_bits(u32::from(bf16) << 16);
-                outliers.push(PackedOutlier { index, value });
-            }
-            PackedTensor::Split { body: q, outliers }
-        }
-        // The low byte of the rotation block field.
-        2 => Err(WireError::BadTag {
-            field: "rotation block",
-            value: block as u8,
-        })?,
-        value => Err(WireError::BadTag {
-            field: "variant",
-            value,
-        })?,
-    })
-}
-
 /// Everything that can go wrong at the byte-stream framing layer (the
 /// length-prefixed encoding a socket transport uses to delimit frames on a
-/// continuous stream). Deliberately separate from [`WireError`]: a stream
-/// error means the *transport bytes* are damaged, before any frame content
-/// is interpreted.
+/// continuous stream). Deliberately separate from a frame's own defects
+/// ([`FieldError::Malformed`]): a stream error means the *transport bytes*
+/// are damaged, before any frame content is interpreted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamError {
     /// A length prefix exceeds [`STREAM_MAX_FRAME_BYTES`] — a corrupt or
@@ -824,7 +644,8 @@ fn read_up_to(from: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// [`STAGE_BYTES`] buffer per call, straight from the caller's slice.
 ///
 /// A write never fails on the spot: the first error (an I/O error, a field
-/// too long for its `u32` prefix, codes of a table no frame can name) is
+/// too long for its `u32` prefix, codes of a table no frame can name, an
+/// MX scale that is not an E8M0 power of two) is
 /// kept, every later write is skipped, and [`Writer::finish`] returns it.
 pub struct Writer<W> {
     to: W,
@@ -957,12 +778,10 @@ impl<W: Write> Writer<W> {
     /// scales and outliers straight from `p`. Its length is fixed by the
     /// header, so it carries no prefix of its own.
     ///
-    /// # Errors
-    ///
-    /// [`WireError::UnknownLut`] when the code table is not a built-in
-    /// format, [`WireError::BadMxScale`] when an MX scale is not an E8M0
-    /// power of two; either is found before a byte is written.
-    pub fn packed(&mut self, p: &PackedTensor) -> Result<(), WireError> {
+    /// A code table that is not a built-in format, or an MX scale that is
+    /// not an E8M0 power of two, is found before a byte is written and
+    /// kept as the writer's error ([`Writer::finish`] returns it).
+    pub fn packed(&mut self, p: &PackedTensor) {
         let (variant, block, seed, outliers) = match p {
             PackedTensor::Codes(_) => (0, 0, 0, &[][..]),
             PackedTensor::Mx(_) => (1, 0, 0, &[][..]),
@@ -976,9 +795,7 @@ impl<W: Write> Writer<W> {
     /// [`Writer::packed`] writes for it, a table no frame can name kept as
     /// the writer's error.
     pub fn codes(&mut self, q: &QTensor) {
-        if let Err(e) = self.frame(q, 0, 0, 0, &[]) {
-            self.fail(std::io::Error::new(ErrorKind::InvalidInput, e));
-        }
+        self.frame(q, 0, 0, 0, &[]);
     }
 
     /// The frame of `q`'s codes as `variant`, with that variant's RHT
@@ -991,13 +808,20 @@ impl<W: Write> Writer<W> {
         block: u32,
         seed: u64,
         outliers: &[PackedOutlier],
-    ) -> Result<(), WireError> {
-        let format = identify(q)?
-            .wire_id()
-            .expect("identified by its code table");
-        let mx_scales: Option<Vec<u8>> = (variant == 1)
-            .then(|| q.scales().iter().map(|&s| e8m0_encode(s)).collect())
-            .transpose()?;
+    ) {
+        let checked = identify(q).and_then(|format| {
+            let mx_scales = (variant == 1)
+                .then(|| q.scales().iter().map(|&s| e8m0_encode(s)).collect())
+                .transpose()?;
+            Ok((
+                format.wire_id().expect("identified by its code table"),
+                mx_scales,
+            ))
+        });
+        let (format, mx_scales): (u8, Option<Vec<u8>>) = match checked {
+            Ok(checked) => checked,
+            Err(defect) => return self.fail(std::io::Error::new(ErrorKind::InvalidInput, defect)),
+        };
         let ((rows, cols), (layout, nb)) = (q.shape(), layout_tag(q.layout()));
         self.put(&MAGIC);
         // Then two reserved (zero) bytes.
@@ -1018,7 +842,6 @@ impl<W: Write> Writer<W> {
             entry[4..].copy_from_slice(&bf16_bits(o.value).to_le_bytes());
             entry
         });
-        Ok(())
     }
 
     /// The sink and the [`crc32`] of everything written, or the first
@@ -1243,10 +1066,103 @@ impl<R: Read> Fields<R> {
     /// into the tensor's own buffers, sized by the header once its payload
     /// fits what is left of the message. The decode tables are the
     /// format's interned ones.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError::Malformed`] naming the frame's defect (a short or bad
+    /// header, a shape too large to address, a payload longer than the
+    /// message, bad scale bytes or outliers), or the error of the read
+    /// that failed.
     pub fn packed(&mut self) -> Result<PackedTensor, FieldError> {
-        read_packed(self).map_err(|fault| match fault {
-            FrameFault::Wire(e) => format!("packed frame: {e}").into(),
-            FrameFault::Field(e) => e,
+        let left = self.left;
+        if left < WIRE_HEADER_BYTES {
+            let need = WIRE_HEADER_BYTES;
+            return Err(malformed(format_args!(
+                "frame too short: need {need} bytes, got {left}"
+            ))
+            .into());
+        }
+        let [m0, m1, version, variant, format, layout, _, _] = self.array()?;
+        if [m0, m1] != MAGIC || version != VERSION {
+            return Err(malformed("bad frame magic or version").into());
+        }
+        let book = ElementFormat::from_wire_id(format)
+            .and_then(ElementFormat::codebook)
+            .ok_or_else(|| bad_tag("format", format))?;
+        let (rows, cols, nb) = (self.u32()? as usize, self.u32()? as usize, self.u32()?);
+        let layout = layout_of(layout, nb)?;
+        let (block, seed, outlier_count) = (self.u32()?, self.u64()?, self.u32()? as usize);
+
+        // Untrusted: a product of two `u32` fields fits a 64-bit `usize`, but
+        // scaling and summing them may overflow — rejected, not wrapped.
+        let too_large = || malformed("header shape is too large to address");
+        let bad_outlier = |index| {
+            malformed(format_args!(
+                "outlier index {index} out of bounds or out of order"
+            ))
+        };
+        let code_bytes = rows * book.width().row_bytes(cols);
+        let groups = layout.group_count(rows, cols);
+        let scale_bytes = groups
+            .checked_mul(if variant == 1 { 1 } else { 4 })
+            .ok_or_else(too_large)?;
+        let outlier_bytes = if variant == 3 { outlier_count * 6 } else { 0 };
+        if variant == 3 && outlier_count > rows * cols {
+            return Err(bad_outlier(outlier_count as u32).into());
+        }
+        let payload = [code_bytes, scale_bytes, outlier_bytes]
+            .into_iter()
+            .try_fold(0, usize::checked_add)
+            .filter(|p| p.checked_add(WIRE_HEADER_BYTES).is_some())
+            .ok_or_else(too_large)?;
+        if payload > self.left {
+            let expect = WIRE_HEADER_BYTES + payload;
+            return Err(malformed(format_args!(
+                "frame length {left} does not match header (expect {expect})"
+            ))
+            .into());
+        }
+
+        let data = self.take(code_bytes)?;
+        let scales = if variant == 1 {
+            let bytes = self.take(groups)?;
+            bytes
+                .into_iter()
+                .map(e8m0_decode)
+                .collect::<Result<_, _>>()?
+        } else {
+            self.values(groups, Vec::with_capacity, f32::from_le_bytes)?
+        };
+        let (width, lut, pair) = (book.width(), book.lut(), book.pair_lut());
+        let q = QTensor::from_parts_with_pair(rows, cols, width, lut, pair, layout, scales, data);
+        Ok(match variant {
+            0 => PackedTensor::Codes(q),
+            1 => PackedTensor::Mx(q),
+            2 if block.is_power_of_two() => PackedTensor::Rotated {
+                codes: q,
+                block: block as usize,
+                seed,
+            },
+            3 => {
+                let entries = self.values(outlier_count, Vec::with_capacity, |e: [u8; 6]| {
+                    let [i0, i1, i2, i3, v0, v1] = e;
+                    let index = u32::from_le_bytes([i0, i1, i2, i3]);
+                    (index, u16::from_le_bytes([v0, v1]))
+                })?;
+                let mut outliers = Vec::with_capacity(entries.len());
+                for (index, bf16) in entries {
+                    let last = outliers.last().map(|o: &PackedOutlier| o.index);
+                    if index as usize >= rows * cols || last.is_some_and(|p| p >= index) {
+                        return Err(bad_outlier(index).into());
+                    }
+                    let value = f32::from_bits(u32::from(bf16) << 16);
+                    outliers.push(PackedOutlier { index, value });
+                }
+                PackedTensor::Split { body: q, outliers }
+            }
+            // The low byte of the rotation block field.
+            2 => Err(bad_tag("rotation block", block as u8))?,
+            value => Err(bad_tag("variant", value))?,
         })
     }
 
@@ -1546,53 +1462,107 @@ mod tests {
         assert_eq!(frame.len(), WIRE_HEADER_BYTES + 2 * 32 + 4);
     }
 
+    /// The defect a frame read reports.
+    fn defect(read: Result<PackedTensor, FieldError>) -> String {
+        match read {
+            Err(FieldError::Malformed(m)) => m,
+            other => panic!("expected a malformed frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn structural_defects_are_rejected() {
         let t = Tensor::randn(2, 16, 1.0, &mut Rng::seed_from(6));
         let packed = fp4_tile(8).pack(&t, &mut Rng::seed_from(7)).unwrap();
         let frame = packed.to_wire_bytes().unwrap();
+        let len = frame.len();
 
-        assert!(matches!(
-            PackedTensor::from_wire_bytes(&frame[..10]),
-            Err(WireError::TooShort { .. })
-        ));
+        assert_eq!(
+            defect(PackedTensor::from_wire_bytes(&frame[..10])),
+            "packed frame: frame too short: need 36 bytes, got 10"
+        );
         let mut bad = frame.clone();
         bad[0] = b'X';
         assert_eq!(
-            PackedTensor::from_wire_bytes(&bad),
-            Err(WireError::BadHeader)
+            defect(PackedTensor::from_wire_bytes(&bad)),
+            "packed frame: bad frame magic or version"
         );
         let mut bad = frame.clone();
         bad[4] = 0x77;
-        assert!(matches!(
-            PackedTensor::from_wire_bytes(&bad),
-            Err(WireError::BadTag {
-                field: "format",
-                ..
-            })
-        ));
+        assert_eq!(
+            defect(PackedTensor::from_wire_bytes(&bad)),
+            "packed frame: bad format byte 0x77"
+        );
         let mut truncated = frame.clone();
         truncated.pop();
-        assert!(matches!(
-            PackedTensor::from_wire_bytes(&truncated),
-            Err(WireError::LengthMismatch { .. })
-        ));
+        assert_eq!(
+            defect(PackedTensor::from_wire_bytes(&truncated)),
+            format!(
+                "packed frame: frame length {} does not match header (expect {len})",
+                len - 1
+            )
+        );
         let mut overlong = frame;
         overlong.push(0);
-        assert!(matches!(
-            PackedTensor::from_wire_bytes(&overlong),
-            Err(WireError::LengthMismatch { .. })
-        ));
+        assert_eq!(
+            defect(PackedTensor::from_wire_bytes(&overlong)),
+            format!(
+                "packed frame: frame length {} does not match header (expect {len})",
+                len + 1
+            )
+        );
+    }
+
+    /// A 1×4 rowwise tensor of zero codes over `lut`, scaled by `scale`.
+    fn zero_codes(lut: impl Into<std::sync::Arc<[f32]>>, scale: f32) -> QTensor {
+        use snip_tensor::CodeWidth;
+        QTensor::new_zeroed(1, 4, CodeWidth::U4, lut, GroupLayout::Rowwise, vec![scale])
+    }
+
+    fn custom_lut() -> Vec<f32> {
+        (0..16).map(|i| i as f32 * 0.3).collect()
     }
 
     #[test]
     fn custom_code_tables_cannot_serialize() {
-        use snip_tensor::{CodeWidth, QTensor};
-        let lut: Vec<f32> = (0..16).map(|i| i as f32 * 0.3).collect();
-        let q = QTensor::new_zeroed(1, 4, CodeWidth::U4, lut, GroupLayout::Rowwise, vec![1.0]);
+        let q = zero_codes(custom_lut(), 1.0);
+        let e = PackedTensor::Codes(q).to_wire_bytes().unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
         assert_eq!(
-            PackedTensor::Codes(q).to_wire_bytes(),
-            Err(WireError::UnknownLut)
+            e.to_string(),
+            "packed frame: code table is not a built-in wire format"
+        );
+    }
+
+    /// What `finish` returns after `write` met a frame no header can
+    /// describe, checking that not a byte reached the sink.
+    fn unwritable(write: impl FnOnce(&mut Writer<&mut Vec<u8>>)) -> std::io::Error {
+        let mut sink = Vec::new();
+        let mut w = Writer::new(&mut sink);
+        write(&mut w);
+        assert_eq!(w.written(), 0);
+        let e = w.finish().map(|_| ()).unwrap_err();
+        assert!(sink.is_empty(), "no byte reaches the sink");
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
+        e
+    }
+
+    /// A code table or MX scale no frame can carry is found before a byte
+    /// is written, and `finish` returns the kept error naming the defect.
+    #[test]
+    fn unwritable_frames_write_nothing_and_finish_with_the_defect() {
+        let e2m1 = ElementFormat::from_wire_id(0)
+            .and_then(ElementFormat::codebook)
+            .expect("E2M1 has a wire id");
+        let mx = PackedTensor::Mx(zero_codes(e2m1.lut(), 3.0));
+        assert_eq!(
+            unwritable(|w| w.packed(&mx)).to_string(),
+            "packed frame: MX scale 3 is not an E8M0 power of two"
+        );
+        let custom = zero_codes(custom_lut(), 1.0);
+        assert_eq!(
+            unwritable(|w| w.codes(&custom)).to_string(),
+            "packed frame: code table is not a built-in wire format"
         );
     }
 

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
 use snip_quant::int::IntFormat;
+use snip_quant::wire::FieldError;
 use snip_quant::{
-    PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WireError, WIRE_HEADER_BYTES,
+    PackedOutlier, PackedQuantize, PackedTensor, Quantizer, Rounding, WIRE_HEADER_BYTES,
 };
 use snip_tensor::rng::Rng;
 use snip_tensor::{QTensor, Tensor};
@@ -245,11 +246,9 @@ fn oversized_header_shapes_are_typed_errors() {
     const CODES_E2M1_BLOCK: [u8; 3] = [0, 0, 3];
     const CODES_E4M3_BLOCK: [u8; 3] = [0, 1, 3];
     const SPLIT_E4M3_TENSORWISE: [u8; 3] = [3, 1, 0];
-    let too_large = |frame: &[u8]| {
-        matches!(
-            PackedTensor::from_wire_bytes(frame),
-            Err(WireError::ShapeTooLarge)
-        )
+    let too_large = |frame: &[u8]| match PackedTensor::from_wire_bytes(frame) {
+        Err(FieldError::Malformed(m)) => m == "packed frame: header shape is too large to address",
+        _ => false,
     };
     let max = u32::MAX;
     // One scale per 1×1 block: the scale bytes overflow.

@@ -20,7 +20,7 @@
 ///
 /// Branch-free: the NaN test selects between the input bits and the
 /// rounded bits instead of returning early, so loops over it vectorize
-/// ([`round_into`] is one). The GEMM engine's vector tiers round with the
+/// (`round_into` is one). The GEMM engine's vector tiers round with the
 /// register form of these bit operations, in the tile store and in the
 /// band moves that read a BF16-rounded operand.
 ///
@@ -53,7 +53,7 @@ pub fn round_slice(data: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn round_into(src: &[f32], dst: &mut [f32]) {
+pub(crate) fn round_into(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "round_into length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = round(s);

@@ -35,7 +35,7 @@
 //! A ≤ 8-bit grid is a [`CodeGrid`], and an element's code is computed
 //! from the exponent and rounded mantissa of its scaled bit pattern. The
 //! float formats *and* the symmetric integer grids use the same
-//! arithmetic; [`CodeGrid::nearest_code`] and [`CodeGrid::stochastic_code`]
+//! arithmetic; `CodeGrid::nearest_code` and `CodeGrid::stochastic_code`
 //! are the always-compiled scalar reference and the segment tails. The top
 //! value must sit at the top index, so saturation is a clamp of the
 //! magnitude ([`CodeGrid::new`] asserts it); NaN and exact-zero lanes are
@@ -201,7 +201,7 @@ impl CodeGrid {
     /// The code of an already-scaled element under round-to-nearest-even —
     /// the scalar reference (and tail path) of the nearest kernels.
     #[inline]
-    pub fn nearest_code(&self, scaled: f32) -> u8 {
+    pub(crate) fn nearest_code(&self, scaled: f32) -> u8 {
         self.code(scaled, round_nearest)
     }
 
@@ -210,7 +210,7 @@ impl CodeGrid {
     /// the next multiple exceeds `u`. The scalar reference (and tail path)
     /// of the stochastic kernels.
     #[inline]
-    pub fn stochastic_code(&self, scaled: f32, u: f32) -> u8 {
+    pub(crate) fn stochastic_code(&self, scaled: f32, u: f32) -> u8 {
         self.code(scaled, |r| {
             // `floor(r)` as a truncating conversion (`r ≥ 0`).
             let k = r as u32;

@@ -3,7 +3,7 @@
 //!
 //! # The functions
 //!
-//! [`ln`] and [`sin_cos`] are written once, as safe branch-free lane
+//! [`ln`] and `sin_cos` are written once, as safe branch-free lane
 //! bodies: every step is one IEEE operation on one value (integer work on
 //! its bit pattern, `+ − × ÷ √`, and selects), with no fused multiply-add
 //! and no reassociation, so a loop over them vectorizes one value per lane
@@ -15,7 +15,7 @@
 //!   `m ∈ [√2/2, √2)`, then `ln m = f − f²/2 + s·(f²/2 + R(s²))` with
 //!   `f = m − 1`, `s = f / (2 + f)` and fdlibm's degree-14 minimax `R`, and
 //!   `k · ln 2` added in two parts.
-//! - [`sin_cos`] reduces `x` by `π/2` in three Cody–Waite parts (after
+//! - `sin_cos` reduces `x` by `π/2` in three Cody–Waite parts (after
 //!   fdlibm's `__rem_pio2` medium case, with all three parts applied
 //!   unconditionally and each part's rounding error kept, the remainder a
 //!   double-double `y0 + y1`), then evaluates fdlibm's sine and cosine
@@ -23,7 +23,7 @@
 //!   quadrant.
 //!
 //! Both are within a couple of ULP of the correctly rounded result on
-//! their domains: [`ln`] on positive normal finite inputs, [`sin_cos`] on
+//! their domains: [`ln`] on positive normal finite inputs, `sin_cos` on
 //! `[0, 2π]` (the three-part reduction is exact enough only for small
 //! quotients). That is all the Box–Muller transform asks of them.
 //!
@@ -32,10 +32,10 @@
 //! [`Rng::next_gaussian`](crate::rng::Rng::next_gaussian) computes one
 //! pair with the platform's libm (`box_muller`, the reference), and a
 //! fill must reproduce its bits. The fast path computes the same pair as
-//! `c`, `s` from [`ln`] and [`sin_cos`], and a fast value `v` is kept only
+//! `c`, `s` from [`ln`] and `sin_cos`, and a fast value `v` is kept only
 //! if `v·(1 − δ)` and `v·(1 + δ)` narrow to the same `f32`, with
-//! `δ` = [`GAUSSIAN_DELTA`]. Narrowing is monotone, so when the libm value
-//! lies within `|v|·(δ − 2⁻⁵²)` of `v` (the `2⁻⁵²` covers the rounding of
+//! `δ` = `GAUSSIAN_DELTA` = 2⁻⁴⁶. Narrowing is monotone, so when the libm
+//! value lies within `|v|·(δ − 2⁻⁵²)` of `v` (the `2⁻⁵²` covers the rounding of
 //! the two products) it narrows to the same `f32` too, and the output
 //! `(v as f32) · std` is the reference's bit for bit. A pair with either
 //! value uncertified is recomputed by `box_muller`. At this `δ` about one
@@ -55,7 +55,7 @@
 
 /// The relative half-width `δ` of the certification interval: `2⁻⁴⁶`, 64
 /// ULP of 1.0. See the module docs for its derivation.
-pub const GAUSSIAN_DELTA: f64 = 1.0 / (1u64 << 46) as f64;
+pub(crate) const GAUSSIAN_DELTA: f64 = 1.0 / (1u64 << 46) as f64;
 
 /// Pairs of one step of the Box–Muller body: the certificates of a step
 /// are checked together, so one step costs one branch.
@@ -108,7 +108,7 @@ pub fn ln(x: f64) -> f64 {
 
 /// Sine and cosine of `x` in `[0, 2π]`.
 #[inline(always)]
-pub fn sin_cos(x: f64) -> (f64, f64) {
+pub(crate) fn sin_cos(x: f64) -> (f64, f64) {
     // fdlibm's `invpio2` and `pio2_{1,2,3,3t}`, as their bit patterns:
     // π/2 = PIO2_1 + PIO2_2 + PIO2_3 + PIO2_3T, the first three of 33 bits
     // each, so `n · PIO2_i` is exact for the quotients of [0, 2π].
@@ -180,7 +180,7 @@ fn cos_kernel(x: f64, y: f64) -> f64 {
 }
 
 /// The fast pair of `(u1, u2)`: [`box_muller`] through [`ln`] and
-/// [`sin_cos`].
+/// `sin_cos`.
 #[inline(always)]
 fn fast_pair(u1: f64, u2: f64) -> (f64, f64) {
     let r = (-2.0 * ln(u1)).sqrt();

@@ -59,7 +59,7 @@ pub fn frobenius_norm(data: &[f32]) -> f64 {
 /// # Panics
 ///
 /// Panics if lengths differ.
-pub fn frobenius_distance(a: &[f32], b: &[f32]) -> f64 {
+pub(crate) fn frobenius_distance(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)

@@ -505,7 +505,7 @@ impl QOperandRef<'_> {
     /// Writes the column range `[c0, c1)` of row `r`, as the GEMM sees it,
     /// into `out` (length `c1 - c0`): a copy for a dense operand, a decode
     /// ([`QTensor::decode_row_range_into`]) for a packed one, a rounding
-    /// copy ([`crate::bf16::round_into`]) for a rounded one.
+    /// copy (`bf16::round_into`) for a rounded one.
     ///
     /// # Panics
     ///

@@ -5,22 +5,27 @@
 # total, then — outside the total — a `test-support` line for the shared
 # test modules under `crates/*/tests/support`, counted the same way, so
 # code moved out of a crate's API into test support shows as moved, not
-# deleted; last, one `unsafe <crate>` line per crate: how many of its
-# non-test lines contain the word `unsafe`.
+# deleted; then one `unsafe <crate>` line per crate: how many of its
+# non-test lines contain the word `unsafe`; last, one `pub fn <crate>` line
+# per crate and their total: how many of its non-test lines begin (after
+# indentation) with `pub fn ` — the workspace's exported functions, as
+# opposed to `pub(crate) fn`.
 #
 #   scripts/loc_tally.sh            # from anywhere inside the checkout
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Prints `<crate> <lines> <unsafe lines>` per file of the given roots.
+# Prints `<crate> <lines> <unsafe lines> <pub fn lines>` per file of the
+# given roots.
 count() {
     find "$@" -name '*.rs' -print0 |
         xargs -0 -r awk '
-            FNR == 1 { if (file != "") print crate, n, u; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; u = 0; on = 1 }
+            FNR == 1 { if (file != "") print crate, n, u, f; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; u = 0; f = 0; on = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
             on { n++ }
             on && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { u++ }
-            END { if (file != "") print crate, n, u }'
+            on && /^[[:space:]]*pub fn / { f++ }
+            END { if (file != "") print crate, n, u, f }'
 }
 
 crates=$(count crates/*/src)
@@ -38,3 +43,10 @@ if ((${#support[@]})); then count "${support[@]}"; fi |
 awk '
     { sum[$1] += $3 }
     END { for (c in sum) printf "%-18s %6d\n", "unsafe " c, sum[c] | "sort" }' <<<"$crates"
+awk '
+    { sum[$1] += $4; total += $4 }
+    END {
+        for (c in sum) printf "%-18s %6d\n", "pub fn " c, sum[c] | "sort"
+        close("sort")
+        printf "%-18s %6d\n", "pub fn total", total
+    }' <<<"$crates"
