@@ -67,23 +67,10 @@ mod tests {
     use super::*;
     use snip_tensor::rng::Rng;
 
-    impl Embedding {
-        /// Creates a Gaussian-initialized embedding table.
-        fn new(
-            name: impl Into<String>,
-            vocab: usize,
-            hidden: usize,
-            std: f32,
-            rng: &mut Rng,
-        ) -> Self {
-            Embedding::init(name, vocab, hidden, std, &mut Init::Draw(rng))
-        }
-    }
-
     #[test]
     fn gather_matches_table_rows() {
         let mut rng = Rng::seed_from(61);
-        let emb = Embedding::new("e", 10, 4, 1.0, &mut rng);
+        let emb = Embedding::init("e", 10, 4, 1.0, &mut Init::Draw(&mut rng));
         let out = emb.forward(&[3, 7, 3]);
         assert_eq!(out.row(0), emb.table().value().row(3));
         assert_eq!(out.row(1), emb.table().value().row(7));
@@ -94,14 +81,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_token_panics() {
         let mut rng = Rng::seed_from(62);
-        let emb = Embedding::new("e", 4, 2, 1.0, &mut rng);
+        let emb = Embedding::init("e", 4, 2, 1.0, &mut Init::Draw(&mut rng));
         let _ = emb.forward(&[4]);
     }
 
     #[test]
     fn backward_scatter_adds_duplicates() {
         let mut rng = Rng::seed_from(63);
-        let mut emb = Embedding::new("e", 5, 3, 1.0, &mut rng);
+        let mut emb = Embedding::init("e", 5, 3, 1.0, &mut Init::Draw(&mut rng));
         let dout = Tensor::from_vec(3, 3, vec![1.0; 9]);
         emb.backward(&[2, 2, 4], &dout);
         assert_eq!(emb.table().grad().row(2), &[2.0, 2.0, 2.0]);
