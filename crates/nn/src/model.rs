@@ -350,8 +350,8 @@ impl Model {
 
     /// Global gradient norm across all parameters: one squared sum per
     /// pool task, added in parameter order.
-    pub fn grad_norm(&mut self) -> f64 {
-        let params = self.params_mut();
+    pub fn grad_norm(&self) -> f64 {
+        let params = self.params();
         let tasks = params
             .iter()
             .map(|p| Box::new(move || p.grad().squared_sum()) as Reduction<'_>)
@@ -363,10 +363,8 @@ impl Model {
     }
 
     /// Total number of scalar parameters.
-    pub fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params_mut(&mut |p| n += p.numel());
-        n
+    pub fn num_params(&self) -> usize {
+        self.params().iter().map(|p| p.numel()).sum()
     }
 
     /// Stage 1 — blocks-forward: embedding and every transformer block.

@@ -21,14 +21,15 @@ use crate::transport::frame::{decode_frame, encode_frame};
 use serde::{Deserialize, Serialize};
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
-use snip_quant::{PackedQuantize, Quantizer, Rounding};
+use snip_quant::{Quantizer, Rounding};
 use snip_tensor::rng::Rng;
-use snip_tensor::Tensor;
 
 /// A collective wire format: payload width plus the quantizer emulating it.
 /// Every §5.2 quantization option can serve as a wire codec: the payload
 /// that crosses the ring is the quantizer's canonical packed form, and its
-/// byte volume is whatever that form measures.
+/// byte volume is whatever that form measures. A codec packs or is the
+/// BF16 quantizer (see [`Quantizer`]), so a hop ships exact f32, BF16 or
+/// packed codes and nothing else; [`Wire::transmit`] is the one hop codec.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Wire {
     bits: u32,
@@ -67,8 +68,7 @@ impl Wire {
 
     /// BF16 wires — today's default for gradient collectives.
     pub fn bf16() -> Self {
-        let codec = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
-        Wire::lossy(16, "bf16", codec)
+        Wire::lossy(16, "bf16", Quantizer::unscaled())
     }
 
     /// FP8 (E4M3) wires with `1×nb` tile scaling.
@@ -129,20 +129,6 @@ impl Wire {
         self.codec.as_ref()
     }
 
-    /// Quantizes a payload in place (no-op for exact wires), through the
-    /// canonical codes path ([`PackedQuantize::quantize`] — decode of the
-    /// packed form, falling back to the dense oracle for BF16): the hop's
-    /// reference, independent of the frame codec. Numerically identical to
-    /// what a receiver decodes after [`Wire::transmit`] (NaN payload bits
-    /// exempt), and like `transmit` it leaves the caller's buffer untouched
-    /// if the codec panics (the tensor is built from a copy).
-    pub fn quantize(&self, payload: &mut Vec<f32>, rng: &mut Rng) {
-        if let Some(codec) = &self.codec {
-            let t = Tensor::from_vec(1, payload.len(), payload.clone());
-            *payload = codec.quantize(&t, rng).into_vec();
-        }
-    }
-
     /// Sends a payload across one simulated hop: encodes it into the very
     /// frame a fabric moves ([`crate::transport::frame`]), decodes that
     /// frame into `payload` (only once the codec has finished, so a
@@ -191,7 +177,11 @@ pub(crate) fn hop_wire(wire: &Wire, policy: QuantizePolicy) -> Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::support::{exact_sum, relative_error, ring_all_reduce, ring_reduce_scatter};
+    use crate::support::{
+        exact_sum, oracle_hop, relative_error, ring_all_reduce, ring_reduce_scatter,
+    };
+    use snip_quant::{PackedQuantize, Precision, TensorRole};
+    use snip_tensor::Tensor;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = Rng::seed_from(seed);
@@ -371,17 +361,77 @@ mod tests {
         assert_eq!(bytes(Wire::fp4(16), QuantizePolicy::FinalOnly), 3 * 64 * 4);
     }
 
+    /// Every quantizer the tree builds packs — `pack` and
+    /// `packed_wire_bytes` both `Some`, and equal in size — or is the BF16
+    /// quantizer: each policy precision × operand role × group, every wire
+    /// codec, and the §5.2 constructors.
+    #[test]
+    fn every_in_tree_quantizer_packs_or_is_bf16() {
+        let roles = [
+            TensorRole::Input,
+            TensorRole::Weight,
+            TensorRole::OutputGrad,
+        ];
+        let mut all: Vec<Quantizer> = Precision::ALL
+            .into_iter()
+            .flat_map(|p| roles.map(|role| (p, role)))
+            .flat_map(|(p, role)| {
+                [1, 8, 32, 128]
+                    .map(|group| p.quantizer_with_group(role, group))
+                    .into_iter()
+                    .chain([p.quantizer_for(role)])
+            })
+            .collect();
+        let wires = [
+            Wire::exact(),
+            Wire::bf16(),
+            Wire::fp8(16),
+            Wire::fp4(16),
+            Wire::mxfp4(),
+            Wire::rht_fp4(16, 3),
+            Wire::outlier_fp4(16, 0.05),
+            Wire::int8(16),
+        ];
+        all.extend(wires.iter().filter_map(|w| w.codec().copied()));
+        let fp4 = Precision::Fp4.quantizer_for(TensorRole::Input);
+        all.extend([
+            Quantizer::int8_tile(16),
+            Quantizer::mxfp4(),
+            Quantizer::mxfp8(),
+            fp4.with_rht(16, 1),
+            fp4.with_outliers(0.1),
+        ]);
+        let t = Tensor::randn(3, 40, 1.0, &mut Rng::seed_from(1));
+        let mut bf16 = 0;
+        for q in all {
+            let packed = q.pack(&t, &mut Rng::seed_from(2));
+            match (packed, q.packed_wire_bytes(3, 40)) {
+                (Some(p), Some(bytes)) => {
+                    assert!(q.packable(), "{q:?}");
+                    assert_eq!(p.wire_bytes(), bytes, "{q:?}");
+                }
+                (None, None) => {
+                    assert_eq!(q, Quantizer::unscaled());
+                    bf16 += 1;
+                }
+                (p, bytes) => panic!("{q:?}: pack {p:?}, wire bytes {bytes:?}"),
+            }
+        }
+        // Each role × group of BF16, and the BF16 wire.
+        assert_eq!(bf16, 3 * 5 + 1);
+    }
+
     #[test]
     fn transmit_decodes_to_the_fake_quantized_payload() {
         // The packed wire must be numerically invisible: transmit's decode
         // equals the fake-quantization of the same payload, bit for bit.
         let mut payload: Vec<f32> = (0..48).map(|i| (i as f32 - 20.0) * 0.37).collect();
-        let mut reference = payload.clone();
         let wire = Wire::fp4(16);
         let mut r1 = Rng::seed_from(9);
         let mut r2 = Rng::seed_from(9);
+        let reference = oracle_hop(&wire, &payload, &mut r2);
         let bytes = wire.transmit(&mut payload, &mut r1);
-        wire.quantize(&mut reference, &mut r2);
+        assert_eq!(r1, r2, "same draws");
         assert_eq!(bytes, 24 + 3 * 4);
         for (a, b) in payload.iter().zip(&reference) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
@@ -392,7 +442,7 @@ mod tests {
     fn alternative_quantizer_wires_transmit_byte_accurately() {
         // Every §5.2 option rides the same PackedQuantize path: transmitted
         // bytes equal the codec's analytic packed volume, and the decoded
-        // payload equals the derived quantization bit-for-bit.
+        // payload equals the dense oracle bit-for-bit.
         let n = 96usize;
         let mut base: Vec<f32> = (0..n).map(|i| (i as f32 - 40.0) * 0.21).collect();
         base[7] = 50.0; // an outlier for the split wire
@@ -403,11 +453,11 @@ mod tests {
             Wire::int8(32),
         ] {
             let mut payload = base.clone();
-            let mut reference = base.clone();
             let mut r1 = Rng::seed_from(21);
             let mut r2 = Rng::seed_from(21);
             let bytes = wire.transmit(&mut payload, &mut r1);
-            wire.quantize(&mut reference, &mut r2);
+            let reference = oracle_hop(&wire, &base, &mut r2);
+            assert_eq!(r1, r2, "{}: same draws", wire.label());
             assert_eq!(
                 Some(bytes),
                 wire.codec().unwrap().packed_wire_bytes(1, n),

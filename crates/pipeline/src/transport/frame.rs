@@ -92,7 +92,7 @@ pub(crate) fn encode_frame(wire: &Wire, payload: &[f32], rng: &mut Rng) -> (Fram
             w.f32s(payload);
             (w, 4 * n as u64)
         }
-        // BF16, the one wire codec without codes: unscaled round to
+        // A codec that does not pack is the BF16 quantizer: round to
         // nearest, which draws nothing — 2 bytes per element, narrowed
         // straight from the payload.
         Some(codec) if !codec.packable() => {
@@ -292,10 +292,7 @@ mod tests {
 
         let mut rng_ref = Rng::seed_from(3);
         let t = Tensor::from_vec(1, payload.len(), payload.clone());
-        let fq = wire
-            .codec()
-            .expect("lossy")
-            .fake_reference(&t, &mut rng_ref);
+        let fq = wire.codec().expect("lossy").fake_quantize(&t, &mut rng_ref);
         let mut want = vec![TAG_BF16];
         want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         for &v in fq.as_slice() {

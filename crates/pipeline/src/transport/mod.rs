@@ -40,14 +40,15 @@
 //! **oracle** is an in-proc ring simulator kept with the tests
 //! (`tests/support/mod.rs`, also compiled into this crate's unit tests; not
 //! crate API), one [`Rng`] stream per rank. Its hops go through [`frame`]'s
-//! codec ([`Wire::transmit`]; [`Wire::quantize`] stays the independent
-//! reference), so what it pins is the ring schedule: both fabrics are
-//! bit-identical to it — reduced gradients, RNG streams, byte counts — and
-//! their per-link payload counters equal [`crate::comm::codec_wire_bytes`]
-//! for every codec, ragged tails included (`tests/transport_threads.rs`,
-//! `tests/transport_proc.rs`, `tests/collective_properties.rs`, also run
-//! under `--release` in CI, where timing bugs surface). A peer's chunk of
-//! the wrong length is a typed [`FrameError::Elements`], not an index panic.
+//! codec ([`Wire::transmit`]; the tests check that codec against the
+//! quantizer's dense oracle), so what it pins is the ring schedule: both
+//! fabrics are bit-identical to it — reduced gradients, RNG streams, byte
+//! counts — and their per-link payload counters equal
+//! [`crate::comm::codec_wire_bytes`] for every codec, ragged tails
+//! included (`tests/transport_threads.rs`, `tests/transport_proc.rs`,
+//! `tests/collective_properties.rs`, also run under `--release` in CI,
+//! where timing bugs surface). A peer's chunk of the wrong length is a
+//! typed [`FrameError::Elements`], not an index panic.
 //!
 //! # Frames and accounting
 //!
@@ -404,9 +405,10 @@ impl<F: Fabric> Endpoint<F> {
     /// Ring reduce-scatter over serialized frames: after `world − 1` hops
     /// this rank owns the fully reduced chunk `(rank + 1) % world`. Every
     /// hop ships through `wire` under [`QuantizePolicy::EveryHop`]; under
-    /// [`QuantizePolicy::FinalOnly`] hops are exact and the owned chunk is
-    /// quantized once. The tests pin it bit for bit against the in-proc
-    /// ring simulator run with each rank's RNG stream.
+    /// [`QuantizePolicy::FinalOnly`] hops are exact and the owned chunk
+    /// passes once through `wire`'s hop codec ([`Wire::transmit`]). The
+    /// tests pin it bit for bit against the in-proc ring simulator run
+    /// with each rank's RNG stream.
     ///
     /// # Errors
     ///
@@ -440,7 +442,7 @@ impl<F: Fabric> Endpoint<F> {
         data.copy_from_slice(&local[lo..hi]);
         arena::give(local);
         if policy == QuantizePolicy::FinalOnly {
-            wire.quantize(&mut data, rng);
+            wire.transmit(&mut data, rng);
         }
         Ok(RankChunk { lo, hi, data })
     }
@@ -765,7 +767,7 @@ pub fn data_parallel_train(
 mod tests {
     use super::*;
     use crate::comm::codec_wire_bytes;
-    use crate::support::{exact_sum, ring_reduce_scatter};
+    use crate::support::{exact_sum, oracle_hop, ring_reduce_scatter};
     use snip_quant::PackedQuantize;
 
     fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -791,14 +793,13 @@ mod tests {
     #[test]
     fn frames_round_trip_every_wire_kind() {
         // Against the hop's independent reference: the frame decodes to
-        // `Wire::quantize` of the payload and counts the analytic volume.
+        // the codec's dense oracle and counts the analytic volume.
         let payload: Vec<f32> = (0..37).map(|i| (i as f32 - 15.0) * 0.23).collect();
         for wire in [Wire::exact(), Wire::bf16(), Wire::fp4(16), Wire::mxfp4()] {
             let mut enc_rng = Rng::seed_from(11);
             let mut ref_rng = Rng::seed_from(11);
             let (frame, bytes) = encode_frame(&wire, &payload, &mut enc_rng);
-            let mut reference = payload.clone();
-            wire.quantize(&mut reference, &mut ref_rng);
+            let reference = oracle_hop(&wire, &payload, &mut ref_rng);
             let analytic = wire.codec().map_or(4 * payload.len() as u64, |codec| {
                 codec_wire_bytes(codec, 1, payload.len(), wire.bits())
             });
@@ -902,11 +903,7 @@ mod tests {
     #[test]
     fn p2p_send_recv_round_trips_packed_payloads() {
         let payload: Vec<f32> = (0..29).map(|i| i as f32 * 0.4 - 5.0).collect();
-        let expect = {
-            let mut reference = payload.clone();
-            Wire::fp4(8).quantize(&mut reference, &mut Rng::seed_from(1));
-            reference
-        };
+        let expect = oracle_hop(&Wire::fp4(8), &payload, &mut Rng::seed_from(1));
         let (outputs, stats) = run_ranks(2, None, |ep| {
             if ep.rank() == 0 {
                 let mut rng = Rng::seed_from(1);

@@ -1490,6 +1490,70 @@ mod tests {
         }
     }
 
+    /// A START whose wire codec no constructor could build — an integer
+    /// width outside `2..=8`, scaled or stochastic BF16, a non-power-of-two
+    /// RHT block, an outlier fraction outside `[0, 1]` — fails at decode
+    /// as a protocol error naming the defect, never as a worker panic.
+    #[test]
+    fn forged_codecs_are_protocol_errors() {
+        let e2m1 = serde_json::to_string(&snip_quant::format::FloatFormat::e2m1()).unwrap();
+        let bf16 = serde_json::to_string(&snip_quant::format::FloatFormat::bf16()).unwrap();
+        let forgeries = [
+            (
+                Wire::int8(16),
+                r#"{"Int":{"bits":8}}"#,
+                r#"{"Int":{"bits":12}}"#,
+                "width 12",
+            ),
+            (
+                Wire::int8(16),
+                r#"{"Int":{"bits":8}}"#,
+                r#"{"Int":{"bits":0}}"#,
+                "width 0",
+            ),
+            (Wire::fp4(16), e2m1.as_str(), bf16.as_str(), "no code table"),
+            (
+                Wire::bf16(),
+                r#""Nearest""#,
+                r#""Stochastic""#,
+                "nearest only",
+            ),
+            (
+                Wire::rht_fp4(16, 3),
+                r#""block":16"#,
+                r#""block":24"#,
+                "power of two",
+            ),
+            (Wire::outlier_fp4(16, 0.25), "0.25", "1.5", "outside [0, 1]"),
+        ];
+        let grad = [0.5f32, -1.0, 2.0];
+        // A ReduceScatter task whose wire is the JSON text `wire`.
+        let encode = |wire: &str| {
+            let mut w = Writer::new(Vec::new());
+            w.u8(0);
+            w.bytes(wire.as_bytes());
+            w.json(&QuantizePolicy::EveryHop);
+            w.u64(&7);
+            w.f32s(&grad);
+            w.finish().expect("in-memory write").0
+        };
+        for (wire, from, to, defect) in forgeries {
+            let json = serde_json::to_string(&wire).unwrap();
+            let task = Task::ReduceScatter {
+                wire,
+                policy: QuantizePolicy::EveryHop,
+                seed: 7,
+                grad: grad[..].into(),
+            };
+            assert_eq!(encode(&json), task.encode(), "{json}");
+            assert!(json.contains(from), "{json} lacks {from}");
+            match Task::decode(&encode(&json.replace(from, to))) {
+                Err(ProcError::Protocol(m)) => assert!(m.contains(defect), "{m} lacks {defect}"),
+                other => panic!("{} with {to}: {other:?}", wire.label()),
+            }
+        }
+    }
+
     #[test]
     fn a_control_pipe_holds_exactly_one_intact_frame() {
         // What the reading end decodes from a pipe holding `bytes`, then EOF:

@@ -28,6 +28,7 @@ use snip_pipeline::transport::proc::TaskOutput;
 #[cfg(unix)]
 use snip_pipeline::transport::TransportStats;
 use snip_tensor::rng::Rng;
+use snip_tensor::Tensor;
 use std::collections::BTreeMap;
 
 /// Outcome of a collective, simulated or reshaped from a transport's.
@@ -53,6 +54,20 @@ pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
         }
     }
     sum
+}
+
+/// What a receiver of one `wire` hop must decode `payload` to, drawing
+/// what the sender draws: the codec's dense oracle,
+/// `Quantizer::fake_quantize` (the payload itself on exact wires) —
+/// independent of the frame codec it checks.
+pub fn oracle_hop(wire: &Wire, payload: &[f32], rng: &mut Rng) -> Vec<f32> {
+    match wire.codec() {
+        Some(codec) => {
+            let t = Tensor::from_vec(1, payload.len(), payload.to_vec());
+            codec.fake_quantize(&t, rng).into_vec()
+        }
+        None => payload.to_vec(),
+    }
 }
 
 /// What each hop ships through: `wire` itself under
@@ -114,7 +129,7 @@ pub fn ring_reduce_scatter(
         .map(|((&(lo, hi), sums), rng)| {
             let mut chunk = sums[lo..hi].to_vec();
             if policy == QuantizePolicy::FinalOnly {
-                wire.quantize(&mut chunk, rng);
+                wire.transmit(&mut chunk, rng);
             }
             chunk
         })

@@ -34,9 +34,8 @@ static BOOKS: [OnceLock<Codebook>; ElementFormat::WIRE_ID_END as usize] =
     [const { OnceLock::new() }; ElementFormat::WIRE_ID_END as usize];
 
 impl ElementFormat {
-    /// The interned codebook of this format, or `None` if the format is
-    /// wider than 8 bits (BF16 and the wide integer grids are not
-    /// packable).
+    /// The interned codebook of this format, or `None` for BF16, the one
+    /// format wider than 8 bits.
     pub fn codebook(self) -> Option<&'static Codebook> {
         let slot = &BOOKS[usize::from(self.wire_id()?)];
         Some(slot.get_or_init(|| Codebook::build(self)))
@@ -423,7 +422,6 @@ mod tests {
         assert!(ElementFormat::from(FloatFormat::bf16())
             .codebook()
             .is_none());
-        assert!(ElementFormat::from(IntFormat::new(16)).codebook().is_none());
     }
 
     #[test]

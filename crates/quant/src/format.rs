@@ -373,9 +373,9 @@ impl ElementFormat {
     }
 
     /// The byte a wire frame names this format by — `0..=3` for the four
-    /// packable float formats, `0x10 | bits` for integer widths `2..=8` —
-    /// or `None` when the format is wider than 8 bits and has no code
-    /// table. The numbering is a wire contract
+    /// packable float formats, `0x10 | bits` for the integer widths
+    /// `2..=8` — or `None` for BF16, the one format without a code table.
+    /// The numbering is a wire contract
     /// (`tests/wire_roundtrip.rs` pins it) and doubles as the codebook
     /// intern key.
     pub(crate) fn wire_id(self) -> Option<u8> {
@@ -387,7 +387,7 @@ impl ElementFormat {
                 FormatKind::E3M4 => Some(3),
                 FormatKind::Bf16 => None,
             },
-            ElementFormat::Int(f) => (f.bits() <= 8).then(|| 0x10 | f.bits() as u8),
+            ElementFormat::Int(f) => Some(0x10 | f.bits() as u8),
         }
     }
 

@@ -21,12 +21,21 @@
 //! better near the group maximum, worse near zero — which is exactly the
 //! trade-off the ILP can arbitrate per layer.
 
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Content, Deserialize, Serialize};
 
-/// A symmetric signed-integer element format of 2–16 bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A symmetric signed-integer element format of 2–8 bits — the widths with
+/// a code table (wire ids `0x12..=0x18`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct IntFormat {
     bits: u32,
+}
+
+/// A decoded width passes [`IntFormat::new`]'s check: a START message or a
+/// checkpoint cannot name a grid the constructor refuses.
+impl Deserialize for IntFormat {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        IntFormat::checked(de_field(c, "bits")?).map_err(serde::Error::custom)
+    }
 }
 
 impl IntFormat {
@@ -44,11 +53,17 @@ impl IntFormat {
     ///
     /// # Panics
     ///
-    /// Panics unless `2 ≤ bits ≤ 16` (1 bit leaves no magnitude levels;
-    /// beyond 16 the emulation adds nothing over f32).
+    /// Panics unless `2 ≤ bits ≤ 8` (1 bit leaves no magnitude levels;
+    /// beyond 8 there is no code table to pack into).
     pub fn new(bits: u32) -> Self {
-        assert!((2..=16).contains(&bits), "unsupported integer width {bits}");
-        IntFormat { bits }
+        IntFormat::checked(bits).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn checked(bits: u32) -> Result<Self, String> {
+        if !(2..=8).contains(&bits) {
+            return Err(format!("unsupported integer width {bits}"));
+        }
+        Ok(IntFormat { bits })
     }
 
     /// Storage bits per element.
@@ -129,6 +144,31 @@ mod tests {
     #[should_panic(expected = "unsupported integer width")]
     fn one_bit_rejected() {
         let _ = IntFormat::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported integer width 12")]
+    fn int12_rejected() {
+        let _ = IntFormat::new(12);
+    }
+
+    #[test]
+    fn decoded_widths_keep_the_constructors_check() {
+        for bits in 2..=8 {
+            let json = format!(r#"{{"bits":{bits}}}"#);
+            assert_eq!(
+                serde_json::from_str::<IntFormat>(&json).unwrap(),
+                IntFormat::new(bits)
+            );
+        }
+        for bits in [0, 1, 9, 12, 16] {
+            let json = format!(r#"{{"bits":{bits}}}"#);
+            let err = serde_json::from_str::<IntFormat>(&json).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported integer width"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -290,10 +330,5 @@ mod tests {
                 }
             }
         }
-        assert!(
-            Quantizer::new(IntFormat::new(12), Granularity::Rowwise, Rounding::Nearest)
-                .quantize_packed(&t, &mut rng())
-                .is_none()
-        );
     }
 }

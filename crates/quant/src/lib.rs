@@ -6,7 +6,7 @@
 //!
 //! * [`format::FloatFormat`] — ExMy codecs: FP4 E2M1 (MX), FP8 E4M3 / E5M2 /
 //!   E3M4, and BF16, with round-to-nearest-even and stochastic rounding;
-//!   [`int::IntFormat`] — symmetric INT8/INT4 grids; and
+//!   [`int::IntFormat`] — symmetric 2–8-bit integer grids (INT8/INT4); and
 //!   [`format::ElementFormat`], the one enumeration over both (grid, wire
 //!   id, interned [`Codebook`]).
 //! * [`granularity::Granularity`] — tensorwise / rowwise / columnwise /
@@ -14,8 +14,10 @@
 //!   activations & gradients, 128×128 blocks for weights); this crate's
 //!   name for [`snip_tensor::GroupLayout`], the one definition.
 //! * [`Quantizer`] — **the** quantizer: element format × scale layout ×
-//!   [`Rounding`] × [`Recipe`]. One fake quantize→dequantize oracle, one
-//!   pack, and the error norms `‖q(t) − t‖_F` that SNIP's divergence
+//!   [`Rounding`] × [`Recipe`]. It packs, or it is the one BF16
+//!   round-to-nearest quantizer ([`Quantizer::unscaled`]) — nothing else
+//!   can be built or decoded. One pack, one fake quantize→dequantize test
+//!   oracle, and the error norms `‖q(t) − t‖_F` that SNIP's divergence
 //!   analysis consumes (the per-layer statistics built from them live in
 //!   `snip_core::stats`). The pluggable quantization options of §5.2 are
 //!   its constructors: `Quantizer::new(IntFormat::int4(), …)` /
@@ -25,13 +27,12 @@
 //!   [`Quantizer::with_outliers`] (dense + sparse high-precision outlier
 //!   split, [`outlier`]).
 //! * [`PackedQuantize`] / [`PackedTensor`] — the **canonical codes-based
-//!   path**: the quantizer packs into bit-packed storage through one trait,
-//!   and dense fake quantization is derived from the packed form (decode),
-//!   bit-identical to the oracle. To add a quantization method, add a
-//!   [`Recipe`] arm (and a [`PackedTensor`] shape if its packed form needs
-//!   new metadata). Caches, optimizer moments and wires hold the concrete
-//!   [`Quantizer`]; only the analytic comm-volume accounting is generic
-//!   over [`PackedQuantize`].
+//!   path**: the quantizer packs into bit-packed storage through one trait
+//!   (`pack` + `packed_wire_bytes`), and a dense result is the decode of
+//!   the packed form, bit-identical to the oracle. To add a quantization
+//!   method, add a packing [`Recipe`] arm (see below). Caches, optimizer
+//!   moments and wires hold the concrete [`Quantizer`]; only the analytic
+//!   comm-volume accounting is generic over [`PackedQuantize`].
 //! * [`Precision`] / [`LinearPrecision`] — the *policy-level* vocabulary: the
 //!   precision assigned to each quantized operand of a linear layer, and the
 //!   effective precision of each of its three GEMMs.
@@ -97,11 +98,13 @@
 //!
 //! [`Quantizer`] is element format ([`format::ElementFormat`]: a
 //! [`format::FloatFormat`] or an [`int::IntFormat`]) × scale layout ×
-//! [`Rounding`] × [`Recipe`], and each scaled recipe has one packed shape:
+//! [`Rounding`] × [`Recipe`]. It either packs — a scaled recipe over a
+//! ≤ 8-bit element grid with a code table — or is the BF16 quantizer, and
+//! each scaled recipe has one packed shape:
 //!
 //! | [`Recipe`] | packed form |
 //! |---|---|
-//! | `Unscaled` (BF16) | none |
+//! | `Unscaled`: BF16 round-to-nearest only | none (rounded in place) |
 //! | `MaxAbs` | [`PackedTensor::Codes`] |
 //! | `Mx`: power-of-two E8M0 block scales, one byte each on a wire | [`PackedTensor::Mx`] |
 //! | `Rht { block, seed }`: codes of the rotated domain + the rotation seed | [`PackedTensor::Rotated`] |
@@ -111,13 +114,15 @@
 //! (`Quantizer::new(IntFormat::int4(), …)`, [`Quantizer::int8_tile`],
 //! [`Quantizer::mxfp4`] / [`Quantizer::mxfp8`], [`Quantizer::with_rht`],
 //! [`Quantizer::with_outliers`]), and it is the one in-tree implementor of
-//! [`PackedQuantize`], producing a [`PackedTensor`]; dense fake
-//! quantization is *derived* from it (decode of the packed form).
+//! [`PackedQuantize`], producing a [`PackedTensor`]; a dense result is
+//! the decode of the packed form.
 //!
-//! **To add a quantization method**, add a [`Recipe`] arm — its scale rule
-//! in `Quantizer::scale_of`, its arm in [`Quantizer::fake_quantize`] and in
-//! the pack — plus a [`PackedTensor`] shape (and a [`wire`] variant byte)
-//! if its packed form carries new metadata. `snip_nn::Linear`,
+//! **To add a quantization method**, add a [`Recipe`] arm that packs — its
+//! scale rule in `Quantizer::scale_of`, its arm in the pack and in the
+//! [`Quantizer::fake_quantize`] oracle, its parameter checks in
+//! `Quantizer::checked` (the constructors and deserialization share them)
+//! — plus a [`PackedTensor`] shape (and a [`wire`] variant byte) if its
+//! packed form carries new metadata. `snip_nn::Linear`,
 //! `snip_optim::AdamW` and `snip_pipeline::collective::Wire` hold the
 //! concrete [`Quantizer`]; only `snip_pipeline::comm::codec_wire_bytes` is
 //! generic over [`PackedQuantize`], so an out-of-tree implementor reaches
@@ -131,9 +136,10 @@
 //! oracle, property-tested across format × granularity × rounding × recipe
 //! (`tests/packed_equivalence.rs`). [`Quantizer::fake_quantize`] stays as
 //! the reference oracle — never delete it; the equivalence tests depend on
-//! it. No training step calls it: outside tests it is reached only through
-//! [`PackedQuantize::fake_reference`] (of a BF16 codec) and
-//! [`Quantizer::error_norm`]'s fallback for formats without a code table.
+//! it. Outside tests nothing calls it: a packing quantizer's users decode
+//! its codes, and the BF16 quantizer's users round in place
+//! ([`snip_tensor::bf16::round_slice`], the engine's rounded operand, the
+//! BF16 hop frame).
 //! The 36-byte wire header (format ids `0–3` / `0x10 | bits`, variant bytes
 //! `0–3`, layout tags; laid out in the [`wire`] docs) is pinned by golden
 //! literals in `tests/wire_roundtrip.rs`.
@@ -235,15 +241,6 @@ impl Precision {
         }
     }
 
-    /// The number format backing this precision in our emulation.
-    pub(crate) fn float_format(self) -> FloatFormat {
-        match self {
-            Precision::Fp4 => FloatFormat::e2m1(),
-            Precision::Fp8 => FloatFormat::e4m3(),
-            Precision::Bf16 => FloatFormat::bf16(),
-        }
-    }
-
     /// Default tile/block length for scale groups. The paper uses 128; the
     /// value is exposed so scaled-down experiments can shrink it together
     /// with their hidden dimensions.
@@ -252,7 +249,7 @@ impl Precision {
     /// The paper's quantizer recipe for this precision and tensor role:
     /// 1×128 tilewise for activations/gradients, 128×128 blockwise for
     /// weights, stochastic rounding for FP4 output gradients (§6.1), and
-    /// unscaled rounding for BF16.
+    /// the BF16 quantizer ([`Quantizer::unscaled`]) for BF16.
     pub fn quantizer_for(self, role: TensorRole) -> Quantizer {
         self.quantizer_with_group(role, Self::DEFAULT_GROUP)
     }
@@ -260,9 +257,11 @@ impl Precision {
     /// Same as [`Precision::quantizer_for`] but with a custom scale-group
     /// length (tile length / block side).
     pub fn quantizer_with_group(self, role: TensorRole, nb: usize) -> Quantizer {
-        if self == Precision::Bf16 {
-            return Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
-        }
+        let format = match self {
+            Precision::Fp4 => FloatFormat::e2m1(),
+            Precision::Fp8 => FloatFormat::e4m3(),
+            Precision::Bf16 => return Quantizer::unscaled(),
+        };
         let granularity = match role {
             TensorRole::Weight => Granularity::Block { nb },
             TensorRole::Input | TensorRole::OutputGrad => Granularity::Tile { nb },
@@ -272,7 +271,7 @@ impl Precision {
         } else {
             Rounding::Nearest
         };
-        Quantizer::new(self.float_format(), granularity, rounding)
+        Quantizer::new(format, granularity, rounding)
     }
 
     /// Effective precision of a GEMM whose two quantized operands have the

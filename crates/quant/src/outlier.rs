@@ -7,27 +7,14 @@
 //! else. [`crate::Quantizer::with_outliers`] emulates that split
 //! ([`crate::Recipe::Outlier`]) — the dense part goes through the max-abs
 //! recipe with group scales that see *only* the inliers, the outliers are
-//! kept at BF16 — and this module holds the selection and the bookkeeping
-//! (outlier count, threshold) that a sparse-GEMM cost model needs.
+//! kept at BF16 — and this module holds the selection.
 //!
 //! Like the MX and RHT variants, this is a pluggable quantization option in
 //! SNIP's ILP sense (§5.2); the `ablation_rht` experiment compares all of
 //! them head-to-head.
 
 use crate::packed::PackedOutlier;
-use serde::{Deserialize, Serialize};
 use snip_tensor::Tensor;
-
-/// Bookkeeping from one outlier split.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct OutlierSplit {
-    /// Magnitude threshold: elements with `|x| ≥ threshold` are outliers.
-    pub threshold: f32,
-    /// Number of elements routed to the sparse high-precision side.
-    pub n_outliers: usize,
-    /// `n_outliers` as a fraction of all elements.
-    pub fraction: f64,
-}
 
 /// Outliers among `n` elements at `fraction`: `ceil(fraction · n)`.
 pub(crate) fn outlier_count(fraction: f64, n: usize) -> usize {
@@ -38,40 +25,21 @@ pub(crate) fn outlier_count(fraction: f64, n: usize) -> usize {
 /// largest magnitude, ties broken by element order (the earlier element
 /// wins), so the set is a function of the data alone. Magnitudes compare by
 /// `f32::total_cmp`: a NaN ranks above every number and travels as an
-/// outlier. Returns the positions (flat indices, ascending) and the split
-/// bookkeeping.
-pub fn select_outliers(t: &Tensor, fraction: f64) -> (Vec<usize>, OutlierSplit) {
+/// outlier. Returns the positions (flat indices, ascending).
+pub fn select_outliers(t: &Tensor, fraction: f64) -> Vec<usize> {
     let data = t.as_slice();
     let n = data.len();
     let k = outlier_count(fraction, n);
     if k == 0 {
-        return (
-            Vec::new(),
-            OutlierSplit {
-                threshold: f32::INFINITY,
-                n_outliers: 0,
-                fraction: 0.0,
-            },
-        );
+        return Vec::new();
     }
     let mut idx: Vec<usize> = (0..n).collect();
     idx.select_nth_unstable_by(k - 1, |&a, &b| {
         data[b].abs().total_cmp(&data[a].abs()).then(a.cmp(&b))
     });
-    let mut outliers = idx[..k].to_vec();
-    outliers.sort_unstable();
-    let threshold = outliers
-        .iter()
-        .map(|&i| data[i].abs())
-        .fold(f32::INFINITY, f32::min);
-    (
-        outliers,
-        OutlierSplit {
-            threshold,
-            n_outliers: k,
-            fraction: k as f64 / n as f64,
-        },
-    )
+    idx.truncate(k);
+    idx.sort_unstable();
+    idx
 }
 
 /// Carves the outliers out of `t`: zeroes their positions — so the dense
@@ -79,7 +47,7 @@ pub fn select_outliers(t: &Tensor, fraction: f64) -> (Vec<usize>, OutlierSplit) 
 /// in ascending index order. The one split shared by the fake-quantization
 /// oracle and the packer.
 pub(crate) fn carve(t: &mut Tensor, fraction: f64) -> Vec<PackedOutlier> {
-    let (indices, _) = select_outliers(t, fraction);
+    let indices = select_outliers(t, fraction);
     let data = t.as_mut_slice();
     indices
         .into_iter()
@@ -102,6 +70,14 @@ mod tests {
         Rng::seed_from(5)
     }
 
+    /// The smallest outlier magnitude: elements with `|x| ≥ threshold` are
+    /// outliers (`∞` when there are none).
+    fn threshold(t: &Tensor, idx: &[usize]) -> f32 {
+        idx.iter()
+            .map(|&i| t.as_slice()[i].abs())
+            .fold(f32::INFINITY, f32::min)
+    }
+
     fn fp4_tile(nb: usize) -> Quantizer {
         Quantizer::new(
             FloatFormat::e2m1(),
@@ -120,8 +96,9 @@ mod tests {
             split.fake_quantize(&t, &mut Rng::seed_from(1)),
             plain.fake_quantize(&t, &mut Rng::seed_from(1))
         );
-        let (_, s) = select_outliers(&t, 0.0);
-        assert_eq!(s.n_outliers, 0);
+        let idx = select_outliers(&t, 0.0);
+        assert!(idx.is_empty());
+        assert_eq!(threshold(&t, &idx), f32::INFINITY);
     }
 
     #[test]
@@ -132,12 +109,13 @@ mod tests {
         t[(3, 20)] = -80.0;
         let q = fp4_tile(8).with_outliers(2.0 / 128.0);
         let out = q.fake_quantize(&t, &mut rng());
-        let (_, split) = select_outliers(&t, 2.0 / 128.0);
-        assert_eq!(split.n_outliers, 2);
+        let idx = select_outliers(&t, 2.0 / 128.0);
+        assert_eq!(idx.len(), 2);
         // 100 and 80 are exactly representable in BF16.
         assert_eq!(out[(1, 7)], 100.0);
         assert_eq!(out[(3, 20)], -80.0);
-        assert!(split.threshold <= 80.0 && split.threshold > 1.0);
+        let threshold = threshold(&t, &idx);
+        assert!(threshold <= 80.0 && threshold > 1.0);
     }
 
     #[test]
@@ -163,9 +141,9 @@ mod tests {
         let mut r = rng();
         let t = Tensor::randn(10, 10, 1.0, &mut r);
         for (frac, expect) in [(0.01, 1), (0.05, 5), (0.051, 6), (1.0, 100)] {
-            let (idx, split) = select_outliers(&t, frac);
+            let idx = select_outliers(&t, frac);
             assert_eq!(idx.len(), expect, "fraction {frac}");
-            assert_eq!(split.n_outliers, expect);
+            assert_eq!(idx.len() as f64 / 100.0, expect as f64 / 100.0);
         }
     }
 
@@ -175,17 +153,16 @@ mod tests {
         let t = Tensor::randn(4, 16, 1.0, &mut r);
         let q = fp4_tile(8).with_outliers(1.0);
         let out = q.fake_quantize(&t, &mut rng());
-        let bf16 = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest)
-            .fake_quantize(&t, &mut rng());
+        let bf16 = Quantizer::unscaled().fake_quantize(&t, &mut rng());
         assert_eq!(out, bf16);
     }
 
     #[test]
     fn outlier_indices_are_the_largest_magnitudes() {
         let t = Tensor::from_vec(1, 6, vec![0.1, -9.0, 0.3, 7.0, -0.2, 0.4]);
-        let (idx, split) = select_outliers(&t, 2.0 / 6.0);
+        let idx = select_outliers(&t, 2.0 / 6.0);
         assert_eq!(idx, vec![1, 3]);
-        assert_eq!(split.threshold, 7.0);
+        assert_eq!(threshold(&t, &idx), 7.0);
     }
 
     #[test]

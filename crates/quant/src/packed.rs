@@ -1,12 +1,12 @@
 //! The codes-based canonical quantization path.
 //!
-//! Every [`crate::Quantizer`] packs into one canonical representation,
-//! [`PackedTensor`], through one trait, [`PackedQuantize`], and fake
-//! quantization is *derived* from it (decode of the packed form).
-//! `Quantizer::fake_quantize` remains as the reference oracle — the packed
-//! path is bit- and RNG-stream-identical to it, which the property tests in
-//! `tests/packed_equivalence.rs` pin format × granularity × rounding ×
-//! recipe.
+//! Every [`crate::Quantizer`] but the BF16 one packs into one canonical
+//! representation, [`PackedTensor`], through one trait, [`PackedQuantize`];
+//! a dense result is the decode of the packed form.
+//! `Quantizer::fake_quantize` remains as the tests' reference oracle — the
+//! packed path is bit- and RNG-stream-identical to it, which the property
+//! tests in `tests/packed_equivalence.rs` pin format × granularity ×
+//! rounding × recipe.
 //!
 //! Each scaled [`crate::Recipe`] contributes one packed shape:
 //!
@@ -18,8 +18,12 @@
 //! * `Outlier` — a packed dense body whose scales saw only inliers, plus a
 //!   sparse BF16 outlier list ([`PackedTensor::Split`]).
 //!
-//! To add a quantization method in tree, add a `Recipe` arm and, if its
-//! packed form needs new metadata, a `PackedTensor` shape. Out of tree,
+//! The BF16 quantizer ([`crate::Quantizer::unscaled`]) is the one that
+//! does not pack: `pack` and `packed_wire_bytes` answer `None` for it and
+//! `Some` for every other quantizer.
+//!
+//! To add a quantization method in tree, add a packing `Recipe` arm and,
+//! if its packed form needs new metadata, a `PackedTensor` shape. Out of tree,
 //! implementing [`PackedQuantize`] reaches only the code that is generic
 //! over it — today the analytic comm-volume accounting
 //! (`snip_pipeline::comm::codec_wire_bytes`). Linear-layer caches,
@@ -190,39 +194,27 @@ pub(crate) fn streamed_error_norm(
     sq.sqrt()
 }
 
-/// The unified quantization interface: packed codes are the canonical
-/// output, dense fake quantization is derived by decoding them.
+/// The packed quantization interface: packed codes are the canonical
+/// output, and a dense result is their decode.
 ///
-/// Implementations guarantee, for every input tensor and RNG state:
+/// For [`crate::Quantizer`], the one in-tree implementor, `pack` is `Some`
+/// for every quantizer but the BF16 one, and for every input tensor and
+/// RNG state
 ///
-/// 1. `pack(t, rng).dequantize()` is **bit-identical** to
-///    `fake_reference(t, rng')` started from the same RNG state, and
+/// 1. `pack(t, rng).dequantize()` is **bit-identical** to the test oracle
+///    `Quantizer::fake_quantize(t, rng')` started from the same RNG state,
+///    and
 /// 2. both consume the same number of stochastic-rounding draws, so a
 ///    training trajectory cannot tell which storage was used.
 pub trait PackedQuantize {
-    /// Quantizes into the canonical packed representation, or `None` when
-    /// the target format has no ≤ 8-bit code table (BF16 emulation). A
-    /// `None` return consumes no RNG draws.
+    /// Quantizes into the canonical packed representation, or `None` for
+    /// BF16, which has no ≤ 8-bit code table. A `None` return consumes no
+    /// RNG draws.
     fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor>;
-
-    /// The legacy dense fake-quantization oracle this packed path must
-    /// reproduce bit-for-bit. Kept callable forever: the equivalence tests
-    /// compare against it.
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor;
-
-    /// Canonical quantization: decode-of-packed when packable, the dense
-    /// oracle otherwise. This is the method generic consumers (wires,
-    /// caches) should call when they need a dense result.
-    fn quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        match self.pack(t, rng) {
-            Some(p) => p.dequantize(),
-            None => self.fake_reference(t, rng),
-        }
-    }
 
     /// Analytic wire size of this quantizer's packed output for a
     /// `rows × cols` tensor, matching `pack(..).wire_bytes()` exactly, or
-    /// `None` when not packable. Lets comm-volume models account bytes
+    /// `None` for BF16. Lets comm-volume models account bytes
     /// without materializing data.
     fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64>;
 }
@@ -256,25 +248,25 @@ mod tests {
         let mut t = Tensor::randn(6, 40, 1.0, &mut data_rng);
         t[(2, 7)] = 25.0; // give the outlier split something to find
         let q = fp4_tile(8);
-        let kinds: Vec<(&str, Box<dyn PackedQuantize>)> = vec![
-            ("plain", Box::new(q)),
+        let kinds = [
+            ("plain", q),
             (
                 "int",
-                Box::new(Quantizer::new(
+                Quantizer::new(
                     IntFormat::int4(),
                     Granularity::Tile { nb: 8 },
                     Rounding::Nearest,
-                )),
+                ),
             ),
-            ("mx", Box::new(Quantizer::mxfp4())),
-            ("rht", Box::new(q.with_rht(8, 11))),
-            ("outlier", Box::new(q.with_outliers(0.01))),
+            ("mx", Quantizer::mxfp4()),
+            ("rht", q.with_rht(8, 11)),
+            ("outlier", q.with_outliers(0.01)),
         ];
         for (name, k) in &kinds {
             let mut r1 = Rng::seed_from(5);
             let mut r2 = Rng::seed_from(5);
-            let derived = k.quantize(&t, &mut r1);
-            let oracle = k.fake_reference(&t, &mut r2);
+            let derived = k.pack(&t, &mut r1).expect("packs").dequantize();
+            let oracle = k.fake_quantize(&t, &mut r2);
             assert_bit_identical(&derived, &oracle, name);
             assert_eq!(r1.next_u64(), r2.next_u64(), "{name}: rng stream diverged");
         }
@@ -305,20 +297,14 @@ mod tests {
 
     #[test]
     fn unpackable_configs_return_none_and_fall_back() {
-        let bf16 = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
+        // BF16 is the one quantizer without codes: no packed form, no
+        // analytic volume, no draws — its users round instead.
+        let bf16 = Quantizer::unscaled();
         let t = Tensor::from_vec(1, 3, vec![0.1, -0.4, 2.5]);
         let mut rng = Rng::seed_from(2);
         assert!(bf16.pack(&t, &mut rng).is_none());
         assert!(bf16.packed_wire_bytes(1, 3).is_none());
-        // So does a scaled 16-bit grid, under every recipe.
-        let wide = Quantizer::new(FloatFormat::bf16(), Granularity::Rowwise, Rounding::Nearest);
-        let rht = wide.with_rht(2, 0);
-        assert!(rht.pack(&t, &mut rng).is_none());
-        let split = wide.with_outliers(0.1);
-        assert!(split.pack(&t, &mut rng).is_none());
-        // The derived quantize still works through the oracle.
-        let out = split.quantize(&t, &mut rng);
-        assert_eq!(out.shape(), (1, 3));
+        assert_eq!(rng, Rng::seed_from(2));
     }
 
     #[test]

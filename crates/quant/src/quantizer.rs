@@ -11,14 +11,14 @@
 //! values of those four fields, not types of their own.
 
 use crate::codebook::Codebook;
-use crate::format::{ElementFormat, FloatFormat, FormatKind};
+use crate::format::{ElementFormat, FloatFormat};
 use crate::granularity::Granularity;
 use crate::int::IntFormat;
 use crate::mx::{self, MX_BLOCK};
 use crate::packed::{streamed_error_norm, PackedQuantize, PackedTensor};
 use crate::signals::{self, QuantTimer};
 use crate::{outlier, rht};
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Content, Deserialize, Serialize};
 use snip_tensor::rng::Rng;
 use snip_tensor::{QTensor, Tensor};
 
@@ -38,8 +38,8 @@ pub enum Rounding {
 /// scaled recipe maps onto exactly one [`PackedTensor`] shape.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Recipe {
-    /// No scaling: values round straight onto the element grid (BF16
-    /// emulation, whose dynamic range needs no alignment). Never packable.
+    /// No scaling: BF16 round-to-nearest ([`Quantizer::unscaled`]), whose
+    /// dynamic range needs no alignment. The one recipe that never packs.
     Unscaled,
     /// `scale = grid_max / max|group|` per layout group — the paper's
     /// recipe. Packs to [`PackedTensor::Codes`].
@@ -68,20 +68,30 @@ pub enum Recipe {
 /// A complete quantize→dequantize configuration: element format × scale
 /// layout × rounding × [`Recipe`].
 ///
+/// Every `Quantizer` is one of two kinds, by construction: it **packs** —
+/// a scaled recipe over a ≤ 8-bit element grid with a code table, so
+/// [`PackedQuantize::pack`] and [`PackedQuantize::packed_wire_bytes`] are
+/// both `Some` — or it is **the BF16 quantizer**, [`Quantizer::unscaled`]:
+/// round-to-nearest, no codes, no draws, both `None`. The constructors
+/// reject everything else (a format without a code table, stochastic BF16,
+/// empty scale groups, a non-power-of-two RHT block, an outlier fraction
+/// outside `[0, 1]`), and deserialization rejects the same, plus integer
+/// widths outside `2..=8`.
+///
 /// # Example
 ///
 /// ```
-/// use snip_quant::{Quantizer, Rounding, format::FloatFormat, granularity::Granularity};
+/// use snip_quant::{PackedQuantize, Quantizer, Rounding, format::FloatFormat, granularity::Granularity};
 /// use snip_tensor::{Tensor, rng::Rng};
 ///
 /// let q = Quantizer::new(FloatFormat::e2m1(), Granularity::Tensorwise, Rounding::Nearest);
 /// let t = Tensor::from_vec(1, 4, vec![0.1, -0.4, 0.9, 1.2]);
 /// let mut rng = Rng::seed_from(0);
-/// let fq = q.fake_quantize(&t, &mut rng);
+/// let fq = q.pack(&t, &mut rng).expect("FP4 packs").dequantize();
 /// // The largest magnitude maps exactly onto the format grid.
 /// assert!((fq[(0, 3)] - 1.2).abs() < 1e-6);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Quantizer {
     format: ElementFormat,
     layout: Granularity,
@@ -89,9 +99,30 @@ pub struct Quantizer {
     recipe: Recipe,
 }
 
+/// A decoded quantizer (a `Wire` in a START message) passes the
+/// constructors' checks: a forged codec is a serde error, not a worker
+/// panic or a codec no constructor makes.
+impl Deserialize for Quantizer {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        Quantizer {
+            format: de_field(c, "format")?,
+            layout: de_field(c, "layout")?,
+            rounding: de_field(c, "rounding")?,
+            recipe: de_field(c, "recipe")?,
+        }
+        .checked()
+        .map_err(serde::Error::custom)
+    }
+}
+
 impl Quantizer {
     /// Creates a max-abs-scaled quantizer (the normal case for FP8/FP4 and
     /// the integer grids).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` has no code table (BF16: use
+    /// [`Quantizer::unscaled`]) or `layout`'s groups are empty (`nb = 0`).
     pub fn new(format: impl Into<ElementFormat>, layout: Granularity, rounding: Rounding) -> Self {
         Quantizer {
             format: format.into(),
@@ -99,15 +130,45 @@ impl Quantizer {
             rounding,
             recipe: Recipe::MaxAbs,
         }
+        .or_panic()
     }
 
-    /// Creates an unscaled quantizer — values are rounded onto the format
-    /// grid directly. Appropriate for BF16, whose exponent range matches f32.
-    pub fn unscaled(format: FloatFormat, rounding: Rounding) -> Self {
+    /// The BF16 quantizer: unscaled round-to-nearest onto the BF16 grid,
+    /// whose exponent range matches f32. The one quantizer that does not
+    /// pack.
+    pub fn unscaled() -> Self {
         Quantizer {
+            format: FloatFormat::bf16().into(),
+            layout: Granularity::Tensorwise,
+            rounding: Rounding::Nearest,
             recipe: Recipe::Unscaled,
-            ..Quantizer::new(format, Granularity::Tensorwise, rounding)
         }
+    }
+
+    /// `self` if it is one of the two kinds the type docs name, or why not.
+    fn checked(self) -> Result<Self, String> {
+        let empty = matches!(
+            self.layout,
+            Granularity::Block { nb: 0 } | Granularity::Tile { nb: 0 }
+        );
+        Err(match self.recipe {
+            Recipe::Unscaled if self == Quantizer::unscaled() => return Ok(self),
+            Recipe::Unscaled => format!("BF16 is tensorwise round-to-nearest only, not {self:?}"),
+            // BF16, the one format without a code table.
+            _ if self.format.codebook().is_none() => "bf16 has no code table to scale into".into(),
+            _ if empty => format!("{} scale groups are empty", self.layout),
+            Recipe::Rht { block, .. } if !block.is_power_of_two() => {
+                format!("RHT block {block} is not a power of two")
+            }
+            Recipe::Outlier { fraction } if !(0.0..=1.0).contains(&fraction) => {
+                format!("outlier fraction {fraction} outside [0, 1]")
+            }
+            _ => return Ok(self),
+        })
+    }
+
+    fn or_panic(self) -> Self {
+        self.checked().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// INT8 (the Jetfire training format) with the DeepSeek-style `1×nb`
@@ -143,8 +204,12 @@ impl Quantizer {
 
     /// The same quantizer with a different rounding mode (the FP4 and MX
     /// training recipes use stochastic rounding on gradients).
+    ///
+    /// # Panics
+    ///
+    /// Panics on stochastic rounding for the BF16 quantizer.
     pub fn with_rounding(self, rounding: Rounding) -> Self {
-        Quantizer { rounding, ..self }
+        Quantizer { rounding, ..self }.or_panic()
     }
 
     /// This max-abs quantizer behind a randomized Hadamard rotation over
@@ -155,10 +220,6 @@ impl Quantizer {
     /// Panics unless `block` is a power of two and `self` is a plain
     /// max-abs quantizer.
     pub fn with_rht(self, block: usize, seed: u64) -> Self {
-        assert!(
-            block.is_power_of_two(),
-            "RHT block {block} is not a power of two"
-        );
         self.max_abs_with(Recipe::Rht { block, seed })
     }
 
@@ -170,10 +231,6 @@ impl Quantizer {
     /// Panics unless `0 ≤ fraction ≤ 1` and `self` is a plain max-abs
     /// quantizer.
     pub fn with_outliers(self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "outlier fraction {fraction} outside [0, 1]"
-        );
         self.max_abs_with(Recipe::Outlier { fraction })
     }
 
@@ -183,7 +240,7 @@ impl Quantizer {
             Recipe::MaxAbs,
             "only a plain max-abs quantizer takes another recipe"
         );
-        Quantizer { recipe, ..self }
+        Quantizer { recipe, ..self }.or_panic()
     }
 
     /// The element format.
@@ -212,7 +269,7 @@ impl Quantizer {
     /// [`Rounding::Nearest`].
     ///
     /// This is the dense oracle every packed path must reproduce bit for
-    /// bit.
+    /// bit, kept for the tests: no library code calls it.
     ///
     /// Telemetry (`quant.ns`) times the copy of `t` together with the
     /// rounding it feeds; an RHT rotation and an outlier carve, and the
@@ -221,13 +278,8 @@ impl Quantizer {
         match self.recipe {
             Recipe::Unscaled => {
                 let _t = QuantTimer::start();
-                if self.is_bf16_nearest() {
-                    // One pass, banded on the pool: the copy is the rounding.
-                    return t.map(snip_tensor::bf16::round);
-                }
-                let mut q = t.clone();
-                self.round_unscaled(q.as_mut_slice(), rng);
-                q
+                // One pass, banded on the pool: the copy is the rounding.
+                t.map(snip_tensor::bf16::round)
             }
             Recipe::MaxAbs | Recipe::Mx => {
                 let _t = QuantTimer::start();
@@ -316,44 +368,15 @@ impl Quantizer {
         });
     }
 
-    /// Whether this rounds onto the BF16 grid to nearest: one bit-twiddle
-    /// per element ([`snip_tensor::bf16::round`]), no draws.
-    fn is_bf16_nearest(&self) -> bool {
-        let bf16 = matches!(self.format, ElementFormat::Float(f) if f.kind() == FormatKind::Bf16);
-        bf16 && self.rounding == Rounding::Nearest
-    }
-
-    /// Rounds values onto the format grid directly — the unscaled
-    /// quantizer's whole job, element by element.
-    fn round_unscaled(&self, values: &mut [f32], rng: &mut Rng) {
-        // Fast path for BF16 emulation.
-        if self.is_bf16_nearest() {
-            snip_tensor::bf16::round_slice(values);
-            return;
-        }
-        let fmt = self.format;
-        let stochastic = self.rounding == Rounding::Stochastic;
-        for v in values {
-            *v = if stochastic {
-                fmt.quantize_stochastic(*v, rng.next_f32())
-            } else {
-                fmt.quantize_nearest(*v)
-            };
-        }
-    }
-
-    /// Whether this quantizer's output can be stored bit-packed: scaled
-    /// formats of 8 bits or fewer can; unscaled BF16 emulation and wider
-    /// grids cannot (they have no code table).
+    /// Whether this quantizer packs: every one but the BF16 quantizer.
     pub fn packable(&self) -> bool {
-        self.recipe != Recipe::Unscaled && self.format.codebook().is_some()
+        self.recipe != Recipe::Unscaled
     }
 
     /// Quantizes `t` into plain bit-packed codes, or `None` when there are
-    /// none to give: the format is not packable, or the recipe's packed
-    /// form carries more than codes and scales ([`Recipe::Rht`],
-    /// [`Recipe::Outlier`] — use [`PackedQuantize::pack`]). The caller
-    /// falls back to [`Quantizer::fake_quantize`].
+    /// none to give: the BF16 quantizer, or a recipe whose packed form
+    /// carries more than codes and scales ([`Recipe::Rht`],
+    /// [`Recipe::Outlier`] — use [`PackedQuantize::pack`]).
     ///
     /// The packed result is **exactly equivalent** to fake quantization:
     /// `quantize_packed(t, rng).dequantize()` is bit-for-bit equal to
@@ -394,6 +417,7 @@ impl Quantizer {
     /// [`PackedQuantize::pack`]; `record` reports each codebook pack to the
     /// pack-signal telemetry (the packs inside `error_norm` stay silent).
     fn pack_recipe(&self, t: &Tensor, rng: &mut Rng, record: bool) -> Option<PackedTensor> {
+        // `None` exactly for BF16, the one format without a code table.
         let cb = self.format.codebook()?;
         let signal = |kind| record.then_some(kind);
         Some(match self.recipe {
@@ -425,22 +449,19 @@ impl Quantizer {
     /// deterministic nearest rounding (this is the `δ` statistic collected in
     /// Step 1 of the SNIP workflow, paper Fig. 6).
     ///
-    /// Packable quantizers pack on the vector engine and decode a row at a
-    /// time — bit-for-bit the rows [`Quantizer::fake_quantize`] would
-    /// produce, so the norm is too — and an unscaled quantizer (BF16
-    /// emulation) rounds a row at a time; neither materialises `q(t)`.
+    /// A packing quantizer packs on the vector engine and decodes a row at
+    /// a time — bit-for-bit the rows [`Quantizer::fake_quantize`] would
+    /// produce, so the norm is too — and the BF16 quantizer rounds a row at
+    /// a time; neither materialises `q(t)`.
     pub fn error_norm(&self, t: &Tensor) -> f64 {
         let det = self.with_rounding(Rounding::Nearest);
-        let mut rng = Rng::seed_from(0); // unused under Nearest
-        if det.recipe == Recipe::Unscaled {
-            return streamed_error_norm(t, |r, row| {
-                row.copy_from_slice(t.row(r));
-                det.round_unscaled(row, &mut rng);
-            });
-        }
-        match det.pack_recipe(t, &mut rng, false) {
+        // Nearest rounding draws nothing.
+        match det.pack_recipe(t, &mut Rng::seed_from(0), false) {
             Some(packed) => packed.distance(t),
-            None => det.fake_quantize(t, &mut rng).distance(t),
+            None => streamed_error_norm(t, |r, row| {
+                row.copy_from_slice(t.row(r));
+                snip_tensor::bf16::round_slice(row);
+            }),
         }
     }
 
@@ -459,10 +480,6 @@ impl Quantizer {
 impl PackedQuantize for Quantizer {
     fn pack(&self, t: &Tensor, rng: &mut Rng) -> Option<PackedTensor> {
         self.pack_recipe(t, rng, true)
-    }
-
-    fn fake_reference(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        self.fake_quantize(t, rng)
     }
 
     fn packed_wire_bytes(&self, rows: usize, cols: usize) -> Option<u64> {
@@ -579,11 +596,91 @@ mod tests {
 
     #[test]
     fn unscaled_bf16_quantizer() {
-        let q = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
+        let q = Quantizer::unscaled();
         let t = Tensor::from_vec(1, 2, vec![1.0 + 2f32.powi(-9), -3.125]);
         let fq = q.fake_quantize(&t, &mut rng());
         assert_eq!(fq[(0, 0)], 1.0);
         assert_eq!(fq[(0, 1)], -3.125); // exactly representable
+    }
+
+    #[test]
+    #[should_panic(expected = "bf16 has no code table")]
+    fn scaled_bf16_rejected() {
+        let _ = Quantizer::new(FloatFormat::bf16(), Granularity::Rowwise, Rounding::Nearest);
+    }
+
+    #[test]
+    #[should_panic(expected = "round-to-nearest only")]
+    fn stochastic_bf16_rejected() {
+        let _ = Quantizer::unscaled().with_rounding(Rounding::Stochastic);
+    }
+
+    #[test]
+    #[should_panic(expected = "scale groups are empty")]
+    fn empty_scale_groups_rejected() {
+        let _ = Quantizer::new(
+            FloatFormat::e2m1(),
+            Granularity::Tile { nb: 0 },
+            Rounding::Nearest,
+        );
+    }
+
+    #[test]
+    fn decoded_quantizers_keep_the_constructors_checks() {
+        let fp4 = Quantizer::new(
+            FloatFormat::e2m1(),
+            Granularity::Tile { nb: 8 },
+            Rounding::Nearest,
+        );
+        for q in [
+            fp4,
+            fp4.with_rht(8, 3),
+            fp4.with_outliers(0.5),
+            Quantizer::mxfp8(),
+            Quantizer::int8_tile(4),
+            Quantizer::unscaled(),
+        ] {
+            let json = serde_json::to_string(&q).unwrap();
+            assert_eq!(
+                serde_json::from_str::<Quantizer>(&json).unwrap(),
+                q,
+                "{json}"
+            );
+        }
+        // Each forgery is one field of a valid quantizer's JSON, changed.
+        let forge = |q: Quantizer, from: &str, to: &str| {
+            let json = serde_json::to_string(&q).unwrap();
+            assert!(json.contains(from), "{json} lacks {from}");
+            let err = serde_json::from_str::<Quantizer>(&json.replace(from, to)).unwrap_err();
+            err.to_string()
+        };
+        let bf16 = serde_json::to_string(&FloatFormat::bf16()).unwrap();
+        let e2m1 = serde_json::to_string(&FloatFormat::e2m1()).unwrap();
+        for (err, want) in [
+            (forge(fp4, &e2m1, &bf16), "bf16 has no code table"),
+            (
+                forge(Quantizer::unscaled(), "Nearest", "Stochastic"),
+                "nearest only",
+            ),
+            (
+                forge(Quantizer::unscaled(), "Tensorwise", "Rowwise"),
+                "tensorwise",
+            ),
+            (
+                forge(fp4.with_rht(8, 3), r#""block":8"#, r#""block":24"#),
+                "not a power of two",
+            ),
+            (
+                forge(fp4.with_outliers(0.5), "0.5", "1.5"),
+                "outside [0, 1]",
+            ),
+            (
+                forge(fp4, r#""nb":8"#, r#""nb":0"#),
+                "scale groups are empty",
+            ),
+        ] {
+            assert!(err.contains(want), "{err} lacks {want}");
+        }
     }
 
     #[test]
@@ -641,7 +738,7 @@ mod tests {
 
     #[test]
     fn bf16_is_not_packable() {
-        let q = Quantizer::unscaled(FloatFormat::bf16(), Rounding::Nearest);
+        let q = Quantizer::unscaled();
         assert!(!q.packable());
         let t = Tensor::zeros(2, 2);
         assert!(q.quantize_packed(&t, &mut rng()).is_none());

@@ -345,19 +345,18 @@ mod tests {
     #[test]
     fn tail_shorter_than_block_is_handled() {
         // 100 columns with block 32: chunks 32+32+32 then a 4-tail (2², with
-        // 0 left over) — all elements must still round-trip through
-        // rotate/inverse when quantization is disabled-ish (a 16-bit grid).
+        // 0 left over) — all elements must round-trip through
+        // rotate/inverse, and the rotation must actually move them.
         let mut r = rng();
         let t = Tensor::randn(3, 100, 1.0, &mut r);
-        let identity_ish = Quantizer::new(
-            FloatFormat::bf16(),
-            Granularity::Tensorwise,
-            Rounding::Nearest,
-        );
-        let rht = identity_ish.with_rht(32, 21);
-        let out = rht.fake_quantize(&t, &mut rng());
-        // BF16 rounding noise only — relative error well below FP4's.
-        assert!(out.distance(&t) / t.frobenius_norm() < 5e-3);
+        let mut out = t.clone();
+        rotate_rows(&mut out, 32, 21, true);
+        assert!(out.distance(&t) > 0.1 * t.frobenius_norm());
+        // The tail is rotated too: its 4 columns are not left in place.
+        assert!((96..100).any(|c| out[(0, c)] != t[(0, c)]));
+        rotate_rows(&mut out, 32, 21, false);
+        // f32 rounding noise only.
+        assert!(out.distance(&t) / t.frobenius_norm() < 1e-5);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The pack engine's bit- and RNG-stream-identity across SIMD backends.
 //!
-//! Every `PackedQuantize` impl packs through the runtime-dispatched encode
+//! Every packing `Quantizer` packs through the runtime-dispatched encode
 //! kernels of `snip_tensor::encode`. Backend choice must be a pure
 //! performance decision, so for every tier this process can run
 //! (`simd::available_backends()`) a pack must produce the **same code
 //! bytes, the same scales and the same post-call `Rng` state** as the
 //! forced-scalar tier — and decode bit-for-bit to what the fake-quant
-//! oracle (`fake_reference`) returns from the same starting RNG state,
+//! oracle (`Quantizer::fake_quantize`) returns from the same starting RNG state,
 //! having consumed the same draws.
 //!
 //! CI reruns this suite under `SNIP_SIMD=0`, `SNIP_SIMD=avx2`,
@@ -26,23 +26,17 @@ const ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::Stochastic];
 
 /// {e2m1, e4m3, e5m2, int4, int8, mxfp4, rht, outlier} under one
 /// granularity and rounding (MX scales by its own fixed 1×32 tiles).
-fn quantizers(g: Granularity, r: Rounding) -> Vec<(&'static str, Box<dyn PackedQuantize>)> {
+fn quantizers(g: Granularity, r: Rounding) -> [(&'static str, Quantizer); 8] {
     let float = |fmt| Quantizer::new(fmt, g, r);
-    vec![
-        (
-            "e2m1",
-            Box::new(float(FloatFormat::e2m1())) as Box<dyn PackedQuantize>,
-        ),
-        ("e4m3", Box::new(float(FloatFormat::e4m3()))),
-        ("e5m2", Box::new(float(FloatFormat::e5m2()))),
-        ("int4", Box::new(Quantizer::new(IntFormat::int4(), g, r))),
-        ("int8", Box::new(Quantizer::new(IntFormat::int8(), g, r))),
-        ("mxfp4", Box::new(Quantizer::mxfp4().with_rounding(r))),
-        ("rht", Box::new(float(FloatFormat::e2m1()).with_rht(8, 11))),
-        (
-            "outlier",
-            Box::new(float(FloatFormat::e2m1()).with_outliers(0.05)),
-        ),
+    [
+        ("e2m1", float(FloatFormat::e2m1())),
+        ("e4m3", float(FloatFormat::e4m3())),
+        ("e5m2", float(FloatFormat::e5m2())),
+        ("int4", Quantizer::new(IntFormat::int4(), g, r)),
+        ("int8", Quantizer::new(IntFormat::int8(), g, r)),
+        ("mxfp4", Quantizer::mxfp4().with_rounding(r)),
+        ("rht", float(FloatFormat::e2m1()).with_rht(8, 11)),
+        ("outlier", float(FloatFormat::e2m1()).with_outliers(0.05)),
     ]
 }
 
@@ -56,7 +50,7 @@ fn granularities(nb: usize) -> [Granularity; 5] {
     ]
 }
 
-fn pack_on(bk: Backend, q: &dyn PackedQuantize, t: &Tensor, seed: u64) -> (PackedTensor, Rng) {
+fn pack_on(bk: Backend, q: &Quantizer, t: &Tensor, seed: u64) -> (PackedTensor, Rng) {
     simd::with_forced_backend(bk, || {
         let mut rng = Rng::seed_from(seed);
         let packed = q.pack(t, &mut rng).expect("packable");
@@ -66,7 +60,7 @@ fn pack_on(bk: Backend, q: &dyn PackedQuantize, t: &Tensor, seed: u64) -> (Packe
 
 /// Every available tier vs forced scalar (codes, scales, RNG state), and
 /// the scalar tier vs the fake-quant oracle (decoded bits, RNG state).
-fn assert_backends_agree(q: &dyn PackedQuantize, t: &Tensor, seed: u64, ctx: &str) {
+fn assert_backends_agree(q: &Quantizer, t: &Tensor, seed: u64, ctx: &str) {
     let (reference, rng_ref) = pack_on(Backend::Scalar, q, t, seed);
     for bk in simd::available_backends() {
         let (packed, rng) = pack_on(bk, q, t, seed);
@@ -83,7 +77,7 @@ fn assert_backends_agree(q: &dyn PackedQuantize, t: &Tensor, seed: u64, ctx: &st
         assert_eq!(rng, rng_ref, "{ctx}: rng state");
     }
     let mut rng_fake = Rng::seed_from(seed);
-    let fake = q.fake_reference(t, &mut rng_fake);
+    let fake = q.fake_quantize(t, &mut rng_fake);
     let decoded = reference.dequantize();
     assert_eq!(decoded.shape(), fake.shape(), "{ctx}");
     for (i, (x, y)) in fake.as_slice().iter().zip(decoded.as_slice()).enumerate() {
@@ -98,7 +92,7 @@ fn assert_all_quantizers_agree(t: &Tensor, nb: usize, seed: u64) {
         for r in ROUNDINGS {
             for (name, q) in quantizers(g, r) {
                 let ctx = format!("{name} {g} {r:?} {rows}x{cols}");
-                assert_backends_agree(q.as_ref(), t, seed, &ctx);
+                assert_backends_agree(&q, t, seed, &ctx);
             }
         }
     }
@@ -258,8 +252,8 @@ fn signed_zeros_subnormals_and_all_zero_groups() {
     for g in granularities(7) {
         for r in ROUNDINGS {
             for (name, q) in quantizers(g, r) {
-                assert_backends_agree(q.as_ref(), &zeros, 1, &format!("{name} {g} zeros"));
-                let (p, _) = pack_on(simd::backend_kind(), q.as_ref(), &zeros, 1);
+                assert_backends_agree(&q, &zeros, 1, &format!("{name} {g} zeros"));
+                let (p, _) = pack_on(simd::backend_kind(), &q, &zeros, 1);
                 assert!(
                     p.codes().packed_data().iter().all(|&b| b == 0),
                     "{name} {g}"

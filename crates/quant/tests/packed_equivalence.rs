@@ -3,9 +3,10 @@
 //! the crate's unit tests, plus the fused single-pass stochastic-rounding
 //! pack against its two-step `encode(quantize_stochastic(..))` oracle.
 //!
-//! The contract under test is [`PackedQuantize`]'s: for every quantizer,
-//! `pack(t, rng).dequantize()` must equal `fake_reference(t, rng')` bit for
-//! bit when both start from the same RNG state, and both paths must consume
+//! The contract under test is [`PackedQuantize`]'s: for every packing
+//! quantizer, `pack(t, rng).dequantize()` must equal the oracle
+//! `fake_quantize(t, rng')` bit for bit when both start from the same RNG
+//! state, and both paths must consume
 //! the same number of stochastic draws. The fused-SR suite sharpens this to
 //! the packed *codes* themselves (not just their decoded values) and to the
 //! exact RNG stream position.
@@ -43,10 +44,10 @@ const ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::Stochastic];
 /// Packs and fake-quantizes from identical RNG states; asserts bit-identical
 /// results and identical draw consumption, and that the packed form
 /// survives its wire encoding.
-fn assert_packed_equivalence(q: &dyn PackedQuantize, t: &Tensor, seed: u64, ctx: &str) {
+fn assert_packed_equivalence(q: &Quantizer, t: &Tensor, seed: u64, ctx: &str) {
     let mut rng_fake = Rng::seed_from(seed);
     let mut rng_packed = Rng::seed_from(seed);
-    let fake = q.fake_reference(t, &mut rng_fake);
+    let fake = q.fake_quantize(t, &mut rng_fake);
     let packed = q.pack(t, &mut rng_packed).expect("packable");
     let decoded = packed.dequantize();
     assert_eq!(decoded.shape(), fake.shape(), "{ctx}");
@@ -119,13 +120,13 @@ proptest! {
     }
 
     /// `error_norm` — computed through the pack engine and a row-streamed
-    /// decode, or a row-streamed rounding for unscaled BF16 — equals the
-    /// norm of the materialised scalar oracle, `fake_quantize(t)` under
-    /// nearest rounding then `distance(t)`, bit for bit: every float format
-    /// × granularity (ragged 5-wide groups over a 7×29 tensor) × {max-abs,
-    /// RHT, outlier split} recipe, the quantizer's own rounding mode
-    /// notwithstanding, plus every integer width class (packable and the
-    /// 16-bit fallback) and both MX formats.
+    /// decode, or a row-streamed rounding for BF16 — equals the norm of the
+    /// materialised scalar oracle, `fake_quantize(t)` under nearest
+    /// rounding then `distance(t)`, bit for bit: every packable float
+    /// format × granularity (ragged 5-wide groups over a 7×29 tensor) ×
+    /// {max-abs, RHT, outlier split} recipe, the quantizer's own rounding
+    /// mode notwithstanding, plus integer widths from 2 to 8 bits, both MX
+    /// formats and the BF16 quantizer.
     #[test]
     fn error_norm_matches_the_fake_quantize_oracle(t in tensor_strategy(7, 29)) {
         let mut rng = Rng::seed_from(0); // nearest rounding draws nothing
@@ -136,18 +137,17 @@ proptest! {
                     FloatFormat::e4m3(),
                     FloatFormat::e5m2(),
                     FloatFormat::e3m4(),
-                    FloatFormat::bf16(), // scaled 16-bit: not packable
                 ] {
                     let q = Quantizer::new(fmt, g, rounding);
                     // The plain recipe, then the same quantizer behind a
                     // rotation (a block that does not divide the width)
                     // and an outlier split.
                     for q in [q, q.with_rht(8, 7), q.with_outliers(0.02)] {
-                        let want = q.with_rounding(Rounding::Nearest).fake_reference(&t, &mut rng).distance(&t);
+                        let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
                         prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "{:?}", q);
                     }
                 }
-                for bits in [2, 4, 8, 16] {
+                for bits in [2, 4, 8] {
                     let q = Quantizer::new(IntFormat::new(bits), g, rounding);
                     let nearest = Quantizer::new(IntFormat::new(bits), g, Rounding::Nearest);
                     let want = nearest.fake_quantize(&t, &mut rng).distance(&t);
@@ -155,10 +155,10 @@ proptest! {
                 }
             }
         }
+        let bf16 = Quantizer::unscaled();
+        let want = bf16.fake_quantize(&t, &mut rng).distance(&t);
+        prop_assert_eq!(bf16.error_norm(&t).to_bits(), want.to_bits(), "bf16");
         for rounding in ROUNDINGS {
-            let q = Quantizer::unscaled(FloatFormat::bf16(), rounding);
-            let want = q.with_rounding(Rounding::Nearest).fake_quantize(&t, &mut rng).distance(&t);
-            prop_assert_eq!(q.error_norm(&t).to_bits(), want.to_bits(), "unscaled bf16 {:?}", rounding);
             for base in [Quantizer::mxfp4(), Quantizer::mxfp8()] {
                 let q = base.with_rounding(rounding);
                 let want = base.fake_quantize(&t, &mut rng).distance(&t);

@@ -8,8 +8,9 @@
 # deleted; then one `unsafe <crate>` line per crate: how many of its
 # non-test lines contain the word `unsafe`; last, one `pub fn <crate>` line
 # per crate and their total: how many of its non-test lines begin (after
-# indentation) with `pub fn ` — the workspace's exported functions, as
-# opposed to `pub(crate) fn`.
+# indentation) with `pub fn `, `pub const fn `, `pub unsafe fn ` or
+# `pub const unsafe fn ` — the workspace's exported functions, as opposed
+# to `pub(crate) fn`.
 #
 #   scripts/loc_tally.sh            # from anywhere inside the checkout
 set -euo pipefail
@@ -24,7 +25,7 @@ count() {
             /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
             on { n++ }
             on && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { u++ }
-            on && /^[[:space:]]*pub fn / { f++ }
+            on && /^[[:space:]]*pub (const )?(unsafe )?fn / { f++ }
             END { if (file != "") print crate, n, u, f }'
 }
 
