@@ -77,8 +77,9 @@
 //! identical at every thread count and `==`, bit for bit, to the oracle.
 //! [`Quantizer::error_norm`] of a packable format is
 //! [`Quantizer::quantize_packed`] plus a row-streamed decode-and-diff (no
-//! `q(t)` materialised; bit-equal to `fake_quantize(t).distance(t)`,
-//! proptested); [`AdamW::update_sensitivity`] evaluates its `sqrt`s and
+//! `q(t)` materialised; bit-equal to `fake_quantize(t).distance(t)` of the
+//! dense oracle, which is `snip-quant`'s test support, proptested in its
+//! `packed_equivalence` suite); [`AdamW::update_sensitivity`] evaluates its `sqrt`s and
 //! divides in 64-lane chunks.
 //!
 //! [`Quantizer::error_norm`]: snip_quant::Quantizer::error_norm

@@ -17,6 +17,10 @@
 //! analysis treats it as a bound. The tensors come from a [`LayerTap`] on
 //! the four stages of `Model::step`, as `probe::measure` takes them.
 
+#[path = "../../quant/tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::Oracle;
 use snip_core::divergence::{injected_noise, loss_divergence};
 use snip_core::stats::{LayerView, OperandStats, StepStats};
 use snip_core::{Trainer, TrainerConfig};

@@ -322,6 +322,7 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use snip_quant::{LinearPrecision, TensorRole};
     use snip_tensor::bf16::round_slice;
     use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};

@@ -56,3 +56,9 @@ pub use config::ModelConfig;
 pub use layers::{LayerId, LayerKind};
 pub use linear::{Linear, LinearCache, QOperand};
 pub use model::{Model, StepOptions, StepOutput};
+
+// The linear and block tests compare against the quantizer's dense oracle,
+// which is `snip-quant`'s test support.
+#[cfg(test)]
+#[path = "../../quant/tests/support/oracle.rs"]
+mod oracle;

@@ -421,6 +421,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use snip_quant::Precision;
 
     impl<S> QOperand<S> {

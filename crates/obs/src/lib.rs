@@ -43,9 +43,9 @@
 //! - `snip-tensor`: the pool's queue-wait and job-latency histograms, GEMM
 //!   dispatch counts per backend, and the B-tile cache's hit and build
 //!   counters;
-//! - `snip-quant`: every pack reports its signals through one computation,
-//!   `quant::signals::pack_signal`, into [`quantsig`], plus leaf-level
-//!   `quant.ns` timers;
+//! - `snip-quant`: every pack reports its signals through one computation
+//!   (its crate-internal `signals::pack_signal`) into [`quantsig`], plus
+//!   leaf-level `quant.ns` timers;
 //! - `snip-pipeline`: both transport drivers export their merged
 //!   two-sided link counters through `transport::publish_transport_stats`,
 //!   on success and on failure — the process launcher after merging the

@@ -151,6 +151,7 @@ pub(crate) fn decode_frame(frame: &[u8]) -> Result<(Vec<f32>, u64), FrameError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::oracle::Oracle;
     use proptest::prelude::*;
     use snip_quant::wire::bf16_bits;
 

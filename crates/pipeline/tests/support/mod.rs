@@ -18,10 +18,16 @@
 //! addend is never quantized, and crosses it as `R` grows.
 //!
 //! Each test binary pulls this file in with `mod support;`; the crate's
-//! unit tests include it by path.
+//! unit tests include it by path. It includes `snip-quant`'s dense
+//! quantization oracle (`quant/tests/support/oracle.rs`) as
+//! `support::oracle`.
 
 #![allow(dead_code)]
 
+#[path = "../../../quant/tests/support/oracle.rs"]
+pub mod oracle;
+
+use oracle::Oracle;
 use snip_pipeline::collective::{chunk_bounds, QuantizePolicy, Wire};
 #[cfg(unix)]
 use snip_pipeline::transport::proc::TaskOutput;
@@ -58,7 +64,7 @@ pub fn exact_sum(grads: &[Vec<f32>]) -> Vec<f32> {
 
 /// What a receiver of one `wire` hop must decode `payload` to, drawing
 /// what the sender draws: the codec's dense oracle,
-/// `Quantizer::fake_quantize` (the payload itself on exact wires) —
+/// [`Oracle::fake_quantize`] (the payload itself on exact wires) —
 /// independent of the frame codec it checks.
 pub fn oracle_hop(wire: &Wire, payload: &[f32], rng: &mut Rng) -> Vec<f32> {
     match wire.codec() {

@@ -13,15 +13,18 @@
 //!   FP8 / INT8 (CodeWidth::U8): same shape with a 128-entry half.
 //! ```
 //!
-//! [`Codebook::encode`] maps a value that is *already on the format grid*
-//! (the output of `quantize_nearest`/`quantize_stochastic`) to its code;
-//! the decode table it emits reproduces that value bit-for-bit, which is
-//! what makes the packed pipeline exactly equivalent to fake quantization.
+//! `Codebook::pack_rounded_with` (crate-internal; [`crate::Quantizer`]
+//! calls it for every recipe) is the one way a tensor becomes codes: it
+//! computes each code straight from the scaled element on the encode
+//! kernels of `snip_tensor::encode`, and the decode table it emits holds
+//! the value the format's rounding rule gives, bit for bit. The tests check
+//! both against a two-step reference (round onto the grid, then look the
+//! code up) kept in `tests/support/oracle.rs`.
 
 use crate::format::ElementFormat;
 use crate::granularity::Granularity;
 use crate::quantizer::Rounding;
-use snip_tensor::encode::{encode_u4_with, CodeGrid, Encoder};
+use snip_tensor::encode::{CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
 use snip_tensor::{CodeWidth, QTensor, Tensor};
 use std::sync::{Arc, OnceLock};
@@ -52,7 +55,6 @@ const DRAW_CHUNK: usize = 256;
 /// [`ElementFormat::codebook`], which interns one instance per format.
 #[derive(Debug)]
 pub struct Codebook {
-    format: ElementFormat,
     /// Non-negative representable values, ascending, starting at 0.
     nonneg: Vec<f32>,
     width: CodeWidth,
@@ -104,7 +106,6 @@ impl Codebook {
         let lut: Arc<[f32]> = Self::build_lut(&nonneg, width).into();
         let top = nonneg.len() - 1;
         Codebook {
-            format,
             width,
             pair: QTensor::pair_table(&lut).into(),
             lut,
@@ -165,89 +166,29 @@ impl Codebook {
         self.pair.clone()
     }
 
-    /// Quantizes `t` into packed storage with a **caller-supplied
-    /// rounding function**: per scale group, compute
-    /// `scale = grid_max / max|group|`, then write each element's code
-    /// `encode(quantize(v * scale, rng))` straight into the packed byte
-    /// buffer. Elements are visited in [`Granularity::for_each_group`]
-    /// order — the same element order (and the same stochastic-draw order)
-    /// as the fake-quantization path, which is what keeps the two
-    /// bit-identical.
+    /// Quantizes `t` into packed storage — the one pack path. Per scale
+    /// group, the group's max-abs is scanned, `scale_of` maps it to
+    /// `(encode_multiplier, decode_multiplier)` (`Quantizer` passes its
+    /// recipe's rule; the decode multiplier is the stored scale), and each
+    /// element's code is written from `v · encode_multiplier` on the vector
+    /// encode kernels of `snip_tensor::encode`.
     ///
-    /// `quantize` maps an already-scaled value onto the format grid,
-    /// consuming `rng` only for stochastic rounding. This closure-driven
-    /// form runs scalar; it is the two-step reference the fused kernels of
-    /// [`Codebook::pack_rounded_with`] are tested against, and the path for
-    /// rounding rules the kernels do not implement.
-    pub fn pack(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        grid_max: f32,
-        rng: &mut Rng,
-        quantize: impl Fn(f32, &mut Rng) -> f32,
-    ) -> QTensor {
-        let max_abs_scale = |max_abs| {
-            let scale = Granularity::group_scale(grid_max, max_abs);
-            (scale, 1.0 / scale)
-        };
-        self.pack_with(t, granularity, rng, max_abs_scale, quantize)
-    }
-
-    /// [`Codebook::pack`] with caller-supplied scaling: `scale_of` maps a
-    /// group's max-abs to `(encode_multiplier, decode_multiplier)`. The
-    /// standard max-abs recipe uses `(scale, 1/scale)`; MX-style quantizers
-    /// use `(1/s, s)` with a power-of-two `s` so the *decode* side is the
-    /// exact E8M0 scale. Both multipliers must reproduce the corresponding
-    /// fake-quantization expressions bit-for-bit.
-    pub fn pack_with(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        rng: &mut Rng,
-        scale_of: impl Fn(f32) -> (f32, f32),
-        quantize: impl Fn(f32, &mut Rng) -> f32,
-    ) -> QTensor {
-        self.pack_groups(t, granularity, scale_of, |_, seg, scale, cstart, row| {
-            let mut code = |v: f32| self.encode(quantize(v * scale, rng));
-            match self.width {
-                CodeWidth::U4 => encode_u4_with(seg, cstart, row, code),
-                CodeWidth::U8 => {
-                    for (&v, o) in seg.iter().zip(&mut row[cstart..cstart + seg.len()]) {
-                        *o = code(v);
-                    }
-                }
-            }
-        })
-    }
-
-    /// Quantizes `t` into packed storage with **this format's own
-    /// rounding** — the production path: scan, scale and encode run on the
-    /// vector encode kernels of `snip_tensor::encode`, under the caller's
-    /// scale rule (`scale_of` as in [`Codebook::pack_with`];
-    /// `Quantizer` passes its recipe's).
+    /// The code is computed directly from the exponent and rounded mantissa
+    /// of the scaled bit pattern (`snip_tensor::encode::CodeGrid`), with no
+    /// grid value in between and no search, for float and integer grids
+    /// alike, under either [`Rounding`]. Codes are bit-identical on every
+    /// backend (`tests/pack_simd.rs`) and equal the two-step reference,
+    /// round onto the grid then look the code up
+    /// (`tests/packed_equivalence.rs`).
     ///
-    /// The quantize→encode pair is fused: an element's code is computed
-    /// directly from the exponent and rounded mantissa of its scaled bit
-    /// pattern (`snip_tensor::encode::CodeGrid`) — no grid-value
-    /// reconstruction, no search. Codes are bit-identical to
-    /// the two-step `encode(quantize_nearest(..))` /
-    /// `encode(quantize_stochastic(..))` composition on every backend
-    /// (`tests/pack_simd.rs`, `tests/packed_equivalence.rs`).
-    ///
-    /// The stochastic RNG contract is the fake-quant oracle's exactly:
-    /// **one `next_f32()` draw per element, unconditionally** (zero, NaN
-    /// and saturating elements included), in
+    /// The stochastic RNG contract: **one `next_f32()` draw per element,
+    /// unconditionally** (zero, NaN and saturating elements included), in
     /// [`Granularity::for_each_group`] row-major-within-group order. The
     /// draws are made serially, a bounded chunk of a row segment at a
     /// time, into a scratch buffer the kernel then consumes — so the
     /// stream and its final position do not depend on the vector width.
     /// Nearest rounding never touches `rng`.
-    ///
-    /// Stochastic rounding of *integer* grids floors the signed value
-    /// (`IntFormat::quantize_stochastic`), which the sign-magnitude
-    /// kernels do not model; it takes the scalar closure path.
-    pub fn pack_rounded_with(
+    pub(crate) fn pack_rounded_with(
         &self,
         t: &Tensor,
         granularity: Granularity,
@@ -255,13 +196,13 @@ impl Codebook {
         rng: &mut Rng,
         scale_of: impl Fn(f32) -> (f32, f32),
     ) -> QTensor {
-        match (rounding, self.format) {
-            (Rounding::Nearest, _) => {
+        match rounding {
+            Rounding::Nearest => {
                 self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
                     self.encode_seg(enc, seg, scale, None, cstart, row)
                 })
             }
-            (Rounding::Stochastic, ElementFormat::Float(_)) => {
+            Rounding::Stochastic => {
                 let mut draws = [0.0f32; DRAW_CHUNK];
                 self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
                     for (i, chunk) in seg.chunks(DRAW_CHUNK).enumerate() {
@@ -270,11 +211,6 @@ impl Codebook {
                         let at = cstart + i * DRAW_CHUNK;
                         self.encode_seg(enc, chunk, scale, Some(us), at, row);
                     }
-                })
-            }
-            (Rounding::Stochastic, ElementFormat::Int(fmt)) => {
-                self.pack_with(t, granularity, rng, scale_of, |scaled, rng| {
-                    fmt.quantize_stochastic(scaled, rng.next_f32())
                 })
             }
         }
@@ -299,13 +235,13 @@ impl Codebook {
         }
     }
 
-    /// The one group walk behind every packing path: per scale group, scan
+    /// The group walk of [`Codebook::pack_rounded_with`]: per scale group, scan
     /// the group's contiguous row segments for the max-abs, derive the
     /// scales, then hand each segment to `encode_seg(encoder, segment,
     /// encode_scale, first_column, packed_row)` — scan and encode are fused
     /// per group, so a group is read from memory once and re-read cache-hot.
-    /// Segments are visited row-major within each group, the same order
-    /// (and so the same stochastic-draw order) as fake quantization.
+    /// Segments are visited row-major within each group (the
+    /// stochastic-draw order).
     /// `packed_row` is the segment's whole zero-initialized packed row:
     /// 4-bit segments of adjacent groups can share a byte.
     fn pack_groups(
@@ -341,46 +277,6 @@ impl Codebook {
             data,
         )
     }
-
-    /// Encodes a value that lies on the format grid: a binary search over
-    /// the sorted non-negative values, plus the sign half. Signed zeros
-    /// round-trip bitwise (`lut[half]` is −0). The scalar closure path
-    /// ([`Codebook::pack_with`]) encodes through it; the kernels of
-    /// [`Codebook::pack_rounded_with`] compute codes from the grid instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `q` is not a representable value; release builds
-    /// fall back to the nearest table entry.
-    pub fn encode(&self, q: f32) -> u8 {
-        let half = (self.width.lut_len() / 2) as u8;
-        let sign = if q.is_sign_negative() { half } else { 0 };
-        if q == 0.0 {
-            // Signed zeros round-trip bitwise: lut[half] is -0.0.
-            return sign;
-        }
-        let a = q.abs();
-        let idx = match self
-            .nonneg
-            .binary_search_by(|v| v.partial_cmp(&a).expect("table values are finite"))
-        {
-            Ok(i) => i,
-            Err(i) => {
-                debug_assert!(false, "{a} is not on the format grid");
-                // Nearest neighbour as a safe fallback.
-                if i == 0 {
-                    0
-                } else if i >= self.nonneg.len() {
-                    self.nonneg.len() - 1
-                } else if a - self.nonneg[i - 1] <= self.nonneg[i] - a {
-                    i - 1
-                } else {
-                    i
-                }
-            }
-        };
-        sign + idx as u8
-    }
 }
 
 #[cfg(test)]
@@ -388,6 +284,7 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::int::IntFormat;
+    use crate::oracle::{Oracle, ReferencePack};
 
     fn book(fmt: impl Into<ElementFormat>) -> &'static Codebook {
         fmt.into().codebook().expect("packable")
@@ -462,14 +359,14 @@ mod tests {
         }
     }
 
-    /// The fused nearest-rounding path must agree with the two-step
-    /// quantize→encode oracle on the hardest inputs: exact rounding-tie
+    /// The fused nearest-rounding path must agree with the dense oracle
+    /// on the hardest inputs: exact rounding-tie
     /// midpoints (both signs), every grid value, signed zeros, NaN and
     /// infinities. Continuous random data (the property tests) essentially
     /// never lands on a tie, so this pins the boundary semantics directly.
     #[test]
     fn fused_nearest_path_matches_oracle_on_exact_ties() {
-        use crate::quantizer::{Quantizer, Rounding};
+        use crate::quantizer::Quantizer;
 
         fn tie_inputs(nonneg: &[f32], grid_max: f32) -> Vec<f32> {
             let mut vals = vec![grid_max]; // pins the group scale at exactly 1

@@ -12,7 +12,7 @@ use std::fmt;
 
 /// Identifier for the supported number formats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FormatKind {
+pub(crate) enum FormatKind {
     /// FP4 E2M1 (MX specification).
     E2M1,
     /// FP8 E4M3 (OCP specification, max 448).
@@ -38,8 +38,8 @@ pub enum FormatKind {
 /// use snip_quant::format::FloatFormat;
 /// let fp4 = FloatFormat::e2m1();
 /// assert_eq!(fp4.max_value(), 6.0);
-/// assert_eq!(fp4.quantize_nearest(2.6), 3.0);
-/// assert_eq!(fp4.quantize_nearest(-100.0), -6.0); // saturates
+/// assert_eq!(fp4.bits(), 4);
+/// assert_eq!(fp4.enumerate_non_negative(), [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct FloatFormat {
@@ -55,9 +55,9 @@ pub struct FloatFormat {
 }
 
 /// The serialized form spells out every field, but only `kind` is free:
-/// the codebook is keyed by it while the rounding rules read the fields, so
-/// a value whose fields contradict its kind would pack as one format and
-/// fake-quantize as another. Such input (a START message, a checkpoint) is
+/// the codebook is keyed by it while the code grid reads the fields, so a
+/// value whose fields contradict its kind would index one format's table
+/// with another's codes. Such input (a START message, a checkpoint) is
 /// rejected.
 impl Deserialize for FloatFormat {
     fn from_content(c: &Content) -> Result<Self, serde::Error> {
@@ -177,7 +177,7 @@ impl FloatFormat {
     }
 
     /// The format identifier.
-    pub fn kind(&self) -> FormatKind {
+    pub(crate) fn kind(&self) -> FormatKind {
         self.kind
     }
 
@@ -209,62 +209,6 @@ impl FloatFormat {
     /// Smallest positive (subnormal) magnitude.
     pub fn min_subnormal(&self) -> f32 {
         exp2i(self.emin - self.man_bits as i32)
-    }
-
-    /// Quantizes with round-to-nearest-even. Non-finite inputs saturate
-    /// (NaN maps to 0).
-    #[inline]
-    pub fn quantize_nearest(&self, x: f32) -> f32 {
-        self.quantize_with(x, |r| r.round_ties_even())
-    }
-
-    /// Quantizes with stochastic rounding driven by `u ∈ [0, 1)`: the value
-    /// rounds up with probability equal to its fractional progress between
-    /// the two neighbouring representable values, which makes the rounding
-    /// unbiased in expectation (paper §6.1, used for FP4 output gradients).
-    #[inline]
-    pub fn quantize_stochastic(&self, x: f32, u: f32) -> f32 {
-        self.quantize_with(x, |r| {
-            let floor = r.floor();
-            if (r - floor) > u {
-                floor + 1.0
-            } else {
-                floor
-            }
-        })
-    }
-
-    /// Core quantization: decompose, round the mantissa-scaled magnitude with
-    /// `round`, reassemble, saturate.
-    #[inline]
-    fn quantize_with(&self, x: f32, round: impl Fn(f32) -> f32) -> f32 {
-        if x == 0.0 {
-            return 0.0;
-        }
-        if x.is_nan() {
-            return 0.0;
-        }
-        let sign = if x.is_sign_negative() { -1.0 } else { 1.0 };
-        let a = x.abs();
-        if a >= self.max_value {
-            return sign * self.max_value;
-        }
-        // Exponent of `a` from the bit pattern; f32 subnormals are treated as
-        // exponent -127 which quantizes to zero or the target's smallest
-        // subnormal, both correct.
-        let bits = a.to_bits();
-        let exp_field = ((bits >> 23) & 0xFF) as i32;
-        let e = if exp_field == 0 {
-            -127
-        } else {
-            exp_field - 127
-        };
-        let e_eff = e.max(self.emin);
-        // Representable values at this binade are multiples of the quantum.
-        let quantum = exp2i(e_eff - self.man_bits as i32);
-        let k = round(a / quantum);
-        let q = k * quantum;
-        sign * q.min(self.max_value)
     }
 
     /// All non-negative representable values, smallest to largest. Intended
@@ -311,9 +255,10 @@ impl fmt::Display for FloatFormat {
 
 /// The element grid a [`crate::Quantizer`] rounds onto — the crate's one
 /// enumeration of element formats. Everything that depends on *which*
-/// format a tensor holds hangs off it: the grid itself (`bits`, `max_value`,
-/// the two rounding rules), the id a wire frame names it by, and (in
-/// [`crate::codebook`]) the interned [`crate::Codebook`] it packs through.
+/// format a tensor holds hangs off it: the grid itself (`bits`,
+/// `max_value`), the id a wire frame names it by, and (in
+/// [`crate::codebook`]) the interned [`crate::Codebook`] it packs through,
+/// whose code grid rounds onto it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ElementFormat {
     /// A floating-point ExMy grid.
@@ -349,26 +294,6 @@ impl ElementFormat {
         match self {
             ElementFormat::Float(f) => f.max_value(),
             ElementFormat::Int(f) => f.qmax(),
-        }
-    }
-
-    /// Rounds an already-scaled value to the nearest grid point (ties to
-    /// even), saturating; NaN maps to 0.
-    #[inline]
-    pub fn quantize_nearest(self, x: f32) -> f32 {
-        match self {
-            ElementFormat::Float(f) => f.quantize_nearest(x),
-            ElementFormat::Int(f) => f.quantize_nearest(x),
-        }
-    }
-
-    /// Stochastic rounding of an already-scaled value, driven by
-    /// `u ∈ [0, 1)`.
-    #[inline]
-    pub fn quantize_stochastic(self, x: f32, u: f32) -> f32 {
-        match self {
-            ElementFormat::Float(f) => f.quantize_stochastic(x, u),
-            ElementFormat::Int(f) => f.quantize_stochastic(x, u),
         }
     }
 
@@ -447,6 +372,7 @@ fn exp2i(e: i32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ElementRule;
     use snip_tensor::bf16;
 
     #[test]

@@ -17,6 +17,11 @@
 //! y     = round(x * scale) / scale
 //! ```
 //!
+//! `round` is either [`crate::Rounding`]: nearest-even, or the one
+//! sign-magnitude stochastic rule the float grids use too. The codebook
+//! packs an integer grid on the same encode kernels as a float one — it is
+//! the all-subnormal case of the code arithmetic.
+//!
 //! Compared with FP4 E2M1, INT4 has *uniform* resolution across the range —
 //! better near the group maximum, worse near zero — which is exactly the
 //! trade-off the ILP can arbitrate per layer.
@@ -77,34 +82,6 @@ impl IntFormat {
     pub fn qmax(self) -> f32 {
         ((1i32 << (self.bits - 1)) - 1) as f32
     }
-
-    /// Rounds `v` (already scaled into grid units) to the nearest integer
-    /// level, saturating at ±qmax. Ties round to even, matching the float
-    /// codecs.
-    pub fn quantize_nearest(self, v: f32) -> f32 {
-        if v.is_nan() {
-            return 0.0;
-        }
-        let q = v.round_ties_even();
-        q.clamp(-self.qmax(), self.qmax())
-    }
-
-    /// Stochastic rounding: rounds up with probability equal to the
-    /// fractional distance, so the result is unbiased in expectation.
-    /// `u` must be uniform in `[0, 1)`.
-    pub fn quantize_stochastic(self, v: f32, u: f32) -> f32 {
-        if v.is_nan() {
-            return 0.0;
-        }
-        let lo = v.floor();
-        let frac = v - lo;
-        let q = if (u as f64) < frac as f64 {
-            lo + 1.0
-        } else {
-            lo
-        };
-        q.clamp(-self.qmax(), self.qmax())
-    }
 }
 
 impl std::fmt::Display for IntFormat {
@@ -117,6 +94,7 @@ impl std::fmt::Display for IntFormat {
 mod tests {
     use super::*;
     use crate::granularity::Granularity;
+    use crate::oracle::{ElementRule, Oracle};
     use crate::{Quantizer, Rounding};
     use snip_tensor::rng::Rng;
     use snip_tensor::Tensor;

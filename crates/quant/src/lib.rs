@@ -4,9 +4,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`format::FloatFormat`] — ExMy codecs: FP4 E2M1 (MX), FP8 E4M3 / E5M2 /
-//!   E3M4, and BF16, with round-to-nearest-even and stochastic rounding;
-//!   [`int::IntFormat`] — symmetric 2–8-bit integer grids (INT8/INT4); and
+//! * [`format::FloatFormat`] — ExMy grids: FP4 E2M1 (MX), FP8 E4M3 / E5M2 /
+//!   E3M4, and BF16; [`int::IntFormat`] — symmetric 2–8-bit integer grids
+//!   (INT8/INT4); and
 //!   [`format::ElementFormat`], the one enumeration over both (grid, wire
 //!   id, interned [`Codebook`]).
 //! * [`granularity::Granularity`] — tensorwise / rowwise / columnwise /
@@ -16,9 +16,9 @@
 //! * [`Quantizer`] — **the** quantizer: element format × scale layout ×
 //!   [`Rounding`] × [`Recipe`]. It packs, or it is the one BF16
 //!   round-to-nearest quantizer ([`Quantizer::unscaled`]) — nothing else
-//!   can be built or decoded. One pack, one fake quantize→dequantize test
-//!   oracle, and the error norms `‖q(t) − t‖_F` that SNIP's divergence
-//!   analysis consumes (the per-layer statistics built from them live in
+//!   can be built or decoded. One pack (nearest-even or stochastic
+//!   [`Rounding`]) and the error norms `‖q(t) − t‖_F` that SNIP's
+//!   divergence analysis consumes (the per-layer statistics built from them live in
 //!   `snip_core::stats`). The pluggable quantization options of §5.2 are
 //!   its constructors: `Quantizer::new(IntFormat::int4(), …)` /
 //!   [`Quantizer::int8_tile`] (integer grids), [`Quantizer::mxfp4`]
@@ -29,10 +29,11 @@
 //! * [`PackedQuantize`] / [`PackedTensor`] — the **canonical codes-based
 //!   path**: the quantizer packs into bit-packed storage through one trait
 //!   (`pack` + `packed_wire_bytes`), and a dense result is the decode of
-//!   the packed form, bit-identical to the oracle. To add a quantization
-//!   method, add a packing [`Recipe`] arm (see below). Caches, optimizer
-//!   moments and wires hold the concrete [`Quantizer`]; only the analytic
-//!   comm-volume accounting is generic over [`PackedQuantize`].
+//!   the packed form, bit-identical to the test-support oracle. To add a
+//!   quantization method, add a packing [`Recipe`] arm (see below).
+//!   Caches, optimizer moments and wires hold the concrete [`Quantizer`];
+//!   only the analytic comm-volume accounting is generic over
+//!   [`PackedQuantize`].
 //! * [`Precision`] / [`LinearPrecision`] — the *policy-level* vocabulary: the
 //!   precision assigned to each quantized operand of a linear layer, and the
 //!   effective precision of each of its three GEMMs.
@@ -118,25 +119,29 @@
 //! the decode of the packed form.
 //!
 //! **To add a quantization method**, add a [`Recipe`] arm that packs — its
-//! scale rule in `Quantizer::scale_of`, its arm in the pack and in the
-//! [`Quantizer::fake_quantize`] oracle, its parameter checks in
-//! `Quantizer::checked` (the constructors and deserialization share them)
-//! — plus a [`PackedTensor`] shape (and a [`wire`] variant byte) if its
-//! packed form carries new metadata. `snip_nn::Linear`,
+//! scale rule in `Quantizer::scale_of`, its arm in the pack, its parameter
+//! checks in `Quantizer::checked` (the constructors and deserialization
+//! share them) — plus a [`PackedTensor`] shape (and a [`wire`] variant
+//! byte) if its packed form carries new metadata. Its oracle arm goes in
+//! test support, the dense oracle of `tests/support/oracle.rs`, restated
+//! from public API so that it shares no code with the pack it checks. `snip_nn::Linear`,
 //! `snip_optim::AdamW` and `snip_pipeline::collective::Wire` hold the
 //! concrete [`Quantizer`]; only `snip_pipeline::comm::codec_wire_bytes` is
 //! generic over [`PackedQuantize`], so an out-of-tree implementor reaches
 //! the comm-volume accounting and nothing else (the benchmark imports the
 //! trait, so it stays). A new ≤ 8-bit *element grid* is an
-//! [`format::ElementFormat`] arm: it owns the grid maximum, the two
-//! rounding rules, the wire id and (through the id) the interned
-//! [`Codebook`].
+//! [`format::ElementFormat`] arm: it owns the grid maximum, the wire id and
+//! (through the id) the interned [`Codebook`], whose code grid rounds onto
+//! it; its element rule goes in the test-support oracle.
 //!
 //! The packed path is bit- and RNG-stream-identical to the fake-quant
 //! oracle, property-tested across format × granularity × rounding × recipe
-//! (`tests/packed_equivalence.rs`). [`Quantizer::fake_quantize`] stays as
-//! the reference oracle — never delete it; the equivalence tests depend on
-//! it. Outside tests nothing calls it: a packing quantizer's users decode
+//! (`tests/packed_equivalence.rs`). The oracle is test support, not API:
+//! `tests/support/oracle.rs` (the dense `fake_quantize`, the element
+//! rounding rules and a two-step reference packer), which the tests of
+//! this crate, `snip-nn`, `snip-pipeline`, `snip-core` and the root package
+//! include by path. Never delete it; the equivalence tests depend on it.
+//! The library has no dense quantize: a packing quantizer's users decode
 //! its codes, and the BF16 quantizer's users round in place
 //! ([`snip_tensor::bf16::round_slice`], the engine's rounded operand, the
 //! BF16 hop frame).
@@ -176,7 +181,7 @@ pub mod outlier;
 pub mod packed;
 mod quantizer;
 pub mod rht;
-pub mod signals;
+mod signals;
 pub mod wire;
 
 pub use codebook::Codebook;
@@ -377,6 +382,14 @@ impl std::fmt::Display for LinearPrecision {
         f.write_str(&self.label())
     }
 }
+
+// The unit tests reach the test-support oracle under the same paths the
+// integration tests and the other crates' tests use.
+#[cfg(test)]
+extern crate self as snip_quant;
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

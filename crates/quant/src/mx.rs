@@ -48,6 +48,7 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
+    use crate::oracle::Oracle;
     use crate::{Quantizer, Rounding};
     use snip_tensor::rng::Rng;
     use snip_tensor::Tensor;

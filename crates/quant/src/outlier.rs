@@ -44,8 +44,8 @@ pub fn select_outliers(t: &Tensor, fraction: f64) -> Vec<usize> {
 
 /// Carves the outliers out of `t`: zeroes their positions — so the dense
 /// side's group scales see only inliers — and returns them, BF16-rounded,
-/// in ascending index order. The one split shared by the fake-quantization
-/// oracle and the packer.
+/// in ascending index order: the packer's split (the test-support oracle
+/// restates it from [`select_outliers`]).
 pub(crate) fn carve(t: &mut Tensor, fraction: f64) -> Vec<PackedOutlier> {
     let indices = select_outliers(t, fraction);
     let data = t.as_mut_slice();
@@ -63,6 +63,7 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
+    use crate::oracle::Oracle;
     use crate::{Quantizer, Rounding};
     use snip_tensor::rng::Rng;
 

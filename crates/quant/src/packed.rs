@@ -2,11 +2,11 @@
 //!
 //! Every [`crate::Quantizer`] but the BF16 one packs into one canonical
 //! representation, [`PackedTensor`], through one trait, [`PackedQuantize`];
-//! a dense result is the decode of the packed form.
-//! `Quantizer::fake_quantize` remains as the tests' reference oracle — the
-//! packed path is bit- and RNG-stream-identical to it, which the property
-//! tests in `tests/packed_equivalence.rs` pin format × granularity ×
-//! rounding × recipe.
+//! a dense result is the decode of the packed form. The tests' reference is
+//! the dense fake-quantization oracle of `tests/support/oracle.rs` (test
+//! support, not API): the packed path is bit- and RNG-stream-identical to
+//! it, which the property tests in `tests/packed_equivalence.rs` pin
+//! format × granularity × rounding × recipe.
 //!
 //! Each scaled [`crate::Recipe`] contributes one packed shape:
 //!
@@ -90,9 +90,8 @@ impl PackedTensor {
         }
     }
 
-    /// Decodes to a dense tensor — bit-for-bit what the producing
-    /// quantizer's fake-quantization oracle returns for the same input and
-    /// RNG state.
+    /// Decodes to a dense tensor — bit-for-bit the producing quantizer's
+    /// fake quantization of the same input from the same RNG state.
     pub fn dequantize(&self) -> Tensor {
         match self {
             PackedTensor::Codes(q) | PackedTensor::Mx(q) => q.dequantize(),
@@ -201,9 +200,9 @@ pub(crate) fn streamed_error_norm(
 /// for every quantizer but the BF16 one, and for every input tensor and
 /// RNG state
 ///
-/// 1. `pack(t, rng).dequantize()` is **bit-identical** to the test oracle
-///    `Quantizer::fake_quantize(t, rng')` started from the same RNG state,
-///    and
+/// 1. `pack(t, rng).dequantize()` is **bit-identical** to fake quantization
+///    of `t` (the test-support oracle's `fake_quantize(t, rng')`) started
+///    from the same RNG state, and
 /// 2. both consume the same number of stochastic-rounding draws, so a
 ///    training trajectory cannot tell which storage was used.
 pub trait PackedQuantize {
@@ -225,6 +224,7 @@ mod tests {
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
     use crate::int::IntFormat;
+    use crate::oracle::Oracle;
     use crate::quantizer::{Quantizer, Rounding};
 
     fn fp4_tile(nb: usize) -> Quantizer {

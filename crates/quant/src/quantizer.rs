@@ -28,8 +28,13 @@ pub enum Rounding {
     /// Round to nearest, ties to even (the default).
     #[default]
     Nearest,
-    /// Stochastic rounding — unbiased in expectation; the paper applies it to
-    /// FP4 output gradients to avoid training stagnation (§6.1).
+    /// Stochastic rounding, one sign-magnitude rule on every grid: `|x|`
+    /// rounds down onto the grid, or up when its fractional progress to the
+    /// next grid value exceeds the element's uniform draw `u ∈ [0, 1)`, and
+    /// the sign is reapplied. Unbiased in expectation and symmetric in the
+    /// sign (`−x` rounds to minus what `x` rounds to under the same `u`);
+    /// the paper applies it to FP4 output gradients to avoid training
+    /// stagnation (§6.1).
     Stochastic,
 }
 
@@ -263,59 +268,8 @@ impl Quantizer {
         self.recipe
     }
 
-    /// Quantizes and dequantizes `t`, returning the result as a new tensor.
-    ///
-    /// `rng` drives stochastic rounding and is untouched for
-    /// [`Rounding::Nearest`].
-    ///
-    /// This is the dense oracle every packed path must reproduce bit for
-    /// bit, kept for the tests: no library code calls it.
-    ///
-    /// Telemetry (`quant.ns`) times the copy of `t` together with the
-    /// rounding it feeds; an RHT rotation and an outlier carve, and the
-    /// copy they work on, stay outside the timer.
-    pub fn fake_quantize(&self, t: &Tensor, rng: &mut Rng) -> Tensor {
-        match self.recipe {
-            Recipe::Unscaled => {
-                let _t = QuantTimer::start();
-                // One pass, banded on the pool: the copy is the rounding.
-                t.map(snip_tensor::bf16::round)
-            }
-            Recipe::MaxAbs | Recipe::Mx => {
-                let _t = QuantTimer::start();
-                let mut q = t.clone();
-                self.fake_groups(&mut q, rng);
-                q
-            }
-            Recipe::Rht { block, seed } => {
-                let mut q = t.clone();
-                rht::rotate_rows(&mut q, block, seed, true);
-                {
-                    let _t = QuantTimer::start();
-                    self.fake_groups(&mut q, rng);
-                }
-                rht::rotate_rows(&mut q, block, seed, false);
-                q
-            }
-            Recipe::Outlier { fraction } => {
-                let mut q = t.clone();
-                let outliers = outlier::carve(&mut q, fraction);
-                {
-                    let _t = QuantTimer::start();
-                    self.fake_groups(&mut q, rng);
-                }
-                let data = q.as_mut_slice();
-                for o in outliers {
-                    data[o.index as usize] = o.value;
-                }
-                q
-            }
-        }
-    }
-
     /// Maps a group's max-abs to its `(encode, decode)` multipliers — the
-    /// rule [`Codebook::pack_rounded_with`] takes, shared with the oracle
-    /// loop so the two cannot drift: max-abs recipes scale by
+    /// rule [`Codebook::pack_rounded_with`] takes: max-abs recipes scale by
     /// `grid_max / max|group|` and decode by its reciprocal; MX encodes by
     /// the reciprocal of its power-of-two block scale so the *decode* side
     /// is the exact E8M0 value.
@@ -333,41 +287,6 @@ impl Quantizer {
         }
     }
 
-    /// The one fake-quantization group loop: per scale group of the
-    /// layout, scan the max-abs, derive `(encode, decode)` from the
-    /// recipe's scale rule, and rewrite every element as
-    /// `round(v · encode) · decode` — groups and elements in
-    /// [`Granularity::for_each_group`] order, which is the stochastic-draw
-    /// order the packers reproduce.
-    fn fake_groups(&self, t: &mut Tensor, rng: &mut Rng) {
-        let (rows, cols) = t.shape();
-        let fmt = self.format;
-        let scale_of = self.scale_of();
-        let stochastic = self.rounding == Rounding::Stochastic;
-        self.layout.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                let row = t.row(r);
-                for c in cr.clone() {
-                    max_abs = max_abs.max(row[c].abs());
-                }
-            }
-            let (encode, decode) = scale_of(max_abs);
-            for r in rr {
-                let row = t.row_mut(r);
-                for c in cr.clone() {
-                    let scaled = row[c] * encode;
-                    let q = if stochastic {
-                        fmt.quantize_stochastic(scaled, rng.next_f32())
-                    } else {
-                        fmt.quantize_nearest(scaled)
-                    };
-                    row[c] = q * decode;
-                }
-            }
-        });
-    }
-
     /// Whether this quantizer packs: every one but the BF16 quantizer.
     pub fn packable(&self) -> bool {
         self.recipe != Recipe::Unscaled
@@ -378,12 +297,12 @@ impl Quantizer {
     /// carries more than codes and scales ([`Recipe::Rht`],
     /// [`Recipe::Outlier`] — use [`PackedQuantize::pack`]).
     ///
-    /// The packed result is **exactly equivalent** to fake quantization:
-    /// `quantize_packed(t, rng).dequantize()` is bit-for-bit equal to
-    /// `fake_quantize(t, rng)` for the same starting `rng` state, and both
-    /// consume the same number of stochastic-rounding draws. Scales are
-    /// stored as the decode multiplier — the same value the fake path
-    /// multiplies by.
+    /// The packed result is **exactly equivalent** to fake quantization
+    /// (paper §6.1): `quantize_packed(t, rng).dequantize()` equals, bit for
+    /// bit, the scale → round → rescale of every element, from the same
+    /// starting `rng` state and with the same stochastic draws — the dense
+    /// oracle in `tests/support/oracle.rs` checks it. Scales are stored as
+    /// the decode multiplier, the value a dequantize multiplies by.
     pub fn quantize_packed(&self, t: &Tensor, rng: &mut Rng) -> Option<QTensor> {
         match self.recipe {
             Recipe::MaxAbs | Recipe::Mx => {
@@ -393,9 +312,8 @@ impl Quantizer {
         }
     }
 
-    /// Fused scan + scale + encode on the vector pack kernels — same
-    /// element order and, under stochastic rounding, the same
-    /// one-draw-per-element RNG stream as the oracle's group loop. `seen`
+    /// Fused scan + scale + encode on the vector pack kernels, under
+    /// stochastic rounding one draw per element in group-walk order. `seen`
     /// is the tensor as the packer sees it (post-rotation, inliers only),
     /// which is what the pack signals recorded under `signal` describe.
     fn pack_codes(
@@ -450,9 +368,9 @@ impl Quantizer {
     /// Step 1 of the SNIP workflow, paper Fig. 6).
     ///
     /// A packing quantizer packs on the vector engine and decodes a row at
-    /// a time — bit-for-bit the rows [`Quantizer::fake_quantize`] would
-    /// produce, so the norm is too — and the BF16 quantizer rounds a row at
-    /// a time; neither materialises `q(t)`.
+    /// a time, and the BF16 quantizer rounds a row at a time; neither
+    /// materialises `q(t)`. The norm is bit-equal to the dense oracle's
+    /// `fake_quantize(t).distance(t)` (`tests/packed_equivalence.rs`).
     pub fn error_norm(&self, t: &Tensor) -> f64 {
         let det = self.with_rounding(Rounding::Nearest);
         // Nearest rounding draws nothing.
@@ -502,6 +420,7 @@ impl PackedQuantize for Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
 
     fn rng() -> Rng {
         Rng::seed_from(42)

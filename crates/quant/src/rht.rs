@@ -181,10 +181,10 @@ impl RowRotation {
     }
 }
 
-/// Rotates every row of `t` forward or backward. This is the one rotation
-/// routine shared by the fake-quantization oracle, the packer and the
-/// packed representation's decode — sharing it is what keeps them
-/// bit-identical.
+/// Rotates every row of `t` forward or backward: the one rotation routine
+/// of the packer and the packed representation's decode, so the two
+/// cancel. The test-support oracle restates the chunk rule rather than
+/// calling this, so the equivalence suites check it too.
 pub(crate) fn rotate_rows(t: &mut Tensor, block: usize, seed: u64, forward: bool) {
     let rotation = RowRotation::new(t.cols(), block, seed);
     for r in 0..t.rows() {
@@ -197,6 +197,7 @@ mod tests {
     use super::*;
     use crate::format::FloatFormat;
     use crate::granularity::Granularity;
+    use crate::oracle::Oracle;
     use crate::{Quantizer, Rounding};
 
     fn rng() -> Rng {

@@ -30,9 +30,9 @@ use snip_tensor::{QTensor, Tensor};
 const REL_TOL: f32 = 1e-5;
 
 /// Computes the pack signals for `seen` (the tensor the packer quantized)
-/// against `q` (the packed body it produced). Exposed for tests; hot paths
-/// call `record_pack`, which gates on [`snip_obs::enabled`] first.
-pub fn pack_signal(seen: &Tensor, q: &QTensor) -> PackSignal {
+/// against `q` (the packed body it produced). The tests call it directly;
+/// hot paths call `record_pack`, which gates on [`snip_obs::enabled`] first.
+pub(crate) fn pack_signal(seen: &Tensor, q: &QTensor) -> PackSignal {
     let (rows, cols) = seen.shape();
     debug_assert_eq!(seen.shape(), q.shape(), "pack must preserve shape");
     let layout = q.layout();

@@ -1,6 +1,10 @@
 //! Property tests for the pluggable quantization options (§5.2): integer
 //! grids, randomized Hadamard pre-rotation, and outlier splitting.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::Oracle;
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;

@@ -1,5 +1,9 @@
 //! Order- and symmetry-properties of the quantization codecs.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{ElementRule, Oracle};
 use proptest::prelude::*;
 use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;

@@ -5,22 +5,30 @@
 //! performance decision, so for every tier this process can run
 //! (`simd::available_backends()`) a pack must produce the **same code
 //! bytes, the same scales and the same post-call `Rng` state** as the
-//! forced-scalar tier — and decode bit-for-bit to what the fake-quant
-//! oracle (`Quantizer::fake_quantize`) returns from the same starting RNG state,
-//! having consumed the same draws.
+//! forced-scalar tier — and decode bit-for-bit to what the dense oracle
+//! (`Oracle::fake_quantize`, test support) returns from the same starting
+//! RNG state, having consumed the same draws. Two more checks ride along:
+//! packing `−t` gives the negated codes (the rounding is sign-symmetric),
+//! and a sampled sweep of the f32 bit patterns through each grid's kernels
+//! equals the element rule plus a binary-search encode.
 //!
 //! CI reruns this suite under `SNIP_SIMD=0`, `SNIP_SIMD=avx2`,
 //! `--no-default-features` (where the sweep degenerates to the scalar
 //! tier) and `--release`.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{ElementRule, Oracle, ReferencePack};
 use proptest::prelude::*;
-use snip_quant::format::FloatFormat;
+use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
 use snip_quant::int::IntFormat;
 use snip_quant::{PackedQuantize, PackedTensor, Quantizer, Rounding};
+use snip_tensor::encode::{CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
 use snip_tensor::simd::{self, Backend};
-use snip_tensor::Tensor;
+use snip_tensor::{CodeWidth, Tensor};
 
 const ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::Stochastic];
 
@@ -302,6 +310,158 @@ fn exact_rounding_ties_and_grid_values() {
         for r in ROUNDINGS {
             let q = Quantizer::new(fmt, Granularity::Tensorwise, r);
             assert_backends_agree(&q, &t, 2, &format!("int{bits} {r:?} ties"));
+        }
+    }
+}
+
+/// Rounding is symmetric in the sign: packing `−t` decodes to `−pack(t)`
+/// bit for bit, from the same seed, with equal scales and the same final
+/// RNG state — every quantizer × granularity × rounding. A float grid has
+/// no signed zero code (an exact ±0 input encodes as +0, as does an RHT
+/// coordinate that cancels to 0), so there the two decodes need only both
+/// be zero; an integer grid keeps every sign.
+#[test]
+fn negated_input_packs_to_the_negated_values() {
+    let mut data = Rng::seed_from(23);
+    let mut tensors = Vec::new();
+    for (rows, cols) in [(3, 41), (1, 300)] {
+        let mut t = Tensor::randn(rows, cols, 3.0, &mut data);
+        // Zeros of both signs, underflows and a saturating infinity.
+        let salt = [0.0, -0.0, 1e-9, -1e-7, f32::INFINITY];
+        for (i, v) in salt.into_iter().enumerate() {
+            t.as_mut_slice()[7 * i + 2] = v;
+        }
+        tensors.push(t.clone());
+        t.as_mut_slice()[7 * 4 + 2] = 1.5; // and one tensor without ∞
+        tensors.push(t);
+    }
+    for t in &tensors {
+        let neg = t.map(|v| -v);
+        let (rows, cols) = t.shape();
+        for g in granularities(5) {
+            for r in ROUNDINGS {
+                for (name, q) in quantizers(g, r) {
+                    let ctx = format!("{name} {g} {r:?} {rows}x{cols}");
+                    let int_grid = matches!(q.format(), ElementFormat::Int(_));
+                    for seed in [1, 2] {
+                        let mut rng_pos = Rng::seed_from(seed);
+                        let mut rng_neg = Rng::seed_from(seed);
+                        let pos = q.pack(t, &mut rng_pos).expect("packable");
+                        let negp = q.pack(&neg, &mut rng_neg).expect("packable");
+                        let bits = |p: &PackedTensor| -> Vec<u32> {
+                            p.codes().scales().iter().map(|s| s.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&pos), bits(&negp), "{ctx}: scales");
+                        assert_eq!(rng_pos, rng_neg, "{ctx}: rng state");
+                        let (a, b) = (pos.dequantize(), negp.dequantize());
+                        for (i, (&x, &y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+                            let zeros = !int_grid && x == 0.0 && y == 0.0;
+                            assert!(
+                                zeros || y.to_bits() == (-x).to_bits(),
+                                "{ctx} seed {seed}: element {i}: pack(t) {x:e}, pack(−t) {y:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The code grid of a format as the encode kernels take it: the float
+/// formats by their mantissa bits and minimum normal exponent, an integer
+/// grid as the all-subnormal case (quantum 1 up to `qmax`, signed zero).
+fn code_grid(fmt: ElementFormat) -> CodeGrid {
+    let cb = fmt.codebook().expect("packable");
+    let top = (cb.values() - 1) as u8;
+    match fmt {
+        ElementFormat::Float(f) => CodeGrid::new(
+            cb.width(),
+            f.man_bits(),
+            f.emin(),
+            f.max_value(),
+            top,
+            false,
+        ),
+        ElementFormat::Int(f) => {
+            let m = f.bits() - 1;
+            CodeGrid::new(cb.width(), m, m as i32, f.qmax(), top, true)
+        }
+    }
+}
+
+/// One code per input at scale 1, unpacked from nibbles for a 4-bit grid.
+fn encode_all(grid: &CodeGrid, width: CodeWidth, xs: &[f32], us: Option<&[f32]>) -> Vec<u8> {
+    let enc = Encoder::current();
+    match width {
+        CodeWidth::U8 => {
+            let mut out = vec![0u8; xs.len()];
+            enc.encode_u8(grid, xs, 1.0, us, &mut out);
+            out
+        }
+        CodeWidth::U4 => {
+            let mut row = vec![0u8; xs.len().div_ceil(2)];
+            enc.encode_u4(grid, xs, 1.0, us, 0, &mut row);
+            (0..xs.len())
+                .map(|i| (row[i / 2] >> (4 * (i % 2))) & 0xF)
+                .collect()
+        }
+    }
+}
+
+/// A sampled slice of the exhaustive sweep: every 4099th f32 bit pattern
+/// (NaNs, infinities, zeros, subnormals and every binade included), at
+/// scale 1, through the E2M1, E4M3, E5M2, E3M4, INT4 and INT8 grids' encode
+/// kernels, under nearest rounding and under stochastic rounding with
+/// uniforms 0, 0.5 and the largest f32 below 1. Every tier equals the
+/// forced-scalar row, and the scalar row equals the test-support element
+/// rule followed by the binary-search encode.
+#[test]
+fn sampled_bit_patterns_encode_like_the_reference_on_every_tier() {
+    const STRIDE: usize = 4099;
+    let xs: Vec<f32> = (0..=u32::MAX).step_by(STRIDE).map(f32::from_bits).collect();
+    let below_one = f32::from_bits(1.0f32.to_bits() - 1);
+    let formats: [ElementFormat; 6] = [
+        FloatFormat::e2m1().into(),
+        FloatFormat::e4m3().into(),
+        FloatFormat::e5m2().into(),
+        FloatFormat::e3m4().into(),
+        IntFormat::int4().into(),
+        IntFormat::int8().into(),
+    ];
+    for fmt in formats {
+        let cb = fmt.codebook().expect("packable");
+        let grid = code_grid(fmt);
+        for u in [None, Some(0.0), Some(0.5), Some(below_one)] {
+            let us = u.map(|u| vec![u; xs.len()]);
+            let run = |bk| {
+                simd::with_forced_backend(bk, || encode_all(&grid, cb.width(), &xs, us.as_deref()))
+            };
+            let want = run(Backend::Scalar);
+            for bk in simd::available_backends() {
+                let got = run(bk);
+                if let Some(i) = (0..xs.len()).find(|&i| got[i] != want[i]) {
+                    panic!(
+                        "{fmt:?} u {u:?} @ {}: {:#010x} encodes to {} (scalar {})",
+                        bk.name(),
+                        xs[i].to_bits(),
+                        got[i],
+                        want[i]
+                    );
+                }
+            }
+            for (&x, &code) in xs.iter().zip(&want) {
+                let q = match u {
+                    None => fmt.quantize_nearest(x),
+                    Some(u) => fmt.quantize_stochastic(x, u),
+                };
+                let reference = cb.encode(q);
+                assert!(
+                    code == reference,
+                    "{fmt:?} u {u:?}: {:#010x} ({x:e}) encodes to {code}, reference {reference} ({q:e})",
+                    x.to_bits()
+                );
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Packed ↔ fake-quantization bit-equivalence for the §5.2 alternative
 //! quantizers (MX, RHT, outlier split), mirroring the FP4/FP8/INT suites in
 //! the crate's unit tests, plus the fused single-pass stochastic-rounding
-//! pack against its two-step `encode(quantize_stochastic(..))` oracle.
+//! pack against its two-step `encode(quantize_stochastic(..))` oracle (both
+//! oracles are test support, `support/oracle.rs`).
 //!
 //! The contract under test is [`PackedQuantize`]'s: for every packing
 //! quantizer, `pack(t, rng).dequantize()` must equal the oracle
@@ -11,6 +12,10 @@
 //! the packed *codes* themselves (not just their decoded values) and to the
 //! exact RNG stream position.
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{ElementRule, Oracle, ReferencePack};
 use proptest::prelude::*;
 use snip_quant::format::{ElementFormat, FloatFormat};
 use snip_quant::granularity::Granularity;
@@ -184,10 +189,9 @@ proptest! {
         assert_packed_equivalence(&int_q.with_rht(8, 3), &t, seed, "rht int4");
     }
 
-    /// The fused single-pass stochastic pack ([`Codebook::pack_stochastic`],
-    /// what `Quantizer::quantize_packed` dispatches for
-    /// `Rounding::Stochastic`) against the two-step oracle
-    /// `encode(quantize_stochastic(scaled, next_f32()))`: **bit-identical
+    /// The fused single-pass stochastic pack (`Quantizer::quantize_packed`
+    /// under `Rounding::Stochastic`) against the test-support two-step
+    /// oracle `cb.encode(quantize_stochastic(scaled, next_f32()))`: **bit-identical
     /// packed codes and scales, and the identical RNG stream position
     /// afterwards**, for every float format × granularity.
     #[test]

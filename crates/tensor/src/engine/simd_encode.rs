@@ -28,7 +28,7 @@
 //! order-independent and reproduces the `acc.max(v.abs())` fold (`f32::max`
 //! ignores NaN) exactly. Backend choice is therefore a pure performance
 //! decision; `quant/tests/pack_simd.rs` pins every tier against forced
-//! scalar and against the fake-quant oracle.
+//! scalar and against the dense oracle of `quant/tests/support/oracle.rs`.
 //!
 //! # One code rule
 //!
@@ -43,27 +43,28 @@
 //!
 //! # The draw-buffer RNG contract
 //!
-//! Kernels never draw. A stochastic pack keeps the fake-quant oracle's
+//! Kernels never draw. A stochastic pack keeps the dense oracle's
 //! contract — one `next_f32()` per element, unconditionally, in the
 //! group walk's row-major-within-group order — by drawing each row
 //! segment's uniforms serially into a 256-entry stack buffer that the
 //! kernel then consumes as `uniforms`, so codes, scales and the final RNG
-//! state do not depend on the lane width. Integer stochastic rounding
-//! floors the *signed* value, which sign-magnitude lanes do not model; it
-//! stays on the scalar closure path.
+//! state do not depend on the lane width. Stochastic rounding is
+//! sign-magnitude on every grid, float and integer alike: the magnitude
+//! rounds down or up against the draw, and the sign rides along, so a lane
+//! never needs to know which kind of grid it encodes.
 //!
 //! # One group walk, on the calling thread
 //!
 //! `snip-quant`'s `Codebook` is interned once per format and holds the
 //! decode and pair tables plus the [`CodeGrid`]. Its `pack_groups` is the
-//! only sweep: it hands contiguous row segments to a segment encoder —
-//! these kernels (`pack_rounded_with`, which `Quantizer` calls under its
-//! recipe's scale rule for every recipe), or a scalar closure (`pack`,
-//! `pack_with`: the two-step reference and the extension point for custom
-//! rounding, encoding through `Codebook::encode`, a binary search over the
-//! sorted values). The pack engine never fans out over the pool: a split of
-//! it measured ≈ 1.0× at every benchmark shape, and its history is in
-//! `CHANGES.md`. The pool's users are listed in [`crate::pool`].
+//! only sweep, and these kernels are its only encoder: every pack, of every
+//! recipe, grid and rounding, goes through `pack_rounded_with`, which hands
+//! them contiguous row segments. The two-step reference they are checked
+//! against (round onto the grid, then binary-search the sorted values for
+//! the code) is test support in `quant/tests/support/oracle.rs`. The pack
+//! engine never fans out over the pool: a split of it measured ≈ 1.0× at
+//! every benchmark shape, and its history is in `CHANGES.md`. The pool's
+//! users are listed in [`crate::pool`].
 //!
 //! # Adding an encode backend
 //!
@@ -77,8 +78,9 @@
 //! module's `every_backend_matches_the_scalar_reference` (every segment
 //! length `0..=2·step+1` × both nibble alignments × nearest/stochastic)
 //! and `quant/tests/pack_simd.rs` (every tier against forced scalar *and*
-//! against the fake-quant reference: codes, scales, post-call RNG state;
-//! NaN, ±Inf, −0, subnormal, exact-tie and all-zero cases). The NEON op
+//! against the test-support oracle: codes, scales, post-call RNG state;
+//! NaN, ±Inf, −0, subnormal, exact-tie and all-zero cases, sign symmetry,
+//! and a sampled sweep of every 4099th f32 bit pattern). The NEON op
 //! table was written without an aarch64 toolchain: its rows are the first
 //! thing to verify on an Arm machine.
 //!
@@ -245,38 +247,6 @@ pub(super) fn abs_max_bits_scalar(seg: &[f32], acc: u32) -> u32 {
     })
 }
 
-/// Writes one row segment's codes into 4-bit packed storage, `enc` mapping
-/// each element (visited once, in order) to its code: an optional
-/// unaligned head nibble when the segment starts on an odd column
-/// `cstart`, then two elements per whole-byte store, then an optional tail
-/// nibble. `row` is the whole packed row (zero-initialized by the packer):
-/// the edge nibbles are OR-ed in, so adjacent segments sharing a byte
-/// compose.
-///
-/// This is the closure-driven form custom quantizers use;
-/// [`Encoder::encode_u4`] writes the same layout from a [`CodeGrid`].
-pub fn encode_u4_with(seg: &[f32], cstart: usize, row: &mut [u8], mut enc: impl FnMut(f32) -> u8) {
-    let mut it = seg.iter();
-    let mut byte_i = cstart / 2;
-    if cstart % 2 == 1 {
-        if let Some(&v) = it.next() {
-            row[byte_i] |= enc(v) << 4;
-            byte_i += 1;
-        }
-    }
-    let pairs = it.as_slice().chunks_exact(2);
-    let tail = pairs.remainder();
-    for pair in pairs {
-        let lo = enc(pair[0]);
-        let hi = enc(pair[1]);
-        row[byte_i] = lo | (hi << 4);
-        byte_i += 1;
-    }
-    if let Some(&v) = tail.first() {
-        row[byte_i] |= enc(v);
-    }
-}
-
 /// `out[i] = code(seg[i] * scale)`, one byte each — the scalar row of the
 /// kernel table and the vector kernels' tail.
 pub(super) fn encode_u8_scalar(
@@ -359,9 +329,12 @@ impl Encoder {
     }
 
     /// Encodes `seg[i] * scale` to 4-bit codes inside the packed row `row`,
-    /// the segment starting at column `cstart` (nibble layout and edge
-    /// handling as [`encode_u4_with`]; the whole-byte middle runs on the
-    /// active backend, the vector ones pairing nibbles in-register). With
+    /// the segment starting at column `cstart`: an unaligned head nibble
+    /// when `cstart` is odd, then two elements per whole byte (element `2j`
+    /// in the low nibble) on the active backend, the vector ones pairing
+    /// nibbles in-register, then an optional tail nibble. `row` is the
+    /// whole packed row, zero-initialized by the packer: the edge nibbles
+    /// are OR-ed in, so adjacent segments sharing a byte compose. With
     /// `uniforms` (one per element) the rounding is stochastic, otherwise
     /// nearest-even.
     ///

@@ -43,16 +43,6 @@ pub enum GroupLayout {
 }
 
 impl GroupLayout {
-    /// The DeepSeek-V3 recipe for activations/gradients.
-    pub const fn deepseek_activation() -> Self {
-        GroupLayout::Tile { nb: 128 }
-    }
-
-    /// The DeepSeek-V3 recipe for weights.
-    pub const fn deepseek_weight() -> Self {
-        GroupLayout::Block { nb: 128 }
-    }
-
     /// Number of scale groups for a `rows × cols` tensor (0 when empty).
     /// This is also the memory overhead of storing scales.
     pub fn group_count(&self, rows: usize, cols: usize) -> usize {
@@ -217,9 +207,9 @@ mod tests {
         assert_eq!(GroupLayout::Columnwise.group_count(10, 20), 20);
         assert_eq!(GroupLayout::Block { nb: 8 }.group_count(10, 20), 2 * 3);
         assert_eq!(GroupLayout::Tile { nb: 8 }.group_count(10, 20), 10 * 3);
-        // Paper configuration on a big tensor
+        // The paper's (DeepSeek-V3) weight blocks on a big tensor
         assert_eq!(
-            GroupLayout::deepseek_weight().group_count(4096, 4096),
+            GroupLayout::Block { nb: 128 }.group_count(4096, 4096),
             32 * 32
         );
     }

@@ -427,8 +427,8 @@ impl QTensor {
     }
 
     /// Decodes the whole tensor into a dense `f32` tensor. Bit-for-bit
-    /// identical to what the packing quantizer's fake-quantization path
-    /// would have produced.
+    /// identical to the packing quantizer's fake quantization of the same
+    /// input.
     pub fn dequantize(&self) -> Tensor {
         // Every row is decoded in full, so the buffer needs no clearing.
         let data = crate::arena::take(self.rows * self.cols);

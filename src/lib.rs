@@ -52,14 +52,14 @@
 //!   values **bit-for-bit** — the packed representation never changes a
 //!   training trajectory (property-tested in `tests/packed_subbyte.rs`).
 //!
-//! **Adding a new packed format:** give it a codec (≤ 8 bits per value),
-//! then give it a [`quant::Codebook`] — `ElementFormat::codebook` covers
-//! any `FloatFormat` or `IntFormat` (wrap it with `.into()`); a custom
-//! format needs its sorted non-negative value table. The codebook dictates the
-//! storage width (`U4`/`U8`), emits the shared decode table, and encodes
-//! grid values to codes; `quantize_packed` + the `qgemm*` kernels then work
-//! unchanged. Formats wider than 8 bits are rejected (`None`) and fall back
-//! to the dense path.
+//! **Adding a new packed format:** make it a `quant::format::ElementFormat`
+//! arm (≤ 8 bits per value). Its interned [`quant::Codebook`] dictates the
+//! storage width (`U4`/`U8`), emits the shared decode table, and packs
+//! through the encode kernels, which compute each code from the scaled
+//! value's bit pattern; `quantize_packed` + the `qgemm*` kernels then work
+//! unchanged. Its element rounding rule goes into the test-support oracle
+//! (`crates/quant/tests/support/oracle.rs`). A format wider than 8 bits has
+//! no codebook (`None`): BF16, the one such format, is rounded in place.
 //!
 //! # Quickstart
 //!

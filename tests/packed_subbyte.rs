@@ -6,6 +6,10 @@
 //! the dense GEMMs over dequantized operands with **0 ULP** of difference
 //! (same decode order, same accumulation order).
 
+#[path = "../crates/quant/tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::Oracle;
 use proptest::prelude::*;
 use snip::quant::format::FloatFormat;
 use snip::quant::granularity::Granularity;

@@ -1,5 +1,9 @@
 //! Property-based tests (proptest) on quantization and ILP invariants.
 
+#[path = "../crates/quant/tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::{ElementRule, Oracle};
 use proptest::prelude::*;
 use snip::ilp::{solve, solve_bruteforce, Choice, McKnapsack, SolveOptions};
 use snip::quant::format::FloatFormat;
