@@ -5,10 +5,10 @@
 //! pack and the decode kernels at model-realistic shapes, once per
 //! (backend tier, kernel, shape), each tier bit-gated against forced
 //! scalar, plus the SNIP probe against a plain step and the Gaussian init,
-//! and writes machine-readable `BENCH_gemm.json` (schema 10) at the repo
-//! root. CI
-//! validates the committed file with `--check`, then runs `--smoke` and
-//! checks its output, so the trajectory cannot silently rot.
+//! and writes machine-readable `BENCH_gemm.json` at the repo root (its
+//! schema number is `bench_gemm`'s `SCHEMA`). CI validates the committed
+//! file with `--check`, then runs `--smoke` and checks its output, so the
+//! trajectory cannot silently rot.
 //!
 //! End-to-end and per-layer training costs (train step by precision
 //! scheme, SNIP measure/analyze/ILP overhead, collectives, optimizer) are

@@ -5,10 +5,6 @@
 use snip_experiments::{exp, Ctx};
 
 fn main() {
-    // `comm_precision --transport process` re-executes this binary as its
-    // rank workers: divert those before any experiment work.
-    #[cfg(unix)]
-    snip_pipeline::transport::proc::worker_boot();
     let ckpt_dir = std::env::var_os("SNIP_CKPT_DIR")
         .map_or_else(|| "target/snip_checkpoints".into(), Into::into);
     let (selected, ctx) = Ctx::parse(std::env::args().skip(1), ckpt_dir)

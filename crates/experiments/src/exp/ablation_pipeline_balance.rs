@@ -18,7 +18,7 @@ use snip_nn::ModelConfig;
 use crate::stage::StagePartition;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Ablation: relative vs time-balanced pipeline targets");
     println!("# tinyllama-1b-sim, 4 stages (6/6/6/4 blocks), 50% FP4 budget\n");

@@ -8,7 +8,7 @@ use crate::harness::*;
 use snip_core::{scheme_from_tables, OptionSet, PolicyConfig, Scheme};
 use snip_nn::ModelConfig;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Ablation: quality metric Q = loss-div + weight-div (75% FP4 budget)");
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit);

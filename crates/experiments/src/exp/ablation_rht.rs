@@ -17,7 +17,7 @@ use snip_quant::int::IntFormat;
 use snip_quant::{Precision, Quantizer, Rounding, TensorRole};
 use snip_tensor::rng::Rng;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     println!("# Ablation: quantization options on checkpoint tensors");
     println!("# tinyllama-1b-sim @ 3-unit checkpoint; mean relative error over layers\n");
     let study = Study::at(

@@ -11,7 +11,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Extended baselines: accuracy vs efficiency, tinyllama-1b-sim");
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.headline_ckpt);

@@ -3,51 +3,25 @@
 //! challenging". This experiment measures the two quantities that decide
 //! it: bytes saved and error injected, for a ring reduce-scatter whose
 //! per-hop payloads are quantized to the wire format, run for real over
-//! data-parallel ranks exchanging serialized frames — on OS threads by
-//! default, in socket-connected worker processes under `--transport
-//! process` — with bytes taken from the measured per-link payload counters.
-//! Both transports print the same table, byte for byte (same per-rank
-//! seeds, same codecs, same frames); `--chaos <seed>` replays every row
-//! under a seeded delay-only fault schedule and asserts it bit-identical to
-//! the calm run. Gradients come from a real checkpoint step (per-rank
-//! variants are its dW plus small per-rank Gaussian noise, emulating
-//! different microbatches).
+//! data-parallel ranks on OS threads exchanging serialized frames, with
+//! bytes taken from the measured per-link payload counters. The answer
+//! does not depend on the fabric: `snip-pipeline`'s `transport_proc` and
+//! `chaos_harness` suites pin the process fabric, and delay-only fault
+//! schedules, to the same bits and bytes. Gradients come from a real
+//! checkpoint step (per-rank variants are its dW plus small per-rank
+//! Gaussian noise, emulating different microbatches).
 
 use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_pipeline::collective::{QuantizePolicy, Wire};
-use snip_pipeline::transport::{run_ranks, ChaosPlan, RankChunk};
+use snip_pipeline::transport::run_ranks;
 use snip_tensor::ops::relative_error;
 use snip_tensor::rng::Rng;
 
-/// Per-frame delay bound (microseconds) for the `--chaos` schedule — large
-/// enough to shuffle rank interleavings, small enough that the sweep still
-/// finishes promptly.
-const CHAOS_DELAY_MICROS: u64 = 300;
-
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
-    let (transport, chaos_seed) = (ctx.transport, ctx.chaos);
-    #[cfg(not(unix))]
-    assert!(
-        transport != Transport::Process,
-        "--transport process needs Unix sockets"
-    );
     println!("# Low-precision ring reduce-scatter: error vs bytes (paper §2.2 future work)");
-    println!(
-        "# transport: {}",
-        match transport {
-            Transport::Threads => "threads (OS-thread ranks, serialized frames, measured bytes)",
-            Transport::Process =>
-                "process (socket-connected rank workers, serialized frames, measured bytes)",
-        }
-    );
-    if let Some(seed) = chaos_seed {
-        println!(
-            "# chaos: delay-only schedule, seed {seed}, ≤{CHAOS_DELAY_MICROS}µs per frame — \
-             every row is cross-checked bit-identical to the calm run"
-        );
-    }
+    println!("# transport: threads (OS-thread ranks, serialized frames, measured bytes)");
     println!();
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.ckpt_unit);
     // One long gradient vector: every layer's dW of a BF16 step.
@@ -70,63 +44,15 @@ pub fn run(ctx: &Ctx) {
             .collect()
     };
 
-    // One reduce-scatter on the chosen transport, rank `r` drawing from
-    // seed `0x2000 + r`: every rank's owned chunk and the measured payload
-    // bytes. Under `--chaos` the identical collective is replayed under a
-    // seeded delay-only schedule: link delays may reorder rank wakeups but
-    // never frames, so every chunk and every byte counter must come back
-    // unchanged.
+    // One reduce-scatter over thread ranks, rank `r` drawing from seed
+    // `0x2000 + r`: every rank's owned chunk and the measured payload bytes.
     let reduce = |grads: &[Vec<f32>], wire: &Wire, policy: QuantizePolicy| {
-        const FAULT_FREE: &str = "reduce-scatter (delay-only chaos must not fail a rank)";
-        let run = |plan: Option<&ChaosPlan>| -> (Vec<RankChunk>, u64) {
-            let (chunks, stats) = match transport {
-                #[cfg(unix)]
-                Transport::Process => {
-                    use snip_pipeline::transport::proc::{launch, Task, TaskOutput};
-                    let tasks = grads
-                        .iter()
-                        .enumerate()
-                        .map(|(r, grad)| Task::ReduceScatter {
-                            wire: *wire,
-                            policy,
-                            seed: 0x2000 + r as u64,
-                            grad: grad.into(),
-                        });
-                    let (outputs, stats) = launch(tasks.collect(), plan).expect(FAULT_FREE);
-                    let chunks = outputs.into_iter().map(|output| match output {
-                        TaskOutput::ReduceScatter { lo, hi, data, .. } => RankChunk { lo, hi, data },
-                        other => unreachable!("launch matches outputs to tasks, got {other:?}"),
-                    });
-                    (chunks.collect(), stats)
-                }
-                #[cfg(not(unix))]
-                Transport::Process => unreachable!("rejected above"),
-                Transport::Threads => run_ranks(grads.len(), plan, |ep| {
-                    let mut rng = Rng::seed_from(0x2000 + ep.rank() as u64);
-                    ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
-                        .expect(FAULT_FREE)
-                }),
-            };
-            (chunks, stats.total_payload_bytes())
-        };
-        let calm = run(None);
-        if let Some(seed) = chaos_seed {
-            let plan = ChaosPlan::delay_all_links(seed, grads.len(), CHAOS_DELAY_MICROS);
-            let (chunks, bytes) = run(Some(&plan));
-            for (rank, (got, want)) in chunks.iter().zip(&calm.0).enumerate() {
-                assert_eq!(
-                    (got.lo, got.hi),
-                    (want.lo, want.hi),
-                    "chaos delay changed chunk bounds"
-                );
-                assert!(
-                    got.data.iter().map(|v| v.to_bits()).eq(want.data.iter().map(|v| v.to_bits())),
-                    "chaos delay changed rank {rank}'s reduce-scatter bits"
-                );
-            }
-            assert_eq!(bytes, calm.1, "chaos delay changed bytes on the wire");
-        }
-        calm
+        let (chunks, stats) = run_ranks(grads.len(), None, |ep| {
+            let mut rng = Rng::seed_from(0x2000 + ep.rank() as u64);
+            ep.ring_reduce_scatter(&grads[ep.rank()], wire, policy, &mut rng)
+                .expect("a fault-free thread mesh")
+        });
+        (chunks, stats.total_payload_bytes())
     };
 
     let nb = study.cfg().quant_group;

@@ -7,7 +7,7 @@
 use crate::harness::*;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     println!("# Figure 10: layer-wise quality loss (Q) under FP4, tinyllama-1b-sim");
     let study = Study::at(
         ctx,

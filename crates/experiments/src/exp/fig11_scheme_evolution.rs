@@ -9,7 +9,7 @@ use crate::harness::*;
 use snip_nn::{LayerId, LayerKind, ModelConfig};
 use snip_quant::{LinearPrecision, Precision};
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     println!("# Figure 11: SNIP assignments @75% FP4 across checkpoints, tinyllama-1b-sim");
     let units: [u64; 5] = [1, 2, 3, 5, 8]; // "5k, 10k, 20k, 50k, 240k"-like ladder
     let model = ModelConfig::tinyllama_1b_sim();

@@ -14,7 +14,7 @@ use snip_nn::{LayerId, LayerKind, ModelConfig};
 use crate::stage::StagePartition;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Figure 12: pipeline timeline, tinyllama-1b-sim, 4 stages, 50% FP4 budget");
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit);

@@ -42,7 +42,7 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
     cov / (va.sqrt() * vb.sqrt()).max(1e-12)
 }
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     let n_batches = p.probe_batches;
     println!("# Figure 13: estimated vs ground-truth per-layer loss impact (FP4, tinyllama-1b-sim, averaged over {n_batches} batches)");

@@ -12,7 +12,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Figure 3: accuracy & val loss vs fraction of FP4 FLOPs, tinyllama-1b-sim");
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.headline_ckpt);

@@ -4,7 +4,7 @@
 use crate::harness::*;
 use snip_nn::ModelConfig;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     println!("# Figure 7: per-layer precision assignments (4 = FP4, 8 = FP8)");
     let study = Study::at(
         ctx,

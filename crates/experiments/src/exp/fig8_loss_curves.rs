@@ -7,7 +7,7 @@ use snip_core::Trainer;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     let steps = 4 * p.resume_steps;
     println!(

@@ -10,7 +10,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!(
         "# Figure 9: relative loss difference vs BF16, llama-70b-sim (80 blocks), 50% FP4 budget"

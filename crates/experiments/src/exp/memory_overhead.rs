@@ -27,7 +27,7 @@ const LAYER_STATS_VALUES: usize = 6 + 3 * 3;
 /// `p_fwd`, `p_bwd` and `h_sens` entries of the `SnipMeasurement`.
 const PER_LAYER_VALUES: usize = LAYER_STATS_VALUES + 3;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     println!("# Memory accounting (paper §2.2, §6.1, §6.3)\n");
 
     // --- Claim 1: the 1120 GB figure -----------------------------------

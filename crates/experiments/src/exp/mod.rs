@@ -9,16 +9,16 @@ use crate::harness::Ctx;
 /// One registered experiment.
 pub struct Experiment {
     /// The name `snip-exp <name>` dispatches on.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The paper artefact it regenerates.
-    pub artefact: &'static str,
+    pub(crate) artefact: &'static str,
     /// Runs it, printing its tables to stdout.
-    pub run: fn(&Ctx),
+    pub(crate) run: fn(&Ctx),
 }
 
 macro_rules! registry {
     ($($name:ident: $artefact:literal,)*) => {
-        $(pub mod $name;)*
+        $(mod $name;)*
 
         /// Every experiment, in sweep order.
         pub(crate) const REGISTRY: &[Experiment] = &[
@@ -97,8 +97,7 @@ pub fn run(selected: &[&Experiment], ctx: &Ctx) -> Result<(), String> {
 /// The usage text: the command line and one line per experiment.
 pub fn usage() -> String {
     let mut out = String::from(
-        "usage: snip-exp [<name>] [--quick] [--transport threads|process] \
-         [--chaos <seed>]\n\nwith no name, runs every experiment in this order:\n",
+        "usage: snip-exp [<name>] [--quick]\n\nwith no name, runs every experiment in this order:\n",
     );
     for e in REGISTRY {
         out.push_str(&format!("  {:<30} {}\n", e.name, e.artefact));

@@ -6,7 +6,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     let t0 = std::time::Instant::now();
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), 3 * p.ckpt_unit);

@@ -12,7 +12,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     let resume = p.resume_steps;
     println!("# FP4-vs-BF16 resume gap vs checkpoint maturity (resume {resume} steps)");

@@ -9,7 +9,7 @@ use snip_eval::Task;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Table 1: benchmark accuracy by scheme, tinyllama-1b-sim @ mature checkpoint");
     let study = Study::at(ctx, ModelConfig::tinyllama_1b_sim(), p.headline_ckpt);

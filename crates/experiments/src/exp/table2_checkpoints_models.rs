@@ -7,7 +7,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Table 2: accuracy across checkpoints and model sizes");
 

@@ -8,7 +8,7 @@ use crate::harness::*;
 use snip_nn::ModelConfig;
 use snip_quant::Precision;
 
-pub fn run(ctx: &Ctx) {
+pub(crate) fn run(ctx: &Ctx) {
     let p = &ctx.params;
     println!("# Table 3: deltas over BF16, llama-70b-sim, 50% FP4 budget");
     let study = Study::at(ctx, ModelConfig::llama_70b_sim(), 4 * p.ckpt_unit);

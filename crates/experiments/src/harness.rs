@@ -22,31 +22,31 @@ use std::path::{Path, PathBuf};
 /// Experiment-wide sizes, reduced under `--quick`. Every experiment takes
 /// its step counts, batch shape and sample counts from here.
 #[derive(Clone, Debug)]
-pub struct ExpParams {
+pub(crate) struct ExpParams {
     /// Steps of BF16 pretraining per "checkpoint kilostep" unit.
-    pub ckpt_unit: u64,
+    pub(crate) ckpt_unit: u64,
     /// Checkpoint depth for the headline contrast experiments (Fig. 3,
     /// Table 1, extended baselines). The FP4-vs-BF16 resume gap grows with
     /// checkpoint maturity (see `sanity_maturity`, whose depth ladder is
     /// centred here) — mature checkpoints are exactly the paper's setting,
     /// so the headline tables resume from a deep checkpoint where the
     /// contrast clears the noise floor.
-    pub headline_ckpt: u64,
+    pub(crate) headline_ckpt: u64,
     /// Steps to resume under each scheme.
-    pub resume_steps: u64,
+    pub(crate) resume_steps: u64,
     /// Eval items per suite.
-    pub eval_items: usize,
+    pub(crate) eval_items: usize,
     /// Batch size.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Sequence length.
-    pub seq_len: usize,
+    pub(crate) seq_len: usize,
     /// Batches Fig. 13 averages its estimate and ground truth over.
-    pub probe_batches: usize,
+    pub(crate) probe_batches: usize,
 }
 
 impl ExpParams {
     /// Full-size defaults (what every experiment runs without `--quick`).
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ExpParams {
             ckpt_unit: 60,
             headline_ckpt: 960,
@@ -59,7 +59,7 @@ impl ExpParams {
     }
 
     /// Reduced sizes for smoke runs.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         ExpParams {
             ckpt_unit: 15,
             headline_ckpt: 30,
@@ -72,41 +72,24 @@ impl ExpParams {
     }
 }
 
-/// Which rank fabric `comm_precision` sweeps over (`--transport`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// OS-thread ranks exchanging serialized frames (measured bytes; the
-    /// default).
-    Threads,
-    /// Worker *processes* connected by Unix sockets (measured bytes; must
-    /// match the threads numbers byte-for-byte).
-    Process,
-}
-
 /// Everything an experiment is handed: `main` parses the command line and
 /// reads `SNIP_CKPT_DIR` once, and no experiment looks at either again.
 #[derive(Clone, Debug)]
 pub struct Ctx {
     /// Run sizes (`--quick` selects [`ExpParams::quick`]).
-    pub params: ExpParams,
+    pub(crate) params: ExpParams,
     /// Directory of the trainer-checkpoint cache.
-    pub ckpt_dir: PathBuf,
-    /// `--transport threads|process` (`comm_precision` only).
-    pub transport: Transport,
-    /// `--chaos <seed>` (`comm_precision` only): re-run every collective
-    /// under a seeded delay-only fault schedule.
-    pub chaos: Option<u64>,
+    pub(crate) ckpt_dir: PathBuf,
 }
 
 impl Ctx {
     /// Parses the arguments after the program name into the experiment
-    /// name (if any) and the run context. Flags take `--flag value` or
-    /// `--flag=value`.
+    /// name (if any) and the run context.
     ///
     /// # Errors
     ///
-    /// A message naming the first unknown flag, second positional argument
-    /// or malformed value — a typo must not silently run the full sizes.
+    /// A message naming the first unknown flag or second positional
+    /// argument — a typo must not silently run the full sizes.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         ckpt_dir: PathBuf,
@@ -115,37 +98,10 @@ impl Ctx {
         let mut ctx = Ctx {
             params: ExpParams::full(),
             ckpt_dir,
-            transport: Transport::Threads,
-            chaos: None,
         };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-                _ => (arg.clone(), None),
-            };
-            let mut value = || {
-                inline
-                    .clone()
-                    .or_else(|| args.next())
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--quick" if inline.is_none() => ctx.params = ExpParams::quick(),
-                "--transport" => {
-                    ctx.transport = match value()?.as_str() {
-                        "threads" => Transport::Threads,
-                        "process" => Transport::Process,
-                        v => return Err(format!("unknown transport {v:?}")),
-                    }
-                }
-                "--chaos" => {
-                    let v = value()?;
-                    let seed = v.parse().map_err(|_| {
-                        format!("--chaos needs an unsigned integer seed, got {v:?}")
-                    })?;
-                    ctx.chaos = Some(seed);
-                }
+        for arg in args {
+            match arg.as_str() {
+                "--quick" => ctx.params = ExpParams::quick(),
                 _ if arg.starts_with('-') => return Err(format!("unknown flag {arg:?}")),
                 _ if name.is_some() => return Err(format!("unexpected argument {arg:?}")),
                 _ => name = Some(arg),
@@ -172,7 +128,7 @@ pub(crate) fn experiment_language() -> LanguageConfig {
 }
 
 /// The standard trainer configuration for an experiment model.
-pub fn trainer_config(model: ModelConfig, p: &ExpParams) -> TrainerConfig {
+pub(crate) fn trainer_config(model: ModelConfig, p: &ExpParams) -> TrainerConfig {
     TrainerConfig {
         model,
         adamw: AdamWConfig {
@@ -205,7 +161,12 @@ pub(crate) fn language_of(cfg: &TrainerConfig) -> SyntheticLanguage {
 /// intermediate checkpoints (§6.1). An unwritable cache only costs time;
 /// [`Trainer::save`] replaces a file atomically, so a cached file is whole
 /// or absent.
-pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams, cache_dir: &Path) -> Trainer {
+pub(crate) fn checkpoint(
+    model: ModelConfig,
+    steps: u64,
+    p: &ExpParams,
+    cache_dir: &Path,
+) -> Trainer {
     let _ = std::fs::create_dir_all(cache_dir);
     let key = format!(
         "{}-s{}-b{}x{}.ckpt",
@@ -297,7 +258,7 @@ pub(crate) struct Study {
 
 impl Study {
     /// A study of `ckpt`; its [`Outcome`]s evaluate on `p.eval_items` items.
-    pub fn new(ckpt: Trainer, p: &ExpParams) -> Self {
+    pub(crate) fn new(ckpt: Trainer, p: &ExpParams) -> Self {
         Study {
             flops: FlopModel::new(&ckpt.config().model),
             ckpt,
@@ -308,25 +269,25 @@ impl Study {
     }
 
     /// A study of the cached checkpoint of `model` at `steps`.
-    pub fn at(ctx: &Ctx, model: ModelConfig, steps: u64) -> Self {
+    pub(crate) fn at(ctx: &Ctx, model: ModelConfig, steps: u64) -> Self {
         let ckpt = checkpoint(model, steps, &ctx.params, &ctx.ckpt_dir);
         Study::new(ckpt, &ctx.params)
     }
 
     /// The checkpoint under study.
-    pub fn ckpt(&self) -> &Trainer {
+    pub(crate) fn ckpt(&self) -> &Trainer {
         &self.ckpt
     }
 
     /// The checkpoint's model shape.
-    pub fn cfg(&self) -> &ModelConfig {
+    pub(crate) fn cfg(&self) -> &ModelConfig {
         &self.ckpt.config().model
     }
 
     /// Steps 1–3 on the checkpoint's next batch. The probe runs at BF16 and
     /// draws no random numbers, so this is a pure function of the
     /// checkpoint.
-    pub fn measurement(&self) -> &SnipMeasurement {
+    pub(crate) fn measurement(&self) -> &SnipMeasurement {
         self.measurement.get_or_init(|| {
             let mut t = self.ckpt.clone();
             let batch = t.peek_batch();
@@ -337,12 +298,12 @@ impl Study {
     }
 
     /// Step-1 statistics of a BF16 step on the checkpoint's next batch.
-    pub fn stats(&self) -> &StepStats {
+    pub(crate) fn stats(&self) -> &StepStats {
         &self.measurement().stats
     }
 
     /// Step 4 over the {FP8, FP4} option pair.
-    pub fn analysis(&self) -> &Analysis {
+    pub(crate) fn analysis(&self) -> &Analysis {
         self.analysis.get_or_init(|| {
             analyze(
                 self.measurement(),
@@ -370,7 +331,12 @@ impl Study {
 
     /// `SNIP@B`: Step 5 on the study's analysis — globally, or with one
     /// efficiency constraint per pipeline stage (§5.3) when `stages` is set.
-    pub fn snip(&self, budget: f64, stages: Option<usize>, balance: PipelineBalance) -> Scheme {
+    pub(crate) fn snip(
+        &self,
+        budget: f64,
+        stages: Option<usize>,
+        balance: PipelineBalance,
+    ) -> Scheme {
         let policy = PolicyConfig {
             target_fp4: budget,
             pipeline_stages: stages,
@@ -388,7 +354,7 @@ impl Study {
     }
 
     /// The scheme `method` produces for `budget` on this checkpoint.
-    pub fn scheme(&self, method: Method, budget: f64) -> Scheme {
+    pub(crate) fn scheme(&self, method: Method, budget: f64) -> Scheme {
         let cfg = self.cfg();
         let error_min = |metric| {
             baselines::error_minimizing_scheme(self.stats(), cfg, metric, budget).expect("feasible")
@@ -412,7 +378,7 @@ impl Study {
     }
 
     /// FP4 FLOP fraction of a scheme on this model.
-    pub fn fp4_fraction(&self, scheme: &Scheme) -> f64 {
+    pub(crate) fn fp4_fraction(&self, scheme: &Scheme) -> f64 {
         scheme.fp4_fraction(&self.flops)
     }
 
@@ -431,7 +397,7 @@ impl Study {
     }
 
     /// Resumes the checkpoint under `scheme` for `steps`.
-    pub fn resume(&self, scheme: &Scheme, steps: u64) -> Outcome {
+    pub(crate) fn resume(&self, scheme: &Scheme, steps: u64) -> Outcome {
         let mut trained = self.ckpt.clone();
         trained.apply_scheme(scheme);
         let losses = trained.train(steps);
@@ -450,13 +416,13 @@ impl Study {
 /// What resuming a checkpoint under one scheme produced. The loss curve is
 /// kept; accuracy and validation loss are computed from the trained model,
 /// once, when a table first asks for them.
-pub struct Outcome {
+pub(crate) struct Outcome {
     /// The scheme's name.
-    pub name: String,
+    pub(crate) name: String,
     /// The scheme's FP4 FLOP fraction.
-    pub fp4: f64,
+    pub(crate) fp4: f64,
     /// Training loss per resumed step.
-    pub losses: Vec<f64>,
+    pub(crate) losses: Vec<f64>,
     trained: Trainer,
     eval_items: usize,
     report: OnceCell<EvalReport>,
@@ -465,7 +431,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// Per-suite accuracy of the trained model on the synthetic suites.
-    pub fn report(&self) -> &EvalReport {
+    pub(crate) fn report(&self) -> &EvalReport {
         self.report.get_or_init(|| {
             evaluate(
                 &self.trained.model,
@@ -486,7 +452,7 @@ impl Outcome {
     }
 
     /// Mean training loss over the last five steps.
-    pub fn final_loss(&self) -> f64 {
+    pub(crate) fn final_loss(&self) -> f64 {
         self.losses.iter().rev().take(5).sum::<f64>() / 5.0
     }
 
@@ -503,7 +469,7 @@ impl Outcome {
 
 /// One printable quantity of an [`Outcome`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Col {
+pub(crate) enum Col {
     /// FP4 FLOP share in percent (one decimal).
     Fp4Pct,
     /// Mean accuracy over the suites (two decimals).
@@ -528,13 +494,13 @@ impl Col {
 
 /// The one row printer: a label column and right-aligned [`Outcome`]
 /// columns, `sep` between cells.
-pub struct Table {
+pub(crate) struct Table {
     /// Label column: title and (left-aligned) width.
-    pub label: (&'static str, usize),
+    pub(crate) label: (&'static str, usize),
     /// Cell separator.
-    pub sep: &'static str,
+    pub(crate) sep: &'static str,
     /// Columns: title, quantity, width.
-    pub cols: Vec<(&'static str, Col, usize)>,
+    pub(crate) cols: Vec<(&'static str, Col, usize)>,
 }
 
 impl Table {
@@ -545,12 +511,12 @@ impl Table {
     }
 
     /// The title row.
-    pub fn header(&self) -> String {
+    pub(crate) fn header(&self) -> String {
         self.line(self.label.0, |(title, _, w)| format!("{title:>w$}"))
     }
 
     /// One outcome under `label`.
-    pub fn row(&self, label: &str, o: &Outcome) -> String {
+    pub(crate) fn row(&self, label: &str, o: &Outcome) -> String {
         self.line(label, |&(_, col, w)| {
             format!("{:>w$.d$}", o.value(col), d = col.decimals())
         })
@@ -722,31 +688,16 @@ mod tests {
     fn parse_rejects_what_it_does_not_know() {
         let parse = |args: &[&str]| {
             Ctx::parse(args.iter().map(|a| a.to_string()), PathBuf::from("c"))
-                .map(|(name, ctx)| (name, ctx.params.ckpt_unit, ctx.transport, ctx.chaos))
+                .map(|(name, ctx)| (name, ctx.params.ckpt_unit))
         };
         let (full, quick) = (ExpParams::full().ckpt_unit, ExpParams::quick().ckpt_unit);
-        assert_eq!(parse(&[]), Ok((None, full, Transport::Threads, None)));
+        assert_eq!(parse(&[]), Ok((None, full)));
         assert_eq!(
-            parse(&["comm_precision", "--quick", "--chaos", "7"]),
-            Ok((
-                Some("comm_precision".into()),
-                quick,
-                Transport::Threads,
-                Some(7)
-            ))
+            parse(&["comm_precision", "--quick"]),
+            Ok((Some("comm_precision".into()), quick))
         );
-        assert_eq!(
-            parse(&["--transport=process", "x", "--chaos=3"]),
-            Ok((Some("x".into()), full, Transport::Process, Some(3)))
-        );
-        for bad in [
-            &["--quik"][..],
-            &["--quick=1"],
-            &["a", "b"],
-            &["--chaos"],
-            &["--chaos", "x"],
-            &["--transport", "carrier-pigeon"],
-        ] {
+        assert_eq!(parse(&["--quick", "x"]), Ok((Some("x".into()), quick)));
+        for bad in [&["--quik"][..], &["--quick=1"], &["a", "b"]] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
     }

@@ -8,22 +8,26 @@
 //! cargo run --release -p snip-experiments --bin snip-exp -- --quick     # every entry, in order
 //! ```
 //!
-//! `--quick` selects reduced sizes ([`ExpParams::quick`]); an unknown name
-//! or flag exits 2 listing the names (`exp::REGISTRY` — ROADMAP.md
-//! open item 8(j) maps each to its paper artefact). `SNIP_CKPT_DIR` moves
-//! the trainer-checkpoint cache (default `target/snip_checkpoints`).
-//! `comm_precision` additionally takes `--transport threads|process` and
-//! `--chaos <seed>`. The crate's second binary, `obs_smoke`, validates the
-//! telemetry artifacts and needs the process-wide `SNIP_TRACE`.
+//! `--quick` selects reduced sizes; an unknown name or flag exits 2
+//! listing the names (`exp::REGISTRY` — ROADMAP.md open item 8(j) maps
+//! each to its paper artefact). `SNIP_CKPT_DIR` moves the
+//! trainer-checkpoint cache (default `target/snip_checkpoints`). The
+//! crate's second binary, `obs_smoke`, validates the telemetry artifacts
+//! and needs the process-wide `SNIP_TRACE`.
 //!
-//! The experiments share one skeleton ([`harness`]): a cached checkpoint
+//! The experiments share one skeleton (`harness`): a cached checkpoint
 //! and **one** SNIP measurement of it (`Study`), from which Step-1
 //! statistics, the divergence analysis and every named scheme
-//! (`Method`) derive; resuming under a scheme yields one [`Outcome`],
-//! printed by one row printer ([`Table`]) or one curve printer
+//! (`Method`) derive; resuming under a scheme yields one `Outcome`,
+//! printed by one row printer (`Table`) or one curve printer
 //! (`print_curves`). The 1F1B schedule simulator that draws Fig. 12
-//! ([`stage`], [`cost`], [`schedule`], [`timeline`]) lives here, beside its
+//! ([`stage`], [`cost`], [`schedule`], `timeline`) lives here, beside its
 //! only users.
+//!
+//! The library exports what its callers use: the runner's entry points
+//! ([`exp::select`], [`exp::run`], [`exp::usage`], [`Ctx::parse`]) and
+//! the schedule simulator's three modules, which the integration tests
+//! drive directly. Everything else is crate-internal.
 //!
 //! Every experiment's numbers are **independent of machine parallelism and
 //! speed**: the GEMM engine behind each training step splits work across
@@ -35,9 +39,9 @@
 
 pub mod cost;
 pub mod exp;
-pub mod harness;
+mod harness;
 pub mod schedule;
 pub mod stage;
-pub mod timeline;
+mod timeline;
 
-pub use harness::*;
+pub use harness::Ctx;

@@ -9,7 +9,7 @@ use crate::cost::StageCost;
 
 /// Forward or backward execution of one microbatch on one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Forward pass.
     Forward,
     /// Backward pass.
@@ -18,30 +18,30 @@ pub enum Phase {
 
 /// One scheduled work item.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScheduleEvent {
+pub(crate) struct ScheduleEvent {
     /// Pipeline stage.
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// Microbatch index.
-    pub microbatch: usize,
+    pub(crate) microbatch: usize,
     /// Forward or backward.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// Start time.
-    pub start: f64,
+    pub(crate) start: f64,
     /// End time.
-    pub end: f64,
+    pub(crate) end: f64,
 }
 
 /// A simulated pipeline execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineSim {
     /// All events, sorted by start time.
-    pub events: Vec<ScheduleEvent>,
+    pub(crate) events: Vec<ScheduleEvent>,
     /// Total wall-clock time.
     pub makespan: f64,
     /// Busy time per stage.
-    pub stage_busy: Vec<f64>,
+    pub(crate) stage_busy: Vec<f64>,
     /// Idle ("bubble") fraction across all stages.
-    pub bubble_fraction: f64,
+    pub(crate) bubble_fraction: f64,
 }
 
 /// Simulates a 1F1B schedule: each stage runs at most one op at a time,

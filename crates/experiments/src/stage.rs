@@ -35,12 +35,12 @@ impl StagePartition {
     }
 
     /// Number of stages.
-    pub fn n_stages(&self) -> usize {
+    pub(crate) fn n_stages(&self) -> usize {
         self.ranges.len()
     }
 
     /// Block range of stage `k`.
-    pub fn blocks(&self, k: usize) -> std::ops::Range<usize> {
+    pub(crate) fn blocks(&self, k: usize) -> std::ops::Range<usize> {
         self.ranges[k].0..self.ranges[k].1
     }
 

@@ -37,4 +37,12 @@ pub mod solve;
 pub use balanced::{imbalance_fraction, stage_times, time_balanced_targets};
 pub use grouped::{contiguous_stages, solve_grouped};
 pub use problem::{Choice, McKnapsack};
-pub use solve::{solve, solve_bruteforce, SolveError, SolveOptions};
+pub use solve::{solve, SolveError, SolveOptions};
+
+// The unit tests reach the test-support brute-force solver under the same
+// path the root property suite uses.
+#[cfg(test)]
+extern crate self as snip_ilp;
+#[cfg(test)]
+#[path = "../tests/support/bruteforce.rs"]
+mod bruteforce;

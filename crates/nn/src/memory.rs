@@ -58,18 +58,6 @@ impl StateBytes {
         }
     }
 
-    /// Pure FP32 training (no mixed precision): 4 B weights + 4 B grads +
-    /// AdamW moments, no separate master copy.
-    pub const fn fp32() -> Self {
-        StateBytes {
-            weights: 4.0,
-            grads: 4.0,
-            master: 0.0,
-            moment1: 4.0,
-            moment2: 4.0,
-        }
-    }
-
     /// Replaces the working-weight storage with a `bits`-wide format plus
     /// the amortized scale overhead of one f32 scale per `group_elems`
     /// elements (§2.2's FP4/FP8 HBM saving, §2.3's scaling granularity).
@@ -227,7 +215,6 @@ mod tests {
     #[test]
     fn mixed_precision_recipe_is_16_bytes() {
         assert_eq!(StateBytes::mixed_precision_bf16().per_param(), 16.0);
-        assert_eq!(StateBytes::fp32().per_param(), 16.0); // same total, no master
     }
 
     #[test]

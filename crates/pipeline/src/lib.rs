@@ -48,6 +48,12 @@ pub mod collective;
 pub mod comm;
 pub mod transport;
 
+pub use collective::{QuantizePolicy, Wire};
+pub use transport::{
+    channel_mesh, data_parallel_train, run_ranks, threaded_all_reduce, ChannelFabric, Endpoint,
+    Fabric, FrameError, RankChunk, TransportError, TransportStats,
+};
+
 // The unit tests reach the test-support oracle under the same paths the
 // integration tests use.
 #[cfg(test)]
@@ -55,9 +61,3 @@ extern crate self as snip_pipeline;
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]
 mod support;
-
-pub use collective::{QuantizePolicy, Wire};
-pub use transport::{
-    channel_mesh, data_parallel_train, run_ranks, threaded_all_reduce, ChannelFabric, Endpoint,
-    Fabric, FrameError, RankChunk, TransportError, TransportStats,
-};

@@ -119,9 +119,12 @@
 //!
 //! The process backend is bit-identical to the threaded one and to the
 //! oracle (see the [transport docs](super)), final DP model parameters
-//! included: `tests/transport_proc.rs` pins it, and `snip-exp
-//! comm_precision --transport process` prints the threads table byte for
-//! byte, `--chaos` included (CI `chaos-smoke` diffs the two).
+//! included. `tests/transport_proc.rs` pins it for every codec:
+//! reduce-scatter under both policies and all-reduce, owned chunks, bits,
+//! payload bytes and RNG streams, at ring sizes 2–5 and 8, and on a
+//! 100 003-element payload whose frames span several `STAGE_BYTES`
+//! buffers. `tests/chaos_harness.rs` pins that a delay-only schedule
+//! changes none of it, on threads and on processes.
 //! `tests/launch_memory.rs` pins that the launcher holds each rank's
 //! output once.
 

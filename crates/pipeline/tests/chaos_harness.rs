@@ -30,10 +30,13 @@ mod support;
 
 #[cfg(unix)]
 mod checks {
-    use crate::support::{failure_counters_moved_by, Moved, ProcCollective};
+    use crate::support::{
+        all_wires, assert_bits_equal, failure_counters_moved_by, make_grads, proc_collective,
+        Collective, Moved, ProcCollective,
+    };
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
-    use snip_pipeline::transport::proc::{launch, proc_all_reduce, ProcError, Task};
+    use snip_pipeline::transport::proc::{proc_all_reduce, ProcError};
     use snip_pipeline::transport::{
         channel_mesh, data_parallel_train, data_parallel_train_with_recovery, run_ranks,
         threaded_all_reduce, try_data_parallel_train, ChaosPlan, Endpoint, FailureClass, RankChunk,
@@ -54,20 +57,6 @@ mod checks {
             "{name}: took {elapsed:?}, budget {budget:?} — survivors must unwind promptly"
         );
         println!("ok - {name} ({elapsed:?})");
-    }
-
-    fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = Rng::seed_from(seed);
-        (0..ranks)
-            .map(|_| (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
-            .collect()
-    }
-
-    fn assert_bits_equal(a: &[f32], b: &[f32], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: length");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: element {i}: {x} vs {y}");
-        }
     }
 
     type Outcomes<T> = (Vec<Result<T, TransportError>>, TransportStats);
@@ -101,24 +90,28 @@ mod checks {
         })
     }
 
-    /// A process-fabric all-reduce under `plan`.
-    fn proc_all_reduce_under(
-        grads: &[Vec<f32>],
-        wire: &Wire,
-        policy: QuantizePolicy,
-        seeds: &[u64],
-        plan: &ChaosPlan,
-    ) -> Result<ProcCollective, ProcError> {
-        let tasks = grads
+    /// Two process-fabric runs of one collective agree on owned chunks,
+    /// every rank's bits, RNG streams and payload bytes.
+    fn assert_same_proc_run(got: &ProcCollective, want: &ProcCollective, ctx: &str) {
+        assert_eq!(got.result.owned, want.result.owned, "{ctx}: owned chunks");
+        assert_eq!(
+            got.rng_fingerprints, want.rng_fingerprints,
+            "{ctx}: RNG streams"
+        );
+        assert_eq!(
+            got.stats.total_payload_bytes(),
+            want.stats.total_payload_bytes(),
+            "{ctx}: payload bytes"
+        );
+        for (rank, (g, w)) in got
+            .result
+            .per_rank
             .iter()
-            .zip(seeds)
-            .map(|(grad, &seed)| Task::AllReduce {
-                wire: *wire,
-                policy,
-                seed,
-                grad: grad.into(),
-            });
-        launch(tasks.collect(), Some(plan)).map(ProcCollective::from_launch)
+            .zip(&want.result.per_rank)
+            .enumerate()
+        {
+            assert_bits_equal(g, w, &format!("{ctx}, rank {rank}"));
+        }
     }
 
     /// An all-reduce over **undecorated** `ChannelFabric`s. The drivers
@@ -223,23 +216,49 @@ mod checks {
     }
 
     /// Contract 1, delays: a delay-only plan slows links down but changes
-    /// nothing — results and counters stay bit-identical to a calm run.
+    /// nothing — on every codec, for reduce-scatter under both policies
+    /// and for all-reduce, results, byte counters and RNG streams stay
+    /// bit-identical to a calm run.
     fn delay_only_chaos_changes_nothing_but_wall_clock() {
         let world = 3;
         let slow = ChaosPlan::delay_all_links(0xD11A, world, 250);
-        for wire in [Wire::exact(), Wire::fp4(16)] {
-            let grads = make_grads(world, 41, 19);
-            let rngs: Vec<Rng> = (0..world as u64)
-                .map(|r| Rng::seed_from(0x50 + r))
-                .collect();
-            let (bare, bare_stats) =
-                threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
-            let (delayed, delayed_stats) =
-                all_reduce_under(&grads, &wire, QuantizePolicy::EveryHop, &rngs, &slow);
-            assert_eq!(bare_stats, delayed_stats, "{}", wire.label());
-            for (rank, (b, d)) in bare.iter().zip(&delayed).enumerate() {
-                let d = d.as_ref().expect("delays are not failures");
-                assert_bits_equal(b, d, &format!("{} rank {rank}", wire.label()));
+        let grads = make_grads(world, 41, 19);
+        let rngs: Vec<Rng> = (0..world as u64)
+            .map(|r| Rng::seed_from(0x50 + r))
+            .collect();
+        let collectives = [
+            (Collective::ReduceScatter, QuantizePolicy::EveryHop),
+            (Collective::ReduceScatter, QuantizePolicy::FinalOnly),
+            (Collective::AllReduce, QuantizePolicy::EveryHop),
+        ];
+        for wire in all_wires() {
+            for (collective, policy) in collectives {
+                let case = format!("{} {collective:?} {policy:?}", wire.label());
+                let run = |plan| {
+                    run_ranks(world, plan, |ep| {
+                        let mut rng = rngs[ep.rank()].clone();
+                        let grad = &grads[ep.rank()];
+                        let chunk = match collective {
+                            Collective::ReduceScatter => ep
+                                .ring_reduce_scatter(grad, &wire, policy, &mut rng)
+                                .map(|c| (c.lo, c.data)),
+                            Collective::AllReduce => ep
+                                .ring_all_reduce(grad, &wire, policy, &mut rng)
+                                .map(|data| (0, data)),
+                        };
+                        (chunk.expect("delays are not failures"), rng)
+                    })
+                };
+                let (calm, calm_stats) = run(None);
+                let (delayed, delayed_stats) = run(Some(&slow));
+                assert_eq!(calm_stats, delayed_stats, "{case}: counters");
+                for (rank, (((clo, c), crng), ((dlo, d), drng))) in
+                    calm.iter().zip(&delayed).enumerate()
+                {
+                    assert_eq!(clo, dlo, "{case} rank {rank}: owned chunk");
+                    assert_bits_equal(c, d, &format!("{case} rank {rank}"));
+                    assert_eq!(crng, drng, "{case} rank {rank}: RNG state");
+                }
             }
         }
     }
@@ -400,50 +419,37 @@ mod checks {
         let wire = Wire::fp8(32);
 
         // Fault-free decoration is invisible on sockets too.
-        let calm = proc_all_reduce_under(
-            &grads,
-            &wire,
-            QuantizePolicy::EveryHop,
-            &seeds,
-            &ChaosPlan::none(1),
-        )
-        .expect("fault-free chaos run");
+        let all_reduce = |plan: ChaosPlan| {
+            proc_collective(
+                &grads,
+                &wire,
+                Collective::AllReduce,
+                QuantizePolicy::EveryHop,
+                &seeds,
+                Some(&plan),
+            )
+        };
+        let calm = all_reduce(ChaosPlan::none(1)).expect("fault-free chaos run");
         let bare = proc_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
             .map(ProcCollective::from_launch)
             .expect("bare run");
-        assert_eq!(calm.rng_fingerprints, bare.rng_fingerprints);
-        assert_eq!(
-            calm.stats.total_payload_bytes(),
-            bare.stats.total_payload_bytes()
-        );
-        for (rank, (c, b)) in calm
-            .result
-            .per_rank
-            .iter()
-            .zip(&bare.result.per_rank)
-            .enumerate()
-        {
-            assert_bits_equal(c, b, &format!("calm chaos vs bare, rank {rank}"));
-        }
+        assert_same_proc_run(&calm, &bare, "calm chaos vs bare");
 
         // Delay-only: slower, bit-identical.
-        let delayed = proc_all_reduce_under(
-            &grads,
-            &wire,
-            QuantizePolicy::EveryHop,
-            &seeds,
-            &ChaosPlan::delay_all_links(0xD2, world, 200),
-        )
-        .expect("delay-only chaos run");
-        assert_eq!(delayed.rng_fingerprints, bare.rng_fingerprints);
-        for (rank, (d, b)) in delayed
-            .result
-            .per_rank
-            .iter()
-            .zip(&bare.result.per_rank)
-            .enumerate()
-        {
-            assert_bits_equal(d, b, &format!("delayed vs bare, rank {rank}"));
+        let delayed =
+            all_reduce(ChaosPlan::delay_all_links(0xD2, world, 200)).expect("delay-only chaos run");
+        assert_same_proc_run(&delayed, &bare, "delayed vs bare");
+
+        // The same for a reduce-scatter under either policy.
+        for policy in [QuantizePolicy::EveryHop, QuantizePolicy::FinalOnly] {
+            let slow = ChaosPlan::delay_all_links(0xD3, world, 200);
+            let run = |plan| {
+                let rs = Collective::ReduceScatter;
+                proc_collective(&grads, &wire, rs, policy, &seeds, plan)
+                    .expect("delays are not failures")
+            };
+            let ctx = format!("delayed vs bare reduce-scatter, {policy:?}");
+            assert_same_proc_run(&run(Some(&slow)), &run(None), &ctx);
         }
 
         // Kill: the worker's own Killed error is the attributed root.
@@ -516,8 +522,15 @@ mod checks {
         let ((outcomes, _), on_threads) =
             failure_counters_moved_by(|| all_reduce_under(grads, wire, policy, &rngs, plan));
         let (err, on_procs) = failure_counters_moved_by(|| {
-            proc_all_reduce_under(grads, wire, policy, seeds, plan)
-                .expect_err("a faulted run must fail")
+            proc_collective(
+                grads,
+                wire,
+                Collective::AllReduce,
+                policy,
+                seeds,
+                Some(plan),
+            )
+            .expect_err("a faulted run must fail")
         });
         let ProcError::Worker {
             rank,

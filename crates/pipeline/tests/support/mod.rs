@@ -30,9 +30,9 @@ pub mod oracle;
 use oracle::Oracle;
 use snip_pipeline::collective::{chunk_bounds, QuantizePolicy, Wire};
 #[cfg(unix)]
-use snip_pipeline::transport::proc::TaskOutput;
+use snip_pipeline::transport::proc::{launch, ProcError, Task, TaskOutput};
 #[cfg(unix)]
-use snip_pipeline::transport::TransportStats;
+use snip_pipeline::transport::{ChaosPlan, TransportStats};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -47,6 +47,37 @@ pub struct CollectiveResult {
     pub owned: Vec<(usize, usize)>,
     /// Total payload bytes that crossed the ring (all ranks, all hops).
     pub bytes_on_wire: u64,
+}
+
+/// `ranks` gradients of `n` values uniform in `[-1, 1)`, drawn from `seed`.
+pub fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut rng = Rng::seed_from(seed);
+    (0..ranks)
+        .map(|_| (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+        .collect()
+}
+
+/// Every wire codec, with a scale group (32) that does **not** divide the
+/// payload lengths the suites use — the ragged-tail configuration.
+pub fn all_wires() -> Vec<Wire> {
+    vec![
+        Wire::exact(),
+        Wire::bf16(),
+        Wire::fp8(32),
+        Wire::fp4(32),
+        Wire::int8(32),
+        Wire::mxfp4(),
+        Wire::rht_fp4(32, 5),
+        Wire::outlier_fp4(32, 0.02),
+    ]
+}
+
+/// Panics at the first element whose bits differ, naming it under `ctx`.
+pub fn assert_bits_equal(a: &[f32], b: &[f32], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: element {i}: {x} vs {y}");
+    }
 }
 
 /// The exact elementwise sum of all ranks' gradients (the collective's
@@ -277,6 +308,44 @@ impl ProcCollective {
             stats,
         }
     }
+}
+
+/// Which collective a case runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Collective {
+    ReduceScatter,
+    AllReduce,
+}
+
+/// `collective` over worker processes under `plan` (`None`: a bare
+/// launch), rank `r` drawing from `seeds[r]`.
+#[cfg(unix)]
+pub fn proc_collective(
+    grads: &[Vec<f32>],
+    wire: &Wire,
+    collective: Collective,
+    policy: QuantizePolicy,
+    seeds: &[u64],
+    plan: Option<&ChaosPlan>,
+) -> Result<ProcCollective, ProcError> {
+    let tasks = grads.iter().zip(seeds).map(|(grad, &seed)| {
+        let (wire, grad) = (*wire, grad.into());
+        match collective {
+            Collective::ReduceScatter => Task::ReduceScatter {
+                wire,
+                policy,
+                seed,
+                grad,
+            },
+            Collective::AllReduce => Task::AllReduce {
+                wire,
+                policy,
+                seed,
+                grad,
+            },
+        }
+    });
+    launch(tasks.collect(), plan).map(ProcCollective::from_launch)
 }
 
 /// The `transport.*` counters a run moved.

@@ -19,125 +19,132 @@ mod support;
 #[cfg(unix)]
 mod checks {
     use crate::support::{
-        failure_counters_moved_by, ring_all_reduce, ring_reduce_scatter, ProcCollective,
+        all_wires, assert_bits_equal, failure_counters_moved_by, make_grads, proc_collective,
+        ring_all_reduce, ring_reduce_scatter, Collective, CollectiveResult, ProcCollective,
     };
     use snip_core::{Trainer, TrainerConfig};
     use snip_pipeline::collective::{QuantizePolicy, Wire};
     use snip_pipeline::comm::codec_wire_bytes;
-    use snip_pipeline::transport::proc::{
-        launch, proc_all_reduce, proc_data_parallel_train, run_task, ProcError, Task,
-    };
-    use snip_pipeline::transport::{
-        data_parallel_train, run_ranks, threaded_all_reduce, FailureClass,
-    };
+    use snip_pipeline::transport::proc::{proc_data_parallel_train, run_task, ProcError, Task};
+    use snip_pipeline::transport::{data_parallel_train, run_ranks, FailureClass, RankChunk};
     use snip_tensor::rng::Rng;
 
-    fn make_grads(ranks: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = Rng::seed_from(seed);
-        (0..ranks)
-            .map(|_| (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
-            .collect()
-    }
-
-    /// Every wire codec under test, with a scale group (32) that does
-    /// **not** divide the payload lengths used — the ragged-tail
-    /// configuration.
-    fn all_wires() -> Vec<Wire> {
-        vec![
-            Wire::exact(),
-            Wire::bf16(),
-            Wire::fp8(32),
-            Wire::fp4(32),
-            Wire::int8(32),
-            Wire::mxfp4(),
-            Wire::rht_fp4(32, 5),
-            Wire::outlier_fp4(32, 0.02),
-        ]
-    }
-
-    /// A reduce-scatter through the process driver.
-    fn proc_reduce_scatter(
+    /// `collective` on OS-thread ranks, in the process driver's result
+    /// shape: each rank's payload and chunk, its RNG fingerprint drawn
+    /// after the collective, and the merged counters.
+    fn threaded_collective(
         grads: &[Vec<f32>],
         wire: &Wire,
+        collective: Collective,
         policy: QuantizePolicy,
         seeds: &[u64],
-    ) -> Result<ProcCollective, ProcError> {
-        let tasks = grads
-            .iter()
-            .zip(seeds)
-            .map(|(grad, &seed)| Task::ReduceScatter {
-                wire: *wire,
-                policy,
-                seed,
-                grad: grad.into(),
-            });
-        launch(tasks.collect(), None).map(ProcCollective::from_launch)
-    }
-
-    fn assert_bits_equal(a: &[f32], b: &[f32], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: length");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: element {i}: {x} vs {y}");
+    ) -> ProcCollective {
+        let (outputs, stats) = run_ranks(grads.len(), None, |ep| {
+            let mut rng = Rng::seed_from(seeds[ep.rank()]);
+            let grad = &grads[ep.rank()];
+            let chunk = match collective {
+                Collective::ReduceScatter => ep.ring_reduce_scatter(grad, wire, policy, &mut rng),
+                Collective::AllReduce => {
+                    ep.ring_all_reduce(grad, wire, policy, &mut rng)
+                        .map(|data| RankChunk {
+                            lo: 0,
+                            hi: data.len(),
+                            data,
+                        })
+                }
+            };
+            (chunk.expect("threaded collective"), rng.next_u64())
+        });
+        let (chunks, rng_fingerprints): (Vec<RankChunk>, Vec<u64>) = outputs.into_iter().unzip();
+        let result = CollectiveResult {
+            owned: chunks.iter().map(|c| (c.lo, c.hi)).collect(),
+            per_rank: chunks.into_iter().map(|c| c.data).collect(),
+            bytes_on_wire: stats.total_payload_bytes(),
+        };
+        ProcCollective {
+            result,
+            rng_fingerprints,
+            stats,
         }
     }
 
-    /// All-reduce over worker processes == threaded == oracle, for
-    /// every codec and ring size, with ragged tails, measured bytes and RNG
-    /// streams included — and every rank holds rank 0's bits, because each
+    /// Reduce-scatter under both policies and all-reduce, over worker
+    /// processes == threaded == oracle, for every codec and ring size:
+    /// owned chunks, reduced bits, measured bytes and RNG streams — and
+    /// after an all-reduce every rank holds rank 0's bits, because each
     /// chunk is encoded once, by its owner, and forwarded unchanged.
     fn proc_collectives_match_threads_and_oracle() {
-        // 57 elements: chunks of 11–29 elements, none aligned to the
-        // 32-wide scale groups.
-        let n = 57;
-        for (world, wire) in (2..=5).flat_map(|w| all_wires().into_iter().map(move |x| (w, x))) {
+        // 57 elements: chunks of 7–29 elements, none aligned to the 32-wide
+        // scale groups. 100 003 elements over two ranks: exact and BF16
+        // hop frames of ≈ 200 KB and ≈ 100 KB, several 64 KiB
+        // `STAGE_BYTES` buffers each.
+        let shapes = (2..=5)
+            .map(|world| (world, 57))
+            .chain([(8, 57), (2, 100_003)]);
+        let collectives = [
+            (Collective::ReduceScatter, QuantizePolicy::EveryHop),
+            (Collective::ReduceScatter, QuantizePolicy::FinalOnly),
+            (Collective::AllReduce, QuantizePolicy::EveryHop),
+        ];
+        for ((world, n), wire) in shapes.flat_map(|s| all_wires().into_iter().map(move |x| (s, x)))
+        {
             let grads = make_grads(world, n, 21);
             let seeds: Vec<u64> = (0..world as u64).map(|r| 0xAB ^ r).collect();
-            let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
-
-            let proc = proc_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
-                .map(ProcCollective::from_launch)
-                .expect("process all-reduce");
-            let (threaded, tstats) =
-                threaded_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &rngs);
-            let mut oracle_rngs = rngs.clone();
-            let oracle = ring_all_reduce(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
-
-            assert_eq!(
-                proc.result.bytes_on_wire,
-                oracle.bytes_on_wire,
-                "{}: measured vs simulated bytes",
-                wire.label()
-            );
-            assert_eq!(
-                proc.stats.total_payload_bytes(),
-                tstats.total_payload_bytes(),
-                "{}: process vs threaded payload counters",
-                wire.label()
-            );
-            assert!(proc.stats.two_sided(), "{}: two-sided", wire.label());
-            for (rank, ((p, t), o)) in proc
-                .result
-                .per_rank
-                .iter()
-                .zip(&threaded)
-                .zip(&oracle.per_rank)
-                .enumerate()
-            {
-                let ctx = format!("{} world {world} rank {rank}", wire.label());
-                assert_bits_equal(p, t, &format!("{ctx} (proc vs threads)"));
-                assert_bits_equal(p, o, &format!("{ctx} (proc vs oracle)"));
-                assert_bits_equal(p, &proc.result.per_rank[0], &format!("{ctx} (vs rank 0)"));
-            }
-            // Same RNG streams: each rank's next draw after the collective
-            // matches the oracle's.
-            for (rank, (fp, mut oracle_rng)) in
-                proc.rng_fingerprints.iter().zip(oracle_rngs).enumerate()
-            {
-                assert_eq!(
-                    *fp,
-                    oracle_rng.next_u64(),
-                    "{}: rank {rank} RNG stream diverged",
+            for (collective, policy) in collectives {
+                let case = format!(
+                    "{} {collective:?} {policy:?} world {world} n {n}",
                     wire.label()
+                );
+                let proc = proc_collective(&grads, &wire, collective, policy, &seeds, None)
+                    .unwrap_or_else(|e| panic!("{case}: process run: {e}"));
+                let threads = threaded_collective(&grads, &wire, collective, policy, &seeds);
+                let mut oracle_rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+                let oracle = match collective {
+                    Collective::ReduceScatter => {
+                        ring_reduce_scatter(&grads, &wire, policy, &mut oracle_rngs)
+                    }
+                    Collective::AllReduce => {
+                        ring_all_reduce(&grads, &wire, policy, &mut oracle_rngs)
+                    }
+                };
+                assert_eq!(proc.result.owned, oracle.owned, "{case}: owned chunks");
+                assert_eq!(
+                    threads.result.owned, oracle.owned,
+                    "{case}: threaded chunks"
+                );
+                assert_eq!(
+                    proc.result.bytes_on_wire, oracle.bytes_on_wire,
+                    "{case}: measured vs simulated bytes"
+                );
+                assert_eq!(
+                    proc.stats.total_payload_bytes(),
+                    threads.stats.total_payload_bytes(),
+                    "{case}: process vs threaded payload counters"
+                );
+                assert!(proc.stats.two_sided(), "{case}: two-sided");
+                for (rank, ((p, t), o)) in (proc.result.per_rank.iter())
+                    .zip(&threads.result.per_rank)
+                    .zip(&oracle.per_rank)
+                    .enumerate()
+                {
+                    assert_bits_equal(p, t, &format!("{case} rank {rank} (proc vs threads)"));
+                    assert_bits_equal(p, o, &format!("{case} rank {rank} (proc vs oracle)"));
+                    if collective == Collective::AllReduce {
+                        let first = &proc.result.per_rank[0];
+                        assert_bits_equal(p, first, &format!("{case} rank {rank} (vs rank 0)"));
+                    }
+                }
+                // Same RNG streams: each rank's next draw after the
+                // collective matches the oracle's.
+                let oracle_fingerprints: Vec<u64> =
+                    oracle_rngs.iter_mut().map(Rng::next_u64).collect();
+                assert_eq!(
+                    proc.rng_fingerprints, oracle_fingerprints,
+                    "{case}: process RNG streams"
+                );
+                assert_eq!(
+                    threads.rng_fingerprints, oracle_fingerprints,
+                    "{case}: threaded RNG streams"
                 );
             }
         }
@@ -154,8 +161,15 @@ mod checks {
             let grads = make_grads(world, n, 31);
             let seeds: Vec<u64> = (0..world as u64).map(|r| 0xCD ^ r).collect();
             let rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
-            let proc = proc_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &seeds)
-                .expect("process reduce-scatter");
+            let proc = proc_collective(
+                &grads,
+                &wire,
+                Collective::ReduceScatter,
+                QuantizePolicy::EveryHop,
+                &seeds,
+                None,
+            )
+            .expect("process reduce-scatter");
             let mut oracle_rngs = rngs.clone();
             let oracle =
                 ring_reduce_scatter(&grads, &wire, QuantizePolicy::EveryHop, &mut oracle_rngs);
@@ -343,8 +357,15 @@ mod checks {
     /// Single-rank fabrics degenerate to a no-op with silent counters.
     fn single_rank_process_fabric_is_a_no_op() {
         let grads = make_grads(1, 16, 17);
-        let proc = proc_reduce_scatter(&grads, &Wire::fp4(8), QuantizePolicy::EveryHop, &[3])
-            .expect("single-rank run");
+        let proc = proc_collective(
+            &grads,
+            &Wire::fp4(8),
+            Collective::ReduceScatter,
+            QuantizePolicy::EveryHop,
+            &[3],
+            None,
+        )
+        .expect("single-rank run");
         assert_eq!(proc.result.bytes_on_wire, 0);
         assert_eq!(proc.stats.total_frames(), 0);
         assert_eq!(proc.result.per_rank[0], grads[0]);

@@ -123,6 +123,58 @@ mod tests {
         }
     }
 
+    /// The rounding rule restated without the add-and-mask trick: the two
+    /// BF16 values around `x` (its truncation and the next pattern away
+    /// from zero), valued in `f64` with an unbounded exponent, and the
+    /// nearer one; ties go to the even mantissa. Past the largest finite
+    /// BF16 the upper neighbour is 2¹²⁸, whose pattern is ±Inf. NaN and
+    /// ±Inf keep their bits.
+    fn nearest_bf16_bits(x: f32) -> u32 {
+        let bits = x.to_bits();
+        if !x.is_finite() {
+            return bits;
+        }
+        // |value| of a BF16 pattern's low 15 bits: the f32 it heads, or
+        // 2¹²⁸ for the overflow step past the largest finite value.
+        let magnitude = |p: u32| match p {
+            0x7F80 => 2f64.powi(128),
+            p => f64::from(f32::from_bits(p << 16)),
+        };
+        let lower = (bits >> 16) & 0x7FFF;
+        let upper = lower + 1;
+        let at = f64::from(x.abs());
+        let (below, above) = (at - magnitude(lower), magnitude(upper) - at);
+        let nearest = if below < above || (below == above && lower.is_multiple_of(2)) {
+            lower
+        } else {
+            upper
+        };
+        (bits & 0x8000_0000) | nearest << 16
+    }
+
+    /// `round` against [`nearest_bf16_bits`] on every `step`-th f32 bit
+    /// pattern, the last one included.
+    fn check_round_against_nearest(step: usize) {
+        let patterns = (0..=u32::MAX).step_by(step).chain([u32::MAX]);
+        for at in patterns {
+            let x = f32::from_bits(at);
+            assert_eq!(round(x).to_bits(), nearest_bf16_bits(x), "{at:#010x}");
+        }
+    }
+
+    #[test]
+    fn round_matches_the_nearest_neighbour_on_sampled_patterns() {
+        check_round_against_nearest(4099);
+    }
+
+    /// The full 2³² sweep: `cargo test --release -p snip-tensor --lib
+    /// bf16 -- --ignored`.
+    #[test]
+    #[ignore = "every f32 bit pattern; run in release"]
+    fn round_matches_the_nearest_neighbour_on_every_pattern() {
+        check_round_against_nearest(1);
+    }
+
     #[test]
     fn signed_zero_is_preserved() {
         assert_eq!(round(-0.0).to_bits(), (-0.0f32).to_bits());

@@ -134,7 +134,7 @@
 //!
 //! # Measured
 //!
-//! `BENCH_gemm.json` at the repository root (`bench_gemm`, schema 10) holds
+//! `BENCH_gemm.json` at the repository root (written by `bench_gemm`) holds
 //! the numbers: per backend tier, the `gemm` table times all six
 //! orientations at the three linear-layer shapes, `decode` and `pack` the
 //! codecs, `probe` SNIP's measurement against a plain step, and `init` the

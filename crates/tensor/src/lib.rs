@@ -95,3 +95,11 @@ pub mod prelude {
     pub use crate::rng::Rng;
     pub use crate::Tensor;
 }
+
+// The unit tests reach the test-support reference GEMM under the same path
+// the integration tests use.
+#[cfg(test)]
+extern crate self as snip_tensor;
+#[cfg(test)]
+#[path = "../tests/support/matmul_reference.rs"]
+mod matmul_reference;

@@ -57,27 +57,10 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     gemm(a.into(), b.into(), Orientation::Tn, Round::Keep)
 }
 
-/// Reference (naive triple-loop) GEMM used by tests and benchmarks.
-pub fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "matmul_reference: inner dims differ");
-    let mut c = Tensor::zeros(m, n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += a[(i, kk)] * b[(kk, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul_reference::matmul_reference;
     use crate::rng::Rng;
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {

@@ -1,7 +1,11 @@
 //! Property-based tests for the tensor substrate.
 
+#[path = "support/matmul_reference.rs"]
+mod matmul_reference;
+
+use matmul_reference::matmul_reference;
 use proptest::prelude::*;
-use snip_tensor::matmul::{matmul, matmul_nt, matmul_reference, matmul_tn};
+use snip_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use snip_tensor::ops::{frobenius_norm, softmax_rows_inplace};
 use snip_tensor::rng::Rng;
 use snip_tensor::Tensor;

@@ -15,6 +15,11 @@
 # `pub trait `, `pub type `, `pub const ` (not a `const fn`) or
 # `pub static ` — its exported types and constants.
 #
+# A line that begins at column 0 with `pub use`, `pub mod`, `pub fn`,
+# `pub struct`, `pub enum`, `pub trait`, `pub type`, `pub const` or
+# `pub static` after its file's first `#[cfg(test)]` is an export the
+# tally cannot see; each one is named on stderr as `hidden <file>:<line>`.
+#
 #   scripts/loc_tally.sh            # from anywhere inside the checkout
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +32,7 @@ count() {
             FNR == 1 { if (file != "") print crate, n, u, f, t; file = FILENAME; split(FILENAME, p, "/"); crate = p[2]; n = 0; u = 0; f = 0; t = 0; on = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
             on { n++ }
+            !on && /^pub (use|mod|fn|struct|enum|trait|type|const|static)[^A-Za-z0-9_]/ { print "hidden " FILENAME ":" FNR > "/dev/stderr" }
             on && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { u++ }
             on && /^[[:space:]]*pub (const )?(unsafe )?fn / { f++ }
             on && /^[[:space:]]*pub (struct|enum|trait|type|const|static) / && !/^[[:space:]]*pub const (unsafe )?fn / { t++ }

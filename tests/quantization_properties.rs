@@ -1,11 +1,14 @@
 //! Property-based tests (proptest) on quantization and ILP invariants.
 
+#[path = "../crates/ilp/tests/support/bruteforce.rs"]
+mod bruteforce;
 #[path = "../crates/quant/tests/support/oracle.rs"]
 mod oracle;
 
+use bruteforce::solve_bruteforce;
 use oracle::{ElementRule, Oracle};
 use proptest::prelude::*;
-use snip::ilp::{solve, solve_bruteforce, Choice, McKnapsack, SolveOptions};
+use snip::ilp::{solve, Choice, McKnapsack, SolveOptions};
 use snip::quant::format::FloatFormat;
 use snip::quant::granularity::Granularity;
 use snip::quant::{Precision, Quantizer, Rounding, TensorRole};
