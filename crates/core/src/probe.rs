@@ -220,7 +220,7 @@ pub fn measure(
     rng: &mut Rng,
     epsilon: f64,
 ) -> SnipMeasurement {
-    let span = snip_obs::span("snip.measure");
+    let _span = snip_obs::span("snip.measure");
     let rng_on_entry = rng.clone();
     let cfg = model.config().clone();
     let n = cfg.n_linear_layers();
@@ -340,9 +340,6 @@ pub fn measure(
         *rng == rng_on_entry,
         "a probe pass drew from the rng: the three passes no longer share a forward"
     );
-    if snip_obs::enabled() {
-        snip_obs::counter_add("snip.measure_ns", span.elapsed_ns());
-    }
     SnipMeasurement {
         stats,
         p_fwd,

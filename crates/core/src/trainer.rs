@@ -357,10 +357,11 @@ impl Trainer {
             use serde::Content;
             // Process-wide telemetry sums: every probe and every training
             // step of the run, whichever trainer ran them.
-            let snip_updates = snip_obs::hist_snapshot("snip.measure").map_or(0, |h| h.count);
+            let measure = snip_obs::hist_snapshot("snip.measure");
+            let snip_updates = measure.as_ref().map_or(0, |h| h.count);
             let step_ns = snip_obs::hist_snapshot("train_step").map_or(0, |h| h.sum);
             let solve_ns = snip_obs::hist_snapshot("snip.solve").map_or(0, |h| h.sum);
-            let snip_ns = snip_obs::counter_value("snip.measure_ns") + solve_ns;
+            let snip_ns = measure.map_or(0, |h| h.sum) + solve_ns;
             let mut training = vec![
                 ("steps".into(), Content::U64(self.step)),
                 ("world".into(), Content::U64(world as u64)),

@@ -67,7 +67,7 @@ pub fn read<T>(name: &str, accepted: &str, parse_fn: impl FnOnce(&str) -> Option
 
 /// The shared warning line: one per unrecognized variable per process (the
 /// caller guarantees once-ness by warning from a `OnceLock` initializer).
-pub fn warn_unrecognized(name: &str, raw: &str, accepted: &str) {
+fn warn_unrecognized(name: &str, raw: &str, accepted: &str) {
     eprintln!("snip: ignoring unrecognized {name}={raw:?}; accepted values: {accepted}");
 }
 

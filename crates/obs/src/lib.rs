@@ -41,8 +41,8 @@
 //! another for its telemetry:
 //!
 //! - `snip-tensor`: the pool's queue-wait and job-latency histograms, GEMM
-//!   dispatch counts per backend, and the B-tile cache's hit and build
-//!   counters;
+//!   dispatch counts per backend, and the B-tile cache's build count and
+//!   build time;
 //! - `snip-quant`: every pack reports its signals through one computation
 //!   (its crate-internal `signals::pack_signal`) into [`quantsig`], plus
 //!   leaf-level `quant.ns` timers;

@@ -710,11 +710,20 @@ pub fn worker_boot() {
     let code = match worker_run() {
         Ok(()) => 0,
         Err(message) => {
-            eprintln!("snip rank worker failed: {message}");
+            write_failure(&mut std::io::stderr().lock(), &message);
             101
         }
     };
     std::process::exit(code);
+}
+
+/// Writes a worker's failure report as one line in a single `write_all`.
+/// Every worker inherits the launcher's unbuffered stderr, where
+/// `eprintln!` writes each piece of its format separately, so concurrent
+/// reports used to interleave mid-line. A failed write is dropped: stderr
+/// was the only place to report it.
+fn write_failure(out: &mut impl Write, message: &str) {
+    let _ = out.write_all(format!("snip rank worker failed: {message}\n").as_bytes());
 }
 
 fn worker_run() -> Result<(), String> {
@@ -1931,5 +1940,28 @@ mod tests {
             Ok(ledger)
         });
         assert_eq!(ledger.expect("RESULT decodes"), stats);
+    }
+
+    /// A worker's failure report reaches stderr in one `write`: prefix,
+    /// whole message and newline, so no other worker's report can land
+    /// inside it.
+    #[test]
+    fn a_worker_failure_report_is_one_write() {
+        #[derive(Default)]
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Recorder::default();
+        let message = "transport: damaged stream from rank 2: stream ended mid-frame";
+        write_failure(&mut out, message);
+        let line = format!("snip rank worker failed: {message}\n");
+        assert_eq!(out.0, [line.into_bytes()]);
     }
 }

@@ -147,7 +147,7 @@ proptest! {
     }
 }
 
-/// GEMMs large enough to build the shared B-tile cache, in both of its
+/// GEMMs large enough to split the B-tile cache's build, in both of its
 /// builds (row-major bands for `nn` / `tn`, per-tile transposes for `nt`),
 /// unsplit and split: bit-identical with collection on, and the
 /// `gemm.btile.build_ns` counter that times the builds moves only then.
@@ -213,9 +213,8 @@ fn training_steps_are_bit_identical_with_collection_on() {
     assert_eq!(on.1, [6, 6], "attention spans with collection on");
 }
 
-/// One SNIP update under collection (the `snip.measure*` spans and the
-/// `snip.measure_ns` counter wrap every staged pass and the pooled
-/// statistics, `snip.solve` wraps analyze + ILP): the measurement — every
+/// One SNIP update under collection (the `snip.measure*` spans wrap every
+/// staged pass and the pooled statistics, `snip.solve` wraps analyze + ILP): the measurement — every
 /// `f64` —, the scheme solved from it and the trainer it ran on must come
 /// out the same with telemetry on and off.
 #[test]

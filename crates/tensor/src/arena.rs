@@ -97,7 +97,7 @@ impl Drop for Scope {
 }
 
 /// Whether this thread is inside a [`Scope`].
-pub(crate) fn in_scope() -> bool {
+fn in_scope() -> bool {
     DEPTH.try_with(Cell::get).unwrap_or(0) > 0
 }
 

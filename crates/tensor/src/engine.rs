@@ -46,30 +46,31 @@
 //! largest win in this engine). The `k` loop is register-blocked, one
 //! fused multiply-add per term.
 //!
-//! - **The B side** is materialized **once per GEMM** into a tile cache
-//!   ([`build_bcache`]) that every row chunk reads: tiles are j-aligned,
-//!   so one build serves all of them, and B's decode or transpose is one
-//!   pass over B whatever `m` or the chunk count. A split GEMM builds on
-//!   the pool, one task per band of source rows, an unsplit one on the
-//!   calling thread. A row-major B ([`BSide::RowMajor`]: the weight of
-//!   every `dX` GEMM, the activation of every weight gradient) bands its
-//!   `k` rows, each band written straight into every tile
+//! - **The B side** of every GEMM is materialized **once** into the
+//!   calling thread's tile cache ([`BCACHE`], [`build_bcache`]), and every
+//!   sweep of every row chunk reads its tiles from there: tiles are
+//!   j-aligned, so one build serves all of them, and B's decode or
+//!   transpose is one pass over B whatever `m` or the chunk count. A split
+//!   GEMM builds on the pool, one task per band of source rows, an unsplit
+//!   one on the calling thread. A row-major B ([`BSide::RowMajor`]: the
+//!   weight of every `dX` GEMM, the activation of every weight gradient)
+//!   bands its `k` rows, each band written straight into every tile
 //!   ([`decode_row_band`]); a transposed B ([`BSide::Transposed`]: the
 //!   weight of every forward) bands its `n` rows by whole tiles, each band
-//!   transposed tile by tile. The cache is kept between GEMMs inside an
-//!   arena scope ([`BCACHE`]); a B beyond [`B_CACHE_LIMIT`], or a
-//!   single-sweep product, builds its tiles per sweep in per-worker scratch
-//!   instead.
+//!   transposed tile by tile. A B beyond [`B_CACHE_LIMIT`] elements is
+//!   built and swept in column panels of whole tiles, each within the
+//!   bound, so the cache stays bounded through the same path.
 //! - **The A side** is borrowed in place when dense and row-major, and
 //!   otherwise rounded, decoded or transposed **once per block sweep** into
-//!   per-worker scratch ([`build_ablock`]; the old `qgemm_nt` panel loop
+//!   per-thread scratch ([`build_ablock`]; the old `qgemm_nt` panel loop
 //!   re-decoded every packed A row ⌈n/32⌉ times).
 //! - **The output** is split into contiguous row chunks over the
 //!   persistent worker pool ([`crate::pool`]) above [`PARALLEL_THRESHOLD`]
 //!   multiply–accumulates; each chunk owns its rows. [`pool::with_threads`]
 //!   forces a split for tests and benches.
-//! - **Scratch** — A blocks, B tiles, the B-tile cache, transpose staging —
-//!   is plain `Vec<f32>`, every slice of it a [`window`] starting on a
+//! - **Scratch** — A blocks, transpose staging ([`SCRATCH`]) and the B-tile
+//!   cache ([`BCACHE`]) — is plain per-thread `Vec<f32>` that only grows and
+//!   is kept across GEMMs, every slice of it a [`window`] starting on a
 //!   64-byte line. The alignment is a speed contract only (the kernels
 //!   load unaligned), pinned by its unit test.
 //!
@@ -176,8 +177,8 @@ const PARALLEL_THRESHOLD: usize = 1 << 20;
 
 /// Output rows per block (bounds A-side scratch to `MC × k` floats).
 const MC: usize = 64;
-/// Output columns per tile: bounds B-side scratch to `NC × k` floats and
-/// keeps a 64×64 f32 output tile (16 KiB) L1-resident.
+/// Output columns per tile: a B tile is `NC × k` floats, and a 64×64 f32
+/// output tile (16 KiB) stays L1-resident.
 const NC: usize = 64;
 
 /// Which operands a GEMM reads transposed: the three products of a linear
@@ -241,8 +242,8 @@ pub(crate) fn finish(store: Store, v: f32) -> f32 {
 const LINE: usize = 16;
 
 /// The `len`-float window of `buf` that starts on the buffer's first
-/// 64-byte cache line: every scratch slice of the engine — A blocks,
-/// B tiles, the B-tile cache, transpose staging — comes from here.
+/// 64-byte cache line: every scratch slice of the engine — A blocks, the
+/// B-tile cache, transpose staging — comes from here.
 ///
 /// Why aligned: the tile kernels stream k-major B-tile rows with
 /// full-width vector loads, and a load that straddles two cache lines costs
@@ -271,44 +272,29 @@ fn window(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[off..off + len]
 }
 
-/// One thread's GEMM scratch, every slice of it a [`window`]. Named fields:
-/// the three buffers share a type, so a positional tuple could swap them
+/// One thread's sweep scratch, every slice of it a [`window`]. Named
+/// fields: the buffers share a type, so a positional tuple could swap them
 /// silently.
 struct Scratch {
     /// The A block of the current sweep, when it is decoded or transposed.
     ablock: Vec<f32>,
-    /// The B tile of the current sweep, when there is no shared cache.
-    btile: Vec<f32>,
     /// One band of `TB` decoded packed rows for [`transpose_into`].
     staging: Vec<f32>,
 }
 
 thread_local! {
-    /// Per-worker scratch, reused across GEMM calls for the lifetime of the
+    /// Per-thread scratch, reused across GEMM calls for the lifetime of the
     /// pool worker (or calling thread).
     static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch { ablock: Vec::new(), btile: Vec::new(), staging: Vec::new() })
+        RefCell::new(Scratch { ablock: Vec::new(), staging: Vec::new() })
     };
 
-    /// The calling thread's B-tile cache ([`gemm_blocked_inner`]). A GEMM
-    /// takes it out and puts it back, so a nested call on the same thread
-    /// builds its own instead of aliasing it. It is kept between GEMMs only
-    /// inside an [`arena::scope`] (a training step), like the step's other
-    /// large buffers.
+    /// The calling thread's B-tile cache ([`gemm_blocked`]): per-thread
+    /// scratch like [`SCRATCH`], it only grows and is kept after every
+    /// GEMM. A GEMM takes it out for its duration and puts it back, so a
+    /// nested call on the same thread builds its own instead of aliasing
+    /// it.
     static BCACHE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-}
-
-/// Returns a B-tile cache to [`BCACHE`] inside an arena scope (poisoned
-/// with NaN in builds with debug assertions, like the arena's buffers);
-/// frees it outside one.
-fn keep_bcache(mut cache: Vec<f32>) {
-    if !arena::in_scope() {
-        return;
-    }
-    if cfg!(debug_assertions) {
-        cache.fill(f32::NAN);
-    }
-    BCACHE.set(cache);
 }
 
 /// The shared tile kernel: `C[row0.., j0..] = Ablock · Btile` where
@@ -414,30 +400,10 @@ enum BSide {
     Transposed,
 }
 
-/// Largest B operand (in elements) whose tile cache is pre-materialized
-/// once per GEMM and shared read-only by every row chunk. Beyond it (64 MiB
-/// of tiles) workers fall back to building tiles per block sweep from their
-/// own bounded scratch.
+/// Most elements of B one tile-cache build holds (64 MiB of tiles). A
+/// larger B is built and swept in column panels of whole [`NC`] tiles, each
+/// within this bound (one tile at least) — [`gemm_blocked`].
 const B_CACHE_LIMIT: usize = 1 << 24;
-
-/// Materializes the `k×nb` k-major B tile for columns `[j0, j1)` into
-/// `tile` (length `k * nb`): one band of all `k` rows for a row-major B
-/// ([`decode_row_band`]), the band transpose for a transposed one.
-fn build_btile_into(
-    b: &QOperandRef<'_>,
-    side: BSide,
-    k: usize,
-    j0: usize,
-    j1: usize,
-    tile: &mut [f32],
-    staging: &mut Vec<f32>,
-) {
-    debug_assert_eq!(tile.len(), k * (j1 - j0));
-    match side {
-        BSide::RowMajor => decode_row_band(b, (0, k), (j0, j1), &mut [tile]),
-        BSide::Transposed => transpose_into(b, (j0, j1), (0, k), tile, staging),
-    }
-}
 
 /// Writes rows `[r0, r1)` of a row-major B into their row band of each
 /// k-major tile across the columns `[j0, j1)`: `bands[t]` is rows `[r0,
@@ -492,12 +458,12 @@ fn decode_row_band(
     }
 }
 
-/// Builds the shared B-tile cache of a `k×n` (row-major) or `n×k`
-/// (transposed) B into `tiles`: the tiles back to back, the one starting
-/// at column `j0` occupying `tiles[j0 * k..j1 * k]`. The build writes every
-/// element, so a reused cache is not cleared first. Either side splits by
-/// bands of source rows, `parts` bands at most, one pool task each (one
-/// band, on the calling thread, when the GEMM is not split):
+/// Builds the B-tile cache of columns `[p0, p1)` of a `k×n` (row-major) or
+/// `n×k` (transposed) B into `tiles`: the tiles back to back, the one
+/// starting at column `j0` occupying `tiles[(j0 − p0) * k..(j1 − p0) * k]`.
+/// The build writes every element, so a reused cache is not cleared first.
+/// Either side splits by bands of source rows, `parts` bands at most, one
+/// pool task each (a single band runs on the calling thread):
 /// - a row-major B's band is `k / parts` of its rows, and each task
 ///   writes its row band of *every* tile ([`decode_row_band`]) through
 ///   owned slices;
@@ -510,49 +476,43 @@ fn build_bcache(
     b: &QOperandRef<'_>,
     side: BSide,
     k: usize,
-    n: usize,
+    (p0, p1): (usize, usize),
     parts: usize,
     tiles: &mut [f32],
 ) {
+    debug_assert_eq!(tiles.len(), k * (p1 - p0));
+    // `k = 0` or no columns: nothing to build (and `chunks_mut(0)` panics).
+    if tiles.is_empty() {
+        return;
+    }
     match side {
         BSide::RowMajor => {
-            let tiles = tiles.chunks_mut(NC * k);
             let rows = k.div_ceil(parts);
             // `bands[i][t]`: source rows `[i·rows, …)` of tile `t`.
             let mut bands: Vec<Vec<&mut [f32]>> =
                 (0..k.div_ceil(rows)).map(|_| Vec::new()).collect();
-            for tile in tiles {
+            for tile in tiles.chunks_mut(NC * k) {
                 let nb = tile.len() / k;
                 for (band, seg) in bands.iter_mut().zip(tile.chunks_mut(rows * nb)) {
                     band.push(seg);
                 }
             }
-            let build = |i: usize, mut band: Vec<&mut [f32]>| {
+            pool::for_each_owned(bands, |i, mut band| {
                 let r0 = i * rows;
-                decode_row_band(b, (r0, (r0 + rows).min(k)), (0, n), &mut band);
-            };
-            if bands.len() > 1 {
-                pool::for_each_owned(bands, build);
-            } else {
-                bands.into_iter().for_each(|band| build(0, band));
-            }
+                decode_row_band(b, (r0, (r0 + rows).min(k)), (p0, p1), &mut band);
+            });
         }
         BSide::Transposed => {
-            let per = n.div_ceil(NC).div_ceil(parts) * NC;
+            let per = (p1 - p0).div_ceil(NC).div_ceil(parts) * NC;
             let bands: Vec<&mut [f32]> = tiles.chunks_mut(per * k).collect();
-            let build = |i: usize, band: &mut [f32]| {
+            pool::for_each_owned(bands, |i, band| {
                 SCRATCH.with_borrow_mut(|s| {
                     for (t, tile) in band.chunks_mut(NC * k).enumerate() {
-                        let j0 = i * per + t * NC;
+                        let j0 = p0 + i * per + t * NC;
                         transpose_into(b, (j0, j0 + tile.len() / k), (0, k), tile, &mut s.staging);
                     }
                 });
-            };
-            if bands.len() > 1 {
-                pool::for_each_owned(bands, build);
-            } else {
-                bands.into_iter().for_each(|band| build(0, band));
-            }
+            });
         }
     }
 }
@@ -606,53 +566,32 @@ fn build_ablock<'s>(
     }
 }
 
-/// One chunk's block sweep: `MC×NC` output tiles over rows `[start, end)`
-/// of the output, the A block materialized once per sweep, B tiles served
-/// from the shared cache when present and built into per-thread scratch
-/// otherwise. `chunk` holds exactly rows `[start, end)`. Every pool split
-/// runs this one body over its rows — that is what makes the result the
-/// same at every thread count.
+/// One chunk's block sweep over one column panel: `MC×NC` output tiles
+/// over rows `[start, end)` and columns `[p0, p1)` of the `n`-column
+/// output, the A block materialized once per sweep, every B tile read from
+/// `tiles`, the panel's cache ([`build_bcache`]). `chunk` holds exactly
+/// rows `[start, end)`. Every pool split runs this one body over its rows
+/// — that is what makes the result the same at every thread count.
 #[allow(clippy::too_many_arguments)]
 fn sweep_rows(
     a: &QOperandRef<'_>,
     a_side: ASide,
-    b: &QOperandRef<'_>,
-    b_side: BSide,
-    n: usize,
-    k: usize,
+    (n, k): (usize, usize),
+    (p0, p1): (usize, usize),
     store: Store,
-    bcache: Option<&[f32]>,
-    start: usize,
-    end: usize,
+    tiles: &[f32],
+    (start, end): (usize, usize),
     chunk: &mut [f32],
 ) {
-    // Hoisted so the tile loop pays the telemetry gate once per sweep, not
-    // per tile (and nothing at all beyond this load when collection is off).
-    let obs = snip_obs::enabled();
     SCRATCH.with_borrow_mut(|s| {
         let mut i0 = start;
         while i0 < end {
             let i1 = (i0 + MC).min(end);
             let ablock = build_ablock(a, a_side, k, i0, i1, &mut s.ablock, &mut s.staging);
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + NC).min(n);
-                let btile: &[f32] = match bcache {
-                    Some(cache) => {
-                        if obs {
-                            snip_obs::counter_add("gemm.btile.cache_hits", 1);
-                        }
-                        &cache[j0 * k..j1 * k]
-                    }
-                    None => {
-                        if obs {
-                            snip_obs::counter_add("gemm.btile.scratch_builds", 1);
-                        }
-                        let tile = window(&mut s.btile, k * (j1 - j0));
-                        build_btile_into(b, b_side, k, j0, j1, tile, &mut s.staging);
-                        tile
-                    }
-                };
+            let mut j0 = p0;
+            while j0 < p1 {
+                let j1 = (j0 + NC).min(p1);
+                let btile = &tiles[(j0 - p0) * k..(j1 - p0) * k];
                 tile_kernel(
                     store,
                     chunk,
@@ -805,17 +744,13 @@ fn write_product(
         (m, n),
         "{what}: output shape differs from the {m}×{n} product"
     );
-    let (a_side, b_side) = match orientation {
-        Orientation::Nn => (ASide::RowMajor, BSide::RowMajor),
-        Orientation::Nt => (ASide::RowMajor, BSide::Transposed),
-        Orientation::Tn => (ASide::Transposed, BSide::RowMajor),
-    };
+    let (a_side, b_side) = sides(orientation);
     let out = c.as_mut_slice();
     // Telemetry wrapper: one relaxed load when collection is off; when on,
     // count the call against the active backend and accumulate wall time
     // on the dispatching thread (`gemm.ns` backs `StepOutput::gemm_ns`).
     if !snip_obs::enabled() {
-        return gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out);
+        return gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out, B_CACHE_LIMIT);
     }
     let dispatch = match simd::active_backend() {
         simd::Backend::Scalar => "gemm.dispatch.scalar",
@@ -826,18 +761,31 @@ fn write_product(
     snip_obs::counter_add("gemm.calls", 1);
     snip_obs::counter_add(dispatch, 1);
     let t0 = snip_obs::trace::now_ns();
-    gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out);
+    gemm_blocked(a, a_side, b, b_side, store, (m, n, k), out, B_CACHE_LIMIT);
     snip_obs::counter_add("gemm.ns", snip_obs::trace::now_ns().saturating_sub(t0));
 }
 
-/// The blocked driver shared by all three orientations: pre-materialize
-/// the B-side tile cache ([`build_bcache`]; tiles are j-aligned, so one
-/// build serves every row chunk — B-side decode/transpose work is a single
-/// pass over B regardless of `m` or the chunk count), then row-chunk the
-/// output `c` (`m × n`, contents ignored) across the pool, sweeping
-/// `MC×NC` output tiles per chunk with the A block materialized once per
-/// sweep. Oversized B operands skip the shared cache and build tiles per
-/// sweep from bounded per-worker scratch.
+/// How an `orientation` product reads its A and B operands.
+fn sides(orientation: Orientation) -> (ASide, BSide) {
+    match orientation {
+        Orientation::Nn => (ASide::RowMajor, BSide::RowMajor),
+        Orientation::Nt => (ASide::RowMajor, BSide::Transposed),
+        Orientation::Tn => (ASide::Transposed, BSide::RowMajor),
+    }
+}
+
+/// The blocked driver shared by all three orientations. B is built once
+/// into the calling thread's tile cache ([`BCACHE`], [`build_bcache`]):
+/// tiles are j-aligned, so one build serves every row chunk, and B's decode
+/// or transpose is a single pass over B whatever `m` or the chunk count.
+/// Then the output `c` (`m × n`, contents ignored) is row-chunked across the
+/// pool, each chunk sweeping `MC×NC` output tiles with its A block
+/// materialized once per sweep. A B of more than `limit` elements
+/// ([`B_CACHE_LIMIT`] from [`write_product`]) is built and swept in column
+/// panels of whole `NC` tiles, each at most `limit` elements (one tile at
+/// least); a panel computes each of its output elements exactly as the
+/// whole product does, so the bits cannot depend on `limit`.
+#[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     a: &QOperandRef<'_>,
     a_side: ASide,
@@ -846,23 +794,21 @@ fn gemm_blocked(
     store: Store,
     (m, n, k): (usize, usize, usize),
     c: &mut [f32],
+    limit: usize,
 ) {
     if m == 0 {
         return;
     }
     let parts = pool::parts_for(m * n * k, PARALLEL_THRESHOLD);
-    // The shared cache only pays when some sweep will re-read a tile: more
-    // than one i-block per chunk, or several chunks sharing B. A skinny
-    // single-sweep product (e.g. a matvec) streams B straight through
-    // per-worker scratch instead — same traffic as reading B once, no
-    // up-front allocation.
-    let reused = m > MC || (parts > 1 && m > 1);
-    let mut bcache = (reused && k * n > 0 && k * n <= B_CACHE_LIMIT).then(|| BCACHE.take());
-    let btiles: Option<&[f32]> = bcache.as_mut().map(|cache| {
-        let obs = snip_obs::enabled();
+    let panel = (limit / (k.max(1) * NC)).max(1) * NC;
+    let obs = snip_obs::enabled();
+    let mut cache = BCACHE.take();
+    let used = window(&mut cache, k * panel.min(n));
+    for p0 in (0..n).step_by(panel) {
+        let p1 = (p0 + panel).min(n);
+        let tiles = &mut used[..k * (p1 - p0)];
         let t0 = if obs { snip_obs::trace::now_ns() } else { 0 };
-        let tiles = window(cache, k * n);
-        build_bcache(b, b_side, k, n, parts, tiles);
+        build_bcache(b, b_side, k, (p0, p1), parts, tiles);
         if obs {
             snip_obs::counter_add("gemm.bcache.builds", 1);
             snip_obs::counter_add(
@@ -870,14 +816,26 @@ fn gemm_blocked(
                 snip_obs::trace::now_ns().saturating_sub(t0),
             );
         }
-        &*tiles
-    });
-    for_each_row_chunk(m, parts, c, n, |start, end, chunk| {
-        sweep_rows(a, a_side, b, b_side, n, k, store, btiles, start, end, chunk);
-    });
-    if let Some(cache) = bcache {
-        keep_bcache(cache);
+        let tiles = &*tiles;
+        for_each_row_chunk(m, parts, c, n, |start, end, chunk| {
+            sweep_rows(
+                a,
+                a_side,
+                (n, k),
+                (p0, p1),
+                store,
+                tiles,
+                (start, end),
+                chunk,
+            );
+        });
     }
+    // Every element this GEMM wrote is poisoned before the next GEMM can
+    // read it, like the arena's kept buffers.
+    if cfg!(debug_assertions) {
+        used.fill(f32::NAN);
+    }
+    BCACHE.set(cache);
 }
 
 #[cfg(test)]
@@ -885,10 +843,6 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
     use crate::QTensor;
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.as_slice().iter().map(|x| x.to_bits()).collect()
-    }
 
     /// The tile kernels' speed depends on every scratch window starting on
     /// a cache line, and nothing else fails when that is lost: pin it for
@@ -921,7 +875,7 @@ mod tests {
     /// that do not divide `k` (and more bands than rows), it must lay out
     /// exactly the tiles the layout defines — tile `t` holds B rows `0..k`
     /// of columns `[t·NC, …)`, k-major — for a dense and a decoded B; so
-    /// must the one-tile scratch build.
+    /// must a column panel's build from tile 3 on.
     #[test]
     fn row_band_build_lays_out_every_tile() {
         let (k, n) = (77, 203);
@@ -944,15 +898,15 @@ mod tests {
             let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
             for parts in [1, 2, 3, 5, 76, 77, 80] {
                 let mut cache = vec![f32::NAN; k * n];
-                build_bcache(&op, BSide::RowMajor, k, n, parts, &mut cache);
+                build_bcache(&op, BSide::RowMajor, k, (0, n), parts, &mut cache);
                 let got: Vec<u32> = cache.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "{parts} bands");
+                let j0 = 3 * NC;
+                let mut panel = vec![f32::NAN; k * (n - j0)];
+                build_bcache(&op, BSide::RowMajor, k, (j0, n), parts, &mut panel);
+                let got: Vec<u32> = panel.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want[j0 * k..], "panel, {parts} bands");
             }
-            let j0 = 3 * NC;
-            let mut tile = vec![f32::NAN; k * (n - j0)];
-            build_btile_into(&op, BSide::RowMajor, k, j0, n, &mut tile, &mut Vec::new());
-            let got: Vec<u32> = tile.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(got, want[j0 * k..], "scratch tile");
         }
     }
 
@@ -996,7 +950,7 @@ mod tests {
     /// backend tier, it must lay out exactly the tiles the layout defines
     /// — tile `t` holds B columns `0..k` of B rows `[t·NC, …)`, k-major —
     /// for a dense, a BF16-rounded, a packed FP4 and a packed FP8 B; so
-    /// must the one-tile scratch build.
+    /// must a column panel's build from tile 3 on.
     #[test]
     fn transposed_band_build_lays_out_every_tile() {
         use crate::CodeWidth::{U4, U8};
@@ -1026,15 +980,19 @@ mod tests {
                 simd::with_forced_backend(backend, || {
                     for parts in [1, 2, pool::size() + 3] {
                         let mut cache = vec![f32::NAN; k * n];
-                        build_bcache(&op, BSide::Transposed, k, n, parts, &mut cache);
+                        build_bcache(&op, BSide::Transposed, k, (0, n), parts, &mut cache);
                         let got: Vec<u32> = cache.iter().map(|x| x.to_bits()).collect();
                         assert_eq!(got, want, "{what}, {parts} bands ({backend:?})");
+                        let j0 = 3 * NC;
+                        let mut panel = vec![f32::NAN; k * (n - j0)];
+                        build_bcache(&op, BSide::Transposed, k, (j0, n), parts, &mut panel);
+                        let got: Vec<u32> = panel.iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(
+                            got,
+                            want[j0 * k..],
+                            "{what}, panel, {parts} bands ({backend:?})"
+                        );
                     }
-                    let j0 = 3 * NC;
-                    let mut tile = vec![f32::NAN; k * (n - j0)];
-                    build_btile_into(&op, BSide::Transposed, k, j0, n, &mut tile, &mut Vec::new());
-                    let got: Vec<u32> = tile.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(got, want[j0 * k..], "{what}, scratch tile ({backend:?})");
                 });
             }
         }
@@ -1042,44 +1000,75 @@ mod tests {
 
     /// A B-tile cache kept from an earlier GEMM is refilled without being
     /// cleared. Filled with NaN, any element the build failed to write
-    /// would reach the output; the bits must equal a freshly built cache's
-    /// at every split, in every orientation that builds one.
+    /// would reach the output; the bits must equal those of a fresh cache
+    /// on forced scalar at every split, on every tier, in every
+    /// orientation, for products of many sweeps and of one (`m ≤ MC`, at
+    /// split 1 once a path of its own), for a B built whole and in column
+    /// panels (the driver's bound crossed at two tiles per panel). The
+    /// test thread never opens an arena scope: the cache is kept after
+    /// every GEMM all the same, and the next GEMM reuses it.
     #[test]
     fn a_reused_nan_filled_bcache_gives_fresh_bits() {
-        // Ragged against MC, NC and TB on every side.
-        let (m, k, n) = (131, 77, 203);
+        // Ragged against MC, NC and TB on every side; `m1 ≤ MC` rows.
+        let (m, m1, k, n) = (131, 41, 77, 203);
         let mut rng = Rng::seed_from(5);
         let a = Tensor::randn(m, k, 1.0, &mut rng);
         let at = Tensor::randn(k, m, 1.0, &mut rng);
+        let a1 = Tensor::randn(m1, k, 1.0, &mut rng);
         let b = Tensor::randn(k, n, 1.0, &mut rng);
         let bt = Tensor::randn(n, k, 1.0, &mut rng);
-        let rounded = QOperandRef::Bf16Rounded;
-        let run = || {
-            [
-                gemm((&a).into(), (&b).into(), Orientation::Nn, Round::Keep),
-                gemm((&a).into(), (&bt).into(), Orientation::Nt, Round::Keep),
-                gemm((&at).into(), (&b).into(), Orientation::Tn, Round::Keep),
-                gemm((&a).into(), (&b).into(), Orientation::Nn, Round::Bf16),
-                // Decoded row-major B: the row bands decode into the cache.
-                gemm((&a).into(), rounded(&b), Orientation::Nn, Round::Bf16),
-                gemm((&at).into(), rounded(&b), Orientation::Tn, Round::Keep),
-            ]
-            .map(|c| bits(&c))
+        let (dense, rounded) = (QOperandRef::Dense, QOperandRef::Bf16Rounded);
+        let cases = [
+            (dense(&a), dense(&b), Orientation::Nn, 0),
+            (dense(&a), dense(&bt), Orientation::Nt, 0),
+            (dense(&at), dense(&b), Orientation::Tn, 0),
+            (dense(&a), dense(&b), Orientation::Nn, STORE_BF16),
+            // Decoded row-major B: the row bands decode into the cache.
+            (dense(&a), rounded(&b), Orientation::Nn, STORE_BF16),
+            (dense(&at), rounded(&b), Orientation::Tn, STORE_PLUS_ZERO),
+            // One sweep: a single row block.
+            (dense(&a1), dense(&b), Orientation::Nn, 0),
+            (rounded(&a1), rounded(&bt), Orientation::Nt, STORE_BF16),
+        ];
+        let run = |limit: usize| {
+            cases.map(|(a, b, orientation, store)| {
+                let (m, n, k) = dims("test", orientation, &a, &b);
+                let (a_side, b_side) = sides(orientation);
+                let mut c = vec![f32::NAN; m * n];
+                gemm_blocked(&a, a_side, &b, b_side, store, (m, n, k), &mut c, limit);
+                c.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+            })
         };
+        BCACHE.take();
+        let fresh = simd::with_forced_backend(simd::Backend::Scalar, || {
+            pool::with_threads(1, || run(B_CACHE_LIMIT))
+        });
+        assert!(
+            !BCACHE.take().is_empty(),
+            "a GEMM outside a scope keeps its cache"
+        );
         let max = pool::size();
-        for split in [1, 2, max, max + 3] {
-            // Outside an arena scope every call builds a new cache.
-            let fresh = pool::with_threads(split, run);
-            assert_eq!(BCACHE.take().len(), 0, "kept outside a scope");
-
-            let _step = arena::scope();
-            let stale = vec![f32::NAN; 2 * k * n];
-            let ptr = stale.as_ptr();
-            BCACHE.set(stale);
-            let reused = pool::with_threads(split, run);
-            let kept = BCACHE.take();
-            assert_eq!(kept.as_ptr(), ptr, "split {split}: not reused");
-            assert_eq!(reused, fresh, "split {split}");
+        for backend in simd::available_backends() {
+            for split in [1, 2, max, max + 3] {
+                for limit in [B_CACHE_LIMIT, 2 * NC * k] {
+                    let stale = vec![f32::NAN; 2 * k * n];
+                    let ptr = stale.as_ptr();
+                    BCACHE.set(stale);
+                    let got = simd::with_forced_backend(backend, || {
+                        pool::with_threads(split, || run(limit))
+                    });
+                    let what = format!("{backend:?}, split {split}, bound {limit}");
+                    let kept = BCACHE.take();
+                    assert_eq!(kept.as_ptr(), ptr, "{what}: not kept and reused");
+                    // Every element a GEMM wrote is poisoned in debug builds.
+                    assert_eq!(
+                        kept.iter().all(|x| x.is_nan()),
+                        cfg!(debug_assertions),
+                        "{what}"
+                    );
+                    assert!(got == fresh, "{what}: bits differ from a fresh cache");
+                }
+            }
         }
     }
 }

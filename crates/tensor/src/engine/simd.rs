@@ -132,10 +132,14 @@ pub fn compiled() -> bool {
 const SNIP_SIMD_ACCEPTED: &str = "1|on|true (full dispatch), 0|off|false|scalar, \
      avx2|neon (tier-1 cap), avx512 (tier-2 cap)";
 
-/// The pure classification behind [`env_tier_cap`]: a recognized value's
-/// tier cap, or `None` for anything undocumented.
+/// The tier cap of full dispatch: `SNIP_SIMD` unset, unrecognized, or
+/// `1|on|true`.
+const FULL: u8 = u8::MAX;
+
+/// A recognized `SNIP_SIMD` value's tier cap, or `None` for anything
+/// undocumented. Unset and blank values never reach it
+/// ([`snip_obs::env::parse`] classifies them).
 fn tier_cap_of(v: &str) -> Option<u8> {
-    const FULL: u8 = u8::MAX;
     if v == "0"
         || v.eq_ignore_ascii_case("off")
         || v.eq_ignore_ascii_case("false")
@@ -153,20 +157,6 @@ fn tier_cap_of(v: &str) -> Option<u8> {
         return Some(FULL);
     }
     None
-}
-
-/// How an environment value for `SNIP_SIMD` parses: a tier cap, plus
-/// whether the value was unrecognized (warned once at backend init).
-/// Classification (unset/blank → default, trimming) goes through the
-/// shared [`crate::env`] helper that `SNIP_THREADS` and `SNIP_TRACE` use.
-fn env_tier_cap(value: Option<&str>) -> (u8, bool) {
-    use snip_obs::env::EnvValue;
-    const FULL: u8 = u8::MAX;
-    match snip_obs::env::parse(value, tier_cap_of) {
-        EnvValue::Parsed(cap) => (cap, false),
-        EnvValue::Unset => (FULL, false),
-        EnvValue::Unrecognized => (FULL, true),
-    }
 }
 
 /// The widest backend the CPU supports (ignoring `SNIP_SIMD`), or scalar
@@ -208,15 +198,7 @@ fn at_tier(detected: Backend, tier: u8) -> Backend {
 }
 
 fn detect_backend() -> Backend {
-    let raw = std::env::var("SNIP_SIMD").ok();
-    let (cap, unrecognized) = env_tier_cap(raw.as_deref());
-    if unrecognized {
-        snip_obs::env::warn_unrecognized(
-            "SNIP_SIMD",
-            raw.as_deref().unwrap_or(""),
-            SNIP_SIMD_ACCEPTED,
-        );
-    }
+    let cap = snip_obs::env::read("SNIP_SIMD", SNIP_SIMD_ACCEPTED, tier_cap_of).unwrap_or(FULL);
     let detected = detect_cpu_backend();
     at_tier(detected, cap.min(detected.tier()))
 }
@@ -620,36 +602,42 @@ mod tests {
 
     #[test]
     fn env_values_parse_as_documented() {
-        const FULL: u8 = u8::MAX;
-        for (value, want) in [
-            (None, FULL),
-            (Some("1"), FULL),
-            (Some("on"), FULL),
-            (Some("TRUE"), FULL),
-            (Some(""), FULL),
-            (Some("  "), FULL),
-            (Some("0"), 0),
-            (Some("off"), 0),
-            (Some("OFF"), 0),
-            (Some("false"), 0),
-            (Some("False"), 0),
-            (Some("scalar"), 0),
-            (Some(" scalar "), 0),
-            (Some("  0\t"), 0),
-            (Some("avx2"), 1),
-            (Some("AVX2"), 1),
-            (Some("neon"), 1),
-            (Some("avx512"), 2),
-            (Some(" AVX512 "), 2),
-        ] {
-            let (cap, unrecognized) = env_tier_cap(value);
-            assert_eq!(cap, want, "{value:?} should cap at tier {want}");
-            assert!(!unrecognized, "{value:?} is a documented value");
+        use snip_obs::env::{parse, EnvValue};
+        for value in [None, Some(""), Some("  ")] {
+            assert_eq!(parse(value, tier_cap_of), EnvValue::Unset, "{value:?}");
         }
-        for value in [Some("yes"), Some("2"), Some("sse"), Some("amx")] {
-            let (cap, unrecognized) = env_tier_cap(value);
-            assert_eq!(cap, FULL, "{value:?} must fall back to full dispatch");
-            assert!(unrecognized, "{value:?} should be flagged for the warning");
+        for (value, want) in [
+            ("1", FULL),
+            ("on", FULL),
+            ("TRUE", FULL),
+            ("0", 0),
+            ("off", 0),
+            ("OFF", 0),
+            ("false", 0),
+            ("False", 0),
+            ("scalar", 0),
+            (" scalar ", 0),
+            ("  0\t", 0),
+            ("avx2", 1),
+            ("AVX2", 1),
+            ("neon", 1),
+            ("avx512", 2),
+            (" AVX512 ", 2),
+        ] {
+            assert_eq!(
+                parse(Some(value), tier_cap_of),
+                EnvValue::Parsed(want),
+                "{value:?}"
+            );
+        }
+        for value in ["yes", "2", "sse", "amx"] {
+            let cap = parse(Some(value), tier_cap_of);
+            assert_eq!(cap, EnvValue::Unrecognized, "{value:?} is not documented");
+            assert_eq!(
+                cap.unwrap_or(FULL),
+                FULL,
+                "{value:?} falls back to full dispatch"
+            );
         }
     }
 

@@ -285,9 +285,9 @@ fn check_rounded_operand(m: usize, k: usize, n: usize, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `m` and `n` reach past one `MC`/`NC` block, so the shared B-tile
-    /// cache and its per-tile parallel build are exercised as well as the
-    /// per-sweep scratch tiles.
+    /// `m` and `n` reach past one `MC`/`NC` block, so the B-tile cache is
+    /// read by one sweep and by several, over one tile and several, and
+    /// built on the pool at every split.
     #[test]
     fn the_rounded_operand_equals_the_dense_gemm_over_a_rounded_copy(
         m in 1usize..140,
@@ -453,9 +453,9 @@ fn check_stores_into_poison(m: usize, k: usize, n: usize, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `m` and `n` reach past one `MC`/`NC` block, so both the shared
-    /// B-tile cache (row bands and transposed tiles) and the per-sweep
-    /// scratch tiles write the output.
+    /// `m` and `n` reach past one `MC`/`NC` block, so the output is
+    /// written by single and multiple sweeps over one and several tiles of
+    /// the B-tile cache (row bands and transposed tiles).
     #[test]
     fn every_kernel_stores_its_output_over_a_poisoned_destination(
         m in 1usize..100,
@@ -578,9 +578,8 @@ fn ragged_and_blocky_shapes_are_split_invariant() {
 }
 
 /// The orientation identities at every transpose band and block edge: `n`
-/// and `k` straddle the 8-row band and the 64-wide `NC` tile, and `m` takes
-/// both B-tile paths — per-sweep scratch builds at one split (`m ≤ 64`) and
-/// the shared per-GEMM cache (`m > 64`).
+/// and `k` straddle the 8-row band and the 64-wide `NC` tile, and `m` is
+/// one row block (`m ≤ 64`, a single sweep) or several (`m > 64`).
 #[test]
 fn orientations_match_nn_at_transpose_edges() {
     const EDGES: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 130];
