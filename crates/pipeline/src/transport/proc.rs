@@ -718,10 +718,9 @@ pub fn worker_boot() {
 }
 
 /// Writes a worker's failure report as one line in a single `write_all`.
-/// Every worker inherits the launcher's unbuffered stderr, where
-/// `eprintln!` writes each piece of its format separately, so concurrent
-/// reports used to interleave mid-line. A failed write is dropped: stderr
-/// was the only place to report it.
+/// Every worker inherits the launcher's unbuffered stderr, so one write per
+/// report keeps concurrent workers' lines whole. A failed write is
+/// dropped: stderr was the only place to report it.
 fn write_failure(out: &mut impl Write, message: &str) {
     let _ = out.write_all(format!("snip rank worker failed: {message}\n").as_bytes());
 }

@@ -999,14 +999,14 @@ mod tests {
     }
 
     /// A B-tile cache kept from an earlier GEMM is refilled without being
-    /// cleared. Filled with NaN, any element the build failed to write
-    /// would reach the output; the bits must equal those of a fresh cache
-    /// on forced scalar at every split, on every tier, in every
-    /// orientation, for products of many sweeps and of one (`m ≤ MC`, at
-    /// split 1 once a path of its own), for a B built whole and in column
-    /// panels (the driver's bound crossed at two tiles per panel). The
-    /// test thread never opens an arena scope: the cache is kept after
-    /// every GEMM all the same, and the next GEMM reuses it.
+    /// cleared. Each case starts from its own NaN-filled cache, so any
+    /// element the build failed to write would reach the output; its bits
+    /// must equal those of the same case on a fresh, empty cache on forced
+    /// scalar, at every split, on every tier, in every orientation, for
+    /// products of many sweeps and of one (`m ≤ MC`), for a B built whole
+    /// and in column panels (the driver's bound crossed at two tiles per
+    /// panel). The test thread never opens an arena scope: the cache is
+    /// kept after every GEMM all the same, and the next GEMM reuses it.
     #[test]
     fn a_reused_nan_filled_bcache_gives_fresh_bits() {
         // Ragged against MC, NC and TB on every side; `m1 ≤ MC` rows.
@@ -1030,43 +1030,50 @@ mod tests {
             (dense(&a1), dense(&b), Orientation::Nn, 0),
             (rounded(&a1), rounded(&bt), Orientation::Nt, STORE_BF16),
         ];
-        let run = |limit: usize| {
-            cases.map(|(a, b, orientation, store)| {
-                let (m, n, k) = dims("test", orientation, &a, &b);
-                let (a_side, b_side) = sides(orientation);
-                let mut c = vec![f32::NAN; m * n];
-                gemm_blocked(&a, a_side, &b, b_side, store, (m, n, k), &mut c, limit);
-                c.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
-            })
+        // One GEMM of case `i` with `cache` as the thread's tile cache on
+        // entry: the output bits and the cache the GEMM left behind.
+        let gemm = |i: usize, cache: Vec<f32>, limit: usize| {
+            let (a, b, orientation, store) = cases[i];
+            let (m, n, k) = dims("test", orientation, &a, &b);
+            let (a_side, b_side) = sides(orientation);
+            let mut c = vec![f32::NAN; m * n];
+            BCACHE.set(cache);
+            gemm_blocked(&a, a_side, &b, b_side, store, (m, n, k), &mut c, limit);
+            let bits = c.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            (bits, BCACHE.take())
         };
-        BCACHE.take();
-        let fresh = simd::with_forced_backend(simd::Backend::Scalar, || {
-            pool::with_threads(1, || run(B_CACHE_LIMIT))
-        });
-        assert!(
-            !BCACHE.take().is_empty(),
-            "a GEMM outside a scope keeps its cache"
-        );
+        let fresh: Vec<Vec<u32>> = (0..cases.len())
+            .map(|i| {
+                let (bits, kept) = simd::with_forced_backend(simd::Backend::Scalar, || {
+                    pool::with_threads(1, || gemm(i, Vec::new(), B_CACHE_LIMIT))
+                });
+                assert!(
+                    !kept.is_empty(),
+                    "case {i}: a GEMM outside a scope keeps its cache"
+                );
+                bits
+            })
+            .collect();
         let max = pool::size();
         for backend in simd::available_backends() {
             for split in [1, 2, max, max + 3] {
                 for limit in [B_CACHE_LIMIT, 2 * NC * k] {
-                    let stale = vec![f32::NAN; 2 * k * n];
-                    let ptr = stale.as_ptr();
-                    BCACHE.set(stale);
-                    let got = simd::with_forced_backend(backend, || {
-                        pool::with_threads(split, || run(limit))
-                    });
-                    let what = format!("{backend:?}, split {split}, bound {limit}");
-                    let kept = BCACHE.take();
-                    assert_eq!(kept.as_ptr(), ptr, "{what}: not kept and reused");
-                    // Every element a GEMM wrote is poisoned in debug builds.
-                    assert_eq!(
-                        kept.iter().all(|x| x.is_nan()),
-                        cfg!(debug_assertions),
-                        "{what}"
-                    );
-                    assert!(got == fresh, "{what}: bits differ from a fresh cache");
+                    for (i, want) in fresh.iter().enumerate() {
+                        let stale = vec![f32::NAN; 2 * k * n];
+                        let ptr = stale.as_ptr();
+                        let (got, kept) = simd::with_forced_backend(backend, || {
+                            pool::with_threads(split, || gemm(i, stale, limit))
+                        });
+                        let what = format!("case {i}, {backend:?}, split {split}, bound {limit}");
+                        assert_eq!(kept.as_ptr(), ptr, "{what}: not kept and reused");
+                        // Every element a GEMM wrote is poisoned in debug builds.
+                        assert_eq!(
+                            kept.iter().all(|x| x.is_nan()),
+                            cfg!(debug_assertions),
+                            "{what}"
+                        );
+                        assert!(got == *want, "{what}: bits differ from a fresh cache");
+                    }
                 }
             }
         }
