@@ -13,10 +13,13 @@
 //! cargo run --release -p snip-bench --bin bench_gemm -- --check # validate
 //! ```
 //!
-//! Schema 11 holds four per-tier tables of one row type ([`Row`]) — `gemm`
+//! Schema 12 holds four per-tier tables of one row type ([`Row`]) — `gemm`
 //! (GFLOP/s), `pack` and `decode` (ns per element), `crc` (GB/s) — plus
 //! `machine`, `probe` and `init` ([`InitTable`], whose `fill` is a fifth
-//! per-tier table). The dispatched tier's rows are what a training step
+//! per-tier table). Every `pack` kernel has a one-thread row (`_t1`, the
+//! serial group walk) and a row at the pool's size (`_t<threads>`, the
+//! pack split across the pool; `_t2`, forced, on the smoke shapes). The
+//! dispatched tier's rows are what a training step
 //! runs; there is no second, default-dispatch copy. Before a tier is
 //! timed, its output (GEMM and decode bits; pack codes, scales and
 //! post-call RNG state; fill bits and RNG state; the CRC) is asserted equal
@@ -142,7 +145,7 @@ struct SchemaOnly {
 }
 
 /// Schema of the report this binary writes and `--check` accepts.
-const SCHEMA: u64 = 11;
+const SCHEMA: u64 = 12;
 
 /// `--check`'s floor on the speed of every vector tier's one-thread fill
 /// over the `libm` row: the certified kernel exists to be this much
@@ -330,12 +333,15 @@ fn pack_seeded(q: &Quantizer, t: &Tensor) -> (QTensor, Rng) {
 }
 
 /// The `pack` rows of one quantizer: `role`'s scale layout at `p` with
-/// `rounding`, named `pack_<format>_<layout>_<rounding>`.
+/// `rounding`, named `pack_<format>_<layout>_<rounding>_t<threads>`, one row
+/// per entry of `splits` (the pack split forced with `pool::with_threads`;
+/// `t1` is the serial group walk).
 fn pack_rows(
     p: Precision,
     role: TensorRole,
     rounding: Rounding,
     t: &Tensor,
+    splits: &[usize],
     reps: usize,
 ) -> Vec<Row> {
     let q = p.quantizer_with_group(role, GROUP).with_rounding(rounding);
@@ -344,20 +350,24 @@ fn pack_rows(
         TensorRole::Input | TensorRole::OutputGrad => format!("tile1x{GROUP}"),
     };
     let rounding = format!("{rounding:?}").to_lowercase();
-    let mut rng = Rng::seed_from(11);
     let q = &q;
-    per_tier(
-        reps,
-        vec![Case {
-            kernel: format!("pack_{p}_{layout}_{rounding}"),
-            shape: shape_of(t),
-            rate: Box::new(ns_per_elt(t.len())),
-            gate: Box::new(move || pack_seeded(q, t)),
-            timed: Box::new(move || {
-                std::hint::black_box(q.quantize_packed(t, &mut rng).expect("packable"));
-            }),
-        }],
-    )
+    let cases = splits
+        .iter()
+        .map(|&threads| {
+            let mut rng = Rng::seed_from(11);
+            Case {
+                kernel: format!("pack_{p}_{layout}_{rounding}_t{threads}"),
+                shape: shape_of(t),
+                rate: Box::new(ns_per_elt(t.len())),
+                gate: Box::new(move || pool::with_threads(threads, || pack_seeded(q, t))),
+                timed: Box::new(move || {
+                    let packed = pool::with_threads(threads, || q.quantize_packed(t, &mut rng));
+                    std::hint::black_box(packed.expect("packable"));
+                }),
+            }
+        })
+        .collect();
+    per_tier(reps, cases)
 }
 
 /// One linear layer's GEMM operands at `dims` = `tokens × d_out × d_in`:
@@ -429,13 +439,28 @@ fn run(smoke: bool) -> Report {
         .map(|&dims| Layer::new(dims, &mut rng))
         .collect();
 
+    // Every pack is timed serially and split the pool's way; the smoke
+    // shapes are below the split floor, so there the split is forced.
+    let pack_splits: &[usize] = match (smoke, pool::size()) {
+        (true, _) => &[1, 2],
+        (false, 1) => &[1],
+        (false, n) => &[1, n],
+    };
     let (mut decode, mut pack_table) = (Vec::new(), Vec::new());
     let mut seen_act_shapes = BTreeSet::new();
     for Layer { x, w, qx, .. } in &layers {
         // The layer's weight, packed the way `snip-nn` packs it (block
         // scales, nearest): the largest pack of a train step.
         for p in [Precision::Fp4, Precision::Fp8] {
-            pack_table.extend(pack_rows(p, TensorRole::Weight, Rounding::Nearest, w, reps));
+            let rows = pack_rows(
+                p,
+                TensorRole::Weight,
+                Rounding::Nearest,
+                w,
+                pack_splits,
+                reps,
+            );
+            pack_table.extend(rows);
         }
 
         // Decode and activation packs depend only on the activation shape,
@@ -461,7 +486,8 @@ fn run(smoke: bool) -> Report {
         }
         for p in [Precision::Fp4, Precision::Fp8] {
             for rounding in [Rounding::Nearest, Rounding::Stochastic] {
-                pack_table.extend(pack_rows(p, TensorRole::Input, rounding, x, reps));
+                let rows = pack_rows(p, TensorRole::Input, rounding, x, pack_splits, reps);
+                pack_table.extend(rows);
             }
         }
     }
@@ -923,14 +949,14 @@ fn print_summary(report: &Report) {
     ] {
         for r in rows {
             println!(
-                "  {:>29} {:>12}  {:>9.3} ms  {:>7.2} {unit}  [{}]",
+                "  {:>34} {:>12}  {:>9.3} ms  {:>7.2} {unit}  [{}]",
                 r.kernel, r.shape, r.ms, r.rate, r.backend
             );
         }
     }
     let pr = &report.probe;
     println!(
-        "  {:>29} {:>12}  {:>9.3} ms = {:.2} x {:.3} ms fwd+bwd\n  {:>42}  forward {:.1} + base {:.1} + probe_bwd {:.1} + probe_fwd {:.1} + stats {:.1} ms",
+        "  {:>34} {:>12}  {:>9.3} ms = {:.2} x {:.3} ms fwd+bwd\n  {:>47}  forward {:.1} + base {:.1} + probe_bwd {:.1} + probe_fwd {:.1} + stats {:.1} ms",
         "measure",
         pr.model,
         pr.measure_ms,
@@ -944,7 +970,7 @@ fn print_summary(report: &Report) {
         pr.stats_pass_ms
     );
     println!(
-        "  {:>29} {:>12}  {:>9.3} ms on 1 thread, {:.3} ms on {}; {} of {} pairs fell back",
+        "  {:>34} {:>12}  {:>9.3} ms on 1 thread, {:.3} ms on {}; {} of {} pairs fell back",
         "Model::new",
         init.model,
         init.model_new_t1_ms,
@@ -1048,8 +1074,8 @@ mod tests {
             ]),
             decode: table(&[("decode_fp4", "256x768"), ("decode_fp8", "256x768")]),
             pack: table(&[
-                ("pack_fp4_tile1x128_stochastic", "256x768"),
-                ("pack_fp8_block128x128_nearest", "2048x768"),
+                ("pack_fp4_tile1x128_stochastic_t1", "256x768"),
+                ("pack_fp8_block128x128_nearest_t2", "2048x768"),
             ]),
             probe: ProbeRow {
                 model: "bench-768x2".to_string(),
@@ -1182,21 +1208,28 @@ mod tests {
     fn a_schema_8_file_is_rejected() {
         let mut r = valid();
         r.schema = 8;
-        rejects(&r, "schema 8, expected 11");
+        rejects(&r, "schema 8, expected 12");
     }
 
     #[test]
     fn a_schema_9_file_without_init_is_rejected() {
         let mut r = valid();
         r.schema = 9;
-        rejects(&r, "schema 9, expected 11");
+        rejects(&r, "schema 9, expected 12");
     }
 
     #[test]
     fn a_schema_10_file_without_crc_is_rejected() {
         let mut r = valid();
         r.schema = 10;
-        rejects(&r, "schema 10, expected 11");
+        rejects(&r, "schema 10, expected 12");
+    }
+
+    #[test]
+    fn a_schema_11_file_without_split_pack_rows_is_rejected() {
+        let mut r = valid();
+        r.schema = 11;
+        rejects(&r, "schema 11, expected 12");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use snip_data::BatchStream;
 use snip_nn::model::{Model, StepOptions, StepOutput};
 use snip_nn::ModelConfig;
-use snip_optim::{clip::clip_global_norm, AdamW, AdamWConfig, LrSchedule};
+use snip_optim::{clip::clip_factor, AdamW, AdamWConfig, LrSchedule};
 use snip_quant::wire::{read_file_frame, write_file_frame, FieldError, Fields, Writer};
 use snip_tensor::arena;
 use snip_tensor::rng::Rng;
@@ -196,6 +196,13 @@ impl Trainer {
     /// accumulators. [`Trainer::try_train_step_with_grad_hook`] undoes
     /// those.
     ///
+    /// The clip is folded into the optimizer sweep: the global norm is
+    /// taken once, and AdamW reads each gradient element times the clip
+    /// factor ([`AdamW::update_clipped`]), which is bit for bit what
+    /// clipping the gradients in place and then updating did. So the
+    /// gradients a step leaves behind are the **unclipped** ones (the
+    /// hook's output).
+    ///
     /// The whole step, hook included, runs inside one
     /// [`arena::scope`]: the large buffers it drops are kept for the next
     /// step on this thread instead of going back to the allocator.
@@ -213,10 +220,11 @@ impl Trainer {
             .model
             .step(&batch, &mut self.rng, &StepOptions::train());
         hook(&mut self.model)?;
-        if let Some(max) = self.cfg.grad_clip {
-            clip_global_norm(&mut self.model, max);
-        }
-        self.optimizer.update(&mut self.model);
+        let clip = self
+            .cfg
+            .grad_clip
+            .and_then(|max| clip_factor(self.model.grad_norm(), max));
+        self.optimizer.update_clipped(&mut self.model, clip);
         self.step += 1;
         self.last_loss = out.loss;
         if snip_obs::enabled() {
@@ -566,6 +574,81 @@ mod tests {
             .collect();
         assert_eq!(a, b, "an observing hook must not change the trajectory");
         assert_eq!(calls, 3);
+    }
+
+    /// The step body before the clip was folded into the optimizer: clip
+    /// the gradients in place, then update. Returns the gradients as the
+    /// hook left them (before the clip), as bits.
+    fn clip_then_update_step(t: &mut Trainer, hook: &mut dyn FnMut(&mut Model)) -> Vec<u32> {
+        t.optimizer.set_lr(t.cfg.schedule.lr_at(t.step));
+        let batch = t.stream.next_batch();
+        t.model.zero_grads();
+        t.last_loss = t.model.step(&batch, &mut t.rng, &StepOptions::train()).loss;
+        hook(&mut t.model);
+        let unclipped = state(t).1;
+        if let Some(max) = t.cfg.grad_clip {
+            snip_optim::clip::clip_global_norm(&mut t.model, max);
+        }
+        t.optimizer.update(&mut t.model);
+        t.step += 1;
+        unclipped
+    }
+
+    /// The folded clip (`AdamW::update_clipped` with `clip_factor`) moves
+    /// no bit: parameters, moments (f32 and packed FP8) and everything else
+    /// a checkpoint holds equal clip-then-update after every step, for a
+    /// clip that fires, one that does not and none at all, through the
+    /// plain step and the data-parallel hook path. The gradients a folded
+    /// step leaves behind are the unclipped ones.
+    #[test]
+    fn the_folded_clip_matches_clip_then_update_bit_for_bit() {
+        use snip_optim::MomentPrecision;
+        // A two-rank mean of equal gradients, as a DP all-reduce hook writes.
+        let halve = |model: &mut Model| {
+            for p in model.params_mut() {
+                p.grad_mut().scale(0.5);
+            }
+        };
+        for moments in [MomentPrecision::F32, MomentPrecision::PackedFp8] {
+            for (what, grad_clip) in [
+                ("clipped", Some(1e-3)),
+                ("unclipped", Some(1e6)),
+                ("none", None),
+            ] {
+                let cfg = TrainerConfig {
+                    grad_clip,
+                    ..TrainerConfig::tiny().with_moment_precision(moments)
+                };
+                let mut folded = Trainer::new(cfg.clone()).unwrap();
+                let mut reference = Trainer::new(cfg).unwrap();
+                for step in 0..4 {
+                    let ctx = format!("{moments:?} {what} step {step}");
+                    let dp = step % 2 == 1;
+                    if dp {
+                        folded
+                            .try_train_step_with_grad_hook::<()>(&mut |m| {
+                                halve(m);
+                                Ok(())
+                            })
+                            .unwrap();
+                    } else {
+                        folded.train_step();
+                    }
+                    let unclipped = clip_then_update_step(&mut reference, &mut |m| {
+                        if dp {
+                            halve(m)
+                        }
+                    });
+                    assert!(
+                        folded.checkpoint_bytes() == reference.checkpoint_bytes(),
+                        "{ctx}"
+                    );
+                    assert!(state(&folded).1 == unclipped, "{ctx}: unclipped gradients");
+                    let fired = state(&reference).1 != unclipped;
+                    assert_eq!(fired, what == "clipped", "{ctx}: the clip fired");
+                }
+            }
+        }
     }
 
     #[test]

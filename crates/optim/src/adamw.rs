@@ -134,15 +134,24 @@ enum StoredMoments {
 }
 
 impl StoredMoments {
+    /// Zero moments for a `rows × cols` parameter. Dense moments are
+    /// written with zeros here rather than left to the allocator's zeroed
+    /// pages: the update that reads them next then takes one page fault per
+    /// page, where reading a fresh zeroed page and then writing it takes
+    /// two.
     fn zeros(rows: usize, cols: usize, precision: MomentPrecision) -> Self {
-        let m = Tensor::zeros(rows, cols);
-        let v = Tensor::zeros(rows, cols);
         match precision {
-            MomentPrecision::F32 => StoredMoments::Dense { m, v },
-            MomentPrecision::PackedFp8 => StoredMoments::PackedFp8 {
-                m: pack_moment(&m_quantizer(), &m),
-                v: pack_moment(&v_quantizer(), &v),
+            MomentPrecision::F32 => StoredMoments::Dense {
+                m: Tensor::full(rows, cols, 0.0),
+                v: Tensor::full(rows, cols, 0.0),
             },
+            MomentPrecision::PackedFp8 => {
+                let zeros = Tensor::zeros(rows, cols);
+                StoredMoments::PackedFp8 {
+                    m: pack_moment(&m_quantizer(), &zeros),
+                    v: pack_moment(&v_quantizer(), &zeros),
+                }
+            }
         }
     }
 
@@ -308,18 +317,36 @@ impl AdamW {
     /// the parameter's task) — the low-precision state is the *only*
     /// deviation from the f32 recipe.
     pub fn update(&mut self, model: &mut Model) {
+        self.update_clipped(model, None);
+    }
+
+    /// [`AdamW::update`] on gradients clipped by `clip`, the factor
+    /// [`crate::clip::clip_factor`] returns: the sweep reads each gradient
+    /// element `g` as the `f32` product `g · clip`, the value
+    /// [`crate::clip::clip_global_norm`] would have stored, so parameters
+    /// and moments are bit-identical to clipping first and updating after,
+    /// without the pass that rewrites every gradient. The gradients stay
+    /// unclipped. `None` reads them as they are.
+    ///
+    /// A parameter seen for the first time gets its zero moments inside
+    /// its own task, so they are first written on the thread that updates
+    /// them; they join the state in parameter order as before.
+    pub fn update_clipped(&mut self, model: &mut Model, clip: Option<f32>) {
         self.step += 1;
         let t = self.step as i32;
         let cfg = self.cfg;
         let bias1 = 1.0 - cfg.beta1.powi(t);
         let bias2 = 1.0 - cfg.beta2.powi(t);
         let params = model.params_mut();
-        // New parameters get zero moments, in order, before the fan-out.
-        for p in params.iter().skip(self.states.len()) {
-            let (rows, cols) = p.value().shape();
-            self.states
-                .push(StoredMoments::zeros(rows, cols, cfg.moments));
-        }
+        // New parameters hold an empty placeholder until their task
+        // creates their zero moments.
+        let first_new = self.states.len();
+        let placeholder = || StoredMoments::Dense {
+            m: Tensor::zeros(0, 0),
+            v: Tensor::zeros(0, 0),
+        };
+        self.states
+            .extend(params.iter().skip(first_new).map(|_| placeholder()));
         let lr = cfg.lr as f32;
         let b1 = cfg.beta1 as f32;
         let b2 = cfg.beta2 as f32;
@@ -327,8 +354,15 @@ impl AdamW {
         let wd = cfg.weight_decay as f32;
         let inv_bias1 = (1.0 / bias1) as f32;
         let inv_bias2 = (1.0 / bias2) as f32;
+        // `g · 1` is `g` for every value but a signalling NaN, which the
+        // arithmetic below quiets either way.
+        let g_scale = clip.unwrap_or(1.0);
         let work = params.into_iter().zip(&mut self.states).collect();
-        pool::for_each_owned(work, |_, (p, st)| {
+        pool::for_each_owned(work, |index, (p, st)| {
+            if index >= first_new {
+                let (rows, cols) = p.value().shape();
+                *st = StoredMoments::zeros(rows, cols, cfg.moments);
+            }
             // Working copies of the moments: borrowed in place for dense
             // storage, decoded for packed.
             let mut decoded = match st {
@@ -344,7 +378,7 @@ impl AdamW {
             let v_data = value.as_mut_slice();
             let g_data = grad.as_slice();
             for i in 0..v_data.len() {
-                let g = g_data[i];
+                let g = g_data[i] * g_scale;
                 // Decoupled weight decay.
                 v_data[i] -= lr * wd * v_data[i];
                 m_data[i] = b1 * m_data[i] + (1.0 - b1) * g;

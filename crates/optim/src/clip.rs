@@ -3,6 +3,20 @@
 use snip_nn::model::Model;
 use snip_tensor::pool;
 
+/// The factor a global-norm clip scales every gradient by: `max_norm /
+/// norm` as `f32` when `norm` exceeds `max_norm`, otherwise `None`.
+/// [`clip_global_norm`] multiplies the gradients by it in place;
+/// [`crate::AdamW::update_clipped`] multiplies each gradient element by it
+/// as its sweep reads it — one rule, so the two cannot drift.
+///
+/// # Panics
+///
+/// Panics if `max_norm` is not positive.
+pub fn clip_factor(norm: f64, max_norm: f64) -> Option<f32> {
+    assert!(max_norm > 0.0, "max_norm must be positive");
+    (norm > max_norm && norm > 0.0).then(|| (max_norm / norm) as f32)
+}
+
 /// Scales all gradients so the global norm does not exceed `max_norm`,
 /// one parameter per pool task. Returns the pre-clip global norm.
 ///
@@ -10,10 +24,8 @@ use snip_tensor::pool;
 ///
 /// Panics if `max_norm` is not positive.
 pub fn clip_global_norm(model: &mut Model, max_norm: f64) -> f64 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
     let norm = model.grad_norm();
-    if norm > max_norm && norm > 0.0 {
-        let scale = (max_norm / norm) as f32;
+    if let Some(scale) = clip_factor(norm, max_norm) {
         pool::for_each_owned(model.params_mut(), |_, p| p.grad_mut().scale(scale));
     }
     norm

@@ -19,14 +19,17 @@
 //! kernels of `snip_tensor::encode`, and the decode table it emits holds
 //! the value the format's rounding rule gives, bit for bit. The tests check
 //! both against a two-step reference (round onto the grid, then look the
-//! code up) kept in `tests/support/oracle.rs`.
+//! code up) kept in `tests/support/oracle.rs`. A large pack splits across
+//! the worker pool in runs of whole scale-group rows; why that moves no
+//! bit is in the method's docs.
 
 use crate::format::ElementFormat;
 use crate::granularity::Granularity;
 use crate::quantizer::Rounding;
 use snip_tensor::encode::{CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
-use snip_tensor::{CodeWidth, QTensor, Tensor};
+use snip_tensor::{pool, CodeWidth, QTensor, Tensor, PARALLEL_ELEMENTS};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The interned codebooks, indexed by the format's wire id (ids no format
@@ -184,36 +187,93 @@ impl Codebook {
     /// The stochastic RNG contract: **one `next_f32()` draw per element,
     /// unconditionally** (zero, NaN and saturating elements included), in
     /// [`Granularity::for_each_group`] row-major-within-group order. The
-    /// draws are made serially, a bounded chunk of a row segment at a
-    /// time, into a scratch buffer the kernel then consumes — so the
-    /// stream and its final position do not depend on the vector width.
-    /// Nearest rounding never touches `rng`.
+    /// draws are made a bounded chunk of a row segment at a time, into a
+    /// scratch buffer the kernel then consumes — so the stream and its
+    /// final position do not depend on the vector width. Nearest rounding
+    /// never touches `rng`.
+    ///
+    /// **The split.** A tensor of at least `snip_tensor::PARALLEL_ELEMENTS`
+    /// elements whose groups come in rows (`Block { nb }` in `nb`-row
+    /// bands, `Tile` and `Rowwise` in rows) is cut into contiguous runs of
+    /// whole group rows, as many as the pool splits that many elements into
+    /// (`pool::parts_for`), and the runs pack on the pool. A run is a
+    /// contiguous stretch of the group walk: it computes each of its groups
+    /// exactly as the serial walk does and writes its own rows of codes
+    /// (whole bytes: a 4-bit row is padded to a byte, so rows never share
+    /// one) and its own contiguous slice of scales. Under stochastic
+    /// rounding a run starting at row `r` draws from its own copy of `rng`
+    /// moved `r · cols` draws ahead ([`Rng::advance`]) — the draws the
+    /// serial walk makes before reaching it — and the last run ends where
+    /// the serial walk ends, which becomes `rng`'s state. So no code, scale
+    /// or draw depends on the split. `Tensorwise` and `Columnwise` groups
+    /// span every row and pack as one run, as does a `1 × n` wire payload.
     pub(crate) fn pack_rounded_with(
         &self,
         t: &Tensor,
         granularity: Granularity,
         rounding: Rounding,
         rng: &mut Rng,
-        scale_of: impl Fn(f32) -> (f32, f32),
+        scale_of: impl Fn(f32) -> (f32, f32) + Sync,
     ) -> QTensor {
-        match rounding {
-            Rounding::Nearest => {
-                self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
-                    self.encode_seg(enc, seg, scale, None, cstart, row)
-                })
-            }
-            Rounding::Stochastic => {
-                let mut draws = [0.0f32; DRAW_CHUNK];
-                self.pack_groups(t, granularity, scale_of, |enc, seg, scale, cstart, row| {
-                    for (i, chunk) in seg.chunks(DRAW_CHUNK).enumerate() {
-                        let us = &mut draws[..chunk.len()];
-                        us.iter_mut().for_each(|u| *u = rng.next_f32());
-                        let at = cstart + i * DRAW_CHUNK;
-                        self.encode_seg(enc, chunk, scale, Some(us), at, row);
+        let (rows, cols) = t.shape();
+        let row_bytes = self.width.row_bytes(cols);
+        let mut data = vec![0u8; rows * row_bytes];
+        let mut scales = vec![0.0f32; granularity.group_count(rows, cols)];
+        let walk = Walk {
+            book: self,
+            enc: Encoder::current(),
+            t,
+            granularity,
+            rounding,
+            scale_of,
+        };
+        match Self::runs(granularity, rows, cols) {
+            None => walk.band(0..rows, &mut scales, &mut data, rng),
+            Some((run_rows, run_groups)) => {
+                let mut rngs = vec![rng.clone(); rows.div_ceil(run_rows)];
+                let runs = data
+                    .chunks_mut(run_rows * row_bytes)
+                    .zip(scales.chunks_mut(run_groups))
+                    .zip(&mut rngs);
+                pool::for_each_owned(runs.collect(), |i, ((codes, scales), rng)| {
+                    let rr = i * run_rows..rows.min((i + 1) * run_rows);
+                    if rounding == Rounding::Stochastic {
+                        rng.advance((rr.start * cols) as u64);
                     }
-                })
+                    walk.band(rr, scales, codes, rng);
+                });
+                *rng = rngs.pop().expect("a split has runs");
             }
         }
+        QTensor::from_parts_with_pair(
+            rows,
+            cols,
+            self.width,
+            self.lut(),
+            self.pair_lut(),
+            granularity,
+            scales,
+            data,
+        )
+    }
+
+    /// How a `rows × cols` pack under `granularity` splits: `Some((rows,
+    /// scale groups))` per run, every run but the last that long, or `None`
+    /// for one run — groups that span every row, or fewer than two runs
+    /// from the pool's rule.
+    fn runs(granularity: Granularity, rows: usize, cols: usize) -> Option<(usize, usize)> {
+        let group_rows = match granularity {
+            Granularity::Block { nb } => nb,
+            Granularity::Tile { .. } | Granularity::Rowwise => 1,
+            Granularity::Tensorwise | Granularity::Columnwise => return None,
+        };
+        let group_bands = rows.div_ceil(group_rows);
+        let parts = pool::parts_for(rows * cols, PARALLEL_ELEMENTS).min(group_bands);
+        if parts < 2 || cols == 0 {
+            return None;
+        }
+        let per_run = group_bands.div_ceil(parts);
+        Some((per_run * group_rows, per_run * granularity.col_groups(cols)))
     }
 
     /// One row segment through the encode kernels at this book's width.
@@ -234,48 +294,55 @@ impl Codebook {
             }
         }
     }
+}
 
-    /// The group walk of [`Codebook::pack_rounded_with`]: per scale group, scan
-    /// the group's contiguous row segments for the max-abs, derive the
-    /// scales, then hand each segment to `encode_seg(encoder, segment,
-    /// encode_scale, first_column, packed_row)` — scan and encode are fused
-    /// per group, so a group is read from memory once and re-read cache-hot.
-    /// Segments are visited row-major within each group (the
-    /// stochastic-draw order).
-    /// `packed_row` is the segment's whole zero-initialized packed row:
-    /// 4-bit segments of adjacent groups can share a byte.
-    fn pack_groups(
-        &self,
-        t: &Tensor,
-        granularity: Granularity,
-        scale_of: impl Fn(f32) -> (f32, f32),
-        mut encode_seg: impl FnMut(&Encoder, &[f32], f32, usize, &mut [u8]),
-    ) -> QTensor {
-        let enc = Encoder::current();
-        let (rows, cols) = t.shape();
-        let row_bytes = self.width.row_bytes(cols);
-        let mut data = vec![0u8; rows * row_bytes];
-        let mut scales = Vec::with_capacity(granularity.group_count(rows, cols));
-        granularity.for_each_group(rows, cols, |rr, cr| {
-            let seg = |r: usize| &t.row(r)[cr.clone()];
-            let max_abs = rr.clone().fold(0.0, |m, r| enc.abs_max(seg(r), m));
-            let (enc_scale, dec_scale) = scale_of(max_abs);
-            scales.push(dec_scale);
-            for r in rr {
-                let row = &mut data[r * row_bytes..(r + 1) * row_bytes];
-                encode_seg(&enc, seg(r), enc_scale, cr.start, row);
+/// One pack's fixed inputs: the group walk of
+/// [`Codebook::pack_rounded_with`], over the whole tensor or one run.
+struct Walk<'a, S> {
+    book: &'a Codebook,
+    enc: Encoder,
+    t: &'a Tensor,
+    granularity: Granularity,
+    rounding: Rounding,
+    scale_of: S,
+}
+
+impl<S: Fn(f32) -> (f32, f32)> Walk<'_, S> {
+    /// Packs rows `rr`, which start a group row, into `codes` (their packed
+    /// rows) and `scales` (their groups' decode scales, in walk order). Per
+    /// group, the row segments are scanned for the max-abs, then encoded
+    /// row-major within the group (the draw order) — scan and encode are
+    /// fused per group, so a group is read from memory once and re-read
+    /// cache-hot. 4-bit segments of adjacent groups can share a byte of the
+    /// zero-initialized row.
+    fn band(&self, rr: Range<usize>, scales: &mut [f32], codes: &mut [u8], rng: &mut Rng) {
+        let (book, enc) = (self.book, &self.enc);
+        let cols = self.t.cols();
+        let row_bytes = book.width.row_bytes(cols);
+        let mut slots = scales.iter_mut();
+        let mut draws = [0.0f32; DRAW_CHUNK];
+        self.granularity.for_each_group(rr.len(), cols, |gr, cr| {
+            let seg = |r: usize| &self.t.row(rr.start + r)[cr.clone()];
+            let max_abs = gr.clone().fold(0.0, |m, r| enc.abs_max(seg(r), m));
+            let (enc_scale, dec_scale) = (self.scale_of)(max_abs);
+            *slots.next().expect("one scale per group") = dec_scale;
+            for r in gr {
+                let row = &mut codes[r * row_bytes..(r + 1) * row_bytes];
+                match self.rounding {
+                    Rounding::Nearest => {
+                        book.encode_seg(enc, seg(r), enc_scale, None, cr.start, row)
+                    }
+                    Rounding::Stochastic => {
+                        for (i, chunk) in seg(r).chunks(DRAW_CHUNK).enumerate() {
+                            let us = &mut draws[..chunk.len()];
+                            us.iter_mut().for_each(|u| *u = rng.next_f32());
+                            let at = cr.start + i * DRAW_CHUNK;
+                            book.encode_seg(enc, chunk, enc_scale, Some(us), at, row);
+                        }
+                    }
+                }
             }
         });
-        QTensor::from_parts_with_pair(
-            rows,
-            cols,
-            self.width,
-            self.lut(),
-            self.pair_lut(),
-            granularity,
-            scales,
-            data,
-        )
     }
 }
 

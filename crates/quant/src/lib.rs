@@ -155,6 +155,17 @@
 //! [`granularity::Granularity`] is its name here. An empty tensor has 0
 //! groups under every layout, so packed ≡ fake holds there too.
 //!
+//! A pack of at least `snip_tensor::PARALLEL_ELEMENTS` elements splits
+//! across the worker pool in runs of whole scale-group rows (block bands,
+//! tile and row rows; tensorwise and columnwise packs, and `1 × n` wire
+//! payloads, stay one run). The split cannot move a bit: each run is a
+//! contiguous stretch of the serial group walk, computes its groups as the
+//! walk does and writes only its own code rows (whole bytes) and scale
+//! slice, and a stochastic run draws from its own copy of the stream
+//! advanced to the draws the walk makes before it (`Rng::advance`).
+//! `tests/pack_simd.rs` holds every split on every tier to the one-run walk
+//! and the reference packer.
+//!
 //! ## Packed state beyond GEMM operands
 //!
 //! * **Optimizer moments**: `snip_optim::AdamW` stores `m` and `v` as packed

@@ -10,7 +10,9 @@
 //! RNG state, having consumed the same draws. Two more checks ride along:
 //! packing `−t` gives the negated codes (the rounding is sign-symmetric),
 //! and a sampled sweep of the f32 bit patterns through each grid's kernels
-//! equals the element rule plus a binary-search encode.
+//! equals the element rule plus a binary-search encode. The pack engine's
+//! split across the pool is held to the same standard: every forced split
+//! packs what the one-run walk packs, on every tier.
 //!
 //! CI reruns this suite under `SNIP_SIMD=0`, `SNIP_SIMD=avx2`,
 //! `--no-default-features` (where the sweep degenerates to the scalar
@@ -28,7 +30,7 @@ use snip_quant::{PackedQuantize, PackedTensor, Quantizer, Rounding};
 use snip_tensor::encode::{CodeGrid, Encoder};
 use snip_tensor::rng::Rng;
 use snip_tensor::simd::{self, Backend};
-use snip_tensor::{CodeWidth, Tensor};
+use snip_tensor::{pool, CodeWidth, Tensor};
 
 const ROUNDINGS: [Rounding; 2] = [Rounding::Nearest, Rounding::Stochastic];
 
@@ -461,6 +463,62 @@ fn sampled_bit_patterns_encode_like_the_reference_on_every_tier() {
                     "{fmt:?} u {u:?}: {:#010x} ({x:e}) encodes to {code}, reference {reference} ({q:e})",
                     x.to_bits()
                 );
+            }
+        }
+    }
+}
+
+/// A pack's code bytes, scale bits and post-call RNG state.
+type PackBits = (Vec<u8>, Vec<u32>, Rng);
+
+fn pack_bits(q: &Quantizer, t: &Tensor, seed: u64) -> PackBits {
+    let mut rng = Rng::seed_from(seed);
+    let p = q.quantize_packed(t, &mut rng).expect("packable");
+    let scales = p.scales().iter().map(|s| s.to_bits()).collect();
+    (p.packed_data().to_vec(), scales, rng)
+}
+
+/// The pack engine splits a tensor into runs of whole scale-group rows
+/// across the pool; no bit may move. For all five layouts (block and tile
+/// sides 3 and 4), both roundings and both code widths, on ragged shapes
+/// (rows not a multiple of the block side, odd column counts, one long
+/// row), the one-run walk (`with_threads(1)`) equals the two-step reference
+/// packer (`ReferencePack`: codes, scales, draws), and at splits 2, the
+/// pool size and the pool size + 3 every tier packs the same code bytes,
+/// scales and RNG state as the one-run walk and decodes to the dense
+/// oracle's bits (`assert_backends_agree`).
+#[test]
+fn every_split_packs_what_the_one_run_walk_packs() {
+    let mut data = Rng::seed_from(0x5B11);
+    let seed = 41;
+    for (rows, cols) in [(7, 37), (13, 6), (10, 129), (1, 301)] {
+        let t = Tensor::randn(rows, cols, 1.0, &mut data);
+        for g in granularities(3).into_iter().chain(granularities(4)) {
+            for r in ROUNDINGS {
+                for fmt in [FloatFormat::e2m1(), FloatFormat::e4m3()] {
+                    let q = Quantizer::new(fmt, g, r);
+                    let ctx = format!("{fmt} {g} {r:?} {rows}x{cols}");
+                    let serial = pool::with_threads(1, || pack_bits(&q, &t, seed));
+                    let cb = ElementFormat::from(fmt).codebook().expect("packable");
+                    let mut rng = Rng::seed_from(seed);
+                    let reference = cb.pack(&t, g, fmt.max_value(), &mut rng, |x, rng| match r {
+                        Rounding::Nearest => fmt.quantize_nearest(x),
+                        Rounding::Stochastic => fmt.quantize_stochastic(x, rng.next_f32()),
+                    });
+                    let scales = reference.scales().iter().map(|s| s.to_bits()).collect();
+                    let reference = (reference.packed_data().to_vec(), scales, rng);
+                    assert!(serial == reference, "{ctx}: one run vs reference packer");
+                    for split in [2, pool::size(), pool::size() + 3] {
+                        let ctx = format!("{ctx} split {split}");
+                        pool::with_threads(split, || {
+                            for bk in simd::available_backends() {
+                                let got = simd::with_forced_backend(bk, || pack_bits(&q, &t, seed));
+                                assert!(got == serial, "{ctx} @ {}: split vs one run", bk.name());
+                            }
+                            assert_backends_agree(&q, &t, seed, &ctx);
+                        });
+                    }
+                }
             }
         }
     }

@@ -165,10 +165,11 @@ mod simd_x86_512;
 /// GEMMs of fewer multiply–accumulates than this run on the calling thread;
 /// larger ones split their output rows over the pool (the elementwise ops
 /// have their own floor, [`crate::PARALLEL_ELEMENTS`]). Dispatch on the
-/// persistent pool costs a queue push plus a condvar wake (single-digit
-/// microseconds), so a split pays once the serial kernel takes a few
-/// hundred microseconds. The benchmark fixture (`benchmark/`, 256 tokens
-/// per step) sits far from the line on both sides:
+/// persistent pool costs a queue push plus a condvar wake (a traced run's
+/// `pool.queue_wait_ns` histogram measures the wake), so a split pays
+/// once the serial kernel takes a few hundred microseconds. The benchmark
+/// fixture (`benchmark/`, 256 tokens per step) sits far from the line on
+/// both sides:
 /// - per-head attention GEMMs are 64×64×64 = 262 144 MACs and run serially;
 /// - every linear-layer GEMM splits: 256×768×768 ≈ 151 M MACs (attention
 ///   projections), 256×2048×768 ≈ 403 M (FFN) and 256×768×512 ≈ 101 M

@@ -3,14 +3,17 @@
 //!
 //! Its users are the GEMM engine (output-row bands of one product), the
 //! elementwise [`Tensor`](crate::Tensor) ops (contiguous element bands of
-//! one large tensor), `snip-nn`'s attention (one task per
+//! one large tensor), `snip-quant`'s pack engine (runs of whole scale-group
+//! rows of one large tensor), `snip-nn`'s attention (one task per
 //! sequence, forward and backward), the per-parameter passes of `snip-nn`
 //! and `snip-optim` (gradient zeroing, the clip norm and scale, the AdamW
 //! update) and the SNIP probe's statistics ([`reduce`]). The pool spawns
 //! its workers **once**, on the first parallel dispatch, and afterwards a
-//! region costs one queue push and a condvar wake (single-digit
-//! microseconds, amortized across the job) — spawning fresh threads per
-//! call used to cost tens of microseconds each.
+//! region costs one queue push and a condvar wake, amortized across the
+//! job — spawning fresh threads per call cost a thread spawn each. What a
+//! wake costs on a given machine is the `pool.queue_wait_ns` histogram of
+//! a traced run (`SNIP_TRACE`): submit to the moment a worker picks the job
+//! up.
 //!
 //! Design constraints, in order:
 //!
@@ -232,8 +235,10 @@ fn with_split<R>(split: Option<usize>, f: impl FnOnce() -> R) -> R {
 
 /// Number of tasks a region of `work` units should split into: 1 below
 /// `threshold`, the cached pool size above it, and the forced split width
-/// inside [`with_threads`] regardless of size.
-pub(crate) fn parts_for(work: usize, threshold: usize) -> usize {
+/// inside [`with_threads`] regardless of size. Callers outside this crate
+/// (the pack engine of `snip-quant`) pass [`crate::PARALLEL_ELEMENTS`], so
+/// every split follows one rule.
+pub fn parts_for(work: usize, threshold: usize) -> usize {
     if let Some(n) = forced_threads() {
         return n;
     }

@@ -8,6 +8,7 @@
 
 use crate::math::box_muller;
 use crate::simd;
+use std::sync::OnceLock;
 
 /// A deterministic xoshiro256++ random number generator.
 ///
@@ -33,6 +34,63 @@ pub struct Rng {
 /// `fill_gaussian_t1` against the `fill_gaussian_t<threads>` rows of
 /// `BENCH_gemm.json`'s `init` table.
 pub const GAUSSIAN_BLOCK_PAIRS: usize = 1024;
+
+/// The xoshiro256 state transition: the linear half of
+/// [`Rng::next_u64`].
+#[inline]
+fn step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// A linear map of the 256-bit state as its columns: column `j` is the
+/// image of the state whose only set bit is bit `j % 64` of word `j / 64`.
+type Transition = [[u64; 4]; 256];
+
+/// `m · v`: the XOR of the columns of `m` at the set bits of `v`.
+fn apply(m: &Transition, v: &[u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (j, col) in m.iter().enumerate() {
+        let mask = 0u64.wrapping_sub((v[j / 64] >> (j % 64)) & 1);
+        for (o, c) in out.iter_mut().zip(col) {
+            *o ^= c & mask;
+        }
+    }
+    out
+}
+
+/// The smallest `k` whose `2^k` steps [`Rng::advance`] takes as one jump;
+/// fewer steps are cheaper stepped one by one than one [`apply`].
+const FIRST_JUMP: usize = 6;
+
+/// The jump tables, built on first use: `JUMPS[k]` is `2^k` steps of the
+/// state transition (8 KiB each; entries below [`FIRST_JUMP`] stay empty).
+static JUMPS: [OnceLock<Box<Transition>>; 64] = [const { OnceLock::new() }; 64];
+
+/// `2^k` steps of the state transition, `k ≥ FIRST_JUMP`: stepped from
+/// each basis state at the first level, the previous level squared above.
+fn jump(k: usize) -> &'static Transition {
+    JUMPS[k].get_or_init(|| {
+        let mut m = Box::new([[0u64; 4]; 256]);
+        for (j, col) in m.iter_mut().enumerate() {
+            if k == FIRST_JUMP {
+                col[j / 64] = 1 << (j % 64);
+                for _ in 0..1u64 << k {
+                    step(col);
+                }
+            } else {
+                let half = jump(k - 1);
+                *col = apply(half, &half[j]);
+            }
+        }
+        m
+    })
+}
 
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -77,16 +135,30 @@ impl Rng {
     /// Returns the next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.state;
+        let s = &self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
+        step(&mut self.state);
         result
+    }
+
+    /// Moves the stream `n` draws ahead: the state `n` calls of
+    /// [`Rng::next_u64`] (or [`Rng::next_f32`] / [`Rng::next_f64`], one
+    /// draw each) would leave, in time logarithmic in `n`. The pending
+    /// Box–Muller spare is kept. A parallel consumer of one stream starts
+    /// each part at its own offset this way — the pack engine's stochastic
+    /// runs in `snip-quant` — and every draw is the one the serial loop
+    /// would have made.
+    pub fn advance(&mut self, n: u64) {
+        // The state transition is linear over GF(2), so `2^k` steps are one
+        // matrix product: the low bits step, the high bits jump.
+        for _ in 0..n % (1 << FIRST_JUMP) {
+            step(&mut self.state);
+        }
+        for k in FIRST_JUMP..u64::BITS as usize {
+            if (n >> k) & 1 == 1 {
+                self.state = apply(jump(k), &self.state);
+            }
+        }
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -218,6 +290,48 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    /// `advance(n)` leaves the state `n` draws leave, around every jump
+    /// level's edges, and two advances compose; the Box–Muller spare is
+    /// kept.
+    #[test]
+    fn advance_equals_that_many_draws() {
+        let start = Rng::seed_from(31);
+        let mut drawn = start.clone();
+        let mut at = 0u64;
+        for n in [
+            0u64,
+            1,
+            2,
+            63,
+            64,
+            65,
+            127,
+            128,
+            1000,
+            4095,
+            4096,
+            70_001,
+            1 << 18,
+        ] {
+            while at < n {
+                drawn.next_u64();
+                at += 1;
+            }
+            let mut jumped = start.clone();
+            jumped.advance(n);
+            assert_eq!(jumped, drawn, "{n} draws");
+        }
+        let mut twice = start.clone();
+        twice.advance(1 << 17);
+        twice.advance((1 << 18) - (1 << 17));
+        assert_eq!(twice, drawn);
+        let mut spare = Rng::seed_from(5);
+        spare.next_gaussian();
+        let pending = spare.state().1;
+        spare.advance(99);
+        assert_eq!(spare.state().1, pending);
     }
 
     #[test]
